@@ -65,8 +65,8 @@ impl GroupPolicy {
     ///
     /// Returns [`Error::InvalidConfig`] for an empty replica band, an
     /// `initial` outside it, zero concurrency, a threshold band without
-    /// hysteresis (`down >= up`), non-finite thresholds, negative
-    /// cooldowns, or an SLO floor outside `[0, 1]`.
+    /// hysteresis (`down >= up`), non-finite thresholds, negative or
+    /// non-finite cooldowns, or an SLO floor outside `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
         if self.max == 0 {
             return Err(Error::invalid_config("a group needs max >= 1 replica"));
@@ -92,8 +92,8 @@ impl GroupPolicy {
                 "utilization band needs 0 < down < up (got down={down}, up={up})"
             )));
         }
-        if self.up_cooldown.get() < 0.0 || self.down_cooldown.get() < 0.0 {
-            return Err(Error::invalid_config("cooldowns must be non-negative"));
+        if [self.up_cooldown, self.down_cooldown].iter().any(|c| !non_negative(*c)) {
+            return Err(Error::invalid_config("cooldowns must be finite and non-negative"));
         }
         if !(0.0..=1.0).contains(&self.slo_floor) {
             return Err(Error::invalid_config("the SLO goodput floor must be in [0, 1]"));
@@ -117,8 +117,11 @@ pub struct AutoscalePolicy {
     pub interval: Seconds,
     /// Machine-provisioning delay a scale-up pays before warmup starts.
     pub provision: Seconds,
-    /// Warmup a fresh replica pays after provisioning (weight load plus a
-    /// cold `MappingCache`) before it turns `Up` and routable.
+    /// Warmup a fresh replica pays after provisioning (weight load and
+    /// cache warm-up) before it turns `Up` and routable. This duration is
+    /// the whole simulated warm-up: the simulator's own pricing memos are
+    /// host-side state, shared by every replica of a configuration, and
+    /// add nothing to simulated time.
     pub warmup: Seconds,
     /// Idle power per chip, in watts — prices the chip-seconds a replica
     /// is held but not computing, so elastic and static fleets compare on
@@ -151,8 +154,8 @@ impl AutoscalePolicy {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for no groups, a non-positive
-    /// interval, negative provisioning/warmup/idle power, or any group
-    /// failing [`GroupPolicy::validate`].
+    /// interval, negative or non-finite provisioning/warmup/idle power,
+    /// or any group failing [`GroupPolicy::validate`].
     pub fn validate(&self) -> Result<()> {
         if self.groups.is_empty() {
             return Err(Error::invalid_config("an autoscale policy needs >= 1 group"));
@@ -160,9 +163,9 @@ impl AutoscalePolicy {
         if !(self.interval.get().is_finite() && self.interval.get() > 0.0) {
             return Err(Error::invalid_config("reconcile interval must be positive"));
         }
-        if self.provision.get() < 0.0 || self.warmup.get() < 0.0 {
+        if !(non_negative(self.provision) && non_negative(self.warmup)) {
             return Err(Error::invalid_config(
-                "provisioning delay and warmup must be non-negative",
+                "provisioning delay and warmup must be finite and non-negative",
             ));
         }
         if !(self.idle_watts.is_finite() && self.idle_watts >= 0.0) {
@@ -183,6 +186,11 @@ impl AutoscalePolicy {
     pub fn is_pinned(&self) -> bool {
         !self.swap && self.groups.iter().all(GroupPolicy::is_pinned)
     }
+}
+
+/// Whether `t` is a finite, non-negative duration (NaN is neither).
+fn non_negative(t: Seconds) -> bool {
+    t.get().is_finite() && t.get() >= 0.0
 }
 
 /// One group's telemetry snapshot at a reconcile tick — everything the
@@ -272,6 +280,39 @@ mod tests {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
         ok.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_cooldowns_are_typed_errors() {
+        let ok = GroupPolicy::default();
+        // `Seconds::new` refuses NaN in debug builds; arithmetic does not.
+        for t in [Seconds::ZERO * f64::NAN, Seconds::new(f64::INFINITY)] {
+            for bad in [
+                GroupPolicy { up_cooldown: t, ..ok },
+                GroupPolicy { down_cooldown: t, ..ok },
+            ] {
+                assert!(
+                    matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                    "{bad:?} should be rejected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_provision_and_warmup_are_typed_errors() {
+        let ok = AutoscalePolicy::new(vec![GroupPolicy::default()]);
+        for t in [Seconds::ZERO * f64::NAN, Seconds::new(f64::INFINITY)] {
+            for bad in [
+                AutoscalePolicy { provision: t, ..ok.clone() },
+                AutoscalePolicy { warmup: t, ..ok.clone() },
+            ] {
+                assert!(
+                    matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                    "{bad:?} should be rejected"
+                );
+            }
+        }
     }
 
     #[test]

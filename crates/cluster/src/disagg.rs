@@ -57,14 +57,14 @@ use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_obs::{EventKind, SharedRecorder, TraceSink as _};
 use cimtpu_multi::RingTopology;
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineSession, Parallelism, PhasePricer, Request,
+    ActionHeap, ArrivalStream, Completion, Parallelism, PhasePricer, Request,
     ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 
 use crate::engine::{release_client, tenant_tag, Tenancy};
 use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
-use crate::replica::ReplicaSpec;
+use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
 use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
 use crate::ClusterRun;
@@ -555,14 +555,8 @@ fn run_disaggregated_plain(
     // whatever the pool sharding.
     let full_fp = KvFootprint::of(&reference);
 
-    let p_sessions: Vec<EngineSession> = prefill
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let d_sessions: Vec<EngineSession> = decode
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
+    let (pricing, mut p_sessions) = fleet_sessions(prefill.iter().chain(decode))?;
+    let d_sessions = p_sessions.split_off(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> = p_sessions
         .iter()
         .zip(prefill)
@@ -795,9 +789,7 @@ fn run_disaggregated_plain(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
     }
-    for session in p_sessions.iter().chain(&d_sessions) {
-        session.persist_cache();
-    }
+    pricing.persist_caches();
     Ok(ClusterRun {
         report,
         replica_reports: Vec::new(),
@@ -886,14 +878,8 @@ fn run_disaggregated_faulty(
     }
     let full_fp = KvFootprint::of(&reference);
 
-    let p_sessions: Vec<EngineSession> = prefill
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
-    let d_sessions: Vec<EngineSession> = decode
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
+    let (pricing, mut p_sessions) = fleet_sessions(prefill.iter().chain(decode))?;
+    let d_sessions = p_sessions.split_off(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> = p_sessions
         .iter()
         .zip(prefill)
@@ -1520,9 +1506,7 @@ fn run_disaggregated_faulty(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
     }
-    for session in p_sessions.iter().chain(&d_sessions) {
-        session.persist_cache();
-    }
+    pricing.persist_caches();
     Ok(ClusterRun {
         report,
         replica_reports: Vec::new(),
@@ -1534,7 +1518,7 @@ fn run_disaggregated_faulty(
 #[cfg(test)]
 mod tests {
     use cimtpu_core::TpuConfig;
-    use cimtpu_serving::{ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic};
+    use cimtpu_serving::{ArrivalPattern, BatchPolicy, EngineSession, LenDist, PrefixTraffic};
     use proptest::prelude::*;
 
     use super::*;

@@ -8,10 +8,11 @@
 //! simulated clock and decides; this driver applies:
 //!
 //! * **scale-up** — the lowest offline slot starts provisioning
-//!   (`provision` delay), then warms (`warmup`: weight load plus a cold
-//!   `MappingCache` — the slot gets a *fresh* core at warmup start), then
-//!   turns `Up` and routable. The slot is *held* — and paid for in
-//!   chip-seconds — from the decision instant.
+//!   (`provision` delay), then warms (`warmup`, the simulated weight load
+//!   and cache warm-up — the slot gets a *fresh* core with an empty KV
+//!   allocator at warmup start), then turns `Up` and routable. The slot
+//!   is *held* — and paid for in chip-seconds — from the decision
+//!   instant.
 //! * **scale-down / scale-to-zero** — the highest routable slot stops
 //!   taking arrivals and drains: its core is closed so in-flight work
 //!   runs to completion, then the slot retires and stops costing.
@@ -42,7 +43,7 @@ use cimtpu_serving::{
 use cimtpu_units::{Error, Joules, Result, Seconds};
 
 use crate::engine::{tenant_tag, ClusterRun, ReplicaAccum, Tenancy};
-use crate::replica::ReplicaSpec;
+use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
 use crate::router::{splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
 
@@ -111,10 +112,7 @@ pub(crate) fn run_colocated_elastic(
         }
     }
     let n = slots.len();
-    let sessions: Vec<EngineSession> = slots
-        .iter()
-        .map(|s| EngineSession::new(&s.spec.engine()?))
-        .collect::<Result<_>>()?;
+    let (pricing, sessions) = fleet_sessions(slots.iter().map(|s| &s.spec))?;
     let mut cores: Vec<EngineCore<'_>> =
         sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
     if let Some(t) = &tenancy {
@@ -154,7 +152,7 @@ pub(crate) fn run_colocated_elastic(
     let mut health = HealthView::all_up(n);
     // `live[k]`: the slot has an active core (initial or booted, not yet
     // retired). Offline slots keep their pre-created core but it is never
-    // stepped; a boot replaces it with a fresh one (cold caches).
+    // stepped; a boot replaces it with a fresh one (empty KV cache).
     let mut live = vec![false; n];
     let mut draining = vec![false; n];
     // Slots booting (provisioning or warming) — waiting to turn `Up`.
@@ -180,6 +178,7 @@ pub(crate) fn run_colocated_elastic(
     let mut delivered: Vec<Completion> = Vec::new();
     let mut origin: HashMap<u64, f64> = HashMap::new();
     let mut parked: Vec<Vec<Request>> = vec![Vec::new(); ngroups];
+    let mut parked_total = 0usize;
     let mut since_tick: Vec<(u64, u64)> = vec![(0, 0); ngroups]; // (delivered, slo_ok)
     let mut ramps: Vec<RampWindow> = Vec::new();
     let mut stats = ScalingStats {
@@ -188,6 +187,7 @@ pub(crate) fn run_colocated_elastic(
     };
     let mut held_now = stats.peak_replicas;
     let mut next_tick = interval;
+    let mut obs: Vec<GroupObservation> = Vec::with_capacity(ngroups);
     let mut exhausted_closed = false;
 
     let mut step_heap = ActionHeap::new(n);
@@ -197,9 +197,14 @@ pub(crate) fn run_colocated_elastic(
         }
     }
 
-    // Routable slots of a group, ascending.
-    let routable = |health: &HealthView, draining: &[bool], g: usize| -> Vec<usize> {
-        members[g].iter().copied().filter(|&k| health.is_up(k) && !draining[k]).collect()
+    // Per-event scratch, reused so arrivals and ticks do not allocate:
+    // one group's routable slots and their router snapshots.
+    let mut up: Vec<usize> = Vec::new();
+    let mut snaps: Vec<ReplicaSnapshot> = Vec::new();
+    // Fills `up` with a group's routable slots, ascending.
+    let routable = |up: &mut Vec<usize>, health: &HealthView, draining: &[bool], g: usize| {
+        up.clear();
+        up.extend(members[g].iter().copied().filter(|&k| health.is_up(k) && !draining[k]));
     };
     // Pushes a request onto slot `k`, preserving the per-replica
     // queue-tail monotonicity the engine requires (a parked request can
@@ -226,7 +231,6 @@ pub(crate) fn run_colocated_elastic(
         let lifecycle_at =
             health.next_transition().filter(|t| t.get().is_finite());
         let arrival_at = stream.peek();
-        let parked_total: usize = parked.iter().map(Vec::len).sum();
 
         // The run is over when nothing can produce or receive work:
         // trailing reconcile ticks and in-flight boots are dropped.
@@ -280,8 +284,9 @@ pub(crate) fn run_colocated_elastic(
             // warmups end (slot turns Up, parked work flushes).
             0 => {
                 for k in health.advance(now, autoscale.warmup) {
-                    // Warmup starts on a fresh core: empty allocator, cold
-                    // mapping cache — the boot pays real warm-up work.
+                    // Warmup starts on a fresh core with an empty allocator;
+                    // it prices through the slot's shared pricing state, so
+                    // `warmup` alone is the simulated cost of the boot.
                     cores[k] = sessions[k].core()?;
                     if let Some(t) = &tenancy {
                         cores[k].set_tenancy(t.sched);
@@ -327,9 +332,10 @@ pub(crate) fn run_colocated_elastic(
                         }
                     }
                     if woke && !parked[g].is_empty() {
-                        let up = routable(&health, &draining, g);
+                        routable(&mut up, &health, &draining, g);
+                        parked_total -= parked[g].len();
                         for r in std::mem::take(&mut parked[g]) {
-                            let snaps = group_snapshots(&cores, &up, now, &assigned, classed);
+                            group_snapshots(&mut snaps, &cores, &up, now, &assigned, classed);
                             let pos = routers[g].route(&r, &snaps).min(up.len() - 1);
                             push_to!(up[pos], r);
                         }
@@ -348,35 +354,31 @@ pub(crate) fn run_colocated_elastic(
                         now.get(),
                     );
                 }
-                let obs: Vec<GroupObservation> = (0..ngroups)
-                    .map(|g| {
-                        let up = routable(&health, &draining, g);
-                        let mut queued = parked[g].len() as u64;
-                        let mut outstanding = 0;
-                        let mut kv_frac = 0.0f64;
-                        for &k in &up {
-                            queued += cores[k].queued();
-                            outstanding += cores[k].outstanding_at(now);
-                            kv_frac = kv_frac.max(cores[k].kv_frac());
-                        }
-                        let pending =
-                            members[g].iter().filter(|&&k| booting[k]).count() as u64;
-                        let drains =
-                            members[g].iter().filter(|&&k| draining[k] && live[k]).count();
-                        let (delivered, slo_ok) = since_tick[g];
-                        GroupObservation {
-                            up: up.len() as u64,
-                            pending,
-                            draining: drains as u64,
-                            queued,
-                            outstanding,
-                            kv_frac,
-                            delivered,
-                            slo_ok,
-                        }
-                    })
-                    .collect();
-                since_tick = vec![(0, 0); ngroups];
+                obs.clear();
+                for g in 0..ngroups {
+                    routable(&mut up, &health, &draining, g);
+                    let mut queued = parked[g].len() as u64;
+                    let mut outstanding = 0;
+                    let mut kv_frac = 0.0f64;
+                    for &k in &up {
+                        queued += cores[k].queued();
+                        outstanding += cores[k].outstanding_at(now);
+                        kv_frac = kv_frac.max(cores[k].kv_frac());
+                    }
+                    let pending = members[g].iter().filter(|&&k| booting[k]).count() as u64;
+                    let drains = members[g].iter().filter(|&&k| draining[k] && live[k]).count();
+                    let (delivered, slo_ok) = std::mem::take(&mut since_tick[g]);
+                    obs.push(GroupObservation {
+                        up: up.len() as u64,
+                        pending,
+                        draining: drains as u64,
+                        queued,
+                        outstanding,
+                        kv_frac,
+                        delivered,
+                        slo_ok,
+                    });
+                }
                 if let Some(tr) = &trace {
                     let mut rec = tr.rec.borrow_mut();
                     for (g, o) in obs.iter().enumerate() {
@@ -408,7 +410,8 @@ pub(crate) fn run_colocated_elastic(
                         }
                         ScalingDecision::Drain { group } => {
                             if let Some(k) = drain_victim(&health, &draining, &members, group) {
-                                let emptied = routable(&health, &draining, group).len() == 1;
+                                routable(&mut up, &health, &draining, group);
+                                let emptied = up.len() == 1;
                                 let kind = if emptied {
                                     stats.scale_to_zero += 1;
                                     action::SCALE_TO_ZERO
@@ -495,7 +498,7 @@ pub(crate) fn run_colocated_elastic(
                     }
                 }
                 let g = (splitmix64(r.session) % ngroups as u64) as usize;
-                let up = routable(&health, &draining, g);
+                routable(&mut up, &health, &draining, g);
                 if up.is_empty() {
                     // Scaled to zero (or drained dry): park until the
                     // reconciler wakes the group. The original arrival is
@@ -511,8 +514,9 @@ pub(crate) fn run_colocated_elastic(
                         );
                     }
                     parked[g].push(r);
+                    parked_total += 1;
                 } else {
-                    let snaps = group_snapshots(&cores, &up, now, &assigned, classed);
+                    group_snapshots(&mut snaps, &cores, &up, now, &assigned, classed);
                     let pos = routers[g].route(&r, &snaps).min(up.len() - 1);
                     push_to!(up[pos], r);
                 }
@@ -635,38 +639,36 @@ pub(crate) fn run_colocated_elastic(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
     }
-    for session in &sessions {
-        session.persist_cache();
-    }
+    pricing.persist_caches();
     // Per-slot ServingReports are not meaningful across boots/retires:
     // elastic runs report the fleet aggregate only.
     Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
 }
 
-/// Router snapshots over one group's routable slots, re-indexed
-/// `0..up.len()` so index-returning and positional routers agree.
+/// Fills `snaps` with router snapshots over one group's routable slots,
+/// re-indexed `0..up.len()` so index-returning and positional routers
+/// agree.
 fn group_snapshots(
+    snaps: &mut Vec<ReplicaSnapshot>,
     cores: &[EngineCore<'_>],
     up: &[usize],
     t: Seconds,
     assigned: &[u64],
     classed: bool,
-) -> Vec<ReplicaSnapshot> {
-    up.iter()
-        .enumerate()
-        .map(|(pos, &k)| ReplicaSnapshot {
-            index: pos,
-            outstanding: cores[k].outstanding_at(t),
-            queued: cores[k].queued(),
-            kv_frac: cores[k].kv_frac(),
-            assigned: assigned[k],
-            class_outstanding: if classed {
-                cores[k].outstanding_by_class_at(t)
-            } else {
-                [0; 3]
-            },
-        })
-        .collect()
+) {
+    snaps.clear();
+    snaps.extend(up.iter().enumerate().map(|(pos, &k)| ReplicaSnapshot {
+        index: pos,
+        outstanding: cores[k].outstanding_at(t),
+        queued: cores[k].queued(),
+        kv_frac: cores[k].kv_frac(),
+        assigned: assigned[k],
+        class_outstanding: if classed {
+            cores[k].outstanding_by_class_at(t)
+        } else {
+            [0; 3]
+        },
+    }));
 }
 
 /// The lowest offline slot of `group` (free to boot), if any: a group at

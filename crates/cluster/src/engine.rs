@@ -14,7 +14,7 @@ use cimtpu_units::{Error, Joules, Result, Seconds};
 use crate::disagg::{run_disaggregated, InterconnectSpec};
 use crate::elastic::run_colocated_elastic;
 use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
-use crate::replica::ReplicaSpec;
+use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
 use crate::router::{
     HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy, SnapshotTracker,
@@ -445,10 +445,9 @@ impl ClusterEngine {
 
 /// [`DriveHooks`] for the zero-fault colocated fleet: routes each
 /// arrival over a [`SnapshotTracker`]'s incrementally-maintained fleet
-/// view instead of rebuilding every [`ReplicaSnapshot`] — with its
-/// `O(completions)` `outstanding_at` scan per replica — at every
-/// arrival. The tracker-vs-rebuild equivalence is proptested in this
-/// module's tests.
+/// view instead of rebuilding every [`ReplicaSnapshot`] — one
+/// `outstanding_at` per replica — at every arrival. The
+/// tracker-vs-rebuild equivalence is proptested in this module's tests.
 struct ColocatedHooks {
     router: Box<dyn Router>,
     tracker: SnapshotTracker,
@@ -553,10 +552,7 @@ fn run_colocated(
     mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
-    let sessions: Vec<EngineSession> = replicas
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
+    let (pricing, sessions) = fleet_sessions(replicas)?;
     let mut cores: Vec<EngineCore<'_>> =
         sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
     if let Some(t) = &tenancy {
@@ -648,9 +644,7 @@ fn run_colocated(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
     }
-    for session in &sessions {
-        session.persist_cache();
-    }
+    pricing.persist_caches();
     Ok(ClusterRun { report, replica_reports, completions, prefix })
 }
 
@@ -801,10 +795,7 @@ fn run_colocated_faulty(
     timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
     let mut next_fault = 0usize;
 
-    let sessions: Vec<EngineSession> = replicas
-        .iter()
-        .map(|r| EngineSession::new(&r.engine()?))
-        .collect::<Result<_>>()?;
+    let (pricing, sessions) = fleet_sessions(replicas)?;
     let mut cores: Vec<EngineCore<'_>> =
         sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
     if let Some(t) = &tenancy {
@@ -1337,9 +1328,7 @@ fn run_colocated_faulty(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
     }
-    for session in &sessions {
-        session.persist_cache();
-    }
+    pricing.persist_caches();
     // Per-incarnation ServingReports are not meaningful across crashes:
     // fault runs report the fleet aggregate only.
     Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
@@ -1362,7 +1351,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// Pre-refactor router view: rebuilds every replica's snapshot (with
-    /// an `O(completions)` `outstanding_at` scan each) at instant `t`.
+    /// an `outstanding_at` query each) at instant `t`.
     fn snapshots(cores: &[EngineCore<'_>], t: Seconds, assigned: &[u64]) -> Vec<ReplicaSnapshot> {
         cores
             .iter()

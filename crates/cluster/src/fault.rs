@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub enum FaultEvent {
     /// The replica dies at `at`: every in-flight request and all of its
     /// KV/prefix blocks are lost. It restarts `repair` later with an
-    /// empty allocator and cold caches, then warms up for the recovery
+    /// empty KV allocator and prefix index, then warms up for the recovery
     /// policy's warmup before taking traffic again.
     Crash {
         /// When the replica dies.

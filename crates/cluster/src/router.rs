@@ -292,7 +292,7 @@ pub enum ReplicaHealth {
         /// When the repair completes.
         until: Seconds,
     },
-    /// Restarted with cold caches; routable again at `until`.
+    /// Restarted with an empty KV cache; routable again at `until`.
     Warming {
         /// When warmup ends.
         until: Seconds,
@@ -361,7 +361,7 @@ impl HealthView {
     /// order): a `Down` replica whose repair completed enters `Warming`
     /// for `warmup`, and a warmed replica comes back `Up`. Returns the
     /// replicas that restarted in this call — the driver rebuilds those
-    /// as fresh cores (empty allocator, cold caches).
+    /// as fresh cores (empty KV allocator and prefix index).
     pub fn advance(&mut self, now: Seconds, warmup: Seconds) -> Vec<usize> {
         let mut restarted = Vec::new();
         for (i, state) in self.states.iter_mut().enumerate() {
@@ -412,8 +412,8 @@ impl Ord for FinishKey {
 
 /// Incrementally-maintained router snapshots for the zero-fault colocated
 /// driver: the `O(1)`-per-event replacement for rebuilding a
-/// [`ReplicaSnapshot`] vector (with an `O(completions)`
-/// `outstanding_at` scan per replica) at every arrival.
+/// [`ReplicaSnapshot`] vector (one `O(log completions)`
+/// `outstanding_at` per replica) at every arrival.
 ///
 /// The tracker exploits the identity `outstanding_at(t) = pushed −
 /// #{completions with finish ≤ t}`: it counts pushes up and expires

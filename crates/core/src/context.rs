@@ -16,6 +16,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Add, AddAssign};
+use std::rc::Rc;
 
 use cimtpu_models::{OpInstance, Phase, Segment, Workload};
 use cimtpu_units::{Bytes, Joules, Result, Seconds};
@@ -135,30 +136,46 @@ impl PhasedReport {
     }
 }
 
+/// A segment memo table: segment costs keyed by the exact operator list,
+/// so two structurally identical segments from different builders share
+/// one entry and a hash collision can never alias distinct segments.
+///
+/// Cloning shares the table, so every [`ExecutionContext`] built over
+/// clones of one memo prices each distinct segment once. The entries are
+/// one chip configuration's prices: share a memo only among contexts on
+/// simulators of that configuration.
+#[derive(Debug, Clone, Default)]
+pub struct SegmentMemo(Rc<RefCell<HashMap<Vec<OpInstance>, SegmentCost>>>);
+
 /// Segment-level pricing front-end over one [`Simulator`].
 ///
 /// A request-level scheduler replays the same phase segment (one decode
 /// step at a given batch/context, one prefill of a given prompt) hundreds
 /// of times across requests; the context prices each distinct segment
 /// exactly once and replays the memoized aggregate, bit-identically. The
-/// context borrows the simulator, so its memo table shares the
-/// simulator's lifetime but not its identity: a long-lived serving loop
-/// keeps one context per simulator; `Simulator::run` builds a throwaway
-/// one (the per-operator [`MappingCache`](crate::MappingCache) underneath
-/// persists either way).
+/// context borrows the simulator; its memo is its own
+/// ([`new`](Self::new)) or shared with other contexts on the same
+/// configuration ([`with_memo`](Self::with_memo)). `Simulator::run`
+/// builds a throwaway one (the per-operator
+/// [`MappingCache`](crate::MappingCache) underneath persists either way).
 #[derive(Debug)]
 pub struct ExecutionContext<'a> {
     sim: &'a Simulator,
-    /// Segment memo keyed by the exact operator list, so two structurally
-    /// identical segments from different builders share one entry and a
-    /// hash collision can never alias distinct segments.
-    memo: RefCell<HashMap<Vec<OpInstance>, SegmentCost>>,
+    memo: SegmentMemo,
 }
 
 impl<'a> ExecutionContext<'a> {
-    /// Creates a context pricing on `sim`.
+    /// Creates a context pricing on `sim` with an empty memo of its own.
     pub fn new(sim: &'a Simulator) -> Self {
-        ExecutionContext { sim, memo: RefCell::new(HashMap::new()) }
+        Self::with_memo(sim, SegmentMemo::default())
+    }
+
+    /// Creates a context pricing on `sim` that records into (and replays
+    /// from) `memo`, shared with every other context holding a clone of
+    /// it. Every such context must price on a simulator of `sim`'s
+    /// configuration.
+    pub fn with_memo(sim: &'a Simulator, memo: SegmentMemo) -> Self {
+        ExecutionContext { sim, memo }
     }
 
     /// The underlying simulator.
@@ -187,7 +204,7 @@ impl<'a> ExecutionContext<'a> {
     ///
     /// Returns an error if any operator cannot be mapped onto the hardware.
     pub fn price_ops(&self, ops: &[OpInstance]) -> Result<SegmentCost> {
-        if let Some(cost) = self.memo.borrow().get(ops) {
+        if let Some(cost) = self.memo.0.borrow().get(ops) {
             return Ok(*cost);
         }
         let mut total = SegmentCost::ZERO;
@@ -200,7 +217,7 @@ impl<'a> ExecutionContext<'a> {
                 hbm_bytes: op.hbm_bytes,
             };
         }
-        self.memo.borrow_mut().insert(ops.to_vec(), total);
+        self.memo.0.borrow_mut().insert(ops.to_vec(), total);
         Ok(total)
     }
 
@@ -236,7 +253,7 @@ impl<'a> ExecutionContext<'a> {
 
     /// Number of memoized segments.
     pub fn memoized_segments(&self) -> usize {
-        self.memo.borrow().len()
+        self.memo.0.borrow().len()
     }
 }
 

@@ -59,7 +59,7 @@ mod vpu;
 
 pub use arch::{MxuKind, TpuConfig};
 pub use cache::{CacheStats, MappingCache, CACHE_DIR_ENV};
-pub use context::{ExecutionContext, PhasedReport, SegmentCost, SegmentReport};
+pub use context::{ExecutionContext, PhasedReport, SegmentCost, SegmentMemo, SegmentReport};
 pub use engine::MatrixEngine;
 pub use report::{CategoryRow, OpReport, Report};
 pub use simulator::Simulator;

@@ -167,7 +167,7 @@ pub use request::{
     TrafficSpec, DIURNAL_CURVE,
 };
 pub use heap::ActionHeap;
-pub use session::EngineSession;
+pub use session::{EngineSession, PricingPool};
 pub use step::{drive, drive_with, DriveHooks, EngineCore};
 pub use tenant::{
     parse_tenants, SloClass, TenantLedger, TenantPart, TenantReport, TenantSched, TenantSet,

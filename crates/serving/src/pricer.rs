@@ -3,8 +3,9 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use cimtpu_core::{ExecutionContext, SegmentCost, Simulator};
+use cimtpu_core::{ExecutionContext, SegmentCost, SegmentMemo, Simulator};
 use cimtpu_models::{DitConfig, TransformerConfig, Workload};
 use cimtpu_multi::{tensor_parallel, MultiTpu};
 use cimtpu_units::{Bytes, Result};
@@ -46,6 +47,9 @@ const PREFILL: u8 = 0;
 const STEP: u8 = 1;
 const CHUNK: u8 = 2;
 
+/// Phase memo table; cloning shares it (see [`PhasePricer::sharing`]).
+pub(crate) type PhaseMemo = Rc<RefCell<HashMap<Key, SegmentCost>>>;
+
 /// Prices serving phases on one chip (or one tensor-parallel ring),
 /// memoizing each distinct `(phase, batch, length)` query. The heavy
 /// lifting is shared three levels down: the pricer memoizes whole phases,
@@ -56,36 +60,48 @@ const CHUNK: u8 = 2;
 /// fleet-level drivers (the `cimtpu-cluster` crate's disaggregated
 /// prefill/decode pools) can price phases against a replica without going
 /// through the full batching engine. Obtain one from
-/// [`EngineSession::pricer`](crate::EngineSession::pricer) or directly via
-/// [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`].
+/// [`EngineSession::pricer`](crate::EngineSession::pricer) — every pricer
+/// of sessions sharing a [`PricingPool`](crate::PricingPool) entry shares
+/// all three memo levels — or build a standalone one, with memos of its
+/// own, via [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`].
 #[derive(Debug)]
 pub struct PhasePricer<'a> {
     model: &'a ServingModel,
     cx: ExecutionContext<'a>,
     /// Tensor-parallel ring; `None` prices whole layers on `cx`'s chip.
     ring: Option<&'a MultiTpu>,
-    memo: RefCell<HashMap<Key, SegmentCost>>,
+    memo: PhaseMemo,
 }
 
 impl<'a> PhasePricer<'a> {
     /// A pricer for `model` hosted on the single chip `sim` simulates.
     pub fn single(model: &'a ServingModel, sim: &'a Simulator) -> Self {
-        PhasePricer {
-            model,
-            cx: sim.execution_context(),
-            ring: None,
-            memo: RefCell::new(HashMap::new()),
-        }
+        Self::sharing(model, sim, None, SegmentMemo::default(), PhaseMemo::default())
     }
 
     /// A pricer for `model` sharded across the tensor-parallel `ring`.
     pub fn tensor_parallel(model: &'a ServingModel, ring: &'a MultiTpu) -> Self {
-        PhasePricer {
+        Self::sharing(
             model,
-            cx: ring.simulator().execution_context(),
-            ring: Some(ring),
-            memo: RefCell::new(HashMap::new()),
-        }
+            ring.simulator(),
+            Some(ring),
+            SegmentMemo::default(),
+            PhaseMemo::default(),
+        )
+    }
+
+    /// A pricer over `sim` (the ring's simulator when `ring` is set)
+    /// recording into the shared `segments` and `phases` memos. Every
+    /// pricer sharing them must price the same model on the same
+    /// configuration.
+    pub(crate) fn sharing(
+        model: &'a ServingModel,
+        sim: &'a Simulator,
+        ring: Option<&'a MultiTpu>,
+        segments: SegmentMemo,
+        phases: PhaseMemo,
+    ) -> Self {
+        PhasePricer { model, cx: ExecutionContext::with_memo(sim, segments), ring, memo: phases }
     }
 
     fn memoized(

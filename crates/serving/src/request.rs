@@ -295,7 +295,8 @@ impl TrafficSpec {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for zero requests, an empty length
-    /// range, zero closed-loop clients, or a negative think time.
+    /// range, zero closed-loop clients, or a negative or non-finite think
+    /// time.
     pub fn validate(&self) -> Result<()> {
         self.prompt.validate()?;
         self.steps.validate()?;
@@ -307,8 +308,8 @@ impl TrafficSpec {
             if *clients == 0 {
                 return Err(Error::invalid_config("closed-loop traffic needs >= 1 client"));
             }
-            if *think_ms < 0.0 {
-                return Err(Error::invalid_config("think time must be non-negative"));
+            if !(think_ms.is_finite() && *think_ms >= 0.0) {
+                return Err(Error::invalid_config("think time must be finite and non-negative"));
             }
         }
         if let ArrivalPattern::Trace { records } = &self.arrival {
@@ -907,6 +908,20 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_think_time_is_a_typed_error() {
+        for think_ms in [f64::NAN, f64::INFINITY] {
+            let bad = TrafficSpec {
+                arrival: ArrivalPattern::ClosedLoop { clients: 2, think_ms },
+                ..spec(1)
+            };
+            assert!(
+                matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                "think time {think_ms} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! An instantiated serving backend: the simulator (or tensor-parallel
 //! ring) a [`ServingEngine`] configuration prices against, owned so that
 //! incremental [`EngineCore`]s and [`PhasePricer`]s can borrow it.
+//!
+//! The pricing state — simulator or ring with its `MappingCache`, plus
+//! the segment and phase memos above it — depends only on the chip, the
+//! model and the chip organization. A [`PricingPool`] builds it once per
+//! distinct such configuration and hands every session of that
+//! configuration the same state, so a fleet of identical replicas (and
+//! every core a driver rebuilds for them) prices each query once.
 
-use cimtpu_core::Simulator;
+use std::rc::Rc;
+
+use cimtpu_core::{SegmentMemo, Simulator};
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_multi::MultiTpu;
 use cimtpu_units::{Error, Result};
@@ -10,7 +19,7 @@ use cimtpu_units::{Error, Result};
 use crate::engine::{Parallelism, ServingEngine};
 use crate::memory::MemoryConfig;
 use crate::policy::BatchPolicy;
-use crate::pricer::{PhasePricer, ServingModel};
+use crate::pricer::{PhaseMemo, PhasePricer, ServingModel};
 use crate::step::EngineCore;
 
 #[derive(Debug)]
@@ -19,39 +28,91 @@ enum Backend {
     Ring(MultiTpu),
 }
 
-/// One engine configuration instantiated against real pricing state: the
-/// chip simulator (or tensor-parallel ring), the hosted model, and the
-/// policy/memory configuration. The session owns what the borrowing
-/// front-ends need:
-///
-/// - [`EngineSession::core`] — an incremental [`EngineCore`] running the
-///   full batching engine (what [`ServingEngine::run`] drives, and what a
-///   cluster driver interleaves across replicas);
-/// - [`EngineSession::pricer`] — a bare [`PhasePricer`] for drivers that
-///   schedule phases themselves (the cluster crate's disaggregated
-///   prefill/decode pools);
-/// - [`EngineSession::allocator`] / [`EngineSession::footprint`] — the
-///   paged KV allocator and per-executor footprint derived from the
-///   configured budget.
+/// The pricing state of one (chip, model, chip organization): the
+/// simulator or ring with its `MappingCache`, and the segment and phase
+/// memos every pricer over it shares.
 #[derive(Debug)]
-pub struct EngineSession {
+struct Pricing {
     model: ServingModel,
-    policy: BatchPolicy,
-    memory: MemoryConfig,
     parallelism: Parallelism,
     backend: Backend,
+    segments: SegmentMemo,
+    phases: PhaseMemo,
 }
 
-impl EngineSession {
-    /// Instantiates `engine`'s backend (builds the simulator or ring; when
-    /// `CIMTPU_CACHE_DIR` is set the underlying mapping cache loads from
-    /// disk).
+impl Pricing {
+    fn new(engine: &ServingEngine) -> Result<Self> {
+        let backend = match engine.parallelism() {
+            Parallelism::Replicated { .. } => {
+                Backend::Single(Simulator::new(engine.chip().clone())?)
+            }
+            Parallelism::TensorParallel { chips } => {
+                Backend::Ring(MultiTpu::new(engine.chip().clone(), chips)?)
+            }
+        };
+        Ok(Pricing {
+            model: engine.model().clone(),
+            parallelism: engine.parallelism(),
+            backend,
+            segments: SegmentMemo::default(),
+            phases: PhaseMemo::default(),
+        })
+    }
+
+    fn simulator(&self) -> &Simulator {
+        match &self.backend {
+            Backend::Single(sim) => sim,
+            Backend::Ring(ring) => ring.simulator(),
+        }
+    }
+
+    /// Whether this state prices `engine`'s chip, model and organization.
+    fn serves(&self, engine: &ServingEngine) -> bool {
+        self.parallelism == engine.parallelism()
+            && self.model == *engine.model()
+            && self.simulator().config() == engine.chip()
+    }
+
+    fn pricer(&self) -> PhasePricer<'_> {
+        let ring = match &self.backend {
+            Backend::Single(_) => None,
+            Backend::Ring(ring) => Some(ring),
+        };
+        PhasePricer::sharing(
+            &self.model,
+            self.simulator(),
+            ring,
+            self.segments.clone(),
+            Rc::clone(&self.phases),
+        )
+    }
+}
+
+/// The pricing states of one simulation run, one per distinct (chip,
+/// model, chip organization). Sessions built through the same pool share
+/// the state of their configuration: its `MappingCache`, segment memo and
+/// phase memo. A pool lives as long as the run that owns it — nothing is
+/// cached across runs — so every run starts cold.
+#[derive(Debug, Default)]
+pub struct PricingPool {
+    states: Vec<Rc<Pricing>>,
+}
+
+impl PricingPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        PricingPool::default()
+    }
+
+    /// A session for `engine`, priced by the pool's state for the
+    /// engine's chip, model and chip organization (built on first use;
+    /// when `CIMTPU_CACHE_DIR` is set its mapping cache loads from disk).
     ///
     /// # Errors
     ///
     /// Returns an error for an invalid chip or memory configuration, or
-    /// chunked prefill on a tensor-parallel ring.
-    pub fn new(engine: &ServingEngine) -> Result<Self> {
+    /// chunked prefill or prefix sharing on a tensor-parallel ring.
+    pub fn session(&mut self, engine: &ServingEngine) -> Result<EngineSession> {
         let memory = engine.memory();
         memory.validate()?;
         let parallelism = engine.parallelism();
@@ -68,26 +129,75 @@ impl EngineSession {
                  (shared-tail pricing needs chunked prefill)",
             ));
         }
-        let backend = match parallelism {
-            Parallelism::Replicated { .. } => {
-                Backend::Single(Simulator::new(engine.chip().clone())?)
-            }
-            Parallelism::TensorParallel { chips } => {
-                Backend::Ring(MultiTpu::new(engine.chip().clone(), chips)?)
+        let pricing = match self.states.iter().find(|p| p.serves(engine)) {
+            Some(p) => Rc::clone(p),
+            None => {
+                let p = Rc::new(Pricing::new(engine)?);
+                self.states.push(Rc::clone(&p));
+                p
             }
         };
-        Ok(EngineSession {
-            model: engine.model().clone(),
-            policy: engine.policy(),
-            memory,
-            parallelism,
-            backend,
-        })
+        Ok(EngineSession { policy: engine.policy(), memory, pricing })
+    }
+
+    /// Distinct pricing states built so far.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Whether no session has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// Persists every state's mapping cache (best effort, no-op without
+    /// `CIMTPU_CACHE_DIR`).
+    pub fn persist_caches(&self) {
+        for p in &self.states {
+            let _ = p.simulator().persist_cache();
+        }
+    }
+}
+
+/// One engine configuration instantiated against real pricing state: the
+/// chip simulator (or tensor-parallel ring), the hosted model, and the
+/// policy/memory configuration. The session gives the borrowing
+/// front-ends what they need:
+///
+/// - [`EngineSession::core`] — an incremental [`EngineCore`] running the
+///   full batching engine (what [`ServingEngine::run`] drives, and what a
+///   cluster driver interleaves across replicas);
+/// - [`EngineSession::pricer`] — a bare [`PhasePricer`] for drivers that
+///   schedule phases themselves (the cluster crate's disaggregated
+///   prefill/decode pools);
+/// - [`EngineSession::allocator`] / [`EngineSession::footprint`] — the
+///   paged KV allocator and per-executor footprint derived from the
+///   configured budget.
+///
+/// Every core and pricer of a session — and of every session sharing its
+/// [`PricingPool`] state — shares one set of pricing memos.
+#[derive(Debug)]
+pub struct EngineSession {
+    policy: BatchPolicy,
+    memory: MemoryConfig,
+    pricing: Rc<Pricing>,
+}
+
+impl EngineSession {
+    /// Instantiates `engine`'s backend in a pool of its own (builds the
+    /// simulator or ring; when `CIMTPU_CACHE_DIR` is set the underlying
+    /// mapping cache loads from disk).
+    ///
+    /// # Errors
+    ///
+    /// As for [`PricingPool::session`].
+    pub fn new(engine: &ServingEngine) -> Result<Self> {
+        PricingPool::new().session(engine)
     }
 
     /// The hosted model.
     pub fn model(&self) -> &ServingModel {
-        &self.model
+        &self.pricing.model
     }
 
     /// The batching policy.
@@ -102,16 +212,14 @@ impl EngineSession {
 
     /// The chip organization.
     pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        self.pricing.parallelism
     }
 
-    /// A fresh phase pricer against this session's backend (fresh memo;
-    /// the per-operator `MappingCache` underneath is shared and warm).
+    /// A phase pricer against this session's pricing state: its phase
+    /// and segment memos and the `MappingCache` underneath are shared
+    /// with every other pricer and core over that state.
     pub fn pricer(&self) -> PhasePricer<'_> {
-        match &self.backend {
-            Backend::Single(sim) => PhasePricer::single(&self.model, sim),
-            Backend::Ring(ring) => PhasePricer::tensor_parallel(&self.model, ring),
-        }
+        self.pricing.pricer()
     }
 
     /// A fresh incremental engine core over this session.
@@ -121,14 +229,14 @@ impl EngineSession {
     /// Returns an error if the KV budget cannot be derived (zero-sized
     /// blocks, invalid sharding).
     pub fn core(&self) -> Result<EngineCore<'_>> {
-        let executors = self.parallelism.executors();
+        let executors = self.parallelism().executors();
         let allocs: Vec<PagedKvAllocator> =
             (0..executors).map(|_| self.allocator()).collect::<Result<_>>()?;
         Ok(EngineCore::new(
             self.pricer(),
             self.policy,
             self.memory,
-            self.parallelism.chips(),
+            self.parallelism().chips(),
             allocs,
         ))
     }
@@ -141,7 +249,7 @@ impl EngineSession {
     /// Returns an error for zero-way sharding (unreachable via public
     /// constructors).
     pub fn footprint(&self) -> Result<KvFootprint> {
-        match (&self.model, self.parallelism) {
+        match (self.model(), self.parallelism()) {
             (ServingModel::Llm(m), Parallelism::TensorParallel { chips }) => {
                 KvFootprint::sharded(m, chips)
             }
@@ -162,18 +270,12 @@ impl EngineSession {
     }
 
     fn hbm_capacity(&self) -> cimtpu_units::Bytes {
-        match &self.backend {
-            Backend::Single(sim) => sim.config().hbm_capacity(),
-            Backend::Ring(ring) => ring.simulator().config().hbm_capacity(),
-        }
+        self.pricing.simulator().config().hbm_capacity()
     }
 
     /// Persists the backend's mapping cache (best effort, no-op without
     /// `CIMTPU_CACHE_DIR`).
     pub fn persist_cache(&self) {
-        let _ = match &self.backend {
-            Backend::Single(sim) => sim.persist_cache(),
-            Backend::Ring(ring) => ring.simulator().persist_cache(),
-        };
+        let _ = self.pricing.simulator().persist_cache();
     }
 }

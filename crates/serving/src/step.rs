@@ -54,6 +54,10 @@ pub struct EngineCore<'a> {
     next: usize,
     closed: bool,
     completions: Vec<Completion>,
+    /// Every completion's finish time, ascending, so
+    /// [`outstanding_at`](Self::outstanding_at) counts the completions
+    /// still in flight at any instant by binary search.
+    finishes: Vec<Seconds>,
     drained: usize,
     energy: Joules,
     busy: Seconds,
@@ -162,6 +166,14 @@ struct ContChip {
     preemptions: u64,
 }
 
+/// Inserts `finish` into the ascending `finishes`. Finish times arrive
+/// almost in order (executors interleave), so the insertion point is at
+/// or near the end.
+fn record_finish(finishes: &mut Vec<Seconds>, finish: Seconds) {
+    let at = finishes.partition_point(|&f| f <= finish);
+    finishes.insert(at, finish);
+}
+
 /// A decided run-to-completion launch.
 struct RtcLaunch {
     chip: usize,
@@ -230,6 +242,7 @@ impl<'a> EngineCore<'a> {
             next: 0,
             closed: false,
             completions: Vec::new(),
+            finishes: Vec::new(),
             drained: 0,
             energy: Joules::ZERO,
             busy: Seconds::ZERO,
@@ -475,7 +488,8 @@ impl<'a> EngineCore<'a> {
     /// The core is inert afterwards — [`next_action`](Self::next_action)
     /// returns `None` and [`is_done`](Self::is_done) holds — and the
     /// driver models the restart by building a fresh core (empty
-    /// allocator, cold caches) from the session after the repair delay.
+    /// allocator and prefix index) from the session after the repair
+    /// delay.
     ///
     /// # Panics
     ///
@@ -500,6 +514,7 @@ impl<'a> EngineCore<'a> {
             }
             self.completions = keep;
             self.comp_class = keep_class;
+            self.finishes.truncate(self.finishes.partition_point(|&f| f <= at));
         }
         self.drained = self.drained.min(self.completions.len());
         let mut lost_idx: Vec<usize> = Vec::new();
@@ -581,11 +596,13 @@ impl<'a> EngineCore<'a> {
 
     /// Requests in flight at simulated time `t`: queued, resident, or
     /// already scheduled with a completion time after `t` (run-to-
-    /// completion batches compute their whole future at launch).
+    /// completion batches compute their whole future at launch). Exact
+    /// for any `t`, including times before the core's latest event, in
+    /// `O(log completions)`.
     pub fn outstanding_at(&self, t: Seconds) -> u64 {
-        self.queued()
-            + self.resident()
-            + self.completions.iter().filter(|c| c.finish > t).count() as u64
+        debug_assert_eq!(self.finishes.len(), self.completions.len());
+        let finished = self.finishes.partition_point(|&f| f <= t);
+        self.queued() + self.resident() + (self.finishes.len() - finished) as u64
     }
 
     /// Requests in flight at simulated time `t`, broken out by service
@@ -1027,6 +1044,7 @@ impl<'a> EngineCore<'a> {
                 finish: release,
                 steps: r.steps,
             });
+            record_finish(&mut self.finishes, release);
             self.comp_class.push(r.class);
         }
         self.busy += t - start;
@@ -1415,6 +1433,7 @@ impl<'a> EngineCore<'a> {
             let arrivals = &self.arrivals;
             let first_token = &self.first_token;
             let completions = &mut self.completions;
+            let finishes = &mut self.finishes;
             let comp_class = &mut self.comp_class;
             let trace = &self.trace;
             active.retain(|a| {
@@ -1436,6 +1455,7 @@ impl<'a> EngineCore<'a> {
                         finish: now,
                         steps: arrivals[a.idx].steps,
                     });
+                    record_finish(finishes, now);
                     comp_class.push(arrivals[a.idx].class);
                     false
                 } else {
@@ -1778,10 +1798,15 @@ mod tests {
     use cimtpu_models::TransformerConfig;
 
     fn tiny_engine(policy: BatchPolicy) -> ServingEngine {
+        tiny_engine_on(policy, 1)
+    }
+
+    /// The tiny engine replicated over `chips` executors.
+    fn tiny_engine_on(policy: BatchPolicy, chips: u64) -> ServingEngine {
         ServingEngine::new(
             TpuConfig::tpuv4i(),
             ServingModel::Llm(TransformerConfig::new("Tiny-2L", 2, 4, 256, 1024).unwrap()),
-            Parallelism::Replicated { chips: 1 },
+            Parallelism::Replicated { chips },
             policy,
         )
         .unwrap()
@@ -1976,8 +2001,84 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// The reference count by linear scan: queued + resident + every
+    /// completion finishing after `t`.
+    fn outstanding_scan(core: &EngineCore<'_>, t: Seconds) -> u64 {
+        core.queued()
+            + core.resident()
+            + core.completions().iter().filter(|c| c.finish > t).count() as u64
+    }
+
+    /// Compares [`EngineCore::outstanding_at`] with the scan at t = 0, at
+    /// every arrival, at every completion's finish time and a hair on
+    /// either side of it, and far past the latest event.
+    fn check_outstanding(core: &EngineCore<'_>, arrivals: &[Seconds]) {
+        let mut probes = vec![Seconds::ZERO, Seconds::new(1e9)];
+        probes.extend_from_slice(arrivals);
+        for c in core.completions() {
+            let f = c.finish.get();
+            probes.extend([f, f * (1.0 - 1e-12), f * (1.0 + 1e-12) + 1e-300].map(Seconds::new));
+        }
+        for t in probes {
+            assert_eq!(core.outstanding_at(t), outstanding_scan(core, t), "t = {t}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The binary-searched `outstanding_at` equals the linear scan
+        /// after every step and after a crash, for every batch policy on
+        /// one- and two-chip replicas (two executors finish out of order).
+        #[test]
+        fn outstanding_at_matches_linear_scan(seed in 0u64..1_000, crash_at_step in 1usize..8) {
+            let policies = [
+                BatchPolicy::Static { batch: 2 },
+                BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+                BatchPolicy::Continuous { max_batch: 2 },
+            ];
+            let traffic = TrafficSpec {
+                requests: 16,
+                arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
+                prompt: LenDist::Uniform { lo: 8, hi: 32 },
+                steps: LenDist::Uniform { lo: 2, hi: 8 },
+                prefix: crate::PrefixTraffic::None,
+                seed,
+            };
+            let requests = traffic.generate();
+            let arrivals: Vec<Seconds> = requests.iter().map(Request::arrival).collect();
+            for policy in policies {
+                for chips in [1, 2] {
+                    let engine = tiny_engine_on(policy, chips);
+                    let session = crate::EngineSession::new(&engine).unwrap();
+                    let mut core = session.core().unwrap();
+                    for r in &requests {
+                        core.push(*r);
+                    }
+                    core.close();
+                    check_outstanding(&core, &arrivals);
+                    let mut steps = 0;
+                    while core.next_action().is_some() {
+                        core.step().unwrap();
+                        steps += 1;
+                        check_outstanding(&core, &arrivals);
+                        if steps == crash_at_step {
+                            // Crash mid-run, at the median finish so far:
+                            // later finishes are revoked.
+                            let mut finishes: Vec<Seconds> =
+                                core.completions().iter().map(|c| c.finish).collect();
+                            finishes.sort_by(|a, b| a.get().total_cmp(&b.get()));
+                            let at = finishes
+                                .get(finishes.len() / 2)
+                                .copied()
+                                .unwrap_or(arrivals[steps % arrivals.len()]);
+                            core.crash(at);
+                            check_outstanding(&core, &arrivals);
+                        }
+                    }
+                }
+            }
+        }
 
         /// The heap-scheduled [`drive`] replays the pre-heap linear scan
         /// ([`drive_scan`]) bit-for-bit — same per-core reports, same
