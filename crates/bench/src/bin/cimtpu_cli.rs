@@ -13,12 +13,12 @@
 //! Architecture names: `tpuv4i`, `cim-base`, `design-a`, `design-b`, or
 //! `cim-<count>x<rows>x<cols>` (e.g. `cim-8x16x16`).
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use cimtpu_core::{inference, memory::MemoryFootprint, Simulator, TpuConfig};
 use cimtpu_models::{presets, LlmInferenceSpec};
 use cimtpu_multi::MultiTpu;
+use rustc_hash::FxHashMap;
 
 fn parse_config(name: &str) -> Result<TpuConfig, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -50,13 +50,13 @@ fn parse_config(name: &str) -> Result<TpuConfig, String> {
 }
 
 struct Args {
-    flags: HashMap<String, String>,
+    flags: FxHashMap<String, String>,
     json: bool,
 }
 
 impl Args {
     fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut flags = HashMap::new();
+        let mut flags = FxHashMap::default();
         let mut json = false;
         let mut it = argv.iter();
         while let Some(arg) = it.next() {

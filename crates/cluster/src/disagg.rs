@@ -50,7 +50,6 @@
 //!   inside it pays `wire / bandwidth_factor` (hop latency unchanged)
 //!   and `energy × energy_factor` — retransmission-style degradation.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
@@ -61,6 +60,7 @@ use cimtpu_serving::{
     ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::engine::{release_client, tenant_tag, Tenancy};
 use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
@@ -927,8 +927,8 @@ fn run_disaggregated_faulty(
     let mut completions: Vec<Completion> = Vec::new();
     let mut dhealth = HealthView::all_up(decode.len());
     let mut waiting: Vec<DisaggRetry> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
-    let mut attempts_of: HashMap<u64, u32> = HashMap::new();
+    let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
+    let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
     let mut avail = AvailabilityStats::zero();
     let mut crash_log: Vec<DisaggCrash> = Vec::new();
 
@@ -1895,8 +1895,8 @@ mod tests {
         let mut completions: Vec<Completion> = Vec::new();
         let mut dhealth = HealthView::all_up(decode.len());
         let mut waiting: Vec<DisaggRetry> = Vec::new();
-        let mut origin: HashMap<u64, f64> = HashMap::new();
-        let mut attempts_of: HashMap<u64, u32> = HashMap::new();
+        let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
+        let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
         let mut avail = AvailabilityStats::zero();
         let mut crash_log: Vec<DisaggCrash> = Vec::new();
 

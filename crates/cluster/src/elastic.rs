@@ -31,7 +31,6 @@
 //! reconcile tick, arrivals, engine steps — so a seeded run replays
 //! bit-for-bit (the scaling-action log is pinned by a replay test).
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
@@ -41,6 +40,7 @@ use cimtpu_serving::{
     TrafficSpec,
 };
 use cimtpu_units::{Error, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::engine::{tenant_tag, ClusterRun, ReplicaAccum, Tenancy};
 use crate::replica::{fleet_sessions, ReplicaSpec};
@@ -176,7 +176,7 @@ pub(crate) fn run_colocated_elastic(
 
     // ---- run ledger and scaling telemetry ------------------------------
     let mut delivered: Vec<Completion> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
+    let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
     let mut parked: Vec<Vec<Request>> = vec![Vec::new(); ngroups];
     let mut parked_total = 0usize;
     let mut since_tick: Vec<(u64, u64)> = vec![(0, 0); ngroups]; // (delivered, slo_ok)
@@ -531,8 +531,10 @@ pub(crate) fn run_colocated_elastic(
                 let g = slots[k].group;
                 for &c in cores[k].drain_new() {
                     let mut c = c;
-                    if let Some(orig) = origin.get(&c.id) {
-                        c.arrival = Seconds::new(*orig);
+                    // Delivered exactly once, so the entry can go: the
+                    // map holds only requests still in flight.
+                    if let Some(orig) = origin.remove(&c.id) {
+                        c.arrival = Seconds::new(orig);
                     }
                     stream.on_complete(&c);
                     delivered_by[k] += 1;

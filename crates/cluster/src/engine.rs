@@ -1,6 +1,5 @@
 //! The fleet engine: topology + router + traffic → [`ClusterRun`].
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
@@ -10,6 +9,7 @@ use cimtpu_serving::{
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_units::{Error, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
 use crate::elastic::run_colocated_elastic;
@@ -827,8 +827,8 @@ fn run_colocated_faulty(
     let mut deliveries: Vec<(usize, Completion)> = Vec::new();
     let mut delivered_by = vec![0u64; n];
     let mut waiting: Vec<WaitingRetry> = Vec::new();
-    let mut origin: HashMap<u64, f64> = HashMap::new();
-    let mut attempts_of: HashMap<u64, u32> = HashMap::new();
+    let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
+    let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
     let mut avail = AvailabilityStats::zero();
     let mut crash_log: Vec<CrashRecord> = Vec::new();
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
@@ -1500,8 +1500,8 @@ mod tests {
         let mut deliveries: Vec<(usize, Completion)> = Vec::new();
         let mut delivered_by = vec![0u64; n];
         let mut waiting: Vec<WaitingRetry> = Vec::new();
-        let mut origin: HashMap<u64, f64> = HashMap::new();
-        let mut attempts_of: HashMap<u64, u32> = HashMap::new();
+        let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
+        let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
         let mut avail = AvailabilityStats::zero();
         let mut crash_log: Vec<CrashRecord> = Vec::new();
         let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();

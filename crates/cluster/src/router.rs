@@ -627,7 +627,7 @@ mod tests {
             }
         }
         // Different sessions cover more than one replica.
-        let covered: std::collections::HashSet<usize> =
+        let covered: rustc_hash::FxHashSet<usize> =
             (0..16).map(|s| r.route(&req(0, s), &snaps)).collect();
         assert!(covered.len() > 1, "16 sessions all hashed to one replica");
     }
@@ -650,7 +650,7 @@ mod tests {
             }
         }
         // Distinct heads cover more than one replica.
-        let covered: std::collections::HashSet<usize> =
+        let covered: rustc_hash::FxHashSet<usize> =
             (0..16).map(|s| r.route(&headed(0, s), &snaps)).collect();
         assert!(covered.len() > 1, "16 heads all hashed to one replica");
         // No shared head: behaves exactly like session affinity.

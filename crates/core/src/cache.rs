@@ -18,12 +18,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use cimtpu_units::{Bytes, DataType, GemmShape, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::arch::TpuConfig;
 use crate::exec::OpCost;
@@ -91,7 +91,7 @@ impl CacheStats {
 /// comments in `cache.rs` for the design rationale.
 #[derive(Debug, Clone)]
 pub struct MappingCache {
-    entries: RefCell<HashMap<PriceKey, OpCost>>,
+    entries: RefCell<FxHashMap<PriceKey, OpCost>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     enabled: Cell<bool>,
@@ -102,7 +102,7 @@ impl MappingCache {
     /// Creates an enabled, empty cache bound to `config`'s fingerprint.
     pub(crate) fn for_config(config: &TpuConfig) -> Self {
         MappingCache {
-            entries: RefCell::new(HashMap::new()),
+            entries: RefCell::new(FxHashMap::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             enabled: Cell::new(true),
@@ -227,7 +227,7 @@ impl MappingCache {
         std::fs::create_dir_all(dir)?;
         // Merge-on-save: union with the file's current contents so
         // concurrent sweep workers only ever add entries.
-        let mut merged: HashMap<PriceKey, OpCost> = HashMap::new();
+        let mut merged: FxHashMap<PriceKey, OpCost> = FxHashMap::default();
         if let Ok(text) = std::fs::read_to_string(self.persist_path(dir)) {
             merged.extend(text.lines().filter_map(parse_entry));
         }

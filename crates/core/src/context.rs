@@ -14,12 +14,12 @@
 //! reports, summed in the same order.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::{Add, AddAssign};
 use std::rc::Rc;
 
 use cimtpu_models::{OpInstance, Phase, Segment, Workload};
 use cimtpu_units::{Bytes, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -145,7 +145,7 @@ impl PhasedReport {
 /// one chip configuration's prices: share a memo only among contexts on
 /// simulators of that configuration.
 #[derive(Debug, Clone, Default)]
-pub struct SegmentMemo(Rc<RefCell<HashMap<Vec<OpInstance>, SegmentCost>>>);
+pub struct SegmentMemo(Rc<RefCell<FxHashMap<Vec<OpInstance>, SegmentCost>>>);
 
 /// Segment-level pricing front-end over one [`Simulator`].
 ///

@@ -1,6 +1,8 @@
 //! Paged block allocation over a fixed KV byte budget.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+
+use rustc_hash::FxHashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -65,9 +67,9 @@ pub struct PagedKvAllocator {
     /// `None` = unlimited (reservations never fail).
     capacity_blocks: Option<u64>,
     /// Blocks held per request id.
-    held: HashMap<u64, Holding>,
+    held: FxHashMap<u64, Holding>,
     /// Reference count per live shared block id.
-    shared: HashMap<u64, u64>,
+    shared: FxHashMap<u64, u64>,
     next_shared: u64,
     used_blocks: u64,
     high_water_blocks: u64,
@@ -101,8 +103,8 @@ impl PagedKvAllocator {
         Ok(PagedKvAllocator {
             block_tokens,
             capacity_blocks: Some(capacity_blocks),
-            held: HashMap::new(),
-            shared: HashMap::new(),
+            held: FxHashMap::default(),
+            shared: FxHashMap::default(),
             next_shared: 0,
             used_blocks: 0,
             high_water_blocks: 0,
@@ -200,13 +202,21 @@ impl PagedKvAllocator {
     /// if the extra blocks do not fit; a request never shrinks here —
     /// blocks are returned only by [`release`](Self::release).
     pub fn try_grow(&mut self, id: u64, tokens: u64) -> bool {
-        if !self.would_fit(id, tokens) {
+        // One map lookup (the `would_fit` test inlined): a request that
+        // does not fit is left without a holding.
+        let need = self.blocks_for(tokens);
+        let (used, capacity) = (self.used_blocks, self.capacity_blocks);
+        let fits = |extra: u64| capacity.is_none_or(|c| used + extra <= c);
+        let have = match self.held.entry(id) {
+            Entry::Occupied(held) => held.into_mut(),
+            Entry::Vacant(slot) if fits(need) => slot.insert(Holding::default()),
+            Entry::Vacant(_) => return false,
+        };
+        let extra = need.saturating_sub(have.blocks());
+        if !fits(extra) {
             return false;
         }
-        let need = self.blocks_for(tokens);
-        let have = self.held.entry(id).or_default();
-        if need > have.blocks() {
-            let extra = need - have.blocks();
+        if extra > 0 {
             self.used_blocks += extra;
             have.private += extra;
             self.high_water_blocks = self.high_water_blocks.max(self.used_blocks);

@@ -1,9 +1,10 @@
 //! The buffered flight recorder and its engine-facing handle.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
+
+use rustc_hash::FxHashSet;
 
 use crate::event::{Event, EventKind, TraceFilter};
 use crate::timeseries::{GaugeSeries, HistogramSummary, TimeseriesStats};
@@ -42,7 +43,7 @@ struct GaugeBuf {
 pub struct Recorder {
     events: Vec<Event>,
     tracks: Vec<String>,
-    seen: HashSet<u64>,
+    seen: FxHashSet<u64>,
     latency_ms: LogHistogram,
     ttft_ms: LogHistogram,
     gauges: Vec<GaugeBuf>,
@@ -69,7 +70,7 @@ impl Recorder {
         Recorder {
             events: Vec::new(),
             tracks: Vec::new(),
-            seen: HashSet::new(),
+            seen: FxHashSet::default(),
             latency_ms: LogHistogram::default(),
             ttft_ms: LogHistogram::default(),
             gauges: Vec::new(),

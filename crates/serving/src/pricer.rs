@@ -2,13 +2,13 @@
 //! length), memoized on top of [`ExecutionContext`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cimtpu_core::{ExecutionContext, SegmentCost, SegmentMemo, Simulator};
 use cimtpu_models::{DitConfig, TransformerConfig, Workload};
 use cimtpu_multi::{tensor_parallel, MultiTpu};
 use cimtpu_units::{Bytes, Result};
+use rustc_hash::FxHashMap;
 
 /// The model a serving engine hosts.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ const STEP: u8 = 1;
 const CHUNK: u8 = 2;
 
 /// Phase memo table; cloning shares it (see [`PhasePricer::sharing`]).
-pub(crate) type PhaseMemo = Rc<RefCell<HashMap<Key, SegmentCost>>>;
+pub(crate) type PhaseMemo = Rc<RefCell<FxHashMap<Key, SegmentCost>>>;
 
 /// Prices serving phases on one chip (or one tensor-parallel ring),
 /// memoizing each distinct `(phase, batch, length)` query. The heavy

@@ -1,13 +1,14 @@
 //! Requests, open- and closed-loop traffic generation.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use cimtpu_units::{Error, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::heap::EventKey;
 use crate::metrics::Completion;
@@ -533,7 +534,7 @@ struct ClosedLoopState {
     /// used before.
     queue: BinaryHeap<Reverse<(EventKey, usize)>>,
     /// Issuing client of each in-flight request, by request id.
-    in_flight: HashMap<u64, u64>,
+    in_flight: FxHashMap<u64, u64>,
 }
 
 impl ArrivalStream {
@@ -565,7 +566,7 @@ impl ArrivalStream {
                         queue: (0..live)
                             .map(|c| Reverse((EventKey::new(Seconds::ZERO), c)))
                             .collect(),
-                        in_flight: HashMap::new(),
+                        in_flight: FxHashMap::default(),
                     }),
                 })
             }

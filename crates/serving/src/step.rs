@@ -22,11 +22,12 @@
 //! driver both lean on that invariant (and the equivalence tests pin it).
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use cimtpu_kv::{PagedKvAllocator, PrefixIndex, PrefixStats};
 use cimtpu_obs::{EventKind, TraceHandle};
 use cimtpu_units::{Error, Joules, Result, Seconds};
+use rustc_hash::FxHashMap;
 
 use crate::heap::ActionHeap;
 
@@ -54,10 +55,11 @@ pub struct EngineCore<'a> {
     next: usize,
     closed: bool,
     completions: Vec<Completion>,
-    /// Every completion's finish time, ascending, so
-    /// [`outstanding_at`](Self::outstanding_at) counts the completions
-    /// still in flight at any instant by binary search.
-    finishes: Vec<Seconds>,
+    /// Every completion's finish time, ascending per tier, so
+    /// [`outstanding_at`](Self::outstanding_at) and
+    /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) count
+    /// the completions still in flight at any instant by binary search.
+    finishes: Finishes,
     drained: usize,
     energy: Joules,
     busy: Seconds,
@@ -85,9 +87,6 @@ pub struct EngineCore<'a> {
     /// Tenant-aware scheduling state ([`set_tenancy`](Self::set_tenancy));
     /// `None` runs the original single-tenant FIFO scheduler bit-exactly.
     tenancy: Option<TenancyState>,
-    /// Class of each completion, index-aligned with `completions`
-    /// (completions carry no tenancy; reports and snapshots need it).
-    comp_class: Vec<SloClass>,
     state: State,
 }
 
@@ -111,6 +110,9 @@ struct TenancyState {
     admitted: Vec<bool>,
     /// Count of `true` bits in `admitted`.
     admitted_count: usize,
+    /// Per-tenant scratch for one admission pick (reused, so admission
+    /// allocates nothing).
+    seen: Vec<bool>,
 }
 
 #[derive(Debug)]
@@ -130,7 +132,7 @@ struct RtcState {
     /// First time each request was turned away by KV admission (it may
     /// still launch promptly on another executor — only the deferral
     /// actually experienced is charged, at launch).
-    kv_deferred_at: HashMap<u64, Seconds>,
+    kv_deferred_at: FxHashMap<u64, Seconds>,
     queue_full: Seconds,
 }
 
@@ -138,6 +140,13 @@ struct RtcState {
 struct ContState {
     chips: Vec<ContChip>,
     max_batch: u64,
+    /// Scratch reused by every [`cont_round`](EngineCore::cont_round), so
+    /// a round allocates nothing: the round's admissions as
+    /// `(idx, done, shared)`, then positions in the chip's `active` list
+    /// of the members still prefilling and of those decoding.
+    admitted: Vec<(usize, u64, u64)>,
+    prefilling: Vec<usize>,
+    decoders: Vec<usize>,
 }
 
 /// One resident request: `done` generated tokens survive preemption;
@@ -166,12 +175,36 @@ struct ContChip {
     preemptions: u64,
 }
 
-/// Inserts `finish` into the ascending `finishes`. Finish times arrive
-/// almost in order (executors interleave), so the insertion point is at
-/// or near the end.
-fn record_finish(finishes: &mut Vec<Seconds>, finish: Seconds) {
-    let at = finishes.partition_point(|&f| f <= finish);
-    finishes.insert(at, finish);
+/// Completion finish times, one ascending list per service tier
+/// (indexed by [`SloClass::rank`]).
+#[derive(Debug, Default)]
+struct Finishes([Vec<Seconds>; 3]);
+
+impl Finishes {
+    /// Records a completion of tier `class` finishing at `finish`.
+    /// Finish times arrive almost in order (executors interleave), so the
+    /// insertion point is at or near the end.
+    fn record(&mut self, finish: Seconds, class: SloClass) {
+        let list = &mut self.0[class.rank()];
+        let at = list.partition_point(|&f| f <= finish);
+        list.insert(at, finish);
+    }
+
+    /// Drops every finish after `at` (a crash revokes those completions).
+    fn revoke_after(&mut self, at: Seconds) {
+        for list in &mut self.0 {
+            list.truncate(list.partition_point(|&f| f <= at));
+        }
+    }
+
+    /// Per tier, how many completions finish after `t`.
+    fn after(&self, t: Seconds) -> [u64; 3] {
+        self.0.each_ref().map(|list| (list.len() - list.partition_point(|&f| f <= t)) as u64)
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
 }
 
 /// A decided run-to-completion launch.
@@ -212,7 +245,7 @@ impl<'a> EngineCore<'a> {
                     allocs,
                     prefix,
                     free_at,
-                    kv_deferred_at: HashMap::new(),
+                    kv_deferred_at: FxHashMap::default(),
                     queue_full: Seconds::ZERO,
                 })
             }
@@ -230,6 +263,9 @@ impl<'a> EngineCore<'a> {
                     })
                     .collect(),
                 max_batch: max_batch.max(1),
+                admitted: Vec::new(),
+                prefilling: Vec::new(),
+                decoders: Vec::new(),
             }),
         };
         EngineCore {
@@ -242,7 +278,7 @@ impl<'a> EngineCore<'a> {
             next: 0,
             closed: false,
             completions: Vec::new(),
-            finishes: Vec::new(),
+            finishes: Finishes::default(),
             drained: 0,
             energy: Joules::ZERO,
             busy: Seconds::ZERO,
@@ -254,7 +290,6 @@ impl<'a> EngineCore<'a> {
             cached_action: Cell::new(None),
             trace: None,
             tenancy: None,
-            comp_class: Vec::new(),
             state,
         }
     }
@@ -300,6 +335,7 @@ impl<'a> EngineCore<'a> {
             preempted: vec![0; sched.classes.len()],
             admitted: Vec::new(),
             admitted_count: 0,
+            seen: vec![false; sched.classes.len()],
         });
     }
 
@@ -498,24 +534,16 @@ impl<'a> EngineCore<'a> {
         assert!(!self.crashed, "crash on an already-crashed core");
         self.touch();
         self.crashed = true;
-        // Revoke completions scheduled past the crash instant (keeping
-        // the class ledger index-aligned).
+        // Revoke completions scheduled past the crash instant.
         let mut lost_ids: Vec<u64> = Vec::new();
-        {
-            let mut keep = Vec::with_capacity(self.completions.len());
-            let mut keep_class = Vec::with_capacity(self.comp_class.len());
-            for (c, k) in self.completions.iter().zip(&self.comp_class) {
-                if c.finish > at {
-                    lost_ids.push(c.id);
-                } else {
-                    keep.push(*c);
-                    keep_class.push(*k);
-                }
+        self.completions.retain(|c| {
+            let lost = c.finish > at;
+            if lost {
+                lost_ids.push(c.id);
             }
-            self.completions = keep;
-            self.comp_class = keep_class;
-            self.finishes.truncate(self.finishes.partition_point(|&f| f <= at));
-        }
+            !lost
+        });
+        self.finishes.revoke_after(at);
         self.drained = self.drained.min(self.completions.len());
         let mut lost_idx: Vec<usize> = Vec::new();
         match &mut self.state {
@@ -601,16 +629,53 @@ impl<'a> EngineCore<'a> {
     /// `O(log completions)`.
     pub fn outstanding_at(&self, t: Seconds) -> u64 {
         debug_assert_eq!(self.finishes.len(), self.completions.len());
-        let finished = self.finishes.partition_point(|&f| f <= t);
-        self.queued() + self.resident() + (self.finishes.len() - finished) as u64
+        self.queued() + self.resident() + self.finishes.after(t).iter().sum::<u64>()
     }
 
     /// Requests in flight at simulated time `t`, broken out by service
     /// tier (indexed by [`SloClass::rank`]; untenanted requests count as
     /// their default `Standard` class). Entries always sum to
-    /// [`outstanding_at`](Self::outstanding_at).
+    /// [`outstanding_at`](Self::outstanding_at). Costs
+    /// `O(queued + resident + log completions)`.
     pub fn outstanding_by_class_at(&self, t: Seconds) -> [u64; 3] {
+        let mut out = self.finishes.after(t);
+        // Every arrival before `next` is admitted, with or without tenancy.
+        let queue = &self.arrivals[self.next..];
+        match &self.tenancy {
+            Some(ts) => {
+                for (r, &admitted) in queue.iter().zip(&ts.admitted[self.next..]) {
+                    if !admitted {
+                        out[r.class.rank()] += 1;
+                    }
+                }
+            }
+            None => {
+                for r in queue {
+                    out[r.class.rank()] += 1;
+                }
+            }
+        }
+        if let State::Cont(st) = &self.state {
+            for chip in &st.chips {
+                for a in &chip.active {
+                    out[self.arrivals[a.idx].class.rank()] += 1;
+                }
+                for &(idx, _) in &chip.resume {
+                    out[self.arrivals[idx].class.rank()] += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) by
+    /// linear scan of every arrival and completion: the test oracle.
+    #[cfg(test)]
+    fn outstanding_by_class_scan(&self, t: Seconds) -> [u64; 3] {
         let mut out = [0u64; 3];
+        let class_of = |id: u64| {
+            self.arrivals.iter().find(|r| r.id == id).expect("completed requests arrived").class
+        };
         match &self.tenancy {
             Some(ts) => {
                 for (i, r) in self.arrivals.iter().enumerate() {
@@ -635,10 +700,8 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        for (c, k) in self.completions.iter().zip(&self.comp_class) {
-            if c.finish > t {
-                out[k.rank()] += 1;
-            }
+        for c in self.completions.iter().filter(|c| c.finish > t) {
+            out[class_of(c.id).rank()] += 1;
         }
         out
     }
@@ -1044,8 +1107,7 @@ impl<'a> EngineCore<'a> {
                 finish: release,
                 steps: r.steps,
             });
-            record_finish(&mut self.finishes, release);
-            self.comp_class.push(r.class);
+            self.finishes.record(release, r.class);
         }
         self.busy += t - start;
         Ok(t)
@@ -1100,9 +1162,13 @@ impl<'a> EngineCore<'a> {
         let chunking = self.memory.chunk_tokens;
         let slowdown = self.slowdown;
         let multi = self.multi_tenant();
-        let State::Cont(st) = &mut self.state else { unreachable!() };
-        let max_batch = st.max_batch;
-        let chip = &mut st.chips[ci];
+        let State::Cont(ContState { chips, max_batch, admitted, prefilling, decoders }) =
+            &mut self.state
+        else {
+            unreachable!()
+        };
+        let max_batch = *max_batch;
+        let chip = &mut chips[ci];
         chip.t = t;
         let round_start = chip.t;
 
@@ -1113,7 +1179,7 @@ impl<'a> EngineCore<'a> {
         // matches the chip's prefix index (attaching cached blocks by
         // reference, evicting index-only blocks before giving up) and
         // records how many prompt tokens the member skips.
-        let mut admitted: Vec<(usize, u64, u64)> = Vec::new(); // (idx, done, shared)
+        admitted.clear();
         let mut kv_blocked = false;
         while chip.active.len() + admitted.len() < max_batch as usize {
             if let Some(&(idx, done)) = chip.resume.front() {
@@ -1131,13 +1197,13 @@ impl<'a> EngineCore<'a> {
                 // tenant id; within a tenant, FIFO. A KV refusal blocks
                 // the round's head, exactly like the FIFO path.
                 let mut pick: Option<(usize, (usize, f64, u32))> = None;
-                let mut seen = vec![false; ts.classes.len()];
+                ts.seen.fill(false);
                 let mut i = self.next;
                 while i < self.arrivals.len() && self.arrivals[i].arrival() <= chip.t {
                     let r = &self.arrivals[i];
                     let tenant = r.tenant as usize;
-                    if !ts.admitted[i] && !seen[tenant] {
-                        seen[tenant] = true;
+                    if !ts.admitted[i] && !ts.seen[tenant] {
+                        ts.seen[tenant] = true;
                         let key = (
                             ts.classes[tenant].rank(),
                             ts.service[tenant] as f64 / ts.weights[tenant],
@@ -1197,7 +1263,7 @@ impl<'a> EngineCore<'a> {
         if let Some(tr) = &self.trace {
             // Fresh admissions close their queue span; resumed requests
             // already emitted theirs on first admission.
-            for &(idx, done, _) in &admitted {
+            for &(idx, done, _) in admitted.iter() {
                 if done == 0 {
                     let r = &self.arrivals[idx];
                     tr.span_for(
@@ -1220,19 +1286,19 @@ impl<'a> EngineCore<'a> {
         match chunking {
             None => {
                 if !admitted.is_empty() && has_prefill {
-                    let cold: Vec<&(usize, u64, u64)> =
-                        admitted.iter().filter(|&&(_, _, s)| s == 0).collect();
-                    if !cold.is_empty() {
+                    let cold = admitted.iter().filter(|&&(_, _, s)| s == 0);
+                    let n = cold.clone().count() as u64;
+                    if n > 0 {
                         let padded = cold
-                            .iter()
-                            .map(|&&(idx, done, _)| self.arrivals[idx].prompt_len + done)
+                            .clone()
+                            .map(|&(idx, done, _)| self.arrivals[idx].prompt_len + done)
                             .max()
                             .expect("non-empty");
                         let before = chip.t;
-                        let prefill = self.pricer.prefill(cold.len() as u64, padded)?;
+                        let prefill = self.pricer.prefill(n, padded)?;
                         chip.t += stretch(prefill.latency, slowdown);
                         self.energy += prefill.total_energy();
-                        for &&(idx, _, _) in &cold {
+                        for &(idx, _, _) in cold {
                             if !self.ttft_set[idx] {
                                 self.first_token[idx] = chip.t;
                                 self.ttft_set[idx] = true;
@@ -1252,20 +1318,20 @@ impl<'a> EngineCore<'a> {
                     // into one chunk padded to the longest tail and
                     // deepest cached past (the same padding rule as
                     // grouped prefill).
-                    let hits: Vec<&(usize, u64, u64)> =
-                        admitted.iter().filter(|&&(_, _, s)| s > 0).collect();
-                    if !hits.is_empty() {
-                        let past = hits.iter().map(|&&(_, _, s)| s).max().expect("non-empty");
+                    let hits = admitted.iter().filter(|&&(_, _, s)| s > 0);
+                    let n = hits.clone().count() as u64;
+                    if n > 0 {
+                        let past = hits.clone().map(|&(_, _, s)| s).max().expect("non-empty");
                         let tail = hits
-                            .iter()
-                            .map(|&&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
+                            .clone()
+                            .map(|&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
                             .max()
                             .expect("non-empty");
                         let before = chip.t;
-                        let cost = self.pricer.prefill_chunk(hits.len() as u64, tail, past)?;
+                        let cost = self.pricer.prefill_chunk(n, tail, past)?;
                         chip.t += stretch(cost.latency, slowdown);
                         self.energy += cost.total_energy();
-                        for &&(idx, _, _) in &hits {
+                        for &(idx, _, _) in hits {
                             if !self.ttft_set[idx] {
                                 self.first_token[idx] = chip.t;
                                 self.ttft_set[idx] = true;
@@ -1282,13 +1348,13 @@ impl<'a> EngineCore<'a> {
                         }
                     }
                 }
-                chip.active.extend(admitted.into_iter().map(|(idx, done, _)| {
+                chip.active.extend(admitted.drain(..).map(|(idx, done, _)| {
                     let target = self.arrivals[idx].prompt_len + done;
                     Active { idx, done, prefilled: target, target }
                 }));
             }
             Some(chunk) => {
-                chip.active.extend(admitted.into_iter().map(|(idx, done, shared)| {
+                chip.active.extend(admitted.drain(..).map(|(idx, done, shared)| {
                     let target = self.arrivals[idx].prompt_len + done;
                     Active {
                         idx,
@@ -1303,9 +1369,11 @@ impl<'a> EngineCore<'a> {
                 }));
                 // One prefill chunk for everything still ingesting its
                 // prompt, padded to the group's longest chunk/context.
-                let prefilling: Vec<usize> = (0..chip.active.len())
-                    .filter(|&p| chip.active[p].prefilled < chip.active[p].target)
-                    .collect();
+                prefilling.clear();
+                prefilling.extend(
+                    (0..chip.active.len())
+                        .filter(|&p| chip.active[p].prefilled < chip.active[p].target),
+                );
                 if has_prefill && !prefilling.is_empty() {
                     let c = prefilling
                         .iter()
@@ -1322,7 +1390,7 @@ impl<'a> EngineCore<'a> {
                     chip.t += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();
                     let now = chip.t;
-                    for p in prefilling {
+                    for &p in prefilling.iter() {
                         let a = &mut chip.active[p];
                         a.prefilled = (a.prefilled + chunk).min(a.target);
                         if a.prefilled == a.target && !self.ttft_set[a.idx] {
@@ -1348,9 +1416,11 @@ impl<'a> EngineCore<'a> {
         // youngest resident request (recompute-on-resume) until the rest
         // fit.
         loop {
-            let decoders: Vec<usize> = (0..chip.active.len())
-                .filter(|&p| chip.active[p].prefilled >= chip.active[p].target)
-                .collect();
+            decoders.clear();
+            decoders.extend(
+                (0..chip.active.len())
+                    .filter(|&p| chip.active[p].prefilled >= chip.active[p].target),
+            );
             if decoders.is_empty() {
                 break;
             }
@@ -1421,7 +1491,7 @@ impl<'a> EngineCore<'a> {
             chip.t += stretch(step.latency, slowdown);
             self.energy += step.total_energy();
             let now = chip.t;
-            for &p in &decoders {
+            for &p in decoders.iter() {
                 let a = &mut chip.active[p];
                 a.done += 1;
                 if a.done == 1 && !has_prefill && !self.ttft_set[a.idx] {
@@ -1434,7 +1504,6 @@ impl<'a> EngineCore<'a> {
             let first_token = &self.first_token;
             let completions = &mut self.completions;
             let finishes = &mut self.finishes;
-            let comp_class = &mut self.comp_class;
             let trace = &self.trace;
             active.retain(|a| {
                 if a.prefilled >= a.target && a.done >= arrivals[a.idx].steps {
@@ -1455,8 +1524,7 @@ impl<'a> EngineCore<'a> {
                         finish: now,
                         steps: arrivals[a.idx].steps,
                     });
-                    record_finish(finishes, now);
-                    comp_class.push(arrivals[a.idx].class);
+                    finishes.record(now, arrivals[a.idx].class);
                     false
                 } else {
                     true
@@ -1849,6 +1917,63 @@ mod tests {
         }
     }
 
+    /// The continuous scheduler reuses its round buffers across rounds.
+    /// Drive a two-chip core fed incrementally through every branch that
+    /// fills them — chunked prefill, prefix sharing with cold and hit
+    /// members admitted in one round, a KV budget tight enough to
+    /// preempt — and match the push-all batch run.
+    #[test]
+    fn reused_round_buffers_match_batch_run_on_every_branch() {
+        let base = MemoryConfig::unlimited();
+        // 4 blocks of 16 tokens per chip: a 32-token prompt plus 8 steps
+        // needs 3, so two residents cannot both grow.
+        let tight = base.with_budget_bytes(cimtpu_units::Bytes::from_kib(64));
+        let cases = [
+            ("chunked", base.with_chunked_prefill(8)),
+            ("shared", base.with_prefix_sharing()),
+            ("shared+chunked", base.with_prefix_sharing().with_chunked_prefill(8)),
+            ("tight", tight),
+            ("tight+shared", tight.with_prefix_sharing()),
+            ("tight+shared+chunked", tight.with_prefix_sharing().with_chunked_prefill(8)),
+        ];
+        // A burst admits four at once onto chip 0: with two heads
+        // alternating by id, members 0 and 1 prefill cold and members 2
+        // and 3 hit the blocks 0 and 1 just committed.
+        let bursty = TrafficSpec {
+            requests: 12,
+            arrival: ArrivalPattern::Burst,
+            prompt: LenDist::Fixed(32),
+            steps: LenDist::Fixed(8),
+            prefix: crate::PrefixTraffic::SharedHead { tokens: 24, groups: 2 },
+            seed: 7,
+        };
+        let open = TrafficSpec {
+            arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
+            ..bursty.clone()
+        };
+        for (name, memory) in cases {
+            for traffic in [&bursty, &open] {
+                let engine = tiny_engine_on(BatchPolicy::Continuous { max_batch: 4 }, 2)
+                    .with_memory(memory);
+                let reference = engine.run("ref", traffic).unwrap();
+                let session = crate::EngineSession::new(&engine).unwrap();
+                let mut core = session.core().unwrap();
+                let mut stream = ArrivalStream::new(traffic).unwrap();
+                drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0).unwrap();
+                let run = core.finish("ref");
+                let what = format!("{name}, {:?}", traffic.arrival);
+                assert_eq!(run, reference, "{what}");
+                assert_eq!(run.completions.len(), 12, "{what}");
+                if memory.prefix_sharing {
+                    assert!(run.prefix.hits > 0, "{what}: no prefix hit");
+                }
+                if memory.budget != base.budget {
+                    assert!(run.report.preemptions > 0, "{what}: no preemption");
+                }
+            }
+        }
+    }
+
     #[test]
     fn static_core_waits_until_closed() {
         let engine = tiny_engine(BatchPolicy::Static { batch: 4 });
@@ -2009,8 +2134,9 @@ mod tests {
             + core.completions().iter().filter(|c| c.finish > t).count() as u64
     }
 
-    /// Compares [`EngineCore::outstanding_at`] with the scan at t = 0, at
-    /// every arrival, at every completion's finish time and a hair on
+    /// Compares [`EngineCore::outstanding_at`] and
+    /// [`EngineCore::outstanding_by_class_at`] with their scans at t = 0,
+    /// at every arrival, at every completion's finish time and a hair on
     /// either side of it, and far past the latest event.
     fn check_outstanding(core: &EngineCore<'_>, arrivals: &[Seconds]) {
         let mut probes = vec![Seconds::ZERO, Seconds::new(1e9)];
@@ -2020,64 +2146,99 @@ mod tests {
             probes.extend([f, f * (1.0 - 1e-12), f * (1.0 + 1e-12) + 1e-300].map(Seconds::new));
         }
         for t in probes {
-            assert_eq!(core.outstanding_at(t), outstanding_scan(core, t), "t = {t}");
+            let total = core.outstanding_at(t);
+            assert_eq!(total, outstanding_scan(core, t), "t = {t}");
+            let by_class = core.outstanding_by_class_at(t);
+            assert_eq!(by_class, core.outstanding_by_class_scan(t), "t = {t}");
+            assert_eq!(by_class.iter().sum::<u64>(), total, "t = {t}");
+        }
+    }
+
+    /// Runs 16 seeded requests through every batch policy on one- and
+    /// two-chip replicas, checking the outstanding counts before the
+    /// first step, after every step, and after a crash at step
+    /// `crash_at_step`. Requests cycle through the three service tiers;
+    /// `tenancy` arms tenant-aware scheduling with one tenant per tier.
+    fn check_outstanding_run(seed: u64, crash_at_step: usize, tenancy: bool) {
+        let policies = [
+            BatchPolicy::Static { batch: 2 },
+            BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+            BatchPolicy::Continuous { max_batch: 2 },
+        ];
+        let traffic = TrafficSpec {
+            requests: 16,
+            arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
+            prompt: LenDist::Uniform { lo: 8, hi: 32 },
+            steps: LenDist::Uniform { lo: 2, hi: 8 },
+            prefix: crate::PrefixTraffic::None,
+            seed,
+        };
+        let sched = TenantSched {
+            classes: vec![SloClass::Interactive, SloClass::Standard, SloClass::Batch],
+            weights: vec![1.0, 2.0, 1.0],
+        };
+        let mut requests = traffic.generate();
+        for r in &mut requests {
+            r.tenant = (r.id % 3) as u32;
+            r.class = sched.classes[r.tenant as usize];
+        }
+        let arrivals: Vec<Seconds> = requests.iter().map(Request::arrival).collect();
+        for policy in policies {
+            for chips in [1, 2] {
+                let engine = tiny_engine_on(policy, chips);
+                let session = crate::EngineSession::new(&engine).unwrap();
+                let mut core = session.core().unwrap();
+                if tenancy {
+                    core.set_tenancy(&sched);
+                }
+                for r in &requests {
+                    core.push(*r);
+                }
+                core.close();
+                check_outstanding(&core, &arrivals);
+                let mut steps = 0;
+                while core.next_action().is_some() {
+                    core.step().unwrap();
+                    steps += 1;
+                    check_outstanding(&core, &arrivals);
+                    if steps == crash_at_step {
+                        // Crash mid-run, at the median finish so far:
+                        // later finishes are revoked.
+                        let mut finishes: Vec<Seconds> =
+                            core.completions().iter().map(|c| c.finish).collect();
+                        finishes.sort_by(|a, b| a.get().total_cmp(&b.get()));
+                        let at = finishes
+                            .get(finishes.len() / 2)
+                            .copied()
+                            .unwrap_or(arrivals[steps % arrivals.len()]);
+                        core.crash(at);
+                        check_outstanding(&core, &arrivals);
+                    }
+                }
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// The binary-searched `outstanding_at` equals the linear scan
-        /// after every step and after a crash, for every batch policy on
-        /// one- and two-chip replicas (two executors finish out of order).
+        /// The binary-searched `outstanding_at` (and its per-tier split)
+        /// equals the linear scan after every step and after a crash, for
+        /// every batch policy on one- and two-chip replicas (two
+        /// executors finish out of order).
         #[test]
         fn outstanding_at_matches_linear_scan(seed in 0u64..1_000, crash_at_step in 1usize..8) {
-            let policies = [
-                BatchPolicy::Static { batch: 2 },
-                BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
-                BatchPolicy::Continuous { max_batch: 2 },
-            ];
-            let traffic = TrafficSpec {
-                requests: 16,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
-                prompt: LenDist::Uniform { lo: 8, hi: 32 },
-                steps: LenDist::Uniform { lo: 2, hi: 8 },
-                prefix: crate::PrefixTraffic::None,
-                seed,
-            };
-            let requests = traffic.generate();
-            let arrivals: Vec<Seconds> = requests.iter().map(Request::arrival).collect();
-            for policy in policies {
-                for chips in [1, 2] {
-                    let engine = tiny_engine_on(policy, chips);
-                    let session = crate::EngineSession::new(&engine).unwrap();
-                    let mut core = session.core().unwrap();
-                    for r in &requests {
-                        core.push(*r);
-                    }
-                    core.close();
-                    check_outstanding(&core, &arrivals);
-                    let mut steps = 0;
-                    while core.next_action().is_some() {
-                        core.step().unwrap();
-                        steps += 1;
-                        check_outstanding(&core, &arrivals);
-                        if steps == crash_at_step {
-                            // Crash mid-run, at the median finish so far:
-                            // later finishes are revoked.
-                            let mut finishes: Vec<Seconds> =
-                                core.completions().iter().map(|c| c.finish).collect();
-                            finishes.sort_by(|a, b| a.get().total_cmp(&b.get()));
-                            let at = finishes
-                                .get(finishes.len() / 2)
-                                .copied()
-                                .unwrap_or(arrivals[steps % arrivals.len()]);
-                            core.crash(at);
-                            check_outstanding(&core, &arrivals);
-                        }
-                    }
-                }
-            }
+            check_outstanding_run(seed, crash_at_step, false);
+        }
+
+        /// The same under tenant-aware scheduling, where weighted-fair
+        /// admission leaves earlier arrivals queued behind later ones.
+        #[test]
+        fn outstanding_by_class_at_matches_linear_scan(
+            seed in 0u64..1_000,
+            crash_at_step in 1usize..8,
+        ) {
+            check_outstanding_run(seed, crash_at_step, true);
         }
 
         /// The heap-scheduled [`drive`] replays the pre-heap linear scan
