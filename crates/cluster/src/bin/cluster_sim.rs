@@ -39,7 +39,8 @@
 //! (multi-tenant scenarios write their merged, tenant-tagged trace);
 //! `--trace-in PATH` replaces each scenario's traffic with the trace at
 //! PATH (replayed byte-identically, so `--seed` no longer perturbs
-//! arrivals). See `cimtpu_serving::trace` for the format.
+//! arrivals; `--clients`, `--think-ms` and `--tenants` are rejected with
+//! it). See `cimtpu_serving::trace` for the format.
 //!
 //! `--faults SPEC` replaces every selected scenario's fault plan with
 //! the comma-separated events in `SPEC` (grammar in
@@ -224,8 +225,9 @@ fn main() {
 
     // `--trace-in` replaces each scenario's traffic wholesale (the trace
     // carries arrivals, lengths, sessions, tenants, and classes), so it
-    // composes with neither `--clients` nor `--seed` reseeding — and it
-    // clears scenario tenant sets (a replayed trace is served as-is).
+    // composes with neither `--clients` (rejected by `SimFlags`) nor
+    // `--seed` reseeding — and it clears scenario tenant sets (a replayed
+    // trace is served as-is).
     if let Some(path) = flags.trace_in.as_deref() {
         let replay = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {path}: {e}"))
@@ -284,12 +286,6 @@ fn main() {
     // reseeds every tenant's stream under `--seed`.
     match flags.tenants.as_deref() {
         None => {}
-        Some(_) if flags.trace_in.is_some() => {
-            // The trace records already carry tenant assignments; there
-            // is no base traffic left to split.
-            eprintln!("cluster_sim: --tenants cannot be combined with --trace-in");
-            std::process::exit(2);
-        }
         Some(spec) => {
             let parts = match parse_tenants(spec) {
                 Ok(parts) => parts,

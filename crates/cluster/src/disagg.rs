@@ -30,8 +30,10 @@
 //!
 //! # Faults
 //!
-//! A non-empty [`FaultPlan`] switches to the
-//! failure-aware driver. Two fault kinds apply here:
+//! One event loop serves every [`FaultPlan`]. An empty plan resolves to
+//! no crash timeline and no link windows, keeps every decode replica up,
+//! and leaves the report without an availability section. Two fault
+//! kinds apply here:
 //!
 //! - **Decode-replica crashes.** Everything resident on or inbound to
 //!   the replica is lost and its paged allocator is emptied; the replica
@@ -53,17 +55,16 @@
 use std::rc::Rc;
 
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
-use cimtpu_obs::{EventKind, SharedRecorder, TraceSink as _};
+use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_multi::RingTopology;
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, Parallelism, PhasePricer, Request,
     ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
-use rustc_hash::FxHashMap;
 
-use crate::engine::{release_client, tenant_tag, Tenancy};
-use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
+use crate::engine::{tenant_tag, Tenancy};
+use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
 use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
@@ -487,6 +488,46 @@ impl PoolTrace {
     }
 }
 
+/// A request waiting to re-enter the disaggregated pipeline after a
+/// decode crash (or parked because the whole decode pool is down).
+struct DisaggRetry {
+    /// When the retry fires.
+    fire: Seconds,
+    request: Request,
+    /// Retries already charged against the request's budget.
+    attempts: u32,
+    /// Prefill unit still holding the cache (re-handoff), or `None` to
+    /// recompute the prompt from scratch.
+    source: Option<usize>,
+    /// The TTFT the original prefill produced; a re-handoff keeps it.
+    first_token: Option<Seconds>,
+}
+
+/// Fills `up` with the decode replicas `health` shows routable and
+/// `snaps` with their router view, re-indexed `0..up.len()` so index-
+/// returning and positional routers agree (see the health-view section
+/// of the [`router`](crate::router) module docs).
+fn healthy_decode_snapshots(
+    dunits: &[DecodeUnit<'_>],
+    health: &HealthView,
+    assigned: &[u64],
+    classed: bool,
+    up: &mut Vec<usize>,
+    snaps: &mut Vec<ReplicaSnapshot>,
+) {
+    up.clear();
+    snaps.clear();
+    for (k, u) in dunits.iter().enumerate() {
+        if health.is_up(k) {
+            snaps.push(u.snapshot(up.len(), assigned[k], classed));
+            up.push(k);
+        }
+    }
+}
+
+/// The disaggregated event loop. An empty `plan` resolves to no crashes
+/// and no link windows, so every decode replica stays up, nothing
+/// retries, and the report carries no availability section.
 #[allow(clippy::too_many_arguments)] // one call site, from the engine dispatch
 pub(crate) fn run_disaggregated(
     prefill: &[ReplicaSpec],
@@ -498,34 +539,7 @@ pub(crate) fn run_disaggregated(
     traffic: &TrafficSpec,
     slo_ms: Option<f64>,
     plan: &FaultPlan,
-    tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    if plan.is_empty() {
-        // Zero-fault runs take the untouched driver, bit-for-bit.
-        run_disaggregated_plain(
-            prefill, decode, router, decode_router, interconnect, label, traffic, slo_ms, tenancy,
-            recorder,
-        )
-    } else {
-        run_disaggregated_faulty(
-            prefill, decode, router, decode_router, interconnect, label, traffic, slo_ms, plan,
-            tenancy, recorder,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one call site, from the dispatch above
-fn run_disaggregated_plain(
-    prefill: &[ReplicaSpec],
-    decode: &[ReplicaSpec],
-    router: RouterPolicy,
-    decode_router: RouterPolicy,
-    interconnect: InterconnectSpec,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    tenancy: Option<Tenancy<'_>>,
+    mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
     // The pools run FCFS/continuous-batching queues, not `EngineCore`, so
@@ -534,6 +548,27 @@ fn run_disaggregated_plain(
     // per-tenant ledger — no WFQ inside the pools.
     let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
     let trace = recorder.map(|rec| PoolTrace::attach(rec, prefill, decode));
+    // Crash events index the DECODE pool; prefill replicas are the
+    // stateless front of the pipeline here and cannot crash.
+    let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
+    let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
+    for event in plan.resolve(decode.len())? {
+        match event {
+            FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
+            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
+                windows.push((from, until, bandwidth_factor, energy_factor));
+            }
+            FaultEvent::Straggler { .. } => {
+                return Err(Error::invalid_config(
+                    "straggler faults apply to colocated replicas; disaggregated pools price \
+                     whole phases — degrade the link instead",
+                ));
+            }
+        }
+    }
+    crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+    let mut next_crash = 0usize;
+
     let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
     let pool_members = prefill
         .iter()
@@ -602,335 +637,16 @@ fn run_disaggregated_plain(
     let mut d_assigned = vec![0u64; decode.len()];
     let mut transfers = KvTransferStats::default();
     let mut completions: Vec<Completion> = Vec::new();
-
-    // One event queue spans both pools: prefill unit `i` owns slot `i`,
-    // decode unit `j` slot `prefill.len() + j`, so the heap's
-    // (time, lowest-slot) order reproduces the old scan's
-    // arrival → prefill → decode, lowest-index tie-break exactly.
-    // Arrivals are compared outside the heap and win ties.
-    let pn = punits.len();
-    let mut heap = ActionHeap::new(pn + dunits.len());
-    for (i, u) in punits.iter().enumerate() {
-        heap.set(i, u.candidate());
-    }
-    for (j, u) in dunits.iter().enumerate() {
-        heap.set(pn + j, u.candidate());
-    }
+    let mut dhealth = HealthView::all_up(decode.len());
+    let mut waiting: Vec<DisaggRetry> = Vec::new();
+    let mut ledger = RetryLedger::new(
+        *plan.recovery(),
+        trace.as_ref().map(|tr| TraceHandle::new(Rc::clone(&tr.rec), tr.control)),
+    );
     // Router-view scratch, reused across events instead of collected anew.
     let mut psnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(punits.len());
     let mut dsnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(dunits.len());
-
-    loop {
-        let unit_at = heap.peek();
-        let chosen: Option<(u8, usize)> = match (stream.peek(), unit_at) {
-            (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => Some((0, 0)),
-            (_, Some((slot, _))) => {
-                Some(if slot < pn { (1, slot) } else { (2, slot - pn) })
-            }
-            (_, None) => None,
-        };
-        let Some((class, idx)) = chosen else {
-            if stream.exhausted() {
-                break;
-            }
-            return Err(Error::invalid_config(
-                "disaggregated driver stalled: requests pending but no unit can act",
-            ));
-        };
-        match class {
-            0 => {
-                let request = stream.pop();
-                psnaps.clear();
-                psnaps.extend(
-                    punits.iter().enumerate().map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
-                );
-                let k = arouter.route(&request, &psnaps).min(punits.len() - 1);
-                p_assigned[k] += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.ptracks[k],
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
-                    );
-                }
-                punits[k].queue.push_back(request);
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(k, request.arrival(), &punits[k]);
-                }
-                heap.set(k, punits[k].candidate());
-            }
-            1 => {
-                let batch = punits[idx].step()?;
-                for req in batch.members {
-                    // Route the handoff, serialize it on this replica's
-                    // egress link, and gate the decode admission on the
-                    // target's allocator (via its pending queue).
-                    dsnaps.clear();
-                    dsnaps.extend(
-                        dunits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, d_assigned[i], classed)),
-                    );
-                    let k = drouter.route(&req, &dsnaps).min(dunits.len() - 1);
-                    d_assigned[k] += 1;
-                    let bytes =
-                        full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                    let duration = interconnect.transfer_time(bytes);
-                    let t_start = batch.end.max(punits[idx].link_free);
-                    let t_end = t_start + duration;
-                    punits[idx].link_free = t_end;
-                    punits[idx].pending_release.push((t_end, req.id));
-                    transfers.record(bytes.get(), duration, interconnect.transfer_energy(bytes));
-                    if let Some(tr) = &trace {
-                        let mut rec = tr.rec.borrow_mut();
-                        rec.span(
-                            tr.ptracks[idx],
-                            EventKind::Prefill,
-                            req.id,
-                            batch.start.get(),
-                            batch.end.get(),
-                        );
-                        rec.span(
-                            tr.ptracks[idx],
-                            EventKind::KvHandoff,
-                            req.id,
-                            t_start.get(),
-                            t_end.get(),
-                        );
-                    }
-                    dunits[k].pending.push(PendingDecode {
-                        req,
-                        first_token: batch.end,
-                        ready: t_end,
-                    });
-                    heap.set(pn + k, dunits[k].candidate());
-                }
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(idx, batch.end, &punits[idx]);
-                }
-                heap.set(idx, punits[idx].candidate());
-            }
-            _ => {
-                let finished = dunits[idx].step()?;
-                heap.set(pn + idx, dunits[idx].candidate());
-                for c in &finished {
-                    stream.on_complete(c);
-                }
-                if let Some(tr) = &trace {
-                    {
-                        let mut rec = tr.rec.borrow_mut();
-                        for c in &finished {
-                            rec.complete_for(
-                                tr.dtracks[idx],
-                                c.id,
-                                c.finish.get(),
-                                c.latency().as_millis(),
-                                c.ttft().as_millis(),
-                                tenant_tag(&tenancy, c.id),
-                            );
-                        }
-                    }
-                    tr.sample_decode(idx, dunits[idx].t, &dunits[idx]);
-                }
-                completions.extend(finished);
-            }
-        }
-    }
-
-    completions.sort_by_key(|c| c.id);
-    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-    let mut chip_energy = Joules::ZERO;
-    let mut queue_full_s = 0.0;
-    for (spec, unit) in prefill.iter().zip(&punits) {
-        chip_energy += unit.energy;
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "prefill".to_owned(),
-            chips: spec.chips(),
-            requests: unit.prefills,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    for (spec, unit) in decode.iter().zip(&dunits) {
-        chip_energy += unit.energy;
-        queue_full_s += unit.queue_full.get();
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "decode".to_owned(),
-            chips: spec.chips(),
-            requests: unit.completed,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    let mut report = ClusterReport::build(
-        label,
-        "disaggregated",
-        format!("{}\u{2192}{}", router.name(), decode_router.name()),
-        offered,
-        &completions,
-        chip_energy,
-        0, // worst-case decode reservation: the pools never preempt
-        queue_full_s,
-        transfers,
-        rows,
-        slo_ms,
-        None,
-    );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
-    }
-    pricing.persist_caches();
-    Ok(ClusterRun {
-        report,
-        replica_reports: Vec::new(),
-        completions,
-        prefix: cimtpu_serving::PrefixStats::default(),
-    })
-}
-
-/// A request waiting to re-enter the disaggregated pipeline after a
-/// decode crash (or parked because the whole decode pool is down).
-struct DisaggRetry {
-    /// When the retry fires.
-    fire: Seconds,
-    request: Request,
-    /// Retries already charged against the request's budget.
-    attempts: u32,
-    /// Prefill unit still holding the cache (re-handoff), or `None` to
-    /// recompute the prompt from scratch.
-    source: Option<usize>,
-    /// The TTFT the original prefill produced; a re-handoff keeps it.
-    first_token: Option<Seconds>,
-}
-
-/// One decode-replica crash on the books.
-struct DisaggCrash {
-    replica: usize,
-    at: Seconds,
-    up_again: Option<Seconds>,
-    first_completion: Option<Seconds>,
-}
-
-#[allow(clippy::too_many_arguments)] // one call site, from the dispatch above
-fn run_disaggregated_faulty(
-    prefill: &[ReplicaSpec],
-    decode: &[ReplicaSpec],
-    router: RouterPolicy,
-    decode_router: RouterPolicy,
-    interconnect: InterconnectSpec,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    plan: &FaultPlan,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let trace = recorder.map(|rec| PoolTrace::attach(rec, prefill, decode));
-    let recovery = *plan.recovery();
-    // Crash events index the DECODE pool; prefill replicas are the
-    // stateless front of the pipeline here and cannot crash.
-    let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
-    let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
-    for event in plan.resolve(decode.len())? {
-        match event {
-            FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
-            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                windows.push((from, until, bandwidth_factor, energy_factor));
-            }
-            FaultEvent::Straggler { .. } => {
-                return Err(Error::invalid_config(
-                    "straggler faults apply to colocated replicas; disaggregated pools price \
-                     whole phases — degrade the link instead",
-                ));
-            }
-        }
-    }
-    crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
-    let mut next_crash = 0usize;
-
-    let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-    let pool_members = prefill
-        .iter()
-        .map(|s| (s, "prefill"))
-        .chain(decode.iter().map(|s| (s, "decode")));
-    for (spec, role) in pool_members {
-        let model = validate_pool_replica(spec, role)?;
-        if *model != reference {
-            return Err(Error::invalid_config(format!(
-                "disaggregated pools must host one common model: '{}' hosts {}, \
-                 expected {}",
-                spec.name,
-                model.name(),
-                reference.name()
-            )));
-        }
-    }
-    let full_fp = KvFootprint::of(&reference);
-
-    let (pricing, mut p_sessions) = fleet_sessions(prefill.iter().chain(decode))?;
-    let d_sessions = p_sessions.split_off(prefill.len());
-    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-        .iter()
-        .zip(prefill)
-        .map(|(s, spec)| {
-            Ok(PrefillUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                free_at: Seconds::ZERO,
-                queue: std::collections::VecDeque::new(),
-                pending_release: Vec::new(),
-                link_free: Seconds::ZERO,
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                prefills: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-        .iter()
-        .zip(decode)
-        .map(|(s, spec)| {
-            Ok(DecodeUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                t: Seconds::ZERO,
-                pending: Vec::new(),
-                active: Vec::new(),
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                queue_full: Seconds::ZERO,
-                completed: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let mut arouter = router.build();
-    let mut drouter = decode_router.build();
-    let mut p_assigned = vec![0u64; prefill.len()];
-    let mut d_assigned = vec![0u64; decode.len()];
-    let mut transfers = KvTransferStats::default();
-    let mut completions: Vec<Completion> = Vec::new();
-    let mut dhealth = HealthView::all_up(decode.len());
-    let mut waiting: Vec<DisaggRetry> = Vec::new();
-    let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
-    let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut avail = AvailabilityStats::zero();
-    let mut crash_log: Vec<DisaggCrash> = Vec::new();
+    let mut up: Vec<usize> = Vec::with_capacity(dunits.len());
 
     // Transfer cost at `t_start`, with every open degraded-link window
     // applied: wire time divided by the bandwidth factor (the hop stands),
@@ -954,13 +670,6 @@ fn run_disaggregated_faulty(
         (duration, Joules::new(interconnect.transfer_energy(bytes).get() * en))
     };
 
-    // Hands one finished-prefill request off to a decode replica (a fresh
-    // handoff or a re-handoff): serializes on the source's egress link,
-    // holds the source cache until the transfer ends, and enqueues on the
-    // routed target. Returns the ready time.
-    // (Written as a macro-free block at both call sites below: the borrow
-    // sets differ.)
-
     // One event queue spans both pools (prefill `i` → slot `i`, decode
     // `j` → slot `pn + j`): its (time, lowest-slot) order reproduces the
     // old scan's prefill → decode, lowest-index tie-break; the fault /
@@ -983,23 +692,12 @@ fn run_disaggregated_faulty(
         }
 
         // Earliest event wins; ties resolve fault → arrival → retry →
-        // prefill → decode, then lowest index.
-        let mut best: Option<(Seconds, u8, usize)> = None;
-        let mut offer = |t: Seconds, class: u8, idx: usize| {
-            if best.is_none_or(|(bt, bc, bi)| t < bt || (t == bt && (class, idx) < (bc, bi))) {
-                best = Some((t, class, idx));
-            }
+        // prefill → decode, then lowest index (the heap's slot order).
+        let mut best: Option<(Seconds, u8, usize)> = match (stream.peek(), unit_at) {
+            (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => Some((ta, 1, 0)),
+            (_, Some((slot, t))) => Some(if slot < pn { (t, 3, slot) } else { (t, 4, slot - pn) }),
+            (_, None) => None,
         };
-        let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
-        match (scripted, dhealth.next_transition()) {
-            (Some(a), Some(b)) => offer(a.min(b), 0, 0),
-            (Some(a), None) => offer(a, 0, 0),
-            (None, Some(b)) => offer(b, 0, 0),
-            (None, None) => {}
-        }
-        if let Some(ta) = stream.peek() {
-            offer(ta, 1, 0);
-        }
         if let Some((i, w)) = waiting
             .iter()
             .enumerate()
@@ -1009,13 +707,18 @@ fn run_disaggregated_faulty(
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
         {
-            offer(w.fire, 2, i);
+            if best.is_none_or(|(bt, bc, _)| w.fire < bt || (w.fire == bt && bc > 2)) {
+                best = Some((w.fire, 2, i));
+            }
         }
-        if let Some((slot, t)) = unit_at {
-            if slot < pn {
-                offer(t, 3, slot);
-            } else {
-                offer(t, 4, slot - pn);
+        let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
+        let fault_at = match (scripted, dhealth.next_transition()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        if let Some(t) = fault_at {
+            if best.is_none_or(|(bt, _, _)| t <= bt) {
+                best = Some((t, 0, 0));
             }
         }
         let Some((now, class, idx)) = best else {
@@ -1029,16 +732,12 @@ fn run_disaggregated_faulty(
         match class {
             // Faults: restores first, then crashes due now.
             0 => {
-                for k in dhealth.advance(now, recovery.warmup) {
+                for k in dhealth.advance(now, plan.recovery().warmup) {
                     if let Some(tr) = &trace {
                         tr.rec.borrow_mut().instant(tr.dtracks[k], EventKind::Repair, 0, now.get());
                     }
                 }
-                for rec in crash_log.iter_mut() {
-                    if rec.up_again.is_none() && dhealth.is_up(rec.replica) {
-                        rec.up_again = Some(now);
-                    }
-                }
+                ledger.on_health(&dhealth, now);
                 while next_crash < crash_timeline.len() && crash_timeline[next_crash].0 <= now {
                     let (_, replica, repair) = crash_timeline[next_crash];
                     next_crash += 1;
@@ -1056,13 +755,7 @@ fn run_disaggregated_faulty(
                     }
                     dunits[replica].alloc.release_all();
                     dhealth.mark_down(replica, now + repair);
-                    avail.crashes += 1;
-                    crash_log.push(DisaggCrash {
-                        replica,
-                        at: now,
-                        up_again: None,
-                        first_completion: None,
-                    });
+                    ledger.on_crash(replica, now);
                     if let Some(tr) = &trace {
                         tr.rec.borrow_mut().instant(
                             tr.dtracks[replica],
@@ -1089,69 +782,20 @@ fn run_disaggregated_faulty(
                                 break;
                             }
                         }
-                        let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                        let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                        let drop_blocks =
-                            |punits: &mut Vec<PrefillUnit<'_>>, source: Option<usize>| {
+                        match ledger.on_lost(&r, now, &mut stream, &mut tenancy) {
+                            Some((fire, attempts)) => waiting.push(DisaggRetry {
+                                fire,
+                                request: r,
+                                attempts,
+                                source,
+                                first_token: source.is_some().then_some(ft),
+                            }),
+                            None => {
                                 if let Some(p) = source {
                                     punits[p].alloc.release(r.id);
                                 }
-                            };
-                        if attempts > recovery.max_attempts {
-                            avail.shed += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_shed(r.id);
                             }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Shed,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
-                            drop_blocks(&mut punits, source);
-                            release_client(&mut stream, r.id, orig, now);
-                            continue;
                         }
-                        let fire = now + recovery.backoff_for(attempts);
-                        if fire.get() > orig + recovery.deadline.get() {
-                            avail.timed_out += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_timeout(r.id);
-                            }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Timeout,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
-                            drop_blocks(&mut punits, source);
-                            release_client(&mut stream, r.id, orig, now);
-                            continue;
-                        }
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().span_for(
-                                tr.control,
-                                EventKind::Retry,
-                                r.id,
-                                now.get(),
-                                fire.get(),
-                                tenant_tag(&tenancy, r.id),
-                            );
-                        }
-                        attempts_of.insert(r.id, attempts);
-                        waiting.push(DisaggRetry {
-                            fire,
-                            request: r,
-                            attempts,
-                            source,
-                            first_token: source.is_some().then_some(ft),
-                        });
                     }
                 }
                 // A crash empties a decode unit and can unpin caches on
@@ -1168,13 +812,11 @@ fn run_disaggregated_faulty(
             // Arrival: routes across the (always-healthy) prefill pool.
             1 => {
                 let request = stream.pop();
-                origin.insert(request.id, request.arrival_s);
-                let snaps: Vec<ReplicaSnapshot> = punits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, u)| u.snapshot(i, p_assigned[i], classed))
-                    .collect();
-                let k = arouter.route(&request, &snaps).min(punits.len() - 1);
+                psnaps.clear();
+                psnaps.extend(
+                    punits.iter().enumerate().map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
+                );
+                let k = arouter.route(&request, &psnaps).min(punits.len() - 1);
                 p_assigned[k] += 1;
                 if let Some(tr) = &trace {
                     tr.rec.borrow_mut().request_arrival_for(
@@ -1194,63 +836,28 @@ fn run_disaggregated_faulty(
             2 => {
                 let item = waiting.remove(idx);
                 let r = item.request;
-                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                if now.get() > orig + recovery.deadline.get() {
-                    avail.timed_out += 1;
-                    if let Some(t) = tenancy.as_mut() {
-                        t.ledger.on_timeout(r.id);
-                    }
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Timeout,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
+                if ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     if let Some(p) = item.source {
                         punits[p].alloc.release(r.id);
                         unit_heap.set(p, punits[p].candidate());
                     }
-                    release_client(&mut stream, r.id, orig, now);
                     continue;
                 }
                 match item.source {
                     Some(p) => {
-                        let up = dhealth.up_replicas();
+                        healthy_decode_snapshots(
+                            &dunits, &dhealth, &d_assigned, classed, &mut up, &mut dsnaps,
+                        );
                         if up.is_empty() {
                             // Whole decode pool down: park until the next
-                            // repair finishes (no retry charged).
-                            let fire = dhealth.next_transition().ok_or_else(|| {
-                                Error::internal(
-                                    "every decode replica is down and none is scheduled to \
-                                     restart",
-                                )
-                            })?;
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Park,
-                                    r.id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, r.id),
-                                );
-                            }
+                            // repair finishes.
+                            let fire = ledger.park(&dhealth, r.id, now, &tenancy)?;
                             waiting.push(DisaggRetry { fire, ..item });
                             continue;
                         }
-                        let snaps: Vec<ReplicaSnapshot> = up
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], classed))
-                            .collect();
-                        let pos = drouter.route(&r, &snaps).min(up.len() - 1);
-                        let k = up[pos];
+                        let k = up[drouter.route(&r, &dsnaps).min(up.len() - 1)];
                         d_assigned[k] += 1;
-                        if item.attempts > 0 {
-                            avail.retries += 1;
-                        }
+                        ledger.on_placed(item.attempts);
                         let bytes =
                             full_fp.handoff_bytes(r.prompt_len, punits[p].alloc.block_tokens());
                         let t_start = now.max(punits[p].link_free);
@@ -1285,25 +892,28 @@ fn run_disaggregated_faulty(
                         // Recompute: the cache is gone — back through the
                         // prefill pool; admission restarts at the fire
                         // time, TTFT is re-earned.
-                        let snaps: Vec<ReplicaSnapshot> = punits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, p_assigned[i], classed))
-                            .collect();
+                        psnaps.clear();
+                        psnaps.extend(
+                            punits
+                                .iter()
+                                .enumerate()
+                                .map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
+                        );
                         let mut rr = r;
                         rr.arrival_s = now.get();
-                        let k = arouter.route(&rr, &snaps).min(punits.len() - 1);
+                        ledger.readmit(&r, rr.arrival_s);
+                        let k = arouter.route(&rr, &psnaps).min(punits.len() - 1);
                         p_assigned[k] += 1;
-                        if item.attempts > 0 {
-                            avail.retries += 1;
-                        }
+                        ledger.on_placed(item.attempts);
                         punits[k].queue.push_back(rr);
                         unit_heap.set(k, punits[k].candidate());
                     }
                 }
             }
-            // Prefill batch: hand each member off (or park it if the
-            // whole decode pool is down).
+            // Prefill batch: route each member's handoff, serialize it on
+            // this replica's egress link, and gate the decode admission on
+            // the target's allocator (via its pending queue) — or park the
+            // member if the whole decode pool is down.
             3 => {
                 let batch = punits[idx].step()?;
                 for req in batch.members {
@@ -1316,40 +926,22 @@ fn run_disaggregated_faulty(
                             batch.end.get(),
                         );
                     }
-                    let up = dhealth.up_replicas();
+                    healthy_decode_snapshots(
+                        &dunits, &dhealth, &d_assigned, classed, &mut up, &mut dsnaps,
+                    );
                     if up.is_empty() {
-                        let fire = dhealth.next_transition().ok_or_else(|| {
-                            Error::internal(
-                                "every decode replica is down and none is scheduled to restart",
-                            )
-                        })?;
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().instant_for(
-                                tr.control,
-                                EventKind::Park,
-                                req.id,
-                                now.get(),
-                                tenant_tag(&tenancy, req.id),
-                            );
-                        }
                         // The cache stays resident at the source (no
                         // release is scheduled until a transfer is).
                         waiting.push(DisaggRetry {
-                            fire,
+                            fire: ledger.park(&dhealth, req.id, now, &tenancy)?,
                             request: req,
-                            attempts: attempts_of.get(&req.id).copied().unwrap_or(0),
+                            attempts: ledger.attempts(req.id),
                             source: Some(idx),
                             first_token: Some(batch.end),
                         });
                         continue;
                     }
-                    let snaps: Vec<ReplicaSnapshot> = up
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], classed))
-                        .collect();
-                    let pos = drouter.route(&req, &snaps).min(up.len() - 1);
-                    let k = up[pos];
+                    let k = up[drouter.route(&req, &dsnaps).min(up.len() - 1)];
                     d_assigned[k] += 1;
                     let bytes =
                         full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
@@ -1382,40 +974,25 @@ fn run_disaggregated_faulty(
             }
             // Decode round (atomic: a crash never lands mid-round).
             _ => {
-                let finished = dunits[idx].step()?;
+                let mut finished = dunits[idx].step()?;
                 unit_heap.set(pn + idx, dunits[idx].candidate());
-                for c in &finished {
-                    if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                        avail.retried_ok += 1;
-                    }
-                    for rec in crash_log.iter_mut() {
-                        if rec.replica == idx
-                            && rec.first_completion.is_none()
-                            && c.finish > rec.at
-                        {
-                            rec.first_completion = Some(c.finish);
-                        }
-                    }
+                for c in &mut finished {
+                    // Recomputed requests were re-admitted at their retry
+                    // fire time; latency counts from the original arrival.
+                    ledger.on_complete(idx, c);
                     stream.on_complete(c);
                 }
                 if let Some(tr) = &trace {
                     {
                         let mut rec = tr.rec.borrow_mut();
                         for c in &finished {
-                            // The loop restores original arrivals only
-                            // after the run; the recorder needs the
-                            // restored latency now.
-                            let mut cc = *c;
-                            if let Some(orig) = origin.get(&cc.id) {
-                                cc.arrival = Seconds::new(*orig);
-                            }
                             rec.complete_for(
                                 tr.dtracks[idx],
-                                cc.id,
-                                cc.finish.get(),
-                                cc.latency().as_millis(),
-                                cc.ttft().as_millis(),
-                                tenant_tag(&tenancy, cc.id),
+                                c.id,
+                                c.finish.get(),
+                                c.latency().as_millis(),
+                                c.ttft().as_millis(),
+                                tenant_tag(&tenancy, c.id),
                             );
                         }
                     }
@@ -1426,37 +1003,8 @@ fn run_disaggregated_faulty(
         }
     }
 
-    // Recomputed requests were re-admitted at their retry fire time;
-    // report latency against the original arrival.
-    for c in &mut completions {
-        if let Some(orig) = origin.get(&c.id) {
-            c.arrival = Seconds::new(*orig);
-        }
-    }
     completions.sort_by_key(|c| c.id);
-    debug_assert_eq!(
-        completions.len() as u64 + avail.shed + avail.timed_out,
-        offered,
-        "request conservation: arrived == completed + shed + timed out"
-    );
-
-    let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-    let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-    let fleet = (prefill.len() + decode.len()) as f64;
-    let mut downtime = 0.0;
-    for rec in &crash_log {
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        let start = clip(rec.at.get());
-        let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-        downtime += (end - start).max(0.0);
-        avail
-            .time_to_recover_s
-            .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-    }
-    avail.downtime_s = downtime;
-    avail.availability = (1.0 - downtime / (fleet * makespan)).clamp(0.0, 1.0);
-
+    let avail = ledger.finish(&completions, offered, prefill.len() + decode.len());
     let mut rows = Vec::with_capacity(prefill.len() + decode.len());
     let mut chip_energy = Joules::ZERO;
     let mut queue_full_s = 0.0;
@@ -1501,7 +1049,7 @@ fn run_disaggregated_faulty(
         transfers,
         rows,
         slo_ms,
-        Some(avail),
+        (!plan.is_empty()).then_some(avail),
     );
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
@@ -1521,8 +1069,10 @@ mod tests {
     use cimtpu_serving::{ArrivalPattern, BatchPolicy, EngineSession, LenDist, PrefixTraffic};
     use proptest::prelude::*;
 
+    use rustc_hash::FxHashMap;
+
     use super::*;
-    use crate::fault::ChaosSpec;
+    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord};
 
     #[test]
     fn interconnect_prices_time_and_energy() {
@@ -1551,7 +1101,7 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Scan oracles: the pre-heap pipeline drivers, kept verbatim so
-    // proptests can pin the heap-scheduled drivers bit-for-bit against
+    // proptests can pin the heap-scheduled driver bit-for-bit against
     // them.
     // ------------------------------------------------------------------
 
@@ -1898,7 +1448,7 @@ mod tests {
         let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
         let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
         let mut avail = AvailabilityStats::zero();
-        let mut crash_log: Vec<DisaggCrash> = Vec::new();
+        let mut crash_log: Vec<CrashRecord> = Vec::new();
 
         // Transfer cost at `t_start`, with every open degraded-link window
         // applied: wire time divided by the bandwidth factor (the hop stands),
@@ -2015,7 +1565,7 @@ mod tests {
                         dunits[replica].alloc.release_all();
                         dhealth.mark_down(replica, now + repair);
                         avail.crashes += 1;
-                        crash_log.push(DisaggCrash {
+                        crash_log.push(CrashRecord {
                             replica,
                             at: now,
                             up_again: None,
@@ -2370,17 +1920,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The heap-scheduled zero-fault pipeline replays the scan
-        /// oracle bit-for-bit for every router pairing, in open and
-        /// closed loop.
+        /// The heap-scheduled pipeline under an empty plan replays the
+        /// zero-fault scan oracle bit-for-bit for every router pairing,
+        /// in open and closed loop.
         #[test]
         fn heap_plain_matches_scan_oracle(seed in 0u64..1_000) {
             let (prefill, decode) = pools();
             for traffic in traffics(seed) {
                 for (ap, dp) in PAIRS {
-                    let fast = run_disaggregated_plain(
+                    let fast = run_disaggregated(
                         &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0), None, None,
+                        Some(50.0), &FaultPlan::none(), None, None,
                     )
                     .unwrap();
                     let slow = run_disaggregated_plain_oracle(
@@ -2419,7 +1969,7 @@ mod tests {
             for traffic in traffics(seed) {
                 for plan in [&scripted, &chaos] {
                     for (ap, dp) in PAIRS {
-                        let fast = run_disaggregated_faulty(
+                        let fast = run_disaggregated(
                             &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
                             &traffic, None, plan, None, None,
                         )

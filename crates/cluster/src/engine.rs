@@ -9,11 +9,10 @@ use cimtpu_serving::{
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_units::{Error, Joules, Result, Seconds};
-use rustc_hash::FxHashMap;
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
 use crate::elastic::run_colocated_elastic;
-use crate::fault::{AvailabilityStats, FaultEvent, FaultPlan};
+use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
 use crate::router::{
@@ -176,10 +175,13 @@ impl ClusterEngine {
         self
     }
 
-    /// Installs a fault plan. An **empty** plan (the default) takes the
-    /// exact zero-fault code path — runs stay bit-identical to an engine
-    /// without any plan; a non-empty plan switches to the failure-aware
-    /// driver (replica health view, retries, shedding) and the report
+    /// Installs a fault plan. An **empty** plan (the default) injects
+    /// nothing: runs stay bit-identical to an engine without any plan and
+    /// the report has no availability section. A colocated fleet takes
+    /// its zero-fault driver under an empty plan; the disaggregated loop
+    /// runs every plan, an empty one as no crashes, no link windows and
+    /// an all-up health view. A non-empty plan brings the failure-aware
+    /// machinery (replica health view, retries, shedding) and the report
     /// grows an availability section.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -673,16 +675,6 @@ struct WaitingRetry {
     attempts: u32,
 }
 
-/// One crash on the books, for downtime and time-to-recover accounting.
-struct CrashRecord {
-    replica: usize,
-    at: Seconds,
-    /// When the replica came back `Up` (end of warmup).
-    up_again: Option<Seconds>,
-    /// Finish time of the replica's first completion after restart.
-    first_completion: Option<Seconds>,
-}
-
 /// Per-replica counters accumulated across incarnations: a crash replaces
 /// the replica's core, so its energy/busy/KV history is harvested at the
 /// crash instant and the restarted core starts a new ledger.
@@ -736,20 +728,6 @@ fn healthy_snapshots(
         .collect()
 }
 
-/// Releases a shed or timed-out request's closed-loop client: the client
-/// observes the failure at `at` and thinks before reissuing, so dropping
-/// a request never deadlocks a closed loop. Open-loop and burst streams
-/// ignore the synthetic completion.
-pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: f64, at: Seconds) {
-    stream.on_complete(&Completion {
-        id,
-        arrival: Seconds::new(orig_arrival),
-        first_token: at,
-        finish: at,
-        steps: 0,
-    });
-}
-
 /// The failure-aware colocated driver: `drive` re-derived as an explicit
 /// event loop so fault events, deferred completion delivery, and retry
 /// timers can interleave with arrivals and engine steps.
@@ -773,7 +751,6 @@ fn run_colocated_faulty(
     mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
-    let recovery = *plan.recovery();
     let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
     for event in plan.resolve(replicas.len())? {
         match event {
@@ -827,10 +804,10 @@ fn run_colocated_faulty(
     let mut deliveries: Vec<(usize, Completion)> = Vec::new();
     let mut delivered_by = vec![0u64; n];
     let mut waiting: Vec<WaitingRetry> = Vec::new();
-    let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
-    let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut avail = AvailabilityStats::zero();
-    let mut crash_log: Vec<CrashRecord> = Vec::new();
+    let mut ledger = RetryLedger::new(
+        *plan.recovery(),
+        trace.as_ref().map(|tr| TraceHandle::new(Rc::clone(&tr.rec), tr.control)),
+    );
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
 
     // The step-event queue: one slot per replica, keyed by the core's
@@ -929,7 +906,7 @@ fn run_colocated_faulty(
             0 => {
                 // Restores first: a replica back up at `now` can take a
                 // crash scripted for the same instant.
-                for k in health.advance(now, recovery.warmup) {
+                for k in health.advance(now, plan.recovery().warmup) {
                     cores[k] = sessions[k].core()?;
                     if let Some(t) = &tenancy {
                         cores[k].set_tenancy(t.sched);
@@ -948,11 +925,7 @@ fn run_colocated_faulty(
                     }
                     step_heap.set(k, cores[k].next_action());
                 }
-                for rec in crash_log.iter_mut() {
-                    if rec.up_again.is_none() && health.is_up(rec.replica) {
-                        rec.up_again = Some(now);
-                    }
-                }
+                ledger.on_health(&health, now);
                 while next_fault < timeline.len() && timeline[next_fault].0 <= now {
                     let (_, action) = timeline[next_fault];
                     next_fault += 1;
@@ -972,13 +945,7 @@ fn run_colocated_faulty(
                             stale[replica] = true;
                             step_heap.set(replica, None);
                             health.mark_down(replica, now + repair);
-                            avail.crashes += 1;
-                            crash_log.push(CrashRecord {
-                                replica,
-                                at: now,
-                                up_again: None,
-                                first_completion: None,
-                            });
+                            ledger.on_crash(replica, now);
                             if let Some(tr) = &trace {
                                 tr.rec.borrow_mut().instant(
                                     tr.tracks[replica],
@@ -993,55 +960,11 @@ fn run_colocated_faulty(
                             deliveries
                                 .retain(|(k, c)| *k != replica || !lost_ids.contains(&c.id));
                             for r in lost {
-                                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                                let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                                if attempts > recovery.max_attempts {
-                                    avail.shed += 1;
-                                    if let Some(t) = tenancy.as_mut() {
-                                        t.ledger.on_shed(r.id);
-                                    }
-                                    if let Some(tr) = &trace {
-                                        tr.rec.borrow_mut().instant_for(
-                                            tr.control,
-                                            EventKind::Shed,
-                                            r.id,
-                                            now.get(),
-                                            tenant_tag(&tenancy, r.id),
-                                        );
-                                    }
-                                    release_client(&mut stream, r.id, orig, now);
-                                    continue;
+                                if let Some((fire, attempts)) =
+                                    ledger.on_lost(&r, now, &mut stream, &mut tenancy)
+                                {
+                                    waiting.push(WaitingRetry { fire, request: r, attempts });
                                 }
-                                let fire = now + recovery.backoff_for(attempts);
-                                if fire.get() > orig + recovery.deadline.get() {
-                                    avail.timed_out += 1;
-                                    if let Some(t) = tenancy.as_mut() {
-                                        t.ledger.on_timeout(r.id);
-                                    }
-                                    if let Some(tr) = &trace {
-                                        tr.rec.borrow_mut().instant_for(
-                                            tr.control,
-                                            EventKind::Timeout,
-                                            r.id,
-                                            now.get(),
-                                            tenant_tag(&tenancy, r.id),
-                                        );
-                                    }
-                                    release_client(&mut stream, r.id, orig, now);
-                                    continue;
-                                }
-                                if let Some(tr) = &trace {
-                                    tr.rec.borrow_mut().span_for(
-                                        tr.control,
-                                        EventKind::Retry,
-                                        r.id,
-                                        now.get(),
-                                        fire.get(),
-                                        tenant_tag(&tenancy, r.id),
-                                    );
-                                }
-                                attempts_of.insert(r.id, attempts);
-                                waiting.push(WaitingRetry { fire, request: r, attempts });
                             }
                         }
                         FaultAction::SlowStart { replica, factor } => {
@@ -1079,7 +1002,6 @@ fn run_colocated_faulty(
             // one code path).
             1 => {
                 let request = stream.pop();
-                origin.insert(request.id, request.arrival_s);
                 if let Some(tr) = &trace {
                     // Emitted by the driver, not the core: a request can
                     // be shed or time out before ever reaching a core.
@@ -1106,19 +1028,9 @@ fn run_colocated_faulty(
                 let (idx, _) = delivery_at
                     .ok_or_else(|| Error::internal("class 2 implies a pending delivery"))?;
                 let (k, mut c) = deliveries.remove(idx);
-                if let Some(orig) = origin.get(&c.id) {
-                    c.arrival = Seconds::new(*orig);
-                }
-                if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                    avail.retried_ok += 1;
-                }
+                ledger.on_complete(k, &mut c);
                 stream.on_complete(&c);
                 delivered_by[k] += 1;
-                for rec in crash_log.iter_mut() {
-                    if rec.replica == k && rec.first_completion.is_none() && c.finish > rec.at {
-                        rec.first_completion = Some(c.finish);
-                    }
-                }
                 if let Some(tr) = &trace {
                     tr.rec.borrow_mut().complete_for(
                         tr.tracks[k],
@@ -1137,55 +1049,26 @@ fn run_colocated_faulty(
                     .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
                 let item = waiting.remove(idx);
                 let r = item.request;
-                let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                if now.get() > orig + recovery.deadline.get() {
-                    avail.timed_out += 1;
-                    if let Some(t) = tenancy.as_mut() {
-                        t.ledger.on_timeout(r.id);
-                    }
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Timeout,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
-                    release_client(&mut stream, r.id, orig, now);
+                if ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     continue;
                 }
                 let up = health.up_replicas();
                 if up.is_empty() {
-                    // Nowhere to go: park until the next repair finishes
-                    // (no retry charged — the request was never placed).
-                    let fire = health.next_transition().ok_or_else(|| {
-                        Error::internal(
-                            "every replica is down and none is scheduled to restart",
-                        )
-                    })?;
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant_for(
-                            tr.control,
-                            EventKind::Park,
-                            r.id,
-                            now.get(),
-                            tenant_tag(&tenancy, r.id),
-                        );
-                    }
+                    // Nowhere to go: park until the next repair finishes.
+                    let fire = ledger.park(&health, r.id, now, &tenancy)?;
                     waiting.push(WaitingRetry { fire, ..item });
                     continue;
                 }
-                if let Some(threshold) = recovery.shed_outstanding {
+                if let Some(threshold) = plan.recovery().shed_outstanding {
                     if up.iter().all(|&k| cores[k].outstanding_at(now) >= threshold) {
                         // Surviving capacity is saturated: shed oldest
                         // first — this request and every waiting request
                         // older than it (closest to their deadlines).
+                        let orig = ledger.origin(&r);
                         let key = (orig, r.id);
                         let mut doomed = vec![(r.id, orig)];
                         waiting.retain(|w| {
-                            let worig =
-                                *origin.get(&w.request.id).unwrap_or(&w.request.arrival_s);
+                            let worig = ledger.origin(&w.request);
                             if (worig, w.request.id) <= key {
                                 doomed.push((w.request.id, worig));
                                 false
@@ -1194,20 +1077,7 @@ fn run_colocated_faulty(
                             }
                         });
                         for (id, worig) in doomed {
-                            avail.shed += 1;
-                            if let Some(t) = tenancy.as_mut() {
-                                t.ledger.on_shed(id);
-                            }
-                            if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant_for(
-                                    tr.control,
-                                    EventKind::Shed,
-                                    id,
-                                    now.get(),
-                                    tenant_tag(&tenancy, id),
-                                );
-                            }
-                            release_client(&mut stream, id, worig, now);
+                            ledger.shed(id, worig, now, &mut stream, &mut tenancy);
                         }
                         continue;
                     }
@@ -1216,15 +1086,15 @@ fn run_colocated_faulty(
                 let pos = router.route(&r, &snaps).min(up.len() - 1);
                 let k = up[pos];
                 assigned[k] += 1;
-                if item.attempts > 0 {
-                    avail.retries += 1;
-                }
+                ledger.on_placed(item.attempts);
                 let mut pushed = r;
                 pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
                 // A replica cannot see work arrive before its queue tail
                 // (a parked request can land on a replica that has taken
-                // later work meanwhile).
+                // later work meanwhile) — even on a first attempt, so the
+                // ledger is told about every rewritten arrival.
                 pushed.arrival_s = pushed.arrival_s.max(last_push[k]);
+                ledger.readmit(&r, pushed.arrival_s);
                 last_push[k] = pushed.arrival_s;
                 if exhausted_closed {
                     cores[k].reopen();
@@ -1266,27 +1136,7 @@ fn run_colocated_faulty(
         }
     }
     delivered.sort_by_key(|c| c.id);
-    debug_assert_eq!(
-        delivered.len() as u64 + avail.shed + avail.timed_out,
-        offered,
-        "request conservation: arrived == completed + shed + timed out"
-    );
-
-    let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-    let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-    let mut downtime = 0.0;
-    for rec in &crash_log {
-        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-        let start = clip(rec.at.get());
-        let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-        downtime += (end - start).max(0.0);
-        avail
-            .time_to_recover_s
-            .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-    }
-    avail.downtime_s = downtime;
-    avail.availability = (1.0 - downtime / (n as f64 * makespan)).clamp(0.0, 1.0);
+    let avail = ledger.finish(&delivered, offered, n);
 
     let mut chip_energy = Joules::ZERO;
     let mut preemptions = 0;
@@ -1341,9 +1191,10 @@ mod tests {
         drive, ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic, ServingModel,
     };
     use proptest::prelude::*;
+    use rustc_hash::FxHashMap;
 
     use super::*;
-    use crate::fault::ChaosSpec;
+    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord};
 
     // ------------------------------------------------------------------
     // Scan oracles: the pre-heap drivers, kept verbatim so proptests can

@@ -14,10 +14,18 @@
 //! and when admission sheds load instead of queueing unboundedly.
 //!
 //! What a run suffered is summarized in [`AvailabilityStats`], the
-//! availability section of the fleet report.
+//! availability section of the fleet report. Both failure-aware drivers
+//! (colocated and disaggregated) keep those books through one
+//! `RetryLedger`.
 
+use cimtpu_obs::{EventKind, TraceHandle};
+use cimtpu_serving::{ArrivalStream, Completion, Request};
 use cimtpu_units::{Error, Result, Seconds};
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+
+use crate::engine::{tenant_tag, Tenancy};
+use crate::router::HealthView;
 
 /// One injected failure, in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,8 +191,8 @@ pub struct ChaosSpec {
 }
 
 /// The complete fault configuration of one run. An empty plan (no
-/// events, no chaos spec) makes the engine take the exact zero-fault
-/// code path, bit-for-bit identical to a run without any plan.
+/// events, no chaos spec) injects nothing: the run is bit-for-bit
+/// identical to a run without any plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -256,7 +264,8 @@ impl FaultPlan {
         &self.recovery
     }
 
-    /// Whether the plan injects nothing (the zero-fault fast path).
+    /// Whether the plan injects nothing (a colocated fleet then takes its
+    /// zero-fault driver).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.chaos.is_none()
     }
@@ -341,6 +350,271 @@ impl AvailabilityStats {
             timed_out: 0,
             time_to_recover_s: Vec::new(),
         }
+    }
+}
+
+/// One crash on the books, for downtime and time-to-recover accounting.
+pub(crate) struct CrashRecord {
+    pub(crate) replica: usize,
+    pub(crate) at: Seconds,
+    /// When the replica came back `Up` (end of warmup).
+    pub(crate) up_again: Option<Seconds>,
+    /// Finish time of the replica's first completion after restart.
+    pub(crate) first_completion: Option<Seconds>,
+}
+
+/// Releases a shed or timed-out request's closed-loop client: the client
+/// observes the failure at `at` and thinks before reissuing, so dropping
+/// a request never deadlocks a closed loop. Open-loop and burst streams
+/// ignore the synthetic completion.
+pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: f64, at: Seconds) {
+    stream.on_complete(&Completion {
+        id,
+        arrival: Seconds::new(orig_arrival),
+        first_token: at,
+        finish: at,
+        steps: 0,
+    });
+}
+
+/// The retry and availability books the failure-aware drivers share: each
+/// request's original arrival and retry count, the shed / time-out /
+/// retry verdict for a lost request, the deadline check at admission, the
+/// crash log, and the [`AvailabilityStats`] they add up to. Sheds,
+/// timeouts, retries and parks are traced on the fleet's control track.
+pub(crate) struct RetryLedger {
+    recovery: RecoveryPolicy,
+    /// Original arrival of each request the driver re-admitted with a
+    /// different `arrival_s`; absent means `arrival_s` is the original.
+    origin: FxHashMap<u64, f64>,
+    /// Retries charged per request; absent means none.
+    attempts: FxHashMap<u64, u32>,
+    crashes: Vec<CrashRecord>,
+    stats: AvailabilityStats,
+    control: Option<TraceHandle>,
+}
+
+impl RetryLedger {
+    /// Empty books under `recovery`, tracing onto `control` when the run
+    /// is observed.
+    pub(crate) fn new(recovery: RecoveryPolicy, control: Option<TraceHandle>) -> Self {
+        RetryLedger {
+            recovery,
+            origin: FxHashMap::default(),
+            attempts: FxHashMap::default(),
+            crashes: Vec::new(),
+            stats: AvailabilityStats::zero(),
+            control,
+        }
+    }
+
+    /// `r`'s original arrival.
+    pub(crate) fn origin(&self, r: &Request) -> f64 {
+        self.origin.get(&r.id).copied().unwrap_or(r.arrival_s)
+    }
+
+    /// Retries already charged to request `id`.
+    pub(crate) fn attempts(&self, id: u64) -> u32 {
+        self.attempts.get(&id).copied().unwrap_or(0)
+    }
+
+    /// Notes that the driver admits `r` with arrival `pushed`: the
+    /// original is remembered whenever the two differ, so deadlines and
+    /// reported latencies keep measuring from it.
+    pub(crate) fn readmit(&mut self, r: &Request, pushed: f64) {
+        let orig = self.origin(r);
+        if pushed != orig {
+            self.origin.insert(r.id, orig);
+        }
+    }
+
+    /// Counts a placement after `attempts` retries as a retry fired
+    /// (a first placement is not one).
+    pub(crate) fn on_placed(&mut self, attempts: u32) {
+        if attempts > 0 {
+            self.stats.retries += 1;
+        }
+    }
+
+    /// Charges a crash-lost request one retry. It is shed once its retry
+    /// budget is spent and timed out when the backoff would fire past its
+    /// deadline; otherwise the retry is traced and `(fire time, attempts)`
+    /// returned.
+    pub(crate) fn on_lost(
+        &mut self,
+        r: &Request,
+        now: Seconds,
+        stream: &mut ArrivalStream,
+        tenancy: &mut Option<Tenancy<'_>>,
+    ) -> Option<(Seconds, u32)> {
+        let orig = self.origin(r);
+        let attempts = self.attempts(r.id) + 1;
+        if attempts > self.recovery.max_attempts {
+            self.shed(r.id, orig, now, stream, tenancy);
+            return None;
+        }
+        let fire = now + self.recovery.backoff_for(attempts);
+        if fire.get() > orig + self.recovery.deadline.get() {
+            self.time_out(r.id, orig, now, stream, tenancy);
+            return None;
+        }
+        if let Some(c) = &self.control {
+            c.span_for(EventKind::Retry, r.id, now.get(), fire.get(), tenant_tag(tenancy, r.id));
+        }
+        self.attempts.insert(r.id, attempts);
+        Some((fire, attempts))
+    }
+
+    /// The deadline check at admission: times `r` out (and returns
+    /// `true`) when `now` is past its deadline.
+    pub(crate) fn expired(
+        &mut self,
+        r: &Request,
+        now: Seconds,
+        stream: &mut ArrivalStream,
+        tenancy: &mut Option<Tenancy<'_>>,
+    ) -> bool {
+        let orig = self.origin(r);
+        let expired = now.get() > orig + self.recovery.deadline.get();
+        if expired {
+            self.time_out(r.id, orig, now, stream, tenancy);
+        }
+        expired
+    }
+
+    /// Drops request `id` (original arrival `orig`) as shed.
+    pub(crate) fn shed(
+        &mut self,
+        id: u64,
+        orig: f64,
+        now: Seconds,
+        stream: &mut ArrivalStream,
+        tenancy: &mut Option<Tenancy<'_>>,
+    ) {
+        self.stats.shed += 1;
+        if let Some(t) = tenancy.as_mut() {
+            t.ledger.on_shed(id);
+        }
+        self.drop_request(EventKind::Shed, id, orig, now, stream, tenancy);
+    }
+
+    fn time_out(
+        &mut self,
+        id: u64,
+        orig: f64,
+        now: Seconds,
+        stream: &mut ArrivalStream,
+        tenancy: &mut Option<Tenancy<'_>>,
+    ) {
+        self.stats.timed_out += 1;
+        if let Some(t) = tenancy.as_mut() {
+            t.ledger.on_timeout(id);
+        }
+        self.drop_request(EventKind::Timeout, id, orig, now, stream, tenancy);
+    }
+
+    fn drop_request(
+        &self,
+        kind: EventKind,
+        id: u64,
+        orig: f64,
+        now: Seconds,
+        stream: &mut ArrivalStream,
+        tenancy: &Option<Tenancy<'_>>,
+    ) {
+        if let Some(c) = &self.control {
+            c.instant_for(kind, id, now.get(), tenant_tag(tenancy, id));
+        }
+        release_client(stream, id, orig, now);
+    }
+
+    /// Parks request `id` because no replica `health` shows is routable:
+    /// returns when it should try again (the next repair or warmup end).
+    /// No retry is charged — the request was never placed.
+    ///
+    /// # Errors
+    ///
+    /// An internal error when every replica is down with no restart due.
+    pub(crate) fn park(
+        &self,
+        health: &HealthView,
+        id: u64,
+        now: Seconds,
+        tenancy: &Option<Tenancy<'_>>,
+    ) -> Result<Seconds> {
+        let fire = health.next_transition().ok_or_else(|| {
+            Error::internal("every replica is down and none is scheduled to restart")
+        })?;
+        if let Some(c) = &self.control {
+            c.instant_for(EventKind::Park, id, now.get(), tenant_tag(tenancy, id));
+        }
+        Ok(fire)
+    }
+
+    /// Books a crash of `replica` at `at`.
+    pub(crate) fn on_crash(&mut self, replica: usize, at: Seconds) {
+        self.stats.crashes += 1;
+        self.crashes.push(CrashRecord { replica, at, up_again: None, first_completion: None });
+    }
+
+    /// Stamps `now` on every crash whose replica `health` shows up again.
+    pub(crate) fn on_health(&mut self, health: &HealthView, now: Seconds) {
+        for rec in &mut self.crashes {
+            if rec.up_again.is_none() && health.is_up(rec.replica) {
+                rec.up_again = Some(now);
+            }
+        }
+    }
+
+    /// Books `replica`'s delivered completion `c`: restores its original
+    /// arrival, counts a retried request that made it, and stops the
+    /// replica's time-to-recover clocks.
+    pub(crate) fn on_complete(&mut self, replica: usize, c: &mut Completion) {
+        if let Some(&orig) = self.origin.get(&c.id) {
+            c.arrival = Seconds::new(orig);
+        }
+        if self.attempts.contains_key(&c.id) {
+            self.stats.retried_ok += 1;
+        }
+        for rec in &mut self.crashes {
+            if rec.replica == replica && rec.first_completion.is_none() && c.finish > rec.at {
+                rec.first_completion = Some(c.finish);
+            }
+        }
+    }
+
+    /// Closes the books for a fleet of `replicas` replicas that was
+    /// offered `offered` requests and delivered `completions` (original
+    /// arrivals restored): each crash's downtime is clipped to the span
+    /// from the first arrival to the last finish.
+    pub(crate) fn finish(
+        mut self,
+        completions: &[Completion],
+        offered: u64,
+        replicas: usize,
+    ) -> AvailabilityStats {
+        let avail = &mut self.stats;
+        debug_assert_eq!(
+            completions.len() as u64 + avail.shed + avail.timed_out,
+            offered,
+            "request conservation: arrived == completed + shed + timed out"
+        );
+        let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
+        let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
+        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+        let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
+        let mut downtime = 0.0;
+        for rec in &self.crashes {
+            let start = clip(rec.at.get());
+            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
+            downtime += (end - start).max(0.0);
+            avail
+                .time_to_recover_s
+                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
+        }
+        avail.downtime_s = downtime;
+        avail.availability = (1.0 - downtime / (replicas as f64 * makespan)).clamp(0.0, 1.0);
+        self.stats
     }
 }
 

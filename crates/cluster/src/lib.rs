@@ -87,8 +87,8 @@
 //! energy multipliers on the disaggregated handoff link). A
 //! [`FaultPlan`] combines explicit events with seeded [`ChaosSpec`]
 //! draws from an RNG stream separate from the traffic's, so reseeding
-//! faults never perturbs arrivals — and an *empty* plan dispatches to
-//! the unchanged zero-fault drivers, keeping today's runs bit-for-bit.
+//! faults never perturbs arrivals — and an *empty* plan injects
+//! nothing, keeping today's runs bit-for-bit (no availability section).
 //! The failure-aware drivers route around down replicas via a
 //! [`HealthView`], retry lost requests with capped exponential backoff
 //! under a per-request budget and deadline, and report an

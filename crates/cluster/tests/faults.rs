@@ -1,11 +1,12 @@
 //! Fault-injection invariants, end to end:
 //!
-//! 1. **Zero-fault bit-identity.** An empty `FaultPlan` takes the exact
-//!    zero-fault code path; a *benign* non-empty plan (a 1.0× straggler
-//!    window, a 1.0× link window) forces the fault-aware drivers and
-//!    must still reproduce the plain drivers' completions bit-for-bit —
-//!    the strongest check that the new event loops add accounting, not
-//!    new scheduling semantics.
+//! 1. **Zero-fault bit-identity.** An empty `FaultPlan` is no plan at
+//!    all: the colocated fleet takes its plain driver, and the
+//!    disaggregated fleet's one event loop runs with no crash timeline,
+//!    no link windows, and no availability section. A *benign* non-empty
+//!    plan (a 1.0× straggler window, a 1.0× link window) must still
+//!    reproduce the empty-plan completions bit-for-bit — the check that
+//!    fault handling adds accounting, not new scheduling semantics.
 //! 2. **Determinism.** The same fault seed replays the same chaos run;
 //!    fault draws come from their own RNG stream, so they never perturb
 //!    the traffic.
@@ -29,6 +30,11 @@ fn tiny() -> ServingModel {
 }
 
 fn fleet(policy: RouterPolicy, faults: FaultPlan) -> ClusterEngine {
+    colocated_unplanned(policy).with_faults(faults)
+}
+
+/// The colocated testbed with no fault plan installed at all.
+fn colocated_unplanned(policy: RouterPolicy) -> ClusterEngine {
     ClusterEngine::colocated(
         vec![
             ReplicaSpec::new("f-0", TpuConfig::tpuv4i(), tiny())
@@ -39,10 +45,14 @@ fn fleet(policy: RouterPolicy, faults: FaultPlan) -> ClusterEngine {
         policy,
     )
     .unwrap()
-    .with_faults(faults)
 }
 
 fn disagg_fleet(faults: FaultPlan) -> ClusterEngine {
+    disagg_unplanned().with_faults(faults)
+}
+
+/// The disaggregated testbed with no fault plan installed at all.
+fn disagg_unplanned() -> ClusterEngine {
     ClusterEngine::disaggregated(
         vec![ReplicaSpec::new("p-0", TpuConfig::tpuv4i(), tiny())
             .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
@@ -57,7 +67,6 @@ fn disagg_fleet(faults: FaultPlan) -> ClusterEngine {
         InterconnectSpec::ici(),
     )
     .unwrap()
-    .with_faults(faults)
 }
 
 fn traffics(seed: u64) -> [TrafficSpec; 2] {
@@ -110,17 +119,25 @@ fn assert_benign_equal(plain: &ClusterRun, faulty: &ClusterRun, label: &str) {
     assert_eq!(&stripped, &plain.report, "{label}: report diverged");
 }
 
+/// An installed empty plan is no plan at all, on both topologies: same
+/// report and completions, and no `availability` key in the JSON.
 #[test]
 fn empty_plan_is_the_zero_fault_path() {
-    for traffic in traffics(0xFA) {
-        let bare = fleet(RouterPolicy::LeastOutstanding, FaultPlan::none());
-        let plain = bare.run("zero", &traffic).unwrap();
-        let explicit = fleet(RouterPolicy::LeastOutstanding, FaultPlan::none())
-            .run("zero", &traffic)
-            .unwrap();
-        assert_eq!(plain.report, explicit.report);
-        assert_eq!(plain.completions, explicit.completions);
-        assert!(plain.report.availability.is_none());
+    let policy = RouterPolicy::LeastOutstanding;
+    let fleets = [
+        (colocated_unplanned(policy), fleet(policy, FaultPlan::none())),
+        (disagg_unplanned(), disagg_fleet(FaultPlan::none())),
+    ];
+    for (bare, explicit) in &fleets {
+        for traffic in traffics(0xFA) {
+            let plain = bare.run("zero", &traffic).unwrap();
+            let planned = explicit.run("zero", &traffic).unwrap();
+            assert_eq!(plain.report, planned.report);
+            assert_eq!(plain.completions, planned.completions);
+            assert!(planned.report.availability.is_none());
+            let json = serde_json::to_string(&planned.report).unwrap();
+            assert!(!json.contains("\"availability\""), "{json}");
+        }
     }
 }
 
@@ -226,6 +243,53 @@ fn crash_mid_decode_loses_exactly_the_in_flight_work() {
     // after restart + recompute.
     assert_eq!(c.arrival, Seconds::ZERO);
     assert!(c.finish > crash_at + Seconds::new(0.001), "finish {} not after repair", c.finish);
+}
+
+/// A fresh request that arrives while the only replica is down parks,
+/// and on restart lands right behind a retry pushed at that instant: the
+/// replica cannot see work arrive before its queue tail, so the fresh
+/// request's pushed arrival is clamped on its *first* attempt. Its
+/// completion must still report its original arrival.
+#[test]
+fn clamped_first_attempt_keeps_its_original_arrival() {
+    let traffic = TrafficSpec {
+        requests: 2,
+        arrival: ArrivalPattern::OpenLoop { rate_rps: 2_000.0 },
+        prompt: LenDist::Fixed(32),
+        steps: LenDist::Fixed(400),
+        prefix: PrefixTraffic::None,
+        seed: 7,
+    };
+    let solo = || {
+        ClusterEngine::colocated(
+            vec![ReplicaSpec::new("solo", TpuConfig::tpuv4i(), tiny())
+                .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
+            RouterPolicy::PassThrough,
+        )
+        .unwrap()
+    };
+    let plain = solo().run("clamp", &traffic).unwrap();
+    let second = plain.completions[1].arrival;
+    assert!(second > Seconds::ZERO);
+    assert!(plain.completions[0].finish > second, "request 0 must outlive request 1's arrival");
+    // Crash halfway to the second arrival and stay down past it; the
+    // lost request's retry fires at once and parks beside the newcomer.
+    let plan = FaultPlan::none()
+        .with_event(FaultEvent::Crash {
+            at: Seconds::new(second.get() / 2.0),
+            replica: 0,
+            repair: second,
+        })
+        .with_recovery(RecoveryPolicy {
+            backoff: Seconds::from_micros(1.0),
+            ..RecoveryPolicy::default()
+        });
+    let run = solo().with_faults(plan).run("clamp", &traffic).unwrap();
+    let avail = run.report.availability.as_ref().unwrap();
+    assert_eq!((avail.crashes, avail.retries, avail.retried_ok), (1, 1, 1));
+    assert_eq!(run.report.completed, 2);
+    assert_eq!(run.completions[0].arrival, Seconds::ZERO);
+    assert_eq!(run.completions[1].arrival, second, "the clamp leaked into the report");
 }
 
 /// With a zero retry budget the lost work is shed — and still conserved.

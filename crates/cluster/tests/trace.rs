@@ -10,8 +10,9 @@ use proptest::prelude::*;
 
 use cimtpu_cluster::scenario::by_name;
 use cimtpu_cluster::{
-    ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultEvent, FaultPlan, Recorder,
-    ReplicaSpec, RouterPolicy, SharedRecorder, TraceFilter,
+    ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultEvent, FaultPlan, InterconnectSpec,
+    Recorder, ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet, TenantSpec,
+    TraceFilter,
 };
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::{
@@ -105,11 +106,11 @@ fn assert_no_observer_effect(name: &str) {
     assert_eq!(observed.completions, plain.completions);
 }
 
-/// The scenario set covering all four drivers: colocated plain
-/// (hetero-fleet), colocated faulty (cluster-chaos-crash,
-/// cluster-straggler), disaggregated plain (smoke-cluster),
-/// disaggregated faulty (cluster-degraded-link), and elastic
-/// (smoke-autoscale).
+/// The scenario set covering all four drivers and both plan kinds of the
+/// disaggregated one: colocated plain (hetero-fleet), colocated faulty
+/// (cluster-chaos-crash, cluster-straggler), disaggregated under an
+/// empty plan (smoke-cluster) and a degraded link
+/// (cluster-degraded-link), and elastic (smoke-autoscale).
 const DRIVER_SCENARIOS: [&str; 6] = [
     "hetero-fleet",
     "cluster-chaos-crash",
@@ -215,6 +216,55 @@ fn chaos_traffic(seed: u64) -> TrafficSpec {
         steps: LenDist::Uniform { lo: 8, hi: 16 },
         prefix: PrefixTraffic::None,
         seed,
+    }
+}
+
+/// The disaggregated loop runs every plan: a traced benign-plan run (a
+/// 1.0×/1.0× link window) exports the same Perfetto JSON and gauge CSV
+/// as the traced empty-plan run, for plain and two-tenant traffic.
+#[test]
+fn benign_plan_disagg_traces_match_empty_plan() {
+    let spec = |name: &str| {
+        let tiny = ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer());
+        ReplicaSpec::new(name, TpuConfig::tpuv4i(), tiny)
+            .with_policy(BatchPolicy::Continuous { max_batch: 4 })
+    };
+    let benign = FaultPlan::none().with_event(FaultEvent::DegradedLink {
+        from: Seconds::ZERO,
+        until: Seconds::new(10.0),
+        bandwidth_factor: 1.0,
+        energy_factor: 1.0,
+    });
+    let traffic = chaos_traffic(7);
+    let tenants = TenantSet::new(vec![
+        TenantSpec::new("chat", SloClass::Interactive, 2.0, chaos_traffic(8)),
+        TenantSpec::new("bulk", SloClass::Batch, 1.0, chaos_traffic(9)),
+    ])
+    .unwrap();
+    let export = |plan: &FaultPlan, tenanted: bool| {
+        let engine = ClusterEngine::disaggregated(
+            vec![spec("p-0")],
+            vec![spec("d-0"), spec("d-1")],
+            RouterPolicy::RoundRobin,
+            RouterPolicy::LeastKv,
+            InterconnectSpec::ici(),
+        )
+        .unwrap()
+        .with_faults(plan.clone());
+        let rec = fresh();
+        if tenanted {
+            engine.run_tenants_observed("benign", &tenants, Some(&rec)).unwrap();
+        } else {
+            engine.run_observed("benign", &traffic, Some(&rec)).unwrap();
+        }
+        let rec = rec.borrow();
+        (rec.to_chrome_json(&TraceFilter::default()), rec.metrics_csv("benign"))
+    };
+    for tenanted in [false, true] {
+        let (json, csv) = export(&FaultPlan::none(), tenanted);
+        assert!(json.contains("\"name\":\"kv_handoff\",\"ph\":\"X\""), "{json}");
+        assert_eq!(json.contains("\"tenant\""), tenanted, "{json}");
+        assert_eq!((json, csv), export(&benign, tenanted), "tenanted: {tenanted}");
     }
 }
 

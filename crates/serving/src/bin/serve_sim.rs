@@ -36,7 +36,8 @@
 //! traffic as a JSONL request trace and exits without simulating;
 //! `--trace-in PATH` replaces each scenario's traffic with the trace at
 //! PATH (replayed byte-identically, so `--seed` no longer perturbs
-//! arrivals). See [`cimtpu_serving::trace`] for the format.
+//! arrivals; `--clients`, `--think-ms` and `--tenants` are rejected with
+//! it). See [`cimtpu_serving::trace`] for the format.
 //!
 //! `--json PATH` additionally writes the full `ServingReport` list as
 //! pretty-printed JSON (`-` writes JSON to stdout instead of the text
@@ -86,7 +87,8 @@ fn main() {
     }
     // `--trace-in` replaces each scenario's traffic wholesale (the trace
     // carries arrivals, lengths, sessions, tenants, and classes), so it
-    // composes with neither `--clients` nor `--seed` reseeding.
+    // composes with neither `--clients` (rejected by `SimFlags`) nor
+    // `--seed` reseeding.
     if let Some(path) = flags.trace_in.as_deref() {
         let replay = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {path}: {e}"))
@@ -128,12 +130,6 @@ fn main() {
     }
     let tenants = match flags.tenants.as_deref() {
         None => None,
-        Some(_) if flags.trace_in.is_some() => {
-            // The trace records already carry tenant assignments; there
-            // is no base traffic left to split.
-            eprintln!("serve_sim: --tenants cannot be combined with --trace-in");
-            std::process::exit(2);
-        }
         Some(spec) => match parse_tenants(spec) {
             Ok(parts) => Some(parts),
             Err(e) => {

@@ -22,7 +22,8 @@ pub struct SimFlags {
     pub kv_budget: Option<KvBudget>,
     /// `--clients N`: convert traffic to closed loop with `N` clients.
     pub clients: Option<u64>,
-    /// `--think-ms MS`: closed-loop think time (default 10 ms).
+    /// `--think-ms MS`: closed-loop think time (default 10 ms); only
+    /// with `--clients`.
     pub think_ms: f64,
     /// `--fault-seed N`: fault-plan seed override (fleet binaries only;
     /// a single engine has no fault plan).
@@ -74,9 +75,30 @@ pub struct SimFlags {
 }
 
 impl SimFlags {
-    /// Parses `std::env::args`. `binary` names the program and
-    /// `budget_scope` phrases what `--kv-budget` overrides (e.g. "the
-    /// scenario's" / "every replica's"); `fleet_flags` accepts the
+    /// Parses `std::env::args` (see [`parse_from`](Self::parse_from)).
+    ///
+    /// # Errors
+    ///
+    /// As for [`parse_from`](Self::parse_from).
+    pub fn parse(
+        binary: &str,
+        budget_scope: &str,
+        fleet_flags: bool,
+        print_scenarios: impl Fn(),
+    ) -> Result<SimFlags, String> {
+        Self::parse_from(
+            std::env::args().skip(1),
+            binary,
+            budget_scope,
+            fleet_flags,
+            print_scenarios,
+        )
+    }
+
+    /// Parses `args` (the arguments after the program name). `binary`
+    /// names the program and `budget_scope` phrases what `--kv-budget`
+    /// overrides (e.g. "the scenario's" / "every replica's");
+    /// `fleet_flags` accepts the
     /// fleet-only `--fault-seed` / `--faults` / `--perf-json` flags
     /// (single-engine binaries reject them as unknown);
     /// `print_scenarios` lists the binary's scenarios under `--help`
@@ -87,9 +109,13 @@ impl SimFlags {
     ///
     /// # Errors
     ///
-    /// Returns the message to print for an unknown flag or a malformed
-    /// value.
-    pub fn parse(
+    /// Returns the message to print for an unknown flag, a malformed
+    /// value, or a flag that cannot apply: `--think-ms` without
+    /// `--clients`, and `--clients`, `--think-ms` or `--tenants` with
+    /// `--trace-in` (a replayed trace carries its own arrivals and tenant
+    /// assignments).
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
         binary: &str,
         budget_scope: &str,
         fleet_flags: bool,
@@ -114,7 +140,8 @@ impl SimFlags {
             trace_in: None,
             trace_out: None,
         };
-        let mut it = std::env::args().skip(1);
+        let mut think_ms_set = false;
+        let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let mut value = |flag: &str| {
                 it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -151,6 +178,7 @@ impl SimFlags {
                     flags.think_ms = value("--think-ms")?
                         .parse()
                         .map_err(|e| format!("bad --think-ms: {e}"))?;
+                    think_ms_set = true;
                 }
                 "--fault-seed" if fleet_flags => {
                     flags.fault_seed = Some(
@@ -201,7 +229,10 @@ impl SimFlags {
                     println!(
                         "  --clients N          convert traffic to closed loop with N clients"
                     );
-                    println!("  --think-ms MS        closed-loop think time (default 10)");
+                    println!(
+                        "  --think-ms MS        closed-loop think time (needs --clients; \
+                         default 10)"
+                    );
                     println!(
                         "  --tenants SPEC       split traffic across SLO tenants and schedule \
                          weighted-fair:"
@@ -292,6 +323,20 @@ impl SimFlags {
                     std::process::exit(0);
                 }
                 other => return Err(format!("unknown argument {other}")),
+            }
+        }
+        if think_ms_set && flags.clients.is_none() {
+            return Err("--think-ms needs --clients (it sets the closed-loop think time)".into());
+        }
+        if flags.trace_in.is_some() {
+            // The trace records already carry arrivals and tenant
+            // assignments; there is no base traffic left to reshape.
+            let reshaping =
+                [("--clients", flags.clients.is_some()), ("--tenants", flags.tenants.is_some())];
+            for (flag, set) in reshaping {
+                if set {
+                    return Err(format!("{flag} cannot be combined with --trace-in"));
+                }
             }
         }
         Ok(flags)
@@ -391,5 +436,48 @@ pub fn emit_prefix_stats(lines: &[(&str, PrefixStats)], json: Option<&str>) {
     }
     for (name, stats) in lines {
         println!("prefix cache [{name}]  {stats}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SimFlags, String> {
+        SimFlags::parse_from(args.iter().map(|a| (*a).to_owned()), "sim", "the", true, || {})
+    }
+
+    #[test]
+    fn closed_loop_flags_parse() {
+        let flags = parse(&["--clients", "4", "--think-ms", "2.5"]).unwrap();
+        assert_eq!(flags.clients, Some(4));
+        assert_eq!(flags.think_ms, 2.5);
+        assert_eq!(parse(&["--clients", "4"]).unwrap().think_ms, 10.0);
+    }
+
+    #[test]
+    fn think_ms_without_clients_is_rejected() {
+        let err = parse(&["--think-ms", "5"]).unwrap_err();
+        assert!(err.contains("--think-ms needs --clients"), "{err}");
+    }
+
+    #[test]
+    fn trace_in_rejects_traffic_reshaping_flags() {
+        let clashes: [&[&str]; 3] = [
+            &["--clients", "2"],
+            &["--clients", "2", "--think-ms", "1"],
+            &["--tenants", "a=batch"],
+        ];
+        for clash in clashes {
+            let mut args = vec!["--trace-in", "t.jsonl"];
+            args.extend_from_slice(clash);
+            let err = parse(&args).unwrap_err();
+            assert_eq!(err, format!("{} cannot be combined with --trace-in", clash[0]));
+        }
+        // Flag order does not matter, and flags that leave the traffic
+        // alone still combine with a replay.
+        let err = parse(&["--clients", "2", "--trace-in", "t.jsonl"]).unwrap_err();
+        assert!(err.contains("--clients"), "{err}");
+        assert!(parse(&["--trace-in", "t.jsonl", "--seed", "3", "--kv-budget", "1GiB"]).is_ok());
     }
 }
