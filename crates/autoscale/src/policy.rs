@@ -181,7 +181,7 @@ impl AutoscalePolicy {
 
     /// Whether the policy can never change the fleet: every group is
     /// pinned (`min == max`) and swaps are off. A pinned policy lets the
-    /// driver dispatch to the plain (non-elastic) fleet code paths
+    /// driver run the fleet through its static (non-elastic) event loops
     /// bit-identically.
     pub fn is_pinned(&self) -> bool {
         !self.swap && self.groups.iter().all(GroupPolicy::is_pinned)

@@ -66,7 +66,7 @@ use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 use crate::engine::{tenant_tag, Tenancy};
 use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::replica::{fleet_sessions, ReplicaSpec};
-use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
+use crate::report::{ClusterReport, FleetTotals, KvTransferStats, ReplicaUtilization};
 use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
 use crate::ClusterRun;
 
@@ -1043,10 +1043,8 @@ pub(crate) fn run_disaggregated(
         format!("{}\u{2192}{}", router.name(), decode_router.name()),
         offered,
         &completions,
-        chip_energy,
-        0, // worst-case decode reservation: the pools never preempt
-        queue_full_s,
-        transfers,
+        // No preemptions: worst-case decode reservation never preempts.
+        &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
         rows,
         slo_ms,
         (!plan.is_empty()).then_some(avail),
@@ -1315,10 +1313,7 @@ mod tests {
             format!("{}\u{2192}{}", router.name(), decode_router.name()),
             offered,
             &completions,
-            chip_energy,
-            0, // worst-case decode reservation: the pools never preempt
-            queue_full_s,
-            transfers,
+            &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
             rows,
             slo_ms,
             None,
@@ -1849,10 +1844,7 @@ mod tests {
             format!("{}\u{2192}{}", router.name(), decode_router.name()),
             offered,
             &completions,
-            chip_energy,
-            0, // worst-case decode reservation: the pools never preempt
-            queue_full_s,
-            transfers,
+            &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
             rows,
             slo_ms,
             Some(avail),

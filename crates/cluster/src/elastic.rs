@@ -1,6 +1,8 @@
-//! The autoscaled colocated driver: the discrete-event loop of
-//! [`run_colocated_faulty`](crate::engine) re-derived around a reconcile
-//! loop instead of a fault timeline.
+//! The autoscaled colocated driver: the colocated event loop of
+//! [`engine`](crate::engine) re-derived around a reconcile loop instead
+//! of a fault timeline. It is the one colocated loop still kept apart:
+//! it shares the static loop's per-replica books (harvest and report
+//! rows) and event selection, not its scheduling.
 //!
 //! Each [`ReplicaSpec`] of the fleet becomes one elastic *group* of up to
 //! `max` identically-configured slots named `{name}-{slot}`. A
@@ -36,15 +38,14 @@ use std::rc::Rc;
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_autoscale::{action, AutoscalePolicy, GroupObservation, Reconciler, ScalingAction, ScalingDecision, ScalingStats};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, PrefixStats, Request,
-    TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, Request, TrafficSpec,
 };
-use cimtpu_units::{Error, Joules, Result, Seconds};
+use cimtpu_units::{Error, Result, Seconds};
 use rustc_hash::FxHashMap;
 
-use crate::engine::{tenant_tag, ClusterRun, ReplicaAccum, Tenancy};
+use crate::engine::{earliest, tenant_tag, ClusterRun, Tenancy};
 use crate::replica::{fleet_sessions, ReplicaSpec};
-use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
+use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
 
 /// One held-slot interval, for chip-seconds accounting: a slot costs from
@@ -259,22 +260,13 @@ pub(crate) fn run_colocated_elastic(
             continue;
         }
 
-        // Candidate events; ascending class with strict `<` keeps the
-        // earlier class on time ties.
-        let candidates = [
-            (lifecycle_at, 0u8),
+        // Candidate events, classes in tie-break order.
+        let chosen = earliest([
+            (lifecycle_at, 0),
             (Some(next_tick), 1),
             (arrival_at, 2),
             (step_at.map(|(_, t)| t), 3),
-        ];
-        let mut chosen: Option<(Seconds, u8)> = None;
-        for (t, class) in candidates {
-            if let Some(t) = t {
-                if chosen.is_none_or(|(bt, _)| t < bt) {
-                    chosen = Some((t, class));
-                }
-            }
-        }
+        ]);
         let Some((now, class)) = chosen else {
             return Err(Error::internal("the reconcile tick is always schedulable"));
         };
@@ -571,12 +563,7 @@ pub(crate) fn run_colocated_elastic(
     // ---- harvest and report -------------------------------------------
     for (k, core) in cores.iter().enumerate() {
         if live[k] {
-            accum[k].harvest(core);
-            if let Some(t) = tenancy.as_mut() {
-                if let Some(p) = core.tenant_preemptions() {
-                    t.ledger.absorb_preemptions(p);
-                }
-            }
+            accum[k].harvest(core, tenancy.as_mut());
         }
     }
     delivered.sort_by_key(|c| c.id);
@@ -584,10 +571,7 @@ pub(crate) fn run_colocated_elastic(
 
     let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
     let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = PrefixStats::default();
+    let mut totals = FleetTotals::default();
     let mut rows = Vec::new();
     let mut busy_chip_s = 0.0;
     for (k, slot) in slots.iter().enumerate() {
@@ -602,26 +586,12 @@ pub(crate) fn run_colocated_elastic(
         if held[k].is_empty() {
             continue; // the slot never ran: no report row
         }
-        let a = &accum[k];
-        chip_energy += Joules::new(a.energy_j);
-        preemptions += a.preemptions;
-        queue_full_s += a.queue_full_s;
-        prefix.absorb(&a.prefix);
-        busy_chip_s += a.busy_s * slot.spec.chips() as f64;
-        rows.push(ReplicaUtilization {
-            name: slot.spec.name.clone(),
-            model: slot.spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: slot.spec.chips(),
-            requests: delivered_by[k],
-            busy_s: a.busy_s,
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: a.energy_j,
-            kv_hwm_frac: a.kv_hwm,
-        });
+        let row = totals.row(&slot.spec, &accum[k], delivered_by[k]);
+        busy_chip_s += row.busy_s * row.chips as f64;
+        rows.push(row);
     }
     stats.idle_energy_j = autoscale.idle_watts * (stats.chip_seconds - busy_chip_s).max(0.0);
-    stats.total_cost_j = chip_energy.get() + stats.idle_energy_j;
+    stats.total_cost_j = totals.chip_energy.get() + stats.idle_energy_j;
 
     let mut report = ClusterReport::build(
         label,
@@ -629,10 +599,7 @@ pub(crate) fn run_colocated_elastic(
         policy.name().to_owned(),
         offered,
         &delivered,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
+        &totals,
         rows,
         slo_ms,
         None,
@@ -644,7 +611,12 @@ pub(crate) fn run_colocated_elastic(
     pricing.persist_caches();
     // Per-slot ServingReports are not meaningful across boots/retires:
     // elastic runs report the fleet aggregate only.
-    Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
+    Ok(ClusterRun {
+        report,
+        replica_reports: Vec::new(),
+        completions: delivered,
+        prefix: totals.prefix,
+    })
 }
 
 /// Fills `snaps` with router snapshots over one group's routable slots,
@@ -768,12 +740,7 @@ fn retire_idle(
         }
         // Harvested now: a later boot replaces this core, so its ledgers
         // (including per-tenant preemption counters) are read here or lost.
-        accum[k].harvest(&cores[k]);
-        if let Some(t) = tenancy.as_deref_mut() {
-            if let Some(p) = cores[k].tenant_preemptions() {
-                t.ledger.absorb_preemptions(p);
-            }
-        }
+        accum[k].harvest(&cores[k], tenancy.as_deref_mut());
         live[k] = false;
         draining[k] = false;
         health.mark_down(k, offline_until);

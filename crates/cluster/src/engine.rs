@@ -1,22 +1,24 @@
 //! The fleet engine: topology + router + traffic → [`ClusterRun`].
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_serving::{
-    drive_with, ActionHeap, ArrivalStream, Completion, DriveHooks, EngineCore, EngineSession,
-    PrefixStats, Request, ServingReport, TenantLedger, TenantSched, TenantSet, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, Request, ServingReport,
+    TenantLedger, TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
-use cimtpu_units::{Error, Joules, Result, Seconds};
+use cimtpu_units::{Error, Result, Seconds};
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
 use crate::elastic::run_colocated_elastic;
 use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::replica::{fleet_sessions, ReplicaSpec};
-use crate::report::{ClusterReport, KvTransferStats, ReplicaUtilization};
+use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{
-    HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy, SnapshotTracker,
+    FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy, SnapshotTracker,
 };
 
 /// How the fleet's replicas divide the serving pipeline.
@@ -87,10 +89,13 @@ pub struct ClusterEngine {
 pub struct ClusterRun {
     /// The fleet aggregate.
     pub report: ClusterReport,
-    /// Per-replica `ServingReport`s (colocated fleets only — one per
-    /// replica that completed at least one request, labelled with the
-    /// replica name; empty for disaggregated fleets, whose pools don't
-    /// run the single-engine scheduler).
+    /// Per-replica `ServingReport`s, filled for a static colocated fleet
+    /// under an empty fault plan, where every replica runs one engine
+    /// core for the whole run: one report per replica that completed at
+    /// least one request, labelled with the replica name. Empty under a
+    /// fault plan (a crash replaces cores mid-run), for elastic fleets
+    /// (slots boot and retire), and for disaggregated fleets (their pools
+    /// do not run the single-engine scheduler).
     pub replica_reports: Vec<ServingReport>,
     /// Per-request lifecycle records, in request-id order.
     pub completions: Vec<Completion>,
@@ -177,12 +182,11 @@ impl ClusterEngine {
 
     /// Installs a fault plan. An **empty** plan (the default) injects
     /// nothing: runs stay bit-identical to an engine without any plan and
-    /// the report has no availability section. A colocated fleet takes
-    /// its zero-fault driver under an empty plan; the disaggregated loop
-    /// runs every plan, an empty one as no crashes, no link windows and
+    /// the report has no availability section. Each topology runs one
+    /// event loop for every plan, an empty one as no fault timeline and
     /// an all-up health view. A non-empty plan brings the failure-aware
-    /// machinery (replica health view, retries, shedding) and the report
-    /// grows an availability section.
+    /// machinery into play (crashes, retries, shedding, the trace's
+    /// control track) and the report grows an availability section.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -200,8 +204,8 @@ impl ClusterEngine {
     /// against the policy's utilization band.
     ///
     /// A **pinned** policy (every band `min == max`, no swaps) keeps the
-    /// plain fleet code paths: the fleet is expanded to its pinned sizes
-    /// and dispatched to the non-elastic drivers bit-identically — the
+    /// static fleet's event loops: the fleet is expanded to its pinned
+    /// sizes and dispatched like a static fleet, bit-identically — the
     /// report just gains a `scaling` section pricing the static fleet.
     /// An *elastic* policy switches a colocated fleet to the autoscaled
     /// driver; elastic disaggregated fleets and elastic runs under a
@@ -239,9 +243,11 @@ impl ClusterEngine {
     /// [`run`](Self::run) with an optional flight recorder threaded
     /// through whichever driver the topology dispatches to: replicas get
     /// one track each, control-plane events (crashes, retries, scaling
-    /// actions, reconcile ticks) land on a control track, and queue/KV
-    /// gauges stream into the recorder's timeseries. `None` is exactly
-    /// [`run`](Self::run) — the recorder-off paths stay bit-identical.
+    /// actions, reconcile ticks) land on a control track — registered
+    /// only by runs that have such events (a fault plan, an elastic
+    /// fleet, a disaggregated fleet) — and queue/KV gauges stream into
+    /// the recorder's timeseries. `None` is exactly [`run`](Self::run) —
+    /// the recorder-off paths stay bit-identical.
     ///
     /// # Errors
     ///
@@ -306,22 +312,16 @@ impl ClusterEngine {
             return self.run_autoscaled(policy, label, traffic, tenancy, recorder);
         }
         match &self.topology {
-            ClusterTopology::Colocated { replicas, router } => {
-                if self.faults.is_empty() {
-                    run_colocated(replicas, *router, label, traffic, self.slo_ms, tenancy, recorder)
-                } else {
-                    run_colocated_faulty(
-                        replicas,
-                        *router,
-                        label,
-                        traffic,
-                        self.slo_ms,
-                        &self.faults,
-                        tenancy,
-                        recorder,
-                    )
-                }
-            }
+            ClusterTopology::Colocated { replicas, router } => run_colocated_faulty(
+                replicas,
+                *router,
+                label,
+                traffic,
+                self.slo_ms,
+                &self.faults,
+                tenancy,
+                recorder,
+            ),
             ClusterTopology::Disaggregated {
                 prefill,
                 decode,
@@ -345,7 +345,7 @@ impl ClusterEngine {
     }
 
     /// Dispatch under an autoscale policy: pinned policies expand the
-    /// fleet and reuse the plain drivers unchanged (bit-identity is
+    /// fleet and dispatch it as a static fleet (bit-identity is
     /// proptested); elastic policies take the reconcile-loop driver.
     fn run_autoscaled(
         &self,
@@ -385,31 +385,14 @@ impl ClusterEngine {
                     })
                     .collect()
             };
-            let topology = match &self.topology {
-                ClusterTopology::Colocated { replicas, router } => ClusterTopology::Colocated {
-                    replicas: expand(replicas, 0),
-                    router: *router,
-                },
-                ClusterTopology::Disaggregated {
-                    prefill,
-                    decode,
-                    router,
-                    decode_router,
-                    interconnect,
-                } => ClusterTopology::Disaggregated {
-                    prefill: expand(prefill, 0),
-                    decode: expand(decode, prefill.len()),
-                    router: *router,
-                    decode_router: *decode_router,
-                    interconnect: *interconnect,
-                },
-            };
-            let pinned = ClusterEngine {
-                topology,
-                slo_ms: self.slo_ms,
-                faults: self.faults.clone(),
-                autoscale: None,
-            };
+            let mut pinned = ClusterEngine { autoscale: None, ..self.clone() };
+            match &mut pinned.topology {
+                ClusterTopology::Colocated { replicas, .. } => *replicas = expand(replicas, 0),
+                ClusterTopology::Disaggregated { prefill, decode, .. } => {
+                    *decode = expand(decode, prefill.len());
+                    *prefill = expand(prefill, 0);
+                }
+            }
             let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
             let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
             let busy_chip_s: f64 = run
@@ -445,92 +428,22 @@ impl ClusterEngine {
     }
 }
 
-/// [`DriveHooks`] for the zero-fault colocated fleet: routes each
-/// arrival over a [`SnapshotTracker`]'s incrementally-maintained fleet
-/// view instead of rebuilding every [`ReplicaSnapshot`] — one
-/// `outstanding_at` per replica — at every arrival. The
-/// tracker-vs-rebuild equivalence is proptested in this module's tests.
-struct ColocatedHooks {
-    router: Box<dyn Router>,
-    tracker: SnapshotTracker,
-    /// Multi-tenant run: refresh per-class outstanding splits before every
-    /// routing decision (the `SloAware` policy reads them). Off for
-    /// single-tenant runs, preserving the tracker's `O(1)`-per-event path.
-    classed: bool,
-    /// Recorder + per-replica `[queued, kv_frac]` gauge series, when the
-    /// run is observed.
-    gauges: Option<(SharedRecorder, Vec<[usize; 2]>)>,
-}
-
-impl DriveHooks for ColocatedHooks {
-    fn route(&mut self, request: &Request, cores: &[EngineCore<'_>]) -> usize {
-        let t = request.arrival();
-        if t < self.tracker.now() {
-            // A stall flush launched work in the past and re-armed a
-            // closed-loop client below the tracker's clock: rebuild.
-            self.tracker.resync(t, cores);
-        } else {
-            self.tracker.advance_to(t);
-        }
-        if self.classed {
-            self.tracker.refresh_classes(cores);
-        }
-        self.router.route(request, self.tracker.snapshots())
-    }
-
-    fn on_push(&mut self, k: usize, cores: &[EngineCore<'_>]) {
-        self.tracker.on_push(k, cores[k].queued());
-    }
-
-    fn on_step(&mut self, k: usize, cores: &[EngineCore<'_>], new: &[Completion]) {
-        self.tracker.on_step(k, cores[k].queued(), cores[k].kv_frac(), new);
-        if let Some((rec, series)) = &self.gauges {
-            let t = new
-                .iter()
-                .map(|c| c.finish.get())
-                .fold(self.tracker.now().get(), f64::max);
-            let mut rec = rec.borrow_mut();
-            rec.sample(series[k][0], t, cores[k].queued() as f64);
-            rec.sample(series[k][1], t, cores[k].kv_frac());
-        }
-    }
-}
-
-/// Registers one track per replica (named after the spec), attaches a
-/// [`TraceHandle`] to each core, and returns the track ids plus one
-/// `[queued, kv_frac]` gauge-series pair per replica.
-fn attach_replica_tracks(
-    rec: &SharedRecorder,
-    specs: &[ReplicaSpec],
-    cores: &mut [EngineCore<'_>],
-) -> (Vec<u32>, Vec<[usize; 2]>) {
-    let mut tracks = Vec::with_capacity(specs.len());
-    let mut series = Vec::with_capacity(specs.len());
-    {
-        let mut r = rec.borrow_mut();
-        for spec in specs {
-            tracks.push(r.track(&spec.name));
-            series.push([
-                r.gauge_series(&format!("{}/queued", spec.name)),
-                r.gauge_series(&format!("{}/kv_frac", spec.name)),
-            ]);
-        }
-    }
-    for (core, &track) in cores.iter_mut().zip(&tracks) {
-        core.attach_trace(TraceHandle::new(Rc::clone(rec), track));
-    }
-    (tracks, series)
-}
-
-/// Everything the failure-aware drivers need to emit: the shared
+/// Everything the colocated loop emits to a flight recorder: the shared
 /// recorder, one track and one `[queued, kv_frac]` gauge pair per
-/// replica, and a control track for fleet-level events (arrivals,
-/// retries, sheds, reconcile ticks).
+/// replica, and — under a non-empty fault plan — a control track for
+/// fleet-level events (arrivals, retries, sheds, parks).
+///
+/// The zero-fault layout has no control track: each core traces its own
+/// arrivals, every completion is emitted per replica at the end of the
+/// run, and a step's gauges are stamped at its latest completion (or the
+/// routing clock, if later), stall flushes included. Under faults the
+/// driver traces arrivals and completions as it sees them — a crash can
+/// revoke work — and stamps gauges at the step instant.
 struct FleetTrace {
     rec: SharedRecorder,
     tracks: Vec<u32>,
     series: Vec<[usize; 2]>,
-    control: u32,
+    control: Option<u32>,
 }
 
 impl FleetTrace {
@@ -538,209 +451,170 @@ impl FleetTrace {
         rec: &SharedRecorder,
         specs: &[ReplicaSpec],
         cores: &mut [EngineCore<'_>],
+        control: bool,
     ) -> FleetTrace {
-        let (tracks, series) = attach_replica_tracks(rec, specs, cores);
-        let control = rec.borrow_mut().track("control");
+        let mut r = rec.borrow_mut();
+        let (tracks, series): (Vec<u32>, _) = specs
+            .iter()
+            .map(|spec| {
+                let track = r.track(&spec.name);
+                let mut gauge = |what: &str| r.gauge_series(&format!("{}/{what}", spec.name));
+                (track, [gauge("queued"), gauge("kv_frac")])
+            })
+            .unzip();
+        let control = control.then(|| r.track("control"));
+        drop(r);
+        for (core, &track) in cores.iter_mut().zip(&tracks) {
+            core.attach_trace(TraceHandle::new(Rc::clone(rec), track));
+        }
         FleetTrace { rec: Rc::clone(rec), tracks, series, control }
     }
+
+    fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
+        self.rec.borrow_mut().complete_for(
+            self.tracks[k],
+            c.id,
+            c.finish.get(),
+            c.latency().as_millis(),
+            c.ttft().as_millis(),
+            tenant_tag(tenancy, c.id),
+        );
+    }
 }
 
-fn run_colocated(
-    replicas: &[ReplicaSpec],
-    policy: RouterPolicy,
-    label: &str,
-    traffic: &TrafficSpec,
-    slo_ms: Option<f64>,
-    mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
-) -> Result<ClusterRun> {
-    let (pricing, sessions) = fleet_sessions(replicas)?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-    if let Some(t) = &tenancy {
-        for core in &mut cores {
-            core.set_tenancy(t.sched);
-        }
-    }
-    let mut stream = ArrivalStream::new(traffic)?;
-    let offered = stream.total();
-    let gauges = recorder.map(|rec| {
-        let (_, series) = attach_replica_tracks(rec, replicas, &mut cores);
-        (Rc::clone(rec), series)
-    });
-
-    drive_with(
-        &mut cores,
-        &mut stream,
-        ColocatedHooks {
-            router: policy.build(),
-            tracker: SnapshotTracker::new(replicas.len()),
-            classed: tenancy.as_ref().is_some_and(Tenancy::multi),
-            gauges,
-        },
-    )?;
-
-    let mut completions: Vec<Completion> = Vec::new();
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = cimtpu_serving::PrefixStats::default();
-    let mut rows = Vec::with_capacity(replicas.len());
-    let mut replica_reports = Vec::new();
-    for (spec, core) in replicas.iter().zip(&cores) {
-        let memory = core.memory_stats();
-        preemptions += memory.preemptions;
-        queue_full_s += memory.queue_full_s;
-        prefix.absorb(&core.prefix_stats());
-        chip_energy += core.energy();
-        completions.extend_from_slice(core.completions());
-        if let Some(t) = tenancy.as_mut() {
-            if let Some(per_tenant) = core.tenant_preemptions() {
-                t.ledger.absorb_preemptions(per_tenant);
-            }
-        }
-        if let Some(rec) = recorder {
-            let track = core.trace_track().expect("recorder attached above");
-            let mut rec = rec.borrow_mut();
-            for c in core.completions() {
-                rec.complete_for(
-                    track,
-                    c.id,
-                    c.finish.get(),
-                    c.latency().as_millis(),
-                    c.ttft().as_millis(),
-                    tenant_tag(&tenancy, c.id),
-                );
-            }
-        }
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: spec.chips(),
-            requests: core.completions().len() as u64,
-            busy_s: core.busy().get(),
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: core.energy().get(),
-            kv_hwm_frac: memory.kv_hwm_frac,
-        });
-        if !core.completions().is_empty() {
-            replica_reports.push(core.finish(&spec.name).report);
-        }
-    }
-    completions.sort_by_key(|c| c.id);
-    let mut report = ClusterReport::build(
-        label,
-        "colocated",
-        policy.name().to_owned(),
-        offered,
-        &completions,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
-        rows,
-        slo_ms,
-        None,
-    );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
-    }
-    pricing.persist_caches();
-    Ok(ClusterRun { report, replica_reports, completions, prefix })
+/// The earliest of a loop's candidate events, as `(time, class)`; on a
+/// time tie the candidate listed first wins.
+pub(crate) fn earliest<const N: usize>(
+    candidates: [(Option<Seconds>, u8); N],
+) -> Option<(Seconds, u8)> {
+    candidates
+        .into_iter()
+        .filter_map(|(t, class)| Some((t?, class)))
+        .reduce(|best, next| if next.0 < best.0 { next } else { best })
 }
 
-/// A point action on the fault timeline (a [`FaultEvent`] window expands
-/// into a start and an end action).
+/// A point action on the fault timeline (a straggler window expands into
+/// a `Slow` action with its factor at the start and one with `None` at
+/// the end).
 #[derive(Debug, Clone, Copy)]
 enum FaultAction {
     Crash { replica: usize, repair: Seconds },
-    SlowStart { replica: usize, factor: f64 },
-    SlowEnd { replica: usize },
+    Slow { replica: usize, factor: Option<f64> },
 }
 
-/// A request waiting to (re-)enter the fleet: a fresh arrival queued for
-/// admission, a crash-lost request backing off before its retry, or a
-/// request parked until some replica restarts.
+/// A request up for admission: a fresh arrival taken off the stream, a
+/// crash-lost request backing off before its retry, or a request parked
+/// until some replica restarts (the last two wait in a queue).
 #[derive(Debug, Clone, Copy)]
 struct WaitingRetry {
     /// When the request (re-)enters admission.
     fire: Seconds,
     /// The request (for retries, `arrival_s` is rewritten to the fire
-    /// time at push; the original arrival lives in the driver's origin
-    /// map and is restored on the delivered completion).
+    /// time at push; the original arrival lives in the retry ledger and
+    /// is restored on the delivered completion).
     request: Request,
     /// Retries already charged against the request's budget (0 for a
     /// fresh arrival).
     attempts: u32,
 }
 
-/// Per-replica counters accumulated across incarnations: a crash replaces
-/// the replica's core, so its energy/busy/KV history is harvested at the
-/// crash instant and the restarted core starts a new ledger.
-#[derive(Default)]
-pub(crate) struct ReplicaAccum {
-    pub(crate) busy_s: f64,
-    pub(crate) energy_j: f64,
-    pub(crate) preemptions: u64,
-    pub(crate) queue_full_s: f64,
-    pub(crate) kv_hwm: f64,
-    pub(crate) prefix: PrefixStats,
+/// A min-queue of pending events: pops the item with the smallest key,
+/// ties in push order.
+struct EventQueue<K, T> {
+    heap: BinaryHeap<Queued<K, T>>,
+    key: fn(&T) -> K,
+    pushed: u64,
 }
 
-impl ReplicaAccum {
-    pub(crate) fn harvest(&mut self, core: &EngineCore<'_>) {
-        let memory = core.memory_stats();
-        self.busy_s += core.busy().get();
-        self.energy_j += core.energy().get();
-        self.preemptions += memory.preemptions;
-        self.queue_full_s += memory.queue_full_s;
-        self.kv_hwm = self.kv_hwm.max(memory.kv_hwm_frac);
-        self.prefix.absorb(&core.prefix_stats());
+/// One [`EventQueue`] entry, ordered by `(key, seq)` reversed so the
+/// max-heap pops the earliest.
+struct Queued<K, T> {
+    key: K,
+    seq: u64,
+    item: T,
+}
+
+impl<K: Ord, T> PartialEq for Queued<K, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<K: Ord, T> Eq for Queued<K, T> {}
+impl<K: Ord, T> PartialOrd for Queued<K, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<K: Ord, T> Ord for Queued<K, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&other.key, other.seq).cmp(&(&self.key, self.seq))
     }
 }
 
-/// Router snapshots over the healthy subset, re-indexed `0..up.len()` so
-/// index-returning and positional routers agree (see the health-view
-/// section of the [`router`](crate::router) module docs); the driver maps
-/// the routed position back through `up`.
-fn healthy_snapshots(
-    cores: &[EngineCore<'_>],
-    up: &[usize],
-    t: Seconds,
-    assigned: &[u64],
-    classed: bool,
-) -> Vec<ReplicaSnapshot> {
-    up.iter()
-        .enumerate()
-        .map(|(pos, &k)| ReplicaSnapshot {
-            index: pos,
-            outstanding: cores[k].outstanding_at(t),
-            queued: cores[k].queued(),
-            kv_frac: cores[k].kv_frac(),
-            assigned: assigned[k],
-            class_outstanding: if classed {
-                cores[k].outstanding_by_class_at(t)
-            } else {
-                [0; 3]
-            },
-        })
-        .collect()
+impl<K: Ord, T> EventQueue<K, T> {
+    fn new(key: fn(&T) -> K) -> Self {
+        EventQueue { heap: BinaryHeap::new(), key, pushed: 0 }
+    }
+
+    fn push(&mut self, item: T) {
+        self.pushed += 1;
+        self.heap.push(Queued { key: (self.key)(&item), seq: self.pushed, item });
+    }
+
+    fn peek(&self) -> Option<&T> {
+        self.heap.peek().map(|q| &q.item)
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|q| q.item)
+    }
+
+    /// Pops the first item if `due` holds for it.
+    fn pop_if(&mut self, due: impl FnOnce(&T) -> bool) -> Option<T> {
+        if self.peek().is_some_and(due) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Removes every item `doomed` selects and returns them in push
+    /// order. `O(len)`: crash revocation and load shedding only.
+    fn remove_where(&mut self, mut doomed: impl FnMut(&T) -> bool) -> Vec<T> {
+        let (mut out, keep): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.heap).into_iter().partition(|q| doomed(&q.item));
+        self.heap = keep.into();
+        out.sort_by_key(|q| q.seq);
+        out.into_iter().map(|q| q.item).collect()
+    }
 }
 
-/// The failure-aware colocated driver: `drive` re-derived as an explicit
-/// event loop so fault events, deferred completion delivery, and retry
-/// timers can interleave with arrivals and engine steps.
+/// The colocated event loop, for every [`FaultPlan`]: `drive` re-derived
+/// as an explicit event loop so fault events, deferred completion
+/// delivery, and retry timers can interleave with arrivals and engine
+/// steps. An empty plan resolves to no timeline and an all-up health
+/// view; it also turns load shedding off, drops the availability section
+/// and keeps the zero-fault trace layout (see [`FleetTrace`]).
 ///
 /// Event classes at one instant resolve in a fixed order — faults/health
-/// transitions, then arrivals, then completion deliveries, then retry
-/// fires (admission), then engine steps — chosen so a run whose faults
-/// are all benign (e.g. a ×1 straggler window) replays the plain driver
-/// bit-for-bit. Completions are *delivered* (fed to closed-loop clients,
-/// added to the run ledger) at their finish time rather than inside the
-/// step that produced them, which is what lets a crash revoke
-/// in-flight-but-undelivered completions.
-#[allow(clippy::too_many_arguments)] // one call site, in `dispatch`
+/// transitions, then completion deliveries, then admissions (the arrival
+/// stream merged with the requests waiting to retry), then engine steps.
+/// Completions are *delivered* (fed to closed-loop clients, added to the
+/// run ledger) once nothing can revoke them: under a fault plan at their
+/// finish time, so a crash can take back in-flight-but-undelivered
+/// completions, and under an empty plan inside the step that produced
+/// them, as `drive` does. A closed-loop client is re-armed at
+/// `finish + think` either way, and deliveries at an instant go before
+/// its admissions, so the two timings yield the same run: an empty plan
+/// replays `drive`, and a run whose faults are all benign (e.g. a ×1
+/// straggler window) replays the empty plan bit-for-bit.
+///
+/// Admissions route over a [`SnapshotTracker`], rebuilt only when a
+/// crash or restart replaces a core; while a replica is down the router
+/// sees the healthy subset re-indexed `0..up.len()`, so index-returning
+/// and positional routers agree (see the health-view section of the
+/// [`router`](crate::router) module docs).
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)] // one call site, in `dispatch`
 fn run_colocated_faulty(
     replicas: &[ReplicaSpec],
     policy: RouterPolicy,
@@ -751,6 +625,9 @@ fn run_colocated_faulty(
     mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
+    let zero_fault = plan.is_empty();
+    let recovery = *plan.recovery();
+    let shed_at = if zero_fault { None } else { recovery.shed_outstanding };
     let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
     for event in plan.resolve(replicas.len())? {
         match event {
@@ -758,8 +635,8 @@ fn run_colocated_faulty(
                 timeline.push((at, FaultAction::Crash { replica, repair }));
             }
             FaultEvent::Straggler { replica, from, until, slowdown } => {
-                timeline.push((from, FaultAction::SlowStart { replica, factor: slowdown }));
-                timeline.push((until, FaultAction::SlowEnd { replica }));
+                timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
+                timeline.push((until, FaultAction::Slow { replica, factor: None }));
             }
             FaultEvent::DegradedLink { .. } => {
                 return Err(Error::invalid_config(
@@ -785,30 +662,37 @@ fn run_colocated_faulty(
     let offered = stream.total();
     let mut router = policy.build();
     let n = replicas.len();
-    let trace = recorder.map(|rec| FleetTrace::attach(rec, replicas, &mut cores));
-    // Start of the straggler window in flight per replica (NaN = none);
-    // the Straggler span is emitted when the window closes.
-    let mut slow_since = vec![f64::NAN; n];
-    let mut assigned = vec![0u64; n];
+    let trace = recorder.map(|rec| FleetTrace::attach(rec, replicas, &mut cores, !zero_fault));
+    // The open straggler window per replica, as (start, factor); the
+    // Straggler span is emitted when the window closes.
+    let mut slow: Vec<Option<(f64, f64)>> = vec![None; n];
     let mut health = HealthView::all_up(n);
     // Core liveness: a crashed core stays in `cores` (stale) until its
     // replica restarts and a fresh core replaces it.
     let mut stale = vec![false; n];
-    let mut slowdown = vec![1.0f64; n];
     let mut last_push = vec![f64::NEG_INFINITY; n];
+    // Like `drive`, the cores close once the stream's final request has
+    // been through admission (`close_due`): a static or dynamic batcher
+    // must not launch its tail without it.
+    let mut close_due = false;
     let mut exhausted_closed = false;
 
     // The run ledger lives in the driver, not the cores: cores are
     // replaced on restart, and a completion only counts once delivered.
-    let mut delivered: Vec<Completion> = Vec::new();
-    let mut deliveries: Vec<(usize, Completion)> = Vec::new();
+    let mut delivered: Vec<Completion> = Vec::with_capacity(offered as usize);
+    let mut deliveries = EventQueue::new(|(_, c): &(usize, Completion)| FinishKey(c.finish.get()));
     let mut delivered_by = vec![0u64; n];
-    let mut waiting: Vec<WaitingRetry> = Vec::new();
-    let mut ledger = RetryLedger::new(
-        *plan.recovery(),
-        trace.as_ref().map(|tr| TraceHandle::new(Rc::clone(&tr.rec), tr.control)),
-    );
+    let mut waiting = EventQueue::new(|w: &WaitingRetry| {
+        (FinishKey(w.fire.get()), FinishKey(w.request.arrival_s), w.request.id)
+    });
+    let control =
+        trace.as_ref().and_then(|tr| Some(TraceHandle::new(Rc::clone(&tr.rec), tr.control?)));
+    let mut ledger = RetryLedger::new(recovery, control);
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
+    let mut tracker = SnapshotTracker::new(n);
+    // Router-view scratch for a partly-down fleet, reused across events.
+    let mut up: Vec<usize> = Vec::with_capacity(n);
+    let mut snaps: Vec<ReplicaSnapshot> = Vec::with_capacity(n);
 
     // The step-event queue: one slot per replica, keyed by the core's
     // next-action time (`None` while the replica is down). Every
@@ -823,24 +707,16 @@ fn run_colocated_faulty(
     }
 
     loop {
-        // Candidate events, classes in tie-break order.
+        if std::mem::take(&mut close_due) {
+            exhausted_closed = true;
+            for (i, core) in cores.iter_mut().enumerate() {
+                if !stale[i] {
+                    core.close();
+                    step_heap.set(i, core.next_action());
+                }
+            }
+        }
         let step_at = step_heap.peek();
-        let delivery_at: Option<(usize, Seconds)> = deliveries
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                a.1.finish.get().total_cmp(&b.1.finish.get()).then(ai.cmp(bi))
-            })
-            .map(|(i, d)| (i, d.1.finish));
-        let retry_at: Option<usize> = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                let ka = (a.fire.get(), a.request.arrival_s, a.request.id);
-                let kb = (b.fire.get(), b.request.arrival_s, b.request.id);
-                ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal).then(ai.cmp(bi))
-            })
-            .map(|(i, _)| i);
         let fault_at: Option<Seconds> = {
             let scripted = (next_fault < timeline.len()).then(|| timeline[next_fault].0);
             match (scripted, health.next_transition()) {
@@ -848,65 +724,57 @@ fn run_colocated_faulty(
                 (a, b) => a.or(b),
             }
         };
-        let arrival_at = stream.peek();
 
         // The run is over when nothing can produce or receive work —
         // trailing fault events on an idle fleet are dropped.
-        if stream.exhausted() && waiting.is_empty() && deliveries.is_empty() && step_at.is_none()
+        if stream.exhausted()
+            && waiting.peek().is_none()
+            && deliveries.peek().is_none()
+            && step_at.is_none()
         {
             break;
         }
 
-        let candidates = [
-            (fault_at, 0u8),
-            (arrival_at, 1),
-            (delivery_at.map(|(_, t)| t), 2),
-            (retry_at.map(|i| waiting[i].fire), 3),
-            (step_at.map(|(_, t)| t), 4),
-        ];
-        let mut chosen: Option<(Seconds, u8)> = None;
-        for (t, class) in candidates {
-            if let Some(t) = t {
-                // Iteration order is ascending class: strict `<` keeps
-                // the earlier class on ties.
-                if chosen.is_none_or(|(bt, _)| t < bt) {
-                    chosen = Some((t, class));
-                }
-            }
-        }
-        let Some((now, class)) = chosen else {
-            // Closed-loop stall: clients wait on completions held in
-            // partial batches. Flush the lowest stalled core (mirrors
-            // `drive`); its completions become deliveries.
-            let mut progressed = false;
-            for (i, core) in cores.iter_mut().enumerate() {
-                if stale[i] {
-                    continue;
-                }
-                if core.flush_stalled()? {
-                    step_heap.set(i, core.next_action());
-                    for &c in core.drain_new() {
-                        deliveries.push((i, c));
+        // Candidate events, classes in tie-break order. The admission
+        // queue is the arrival stream merged with `waiting`.
+        let chosen = earliest([
+            (fault_at, 0),
+            (deliveries.peek().map(|(_, c)| c.finish), 1),
+            (stream.peek(), 2),
+            (waiting.peek().map(|w| w.fire), 2),
+            (step_at.map(|(_, t)| t), 3),
+        ]);
+        // The core that stepped (at `Some(now)`) or flushed a stalled
+        // batch (`None`) this iteration, if any.
+        let stepped = match chosen {
+            None => {
+                // Closed-loop stall: clients wait on completions held in
+                // partial batches. Flush the lowest stalled core (mirrors
+                // `drive`); its completions become deliveries.
+                let mut flushed = None;
+                for i in 0..n {
+                    if !stale[i] && cores[i].flush_stalled()? {
+                        flushed = Some(i);
+                        break;
                     }
-                    progressed = true;
-                    break;
                 }
+                let Some(i) = flushed else {
+                    return Err(Error::invalid_config(
+                        "serving driver stalled: closed-loop clients wait on completions \
+                         no engine can produce",
+                    ));
+                };
+                Some((i, None))
             }
-            if !progressed {
-                return Err(Error::invalid_config(
-                    "serving driver stalled: closed-loop clients wait on completions \
-                     no engine can produce",
-                ));
-            }
-            continue;
-        };
-
-        match class {
             // Faults and health transitions.
-            0 => {
+            Some((now, 0)) => {
+                // A crash or restart replaces a core: the router view is
+                // rebuilt from the cores afterwards.
+                let mut rebuilt = false;
                 // Restores first: a replica back up at `now` can take a
                 // crash scripted for the same instant.
-                for k in health.advance(now, plan.recovery().warmup) {
+                for k in health.advance(now, recovery.warmup) {
+                    rebuilt = true;
                     cores[k] = sessions[k].core()?;
                     if let Some(t) = &tenancy {
                         cores[k].set_tenancy(t.sched);
@@ -917,8 +785,8 @@ fn run_colocated_faulty(
                         cores[k].attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
                         tr.rec.borrow_mut().instant(tr.tracks[k], EventKind::Repair, 0, now.get());
                     }
-                    if slowdown[k] != 1.0 {
-                        cores[k].set_slowdown(slowdown[k]);
+                    if let Some((_, factor)) = slow[k] {
+                        cores[k].set_slowdown(factor);
                     }
                     if exhausted_closed {
                         cores[k].close();
@@ -936,13 +804,9 @@ fn run_colocated_faulty(
                                 continue;
                             }
                             let lost = cores[replica].crash(now);
-                            accum[replica].harvest(&cores[replica]);
-                            if let Some(t) = tenancy.as_mut() {
-                                if let Some(p) = cores[replica].tenant_preemptions() {
-                                    t.ledger.absorb_preemptions(p);
-                                }
-                            }
+                            accum[replica].harvest(&cores[replica], tenancy.as_mut());
                             stale[replica] = true;
+                            rebuilt = true;
                             step_heap.set(replica, None);
                             health.mark_down(replica, now + repair);
                             ledger.on_crash(replica, now);
@@ -956,9 +820,9 @@ fn run_colocated_faulty(
                             }
                             // Revoke the dead incarnation's undelivered
                             // completions — their requests are in `lost`.
-                            let lost_ids: Vec<u64> = lost.iter().map(|r| r.id).collect();
-                            deliveries
-                                .retain(|(k, c)| *k != replica || !lost_ids.contains(&c.id));
+                            deliveries.remove_where(|(k, c)| {
+                                *k == replica && lost.iter().any(|r| r.id == c.id)
+                            });
                             for r in lost {
                                 if let Some((fire, attempts)) =
                                     ledger.on_lost(&r, now, &mut stream, &mut tenancy)
@@ -967,125 +831,113 @@ fn run_colocated_faulty(
                                 }
                             }
                         }
-                        FaultAction::SlowStart { replica, factor } => {
-                            slowdown[replica] = factor;
-                            slow_since[replica] = now.get();
-                            if !stale[replica] {
-                                cores[replica].set_slowdown(factor);
-                                step_heap.set(replica, cores[replica].next_action());
+                        FaultAction::Slow { replica, factor } => {
+                            let closing = slow[replica].filter(|_| factor.is_none());
+                            if let (Some(tr), Some((since, _))) = (&trace, closing) {
+                                tr.rec.borrow_mut().span(
+                                    tr.tracks[replica],
+                                    EventKind::Straggler,
+                                    0,
+                                    since,
+                                    now.get(),
+                                );
                             }
-                        }
-                        FaultAction::SlowEnd { replica } => {
-                            slowdown[replica] = 1.0;
-                            if let Some(tr) = &trace {
-                                if slow_since[replica].is_finite() {
-                                    tr.rec.borrow_mut().span(
-                                        tr.tracks[replica],
-                                        EventKind::Straggler,
-                                        0,
-                                        slow_since[replica],
-                                        now.get(),
-                                    );
-                                }
-                            }
-                            slow_since[replica] = f64::NAN;
+                            slow[replica] = factor.map(|f| (now.get(), f));
                             if !stale[replica] {
-                                cores[replica].set_slowdown(1.0);
+                                cores[replica].set_slowdown(factor.unwrap_or(1.0));
                                 step_heap.set(replica, cores[replica].next_action());
                             }
                         }
                     }
                 }
-            }
-            // Arrival: enters the admission queue (fires this instant;
-            // admission is the retry class so arrivals and retries share
-            // one code path).
-            1 => {
-                let request = stream.pop();
-                if let Some(tr) = &trace {
-                    // Emitted by the driver, not the core: a request can
-                    // be shed or time out before ever reaching a core.
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.control,
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
-                    );
+                if rebuilt {
+                    tracker.resync(now, &cores);
                 }
-                waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
-                if stream.exhausted() {
-                    exhausted_closed = true;
-                    for (i, core) in cores.iter_mut().enumerate() {
-                        if !stale[i] {
-                            core.close();
-                            step_heap.set(i, core.next_action());
-                        }
+                continue;
+            }
+            // Completion delivery, below.
+            Some((_, 1)) => None,
+            // Admission of a fresh arrival or a waiting request, whichever
+            // is first in `(fire, arrival, id)` order. A waiting request was
+            // issued before the stream's next one, so it wins ties.
+            Some((now, 2)) => {
+                let fresh = match (stream.peek(), waiting.peek()) {
+                    (Some(t), Some(w)) => (t.get(), t.get()) < (w.fire.get(), w.request.arrival_s),
+                    (t, _) => t.is_some(),
+                };
+                let item = if fresh {
+                    let request = stream.pop();
+                    if let Some((tr, control)) =
+                        trace.as_ref().and_then(|tr| Some((tr, tr.control?)))
+                    {
+                        // Emitted by the driver, not the core: a request
+                        // can be shed or time out before reaching a core.
+                        tr.rec.borrow_mut().request_arrival_for(
+                            control,
+                            request.id,
+                            request.arrival_s,
+                            tenant_tag(&tenancy, request.id),
+                        );
                     }
-                }
-            }
-            // Completion delivery.
-            2 => {
-                let (idx, _) = delivery_at
-                    .ok_or_else(|| Error::internal("class 2 implies a pending delivery"))?;
-                let (k, mut c) = deliveries.remove(idx);
-                ledger.on_complete(k, &mut c);
-                stream.on_complete(&c);
-                delivered_by[k] += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().complete_for(
-                        tr.tracks[k],
-                        c.id,
-                        c.finish.get(),
-                        c.latency().as_millis(),
-                        c.ttft().as_millis(),
-                        tenant_tag(&tenancy, c.id),
-                    );
-                }
-                delivered.push(c);
-            }
-            // Admission (fresh arrivals and retries).
-            3 => {
-                let idx = retry_at
-                    .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
-                let item = waiting.remove(idx);
+                    close_due = stream.exhausted();
+                    WaitingRetry { fire: now, request, attempts: 0 }
+                } else {
+                    waiting
+                        .pop()
+                        .ok_or_else(|| Error::internal("class 2 implies a waiting request"))?
+                };
                 let r = item.request;
                 if ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     continue;
                 }
-                let up = health.up_replicas();
-                if up.is_empty() {
+                if now < tracker.now() {
+                    // A stall flush launched work in the past and re-armed
+                    // a closed-loop client below the tracker's clock.
+                    tracker.resync(now, &cores);
+                } else {
+                    tracker.advance_to(now);
+                }
+                if classed {
+                    tracker.refresh_classes(&cores);
+                }
+                let all_up = health.next_transition().is_none();
+                let view = if all_up {
+                    tracker.snapshots()
+                } else {
+                    up.clear();
+                    snaps.clear();
+                    for (k, s) in tracker.snapshots().iter().enumerate() {
+                        if health.is_up(k) {
+                            snaps.push(ReplicaSnapshot { index: up.len(), ..*s });
+                            up.push(k);
+                        }
+                    }
+                    &snaps
+                };
+                if view.is_empty() {
                     // Nowhere to go: park until the next repair finishes.
                     let fire = ledger.park(&health, r.id, now, &tenancy)?;
                     waiting.push(WaitingRetry { fire, ..item });
                     continue;
                 }
-                if let Some(threshold) = plan.recovery().shed_outstanding {
-                    if up.iter().all(|&k| cores[k].outstanding_at(now) >= threshold) {
+                if let Some(threshold) = shed_at {
+                    if view.iter().all(|s| s.outstanding >= threshold) {
                         // Surviving capacity is saturated: shed oldest
                         // first — this request and every waiting request
                         // older than it (closest to their deadlines).
-                        let orig = ledger.origin(&r);
-                        let key = (orig, r.id);
-                        let mut doomed = vec![(r.id, orig)];
-                        waiting.retain(|w| {
-                            let worig = ledger.origin(&w.request);
-                            if (worig, w.request.id) <= key {
-                                doomed.push((w.request.id, worig));
-                                false
-                            } else {
-                                true
-                            }
+                        let key = (ledger.origin(&r), r.id);
+                        let older = waiting.remove_where(|w| {
+                            (ledger.origin(&w.request), w.request.id) <= key
                         });
-                        for (id, worig) in doomed {
-                            ledger.shed(id, worig, now, &mut stream, &mut tenancy);
+                        for w in std::iter::once(&r).chain(older.iter().map(|w| &w.request)) {
+                            let orig = ledger.origin(w);
+                            ledger.shed(w.id, orig, now, &mut stream, &mut tenancy);
                         }
                         continue;
                     }
                 }
-                let snaps = healthy_snapshots(&cores, &up, now, &assigned, classed);
-                let pos = router.route(&r, &snaps).min(up.len() - 1);
-                let k = up[pos];
-                assigned[k] += 1;
+                let pos = router.route(&r, view).min(view.len() - 1);
+                let k = if all_up { pos } else { up[pos] };
                 ledger.on_placed(item.attempts);
                 let mut pushed = r;
                 pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
@@ -1104,22 +956,55 @@ fn run_colocated_faulty(
                     cores[k].push(pushed);
                 }
                 step_heap.set(k, cores[k].next_action());
+                tracker.on_push(k, cores[k].queued());
+                continue;
             }
-            // Engine step; completions become pending deliveries.
-            _ => {
+            // Engine step.
+            Some((now, _)) => {
                 let (i, _) =
-                    step_at.ok_or_else(|| Error::internal("class 4 implies a steppable core"))?;
+                    step_at.ok_or_else(|| Error::internal("class 3 implies a steppable core"))?;
                 cores[i].step()?;
-                step_heap.set(i, cores[i].next_action());
-                for &c in cores[i].drain_new() {
-                    deliveries.push((i, c));
-                }
-                if let Some(tr) = &trace {
+                Some((i, Some(now)))
+            }
+        };
+        if let Some((i, stepped_at)) = stepped {
+            step_heap.set(i, cores[i].next_action());
+            let (queued, kv_frac) = (cores[i].queued(), cores[i].kv_frac());
+            let new = cores[i].drain_new();
+            tracker.on_step(i, queued, kv_frac, new);
+            if let Some(tr) = &trace {
+                let at = match tr.control {
+                    None => Some(
+                        new.iter().map(|c| c.finish.get()).fold(tracker.now().get(), f64::max),
+                    ),
+                    Some(_) => stepped_at.map(Seconds::get),
+                };
+                if let Some(t) = at {
                     let mut rec = tr.rec.borrow_mut();
-                    rec.sample(tr.series[i][0], now.get(), cores[i].queued() as f64);
-                    rec.sample(tr.series[i][1], now.get(), cores[i].kv_frac());
+                    rec.sample(tr.series[i][0], t, queued as f64);
+                    rec.sample(tr.series[i][1], t, kv_frac);
                 }
             }
+            for &c in new {
+                deliveries.push((i, c));
+            }
+        }
+        // Deliver what nothing can revoke any more: under a fault plan the
+        // completions whose finish instant has come, under an empty plan
+        // each one as soon as its step produced it (as `drive` does).
+        let due = match chosen {
+            Some((now, 1)) => now.get(),
+            _ if zero_fault => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        };
+        while let Some((k, mut c)) = deliveries.pop_if(|(_, c)| c.finish.get() <= due) {
+            ledger.on_complete(k, &mut c);
+            stream.on_complete(&c);
+            delivered_by[k] += 1;
+            if let Some(tr) = trace.as_ref().filter(|tr| tr.control.is_some()) {
+                tr.complete(k, &c, &tenancy);
+            }
+            delivered.push(c);
         }
     }
 
@@ -1127,61 +1012,52 @@ fn run_colocated_faulty(
     // their crash instant).
     for (k, core) in cores.iter().enumerate() {
         if !stale[k] {
-            accum[k].harvest(core);
-            if let Some(t) = tenancy.as_mut() {
-                if let Some(p) = core.tenant_preemptions() {
-                    t.ledger.absorb_preemptions(p);
+            accum[k].harvest(core, tenancy.as_mut());
+        }
+    }
+    // Under an empty plan every replica ran one incarnation, whose core
+    // holds its whole history: the per-replica reports and the zero-fault
+    // trace's completions read straight off it. Fault runs report the
+    // fleet aggregate only.
+    let mut replica_reports = Vec::new();
+    if zero_fault {
+        for (k, (spec, core)) in replicas.iter().zip(&cores).enumerate() {
+            if let Some(tr) = &trace {
+                for c in core.completions() {
+                    tr.complete(k, c, &tenancy);
                 }
+            }
+            if !core.completions().is_empty() {
+                replica_reports.push(core.finish(&spec.name).report);
             }
         }
     }
-    delivered.sort_by_key(|c| c.id);
+    delivered.sort_unstable_by_key(|c| c.id);
     let avail = ledger.finish(&delivered, offered, n);
 
-    let mut chip_energy = Joules::ZERO;
-    let mut preemptions = 0;
-    let mut queue_full_s = 0.0;
-    let mut prefix = PrefixStats::default();
-    let mut rows = Vec::with_capacity(n);
-    for (k, spec) in replicas.iter().enumerate() {
-        let a = &accum[k];
-        chip_energy += Joules::new(a.energy_j);
-        preemptions += a.preemptions;
-        queue_full_s += a.queue_full_s;
-        prefix.absorb(&a.prefix);
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "serve".to_owned(),
-            chips: spec.chips(),
-            requests: delivered_by[k],
-            busy_s: a.busy_s,
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: a.energy_j,
-            kv_hwm_frac: a.kv_hwm,
-        });
-    }
+    let mut totals = FleetTotals::default();
+    let rows = replicas
+        .iter()
+        .zip(&accum)
+        .zip(&delivered_by)
+        .map(|((spec, a), &served)| totals.row(spec, a, served))
+        .collect();
     let mut report = ClusterReport::build(
         label,
         "colocated",
         policy.name().to_owned(),
         offered,
         &delivered,
-        chip_energy,
-        preemptions,
-        queue_full_s,
-        KvTransferStats::default(),
+        &totals,
         rows,
         slo_ms,
-        Some(avail),
+        (!zero_fault).then_some(avail),
     );
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
     }
     pricing.persist_caches();
-    // Per-incarnation ServingReports are not meaningful across crashes:
-    // fault runs report the fleet aggregate only.
-    Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
+    Ok(ClusterRun { report, replica_reports, completions: delivered, prefix: totals.prefix })
 }
 
 #[cfg(test)]
@@ -1190,29 +1066,41 @@ mod tests {
     use cimtpu_serving::{
         drive, ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic, ServingModel,
     };
+    use cimtpu_units::Joules;
     use proptest::prelude::*;
     use rustc_hash::FxHashMap;
 
     use super::*;
     use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord};
+    use crate::report::ReplicaUtilization;
 
     // ------------------------------------------------------------------
-    // Scan oracles: the pre-heap drivers, kept verbatim so proptests can
-    // pin the heap-scheduled drivers bit-for-bit against them.
+    // Scan oracles: the pre-heap drivers, kept so proptests can pin the
+    // heap-scheduled loop bit-for-bit against them. The faulty oracle
+    // keeps the pre-heap event selection and its class order (arrivals,
+    // deliveries, admissions: it differs from the loop's only when a
+    // delivery and an admission share an instant) but adopts the loop's
+    // close-after-admission rule; `drive`, through the rebuild oracle,
+    // is the independent anchor for that rule.
     // ------------------------------------------------------------------
 
-    /// Pre-refactor router view: rebuilds every replica's snapshot (with
-    /// an `outstanding_at` query each) at instant `t`.
-    fn snapshots(cores: &[EngineCore<'_>], t: Seconds, assigned: &[u64]) -> Vec<ReplicaSnapshot> {
-        cores
-            .iter()
+    /// Pre-refactor router view: rebuilds the snapshot of every replica
+    /// in `up` (with an `outstanding_at` query each) at instant `t`,
+    /// re-indexed `0..up.len()`.
+    fn snapshots(
+        cores: &[EngineCore<'_>],
+        up: &[usize],
+        t: Seconds,
+        assigned: &[u64],
+    ) -> Vec<ReplicaSnapshot> {
+        up.iter()
             .enumerate()
-            .map(|(index, core)| ReplicaSnapshot {
+            .map(|(index, &k)| ReplicaSnapshot {
                 index,
-                outstanding: core.outstanding_at(t),
-                queued: core.queued(),
-                kv_frac: core.kv_frac(),
-                assigned: assigned[index],
+                outstanding: cores[k].outstanding_at(t),
+                queued: cores[k].queued(),
+                kv_frac: cores[k].kv_frac(),
+                assigned: assigned[k],
                 class_outstanding: [0; 3],
             })
             .collect()
@@ -1238,9 +1126,10 @@ mod tests {
         let offered = stream.total();
         let mut router = policy.build();
         let mut assigned = vec![0u64; replicas.len()];
+        let all: Vec<usize> = (0..replicas.len()).collect();
 
         drive(&mut cores, &mut stream, |request, cores| {
-            let snaps = snapshots(cores, request.arrival(), &assigned);
+            let snaps = snapshots(cores, &all, request.arrival(), &assigned);
             let k = router.route(request, &snaps).min(cores.len() - 1);
             assigned[k] += 1;
             k
@@ -1282,10 +1171,7 @@ mod tests {
             policy.name().to_owned(),
             offered,
             &completions,
-            chip_energy,
-            preemptions,
-            queue_full_s,
-            KvTransferStats::default(),
+            &FleetTotals { chip_energy, preemptions, queue_full_s, ..FleetTotals::default() },
             rows,
             slo_ms,
             None,
@@ -1298,7 +1184,10 @@ mod tests {
 
     /// The failure-aware colocated driver as it was before the
     /// [`ActionHeap`] port: the step event re-derived by an `O(replicas)`
-    /// scan over the non-stale cores at every loop iteration.
+    /// scan over the non-stale cores at every loop iteration. It closes
+    /// the cores once the stream's final request has been through
+    /// admission, as the loop and `drive` do (the pre-heap driver closed
+    /// them at the final request's pop).
     #[allow(clippy::too_many_lines)]
     fn run_colocated_faulty_oracle(
         replicas: &[ReplicaSpec],
@@ -1316,8 +1205,8 @@ mod tests {
                     timeline.push((at, FaultAction::Crash { replica, repair }));
                 }
                 FaultEvent::Straggler { replica, from, until, slowdown } => {
-                    timeline.push((from, FaultAction::SlowStart { replica, factor: slowdown }));
-                    timeline.push((until, FaultAction::SlowEnd { replica }));
+                    timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
+                    timeline.push((until, FaultAction::Slow { replica, factor: None }));
                 }
                 FaultEvent::DegradedLink { .. } => {
                     return Err(Error::invalid_config(
@@ -1345,6 +1234,8 @@ mod tests {
         let mut stale = vec![false; n];
         let mut slowdown = vec![1.0f64; n];
         let mut last_push = vec![f64::NEG_INFINITY; n];
+        let mut final_id: Option<u64> = None;
+        let mut close_due = false;
         let mut exhausted_closed = false;
 
         let mut delivered: Vec<Completion> = Vec::new();
@@ -1358,6 +1249,14 @@ mod tests {
         let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
 
         loop {
+            if std::mem::take(&mut close_due) {
+                exhausted_closed = true;
+                for (i, core) in cores.iter_mut().enumerate() {
+                    if !stale[i] {
+                        core.close();
+                    }
+                }
+            }
             let mut step_at: Option<(usize, Seconds)> = None;
             for (i, core) in cores.iter().enumerate() {
                 if stale[i] {
@@ -1467,7 +1366,7 @@ mod tests {
                                     continue;
                                 }
                                 let lost = cores[replica].crash(now);
-                                accum[replica].harvest(&cores[replica]);
+                                accum[replica].harvest(&cores[replica], None);
                                 stale[replica] = true;
                                 health.mark_down(replica, now + repair);
                                 avail.crashes += 1;
@@ -1499,16 +1398,10 @@ mod tests {
                                     waiting.push(WaitingRetry { fire, request: r, attempts });
                                 }
                             }
-                            FaultAction::SlowStart { replica, factor } => {
-                                slowdown[replica] = factor;
+                            FaultAction::Slow { replica, factor } => {
+                                slowdown[replica] = factor.unwrap_or(1.0);
                                 if !stale[replica] {
-                                    cores[replica].set_slowdown(factor);
-                                }
-                            }
-                            FaultAction::SlowEnd { replica } => {
-                                slowdown[replica] = 1.0;
-                                if !stale[replica] {
-                                    cores[replica].set_slowdown(1.0);
+                                    cores[replica].set_slowdown(slowdown[replica]);
                                 }
                             }
                         }
@@ -1517,15 +1410,10 @@ mod tests {
                 1 => {
                     let request = stream.pop();
                     origin.insert(request.id, request.arrival_s);
-                    waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
                     if stream.exhausted() {
-                        exhausted_closed = true;
-                        for (i, core) in cores.iter_mut().enumerate() {
-                            if !stale[i] {
-                                core.close();
-                            }
-                        }
+                        final_id = Some(request.id);
                     }
+                    waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
                 }
                 2 => {
                     let (idx, _) = delivery_at
@@ -1552,6 +1440,7 @@ mod tests {
                         .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
                     let item = waiting.remove(idx);
                     let r = item.request;
+                    close_due |= final_id.take_if(|id| *id == r.id).is_some();
                     let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
                     if now.get() > orig + recovery.deadline.get() {
                         avail.timed_out += 1;
@@ -1589,7 +1478,7 @@ mod tests {
                             continue;
                         }
                     }
-                    let snaps = healthy_snapshots(&cores, &up, now, &assigned, false);
+                    let snaps = snapshots(&cores, &up, now, &assigned);
                     let pos = router.route(&r, &snaps).min(up.len() - 1);
                     let k = up[pos];
                     assigned[k] += 1;
@@ -1621,7 +1510,7 @@ mod tests {
 
         for (k, core) in cores.iter().enumerate() {
             if !stale[k] {
-                accum[k].harvest(core);
+                accum[k].harvest(core, None);
             }
         }
         delivered.sort_by_key(|c| c.id);
@@ -1647,39 +1536,15 @@ mod tests {
         avail.downtime_s = downtime;
         avail.availability = (1.0 - downtime / (n as f64 * makespan)).clamp(0.0, 1.0);
 
-        let mut chip_energy = Joules::ZERO;
-        let mut preemptions = 0;
-        let mut queue_full_s = 0.0;
-        let mut prefix = PrefixStats::default();
-        let mut rows = Vec::with_capacity(n);
-        for (k, spec) in replicas.iter().enumerate() {
-            let a = &accum[k];
-            chip_energy += Joules::new(a.energy_j);
-            preemptions += a.preemptions;
-            queue_full_s += a.queue_full_s;
-            prefix.absorb(&a.prefix);
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "serve".to_owned(),
-                chips: spec.chips(),
-                requests: delivered_by[k],
-                busy_s: a.busy_s,
-                utilization: 0.0, // filled against the fleet makespan
-                energy_j: a.energy_j,
-                kv_hwm_frac: a.kv_hwm,
-            });
-        }
+        let mut totals = FleetTotals::default();
+        let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k])).collect();
         let report = ClusterReport::build(
             label,
             "colocated",
             policy.name().to_owned(),
             offered,
             &delivered,
-            chip_energy,
-            preemptions,
-            queue_full_s,
-            KvTransferStats::default(),
+            &totals,
             rows,
             slo_ms,
             Some(avail),
@@ -1687,7 +1552,12 @@ mod tests {
         for session in &sessions {
             session.persist_cache();
         }
-        Ok(ClusterRun { report, replica_reports: Vec::new(), completions: delivered, prefix })
+        Ok(ClusterRun {
+            report,
+            replica_reports: Vec::new(),
+            completions: delivered,
+            prefix: totals.prefix,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1740,16 +1610,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The tracker-routed zero-fault driver replays the per-arrival
-        /// snapshot rebuild bit-for-bit, for every router policy and
-        /// both open- and closed-loop traffic.
+        /// Under an empty plan the tracker-routed loop replays `drive`
+        /// with a per-arrival snapshot rebuild bit-for-bit (per-replica
+        /// reports included), for every router policy and both open- and
+        /// closed-loop traffic.
         #[test]
         fn tracked_colocated_matches_rebuild_oracle(seed in 0u64..1_000) {
             let fleet = mixed_fleet();
+            let none = FaultPlan::none();
             for traffic in traffics(seed) {
                 for policy in POLICIES {
-                    let fast =
-                        run_colocated(&fleet, policy, "eq", &traffic, Some(50.0), None, None).unwrap();
+                    let fast = run_colocated_faulty(
+                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None,
+                    )
+                    .unwrap();
                     let slow =
                         run_colocated_oracle(&fleet, policy, "eq", &traffic, Some(50.0)).unwrap();
                     prop_assert_eq!(&fast, &slow, "policy {}", policy.name());

@@ -99,33 +99,34 @@ impl FaultEvent {
                 )))
             }
         };
+        // `is_finite` rejects NaN and ±inf: comparisons alone let NaN through.
+        let finite_from_zero = |t: Seconds| t.get().is_finite() && t.get() >= 0.0;
+        let window = |what: &str, from: Seconds, until: Seconds| {
+            if finite_from_zero(from) && finite_from_zero(until) && until > from {
+                Ok(())
+            } else {
+                Err(Error::invalid_config(format!(
+                    "{what} window must be finite, non-negative and non-empty"
+                )))
+            }
+        };
         match *self {
             FaultEvent::Crash { at, replica, repair } => {
                 in_range(replica)?;
-                if at < Seconds::ZERO || repair < Seconds::ZERO {
-                    return Err(Error::invalid_config("crash times must be non-negative"));
+                if !(finite_from_zero(at) && finite_from_zero(repair)) {
+                    return Err(Error::invalid_config("crash times must be finite, non-negative"));
                 }
                 Ok(())
             }
             FaultEvent::Straggler { replica, from, until, slowdown } => {
                 in_range(replica)?;
                 finite_positive("straggler slowdown", slowdown)?;
-                if from < Seconds::ZERO || until <= from {
-                    return Err(Error::invalid_config(
-                        "straggler window must be non-negative and non-empty",
-                    ));
-                }
-                Ok(())
+                window("straggler", from, until)
             }
             FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
                 finite_positive("link bandwidth factor", bandwidth_factor)?;
                 finite_positive("link energy factor", energy_factor)?;
-                if from < Seconds::ZERO || until <= from {
-                    return Err(Error::invalid_config(
-                        "degraded-link window must be non-negative and non-empty",
-                    ));
-                }
-                Ok(())
+                window("degraded-link", from, until)
             }
         }
     }
@@ -264,8 +265,10 @@ impl FaultPlan {
         &self.recovery
     }
 
-    /// Whether the plan injects nothing (a colocated fleet then takes its
-    /// zero-fault driver).
+    /// Whether the plan injects nothing. The event loops then run with no
+    /// fault timeline and an all-up health view, the recovery policy
+    /// never engages (no retries, no load shedding), and the report has
+    /// no availability section.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.chaos.is_none()
     }
@@ -286,8 +289,8 @@ impl FaultPlan {
         let mut events = self.events.clone();
         if let Some(chaos) = &self.chaos {
             let (from, until) = chaos.window;
-            if until < from {
-                return Err(Error::invalid_config("chaos window must not be reversed"));
+            if !(from.get().is_finite() && until.get().is_finite()) || until < from {
+                return Err(Error::invalid_config("chaos window must be finite and not reversed"));
             }
             let mut rng = FaultRng::new(self.seed);
             for _ in 0..chaos.crashes {
@@ -849,6 +852,82 @@ mod tests {
             })
             .resolve(1)
             .is_err());
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    /// `x` seconds. `Seconds::new` refuses NaN in debug builds, but
+    /// arithmetic does not: this is how a NaN time reaches a plan.
+    fn secs(x: f64) -> Seconds {
+        Seconds::new(1.0) * x
+    }
+
+    /// Whether resolving `event` on a 2-replica fleet is a typed
+    /// configuration error.
+    fn rejected(event: FaultEvent) -> bool {
+        matches!(FaultPlan::none().with_event(event).resolve(2), Err(Error::InvalidConfig(_)))
+    }
+
+    #[test]
+    fn crash_rejects_non_finite_times() {
+        let crash = |at: f64, repair: f64| FaultEvent::Crash {
+            at: secs(at),
+            replica: 0,
+            repair: secs(repair),
+        };
+        assert!(!rejected(crash(1.0, 0.5)));
+        for bad in NON_FINITE {
+            assert!(rejected(crash(bad, 0.5)), "at = {bad}");
+            assert!(rejected(crash(1.0, bad)), "repair = {bad}");
+        }
+    }
+
+    #[test]
+    fn straggler_rejects_non_finite_windows() {
+        let straggler = |from: f64, until: f64| FaultEvent::Straggler {
+            replica: 1,
+            from: secs(from),
+            until: secs(until),
+            slowdown: 2.0,
+        };
+        assert!(!rejected(straggler(1.0, 2.0)));
+        for bad in NON_FINITE {
+            assert!(rejected(straggler(bad, 2.0)), "from = {bad}");
+            assert!(rejected(straggler(1.0, bad)), "until = {bad}");
+        }
+    }
+
+    #[test]
+    fn degraded_link_rejects_non_finite_windows() {
+        let link = |from: f64, until: f64| FaultEvent::DegradedLink {
+            from: secs(from),
+            until: secs(until),
+            bandwidth_factor: 0.5,
+            energy_factor: 1.0,
+        };
+        assert!(!rejected(link(1.0, 2.0)));
+        for bad in NON_FINITE {
+            assert!(rejected(link(bad, 2.0)), "from = {bad}");
+            assert!(rejected(link(1.0, bad)), "until = {bad}");
+        }
+    }
+
+    /// A non-finite chaos window is rejected before any crash instant is
+    /// drawn from it (a NaN bound would draw NaN instants).
+    #[test]
+    fn chaos_rejects_a_non_finite_window() {
+        let chaos = |from: f64, until: f64| {
+            FaultPlan::seeded(3).with_chaos(ChaosSpec {
+                crashes: 2,
+                window: (secs(from), secs(until)),
+                repair: secs(0.5),
+            })
+        };
+        assert!(chaos(0.0, 1.0).resolve(2).is_ok());
+        for bad in NON_FINITE {
+            assert!(matches!(chaos(bad, 1.0).resolve(2), Err(Error::InvalidConfig(_))));
+            assert!(matches!(chaos(0.0, bad).resolve(2), Err(Error::InvalidConfig(_))));
+        }
     }
 
     #[test]

@@ -89,7 +89,8 @@
 //! draws from an RNG stream separate from the traffic's, so reseeding
 //! faults never perturbs arrivals — and an *empty* plan injects
 //! nothing, keeping today's runs bit-for-bit (no availability section).
-//! The failure-aware drivers route around down replicas via a
+//! Each topology runs one event loop for every plan; under faults it
+//! routes around down replicas via a
 //! [`HealthView`], retry lost requests with capped exponential backoff
 //! under a per-request budget and deadline, and report an
 //! [`AvailabilityStats`] section (crashes, downtime, retries, shed /
@@ -109,8 +110,8 @@
 //! report gains a `scaling` section (action log, ramp SLO violations,
 //! chip-seconds and joules) so an elastic run compares head-to-head
 //! with a peak-sized static fleet. A **pinned** policy (`min == max`
-//! everywhere, no swaps) expands the fleet and reuses the plain drivers
-//! bit-identically.
+//! everywhere, no swaps) expands the fleet and runs it through the
+//! static fleet's event loop bit-identically.
 //!
 //! # Observability
 //!
@@ -122,7 +123,9 @@
 //! retry / shed / timeout / park) and fleet events (crash, repair,
 //! straggler windows, scale actions, reconcile ticks) keyed by
 //! simulated time, onto one track per replica slot plus a control
-//! track. The recorder exports a Chrome trace-event JSON
+//! track (a static colocated fleet under an empty plan has no control
+//! events and registers none: its cores trace their own arrivals). The
+//! recorder exports a Chrome trace-event JSON
 //! (Perfetto-loadable, via [`Recorder::to_chrome_json`] with a
 //! [`TraceFilter`]), streaming log-bucketed latency/TTFT histograms and
 //! downsampled gauge series ([`TimeseriesStats`], surfaced as the

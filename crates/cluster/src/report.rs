@@ -4,10 +4,12 @@
 use serde::{Deserialize, Serialize, Value};
 
 use cimtpu_autoscale::ScalingStats;
-use cimtpu_serving::{Completion, LatencyStats, TenantReport};
+use cimtpu_serving::{Completion, EngineCore, LatencyStats, PrefixStats, TenantReport};
 use cimtpu_units::{Joules, Seconds};
 
+use crate::engine::Tenancy;
 use crate::fault::AvailabilityStats;
+use crate::replica::ReplicaSpec;
 
 /// KV-cache handoff traffic over the cluster interconnect (disaggregated
 /// prefill→decode transfers; all-zero for colocated fleets).
@@ -74,6 +76,74 @@ impl PerfRecord {
             wall_s,
             requests_per_second: completions.len() as f64 / wall,
             steps_per_second: steps as f64 / wall,
+        }
+    }
+}
+
+/// Per-replica counters accumulated across incarnations: a crash or a
+/// retirement replaces the replica's core, so its energy/busy/KV history
+/// is harvested when the core goes and the next core starts a new ledger.
+#[derive(Default)]
+pub(crate) struct ReplicaAccum {
+    busy_s: f64,
+    energy_j: f64,
+    preemptions: u64,
+    queue_full_s: f64,
+    kv_hwm: f64,
+    prefix: PrefixStats,
+}
+
+impl ReplicaAccum {
+    /// Folds a departing (crashed, retired, or final) core's counters into
+    /// the books, and its per-tenant preemptions into the tenant ledger.
+    pub(crate) fn harvest(&mut self, core: &EngineCore<'_>, tenancy: Option<&mut Tenancy<'_>>) {
+        let memory = core.memory_stats();
+        self.busy_s += core.busy().get();
+        self.energy_j += core.energy().get();
+        self.preemptions += memory.preemptions;
+        self.queue_full_s += memory.queue_full_s;
+        self.kv_hwm = self.kv_hwm.max(memory.kv_hwm_frac);
+        self.prefix.absorb(&core.prefix_stats());
+        if let (Some(t), Some(p)) = (tenancy, core.tenant_preemptions()) {
+            t.ledger.absorb_preemptions(p);
+        }
+    }
+}
+
+/// Fleet-wide sums over a fleet's report rows.
+#[derive(Default)]
+pub(crate) struct FleetTotals {
+    pub(crate) chip_energy: Joules,
+    pub(crate) preemptions: u64,
+    pub(crate) queue_full_s: f64,
+    pub(crate) prefix: PrefixStats,
+    /// KV handoffs over the interconnect (disaggregated fleets only).
+    pub(crate) transfers: KvTransferStats,
+}
+
+impl FleetTotals {
+    /// Adds replica `spec`'s books (`requests` delivered) to the sums and
+    /// returns its report row.
+    pub(crate) fn row(
+        &mut self,
+        spec: &ReplicaSpec,
+        a: &ReplicaAccum,
+        requests: u64,
+    ) -> ReplicaUtilization {
+        self.chip_energy += Joules::new(a.energy_j);
+        self.preemptions += a.preemptions;
+        self.queue_full_s += a.queue_full_s;
+        self.prefix.absorb(&a.prefix);
+        ReplicaUtilization {
+            name: spec.name.clone(),
+            model: spec.model.name().to_owned(),
+            role: "serve".to_owned(),
+            chips: spec.chips(),
+            requests,
+            busy_s: a.busy_s,
+            utilization: 0.0, // filled against the fleet makespan
+            energy_j: a.energy_j,
+            kv_hwm_frac: a.kv_hwm,
         }
     }
 }
@@ -228,9 +298,9 @@ impl Serialize for ClusterReport {
 }
 
 impl ClusterReport {
-    /// Builds the fleet aggregate from completed requests and per-replica
-    /// rows (whose `utilization` is filled in here, against the fleet
-    /// makespan).
+    /// Builds the fleet aggregate from completed requests, the fleet-wide
+    /// sums, and per-replica rows (whose `utilization` is filled in here,
+    /// against the fleet makespan).
     ///
     /// `completions` may be empty under a fault plan (every request shed
     /// or timed out): latency sections report zeros and the rate fields
@@ -242,10 +312,7 @@ impl ClusterReport {
         router: String,
         offered: u64,
         completions: &[Completion],
-        chip_energy: Joules,
-        preemptions: u64,
-        queue_full_s: f64,
-        transfers: KvTransferStats,
+        totals: &FleetTotals,
         mut per_replica: Vec<ReplicaUtilization>,
         slo_ms: Option<f64>,
         availability: Option<AvailabilityStats>,
@@ -276,6 +343,7 @@ impl ClusterReport {
         } else {
             0.0
         };
+        let (chip_energy, transfers) = (totals.chip_energy, totals.transfers);
         let total_energy = chip_energy.get() + transfers.energy_j;
         ClusterReport {
             label: label.to_owned(),
@@ -298,8 +366,8 @@ impl ClusterReport {
             } else {
                 total_energy / completions.len() as f64
             },
-            preemptions,
-            queue_full_s,
+            preemptions: totals.preemptions,
+            queue_full_s: totals.queue_full_s,
             kv_transfers: transfers.transfers,
             kv_transfer_bytes: transfers.bytes,
             kv_transfer_s: transfers.seconds,
@@ -458,10 +526,12 @@ mod tests {
             "round-robin".to_owned(),
             2,
             &[c(0, 0.0, 0.5, 1.0), c(1, 0.0, 1.5, 4.0)],
-            Joules::new(8.0),
-            1,
-            0.25,
-            KvTransferStats::default(),
+            &FleetTotals {
+                chip_energy: Joules::new(8.0),
+                preemptions: 1,
+                queue_full_s: 0.25,
+                ..FleetTotals::default()
+            },
             vec![row("a", 3.0), row("b", 1.0)],
             slo_ms,
             None,
@@ -709,10 +779,7 @@ mod tests {
             "round-robin".to_owned(),
             2,
             &[],
-            Joules::new(8.0),
-            0,
-            0.0,
-            KvTransferStats::default(),
+            &FleetTotals { chip_energy: Joules::new(8.0), ..FleetTotals::default() },
             vec![row("a", 0.0)],
             None,
             None,

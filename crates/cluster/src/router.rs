@@ -387,11 +387,11 @@ impl HealthView {
     }
 }
 
-/// A completion's finish time ordered by `total_cmp` (times are never NaN
-/// in a healthy run, but an ordering that cannot panic keeps the expiry
-/// heap total).
+/// A simulated time ordered by `total_cmp` (times are never NaN in a
+/// healthy run, but an ordering that cannot panic keeps the event heaps
+/// total).
 #[derive(Debug, Clone, Copy)]
-struct FinishKey(f64);
+pub(crate) struct FinishKey(pub(crate) f64);
 
 impl PartialEq for FinishKey {
     fn eq(&self, other: &Self) -> bool {
@@ -410,8 +410,8 @@ impl Ord for FinishKey {
     }
 }
 
-/// Incrementally-maintained router snapshots for the zero-fault colocated
-/// driver: the `O(1)`-per-event replacement for rebuilding a
+/// Incrementally-maintained router snapshots for the colocated event
+/// loop: the `O(1)`-per-event replacement for rebuilding a
 /// [`ReplicaSnapshot`] vector (one `O(log completions)`
 /// `outstanding_at` per replica) at every arrival.
 ///

@@ -1,12 +1,13 @@
 //! Fault-injection invariants, end to end:
 //!
 //! 1. **Zero-fault bit-identity.** An empty `FaultPlan` is no plan at
-//!    all: the colocated fleet takes its plain driver, and the
-//!    disaggregated fleet's one event loop runs with no crash timeline,
-//!    no link windows, and no availability section. A *benign* non-empty
-//!    plan (a 1.0× straggler window, a 1.0× link window) must still
-//!    reproduce the empty-plan completions bit-for-bit — the check that
-//!    fault handling adds accounting, not new scheduling semantics.
+//!    all: each topology's one event loop runs with no fault timeline,
+//!    an all-up health view, and no availability section. A *benign*
+//!    non-empty plan (a 1.0× straggler window, a 1.0× link window) must
+//!    still reproduce the empty-plan completions bit-for-bit, under every
+//!    batching policy — the check that fault handling adds accounting,
+//!    not new scheduling semantics. (The colocated loop under an empty
+//!    plan is pinned against `drive` by the engine's unit proptests.)
 //! 2. **Determinism.** The same fault seed replays the same chaos run;
 //!    fault draws come from their own RNG stream, so they never perturb
 //!    the traffic.
@@ -29,18 +30,30 @@ fn tiny() -> ServingModel {
     ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer())
 }
 
+/// The batching policies of the single-engine scheduler: continuous, plus
+/// the run-to-completion static (with its closed-loop stall flush) and
+/// dynamic batchers.
+const BATCHING: [BatchPolicy; 3] = [
+    BatchPolicy::Continuous { max_batch: 4 },
+    BatchPolicy::Static { batch: 2 },
+    BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 0.5 },
+];
+
 fn fleet(policy: RouterPolicy, faults: FaultPlan) -> ClusterEngine {
     colocated_unplanned(policy).with_faults(faults)
 }
 
 /// The colocated testbed with no fault plan installed at all.
 fn colocated_unplanned(policy: RouterPolicy) -> ClusterEngine {
+    batched_fleet(BATCHING[0], policy)
+}
+
+/// The two-replica colocated testbed, every replica batching under `batch`.
+fn batched_fleet(batch: BatchPolicy, policy: RouterPolicy) -> ClusterEngine {
     ClusterEngine::colocated(
         vec![
-            ReplicaSpec::new("f-0", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
-            ReplicaSpec::new("f-1", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
+            ReplicaSpec::new("f-0", TpuConfig::tpuv4i(), tiny()).with_policy(batch),
+            ReplicaSpec::new("f-1", TpuConfig::tpuv4i(), tiny()).with_policy(batch),
         ],
         policy,
     )
@@ -69,7 +82,9 @@ fn disagg_unplanned() -> ClusterEngine {
     .unwrap()
 }
 
-fn traffics(seed: u64) -> [TrafficSpec; 2] {
+/// Open loop, closed loop with think time, and closed loop with none (a
+/// completion re-arms its client at its own finish instant).
+fn traffics(seed: u64) -> [TrafficSpec; 3] {
     let base = TrafficSpec {
         requests: 16,
         arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
@@ -80,7 +95,11 @@ fn traffics(seed: u64) -> [TrafficSpec; 2] {
     };
     [
         base.clone(),
-        TrafficSpec { arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 }, ..base },
+        TrafficSpec {
+            arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 },
+            ..base.clone()
+        },
+        TrafficSpec { arrival: ArrivalPattern::ClosedLoop { clients: 6, think_ms: 0.0 }, ..base },
     ]
 }
 
@@ -144,9 +163,9 @@ fn empty_plan_is_the_zero_fault_path() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Benign-plan equivalence across router policies and open/closed
-    /// loop: the fault-aware colocated driver is the plain driver plus
-    /// bookkeeping.
+    /// Benign-plan equivalence across batching policies, router policies
+    /// and open/closed loop: under a benign plan the colocated loop
+    /// schedules exactly as under an empty one, and only adds bookkeeping.
     #[test]
     fn benign_plan_matches_plain_colocated(seed in 0u64..500) {
         let policies = [
@@ -156,12 +175,17 @@ proptest! {
             RouterPolicy::SessionAffinity,
             RouterPolicy::PrefixAffinity,
         ];
-        for policy in policies {
-            for traffic in traffics(seed) {
-                let plain = fleet(policy, FaultPlan::none()).run("benign", &traffic).unwrap();
-                let faulty =
-                    fleet(policy, benign_colocated_plan()).run("benign", &traffic).unwrap();
-                assert_benign_equal(&plain, &faulty, policy.name());
+        for batch in BATCHING {
+            for policy in policies {
+                for traffic in traffics(seed) {
+                    let engine = batched_fleet(batch, policy);
+                    let plain = engine.clone().run("benign", &traffic).unwrap();
+                    let faulty = engine
+                        .with_faults(benign_colocated_plan())
+                        .run("benign", &traffic)
+                        .unwrap();
+                    assert_benign_equal(&plain, &faulty, &format!("{} {batch:?}", policy.name()));
+                }
             }
         }
     }
@@ -199,6 +223,20 @@ proptest! {
             a.report.offered
         );
     }
+}
+
+/// A NaN crash instant is a configuration error, not a run that never
+/// returns (the timeline would never reach it). `Seconds::new` refuses
+/// NaN in debug builds, but arithmetic does not.
+#[test]
+fn nan_crash_time_is_rejected() {
+    let plan = FaultPlan::none().with_event(FaultEvent::Crash {
+        at: Seconds::new(1.0) * f64::NAN,
+        replica: 0,
+        repair: Seconds::new(0.001),
+    });
+    let err = fleet(RouterPolicy::RoundRobin, plan).run("nan", &traffics(1)[0]).unwrap_err();
+    assert!(matches!(err, cimtpu_units::Error::InvalidConfig(_)), "{err:?}");
 }
 
 /// One request, one replica, one crash mid-decode: the crash loses
