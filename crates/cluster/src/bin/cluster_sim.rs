@@ -64,8 +64,11 @@
 //! (rolling-goodput trigger), and `swap` (allow model swaps between
 //! groups). Reports gain a `scaling` section; a pinned band
 //! (`LO == HI`, no `swap`) reproduces the plain run bit-for-bit plus
-//! that section. Elastic policies compose with neither `--faults` /
-//! `--fault-seed` nor disaggregated scenarios (typed errors).
+//! that section. Elastic policies compose with `--faults` /
+//! `--fault-seed`: a fault's replica index then names a slot, counting
+//! `{group}-{j}` in order across groups, and a crash on a slot with no
+//! live core (offline, provisioning, or already down) is a no-op.
+//! Elastic disaggregated scenarios are a typed error.
 //!
 //! `--json PATH` additionally writes the full `ClusterReport` list as
 //! pretty-printed JSON (`-` writes JSON to stdout instead of the text

@@ -503,28 +503,6 @@ struct DisaggRetry {
     first_token: Option<Seconds>,
 }
 
-/// Fills `up` with the decode replicas `health` shows routable and
-/// `snaps` with their router view, re-indexed `0..up.len()` so index-
-/// returning and positional routers agree (see the health-view section
-/// of the [`router`](crate::router) module docs).
-fn healthy_decode_snapshots(
-    dunits: &[DecodeUnit<'_>],
-    health: &HealthView,
-    assigned: &[u64],
-    classed: bool,
-    up: &mut Vec<usize>,
-    snaps: &mut Vec<ReplicaSnapshot>,
-) {
-    up.clear();
-    snaps.clear();
-    for (k, u) in dunits.iter().enumerate() {
-        if health.is_up(k) {
-            snaps.push(u.snapshot(up.len(), assigned[k], classed));
-            up.push(k);
-        }
-    }
-}
-
 /// The disaggregated event loop. An empty `plan` resolves to no crashes
 /// and no link windows, so every decode replica stays up, nothing
 /// retries, and the report carries no availability section.
@@ -732,8 +710,9 @@ pub(crate) fn run_disaggregated(
         match class {
             // Faults: restores first, then crashes due now.
             0 => {
-                for k in dhealth.advance(now, plan.recovery().warmup) {
-                    if let Some(tr) = &trace {
+                let warmup = plan.recovery().warmup;
+                for (k, left) in dhealth.advance(now, warmup, warmup) {
+                    if let (Some(tr), ReplicaHealth::Down { .. }) = (&trace, left) {
                         tr.rec.borrow_mut().instant(tr.dtracks[k], EventKind::Repair, 0, now.get());
                     }
                 }
@@ -754,8 +733,8 @@ pub(crate) fn run_disaggregated(
                         lost.push((s.req, s.first_token));
                     }
                     dunits[replica].alloc.release_all();
-                    dhealth.mark_down(replica, now + repair);
-                    ledger.on_crash(replica, now);
+                    dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
+                    ledger.on_crash(replica, now, false);
                     if let Some(tr) = &trace {
                         tr.rec.borrow_mut().instant(
                             tr.dtracks[replica],
@@ -845,9 +824,8 @@ pub(crate) fn run_disaggregated(
                 }
                 match item.source {
                     Some(p) => {
-                        healthy_decode_snapshots(
-                            &dunits, &dhealth, &d_assigned, classed, &mut up, &mut dsnaps,
-                        );
+                        let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
+                        dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
                         if up.is_empty() {
                             // Whole decode pool down: park until the next
                             // repair finishes.
@@ -926,9 +904,8 @@ pub(crate) fn run_disaggregated(
                             batch.end.get(),
                         );
                     }
-                    healthy_decode_snapshots(
-                        &dunits, &dhealth, &d_assigned, classed, &mut up, &mut dsnaps,
-                    );
+                    let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
+                    dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
                     if up.is_empty() {
                         // The cache stays resident at the source (no
                         // release is scheduled until a transfer is).
@@ -1536,7 +1513,7 @@ mod tests {
             match class {
                 // Faults: restores first, then crashes due now.
                 0 => {
-                    dhealth.advance(now, recovery.warmup);
+                    dhealth.advance(now, recovery.warmup, recovery.warmup);
                     for rec in crash_log.iter_mut() {
                         if rec.up_again.is_none() && dhealth.is_up(rec.replica) {
                             rec.up_again = Some(now);
@@ -1558,7 +1535,7 @@ mod tests {
                             lost.push((s.req, s.first_token));
                         }
                         dunits[replica].alloc.release_all();
-                        dhealth.mark_down(replica, now + repair);
+                        dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
                         avail.crashes += 1;
                         crash_log.push(CrashRecord {
                             replica,
@@ -1644,7 +1621,8 @@ mod tests {
                     }
                     match item.source {
                         Some(p) => {
-                            let up = dhealth.up_replicas();
+                            let up: Vec<usize> =
+                                (0..decode.len()).filter(|&k| dhealth.is_up(k)).collect();
                             if up.is_empty() {
                                 // Whole decode pool down: park until the next
                                 // repair finishes (no retry charged).
@@ -1712,7 +1690,8 @@ mod tests {
                 3 => {
                     let batch = punits[idx].step()?;
                     for req in batch.members {
-                        let up = dhealth.up_replicas();
+                        let up: Vec<usize> =
+                            (0..decode.len()).filter(|&k| dhealth.is_up(k)).collect();
                         if up.is_empty() {
                             let fire = dhealth.next_transition().ok_or_else(|| {
                                 Error::internal(

@@ -6,19 +6,20 @@ use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EngineSession, Request, ServingReport,
+    ActionHeap, ArrivalStream, Completion, EngineCore, Request, ServingReport,
     TenantLedger, TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_units::{Error, Result, Seconds};
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
-use crate::elastic::run_colocated_elastic;
-use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
+use crate::elastic::{self, Scaler};
+use crate::fault::{FaultAction, FaultPlan, RetryLedger};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{
-    FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy, SnapshotTracker,
+    splitmix64, FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy,
+    SnapshotTracker,
 };
 
 /// How the fleet's replicas divide the serving pipeline.
@@ -94,8 +95,8 @@ pub struct ClusterRun {
     /// core for the whole run: one report per replica that completed at
     /// least one request, labelled with the replica name. Empty under a
     /// fault plan (a crash replaces cores mid-run), for elastic fleets
-    /// (slots boot and retire), and for disaggregated fleets (their pools
-    /// do not run the single-engine scheduler).
+    /// with or without one (slots boot and retire), and for disaggregated
+    /// fleets (their pools do not run the single-engine scheduler).
     pub replica_reports: Vec<ServingReport>,
     /// Per-request lifecycle records, in request-id order.
     pub completions: Vec<Completion>,
@@ -207,9 +208,12 @@ impl ClusterEngine {
     /// static fleet's event loops: the fleet is expanded to its pinned
     /// sizes and dispatched like a static fleet, bit-identically — the
     /// report just gains a `scaling` section pricing the static fleet.
-    /// An *elastic* policy switches a colocated fleet to the autoscaled
-    /// driver; elastic disaggregated fleets and elastic runs under a
-    /// fault plan are rejected by [`run`](ClusterEngine::run).
+    /// An *elastic* policy adds a reconcile tick to the colocated event
+    /// loop, and composes with a fault plan: fault `replica` indices then
+    /// name slots, `{group}-{j}` in order across groups (see the
+    /// [`elastic`](crate::elastic) module docs for what a crash does to a
+    /// booting, draining or offline slot). Elastic disaggregated fleets
+    /// are rejected by [`run`](ClusterEngine::run).
     ///
     /// [`GroupPolicy`]: cimtpu_autoscale::GroupPolicy
     #[must_use]
@@ -308,20 +312,31 @@ impl ClusterEngine {
         tenancy: Option<Tenancy<'_>>,
         recorder: Option<&SharedRecorder>,
     ) -> Result<ClusterRun> {
-        if let Some(policy) = &self.autoscale {
-            return self.run_autoscaled(policy, label, traffic, tenancy, recorder);
-        }
+        let elastic = match &self.autoscale {
+            Some(policy) if policy.is_pinned() => {
+                return self.run_pinned(policy, label, traffic, tenancy, recorder);
+            }
+            Some(policy) => Some(self.checked(policy)?),
+            None => None,
+        };
         match &self.topology {
-            ClusterTopology::Colocated { replicas, router } => run_colocated_faulty(
+            ClusterTopology::Colocated { replicas, router } => run_colocated(
                 replicas,
                 *router,
                 label,
                 traffic,
                 self.slo_ms,
                 &self.faults,
+                elastic,
                 tenancy,
                 recorder,
             ),
+            ClusterTopology::Disaggregated { .. } if elastic.is_some() => {
+                Err(Error::invalid_config(
+                    "autoscaling a disaggregated fleet is not supported; pin the policy \
+                     (min == max, no swap) to size the pools statically",
+                ))
+            }
             ClusterTopology::Disaggregated {
                 prefill,
                 decode,
@@ -344,17 +359,9 @@ impl ClusterEngine {
         }
     }
 
-    /// Dispatch under an autoscale policy: pinned policies expand the
-    /// fleet and dispatch it as a static fleet (bit-identity is
-    /// proptested); elastic policies take the reconcile-loop driver.
-    fn run_autoscaled(
-        &self,
-        policy: &AutoscalePolicy,
-        label: &str,
-        traffic: &TrafficSpec,
-        tenancy: Option<Tenancy<'_>>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<ClusterRun> {
+    /// `policy`, validated against the fleet: one policy group per
+    /// replica group.
+    fn checked<'p>(&self, policy: &'p AutoscalePolicy) -> Result<&'p AutoscalePolicy> {
         policy.validate()?;
         let ngroups = match &self.topology {
             ClusterTopology::Colocated { replicas, .. } => replicas.len(),
@@ -368,78 +375,58 @@ impl ClusterEngine {
                 policy.groups.len()
             )));
         }
-        if policy.is_pinned() {
-            // Expand every group to its pinned size and run the plain
-            // (non-elastic) drivers unchanged; the report just gains a
-            // `scaling` section pricing the static fleet.
-            let expand = |specs: &[ReplicaSpec], offset: usize| -> Vec<ReplicaSpec> {
-                specs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(g, base)| {
-                        (0..policy.groups[offset + g].min).map(move |j| {
-                            let mut spec = base.clone();
-                            spec.name = format!("{}-{j}", base.name);
-                            spec
-                        })
-                    })
-                    .collect()
-            };
-            let mut pinned = ClusterEngine { autoscale: None, ..self.clone() };
-            match &mut pinned.topology {
-                ClusterTopology::Colocated { replicas, .. } => *replicas = expand(replicas, 0),
-                ClusterTopology::Disaggregated { prefill, decode, .. } => {
-                    *decode = expand(decode, prefill.len());
-                    *prefill = expand(prefill, 0);
-                }
+        Ok(policy)
+    }
+
+    /// A pinned policy expands every group to its pinned size and runs
+    /// the static fleet unchanged (bit-identity is proptested); the
+    /// report just gains a `scaling` section pricing the static fleet.
+    fn run_pinned(
+        &self,
+        policy: &AutoscalePolicy,
+        label: &str,
+        traffic: &TrafficSpec,
+        tenancy: Option<Tenancy<'_>>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Result<ClusterRun> {
+        let groups = &self.checked(policy)?.groups;
+        let expand = |specs: &[ReplicaSpec], groups| elastic::slots(specs, groups, false).0;
+        let mut pinned = ClusterEngine { autoscale: None, ..self.clone() };
+        match &mut pinned.topology {
+            ClusterTopology::Colocated { replicas, .. } => *replicas = expand(replicas, groups),
+            ClusterTopology::Disaggregated { prefill, decode, .. } => {
+                *decode = expand(decode, &groups[prefill.len()..]);
+                *prefill = expand(prefill, groups);
             }
-            let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
-            let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
-            let busy_chip_s: f64 = run
-                .report
-                .per_replica
-                .iter()
-                .map(|r| r.busy_s * r.chips as f64)
-                .sum();
-            run.report.scaling = Some(ScalingStats::static_fleet(
-                run.report.replicas,
-                chip_seconds,
-                busy_chip_s,
-                run.report.total_energy_j,
-                policy.idle_watts,
-            ));
-            return Ok(run);
         }
-        match &self.topology {
-            ClusterTopology::Colocated { replicas, router } if self.faults.is_empty() => {
-                run_colocated_elastic(
-                    replicas, *router, label, traffic, self.slo_ms, policy, tenancy, recorder,
-                )
-            }
-            ClusterTopology::Colocated { .. } => Err(Error::invalid_config(
-                "an elastic autoscale policy cannot run under a fault plan; pin the \
-                 policy (min == max, no swap) or drop the faults",
-            )),
-            ClusterTopology::Disaggregated { .. } => Err(Error::invalid_config(
-                "autoscaling a disaggregated fleet is not supported; pin the policy \
-                 (min == max, no swap) to size the pools statically",
-            )),
-        }
+        let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
+        let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
+        let busy_chip_s: f64 =
+            run.report.per_replica.iter().map(|r| r.busy_s * r.chips as f64).sum();
+        run.report.scaling = Some(ScalingStats::static_fleet(
+            run.report.replicas,
+            chip_seconds,
+            busy_chip_s,
+            run.report.total_energy_j,
+            policy.idle_watts,
+        ));
+        Ok(run)
     }
 }
 
-/// Everything the colocated loop emits to a flight recorder: the shared
-/// recorder, one track and one `[queued, kv_frac]` gauge pair per
-/// replica, and — under a non-empty fault plan — a control track for
-/// fleet-level events (arrivals, retries, sheds, parks).
+/// Everything the colocated loop emits to a flight recorder: one track
+/// per slot, gauge pairs — `[queued, kv_frac]` per replica stamped at each
+/// step, or for an elastic fleet `[queued, outstanding]` per group sampled
+/// at each reconcile tick — and, under a fault plan or an elastic policy,
+/// a control track for fleet-level events.
 ///
-/// The zero-fault layout has no control track: each core traces its own
-/// arrivals, every completion is emitted per replica at the end of the
-/// run, and a step's gauges are stamped at its latest completion (or the
-/// routing clock, if later), stall flushes included. Under faults the
-/// driver traces arrivals and completions as it sees them — a crash can
-/// revoke work — and stamps gauges at the step instant.
-struct FleetTrace {
+/// Without a control track (a static fleet under an empty plan) each core
+/// traces its own arrivals, every completion is emitted per replica at
+/// the end of the run, and a step's gauges are stamped at its latest
+/// completion (or the routing clock, if later). With one, the driver
+/// traces arrivals and completions as it sees them — a crash can revoke
+/// work — and stamps gauges at the step instant.
+pub(crate) struct FleetTrace {
     rec: SharedRecorder,
     tracks: Vec<u32>,
     series: Vec<[usize; 2]>,
@@ -447,27 +434,32 @@ struct FleetTrace {
 }
 
 impl FleetTrace {
-    fn attach(
+    fn new(
         rec: &SharedRecorder,
-        specs: &[ReplicaSpec],
-        cores: &mut [EngineCore<'_>],
+        slots: &[ReplicaSpec],
         control: bool,
+        groups: Option<&[ReplicaSpec]>,
     ) -> FleetTrace {
         let mut r = rec.borrow_mut();
-        let (tracks, series): (Vec<u32>, _) = specs
-            .iter()
-            .map(|spec| {
-                let track = r.track(&spec.name);
-                let mut gauge = |what: &str| r.gauge_series(&format!("{}/{what}", spec.name));
-                (track, [gauge("queued"), gauge("kv_frac")])
-            })
-            .unzip();
+        let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
         let control = control.then(|| r.track("control"));
+        let (owners, second) = groups.map_or((slots, "kv_frac"), |g| (g, "outstanding"));
+        let mut gauge = |spec: &ReplicaSpec, what: &str| {
+            r.gauge_series(&format!("{}/{what}", spec.name))
+        };
+        let series = owners.iter().map(|s| [gauge(s, "queued"), gauge(s, second)]).collect();
         drop(r);
-        for (core, &track) in cores.iter_mut().zip(&tracks) {
-            core.attach_trace(TraceHandle::new(Rc::clone(rec), track));
-        }
         FleetTrace { rec: Rc::clone(rec), tracks, series, control }
+    }
+
+    /// Traces `r`'s arrival on the control track, if there is one: the
+    /// driver emits it, not the core, as a request can be parked, shed or
+    /// time out before reaching a core.
+    fn arrival(&self, r: &Request, tenancy: &Option<Tenancy<'_>>) {
+        if let Some(control) = self.control {
+            let tenant = tenant_tag(tenancy, r.id);
+            self.rec.borrow_mut().request_arrival_for(control, r.id, r.arrival_s, tenant);
+        }
     }
 
     fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
@@ -480,11 +472,30 @@ impl FleetTrace {
             tenant_tag(tenancy, c.id),
         );
     }
+
+    /// A fleet event on slot `k`'s track.
+    pub(crate) fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
+        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get());
+    }
+
+    /// A fleet event on the control track.
+    pub(crate) fn control_instant(&self, kind: EventKind, id: u64, at: Seconds) {
+        if let Some(control) = self.control {
+            self.rec.borrow_mut().instant(control, kind, id, at.get());
+        }
+    }
+
+    /// Samples gauge pair `i` at `at`.
+    pub(crate) fn sample(&self, i: usize, at: Seconds, first: f64, second: f64) {
+        let mut rec = self.rec.borrow_mut();
+        rec.sample(self.series[i][0], at.get(), first);
+        rec.sample(self.series[i][1], at.get(), second);
+    }
 }
 
 /// The earliest of a loop's candidate events, as `(time, class)`; on a
 /// time tie the candidate listed first wins.
-pub(crate) fn earliest<const N: usize>(
+fn earliest<const N: usize>(
     candidates: [(Option<Seconds>, u8); N],
 ) -> Option<(Seconds, u8)> {
     candidates
@@ -493,20 +504,11 @@ pub(crate) fn earliest<const N: usize>(
         .reduce(|best, next| if next.0 < best.0 { next } else { best })
 }
 
-/// A point action on the fault timeline (a straggler window expands into
-/// a `Slow` action with its factor at the start and one with `None` at
-/// the end).
-#[derive(Debug, Clone, Copy)]
-enum FaultAction {
-    Crash { replica: usize, repair: Seconds },
-    Slow { replica: usize, factor: Option<f64> },
-}
-
 /// A request up for admission: a fresh arrival taken off the stream, a
-/// crash-lost request backing off before its retry, or a request parked
-/// until some replica restarts (the last two wait in a queue).
+/// crash-lost request backing off before its retry, or a parked request
+/// whose group has a slot up again (the last two wait in a queue).
 #[derive(Debug, Clone, Copy)]
-struct WaitingRetry {
+pub(crate) struct WaitingRetry {
     /// When the request (re-)enters admission.
     fire: Seconds,
     /// The request (for retries, `arrival_s` is rewritten to the fire
@@ -589,87 +591,83 @@ impl<K: Ord, T> EventQueue<K, T> {
     }
 }
 
-/// The colocated event loop, for every [`FaultPlan`]: `drive` re-derived
-/// as an explicit event loop so fault events, deferred completion
-/// delivery, and retry timers can interleave with arrivals and engine
-/// steps. An empty plan resolves to no timeline and an all-up health
-/// view; it also turns load shedding off, drops the availability section
-/// and keeps the zero-fault trace layout (see [`FleetTrace`]).
+/// The colocated event loop, for every fleet — static or elastic, under
+/// every [`FaultPlan`]: `drive` re-derived so faults, slot lifecycle
+/// transitions, reconcile ticks (elastic fleets only), deferred deliveries
+/// and retry timers interleave with arrivals and engine steps. An empty
+/// plan has no fault timeline, no deadlines or shedding, and no
+/// availability section; a static fleet under it keeps the zero-fault
+/// trace layout (see [`FleetTrace`]).
 ///
-/// Event classes at one instant resolve in a fixed order — faults/health
-/// transitions, then completion deliveries, then admissions (the arrival
-/// stream merged with the requests waiting to retry), then engine steps.
-/// Completions are *delivered* (fed to closed-loop clients, added to the
-/// run ledger) once nothing can revoke them: under a fault plan at their
-/// finish time, so a crash can take back in-flight-but-undelivered
-/// completions, and under an empty plan inside the step that produced
-/// them, as `drive` does. A closed-loop client is re-armed at
-/// `finish + think` either way, and deliveries at an instant go before
-/// its admissions, so the two timings yield the same run: an empty plan
-/// replays `drive`, and a run whose faults are all benign (e.g. a ×1
-/// straggler window) replays the empty plan bit-for-bit.
+/// Event classes at one instant resolve in a fixed order: faults and
+/// lifecycle transitions, the reconcile tick, completion deliveries,
+/// admissions (the arrival stream merged with the requests waiting to
+/// retry or woken from a park), engine steps. A completion is delivered
+/// (fed to its closed-loop client, booked) once nothing can revoke it:
+/// under a fault plan at its finish, under an empty plan right after its
+/// step, as `drive` does. Deliveries at an instant go before its
+/// admissions, so both timings give the same run: an empty plan replays
+/// `drive`, and a benign plan (a ×1 straggler) replays the empty plan.
 ///
-/// Admissions route over a [`SnapshotTracker`], rebuilt only when a
-/// crash or restart replaces a core; while a replica is down the router
-/// sees the healthy subset re-indexed `0..up.len()`, so index-returning
-/// and positional routers agree (see the health-view section of the
-/// [`router`](crate::router) module docs).
+/// Arrivals hash by session onto a routing group (a static fleet is one
+/// group) and route over a [`SnapshotTracker`] whose slots reset one at a
+/// time when a boot or restart replaces a core. The router sees the
+/// group's up slots re-indexed `0..up.len()` (see the
+/// [`router`](crate::router) module docs on the health view); a group
+/// with none parks the request until one of its slots turns up. The slot
+/// lifecycle is specified in the [`elastic`](crate::elastic) module docs.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)] // one call site, in `dispatch`
-fn run_colocated_faulty(
+fn run_colocated(
     replicas: &[ReplicaSpec],
     policy: RouterPolicy,
     label: &str,
     traffic: &TrafficSpec,
     slo_ms: Option<f64>,
     plan: &FaultPlan,
+    autoscale: Option<&AutoscalePolicy>,
     mut tenancy: Option<Tenancy<'_>>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ClusterRun> {
+    let (slots, groups) = match autoscale {
+        Some(p) => elastic::slots(replicas, &p.groups, p.swap),
+        None => (replicas.to_vec(), std::iter::once(0..replicas.len()).collect()),
+    };
+    let n = slots.len();
     let zero_fault = plan.is_empty();
     let recovery = *plan.recovery();
     let shed_at = if zero_fault { None } else { recovery.shed_outstanding };
-    let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
-    for event in plan.resolve(replicas.len())? {
-        match event {
-            FaultEvent::Crash { at, replica, repair } => {
-                timeline.push((at, FaultAction::Crash { replica, repair }));
-            }
-            FaultEvent::Straggler { replica, from, until, slowdown } => {
-                timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
-                timeline.push((until, FaultAction::Slow { replica, factor: None }));
-            }
-            FaultEvent::DegradedLink { .. } => {
-                return Err(Error::invalid_config(
-                    "degraded-link faults apply to the disaggregated interconnect; \
-                     a colocated fleet has no handoff link",
-                ));
-            }
-        }
-    }
-    timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+    let timeline = plan.colocated_timeline(n)?;
     let mut next_fault = 0usize;
 
-    let (pricing, sessions) = fleet_sessions(replicas)?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-    if let Some(t) = &tenancy {
-        for core in &mut cores {
-            core.set_tenancy(t.sched);
+    let (pricing, sessions) = fleet_sessions(&slots)?;
+    let trace = recorder.map(|rec| {
+        let elastic = autoscale.is_some().then_some(replicas);
+        FleetTrace::new(rec, &slots, !zero_fault || elastic.is_some(), elastic)
+    });
+    // Slot `k`'s core, at the start and — fresh, with an empty KV allocator
+    // and prefix index — at every boot or restart. It prices through the
+    // slot's shared pricing state.
+    let sched = tenancy.as_ref().map(|t| t.sched);
+    let fresh = |k: usize| {
+        let mut core = sessions[k].core()?;
+        if let Some(sched) = sched {
+            core.set_tenancy(sched);
         }
-    }
+        if let Some(tr) = &trace {
+            core.attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
+        }
+        Ok::<_, Error>(core)
+    };
+    let mut cores: Vec<EngineCore<'_>> = (0..n).map(fresh).collect::<Result<_>>()?;
     let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
-    let mut router = policy.build();
-    let n = replicas.len();
-    let trace = recorder.map(|rec| FleetTrace::attach(rec, replicas, &mut cores, !zero_fault));
-    // The open straggler window per replica, as (start, factor); the
+    let mut routers: Vec<Box<dyn Router>> = groups.iter().map(|_| policy.build()).collect();
+    let mut health = HealthView::all_up(n);
+    let mut scaler = autoscale.map(|p| Scaler::new(p, replicas, &slots, &groups, &mut health));
+    // The open straggler window per slot, as (start, factor); the
     // Straggler span is emitted when the window closes.
     let mut slow: Vec<Option<(f64, f64)>> = vec![None; n];
-    let mut health = HealthView::all_up(n);
-    // Core liveness: a crashed core stays in `cores` (stale) until its
-    // replica restarts and a fresh core replaces it.
-    let mut stale = vec![false; n];
     let mut last_push = vec![f64::NEG_INFINITY; n];
     // Like `drive`, the cores close once the stream's final request has
     // been through admission (`close_due`): a static or dynamic batcher
@@ -685,22 +683,23 @@ fn run_colocated_faulty(
     let mut waiting = EventQueue::new(|w: &WaitingRetry| {
         (FinishKey(w.fire.get()), FinishKey(w.request.arrival_s), w.request.id)
     });
+    // Requests parked per group while it has no routable slot.
+    let mut parked: Vec<Vec<WaitingRetry>> = vec![Vec::new(); groups.len()];
     let control =
         trace.as_ref().and_then(|tr| Some(TraceHandle::new(Rc::clone(&tr.rec), tr.control?)));
     let mut ledger = RetryLedger::new(recovery, control);
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
     let mut tracker = SnapshotTracker::new(n);
-    // Router-view scratch for a partly-down fleet, reused across events.
+    // Router-view scratch, reused across events.
     let mut up: Vec<usize> = Vec::with_capacity(n);
     let mut snaps: Vec<ReplicaSnapshot> = Vec::with_capacity(n);
 
     // The step-event queue: one slot per replica, keyed by the core's
-    // next-action time (`None` while the replica is down). Every
+    // next-action time (`None` while the slot has no live core). Every
     // core-mutating event below refreshes the owning slot, so the heap
     // minimum always matches what a fresh `O(replicas)` scan over the
-    // non-stale cores would pick — same time, same lowest-index
-    // tie-break (pinned against the scan oracle by this module's
-    // proptests).
+    // live cores would pick — same time, same lowest-index tie-break
+    // (pinned against the scan oracle by this module's proptests).
     let mut step_heap = ActionHeap::new(n);
     for (i, core) in cores.iter().enumerate() {
         step_heap.set(i, core.next_action());
@@ -710,13 +709,14 @@ fn run_colocated_faulty(
         if std::mem::take(&mut close_due) {
             exhausted_closed = true;
             for (i, core) in cores.iter_mut().enumerate() {
-                if !stale[i] {
+                if health.is_live(i) {
                     core.close();
                     step_heap.set(i, core.next_action());
                 }
             }
         }
         let step_at = step_heap.peek();
+        let parking = parked.iter().any(|p| !p.is_empty());
         let fault_at: Option<Seconds> = {
             let scripted = (next_fault < timeline.len()).then(|| timeline[next_fault].0);
             match (scripted, health.next_transition()) {
@@ -726,24 +726,34 @@ fn run_colocated_faulty(
         };
 
         // The run is over when nothing can produce or receive work —
-        // trailing fault events on an idle fleet are dropped.
+        // trailing fault events, boots and ticks on an idle fleet are
+        // dropped.
         if stream.exhausted()
             && waiting.peek().is_none()
             && deliveries.peek().is_none()
             && step_at.is_none()
+            && !parking
         {
             break;
         }
 
         // Candidate events, classes in tie-break order. The admission
-        // queue is the arrival stream merged with `waiting`.
-        let chosen = earliest([
+        // queue is the arrival stream merged with `waiting`. The reconcile
+        // tick joins only while other work is pending or parked: it cannot
+        // unstall a closed loop.
+        let mut candidates = [
             (fault_at, 0),
-            (deliveries.peek().map(|(_, c)| c.finish), 1),
-            (stream.peek(), 2),
-            (waiting.peek().map(|w| w.fire), 2),
-            (step_at.map(|(_, t)| t), 3),
-        ]);
+            (None, 1),
+            (deliveries.peek().map(|(_, c)| c.finish), 2),
+            (stream.peek(), 3),
+            (waiting.peek().map(|w| w.fire), 3),
+            (step_at.map(|(_, t)| t), 4),
+        ];
+        let mut chosen = earliest(candidates);
+        if let Some(s) = scaler.as_ref().filter(|_| chosen.is_some() || parking) {
+            candidates[1].0 = Some(s.next_tick);
+            chosen = earliest(candidates);
+        }
         // The core that stepped (at `Some(now)`) or flushed a stalled
         // batch (`None`) this iteration, if any.
         let stepped = match chosen {
@@ -752,8 +762,8 @@ fn run_colocated_faulty(
                 // partial batches. Flush the lowest stalled core (mirrors
                 // `drive`); its completions become deliveries.
                 let mut flushed = None;
-                for i in 0..n {
-                    if !stale[i] && cores[i].flush_stalled()? {
+                for (i, core) in cores.iter_mut().enumerate() {
+                    if health.is_live(i) && core.flush_stalled()? {
                         flushed = Some(i);
                         break;
                     }
@@ -766,24 +776,31 @@ fn run_colocated_faulty(
                 };
                 Some((i, None))
             }
-            // Faults and health transitions.
+            // Faults and lifecycle transitions.
             Some((now, 0)) => {
-                // A crash or restart replaces a core: the router view is
-                // rebuilt from the cores afterwards.
-                let mut rebuilt = false;
-                // Restores first: a replica back up at `now` can take a
-                // crash scripted for the same instant.
-                for k in health.advance(now, recovery.warmup) {
-                    rebuilt = true;
-                    cores[k] = sessions[k].core()?;
-                    if let Some(t) = &tenancy {
-                        cores[k].set_tenancy(t.sched);
+                let boot_warmup = autoscale.map_or(Seconds::ZERO, |p| p.warmup);
+                // Restores first: a slot back up at `now` can take a crash
+                // scripted for the same instant.
+                for (k, left) in health.advance(now, recovery.warmup, boot_warmup) {
+                    if let ReplicaHealth::Warming { .. } = left {
+                        // Routable: no service before now, and the group's
+                        // parked requests re-enter admission.
+                        last_push[k] = now.get();
+                        if let Some(s) = &mut scaler {
+                            s.on_up(k, now, trace.as_ref());
+                        }
+                        let g = groups.partition_point(|g| g.end <= k);
+                        for w in parked[g].drain(..) {
+                            waiting.push(WaitingRetry { fire: now, ..w });
+                        }
+                        continue;
                     }
-                    stale[k] = false;
-                    last_push[k] = f64::NEG_INFINITY;
-                    if let Some(tr) = &trace {
-                        cores[k].attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
-                        tr.rec.borrow_mut().instant(tr.tracks[k], EventKind::Repair, 0, now.get());
+                    // Warmup starts on a fresh core; the replaced one's
+                    // books are read first.
+                    accum[k].harvest(&cores[k], tenancy.as_mut());
+                    cores[k] = fresh(k)?;
+                    if let (Some(tr), ReplicaHealth::Down { .. }) = (&trace, left) {
+                        tr.instant(k, EventKind::Repair, now);
                     }
                     if let Some((_, factor)) = slow[k] {
                         cores[k].set_slowdown(factor);
@@ -792,6 +809,7 @@ fn run_colocated_faulty(
                         cores[k].close();
                     }
                     step_heap.set(k, cores[k].next_action());
+                    tracker.reset(k, &cores[k]);
                 }
                 ledger.on_health(&health, now);
                 while next_fault < timeline.len() && timeline[next_fault].0 <= now {
@@ -799,24 +817,23 @@ fn run_colocated_faulty(
                     next_fault += 1;
                     match action {
                         FaultAction::Crash { replica, repair } => {
-                            if matches!(health.state(replica), ReplicaHealth::Down { .. }) {
-                                // Already down: nothing left to kill.
+                            if !health.is_live(replica) {
+                                // No live core: nothing to kill.
                                 continue;
                             }
                             let lost = cores[replica].crash(now);
-                            accum[replica].harvest(&cores[replica], tenancy.as_mut());
-                            stale[replica] = true;
-                            rebuilt = true;
                             step_heap.set(replica, None);
-                            health.mark_down(replica, now + repair);
-                            ledger.on_crash(replica, now);
+                            let retiring = health.state(replica) == ReplicaHealth::Draining;
+                            ledger.on_crash(replica, now, retiring);
                             if let Some(tr) = &trace {
-                                tr.rec.borrow_mut().instant(
-                                    tr.tracks[replica],
-                                    EventKind::Crash,
-                                    0,
-                                    now.get(),
-                                );
+                                tr.instant(replica, EventKind::Crash, now);
+                            }
+                            if let Some(s) = &mut scaler {
+                                // A crashed draining slot is dry: it retires.
+                                s.retire_if_dry(replica, now, &mut health, &cores, trace.as_ref());
+                            }
+                            if health.is_live(replica) {
+                                health.set(replica, ReplicaHealth::Down { until: now + repair });
                             }
                             // Revoke the dead incarnation's undelivered
                             // completions — their requests are in `lost`.
@@ -843,51 +860,46 @@ fn run_colocated_faulty(
                                 );
                             }
                             slow[replica] = factor.map(|f| (now.get(), f));
-                            if !stale[replica] {
+                            if health.is_live(replica) {
                                 cores[replica].set_slowdown(factor.unwrap_or(1.0));
                                 step_heap.set(replica, cores[replica].next_action());
                             }
                         }
                     }
                 }
-                if rebuilt {
-                    tracker.resync(now, &cores);
+                continue;
+            }
+            // Reconcile tick: observe, decide, apply.
+            Some((now, 1)) => {
+                if let Some(s) = &mut scaler {
+                    s.tick(now, &mut health, &mut cores, &mut step_heap, &parked, trace.as_ref());
                 }
                 continue;
             }
             // Completion delivery, below.
-            Some((_, 1)) => None,
+            Some((_, 2)) => None,
             // Admission of a fresh arrival or a waiting request, whichever
             // is first in `(fire, arrival, id)` order. A waiting request was
             // issued before the stream's next one, so it wins ties.
-            Some((now, 2)) => {
+            Some((now, 3)) => {
                 let fresh = match (stream.peek(), waiting.peek()) {
                     (Some(t), Some(w)) => (t.get(), t.get()) < (w.fire.get(), w.request.arrival_s),
                     (t, _) => t.is_some(),
                 };
                 let item = if fresh {
                     let request = stream.pop();
-                    if let Some((tr, control)) =
-                        trace.as_ref().and_then(|tr| Some((tr, tr.control?)))
-                    {
-                        // Emitted by the driver, not the core: a request
-                        // can be shed or time out before reaching a core.
-                        tr.rec.borrow_mut().request_arrival_for(
-                            control,
-                            request.id,
-                            request.arrival_s,
-                            tenant_tag(&tenancy, request.id),
-                        );
+                    if let Some(tr) = &trace {
+                        tr.arrival(&request, &tenancy);
                     }
                     close_due = stream.exhausted();
                     WaitingRetry { fire: now, request, attempts: 0 }
                 } else {
                     waiting
                         .pop()
-                        .ok_or_else(|| Error::internal("class 2 implies a waiting request"))?
+                        .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?
                 };
                 let r = item.request;
-                if ledger.expired(&r, now, &mut stream, &mut tenancy) {
+                if !zero_fault && ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     continue;
                 }
                 if now < tracker.now() {
@@ -900,24 +912,20 @@ fn run_colocated_faulty(
                 if classed {
                     tracker.refresh_classes(&cores);
                 }
-                let all_up = health.next_transition().is_none();
-                let view = if all_up {
+                let g = (splitmix64(r.session) % groups.len() as u64) as usize;
+                // A static fleet with no transition pending is all up.
+                let whole = scaler.is_none() && health.next_transition().is_none();
+                let view = if whole {
                     tracker.snapshots()
                 } else {
-                    up.clear();
-                    snaps.clear();
-                    for (k, s) in tracker.snapshots().iter().enumerate() {
-                        if health.is_up(k) {
-                            snaps.push(ReplicaSnapshot { index: up.len(), ..*s });
-                            up.push(k);
-                        }
-                    }
+                    let snap = |k: usize| tracker.snapshots()[k];
+                    health.routable(groups[g].clone(), snap, &mut up, &mut snaps);
                     &snaps
                 };
                 if view.is_empty() {
-                    // Nowhere to go: park until the next repair finishes.
-                    let fire = ledger.park(&health, r.id, now, &tenancy)?;
-                    waiting.push(WaitingRetry { fire, ..item });
+                    // Nowhere to go: park until a slot of the group is up.
+                    ledger.on_park(r.id, now, &tenancy);
+                    parked[g].push(item);
                     continue;
                 }
                 if let Some(threshold) = shed_at {
@@ -936,15 +944,16 @@ fn run_colocated_faulty(
                         continue;
                     }
                 }
-                let pos = router.route(&r, view).min(view.len() - 1);
-                let k = if all_up { pos } else { up[pos] };
+                let pos = routers[g].route(&r, view).min(view.len() - 1);
+                let k = if whole { pos } else { up[pos] };
                 ledger.on_placed(item.attempts);
                 let mut pushed = r;
                 pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
-                // A replica cannot see work arrive before its queue tail
-                // (a parked request can land on a replica that has taken
-                // later work meanwhile) — even on a first attempt, so the
-                // ledger is told about every rewritten arrival.
+                // A slot cannot see work arrive before its queue tail or
+                // its up instant (a parked request lands on a slot that
+                // came up, or took later work, after it arrived) — even on
+                // a first attempt, so the ledger is told about every
+                // rewritten arrival.
                 pushed.arrival_s = pushed.arrival_s.max(last_push[k]);
                 ledger.readmit(&r, pushed.arrival_s);
                 last_push[k] = pushed.arrival_s;
@@ -962,7 +971,7 @@ fn run_colocated_faulty(
             // Engine step.
             Some((now, _)) => {
                 let (i, _) =
-                    step_at.ok_or_else(|| Error::internal("class 3 implies a steppable core"))?;
+                    step_at.ok_or_else(|| Error::internal("class 4 implies a steppable core"))?;
                 cores[i].step()?;
                 Some((i, Some(now)))
             }
@@ -972,7 +981,7 @@ fn run_colocated_faulty(
             let (queued, kv_frac) = (cores[i].queued(), cores[i].kv_frac());
             let new = cores[i].drain_new();
             tracker.on_step(i, queued, kv_frac, new);
-            if let Some(tr) = &trace {
+            if let Some(tr) = trace.as_ref().filter(|_| scaler.is_none()) {
                 let at = match tr.control {
                     None => Some(
                         new.iter().map(|c| c.finish.get()).fold(tracker.now().get(), f64::max),
@@ -980,9 +989,7 @@ fn run_colocated_faulty(
                     Some(_) => stepped_at.map(Seconds::get),
                 };
                 if let Some(t) = at {
-                    let mut rec = tr.rec.borrow_mut();
-                    rec.sample(tr.series[i][0], t, queued as f64);
-                    rec.sample(tr.series[i][1], t, kv_frac);
+                    tr.sample(i, Seconds::new(t), queued as f64, kv_frac);
                 }
             }
             for &c in new {
@@ -993,7 +1000,7 @@ fn run_colocated_faulty(
         // completions whose finish instant has come, under an empty plan
         // each one as soon as its step produced it (as `drive` does).
         let due = match chosen {
-            Some((now, 1)) => now.get(),
+            Some((now, 2)) => now.get(),
             _ if zero_fault => f64::INFINITY,
             _ => f64::NEG_INFINITY,
         };
@@ -1004,24 +1011,29 @@ fn run_colocated_faulty(
             if let Some(tr) = trace.as_ref().filter(|tr| tr.control.is_some()) {
                 tr.complete(k, &c, &tenancy);
             }
+            if let Some(s) = &mut scaler {
+                s.on_delivery(k, &c, slo_ms);
+            }
             delivered.push(c);
+        }
+        // A draining slot retires once its step left it dry.
+        if let (Some(s), Some((i, Some(now)))) = (&mut scaler, stepped) {
+            s.retire_if_dry(i, now, &mut health, &cores, trace.as_ref());
         }
     }
 
-    // Harvest the surviving incarnations (crashed ones were harvested at
-    // their crash instant).
+    // Every core's books are read once: when a boot or restart replaces
+    // it, or here.
     for (k, core) in cores.iter().enumerate() {
-        if !stale[k] {
-            accum[k].harvest(core, tenancy.as_mut());
-        }
+        accum[k].harvest(core, tenancy.as_mut());
     }
-    // Under an empty plan every replica ran one incarnation, whose core
-    // holds its whole history: the per-replica reports and the zero-fault
-    // trace's completions read straight off it. Fault runs report the
-    // fleet aggregate only.
+    // A static fleet under an empty plan ran one incarnation per replica,
+    // whose core holds its whole history: the per-replica reports and the
+    // zero-fault trace's completions read straight off it. Other runs
+    // report the fleet aggregate only.
     let mut replica_reports = Vec::new();
-    if zero_fault {
-        for (k, (spec, core)) in replicas.iter().zip(&cores).enumerate() {
+    if zero_fault && scaler.is_none() {
+        for (k, (spec, core)) in slots.iter().zip(&cores).enumerate() {
             if let Some(tr) = &trace {
                 for c in core.completions() {
                     tr.complete(k, c, &tenancy);
@@ -1033,15 +1045,15 @@ fn run_colocated_faulty(
         }
     }
     delivered.sort_unstable_by_key(|c| c.id);
-    let avail = ledger.finish(&delivered, offered, n);
 
+    // One row per slot that ever held a machine (every static replica).
     let mut totals = FleetTotals::default();
-    let rows = replicas
-        .iter()
-        .zip(&accum)
-        .zip(&delivered_by)
-        .map(|((spec, a), &served)| totals.row(spec, a, served))
+    let rows: Vec<_> = (0..n)
+        .filter(|&k| scaler.as_ref().is_none_or(|s| s.ever_held(k)))
+        .map(|k| totals.row(&slots[k], &accum[k], delivered_by[k]))
         .collect();
+    let avail = ledger.finish(&delivered, offered, rows.len());
+    let scaling = scaler.map(|s| s.finish(&delivered, &rows, totals.chip_energy.get()));
     let mut report = ClusterReport::build(
         label,
         "colocated",
@@ -1053,6 +1065,7 @@ fn run_colocated_faulty(
         slo_ms,
         (!zero_fault).then_some(avail),
     );
+    report.scaling = scaling;
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
     }
@@ -1064,14 +1077,14 @@ fn run_colocated_faulty(
 mod tests {
     use cimtpu_core::TpuConfig;
     use cimtpu_serving::{
-        drive, ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic, ServingModel,
+        drive, ArrivalPattern, BatchPolicy, EngineSession, LenDist, PrefixTraffic, ServingModel,
     };
     use cimtpu_units::Joules;
     use proptest::prelude::*;
     use rustc_hash::FxHashMap;
 
     use super::*;
-    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord};
+    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord, FaultEvent};
     use crate::report::ReplicaUtilization;
 
     // ------------------------------------------------------------------
@@ -1081,7 +1094,9 @@ mod tests {
     // deliveries, admissions: it differs from the loop's only when a
     // delivery and an admission share an instant) but adopts the loop's
     // close-after-admission rule; `drive`, through the rebuild oracle,
-    // is the independent anchor for that rule.
+    // is the independent anchor for that rule. It also clamps a restarted
+    // replica's queue tail to its up instant, as the loop does (pinned
+    // on its own by `tests/faults.rs`).
     // ------------------------------------------------------------------
 
     /// Pre-refactor router view: rebuilds the snapshot of every replica
@@ -1198,25 +1213,7 @@ mod tests {
         plan: &FaultPlan,
     ) -> Result<ClusterRun> {
         let recovery = *plan.recovery();
-        let mut timeline: Vec<(Seconds, FaultAction)> = Vec::new();
-        for event in plan.resolve(replicas.len())? {
-            match event {
-                FaultEvent::Crash { at, replica, repair } => {
-                    timeline.push((at, FaultAction::Crash { replica, repair }));
-                }
-                FaultEvent::Straggler { replica, from, until, slowdown } => {
-                    timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
-                    timeline.push((until, FaultAction::Slow { replica, factor: None }));
-                }
-                FaultEvent::DegradedLink { .. } => {
-                    return Err(Error::invalid_config(
-                        "degraded-link faults apply to the disaggregated interconnect; \
-                         a colocated fleet has no handoff link",
-                    ));
-                }
-            }
-        }
-        timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+        let timeline = plan.colocated_timeline(replicas.len())?;
         let mut next_fault = 0usize;
 
         let sessions: Vec<EngineSession> = replicas
@@ -1341,10 +1338,14 @@ mod tests {
 
             match class {
                 0 => {
-                    for k in health.advance(now, recovery.warmup) {
+                    for (k, left) in health.advance(now, recovery.warmup, recovery.warmup) {
+                        if let ReplicaHealth::Warming { .. } = left {
+                            // Service cannot start before the replica is up.
+                            last_push[k] = now.get();
+                            continue;
+                        }
                         cores[k] = sessions[k].core()?;
                         stale[k] = false;
-                        last_push[k] = f64::NEG_INFINITY;
                         if slowdown[k] != 1.0 {
                             cores[k].set_slowdown(slowdown[k]);
                         }
@@ -1368,7 +1369,7 @@ mod tests {
                                 let lost = cores[replica].crash(now);
                                 accum[replica].harvest(&cores[replica], None);
                                 stale[replica] = true;
-                                health.mark_down(replica, now + repair);
+                                health.set(replica, ReplicaHealth::Down { until: now + repair });
                                 avail.crashes += 1;
                                 crash_log.push(CrashRecord {
                                     replica,
@@ -1447,7 +1448,7 @@ mod tests {
                         release_client(&mut stream, r.id, orig, now);
                         continue;
                     }
-                    let up = health.up_replicas();
+                    let up: Vec<usize> = (0..n).filter(|&k| health.is_up(k)).collect();
                     if up.is_empty() {
                         let fire = health.next_transition().ok_or_else(|| {
                             Error::internal(
@@ -1620,8 +1621,8 @@ mod tests {
             let none = FaultPlan::none();
             for traffic in traffics(seed) {
                 for policy in POLICIES {
-                    let fast = run_colocated_faulty(
-                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None,
+                    let fast = run_colocated(
+                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None, None,
                     )
                     .unwrap();
                     let slow =
@@ -1657,9 +1658,10 @@ mod tests {
             for traffic in traffics(seed) {
                 for plan in [&scripted, &chaos] {
                     for policy in POLICIES {
-                        let fast =
-                            run_colocated_faulty(&fleet, policy, "eq", &traffic, None, plan, None, None)
-                                .unwrap();
+                        let fast = run_colocated(
+                            &fleet, policy, "eq", &traffic, None, plan, None, None, None,
+                        )
+                        .unwrap();
                         let slow =
                             run_colocated_faulty_oracle(&fleet, policy, "eq", &traffic, None, plan)
                                 .unwrap();

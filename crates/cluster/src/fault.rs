@@ -307,6 +307,41 @@ impl FaultPlan {
         events.sort_by(|a, b| a.at().get().total_cmp(&b.at().get()));
         Ok(events)
     }
+
+    /// [`resolve`](FaultPlan::resolve)s the plan for a colocated fleet of
+    /// `n` slots into point actions, sorted by time; a degraded-link event
+    /// is an error, as a colocated fleet has no handoff link.
+    pub(crate) fn colocated_timeline(&self, n: usize) -> Result<Vec<(Seconds, FaultAction)>> {
+        let mut timeline = Vec::new();
+        for event in self.resolve(n)? {
+            match event {
+                FaultEvent::Crash { at, replica, repair } => {
+                    timeline.push((at, FaultAction::Crash { replica, repair }));
+                }
+                FaultEvent::Straggler { replica, from, until, slowdown } => {
+                    timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
+                    timeline.push((until, FaultAction::Slow { replica, factor: None }));
+                }
+                FaultEvent::DegradedLink { .. } => {
+                    return Err(Error::invalid_config(
+                        "degraded-link faults apply to the disaggregated interconnect; \
+                         a colocated fleet has no handoff link",
+                    ));
+                }
+            }
+        }
+        timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+        Ok(timeline)
+    }
+}
+
+/// A point action on a colocated fleet's fault timeline (a straggler
+/// window expands into a `Slow` action with its factor at the start and
+/// one with `None` at the end).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultAction {
+    Crash { replica: usize, repair: Seconds },
+    Slow { replica: usize, factor: Option<f64> },
 }
 
 /// The availability/robustness section of a fleet report — what the run
@@ -548,16 +583,24 @@ impl RetryLedger {
         let fire = health.next_transition().ok_or_else(|| {
             Error::internal("every replica is down and none is scheduled to restart")
         })?;
-        if let Some(c) = &self.control {
-            c.instant_for(EventKind::Park, id, now.get(), tenant_tag(tenancy, id));
-        }
+        self.on_park(id, now, tenancy);
         Ok(fire)
     }
 
-    /// Books a crash of `replica` at `at`.
-    pub(crate) fn on_crash(&mut self, replica: usize, at: Seconds) {
+    /// Traces request `id` parked at `now`.
+    pub(crate) fn on_park(&self, id: u64, now: Seconds, tenancy: &Option<Tenancy<'_>>) {
+        if let Some(c) = &self.control {
+            c.instant_for(EventKind::Park, id, now.get(), tenant_tag(tenancy, id));
+        }
+    }
+
+    /// Books a crash of `replica` at `at`. A `retiring` replica (an
+    /// elastic slot crashed while draining) retires instead of
+    /// restarting: it costs no downtime and has nothing to recover.
+    pub(crate) fn on_crash(&mut self, replica: usize, at: Seconds, retiring: bool) {
         self.stats.crashes += 1;
-        self.crashes.push(CrashRecord { replica, at, up_again: None, first_completion: None });
+        let back = retiring.then_some(at);
+        self.crashes.push(CrashRecord { replica, at, up_again: back, first_completion: back });
     }
 
     /// Stamps `now` on every crash whose replica `health` shows up again.
@@ -656,7 +699,8 @@ impl FaultRng {
 ///   `link@0s-2s:x0.1` (energy factor defaults to 1)
 ///
 /// `<time>` is a number with an optional `s` (default) or `ms` suffix;
-/// `<replica>` is an index, optionally prefixed `replica` or `r`.
+/// `<replica>` is an index, optionally prefixed `replica` or `r` (in an
+/// elastic fleet, a slot: see [`crate::elastic`]).
 /// Events are validated against the fleet size at
 /// [`FaultPlan::resolve`] time, not here.
 ///

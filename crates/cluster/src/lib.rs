@@ -36,8 +36,8 @@
 //! **Colocated** fleets run one incremental
 //! [`EngineCore`](cimtpu_serving::EngineCore) per [`ReplicaSpec`] — each
 //! with its own chip config, model, batching policy, and KV budget — and
-//! interleave them through the shared
-//! [`drive`](cimtpu_serving::drive) event loop. The [`Router`] sees a
+//! interleave them through one event loop, [`drive`](cimtpu_serving::drive)
+//! re-derived with fault, lifecycle and reconcile events. The [`Router`] sees a
 //! [`ReplicaSnapshot`] per replica at every arrival instant (outstanding
 //! work, queue depth, live KV occupancy) and picks the target; see the
 //! [`router`] module docs for the full trait contract. A 1-replica
@@ -91,8 +91,8 @@
 //! nothing, keeping today's runs bit-for-bit (no availability section).
 //! Each topology runs one event loop for every plan; under faults it
 //! routes around down replicas via a
-//! [`HealthView`], retry lost requests with capped exponential backoff
-//! under a per-request budget and deadline, and report an
+//! [`HealthView`], retries lost requests with capped exponential backoff
+//! under a per-request budget and deadline, and reports an
 //! [`AvailabilityStats`] section (crashes, downtime, retries, shed /
 //! timed-out work, time-to-recover) on the [`ClusterReport`].
 //!
@@ -109,9 +109,13 @@
 //! swaps repurpose capacity between groups under skewed traffic. The
 //! report gains a `scaling` section (action log, ramp SLO violations,
 //! chip-seconds and joules) so an elastic run compares head-to-head
-//! with a peak-sized static fleet. A **pinned** policy (`min == max`
-//! everywhere, no swaps) expands the fleet and runs it through the
-//! static fleet's event loop bit-identically.
+//! with a peak-sized static fleet. The reconcile tick is one more event
+//! class of the colocated loop, so elastic groups compose with fault
+//! plans: a fault's replica index names a slot (`{group}-{j}`, in order
+//! across groups), and the [`elastic`] module docs specify what a crash
+//! does to a booting, draining or offline slot. A **pinned** policy
+//! (`min == max` everywhere, no swaps) expands the fleet and runs it
+//! through the static fleet's event loop bit-identically.
 //!
 //! # Observability
 //!
@@ -179,7 +183,7 @@
 #![warn(missing_docs)]
 
 pub mod disagg;
-mod elastic;
+pub mod elastic;
 mod engine;
 pub mod fault;
 mod replica;

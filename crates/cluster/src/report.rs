@@ -80,9 +80,9 @@ impl PerfRecord {
     }
 }
 
-/// Per-replica counters accumulated across incarnations: a crash or a
-/// retirement replaces the replica's core, so its energy/busy/KV history
-/// is harvested when the core goes and the next core starts a new ledger.
+/// Per-replica counters accumulated across incarnations: a restart or a
+/// boot replaces the replica's core, so its history is harvested when the
+/// core is replaced (or the run ends) and the next core starts afresh.
 #[derive(Default)]
 pub(crate) struct ReplicaAccum {
     busy_s: f64,
@@ -94,8 +94,8 @@ pub(crate) struct ReplicaAccum {
 }
 
 impl ReplicaAccum {
-    /// Folds a departing (crashed, retired, or final) core's counters into
-    /// the books, and its per-tenant preemptions into the tenant ledger.
+    /// Folds a replaced or final core's counters into the books, and its
+    /// per-tenant preemptions into the tenant ledger.
     pub(crate) fn harvest(&mut self, core: &EngineCore<'_>, tenancy: Option<&mut Tenancy<'_>>) {
         let memory = core.memory_stats();
         self.busy_s += core.busy().get();

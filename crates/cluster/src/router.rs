@@ -34,22 +34,27 @@
 //! Both hash with a fixed 64-bit finalizer — no RNG, no load feedback —
 //! so placement is reproducible whatever the interleaving.
 //!
-//! # Health view (failure-aware runs)
+//! # Health view (failure-aware and elastic runs)
 //!
-//! Under a fault plan the driver keeps a [`HealthView`] — one
-//! [`ReplicaHealth`] per replica — and consults the router with
-//! snapshots of the **healthy subset only**, re-indexed `0..k` (the
-//! driver maps the choice back to real replica indices). Re-indexing
-//! keeps every policy's contract intact whether it returns a snapshot's
-//! `index` or a position: the two coincide. A crashed replica is
+//! The colocated driver keeps a [`HealthView`] — one [`ReplicaHealth`]
+//! per replica slot — and consults the router with snapshots of the
+//! **routable subset only**, re-indexed `0..k` (the driver maps the
+//! choice back to real slot indices). Re-indexing keeps every policy's
+//! contract intact whether it returns a snapshot's `index` or a
+//! position: the two coincide. A crashed replica is
 //! [`Down`](ReplicaHealth::Down) (drained — it takes no traffic), then
 //! [`Warming`](ReplicaHealth::Warming) for the recovery policy's warmup
 //! after its restart, and only then [`Up`](ReplicaHealth::Up) and
-//! routable again. Affinity hashes mod the healthy count, so sessions
-//! fail over while a replica is out and may re-home when it returns.
+//! routable again. An elastic slot walks the same path from
+//! [`Provisioning`](ReplicaHealth::Provisioning), leaves through
+//! [`Draining`](ReplicaHealth::Draining), and holds no machine while
+//! [`Offline`](ReplicaHealth::Offline). Affinity hashes mod the routable
+//! count, so sessions fail over while a replica is out and may re-home
+//! when it returns.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use cimtpu_serving::{Completion, EngineCore, Request};
 use cimtpu_units::Seconds;
@@ -281,8 +286,9 @@ impl Router for SloAware {
     }
 }
 
-/// One replica's place in the failure lifecycle (see the
-/// [module docs](self) on the health view).
+/// One replica slot's place in its lifecycle (see the
+/// [module docs](self) on the health view). A crash and a scale-up share
+/// one path: `Down` or `Provisioning` → `Warming` (a fresh core) → `Up`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplicaHealth {
     /// Serving normally; routable.
@@ -292,26 +298,48 @@ pub enum ReplicaHealth {
         /// When the repair completes.
         until: Seconds,
     },
-    /// Restarted with an empty KV cache; routable again at `until`.
+    /// Scaling up: the machine is ready (enters warmup) at `until`.
+    Provisioning {
+        /// When provisioning completes.
+        until: Seconds,
+    },
+    /// Restarted or provisioned with an empty KV cache; routable again at
+    /// `until`.
     Warming {
         /// When warmup ends.
         until: Seconds,
     },
+    /// Scaling down: takes no arrivals and finishes its in-flight work,
+    /// then retires.
+    Draining,
+    /// Holds no machine: an elastic slot not yet booted, or retired.
+    Offline,
 }
 
-/// The driver's view of which replicas can take traffic — a tiny
-/// deterministic state machine: `Up → Down → Warming → Up`. Transitions
+impl ReplicaHealth {
+    /// The pending timed transition, if any.
+    fn until(self) -> Option<Seconds> {
+        match self {
+            ReplicaHealth::Down { until }
+            | ReplicaHealth::Provisioning { until }
+            | ReplicaHealth::Warming { until } => Some(until),
+            _ => None,
+        }
+    }
+}
+
+/// The driver's view of which replica slots can take traffic — a small
+/// deterministic state machine over [`ReplicaHealth`]. Timed transitions
 /// happen only in [`advance`](HealthView::advance), at times the driver
-/// controls, so two runs with the same fault timeline see identical
-/// health histories.
+/// controls, so two runs with the same fault timeline and scaling
+/// decisions see identical health histories.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthView {
     states: Vec<ReplicaHealth>,
-    /// Maintained min over every non-`Up` replica's `until` — a function
-    /// of `states`, updated on [`mark_down`](HealthView::mark_down) and
-    /// recomputed on [`advance`](HealthView::advance), so
+    /// Maintained min over every pending `until` — updated when a state
+    /// is set and recomputed on [`advance`](HealthView::advance), so
     /// [`next_transition`](HealthView::next_transition) is `O(1)` on the
-    /// fault-aware drivers' per-event path.
+    /// drivers' per-event path.
     next: Option<Seconds>,
 }
 
@@ -331,59 +359,84 @@ impl HealthView {
         matches!(self.states[replica], ReplicaHealth::Up)
     }
 
-    /// Marks a replica down (crashed); it restarts at `restart_at`.
-    pub fn mark_down(&mut self, replica: usize, restart_at: Seconds) {
-        self.states[replica] = ReplicaHealth::Down { until: restart_at };
-        self.next = Some(self.next.map_or(restart_at, |t| t.min(restart_at)));
+    /// Whether the replica runs a live core: `Up`, `Warming`, or
+    /// `Draining` (a crashed core is dead, and a provisioning or offline
+    /// slot has none).
+    pub fn is_live(&self, replica: usize) -> bool {
+        matches!(
+            self.states[replica],
+            ReplicaHealth::Up | ReplicaHealth::Warming { .. } | ReplicaHealth::Draining
+        )
     }
 
-    /// The earliest pending transition (a restart or a warmup end), if
-    /// any replica is not up — the driver schedules a timeline event
+    /// Puts a replica into `state` (a crash, a scale-up or -down).
+    pub fn set(&mut self, replica: usize, state: ReplicaHealth) {
+        self.states[replica] = state;
+        if let Some(t) = state.until() {
+            self.next = Some(self.next.map_or(t, |n| n.min(t)));
+        }
+    }
+
+    /// Fills `up` with the routable replicas among `slots` and `snaps`
+    /// with their router view (`snapshot` of each), re-indexed
+    /// `0..up.len()` so index-returning and positional routers agree
+    /// (see the [module docs](self) on the health view).
+    pub(crate) fn routable(
+        &self,
+        slots: Range<usize>,
+        snapshot: impl Fn(usize) -> ReplicaSnapshot,
+        up: &mut Vec<usize>,
+        snaps: &mut Vec<ReplicaSnapshot>,
+    ) {
+        up.clear();
+        snaps.clear();
+        for k in slots.filter(|&k| self.is_up(k)) {
+            snaps.push(ReplicaSnapshot { index: up.len(), ..snapshot(k) });
+            up.push(k);
+        }
+    }
+
+    /// The earliest pending transition (a restart, a provisioning end or
+    /// a warmup end), if any — the driver schedules a lifecycle event
     /// there.
     pub fn next_transition(&self) -> Option<Seconds> {
         self.next
     }
 
-    /// Recomputes the maintained transition min from scratch (after
-    /// `advance` moved states around).
-    fn recompute_next(&mut self) {
-        self.next = self
-            .states
-            .iter()
-            .filter_map(|s| match s {
-                ReplicaHealth::Up => None,
-                ReplicaHealth::Down { until } | ReplicaHealth::Warming { until } => Some(*until),
-            })
-            .reduce(Seconds::min);
-    }
-
     /// Applies every transition due at or before `now` (in replica-index
-    /// order): a `Down` replica whose repair completed enters `Warming`
-    /// for `warmup`, and a warmed replica comes back `Up`. Returns the
-    /// replicas that restarted in this call — the driver rebuilds those
-    /// as fresh cores (empty KV allocator and prefix index).
-    pub fn advance(&mut self, now: Seconds, warmup: Seconds) -> Vec<usize> {
-        let mut restarted = Vec::new();
+    /// order): a `Down` replica whose repair completed warms for
+    /// `repair_warmup`, a `Provisioning` one for `boot_warmup`, and a
+    /// warmed replica comes back `Up`. Returns each transition as the
+    /// replica and the state it left: a `Down` or `Provisioning` entry
+    /// asks the driver for a fresh core (empty KV allocator and prefix
+    /// index), a `Warming` entry reports the replica routable. A zero
+    /// warmup reports both in one call.
+    pub fn advance(
+        &mut self,
+        now: Seconds,
+        repair_warmup: Seconds,
+        boot_warmup: Seconds,
+    ) -> Vec<(usize, ReplicaHealth)> {
+        let mut moved = Vec::new();
         for (i, state) in self.states.iter_mut().enumerate() {
-            if let ReplicaHealth::Down { until } = *state {
-                if now >= until {
-                    *state = ReplicaHealth::Warming { until: until + warmup };
-                    restarted.push(i);
-                }
+            let warmed = match *state {
+                ReplicaHealth::Down { until } if now >= until => Some(until + repair_warmup),
+                ReplicaHealth::Provisioning { until } if now >= until => Some(until + boot_warmup),
+                _ => None,
+            };
+            if let Some(until) = warmed {
+                moved.push((i, *state));
+                *state = ReplicaHealth::Warming { until };
             }
             if let ReplicaHealth::Warming { until } = *state {
                 if now >= until {
+                    moved.push((i, *state));
                     *state = ReplicaHealth::Up;
                 }
             }
         }
-        self.recompute_next();
-        restarted
-    }
-
-    /// Indices of routable replicas, ascending.
-    pub fn up_replicas(&self) -> Vec<usize> {
-        (0..self.states.len()).filter(|&i| self.is_up(i)).collect()
+        self.next = self.states.iter().filter_map(|s| s.until()).reduce(Seconds::min);
+        moved
     }
 }
 
@@ -426,14 +479,20 @@ impl Ord for FinishKey {
 /// arrivals), and the flushed completions can re-arm closed-loop clients
 /// below the tracker's clock. The driver handles that rare case by
 /// [`resync`](SnapshotTracker::resync)ing from the cores' completion
-/// ledgers instead of advancing. `queued` and `kv_frac` are refreshed
+/// ledgers instead of advancing. A core replaced by a boot or a restart
+/// is [`reset`](SnapshotTracker::reset) alone: each pending expiry
+/// carries its replica's epoch, and a reset bumps the epoch so the old
+/// core's expiries are skipped. `queued` and `kv_frac` are refreshed
 /// from the replica's own `O(1)`/`O(chips)` getters after each event
 /// that can move them.
 #[derive(Debug)]
 pub struct SnapshotTracker {
     snaps: Vec<ReplicaSnapshot>,
-    /// Scheduled completions not yet counted out of `outstanding`.
-    expiry: BinaryHeap<Reverse<(FinishKey, usize)>>,
+    /// Scheduled completions not yet counted out of `outstanding`, with
+    /// the epoch of the core that scheduled them.
+    expiry: BinaryHeap<Reverse<(FinishKey, usize, u32)>>,
+    /// Per-replica core epochs, bumped by every reset.
+    epochs: Vec<u32>,
     /// The last routing instant (monotone; debug-asserted).
     now: Seconds,
 }
@@ -453,6 +512,7 @@ impl SnapshotTracker {
                 })
                 .collect(),
             expiry: BinaryHeap::new(),
+            epochs: vec![0; replicas],
             now: Seconds::ZERO,
         }
     }
@@ -471,12 +531,14 @@ impl SnapshotTracker {
     pub fn advance_to(&mut self, t: Seconds) {
         debug_assert!(t >= self.now, "routing instants regressed: {t:?} < {:?}", self.now);
         self.now = t;
-        while let Some(&Reverse((FinishKey(finish), k))) = self.expiry.peek() {
+        while let Some(&Reverse((FinishKey(finish), k, epoch))) = self.expiry.peek() {
             if finish > t.get() {
                 break;
             }
             self.expiry.pop();
-            self.snaps[k].outstanding -= 1;
+            if epoch == self.epochs[k] {
+                self.snaps[k].outstanding -= 1;
+            }
         }
     }
 
@@ -496,14 +558,23 @@ impl SnapshotTracker {
         self.now = t;
         self.expiry.clear();
         for (k, core) in cores.iter().enumerate() {
-            let s = &mut self.snaps[k];
-            s.outstanding = core.outstanding_at(t);
-            s.queued = core.queued();
-            s.kv_frac = core.kv_frac();
-            for c in core.completions() {
-                if c.finish > t {
-                    self.expiry.push(Reverse((FinishKey(c.finish.get()), k)));
-                }
+            self.reset(k, core);
+        }
+    }
+
+    /// Rebuilds replica `k`'s snapshot from `core` (a boot or restart
+    /// replaced its core) at the current routing instant; the other
+    /// replicas are untouched. `O(core's completions)` — nothing for a
+    /// fresh core. `assigned` is preserved.
+    pub fn reset(&mut self, k: usize, core: &EngineCore<'_>) {
+        self.epochs[k] = self.epochs[k].wrapping_add(1);
+        let s = &mut self.snaps[k];
+        s.outstanding = core.outstanding_at(self.now);
+        s.queued = core.queued();
+        s.kv_frac = core.kv_frac();
+        for c in core.completions() {
+            if c.finish > self.now {
+                self.expiry.push(Reverse((FinishKey(c.finish.get()), k, self.epochs[k])));
             }
         }
     }
@@ -538,7 +609,7 @@ impl SnapshotTracker {
         s.kv_frac = kv_frac;
         for c in new {
             if c.finish.get() > self.now.get() {
-                self.expiry.push(Reverse((FinishKey(c.finish.get()), k)));
+                self.expiry.push(Reverse((FinishKey(c.finish.get()), k, self.epochs[k])));
             } else {
                 // Already in the past at the current routing instant:
                 // it would expire on the next advance anyway.
@@ -689,29 +760,97 @@ mod tests {
 
     #[test]
     fn health_view_walks_down_warming_up() {
+        let (w, never) = (Seconds::new(1.0), Seconds::new(99.0));
         let mut h = HealthView::all_up(3);
         assert!(h.is_up(1));
         assert_eq!(h.next_transition(), None);
-        h.mark_down(1, Seconds::new(5.0));
+        h.set(1, ReplicaHealth::Down { until: Seconds::new(5.0) });
         assert!(!h.is_up(1));
-        assert_eq!(h.up_replicas(), vec![0, 2]);
+        assert!(h.is_up(0) && h.is_up(2));
         assert_eq!(h.next_transition(), Some(Seconds::new(5.0)));
         // Too early: nothing moves.
-        assert!(h.advance(Seconds::new(4.0), Seconds::new(1.0)).is_empty());
+        assert!(h.advance(Seconds::new(4.0), w, never).is_empty());
         // Repair completes: the replica restarts but warms up first.
-        assert_eq!(h.advance(Seconds::new(5.0), Seconds::new(1.0)), vec![1]);
+        let down = ReplicaHealth::Down { until: Seconds::new(5.0) };
+        assert_eq!(h.advance(Seconds::new(5.0), w, never), vec![(1, down)]);
         assert_eq!(h.state(1), ReplicaHealth::Warming { until: Seconds::new(6.0) });
         assert!(!h.is_up(1), "warming replicas take no traffic");
         assert_eq!(h.next_transition(), Some(Seconds::new(6.0)));
         // Warmup ends: routable again; no second "restart" is reported.
-        assert!(h.advance(Seconds::new(6.0), Seconds::new(1.0)).is_empty());
+        let warming = ReplicaHealth::Warming { until: Seconds::new(6.0) };
+        assert_eq!(h.advance(Seconds::new(6.0), w, never), vec![(1, warming)]);
         assert!(h.is_up(1));
-        assert_eq!(h.up_replicas(), vec![0, 1, 2]);
+        assert_eq!(h.next_transition(), None);
         // A zero warmup goes Down → Up in one call, still reporting the
         // restart.
-        h.mark_down(0, Seconds::new(7.0));
-        assert_eq!(h.advance(Seconds::new(7.0), Seconds::ZERO), vec![0]);
+        h.set(0, ReplicaHealth::Down { until: Seconds::new(7.0) });
+        let moved = h.advance(Seconds::new(7.0), Seconds::ZERO, never);
+        assert_eq!(moved.iter().map(|m| m.0).collect::<Vec<_>>(), vec![0, 0]);
         assert!(h.is_up(0));
+    }
+
+    #[test]
+    fn health_view_walks_the_scaling_lifecycle() {
+        let (repair_w, boot_w) = (Seconds::new(9.0), Seconds::new(0.5));
+        let mut h = HealthView::all_up(2);
+        h.set(1, ReplicaHealth::Offline);
+        assert!(!h.is_up(1) && !h.is_live(1));
+        assert_eq!(h.next_transition(), None, "offline slots wait on no clock");
+        // Scale-up: provisioning, then the boot warmup (not the repair one).
+        h.set(1, ReplicaHealth::Provisioning { until: Seconds::new(1.0) });
+        assert!(!h.is_live(1), "a provisioning slot has no core yet");
+        let moved = h.advance(Seconds::new(1.0), repair_w, boot_w);
+        assert_eq!(moved, vec![(1, ReplicaHealth::Provisioning { until: Seconds::new(1.0) })]);
+        assert_eq!(h.state(1), ReplicaHealth::Warming { until: Seconds::new(1.5) });
+        assert!(h.is_live(1) && !h.is_up(1));
+        h.advance(Seconds::new(1.5), repair_w, boot_w);
+        assert!(h.is_up(1));
+        // Scale-down: draining keeps the core but takes no traffic.
+        h.set(0, ReplicaHealth::Draining);
+        assert!(h.is_live(0) && !h.is_up(0));
+        h.set(0, ReplicaHealth::Offline);
+        assert!(!h.is_live(0) && !h.is_up(0));
+    }
+
+    /// Resetting one replica's snapshot after its core is replaced, then
+    /// advancing, gives exactly what a full resync at the later instant
+    /// gives — the replaced core's pending expiries are skipped.
+    #[test]
+    fn tracker_reset_then_advance_equals_resync() {
+        use cimtpu_serving::{EngineSession, ServingModel};
+        use cimtpu_core::TpuConfig;
+        let spec = crate::ReplicaSpec::new(
+            "t",
+            TpuConfig::tpuv4i(),
+            ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer()),
+        );
+        let sessions: Vec<EngineSession> =
+            (0..2).map(|_| EngineSession::new(&spec.engine().unwrap()).unwrap()).collect();
+        // Each core takes `n` requests and steps until they are scheduled.
+        fn run(session: &EngineSession, n: u64) -> EngineCore<'_> {
+            let mut core = session.core().unwrap();
+            for id in 0..n {
+                core.push(Request { arrival_s: id as f64 * 1e-4, ..req(id, id) });
+            }
+            core.close();
+            while core.next_action().is_some() {
+                core.step().unwrap();
+            }
+            core
+        }
+        let mut cores = vec![run(&sessions[0], 5), run(&sessions[1], 7)];
+        let t0 = Seconds::new(2e-4);
+        let mut tracker = SnapshotTracker::new(2);
+        tracker.resync(t0, &cores);
+        // Replica 1 crashes and comes back as a core with other history.
+        cores[1] = run(&sessions[1], 3);
+        tracker.reset(1, &cores[1]);
+        for t in [Seconds::new(3e-4), Seconds::new(1.0)] {
+            tracker.advance_to(t);
+            let mut fresh = SnapshotTracker::new(2);
+            fresh.resync(t, &cores);
+            assert_eq!(tracker.snapshots(), fresh.snapshots(), "at {t:?}");
+        }
     }
 
     #[test]

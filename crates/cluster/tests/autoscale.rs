@@ -8,11 +8,13 @@
 //!    band actually opens.
 //! 2. **Replay determinism.** The same seed replays the same elastic
 //!    run, down to the full scaling-action log (serialized bytes).
-//! 3. **Typed rejections.** Elastic + faults, elastic + disaggregated,
-//!    and group-count mismatches are configuration errors, not silent
-//!    fallbacks.
+//! 3. **Typed rejections.** Elastic + disaggregated and group-count
+//!    mismatches are configuration errors, not silent fallbacks.
 //! 4. **Swap under skew.** With swaps allowed, a starved group at its
 //!    max borrows a machine from an idle one (`swap-out`/`swap-in`).
+//! 5. **Elastic × faults.** A benign plan leaves an elastic run as it
+//!    was, and crashes during a scale-up ramp conserve every request and
+//!    replay bit-for-bit.
 
 use cimtpu_autoscale::{action, AutoscalePolicy, GroupPolicy};
 use cimtpu_cluster::{
@@ -292,20 +294,6 @@ fn elastic_restrictions_are_typed_errors() {
     let traffic = traffics(1)[0].clone();
     let elastic = AutoscalePolicy::new(vec![GroupPolicy::default()]);
 
-    // Elastic + fault plan: rejected.
-    let err = ClusterEngine::colocated(vec![spec("x")], RouterPolicy::RoundRobin)
-        .unwrap()
-        .with_faults(FaultPlan::none().with_event(FaultEvent::Straggler {
-            replica: 0,
-            from: Seconds::ZERO,
-            until: Seconds::new(1.0),
-            slowdown: 2.0,
-        }))
-        .with_autoscale(elastic.clone())
-        .run("bad", &traffic)
-        .unwrap_err();
-    assert!(err.to_string().contains("fault plan"), "{err}");
-
     // Elastic + disaggregated: rejected.
     let err = ClusterEngine::disaggregated(
         vec![spec("p")],
@@ -327,4 +315,114 @@ fn elastic_restrictions_are_typed_errors() {
         .run("bad", &traffic)
         .unwrap_err();
     assert!(err.to_string().contains("group"), "{err}");
+}
+
+/// An elastic run under a benign plan (a ×1 straggler window on the
+/// initial slot) is the no-plan run plus an all-zero availability
+/// section: same completions, report and scaling-action log.
+#[test]
+fn benign_plan_leaves_an_elastic_run_unchanged() {
+    let (engine, traffic) = elastic_fleet();
+    let plain = engine.run("benign", &traffic).unwrap();
+    let benign = engine
+        .with_faults(FaultPlan::none().with_event(FaultEvent::Straggler {
+            replica: 0,
+            from: Seconds::new(0.001),
+            until: Seconds::new(0.050),
+            slowdown: 1.0,
+        }))
+        .run("benign", &traffic)
+        .unwrap();
+    assert_eq!(plain.completions, benign.completions);
+    let avail = benign.report.availability.clone().expect("fault runs report availability");
+    assert_eq!((avail.crashes, avail.retries, avail.shed, avail.timed_out), (0, 0, 0, 0));
+    let mut stripped = benign.report.clone();
+    stripped.availability = None;
+    assert_eq!(stripped, plain.report);
+    let actions = &plain.report.scaling.as_ref().unwrap().actions;
+    assert!(actions.iter().any(|a| a.kind == action::SCALE_UP), "the day must scale");
+}
+
+/// Crashes inside the first scale-up ramp — on the serving slot, and on
+/// the booting slot while it warms — lose in-flight work to the retry
+/// path and push the boot back, yet every offered request is conserved
+/// and the run replays bit-for-bit.
+#[test]
+fn crash_during_a_scale_up_ramp_conserves_and_replays() {
+    let (engine, traffic) = elastic_fleet();
+    let plain = engine.run("ramp", &traffic).unwrap();
+    let first_up = plain.report.scaling.unwrap().actions.into_iter()
+        .find(|a| a.kind == action::SCALE_UP)
+        .expect("the burst day scales up");
+    assert_eq!(first_up.replica, "e-1", "the lowest offline slot boots");
+    // The ramp spans provision (1 ms) + warmup (0.5 ms).
+    let t = first_up.at_s;
+    let repair = Seconds::new(0.002);
+    let plan = FaultPlan::none()
+        .with_event(FaultEvent::Crash { at: Seconds::new(t + 0.000_5), replica: 0, repair })
+        .with_event(FaultEvent::Crash { at: Seconds::new(t + 0.001_2), replica: 1, repair });
+    let faulty = engine.with_faults(plan);
+    let a = faulty.run("ramp", &traffic).unwrap();
+    let b = faulty.run("ramp", &traffic).unwrap();
+    assert_eq!(a.completions, b.completions);
+    assert_eq!(a.report, b.report);
+    let avail = a.report.availability.as_ref().unwrap();
+    assert_eq!(avail.crashes, 2, "an up slot and a warming slot both crash");
+    assert!(avail.retries >= 1, "the serving slot had work in flight");
+    assert_eq!(a.report.completed + avail.shed + avail.timed_out, a.report.offered);
+    // The warming crash restarts the boot: slot 1 turns up only after the
+    // repair and the recovery warmup, and its ramp closes then.
+    let scaling = a.report.scaling.as_ref().unwrap();
+    let up = scaling
+        .actions
+        .iter()
+        .find(|x| x.kind == action::UP && x.replica == "e-1")
+        .expect("the interrupted boot completes");
+    assert!(up.at_s >= t + 0.001_2 + repair.get(), "up at {} before the repair", up.at_s);
+    assert_ne!(a.completions, plain.completions);
+}
+
+/// A crash on a draining slot loses its in-flight work to the retry path
+/// and retires the slot at once, without downtime; a crash on an offline
+/// slot is a no-op.
+#[test]
+fn crash_retires_a_draining_slot_and_skips_an_offline_one() {
+    let (engine, traffic) = elastic_fleet();
+    let plain = engine.run("drain", &traffic).unwrap();
+    let actions = plain.report.scaling.unwrap().actions;
+    // A drain that still had work in flight: its slot retires later.
+    let (drain, retired) = actions
+        .iter()
+        .filter(|a| a.kind == action::SCALE_DOWN)
+        .find_map(|d| {
+            let r = actions.iter().find(|r| {
+                r.kind == action::RETIRED && r.replica == d.replica && r.at_s >= d.at_s
+            })?;
+            (r.at_s > d.at_s).then_some((d, r))
+        })
+        .expect("some drain finishes in-flight work");
+    let slot = |name: &str| name.strip_prefix("e-").unwrap().parse::<usize>().unwrap();
+    let at = (drain.at_s + retired.at_s) / 2.0;
+    // Slot 2 is still offline at t = 0.1 ms.
+    let plan = FaultPlan::none()
+        .with_event(FaultEvent::Crash {
+            at: Seconds::new(at),
+            replica: slot(&drain.replica),
+            repair: Seconds::new(0.001),
+        })
+        .with_event(FaultEvent::Crash {
+            at: Seconds::new(0.000_1),
+            replica: 2,
+            repair: Seconds::new(0.001),
+        });
+    let run = engine.with_faults(plan).run("drain", &traffic).unwrap();
+    let avail = run.report.availability.as_ref().unwrap();
+    assert_eq!(avail.crashes, 1, "the offline slot's crash is a no-op");
+    assert!(avail.retries >= 1, "the drained slot's in-flight work retries");
+    assert_eq!(avail.downtime_s, 0.0, "a retiring slot costs no downtime");
+    assert_eq!(run.report.completed + avail.shed + avail.timed_out, run.report.offered);
+    let retire = run.report.scaling.as_ref().unwrap().actions.iter().find(|a| {
+        a.kind == action::RETIRED && a.replica == drain.replica && a.at_s >= drain.at_s
+    });
+    assert_eq!(retire.map(|a| a.at_s), Some(at), "the crash retires the slot at once");
 }

@@ -330,6 +330,44 @@ fn clamped_first_attempt_keeps_its_original_arrival() {
     assert_eq!(run.completions[1].arrival, second, "the clamp leaked into the report");
 }
 
+/// A fresh request that arrives while the only replica is down parks and
+/// is served once the replica is back up — not at its original arrival,
+/// as if the replica had never been down: the restarted core's queue
+/// tail starts at the replica's up instant.
+#[test]
+fn parked_first_attempt_is_served_after_the_replica_is_up() {
+    let traffic = TrafficSpec {
+        requests: 2,
+        arrival: ArrivalPattern::OpenLoop { rate_rps: 100.0 },
+        prompt: LenDist::Fixed(32),
+        steps: LenDist::Fixed(8),
+        prefix: PrefixTraffic::None,
+        seed: 7,
+    };
+    let solo = || {
+        ClusterEngine::colocated(
+            vec![ReplicaSpec::new("solo", TpuConfig::tpuv4i(), tiny())
+                .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
+            RouterPolicy::PassThrough,
+        )
+        .unwrap()
+    };
+    let plain = solo().run("park", &traffic).unwrap();
+    let (first, second) = (&plain.completions[0], &plain.completions[1]);
+    assert!(first.finish < second.arrival, "request 0 must finish before request 1 arrives");
+    // Crash between the two and stay down past the second arrival.
+    let crash = (first.finish + second.arrival) * 0.5;
+    let repair = second.arrival - crash + Seconds::new(0.001);
+    let warmup = RecoveryPolicy::default().warmup;
+    let plan = FaultPlan::none().with_event(FaultEvent::Crash { at: crash, replica: 0, repair });
+    let run = solo().with_faults(plan).run("park", &traffic).unwrap();
+    assert_eq!(run.report.completed, 2);
+    let parked = &run.completions[1];
+    let up_at = crash + repair + warmup;
+    assert!(parked.finish > up_at, "served at {} while down until {up_at}", parked.finish);
+    assert_eq!(parked.arrival, second.arrival, "latency counts from the original arrival");
+}
+
 /// With a zero retry budget the lost work is shed — and still conserved.
 #[test]
 fn exhausted_retry_budget_sheds_and_conserves() {

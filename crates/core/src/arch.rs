@@ -256,14 +256,17 @@ impl TpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a zero MXU count, zero clock, or
-    /// an invalid MXU geometry.
+    /// Returns [`Error::InvalidConfig`] for a zero MXU count, a clock that
+    /// is not positive and finite (NaN and ∞ included), or an invalid MXU
+    /// geometry.
     pub fn validate(&self) -> Result<()> {
         if self.mxu_count == 0 {
             return Err(Error::invalid_config("MXU count must be non-zero"));
         }
-        if self.clock.as_hz() <= 0.0 {
-            return Err(Error::invalid_config("clock must be positive"));
+        // `is_finite` rejects NaN and ∞: a comparison alone lets NaN through.
+        let hz = self.clock.as_hz();
+        if !(hz.is_finite() && hz > 0.0) {
+            return Err(Error::invalid_config("clock must be positive and finite"));
         }
         if self.ici_links == 0 {
             return Err(Error::invalid_config("at least one ICI link is required"));
@@ -278,6 +281,19 @@ impl TpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_non_finite_clocks() {
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let mut cfg = TpuConfig::design_a();
+            cfg.clock = Frequency::from_ghz(1.0) * factor;
+            assert!(
+                matches!(cfg.validate(), Err(Error::InvalidConfig(_))),
+                "clock x{factor} accepted"
+            );
+        }
+        TpuConfig::design_a().validate().unwrap();
+    }
 
     #[test]
     fn hbm_capacity_is_overridable() {
