@@ -52,10 +52,8 @@
 //!   inside it pays `wire / bandwidth_factor` (hop latency unchanged)
 //!   and `energy × energy_factor` — retransmission-style degradation.
 
-use std::rc::Rc;
-
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
-use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
+use cimtpu_obs::EventKind;
 use cimtpu_multi::RingTopology;
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, Parallelism, PhasePricer, Request,
@@ -63,11 +61,12 @@ use cimtpu_serving::{
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 
-use crate::engine::{tenant_tag, Tenancy};
+use crate::engine::{earliest, EventQueue, Tenancy};
 use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
+use crate::observe::FleetObserver;
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, FleetTotals, KvTransferStats, ReplicaUtilization};
-use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
+use crate::router::{FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
 use crate::ClusterRun;
 
 /// The link KV caches migrate over between prefill and decode replicas:
@@ -438,56 +437,6 @@ fn validate_pool_replica<'a>(
     Ok(model)
 }
 
-/// Tracks and gauge series for both pools: one track per replica (the
-/// prefill pool first, then the decode pool), `[queued, kv_frac]` gauges
-/// per unit, and a control track for fleet-level events.
-struct PoolTrace {
-    rec: SharedRecorder,
-    ptracks: Vec<u32>,
-    dtracks: Vec<u32>,
-    pseries: Vec<[usize; 2]>,
-    dseries: Vec<[usize; 2]>,
-    control: u32,
-}
-
-impl PoolTrace {
-    fn attach(rec: &SharedRecorder, prefill: &[ReplicaSpec], decode: &[ReplicaSpec]) -> PoolTrace {
-        let mut r = rec.borrow_mut();
-        let series = |specs: &[ReplicaSpec], r: &mut cimtpu_obs::Recorder| {
-            specs
-                .iter()
-                .map(|s| {
-                    [
-                        r.gauge_series(&format!("{}/queued", s.name)),
-                        r.gauge_series(&format!("{}/kv_frac", s.name)),
-                    ]
-                })
-                .collect()
-        };
-        let ptracks = prefill.iter().map(|s| r.track(&s.name)).collect();
-        let dtracks = decode.iter().map(|s| r.track(&s.name)).collect();
-        let pseries = series(prefill, &mut r);
-        let dseries = series(decode, &mut r);
-        let control = r.track("control");
-        drop(r);
-        PoolTrace { rec: Rc::clone(rec), ptracks, dtracks, pseries, dseries, control }
-    }
-
-    /// Samples a decode unit's queue depth and KV occupancy at `t`.
-    fn sample_decode(&self, j: usize, t: Seconds, unit: &DecodeUnit<'_>) {
-        let mut rec = self.rec.borrow_mut();
-        rec.sample(self.dseries[j][0], t.get(), (unit.pending.len() + unit.active.len()) as f64);
-        rec.sample(self.dseries[j][1], t.get(), kv_frac(&unit.alloc));
-    }
-
-    /// Samples a prefill unit's queue depth and KV occupancy at `t`.
-    fn sample_prefill(&self, i: usize, t: Seconds, unit: &PrefillUnit<'_>) {
-        let mut rec = self.rec.borrow_mut();
-        rec.sample(self.pseries[i][0], t.get(), unit.queue.len() as f64);
-        rec.sample(self.pseries[i][1], t.get(), kv_frac(&unit.alloc));
-    }
-}
-
 /// A request waiting to re-enter the disaggregated pipeline after a
 /// decode crash (or parked because the whole decode pool is down).
 struct DisaggRetry {
@@ -505,9 +454,10 @@ struct DisaggRetry {
 
 /// The disaggregated event loop. An empty `plan` resolves to no crashes
 /// and no link windows, so every decode replica stays up, nothing
-/// retries, and the report carries no availability section.
+/// retries, and the report carries no availability section. `O` observes
+/// the run over slots prefill ++ decode, the index space of `unit_heap`.
 #[allow(clippy::too_many_arguments)] // one call site, from the engine dispatch
-pub(crate) fn run_disaggregated(
+pub(crate) fn run_disaggregated<O: FleetObserver>(
     prefill: &[ReplicaSpec],
     decode: &[ReplicaSpec],
     router: RouterPolicy,
@@ -518,14 +468,13 @@ pub(crate) fn run_disaggregated(
     slo_ms: Option<f64>,
     plan: &FaultPlan,
     mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
+    sink: &O::Sink,
 ) -> Result<ClusterRun> {
     // The pools run FCFS/continuous-batching queues, not `EngineCore`, so
     // a multi-tenant run keeps tenant identity at the traffic and report
     // level: classed router snapshots, tagged trace events, and the
     // per-tenant ledger — no WFQ inside the pools.
     let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    let trace = recorder.map(|rec| PoolTrace::attach(rec, prefill, decode));
     // Crash events index the DECODE pool; prefill replicas are the
     // stateless front of the pipeline here and cannot crash.
     let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
@@ -568,7 +517,9 @@ pub(crate) fn run_disaggregated(
     // whatever the pool sharding.
     let full_fp = KvFootprint::of(&reference);
 
-    let (pricing, mut p_sessions) = fleet_sessions(prefill.iter().chain(decode))?;
+    let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
+    let obs = O::open(sink, &slots, true, None);
+    let (pricing, mut p_sessions) = fleet_sessions(&slots)?;
     let d_sessions = p_sessions.split_off(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> = p_sessions
         .iter()
@@ -616,11 +567,10 @@ pub(crate) fn run_disaggregated(
     let mut transfers = KvTransferStats::default();
     let mut completions: Vec<Completion> = Vec::new();
     let mut dhealth = HealthView::all_up(decode.len());
-    let mut waiting: Vec<DisaggRetry> = Vec::new();
-    let mut ledger = RetryLedger::new(
-        *plan.recovery(),
-        trace.as_ref().map(|tr| TraceHandle::new(Rc::clone(&tr.rec), tr.control)),
-    );
+    // Retries fire in (fire, id) order, ties in push order.
+    let mut waiting =
+        EventQueue::new(|w: &DisaggRetry| (FinishKey(w.fire.get()), w.request.id));
+    let mut ledger = RetryLedger::new(*plan.recovery(), &obs);
     // Router-view scratch, reused across events instead of collected anew.
     let mut psnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(punits.len());
     let mut dsnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(dunits.len());
@@ -651,7 +601,7 @@ pub(crate) fn run_disaggregated(
     // One event queue spans both pools (prefill `i` → slot `i`, decode
     // `j` → slot `pn + j`): its (time, lowest-slot) order reproduces the
     // old scan's prefill → decode, lowest-index tie-break; the fault /
-    // arrival / retry classes are compared outside and win ties.
+    // arrival / retry classes go before it on a tie.
     let pn = punits.len();
     let mut unit_heap = ActionHeap::new(pn + dunits.len());
     for (i, u) in punits.iter().enumerate() {
@@ -665,41 +615,23 @@ pub(crate) fn run_disaggregated(
         // The run is over when nothing can produce or receive work;
         // trailing fault events on an idle fleet are dropped.
         let unit_at = unit_heap.peek();
-        if stream.exhausted() && waiting.is_empty() && unit_at.is_none() {
+        if stream.exhausted() && waiting.peek().is_none() && unit_at.is_none() {
             break;
         }
 
         // Earliest event wins; ties resolve fault → arrival → retry →
-        // prefill → decode, then lowest index (the heap's slot order).
-        let mut best: Option<(Seconds, u8, usize)> = match (stream.peek(), unit_at) {
-            (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => Some((ta, 1, 0)),
-            (_, Some((slot, t))) => Some(if slot < pn { (t, 3, slot) } else { (t, 4, slot - pn) }),
-            (_, None) => None,
-        };
-        if let Some((i, w)) = waiting
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                (a.fire.get(), a.request.id, *ai)
-                    .partial_cmp(&(b.fire.get(), b.request.id, *bi))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        {
-            if best.is_none_or(|(bt, bc, _)| w.fire < bt || (w.fire == bt && bc > 2)) {
-                best = Some((w.fire, 2, i));
-            }
-        }
+        // unit, and the units by lowest slot (prefill before decode).
         let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
         let fault_at = match (scripted, dhealth.next_transition()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        if let Some(t) = fault_at {
-            if best.is_none_or(|(bt, _, _)| t <= bt) {
-                best = Some((t, 0, 0));
-            }
-        }
-        let Some((now, class, idx)) = best else {
+        let Some((now, class)) = earliest([
+            (fault_at, 0),
+            (stream.peek(), 1),
+            (waiting.peek().map(|w| w.fire), 2),
+            (unit_at.map(|(_, t)| t), 3),
+        ]) else {
             if stream.exhausted() {
                 break;
             }
@@ -707,13 +639,20 @@ pub(crate) fn run_disaggregated(
                 "disaggregated driver stalled: requests pending but no unit can act",
             ));
         };
+        // A unit event is a prefill batch (slot `< pn`) or a decode round,
+        // on unit `idx` of its pool.
+        let (class, idx) = match unit_at {
+            Some((slot, _)) if class == 3 && slot < pn => (3, slot),
+            Some((slot, _)) if class == 3 => (4, slot - pn),
+            _ => (class, 0),
+        };
         match class {
             // Faults: restores first, then crashes due now.
             0 => {
                 let warmup = plan.recovery().warmup;
                 for (k, left) in dhealth.advance(now, warmup, warmup) {
-                    if let (Some(tr), ReplicaHealth::Down { .. }) = (&trace, left) {
-                        tr.rec.borrow_mut().instant(tr.dtracks[k], EventKind::Repair, 0, now.get());
+                    if let ReplicaHealth::Down { .. } = left {
+                        obs.instant(pn + k, EventKind::Repair, now);
                     }
                 }
                 ledger.on_health(&dhealth, now);
@@ -735,14 +674,7 @@ pub(crate) fn run_disaggregated(
                     dunits[replica].alloc.release_all();
                     dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
                     ledger.on_crash(replica, now, false);
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().instant(
-                            tr.dtracks[replica],
-                            EventKind::Crash,
-                            0,
-                            now.get(),
-                        );
-                    }
+                    obs.instant(pn + replica, EventKind::Crash, now);
                     for (r, ft) in lost {
                         // Where is the cache now? If the source prefill
                         // replica has not released the blocks yet, pin
@@ -797,23 +729,16 @@ pub(crate) fn run_disaggregated(
                 );
                 let k = arouter.route(&request, &psnaps).min(punits.len() - 1);
                 p_assigned[k] += 1;
-                if let Some(tr) = &trace {
-                    tr.rec.borrow_mut().request_arrival_for(
-                        tr.ptracks[k],
-                        request.id,
-                        request.arrival_s,
-                        tenant_tag(&tenancy, request.id),
-                    );
-                }
+                obs.arrival(Some(k), &request, &tenancy);
                 punits[k].queue.push_back(request);
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(k, request.arrival(), &punits[k]);
-                }
+                let u = &punits[k];
+                obs.sample(k, request.arrival(), u.queue.len() as f64, kv_frac(&u.alloc));
                 unit_heap.set(k, punits[k].candidate());
             }
             // Retry fire: re-handoff, recompute, or repark.
             2 => {
-                let item = waiting.remove(idx);
+                let item =
+                    waiting.pop().ok_or_else(|| Error::internal("class 2 implies a retry"))?;
                 let r = item.request;
                 if ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     if let Some(p) = item.source {
@@ -849,15 +774,7 @@ pub(crate) fn run_disaggregated(
                             a.0.get().total_cmp(&b.0.get()).then(a.1.cmp(&b.1))
                         });
                         transfers.record(bytes.get(), duration, energy);
-                        if let Some(tr) = &trace {
-                            tr.rec.borrow_mut().span(
-                                tr.ptracks[p],
-                                EventKind::KvHandoff,
-                                r.id,
-                                t_start.get(),
-                                t_end.get(),
-                            );
-                        }
+                        obs.span(p, EventKind::KvHandoff, r.id, t_start, t_end);
                         dunits[k].pending.push(PendingDecode {
                             req: r,
                             first_token: item.first_token.unwrap_or(t_end),
@@ -895,15 +812,7 @@ pub(crate) fn run_disaggregated(
             3 => {
                 let batch = punits[idx].step()?;
                 for req in batch.members {
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().span(
-                            tr.ptracks[idx],
-                            EventKind::Prefill,
-                            req.id,
-                            batch.start.get(),
-                            batch.end.get(),
-                        );
-                    }
+                    obs.span(idx, EventKind::Prefill, req.id, batch.start, batch.end);
                     let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
                     dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
                     if up.is_empty() {
@@ -928,15 +837,7 @@ pub(crate) fn run_disaggregated(
                     punits[idx].link_free = t_end;
                     punits[idx].pending_release.push((t_end, req.id));
                     transfers.record(bytes.get(), duration, energy);
-                    if let Some(tr) = &trace {
-                        tr.rec.borrow_mut().span(
-                            tr.ptracks[idx],
-                            EventKind::KvHandoff,
-                            req.id,
-                            t_start.get(),
-                            t_end.get(),
-                        );
-                    }
+                    obs.span(idx, EventKind::KvHandoff, req.id, t_start, t_end);
                     dunits[k].pending.push(PendingDecode {
                         req,
                         first_token: batch.end,
@@ -944,9 +845,8 @@ pub(crate) fn run_disaggregated(
                     });
                     unit_heap.set(pn + k, dunits[k].candidate());
                 }
-                if let Some(tr) = &trace {
-                    tr.sample_prefill(idx, batch.end, &punits[idx]);
-                }
+                let u = &punits[idx];
+                obs.sample(idx, batch.end, u.queue.len() as f64, kv_frac(&u.alloc));
                 unit_heap.set(idx, punits[idx].candidate());
             }
             // Decode round (atomic: a crash never lands mid-round).
@@ -959,22 +859,12 @@ pub(crate) fn run_disaggregated(
                     ledger.on_complete(idx, c);
                     stream.on_complete(c);
                 }
-                if let Some(tr) = &trace {
-                    {
-                        let mut rec = tr.rec.borrow_mut();
-                        for c in &finished {
-                            rec.complete_for(
-                                tr.dtracks[idx],
-                                c.id,
-                                c.finish.get(),
-                                c.latency().as_millis(),
-                                c.ttft().as_millis(),
-                                tenant_tag(&tenancy, c.id),
-                            );
-                        }
-                    }
-                    tr.sample_decode(idx, dunits[idx].t, &dunits[idx]);
+                for c in &finished {
+                    obs.delivered(pn + idx, c, &tenancy);
                 }
+                let u = &dunits[idx];
+                let queued = (u.pending.len() + u.active.len()) as f64;
+                obs.sample(pn + idx, u.t, queued, kv_frac(&u.alloc));
                 completions.extend(finished);
             }
         }
@@ -1899,9 +1789,9 @@ mod tests {
             let (prefill, decode) = pools();
             for traffic in traffics(seed) {
                 for (ap, dp) in PAIRS {
-                    let fast = run_disaggregated(
+                    let fast = run_disaggregated::<()>(
                         &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0), &FaultPlan::none(), None, None,
+                        Some(50.0), &FaultPlan::none(), None, &(),
                     )
                     .unwrap();
                     let slow = run_disaggregated_plain_oracle(
@@ -1940,9 +1830,9 @@ mod tests {
             for traffic in traffics(seed) {
                 for plan in [&scripted, &chaos] {
                     for (ap, dp) in PAIRS {
-                        let fast = run_disaggregated(
+                        let fast = run_disaggregated::<()>(
                             &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
-                            &traffic, None, plan, None, None,
+                            &traffic, None, plan, None, &(),
                         )
                         .unwrap();
                         let slow = run_disaggregated_faulty_oracle(

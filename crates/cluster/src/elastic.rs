@@ -55,7 +55,8 @@ use cimtpu_obs::EventKind;
 use cimtpu_serving::{ActionHeap, Completion, EngineCore};
 use cimtpu_units::Seconds;
 
-use crate::engine::{FleetTrace, WaitingRetry};
+use crate::engine::WaitingRetry;
+use crate::observe::FleetObserver;
 use crate::replica::ReplicaSpec;
 use crate::report::ReplicaUtilization;
 use crate::router::{HealthView, ReplicaHealth};
@@ -100,8 +101,9 @@ struct Held {
 
 /// The elastic half of the colocated loop: the reconciler and its tick
 /// clock, plus the books the `scaling` section is built from — the
-/// action log and each slot's held intervals.
-pub(crate) struct Scaler<'a> {
+/// action log and each slot's held intervals. Actions, ticks and group
+/// gauges go to the loop's observer `O`.
+pub(crate) struct Scaler<'a, O> {
     policy: &'a AutoscalePolicy,
     /// The groups' base specs (for group names), the slots, and each
     /// group's slot range.
@@ -116,9 +118,10 @@ pub(crate) struct Scaler<'a> {
     since_tick: Vec<(u64, u64)>,
     held: Vec<Vec<Held>>,
     stats: ScalingStats,
+    obs: &'a O,
 }
 
-impl<'a> Scaler<'a> {
+impl<'a, O: FleetObserver> Scaler<'a, O> {
     /// Books the initial slots of every group as held from t = 0 and
     /// takes the rest offline in `health`.
     pub(crate) fn new(
@@ -127,6 +130,7 @@ impl<'a> Scaler<'a> {
         slots: &'a [ReplicaSpec],
         groups: &'a [Range<usize>],
         health: &mut HealthView,
+        obs: &'a O,
     ) -> Self {
         let mut held: Vec<Vec<Held>> = (0..slots.len()).map(|_| Vec::new()).collect();
         for (range, group) in groups.iter().zip(&policy.groups) {
@@ -149,6 +153,7 @@ impl<'a> Scaler<'a> {
             since_tick: vec![(0, 0); groups.len()],
             held,
             stats: ScalingStats { peak_replicas, ..ScalingStats::default() },
+            obs,
         }
     }
 
@@ -167,20 +172,18 @@ impl<'a> Scaler<'a> {
     }
 
     /// Logs action `kind` on slot `k` and traces it as `ev`.
-    fn act(&mut self, now: Seconds, kind: &str, ev: EventKind, k: usize, tr: Option<&FleetTrace>) {
+    fn act(&mut self, now: Seconds, kind: &str, ev: EventKind, k: usize) {
         let (group, slot) = (&self.replicas[self.group_of(k)].name, self.slots[k].name.clone());
         self.stats.actions.push(ScalingAction::new(now.get(), kind, group, slot));
-        if let Some(tr) = tr {
-            tr.instant(k, ev, now);
-        }
+        self.obs.instant(k, ev, now);
     }
 
     /// Slot `k` turned `Up`: a scale-up completes (its ramp closes) —
     /// a crash restart is no scaling action.
-    pub(crate) fn on_up(&mut self, k: usize, now: Seconds, trace: Option<&FleetTrace>) {
+    pub(crate) fn on_up(&mut self, k: usize, now: Seconds) {
         if let Some(held) = self.held[k].last_mut().filter(|iv| iv.up.is_none()) {
             held.up = Some(now.get());
-            self.act(now, action::UP, EventKind::Up, k, trace);
+            self.act(now, action::UP, EventKind::Up, k);
         }
     }
 
@@ -207,13 +210,10 @@ impl<'a> Scaler<'a> {
         cores: &mut [EngineCore<'_>],
         step_heap: &mut ActionHeap,
         parked: &[Vec<WaitingRetry>],
-        trace: Option<&FleetTrace>,
     ) {
         self.next_tick += self.policy.interval;
         self.stats.reconciles += 1;
-        if let Some(tr) = trace {
-            tr.control_instant(EventKind::Reconcile, self.stats.reconciles, now);
-        }
+        self.obs.control(EventKind::Reconcile, self.stats.reconciles, now, None);
         let mut obs = Vec::with_capacity(self.groups.len());
         for (g, range) in self.groups.iter().enumerate() {
             let mut o = GroupObservation { queued: parked[g].len() as u64, ..Default::default() };
@@ -231,9 +231,7 @@ impl<'a> Scaler<'a> {
                 }
             }
             (o.delivered, o.slo_ok) = std::mem::take(&mut self.since_tick[g]);
-            if let Some(tr) = trace {
-                tr.sample(g, now, o.queued as f64, o.outstanding as f64);
-            }
+            self.obs.sample(g, now, o.queued as f64, o.outstanding as f64);
             obs.push(o);
         }
         // The lowest offline slot of a group boots; the highest routable
@@ -249,7 +247,7 @@ impl<'a> Scaler<'a> {
                 ScalingDecision::Add { group } => {
                     if let Some(k) = boot_slot(health, group) {
                         let (ready, up) = (now + self.policy.provision, EventKind::ScaleUp);
-                        self.boot(k, now, ready, (action::SCALE_UP, up), health, trace);
+                        self.boot(k, now, ready, (action::SCALE_UP, up), health);
                         self.stats.scale_ups += 1;
                     }
                 }
@@ -262,25 +260,25 @@ impl<'a> Scaler<'a> {
                             (action::SCALE_DOWN, EventKind::ScaleDown)
                         };
                         self.stats.scale_downs += 1;
-                        self.act(now, kind, event, k, trace);
+                        self.act(now, kind, event, k);
                         drain(k, health, cores, step_heap);
                     }
                 }
                 ScalingDecision::Swap { from, to } => {
                     if let (Some(v), Some(t)) = (victim(health, from), boot_slot(health, to)) {
                         self.stats.swaps += 1;
-                        self.act(now, action::SWAP_OUT, EventKind::SwapOut, v, trace);
+                        self.act(now, action::SWAP_OUT, EventKind::SwapOut, v);
                         drain(v, health, cores, step_heap);
                         // The swapped-in slot skips provisioning (the
                         // machine is already racked) and pays only warmup.
-                        self.boot(t, now, now, (action::SWAP_IN, EventKind::SwapIn), health, trace);
+                        self.boot(t, now, now, (action::SWAP_IN, EventKind::SwapIn), health);
                     }
                 }
             }
         }
         self.stats.peak_replicas = self.stats.peak_replicas.max(self.held_now());
         for k in 0..cores.len() {
-            self.retire_if_dry(k, now, health, cores, trace);
+            self.retire_if_dry(k, now, health, cores);
         }
     }
 
@@ -294,11 +292,10 @@ impl<'a> Scaler<'a> {
         ready: Seconds,
         (kind, event): (&str, EventKind),
         health: &mut HealthView,
-        trace: Option<&FleetTrace>,
     ) {
         health.set(k, ReplicaHealth::Provisioning { until: ready });
         self.held[k].push(Held { start: now.get(), up: None, end: None });
-        self.act(now, kind, event, k, trace);
+        self.act(now, kind, event, k);
     }
 
     /// Retires slot `k` — it goes offline and its held interval ends — if
@@ -310,7 +307,6 @@ impl<'a> Scaler<'a> {
         now: Seconds,
         health: &mut HealthView,
         cores: &[EngineCore<'_>],
-        trace: Option<&FleetTrace>,
     ) {
         let draining = health.state(k) == ReplicaHealth::Draining;
         if draining && cores[k].next_action().is_none() && cores[k].queued() == 0 {
@@ -318,7 +314,7 @@ impl<'a> Scaler<'a> {
             if let Some(iv) = self.held[k].last_mut() {
                 iv.end = Some(now.get());
             }
-            self.act(now, action::RETIRED, EventKind::Retired, k, trace);
+            self.act(now, action::RETIRED, EventKind::Retired, k);
         }
     }
 

@@ -2,11 +2,10 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
-use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
+use cimtpu_obs::{EventKind, SharedRecorder};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, Request, ServingReport,
+    ActionHeap, ArrivalStream, Completion, EngineCore, Offered, Request, ServingReport,
     TenantLedger, TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
@@ -15,6 +14,7 @@ use cimtpu_units::{Error, Result, Seconds};
 use crate::disagg::{run_disaggregated, InterconnectSpec};
 use crate::elastic::{self, Scaler};
 use crate::fault::{FaultAction, FaultPlan, RetryLedger};
+use crate::observe::{FleetObserver, FleetTrace};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{
@@ -66,14 +66,6 @@ impl Tenancy<'_> {
     pub(crate) fn multi(&self) -> bool {
         self.sched.classes.len() > 1
     }
-}
-
-/// The tenant tag for request `id`'s flight-recorder events: present only
-/// for multi-tenant runs, so single-tenant traces stay byte-identical.
-pub(crate) fn tenant_tag(tenancy: &Option<Tenancy<'_>>, id: u64) -> Option<u32> {
-    tenancy
-        .as_ref()
-        .and_then(|t| t.multi().then(|| t.ledger.tenant_of(id) as u32))
 }
 
 /// A complete fleet-simulation configuration.
@@ -128,7 +120,10 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if either pool is empty.
+    /// Returns an error if either pool is empty, or for a link whose
+    /// bandwidth is not positive and finite, or whose hop latency or
+    /// pJ/byte is negative or not finite (either would put ∞ or NaN into
+    /// the report).
     pub fn disaggregated(
         prefill: Vec<ReplicaSpec>,
         decode: Vec<ReplicaSpec>,
@@ -139,6 +134,16 @@ impl ClusterEngine {
         if prefill.is_empty() || decode.is_empty() {
             return Err(Error::invalid_config(
                 "a disaggregated cluster needs at least one prefill and one decode replica",
+            ));
+        }
+        let bandwidth = interconnect.link_bandwidth.get();
+        let (hop, pj) = (interconnect.hop_latency.get(), interconnect.energy_pj_per_byte);
+        if !(bandwidth.is_finite() && bandwidth > 0.0) {
+            return Err(Error::invalid_config("the KV link bandwidth must be positive and finite"));
+        }
+        if !(hop.is_finite() && hop >= 0.0 && pj.is_finite() && pj >= 0.0) {
+            return Err(Error::invalid_config(
+                "the KV link hop latency and pJ/byte must be finite and non-negative",
             ));
         }
         Ok(ClusterEngine {
@@ -232,95 +237,80 @@ impl ClusterEngine {
         &self.topology
     }
 
-    /// Simulates `traffic` across the fleet. Deterministic: identical
-    /// inputs give identical reports (CI replays seeded runs and diffs).
+    /// Simulates the offered load — a [`TrafficSpec`] or a multi-tenant
+    /// [`TenantSet`] — across the fleet. Deterministic: identical inputs
+    /// give identical reports (CI replays seeded runs and diffs).
+    ///
+    /// A tenant set's per-tenant traffics merge into one trace, every
+    /// replica's engine core arms weighted-fair scheduling, and the
+    /// report gains a per-tenant section (goodput, SLO attainment,
+    /// Jain's fairness). A single-tenant set reports bit-identically to
+    /// its tenant's traffic, plus that section.
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid traffic spec or replica
-    /// configuration, an unmappable operator, or a KV budget too small to
-    /// hold a single request.
-    pub fn run(&self, label: &str, traffic: &TrafficSpec) -> Result<ClusterRun> {
-        self.run_observed(label, traffic, None)
+    /// Returns an error for an invalid traffic spec, tenant set or
+    /// replica configuration, an SLO that is not positive and finite, an
+    /// unmappable operator, or a KV budget too small to hold a single
+    /// request.
+    pub fn run<'t>(&self, label: &str, offered: impl Into<Offered<'t>>) -> Result<ClusterRun> {
+        self.run_observed(label, offered, None)
     }
 
-    /// [`run`](Self::run) with an optional flight recorder threaded
-    /// through whichever driver the topology dispatches to: replicas get
-    /// one track each, control-plane events (crashes, retries, scaling
-    /// actions, reconcile ticks) land on a control track — registered
-    /// only by runs that have such events (a fault plan, an elastic
-    /// fleet, a disaggregated fleet) — and queue/KV gauges stream into
-    /// the recorder's timeseries. `None` is exactly [`run`](Self::run) —
-    /// the recorder-off paths stay bit-identical.
+    /// [`run`](Self::run) with an optional flight recorder, picked once
+    /// here: `None` runs the event loops with the no-op observer `()`,
+    /// `Some` with a `FleetTrace` — replicas get one track each,
+    /// control-plane events (crashes, retries, scaling actions,
+    /// reconcile ticks) land on a control track, registered only by runs
+    /// that have such events (a fault plan, an elastic fleet, a
+    /// disaggregated fleet), and queue/KV gauges stream into the
+    /// recorder's timeseries. Multi-tenant runs tag every
+    /// request-lifecycle event with its tenant index. Recording never
+    /// changes the run.
     ///
     /// # Errors
     ///
     /// As for [`run`](Self::run).
-    pub fn run_observed(
+    pub fn run_observed<'t>(
         &self,
         label: &str,
-        traffic: &TrafficSpec,
+        offered: impl Into<Offered<'t>>,
         recorder: Option<&SharedRecorder>,
     ) -> Result<ClusterRun> {
-        self.dispatch(label, traffic, None, recorder)
+        if self.slo_ms.is_some_and(|slo| !(slo.is_finite() && slo > 0.0)) {
+            return Err(Error::invalid_config("the latency SLO must be positive and finite"));
+        }
+        let offered = offered.into();
+        let traffic = offered.spec()?;
+        let tenants = offered.tenants();
+        let sched = tenants.map(TenantSet::sched);
+        let mut ledger = tenants.map(|set| TenantLedger::new(set, &traffic));
+        let tenancy = sched.as_ref().zip(ledger.as_mut()).map(|(sched, ledger)| Tenancy {
+            sched,
+            ledger,
+        });
+        match recorder {
+            None => self.dispatch::<()>(label, &traffic, tenancy, &()),
+            Some(rec) => self.dispatch::<FleetTrace>(label, &traffic, tenancy, rec),
+        }
     }
 
-    /// Simulates a multi-tenant [`TenantSet`] across the fleet: merges the
-    /// per-tenant traffics into one trace, arms weighted-fair scheduling
-    /// on every replica's engine core, and fills the report's per-tenant
-    /// section (goodput, SLO attainment, Jain's fairness). A
-    /// single-tenant set produces a report bit-identical to
-    /// [`run`](Self::run) on that tenant's traffic, plus the tenant
-    /// section.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run), plus invalid tenant sets.
-    pub fn run_tenants(&self, label: &str, tenants: &TenantSet) -> Result<ClusterRun> {
-        self.run_tenants_observed(label, tenants, None)
-    }
-
-    /// [`run_tenants`](Self::run_tenants) with an optional flight
-    /// recorder; multi-tenant runs tag every request-lifecycle event
-    /// (arrival, retry, shed, timeout, park, complete) with its tenant
-    /// index.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_tenants`](Self::run_tenants).
-    pub fn run_tenants_observed(
-        &self,
-        label: &str,
-        tenants: &TenantSet,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<ClusterRun> {
-        let merged = tenants.merged_spec()?;
-        let sched = tenants.sched();
-        let mut ledger = TenantLedger::new(tenants, &merged);
-        self.dispatch(
-            label,
-            &merged,
-            Some(Tenancy { sched: &sched, ledger: &mut ledger }),
-            recorder,
-        )
-    }
-
-    fn dispatch(
+    fn dispatch<O: FleetObserver>(
         &self,
         label: &str,
         traffic: &TrafficSpec,
         tenancy: Option<Tenancy<'_>>,
-        recorder: Option<&SharedRecorder>,
+        sink: &O::Sink,
     ) -> Result<ClusterRun> {
         let elastic = match &self.autoscale {
             Some(policy) if policy.is_pinned() => {
-                return self.run_pinned(policy, label, traffic, tenancy, recorder);
+                return self.run_pinned::<O>(policy, label, traffic, tenancy, sink);
             }
             Some(policy) => Some(self.checked(policy)?),
             None => None,
         };
         match &self.topology {
-            ClusterTopology::Colocated { replicas, router } => run_colocated(
+            ClusterTopology::Colocated { replicas, router } => run_colocated::<O>(
                 replicas,
                 *router,
                 label,
@@ -329,7 +319,7 @@ impl ClusterEngine {
                 &self.faults,
                 elastic,
                 tenancy,
-                recorder,
+                sink,
             ),
             ClusterTopology::Disaggregated { .. } if elastic.is_some() => {
                 Err(Error::invalid_config(
@@ -343,7 +333,7 @@ impl ClusterEngine {
                 router,
                 decode_router,
                 interconnect,
-            } => run_disaggregated(
+            } => run_disaggregated::<O>(
                 prefill,
                 decode,
                 *router,
@@ -354,7 +344,7 @@ impl ClusterEngine {
                 self.slo_ms,
                 &self.faults,
                 tenancy,
-                recorder,
+                sink,
             ),
         }
     }
@@ -381,13 +371,13 @@ impl ClusterEngine {
     /// A pinned policy expands every group to its pinned size and runs
     /// the static fleet unchanged (bit-identity is proptested); the
     /// report just gains a `scaling` section pricing the static fleet.
-    fn run_pinned(
+    fn run_pinned<O: FleetObserver>(
         &self,
         policy: &AutoscalePolicy,
         label: &str,
         traffic: &TrafficSpec,
         tenancy: Option<Tenancy<'_>>,
-        recorder: Option<&SharedRecorder>,
+        sink: &O::Sink,
     ) -> Result<ClusterRun> {
         let groups = &self.checked(policy)?.groups;
         let expand = |specs: &[ReplicaSpec], groups| elastic::slots(specs, groups, false).0;
@@ -399,7 +389,7 @@ impl ClusterEngine {
                 *prefill = expand(prefill, groups);
             }
         }
-        let mut run = pinned.dispatch(label, traffic, tenancy, recorder)?;
+        let mut run = pinned.dispatch::<O>(label, traffic, tenancy, sink)?;
         let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
         let busy_chip_s: f64 =
             run.report.per_replica.iter().map(|r| r.busy_s * r.chips as f64).sum();
@@ -414,88 +404,9 @@ impl ClusterEngine {
     }
 }
 
-/// Everything the colocated loop emits to a flight recorder: one track
-/// per slot, gauge pairs — `[queued, kv_frac]` per replica stamped at each
-/// step, or for an elastic fleet `[queued, outstanding]` per group sampled
-/// at each reconcile tick — and, under a fault plan or an elastic policy,
-/// a control track for fleet-level events.
-///
-/// Without a control track (a static fleet under an empty plan) each core
-/// traces its own arrivals, every completion is emitted per replica at
-/// the end of the run, and a step's gauges are stamped at its latest
-/// completion (or the routing clock, if later). With one, the driver
-/// traces arrivals and completions as it sees them — a crash can revoke
-/// work — and stamps gauges at the step instant.
-pub(crate) struct FleetTrace {
-    rec: SharedRecorder,
-    tracks: Vec<u32>,
-    series: Vec<[usize; 2]>,
-    control: Option<u32>,
-}
-
-impl FleetTrace {
-    fn new(
-        rec: &SharedRecorder,
-        slots: &[ReplicaSpec],
-        control: bool,
-        groups: Option<&[ReplicaSpec]>,
-    ) -> FleetTrace {
-        let mut r = rec.borrow_mut();
-        let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
-        let control = control.then(|| r.track("control"));
-        let (owners, second) = groups.map_or((slots, "kv_frac"), |g| (g, "outstanding"));
-        let mut gauge = |spec: &ReplicaSpec, what: &str| {
-            r.gauge_series(&format!("{}/{what}", spec.name))
-        };
-        let series = owners.iter().map(|s| [gauge(s, "queued"), gauge(s, second)]).collect();
-        drop(r);
-        FleetTrace { rec: Rc::clone(rec), tracks, series, control }
-    }
-
-    /// Traces `r`'s arrival on the control track, if there is one: the
-    /// driver emits it, not the core, as a request can be parked, shed or
-    /// time out before reaching a core.
-    fn arrival(&self, r: &Request, tenancy: &Option<Tenancy<'_>>) {
-        if let Some(control) = self.control {
-            let tenant = tenant_tag(tenancy, r.id);
-            self.rec.borrow_mut().request_arrival_for(control, r.id, r.arrival_s, tenant);
-        }
-    }
-
-    fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
-        self.rec.borrow_mut().complete_for(
-            self.tracks[k],
-            c.id,
-            c.finish.get(),
-            c.latency().as_millis(),
-            c.ttft().as_millis(),
-            tenant_tag(tenancy, c.id),
-        );
-    }
-
-    /// A fleet event on slot `k`'s track.
-    pub(crate) fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
-        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get());
-    }
-
-    /// A fleet event on the control track.
-    pub(crate) fn control_instant(&self, kind: EventKind, id: u64, at: Seconds) {
-        if let Some(control) = self.control {
-            self.rec.borrow_mut().instant(control, kind, id, at.get());
-        }
-    }
-
-    /// Samples gauge pair `i` at `at`.
-    pub(crate) fn sample(&self, i: usize, at: Seconds, first: f64, second: f64) {
-        let mut rec = self.rec.borrow_mut();
-        rec.sample(self.series[i][0], at.get(), first);
-        rec.sample(self.series[i][1], at.get(), second);
-    }
-}
-
 /// The earliest of a loop's candidate events, as `(time, class)`; on a
 /// time tie the candidate listed first wins.
-fn earliest<const N: usize>(
+pub(crate) fn earliest<const N: usize>(
     candidates: [(Option<Seconds>, u8); N],
 ) -> Option<(Seconds, u8)> {
     candidates
@@ -522,7 +433,7 @@ pub(crate) struct WaitingRetry {
 
 /// A min-queue of pending events: pops the item with the smallest key,
 /// ties in push order.
-struct EventQueue<K, T> {
+pub(crate) struct EventQueue<K, T> {
     heap: BinaryHeap<Queued<K, T>>,
     key: fn(&T) -> K,
     pushed: u64,
@@ -554,20 +465,20 @@ impl<K: Ord, T> Ord for Queued<K, T> {
 }
 
 impl<K: Ord, T> EventQueue<K, T> {
-    fn new(key: fn(&T) -> K) -> Self {
+    pub(crate) fn new(key: fn(&T) -> K) -> Self {
         EventQueue { heap: BinaryHeap::new(), key, pushed: 0 }
     }
 
-    fn push(&mut self, item: T) {
+    pub(crate) fn push(&mut self, item: T) {
         self.pushed += 1;
         self.heap.push(Queued { key: (self.key)(&item), seq: self.pushed, item });
     }
 
-    fn peek(&self) -> Option<&T> {
+    pub(crate) fn peek(&self) -> Option<&T> {
         self.heap.peek().map(|q| &q.item)
     }
 
-    fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|q| q.item)
     }
 
@@ -597,7 +508,8 @@ impl<K: Ord, T> EventQueue<K, T> {
 /// and retry timers interleave with arrivals and engine steps. An empty
 /// plan has no fault timeline, no deadlines or shedding, and no
 /// availability section; a static fleet under it keeps the zero-fault
-/// trace layout (see [`FleetTrace`]).
+/// trace layout (see [`FleetTrace`]). `O` observes the run: `()` for
+/// none, [`FleetTrace`] for the flight recorder.
 ///
 /// Event classes at one instant resolve in a fixed order: faults and
 /// lifecycle transitions, the reconcile tick, completion deliveries,
@@ -617,7 +529,7 @@ impl<K: Ord, T> EventQueue<K, T> {
 /// with none parks the request until one of its slots turns up. The slot
 /// lifecycle is specified in the [`elastic`](crate::elastic) module docs.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)] // one call site, in `dispatch`
-fn run_colocated(
+fn run_colocated<O: FleetObserver>(
     replicas: &[ReplicaSpec],
     policy: RouterPolicy,
     label: &str,
@@ -626,7 +538,7 @@ fn run_colocated(
     plan: &FaultPlan,
     autoscale: Option<&AutoscalePolicy>,
     mut tenancy: Option<Tenancy<'_>>,
-    recorder: Option<&SharedRecorder>,
+    sink: &O::Sink,
 ) -> Result<ClusterRun> {
     let (slots, groups) = match autoscale {
         Some(p) => elastic::slots(replicas, &p.groups, p.swap),
@@ -640,10 +552,8 @@ fn run_colocated(
     let mut next_fault = 0usize;
 
     let (pricing, sessions) = fleet_sessions(&slots)?;
-    let trace = recorder.map(|rec| {
-        let elastic = autoscale.is_some().then_some(replicas);
-        FleetTrace::new(rec, &slots, !zero_fault || elastic.is_some(), elastic)
-    });
+    let elastic = autoscale.is_some().then_some(replicas);
+    let obs = O::open(sink, &slots, !zero_fault || elastic.is_some(), elastic);
     // Slot `k`'s core, at the start and — fresh, with an empty KV allocator
     // and prefix index — at every boot or restart. It prices through the
     // slot's shared pricing state.
@@ -653,9 +563,7 @@ fn run_colocated(
         if let Some(sched) = sched {
             core.set_tenancy(sched);
         }
-        if let Some(tr) = &trace {
-            core.attach_trace(TraceHandle::new(Rc::clone(&tr.rec), tr.tracks[k]));
-        }
+        obs.attach(k, &mut core);
         Ok::<_, Error>(core)
     };
     let mut cores: Vec<EngineCore<'_>> = (0..n).map(fresh).collect::<Result<_>>()?;
@@ -664,10 +572,10 @@ fn run_colocated(
     let offered = stream.total();
     let mut routers: Vec<Box<dyn Router>> = groups.iter().map(|_| policy.build()).collect();
     let mut health = HealthView::all_up(n);
-    let mut scaler = autoscale.map(|p| Scaler::new(p, replicas, &slots, &groups, &mut health));
+    let mut scaler = autoscale.map(|p| Scaler::new(p, replicas, &slots, &groups, &mut health, &obs));
     // The open straggler window per slot, as (start, factor); the
     // Straggler span is emitted when the window closes.
-    let mut slow: Vec<Option<(f64, f64)>> = vec![None; n];
+    let mut slow: Vec<Option<(Seconds, f64)>> = vec![None; n];
     let mut last_push = vec![f64::NEG_INFINITY; n];
     // Like `drive`, the cores close once the stream's final request has
     // been through admission (`close_due`): a static or dynamic batcher
@@ -685,9 +593,7 @@ fn run_colocated(
     });
     // Requests parked per group while it has no routable slot.
     let mut parked: Vec<Vec<WaitingRetry>> = vec![Vec::new(); groups.len()];
-    let control =
-        trace.as_ref().and_then(|tr| Some(TraceHandle::new(Rc::clone(&tr.rec), tr.control?)));
-    let mut ledger = RetryLedger::new(recovery, control);
+    let mut ledger = RetryLedger::new(recovery, &obs);
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
     let mut tracker = SnapshotTracker::new(n);
     // Router-view scratch, reused across events.
@@ -787,7 +693,7 @@ fn run_colocated(
                         // parked requests re-enter admission.
                         last_push[k] = now.get();
                         if let Some(s) = &mut scaler {
-                            s.on_up(k, now, trace.as_ref());
+                            s.on_up(k, now);
                         }
                         let g = groups.partition_point(|g| g.end <= k);
                         for w in parked[g].drain(..) {
@@ -799,8 +705,8 @@ fn run_colocated(
                     // books are read first.
                     accum[k].harvest(&cores[k], tenancy.as_mut());
                     cores[k] = fresh(k)?;
-                    if let (Some(tr), ReplicaHealth::Down { .. }) = (&trace, left) {
-                        tr.instant(k, EventKind::Repair, now);
+                    if let ReplicaHealth::Down { .. } = left {
+                        obs.instant(k, EventKind::Repair, now);
                     }
                     if let Some((_, factor)) = slow[k] {
                         cores[k].set_slowdown(factor);
@@ -825,12 +731,10 @@ fn run_colocated(
                             step_heap.set(replica, None);
                             let retiring = health.state(replica) == ReplicaHealth::Draining;
                             ledger.on_crash(replica, now, retiring);
-                            if let Some(tr) = &trace {
-                                tr.instant(replica, EventKind::Crash, now);
-                            }
+                            obs.instant(replica, EventKind::Crash, now);
                             if let Some(s) = &mut scaler {
                                 // A crashed draining slot is dry: it retires.
-                                s.retire_if_dry(replica, now, &mut health, &cores, trace.as_ref());
+                                s.retire_if_dry(replica, now, &mut health, &cores);
                             }
                             if health.is_live(replica) {
                                 health.set(replica, ReplicaHealth::Down { until: now + repair });
@@ -849,17 +753,10 @@ fn run_colocated(
                             }
                         }
                         FaultAction::Slow { replica, factor } => {
-                            let closing = slow[replica].filter(|_| factor.is_none());
-                            if let (Some(tr), Some((since, _))) = (&trace, closing) {
-                                tr.rec.borrow_mut().span(
-                                    tr.tracks[replica],
-                                    EventKind::Straggler,
-                                    0,
-                                    since,
-                                    now.get(),
-                                );
+                            if let Some((since, _)) = slow[replica].filter(|_| factor.is_none()) {
+                                obs.span(replica, EventKind::Straggler, 0, since, now);
                             }
-                            slow[replica] = factor.map(|f| (now.get(), f));
+                            slow[replica] = factor.map(|f| (now, f));
                             if health.is_live(replica) {
                                 cores[replica].set_slowdown(factor.unwrap_or(1.0));
                                 step_heap.set(replica, cores[replica].next_action());
@@ -872,7 +769,7 @@ fn run_colocated(
             // Reconcile tick: observe, decide, apply.
             Some((now, 1)) => {
                 if let Some(s) = &mut scaler {
-                    s.tick(now, &mut health, &mut cores, &mut step_heap, &parked, trace.as_ref());
+                    s.tick(now, &mut health, &mut cores, &mut step_heap, &parked);
                 }
                 continue;
             }
@@ -888,9 +785,7 @@ fn run_colocated(
                 };
                 let item = if fresh {
                     let request = stream.pop();
-                    if let Some(tr) = &trace {
-                        tr.arrival(&request, &tenancy);
-                    }
+                    obs.arrival(None, &request, &tenancy);
                     close_due = stream.exhausted();
                     WaitingRetry { fire: now, request, attempts: 0 }
                 } else {
@@ -981,17 +876,7 @@ fn run_colocated(
             let (queued, kv_frac) = (cores[i].queued(), cores[i].kv_frac());
             let new = cores[i].drain_new();
             tracker.on_step(i, queued, kv_frac, new);
-            if let Some(tr) = trace.as_ref().filter(|_| scaler.is_none()) {
-                let at = match tr.control {
-                    None => Some(
-                        new.iter().map(|c| c.finish.get()).fold(tracker.now().get(), f64::max),
-                    ),
-                    Some(_) => stepped_at.map(Seconds::get),
-                };
-                if let Some(t) = at {
-                    tr.sample(i, Seconds::new(t), queued as f64, kv_frac);
-                }
-            }
+            obs.stepped(i, stepped_at, tracker.now(), new, [queued as f64, kv_frac]);
             for &c in new {
                 deliveries.push((i, c));
             }
@@ -1008,9 +893,7 @@ fn run_colocated(
             ledger.on_complete(k, &mut c);
             stream.on_complete(&c);
             delivered_by[k] += 1;
-            if let Some(tr) = trace.as_ref().filter(|tr| tr.control.is_some()) {
-                tr.complete(k, &c, &tenancy);
-            }
+            obs.delivered(k, &c, &tenancy);
             if let Some(s) = &mut scaler {
                 s.on_delivery(k, &c, slo_ms);
             }
@@ -1018,7 +901,7 @@ fn run_colocated(
         }
         // A draining slot retires once its step left it dry.
         if let (Some(s), Some((i, Some(now)))) = (&mut scaler, stepped) {
-            s.retire_if_dry(i, now, &mut health, &cores, trace.as_ref());
+            s.retire_if_dry(i, now, &mut health, &cores);
         }
     }
 
@@ -1027,18 +910,13 @@ fn run_colocated(
     for (k, core) in cores.iter().enumerate() {
         accum[k].harvest(core, tenancy.as_mut());
     }
+    obs.finish(&cores, &tenancy);
     // A static fleet under an empty plan ran one incarnation per replica,
-    // whose core holds its whole history: the per-replica reports and the
-    // zero-fault trace's completions read straight off it. Other runs
-    // report the fleet aggregate only.
+    // whose core holds its whole history: the per-replica reports read
+    // straight off it. Other runs report the fleet aggregate only.
     let mut replica_reports = Vec::new();
     if zero_fault && scaler.is_none() {
-        for (k, (spec, core)) in slots.iter().zip(&cores).enumerate() {
-            if let Some(tr) = &trace {
-                for c in core.completions() {
-                    tr.complete(k, c, &tenancy);
-                }
-            }
+        for (spec, core) in slots.iter().zip(&cores) {
             if !core.completions().is_empty() {
                 replica_reports.push(core.finish(&spec.name).report);
             }
@@ -1621,8 +1499,8 @@ mod tests {
             let none = FaultPlan::none();
             for traffic in traffics(seed) {
                 for policy in POLICIES {
-                    let fast = run_colocated(
-                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None, None,
+                    let fast = run_colocated::<()>(
+                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None, &(),
                     )
                     .unwrap();
                     let slow =
@@ -1658,8 +1536,8 @@ mod tests {
             for traffic in traffics(seed) {
                 for plan in [&scripted, &chaos] {
                     for policy in POLICIES {
-                        let fast = run_colocated(
-                            &fleet, policy, "eq", &traffic, None, plan, None, None, None,
+                        let fast = run_colocated::<()>(
+                            &fleet, policy, "eq", &traffic, None, plan, None, None, &(),
                         )
                         .unwrap();
                         let slow =

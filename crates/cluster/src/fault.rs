@@ -18,13 +18,14 @@
 //! (colocated and disaggregated) keep those books through one
 //! `RetryLedger`.
 
-use cimtpu_obs::{EventKind, TraceHandle};
+use cimtpu_obs::EventKind;
 use cimtpu_serving::{ArrivalStream, Completion, Request};
 use cimtpu_units::{Error, Result, Seconds};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{tenant_tag, Tenancy};
+use crate::engine::Tenancy;
+use crate::observe::FleetObserver;
 use crate::router::HealthView;
 
 /// One injected failure, in simulated time.
@@ -419,8 +420,8 @@ pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: 
 /// request's original arrival and retry count, the shed / time-out /
 /// retry verdict for a lost request, the deadline check at admission, the
 /// crash log, and the [`AvailabilityStats`] they add up to. Sheds,
-/// timeouts, retries and parks are traced on the fleet's control track.
-pub(crate) struct RetryLedger {
+/// timeouts, retries and parks go to the loop's observer `O`.
+pub(crate) struct RetryLedger<'o, O> {
     recovery: RecoveryPolicy,
     /// Original arrival of each request the driver re-admitted with a
     /// different `arrival_s`; absent means `arrival_s` is the original.
@@ -429,20 +430,19 @@ pub(crate) struct RetryLedger {
     attempts: FxHashMap<u64, u32>,
     crashes: Vec<CrashRecord>,
     stats: AvailabilityStats,
-    control: Option<TraceHandle>,
+    obs: &'o O,
 }
 
-impl RetryLedger {
-    /// Empty books under `recovery`, tracing onto `control` when the run
-    /// is observed.
-    pub(crate) fn new(recovery: RecoveryPolicy, control: Option<TraceHandle>) -> Self {
+impl<'o, O: FleetObserver> RetryLedger<'o, O> {
+    /// Empty books under `recovery`, reporting to `obs`.
+    pub(crate) fn new(recovery: RecoveryPolicy, obs: &'o O) -> Self {
         RetryLedger {
             recovery,
             origin: FxHashMap::default(),
             attempts: FxHashMap::default(),
             crashes: Vec::new(),
             stats: AvailabilityStats::zero(),
-            control,
+            obs,
         }
     }
 
@@ -496,9 +496,7 @@ impl RetryLedger {
             self.time_out(r.id, orig, now, stream, tenancy);
             return None;
         }
-        if let Some(c) = &self.control {
-            c.span_for(EventKind::Retry, r.id, now.get(), fire.get(), tenant_tag(tenancy, r.id));
-        }
+        self.obs.request(EventKind::Retry, r.id, now, Some(fire), tenancy);
         self.attempts.insert(r.id, attempts);
         Some((fire, attempts))
     }
@@ -560,9 +558,7 @@ impl RetryLedger {
         stream: &mut ArrivalStream,
         tenancy: &Option<Tenancy<'_>>,
     ) {
-        if let Some(c) = &self.control {
-            c.instant_for(kind, id, now.get(), tenant_tag(tenancy, id));
-        }
+        self.obs.request(kind, id, now, None, tenancy);
         release_client(stream, id, orig, now);
     }
 
@@ -589,9 +585,7 @@ impl RetryLedger {
 
     /// Traces request `id` parked at `now`.
     pub(crate) fn on_park(&self, id: u64, now: Seconds, tenancy: &Option<Tenancy<'_>>) {
-        if let Some(c) = &self.control {
-            c.instant_for(EventKind::Park, id, now.get(), tenant_tag(tenancy, id));
-        }
+        self.obs.request(EventKind::Park, id, now, None, tenancy);
     }
 
     /// Books a crash of `replica` at `at`. A `retiring` replica (an

@@ -65,9 +65,10 @@
 //!
 //! # Multi-tenancy
 //!
-//! [`ClusterEngine::run_tenants`] serves a [`TenantSet`] — named tenants
-//! with [`SloClass`] tiers, weights, and their own open-loop traffic —
-//! merged into one deterministic trace. Colocated replicas arm each
+//! [`ClusterEngine::run`] serves either [`Offered`] load: a
+//! [`TrafficSpec`](cimtpu_serving::TrafficSpec), or a [`TenantSet`] —
+//! named tenants with [`SloClass`] tiers, weights, and their own
+//! open-loop traffic — merged into one deterministic trace. Colocated replicas arm each
 //! [`EngineCore`](cimtpu_serving::EngineCore)'s weighted-fair scheduler
 //! (priority admission, deficit-weighted service, SLO-aware preemption
 //! that evicts batch-tier residents first); the
@@ -121,22 +122,29 @@
 //!
 //! [`ClusterEngine::run_observed`] (and
 //! [`Scenario::run_observed`](scenario::Scenario::run_observed)) accept
-//! an optional [`SharedRecorder`] — the `cimtpu-obs` flight recorder.
-//! When attached, every driver emits typed lifecycle events (arrival →
+//! an optional [`SharedRecorder`] — the `cimtpu-obs` flight recorder —
+//! and pick the event loops' observer once: both loops are generic over
+//! a crate-private `FleetObserver` trait, whose `()` implementation is
+//! all no-ops (so a recorder-off run has no trace branches at all) and
+//! whose `FleetTrace` implementation writes to the recorder and owns the
+//! trace layout. A traced run emits typed lifecycle events (arrival →
 //! queue → prefill → KV handoff → decode → complete, plus preempt /
 //! retry / shed / timeout / park) and fleet events (crash, repair,
 //! straggler windows, scale actions, reconcile ticks) keyed by
-//! simulated time, onto one track per replica slot plus a control
-//! track (a static colocated fleet under an empty plan has no control
-//! events and registers none: its cores trace their own arrivals). The
+//! simulated time, onto one track per replica slot (a disaggregated
+//! fleet's prefill pool, then its decode pool) plus a control track (a
+//! static colocated fleet under an empty plan has no control events and
+//! registers none: its cores trace their own arrivals, and its
+//! completions are emitted per replica at the end of the run). The
 //! recorder exports a Chrome trace-event JSON
 //! (Perfetto-loadable, via [`Recorder::to_chrome_json`] with a
 //! [`TraceFilter`]), streaming log-bucketed latency/TTFT histograms and
 //! downsampled gauge series ([`TimeseriesStats`], surfaced as the
 //! report's optional `timeseries` section), and a gauge CSV. Traces are
-//! a pure function of the simulated run: same seed, same bytes. Passing
-//! `None` dispatches to code paths with no recording overhead and
-//! byte-identical reports.
+//! a pure function of the simulated run: same seed, same bytes, and
+//! reports byte-identical to a recorder-off run. New observers (profile
+//! counts, latency attribution) land as further `FleetObserver`
+//! implementations.
 //!
 //! # Reports
 //!
@@ -186,6 +194,7 @@ pub mod disagg;
 pub mod elastic;
 mod engine;
 pub mod fault;
+mod observe;
 mod replica;
 mod report;
 pub mod router;
@@ -203,7 +212,8 @@ pub use fault::{
     parse_faults, AvailabilityStats, ChaosSpec, FaultEvent, FaultPlan, RecoveryPolicy,
 };
 pub use cimtpu_serving::{
-    parse_tenants, SloClass, TenantPart, TenantReport, TenantSet, TenantSpec, TenantUsage,
+    parse_tenants, Offered, SloClass, TenantPart, TenantReport, TenantSet, TenantSpec,
+    TenantUsage,
 };
 pub use replica::ReplicaSpec;
 pub use report::{ClusterReport, KvTransferStats, PerfRecord, ReplicaUtilization};

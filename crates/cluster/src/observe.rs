@@ -1,0 +1,218 @@
+//! The fleet observer: what the event loops tell a flight recorder, as
+//! one trait the loops are generic over. `()` is the recorder-off
+//! observer — every method is an empty default the compiler removes, so
+//! the loops have no trace branches. [`FleetTrace`] is the recorder-backed
+//! one, and owns the trace layout rules.
+
+use std::rc::Rc;
+
+use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
+use cimtpu_serving::{Completion, EngineCore, Request};
+use cimtpu_units::Seconds;
+
+use crate::engine::Tenancy;
+use crate::replica::ReplicaSpec;
+
+/// What a fleet event loop emits. Slot `k` indexes the loop's slots: a
+/// colocated fleet's replicas (or elastic slots), or a disaggregated
+/// fleet's prefill pool followed by its decode pool.
+pub(crate) trait FleetObserver {
+    /// What the observer is built from: nothing, or the recorder.
+    type Sink;
+
+    /// Registers a fleet: one track per slot, a control track if
+    /// `control` (a fault plan, an elastic policy or a disaggregated
+    /// fleet), and a gauge pair per slot — or per group of an elastic
+    /// fleet, when `groups` is given.
+    fn open(
+        sink: &Self::Sink,
+        slots: &[ReplicaSpec],
+        control: bool,
+        groups: Option<&[ReplicaSpec]>,
+    ) -> Self;
+
+    /// Arms slot `k`'s fresh engine core with its track.
+    fn attach(&self, _k: usize, _core: &mut EngineCore<'_>) {}
+
+    /// `r` entered the fleet: on slot `k`'s track, or for `None` on the
+    /// control track (a colocated request can be parked, shed or time
+    /// out before it reaches a core).
+    fn arrival(&self, _k: Option<usize>, _r: &Request, _tenancy: &Option<Tenancy<'_>>) {}
+
+    /// A fleet event on slot `k`'s track.
+    fn instant(&self, _k: usize, _kind: EventKind, _at: Seconds) {}
+
+    /// A span on slot `k`'s track.
+    fn span(&self, _k: usize, _kind: EventKind, _id: u64, _from: Seconds, _to: Seconds) {}
+
+    /// A control-track event: a span until `until`, else an instant.
+    fn control(&self, _kind: EventKind, _id: u64, _at: Seconds, _until: Option<Seconds>) {}
+
+    /// Request `id`'s control-track event (retry, shed, timeout, park),
+    /// tagged with its tenant.
+    fn request(
+        &self,
+        _kind: EventKind,
+        _id: u64,
+        _at: Seconds,
+        _until: Option<Seconds>,
+        _tenancy: &Option<Tenancy<'_>>,
+    ) {
+    }
+
+    /// Samples gauge pair `i` at `at`.
+    fn sample(&self, _i: usize, _at: Seconds, _first: f64, _second: f64) {}
+
+    /// `stepped(k, at, clock, new, [queued, kv_frac])`: slot `k`'s core
+    /// stepped at `at` (`None`: flushed a stalled batch) with the routing
+    /// clock at `clock`, produced `new`, and holds the two gauges.
+    fn stepped(&self, _: usize, _: Option<Seconds>, _: Seconds, _: &[Completion], _: [f64; 2]) {}
+
+    /// Slot `k` delivered `c`.
+    fn delivered(&self, _k: usize, _c: &Completion, _tenancy: &Option<Tenancy<'_>>) {}
+
+    /// The run is over; `cores` are the final incarnations.
+    fn finish(&self, _cores: &[EngineCore<'_>], _tenancy: &Option<Tenancy<'_>>) {}
+}
+
+/// The recorder-off observer.
+impl FleetObserver for () {
+    type Sink = ();
+
+    fn open(_: &(), _: &[ReplicaSpec], _: bool, _: Option<&[ReplicaSpec]>) {}
+}
+
+/// The flight-recorder observer: one track per slot, a gauge pair per
+/// slot — `[queued, kv_frac]` — or for an elastic fleet
+/// `[queued, outstanding]` per group sampled at each reconcile tick, and
+/// a control track for fleet-level events.
+///
+/// Without a control track (a static colocated fleet under an empty
+/// plan) each core traces its own arrivals, every completion is emitted
+/// per replica at the end of the run, and a step's gauges are stamped at
+/// its latest completion (or the routing clock, if later). With one, the
+/// loop traces arrivals and completions as it sees them — a crash can
+/// revoke work — and stamps a colocated step's gauges at the step
+/// instant. Multi-tenant runs tag every request-lifecycle event with its
+/// tenant index; single-tenant traces stay byte-identical to untenanted.
+pub(crate) struct FleetTrace {
+    rec: SharedRecorder,
+    tracks: Vec<u32>,
+    series: Vec<[usize; 2]>,
+    control: Option<u32>,
+    /// Whether steps stamp per-slot gauges (not an elastic fleet's).
+    step_gauges: bool,
+}
+
+/// Request `id`'s tenant tag: present only for multi-tenant runs.
+fn tenant(tenancy: &Option<Tenancy<'_>>, id: u64) -> Option<u32> {
+    tenancy.as_ref().and_then(|t| t.multi().then(|| t.ledger.tenant_of(id) as u32))
+}
+
+impl FleetTrace {
+    fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
+        let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
+        let (track, tag) = (self.tracks[k], tenant(tenancy, c.id));
+        self.rec.borrow_mut().complete_for(track, c.id, c.finish.get(), latency, ttft, tag);
+    }
+}
+
+impl FleetObserver for FleetTrace {
+    type Sink = SharedRecorder;
+
+    fn open(
+        rec: &SharedRecorder,
+        slots: &[ReplicaSpec],
+        control: bool,
+        groups: Option<&[ReplicaSpec]>,
+    ) -> FleetTrace {
+        let mut r = rec.borrow_mut();
+        let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
+        let control = control.then(|| r.track("control"));
+        let (owners, second) = groups.map_or((slots, "kv_frac"), |g| (g, "outstanding"));
+        let mut gauge = |spec: &ReplicaSpec, what: &str| {
+            r.gauge_series(&format!("{}/{what}", spec.name))
+        };
+        let series = owners.iter().map(|s| [gauge(s, "queued"), gauge(s, second)]).collect();
+        drop(r);
+        FleetTrace { rec: Rc::clone(rec), tracks, series, control, step_gauges: groups.is_none() }
+    }
+
+    fn attach(&self, k: usize, core: &mut EngineCore<'_>) {
+        core.attach_trace(TraceHandle::new(Rc::clone(&self.rec), self.tracks[k]));
+    }
+
+    fn arrival(&self, k: Option<usize>, r: &Request, tenancy: &Option<Tenancy<'_>>) {
+        if let Some(track) = k.map(|k| self.tracks[k]).or(self.control) {
+            let tag = tenant(tenancy, r.id);
+            self.rec.borrow_mut().request_arrival_for(track, r.id, r.arrival_s, tag);
+        }
+    }
+
+    fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
+        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get());
+    }
+
+    fn span(&self, k: usize, kind: EventKind, id: u64, from: Seconds, to: Seconds) {
+        self.rec.borrow_mut().span(self.tracks[k], kind, id, from.get(), to.get());
+    }
+
+    fn control(&self, kind: EventKind, id: u64, at: Seconds, until: Option<Seconds>) {
+        self.request(kind, id, at, until, &None);
+    }
+
+    fn request(
+        &self,
+        kind: EventKind,
+        id: u64,
+        at: Seconds,
+        until: Option<Seconds>,
+        tenancy: &Option<Tenancy<'_>>,
+    ) {
+        let Some(control) = self.control else { return };
+        let (tag, mut rec) = (tenant(tenancy, id), self.rec.borrow_mut());
+        match until {
+            Some(end) => rec.span_for(control, kind, id, at.get(), end.get(), tag),
+            None => rec.instant_for(control, kind, id, at.get(), tag),
+        }
+    }
+
+    fn sample(&self, i: usize, at: Seconds, first: f64, second: f64) {
+        let mut rec = self.rec.borrow_mut();
+        rec.sample(self.series[i][0], at.get(), first);
+        rec.sample(self.series[i][1], at.get(), second);
+    }
+
+    fn stepped(
+        &self,
+        k: usize,
+        at: Option<Seconds>,
+        clock: Seconds,
+        new: &[Completion],
+        gauges: [f64; 2],
+    ) {
+        let at = match self.control {
+            None => Some(new.iter().map(|c| c.finish).fold(clock, Seconds::max)),
+            Some(_) => at,
+        };
+        if let Some(at) = at.filter(|_| self.step_gauges) {
+            self.sample(k, at, gauges[0], gauges[1]);
+        }
+    }
+
+    fn delivered(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
+        if self.control.is_some() {
+            self.complete(k, c, tenancy);
+        }
+    }
+
+    fn finish(&self, cores: &[EngineCore<'_>], tenancy: &Option<Tenancy<'_>>) {
+        if self.control.is_none() {
+            for (k, core) in cores.iter().enumerate() {
+                for c in core.completions() {
+                    self.complete(k, c, tenancy);
+                }
+            }
+        }
+    }
+}

@@ -246,8 +246,8 @@ pub struct ClusterReport {
     /// recorder was attached); recorder-off runs omit the key so every
     /// pre-existing baseline entry stays byte-identical.
     pub timeseries: Option<cimtpu_obs::TimeseriesStats>,
-    /// Per-tenant section — present only for multi-tenant runs
-    /// ([`ClusterEngine::run_tenants`](crate::ClusterEngine::run_tenants));
+    /// Per-tenant section — present only for runs offered a
+    /// [`TenantSet`](crate::TenantSet) ([`ClusterEngine::run`](crate::ClusterEngine::run));
     /// single-tenant runs omit the key so every pre-existing baseline
     /// entry stays byte-identical.
     pub tenants: Option<TenantReport>,

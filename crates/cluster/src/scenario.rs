@@ -6,7 +6,7 @@ use cimtpu_core::TpuConfig;
 use cimtpu_models::presets;
 use cimtpu_serving::{
     ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, PrefixTraffic, ServingModel, SloClass,
-    TenantPart, TenantSet, TenantSpec, TrafficSpec,
+    TenantSet, TenantSpec, TrafficSpec,
 };
 use cimtpu_units::{Bytes, Error, Result, Seconds};
 
@@ -59,30 +59,13 @@ impl Scenario {
                 Some(seed) => set.with_seed(seed),
                 None => set.clone(),
             };
-            return self.engine.run_tenants_observed(self.name, &set, recorder);
+            return self.engine.run_observed(self.name, &set, recorder);
         }
         let mut traffic = self.traffic.clone();
         if let Some(seed) = seed {
             traffic.seed = seed;
         }
         self.engine.run_observed(self.name, &traffic, recorder)
-    }
-
-    /// Runs the scenario with its base traffic split across `parts`
-    /// tenants ([`TenantSet::overlay`]) under tenant-aware scheduling.
-    /// The seed override reseeds every tenant's stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors and invalid tenant overlays (closed-loop
-    /// or prefix base traffic, fewer requests than tenants).
-    pub fn run_tenants(&self, seed: Option<u64>, parts: &[TenantPart]) -> Result<ClusterRun> {
-        let mut traffic = self.traffic.clone();
-        if let Some(seed) = seed {
-            traffic.seed = seed;
-        }
-        let tenants = TenantSet::overlay(&traffic, parts)?;
-        self.engine.run_tenants(self.name, &tenants)
     }
 }
 
@@ -1009,7 +992,8 @@ mod tests {
         // equal-weight tenants; the fleet-level totals must be conserved.
         let base = by_name("hetero-fleet").unwrap();
         let parts = crate::parse_tenants("a=interactive,b=batch").unwrap();
-        let split = base.run_tenants(None, &parts).unwrap();
+        let tenants = TenantSet::overlay(&base.traffic, &parts).unwrap();
+        let split = base.engine.run(base.name, &tenants).unwrap();
         assert_eq!(split.report.offered, base.traffic.requests);
         assert_eq!(split.report.completed, split.report.offered);
         let t = split.report.tenants.as_ref().expect("overlay reports tenants");

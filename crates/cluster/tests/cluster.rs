@@ -9,7 +9,7 @@ use cimtpu_serving::{
     ArrivalPattern, BatchPolicy, KvBudget, LenDist, MemoryConfig, PrefixTraffic, ServingModel,
     TrafficSpec,
 };
-use cimtpu_units::Bytes;
+use cimtpu_units::{Bandwidth, Bytes, Error, Seconds};
 
 fn tiny() -> ServingModel {
     ServingModel::Llm(TransformerConfig::new("Tiny-2L", 2, 4, 256, 1024).unwrap())
@@ -232,4 +232,59 @@ fn disaggregation_rejects_incoherent_pools() {
         InterconnectSpec::ici(),
     )
     .is_err());
+}
+
+/// A link that cannot move bytes at a finite positive rate, or that
+/// charges a negative or non-finite hop or energy, would put ∞ or NaN
+/// into the report (a 0 GB/s link made `makespan_s` and p50 infinite):
+/// the fleet is rejected with a typed error at construction.
+#[test]
+fn disaggregated_rejects_a_link_that_yields_non_finite_reports() {
+    let build = |link: InterconnectSpec| {
+        ClusterEngine::disaggregated(
+            vec![replica("p")],
+            vec![replica("d")],
+            RouterPolicy::RoundRobin,
+            RouterPolicy::RoundRobin,
+            link,
+        )
+    };
+    let ici = InterconnectSpec::ici();
+    assert!(build(ici).is_ok());
+    let zero_hop = InterconnectSpec { hop_latency: Seconds::ZERO, energy_pj_per_byte: 0.0, ..ici };
+    assert!(build(zero_hop).is_ok(), "a free, instant hop is valid");
+    let rejected = |link| matches!(build(link), Err(Error::InvalidConfig(_)));
+    for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let link_bandwidth = Bandwidth::from_gb_per_s(1.0) * x;
+        assert!(rejected(InterconnectSpec { link_bandwidth, ..ici }), "{x} GB/s");
+    }
+    for x in [-1.0, f64::NAN, f64::INFINITY] {
+        let hop_latency = Seconds::from_micros(1.0) * x;
+        assert!(rejected(InterconnectSpec { hop_latency, ..ici }), "hop {x} us");
+        assert!(rejected(InterconnectSpec { energy_pj_per_byte: x, ..ici }), "{x} pJ/B");
+    }
+}
+
+/// A NaN SLO made every completion miss it (`goodput_rps = 0`) and wrote
+/// `slo_ms = NaN` into the report: `run` rejects an SLO that is not
+/// positive and finite, on either topology.
+#[test]
+fn run_rejects_a_non_finite_or_non_positive_slo() {
+    let colocated =
+        ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
+    let disagg = ClusterEngine::disaggregated(
+        vec![replica("p")],
+        vec![replica("d")],
+        RouterPolicy::RoundRobin,
+        RouterPolicy::RoundRobin,
+        InterconnectSpec::ici(),
+    )
+    .unwrap();
+    for fleet in [colocated, disagg] {
+        assert!(fleet.clone().with_slo_ms(50.0).run("ok", &traffic(4)).is_ok());
+        for slo in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            let run = fleet.clone().with_slo_ms(slo).run("slo", &traffic(4));
+            assert!(matches!(run, Err(Error::InvalidConfig(_))), "slo {slo} ms");
+        }
+    }
 }

@@ -15,9 +15,14 @@
 //!    retries recover it, and every offered request is conserved:
 //!    `arrived == completed + shed + timed_out`.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use cimtpu_cluster::scenario::by_name;
 use cimtpu_cluster::{
-    ChaosSpec, ClusterEngine, ClusterRun, FaultEvent, FaultPlan, InterconnectSpec,
-    RecoveryPolicy, ReplicaSpec, RouterPolicy,
+    ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultEvent, FaultPlan, InterconnectSpec,
+    Recorder, RecoveryPolicy, ReplicaSpec, RouterPolicy,
 };
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::{
@@ -453,4 +458,30 @@ fn cross_topology_faults_are_rejected() {
         .run("bad", &traffic)
         .unwrap_err();
     assert!(err.to_string().contains("link"), "{err}");
+}
+
+/// With every replica down, a request parks once and waits for the first
+/// restart: neither a retry firing into the outage nor a later restart
+/// parks it again. Both replicas of `closed-loop-c8` crash at 5 ms and
+/// restart after staggered repairs, and in the recorded run every parked
+/// request id has exactly one `Park` event.
+#[test]
+fn whole_fleet_down_parks_each_request_once() {
+    let mut scenario = by_name("closed-loop-c8").unwrap();
+    let crash = |replica, repair| FaultEvent::Crash {
+        at: Seconds::new(0.005),
+        replica,
+        repair: Seconds::new(repair),
+    };
+    let plan = FaultPlan::none().with_event(crash(0, 0.003)).with_event(crash(1, 0.006));
+    scenario.engine = scenario.engine.with_faults(plan);
+    let rec = Rc::new(RefCell::new(Recorder::new()));
+    let run = scenario.run_observed(None, Some(&rec)).unwrap();
+    assert_eq!(run.report.completed, run.report.offered, "every request recovers");
+    let mut parks: BTreeMap<u64, u32> = BTreeMap::new();
+    for e in rec.borrow().events().iter().filter(|e| e.kind == EventKind::Park) {
+        *parks.entry(e.id).or_default() += 1;
+    }
+    assert!(parks.len() >= 2, "the outage must park requests: {parks:?}");
+    assert!(parks.values().all(|&n| n == 1), "a request parked twice: {parks:?}");
 }

@@ -133,7 +133,7 @@ fn single_tenant_set_matches_plain_run_bit_for_bit() {
     ];
     for fleet in fleets {
         let plain = fleet.run("anchor", &traffic).unwrap();
-        let tenanted = fleet.run_tenants("anchor", &solo(&traffic)).unwrap();
+        let tenanted = fleet.run("anchor", &solo(&traffic)).unwrap();
         assert_eq!(tenanted.completions, plain.completions);
         let mut stripped = tenanted.report.clone();
         let t = stripped.tenants.take().expect("tenanted run reports tenants");
@@ -164,11 +164,11 @@ fn autoscaled_tenants_conserve_and_replay() {
         .with_slo_ms(2.0)
         .with_autoscale(policy);
     let set = three_tenants(0xE1A, 8_000.0);
-    let run = engine.run_tenants("elastic", &set).unwrap();
+    let run = engine.run("elastic", &set).unwrap();
     assert_tenant_conservation(&run);
     assert_eq!(run.report.completed, run.report.offered, "scale-to-zero parks, never drops");
     assert!(run.report.scaling.is_some(), "elastic run reports scaling");
-    let again = engine.run_tenants("elastic", &set).unwrap();
+    let again = engine.run("elastic", &set).unwrap();
     assert_eq!(run.report, again.report);
     assert_eq!(run.completions, again.completions);
 }
@@ -181,7 +181,7 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
     for fleet in [colocated(RouterPolicy::SloAware, FaultPlan::none()), disagg(chaos(3))] {
         let multi = three_tenants(0x7A6, 6_000.0);
         let rec = fresh();
-        let observed = fleet.run_tenants_observed("tagged", &multi, Some(&rec)).unwrap();
+        let observed = fleet.run_observed("tagged", &multi, Some(&rec)).unwrap();
         let rec = rec.borrow();
         let lifecycle: Vec<_> = rec
             .events()
@@ -194,7 +194,7 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
             assert!((tag as usize) < 3, "tenant tag {tag} out of range");
         }
         // Zero observer effect: the recorder changes no scheduling.
-        let blind = fleet.run_tenants("tagged", &multi).unwrap();
+        let blind = fleet.run("tagged", &multi).unwrap();
         assert_eq!(observed.report, blind.report);
 
         // A single-tenant run stays tag-free everywhere.
@@ -206,7 +206,7 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
         )])
         .unwrap();
         let rec2 = fresh();
-        fleet.run_tenants_observed("untagged", &solo, Some(&rec2)).unwrap();
+        fleet.run_observed("untagged", &solo, Some(&rec2)).unwrap();
         assert!(rec2.borrow().events().iter().all(|e| e.tenant.is_none()));
     }
 }
@@ -223,15 +223,15 @@ proptest! {
             [RouterPolicy::RoundRobin, RouterPolicy::LeastOutstanding, RouterPolicy::SloAware];
         for policy in policies {
             let fleet = colocated(policy, chaos(fault_seed));
-            let run = fleet.run_tenants("chaos", &set).unwrap();
+            let run = fleet.run("chaos", &set).unwrap();
             assert_tenant_conservation(&run);
-            let again = fleet.run_tenants("chaos", &set).unwrap();
+            let again = fleet.run("chaos", &set).unwrap();
             prop_assert_eq!(&run.report, &again.report);
         }
         let fleet = disagg(chaos(fault_seed));
-        let run = fleet.run_tenants("chaos", &set).unwrap();
+        let run = fleet.run("chaos", &set).unwrap();
         assert_tenant_conservation(&run);
-        let again = fleet.run_tenants("chaos", &set).unwrap();
+        let again = fleet.run("chaos", &set).unwrap();
         prop_assert_eq!(&run.report, &again.report);
     }
 }

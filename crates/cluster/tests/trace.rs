@@ -253,7 +253,7 @@ fn benign_plan_disagg_traces_match_empty_plan() {
         .with_faults(plan.clone());
         let rec = fresh();
         if tenanted {
-            engine.run_tenants_observed("benign", &tenants, Some(&rec)).unwrap();
+            engine.run_observed("benign", &tenants, Some(&rec)).unwrap();
         } else {
             engine.run_observed("benign", &traffic, Some(&rec)).unwrap();
         }
@@ -340,4 +340,64 @@ proptest! {
         let plain = scenario.run(Some(seed)).unwrap();
         prop_assert_eq!(&run.report, &plain.report);
     }
+}
+
+/// An export's 64-bit FNV-1a digest and byte length.
+type Digest = (u64, usize);
+
+fn digest(export: &str) -> Digest {
+    let fnv1a = export.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    (fnv1a, export.len())
+}
+
+/// Trace and gauge-CSV bytes pinned across commits, not only across two
+/// runs of one build: `(scenario, (json digest, json len), (csv digest,
+/// csv len))`. The set covers the zero-fault layout (per-replica
+/// completions at the end of the run), a crash plan, the disaggregated
+/// loop, an elastic fleet and tenant-tagged events. A refactor of the
+/// observer plumbing must leave every entry unchanged.
+#[test]
+fn trace_exports_are_pinned() {
+    const PINNED: [(&str, Digest, Digest); 5] = [
+        (
+            "closed-loop-c8",
+            (0xff3b_403a_39a6_e1c9, 24_165),
+            (0x0f09_fa08_c531_3371, 1_264),
+        ),
+        (
+            "cluster-chaos-crash",
+            (0x5048_634d_b6a2_ea37, 25_300),
+            (0xf3c1_a5e3_1c02_eef7, 718),
+        ),
+        (
+            "smoke-cluster",
+            (0x9fde_a19f_f3d5_b88b, 2_660),
+            (0x4bbd_8ed0_7533_70fe, 217),
+        ),
+        (
+            "smoke-autoscale",
+            (0x7cf3_a0ab_edeb_67a8, 1_603_874),
+            (0xdbad_ae71_74e5_1839, 23_323),
+        ),
+        (
+            "cluster-noisy-neighbor",
+            (0x9455_c74e_e4ea_5352, 36_331),
+            (0x1c2a_9eeb_a328_a5da, 1_003),
+        ),
+    ];
+    let got: Vec<_> = PINNED
+        .iter()
+        .map(|&(name, _, _)| {
+            let (_run, rec) = record(name, None);
+            let rec = rec.borrow();
+            (
+                name,
+                digest(&rec.to_chrome_json(&TraceFilter::default())),
+                digest(&rec.metrics_csv(name)),
+            )
+        })
+        .collect();
+    assert_eq!(got, PINNED, "trace or metrics CSV bytes moved");
 }

@@ -10,9 +10,10 @@ use crate::memory::MemoryConfig;
 use crate::metrics::{Completion, ServingReport};
 use crate::policy::BatchPolicy;
 use crate::pricer::ServingModel;
-use crate::request::{ArrivalPattern, ArrivalStream, TrafficSpec};
+use crate::request::{ArrivalPattern, ArrivalStream};
 use crate::session::EngineSession;
 use crate::step::drive;
+use crate::tenant::Offered;
 
 /// How simulated chips cooperate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,13 +133,19 @@ impl ServingEngine {
         self.parallelism
     }
 
-    /// Simulates `traffic` to completion and reports request-level
-    /// metrics. Deterministic: identical inputs give identical reports.
+    /// Simulates the offered load — a [`TrafficSpec`](crate::TrafficSpec)
+    /// or a multi-tenant [`TenantSet`](crate::TenantSet) — to completion
+    /// and reports request-level metrics. Deterministic: identical inputs
+    /// give identical reports.
     ///
     /// Open-loop and burst traces are materialized up front; closed-loop
     /// traffic couples each client's next arrival to its previous
     /// completion, so the run interleaves arrival generation with engine
-    /// steps through the shared [`drive`](crate::drive) loop.
+    /// steps through the shared [`drive`](crate::drive) loop. A tenant
+    /// set's traffics merge into one trace, the core arms weighted-fair
+    /// scheduling, and the report gains a per-tenant section (goodput,
+    /// SLO attainment, fairness); a single-tenant set reports
+    /// bit-identically to its tenant's traffic, plus that section.
     ///
     /// When `CIMTPU_CACHE_DIR` is set, the underlying simulator loads its
     /// mapping cache from disk before the run and persists it afterwards,
@@ -146,37 +153,46 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid traffic spec, an unmappable
-    /// operator, chunked prefill on a tensor-parallel ring, or a KV
-    /// budget too small to hold even a single request.
-    pub fn run(&self, label: &str, traffic: &TrafficSpec) -> Result<ServingRun> {
-        self.run_observed(label, traffic, None)
+    /// Returns an error for an invalid traffic spec or tenant set, an
+    /// unmappable operator, chunked prefill on a tensor-parallel ring, or
+    /// a KV budget too small to hold even a single request.
+    pub fn run<'t>(&self, label: &str, offered: impl Into<Offered<'t>>) -> Result<ServingRun> {
+        self.run_observed(label, offered, None)
     }
 
     /// [`run`](Self::run) with an optional flight recorder: the engine
     /// core emits its request lifecycle on a fresh `"engine"` track and
     /// every delivered completion feeds the recorder's terminal event
-    /// and latency histograms. `None` is exactly [`run`](Self::run).
+    /// and latency histograms; multi-tenant runs tag every
+    /// request-lifecycle event with its tenant index. `None` is exactly
+    /// [`run`](Self::run).
     ///
     /// # Errors
     ///
     /// As for [`run`](Self::run).
-    pub fn run_observed(
+    pub fn run_observed<'t>(
         &self,
         label: &str,
-        traffic: &TrafficSpec,
+        offered: impl Into<Offered<'t>>,
         recorder: Option<&cimtpu_obs::SharedRecorder>,
     ) -> Result<ServingRun> {
+        let offered = offered.into();
+        let traffic = offered.spec()?;
         traffic.validate()?;
+        let tenants = offered.tenants();
+        let sched = tenants.map(crate::TenantSet::sched);
         let session = EngineSession::new(self)?;
         let mut core = session.core()?;
+        if let Some(sched) = &sched {
+            core.set_tenancy(sched);
+        }
         if let Some(rec) = recorder {
             let track = rec.borrow_mut().track("engine");
             core.attach_trace(cimtpu_obs::TraceHandle::new(std::rc::Rc::clone(rec), track));
         }
         match traffic.arrival {
             ArrivalPattern::ClosedLoop { .. } => {
-                let mut stream = ArrivalStream::new(traffic)?;
+                let mut stream = ArrivalStream::new(&traffic)?;
                 drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
             }
             _ => {
@@ -192,85 +208,30 @@ impl ServingEngine {
                 }
             }
         }
-        let run = core.finish(label);
-        if let Some(rec) = recorder {
-            let mut rec = rec.borrow_mut();
-            let track = core.trace_track().expect("recorder attached above");
-            for c in &run.completions {
-                rec.complete(
-                    track,
-                    c.id,
-                    c.finish.get(),
-                    c.latency().as_millis(),
-                    c.ttft().as_millis(),
-                );
+        let ledger = tenants.map(|set| {
+            let mut ledger = crate::TenantLedger::new(set, &traffic);
+            if let Some(per_tenant) = core.tenant_preemptions() {
+                ledger.absorb_preemptions(per_tenant);
             }
-        }
-        session.persist_cache(); // best effort; cold is correct
-        Ok(run)
-    }
-
-    /// Simulates a multi-tenant [`TenantSet`](crate::TenantSet): merges
-    /// the per-tenant traffics into one trace, arms weighted-fair
-    /// scheduling on the core, and fills the report's per-tenant section
-    /// (goodput, SLO attainment, fairness). A single-tenant set produces
-    /// a report bit-identical to [`run`](Self::run) on that tenant's
-    /// traffic, plus the tenant section.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run), plus invalid tenant sets.
-    pub fn run_tenants(&self, label: &str, tenants: &crate::TenantSet) -> Result<ServingRun> {
-        self.run_tenants_observed(label, tenants, None)
-    }
-
-    /// [`run_tenants`](Self::run_tenants) with an optional flight
-    /// recorder; multi-tenant runs tag every request-lifecycle event
-    /// with its tenant index.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_tenants`](Self::run_tenants).
-    pub fn run_tenants_observed(
-        &self,
-        label: &str,
-        tenants: &crate::TenantSet,
-        recorder: Option<&cimtpu_obs::SharedRecorder>,
-    ) -> Result<ServingRun> {
-        let merged = tenants.merged_spec()?;
-        let sched = tenants.sched();
-        let session = EngineSession::new(self)?;
-        let mut core = session.core()?;
-        core.set_tenancy(&sched);
-        if let Some(rec) = recorder {
-            let track = rec.borrow_mut().track("engine");
-            core.attach_trace(cimtpu_obs::TraceHandle::new(std::rc::Rc::clone(rec), track));
-        }
-        for request in merged.generate() {
-            core.push(request);
-        }
-        core.close();
-        while core.next_action().is_some() {
-            core.step()?;
-        }
-        let mut ledger = crate::TenantLedger::new(tenants, &merged);
-        if let Some(per_tenant) = core.tenant_preemptions() {
-            ledger.absorb_preemptions(per_tenant);
-        }
+            ledger
+        });
         let mut run = core.finish(label);
-        run.report.tenants = Some(ledger.report(&run.completions, run.report.makespan_s));
+        if let Some(ledger) = &ledger {
+            run.report.tenants = Some(ledger.report(&run.completions, run.report.makespan_s));
+        }
         if let Some(rec) = recorder {
             let mut rec = rec.borrow_mut();
             let track = core.trace_track().expect("recorder attached above");
-            let multi = sched.classes.len() > 1;
+            let multi = sched.as_ref().is_some_and(|s| s.classes.len() > 1);
             for c in &run.completions {
+                let tenant = ledger.as_ref().filter(|_| multi).map(|l| l.tenant_of(c.id) as u32);
                 rec.complete_for(
                     track,
                     c.id,
                     c.finish.get(),
                     c.latency().as_millis(),
                     c.ttft().as_millis(),
-                    multi.then_some(ledger.tenant_of(c.id) as u32),
+                    tenant,
                 );
             }
         }

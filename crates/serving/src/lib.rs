@@ -170,7 +170,7 @@ pub use heap::ActionHeap;
 pub use session::{EngineSession, PricingPool};
 pub use step::{drive, drive_with, DriveHooks, EngineCore};
 pub use tenant::{
-    parse_tenants, SloClass, TenantLedger, TenantPart, TenantReport, TenantSched, TenantSet,
-    TenantSpec, TenantUsage,
+    parse_tenants, Offered, SloClass, TenantLedger, TenantPart, TenantReport, TenantSched,
+    TenantSet, TenantSpec, TenantUsage,
 };
 pub use trace::{parse_jsonl, replay_spec, synthesize, to_jsonl, TraceRecord};

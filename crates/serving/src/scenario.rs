@@ -75,7 +75,7 @@ impl Scenario {
             self.policy,
         )?
         .with_memory(self.memory)
-        .run_tenants(self.name, &tenants)
+        .run(self.name, &tenants)
     }
 }
 

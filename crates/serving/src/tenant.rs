@@ -121,6 +121,52 @@ impl TenantSpec {
     }
 }
 
+/// The load a run is offered: one traffic spec, or a tenant set whose
+/// traffics merge into one trace. Engines take `impl Into<Offered>`, so
+/// `&TrafficSpec` and `&TenantSet` both pass straight in.
+#[derive(Debug, Clone, Copy)]
+pub enum Offered<'a> {
+    /// Single-tenant traffic.
+    Traffic(&'a TrafficSpec),
+    /// Multi-tenant traffic, scheduled weighted-fair.
+    Tenants(&'a TenantSet),
+}
+
+impl<'a> From<&'a TrafficSpec> for Offered<'a> {
+    fn from(traffic: &'a TrafficSpec) -> Self {
+        Offered::Traffic(traffic)
+    }
+}
+
+impl<'a> From<&'a TenantSet> for Offered<'a> {
+    fn from(tenants: &'a TenantSet) -> Self {
+        Offered::Tenants(tenants)
+    }
+}
+
+impl<'a> Offered<'a> {
+    /// The one trace the run serves: the traffic itself, or the tenants'
+    /// [merged](TenantSet::merged_spec) trace.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TenantSet::merged_spec`].
+    pub fn spec(self) -> Result<std::borrow::Cow<'a, TrafficSpec>> {
+        Ok(match self {
+            Offered::Traffic(traffic) => std::borrow::Cow::Borrowed(traffic),
+            Offered::Tenants(tenants) => std::borrow::Cow::Owned(tenants.merged_spec()?),
+        })
+    }
+
+    /// The tenant set, for multi-tenant load.
+    pub fn tenants(self) -> Option<&'a TenantSet> {
+        match self {
+            Offered::Traffic(_) => None,
+            Offered::Tenants(tenants) => Some(tenants),
+        }
+    }
+}
+
 /// A set of tenants sharing one serving fleet.
 #[derive(Debug, Clone)]
 pub struct TenantSet {

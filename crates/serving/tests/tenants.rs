@@ -69,7 +69,7 @@ fn single_tenant_set_is_bit_identical_to_plain_run() {
             traffic.clone(),
         )])
         .unwrap();
-        let tenanted = engine(policy).run_tenants("anchor", &set).unwrap();
+        let tenanted = engine(policy).run("anchor", &set).unwrap();
         assert_eq!(tenanted.completions, plain.completions, "{}", policy.name());
         let mut stripped = tenanted.report.clone();
         let t = stripped.tenants.take().expect("tenanted run reports tenants");
@@ -102,7 +102,7 @@ fn weighted_fair_admission_stays_within_one_quantum() {
         TenantSpec::new("light", SloClass::Standard, 1.0, fixed(2)),
     ])
     .unwrap();
-    let run = engine(BatchPolicy::Continuous { max_batch: 2 }).run_tenants("wfq", &set).unwrap();
+    let run = engine(BatchPolicy::Continuous { max_batch: 2 }).run("wfq", &set).unwrap();
     assert_eq!(run.report.completed, 24);
     let who = tenants_by_id(&set);
     let mut done = run.completions.clone();
@@ -152,7 +152,7 @@ fn preemption_evicts_batch_before_interactive() {
     .unwrap();
     let run = engine(BatchPolicy::Continuous { max_batch: 4 })
         .with_memory(tight)
-        .run_tenants("evict", &set)
+        .run("evict", &set)
         .unwrap();
     assert_eq!(run.report.completed, 24, "tight KV delays but loses nothing");
     let t = run.report.tenants.as_ref().unwrap();
@@ -199,9 +199,9 @@ proptest! {
             TenantSpec::new("bulk", SloClass::Batch, 2.0, open_loop(8, rate / 2.0, seed + 2)),
         ]).unwrap();
         for policy in POLICIES {
-            let run = engine(policy).run_tenants("conserve", &set).unwrap();
+            let run = engine(policy).run("conserve", &set).unwrap();
             conservation(&run);
-            let again = engine(policy).run_tenants("conserve", &set).unwrap();
+            let again = engine(policy).run("conserve", &set).unwrap();
             prop_assert_eq!(&run.report, &again.report);
             prop_assert_eq!(&run.completions, &again.completions);
         }
