@@ -38,9 +38,11 @@
 //! - **Decode-replica crashes.** Everything resident on or inbound to
 //!   the replica is lost and its paged allocator is emptied; the replica
 //!   is marked down, repaired, and warmed up before the decode router
-//!   sees it again. Faults land on scheduling-round boundaries: a decode
-//!   round that started before the crash completes atomically and its
-//!   completions stand. Each lost request retries under the plan's
+//!   sees it again. A handoff that finds the whole pool down parks, its
+//!   cache held at the source, until a decode replica is up. Faults land
+//!   on scheduling-round boundaries: a decode round that started before
+//!   the crash completes atomically and its completions stand. Each lost
+//!   request retries under the plan's
 //!   [`RecoveryPolicy`](crate::fault::RecoveryPolicy): if the source
 //!   prefill replica still holds the cache (its post-transfer release
 //!   has not fired), the retry **re-hands-off** — a second transfer,
@@ -52,11 +54,13 @@
 //!   inside it pays `wire / bandwidth_factor` (hop latency unchanged)
 //!   and `energy × energy_factor` — retransmission-style degradation.
 
+use std::collections::VecDeque;
+
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_obs::EventKind;
 use cimtpu_multi::RingTopology;
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, Parallelism, PhasePricer, Request,
+    ActionHeap, ArrivalStream, Completion, EngineSession, Parallelism, PhasePricer, Request,
     ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
@@ -117,14 +121,15 @@ impl InterconnectSpec {
 }
 
 /// One prefill-pool replica: an FCFS prompt-ingestion engine.
-struct PrefillUnit<'a> {
+pub(crate) struct PrefillUnit<'a> {
     pricer: PhasePricer<'a>,
-    alloc: PagedKvAllocator,
+    pub(crate) alloc: PagedKvAllocator,
     cap: usize,
     free_at: Seconds,
-    queue: std::collections::VecDeque<Request>,
-    /// KV holdings awaiting their outbound transfer, sorted by release
-    /// time (ties by request id — transfer scheduling order).
+    pub(crate) queue: VecDeque<Request>,
+    /// KV holdings awaiting their outbound transfer, in release-time
+    /// order: each transfer starts once the egress link frees and takes a
+    /// positive time, so every push lands after the one before.
     pending_release: Vec<(Seconds, u64)>,
     /// When this replica's egress link frees.
     link_free: Seconds,
@@ -136,18 +141,34 @@ struct PrefillUnit<'a> {
 /// A finished prefill group: members (in admission order) whose caches
 /// are ready to migrate at `end`; the batch occupied the executor from
 /// `start` (the flight recorder's prefill span).
-struct PrefillBatch {
-    members: Vec<Request>,
+pub(crate) struct PrefillBatch {
+    pub(crate) members: Vec<Request>,
     start: Seconds,
-    end: Seconds,
+    pub(crate) end: Seconds,
 }
 
 impl<'a> PrefillUnit<'a> {
+    /// An idle unit for replica `spec`, pricing through `session`.
+    pub(crate) fn new(session: &'a EngineSession, spec: &ReplicaSpec) -> Result<Self> {
+        Ok(PrefillUnit {
+            pricer: session.pricer(),
+            alloc: session.allocator()?,
+            cap: spec.policy.max_concurrency() as usize,
+            free_at: Seconds::ZERO,
+            queue: VecDeque::new(),
+            pending_release: Vec::new(),
+            link_free: Seconds::ZERO,
+            busy: Seconds::ZERO,
+            energy: Joules::ZERO,
+            prefills: 0,
+        })
+    }
+
     /// When this unit can start its next prefill batch: the head of the
     /// queue has arrived, the executor is free, and — under a bounded KV
     /// budget — enough earlier caches have migrated out for the head
     /// prompt to fit.
-    fn candidate(&self) -> Option<Seconds> {
+    pub(crate) fn candidate(&self) -> Option<Seconds> {
         let head = self.queue.front()?;
         let base = self.free_at.max(head.arrival());
         let Some(_) = self.alloc.capacity_blocks() else { return Some(base) };
@@ -178,7 +199,7 @@ impl<'a> PrefillUnit<'a> {
     }
 
     /// Runs one FCFS prefill batch at the candidate time.
-    fn step(&mut self) -> Result<PrefillBatch> {
+    pub(crate) fn step(&mut self) -> Result<PrefillBatch> {
         // A missing candidate is a driver bug, but under injected faults
         // a typed error beats taking the whole simulator down.
         let start = self
@@ -226,7 +247,29 @@ impl<'a> PrefillUnit<'a> {
         Ok(PrefillBatch { members, start, end })
     }
 
-    fn snapshot(&self, index: usize, assigned: u64, classed: bool) -> ReplicaSnapshot {
+    /// Moves `r`'s cache out over this unit's egress link from `at`, or
+    /// once the link frees, booking the transfer on `link`; the blocks
+    /// stay held until it lands. Returns the transfer's start and end.
+    pub(crate) fn send(&mut self, r: &Request, at: Seconds, link: &mut Link) -> (Seconds, Seconds) {
+        let bytes = link.footprint.handoff_bytes(r.prompt_len, self.alloc.block_tokens());
+        let start = at.max(self.link_free);
+        let (duration, energy) = link.price(start, bytes);
+        link.transfers.record(bytes.get(), duration, energy);
+        self.link_free = start + duration;
+        self.pending_release.push((self.link_free, r.id));
+        (start, self.link_free)
+    }
+
+    /// Whether this unit still holds request `id`'s cache at `now` (its
+    /// outbound transfer has not landed); if so the pending release is
+    /// cancelled and the caller owns the blocks: it re-sends or releases
+    /// them.
+    pub(crate) fn unpin(&mut self, id: u64, now: Seconds) -> bool {
+        let held = self.pending_release.iter().position(|&(t, h)| h == id && t > now);
+        held.map(|pos| self.pending_release.remove(pos)).is_some()
+    }
+
+    pub(crate) fn snapshot(&self, index: usize, assigned: u64, classed: bool) -> ReplicaSnapshot {
         let mut class_outstanding = [0u64; 3];
         if classed {
             for r in &self.queue {
@@ -261,7 +304,7 @@ struct DecodeSlot {
 /// One decode-pool replica: continuous-batching decode over handed-off
 /// caches, admission gated by the paged allocator (worst-case
 /// reservation, so the pool never preempts).
-struct DecodeUnit<'a> {
+pub(crate) struct DecodeUnit<'a> {
     pricer: PhasePricer<'a>,
     alloc: PagedKvAllocator,
     cap: usize,
@@ -275,7 +318,23 @@ struct DecodeUnit<'a> {
 }
 
 impl<'a> DecodeUnit<'a> {
-    fn candidate(&self) -> Option<Seconds> {
+    /// An idle unit for replica `spec`, pricing through `session`.
+    pub(crate) fn new(session: &'a EngineSession, spec: &ReplicaSpec) -> Result<Self> {
+        Ok(DecodeUnit {
+            pricer: session.pricer(),
+            alloc: session.allocator()?,
+            cap: spec.policy.max_concurrency() as usize,
+            t: Seconds::ZERO,
+            pending: Vec::new(),
+            active: Vec::new(),
+            busy: Seconds::ZERO,
+            energy: Joules::ZERO,
+            queue_full: Seconds::ZERO,
+            completed: 0,
+        })
+    }
+
+    pub(crate) fn candidate(&self) -> Option<Seconds> {
         if !self.active.is_empty() {
             return Some(self.t);
         }
@@ -286,9 +345,25 @@ impl<'a> DecodeUnit<'a> {
             .map(|ready| self.t.max(ready))
     }
 
+    /// Queues `req`'s handed-off cache, landing at `ready`; the request
+    /// produced its first token at `first_token`.
+    pub(crate) fn receive(&mut self, req: Request, first_token: Seconds, ready: Seconds) {
+        self.pending.push(PendingDecode { req, first_token, ready });
+    }
+
+    /// Kills the replica: everything resident on or inbound to it is lost,
+    /// returned with the TTFT each had earned, and the allocator empties
+    /// (its high-water mark survives).
+    pub(crate) fn crash(&mut self) -> Vec<(Request, Seconds)> {
+        let pending = self.pending.drain(..).map(|p| (p.req, p.first_token));
+        let lost = pending.chain(self.active.drain(..).map(|s| (s.req, s.first_token))).collect();
+        self.alloc.release_all();
+        lost
+    }
+
     /// One decode round: admit ready transfers (KV permitting), then one
     /// generation step for the whole batch.
-    fn step(&mut self) -> Result<Vec<Completion>> {
+    pub(crate) fn step(&mut self) -> Result<Vec<Completion>> {
         let start = self
             .candidate()
             .ok_or_else(|| Error::internal("decode step with nothing pending"))?;
@@ -372,7 +447,7 @@ impl<'a> DecodeUnit<'a> {
         Ok(finished)
     }
 
-    fn snapshot(&self, index: usize, assigned: u64, classed: bool) -> ReplicaSnapshot {
+    pub(crate) fn snapshot(&self, index: usize, assigned: u64, classed: bool) -> ReplicaSnapshot {
         let mut class_outstanding = [0u64; 3];
         if classed {
             for p in &self.pending {
@@ -437,26 +512,150 @@ fn validate_pool_replica<'a>(
     Ok(model)
 }
 
+/// The KV handoff path: what crosses the wire per request, what the
+/// interconnect charges for it under the plan's degraded-link windows,
+/// and the transfers booked so far.
+pub(crate) struct Link {
+    spec: InterconnectSpec,
+    /// The full (unsharded) cache footprint, whatever the pool sharding.
+    footprint: KvFootprint,
+    /// Degraded windows as (from, until, bandwidth factor, energy factor).
+    windows: Vec<(Seconds, Seconds, f64, f64)>,
+    pub(crate) transfers: KvTransferStats,
+}
+
+impl Link {
+    /// Transfer cost at `start`, with every open degraded-link window
+    /// applied: wire time divided by the bandwidth factor (the hop
+    /// stands), energy multiplied by the energy factor.
+    fn price(&self, start: Seconds, bytes: Bytes) -> (Seconds, Joules) {
+        let base = self.spec.transfer_time(bytes);
+        let open = self.windows.iter().filter(|&&(from, until, ..)| start >= from && start < until);
+        let (bw, en) = open.fold((1.0, 1.0), |(bw, en), &(_, _, b, e)| (bw * b, en * e));
+        let duration = if bw == 1.0 {
+            base
+        } else {
+            self.spec.hop_latency + Seconds::new((base - self.spec.hop_latency).get() / bw)
+        };
+        (duration, Joules::new(self.spec.transfer_energy(bytes).get() * en))
+    }
+}
+
+/// A decode replica's crash: (at, replica, repair).
+pub(crate) type DecodeCrash = (Seconds, usize, Seconds);
+
+/// Checks a disaggregated fleet's pools (one common LLM, no feature the
+/// pools lack) and resolves `plan` against it: the decode-crash timeline
+/// (in time order, as `resolve` sorts it), and the handoff link with the
+/// plan's degraded windows.
+pub(crate) fn pipeline(
+    prefill: &[ReplicaSpec],
+    decode: &[ReplicaSpec],
+    interconnect: InterconnectSpec,
+    plan: &FaultPlan,
+) -> Result<(Vec<DecodeCrash>, Link)> {
+    // Crash events index the DECODE pool; prefill replicas are the
+    // stateless front of the pipeline here and cannot crash.
+    let mut crashes = Vec::new();
+    let mut windows = Vec::new();
+    for event in plan.resolve(decode.len())? {
+        match event {
+            FaultEvent::Crash { at, replica, repair } => crashes.push((at, replica, repair)),
+            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
+                windows.push((from, until, bandwidth_factor, energy_factor));
+            }
+            FaultEvent::Straggler { .. } => {
+                return Err(Error::invalid_config(
+                    "straggler faults apply to colocated replicas; disaggregated pools price \
+                     whole phases — degrade the link instead",
+                ));
+            }
+        }
+    }
+
+    let reference = validate_pool_replica(&prefill[0], "prefill")?;
+    let pool_members = prefill
+        .iter()
+        .map(|s| (s, "prefill"))
+        .chain(decode.iter().map(|s| (s, "decode")));
+    for (spec, role) in pool_members {
+        let model = validate_pool_replica(spec, role)?;
+        if model != reference {
+            return Err(Error::invalid_config(format!(
+                "disaggregated pools must host one common model: '{}' hosts {}, \
+                 expected {}",
+                spec.name,
+                model.name(),
+                reference.name()
+            )));
+        }
+    }
+    let footprint = KvFootprint::of(reference);
+    let transfers = KvTransferStats::default();
+    Ok((crashes, Link { spec: interconnect, footprint, windows, transfers }))
+}
+
+/// A disaggregated run's report rows — each prefill unit, then each
+/// decode unit — and the fleet sums over them.
+pub(crate) fn pool_books(
+    prefill: &[ReplicaSpec],
+    decode: &[ReplicaSpec],
+    punits: &[PrefillUnit<'_>],
+    dunits: &[DecodeUnit<'_>],
+    transfers: KvTransferStats,
+) -> (Vec<ReplicaUtilization>, FleetTotals) {
+    let p = prefill.iter().zip(punits);
+    let p = p.map(|(s, u)| (s, "prefill", u.prefills, u.busy, u.energy, Seconds::ZERO, &u.alloc));
+    let d = decode.iter().zip(dunits);
+    let d = d.map(|(s, u)| (s, "decode", u.completed, u.busy, u.energy, u.queue_full, &u.alloc));
+    // No preemptions: worst-case decode reservation never preempts.
+    let mut totals = FleetTotals { transfers, ..FleetTotals::default() };
+    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
+    for (spec, role, requests, busy, energy, queue_full, alloc) in p.chain(d) {
+        totals.chip_energy += energy;
+        totals.queue_full_s += queue_full.get();
+        rows.push(ReplicaUtilization {
+            name: spec.name.clone(),
+            model: spec.model.name().to_owned(),
+            role: role.to_owned(),
+            chips: spec.chips(),
+            requests,
+            busy_s: busy.get(),
+            utilization: 0.0, // filled against the fleet makespan
+            energy_j: energy.get(),
+            kv_hwm_frac: alloc.high_water_frac(),
+        });
+    }
+    (rows, totals)
+}
+
+/// Re-keys every unit's slot of `heap` (prefill `i` → slot `i`, then the
+/// decode units) to its next candidate time.
+fn rekey(heap: &mut ActionHeap, punits: &[PrefillUnit<'_>], dunits: &[DecodeUnit<'_>]) {
+    let p = punits.iter().map(PrefillUnit::candidate);
+    for (slot, at) in p.chain(dunits.iter().map(DecodeUnit::candidate)).enumerate() {
+        heap.set(slot, at);
+    }
+}
+
 /// A request waiting to re-enter the disaggregated pipeline after a
-/// decode crash (or parked because the whole decode pool is down).
+/// decode crash, or parked because the whole decode pool is down.
 struct DisaggRetry {
     /// When the retry fires.
     fire: Seconds,
     request: Request,
     /// Retries already charged against the request's budget.
     attempts: u32,
-    /// Prefill unit still holding the cache (re-handoff), or `None` to
-    /// recompute the prompt from scratch.
-    source: Option<usize>,
-    /// The TTFT the original prefill produced; a re-handoff keeps it.
-    first_token: Option<Seconds>,
+    /// The prefill unit still holding the cache (re-handoff) and the TTFT
+    /// its prefill produced, or `None` to recompute the prompt.
+    source: Option<(usize, Seconds)>,
 }
 
 /// The disaggregated event loop. An empty `plan` resolves to no crashes
 /// and no link windows, so every decode replica stays up, nothing
 /// retries, and the report carries no availability section. `O` observes
 /// the run over slots prefill ++ decode, the index space of `unit_heap`.
-#[allow(clippy::too_many_arguments)] // one call site, from the engine dispatch
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)] // one call site, in `dispatch`
 pub(crate) fn run_disaggregated<O: FleetObserver>(
     prefill: &[ReplicaSpec],
     decode: &[ReplicaSpec],
@@ -475,153 +674,89 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     // level: classed router snapshots, tagged trace events, and the
     // per-tenant ledger — no WFQ inside the pools.
     let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
-    // Crash events index the DECODE pool; prefill replicas are the
-    // stateless front of the pipeline here and cannot crash.
-    let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
-    let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
-    for event in plan.resolve(decode.len())? {
-        match event {
-            FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
-            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                windows.push((from, until, bandwidth_factor, energy_factor));
-            }
-            FaultEvent::Straggler { .. } => {
-                return Err(Error::invalid_config(
-                    "straggler faults apply to colocated replicas; disaggregated pools price \
-                     whole phases — degrade the link instead",
-                ));
-            }
-        }
-    }
-    crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+    let (crashes, mut link) = pipeline(prefill, decode, interconnect, plan)?;
     let mut next_crash = 0usize;
-
-    let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-    let pool_members = prefill
-        .iter()
-        .map(|s| (s, "prefill"))
-        .chain(decode.iter().map(|s| (s, "decode")));
-    for (spec, role) in pool_members {
-        let model = validate_pool_replica(spec, role)?;
-        if *model != reference {
-            return Err(Error::invalid_config(format!(
-                "disaggregated pools must host one common model: '{}' hosts {}, \
-                 expected {}",
-                spec.name,
-                model.name(),
-                reference.name()
-            )));
-        }
-    }
-    // The cache that crosses the wire is the full (unsharded) footprint,
-    // whatever the pool sharding.
-    let full_fp = KvFootprint::of(&reference);
 
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
     let obs = O::open(sink, &slots, true, None);
-    let (pricing, mut p_sessions) = fleet_sessions(&slots)?;
-    let d_sessions = p_sessions.split_off(prefill.len());
-    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-        .iter()
-        .zip(prefill)
-        .map(|(s, spec)| {
-            Ok(PrefillUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                free_at: Seconds::ZERO,
-                queue: std::collections::VecDeque::new(),
-                pending_release: Vec::new(),
-                link_free: Seconds::ZERO,
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                prefills: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-        .iter()
-        .zip(decode)
-        .map(|(s, spec)| {
-            Ok(DecodeUnit {
-                pricer: s.pricer(),
-                alloc: s.allocator()?,
-                cap: spec.policy.max_concurrency() as usize,
-                t: Seconds::ZERO,
-                pending: Vec::new(),
-                active: Vec::new(),
-                busy: Seconds::ZERO,
-                energy: Joules::ZERO,
-                queue_full: Seconds::ZERO,
-                completed: 0,
-            })
-        })
-        .collect::<Result<_>>()?;
+    let (pricing, sessions) = fleet_sessions(&slots)?;
+    let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
+    let mut punits: Vec<PrefillUnit<'_>> =
+        p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
+    let mut dunits: Vec<DecodeUnit<'_>> =
+        d_sessions.iter().zip(decode).map(|(s, r)| DecodeUnit::new(s, r)).collect::<Result<_>>()?;
 
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
-    let mut arouter = router.build();
-    let mut drouter = decode_router.build();
-    let mut p_assigned = vec![0u64; prefill.len()];
-    let mut d_assigned = vec![0u64; decode.len()];
-    let mut transfers = KvTransferStats::default();
     let mut completions: Vec<Completion> = Vec::new();
     let mut dhealth = HealthView::all_up(decode.len());
     // Retries fire in (fire, id) order, ties in push order.
     let mut waiting =
         EventQueue::new(|w: &DisaggRetry| (FinishKey(w.fire.get()), w.request.id));
+    let mut parked: Vec<DisaggRetry> = Vec::new();
     let mut ledger = RetryLedger::new(*plan.recovery(), &obs);
-    // Router-view scratch, reused across events instead of collected anew.
-    let mut psnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(punits.len());
-    let mut dsnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(dunits.len());
-    let mut up: Vec<usize> = Vec::with_capacity(dunits.len());
 
-    // Transfer cost at `t_start`, with every open degraded-link window
-    // applied: wire time divided by the bandwidth factor (the hop stands),
-    // energy multiplied by the energy factor.
-    let priced_transfer = |t_start: Seconds, bytes: Bytes| -> (Seconds, Joules) {
-        let base = interconnect.transfer_time(bytes);
-        let mut bw = 1.0;
-        let mut en = 1.0;
-        for &(from, until, b, e) in &windows {
-            if t_start >= from && t_start < until {
-                bw *= b;
-                en *= e;
-            }
+    // Routes `r` across the (always-healthy) prefill pool and queues it
+    // on the chosen unit, returned.
+    let mut arouter = router.build();
+    let mut p_assigned = vec![0u64; prefill.len()];
+    let mut psnaps: Vec<ReplicaSnapshot> = Vec::with_capacity(prefill.len());
+    let mut to_prefill = |punits: &mut [PrefillUnit<'_>], r: Request| {
+        psnaps.clear();
+        let snap = |(i, u): (usize, &PrefillUnit<'_>)| u.snapshot(i, p_assigned[i], classed);
+        psnaps.extend(punits.iter().enumerate().map(snap));
+        let k = arouter.route(&r, &psnaps).min(punits.len() - 1);
+        p_assigned[k] += 1;
+        punits[k].queue.push_back(r);
+        k
+    };
+    // Routes `req`'s cache from prefill unit `p` to an up decode unit and
+    // hands it off from `at` (its first token came at `first_token`): the
+    // decode unit, or `None` while the whole decode pool is down.
+    let mut drouter = decode_router.build();
+    let mut d_assigned = vec![0u64; decode.len()];
+    let (mut up, mut dsnaps) = (Vec::with_capacity(decode.len()), Vec::with_capacity(decode.len()));
+    let mut hand_off = |punits: &mut [PrefillUnit<'_>],
+                        dunits: &mut [DecodeUnit<'_>],
+                        dhealth: &HealthView,
+                        p: usize,
+                        at: Seconds,
+                        req: Request,
+                        first_token: Seconds| {
+        let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
+        dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
+        if up.is_empty() {
+            return None;
         }
-        let duration = if bw == 1.0 {
-            base
-        } else {
-            interconnect.hop_latency
-                + Seconds::new((base - interconnect.hop_latency).get() / bw)
-        };
-        (duration, Joules::new(interconnect.transfer_energy(bytes).get() * en))
+        let k = up[drouter.route(&req, &dsnaps).min(up.len() - 1)];
+        d_assigned[k] += 1;
+        let (start, end) = punits[p].send(&req, at, &mut link);
+        obs.span(p, EventKind::KvHandoff, req.id, start, end);
+        dunits[k].receive(req, first_token, end);
+        Some(k)
     };
 
     // One event queue spans both pools (prefill `i` → slot `i`, decode
-    // `j` → slot `pn + j`): its (time, lowest-slot) order reproduces the
-    // old scan's prefill → decode, lowest-index tie-break; the fault /
-    // arrival / retry classes go before it on a tie.
+    // `j` → slot `pn + j`), in (time, lowest-slot) order — prefill before
+    // decode on a tie; the fault / arrival / retry classes go before it.
+    // The test-only reference model (`crate::reference`) re-derives every
+    // event by a linear scan and pins this loop against it.
     let pn = punits.len();
     let mut unit_heap = ActionHeap::new(pn + dunits.len());
-    for (i, u) in punits.iter().enumerate() {
-        unit_heap.set(i, u.candidate());
-    }
-    for (j, u) in dunits.iter().enumerate() {
-        unit_heap.set(pn + j, u.candidate());
-    }
+    rekey(&mut unit_heap, &punits, &dunits);
 
     loop {
         // The run is over when nothing can produce or receive work;
         // trailing fault events on an idle fleet are dropped.
         let unit_at = unit_heap.peek();
-        if stream.exhausted() && waiting.peek().is_none() && unit_at.is_none() {
+        if stream.exhausted() && waiting.peek().is_none() && unit_at.is_none() && parked.is_empty()
+        {
             break;
         }
 
         // Earliest event wins; ties resolve fault → arrival → retry →
         // unit, and the units by lowest slot (prefill before decode).
-        let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
+        let scripted = (next_crash < crashes.len()).then(|| crashes[next_crash].0);
         let fault_at = match (scripted, dhealth.next_transition()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -651,61 +786,43 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
             0 => {
                 let warmup = plan.recovery().warmup;
                 for (k, left) in dhealth.advance(now, warmup, warmup) {
-                    if let ReplicaHealth::Down { .. } = left {
-                        obs.instant(pn + k, EventKind::Repair, now);
+                    match left {
+                        ReplicaHealth::Down { .. } => obs.instant(pn + k, EventKind::Repair, now),
+                        // Routable: the parked requests re-enter the retry
+                        // queue (no retry is charged), as in the colocated
+                        // loop.
+                        ReplicaHealth::Warming { .. } => {
+                            for w in parked.drain(..) {
+                                waiting.push(DisaggRetry { fire: now, ..w });
+                            }
+                        }
+                        _ => {}
                     }
                 }
                 ledger.on_health(&dhealth, now);
-                while next_crash < crash_timeline.len() && crash_timeline[next_crash].0 <= now {
-                    let (_, replica, repair) = crash_timeline[next_crash];
+                while next_crash < crashes.len() && crashes[next_crash].0 <= now {
+                    let (_, replica, repair) = crashes[next_crash];
                     next_crash += 1;
                     if matches!(dhealth.state(replica), ReplicaHealth::Down { .. }) {
                         continue; // already down: nothing left to kill
                     }
-                    // Everything resident on or inbound to the replica is
-                    // lost; the allocator empties (high-water survives).
-                    let mut lost: Vec<(Request, Seconds)> = Vec::new();
-                    for p in dunits[replica].pending.drain(..) {
-                        lost.push((p.req, p.first_token));
-                    }
-                    for s in dunits[replica].active.drain(..) {
-                        lost.push((s.req, s.first_token));
-                    }
-                    dunits[replica].alloc.release_all();
+                    let lost = dunits[replica].crash();
                     dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
                     ledger.on_crash(replica, now, false);
                     obs.instant(pn + replica, EventKind::Crash, now);
                     for (r, ft) in lost {
-                        // Where is the cache now? If the source prefill
-                        // replica has not released the blocks yet, pin
-                        // them and re-handoff (transfer-only — always
-                        // cheaper than recompute + transfer); otherwise
-                        // the prompt recomputes through the prefill pool.
-                        let mut source = None;
-                        for (pi, pu) in punits.iter_mut().enumerate() {
-                            if let Some(pos) = pu
-                                .pending_release
-                                .iter()
-                                .position(|&(t, id)| id == r.id && t > now)
-                            {
-                                pu.pending_release.remove(pos);
-                                source = Some(pi);
-                                break;
-                            }
-                        }
-                        match ledger.on_lost(&r, now, &mut stream, &mut tenancy) {
-                            Some((fire, attempts)) => waiting.push(DisaggRetry {
-                                fire,
-                                request: r,
-                                attempts,
-                                source,
-                                first_token: source.is_some().then_some(ft),
-                            }),
-                            None => {
-                                if let Some(p) = source {
-                                    punits[p].alloc.release(r.id);
-                                }
-                            }
+                        // If a prefill unit still holds the cache, the retry
+                        // re-hands it off (transfer-only — always cheaper
+                        // than recompute + transfer); otherwise the prompt
+                        // recomputes through the prefill pool.
+                        let source =
+                            punits.iter_mut().position(|pu| pu.unpin(r.id, now)).map(|p| (p, ft));
+                        if let Some((fire, attempts)) =
+                            ledger.on_lost(&r, now, &mut stream, &mut tenancy)
+                        {
+                            waiting.push(DisaggRetry { fire, request: r, attempts, source });
+                        } else if let Some((p, _)) = source {
+                            punits[p].alloc.release(r.id);
                         }
                     }
                 }
@@ -713,73 +830,38 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 // any prefill unit (releases change their admission
                 // starts): refresh every slot. Fault events are rare, so
                 // the `O(fleet)` refresh is off the hot path.
-                for (i, u) in punits.iter().enumerate() {
-                    unit_heap.set(i, u.candidate());
-                }
-                for (j, u) in dunits.iter().enumerate() {
-                    unit_heap.set(pn + j, u.candidate());
-                }
+                rekey(&mut unit_heap, &punits, &dunits);
             }
-            // Arrival: routes across the (always-healthy) prefill pool.
+            // Arrival.
             1 => {
                 let request = stream.pop();
-                psnaps.clear();
-                psnaps.extend(
-                    punits.iter().enumerate().map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
-                );
-                let k = arouter.route(&request, &psnaps).min(punits.len() - 1);
-                p_assigned[k] += 1;
+                let k = to_prefill(&mut punits, request);
                 obs.arrival(Some(k), &request, &tenancy);
-                punits[k].queue.push_back(request);
                 let u = &punits[k];
                 obs.sample(k, request.arrival(), u.queue.len() as f64, kv_frac(&u.alloc));
-                unit_heap.set(k, punits[k].candidate());
+                unit_heap.set(k, u.candidate());
             }
-            // Retry fire: re-handoff, recompute, or repark.
+            // Retry fire: re-handoff, recompute, or park.
             2 => {
                 let item =
                     waiting.pop().ok_or_else(|| Error::internal("class 2 implies a retry"))?;
                 let r = item.request;
                 if ledger.expired(&r, now, &mut stream, &mut tenancy) {
-                    if let Some(p) = item.source {
+                    if let Some((p, _)) = item.source {
                         punits[p].alloc.release(r.id);
                         unit_heap.set(p, punits[p].candidate());
                     }
                     continue;
                 }
                 match item.source {
-                    Some(p) => {
-                        let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
-                        dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
-                        if up.is_empty() {
-                            // Whole decode pool down: park until the next
-                            // repair finishes.
-                            let fire = ledger.park(&dhealth, r.id, now, &tenancy)?;
-                            waiting.push(DisaggRetry { fire, ..item });
+                    Some((p, ft)) => {
+                        let Some(k) = hand_off(&mut punits, &mut dunits, &dhealth, p, now, r, ft)
+                        else {
+                            ledger.on_park(r.id, now, &tenancy);
+                            parked.push(item);
                             continue;
-                        }
-                        let k = up[drouter.route(&r, &dsnaps).min(up.len() - 1)];
-                        d_assigned[k] += 1;
+                        };
                         ledger.on_placed(item.attempts);
-                        let bytes =
-                            full_fp.handoff_bytes(r.prompt_len, punits[p].alloc.block_tokens());
-                        let t_start = now.max(punits[p].link_free);
-                        let (duration, energy) = priced_transfer(t_start, bytes);
-                        let t_end = t_start + duration;
-                        punits[p].link_free = t_end;
-                        // The source cache is held until the re-transfer
-                        // lands, then released as usual.
-                        punits[p].pending_release.push((t_end, r.id));
-                        punits[p].pending_release.sort_by(|a, b| {
-                            a.0.get().total_cmp(&b.0.get()).then(a.1.cmp(&b.1))
-                        });
-                        transfers.record(bytes.get(), duration, energy);
-                        obs.span(p, EventKind::KvHandoff, r.id, t_start, t_end);
-                        dunits[k].pending.push(PendingDecode {
-                            req: r,
-                            first_token: item.first_token.unwrap_or(t_end),
-                            ready: t_end,
-                        });
                         unit_heap.set(p, punits[p].candidate());
                         unit_heap.set(pn + k, dunits[k].candidate());
                     }
@@ -787,63 +869,30 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                         // Recompute: the cache is gone — back through the
                         // prefill pool; admission restarts at the fire
                         // time, TTFT is re-earned.
-                        psnaps.clear();
-                        psnaps.extend(
-                            punits
-                                .iter()
-                                .enumerate()
-                                .map(|(i, u)| u.snapshot(i, p_assigned[i], classed)),
-                        );
-                        let mut rr = r;
-                        rr.arrival_s = now.get();
+                        let rr = Request { arrival_s: now.get(), ..r };
                         ledger.readmit(&r, rr.arrival_s);
-                        let k = arouter.route(&rr, &psnaps).min(punits.len() - 1);
-                        p_assigned[k] += 1;
+                        let k = to_prefill(&mut punits, rr);
                         ledger.on_placed(item.attempts);
-                        punits[k].queue.push_back(rr);
                         unit_heap.set(k, punits[k].candidate());
                     }
                 }
             }
-            // Prefill batch: route each member's handoff, serialize it on
-            // this replica's egress link, and gate the decode admission on
-            // the target's allocator (via its pending queue) — or park the
-            // member if the whole decode pool is down.
+            // Prefill batch: hand each member off, or park it (its cache
+            // held at the source) while the whole decode pool is down.
             3 => {
                 let batch = punits[idx].step()?;
                 for req in batch.members {
                     obs.span(idx, EventKind::Prefill, req.id, batch.start, batch.end);
-                    let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
-                    dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
-                    if up.is_empty() {
-                        // The cache stays resident at the source (no
-                        // release is scheduled until a transfer is).
-                        waiting.push(DisaggRetry {
-                            fire: ledger.park(&dhealth, req.id, now, &tenancy)?,
-                            request: req,
-                            attempts: ledger.attempts(req.id),
-                            source: Some(idx),
-                            first_token: Some(batch.end),
-                        });
-                        continue;
+                    let end = batch.end;
+                    match hand_off(&mut punits, &mut dunits, &dhealth, idx, end, req, end) {
+                        Some(k) => unit_heap.set(pn + k, dunits[k].candidate()),
+                        None => {
+                            ledger.on_park(req.id, now, &tenancy);
+                            let attempts = ledger.attempts(req.id);
+                            let source = Some((idx, end));
+                            parked.push(DisaggRetry { fire: now, request: req, attempts, source });
+                        }
                     }
-                    let k = up[drouter.route(&req, &dsnaps).min(up.len() - 1)];
-                    d_assigned[k] += 1;
-                    let bytes =
-                        full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                    let t_start = batch.end.max(punits[idx].link_free);
-                    let (duration, energy) = priced_transfer(t_start, bytes);
-                    let t_end = t_start + duration;
-                    punits[idx].link_free = t_end;
-                    punits[idx].pending_release.push((t_end, req.id));
-                    transfers.record(bytes.get(), duration, energy);
-                    obs.span(idx, EventKind::KvHandoff, req.id, t_start, t_end);
-                    dunits[k].pending.push(PendingDecode {
-                        req,
-                        first_token: batch.end,
-                        ready: t_end,
-                    });
-                    unit_heap.set(pn + k, dunits[k].candidate());
                 }
                 let u = &punits[idx];
                 obs.sample(idx, batch.end, u.queue.len() as f64, kv_frac(&u.alloc));
@@ -872,46 +921,14 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
 
     completions.sort_by_key(|c| c.id);
     let avail = ledger.finish(&completions, offered, prefill.len() + decode.len());
-    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-    let mut chip_energy = Joules::ZERO;
-    let mut queue_full_s = 0.0;
-    for (spec, unit) in prefill.iter().zip(&punits) {
-        chip_energy += unit.energy;
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "prefill".to_owned(),
-            chips: spec.chips(),
-            requests: unit.prefills,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
-    for (spec, unit) in decode.iter().zip(&dunits) {
-        chip_energy += unit.energy;
-        queue_full_s += unit.queue_full.get();
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: "decode".to_owned(),
-            chips: spec.chips(),
-            requests: unit.completed,
-            busy_s: unit.busy.get(),
-            utilization: 0.0,
-            energy_j: unit.energy.get(),
-            kv_hwm_frac: unit.alloc.high_water_frac(),
-        });
-    }
+    let (rows, totals) = pool_books(prefill, decode, &punits, &dunits, link.transfers);
     let mut report = ClusterReport::build(
         label,
         "disaggregated",
         format!("{}\u{2192}{}", router.name(), decode_router.name()),
         offered,
         &completions,
-        // No preemptions: worst-case decode reservation never preempts.
-        &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
+        &totals,
         rows,
         slo_ms,
         (!plan.is_empty()).then_some(avail),
@@ -931,13 +948,14 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
 #[cfg(test)]
 mod tests {
     use cimtpu_core::TpuConfig;
-    use cimtpu_serving::{ArrivalPattern, BatchPolicy, EngineSession, LenDist, PrefixTraffic};
+    use cimtpu_serving::{ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic};
     use proptest::prelude::*;
 
-    use rustc_hash::FxHashMap;
-
     use super::*;
-    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord};
+    use crate::fault::{ChaosSpec, RecoveryPolicy};
+    use crate::reference::run_reference;
+    use crate::reference::tests::{crash, tiny};
+    use crate::ClusterEngine;
 
     #[test]
     fn interconnect_prices_time_and_energy() {
@@ -964,795 +982,19 @@ mod tests {
         assert_eq!(link.transfer_time(bytes), ring.p2p_time(bytes));
     }
 
-    // ------------------------------------------------------------------
-    // Scan oracles: the pre-heap pipeline drivers, kept verbatim so
-    // proptests can pin the heap-scheduled driver bit-for-bit against
-    // them.
-    // ------------------------------------------------------------------
-
-    /// The zero-fault pipeline as it was before the [`ActionHeap`] port:
-    /// a full scan over every unit's candidate per event, with fresh
-    /// snapshot collects per routing decision.
-    #[allow(clippy::too_many_arguments)] // mirrors the driver it pins
-    fn run_disaggregated_plain_oracle(
-        prefill: &[ReplicaSpec],
-        decode: &[ReplicaSpec],
-        router: RouterPolicy,
-        decode_router: RouterPolicy,
-        interconnect: InterconnectSpec,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-    ) -> Result<ClusterRun> {
-        let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-        let pool_members = prefill
-            .iter()
-            .map(|s| (s, "prefill"))
-            .chain(decode.iter().map(|s| (s, "decode")));
-        for (spec, role) in pool_members {
-            let model = validate_pool_replica(spec, role)?;
-            if *model != reference {
-                return Err(Error::invalid_config(format!(
-                    "disaggregated pools must host one common model: '{}' hosts {}, \
-                     expected {}",
-                    spec.name,
-                    model.name(),
-                    reference.name()
-                )));
-            }
-        }
-        // The cache that crosses the wire is the full (unsharded) footprint,
-        // whatever the pool sharding.
-        let full_fp = KvFootprint::of(&reference);
-
-        let p_sessions: Vec<EngineSession> = prefill
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let d_sessions: Vec<EngineSession> = decode
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-            .iter()
-            .zip(prefill)
-            .map(|(s, spec)| {
-                Ok(PrefillUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    free_at: Seconds::ZERO,
-                    queue: std::collections::VecDeque::new(),
-                    pending_release: Vec::new(),
-                    link_free: Seconds::ZERO,
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    prefills: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-            .iter()
-            .zip(decode)
-            .map(|(s, spec)| {
-                Ok(DecodeUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    t: Seconds::ZERO,
-                    pending: Vec::new(),
-                    active: Vec::new(),
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    queue_full: Seconds::ZERO,
-                    completed: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut arouter = router.build();
-        let mut drouter = decode_router.build();
-        let mut p_assigned = vec![0u64; prefill.len()];
-        let mut d_assigned = vec![0u64; decode.len()];
-        let mut transfers = KvTransferStats::default();
-        let mut completions: Vec<Completion> = Vec::new();
-
-        loop {
-            // The earliest event wins; ties go arrival → prefill → decode,
-            // then lowest index — a fixed order, so runs replay exactly.
-            let mut best: Option<(Seconds, u8, usize)> = None;
-            let mut offer = |t: Seconds, class: u8, idx: usize| {
-                if best.is_none_or(|(bt, bc, bi)| {
-                    t < bt || (t == bt && (class, idx) < (bc, bi))
-                }) {
-                    best = Some((t, class, idx));
-                }
-            };
-            if let Some(ta) = stream.peek() {
-                offer(ta, 0, 0);
-            }
-            for (i, u) in punits.iter().enumerate() {
-                if let Some(t) = u.candidate() {
-                    offer(t, 1, i);
-                }
-            }
-            for (i, u) in dunits.iter().enumerate() {
-                if let Some(t) = u.candidate() {
-                    offer(t, 2, i);
-                }
-            }
-            let Some((_, class, idx)) = best else {
-                if stream.exhausted() {
-                    break;
-                }
-                return Err(Error::invalid_config(
-                    "disaggregated driver stalled: requests pending but no unit can act",
-                ));
-            };
-            match class {
-                0 => {
-                    let request = stream.pop();
-                    let snaps: Vec<ReplicaSnapshot> = punits
-                        .iter()
-                        .enumerate()
-                        .map(|(i, u)| u.snapshot(i, p_assigned[i], false))
-                        .collect();
-                    let k = arouter.route(&request, &snaps).min(punits.len() - 1);
-                    p_assigned[k] += 1;
-                    punits[k].queue.push_back(request);
-                }
-                1 => {
-                    let batch = punits[idx].step()?;
-                    for req in batch.members {
-                        // Route the handoff, serialize it on this replica's
-                        // egress link, and gate the decode admission on the
-                        // target's allocator (via its pending queue).
-                        let snaps: Vec<ReplicaSnapshot> = dunits
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| u.snapshot(i, d_assigned[i], false))
-                            .collect();
-                        let k = drouter.route(&req, &snaps).min(dunits.len() - 1);
-                        d_assigned[k] += 1;
-                        let bytes =
-                            full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                        let duration = interconnect.transfer_time(bytes);
-                        let t_start = batch.end.max(punits[idx].link_free);
-                        let t_end = t_start + duration;
-                        punits[idx].link_free = t_end;
-                        punits[idx].pending_release.push((t_end, req.id));
-                        transfers.record(bytes.get(), duration, interconnect.transfer_energy(bytes));
-                        dunits[k].pending.push(PendingDecode {
-                            req,
-                            first_token: batch.end,
-                            ready: t_end,
-                        });
-                    }
-                }
-                _ => {
-                    let finished = dunits[idx].step()?;
-                    for c in &finished {
-                        stream.on_complete(c);
-                    }
-                    completions.extend(finished);
-                }
-            }
-        }
-
-        completions.sort_by_key(|c| c.id);
-        let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-        let mut chip_energy = Joules::ZERO;
-        let mut queue_full_s = 0.0;
-        for (spec, unit) in prefill.iter().zip(&punits) {
-            chip_energy += unit.energy;
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "prefill".to_owned(),
-                chips: spec.chips(),
-                requests: unit.prefills,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        for (spec, unit) in decode.iter().zip(&dunits) {
-            chip_energy += unit.energy;
-            queue_full_s += unit.queue_full.get();
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "decode".to_owned(),
-                chips: spec.chips(),
-                requests: unit.completed,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        let report = ClusterReport::build(
-            label,
-            "disaggregated",
-            format!("{}\u{2192}{}", router.name(), decode_router.name()),
-            offered,
-            &completions,
-            &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
-            rows,
-            slo_ms,
-            None,
-        );
-        for session in p_sessions.iter().chain(&d_sessions) {
-            session.persist_cache();
-        }
-        Ok(ClusterRun {
-            report,
-            replica_reports: Vec::new(),
-            completions,
-            prefix: cimtpu_serving::PrefixStats::default(),
-        })
-    }
-
-    /// The failure-aware pipeline as it was before the [`ActionHeap`]
-    /// port, scan loop and all.
-    #[allow(clippy::too_many_arguments)] // mirrors the driver it pins
-    #[allow(clippy::too_many_lines)] // verbatim copy of the old driver
-    fn run_disaggregated_faulty_oracle(
-        prefill: &[ReplicaSpec],
-        decode: &[ReplicaSpec],
-        router: RouterPolicy,
-        decode_router: RouterPolicy,
-        interconnect: InterconnectSpec,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-        plan: &FaultPlan,
-    ) -> Result<ClusterRun> {
-        let recovery = *plan.recovery();
-        // Crash events index the DECODE pool; prefill replicas are the
-        // stateless front of the pipeline here and cannot crash.
-        let mut crash_timeline: Vec<(Seconds, usize, Seconds)> = Vec::new();
-        let mut windows: Vec<(Seconds, Seconds, f64, f64)> = Vec::new();
-        for event in plan.resolve(decode.len())? {
-            match event {
-                FaultEvent::Crash { at, replica, repair } => crash_timeline.push((at, replica, repair)),
-                FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                    windows.push((from, until, bandwidth_factor, energy_factor));
-                }
-                FaultEvent::Straggler { .. } => {
-                    return Err(Error::invalid_config(
-                        "straggler faults apply to colocated replicas; disaggregated pools price \
-                         whole phases — degrade the link instead",
-                    ));
-                }
-            }
-        }
-        crash_timeline.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
-        let mut next_crash = 0usize;
-
-        let reference = validate_pool_replica(&prefill[0], "prefill")?.clone();
-        let pool_members = prefill
-            .iter()
-            .map(|s| (s, "prefill"))
-            .chain(decode.iter().map(|s| (s, "decode")));
-        for (spec, role) in pool_members {
-            let model = validate_pool_replica(spec, role)?;
-            if *model != reference {
-                return Err(Error::invalid_config(format!(
-                    "disaggregated pools must host one common model: '{}' hosts {}, \
-                     expected {}",
-                    spec.name,
-                    model.name(),
-                    reference.name()
-                )));
-            }
-        }
-        let full_fp = KvFootprint::of(&reference);
-
-        let p_sessions: Vec<EngineSession> = prefill
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let d_sessions: Vec<EngineSession> = decode
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut punits: Vec<PrefillUnit<'_>> = p_sessions
-            .iter()
-            .zip(prefill)
-            .map(|(s, spec)| {
-                Ok(PrefillUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    free_at: Seconds::ZERO,
-                    queue: std::collections::VecDeque::new(),
-                    pending_release: Vec::new(),
-                    link_free: Seconds::ZERO,
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    prefills: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
-            .iter()
-            .zip(decode)
-            .map(|(s, spec)| {
-                Ok(DecodeUnit {
-                    pricer: s.pricer(),
-                    alloc: s.allocator()?,
-                    cap: spec.policy.max_concurrency() as usize,
-                    t: Seconds::ZERO,
-                    pending: Vec::new(),
-                    active: Vec::new(),
-                    busy: Seconds::ZERO,
-                    energy: Joules::ZERO,
-                    queue_full: Seconds::ZERO,
-                    completed: 0,
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut arouter = router.build();
-        let mut drouter = decode_router.build();
-        let mut p_assigned = vec![0u64; prefill.len()];
-        let mut d_assigned = vec![0u64; decode.len()];
-        let mut transfers = KvTransferStats::default();
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut dhealth = HealthView::all_up(decode.len());
-        let mut waiting: Vec<DisaggRetry> = Vec::new();
-        let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
-        let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut avail = AvailabilityStats::zero();
-        let mut crash_log: Vec<CrashRecord> = Vec::new();
-
-        // Transfer cost at `t_start`, with every open degraded-link window
-        // applied: wire time divided by the bandwidth factor (the hop stands),
-        // energy multiplied by the energy factor.
-        let priced_transfer = |t_start: Seconds, bytes: Bytes| -> (Seconds, Joules) {
-            let base = interconnect.transfer_time(bytes);
-            let mut bw = 1.0;
-            let mut en = 1.0;
-            for &(from, until, b, e) in &windows {
-                if t_start >= from && t_start < until {
-                    bw *= b;
-                    en *= e;
-                }
-            }
-            let duration = if bw == 1.0 {
-                base
-            } else {
-                interconnect.hop_latency
-                    + Seconds::new((base - interconnect.hop_latency).get() / bw)
-            };
-            (duration, Joules::new(interconnect.transfer_energy(bytes).get() * en))
-        };
-
-        // Hands one finished-prefill request off to a decode replica (a fresh
-        // handoff or a re-handoff): serializes on the source's egress link,
-        // holds the source cache until the transfer ends, and enqueues on the
-        // routed target. Returns the ready time.
-        // (Written as a macro-free block at both call sites below: the borrow
-        // sets differ.)
-
-        loop {
-            // The run is over when nothing can produce or receive work;
-            // trailing fault events on an idle fleet are dropped.
-            let punit_candidates: Vec<Option<Seconds>> =
-                punits.iter().map(PrefillUnit::candidate).collect();
-            let dunit_candidates: Vec<Option<Seconds>> =
-                dunits.iter().map(DecodeUnit::candidate).collect();
-            let any_unit = punit_candidates.iter().chain(&dunit_candidates).any(Option::is_some);
-            if stream.exhausted() && waiting.is_empty() && !any_unit {
-                break;
-            }
-
-            // Earliest event wins; ties resolve fault → arrival → retry →
-            // prefill → decode, then lowest index.
-            let mut best: Option<(Seconds, u8, usize)> = None;
-            let mut offer = |t: Seconds, class: u8, idx: usize| {
-                if best.is_none_or(|(bt, bc, bi)| t < bt || (t == bt && (class, idx) < (bc, bi))) {
-                    best = Some((t, class, idx));
-                }
-            };
-            let scripted = (next_crash < crash_timeline.len()).then(|| crash_timeline[next_crash].0);
-            match (scripted, dhealth.next_transition()) {
-                (Some(a), Some(b)) => offer(a.min(b), 0, 0),
-                (Some(a), None) => offer(a, 0, 0),
-                (None, Some(b)) => offer(b, 0, 0),
-                (None, None) => {}
-            }
-            if let Some(ta) = stream.peek() {
-                offer(ta, 1, 0);
-            }
-            if let Some((i, w)) = waiting
-                .iter()
-                .enumerate()
-                .min_by(|(ai, a), (bi, b)| {
-                    (a.fire.get(), a.request.id, *ai)
-                        .partial_cmp(&(b.fire.get(), b.request.id, *bi))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-            {
-                offer(w.fire, 2, i);
-            }
-            for (i, t) in punit_candidates.iter().enumerate() {
-                if let Some(t) = t {
-                    offer(*t, 3, i);
-                }
-            }
-            for (i, t) in dunit_candidates.iter().enumerate() {
-                if let Some(t) = t {
-                    offer(*t, 4, i);
-                }
-            }
-            let Some((now, class, idx)) = best else {
-                if stream.exhausted() {
-                    break;
-                }
-                return Err(Error::invalid_config(
-                    "disaggregated driver stalled: requests pending but no unit can act",
-                ));
-            };
-            match class {
-                // Faults: restores first, then crashes due now.
-                0 => {
-                    dhealth.advance(now, recovery.warmup, recovery.warmup);
-                    for rec in crash_log.iter_mut() {
-                        if rec.up_again.is_none() && dhealth.is_up(rec.replica) {
-                            rec.up_again = Some(now);
-                        }
-                    }
-                    while next_crash < crash_timeline.len() && crash_timeline[next_crash].0 <= now {
-                        let (_, replica, repair) = crash_timeline[next_crash];
-                        next_crash += 1;
-                        if matches!(dhealth.state(replica), ReplicaHealth::Down { .. }) {
-                            continue; // already down: nothing left to kill
-                        }
-                        // Everything resident on or inbound to the replica is
-                        // lost; the allocator empties (high-water survives).
-                        let mut lost: Vec<(Request, Seconds)> = Vec::new();
-                        for p in dunits[replica].pending.drain(..) {
-                            lost.push((p.req, p.first_token));
-                        }
-                        for s in dunits[replica].active.drain(..) {
-                            lost.push((s.req, s.first_token));
-                        }
-                        dunits[replica].alloc.release_all();
-                        dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
-                        avail.crashes += 1;
-                        crash_log.push(CrashRecord {
-                            replica,
-                            at: now,
-                            up_again: None,
-                            first_completion: None,
-                        });
-                        for (r, ft) in lost {
-                            // Where is the cache now? If the source prefill
-                            // replica has not released the blocks yet, pin
-                            // them and re-handoff (transfer-only — always
-                            // cheaper than recompute + transfer); otherwise
-                            // the prompt recomputes through the prefill pool.
-                            let mut source = None;
-                            for (pi, pu) in punits.iter_mut().enumerate() {
-                                if let Some(pos) = pu
-                                    .pending_release
-                                    .iter()
-                                    .position(|&(t, id)| id == r.id && t > now)
-                                {
-                                    pu.pending_release.remove(pos);
-                                    source = Some(pi);
-                                    break;
-                                }
-                            }
-                            let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                            let attempts = attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                            let drop_blocks =
-                                |punits: &mut Vec<PrefillUnit<'_>>, source: Option<usize>| {
-                                    if let Some(p) = source {
-                                        punits[p].alloc.release(r.id);
-                                    }
-                                };
-                            if attempts > recovery.max_attempts {
-                                avail.shed += 1;
-                                drop_blocks(&mut punits, source);
-                                release_client(&mut stream, r.id, orig, now);
-                                continue;
-                            }
-                            let fire = now + recovery.backoff_for(attempts);
-                            if fire.get() > orig + recovery.deadline.get() {
-                                avail.timed_out += 1;
-                                drop_blocks(&mut punits, source);
-                                release_client(&mut stream, r.id, orig, now);
-                                continue;
-                            }
-                            attempts_of.insert(r.id, attempts);
-                            waiting.push(DisaggRetry {
-                                fire,
-                                request: r,
-                                attempts,
-                                source,
-                                first_token: source.is_some().then_some(ft),
-                            });
-                        }
-                    }
-                }
-                // Arrival: routes across the (always-healthy) prefill pool.
-                1 => {
-                    let request = stream.pop();
-                    origin.insert(request.id, request.arrival_s);
-                    let snaps: Vec<ReplicaSnapshot> = punits
-                        .iter()
-                        .enumerate()
-                        .map(|(i, u)| u.snapshot(i, p_assigned[i], false))
-                        .collect();
-                    let k = arouter.route(&request, &snaps).min(punits.len() - 1);
-                    p_assigned[k] += 1;
-                    punits[k].queue.push_back(request);
-                }
-                // Retry fire: re-handoff, recompute, or repark.
-                2 => {
-                    let item = waiting.remove(idx);
-                    let r = item.request;
-                    let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                    if now.get() > orig + recovery.deadline.get() {
-                        avail.timed_out += 1;
-                        if let Some(p) = item.source {
-                            punits[p].alloc.release(r.id);
-                        }
-                        release_client(&mut stream, r.id, orig, now);
-                        continue;
-                    }
-                    match item.source {
-                        Some(p) => {
-                            let up: Vec<usize> =
-                                (0..decode.len()).filter(|&k| dhealth.is_up(k)).collect();
-                            if up.is_empty() {
-                                // Whole decode pool down: park until the next
-                                // repair finishes (no retry charged).
-                                let fire = dhealth.next_transition().ok_or_else(|| {
-                                    Error::internal(
-                                        "every decode replica is down and none is scheduled to \
-                                         restart",
-                                    )
-                                })?;
-                                waiting.push(DisaggRetry { fire, ..item });
-                                continue;
-                            }
-                            let snaps: Vec<ReplicaSnapshot> = up
-                                .iter()
-                                .enumerate()
-                                .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], false))
-                                .collect();
-                            let pos = drouter.route(&r, &snaps).min(up.len() - 1);
-                            let k = up[pos];
-                            d_assigned[k] += 1;
-                            if item.attempts > 0 {
-                                avail.retries += 1;
-                            }
-                            let bytes =
-                                full_fp.handoff_bytes(r.prompt_len, punits[p].alloc.block_tokens());
-                            let t_start = now.max(punits[p].link_free);
-                            let (duration, energy) = priced_transfer(t_start, bytes);
-                            let t_end = t_start + duration;
-                            punits[p].link_free = t_end;
-                            // The source cache is held until the re-transfer
-                            // lands, then released as usual.
-                            punits[p].pending_release.push((t_end, r.id));
-                            punits[p].pending_release.sort_by(|a, b| {
-                                a.0.get().total_cmp(&b.0.get()).then(a.1.cmp(&b.1))
-                            });
-                            transfers.record(bytes.get(), duration, energy);
-                            dunits[k].pending.push(PendingDecode {
-                                req: r,
-                                first_token: item.first_token.unwrap_or(t_end),
-                                ready: t_end,
-                            });
-                        }
-                        None => {
-                            // Recompute: the cache is gone — back through the
-                            // prefill pool; admission restarts at the fire
-                            // time, TTFT is re-earned.
-                            let snaps: Vec<ReplicaSnapshot> = punits
-                                .iter()
-                                .enumerate()
-                                .map(|(i, u)| u.snapshot(i, p_assigned[i], false))
-                                .collect();
-                            let mut rr = r;
-                            rr.arrival_s = now.get();
-                            let k = arouter.route(&rr, &snaps).min(punits.len() - 1);
-                            p_assigned[k] += 1;
-                            if item.attempts > 0 {
-                                avail.retries += 1;
-                            }
-                            punits[k].queue.push_back(rr);
-                        }
-                    }
-                }
-                // Prefill batch: hand each member off (or park it if the
-                // whole decode pool is down).
-                3 => {
-                    let batch = punits[idx].step()?;
-                    for req in batch.members {
-                        let up: Vec<usize> =
-                            (0..decode.len()).filter(|&k| dhealth.is_up(k)).collect();
-                        if up.is_empty() {
-                            let fire = dhealth.next_transition().ok_or_else(|| {
-                                Error::internal(
-                                    "every decode replica is down and none is scheduled to restart",
-                                )
-                            })?;
-                            // The cache stays resident at the source (no
-                            // release is scheduled until a transfer is).
-                            waiting.push(DisaggRetry {
-                                fire,
-                                request: req,
-                                attempts: attempts_of.get(&req.id).copied().unwrap_or(0),
-                                source: Some(idx),
-                                first_token: Some(batch.end),
-                            });
-                            continue;
-                        }
-                        let snaps: Vec<ReplicaSnapshot> = up
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, &k)| dunits[k].snapshot(pos, d_assigned[k], false))
-                            .collect();
-                        let pos = drouter.route(&req, &snaps).min(up.len() - 1);
-                        let k = up[pos];
-                        d_assigned[k] += 1;
-                        let bytes =
-                            full_fp.handoff_bytes(req.prompt_len, punits[idx].alloc.block_tokens());
-                        let t_start = batch.end.max(punits[idx].link_free);
-                        let (duration, energy) = priced_transfer(t_start, bytes);
-                        let t_end = t_start + duration;
-                        punits[idx].link_free = t_end;
-                        punits[idx].pending_release.push((t_end, req.id));
-                        transfers.record(bytes.get(), duration, energy);
-                        dunits[k].pending.push(PendingDecode {
-                            req,
-                            first_token: batch.end,
-                            ready: t_end,
-                        });
-                    }
-                }
-                // Decode round (atomic: a crash never lands mid-round).
-                _ => {
-                    let finished = dunits[idx].step()?;
-                    for c in &finished {
-                        if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                            avail.retried_ok += 1;
-                        }
-                        for rec in crash_log.iter_mut() {
-                            if rec.replica == idx
-                                && rec.first_completion.is_none()
-                                && c.finish > rec.at
-                            {
-                                rec.first_completion = Some(c.finish);
-                            }
-                        }
-                        stream.on_complete(c);
-                    }
-                    completions.extend(finished);
-                }
-            }
-        }
-
-        // Recomputed requests were re-admitted at their retry fire time;
-        // report latency against the original arrival.
-        for c in &mut completions {
-            if let Some(orig) = origin.get(&c.id) {
-                c.arrival = Seconds::new(*orig);
-            }
-        }
-        completions.sort_by_key(|c| c.id);
-        debug_assert_eq!(
-            completions.len() as u64 + avail.shed + avail.timed_out,
-            offered,
-            "request conservation: arrived == completed + shed + timed out"
-        );
-
-        let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-        let fleet = (prefill.len() + decode.len()) as f64;
-        let mut downtime = 0.0;
-        for rec in &crash_log {
-            let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-            let start = clip(rec.at.get());
-            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-            downtime += (end - start).max(0.0);
-            avail
-                .time_to_recover_s
-                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-        }
-        avail.downtime_s = downtime;
-        avail.availability = (1.0 - downtime / (fleet * makespan)).clamp(0.0, 1.0);
-
-        let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-        let mut chip_energy = Joules::ZERO;
-        let mut queue_full_s = 0.0;
-        for (spec, unit) in prefill.iter().zip(&punits) {
-            chip_energy += unit.energy;
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "prefill".to_owned(),
-                chips: spec.chips(),
-                requests: unit.prefills,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        for (spec, unit) in decode.iter().zip(&dunits) {
-            chip_energy += unit.energy;
-            queue_full_s += unit.queue_full.get();
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "decode".to_owned(),
-                chips: spec.chips(),
-                requests: unit.completed,
-                busy_s: unit.busy.get(),
-                utilization: 0.0,
-                energy_j: unit.energy.get(),
-                kv_hwm_frac: unit.alloc.high_water_frac(),
-            });
-        }
-        let report = ClusterReport::build(
-            label,
-            "disaggregated",
-            format!("{}\u{2192}{}", router.name(), decode_router.name()),
-            offered,
-            &completions,
-            &FleetTotals { chip_energy, queue_full_s, transfers, ..FleetTotals::default() },
-            rows,
-            slo_ms,
-            Some(avail),
-        );
-        for session in p_sessions.iter().chain(&d_sessions) {
-            session.persist_cache();
-        }
-        Ok(ClusterRun {
-            report,
-            replica_reports: Vec::new(),
-            completions,
-            prefix: cimtpu_serving::PrefixStats::default(),
-        })
-    }
-
-    fn tiny() -> ServingModel {
-        ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer())
-    }
-
     /// A small heterogeneous pool: two prefill replicas with different
     /// admission caps feeding two decode replicas.
     fn pools() -> (Vec<ReplicaSpec>, Vec<ReplicaSpec>) {
-        (
-            vec![
-                ReplicaSpec::new("p-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
-                ReplicaSpec::new("p-1", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 2 }),
-            ],
-            vec![
-                ReplicaSpec::new("d-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
-                ReplicaSpec::new("d-1", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
-            ],
-        )
+        let replica = |name, max_batch| {
+            ReplicaSpec::new(name, TpuConfig::tpuv4i(), tiny())
+                .with_policy(BatchPolicy::Continuous { max_batch })
+        };
+        (vec![replica("p-0", 4), replica("p-1", 2)], vec![replica("d-0", 4), replica("d-1", 4)])
     }
 
-    fn traffics(seed: u64) -> [TrafficSpec; 2] {
+    /// The pipeline's loop run and reference run agree under `plan` for
+    /// every router pairing, in open and closed loop.
+    fn check(plan: &FaultPlan, seed: u64) {
         let base = TrafficSpec {
             requests: 16,
             arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
@@ -1761,88 +1003,63 @@ mod tests {
             prefix: PrefixTraffic::None,
             seed,
         };
-        [
-            base.clone(),
-            TrafficSpec {
-                arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 },
-                ..base
-            },
-        ]
+        let closed = ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 };
+        let pairs = [
+            (RouterPolicy::RoundRobin, RouterPolicy::LeastKv),
+            (RouterPolicy::LeastOutstanding, RouterPolicy::LeastOutstanding),
+            (RouterPolicy::PassThrough, RouterPolicy::RoundRobin),
+            (RouterPolicy::SessionAffinity, RouterPolicy::LeastOutstanding),
+        ];
+        for traffic in [base.clone(), TrafficSpec { arrival: closed, ..base }] {
+            for (ap, dp) in pairs {
+                let (prefill, decode) = pools();
+                let link = InterconnectSpec::ici();
+                let engine = ClusterEngine::disaggregated(prefill, decode, ap, dp, link).unwrap();
+                let engine = engine.with_slo_ms(50.0).with_faults(plan.clone());
+                let run = engine.run("eq", &traffic).unwrap();
+                let reference = run_reference(&engine, "eq", &traffic).unwrap();
+                assert_eq!(&run, &reference, "{}→{}", ap.name(), dp.name());
+            }
+        }
     }
-
-    /// Arrival-router → decode-router pairings under test.
-    const PAIRS: [(RouterPolicy, RouterPolicy); 4] = [
-        (RouterPolicy::RoundRobin, RouterPolicy::LeastKv),
-        (RouterPolicy::LeastOutstanding, RouterPolicy::LeastOutstanding),
-        (RouterPolicy::PassThrough, RouterPolicy::RoundRobin),
-        (RouterPolicy::SessionAffinity, RouterPolicy::LeastOutstanding),
-    ];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
         /// The heap-scheduled pipeline under an empty plan replays the
-        /// zero-fault scan oracle bit-for-bit for every router pairing,
-        /// in open and closed loop.
+        /// reference bit-for-bit.
         #[test]
         fn heap_plain_matches_scan_oracle(seed in 0u64..1_000) {
-            let (prefill, decode) = pools();
-            for traffic in traffics(seed) {
-                for (ap, dp) in PAIRS {
-                    let fast = run_disaggregated::<()>(
-                        &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0), &FaultPlan::none(), None, &(),
-                    )
-                    .unwrap();
-                    let slow = run_disaggregated_plain_oracle(
-                        &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq", &traffic,
-                        Some(50.0),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(&fast, &slow, "{}→{}", ap.name(), dp.name());
-                }
-            }
+            check(&FaultPlan::none(), seed);
         }
 
-        /// The heap-scheduled failure-aware pipeline replays the scan
-        /// oracle bit-for-bit under a scripted decode crash + degraded
-        /// link window and under seeded chaos.
+        /// The heap-scheduled failure-aware pipeline replays the
+        /// reference bit-for-bit under a scripted decode crash with a
+        /// degraded link window, under seeded chaos, and with the whole
+        /// decode pool down at once (staggered repairs: handoffs park
+        /// until a decode replica is up, and time out then if their
+        /// deadline has passed).
         #[test]
         fn heap_faulty_matches_scan_oracle(seed in 0u64..1_000) {
-            let (prefill, decode) = pools();
-            let scripted = FaultPlan::none()
-                .with_event(FaultEvent::Crash {
-                    at: Seconds::new(0.000_4),
-                    replica: 0,
-                    repair: Seconds::new(0.002),
-                })
-                .with_event(FaultEvent::DegradedLink {
+            let scripted = FaultPlan::none().with_event(crash(0, 0.000_4, 0.002)).with_event(
+                FaultEvent::DegradedLink {
                     from: Seconds::new(0.000_2),
                     until: Seconds::new(0.003),
                     bandwidth_factor: 0.5,
                     energy_factor: 1.5,
-                });
+                },
+            );
             let chaos = FaultPlan::seeded(seed ^ 0xD15A6).with_chaos(ChaosSpec {
                 crashes: 2,
                 window: (Seconds::new(0.000_2), Seconds::new(0.003)),
                 repair: Seconds::new(0.002),
             });
-            for traffic in traffics(seed) {
-                for plan in [&scripted, &chaos] {
-                    for (ap, dp) in PAIRS {
-                        let fast = run_disaggregated::<()>(
-                            &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
-                            &traffic, None, plan, None, &(),
-                        )
-                        .unwrap();
-                        let slow = run_disaggregated_faulty_oracle(
-                            &prefill, &decode, ap, dp, InterconnectSpec::ici(), "eq",
-                            &traffic, None, plan,
-                        )
-                        .unwrap();
-                        prop_assert_eq!(&fast, &slow, "{}→{}", ap.name(), dp.name());
-                    }
-                }
+            let deadline = Seconds::new(0.002_5);
+            let whole = FaultPlan::none()
+                .with_events([crash(0, 0.000_6, 0.003), crash(1, 0.000_6, 0.004)])
+                .with_recovery(RecoveryPolicy { deadline, ..RecoveryPolicy::default() });
+            for plan in [&scripted, &chaos, &whole] {
+                check(plan, seed);
             }
         }
     }

@@ -72,7 +72,7 @@ impl Tenancy<'_> {
 #[derive(Debug, Clone)]
 pub struct ClusterEngine {
     topology: ClusterTopology,
-    slo_ms: Option<f64>,
+    pub(crate) slo_ms: Option<f64>,
     faults: FaultPlan,
     autoscale: Option<AutoscalePolicy>,
 }
@@ -520,6 +520,8 @@ impl<K: Ord, T> EventQueue<K, T> {
 /// step, as `drive` does. Deliveries at an instant go before its
 /// admissions, so both timings give the same run: an empty plan replays
 /// `drive`, and a benign plan (a ×1 straggler) replays the empty plan.
+/// The test-only reference model (`crate::reference`) delivers at the
+/// finish under every plan, and the proptests pin the loop to it.
 ///
 /// Arrivals hash by session onto a routing group (a static fleet is one
 /// group) and route over a [`SnapshotTracker`] whose slots reset one at a
@@ -603,9 +605,8 @@ fn run_colocated<O: FleetObserver>(
     // The step-event queue: one slot per replica, keyed by the core's
     // next-action time (`None` while the slot has no live core). Every
     // core-mutating event below refreshes the owning slot, so the heap
-    // minimum always matches what a fresh `O(replicas)` scan over the
-    // live cores would pick — same time, same lowest-index tie-break
-    // (pinned against the scan oracle by this module's proptests).
+    // minimum is the reference model's pick: a linear scan of the live
+    // cores, lowest index on a tie.
     let mut step_heap = ActionHeap::new(n);
     for (i, core) in cores.iter().enumerate() {
         step_heap.set(i, core.next_action());
@@ -953,599 +954,73 @@ fn run_colocated<O: FleetObserver>(
 
 #[cfg(test)]
 mod tests {
-    use cimtpu_core::TpuConfig;
-    use cimtpu_serving::{
-        drive, ArrivalPattern, BatchPolicy, EngineSession, LenDist, PrefixTraffic, ServingModel,
-    };
-    use cimtpu_units::Joules;
     use proptest::prelude::*;
-    use rustc_hash::FxHashMap;
 
     use super::*;
-    use crate::fault::{release_client, AvailabilityStats, ChaosSpec, CrashRecord, FaultEvent};
-    use crate::report::ReplicaUtilization;
+    use crate::fault::{ChaosSpec, FaultEvent, RecoveryPolicy};
+    use crate::reference::run_reference;
+    use crate::reference::tests::{crash, mixed_fleet, traffics, POLICIES};
 
-    // ------------------------------------------------------------------
-    // Scan oracles: the pre-heap drivers, kept so proptests can pin the
-    // heap-scheduled loop bit-for-bit against them. The faulty oracle
-    // keeps the pre-heap event selection and its class order (arrivals,
-    // deliveries, admissions: it differs from the loop's only when a
-    // delivery and an admission share an instant) but adopts the loop's
-    // close-after-admission rule; `drive`, through the rebuild oracle,
-    // is the independent anchor for that rule. It also clamps a restarted
-    // replica's queue tail to its up instant, as the loop does (pinned
-    // on its own by `tests/faults.rs`).
-    // ------------------------------------------------------------------
-
-    /// Pre-refactor router view: rebuilds the snapshot of every replica
-    /// in `up` (with an `outstanding_at` query each) at instant `t`,
-    /// re-indexed `0..up.len()`.
-    fn snapshots(
-        cores: &[EngineCore<'_>],
-        up: &[usize],
-        t: Seconds,
-        assigned: &[u64],
-    ) -> Vec<ReplicaSnapshot> {
-        up.iter()
-            .enumerate()
-            .map(|(index, &k)| ReplicaSnapshot {
-                index,
-                outstanding: cores[k].outstanding_at(t),
-                queued: cores[k].queued(),
-                kv_frac: cores[k].kv_frac(),
-                assigned: assigned[k],
-                class_outstanding: [0; 3],
-            })
-            .collect()
-    }
-
-    /// The zero-fault colocated driver as it was before the
-    /// [`SnapshotTracker`] port: per-arrival snapshot rebuilds over the
-    /// (already heap-scheduled) [`drive`] loop.
-    fn run_colocated_oracle(
-        replicas: &[ReplicaSpec],
-        policy: RouterPolicy,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-    ) -> Result<ClusterRun> {
-        let sessions: Vec<EngineSession> = replicas
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut cores: Vec<EngineCore<'_>> =
-            sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut router = policy.build();
-        let mut assigned = vec![0u64; replicas.len()];
-        let all: Vec<usize> = (0..replicas.len()).collect();
-
-        drive(&mut cores, &mut stream, |request, cores| {
-            let snaps = snapshots(cores, &all, request.arrival(), &assigned);
-            let k = router.route(request, &snaps).min(cores.len() - 1);
-            assigned[k] += 1;
-            k
-        })?;
-
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut chip_energy = Joules::ZERO;
-        let mut preemptions = 0;
-        let mut queue_full_s = 0.0;
-        let mut prefix = cimtpu_serving::PrefixStats::default();
-        let mut rows = Vec::with_capacity(replicas.len());
-        let mut replica_reports = Vec::new();
-        for (spec, core) in replicas.iter().zip(&cores) {
-            let memory = core.memory_stats();
-            preemptions += memory.preemptions;
-            queue_full_s += memory.queue_full_s;
-            prefix.absorb(&core.prefix_stats());
-            chip_energy += core.energy();
-            completions.extend_from_slice(core.completions());
-            rows.push(ReplicaUtilization {
-                name: spec.name.clone(),
-                model: spec.model.name().to_owned(),
-                role: "serve".to_owned(),
-                chips: spec.chips(),
-                requests: core.completions().len() as u64,
-                busy_s: core.busy().get(),
-                utilization: 0.0, // filled against the fleet makespan
-                energy_j: core.energy().get(),
-                kv_hwm_frac: memory.kv_hwm_frac,
-            });
-            if !core.completions().is_empty() {
-                replica_reports.push(core.finish(&spec.name).report);
+    /// The mixed fleet's loop run and reference run agree on every
+    /// traffic shape and router policy under `plan`.
+    fn check(plan: &FaultPlan, seed: u64) {
+        for traffic in traffics(seed) {
+            for policy in POLICIES {
+                let engine = ClusterEngine::colocated(mixed_fleet(), policy).unwrap();
+                let engine = engine.with_slo_ms(50.0).with_faults(plan.clone());
+                let run = engine.run("eq", &traffic).unwrap();
+                let reference = run_reference(&engine, "eq", &traffic).unwrap();
+                assert_eq!(&run, &reference, "policy {}", policy.name());
             }
         }
-        completions.sort_by_key(|c| c.id);
-        let report = ClusterReport::build(
-            label,
-            "colocated",
-            policy.name().to_owned(),
-            offered,
-            &completions,
-            &FleetTotals { chip_energy, preemptions, queue_full_s, ..FleetTotals::default() },
-            rows,
-            slo_ms,
-            None,
-        );
-        for session in &sessions {
-            session.persist_cache();
-        }
-        Ok(ClusterRun { report, replica_reports, completions, prefix })
     }
-
-    /// The failure-aware colocated driver as it was before the
-    /// [`ActionHeap`] port: the step event re-derived by an `O(replicas)`
-    /// scan over the non-stale cores at every loop iteration. It closes
-    /// the cores once the stream's final request has been through
-    /// admission, as the loop and `drive` do (the pre-heap driver closed
-    /// them at the final request's pop).
-    #[allow(clippy::too_many_lines)]
-    fn run_colocated_faulty_oracle(
-        replicas: &[ReplicaSpec],
-        policy: RouterPolicy,
-        label: &str,
-        traffic: &TrafficSpec,
-        slo_ms: Option<f64>,
-        plan: &FaultPlan,
-    ) -> Result<ClusterRun> {
-        let recovery = *plan.recovery();
-        let timeline = plan.colocated_timeline(replicas.len())?;
-        let mut next_fault = 0usize;
-
-        let sessions: Vec<EngineSession> = replicas
-            .iter()
-            .map(|r| EngineSession::new(&r.engine()?))
-            .collect::<Result<_>>()?;
-        let mut cores: Vec<EngineCore<'_>> =
-            sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
-        let mut stream = ArrivalStream::new(traffic)?;
-        let offered = stream.total();
-        let mut router = policy.build();
-        let n = replicas.len();
-        let mut assigned = vec![0u64; n];
-        let mut health = HealthView::all_up(n);
-        let mut stale = vec![false; n];
-        let mut slowdown = vec![1.0f64; n];
-        let mut last_push = vec![f64::NEG_INFINITY; n];
-        let mut final_id: Option<u64> = None;
-        let mut close_due = false;
-        let mut exhausted_closed = false;
-
-        let mut delivered: Vec<Completion> = Vec::new();
-        let mut deliveries: Vec<(usize, Completion)> = Vec::new();
-        let mut delivered_by = vec![0u64; n];
-        let mut waiting: Vec<WaitingRetry> = Vec::new();
-        let mut origin: FxHashMap<u64, f64> = FxHashMap::default();
-        let mut attempts_of: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut avail = AvailabilityStats::zero();
-        let mut crash_log: Vec<CrashRecord> = Vec::new();
-        let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
-
-        loop {
-            if std::mem::take(&mut close_due) {
-                exhausted_closed = true;
-                for (i, core) in cores.iter_mut().enumerate() {
-                    if !stale[i] {
-                        core.close();
-                    }
-                }
-            }
-            let mut step_at: Option<(usize, Seconds)> = None;
-            for (i, core) in cores.iter().enumerate() {
-                if stale[i] {
-                    continue;
-                }
-                if let Some(t) = core.next_action() {
-                    if step_at.is_none_or(|(_, best)| t < best) {
-                        step_at = Some((i, t));
-                    }
-                }
-            }
-            let delivery_at: Option<(usize, Seconds)> = deliveries
-                .iter()
-                .enumerate()
-                .min_by(|(ai, a), (bi, b)| {
-                    a.1.finish.get().total_cmp(&b.1.finish.get()).then(ai.cmp(bi))
-                })
-                .map(|(i, d)| (i, d.1.finish));
-            let retry_at: Option<usize> = waiting
-                .iter()
-                .enumerate()
-                .min_by(|(ai, a), (bi, b)| {
-                    let ka = (a.fire.get(), a.request.arrival_s, a.request.id);
-                    let kb = (b.fire.get(), b.request.arrival_s, b.request.id);
-                    ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal).then(ai.cmp(bi))
-                })
-                .map(|(i, _)| i);
-            let fault_at: Option<Seconds> = {
-                let scripted = (next_fault < timeline.len()).then(|| timeline[next_fault].0);
-                match (scripted, health.next_transition()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            };
-            let arrival_at = stream.peek();
-
-            if stream.exhausted()
-                && waiting.is_empty()
-                && deliveries.is_empty()
-                && step_at.is_none()
-            {
-                break;
-            }
-
-            let candidates = [
-                (fault_at, 0u8),
-                (arrival_at, 1),
-                (delivery_at.map(|(_, t)| t), 2),
-                (retry_at.map(|i| waiting[i].fire), 3),
-                (step_at.map(|(_, t)| t), 4),
-            ];
-            let mut chosen: Option<(Seconds, u8)> = None;
-            for (t, class) in candidates {
-                if let Some(t) = t {
-                    if chosen.is_none_or(|(bt, _)| t < bt) {
-                        chosen = Some((t, class));
-                    }
-                }
-            }
-            let Some((now, class)) = chosen else {
-                let mut progressed = false;
-                for (i, core) in cores.iter_mut().enumerate() {
-                    if stale[i] {
-                        continue;
-                    }
-                    if core.flush_stalled()? {
-                        for c in core.drain_new().to_vec() {
-                            deliveries.push((i, c));
-                        }
-                        progressed = true;
-                        break;
-                    }
-                }
-                if !progressed {
-                    return Err(Error::invalid_config(
-                        "serving driver stalled: closed-loop clients wait on completions \
-                         no engine can produce",
-                    ));
-                }
-                continue;
-            };
-
-            match class {
-                0 => {
-                    for (k, left) in health.advance(now, recovery.warmup, recovery.warmup) {
-                        if let ReplicaHealth::Warming { .. } = left {
-                            // Service cannot start before the replica is up.
-                            last_push[k] = now.get();
-                            continue;
-                        }
-                        cores[k] = sessions[k].core()?;
-                        stale[k] = false;
-                        if slowdown[k] != 1.0 {
-                            cores[k].set_slowdown(slowdown[k]);
-                        }
-                        if exhausted_closed {
-                            cores[k].close();
-                        }
-                    }
-                    for rec in crash_log.iter_mut() {
-                        if rec.up_again.is_none() && health.is_up(rec.replica) {
-                            rec.up_again = Some(now);
-                        }
-                    }
-                    while next_fault < timeline.len() && timeline[next_fault].0 <= now {
-                        let (_, action) = timeline[next_fault];
-                        next_fault += 1;
-                        match action {
-                            FaultAction::Crash { replica, repair } => {
-                                if matches!(health.state(replica), ReplicaHealth::Down { .. }) {
-                                    continue;
-                                }
-                                let lost = cores[replica].crash(now);
-                                accum[replica].harvest(&cores[replica], None);
-                                stale[replica] = true;
-                                health.set(replica, ReplicaHealth::Down { until: now + repair });
-                                avail.crashes += 1;
-                                crash_log.push(CrashRecord {
-                                    replica,
-                                    at: now,
-                                    up_again: None,
-                                    first_completion: None,
-                                });
-                                let lost_ids: Vec<u64> = lost.iter().map(|r| r.id).collect();
-                                deliveries
-                                    .retain(|(k, c)| *k != replica || !lost_ids.contains(&c.id));
-                                for r in lost {
-                                    let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                                    let attempts =
-                                        attempts_of.get(&r.id).copied().unwrap_or(0) + 1;
-                                    if attempts > recovery.max_attempts {
-                                        avail.shed += 1;
-                                        release_client(&mut stream, r.id, orig, now);
-                                        continue;
-                                    }
-                                    let fire = now + recovery.backoff_for(attempts);
-                                    if fire.get() > orig + recovery.deadline.get() {
-                                        avail.timed_out += 1;
-                                        release_client(&mut stream, r.id, orig, now);
-                                        continue;
-                                    }
-                                    attempts_of.insert(r.id, attempts);
-                                    waiting.push(WaitingRetry { fire, request: r, attempts });
-                                }
-                            }
-                            FaultAction::Slow { replica, factor } => {
-                                slowdown[replica] = factor.unwrap_or(1.0);
-                                if !stale[replica] {
-                                    cores[replica].set_slowdown(slowdown[replica]);
-                                }
-                            }
-                        }
-                    }
-                }
-                1 => {
-                    let request = stream.pop();
-                    origin.insert(request.id, request.arrival_s);
-                    if stream.exhausted() {
-                        final_id = Some(request.id);
-                    }
-                    waiting.push(WaitingRetry { fire: now, request, attempts: 0 });
-                }
-                2 => {
-                    let (idx, _) = delivery_at
-                        .ok_or_else(|| Error::internal("class 2 implies a pending delivery"))?;
-                    let (k, mut c) = deliveries.remove(idx);
-                    if let Some(orig) = origin.get(&c.id) {
-                        c.arrival = Seconds::new(*orig);
-                    }
-                    if attempts_of.get(&c.id).copied().unwrap_or(0) > 0 {
-                        avail.retried_ok += 1;
-                    }
-                    stream.on_complete(&c);
-                    delivered_by[k] += 1;
-                    for rec in crash_log.iter_mut() {
-                        if rec.replica == k && rec.first_completion.is_none() && c.finish > rec.at
-                        {
-                            rec.first_completion = Some(c.finish);
-                        }
-                    }
-                    delivered.push(c);
-                }
-                3 => {
-                    let idx = retry_at
-                        .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?;
-                    let item = waiting.remove(idx);
-                    let r = item.request;
-                    close_due |= final_id.take_if(|id| *id == r.id).is_some();
-                    let orig = *origin.get(&r.id).unwrap_or(&r.arrival_s);
-                    if now.get() > orig + recovery.deadline.get() {
-                        avail.timed_out += 1;
-                        release_client(&mut stream, r.id, orig, now);
-                        continue;
-                    }
-                    let up: Vec<usize> = (0..n).filter(|&k| health.is_up(k)).collect();
-                    if up.is_empty() {
-                        let fire = health.next_transition().ok_or_else(|| {
-                            Error::internal(
-                                "every replica is down and none is scheduled to restart",
-                            )
-                        })?;
-                        waiting.push(WaitingRetry { fire, ..item });
-                        continue;
-                    }
-                    if let Some(threshold) = recovery.shed_outstanding {
-                        if up.iter().all(|&k| cores[k].outstanding_at(now) >= threshold) {
-                            let key = (orig, r.id);
-                            let mut doomed = vec![(r.id, orig)];
-                            waiting.retain(|w| {
-                                let worig =
-                                    *origin.get(&w.request.id).unwrap_or(&w.request.arrival_s);
-                                if (worig, w.request.id) <= key {
-                                    doomed.push((w.request.id, worig));
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                            for (id, worig) in doomed {
-                                avail.shed += 1;
-                                release_client(&mut stream, id, worig, now);
-                            }
-                            continue;
-                        }
-                    }
-                    let snaps = snapshots(&cores, &up, now, &assigned);
-                    let pos = router.route(&r, &snaps).min(up.len() - 1);
-                    let k = up[pos];
-                    assigned[k] += 1;
-                    if item.attempts > 0 {
-                        avail.retries += 1;
-                    }
-                    let mut pushed = r;
-                    pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
-                    pushed.arrival_s = pushed.arrival_s.max(last_push[k]);
-                    last_push[k] = pushed.arrival_s;
-                    if exhausted_closed {
-                        cores[k].reopen();
-                        cores[k].push(pushed);
-                        cores[k].close();
-                    } else {
-                        cores[k].push(pushed);
-                    }
-                }
-                _ => {
-                    let (i, _) = step_at
-                        .ok_or_else(|| Error::internal("class 4 implies a steppable core"))?;
-                    cores[i].step()?;
-                    for c in cores[i].drain_new().to_vec() {
-                        deliveries.push((i, c));
-                    }
-                }
-            }
-        }
-
-        for (k, core) in cores.iter().enumerate() {
-            if !stale[k] {
-                accum[k].harvest(core, None);
-            }
-        }
-        delivered.sort_by_key(|c| c.id);
-        debug_assert_eq!(
-            delivered.len() as u64 + avail.shed + avail.timed_out,
-            offered,
-            "request conservation: arrived == completed + shed + timed out"
-        );
-
-        let finish = delivered.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = delivered.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
-        let mut downtime = 0.0;
-        for rec in &crash_log {
-            let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
-            let start = clip(rec.at.get());
-            let end = clip(rec.up_again.map_or(finish.get(), |u| u.get()));
-            downtime += (end - start).max(0.0);
-            avail
-                .time_to_recover_s
-                .push((rec.first_completion.unwrap_or(finish).get() - rec.at.get()).max(0.0));
-        }
-        avail.downtime_s = downtime;
-        avail.availability = (1.0 - downtime / (n as f64 * makespan)).clamp(0.0, 1.0);
-
-        let mut totals = FleetTotals::default();
-        let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k])).collect();
-        let report = ClusterReport::build(
-            label,
-            "colocated",
-            policy.name().to_owned(),
-            offered,
-            &delivered,
-            &totals,
-            rows,
-            slo_ms,
-            Some(avail),
-        );
-        for session in &sessions {
-            session.persist_cache();
-        }
-        Ok(ClusterRun {
-            report,
-            replica_reports: Vec::new(),
-            completions: delivered,
-            prefix: totals.prefix,
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Equivalence proptests: heap-scheduled drivers == scan oracles.
-    // ------------------------------------------------------------------
-
-    fn tiny() -> ServingModel {
-        ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer())
-    }
-
-    /// A three-replica fleet mixing batching policies (continuous,
-    /// static, dynamic) so the equivalence runs cross every scheduler
-    /// state machine, including the static stall-flush path.
-    fn mixed_fleet() -> Vec<ReplicaSpec> {
-        vec![
-            ReplicaSpec::new("cont", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
-            ReplicaSpec::new("stat", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Static { batch: 2 }),
-            ReplicaSpec::new("dyn", TpuConfig::design_a(), tiny())
-                .with_policy(BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 0.5 }),
-        ]
-    }
-
-    fn traffics(seed: u64) -> [TrafficSpec; 2] {
-        let base = TrafficSpec {
-            requests: 24,
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
-            prompt: LenDist::Uniform { lo: 8, hi: 48 },
-            steps: LenDist::Uniform { lo: 2, hi: 10 },
-            prefix: PrefixTraffic::None,
-            seed,
-        };
-        let closed = TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 5, think_ms: 0.2 },
-            ..base
-        };
-        [base, closed]
-    }
-
-    const POLICIES: [RouterPolicy; 6] = [
-        RouterPolicy::PassThrough,
-        RouterPolicy::RoundRobin,
-        RouterPolicy::LeastOutstanding,
-        RouterPolicy::LeastKv,
-        RouterPolicy::SessionAffinity,
-        RouterPolicy::PrefixAffinity,
-    ];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// Under an empty plan the tracker-routed loop replays `drive`
-        /// with a per-arrival snapshot rebuild bit-for-bit (per-replica
-        /// reports included), for every router policy and both open- and
-        /// closed-loop traffic.
+        /// Under an empty plan the tracker-routed loop, delivering each
+        /// completion at once, replays the reference's per-admission
+        /// router-view rebuild and deliver-at-finish rule bit-for-bit
+        /// (per-replica reports included).
         #[test]
         fn tracked_colocated_matches_rebuild_oracle(seed in 0u64..1_000) {
-            let fleet = mixed_fleet();
-            let none = FaultPlan::none();
-            for traffic in traffics(seed) {
-                for policy in POLICIES {
-                    let fast = run_colocated::<()>(
-                        &fleet, policy, "eq", &traffic, Some(50.0), &none, None, None, &(),
-                    )
-                    .unwrap();
-                    let slow =
-                        run_colocated_oracle(&fleet, policy, "eq", &traffic, Some(50.0)).unwrap();
-                    prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
-                }
-            }
+            check(&FaultPlan::none(), seed);
         }
 
-        /// The heap-scheduled failure-aware driver replays the scan
-        /// oracle bit-for-bit under scripted crashes + a straggler
-        /// window and under seeded chaos, for every router policy.
+        /// The loop replays the reference bit-for-bit under scripted
+        /// crashes with a straggler window, seeded chaos (also under a
+        /// tight recovery policy: shedding, timeouts, a one-retry budget),
+        /// and every replica down at once with staggered repairs: parked
+        /// requests wait for the first replica up, and those whose
+        /// deadline passes meanwhile time out then.
         #[test]
         fn heap_faulty_matches_scan_oracle(seed in 0u64..1_000) {
-            let fleet = mixed_fleet();
-            let scripted = FaultPlan::none()
-                .with_event(FaultEvent::Crash {
-                    at: Seconds::new(0.000_4),
-                    replica: 0,
-                    repair: Seconds::new(0.001),
-                })
-                .with_event(FaultEvent::Straggler {
+            let scripted = FaultPlan::none().with_event(crash(0, 0.000_4, 0.001)).with_event(
+                FaultEvent::Straggler {
                     replica: 2,
                     from: Seconds::new(0.000_2),
                     until: Seconds::new(0.002),
                     slowdown: 3.0,
-                });
+                },
+            );
+            let tight = RecoveryPolicy {
+                max_attempts: 1,
+                deadline: Seconds::new(0.006),
+                shed_outstanding: Some(4),
+                ..RecoveryPolicy::default()
+            };
             let chaos = FaultPlan::seeded(seed ^ 0xFA417).with_chaos(ChaosSpec {
                 crashes: 2,
                 window: (Seconds::new(0.000_2), Seconds::new(0.003)),
                 repair: Seconds::new(0.002),
             });
-            for traffic in traffics(seed) {
-                for plan in [&scripted, &chaos] {
-                    for policy in POLICIES {
-                        let fast = run_colocated::<()>(
-                            &fleet, policy, "eq", &traffic, None, plan, None, None, &(),
-                        )
-                        .unwrap();
-                        let slow =
-                            run_colocated_faulty_oracle(&fleet, policy, "eq", &traffic, None, plan)
-                                .unwrap();
-                        prop_assert_eq!(&fast, &slow, "policy {}", policy.name());
-                    }
-                }
+            let tight = chaos.clone().with_recovery(tight);
+            let deadline = Seconds::new(0.002_5);
+            let whole = FaultPlan::none()
+                .with_events([(0, 0.003), (1, 0.005), (2, 0.004)].map(|(k, r)| crash(k, 0.000_8, r)))
+                .with_recovery(RecoveryPolicy { deadline, ..RecoveryPolicy::default() });
+            for plan in [&scripted, &chaos, &tight, &whole] {
+                check(plan, seed);
             }
         }
     }

@@ -562,27 +562,6 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         release_client(stream, id, orig, now);
     }
 
-    /// Parks request `id` because no replica `health` shows is routable:
-    /// returns when it should try again (the next repair or warmup end).
-    /// No retry is charged — the request was never placed.
-    ///
-    /// # Errors
-    ///
-    /// An internal error when every replica is down with no restart due.
-    pub(crate) fn park(
-        &self,
-        health: &HealthView,
-        id: u64,
-        now: Seconds,
-        tenancy: &Option<Tenancy<'_>>,
-    ) -> Result<Seconds> {
-        let fire = health.next_transition().ok_or_else(|| {
-            Error::internal("every replica is down and none is scheduled to restart")
-        })?;
-        self.on_park(id, now, tenancy);
-        Ok(fire)
-    }
-
     /// Traces request `id` parked at `now`.
     pub(crate) fn on_park(&self, id: u64, now: Seconds, tenancy: &Option<Tenancy<'_>>) {
         self.obs.request(EventKind::Park, id, now, None, tenancy);

@@ -218,3 +218,6 @@ pub use cimtpu_serving::{
 pub use replica::ReplicaSpec;
 pub use report::{ClusterReport, KvTransferStats, PerfRecord, ReplicaUtilization};
 pub use router::{HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
+
+#[cfg(test)]
+mod reference;

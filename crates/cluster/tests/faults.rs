@@ -6,8 +6,9 @@
 //!    non-empty plan (a 1.0× straggler window, a 1.0× link window) must
 //!    still reproduce the empty-plan completions bit-for-bit, under every
 //!    batching policy — the check that fault handling adds accounting,
-//!    not new scheduling semantics. (The colocated loop under an empty
-//!    plan is pinned against `drive` by the engine's unit proptests.)
+//!    not new scheduling semantics. (Both loops are pinned against the
+//!    crate's reference model, and it against `drive`, by unit
+//!    proptests.)
 //! 2. **Determinism.** The same fault seed replays the same chaos run;
 //!    fault draws come from their own RNG stream, so they never perturb
 //!    the traffic.
@@ -460,20 +461,17 @@ fn cross_topology_faults_are_rejected() {
     assert!(err.to_string().contains("link"), "{err}");
 }
 
-/// With every replica down, a request parks once and waits for the first
-/// restart: neither a retry firing into the outage nor a later restart
-/// parks it again. Both replicas of `closed-loop-c8` crash at 5 ms and
-/// restart after staggered repairs, and in the recorded run every parked
-/// request id has exactly one `Park` event.
-#[test]
-fn whole_fleet_down_parks_each_request_once() {
-    let mut scenario = by_name("closed-loop-c8").unwrap();
-    let crash = |replica, repair| FaultEvent::Crash {
-        at: Seconds::new(0.005),
+/// `Park` events per request id when `scenario` runs under crashes
+/// `(replica, at, repair)`, in seconds; every offered request must
+/// recover.
+fn parks(scenario: &str, crashes: &[(usize, f64, f64)]) -> BTreeMap<u64, u32> {
+    let mut scenario = by_name(scenario).unwrap();
+    let crash = |&(replica, at, repair): &(usize, f64, f64)| FaultEvent::Crash {
+        at: Seconds::new(at),
         replica,
         repair: Seconds::new(repair),
     };
-    let plan = FaultPlan::none().with_event(crash(0, 0.003)).with_event(crash(1, 0.006));
+    let plan = FaultPlan::none().with_events(crashes.iter().map(crash));
     scenario.engine = scenario.engine.with_faults(plan);
     let rec = Rc::new(RefCell::new(Recorder::new()));
     let run = scenario.run_observed(None, Some(&rec)).unwrap();
@@ -482,6 +480,29 @@ fn whole_fleet_down_parks_each_request_once() {
     for e in rec.borrow().events().iter().filter(|e| e.kind == EventKind::Park) {
         *parks.entry(e.id).or_default() += 1;
     }
+    parks
+}
+
+/// With every replica down, a request parks once and waits for the first
+/// restart: neither a retry firing into the outage nor a later restart
+/// parks it again. Both replicas of `closed-loop-c8` crash at 5 ms and
+/// restart after staggered repairs, and in the recorded run every parked
+/// request id has exactly one `Park` event.
+#[test]
+fn whole_fleet_down_parks_each_request_once() {
+    let parks = parks("closed-loop-c8", &[(0, 0.005, 0.003), (1, 0.005, 0.006)]);
     assert!(parks.len() >= 2, "the outage must park requests: {parks:?}");
+    assert!(parks.values().all(|&n| n == 1), "a request parked twice: {parks:?}");
+}
+
+/// The disaggregated rule is the same: a handoff that finds the whole
+/// decode pool down parks until a decode replica is up — not until its
+/// repair, which only starts the warmup. `smoke-cluster`'s one decode
+/// replica crashes at 0.5 ms for 3 ms, and every parked request id has
+/// exactly one `Park` event.
+#[test]
+fn whole_decode_pool_down_parks_each_request_once() {
+    let parks = parks("smoke-cluster", &[(0, 0.000_5, 0.003)]);
+    assert!(!parks.is_empty(), "the outage must park requests: {parks:?}");
     assert!(parks.values().all(|&n| n == 1), "a request parked twice: {parks:?}");
 }

@@ -328,6 +328,9 @@ impl SimFlags {
         if think_ms_set && flags.clients.is_none() {
             return Err("--think-ms needs --clients (it sets the closed-loop think time)".into());
         }
+        if flags.trace_filter.is_some() && flags.trace.is_none() {
+            return Err("--trace-filter needs --trace (it filters the trace export)".into());
+        }
         if flags.trace_in.is_some() {
             // The trace records already carry arrivals and tenant
             // assignments; there is no base traffic left to reshape.
@@ -459,6 +462,14 @@ mod tests {
     fn think_ms_without_clients_is_rejected() {
         let err = parse(&["--think-ms", "5"]).unwrap_err();
         assert!(err.contains("--think-ms needs --clients"), "{err}");
+    }
+
+    #[test]
+    fn trace_filter_without_trace_is_rejected() {
+        let err = parse(&["--trace-filter", "crash"]).unwrap_err();
+        assert!(err.contains("--trace-filter needs --trace"), "{err}");
+        let flags = parse(&["--trace", "t.json", "--trace-filter", "crash"]).unwrap();
+        assert_eq!(flags.trace_filter.as_deref(), Some("crash"));
     }
 
     #[test]

@@ -1790,71 +1790,6 @@ pub fn drive_with(
     }
 }
 
-/// The pre-heap linear-scan driver, kept verbatim as the equivalence
-/// oracle for the event-queue rewrite: proptests pin [`drive`] bit-equal
-/// to this loop across policies, traffic shapes, and router choices.
-#[cfg(test)]
-pub(crate) fn drive_scan(
-    cores: &mut [EngineCore<'_>],
-    stream: &mut ArrivalStream,
-    mut route: impl FnMut(&Request, &[EngineCore<'_>]) -> usize,
-) -> Result<()> {
-    assert!(!cores.is_empty(), "drive needs at least one core");
-    loop {
-        let mut action: Option<(usize, Seconds)> = None;
-        for (i, core) in cores.iter().enumerate() {
-            if let Some(t) = core.next_action() {
-                if action.is_none_or(|(_, best)| t < best) {
-                    action = Some((i, t));
-                }
-            }
-        }
-        let arrival = stream.peek();
-        match (arrival, action) {
-            (Some(ta), act) if act.is_none_or(|(_, t)| ta <= t) => {
-                let request = stream.pop();
-                let k = route(&request, cores).min(cores.len() - 1);
-                cores[k].push(request);
-                if stream.exhausted() {
-                    for core in cores.iter_mut() {
-                        core.close();
-                    }
-                }
-            }
-            (_, Some((i, _))) => {
-                cores[i].step()?;
-                let new: Vec<Completion> = cores[i].drain_new().to_vec();
-                for c in &new {
-                    stream.on_complete(c);
-                }
-            }
-            (_, None) => {
-                if stream.exhausted() {
-                    debug_assert!(cores.iter().all(EngineCore::is_done));
-                    return Ok(());
-                }
-                let mut progressed = false;
-                for core in cores.iter_mut() {
-                    if core.flush_stalled()? {
-                        let new: Vec<Completion> = core.drain_new().to_vec();
-                        for c in &new {
-                            stream.on_complete(c);
-                        }
-                        progressed = true;
-                        break;
-                    }
-                }
-                if !progressed {
-                    return Err(Error::invalid_config(
-                        "serving driver stalled: closed-loop clients wait on completions \
-                         no engine can produce",
-                    ));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2099,31 +2034,6 @@ mod tests {
 
     /// Runs a mixed-policy fleet through the given driver and returns
     /// every core's finished run.
-    fn fleet_run(
-        engines: &[ServingEngine],
-        traffic: &TrafficSpec,
-        driver: impl FnOnce(
-            &mut [EngineCore<'_>],
-            &mut ArrivalStream,
-            &mut dyn FnMut(&Request, &[EngineCore<'_>]) -> usize,
-        ) -> Result<()>,
-    ) -> Vec<crate::ServingRun> {
-        let sessions: Vec<crate::EngineSession> =
-            engines.iter().map(|e| crate::EngineSession::new(e).unwrap()).collect();
-        let mut cores: Vec<EngineCore<'_>> =
-            sessions.iter().map(|s| s.core().unwrap()).collect();
-        let mut stream = ArrivalStream::new(traffic).unwrap();
-        // Round-robin perturbed by the request id: every core sees work
-        // and equal-time tie-breaks get exercised from both sides.
-        let mut rr = 0usize;
-        let mut route = move |request: &Request, cores: &[EngineCore<'_>]| {
-            rr += 1;
-            (rr + request.id as usize) % cores.len()
-        };
-        driver(&mut cores, &mut stream, &mut route).unwrap();
-        cores.iter().map(|core| core.finish("eq")).collect()
-    }
-
     use proptest::prelude::*;
 
     /// The reference count by linear scan: queued + resident + every
@@ -2239,43 +2149,6 @@ mod tests {
             crash_at_step in 1usize..8,
         ) {
             check_outstanding_run(seed, crash_at_step, true);
-        }
-
-        /// The heap-scheduled [`drive`] replays the pre-heap linear scan
-        /// ([`drive_scan`]) bit-for-bit — same per-core reports, same
-        /// completions — across batch policies and traffic shapes.
-        #[test]
-        fn heap_drive_matches_scan_oracle(seed in 0u64..1_000) {
-            let engines = [
-                tiny_engine(BatchPolicy::Continuous { max_batch: 2 }),
-                tiny_engine(BatchPolicy::Static { batch: 2 }),
-                tiny_engine(BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 }),
-            ];
-            let base = TrafficSpec {
-                requests: 12,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
-                prompt: LenDist::Uniform { lo: 8, hi: 32 },
-                steps: LenDist::Uniform { lo: 2, hi: 8 },
-                prefix: crate::PrefixTraffic::None,
-                seed,
-            };
-            let traffics = [
-                base.clone(),
-                TrafficSpec {
-                    arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 0.5 },
-                    ..base.clone()
-                },
-                TrafficSpec { arrival: ArrivalPattern::Burst, ..base },
-            ];
-            for traffic in traffics {
-                let fast = fleet_run(&engines, &traffic, |cores, stream, route| {
-                    drive(cores, stream, route)
-                });
-                let slow = fleet_run(&engines, &traffic, |cores, stream, route| {
-                    drive_scan(cores, stream, route)
-                });
-                prop_assert_eq!(&fast, &slow, "{:?}", traffic.arrival);
-            }
         }
     }
 }
