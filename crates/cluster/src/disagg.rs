@@ -919,7 +919,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
         }
     }
 
-    completions.sort_by_key(|c| c.id);
+    completions.sort_unstable_by_key(|c| c.id);
     let avail = ledger.finish(&completions, offered, prefill.len() + decode.len());
     let (rows, totals) = pool_books(prefill, decode, &punits, &dunits, link.transfers);
     let mut report = ClusterReport::build(
@@ -992,17 +992,22 @@ mod tests {
         (vec![replica("p-0", 4), replica("p-1", 2)], vec![replica("d-0", 4), replica("d-1", 4)])
     }
 
-    /// The pipeline's loop run and reference run agree under `plan` for
-    /// every router pairing, in open and closed loop.
-    fn check(plan: &FaultPlan, seed: u64) {
-        let base = TrafficSpec {
+    /// The open-loop traffic of `check` (which also runs it closed-loop).
+    fn open_loop(seed: u64) -> TrafficSpec {
+        TrafficSpec {
             requests: 16,
             arrival: ArrivalPattern::OpenLoop { rate_rps: 4_000.0 },
             prompt: LenDist::Uniform { lo: 16, hi: 48 },
             steps: LenDist::Uniform { lo: 4, hi: 12 },
             prefix: PrefixTraffic::None,
             seed,
-        };
+        }
+    }
+
+    /// The pipeline's loop run and reference run agree under `plan` for
+    /// every router pairing, in open and closed loop.
+    fn check(plan: &FaultPlan, seed: u64) {
+        let base = open_loop(seed);
         let closed = ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 };
         let pairs = [
             (RouterPolicy::RoundRobin, RouterPolicy::LeastKv),
@@ -1021,6 +1026,29 @@ mod tests {
                 assert_eq!(&run, &reference, "{}→{}", ap.name(), dp.name());
             }
         }
+    }
+
+    /// A decode crash one backoff before a seeded arrival, while that
+    /// unit holds work, makes a lost request's retry fire at exactly the
+    /// arrival's instant: the tie rule (arrival before retry) is pinned
+    /// against the reference.
+    #[test]
+    fn retry_tied_with_arrival_matches_scan_oracle() {
+        let (seed, arrival, replica) = (0, 9, 0);
+        let at = open_loop(seed).generate()[arrival].arrival();
+        let backoff = RecoveryPolicy::default().backoff_for(1);
+        assert_eq!(at - backoff + backoff, at, "the retry must fire at the arrival's instant");
+        let plan = FaultPlan::none().with_event(FaultEvent::Crash {
+            at: at - backoff,
+            replica,
+            repair: Seconds::new(0.002),
+        });
+        let (prefill, decode) = pools();
+        let (rr, kv) = (RouterPolicy::RoundRobin, RouterPolicy::LeastKv);
+        let engine = ClusterEngine::disaggregated(prefill, decode, rr, kv, InterconnectSpec::ici());
+        let run = engine.unwrap().with_faults(plan.clone()).run("tie", &open_loop(seed)).unwrap();
+        assert!(run.report.availability.unwrap().retries > 0, "the crash must lose work");
+        check(&plan, seed);
     }
 
     proptest! {

@@ -327,11 +327,12 @@ impl ClusterReport {
             .fold(finish, Seconds::min);
         let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
         let steps: u64 = completions.iter().map(|c| c.steps).sum();
-        let latencies: Vec<Seconds> = completions.iter().map(Completion::latency).collect();
-        let ttfts: Vec<Seconds> = completions.iter().map(Completion::ttft).collect();
+        let mut latencies: Vec<f64> =
+            completions.iter().map(|c| c.latency().as_millis()).collect();
+        let mut ttfts: Vec<f64> = completions.iter().map(|c| c.ttft().as_millis()).collect();
         let good = match slo_ms {
             None => completions.len(),
-            Some(slo) => latencies.iter().filter(|l| l.as_millis() <= slo).count(),
+            Some(slo) => latencies.iter().filter(|&&l| l <= slo).count(),
         };
         for row in &mut per_replica {
             row.utilization = row.busy_s / makespan;
@@ -358,8 +359,8 @@ impl ClusterReport {
             goodput_rps: good as f64 / makespan,
             slo_ms: slo_ms.unwrap_or(0.0),
             steps_per_second: steps as f64 / makespan,
-            latency: LatencyStats::from_samples_or_zero(&latencies),
-            ttft: LatencyStats::from_samples_or_zero(&ttfts),
+            latency: LatencyStats::from_samples_or_zero(&mut latencies),
+            ttft: LatencyStats::from_samples_or_zero(&mut ttfts),
             total_energy_j: total_energy,
             energy_per_request_j: if completions.is_empty() {
                 0.0

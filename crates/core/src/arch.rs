@@ -256,17 +256,27 @@ impl TpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a zero MXU count, a clock that
-    /// is not positive and finite (NaN and ∞ included), or an invalid MXU
+    /// Returns [`Error::InvalidConfig`] for a zero MXU count, a clock or
+    /// an HBM or OCI bandwidth that is not positive and finite (NaN and ∞
+    /// included), a zero VMEM or CMEM capacity, or an invalid MXU
     /// geometry.
     pub fn validate(&self) -> Result<()> {
         if self.mxu_count == 0 {
             return Err(Error::invalid_config("MXU count must be non-zero"));
         }
         // `is_finite` rejects NaN and ∞: a comparison alone lets NaN through.
-        let hz = self.clock.as_hz();
-        if !(hz.is_finite() && hz > 0.0) {
-            return Err(Error::invalid_config("clock must be positive and finite"));
+        let rates = [
+            ("clock", self.clock.as_hz()),
+            ("HBM bandwidth", self.levels.hbm_bandwidth().get()),
+            ("OCI bandwidth", self.levels.oci_bandwidth().get()),
+        ];
+        for (name, rate) in rates {
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(Error::invalid_config(format!("{name} must be positive and finite")));
+            }
+        }
+        if self.levels.vmem().get() == 0 || self.levels.cmem().get() == 0 {
+            return Err(Error::invalid_config("VMEM and CMEM capacities must be non-zero"));
         }
         if self.ici_links == 0 {
             return Err(Error::invalid_config("at least one ICI link is required"));
@@ -284,14 +294,28 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_finite_clocks() {
+        let levels = || TpuConfig::design_a().levels().clone();
         for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
-            let mut cfg = TpuConfig::design_a();
-            cfg.clock = Frequency::from_ghz(1.0) * factor;
-            assert!(
-                matches!(cfg.validate(), Err(Error::InvalidConfig(_))),
-                "clock x{factor} accepted"
-            );
+            let mut clocked = TpuConfig::design_a();
+            clocked.clock = Frequency::from_ghz(1.0) * factor;
+            let bw = Bandwidth::from_gb_per_s(614.0) * factor;
+            let hbm = TpuConfig::design_a().with_levels(levels().with_hbm_bandwidth(bw));
+            let oci = TpuConfig::design_a().with_levels(levels().with_oci_bandwidth(bw));
+            for (what, cfg) in [("clock", &clocked), ("HBM", &hbm), ("OCI", &oci)] {
+                assert!(
+                    matches!(cfg.validate(), Err(Error::InvalidConfig(_))),
+                    "{what} x{factor} accepted"
+                );
+            }
         }
+        let vmem = TpuConfig::design_a().with_levels(levels().with_vmem(Bytes::ZERO));
+        let cmem = TpuConfig::design_a().with_levels(levels().with_cmem(Bytes::ZERO));
+        for cfg in [vmem, cmem] {
+            assert!(matches!(cfg.validate(), Err(Error::InvalidConfig(_))), "{cfg:?}");
+        }
+        // The simulator refuses the config that priced DiT-XL/2 at NaN.
+        let nan_hbm = levels().with_hbm_bandwidth(Bandwidth::from_gb_per_s(614.0) * f64::NAN);
+        assert!(crate::Simulator::new(TpuConfig::tpuv4i().with_levels(nan_hbm)).is_err());
         TpuConfig::design_a().validate().unwrap();
     }
 

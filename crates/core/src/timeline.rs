@@ -96,7 +96,7 @@ impl Timeline {
     pub fn render_ascii(&self, width: usize) -> String {
         let width = width.max(10);
         let total = self.total().get();
-        if total <= 0.0 {
+        if total.is_nan() || total <= 0.0 {
             return format!("{}: empty timeline\n", self.name);
         }
         let label_w = self
@@ -186,5 +186,12 @@ mod tests {
         let s = t.render_ascii(40);
         // LayerNorm in a decode layer is microseconds on a ms-scale chart.
         assert!(s.contains('·'), "tiny spans should render as dots:\n{s}");
+    }
+
+    #[test]
+    fn nan_total_renders_empty() {
+        let mut t = timeline();
+        t.spans.last_mut().unwrap().duration = Seconds::new(1.0) * f64::NAN;
+        assert_eq!(t.render_ascii(60), format!("{}: empty timeline\n", t.name()));
     }
 }

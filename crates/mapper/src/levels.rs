@@ -101,6 +101,13 @@ impl MemoryLevels {
         self
     }
 
+    /// Overrides OCI bandwidth.
+    #[must_use]
+    pub fn with_oci_bandwidth(mut self, bw: Bandwidth) -> Self {
+        self.oci_bandwidth = bw;
+        self
+    }
+
     /// Enables or disables double buffering.
     #[must_use]
     pub fn with_double_buffering(mut self, enabled: bool) -> Self {

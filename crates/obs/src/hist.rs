@@ -14,9 +14,10 @@ use std::collections::BTreeMap;
 /// of buffering every sample. Zero and negative values count into a
 /// dedicated underflow bucket reported as `0.0`.
 ///
-/// The exact-percentile path for pinned report fields lives in
-/// [`crate::select`]; this type backs the `timeseries` telemetry
-/// section, where the documented relative-error contract applies.
+/// Pinned report fields use exact percentiles instead
+/// (`cimtpu_serving::LatencyStats`); this type backs the `timeseries`
+/// telemetry section, where the documented relative-error contract
+/// applies.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     inv_ln_growth: f64,

@@ -29,9 +29,7 @@
 //!    latency/TTFT distributions, fixed-interval gauge sampling (queue
 //!    depth, outstanding, KV occupancy, batch size, utilization), a
 //!    [`TimeseriesStats`] report section, and a CSV export for sweep
-//!    plotting. The exact-percentile path for reports lives in
-//!    [`select`]: an MSB-first radix selector that reproduces
-//!    sort-then-nearest-rank bit-exactly in O(1) memory.
+//!    plotting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +37,6 @@
 mod event;
 mod hist;
 mod record;
-pub mod select;
 mod timeseries;
 
 pub use event::{Event, EventKind, TraceFilter};

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize, Value};
 
-use cimtpu_obs::select;
 use cimtpu_units::{Joules, Seconds};
 
 use crate::tenant::TenantReport;
@@ -36,6 +35,13 @@ impl Completion {
 }
 
 /// Latency distribution summary, in milliseconds.
+///
+/// Percentiles are *exact* nearest-rank values in [`f64::total_cmp`]
+/// order, picked by in-place selection over the caller's own sample
+/// buffer: expected O(n) time and no memory beyond that buffer. The
+/// values are bit-identical to sorting the buffer and indexing it, since
+/// the value at a rank is fixed by the total order. The mean is summed in
+/// sample order, before selection reorders the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Median.
@@ -50,6 +56,12 @@ pub struct LatencyStats {
     pub max_ms: f64,
 }
 
+/// The 1-based nearest rank for quantile `q` over `n` samples:
+/// `ceil(q * n)` clamped to `[1, n]`.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
+
 impl LatencyStats {
     /// The all-zero summary — the only sensible summary of an empty
     /// sample set (a fault scenario can shed or time out every request,
@@ -57,45 +69,46 @@ impl LatencyStats {
     pub const ZERO: LatencyStats =
         LatencyStats { p50_ms: 0.0, p95_ms: 0.0, p99_ms: 0.0, mean_ms: 0.0, max_ms: 0.0 };
 
-    /// Summarizes a set of durations (nearest-rank percentiles), or
-    /// [`ZERO`](Self::ZERO) for an empty set.
-    pub fn from_samples_or_zero(samples: &[Seconds]) -> Self {
-        if samples.is_empty() {
+    /// Summarizes a buffer of durations in milliseconds (nearest-rank
+    /// percentiles), or [`ZERO`](Self::ZERO) for an empty buffer. The
+    /// buffer is reordered.
+    pub fn from_samples_or_zero(ms: &mut [f64]) -> Self {
+        if ms.is_empty() {
             LatencyStats::ZERO
         } else {
-            Self::from_samples(samples)
+            Self::from_samples(ms)
         }
     }
 
-    /// Summarizes a set of durations (nearest-rank percentiles).
+    /// Summarizes a buffer of durations in milliseconds (nearest-rank
+    /// percentiles). The buffer is reordered.
     ///
-    /// Percentiles are *exact* nearest-rank values in
-    /// [`f64::total_cmp`] order, computed by streaming radix selection
-    /// ([`cimtpu_obs::select`]) in O(1) memory — a 10M-request
-    /// cluster run no longer materializes and sorts a 10M-element
-    /// buffer. The mean is a streaming sum in sample order.
+    /// The p50, p95, p99 and max ranks are selected in ascending order,
+    /// each with [`slice::select_nth_unstable_by`] on the part of the
+    /// buffer to the right of the previous rank; a rank that coincides
+    /// with the previous one (every rank is 1 for a single sample) reuses
+    /// its value.
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty.
-    pub fn from_samples(samples: &[Seconds]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarize zero samples");
-        let n = samples.len();
-        let ranks = [
-            select::nearest_rank(0.50, n),
-            select::nearest_rank(0.95, n),
-            select::nearest_rank(0.99, n),
-            n,
-        ];
-        let picked = select::select_ranks(n, &ranks, || samples.iter().map(|s| s.as_millis()));
-        let sum: f64 = samples.iter().map(|s| s.as_millis()).sum();
-        LatencyStats {
-            p50_ms: picked[0],
-            p95_ms: picked[1],
-            p99_ms: picked[2],
-            mean_ms: sum / n as f64,
-            max_ms: picked[3],
-        }
+    /// Panics if `ms` is empty.
+    pub fn from_samples(ms: &mut [f64]) -> Self {
+        assert!(!ms.is_empty(), "cannot summarize zero samples");
+        let n = ms.len();
+        let sum: f64 = ms.iter().sum();
+        let ranks = [nearest_rank(0.50, n), nearest_rank(0.95, n), nearest_rank(0.99, n), n];
+        // No value left of `placed` exceeds any value from it on, and
+        // `ms[placed - 1]` holds the value at rank `placed`.
+        let (mut placed, mut value) = (0, 0.0);
+        let [p50_ms, p95_ms, p99_ms, max_ms] = ranks.map(|rank| {
+            if rank > placed {
+                let tail = &mut ms[placed..];
+                let (_, v, _) = tail.select_nth_unstable_by(rank - 1 - placed, f64::total_cmp);
+                (placed, value) = (rank, *v);
+            }
+            value
+        });
+        LatencyStats { p50_ms, p95_ms, p99_ms, mean_ms: sum / n as f64, max_ms }
     }
 }
 
@@ -227,8 +240,9 @@ impl ServingReport {
             .fold(finish, Seconds::min);
         let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
         let steps: u64 = completions.iter().map(|c| c.steps).sum();
-        let latencies: Vec<Seconds> = completions.iter().map(Completion::latency).collect();
-        let ttfts: Vec<Seconds> = completions.iter().map(Completion::ttft).collect();
+        let mut latencies: Vec<f64> =
+            completions.iter().map(|c| c.latency().as_millis()).collect();
+        let mut ttfts: Vec<f64> = completions.iter().map(|c| c.ttft().as_millis()).collect();
         ServingReport {
             label: label.into(),
             policy: policy.to_owned(),
@@ -238,8 +252,8 @@ impl ServingReport {
             makespan_s: makespan,
             throughput_rps: completions.len() as f64 / makespan,
             steps_per_second: steps as f64 / makespan,
-            latency: LatencyStats::from_samples(&latencies),
-            ttft: LatencyStats::from_samples(&ttfts),
+            latency: LatencyStats::from_samples(&mut latencies),
+            ttft: LatencyStats::from_samples(&mut ttfts),
             total_energy_j: total_energy.get(),
             energy_per_request_j: total_energy.get() / completions.len() as f64,
             preemptions: memory.preemptions,
@@ -299,6 +313,8 @@ impl std::fmt::Display for ServingReport {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn c(id: u64, arrival: f64, first: f64, finish: f64) -> Completion {
@@ -313,8 +329,8 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let samples: Vec<Seconds> = (1..=100).map(|i| Seconds::from_millis(i as f64)).collect();
-        let stats = LatencyStats::from_samples(&samples);
+        let mut samples: Vec<f64> = (1..=100).map(f64::from).collect();
+        let stats = LatencyStats::from_samples(&mut samples);
         assert_eq!(stats.p50_ms, 50.0);
         assert_eq!(stats.p95_ms, 95.0);
         assert_eq!(stats.p99_ms, 99.0);
@@ -324,9 +340,88 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let stats = LatencyStats::from_samples(&[Seconds::from_millis(7.0)]);
+        let stats = LatencyStats::from_samples(&mut [7.0]);
         assert_eq!(stats.p50_ms, 7.0);
         assert_eq!(stats.p99_ms, 7.0);
+    }
+
+    #[test]
+    fn handles_duplicates_and_single() {
+        let s = LatencyStats::from_samples(&mut [3.0; 4]);
+        assert_eq!([s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms], [3.0; 5]);
+        let one = LatencyStats::from_samples(&mut [42.5]);
+        assert_eq!(one.max_ms, 42.5);
+        assert_eq!(LatencyStats::from_samples_or_zero(&mut []), LatencyStats::ZERO);
+    }
+
+    #[test]
+    fn nearest_rank_clamps() {
+        assert_eq!(nearest_rank(0.0, 10), 1);
+        assert_eq!(nearest_rank(0.5, 10), 5);
+        assert_eq!(nearest_rank(0.99, 10), 10);
+        assert_eq!(nearest_rank(1.0, 3), 3);
+    }
+
+    /// Maps raw bits to a sample from one of the first `families`
+    /// hostile families: a four-value pool (heavy duplicates), signed
+    /// zeros, millisecond latencies, subnormals, values within 1024 ulps
+    /// of `f64::MAX`, and finite bit patterns of either sign.
+    fn hostile(bits: u64, families: u64) -> f64 {
+        let x = bits >> 8;
+        match (bits & 0xFF) % families {
+            0 => (x % 4) as f64,
+            1 => [0.0, -0.0][(x & 1) as usize],
+            2 => (x % 10_000_000) as f64 * 1e-3,
+            3 => f64::from_bits(x & ((1 << 52) - 1)),
+            4 => f64::from_bits(f64::MAX.to_bits() - x % 1024),
+            _ => Some(f64::from_bits(bits)).filter(|v| v.is_finite()).unwrap_or(-(x as f64)),
+        }
+    }
+
+    /// The specification: sort by `total_cmp`, index nearest ranks, sum
+    /// in sample order.
+    fn sort_then_index(samples: &[f64]) -> LatencyStats {
+        let n = samples.len();
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| sorted[nearest_rank(q, n) - 1];
+        LatencyStats {
+            p50_ms: at(0.50),
+            p95_ms: at(0.95),
+            p99_ms: at(0.99),
+            mean_ms: samples.iter().sum::<f64>() / n as f64,
+            max_ms: sorted[n - 1],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// In-place selection is bit-identical, field by field, to
+        /// sort-then-index, for `n` in `1..=2000` (half the cases cut to
+        /// `n <= 32`, where p95, p99 and max share ranks) and every mix
+        /// of hostile families; the buffer keeps its multiset.
+        #[test]
+        fn matches_sort_then_index(
+            raw in proptest::collection::vec(any::<u64>(), 1..2001),
+            families in 1u64..7,
+            short in any::<bool>(),
+        ) {
+            let n = if short { raw.len() % 32 + 1 } else { raw.len() };
+            let samples: Vec<f64> = raw[..n].iter().map(|&b| hostile(b, families)).collect();
+            let mut buf = samples.clone();
+            let got = LatencyStats::from_samples(&mut buf);
+            let want = sort_then_index(&samples);
+            let bits = |s: &LatencyStats| {
+                [s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms].map(f64::to_bits)
+            };
+            prop_assert_eq!(bits(&got), bits(&want), "n = {}, families = {}", n, families);
+            let sorted_bits = |mut v: Vec<f64>| {
+                v.sort_by(f64::total_cmp);
+                v.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(sorted_bits(buf), sorted_bits(samples));
+        }
     }
 
     #[test]

@@ -808,7 +808,7 @@ impl<'a> EngineCore<'a> {
     /// Panics if nothing has completed.
     pub fn finish(&self, label: &str) -> ServingRun {
         let mut completions = self.completions.clone();
-        completions.sort_by_key(|c| c.id);
+        completions.sort_unstable_by_key(|c| c.id);
         let report = ServingReport::from_completions(
             label,
             self.policy.name(),
