@@ -104,8 +104,8 @@ impl ReplicaAccum {
         self.queue_full_s += memory.queue_full_s;
         self.kv_hwm = self.kv_hwm.max(memory.kv_hwm_frac);
         self.prefix.absorb(&core.prefix_stats());
-        if let (Some(t), Some(p)) = (tenancy, core.tenant_preemptions()) {
-            t.ledger.absorb_preemptions(p);
+        if let Some(t) = tenancy {
+            t.ledger.absorb_preemptions(core.tenant_preemptions());
         }
     }
 }

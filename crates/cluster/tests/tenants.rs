@@ -12,6 +12,9 @@
 //! 3. **Tenant-tagged traces.** Flight-recorder lifecycle events carry a
 //!    tenant tag exactly when the run is multi-tenant; single-tenant
 //!    traces stay byte-compatible with pre-tenancy ones.
+//! 4. **Untenanted runs ignore tags.** Without a tenant set every request
+//!    is scheduled as the one tenant, so a tenant-tagged trace replays
+//!    exactly like the same trace with every tag zeroed.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,8 +27,10 @@ use cimtpu_cluster::{
     ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet, TenantSpec,
 };
 use cimtpu_core::TpuConfig;
+use cimtpu_serving::scenario::Scenario;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, PrefixTraffic, ServingModel, TrafficSpec,
+    parse_jsonl, replay_spec, synthesize, to_jsonl, ArrivalPattern, BatchPolicy, LenDist,
+    PrefixTraffic, ServingModel, TraceRecord, TrafficSpec,
 };
 use cimtpu_units::Seconds;
 
@@ -209,6 +214,35 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
         fleet.run_observed("untagged", &solo, Some(&rec2)).unwrap();
         assert!(rec2.borrow().events().iter().all(|e| e.tenant.is_none()));
     }
+}
+
+/// The noisy-neighbor scenario's merged trace, as `cluster_sim
+/// --scenario cluster-noisy-neighbor --trace-out` writes it (tenant tags
+/// 0..=2), replays without a tenant set exactly like the same trace with
+/// every tag zeroed — through the serving smoke engine and through the
+/// scenario's colocated fleet.
+#[test]
+fn untenanted_replay_ignores_tenant_tags() {
+    let scenario = cimtpu_cluster::scenario::by_name("cluster-noisy-neighbor").unwrap();
+    let merged = scenario.tenants.as_ref().expect("scenario carries tenants").merged_spec();
+    let jsonl = to_jsonl(&synthesize(&merged.unwrap()).unwrap());
+    let tagged = parse_jsonl(&jsonl).unwrap();
+    assert_eq!(tagged.iter().map(|r| r.tenant).max(), Some(2), "trace is tenant-tagged");
+    let zeroed = tagged.iter().map(|r| TraceRecord { tenant: 0, ..r.clone() }).collect();
+    let (tagged, zeroed) = (replay_spec(tagged).unwrap(), replay_spec(zeroed).unwrap());
+
+    let serve = |traffic: &TrafficSpec| {
+        let smoke = cimtpu_serving::scenario::smoke();
+        let run = Scenario { traffic: traffic.clone(), ..smoke }.run(None).unwrap();
+        (serde_json::to_string(&run.report).unwrap(), run.completions)
+    };
+    assert_eq!(serve(&tagged), serve(&zeroed), "serving engine");
+
+    let fleet = |traffic: &TrafficSpec| {
+        let run = scenario.engine.run("replay", traffic).unwrap();
+        (serde_json::to_string(&run.report).unwrap(), run.completions)
+    };
+    assert_eq!(fleet(&tagged), fleet(&zeroed), "colocated fleet");
 }
 
 proptest! {

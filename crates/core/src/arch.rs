@@ -269,6 +269,7 @@ impl TpuConfig {
             ("clock", self.clock.as_hz()),
             ("HBM bandwidth", self.levels.hbm_bandwidth().get()),
             ("OCI bandwidth", self.levels.oci_bandwidth().get()),
+            ("ICI link bandwidth", self.ici_link_bandwidth.get()),
         ];
         for (name, rate) in rates {
             if !(rate.is_finite() && rate > 0.0) {
@@ -281,6 +282,7 @@ impl TpuConfig {
         if self.ici_links == 0 {
             return Err(Error::invalid_config("at least one ICI link is required"));
         }
+        self.vpu.validate()?;
         match &self.mxu {
             MxuKind::DigitalSystolic(c) => c.validate(),
             MxuKind::Cim(c) => c.validate(),
@@ -291,6 +293,7 @@ impl TpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cimtpu_units::{Joules, Watts};
 
     #[test]
     fn validate_rejects_non_finite_clocks() {
@@ -317,6 +320,52 @@ mod tests {
         let nan_hbm = levels().with_hbm_bandwidth(Bandwidth::from_gb_per_s(614.0) * f64::NAN);
         assert!(crate::Simulator::new(TpuConfig::tpuv4i().with_levels(nan_hbm)).is_err());
         TpuConfig::design_a().validate().unwrap();
+    }
+
+    /// The configs below reach `validate` through `--config-file` JSON;
+    /// each must be refused with a typed error rather than priced.
+    fn assert_invalid(cfg: &TpuConfig, what: &str) {
+        assert!(matches!(cfg.validate(), Err(Error::InvalidConfig(_))), "{what} accepted");
+        assert!(crate::Simulator::new(cfg.clone()).is_err(), "{what} simulated");
+    }
+
+    /// Design A with one VPU field edited.
+    fn vpu_edit(edit: impl FnOnce(&mut VpuConfig)) -> TpuConfig {
+        let mut vpu = VpuConfig::tpuv4i();
+        edit(&mut vpu);
+        TpuConfig::design_a().with_vpu(vpu)
+    }
+
+    #[test]
+    fn validate_rejects_zero_vpu_lanes() {
+        assert_invalid(&vpu_edit(|v| v.lanes = 0), "0 VPU lanes");
+    }
+
+    #[test]
+    fn validate_rejects_bad_vpu_energy_per_op() {
+        for factor in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = vpu_edit(|v| v.energy_per_op = v.energy_per_op * factor);
+            assert_invalid(&cfg, &format!("VPU energy per op x{factor}"));
+        }
+        vpu_edit(|v| v.energy_per_op = Joules::ZERO).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_bad_vpu_static_power() {
+        for factor in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = vpu_edit(|v| v.static_power = v.static_power * factor);
+            assert_invalid(&cfg, &format!("VPU static power x{factor}"));
+        }
+        vpu_edit(|v| v.static_power = Watts::ZERO).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_bad_ici_link_bandwidth() {
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let mut cfg = TpuConfig::design_a();
+            cfg.ici_link_bandwidth = Bandwidth::from_gb_per_s(100.0) * factor;
+            assert_invalid(&cfg, &format!("ICI link bandwidth x{factor}"));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Cycles, Joules, Watts};
+use cimtpu_units::{Cycles, Error, Joules, Result, Watts};
 
 /// Vector-unit geometry and per-element operation costs.
 ///
@@ -23,7 +23,7 @@ use cimtpu_units::{Cycles, Joules, Watts};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VpuConfig {
-    lanes: u64,
+    pub(crate) lanes: u64,
     /// Vector ops per element for online softmax (max pass fused with exp
     /// and running sum, then a normalization pass).
     softmax_ops_per_elem: u32,
@@ -32,9 +32,9 @@ pub struct VpuConfig {
     /// Vector ops per element for tanh-approximated GeLU.
     gelu_ops_per_elem: u32,
     /// Dynamic energy per vector lane-op.
-    energy_per_op: Joules,
+    pub(crate) energy_per_op: Joules,
     /// Leakage of the whole VPU.
-    static_power: Watts,
+    pub(crate) static_power: Watts,
 }
 
 impl VpuConfig {
@@ -63,6 +63,30 @@ impl VpuConfig {
     /// VPU leakage power.
     pub fn static_power(&self) -> Watts {
         self.static_power
+    }
+
+    /// Checks the unit can be priced: at least one lane, and finite,
+    /// non-negative energy per op and static power.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the first bad field.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.lanes == 0 {
+            return Err(Error::invalid_config("VPU lane count must be non-zero"));
+        }
+        let costs = [
+            ("energy per op", self.energy_per_op.get()),
+            ("static power", self.static_power.get()),
+        ];
+        for (name, value) in costs {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(Error::invalid_config(format!(
+                    "VPU {name} must be finite and non-negative"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Overrides the softmax per-element cost (for sensitivity studies).

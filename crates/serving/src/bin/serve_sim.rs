@@ -47,7 +47,7 @@
 use cimtpu_bench::sweep;
 use cimtpu_serving::cli::{self, SimFlags};
 use cimtpu_serving::scenario::{self, Scenario};
-use cimtpu_serving::{parse_tenants, ArrivalPattern, ServingReport};
+use cimtpu_serving::{parse_tenants, ArrivalPattern, ServingReport, TenantSet};
 
 fn main() {
     let flags = match SimFlags::parse("serve_sim", "the scenario's", false, || {
@@ -141,8 +141,11 @@ fn main() {
 
     // Scenarios are independent simulations: fan them out over the sweep
     // worker pool (results return in scenario order, so output is stable).
+    // `--tenants` overlays each scenario's own traffic; a scenario whose
+    // traffic cannot split reports the error like a failed run.
     let results = sweep::parallel_map(&scenarios, |s| match &tenants {
-        Some(parts) => s.run_tenants(seed, parts),
+        Some(parts) => TenantSet::overlay(&s.traffic, parts)
+            .and_then(|set| Scenario { tenants: Some(set), ..s.clone() }.run(seed)),
         None => s.run(seed),
     });
 

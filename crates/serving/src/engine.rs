@@ -10,7 +10,7 @@ use crate::memory::MemoryConfig;
 use crate::metrics::{Completion, ServingReport};
 use crate::policy::BatchPolicy;
 use crate::pricer::ServingModel;
-use crate::request::{ArrivalPattern, ArrivalStream};
+use crate::request::ArrivalStream;
 use crate::session::EngineSession;
 use crate::step::drive;
 use crate::tenant::Offered;
@@ -138,10 +138,11 @@ impl ServingEngine {
     /// and reports request-level metrics. Deterministic: identical inputs
     /// give identical reports.
     ///
-    /// Open-loop and burst traces are materialized up front; closed-loop
-    /// traffic couples each client's next arrival to its previous
-    /// completion, so the run interleaves arrival generation with engine
-    /// steps through the shared [`drive`](crate::drive) loop. A tenant
+    /// Every arrival pattern runs through the shared
+    /// [`drive`](crate::drive) loop: open-loop, burst and trace arrivals
+    /// are fed in time order as the core steps (bit-identical to handing
+    /// it the whole trace up front), and closed-loop traffic couples each
+    /// client's next arrival to its previous completion. A tenant
     /// set's traffics merge into one trace, the core arms weighted-fair
     /// scheduling, and the report gains a per-tenant section (goodput,
     /// SLO attainment, fairness); a single-tenant set reports
@@ -178,7 +179,7 @@ impl ServingEngine {
     ) -> Result<ServingRun> {
         let offered = offered.into();
         let traffic = offered.spec()?;
-        traffic.validate()?;
+        let mut stream = ArrivalStream::new(&traffic)?;
         let tenants = offered.tenants();
         let sched = tenants.map(crate::TenantSet::sched);
         let session = EngineSession::new(self)?;
@@ -190,29 +191,10 @@ impl ServingEngine {
             let track = rec.borrow_mut().track("engine");
             core.attach_trace(cimtpu_obs::TraceHandle::new(std::rc::Rc::clone(rec), track));
         }
-        match traffic.arrival {
-            ArrivalPattern::ClosedLoop { .. } => {
-                let mut stream = ArrivalStream::new(&traffic)?;
-                drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
-            }
-            _ => {
-                // The whole trace is known up front: hand it to the core
-                // and drain (scheduling decisions see the full queue,
-                // exactly like the classic batch scheduler).
-                for request in traffic.generate() {
-                    core.push(request);
-                }
-                core.close();
-                while core.next_action().is_some() {
-                    core.step()?;
-                }
-            }
-        }
+        drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
         let ledger = tenants.map(|set| {
             let mut ledger = crate::TenantLedger::new(set, &traffic);
-            if let Some(per_tenant) = core.tenant_preemptions() {
-                ledger.absorb_preemptions(per_tenant);
-            }
+            ledger.absorb_preemptions(core.tenant_preemptions());
             ledger
         });
         let mut run = core.finish(label);

@@ -10,7 +10,7 @@ use crate::memory::MemoryConfig;
 use crate::policy::BatchPolicy;
 use crate::pricer::ServingModel;
 use crate::request::{ArrivalPattern, LenDist, PrefixTraffic, TrafficSpec};
-use crate::tenant::{TenantPart, TenantSet};
+use crate::tenant::TenantSet;
 
 /// A named, fully specified serving experiment.
 #[derive(Debug, Clone)]
@@ -31,51 +31,36 @@ pub struct Scenario {
     pub memory: MemoryConfig,
     /// Traffic to offer.
     pub traffic: TrafficSpec,
+    /// A tenant set ([`TenantSet::overlay`] of `traffic`, as
+    /// `serve_sim --tenants` builds it); when present it supersedes
+    /// `traffic` and the run schedules weighted-fair.
+    pub tenants: Option<TenantSet>,
 }
 
 impl Scenario {
-    /// Runs the scenario (optionally overriding the traffic seed).
+    /// Runs the scenario (optionally overriding the traffic seed, or
+    /// reseeding every tenant's stream of a tenant set).
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
     pub fn run(&self, seed: Option<u64>) -> Result<ServingRun> {
-        let mut traffic = self.traffic.clone();
-        if let Some(seed) = seed {
-            traffic.seed = seed;
-        }
-        ServingEngine::new(
+        let engine = ServingEngine::new(
             self.chip.clone(),
             self.model.clone(),
             self.parallelism,
             self.policy,
         )?
-        .with_memory(self.memory)
-        .run(self.name, &traffic)
-    }
-
-    /// Runs the scenario with its traffic split across `parts` tenants
-    /// ([`TenantSet::overlay`]) under weighted-fair multi-tenant
-    /// scheduling. The seed override reseeds every tenant's stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors and invalid tenant overlays (closed-loop
-    /// or prefix base traffic, fewer requests than tenants).
-    pub fn run_tenants(&self, seed: Option<u64>, parts: &[TenantPart]) -> Result<ServingRun> {
+        .with_memory(self.memory);
+        if let Some(set) = &self.tenants {
+            let set = seed.map_or_else(|| set.clone(), |seed| set.with_seed(seed));
+            return engine.run(self.name, &set);
+        }
         let mut traffic = self.traffic.clone();
         if let Some(seed) = seed {
             traffic.seed = seed;
         }
-        let tenants = TenantSet::overlay(&traffic, parts)?;
-        ServingEngine::new(
-            self.chip.clone(),
-            self.model.clone(),
-            self.parallelism,
-            self.policy,
-        )?
-        .with_memory(self.memory)
-        .run(self.name, &tenants)
+        engine.run(self.name, &traffic)
     }
 }
 
@@ -109,6 +94,7 @@ pub fn headline() -> Vec<Scenario> {
                 prefix: PrefixTraffic::None,
                 seed: 0xC1A0,
             },
+            tenants: None,
         },
         Scenario {
             name: "llm-decode-heavy",
@@ -126,6 +112,7 @@ pub fn headline() -> Vec<Scenario> {
                 prefix: PrefixTraffic::None,
                 seed: 0xC1A0,
             },
+            tenants: None,
         },
         Scenario {
             name: "dit-burst",
@@ -143,6 +130,7 @@ pub fn headline() -> Vec<Scenario> {
                 prefix: PrefixTraffic::None,
                 seed: 0xC1A0,
             },
+            tenants: None,
         },
         Scenario {
             name: "llm-kv-pressure",
@@ -161,6 +149,7 @@ pub fn headline() -> Vec<Scenario> {
                 prefix: PrefixTraffic::None,
                 seed: 0xC1A0,
             },
+            tenants: None,
         },
         Scenario {
             name: "llm-chunked-prefill",
@@ -179,6 +168,7 @@ pub fn headline() -> Vec<Scenario> {
                 prefix: PrefixTraffic::None,
                 seed: 0xC1A0,
             },
+            tenants: None,
         },
         Scenario {
             name: "llm-shared-prefix",
@@ -190,6 +180,7 @@ pub fn headline() -> Vec<Scenario> {
             policy: BatchPolicy::Continuous { max_batch: 8 },
             memory: MemoryConfig::unlimited().with_prefix_sharing(),
             traffic: shared_prefix_traffic(),
+            tenants: None,
         },
         Scenario {
             name: "llm-cold-prefix",
@@ -201,6 +192,7 @@ pub fn headline() -> Vec<Scenario> {
             policy: BatchPolicy::Continuous { max_batch: 8 },
             memory: MemoryConfig::unlimited(),
             traffic: shared_prefix_traffic(),
+            tenants: None,
         },
     ]
 }
@@ -241,6 +233,7 @@ pub fn smoke() -> Scenario {
             prefix: PrefixTraffic::None,
             seed: 7,
         },
+        tenants: None,
     }
 }
 
@@ -267,6 +260,7 @@ pub fn smoke_kv() -> Scenario {
             prefix: PrefixTraffic::None,
             seed: 7,
         },
+        tenants: None,
     }
 }
 
@@ -293,6 +287,7 @@ pub fn smoke_prefix() -> Scenario {
             prefix: PrefixTraffic::SharedHead { tokens: 24, groups: 1 },
             seed: 7,
         },
+        tenants: None,
     }
 }
 

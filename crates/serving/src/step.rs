@@ -14,6 +14,13 @@
 //! router decides which core each arrival is pushed into, while
 //! closed-loop traffic couples completions back into the arrival stream.
 //!
+//! Queued arrivals wait in one FIFO queue per tenant. Every core starts
+//! with a single `Standard` tenant, which schedules every request (tag or
+//! no tag) in arrival order;
+//! [`set_tenancy`](EngineCore::set_tenancy) arms a tenant set, and
+//! continuous batching then admits among the queue heads by weighted-fair
+//! deficit. One admission path serves both.
+//!
 //! Scheduling decisions depend only on the queue contents, the closed
 //! flag, and the engine's own clocks — never on *when* the driver happens
 //! to push or step — so a core fed incrementally produces bit-identical
@@ -49,10 +56,9 @@ pub struct EngineCore<'a> {
     memory: MemoryConfig,
     has_prefill: bool,
     chips: u64,
-    /// Every request pushed so far, in arrival order; `next` marks the
-    /// boundary between scheduled and still-queued requests.
+    /// Every request pushed so far, in arrival order; the ones still
+    /// queued are indexed by `tenancy`'s per-tenant queues.
     arrivals: Vec<Request>,
-    next: usize,
     closed: bool,
     completions: Vec<Completion>,
     /// Every completion's finish time, ascending per tier, so
@@ -81,38 +87,143 @@ pub struct EngineCore<'a> {
     /// `(epoch, next_action)` at the last computation; valid while the
     /// epoch still matches.
     cached_action: Cell<Option<(u64, Option<Seconds>)>>,
-    /// Flight-recorder handle ([`attach_trace`](Self::attach_trace));
-    /// `None` costs one branch per emission site and changes nothing.
-    trace: Option<TraceHandle>,
-    /// Tenant-aware scheduling state ([`set_tenancy`](Self::set_tenancy));
-    /// `None` runs the original single-tenant FIFO scheduler bit-exactly.
-    tenancy: Option<TenancyState>,
+    trace: Emitter,
+    tenancy: Tenancy,
     state: State,
 }
 
-/// Scheduling state for tenant-aware weighted-fair admission.
+/// The tenant schedule and its per-tenant queues and ledgers. A core
+/// starts with one `Standard` tenant; [`EngineCore::set_tenancy`]
+/// replaces it.
 #[derive(Debug)]
-struct TenancyState {
-    /// Per-tenant service tier.
-    classes: Vec<SloClass>,
-    /// Per-tenant fair-share weight (positive, finite).
-    weights: Vec<f64>,
-    /// Tokens of service charged per tenant (prompt + decode tokens,
-    /// charged once at first admission; resumption after preemption is
-    /// free — the tenant already paid for the work being redone).
-    service: Vec<u64>,
+struct Tenancy {
+    /// By tenant index. Everything admission reads sits in one entry, so
+    /// a pick touches one allocation plus each non-empty queue.
+    tenants: Vec<TenantQueue>,
     /// Preemptions absorbed per tenant.
     preempted: Vec<u64>,
-    /// Whether each arrival (index-aligned with `arrivals`) has been
-    /// admitted; weighted-fair admission may leave earlier arrivals
-    /// queued behind later ones, so `next` alone cannot partition the
-    /// queue. `next` still marks the first unadmitted index.
-    admitted: Vec<bool>,
-    /// Count of `true` bits in `admitted`.
-    admitted_count: usize,
-    /// Per-tenant scratch for one admission pick (reused, so admission
-    /// allocates nothing).
-    seen: Vec<bool>,
+}
+
+/// One tenant's schedule entry, service ledger and FIFO queue.
+#[derive(Debug)]
+struct TenantQueue {
+    /// Service tier.
+    class: SloClass,
+    /// Fair-share weight (positive, finite).
+    weight: f64,
+    /// Tokens of service charged (prompt + decode tokens, charged once at
+    /// first admission; resumption after preemption is free — the tenant
+    /// already paid for the work being redone).
+    service: u64,
+    /// Queued arrivals, as indices into `arrivals`, in arrival order.
+    queue: VecDeque<usize>,
+}
+
+impl TenantQueue {
+    /// Whether this tenant's head admits before `other`'s: the more
+    /// senior class first, then the lower weighted service (deficit).
+    fn precedes(&self, other: &TenantQueue) -> bool {
+        let deficit = |t: &TenantQueue| t.service as f64 / t.weight;
+        let by_class = self.class.rank().cmp(&other.class.rank());
+        by_class.then(deficit(self).total_cmp(&deficit(other))).is_lt()
+    }
+}
+
+impl Tenancy {
+    fn new(sched: &TenantSched) -> Self {
+        let tenants = sched
+            .classes
+            .iter()
+            .zip(&sched.weights)
+            .map(|(&class, &weight)| TenantQueue {
+                class,
+                weight,
+                service: 0,
+                queue: VecDeque::new(),
+            })
+            .collect();
+        Tenancy { tenants, preempted: vec![0; sched.classes.len()] }
+    }
+
+    /// The tenant `request` is scheduled as: its tag under a multi-tenant
+    /// schedule, the only tenant otherwise (whatever the tag says).
+    fn of(&self, request: &Request) -> usize {
+        if self.tenants.len() == 1 {
+            0
+        } else {
+            request.tenant as usize
+        }
+    }
+
+    /// Every queued arrival's index, tenant by tenant.
+    fn queued(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tenants.iter().flat_map(|t| t.queue.iter().copied())
+    }
+
+    /// The oldest queued arrival's index, if any.
+    fn oldest(&self) -> Option<usize> {
+        self.tenants.iter().filter_map(|t| t.queue.front().copied()).min()
+    }
+
+    /// The queue head that admits next among heads arrived by `t`, as
+    /// `(tenant, arrival index)`: most senior class, then lowest weighted
+    /// service (deficit), then lowest tenant id (the scan runs in id
+    /// order and a tie keeps the earlier tenant). One tenant admits FIFO.
+    fn pick(&self, arrivals: &[Request], t: Seconds) -> Option<(usize, usize)> {
+        let mut pick: Option<(usize, usize)> = None;
+        for (tenant, tq) in self.tenants.iter().enumerate() {
+            let Some(&idx) = tq.queue.front() else { continue };
+            if arrivals[idx].arrival() <= t
+                && pick.is_none_or(|(best, _)| tq.precedes(&self.tenants[best]))
+            {
+                pick = Some((tenant, idx));
+            }
+        }
+        pick
+    }
+
+    /// Dequeues `tenant`'s head and charges its service.
+    fn admit(&mut self, tenant: usize, arrivals: &[Request]) -> usize {
+        let tq = &mut self.tenants[tenant];
+        let idx = tq.queue.pop_front().expect("admitting tenant has a queued head");
+        tq.service += arrivals[idx].prompt_len + arrivals[idx].steps;
+        idx
+    }
+}
+
+/// The core's flight-recorder emitter
+/// ([`attach_trace`](EngineCore::attach_trace)). It owns the tag rule:
+/// request-lifecycle events carry their tenant only under a multi-tenant
+/// schedule, so single-tenant traces match untenanted ones byte for
+/// byte. Without a handle each emission is one branch.
+#[derive(Debug, Default)]
+struct Emitter {
+    handle: Option<TraceHandle>,
+    tagged: bool,
+}
+
+impl Emitter {
+    fn tenant(&self, r: &Request) -> Option<u32> {
+        self.tagged.then_some(r.tenant)
+    }
+
+    fn arrival(&self, r: &Request) {
+        if let Some(h) = &self.handle {
+            h.arrival_for(r.id, r.arrival_s, self.tenant(r));
+        }
+    }
+
+    fn span(&self, kind: EventKind, r: &Request, start: Seconds, end: Seconds) {
+        if let Some(h) = &self.handle {
+            h.span_for(kind, r.id, start.get(), end.get(), self.tenant(r));
+        }
+    }
+
+    fn instant(&self, kind: EventKind, r: &Request, at: Seconds) {
+        if let Some(h) = &self.handle {
+            h.instant_for(kind, r.id, at.get(), self.tenant(r));
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -275,7 +386,6 @@ impl<'a> EngineCore<'a> {
             has_prefill,
             chips,
             arrivals: Vec::new(),
-            next: 0,
             closed: false,
             completions: Vec::new(),
             finishes: Finishes::default(),
@@ -288,8 +398,11 @@ impl<'a> EngineCore<'a> {
             crashed: false,
             epoch: 0,
             cached_action: Cell::new(None),
-            trace: None,
-            tenancy: None,
+            trace: Emitter::default(),
+            tenancy: Tenancy::new(&TenantSched {
+                classes: vec![SloClass::Standard],
+                weights: vec![1.0],
+            }),
             state,
         }
     }
@@ -300,21 +413,24 @@ impl<'a> EngineCore<'a> {
     /// into scheduling, so a traced core's report is bit-identical to
     /// an untraced one.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+        self.trace.handle = Some(trace);
     }
 
     /// The attached trace track, if any (drivers emit their
     /// delivery-side events on the same track as the core).
     pub fn trace_track(&self) -> Option<u32> {
-        self.trace.as_ref().map(cimtpu_obs::TraceHandle::track)
+        self.trace.handle.as_ref().map(TraceHandle::track)
     }
 
-    /// Arms tenant-aware scheduling: continuous batching admits by
-    /// (class priority, deficit-weighted service, tenant id) instead of
-    /// FIFO, and preemption evicts the lowest-priority (then youngest)
-    /// resident. A single-tenant schedule is bit-identical to leaving
-    /// tenancy off. Run-to-completion policies keep FIFO batch formation
-    /// but maintain the same per-tenant ledgers.
+    /// Replaces the core's one-tenant `Standard` schedule with `sched`:
+    /// each tenant gets its own FIFO queue, keyed by request tenant tag.
+    /// Continuous batching admits among the queue heads by (class
+    /// priority, deficit-weighted service, tenant id), and preemption
+    /// evicts the lowest-priority (then youngest) resident. A
+    /// single-tenant schedule behaves exactly like the default one.
+    /// Run-to-completion policies keep FIFO batch formation but keep the
+    /// same per-tenant ledgers. Trace events carry tenant tags from now
+    /// on if `sched` has more than one tenant.
     ///
     /// # Panics
     ///
@@ -328,22 +444,8 @@ impl<'a> EngineCore<'a> {
             "tenant classes and weights must align"
         );
         self.touch();
-        self.tenancy = Some(TenancyState {
-            classes: sched.classes.clone(),
-            weights: sched.weights.clone(),
-            service: vec![0; sched.classes.len()],
-            preempted: vec![0; sched.classes.len()],
-            admitted: Vec::new(),
-            admitted_count: 0,
-            seen: vec![false; sched.classes.len()],
-        });
-    }
-
-    /// Whether multi-tenant scheduling is armed with more than one
-    /// tenant — the condition under which trace events carry tenant tags
-    /// (single-tenant traces stay byte-identical to pre-tenancy ones).
-    fn multi_tenant(&self) -> bool {
-        self.tenancy.as_ref().is_some_and(|ts| ts.classes.len() > 1)
+        self.tenancy = Tenancy::new(sched);
+        self.trace.tagged = sched.classes.len() > 1;
     }
 
     /// Marks the scheduling state dirty: the next
@@ -374,19 +476,12 @@ impl<'a> EngineCore<'a> {
             );
         }
         self.touch();
-        if let Some(tr) = &self.trace {
-            tr.arrival_for(
-                request.id,
-                request.arrival_s,
-                self.multi_tenant().then_some(request.tenant),
-            );
-        }
+        self.trace.arrival(&request);
+        let tenant = self.tenancy.of(&request);
+        self.tenancy.tenants[tenant].queue.push_back(self.arrivals.len());
         self.arrivals.push(request);
         self.first_token.push(Seconds::ZERO);
         self.ttft_set.push(false);
-        if let Some(ts) = &mut self.tenancy {
-            ts.admitted.push(false);
-        }
     }
 
     /// Declares the arrival stream finished: tail batches smaller than a
@@ -463,17 +558,14 @@ impl<'a> EngineCore<'a> {
     ///
     /// Propagates pricing/allocation errors from the launch.
     pub fn flush_stalled(&mut self) -> Result<bool> {
-        if self.closed || self.next >= self.arrivals.len() {
-            return Ok(false);
-        }
         let State::Rtc(st) = &self.state else { return Ok(false) };
-        if self.rtc_decide(None).is_some() {
+        if self.closed || self.tenancy.oldest().is_none() || self.rtc_decide(None).is_some() {
             return Ok(false);
         }
         // Only a static engine waiting for a full batch reaches here.
-        let take = self.arrivals.len() - self.next;
+        let take = self.queued() as usize;
         let chip = earliest(&st.free_at);
-        let start = st.free_at[chip].max(self.arrivals[self.next + take - 1].arrival());
+        let start = st.free_at[chip].max(self.arrivals[self.arrivals.len() - 1].arrival());
         self.touch();
         self.rtc_launch(RtcLaunch { chip, take, start })?;
         Ok(true)
@@ -567,27 +659,14 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        match &mut self.tenancy {
-            Some(ts) => {
-                // Weighted-fair admission may have left earlier arrivals
-                // queued behind admitted later ones: the bitset, not
-                // `next`, says who was still waiting.
-                for (i, admitted) in ts.admitted.iter_mut().enumerate() {
-                    if !*admitted {
-                        lost_idx.push(i);
-                        *admitted = true;
-                    }
-                }
-                ts.admitted_count = ts.admitted.len();
-            }
-            None => lost_idx.extend(self.next..self.arrivals.len()),
+        for tq in &mut self.tenancy.tenants {
+            lost_idx.extend(tq.queue.drain(..));
         }
         for (i, r) in self.arrivals.iter().enumerate() {
             if lost_ids.contains(&r.id) {
                 lost_idx.push(i);
             }
         }
-        self.next = self.arrivals.len();
         self.closed = true;
         lost_idx.sort_unstable();
         lost_idx.dedup();
@@ -616,10 +695,7 @@ impl<'a> EngineCore<'a> {
 
     /// Requests pushed but not yet scheduled.
     pub fn queued(&self) -> u64 {
-        match &self.tenancy {
-            Some(ts) => (self.arrivals.len() - ts.admitted_count) as u64,
-            None => (self.arrivals.len() - self.next) as u64,
-        }
+        self.tenancy.tenants.iter().map(|t| t.queue.len() as u64).sum()
     }
 
     /// Requests in flight at simulated time `t`: queued, resident, or
@@ -639,21 +715,8 @@ impl<'a> EngineCore<'a> {
     /// `O(queued + resident + log completions)`.
     pub fn outstanding_by_class_at(&self, t: Seconds) -> [u64; 3] {
         let mut out = self.finishes.after(t);
-        // Every arrival before `next` is admitted, with or without tenancy.
-        let queue = &self.arrivals[self.next..];
-        match &self.tenancy {
-            Some(ts) => {
-                for (r, &admitted) in queue.iter().zip(&ts.admitted[self.next..]) {
-                    if !admitted {
-                        out[r.class.rank()] += 1;
-                    }
-                }
-            }
-            None => {
-                for r in queue {
-                    out[r.class.rank()] += 1;
-                }
-            }
+        for idx in self.tenancy.queued() {
+            out[self.arrivals[idx].class.rank()] += 1;
         }
         if let State::Cont(st) = &self.state {
             for chip in &st.chips {
@@ -669,52 +732,37 @@ impl<'a> EngineCore<'a> {
     }
 
     /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) by
-    /// linear scan of every arrival and completion: the test oracle.
+    /// linear scan of every arrival and completion: the test oracle. Until
+    /// a crash, an arrival is queued unless it is resident or completed.
     #[cfg(test)]
     fn outstanding_by_class_scan(&self, t: Seconds) -> [u64; 3] {
         let mut out = [0u64; 3];
+        let mut resident: Vec<usize> = Vec::new();
+        if let State::Cont(st) = &self.state {
+            for chip in &st.chips {
+                resident.extend(chip.active.iter().map(|a| a.idx));
+                resident.extend(chip.resume.iter().map(|&(idx, _)| idx));
+            }
+        }
+        for (i, r) in self.arrivals.iter().enumerate() {
+            let completed = self.completions.iter().any(|c| c.id == r.id);
+            if resident.contains(&i) || !(self.crashed || completed) {
+                out[r.class.rank()] += 1;
+            }
+        }
         let class_of = |id: u64| {
             self.arrivals.iter().find(|r| r.id == id).expect("completed requests arrived").class
         };
-        match &self.tenancy {
-            Some(ts) => {
-                for (i, r) in self.arrivals.iter().enumerate() {
-                    if !ts.admitted[i] {
-                        out[r.class.rank()] += 1;
-                    }
-                }
-            }
-            None => {
-                for r in &self.arrivals[self.next..] {
-                    out[r.class.rank()] += 1;
-                }
-            }
-        }
-        if let State::Cont(st) = &self.state {
-            for chip in &st.chips {
-                for a in &chip.active {
-                    out[self.arrivals[a.idx].class.rank()] += 1;
-                }
-                for &(idx, _) in &chip.resume {
-                    out[self.arrivals[idx].class.rank()] += 1;
-                }
-            }
-        }
         for c in self.completions.iter().filter(|c| c.finish > t) {
             out[class_of(c.id).rank()] += 1;
         }
         out
     }
 
-    /// Per-tenant service charged so far (prompt + decode tokens,
-    /// charged once at first admission), when tenancy is armed.
-    pub fn tenant_service(&self) -> Option<&[u64]> {
-        self.tenancy.as_ref().map(|ts| ts.service.as_slice())
-    }
-
-    /// Per-tenant preemption counts, when tenancy is armed.
-    pub fn tenant_preemptions(&self) -> Option<&[u64]> {
-        self.tenancy.as_ref().map(|ts| ts.preempted.as_slice())
+    /// Per-tenant preemption counts, by tenant index of the schedule
+    /// ([`set_tenancy`](Self::set_tenancy); one entry by default).
+    pub fn tenant_preemptions(&self) -> &[u64] {
+        &self.tenancy.preempted
     }
 
     /// Live KV occupancy as a fraction of capacity (max over executors;
@@ -826,10 +874,9 @@ impl<'a> EngineCore<'a> {
     /// arrival at or before it has been pushed by then (driver protocol).
     fn rtc_decide(&self, now: Option<Seconds>) -> Option<RtcPlan> {
         let State::Rtc(st) = &self.state else { unreachable!("rtc_decide on continuous") };
-        let queue = &self.arrivals[self.next..];
-        if queue.is_empty() {
-            return None;
-        }
+        // Batch formation is FIFO, so everything from the oldest queued
+        // arrival on is still queued.
+        let queue = &self.arrivals[self.tenancy.oldest()?..];
         let chip = earliest(&st.free_at);
         let free = st.free_at[chip];
         match self.policy {
@@ -880,7 +927,7 @@ impl<'a> EngineCore<'a> {
     /// on the chosen executor.
     fn rtc_launch(&mut self, plan: RtcLaunch) -> Result<()> {
         let RtcLaunch { chip, take: policy_take, start: policy_start } = plan;
-        let next = self.next;
+        let next = self.tenancy.oldest().expect("a launch has queued members");
         let (take, start) = {
             let State::Rtc(st) = &mut self.state else { unreachable!() };
             // Admission control: shrink the batch until its worst-case
@@ -905,17 +952,12 @@ impl<'a> EngineCore<'a> {
             (take, start)
         };
         let members: Vec<Request> = self.arrivals[next..next + take].to_vec();
-        let multi = self.multi_tenant();
-        if let Some(tr) = &self.trace {
-            for r in &members {
-                tr.span_for(
-                    EventKind::Queue,
-                    r.id,
-                    r.arrival_s,
-                    start.get(),
-                    multi.then_some(r.tenant),
-                );
-            }
+        for r in &members {
+            self.trace.span(EventKind::Queue, r, r.arrival(), start);
+            // Run-to-completion batch formation stays FIFO: each member
+            // heads its tenant's queue. The ledgers still charge service.
+            let admitted = self.tenancy.admit(self.tenancy.of(r), &self.arrivals);
+            debug_assert_eq!(self.arrivals[admitted].id, r.id);
         }
         {
             // Between run-to-completion batches only index-held prefix
@@ -939,18 +981,6 @@ impl<'a> EngineCore<'a> {
         let end = self.run_batch(&members, start, chip)?;
         let State::Rtc(st) = &mut self.state else { unreachable!() };
         st.free_at[chip] = end;
-        self.next += take;
-        if let Some(ts) = &mut self.tenancy {
-            // Run-to-completion batch formation stays FIFO; the ledgers
-            // still account service and admission per tenant.
-            for r in &members {
-                ts.service[r.tenant as usize] += r.prompt_len + r.steps;
-            }
-            for admitted in &mut ts.admitted[next..next + take] {
-                *admitted = true;
-            }
-            ts.admitted_count += take;
-        }
         Ok(())
     }
 
@@ -961,7 +991,6 @@ impl<'a> EngineCore<'a> {
     /// blocks grow with each generated token and release when the batch
     /// retires.
     fn run_batch(&mut self, members: &[Request], start: Seconds, chip: usize) -> Result<Seconds> {
-        let multi = self.multi_tenant();
         let b = members.len() as u64;
         let max_prompt = members.iter().map(|r| r.prompt_len).max().expect("non-empty");
         let max_steps = members.iter().map(|r| r.steps).max().expect("non-empty");
@@ -1001,32 +1030,19 @@ impl<'a> EngineCore<'a> {
         let mut first_token = vec![Seconds::ZERO; members.len()];
         if self.has_prefill {
             if shared.iter().any(|&s| s > 0) {
-                // Cold members prefill as one padded group (chunked or
-                // monolithic, as configured); prefix-hit members compute
-                // only their tails as a second group, padded to the
-                // longest tail and deepest cached past. The whole batch's
-                // first token stands at the end of all prefill, per
-                // run-to-completion semantics.
-                let cold = members
-                    .iter()
-                    .zip(&shared)
-                    .filter(|(_, &s)| s == 0)
-                    .map(|(r, _)| r.prompt_len)
-                    .max();
-                if let Some(cold_max) = cold {
-                    let n = shared.iter().filter(|&&s| s == 0).count() as u64;
-                    t += self.price_prefill_span(n, 0, cold_max)?;
-                }
-                let hits: Vec<(u64, u64)> = members
-                    .iter()
-                    .zip(&shared)
-                    .filter(|(_, &s)| s > 0)
-                    .map(|(r, &s)| (s, r.prompt_len - s))
-                    .collect();
-                if !hits.is_empty() {
-                    let past = hits.iter().map(|&(s, _)| s).max().expect("non-empty");
-                    let tail = hits.iter().map(|&(_, c)| c).max().expect("non-empty");
-                    t += self.price_prefill_span(hits.len() as u64, past, past + tail)?;
+                // Cold members prefill as one padded group; prefix-hit
+                // members compute only their tails as a second group,
+                // padded to the longest tail and deepest cached past. The
+                // whole batch's first token stands at the end of all
+                // prefill, per run-to-completion semantics.
+                for hit in [false, true] {
+                    let group = members.iter().zip(&shared).filter(|(_, &s)| (s > 0) == hit);
+                    let n = group.clone().count() as u64;
+                    if n > 0 {
+                        let past = group.clone().map(|(_, &s)| s).max().expect("non-empty");
+                        let tail = group.map(|(r, &s)| r.prompt_len - s).max().expect("non-empty");
+                        t += self.price_prefill_span(n, past, past + tail)?;
+                    }
                 }
             } else {
                 match self.memory.chunk_tokens {
@@ -1048,16 +1064,8 @@ impl<'a> EngineCore<'a> {
                 }
             }
             first_token.fill(t);
-            if let Some(tr) = &self.trace {
-                for r in members {
-                    tr.span_for(
-                        EventKind::Prefill,
-                        r.id,
-                        start.get(),
-                        t.get(),
-                        multi.then_some(r.tenant),
-                    );
-                }
+            for r in members {
+                self.trace.span(EventKind::Prefill, r, start, t);
             }
         }
         let mut finish = vec![Seconds::ZERO; members.len()];
@@ -1091,15 +1099,7 @@ impl<'a> EngineCore<'a> {
             st.allocs[chip].release(r.id);
             // Padded batches release results when the batch completes.
             let release = if pads { t } else { finish[i] };
-            if let Some(tr) = &self.trace {
-                tr.span_for(
-                    EventKind::Decode,
-                    r.id,
-                    first_token[i].get(),
-                    release.get(),
-                    multi.then_some(r.tenant),
-                );
-            }
+            self.trace.span(EventKind::Decode, r, first_token[i], release);
             self.completions.push(Completion {
                 id: r.id,
                 arrival: r.arrival(),
@@ -1140,8 +1140,8 @@ impl<'a> EngineCore<'a> {
         for (i, chip) in st.chips.iter().enumerate() {
             let candidate = if !chip.active.is_empty() || !chip.resume.is_empty() {
                 chip.t
-            } else if self.next < self.arrivals.len() {
-                chip.t.max(self.arrivals[self.next].arrival())
+            } else if let Some(idx) = self.tenancy.oldest() {
+                chip.t.max(self.arrivals[idx].arrival())
             } else {
                 continue;
             };
@@ -1161,7 +1161,6 @@ impl<'a> EngineCore<'a> {
         let has_prefill = self.has_prefill;
         let chunking = self.memory.chunk_tokens;
         let slowdown = self.slowdown;
-        let multi = self.multi_tenant();
         let State::Cont(ContState { chips, max_batch, admitted, prefilling, decoders }) =
             &mut self.state
         else {
@@ -1173,8 +1172,11 @@ impl<'a> EngineCore<'a> {
         let round_start = chip.t;
 
         // Admit into free slots, KV permitting: preempted requests first
-        // (their whole recomputed context must fit), then queued arrivals
-        // (their prompt must fit). Head-of-line blocking on KV is what the
+        // (their whole recomputed context must fit), then the queue head
+        // the tenant schedule picks (its prompt must fit): the most senior
+        // class, then the lowest weighted service (deficit), then the
+        // lowest tenant id, among tenants with an arrival queued by now;
+        // FIFO within a tenant. Head-of-line blocking on KV is what the
         // queue-full metric measures. With prefix sharing on, admission
         // matches the chip's prefix index (attaching cached blocks by
         // reference, evicting index-only blocks before giving up) and
@@ -1182,73 +1184,26 @@ impl<'a> EngineCore<'a> {
         admitted.clear();
         let mut kv_blocked = false;
         while chip.active.len() + admitted.len() < max_batch as usize {
-            if let Some(&(idx, done)) = chip.resume.front() {
-                if let Some(shared) = cont_admit(chip, &self.arrivals[idx], done) {
-                    admitted.push((idx, done, shared));
-                    chip.resume.pop_front();
-                } else {
-                    kv_blocked = true;
-                    break;
-                }
-            } else if let Some(ts) = &mut self.tenancy {
-                // Deficit-weighted-fair admission: among tenants with an
-                // arrival queued by now, pick the most senior class, then
-                // the lowest weighted service (deficit), then the lowest
-                // tenant id; within a tenant, FIFO. A KV refusal blocks
-                // the round's head, exactly like the FIFO path.
-                let mut pick: Option<(usize, (usize, f64, u32))> = None;
-                ts.seen.fill(false);
-                let mut i = self.next;
-                while i < self.arrivals.len() && self.arrivals[i].arrival() <= chip.t {
-                    let r = &self.arrivals[i];
-                    let tenant = r.tenant as usize;
-                    if !ts.admitted[i] && !ts.seen[tenant] {
-                        ts.seen[tenant] = true;
-                        let key = (
-                            ts.classes[tenant].rank(),
-                            ts.service[tenant] as f64 / ts.weights[tenant],
-                            r.tenant,
-                        );
-                        let better = pick.is_none_or(|(_, best)| {
-                            key.0
-                                .cmp(&best.0)
-                                .then(key.1.total_cmp(&best.1))
-                                .then(key.2.cmp(&best.2))
-                                .is_lt()
-                        });
-                        if better {
-                            pick = Some((i, key));
-                        }
-                    }
-                    i += 1;
-                }
-                let Some((idx, _)) = pick else { break };
-                if let Some(shared) = cont_admit(chip, &self.arrivals[idx], 0) {
-                    let r = &self.arrivals[idx];
-                    ts.service[r.tenant as usize] += r.prompt_len + r.steps;
-                    ts.admitted[idx] = true;
-                    ts.admitted_count += 1;
-                    admitted.push((idx, 0, shared));
-                    while self.next < self.arrivals.len() && ts.admitted[self.next] {
-                        self.next += 1;
-                    }
-                } else {
-                    kv_blocked = true;
-                    break;
-                }
-            } else if self.next < self.arrivals.len()
-                && self.arrivals[self.next].arrival() <= chip.t
-            {
-                if let Some(shared) = cont_admit(chip, &self.arrivals[self.next], 0) {
-                    admitted.push((self.next, 0, shared));
-                    self.next += 1;
-                } else {
-                    kv_blocked = true;
-                    break;
-                }
-            } else {
+            let (idx, done, tenant) = match chip.resume.front() {
+                Some(&(idx, done)) => (idx, done, None),
+                None => match self.tenancy.pick(&self.arrivals, chip.t) {
+                    Some((tenant, idx)) => (idx, 0, Some(tenant)),
+                    None => break,
+                },
+            };
+            let Some(shared) = cont_admit(chip, &self.arrivals[idx], done) else {
+                kv_blocked = true;
                 break;
+            };
+            match tenant {
+                None => {
+                    chip.resume.pop_front();
+                }
+                Some(tenant) => {
+                    self.tenancy.admit(tenant, &self.arrivals);
+                }
             }
+            admitted.push((idx, done, shared));
         }
         if kv_blocked && chip.active.is_empty() && admitted.is_empty() {
             // Nothing resident to retire or preempt: the head request can
@@ -1260,92 +1215,50 @@ impl<'a> EngineCore<'a> {
                 chip.alloc.block_tokens(),
             )));
         }
-        if let Some(tr) = &self.trace {
-            // Fresh admissions close their queue span; resumed requests
-            // already emitted theirs on first admission.
-            for &(idx, done, _) in admitted.iter() {
-                if done == 0 {
-                    let r = &self.arrivals[idx];
-                    tr.span_for(
-                        EventKind::Queue,
-                        r.id,
-                        r.arrival_s,
-                        round_start.get(),
-                        multi.then_some(r.tenant),
-                    );
-                }
+        // Fresh admissions close their queue span; resumed requests
+        // already emitted theirs on first admission.
+        for &(idx, done, _) in admitted.iter() {
+            if done == 0 {
+                let r = &self.arrivals[idx];
+                self.trace.span(EventKind::Queue, r, r.arrival(), round_start);
             }
         }
 
-        // Prefill the admitted group. Monolithic: one padded prefill now
-        // (resumed members recompute their full context; with sharing,
-        // cold members group and prefix-hit members compute only their
-        // tail, priced as a chunk over the cached past). Chunked: members
-        // enter mid-prefill — at their cached-prefix boundary when
-        // sharing — and advance below.
+        // Prefill the admitted group. Monolithic: resumed members
+        // recompute their full context; cold members prefill as one
+        // padded group, and prefix-hit members compute only their tails,
+        // grouped into one chunk padded to the longest tail and deepest
+        // cached past (the same padding rule). Chunked: members enter
+        // mid-prefill — at their cached-prefix boundary when sharing —
+        // and advance below.
         match chunking {
             None => {
-                if !admitted.is_empty() && has_prefill {
-                    let cold = admitted.iter().filter(|&&(_, _, s)| s == 0);
-                    let n = cold.clone().count() as u64;
-                    if n > 0 {
-                        let padded = cold
-                            .clone()
-                            .map(|&(idx, done, _)| self.arrivals[idx].prompt_len + done)
-                            .max()
-                            .expect("non-empty");
-                        let before = chip.t;
-                        let prefill = self.pricer.prefill(n, padded)?;
-                        chip.t += stretch(prefill.latency, slowdown);
-                        self.energy += prefill.total_energy();
-                        for &(idx, _, _) in cold {
-                            if !self.ttft_set[idx] {
-                                self.first_token[idx] = chip.t;
-                                self.ttft_set[idx] = true;
-                            }
-                            if let Some(tr) = &self.trace {
-                                tr.span_for(
-                                    EventKind::Prefill,
-                                    self.arrivals[idx].id,
-                                    before.get(),
-                                    chip.t.get(),
-                                    multi.then_some(self.arrivals[idx].tenant),
-                                );
-                            }
-                        }
+                for hit in [false, true] {
+                    let group = admitted.iter().filter(|&&(_, _, s)| (s > 0) == hit);
+                    let n = group.clone().count() as u64;
+                    if n == 0 || !has_prefill {
+                        continue;
                     }
-                    // Prefix-hit members compute only their tails, grouped
-                    // into one chunk padded to the longest tail and
-                    // deepest cached past (the same padding rule as
-                    // grouped prefill).
-                    let hits = admitted.iter().filter(|&&(_, _, s)| s > 0);
-                    let n = hits.clone().count() as u64;
-                    if n > 0 {
-                        let past = hits.clone().map(|&(_, _, s)| s).max().expect("non-empty");
-                        let tail = hits
-                            .clone()
-                            .map(|&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
-                            .max()
-                            .expect("non-empty");
-                        let before = chip.t;
-                        let cost = self.pricer.prefill_chunk(n, tail, past)?;
-                        chip.t += stretch(cost.latency, slowdown);
-                        self.energy += cost.total_energy();
-                        for &(idx, _, _) in hits {
-                            if !self.ttft_set[idx] {
-                                self.first_token[idx] = chip.t;
-                                self.ttft_set[idx] = true;
-                            }
-                            if let Some(tr) = &self.trace {
-                                tr.span_for(
-                                    EventKind::Prefill,
-                                    self.arrivals[idx].id,
-                                    before.get(),
-                                    chip.t.get(),
-                                    multi.then_some(self.arrivals[idx].tenant),
-                                );
-                            }
+                    let past = group.clone().map(|&(_, _, s)| s).max().expect("non-empty");
+                    let tail = group
+                        .clone()
+                        .map(|&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
+                        .max()
+                        .expect("non-empty");
+                    let cost = if hit {
+                        self.pricer.prefill_chunk(n, tail, past)?
+                    } else {
+                        self.pricer.prefill(n, tail)?
+                    };
+                    let before = chip.t;
+                    chip.t += stretch(cost.latency, slowdown);
+                    self.energy += cost.total_energy();
+                    for &(idx, _, _) in group {
+                        if !self.ttft_set[idx] {
+                            self.first_token[idx] = chip.t;
+                            self.ttft_set[idx] = true;
                         }
+                        self.trace.span(EventKind::Prefill, &self.arrivals[idx], before, chip.t);
                     }
                 }
                 chip.active.extend(admitted.drain(..).map(|(idx, done, _)| {
@@ -1397,15 +1310,7 @@ impl<'a> EngineCore<'a> {
                             self.first_token[a.idx] = now;
                             self.ttft_set[a.idx] = true;
                         }
-                        if let Some(tr) = &self.trace {
-                            tr.span_for(
-                                EventKind::Prefill,
-                                self.arrivals[a.idx].id,
-                                before.get(),
-                                now.get(),
-                                multi.then_some(self.arrivals[a.idx].tenant),
-                            );
-                        }
+                        self.trace.span(EventKind::Prefill, &self.arrivals[a.idx], before, now);
                     }
                 }
             }
@@ -1438,35 +1343,23 @@ impl<'a> EngineCore<'a> {
                         continue;
                     }
                 }
-                // Youngest = latest arrival (ids are arrival-ordered);
-                // with tenancy armed, the lowest-priority class goes
-                // first — batch-tier residents absorb preemptions before
-                // any interactive-tier KV is touched — youngest-first
-                // within a tier.
-                let victim_pos = match &self.tenancy {
-                    Some(ts) => (0..chip.active.len())
-                        .max_by_key(|&p| {
-                            let idx = chip.active[p].idx;
-                            (ts.classes[self.arrivals[idx].tenant as usize].rank(), idx)
-                        })
-                        .expect("non-empty"),
-                    None => (0..chip.active.len())
-                        .max_by_key(|&p| chip.active[p].idx)
-                        .expect("non-empty"),
-                };
+                // The lowest-priority tenant class goes first — batch-tier
+                // residents absorb preemptions before any interactive-tier
+                // KV is touched — then the youngest (latest arrival; ids
+                // are arrival-ordered).
+                let tenancy = &mut self.tenancy;
+                let victim_pos = (0..chip.active.len())
+                    .max_by_key(|&p| {
+                        let idx = chip.active[p].idx;
+                        (tenancy.tenants[tenancy.of(&self.arrivals[idx])].class.rank(), idx)
+                    })
+                    .expect("non-empty");
                 let victim = chip.active.remove(victim_pos);
-                chip.alloc.release(self.arrivals[victim.idx].id);
-                if let Some(ts) = &mut self.tenancy {
-                    ts.preempted[self.arrivals[victim.idx].tenant as usize] += 1;
-                }
-                if let Some(tr) = &self.trace {
-                    tr.instant_for(
-                        EventKind::Preempt,
-                        self.arrivals[victim.idx].id,
-                        chip.t.get(),
-                        multi.then_some(self.arrivals[victim.idx].tenant),
-                    );
-                }
+                let r = &self.arrivals[victim.idx];
+                chip.alloc.release(r.id);
+                let tenant = tenancy.of(r);
+                tenancy.preempted[tenant] += 1;
+                self.trace.instant(EventKind::Preempt, r, chip.t);
                 chip.resume.push_back((victim.idx, victim.done));
                 chip.preemptions += 1;
                 kv_blocked = true;
@@ -1508,15 +1401,7 @@ impl<'a> EngineCore<'a> {
             active.retain(|a| {
                 if a.prefilled >= a.target && a.done >= arrivals[a.idx].steps {
                     alloc.release(arrivals[a.idx].id);
-                    if let Some(tr) = trace {
-                        tr.span_for(
-                            EventKind::Decode,
-                            arrivals[a.idx].id,
-                            first_token[a.idx].get(),
-                            now.get(),
-                            multi.then_some(arrivals[a.idx].tenant),
-                        );
-                    }
+                    trace.span(EventKind::Decode, &arrivals[a.idx], first_token[a.idx], now);
                     completions.push(Completion {
                         id: arrivals[a.idx].id,
                         arrival: arrivals[a.idx].arrival(),
@@ -1907,6 +1792,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An untenanted core schedules every request as its one tenant: tags
+    /// 0..=2 with mixed classes still admit in arrival order (a
+    /// tenant-aware core reorders the same requests), and the run matches
+    /// the same requests with every tag zeroed.
+    #[test]
+    fn untenanted_core_admits_in_arrival_order_whatever_the_tags() {
+        let classes = [SloClass::Batch, SloClass::Standard, SloClass::Interactive];
+        let mut tagged = burst(9).generate();
+        for r in &mut tagged {
+            r.tenant = (r.id % 3) as u32;
+            r.class = classes[r.tenant as usize];
+        }
+        let run = |requests: &[Request], sched: Option<&TenantSched>| {
+            let engine = tiny_engine(BatchPolicy::Continuous { max_batch: 1 });
+            let session = crate::EngineSession::new(&engine).unwrap();
+            let mut core = session.core().unwrap();
+            if let Some(sched) = sched {
+                core.set_tenancy(sched);
+            }
+            for r in requests {
+                core.push(*r);
+            }
+            core.close();
+            while core.next_action().is_some() {
+                core.step().unwrap();
+            }
+            core.completions().to_vec()
+        };
+        let order = |run: &[Completion]| run.iter().map(|c| c.id).collect::<Vec<_>>();
+        let untenanted = run(&tagged, None);
+        assert_eq!(order(&untenanted), (0..9).collect::<Vec<_>>());
+        let zeroed: Vec<Request> = tagged.iter().map(|r| Request { tenant: 0, ..*r }).collect();
+        assert_eq!(untenanted, run(&zeroed, None));
+        let sched = TenantSched { classes: classes.to_vec(), weights: vec![1.0; 3] };
+        assert_ne!(order(&run(&tagged, Some(&sched))), order(&untenanted), "tenancy reorders");
     }
 
     #[test]

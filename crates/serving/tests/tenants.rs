@@ -10,14 +10,17 @@
 //!    prefix the weighted request counts stay within one quantum.
 //! 4. **SLO-aware preemption.** Under KV pressure, batch-tier residents
 //!    absorb every eviction; interactive tenants are never preempted.
+//! 5. **`--tenants` parsing is total.** `parse_tenants` never panics, and
+//!    every spec it accepts either overlays into a tenant set or is
+//!    refused there with a typed error.
 
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic, ServingEngine,
-    ServingModel, ServingRun, SloClass, TenantSet, TenantSpec, TrafficSpec,
+    parse_tenants, ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
+    ServingEngine, ServingModel, ServingRun, SloClass, TenantSet, TenantSpec, TrafficSpec,
 };
-use cimtpu_units::Bytes;
+use cimtpu_units::{Bytes, Error};
 use proptest::prelude::*;
 
 fn tiny() -> ServingModel {
@@ -205,5 +208,76 @@ proptest! {
             prop_assert_eq!(&run.report, &again.report);
             prop_assert_eq!(&run.completions, &again.completions);
         }
+    }
+}
+
+/// Pieces of the `name=class[:weight[:slo_ms]]` grammar, each list
+/// mixing valid values with near misses: empty fields, a wrong-case
+/// class, and numbers `f64` parses to zero, negatives, NaN and infinity.
+const NAMES: [&str; 5] = ["chat", "bulk", "", " a ", "é"];
+const EQUALS: [&str; 5] = ["=", "=", "=", "", "=="];
+const CLASSES: [&str; 7] = ["interactive", "standard", "batch", "batch", "standard", "Batch", ""];
+const NUMBERS: [&str; 10] = ["1", "2.5", "250", "1", "0", "-1", "nan", "inf", "1e309", ""];
+const COMMAS: [&str; 3] = [",", ", ", ",,"];
+
+/// One near-grammar spec: each `u64` draws one entry's pieces (and up to
+/// three `:number` fields) digit by digit.
+fn near_grammar(draws: &[u64]) -> String {
+    let mut spec = String::new();
+    for &d in draws {
+        let pick = |list: &[&'static str], at: u32| list[(d / 10u64.pow(at)) as usize % list.len()];
+        spec += pick(&NAMES, 0);
+        spec += pick(&EQUALS, 1);
+        spec += pick(&CLASSES, 2);
+        for field in 0..(d / 1_000) % 4 {
+            spec += ":";
+            spec += pick(&NUMBERS, 4 + field as u32);
+        }
+        spec += pick(&COMMAS, 8);
+    }
+    spec
+}
+
+/// Parses `spec`; an accepted spec must overlay a 12-request base into
+/// one tenant per part, or be refused there with a typed error.
+fn check_tenant_spec(spec: &str) {
+    let parts = match parse_tenants(spec) {
+        Ok(parts) => parts,
+        Err(Error::InvalidConfig(_)) => return,
+        Err(e) => panic!("{spec:?}: untyped parse error {e:?}"),
+    };
+    assert!(!parts.is_empty(), "{spec:?}: accepted with no tenants");
+    match TenantSet::overlay(&open_loop(12, 4_000.0, 1), &parts) {
+        Ok(set) => {
+            assert_eq!(set.tenants.len(), parts.len(), "{spec:?}");
+            let merged = set.merged_spec().unwrap();
+            assert!(merged.generate().iter().all(|r| (r.tenant as usize) < parts.len()));
+        }
+        Err(Error::InvalidConfig(_)) => {}
+        Err(e) => panic!("{spec:?}: untyped overlay error {e:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary strings (any Unicode scalar values) never panic the
+    /// parser.
+    #[test]
+    fn parse_tenants_survives_arbitrary_strings(
+        chars in proptest::collection::vec(any::<u32>(), 0..24),
+    ) {
+        let spec: String =
+            chars.iter().map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')).collect();
+        check_tenant_spec(&spec);
+    }
+
+    /// Near-grammar strings: entries built from valid and near-miss
+    /// pieces.
+    #[test]
+    fn parse_tenants_survives_near_grammar_strings(
+        draws in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        check_tenant_spec(&near_grammar(&draws));
     }
 }
