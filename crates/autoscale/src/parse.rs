@@ -1,6 +1,6 @@
 //! The `--autoscale SPEC` CLI grammar.
 
-use cimtpu_units::{Error, Result, Seconds};
+use cimtpu_units::{parse_time, Error, Result, Seconds};
 
 use crate::policy::{AutoscalePolicy, GroupPolicy};
 
@@ -114,19 +114,6 @@ impl AutoscaleSpec {
         policy.validate()?;
         Ok(policy)
     }
-}
-
-/// Parses `3.5s`, `150ms`, or a bare non-negative second count.
-fn parse_time(s: &str) -> Option<Seconds> {
-    let (num, scale) = if let Some(n) = s.strip_suffix("ms") {
-        (n, 1e-3)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1.0)
-    } else {
-        (s, 1.0)
-    };
-    let x: f64 = num.parse().ok()?;
-    (x.is_finite() && x >= 0.0).then(|| Seconds::new(x * scale))
 }
 
 /// Parses `LO..HI` as a replica band.

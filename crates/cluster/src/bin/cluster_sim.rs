@@ -47,9 +47,10 @@
 //! `cimtpu_cluster::parse_faults`, e.g.
 //! `crash@2s:replica1:repair=5s,link@0s-2s:x0.1`); `--fault-seed N`
 //! reseeds the plan, redrawing chaos-generated crashes while explicit
-//! events stand. Reports from fault runs carry an extra `availability`
-//! section; zero-fault output is byte-identical to builds without these
-//! flags.
+//! events stand, and exits with status 2 when no selected scenario's plan
+//! has a chaos spec to redraw. Reports from fault runs carry an extra
+//! `availability` section; zero-fault output is byte-identical to builds
+//! without these flags.
 //!
 //! `--autoscale SPEC` installs an autoscale policy on every selected
 //! scenario (grammar in `cimtpu_autoscale::parse_autoscale`), making each
@@ -224,6 +225,15 @@ fn main() {
                 }
             }
         }
+    }
+    // A new fault seed only redraws chaos-generated crashes: with no
+    // chaos spec in any selected plan the flag would change nothing.
+    if flags.fault_seed.is_some() && scenarios.iter().all(|s| s.engine.faults().chaos().is_none()) {
+        eprintln!(
+            "cluster_sim: --fault-seed has nothing to redraw: no selected scenario's fault plan \
+             has a chaos spec (explicit --faults events are not reseeded)"
+        );
+        std::process::exit(2);
     }
 
     // `--trace-in` replaces each scenario's traffic wholesale (the trace

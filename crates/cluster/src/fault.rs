@@ -20,7 +20,7 @@
 
 use cimtpu_obs::EventKind;
 use cimtpu_serving::{ArrivalStream, Completion, Request};
-use cimtpu_units::{Error, Result, Seconds};
+use cimtpu_units::{parse_time, Error, Result, Seconds};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -264,6 +264,12 @@ impl FaultPlan {
     /// The recovery policy.
     pub fn recovery(&self) -> &RecoveryPolicy {
         &self.recovery
+    }
+
+    /// The seeded chaos generator, if any: the only part of the plan a
+    /// new [seed](Self::with_seed) redraws.
+    pub fn chaos(&self) -> Option<&ChaosSpec> {
+        self.chaos.as_ref()
     }
 
     /// Whether the plan injects nothing. The event loops then run with no
@@ -768,19 +774,6 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
     Ok(events)
 }
 
-/// Parses `2s`, `150ms`, or a bare seconds number. `None` on any error.
-fn parse_time(s: &str) -> Option<Seconds> {
-    let (num, scale) = if let Some(n) = s.strip_suffix("ms") {
-        (n, 1e-3)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1.0)
-    } else {
-        (s, 1.0)
-    };
-    let x: f64 = num.parse().ok()?;
-    (x.is_finite() && x >= 0.0).then(|| Seconds::new(x * scale))
-}
-
 /// Parses `<from>-<until>` as a time window.
 fn parse_window(s: &str) -> Option<(Seconds, Seconds)> {
     let (a, b) = s.split_once('-')?;
@@ -824,6 +817,8 @@ mod tests {
         assert_eq!(a, b, "same seed, same timeline");
         let c = plan(8).resolve(4).unwrap();
         assert_ne!(a, c, "a different seed redraws the crashes");
+        assert_eq!(plan(7).chaos().map(|c| c.crashes), Some(3));
+        assert!(FaultPlan::seeded(7).chaos().is_none());
         for e in &a {
             let FaultEvent::Crash { at, replica, repair } = *e else {
                 panic!("chaos draws crashes only")

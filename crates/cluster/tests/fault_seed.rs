@@ -1,0 +1,45 @@
+//! `cluster_sim --fault-seed` only redraws chaos-generated crashes, so it
+//! is rejected when no selected scenario's fault plan has a chaos spec.
+
+use std::process::{Command, Output};
+
+fn cluster_sim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cluster_sim"))
+        .args(args)
+        .env_remove("CIMTPU_CACHE_DIR")
+        .output()
+        .expect("cluster_sim runs")
+}
+
+#[test]
+fn fault_seed_without_chaos_is_rejected() {
+    for args in [
+        &["--scenario", "cluster-day-smoke", "--fault-seed", "3"][..],
+        // `--faults` replaces the chaos plan with explicit events, which a
+        // seed does not redraw.
+        &["--scenario", "cluster-chaos-crash", "--faults", "crash@2ms:0", "--fault-seed", "3"],
+    ] {
+        let out = cluster_sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--fault-seed has nothing to redraw"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} simulated anyway");
+    }
+}
+
+#[test]
+fn fault_seed_on_a_chaos_scenario_is_accepted() {
+    // `--trace-out` writes the scenario's traffic and exits before
+    // simulating, after every flag has been applied.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_seed_chaos.jsonl");
+    let out = cluster_sim(&[
+        "--scenario",
+        "cluster-chaos-crash",
+        "--fault-seed",
+        "3",
+        "--trace-out",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(std::fs::metadata(&path).expect("trace written").len() > 0);
+}

@@ -71,6 +71,15 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct entries currently stored.
     pub entries: usize,
+    /// Candidate tilings the map-space search enumerated behind the
+    /// misses (after dominated-candidate pruning). Filled in by
+    /// [`Simulator::cache_stats`](crate::Simulator::cache_stats) from its
+    /// mapper; zero from [`MappingCache::stats`].
+    pub map_candidates: u64,
+    /// Of those, the candidates whose tile the engine priced; the rest
+    /// were skipped because their DMA floor could not beat the best
+    /// mapping so far.
+    pub map_priced: u64,
 }
 
 impl CacheStats {
@@ -137,6 +146,8 @@ impl MappingCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             entries: self.entries.borrow().len(),
+            map_candidates: 0,
+            map_priced: 0,
         }
     }
 

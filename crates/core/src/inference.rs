@@ -230,6 +230,20 @@ mod tests {
     }
 
     #[test]
+    fn map_space_counts_pin_the_incumbent_bound() {
+        // One Table IV CIM point (Design B: 8 x 16x8 CIM-MXUs) pricing
+        // GPT-3-30B (1024/512, batch 8) and DiT-XL/2 (512x512, batch 8)
+        // cold. The incumbent bound skips the engine for about half the
+        // enumerated candidates; losing it (or the pruning) moves a count.
+        let sim = Simulator::new(TpuConfig::design_b()).unwrap();
+        run_llm(&sim, &presets::gpt3_30b(), LlmInferenceSpec::new(8, 1024, 512).unwrap()).unwrap();
+        run_dit(&sim, &presets::dit_xl_2(), 8, 512).unwrap();
+        let stats = sim.cache_stats();
+        assert!(stats.map_priced < stats.map_candidates, "{stats:?}");
+        assert_eq!((stats.map_candidates, stats.map_priced), (1876, 985), "{stats:?}");
+    }
+
+    #[test]
     fn integration_is_exact_for_linear_cost() {
         // Cost linear in step: trapezoid integrates exactly.
         let samples: Vec<(f64, Seconds, Joules)> = (0..=8)

@@ -83,9 +83,14 @@ impl Simulator {
         &self.cache
     }
 
-    /// Hit/miss/occupancy counters of the mapping cache.
+    /// Hit/miss/occupancy counters of the mapping cache, with the
+    /// map-space search counts of the per-MXU mapper since construction.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            map_candidates: self.per_mxu_mapper.candidates_enumerated(),
+            map_priced: self.per_mxu_mapper.candidates_priced(),
+            ..self.cache.stats()
+        }
     }
 
     /// Combined leakage of all MXUs (charged over every op's window — the

@@ -16,6 +16,12 @@
 //!   engine's preferred granularity) and returns the latency-optimal
 //!   [`Mapping`].
 //!
+//! The search is bounded by its incumbent: a candidate's DMA side is
+//! priced first, and the engine prices its tile only if the candidate's
+//! DMA floor can still beat the best total so far. The skip is exact (see
+//! [`Mapper::best_gemm_mapping`]); [`Mapper::candidates_enumerated`] and
+//! [`Mapper::candidates_priced`] count how often it fires.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,7 +58,7 @@ pub use levels::MemoryLevels;
 pub use mapping::Mapping;
 pub use mapspace::{candidate_tiles, for_each_candidate, EdgeBuffers};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use cimtpu_units::{Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
 
@@ -112,11 +118,18 @@ pub struct Mapper {
     /// Reused edge-candidate buffers: the map-space search allocates
     /// nothing per call once these are warm.
     scratch: RefCell<EdgeBuffers>,
+    /// Candidates the map-space search has enumerated (after
+    /// dominated-candidate pruning).
+    enumerated: Cell<u64>,
+    /// Candidates whose tile the engine priced (not skipped by the
+    /// incumbent bound).
+    priced: Cell<u64>,
 }
 
 impl PartialEq for Mapper {
     fn eq(&self, other: &Self) -> bool {
-        // Scratch buffers are a cache, not state.
+        // Scratch buffers are a cache and the counters are observations,
+        // not state.
         self.levels == other.levels
     }
 }
@@ -124,7 +137,25 @@ impl PartialEq for Mapper {
 impl Mapper {
     /// Creates a mapper over the given memory hierarchy.
     pub fn new(levels: MemoryLevels) -> Self {
-        Mapper { levels, scratch: RefCell::new(EdgeBuffers::default()) }
+        Mapper {
+            levels,
+            scratch: RefCell::new(EdgeBuffers::default()),
+            enumerated: Cell::new(0),
+            priced: Cell::new(0),
+        }
+    }
+
+    /// Candidate tilings the map-space search has enumerated since
+    /// construction, after dominated-candidate pruning.
+    pub fn candidates_enumerated(&self) -> u64 {
+        self.enumerated.get()
+    }
+
+    /// Enumerated candidates whose tile reached the engine's
+    /// [`tile_cycles`](TileCostModel::tile_cycles); the rest were skipped
+    /// because their DMA floor could not beat the incumbent.
+    pub fn candidates_priced(&self) -> u64 {
+        self.priced.get()
     }
 
     /// The memory hierarchy this mapper schedules against.
@@ -136,6 +167,20 @@ impl Mapper {
     ///
     /// `weights_resident` marks weights already on chip (e.g. a second pass
     /// over the same layer), skipping HBM weight traffic.
+    ///
+    /// Among equal totals the first candidate enumerated wins. The search
+    /// skips the engine's [`tile_cycles`](TileCostModel::tile_cycles) for
+    /// a candidate whose DMA floor — `prologue + dma` when
+    /// double-buffered, `hbm + oci` when serialized — is `>=` the best
+    /// total so far. The skip never changes the result:
+    ///
+    /// - a total is `prologue + max(compute, dma)` or
+    ///   `(compute + hbm) + oci` with `compute >= 0`, and IEEE
+    ///   round-to-nearest is monotone, so no total is below its floor;
+    /// - a skipped candidate could at best tie the incumbent, and a tie
+    ///   keeps the incumbent, hence `>=` rather than `>`;
+    /// - `>=` is false when either side is NaN, so a NaN floor or
+    ///   incumbent never skips.
     ///
     /// # Errors
     ///
@@ -195,7 +240,9 @@ impl Mapper {
 
     /// The streaming search behind [`Mapper::best_gemm_mapping`]: folds the
     /// candidate iterator directly into the best mapping (no intermediate
-    /// candidate or mapping vectors).
+    /// candidate or mapping vectors). Candidates whose
+    /// [floor](Candidate::floor) cannot beat the incumbent are never
+    /// priced (see [`Mapper::best_gemm_mapping`]).
     #[allow(clippy::too_many_arguments)]
     fn best_mapping_with_budget(
         &self,
@@ -209,6 +256,7 @@ impl Mapper {
     ) -> Result<Mapping> {
         let mut best: Option<Mapping> = None;
         let mut failure: Option<Error> = None;
+        let (mut enumerated, mut priced) = (0u64, 0u64);
         // Take the buffers out of the cell for the duration of the search:
         // a re-entrant cost model (one that calls back into this mapper
         // from `tile_cycles`) then simply allocates fresh buffers instead
@@ -231,16 +279,29 @@ impl Mapper {
                 if failure.is_some() {
                     return;
                 }
-                match self.evaluate(shape, dtype, engine, weights_resident, tile) {
-                    Ok(mapping) => match &best {
-                        Some(b) if b.total() <= mapping.total() => {}
-                        _ => best = Some(mapping),
-                    },
-                    Err(e) => failure = Some(e),
+                enumerated += 1;
+                let candidate = match self.candidate(shape, dtype, weights_resident, tile) {
+                    Ok(candidate) => candidate,
+                    Err(e) => {
+                        failure = Some(e);
+                        return;
+                    }
+                };
+                // `>=` is false when either side is NaN: NaN never skips.
+                if best.as_ref().is_some_and(|b| candidate.floor() >= b.total()) {
+                    return;
+                }
+                priced += 1;
+                let mapping = candidate.price(dtype, engine);
+                match &best {
+                    Some(b) if b.total() <= mapping.total() => {}
+                    _ => best = Some(mapping),
                 }
             },
         );
         *self.scratch.borrow_mut() = scratch;
+        self.enumerated.set(self.enumerated.get() + enumerated);
+        self.priced.set(self.priced.get() + priced);
         if let Some(e) = failure {
             return Err(e);
         }
@@ -262,62 +323,111 @@ impl Mapper {
         weights_resident: bool,
         tile: (u64, u64, u64),
     ) -> Result<Mapping> {
+        Ok(self.candidate(shape, dtype, weights_resident, tile)?.price(dtype, engine))
+    }
+
+    /// Prices the DMA side of one tiling: everything [`Mapper::evaluate`]
+    /// needs except the engine's tile cost.
+    fn candidate(
+        &self,
+        shape: GemmShape,
+        dtype: DataType,
+        weights_resident: bool,
+        tile: (u64, u64, u64),
+    ) -> Result<Candidate> {
         let (tm, tk, tn) = tile;
         let tile_shape = GemmShape::new(tm.min(shape.m()), tk.min(shape.k()), tn.min(shape.n()))?;
         let tiles_m = shape.m().div_ceil(tile_shape.m());
         let tiles_k = shape.k().div_ceil(tile_shape.k());
         let tiles_n = shape.n().div_ceil(tile_shape.n());
-        let tiles = tiles_m * tiles_k * tiles_n;
 
         // Loop order is m-innermost (weight-stationary across m-chunks): one
         // weight residency serves every activation chunk, so the engine is
         // priced per (k, n) tile with the *full* m streamed through it —
         // activation chunking constrains the buffers (via the candidate
         // filter), not the compute cost.
-        let kn_tiles = tiles_k * tiles_n;
         let kn_shape = GemmShape::new(shape.m(), tile_shape.k(), tile_shape.n())?;
-        let compute = engine
-            .tile_cycles(kn_shape, dtype)
-            .at(engine.clock())
-            * kn_tiles as f64;
 
         // Aggregate DMA: weights stream from HBM exactly once; activations
         // re-cross the OCI once per n-tile, partial sums once per k-tile.
-        let hbm_time = if weights_resident {
-            Seconds::ZERO
-        } else {
-            self.levels.hbm_time(shape.weight_bytes(dtype))
-        };
+        let hbm_bytes =
+            if weights_resident { cimtpu_units::Bytes::ZERO } else { shape.weight_bytes(dtype) };
+        let hbm_time =
+            if weights_resident { Seconds::ZERO } else { self.levels.hbm_time(hbm_bytes) };
         let oci_bytes = cimtpu_units::Bytes::new(
             shape.activation_bytes(dtype).get() * tiles_n
                 + shape.output_bytes(DataType::Fp32).get() * tiles_k,
         );
         let oci_time = self.levels.oci_time(oci_bytes);
 
-        // Schedule: with double buffering the three channels overlap
-        // (roofline); the prologue exposes one tile's DMA. Without it,
-        // everything serializes.
-        let dma = hbm_time.max(oci_time);
-        let total = if self.levels.double_buffering() {
-            let prologue = self.levels.hbm_time(tile_shape.weight_bytes(dtype));
-            prologue + compute.max(dma)
-        } else {
-            compute + hbm_time + oci_time
-        };
-
-        Ok(Mapping::new(
+        // With double buffering the prologue exposes one tile's DMA.
+        let prologue = self
+            .levels
+            .double_buffering()
+            .then(|| self.levels.hbm_time(tile_shape.weight_bytes(dtype)));
+        Ok(Candidate {
             shape,
             tile_shape,
-            tiles,
+            tiles: tiles_m * tiles_k * tiles_n,
+            kn_tiles: tiles_k * tiles_n,
+            kn_shape,
+            hbm_time,
+            oci_time,
+            dma: hbm_time.max(oci_time),
+            prologue,
+            hbm_bytes,
+        })
+    }
+}
+
+/// One tiling with its DMA side priced, awaiting the engine's tile cost.
+struct Candidate {
+    shape: GemmShape,
+    tile_shape: GemmShape,
+    tiles: u64,
+    kn_tiles: u64,
+    /// The per-(k, n)-tile shape the engine prices (full m streamed).
+    kn_shape: GemmShape,
+    hbm_time: Seconds,
+    oci_time: Seconds,
+    dma: Seconds,
+    /// The double-buffering prologue; `None` for a serialized schedule.
+    prologue: Option<Seconds>,
+    hbm_bytes: cimtpu_units::Bytes,
+}
+
+impl Candidate {
+    /// The candidate's total with zero compute: `prologue + dma` when
+    /// double-buffered, `hbm + oci` when serialized. Rounding is
+    /// monotone, so [`price`](Self::price) never returns a smaller total.
+    fn floor(&self) -> Seconds {
+        match self.prologue {
+            Some(prologue) => prologue + self.dma,
+            None => self.hbm_time + self.oci_time,
+        }
+    }
+
+    /// Runs the engine on the candidate's tile and schedules compute
+    /// against the DMA.
+    fn price(self, dtype: DataType, engine: &dyn TileCostModel) -> Mapping {
+        let compute =
+            engine.tile_cycles(self.kn_shape, dtype).at(engine.clock()) * self.kn_tiles as f64;
+        // Schedule: with double buffering the three channels overlap
+        // (roofline) behind the prologue. Without it, everything
+        // serializes.
+        let total = match self.prologue {
+            Some(prologue) => prologue + compute.max(self.dma),
+            None => compute + self.hbm_time + self.oci_time,
+        };
+        Mapping::new(
+            self.shape,
+            self.tile_shape,
+            self.tiles,
             compute,
-            dma,
+            self.dma,
             total,
-            if weights_resident {
-                cimtpu_units::Bytes::ZERO
-            } else {
-                shape.weight_bytes(dtype)
-            },
-        ))
+            self.hbm_bytes,
+        )
     }
 }
 

@@ -4,9 +4,11 @@
 
 use proptest::prelude::*;
 
-use cimtpu_units::{Bytes, Cycles, DataType, Frequency, GemmShape};
+use cimtpu_units::{Bandwidth, Bytes, Cycles, DataType, Frequency, GemmShape};
 
-use crate::{candidate_tiles, Mapper, Mapping, MemoryLevels, TileCostModel};
+use crate::{
+    candidate_tiles, for_each_candidate, EdgeBuffers, Mapper, Mapping, MemoryLevels, TileCostModel,
+};
 
 /// Ideal engine: peak 16384 MACs/cycle, no overheads.
 struct Ideal;
@@ -47,31 +49,63 @@ impl TileCostModel for Coarse {
     }
 }
 
-/// Folds the full (unpruned) candidate stream to the first-minimal
-/// mapping — the search loop's tie-break without the dominated-candidate
-/// pruning, as the oracle for winner identity.
-fn unpruned_winner(
+/// An engine whose tiles cost nothing: every candidate's total equals its
+/// DMA floor, so the incumbent bound skips on exact ties.
+struct Zero;
+
+impl TileCostModel for Zero {
+    fn tile_cycles(&self, _s: GemmShape, _d: DataType) -> Cycles {
+        Cycles::ZERO
+    }
+    fn clock(&self) -> Frequency {
+        Frequency::from_ghz(1.0)
+    }
+    fn preferred_k(&self) -> u64 {
+        128
+    }
+    fn preferred_n(&self) -> u64 {
+        128
+    }
+}
+
+/// Prices every candidate of the search's stream — all of them, or the
+/// dominated-pruned stream when `prune_dominated` — with `evaluate` (no
+/// incumbent bound) and folds them to the first-minimal mapping: the
+/// search loop's tie-break, as the oracle for winner identity.
+fn unbounded_winner(
     mapper: &Mapper,
     shape: GemmShape,
     dtype: DataType,
     engine: &dyn TileCostModel,
+    weights_resident: bool,
+    prune_dominated: bool,
 ) -> Option<Mapping> {
     let mut best: Option<Mapping> = None;
-    let tiles = candidate_tiles(
+    for_each_candidate(
         shape,
         dtype,
         engine.preferred_k(),
         engine.preferred_n(),
         mapper.levels().vmem_tile_budget(),
+        prune_dominated,
+        &mut EdgeBuffers::default(),
+        |tile| {
+            let m =
+                mapper.evaluate(shape, dtype, engine, weights_resident, tile).expect("evaluable");
+            match &best {
+                Some(b) if b.total() <= m.total() => {}
+                _ => best = Some(m),
+            }
+        },
     );
-    for tile in tiles {
-        let m = mapper.evaluate(shape, dtype, engine, false, tile).expect("evaluable");
-        match &best {
-            Some(b) if b.total() <= m.total() => {}
-            _ => best = Some(m),
-        }
-    }
     best
+}
+
+/// A mapping's fields with every time as raw bits, so NaN totals compare
+/// equal when they are the same NaN.
+fn bits(m: &Mapping) -> (GemmShape, GemmShape, u64, [u64; 3], Bytes) {
+    let secs = [m.compute(), m.dma(), m.total()].map(|t| t.get().to_bits());
+    (m.shape(), m.tile(), m.tiles(), secs, m.hbm_bytes())
 }
 
 fn shape_strategy() -> impl Strategy<Value = GemmShape> {
@@ -155,9 +189,76 @@ proptest! {
                     let pruned = mapper
                         .best_gemm_mapping(shape, dtype, engine, false)
                         .expect("mappable");
-                    let full =
-                        unpruned_winner(&mapper, shape, dtype, engine).expect("mappable");
+                    let full = unbounded_winner(&mapper, shape, dtype, engine, false, false)
+                        .expect("mappable");
                     prop_assert_eq!(&pruned, &full, "{} {:?}", shape, dtype);
+                }
+            }
+        }
+    }
+
+    /// The incumbent bound never changes the selected mapping: with double
+    /// buffering on and off, weights streamed and resident, on engines
+    /// with and without compute (the zero-cycle engine's totals equal
+    /// their floors, exercising the `>=` tie), and on hierarchies whose
+    /// DMA times are infinite or NaN, the bounded search returns
+    /// bit-identically the winner of pricing every candidate it
+    /// enumerates. On the stock hierarchy that is also the winner of the
+    /// unpruned stream; infinite or NaN prologues tie, which voids the
+    /// strict domination pruning relies on, so there the oracle walks the
+    /// same pruned stream as the search.
+    #[test]
+    fn bounded_search_selects_identical_winner(shape in shape_strategy()) {
+        let stock = MemoryLevels::tpuv4i();
+        let bandwidths = |hbm: f64, oci: f64| {
+            let levels = stock.clone().with_hbm_bandwidth(Bandwidth::new(hbm));
+            levels.with_oci_bandwidth(Bandwidth::new(oci))
+        };
+        let mut hierarchies = vec![
+            // Finite times: compare against the unpruned stream.
+            (stock.clone(), false),
+            // Zero bandwidths: every DMA time is +inf.
+            (bandwidths(0.0, 0.0), true),
+            // Opposite-signed zero bandwidths: -inf HBM and +inf OCI times,
+            // so streamed-weight totals (and double-buffered floors) are
+            // NaN.
+            (bandwidths(-0.0, 0.0), true),
+        ];
+        // `Seconds::new` rejects NaN under debug assertions, so a literal
+        // NaN bandwidth runs only in release builds.
+        if !cfg!(debug_assertions) {
+            hierarchies.push((bandwidths(f64::NAN, f64::NAN), true));
+        }
+        for (levels, degenerate) in hierarchies {
+            for double_buffering in [true, false] {
+                let mapper = Mapper::new(levels.clone().with_double_buffering(double_buffering));
+                // The search prunes dominated candidates only when
+                // double-buffered.
+                let prune = degenerate && double_buffering;
+                for weights_resident in [false, true] {
+                    for engine in [&Ideal as &dyn TileCostModel, &Coarse, &Zero] {
+                        let bounded = mapper
+                            .best_gemm_mapping(shape, DataType::Int8, engine, weights_resident)
+                            .expect("mappable");
+                        let full = unbounded_winner(
+                            &mapper,
+                            shape,
+                            DataType::Int8,
+                            engine,
+                            weights_resident,
+                            prune,
+                        )
+                        .expect("mappable");
+                        prop_assert_eq!(
+                            bits(&bounded),
+                            bits(&full),
+                            "{} {:?} db={} resident={}",
+                            shape,
+                            mapper.levels(),
+                            double_buffering,
+                            weights_resident
+                        );
+                    }
                 }
             }
         }

@@ -267,6 +267,10 @@ impl SimFlags {
                              (chaos draws redraw; explicit events stand)"
                         );
                         println!(
+                            "                       (rejected when no selected plan has \
+                             chaos draws)"
+                        );
+                        println!(
                             "  --faults SPEC        replace each scenario's fault plan: \
                              comma-separated"
                         );

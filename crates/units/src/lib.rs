@@ -32,5 +32,7 @@ mod shape;
 
 pub use datatype::DataType;
 pub use error::{Error, Result};
-pub use quantity::{Area, Bandwidth, Bytes, Cycles, Energy, Frequency, Joules, Seconds, Watts};
+pub use quantity::{
+    parse_time, Area, Bandwidth, Bytes, Cycles, Energy, Frequency, Joules, Seconds, Watts,
+};
 pub use shape::GemmShape;
