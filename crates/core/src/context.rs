@@ -1,30 +1,19 @@
-//! Reusable execution context: price a segment once, replay it per request.
+//! Segment-level cost aggregates: what
+//! [`Simulator::price_ops`](crate::Simulator::price_ops) and
+//! [`Simulator::run_phased`](crate::Simulator::run_phased) return.
 //!
-//! [`Simulator::run`](crate::Simulator::run) walks a workload operator by
-//! operator. A request-level scheduler replays the *same* phase segment
-//! (one decode step of a given batch/context, one prefill of a given
-//! prompt) hundreds of times across requests, so re-walking the operator
-//! list each time is wasted work even with the
-//! [`MappingCache`](crate::MappingCache) answering the per-operator
-//! queries. An [`ExecutionContext`] sits between the two: it prices whole
-//! segments through the simulator exactly once, memoizes the aggregate
-//! [`SegmentCost`] keyed by the segment's operator list, and replays from
-//! that table. Replayed costs are bit-identical to a fresh
-//! [`Simulator::run`] because they are built from the same per-operator
-//! reports, summed in the same order.
+//! A [`SegmentCost`] sums the per-operator reports of a run of
+//! consecutive operators in execution order, so a segment's cost is
+//! bit-identical however often it is priced; the serving layer memoizes
+//! whole phases above it and the [`MappingCache`](crate::MappingCache)
+//! memoizes operators below it.
 
-use std::cell::RefCell;
 use std::ops::{Add, AddAssign};
-use std::rc::Rc;
 
-use cimtpu_models::{OpInstance, Phase, Segment, Workload};
-use cimtpu_units::{Bytes, Joules, Result, Seconds};
-use rustc_hash::FxHashMap;
+use cimtpu_models::Phase;
+use cimtpu_units::{Bytes, Joules, Seconds};
 
 use serde::{Deserialize, Serialize};
-
-use crate::report::Report;
-use crate::simulator::Simulator;
 
 /// Aggregate cost of one priced segment (or whole workload).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,7 +85,7 @@ pub struct SegmentReport {
 }
 
 /// Per-segment view of a simulated workload: the phase-structured
-/// counterpart of the flat per-operator [`Report`].
+/// counterpart of the flat per-operator [`Report`](crate::Report).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhasedReport {
     /// The simulated workload's name.
@@ -136,175 +125,18 @@ impl PhasedReport {
     }
 }
 
-/// A segment memo table: segment costs keyed by the exact operator list,
-/// so two structurally identical segments from different builders share
-/// one entry and a hash collision can never alias distinct segments.
-///
-/// Cloning shares the table, so every [`ExecutionContext`] built over
-/// clones of one memo prices each distinct segment once. The entries are
-/// one chip configuration's prices: share a memo only among contexts on
-/// simulators of that configuration.
-#[derive(Debug, Clone, Default)]
-pub struct SegmentMemo(Rc<RefCell<FxHashMap<Vec<OpInstance>, SegmentCost>>>);
-
-/// Segment-level pricing front-end over one [`Simulator`].
-///
-/// A request-level scheduler replays the same phase segment (one decode
-/// step at a given batch/context, one prefill of a given prompt) hundreds
-/// of times across requests; the context prices each distinct segment
-/// exactly once and replays the memoized aggregate, bit-identically. The
-/// context borrows the simulator; its memo is its own
-/// ([`new`](Self::new)) or shared with other contexts on the same
-/// configuration ([`with_memo`](Self::with_memo)). `Simulator::run`
-/// builds a throwaway one (the per-operator
-/// [`MappingCache`](crate::MappingCache) underneath persists either way).
-#[derive(Debug)]
-pub struct ExecutionContext<'a> {
-    sim: &'a Simulator,
-    memo: SegmentMemo,
-}
-
-impl<'a> ExecutionContext<'a> {
-    /// Creates a context pricing on `sim` with an empty memo of its own.
-    pub fn new(sim: &'a Simulator) -> Self {
-        Self::with_memo(sim, SegmentMemo::default())
-    }
-
-    /// Creates a context pricing on `sim` that records into (and replays
-    /// from) `memo`, shared with every other context holding a clone of
-    /// it. Every such context must price on a simulator of `sim`'s
-    /// configuration.
-    pub fn with_memo(sim: &'a Simulator, memo: SegmentMemo) -> Self {
-        ExecutionContext { sim, memo }
-    }
-
-    /// The underlying simulator.
-    pub fn simulator(&self) -> &'a Simulator {
-        self.sim
-    }
-
-    /// Runs a workload operator by operator (the flat execution loop that
-    /// used to live in `Simulator::run`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any operator cannot be mapped onto the hardware.
-    pub fn run(&self, workload: &Workload) -> Result<Report> {
-        let mut report = Report::new(workload.name(), self.sim.config().name());
-        for inst in workload.ops() {
-            report.push(self.sim.run_instance(inst)?);
-        }
-        Ok(report)
-    }
-
-    /// Prices a run of consecutive operators, memoized on the exact
-    /// operator list.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any operator cannot be mapped onto the hardware.
-    pub fn price_ops(&self, ops: &[OpInstance]) -> Result<SegmentCost> {
-        if let Some(cost) = self.memo.0.borrow().get(ops) {
-            return Ok(*cost);
-        }
-        let mut total = SegmentCost::ZERO;
-        for inst in ops {
-            let op = self.sim.run_instance(inst)?;
-            total += SegmentCost {
-                latency: op.latency,
-                mxu_energy: op.mxu_energy,
-                vpu_energy: op.vpu_energy,
-                hbm_bytes: op.hbm_bytes,
-            };
-        }
-        self.memo.0.borrow_mut().insert(ops.to_vec(), total);
-        Ok(total)
-    }
-
-    /// Prices one workload segment (memoized).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any operator cannot be mapped onto the hardware.
-    pub fn price_segment(&self, segment: &Segment<'_>) -> Result<SegmentCost> {
-        self.price_ops(segment.ops())
-    }
-
-    /// Prices a whole workload segment by segment.
-    ///
-    /// The summed totals equal [`run`](ExecutionContext::run)'s flat totals
-    /// exactly: both paths price every operator through the same
-    /// [`Simulator::run_instance`] and sum in execution order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any operator cannot be mapped onto the hardware.
-    pub fn run_phased(&self, workload: &Workload) -> Result<PhasedReport> {
-        let mut segments = Vec::with_capacity(workload.segment_count());
-        for seg in workload.segments() {
-            segments.push(SegmentReport {
-                name: seg.name().to_owned(),
-                phase: seg.phase(),
-                cost: self.price_segment(&seg)?,
-            });
-        }
-        Ok(PhasedReport { workload: workload.name().to_owned(), segments })
-    }
-
-    /// Number of memoized segments.
-    pub fn memoized_segments(&self) -> usize {
-        self.memo.0.borrow().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::TpuConfig;
+    use crate::simulator::Simulator;
     use cimtpu_models::presets;
-
-    #[test]
-    fn phased_totals_match_flat_run() {
-        let sim = Simulator::new(TpuConfig::tpuv4i()).unwrap();
-        let cx = ExecutionContext::new(&sim);
-        for workload in [
-            presets::gpt3_30b().prefill_layer(4, 256).unwrap(),
-            presets::gpt3_30b().decode_layer(4, 512).unwrap(),
-            presets::dit_xl_2().block(2, 256).unwrap(),
-        ] {
-            let flat = cx.run(&workload).unwrap();
-            let phased = cx.run_phased(&workload).unwrap();
-            // Same per-op costs, summed segment-by-segment: equal up to
-            // float-summation associativity, exact on integer traffic.
-            let rel = (phased.total_latency().get() - flat.total_latency().get()).abs()
-                / flat.total_latency().get();
-            assert!(rel < 1e-12, "{}: latency rel err {rel:e}", workload.name());
-            let rel = (phased.mxu_energy().get() - flat.mxu_energy().get()).abs()
-                / flat.mxu_energy().get();
-            assert!(rel < 1e-12, "{}: energy rel err {rel:e}", workload.name());
-            let seg_bytes: u64 = phased.segments.iter().map(|s| s.cost.hbm_bytes.get()).sum();
-            assert_eq!(seg_bytes, flat.hbm_bytes().get(), "{}", workload.name());
-        }
-    }
-
-    #[test]
-    fn replay_is_memoized_and_identical() {
-        let sim = Simulator::new(TpuConfig::cim_base()).unwrap();
-        let cx = ExecutionContext::new(&sim);
-        let layer = presets::gpt3_30b().decode_layer(8, 1280).unwrap();
-        let first = cx.run_phased(&layer).unwrap();
-        let segments_priced = cx.memoized_segments();
-        let replay = cx.run_phased(&layer).unwrap();
-        assert_eq!(first, replay);
-        assert_eq!(cx.memoized_segments(), segments_priced, "replay must not re-price");
-    }
 
     #[test]
     fn phase_costs_partition_the_total() {
         let sim = Simulator::new(TpuConfig::tpuv4i()).unwrap();
-        let cx = ExecutionContext::new(&sim);
         let block = presets::dit_xl_2().block(2, 256).unwrap();
-        let phased = cx.run_phased(&block).unwrap();
+        let phased = sim.run_phased(&block).unwrap();
         let by_phase: Seconds = phased
             .phases()
             .iter()

@@ -14,10 +14,10 @@
 //! - [`Simulator`] — executes a [`Workload`](cimtpu_models::Workload)
 //!   operator by operator through the mapping engine, overlapping compute
 //!   with HBM/OCI DMA, and produces a [`Report`] with per-category latency
-//!   and MXU energy (the Fig. 6 rows);
-//! - [`ExecutionContext`] — segment-level pricing on top of the simulator:
-//!   price a phase segment once, replay it per request (the substrate of
-//!   the `cimtpu-serving` request-level simulator);
+//!   and MXU energy (the Fig. 6 rows); [`Simulator::run_phased`] and
+//!   [`Simulator::price_ops`] price phase segments into [`SegmentCost`]s
+//!   (the substrate of the `cimtpu-serving` request-level simulator, which
+//!   memoizes whole phases on top);
 //! - [`inference`] — end-to-end LLM inference (prefill + integrated
 //!   decode) and DiT forward passes used by the Fig. 7 exploration.
 //!
@@ -59,7 +59,7 @@ mod vpu;
 
 pub use arch::{MxuKind, TpuConfig};
 pub use cache::{CacheStats, MappingCache, CACHE_DIR_ENV};
-pub use context::{ExecutionContext, PhasedReport, SegmentCost, SegmentMemo, SegmentReport};
+pub use context::{PhasedReport, SegmentCost, SegmentReport};
 pub use engine::MatrixEngine;
 pub use report::{CategoryRow, OpReport, Report};
 pub use simulator::Simulator;

@@ -6,6 +6,7 @@ use cimtpu_units::{Bytes, Joules, Result, Watts};
 
 use crate::arch::TpuConfig;
 use crate::cache::{CacheStats, MappingCache};
+use crate::context::{PhasedReport, SegmentCost, SegmentReport};
 use crate::engine::MatrixEngine;
 use crate::exec;
 use crate::report::{OpReport, Report};
@@ -99,13 +100,6 @@ impl Simulator {
         Watts::new(self.engine.static_power().get() * self.config.mxu_count() as f64)
     }
 
-    /// A segment-level pricing context on this simulator (price a phase
-    /// segment once, replay it per request). See
-    /// [`ExecutionContext`](crate::ExecutionContext).
-    pub fn execution_context(&self) -> crate::ExecutionContext<'_> {
-        crate::ExecutionContext::new(self)
-    }
-
     /// Simulates a workload.
     ///
     /// # Errors
@@ -116,19 +110,54 @@ impl Simulator {
             self.cache.matches(&self.config),
             "mapping cache fingerprint does not match this simulator's config"
         );
-        self.execution_context().run(workload)
+        let mut report = Report::new(workload.name(), self.config.name());
+        for inst in workload.ops() {
+            report.push(self.run_instance(inst)?);
+        }
+        Ok(report)
     }
 
     /// Simulates a workload segment by segment, reporting per-phase costs.
     ///
-    /// Totals are identical to [`run`](Simulator::run); see
-    /// [`ExecutionContext::run_phased`](crate::ExecutionContext::run_phased).
+    /// Each segment is priced by [`price_ops`](Simulator::price_ops), so
+    /// the summed totals equal [`run`](Simulator::run)'s flat totals up to
+    /// float-summation associativity (exactly, on integer traffic).
     ///
     /// # Errors
     ///
     /// Returns an error if any operator cannot be mapped onto the hardware.
-    pub fn run_phased(&self, workload: &Workload) -> Result<crate::PhasedReport> {
-        self.execution_context().run_phased(workload)
+    pub fn run_phased(&self, workload: &Workload) -> Result<PhasedReport> {
+        let mut segments = Vec::with_capacity(workload.segment_count());
+        for seg in workload.segments() {
+            segments.push(SegmentReport {
+                name: seg.name().to_owned(),
+                phase: seg.phase(),
+                cost: self.price_ops(seg.ops())?,
+            });
+        }
+        Ok(PhasedReport { workload: workload.name().to_owned(), segments })
+    }
+
+    /// Prices a run of consecutive operators: the per-operator reports of
+    /// [`run_instance`](Simulator::run_instance), summed in execution
+    /// order. Pricing a workload's flat operator list this way reproduces
+    /// [`run`](Simulator::run)'s total latency bit-exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any operator cannot be mapped onto the hardware.
+    pub fn price_ops(&self, ops: &[OpInstance]) -> Result<SegmentCost> {
+        let mut total = SegmentCost::ZERO;
+        for inst in ops {
+            let op = self.run_instance(inst)?;
+            total += SegmentCost {
+                latency: op.latency,
+                mxu_energy: op.mxu_energy,
+                vpu_energy: op.vpu_energy,
+                hbm_bytes: op.hbm_bytes,
+            };
+        }
+        Ok(total)
     }
 
     /// Simulates a single operator instance.

@@ -60,7 +60,7 @@ pub use mapspace::{candidate_tiles, for_each_candidate, EdgeBuffers};
 
 use std::cell::{Cell, RefCell};
 
-use cimtpu_units::{Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
+use cimtpu_units::{Bandwidth, Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
 
 /// Prices one buffer-level tile on a matrix engine.
 ///
@@ -263,10 +263,14 @@ impl Mapper {
         // of hitting a RefCell double-borrow panic.
         let mut scratch = self.scratch.take();
         // Dominated-candidate pruning is only winner-preserving when the
-        // double-buffering prologue makes the domination strict; without
-        // it a dominated tile can tie on total latency and win the
-        // first-minimal tie-break.
-        let prune = self.levels.double_buffering();
+        // double-buffering prologue makes the domination strict, which
+        // needs finite DMA times and a prologue strictly increasing in the
+        // tile: without them a dominated tile can tie on total latency
+        // and win the first-minimal tie-break.
+        let finite_positive = |bw: Bandwidth| bw.get().is_finite() && bw.get() > 0.0;
+        let prune = self.levels.double_buffering()
+            && finite_positive(self.levels.hbm_bandwidth())
+            && finite_positive(self.levels.oci_bandwidth());
         mapspace::for_each_candidate(
             shape,
             dtype,

@@ -68,8 +68,11 @@ pub fn candidate_tiles(
 /// only favor the smaller edges, so the smallest member of each class
 /// strictly dominates the rest. The strict prologue inequality is what
 /// makes the pruned stream's first-minimal winner identical to the full
-/// stream's — only enable it for double-buffered schedules (without the
-/// prologue, a dominated candidate can tie and win the index tie-break).
+/// stream's — only enable it for double-buffered schedules whose HBM and
+/// OCI bandwidths are finite and positive. Without the prologue, or with
+/// infinite, NaN or constant DMA times (zero, infinite or NaN
+/// bandwidths), a dominated candidate can tie and win the index
+/// tie-break.
 #[allow(clippy::too_many_arguments)] // mirrors candidate_tiles + the flag
 pub fn for_each_candidate(
     shape: GemmShape,

@@ -68,9 +68,8 @@ impl TileCostModel for Zero {
     }
 }
 
-/// Prices every candidate of the search's stream — all of them, or the
-/// dominated-pruned stream when `prune_dominated` — with `evaluate` (no
-/// incumbent bound) and folds them to the first-minimal mapping: the
+/// Prices every candidate of the full (unpruned) stream with `evaluate`
+/// (no incumbent bound) and folds them to the first-minimal mapping: the
 /// search loop's tie-break, as the oracle for winner identity.
 fn unbounded_winner(
     mapper: &Mapper,
@@ -78,7 +77,6 @@ fn unbounded_winner(
     dtype: DataType,
     engine: &dyn TileCostModel,
     weights_resident: bool,
-    prune_dominated: bool,
 ) -> Option<Mapping> {
     let mut best: Option<Mapping> = None;
     for_each_candidate(
@@ -87,7 +85,7 @@ fn unbounded_winner(
         engine.preferred_k(),
         engine.preferred_n(),
         mapper.levels().vmem_tile_budget(),
-        prune_dominated,
+        false,
         &mut EdgeBuffers::default(),
         |tile| {
             let m =
@@ -111,6 +109,30 @@ fn bits(m: &Mapping) -> (GemmShape, GemmShape, u64, [u64; 3], Bytes) {
 fn shape_strategy() -> impl Strategy<Value = GemmShape> {
     (1u64..4096, 64u64..8192, 64u64..8192)
         .prop_map(|(m, k, n)| GemmShape::new(m, k, n).expect("non-zero dims"))
+}
+
+/// Zero HBM and OCI bandwidths make every DMA time +inf, so every
+/// candidate of this GEMM totals +inf and the first-minimal winner is the
+/// full stream's first candidate. Dominated-candidate pruning drops that
+/// candidate (its domination is no longer strict), so the search must not
+/// prune on such a hierarchy.
+#[test]
+fn zero_bandwidth_search_matches_full_stream() {
+    let levels = MemoryLevels::tpuv4i()
+        .with_hbm_bandwidth(Bandwidth::new(0.0))
+        .with_oci_bandwidth(Bandwidth::new(0.0));
+    let mapper = Mapper::new(levels);
+    let shape = GemmShape::new(3569, 1834, 4604).expect("non-zero dims");
+    for weights_resident in [false, true] {
+        for engine in [&Ideal as &dyn TileCostModel, &Coarse, &Zero] {
+            let searched = mapper
+                .best_gemm_mapping(shape, DataType::Int8, engine, weights_resident)
+                .expect("mappable");
+            let full = unbounded_winner(&mapper, shape, DataType::Int8, engine, weights_resident)
+                .expect("mappable");
+            assert_eq!(bits(&searched), bits(&full), "resident={weights_resident}");
+        }
+    }
 }
 
 proptest! {
@@ -189,7 +211,7 @@ proptest! {
                     let pruned = mapper
                         .best_gemm_mapping(shape, dtype, engine, false)
                         .expect("mappable");
-                    let full = unbounded_winner(&mapper, shape, dtype, engine, false, false)
+                    let full = unbounded_winner(&mapper, shape, dtype, engine, false)
                         .expect("mappable");
                     prop_assert_eq!(&pruned, &full, "{} {:?}", shape, dtype);
                 }
@@ -202,11 +224,11 @@ proptest! {
     /// with and without compute (the zero-cycle engine's totals equal
     /// their floors, exercising the `>=` tie), and on hierarchies whose
     /// DMA times are infinite or NaN, the bounded search returns
-    /// bit-identically the winner of pricing every candidate it
-    /// enumerates. On the stock hierarchy that is also the winner of the
-    /// unpruned stream; infinite or NaN prologues tie, which voids the
-    /// strict domination pruning relies on, so there the oracle walks the
-    /// same pruned stream as the search.
+    /// bit-identically the winner of pricing every candidate of the
+    /// unpruned stream. On the stock hierarchy that also checks
+    /// dominated-candidate pruning; on the degenerate ones, where
+    /// infinite or NaN prologues tie and void the strict domination
+    /// pruning relies on, it checks that the search does not prune.
     #[test]
     fn bounded_search_selects_identical_winner(shape in shape_strategy()) {
         let stock = MemoryLevels::tpuv4i();
@@ -215,26 +237,23 @@ proptest! {
             levels.with_oci_bandwidth(Bandwidth::new(oci))
         };
         let mut hierarchies = vec![
-            // Finite times: compare against the unpruned stream.
-            (stock.clone(), false),
+            // Finite times.
+            stock.clone(),
             // Zero bandwidths: every DMA time is +inf.
-            (bandwidths(0.0, 0.0), true),
+            bandwidths(0.0, 0.0),
             // Opposite-signed zero bandwidths: -inf HBM and +inf OCI times,
             // so streamed-weight totals (and double-buffered floors) are
             // NaN.
-            (bandwidths(-0.0, 0.0), true),
+            bandwidths(-0.0, 0.0),
         ];
         // `Seconds::new` rejects NaN under debug assertions, so a literal
         // NaN bandwidth runs only in release builds.
         if !cfg!(debug_assertions) {
-            hierarchies.push((bandwidths(f64::NAN, f64::NAN), true));
+            hierarchies.push(bandwidths(f64::NAN, f64::NAN));
         }
-        for (levels, degenerate) in hierarchies {
+        for levels in hierarchies {
             for double_buffering in [true, false] {
                 let mapper = Mapper::new(levels.clone().with_double_buffering(double_buffering));
-                // The search prunes dominated candidates only when
-                // double-buffered.
-                let prune = degenerate && double_buffering;
                 for weights_resident in [false, true] {
                     for engine in [&Ideal as &dyn TileCostModel, &Coarse, &Zero] {
                         let bounded = mapper
@@ -246,7 +265,6 @@ proptest! {
                             DataType::Int8,
                             engine,
                             weights_resident,
-                            prune,
                         )
                         .expect("mappable");
                         prop_assert_eq!(

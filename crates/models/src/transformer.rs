@@ -181,105 +181,15 @@ impl TransformerConfig {
     }
 
     /// Builds the operator list for **one layer** of the prefill
-    /// (summarization) stage: `batch` sequences of `seq` tokens.
+    /// (summarization) stage: `batch` sequences of `seq` tokens. This is
+    /// [`prefill_chunk_layer`](Self::prefill_chunk_layer) with no cached
+    /// context.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidShape`] if `batch` or `seq` is zero.
     pub fn prefill_layer(&self, batch: u64, seq: u64) -> Result<Workload> {
-        if batch == 0 || seq == 0 {
-            return Err(Error::invalid_shape("prefill batch/seq must be non-zero"));
-        }
-        let tokens = batch * seq;
-        let d = self.d_model;
-        let dtype = self.dtype;
-        let mut w = Workload::new(format!("{} prefill layer (B={batch}, L={seq})", self.name));
-
-        w.begin_segment("attention", Phase::Prefill);
-        w.push(OpInstance::new(
-            "LayerNorm (pre-attn)",
-            OpCategory::LayerNorm,
-            Op::LayerNorm { rows: tokens, d },
-        ));
-        w.push(OpInstance::new(
-            "QKV Gen",
-            OpCategory::QkvGen,
-            Op::Gemm { shape: GemmShape::new(tokens, d, self.qkv_width())?, dtype },
-        ));
-        // Per-(batch, kv-head) score matmul; a GQA group's query heads share
-        // one K operand, so their rows batch into a single matmul.
-        w.push(OpInstance::new(
-            "Q x K^T",
-            OpCategory::Attention,
-            Op::BatchedMatmul {
-                batch: batch * self.kv_heads,
-                shape: GemmShape::new(self.group_size() * seq, self.d_head(), seq)?,
-                dtype,
-                static_weights: false,
-            },
-        ));
-        w.push(OpInstance::new(
-            "Softmax",
-            OpCategory::Attention,
-            Op::Softmax { rows: batch * self.heads * seq, cols: seq },
-        ));
-        w.push(OpInstance::new(
-            "S x V",
-            OpCategory::Attention,
-            Op::BatchedMatmul {
-                batch: batch * self.kv_heads,
-                shape: GemmShape::new(self.group_size() * seq, seq, self.d_head())?,
-                dtype,
-                static_weights: false,
-            },
-        ));
-        w.push(OpInstance::new(
-            "Proj",
-            OpCategory::Projection,
-            Op::Gemm { shape: GemmShape::new(tokens, d, d)?, dtype },
-        ));
-        w.push(OpInstance::new(
-            "Residual (attn)",
-            OpCategory::Other,
-            Op::Elementwise { elems: tokens * d, ops_per_elem: 1 },
-        ));
-        w.begin_segment("ffn", Phase::Prefill);
-        w.push(OpInstance::new(
-            "LayerNorm (pre-FFN)",
-            OpCategory::LayerNorm,
-            Op::LayerNorm { rows: tokens, d },
-        ));
-        w.push(OpInstance::new(
-            "FFN1",
-            OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(tokens, d, self.d_ff)?, dtype },
-        ));
-        w.push(OpInstance::new(
-            "GeLU",
-            OpCategory::Gelu,
-            Op::Gelu { elems: tokens * self.d_ff },
-        ));
-        w.push(OpInstance::new(
-            "FFN2",
-            OpCategory::Ffn2,
-            Op::Gemm { shape: GemmShape::new(tokens, self.d_ff, d)?, dtype },
-        ));
-        w.push(OpInstance::new(
-            "Residual (FFN)",
-            OpCategory::Other,
-            Op::Elementwise { elems: tokens * d, ops_per_elem: 1 },
-        ));
-        // KV-cache store for this layer.
-        w.begin_segment("kv-cache", Phase::Prefill);
-        w.push(OpInstance::new(
-            "Store KV-cache",
-            OpCategory::Other,
-            Op::Elementwise {
-                elems: 2 * tokens * self.kv_heads * self.d_head(),
-                ops_per_elem: 1,
-            },
-        ));
-        Ok(w)
+        self.prefill_chunk_layer(batch, seq, 0)
     }
 
     /// Builds the operator list for **one layer** of one chunked-prefill
@@ -298,20 +208,22 @@ impl TransformerConfig {
     ///
     /// Returns [`Error::InvalidShape`] if `batch` or `chunk` is zero.
     pub fn prefill_chunk_layer(&self, batch: u64, chunk: u64, past: u64) -> Result<Workload> {
-        if past == 0 {
-            return self.prefill_layer(batch, chunk);
-        }
         if batch == 0 || chunk == 0 {
-            return Err(Error::invalid_shape("prefill batch/chunk must be non-zero"));
+            return Err(Error::invalid_shape(if past == 0 {
+                "prefill batch/seq must be non-zero"
+            } else {
+                "prefill batch/chunk must be non-zero"
+            }));
         }
         let tokens = batch * chunk;
         let total = past + chunk;
         let d = self.d_model;
         let dtype = self.dtype;
-        let mut w = Workload::new(format!(
-            "{} prefill chunk layer (B={batch}, C={chunk}, past={past})",
-            self.name
-        ));
+        let mut w = Workload::new(if past == 0 {
+            format!("{} prefill layer (B={batch}, L={chunk})", self.name)
+        } else {
+            format!("{} prefill chunk layer (B={batch}, C={chunk}, past={past})", self.name)
+        });
 
         w.begin_segment("attention", Phase::Prefill);
         w.push(OpInstance::new(
@@ -324,7 +236,9 @@ impl TransformerConfig {
             OpCategory::QkvGen,
             Op::Gemm { shape: GemmShape::new(tokens, d, self.qkv_width())?, dtype },
         ));
-        // Chunk queries attend over the cached context plus the chunk.
+        // Chunk queries attend over the cached context plus the chunk, one
+        // score matmul per (batch, kv-head): a GQA group's query heads share
+        // one K operand, so their rows batch into a single matmul.
         w.push(OpInstance::new(
             "Q x K^T",
             OpCategory::Attention,

@@ -31,11 +31,12 @@
 //! contents — not on when the driver pushes — so incremental and batch
 //! feeding produce bit-identical results.
 //!
-//! Pricing reuses the whole existing stack: each distinct `(phase, batch,
-//! length)` query is priced once through an
-//! [`ExecutionContext`](cimtpu_core::ExecutionContext) (which memoizes
-//! segments, on top of the simulator's `MappingCache` memoizing per-operator
-//! map-space searches) and replayed for every batch that repeats it. Set
+//! Pricing reuses the whole existing stack through two memos: each
+//! distinct `(phase, batch, length)` query is priced once by a
+//! [`PhasePricer`] (summing the phase's operators through
+//! [`Simulator::price_ops`](cimtpu_core::Simulator::price_ops), on top of
+//! the simulator's `MappingCache` memoizing per-operator map-space
+//! searches) and replayed for every batch that repeats it. Set
 //! `CIMTPU_CACHE_DIR` to persist those mapping caches across processes.
 //!
 //! # Batching-policy semantics

@@ -1,10 +1,10 @@
 //! Phase pricing for the serving loop: segment costs per (phase, batch,
-//! length), memoized on top of [`ExecutionContext`].
+//! length), memoized on top of the simulator's `MappingCache`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cimtpu_core::{ExecutionContext, SegmentCost, SegmentMemo, Simulator};
+use cimtpu_core::{SegmentCost, Simulator};
 use cimtpu_models::{DitConfig, TransformerConfig, Workload};
 use cimtpu_multi::{tensor_parallel, MultiTpu};
 use cimtpu_units::{Bytes, Result};
@@ -51,10 +51,11 @@ const CHUNK: u8 = 2;
 pub(crate) type PhaseMemo = Rc<RefCell<FxHashMap<Key, SegmentCost>>>;
 
 /// Prices serving phases on one chip (or one tensor-parallel ring),
-/// memoizing each distinct `(phase, batch, length)` query. The heavy
-/// lifting is shared three levels down: the pricer memoizes whole phases,
-/// the [`ExecutionContext`] memoizes segments, and the simulator's
-/// `MappingCache` memoizes per-operator map-space searches.
+/// memoizing each distinct `(phase, batch, length)` query. Pricing is
+/// memoized at two levels: the pricer memoizes whole phases, and the
+/// simulator's `MappingCache` memoizes per-operator map-space searches.
+/// A phase memo miss sums the phase's operators once through
+/// [`Simulator::price_ops`].
 ///
 /// This is the pricing back-end of the serving engine, exposed so
 /// fleet-level drivers (the `cimtpu-cluster` crate's disaggregated
@@ -62,13 +63,13 @@ pub(crate) type PhaseMemo = Rc<RefCell<FxHashMap<Key, SegmentCost>>>;
 /// through the full batching engine. Obtain one from
 /// [`EngineSession::pricer`](crate::EngineSession::pricer) — every pricer
 /// of sessions sharing a [`PricingPool`](crate::PricingPool) entry shares
-/// all three memo levels — or build a standalone one, with memos of its
+/// both memo levels — or build a standalone one, with a phase memo of its
 /// own, via [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`].
 #[derive(Debug)]
 pub struct PhasePricer<'a> {
     model: &'a ServingModel,
-    cx: ExecutionContext<'a>,
-    /// Tensor-parallel ring; `None` prices whole layers on `cx`'s chip.
+    sim: &'a Simulator,
+    /// Tensor-parallel ring; `None` prices whole layers on `sim`'s chip.
     ring: Option<&'a MultiTpu>,
     memo: PhaseMemo,
 }
@@ -76,32 +77,24 @@ pub struct PhasePricer<'a> {
 impl<'a> PhasePricer<'a> {
     /// A pricer for `model` hosted on the single chip `sim` simulates.
     pub fn single(model: &'a ServingModel, sim: &'a Simulator) -> Self {
-        Self::sharing(model, sim, None, SegmentMemo::default(), PhaseMemo::default())
+        Self::sharing(model, sim, None, PhaseMemo::default())
     }
 
     /// A pricer for `model` sharded across the tensor-parallel `ring`.
     pub fn tensor_parallel(model: &'a ServingModel, ring: &'a MultiTpu) -> Self {
-        Self::sharing(
-            model,
-            ring.simulator(),
-            Some(ring),
-            SegmentMemo::default(),
-            PhaseMemo::default(),
-        )
+        Self::sharing(model, ring.simulator(), Some(ring), PhaseMemo::default())
     }
 
     /// A pricer over `sim` (the ring's simulator when `ring` is set)
-    /// recording into the shared `segments` and `phases` memos. Every
-    /// pricer sharing them must price the same model on the same
-    /// configuration.
+    /// recording into the shared phase `memo`. Every pricer sharing it
+    /// must price the same model on the same configuration.
     pub(crate) fn sharing(
         model: &'a ServingModel,
         sim: &'a Simulator,
         ring: Option<&'a MultiTpu>,
-        segments: SegmentMemo,
-        phases: PhaseMemo,
+        memo: PhaseMemo,
     ) -> Self {
-        PhasePricer { model, cx: ExecutionContext::with_memo(sim, segments), ring, memo: phases }
+        PhasePricer { model, sim, ring, memo }
     }
 
     fn memoized(
@@ -117,11 +110,11 @@ impl<'a> PhasePricer<'a> {
         Ok(cost)
     }
 
-    /// Whole-workload cost through the execution context. Pricing the flat
-    /// op list keeps the summation order identical to `Simulator::run`,
-    /// so a batch-1 serving run reproduces its latency bit-exactly.
+    /// Whole-workload cost. Pricing the flat op list keeps the summation
+    /// order identical to `Simulator::run`, so a batch-1 serving run
+    /// reproduces its latency bit-exactly.
     fn price(&self, w: &Workload) -> Result<SegmentCost> {
-        self.cx.price_ops(w.ops())
+        self.sim.price_ops(w.ops())
     }
 
     /// Cost of one sharded layer on every ring device: shard compute (the

@@ -3,15 +3,15 @@
 //! incremental [`EngineCore`]s and [`PhasePricer`]s can borrow it.
 //!
 //! The pricing state — simulator or ring with its `MappingCache`, plus
-//! the segment and phase memos above it — depends only on the chip, the
-//! model and the chip organization. A [`PricingPool`] builds it once per
+//! the phase memo above it — depends only on the chip, the model and the
+//! chip organization. A [`PricingPool`] builds it once per
 //! distinct such configuration and hands every session of that
 //! configuration the same state, so a fleet of identical replicas (and
 //! every core a driver rebuilds for them) prices each query once.
 
 use std::rc::Rc;
 
-use cimtpu_core::{SegmentMemo, Simulator};
+use cimtpu_core::Simulator;
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_multi::MultiTpu;
 use cimtpu_units::{Error, Result};
@@ -29,14 +29,13 @@ enum Backend {
 }
 
 /// The pricing state of one (chip, model, chip organization): the
-/// simulator or ring with its `MappingCache`, and the segment and phase
-/// memos every pricer over it shares.
+/// simulator or ring with its `MappingCache`, and the phase memo every
+/// pricer over it shares.
 #[derive(Debug)]
 struct Pricing {
     model: ServingModel,
     parallelism: Parallelism,
     backend: Backend,
-    segments: SegmentMemo,
     phases: PhaseMemo,
 }
 
@@ -54,7 +53,6 @@ impl Pricing {
             model: engine.model().clone(),
             parallelism: engine.parallelism(),
             backend,
-            segments: SegmentMemo::default(),
             phases: PhaseMemo::default(),
         })
     }
@@ -78,21 +76,15 @@ impl Pricing {
             Backend::Single(_) => None,
             Backend::Ring(ring) => Some(ring),
         };
-        PhasePricer::sharing(
-            &self.model,
-            self.simulator(),
-            ring,
-            self.segments.clone(),
-            Rc::clone(&self.phases),
-        )
+        PhasePricer::sharing(&self.model, self.simulator(), ring, Rc::clone(&self.phases))
     }
 }
 
 /// The pricing states of one simulation run, one per distinct (chip,
 /// model, chip organization). Sessions built through the same pool share
-/// the state of their configuration: its `MappingCache`, segment memo and
-/// phase memo. A pool lives as long as the run that owns it — nothing is
-/// cached across runs — so every run starts cold.
+/// the state of their configuration: its `MappingCache` and phase memo.
+/// A pool lives as long as the run that owns it — nothing is cached
+/// across runs — so every run starts cold.
 #[derive(Debug, Default)]
 pub struct PricingPool {
     states: Vec<Rc<Pricing>>,
@@ -216,8 +208,8 @@ impl EngineSession {
     }
 
     /// A phase pricer against this session's pricing state: its phase
-    /// and segment memos and the `MappingCache` underneath are shared
-    /// with every other pricer and core over that state.
+    /// memo and the `MappingCache` underneath are shared with every other
+    /// pricer and core over that state.
     pub fn pricer(&self) -> PhasePricer<'_> {
         self.pricing.pricer()
     }

@@ -82,10 +82,12 @@
 //! # Ok::<(), cimtpu::units::Error>(())
 //! ```
 //!
-//! Under the hood each distinct `(phase, batch, length)` segment is priced
-//! once through [`ExecutionContext`](core::ExecutionContext) and replayed
-//! per request; set `CIMTPU_CACHE_DIR` to persist the mapping caches
-//! underneath across processes.
+//! Under the hood pricing is memoized at two levels: each distinct
+//! `(phase, batch, length)` query is priced once by a
+//! [`PhasePricer`](serving::PhasePricer) and replayed per request, and
+//! each distinct matrix operator runs the map-space search once in its
+//! simulator's [`MappingCache`](core::MappingCache); set
+//! `CIMTPU_CACHE_DIR` to persist the mapping caches across processes.
 //!
 //! # Cluster-scale serving
 //!
@@ -183,8 +185,7 @@ pub use cimtpu_units as units;
 /// The most common imports for simulator users.
 pub mod prelude {
     pub use cimtpu_core::{
-        inference, ExecutionContext, MatrixEngine, MxuKind, PhasedReport, Report, SegmentCost,
-        Simulator, TpuConfig,
+        inference, MatrixEngine, MxuKind, PhasedReport, Report, SegmentCost, Simulator, TpuConfig,
     };
     pub use cimtpu_models::{
         presets, DitConfig, LlmInferenceSpec, LlmModelConfig, MoeConfig, Op, OpCategory,

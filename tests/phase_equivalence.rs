@@ -4,8 +4,9 @@
 //! flat operator list is untouched, so (a) segment totals must partition
 //! the flat totals *exactly* (integer MACs / bytes / op counts), for every
 //! model preset, and (b) pricing a workload segment-by-segment through
-//! [`ExecutionContext::run_phased`] must agree with the flat
-//! [`Simulator::run`] on both MXU kinds.
+//! [`Simulator::run_phased`] (each segment summed by
+//! [`Simulator::price_ops`]) must agree with the flat [`Simulator::run`]
+//! on both MXU kinds.
 
 use cimtpu::models::{MoeConfig, Workload};
 use cimtpu::prelude::*;
@@ -89,6 +90,7 @@ proptest! {
         let config = [TpuConfig::tpuv4i(), TpuConfig::cim_base()][config_idx].clone();
         let sim = Simulator::new(config).expect("valid config");
         for workload in [
+            presets::gpt3_30b().prefill_layer(4, 256).expect("valid"),
             presets::gpt3_30b().decode_layer(batch, ctx).expect("valid"),
             presets::dit_xl_2().block(batch, 256).expect("valid"),
         ] {
