@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Area, Cycles, DataType, Frequency, GemmShape, Joules, Seconds, Watts};
+use cimtpu_units::{Area, Cycles, DataType, Frequency, GemmShape, Joules, Watts};
 
 use crate::geometry::CimMxuConfig;
 use crate::timing::CimGemmTiming;
@@ -89,13 +89,6 @@ impl CimEnergyModel {
         Area::new(self.area_per_core.as_mm2() * config.core_count() as f64)
     }
 
-    /// Overrides the leakage per core (for ablations).
-    #[must_use]
-    pub fn with_static_per_core(mut self, p: Watts) -> Self {
-        self.static_per_core = p;
-        self
-    }
-
     /// Full energy accounting of one GEMM given its timing.
     pub(crate) fn gemm_energy(
         &self,
@@ -171,12 +164,6 @@ impl CimGemmEnergy {
     /// Busy window used for static-energy accounting, in cycles.
     pub fn busy_cycles(&self) -> Cycles {
         self.busy_cycles
-    }
-
-    /// Busy window at the calibration clock.
-    pub fn busy_time(&self) -> Seconds {
-        self.busy_cycles
-            .at(Frequency::from_ghz(CimEnergyModel::REFERENCE_CLOCK_GHZ))
     }
 }
 

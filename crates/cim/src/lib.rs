@@ -88,16 +88,6 @@ impl CimMxu {
         })
     }
 
-    /// Creates an MXU model with a custom energy model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `config` is internally inconsistent.
-    pub fn with_energy_model(config: CimMxuConfig, energy: CimEnergyModel) -> Result<Self> {
-        config.validate()?;
-        Ok(CimMxu { config, energy })
-    }
-
     /// The MXU configuration.
     pub fn config(&self) -> &CimMxuConfig {
         &self.config

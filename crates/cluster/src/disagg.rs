@@ -60,8 +60,8 @@ use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_obs::EventKind;
 use cimtpu_multi::RingTopology;
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineSession, Parallelism, PhasePricer, Request,
-    ServingModel, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineSession, EventKey, Parallelism, PhasePricer,
+    Request, ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 
@@ -69,8 +69,10 @@ use crate::engine::{earliest, EventQueue, Tenancy};
 use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::observe::FleetObserver;
 use crate::replica::{fleet_sessions, ReplicaSpec};
-use crate::report::{ClusterReport, FleetTotals, KvTransferStats, ReplicaUtilization};
-use crate::router::{FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
+use crate::report::{
+    ClusterReport, FleetTotals, KvTransferStats, ReplicaAccum, ReplicaUtilization,
+};
+use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
 use crate::ClusterRun;
 
 /// The link KV caches migrate over between prefill and decode replicas:
@@ -280,7 +282,7 @@ impl<'a> PrefillUnit<'a> {
             index,
             outstanding: self.queue.len() as u64,
             queued: self.queue.len() as u64,
-            kv_frac: kv_frac(&self.alloc),
+            kv_frac: self.alloc.used_frac(),
             assigned,
             class_outstanding,
         }
@@ -461,17 +463,10 @@ impl<'a> DecodeUnit<'a> {
             index,
             outstanding: (self.pending.len() + self.active.len()) as u64,
             queued: self.pending.len() as u64,
-            kv_frac: kv_frac(&self.alloc),
+            kv_frac: self.alloc.used_frac(),
             assigned,
             class_outstanding,
         }
-    }
-}
-
-fn kv_frac(alloc: &PagedKvAllocator) -> f64 {
-    match alloc.capacity_blocks() {
-        Some(c) if c > 0 => alloc.used_blocks() as f64 / c as f64,
-        _ => 0.0,
     }
 }
 
@@ -610,22 +605,19 @@ pub(crate) fn pool_books(
     let d = d.map(|(s, u)| (s, "decode", u.completed, u.busy, u.energy, u.queue_full, &u.alloc));
     // No preemptions: worst-case decode reservation never preempts.
     let mut totals = FleetTotals { transfers, ..FleetTotals::default() };
-    let mut rows = Vec::with_capacity(prefill.len() + decode.len());
-    for (spec, role, requests, busy, energy, queue_full, alloc) in p.chain(d) {
-        totals.chip_energy += energy;
-        totals.queue_full_s += queue_full.get();
-        rows.push(ReplicaUtilization {
-            name: spec.name.clone(),
-            model: spec.model.name().to_owned(),
-            role: role.to_owned(),
-            chips: spec.chips(),
-            requests,
-            busy_s: busy.get(),
-            utilization: 0.0, // filled against the fleet makespan
-            energy_j: energy.get(),
-            kv_hwm_frac: alloc.high_water_frac(),
-        });
-    }
+    let rows = p
+        .chain(d)
+        .map(|(spec, role, requests, busy, energy, queue_full, alloc)| {
+            let books = ReplicaAccum {
+                busy_s: busy.get(),
+                energy_j: energy.get(),
+                queue_full_s: queue_full.get(),
+                kv_hwm: alloc.high_water_frac(),
+                ..ReplicaAccum::default()
+            };
+            totals.row(spec, &books, requests, role)
+        })
+        .collect();
     (rows, totals)
 }
 
@@ -673,7 +665,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     // a multi-tenant run keeps tenant identity at the traffic and report
     // level: classed router snapshots, tagged trace events, and the
     // per-tenant ledger — no WFQ inside the pools.
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
+    let classed = tenancy.as_ref().is_some_and(|t| t.sched.multi_tenant());
     let (crashes, mut link) = pipeline(prefill, decode, interconnect, plan)?;
     let mut next_crash = 0usize;
 
@@ -691,8 +683,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     let mut completions: Vec<Completion> = Vec::new();
     let mut dhealth = HealthView::all_up(decode.len());
     // Retries fire in (fire, id) order, ties in push order.
-    let mut waiting =
-        EventQueue::new(|w: &DisaggRetry| (FinishKey(w.fire.get()), w.request.id));
+    let mut waiting = EventQueue::new(|w: &DisaggRetry| (EventKey::new(w.fire), w.request.id));
     let mut parked: Vec<DisaggRetry> = Vec::new();
     let mut ledger = RetryLedger::new(*plan.recovery(), &obs);
 
@@ -838,7 +829,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 let k = to_prefill(&mut punits, request);
                 obs.arrival(Some(k), &request, &tenancy);
                 let u = &punits[k];
-                obs.sample(k, request.arrival(), u.queue.len() as f64, kv_frac(&u.alloc));
+                obs.sample(k, request.arrival(), u.queue.len() as f64, u.alloc.used_frac());
                 unit_heap.set(k, u.candidate());
             }
             // Retry fire: re-handoff, recompute, or park.
@@ -895,7 +886,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                     }
                 }
                 let u = &punits[idx];
-                obs.sample(idx, batch.end, u.queue.len() as f64, kv_frac(&u.alloc));
+                obs.sample(idx, batch.end, u.queue.len() as f64, u.alloc.used_frac());
                 unit_heap.set(idx, punits[idx].candidate());
             }
             // Decode round (atomic: a crash never lands mid-round).
@@ -913,7 +904,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 }
                 let u = &dunits[idx];
                 let queued = (u.pending.len() + u.active.len()) as f64;
-                obs.sample(pn + idx, u.t, queued, kv_frac(&u.alloc));
+                obs.sample(pn + idx, u.t, queued, u.alloc.used_frac());
                 completions.extend(finished);
             }
         }

@@ -328,8 +328,8 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         rows: &[ReplicaUtilization],
         compute_energy_j: f64,
     ) -> ScalingStats {
-        let finish = delivered.iter().map(|c| c.finish.get()).fold(0.0, f64::max);
-        let first_arrival = delivered.iter().map(|c| c.arrival.get()).fold(finish, f64::min);
+        let (first_arrival, finish, _) = Completion::span(delivered);
+        let (first_arrival, finish) = (first_arrival.get(), finish.get());
         let clip = |t: f64| t.clamp(first_arrival, finish);
         let stats = &mut self.stats;
         for (slot, held) in self.slots.iter().zip(&self.held) {

@@ -5,8 +5,8 @@ use std::collections::BinaryHeap;
 
 use cimtpu_obs::{EventKind, SharedRecorder};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, Offered, Request, ServingReport,
-    TenantLedger, TenantSched, TenantSet, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request,
+    ServingReport, TenantLedger, TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_units::{Error, Result, Seconds};
@@ -18,7 +18,7 @@ use crate::observe::{FleetObserver, FleetTrace};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{
-    splitmix64, FinishKey, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy,
+    splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy,
     SnapshotTracker,
 };
 
@@ -57,15 +57,6 @@ pub enum ClusterTopology {
 pub(crate) struct Tenancy<'a> {
     pub(crate) sched: &'a TenantSched,
     pub(crate) ledger: &'a mut TenantLedger,
-}
-
-impl Tenancy<'_> {
-    /// Whether the run has more than one tenant — the gate for class-split
-    /// snapshot maintenance and tenant-tagged trace events (single-tenant
-    /// runs stay bit-identical to runs without tenancy).
-    pub(crate) fn multi(&self) -> bool {
-        self.sched.classes.len() > 1
-    }
 }
 
 /// A complete fleet-simulation configuration.
@@ -569,7 +560,7 @@ fn run_colocated<O: FleetObserver>(
         Ok::<_, Error>(core)
     };
     let mut cores: Vec<EngineCore<'_>> = (0..n).map(fresh).collect::<Result<_>>()?;
-    let classed = tenancy.as_ref().is_some_and(Tenancy::multi);
+    let classed = tenancy.as_ref().is_some_and(|t| t.sched.multi_tenant());
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
     let mut routers: Vec<Box<dyn Router>> = groups.iter().map(|_| policy.build()).collect();
@@ -588,10 +579,10 @@ fn run_colocated<O: FleetObserver>(
     // The run ledger lives in the driver, not the cores: cores are
     // replaced on restart, and a completion only counts once delivered.
     let mut delivered: Vec<Completion> = Vec::with_capacity(offered as usize);
-    let mut deliveries = EventQueue::new(|(_, c): &(usize, Completion)| FinishKey(c.finish.get()));
+    let mut deliveries = EventQueue::new(|(_, c): &(usize, Completion)| EventKey::new(c.finish));
     let mut delivered_by = vec![0u64; n];
     let mut waiting = EventQueue::new(|w: &WaitingRetry| {
-        (FinishKey(w.fire.get()), FinishKey(w.request.arrival_s), w.request.id)
+        (EventKey::new(w.fire), EventKey::new(w.request.arrival()), w.request.id)
     });
     // Requests parked per group while it has no routable slot.
     let mut parked: Vec<Vec<WaitingRetry>> = vec![Vec::new(); groups.len()];
@@ -929,7 +920,7 @@ fn run_colocated<O: FleetObserver>(
     let mut totals = FleetTotals::default();
     let rows: Vec<_> = (0..n)
         .filter(|&k| scaler.as_ref().is_none_or(|s| s.ever_held(k)))
-        .map(|k| totals.row(&slots[k], &accum[k], delivered_by[k]))
+        .map(|k| totals.row(&slots[k], &accum[k], delivered_by[k], "serve"))
         .collect();
     let avail = ledger.finish(&delivered, offered, rows.len());
     let scaling = scaler.map(|s| s.finish(&delivered, &rows, totals.chip_energy.get()));

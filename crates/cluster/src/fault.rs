@@ -624,9 +624,7 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
             offered,
             "request conservation: arrived == completed + shed + timed out"
         );
-        let finish = completions.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = completions.iter().map(|c| c.arrival).fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+        let (first_arrival, finish, makespan) = Completion::span(completions);
         let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());
         let mut downtime = 0.0;
         for rec in &self.crashes {

@@ -6,7 +6,7 @@
 
 use std::rc::Rc;
 
-use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle, TraceSink as _};
+use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle};
 use cimtpu_serving::{Completion, EngineCore, Request};
 use cimtpu_units::Seconds;
 
@@ -106,14 +106,14 @@ pub(crate) struct FleetTrace {
 
 /// Request `id`'s tenant tag: present only for multi-tenant runs.
 fn tenant(tenancy: &Option<Tenancy<'_>>, id: u64) -> Option<u32> {
-    tenancy.as_ref().and_then(|t| t.multi().then(|| t.ledger.tenant_of(id) as u32))
+    tenancy.as_ref().and_then(|t| t.sched.multi_tenant().then(|| t.ledger.tenant_of(id) as u32))
 }
 
 impl FleetTrace {
     fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
         let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
         let (track, tag) = (self.tracks[k], tenant(tenancy, c.id));
-        self.rec.borrow_mut().complete_for(track, c.id, c.finish.get(), latency, ttft, tag);
+        self.rec.borrow_mut().complete(track, c.id, c.finish.get(), latency, ttft, tag);
     }
 }
 
@@ -145,16 +145,16 @@ impl FleetObserver for FleetTrace {
     fn arrival(&self, k: Option<usize>, r: &Request, tenancy: &Option<Tenancy<'_>>) {
         if let Some(track) = k.map(|k| self.tracks[k]).or(self.control) {
             let tag = tenant(tenancy, r.id);
-            self.rec.borrow_mut().request_arrival_for(track, r.id, r.arrival_s, tag);
+            self.rec.borrow_mut().request_arrival(track, r.id, r.arrival_s, tag);
         }
     }
 
     fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
-        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get());
+        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get(), None);
     }
 
     fn span(&self, k: usize, kind: EventKind, id: u64, from: Seconds, to: Seconds) {
-        self.rec.borrow_mut().span(self.tracks[k], kind, id, from.get(), to.get());
+        self.rec.borrow_mut().span(self.tracks[k], kind, id, from.get(), to.get(), None);
     }
 
     fn control(&self, kind: EventKind, id: u64, at: Seconds, until: Option<Seconds>) {
@@ -172,8 +172,8 @@ impl FleetObserver for FleetTrace {
         let Some(control) = self.control else { return };
         let (tag, mut rec) = (tenant(tenancy, id), self.rec.borrow_mut());
         match until {
-            Some(end) => rec.span_for(control, kind, id, at.get(), end.get(), tag),
-            None => rec.instant_for(control, kind, id, at.get(), tag),
+            Some(end) => rec.span(control, kind, id, at.get(), end.get(), tag),
+            None => rec.instant(control, kind, id, at.get(), tag),
         }
     }
 

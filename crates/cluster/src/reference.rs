@@ -407,7 +407,7 @@ fn colocated(
     let replica_reports = served.map(|(s, c)| c.finish(&s.name).report).collect();
     delivered.sort_by_key(|c| c.id);
     let mut totals = FleetTotals::default();
-    let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k])).collect();
+    let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k], "serve")).collect();
     let (name, avail) = (policy.name().to_owned(), faulty.then(|| book.finish(&delivered, n)));
     let report = ClusterReport::build(
         label, "colocated", name, offered, &delivered, &totals, rows, slo_ms, avail,
@@ -659,7 +659,7 @@ pub(crate) mod tests {
         for (spec, core) in fleet.iter().zip(&cores) {
             let mut accum = ReplicaAccum::default();
             accum.harvest(core, None);
-            rows.push(totals.row(spec, &accum, core.completions().len() as u64));
+            rows.push(totals.row(spec, &accum, core.completions().len() as u64, "serve"));
             done.extend_from_slice(core.completions());
         }
         let served = fleet.iter().zip(&cores).filter(|(_, c)| !c.completions().is_empty());

@@ -85,12 +85,12 @@ impl PerfRecord {
 /// core is replaced (or the run ends) and the next core starts afresh.
 #[derive(Default)]
 pub(crate) struct ReplicaAccum {
-    busy_s: f64,
-    energy_j: f64,
-    preemptions: u64,
-    queue_full_s: f64,
-    kv_hwm: f64,
-    prefix: PrefixStats,
+    pub(crate) busy_s: f64,
+    pub(crate) energy_j: f64,
+    pub(crate) preemptions: u64,
+    pub(crate) queue_full_s: f64,
+    pub(crate) kv_hwm: f64,
+    pub(crate) prefix: PrefixStats,
 }
 
 impl ReplicaAccum {
@@ -122,13 +122,14 @@ pub(crate) struct FleetTotals {
 }
 
 impl FleetTotals {
-    /// Adds replica `spec`'s books (`requests` delivered) to the sums and
-    /// returns its report row.
+    /// Adds replica `spec`'s books (`requests` served in `role`) to the
+    /// sums and returns its report row.
     pub(crate) fn row(
         &mut self,
         spec: &ReplicaSpec,
         a: &ReplicaAccum,
         requests: u64,
+        role: &str,
     ) -> ReplicaUtilization {
         self.chip_energy += Joules::new(a.energy_j);
         self.preemptions += a.preemptions;
@@ -137,7 +138,7 @@ impl FleetTotals {
         ReplicaUtilization {
             name: spec.name.clone(),
             model: spec.model.name().to_owned(),
-            role: "serve".to_owned(),
+            role: role.to_owned(),
             chips: spec.chips(),
             requests,
             busy_s: a.busy_s,
@@ -317,15 +318,7 @@ impl ClusterReport {
         slo_ms: Option<f64>,
         availability: Option<AvailabilityStats>,
     ) -> Self {
-        let finish = completions
-            .iter()
-            .map(|c| c.finish)
-            .fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = completions
-            .iter()
-            .map(|c| c.arrival)
-            .fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+        let (_, _, makespan) = Completion::span(completions);
         let steps: u64 = completions.iter().map(|c| c.steps).sum();
         let mut latencies: Vec<f64> =
             completions.iter().map(|c| c.latency().as_millis()).collect();

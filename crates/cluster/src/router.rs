@@ -56,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use cimtpu_serving::{Completion, EngineCore, Request};
+use cimtpu_serving::{Completion, EngineCore, EventKey, Request};
 use cimtpu_units::Seconds;
 
 /// What a router sees about one replica at a routing instant.
@@ -440,29 +440,6 @@ impl HealthView {
     }
 }
 
-/// A simulated time ordered by `total_cmp` (times are never NaN in a
-/// healthy run, but an ordering that cannot panic keeps the event heaps
-/// total).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FinishKey(pub(crate) f64);
-
-impl PartialEq for FinishKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for FinishKey {}
-impl PartialOrd for FinishKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FinishKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Incrementally-maintained router snapshots for the colocated event
 /// loop: the `O(1)`-per-event replacement for rebuilding a
 /// [`ReplicaSnapshot`] vector (one `O(log completions)`
@@ -490,7 +467,7 @@ pub struct SnapshotTracker {
     snaps: Vec<ReplicaSnapshot>,
     /// Scheduled completions not yet counted out of `outstanding`, with
     /// the epoch of the core that scheduled them.
-    expiry: BinaryHeap<Reverse<(FinishKey, usize, u32)>>,
+    expiry: BinaryHeap<Reverse<(EventKey, usize, u32)>>,
     /// Per-replica core epochs, bumped by every reset.
     epochs: Vec<u32>,
     /// The last routing instant (monotone; debug-asserted).
@@ -531,8 +508,9 @@ impl SnapshotTracker {
     pub fn advance_to(&mut self, t: Seconds) {
         debug_assert!(t >= self.now, "routing instants regressed: {t:?} < {:?}", self.now);
         self.now = t;
-        while let Some(&Reverse((FinishKey(finish), k, epoch))) = self.expiry.peek() {
-            if finish > t.get() {
+        let limit = EventKey::new(t);
+        while let Some(&Reverse((finish, k, epoch))) = self.expiry.peek() {
+            if finish > limit {
                 break;
             }
             self.expiry.pop();
@@ -574,7 +552,7 @@ impl SnapshotTracker {
         s.kv_frac = core.kv_frac();
         for c in core.completions() {
             if c.finish > self.now {
-                self.expiry.push(Reverse((FinishKey(c.finish.get()), k, self.epochs[k])));
+                self.expiry.push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
             }
         }
     }
@@ -609,7 +587,7 @@ impl SnapshotTracker {
         s.kv_frac = kv_frac;
         for c in new {
             if c.finish.get() > self.now.get() {
-                self.expiry.push(Reverse((FinishKey(c.finish.get()), k, self.epochs[k])));
+                self.expiry.push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
             } else {
                 // Already in the past at the current routing instant:
                 // it would expire on the next advance anyway.

@@ -165,11 +165,6 @@ impl MappingCache {
         self.fingerprint == fingerprint_of(config)
     }
 
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.get()
-    }
-
     /// Enables or disables memoization (used by benchmarks to measure the
     /// uncached path; results are identical either way).
     pub fn set_enabled(&self, enabled: bool) {

@@ -2,7 +2,7 @@
 
 use cimtpu_mapper::{Mapper, MemoryLevels};
 use cimtpu_models::{OpInstance, Workload};
-use cimtpu_units::{Bytes, Joules, Result, Watts};
+use cimtpu_units::{Bytes, Result, Watts};
 
 use crate::arch::TpuConfig;
 use crate::cache::{CacheStats, MappingCache};
@@ -183,12 +183,6 @@ impl Simulator {
                 + self.config.vpu().static_power().for_duration(latency),
             hbm_bytes: cost.hbm_bytes * inst.count(),
         })
-    }
-
-    /// MXU energy of an idle window (leakage only) — used when integrating
-    /// decode steps over time.
-    pub fn idle_mxu_energy(&self, window: cimtpu_units::Seconds) -> Joules {
-        self.mxu_static_power().for_duration(window)
     }
 
     /// Persists the mapping cache to the directory named by

@@ -89,13 +89,6 @@ impl VpuConfig {
         Ok(())
     }
 
-    /// Overrides the softmax per-element cost (for sensitivity studies).
-    #[must_use]
-    pub fn with_softmax_ops_per_elem(mut self, ops: u32) -> Self {
-        self.softmax_ops_per_elem = ops;
-        self
-    }
-
     fn elementwise(&self, elems: u64, ops_per_elem: u32) -> Cycles {
         Cycles::new((elems * u64::from(ops_per_elem)).div_ceil(self.lanes))
     }

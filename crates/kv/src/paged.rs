@@ -171,11 +171,21 @@ impl PagedKvAllocator {
         self.high_water_blocks
     }
 
+    /// Live occupancy as a fraction of capacity (0 when unlimited or
+    /// zero-capacity).
+    pub fn used_frac(&self) -> f64 {
+        self.frac(self.used_blocks)
+    }
+
     /// High-water occupancy as a fraction of capacity (0 when unlimited
     /// or zero-capacity).
     pub fn high_water_frac(&self) -> f64 {
+        self.frac(self.high_water_blocks)
+    }
+
+    fn frac(&self, blocks: u64) -> f64 {
         match self.capacity_blocks {
-            Some(c) if c > 0 => self.high_water_blocks as f64 / c as f64,
+            Some(c) if c > 0 => blocks as f64 / c as f64,
             _ => 0.0,
         }
     }

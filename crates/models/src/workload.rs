@@ -125,13 +125,6 @@ impl Workload {
         });
     }
 
-    /// Opens a new segment, builder style.
-    #[must_use]
-    pub fn with_segment(mut self, name: impl Into<String>, phase: Phase) -> Self {
-        self.begin_segment(name, phase);
-        self
-    }
-
     /// Appends an operator to the current (or implicit `"main"`) segment.
     pub fn push(&mut self, op: OpInstance) {
         if self.segments.is_empty() {
@@ -149,13 +142,6 @@ impl Workload {
     pub fn with(mut self, op: OpInstance) -> Self {
         self.push(op);
         self
-    }
-
-    /// Concatenates another workload's ops, carrying its segments over.
-    pub fn extend_from(&mut self, other: &Workload) {
-        self.append_segments_of(other);
-        self.ops.extend_from_slice(&other.ops);
-        self.close_open_segment();
     }
 
     /// Appends `other`'s ops with their counts multiplied by `times`

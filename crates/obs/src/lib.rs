@@ -11,9 +11,11 @@
 //!    lifecycle (arrival → queue → prefill → KV handoff → decode →
 //!    complete / preempt / retry / shed / timeout) and the fleet control
 //!    plane (crash, repair, straggler window, scale-up / drain / swap,
-//!    reconcile tick), buffered by the [`Recorder`] behind the
-//!    [`TraceSink`] trait. Emission sites in the engines take an
-//!    `Option<` [`TraceHandle`] `>`; `None` costs one branch per site,
+//!    reconcile tick), buffered by the [`Recorder`]. Each event has one
+//!    method on the recorder and one on the per-core [`TraceHandle`],
+//!    and each takes a `tenant: Option<u32>` tag (`None` writes the
+//!    untagged single-tenant form). Emission sites in the engines take
+//!    an `Option<` [`TraceHandle`] `>`; `None` costs one branch per site,
 //!    so the recorder-off paths stay bit-identical and allocation-free.
 //!
 //! 2. **Chrome trace export** — [`Recorder::to_chrome_json`] writes the
@@ -41,5 +43,5 @@ mod timeseries;
 
 pub use event::{Event, EventKind, TraceFilter};
 pub use hist::LogHistogram;
-pub use record::{Recorder, SharedRecorder, TraceHandle, TraceSink};
+pub use record::{Recorder, SharedRecorder, TraceHandle};
 pub use timeseries::{GaugeSeries, HistogramSummary, TimeseriesStats};

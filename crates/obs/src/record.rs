@@ -13,17 +13,6 @@ use crate::LogHistogram;
 /// Minimum spacing between retained gauge samples, simulated seconds.
 pub const DEFAULT_GAUGE_INTERVAL_S: f64 = 0.001;
 
-/// Destination for trace events.
-///
-/// Engines emit through this trait (via [`TraceHandle`]) so tests can
-/// substitute sinks; [`Recorder`] is the buffered production impl.
-pub trait TraceSink {
-    /// Records an instant event at `ts_s`.
-    fn instant(&mut self, track: u32, kind: EventKind, id: u64, ts_s: f64);
-    /// Records a span covering `[start_s, end_s]`.
-    fn span(&mut self, track: u32, kind: EventKind, id: u64, start_s: f64, end_s: f64);
-}
-
 /// One gauge series under construction (downsampled on insert).
 #[derive(Debug, Clone)]
 struct GaugeBuf {
@@ -102,29 +91,20 @@ impl Recorder {
     }
 
     /// Records the first sighting of request `id` as an [arrival]
-    /// instant; later sightings (crash retries re-entering a queue) are
-    /// ignored so each id arrives exactly once.
+    /// instant, tagged with `tenant` if given; later sightings (crash
+    /// retries re-entering a queue) are ignored so each id arrives
+    /// exactly once.
     ///
     /// [arrival]: EventKind::Arrival
-    pub fn request_arrival(&mut self, track: u32, id: u64, ts_s: f64) {
-        self.request_arrival_for(track, id, ts_s, None);
-    }
-
-    /// [`Recorder::request_arrival`] with an optional tenant tag.
-    pub fn request_arrival_for(&mut self, track: u32, id: u64, ts_s: f64, tenant: Option<u32>) {
+    pub fn request_arrival(&mut self, track: u32, id: u64, ts_s: f64, tenant: Option<u32>) {
         if self.seen.insert(id) {
-            self.instant_for(track, EventKind::Arrival, id, ts_s, tenant);
+            self.instant(track, EventKind::Arrival, id, ts_s, tenant);
         }
     }
 
     /// Records a delivered completion: the terminal [`EventKind::Complete`]
     /// instant plus latency/TTFT histogram samples.
-    pub fn complete(&mut self, track: u32, id: u64, finish_s: f64, latency_ms: f64, ttft_ms: f64) {
-        self.complete_for(track, id, finish_s, latency_ms, ttft_ms, None);
-    }
-
-    /// [`Recorder::complete`] with an optional tenant tag.
-    pub fn complete_for(
+    pub fn complete(
         &mut self,
         track: u32,
         id: u64,
@@ -133,27 +113,20 @@ impl Recorder {
         ttft_ms: f64,
         tenant: Option<u32>,
     ) {
-        self.instant_for(track, EventKind::Complete, id, finish_s, tenant);
+        self.instant(track, EventKind::Complete, id, finish_s, tenant);
         self.latency_ms.observe(latency_ms);
         self.ttft_ms.observe(ttft_ms);
     }
 
-    /// Records a tenant-tagged instant event at `ts_s` (`None` emits the
-    /// untagged single-tenant form).
-    pub fn instant_for(
-        &mut self,
-        track: u32,
-        kind: EventKind,
-        id: u64,
-        ts_s: f64,
-        tenant: Option<u32>,
-    ) {
+    /// Records an instant event at `ts_s`, tagged with `tenant` if given
+    /// (`None` emits the untagged single-tenant form).
+    pub fn instant(&mut self, track: u32, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
         self.events.push(Event { kind, track, id, ts_s, dur_s: 0.0, tenant });
     }
 
-    /// Records a tenant-tagged span covering `[start_s, end_s]` (`None`
-    /// emits the untagged single-tenant form).
-    pub fn span_for(
+    /// Records a span covering `[start_s, end_s]`, tagged with `tenant`
+    /// if given (`None` emits the untagged single-tenant form).
+    pub fn span(
         &mut self,
         track: u32,
         kind: EventKind,
@@ -282,16 +255,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-impl TraceSink for Recorder {
-    fn instant(&mut self, track: u32, kind: EventKind, id: u64, ts_s: f64) {
-        self.instant_for(track, kind, id, ts_s, None);
-    }
-
-    fn span(&mut self, track: u32, kind: EventKind, id: u64, start_s: f64, end_s: f64) {
-        self.span_for(track, kind, id, start_s, end_s, None);
-    }
-}
-
 /// A recorder shared across the engine cores and drivers of one run.
 pub type SharedRecorder = Rc<RefCell<Recorder>>;
 
@@ -319,55 +282,19 @@ impl TraceHandle {
     }
 
     /// See [`Recorder::request_arrival`].
-    pub fn arrival(&self, id: u64, ts_s: f64) {
-        self.arrival_for(id, ts_s, None);
+    pub fn arrival(&self, id: u64, ts_s: f64, tenant: Option<u32>) {
+        self.rec.borrow_mut().request_arrival(self.track, id, ts_s, tenant);
     }
 
-    /// See [`Recorder::request_arrival_for`].
-    pub fn arrival_for(&self, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().request_arrival_for(self.track, id, ts_s, tenant);
+    /// Emits an instant on this handle's track (see
+    /// [`Recorder::instant`]).
+    pub fn instant(&self, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
+        self.rec.borrow_mut().instant(self.track, kind, id, ts_s, tenant);
     }
 
-    /// Emits an instant on this handle's track.
-    pub fn instant(&self, kind: EventKind, id: u64, ts_s: f64) {
-        self.instant_for(kind, id, ts_s, None);
-    }
-
-    /// Emits a tenant-tagged instant on this handle's track.
-    pub fn instant_for(&self, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().instant_for(self.track, kind, id, ts_s, tenant);
-    }
-
-    /// Emits a span on this handle's track.
-    pub fn span(&self, kind: EventKind, id: u64, start_s: f64, end_s: f64) {
-        self.span_for(kind, id, start_s, end_s, None);
-    }
-
-    /// Emits a tenant-tagged span on this handle's track.
-    pub fn span_for(&self, kind: EventKind, id: u64, start_s: f64, end_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().span_for(self.track, kind, id, start_s, end_s, tenant);
-    }
-
-    /// See [`Recorder::complete`].
-    pub fn complete(&self, id: u64, finish_s: f64, latency_ms: f64, ttft_ms: f64) {
-        self.complete_for(id, finish_s, latency_ms, ttft_ms, None);
-    }
-
-    /// See [`Recorder::complete_for`].
-    pub fn complete_for(
-        &self,
-        id: u64,
-        finish_s: f64,
-        latency_ms: f64,
-        ttft_ms: f64,
-        tenant: Option<u32>,
-    ) {
-        self.rec.borrow_mut().complete_for(self.track, id, finish_s, latency_ms, ttft_ms, tenant);
-    }
-
-    /// See [`Recorder::sample`].
-    pub fn sample(&self, series: usize, ts_s: f64, value: f64) {
-        self.rec.borrow_mut().sample(series, ts_s, value);
+    /// Emits a span on this handle's track (see [`Recorder::span`]).
+    pub fn span(&self, kind: EventKind, id: u64, start_s: f64, end_s: f64, tenant: Option<u32>) {
+        self.rec.borrow_mut().span(self.track, kind, id, start_s, end_s, tenant);
     }
 }
 
@@ -379,9 +306,9 @@ mod tests {
     fn arrival_dedups_by_id() {
         let mut r = Recorder::new();
         let t = r.track("r0");
-        r.request_arrival(t, 7, 0.0);
-        r.request_arrival(t, 7, 1.0);
-        r.request_arrival(t, 8, 2.0);
+        r.request_arrival(t, 7, 0.0, None);
+        r.request_arrival(t, 7, 1.0, None);
+        r.request_arrival(t, 8, 2.0, None);
         let arrivals: Vec<u64> = r
             .events()
             .iter()
@@ -396,9 +323,9 @@ mod tests {
         let mut r = Recorder::new();
         let t0 = r.track("r0");
         let cp = r.track("control");
-        r.instant(cp, EventKind::Crash, 0, 2.0);
-        r.span(t0, EventKind::Prefill, 5, 0.5, 1.5);
-        r.instant(t0, EventKind::Complete, 5, 3.0);
+        r.instant(cp, EventKind::Crash, 0, 2.0, None);
+        r.span(t0, EventKind::Prefill, 5, 0.5, 1.5, None);
+        r.instant(t0, EventKind::Complete, 5, 3.0, None);
         let json = r.to_chrome_json(&TraceFilter::default());
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.contains("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"args\":{\"name\":\"control\"}}"));
@@ -417,8 +344,8 @@ mod tests {
     fn tenant_tags_render_only_when_present() {
         let mut r = Recorder::new();
         let t = r.track("r0");
-        r.instant_for(t, EventKind::Preempt, 3, 1.0, Some(2));
-        r.span_for(t, EventKind::Decode, 4, 1.0, 2.0, None);
+        r.instant(t, EventKind::Preempt, 3, 1.0, Some(2));
+        r.span(t, EventKind::Decode, 4, 1.0, 2.0, None);
         let json = r.to_chrome_json(&TraceFilter::default());
         assert!(json.contains("\"args\":{\"id\":3,\"tenant\":2}"), "{json}");
         assert!(json.contains("\"args\":{\"id\":4}"), "{json}");
@@ -440,8 +367,8 @@ mod tests {
     fn complete_feeds_histograms() {
         let mut r = Recorder::new();
         let t = r.track("r0");
-        r.complete(t, 1, 1.0, 250.0, 40.0);
-        r.complete(t, 2, 2.0, 150.0, 20.0);
+        r.complete(t, 1, 1.0, 250.0, 40.0, None);
+        r.complete(t, 2, 2.0, 150.0, 20.0, None);
         let ts = r.timeseries();
         assert_eq!(ts.latency_ms.count, 2);
         assert_eq!(ts.latency_ms.max, 250.0);
@@ -455,9 +382,9 @@ mod tests {
         let t1 = rec.borrow_mut().track("r1");
         let h0 = TraceHandle::new(Rc::clone(&rec), t0);
         let h1 = TraceHandle::new(Rc::clone(&rec), t1);
-        h0.arrival(1, 0.0);
-        h1.arrival(1, 0.5); // same id, different core: still one arrival
-        h1.instant(EventKind::Shed, 1, 1.0);
+        h0.arrival(1, 0.0, None);
+        h1.arrival(1, 0.5, None); // same id, different core: still one arrival
+        h1.instant(EventKind::Shed, 1, 1.0, None);
         let r = rec.borrow();
         assert_eq!(r.events().iter().filter(|e| e.kind == EventKind::Arrival).count(), 1);
         assert_eq!(r.events().last().unwrap().kind, EventKind::Shed);

@@ -204,10 +204,10 @@ impl ServingEngine {
         if let Some(rec) = recorder {
             let mut rec = rec.borrow_mut();
             let track = core.trace_track().expect("recorder attached above");
-            let multi = sched.as_ref().is_some_and(|s| s.classes.len() > 1);
+            let multi = sched.as_ref().is_some_and(crate::TenantSched::multi_tenant);
             for c in &run.completions {
                 let tenant = ledger.as_ref().filter(|_| multi).map(|l| l.tenant_of(c.id) as u32);
-                rec.complete_for(
+                rec.complete(
                     track,
                     c.id,
                     c.finish.get(),

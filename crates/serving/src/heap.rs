@@ -25,14 +25,17 @@ use std::collections::BinaryHeap;
 
 use cimtpu_units::Seconds;
 
-/// A scheduled time ordered by `total_cmp`, with `-0.0` folded into
-/// `+0.0` so the ordering agrees with IEEE `<` on all non-NaN values.
-/// Shared with the closed-loop client heap in `request.rs`.
+/// A simulated time as a totally ordered key: `total_cmp` order with
+/// `-0.0` folded into `+0.0`, so it agrees with IEEE `<` on all non-NaN
+/// times. Every simulated-time heap keys on it: this queue, the
+/// closed-loop client heap in `request.rs`, and the fleet drivers' event
+/// queues in `cimtpu-cluster`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey(u64);
+pub struct EventKey(u64);
 
 impl EventKey {
-    pub(crate) fn new(t: Seconds) -> Self {
+    /// The key of time `t`.
+    pub fn new(t: Seconds) -> Self {
         // `x + 0.0` maps -0.0 to +0.0 and is the identity elsewhere;
         // total_cmp then orders by value. The monotone bit trick (flip
         // the sign bit for non-negative values) turns that order into a

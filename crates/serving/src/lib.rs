@@ -167,7 +167,7 @@ pub use request::{
     ArrivalPattern, ArrivalStream, LenDist, PrefixTraffic, PromptPrefix, Request,
     TrafficSpec, DIURNAL_CURVE,
 };
-pub use heap::ActionHeap;
+pub use heap::{ActionHeap, EventKey};
 pub use session::{EngineSession, PricingPool};
 pub use step::{drive, drive_with, DriveHooks, EngineCore};
 pub use tenant::{

@@ -65,13 +65,6 @@ impl MemoryConfig {
         self
     }
 
-    /// Budget the KV cache with whatever HBM the resident weights leave.
-    #[must_use]
-    pub fn with_hbm_budget(mut self) -> Self {
-        self.budget = KvBudget::HbmMinusWeights;
-        self
-    }
-
     /// Enables chunked prefill with `tokens`-token chunks.
     #[must_use]
     pub fn with_chunked_prefill(mut self, tokens: u64) -> Self {

@@ -32,6 +32,24 @@ impl Completion {
     pub fn ttft(&self) -> Seconds {
         self.first_token - self.arrival
     }
+
+    /// The span `completions` cover, as `(first arrival, last finish,
+    /// makespan)`. The last finish folds up from zero and the first
+    /// arrival down from the last finish; the makespan in seconds is
+    /// floored at the smallest positive `f64`, so rates over it stay
+    /// finite.
+    pub fn span(completions: &[Completion]) -> (Seconds, Seconds, f64) {
+        let finish = completions
+            .iter()
+            .map(|c| c.finish)
+            .fold(Seconds::ZERO, Seconds::max);
+        let first_arrival = completions
+            .iter()
+            .map(|c| c.arrival)
+            .fold(finish, Seconds::min);
+        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+        (first_arrival, finish, makespan)
+    }
 }
 
 /// Latency distribution summary, in milliseconds.
@@ -230,15 +248,7 @@ impl ServingReport {
         memory: MemoryStats,
     ) -> Self {
         assert!(!completions.is_empty(), "no completions to report");
-        let finish = completions
-            .iter()
-            .map(|c| c.finish)
-            .fold(Seconds::ZERO, Seconds::max);
-        let first_arrival = completions
-            .iter()
-            .map(|c| c.arrival)
-            .fold(finish, Seconds::min);
-        let makespan = (finish - first_arrival).get().max(f64::MIN_POSITIVE);
+        let (_, _, makespan) = Completion::span(completions);
         let steps: u64 = completions.iter().map(|c| c.steps).sum();
         let mut latencies: Vec<f64> =
             completions.iter().map(|c| c.latency().as_millis()).collect();

@@ -41,11 +41,10 @@ impl ServingModel {
 }
 
 /// Memo key: phase tag + the shape knobs that vary at runtime (batch,
-/// length, and — for chunked prefill — the cached-context length).
+/// length, and — for prefill — the cached-context length).
 type Key = (u8, u64, u64, u64);
 const PREFILL: u8 = 0;
 const STEP: u8 = 1;
-const CHUNK: u8 = 2;
 
 /// Phase memo table; cloning shares it (see [`PhasePricer::sharing`]).
 pub(crate) type PhaseMemo = Rc<RefCell<FxHashMap<Key, SegmentCost>>>;
@@ -131,54 +130,51 @@ impl<'a> PhasePricer<'a> {
     }
 
     /// Prefill cost for `batch` requests of (padded) prompt length
-    /// `prompt`. Zero for models without a prefill phase.
+    /// `prompt`: [`prefill_chunk`](Self::prefill_chunk) with no cached
+    /// context. Zero for models without a prefill phase.
     ///
     /// # Errors
     ///
     /// Returns an error if an operator cannot be mapped onto the hardware.
     pub fn prefill(&self, batch: u64, prompt: u64) -> Result<SegmentCost> {
-        let ServingModel::Llm(model) = self.model else {
-            return Ok(SegmentCost::ZERO);
-        };
-        self.memoized((PREFILL, batch, prompt, 0), || {
-            let layers = model.layers() as f64;
-            match self.ring {
-                None => Ok(self.price(&model.prefill_layer(batch, prompt)?)?.repeated(layers)),
-                Some(ring) => {
-                    let shard =
-                        tensor_parallel::prefill_layer_shard(model, batch, prompt, ring.devices())?;
-                    let act = Bytes::new(
-                        batch * prompt * model.d_model() * model.dtype().size_bytes(),
-                    );
-                    Ok(self.tp_layer(ring, &shard, act)?.repeated(layers))
-                }
-            }
-        })
+        self.prefill_chunk(batch, prompt, 0)
     }
 
-    /// Cost of one chunked-prefill pass: `batch` requests each ingest
-    /// `chunk` prompt tokens attending to `past` already-cached tokens.
-    /// Zero for models without a prefill phase.
+    /// Cost of one prefill pass: `batch` requests each ingest `chunk`
+    /// prompt tokens attending to `past` already-cached tokens (`past ==
+    /// 0` is a whole cold prefill). Zero for models without a prefill
+    /// phase.
     ///
     /// # Errors
     ///
-    /// Chunked prefill is not yet shardable — returns an error on a
-    /// tensor-parallel ring (the engine rejects that combination up
-    /// front).
+    /// Returns an error if an operator cannot be mapped onto the hardware.
+    /// A tensor-parallel ring shards only cold passes, so it rejects
+    /// `past > 0` (the engine rejects chunked prefill and prefix sharing
+    /// on a ring up front).
     pub fn prefill_chunk(&self, batch: u64, chunk: u64, past: u64) -> Result<SegmentCost> {
         let ServingModel::Llm(model) = self.model else {
             return Ok(SegmentCost::ZERO);
         };
-        if self.ring.is_some() {
+        if self.ring.is_some() && past > 0 {
             return Err(cimtpu_units::Error::invalid_config(
                 "chunked prefill is not supported on a tensor-parallel ring",
             ));
         }
-        self.memoized((CHUNK, batch, chunk, past), || {
+        self.memoized((PREFILL, batch, chunk, past), || {
             let layers = model.layers() as f64;
-            Ok(self
-                .price(&model.prefill_chunk_layer(batch, chunk, past)?)?
-                .repeated(layers))
+            match self.ring {
+                None => Ok(self
+                    .price(&model.prefill_chunk_layer(batch, chunk, past)?)?
+                    .repeated(layers)),
+                Some(ring) => {
+                    let shard =
+                        tensor_parallel::prefill_layer_shard(model, batch, chunk, ring.devices())?;
+                    let act = Bytes::new(
+                        batch * chunk * model.d_model() * model.dtype().size_bytes(),
+                    );
+                    Ok(self.tp_layer(ring, &shard, act)?.repeated(layers))
+                }
+            }
         })
     }
 
@@ -288,6 +284,18 @@ mod tests {
         // than a fresh chunk of the same size.
         let late = pricer.prefill_chunk(2, 64, 448).unwrap();
         assert!(late.latency > pricer.prefill_chunk(2, 64, 0).unwrap().latency);
+
+        // On a tensor-parallel ring too, and each standalone pricer
+        // prices the pass itself rather than reading the other's memo.
+        let model = ServingModel::Llm(presets::gpt3_30b());
+        let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
+        let whole = PhasePricer::tensor_parallel(&model, &ring).prefill(2, 64).unwrap();
+        let pass = PhasePricer::tensor_parallel(&model, &ring).prefill_chunk(2, 64, 0).unwrap();
+        let bits = |c: SegmentCost| {
+            let (t, mxu, vpu) = (c.latency.get(), c.mxu_energy.get(), c.vpu_energy.get());
+            (t.to_bits(), mxu.to_bits(), vpu.to_bits(), c.hbm_bytes)
+        };
+        assert_eq!(bits(whole), bits(pass));
     }
 
     #[test]
@@ -295,7 +303,7 @@ mod tests {
         let model = ServingModel::Llm(presets::gpt3_30b());
         let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
         let tp = PhasePricer::tensor_parallel(&model, &ring);
-        assert!(tp.prefill_chunk(2, 64, 0).is_err());
+        assert!(tp.prefill_chunk(2, 64, 64).is_err());
     }
 
     #[test]

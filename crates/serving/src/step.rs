@@ -192,10 +192,10 @@ impl Tenancy {
 }
 
 /// The core's flight-recorder emitter
-/// ([`attach_trace`](EngineCore::attach_trace)). It owns the tag rule:
-/// request-lifecycle events carry their tenant only under a multi-tenant
-/// schedule, so single-tenant traces match untenanted ones byte for
-/// byte. Without a handle each emission is one branch.
+/// ([`attach_trace`](EngineCore::attach_trace)). Request-lifecycle
+/// events carry their tenant when `tagged`
+/// ([`TenantSched::multi_tenant`]). Without a handle each emission is
+/// one branch.
 #[derive(Debug, Default)]
 struct Emitter {
     handle: Option<TraceHandle>,
@@ -209,19 +209,19 @@ impl Emitter {
 
     fn arrival(&self, r: &Request) {
         if let Some(h) = &self.handle {
-            h.arrival_for(r.id, r.arrival_s, self.tenant(r));
+            h.arrival(r.id, r.arrival_s, self.tenant(r));
         }
     }
 
     fn span(&self, kind: EventKind, r: &Request, start: Seconds, end: Seconds) {
         if let Some(h) = &self.handle {
-            h.span_for(kind, r.id, start.get(), end.get(), self.tenant(r));
+            h.span(kind, r.id, start.get(), end.get(), self.tenant(r));
         }
     }
 
     fn instant(&self, kind: EventKind, r: &Request, at: Seconds) {
         if let Some(h) = &self.handle {
-            h.instant_for(kind, r.id, at.get(), self.tenant(r));
+            h.instant(kind, r.id, at.get(), self.tenant(r));
         }
     }
 }
@@ -445,7 +445,7 @@ impl<'a> EngineCore<'a> {
         );
         self.touch();
         self.tenancy = Tenancy::new(sched);
-        self.trace.tagged = sched.classes.len() > 1;
+        self.trace.tagged = sched.multi_tenant();
     }
 
     /// Marks the scheduling state dirty: the next
@@ -768,10 +768,7 @@ impl<'a> EngineCore<'a> {
     /// Live KV occupancy as a fraction of capacity (max over executors;
     /// 0 when the budget is unlimited).
     pub fn kv_frac(&self) -> f64 {
-        let frac = |a: &PagedKvAllocator| match a.capacity_blocks() {
-            Some(c) if c > 0 => a.used_blocks() as f64 / c as f64,
-            _ => 0.0,
-        };
+        let frac = PagedKvAllocator::used_frac;
         match &self.state {
             State::Rtc(st) => st.allocs.iter().map(frac).fold(0.0, f64::max),
             State::Cont(st) => st.chips.iter().map(|c| frac(&c.alloc)).fold(0.0, f64::max),
@@ -1029,38 +1026,18 @@ impl<'a> EngineCore<'a> {
         let mut t = start;
         let mut first_token = vec![Seconds::ZERO; members.len()];
         if self.has_prefill {
-            if shared.iter().any(|&s| s > 0) {
-                // Cold members prefill as one padded group; prefix-hit
-                // members compute only their tails as a second group,
-                // padded to the longest tail and deepest cached past. The
-                // whole batch's first token stands at the end of all
-                // prefill, per run-to-completion semantics.
-                for hit in [false, true] {
-                    let group = members.iter().zip(&shared).filter(|(_, &s)| (s > 0) == hit);
-                    let n = group.clone().count() as u64;
-                    if n > 0 {
-                        let past = group.clone().map(|(_, &s)| s).max().expect("non-empty");
-                        let tail = group.map(|(r, &s)| r.prompt_len - s).max().expect("non-empty");
-                        t += self.price_prefill_span(n, past, past + tail)?;
-                    }
-                }
-            } else {
-                match self.memory.chunk_tokens {
-                    None => {
-                        let prefill = self.pricer.prefill(b, max_prompt)?;
-                        t += stretch(prefill.latency, self.slowdown);
-                        self.energy += prefill.total_energy();
-                    }
-                    Some(chunk) => {
-                        let mut past = 0;
-                        while past < max_prompt {
-                            let c = chunk.min(max_prompt - past);
-                            let cost = self.pricer.prefill_chunk(b, c, past)?;
-                            t += stretch(cost.latency, self.slowdown);
-                            self.energy += cost.total_energy();
-                            past += c;
-                        }
-                    }
+            // Cold members prefill as one padded group; prefix-hit members
+            // compute only their tails as a second group, padded to the
+            // longest tail and deepest cached past. The whole batch's
+            // first token stands at the end of all prefill, per
+            // run-to-completion semantics.
+            for hit in [false, true] {
+                let group = members.iter().zip(&shared).filter(|(_, &s)| (s > 0) == hit);
+                let n = group.clone().count() as u64;
+                if n > 0 {
+                    let past = group.clone().map(|(_, &s)| s).max().expect("non-empty");
+                    let tail = group.map(|(r, &s)| r.prompt_len - s).max().expect("non-empty");
+                    self.price_prefill_span(&mut t, n, past, past + tail)?;
                 }
             }
             first_token.fill(t);
@@ -1115,20 +1092,25 @@ impl<'a> EngineCore<'a> {
 
     /// Prices `batch` members ingesting prompt positions `past..target`
     /// (their cached prefix ends at `past`): one pass per configured
-    /// chunk window, or a single chunk covering the whole span.
-    /// Accumulates energy and returns the added latency.
-    fn price_prefill_span(&mut self, batch: u64, past: u64, target: u64) -> Result<Seconds> {
-        let mut t = Seconds::ZERO;
+    /// chunk window, or a single pass covering the whole span. Each pass
+    /// advances the clock `t` and accumulates energy.
+    fn price_prefill_span(
+        &mut self,
+        t: &mut Seconds,
+        batch: u64,
+        past: u64,
+        target: u64,
+    ) -> Result<()> {
         let mut at = past;
         let span = self.memory.chunk_tokens.unwrap_or(u64::MAX);
         while at < target {
             let c = span.min(target - at);
             let cost = self.pricer.prefill_chunk(batch, c, at)?;
-            t += stretch(cost.latency, self.slowdown);
+            *t += stretch(cost.latency, self.slowdown);
             self.energy += cost.total_energy();
             at += c;
         }
-        Ok(t)
+        Ok(())
     }
 
     /// Next continuous scheduling round: a chip with resident work steps
@@ -1245,11 +1227,7 @@ impl<'a> EngineCore<'a> {
                         .map(|&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
                         .max()
                         .expect("non-empty");
-                    let cost = if hit {
-                        self.pricer.prefill_chunk(n, tail, past)?
-                    } else {
-                        self.pricer.prefill(n, tail)?
-                    };
+                    let cost = self.pricer.prefill_chunk(n, tail, past)?;
                     let before = chip.t;
                     chip.t += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();

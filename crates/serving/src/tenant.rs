@@ -439,6 +439,15 @@ pub struct TenantSched {
     pub weights: Vec<f64>,
 }
 
+impl TenantSched {
+    /// Whether the schedule has more than one tenant: the gate for
+    /// tenant-tagged trace events and class-split router snapshots, so a
+    /// single-tenant run stays byte-identical to an untenanted one.
+    pub fn multi_tenant(&self) -> bool {
+        self.classes.len() > 1
+    }
+}
+
 /// One tenant's row of the per-tenant report section.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantUsage {
@@ -562,11 +571,6 @@ impl TenantLedger {
     pub fn on_timeout(&mut self, id: u64) {
         let t = self.tenant_of(id);
         self.timed_out[t] += 1;
-    }
-
-    /// Adds `n` preemptions suffered by `tenant`.
-    pub fn add_preemptions(&mut self, tenant: usize, n: u64) {
-        self.preempted[tenant] += n;
     }
 
     /// Folds a core's per-tenant preemption counters in.
@@ -776,7 +780,7 @@ mod tests {
                 steps: r.steps,
             })
             .collect();
-        ledger.add_preemptions(1, 2);
+        ledger.absorb_preemptions(&[0, 2]);
         let report = ledger.report(&completions, 1.0);
         assert_eq!(report.tenants.len(), 2);
         for row in &report.tenants {

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Area, Cycles, DataType, Frequency, GemmShape, Joules, Seconds, Watts};
+use cimtpu_units::{Area, Cycles, DataType, Frequency, GemmShape, Joules, Watts};
 
 use crate::analytical::GemmTiming;
 use crate::config::SystolicConfig;
@@ -92,13 +92,6 @@ impl EnergyModel {
         Area::new(self.area_per_mac.as_mm2() * macs as f64)
     }
 
-    /// Overrides the static power per MAC (for ablations).
-    #[must_use]
-    pub fn with_static_per_mac(mut self, p: Watts) -> Self {
-        self.static_per_mac = p;
-        self
-    }
-
     /// Full energy accounting of one GEMM given its timing and traffic.
     pub(crate) fn gemm_energy(
         &self,
@@ -173,12 +166,6 @@ impl GemmEnergy {
     /// Busy window used for static-energy accounting, in cycles.
     pub fn busy_cycles(&self) -> Cycles {
         self.busy_cycles
-    }
-
-    /// Busy window at the calibration clock.
-    pub fn busy_time(&self) -> Seconds {
-        self.busy_cycles
-            .at(Frequency::from_ghz(EnergyModel::REFERENCE_CLOCK_GHZ))
     }
 }
 

@@ -73,16 +73,6 @@ impl SystolicArray {
         })
     }
 
-    /// Creates an array model with a custom energy model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `config` is invalid (zero dimension).
-    pub fn with_energy_model(config: SystolicConfig, energy: EnergyModel) -> Result<Self> {
-        config.validate()?;
-        Ok(SystolicArray { config, energy })
-    }
-
     /// The array configuration.
     pub fn config(&self) -> &SystolicConfig {
         &self.config

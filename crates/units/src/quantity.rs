@@ -230,11 +230,6 @@ impl Seconds {
         Seconds::new(us * 1e-6)
     }
 
-    /// Creates a duration from nanoseconds.
-    pub fn from_nanos(ns: f64) -> Self {
-        Seconds::new(ns * 1e-9)
-    }
-
     /// The duration in milliseconds.
     pub fn as_millis(self) -> f64 {
         self.get() * 1e3
