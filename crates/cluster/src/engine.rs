@@ -241,9 +241,10 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// Returns an error for an invalid traffic spec, tenant set or
-    /// replica configuration, an SLO that is not positive and finite, an
-    /// unmappable operator, or a KV budget too small to hold a single
-    /// request.
+    /// replica configuration, an empty prompt entering an LLM replica
+    /// ([`TrafficSpec::validate_prompts`]), an SLO that is not positive
+    /// and finite, an unmappable operator, or a KV budget too small to
+    /// hold a single request.
     pub fn run<'t>(&self, label: &str, offered: impl Into<Offered<'t>>) -> Result<ClusterRun> {
         self.run_observed(label, offered, None)
     }
@@ -273,6 +274,15 @@ impl ClusterEngine {
         }
         let offered = offered.into();
         let traffic = offered.spec()?;
+        // Every request enters through the colocated replicas or the
+        // prefill pool.
+        let entry = match &self.topology {
+            ClusterTopology::Colocated { replicas, .. } => replicas,
+            ClusterTopology::Disaggregated { prefill, .. } => prefill,
+        };
+        if entry.iter().any(|r| r.model.has_prefill()) {
+            traffic.validate_prompts()?;
+        }
         let tenants = offered.tenants();
         let sched = tenants.map(TenantSet::sched);
         let mut ledger = tenants.map(|set| TenantLedger::new(set, &traffic));

@@ -288,3 +288,22 @@ fn run_rejects_a_non_finite_or_non_positive_slo() {
         }
     }
 }
+
+#[test]
+fn llm_fleets_reject_empty_prompts() {
+    let colocated =
+        ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
+    let disagg = ClusterEngine::disaggregated(
+        vec![replica("p")],
+        vec![replica("d")],
+        RouterPolicy::RoundRobin,
+        RouterPolicy::RoundRobin,
+        InterconnectSpec::ici(),
+    )
+    .unwrap();
+    let empty = TrafficSpec { prompt: LenDist::Uniform { lo: 0, hi: 8 }, ..traffic(4) };
+    for fleet in [colocated, disagg] {
+        let run = fleet.run("empty", &empty);
+        assert!(matches!(run, Err(Error::InvalidConfig(_))), "{run:?}");
+    }
+}

@@ -155,8 +155,11 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns an error for an invalid traffic spec or tenant set, an
+    /// empty prompt on an LLM ([`TrafficSpec::validate_prompts`]), an
     /// unmappable operator, chunked prefill on a tensor-parallel ring, or
     /// a KV budget too small to hold even a single request.
+    ///
+    /// [`TrafficSpec::validate_prompts`]: crate::TrafficSpec::validate_prompts
     pub fn run<'t>(&self, label: &str, offered: impl Into<Offered<'t>>) -> Result<ServingRun> {
         self.run_observed(label, offered, None)
     }
@@ -179,6 +182,9 @@ impl ServingEngine {
     ) -> Result<ServingRun> {
         let offered = offered.into();
         let traffic = offered.spec()?;
+        if self.model.has_prefill() {
+            traffic.validate_prompts()?;
+        }
         let mut stream = ArrivalStream::new(&traffic)?;
         let tenants = offered.tenants();
         let sched = tenants.map(crate::TenantSet::sched);

@@ -360,6 +360,34 @@ impl TrafficSpec {
         Ok(())
     }
 
+    /// Checks that every request carries a prompt, as an engine with a
+    /// prefill phase (an LLM) needs: no trace record with `prompt: 0`
+    /// and, for sampled traffic, no prompt distribution that can draw 0.
+    /// A trace spec's own `prompt` distribution is a placeholder and is
+    /// not read. DiT engines ignore prompts and skip this check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the first empty prompt.
+    pub fn validate_prompts(&self) -> Result<()> {
+        let empty = match (&self.arrival, self.prompt) {
+            (ArrivalPattern::Trace { records }, _) => records
+                .iter()
+                .position(|r| r.prompt == 0)
+                .map(|i| format!("trace request {i} has an empty prompt")),
+            (_, dist @ (LenDist::Fixed(0) | LenDist::Uniform { lo: 0, .. })) => {
+                Some(format!("prompt length {dist:?} can draw an empty prompt"))
+            }
+            _ => None,
+        };
+        match empty {
+            Some(what) => Err(Error::invalid_config(format!(
+                "{what}; an LLM engine prefills at least one prompt token"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Materializes the request trace, sorted by arrival time.
     ///
     /// Closed-loop arrival times depend on service progress, so a

@@ -49,6 +49,17 @@ use crate::ServingRun;
 /// One serving engine as an incremental state machine. See
 /// [`drive`](crate::drive) for the driver protocol; obtain one from
 /// [`EngineSession::core`](crate::EngineSession::core).
+///
+/// A core holds a pushed request only while it may still read it, so its
+/// memory scales with the requests in flight, not with the run's length.
+/// A request retires once it has completed *and* a later
+/// [`step`](Self::step) was taken at or after its completion's finish.
+/// Until then a [`crash`](Self::crash), which may come at any instant no
+/// earlier than the latest step, can revoke the completion and must hand
+/// the request back: run-to-completion batches price their whole future
+/// at launch, and a continuous round's completions finish at the round's
+/// end. Completions and their finish times stay for the whole run (they
+/// are the report).
 #[derive(Debug)]
 pub struct EngineCore<'a> {
     pricer: PhasePricer<'a>,
@@ -56,9 +67,9 @@ pub struct EngineCore<'a> {
     memory: MemoryConfig,
     has_prefill: bool,
     chips: u64,
-    /// Every request pushed so far, in arrival order; the ones still
-    /// queued are indexed by `tenancy`'s per-tenant queues.
-    arrivals: Vec<Request>,
+    /// The pushed requests the core may still read, by arrival index; the
+    /// ones still queued are indexed by `tenancy`'s per-tenant queues.
+    window: Window,
     closed: bool,
     completions: Vec<Completion>,
     /// Every completion's finish time, ascending per tier, so
@@ -69,11 +80,6 @@ pub struct EngineCore<'a> {
     drained: usize,
     energy: Joules,
     busy: Seconds,
-    /// Time-to-first-token bookkeeping, index-aligned with `arrivals`
-    /// (used by the continuous scheduler; run-to-completion batches track
-    /// first tokens locally).
-    first_token: Vec<Seconds>,
-    ttft_set: Vec<bool>,
     /// Multiplier on priced step latency (a straggler window sets it
     /// above 1.0; energy is unaffected — a slow chip still computes the
     /// same FLOPs).
@@ -115,7 +121,8 @@ struct TenantQueue {
     /// first admission; resumption after preemption is free — the tenant
     /// already paid for the work being redone).
     service: u64,
-    /// Queued arrivals, as indices into `arrivals`, in arrival order.
+    /// Queued arrivals, as arrival indices into the core's window, in
+    /// arrival order.
     queue: VecDeque<usize>,
 }
 
@@ -169,11 +176,11 @@ impl Tenancy {
     /// `(tenant, arrival index)`: most senior class, then lowest weighted
     /// service (deficit), then lowest tenant id (the scan runs in id
     /// order and a tie keeps the earlier tenant). One tenant admits FIFO.
-    fn pick(&self, arrivals: &[Request], t: Seconds) -> Option<(usize, usize)> {
+    fn pick(&self, window: &Window, t: Seconds) -> Option<(usize, usize)> {
         let mut pick: Option<(usize, usize)> = None;
         for (tenant, tq) in self.tenants.iter().enumerate() {
             let Some(&idx) = tq.queue.front() else { continue };
-            if arrivals[idx].arrival() <= t
+            if window[idx].request.arrival() <= t
                 && pick.is_none_or(|(best, _)| tq.precedes(&self.tenants[best]))
             {
                 pick = Some((tenant, idx));
@@ -183,10 +190,10 @@ impl Tenancy {
     }
 
     /// Dequeues `tenant`'s head and charges its service.
-    fn admit(&mut self, tenant: usize, arrivals: &[Request]) -> usize {
+    fn admit(&mut self, tenant: usize, window: &Window) -> usize {
         let tq = &mut self.tenants[tenant];
         let idx = tq.queue.pop_front().expect("admitting tenant has a queued head");
-        tq.service += arrivals[idx].prompt_len + arrivals[idx].steps;
+        tq.service += window[idx].request.prompt_len + window[idx].request.steps;
         idx
     }
 }
@@ -318,6 +325,108 @@ impl Finishes {
     }
 }
 
+/// The pushed requests a core may still read, by global arrival index:
+/// request `i` sits at `entries[i - base]`. Tenant queues, resident lists
+/// and `revocable` hold global indices and read through `Index`.
+/// Retired entries are marked in place; once the retired prefix reaches
+/// half the window it is drained, so each retirement costs amortized
+/// `O(1)` and the entries from any live index on stay one slice.
+#[derive(Debug, Default)]
+struct Window {
+    /// Global arrival index of `entries[0]`.
+    base: usize,
+    entries: Vec<Entry>,
+    /// Global index of the oldest entry not yet retired.
+    live_from: usize,
+    /// Completed entries a crash could still revoke, as (finish, index).
+    revocable: Vec<(Seconds, usize)>,
+    /// The latest instant retirement ran through (the latest step's).
+    stepped_at: Seconds,
+    /// The latest pushed arrival (kept past its entry's retirement).
+    newest: Option<f64>,
+}
+
+/// One pushed request and what the core tracks about it.
+#[derive(Debug)]
+struct Entry {
+    request: Request,
+    /// When continuous batching produced its first token (run-to-completion
+    /// batches track first tokens locally).
+    first_token: Option<Seconds>,
+    /// Completed past any crash's reach: nothing reads the entry again.
+    retired: bool,
+}
+
+impl Window {
+    /// Requests pushed so far (the next arrival index).
+    fn pushed(&self) -> usize {
+        self.base + self.entries.len()
+    }
+
+    /// Appends `request` and returns its arrival index.
+    fn push(&mut self, request: Request) -> usize {
+        self.newest = Some(request.arrival_s);
+        self.entries.push(Entry { request, first_token: None, retired: false });
+        self.pushed() - 1
+    }
+
+    /// The entries from arrival index `idx` to the newest push.
+    fn since(&self, idx: usize) -> &[Entry] {
+        &self.entries[idx - self.base..]
+    }
+
+    /// Records that request `idx` completes at `finish`.
+    fn complete(&mut self, idx: usize, finish: Seconds) {
+        self.revocable.push((finish, idx));
+    }
+
+    /// Retires every completion finishing at or before `at`, the instant
+    /// of a step: no crash can come before it.
+    fn retire_through(&mut self, at: Seconds) {
+        self.stepped_at = self.stepped_at.max(at);
+        let Window { base, entries, revocable, .. } = self;
+        revocable.retain(|&(finish, idx)| {
+            let retire = finish <= at;
+            entries[idx - *base].retired |= retire;
+            !retire
+        });
+        while self.live_from < self.pushed() && self[self.live_from].retired {
+            self.live_from += 1;
+        }
+        let dead = self.live_from - self.base;
+        if dead > 0 && 2 * dead >= self.entries.len() {
+            self.entries.drain(..dead);
+            self.base = self.live_from;
+        }
+    }
+
+    /// Moves the indices of the completions finishing after `at` (a crash
+    /// at `at` revokes them) into `lost`.
+    fn revoke_after(&mut self, at: Seconds, lost: &mut Vec<usize>) {
+        self.revocable.retain(|&(finish, idx)| {
+            let revoke = finish > at;
+            if revoke {
+                lost.push(idx);
+            }
+            !revoke
+        });
+    }
+}
+
+impl std::ops::Index<usize> for Window {
+    type Output = Entry;
+
+    fn index(&self, idx: usize) -> &Entry {
+        &self.entries[idx - self.base]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Window {
+    fn index_mut(&mut self, idx: usize) -> &mut Entry {
+        &mut self.entries[idx - self.base]
+    }
+}
+
 /// A decided run-to-completion launch.
 struct RtcLaunch {
     chip: usize,
@@ -385,15 +494,13 @@ impl<'a> EngineCore<'a> {
             memory,
             has_prefill,
             chips,
-            arrivals: Vec::new(),
+            window: Window::default(),
             closed: false,
             completions: Vec::new(),
             finishes: Finishes::default(),
             drained: 0,
             energy: Joules::ZERO,
             busy: Seconds::ZERO,
-            first_token: Vec::new(),
-            ttft_set: Vec::new(),
             slowdown: 1.0,
             crashed: false,
             epoch: 0,
@@ -437,7 +544,7 @@ impl<'a> EngineCore<'a> {
     /// Panics if any arrival was already pushed, or the schedule's
     /// classes and weights disagree in length.
     pub fn set_tenancy(&mut self, sched: &TenantSched) {
-        assert!(self.arrivals.is_empty(), "set_tenancy must precede the first push");
+        assert!(self.window.pushed() == 0, "set_tenancy must precede the first push");
         assert_eq!(
             sched.classes.len(),
             sched.weights.len(),
@@ -469,19 +576,16 @@ impl<'a> EngineCore<'a> {
     /// Panics if the core is closed or the arrival order is violated.
     pub fn push(&mut self, request: Request) {
         assert!(!self.closed, "push after close");
-        if let Some(last) = self.arrivals.last() {
-            assert!(
-                request.arrival_s >= last.arrival_s,
-                "arrivals must be pushed in time order"
-            );
+        if let Some(newest) = self.window.newest {
+            assert!(request.arrival_s >= newest, "arrivals must be pushed in time order");
         }
         self.touch();
         self.trace.arrival(&request);
         let tenant = self.tenancy.of(&request);
-        self.tenancy.tenants[tenant].queue.push_back(self.arrivals.len());
-        self.arrivals.push(request);
-        self.first_token.push(Seconds::ZERO);
-        self.ttft_set.push(false);
+        let idx = self.window.push(request);
+        self.tenancy.tenants[tenant].queue.push_back(idx);
+        #[cfg(debug_assertions)]
+        self.check_conservation(0);
     }
 
     /// Declares the arrival stream finished: tail batches smaller than a
@@ -522,31 +626,31 @@ impl<'a> EngineCore<'a> {
     /// mapped, or the KV budget cannot hold even a single request.
     pub fn step(&mut self) -> Result<()> {
         self.touch();
+        let idle = || Error::invalid_config("EngineCore::step called with no runnable action");
+        // Each arm first retires what no crash can revoke any more: a
+        // crash comes no earlier than this step's instant.
         match self.state {
             State::Rtc(_) => {
-                let plan = match self.rtc_decide(None) {
-                    Some(RtcPlan::Launch(l)) => l,
+                let (at, plan) = match self.rtc_decide(None) {
+                    Some(RtcPlan::Launch(l)) => (l.start, l),
                     Some(RtcPlan::Wait { at }) => match self.rtc_decide(Some(at)) {
-                        Some(RtcPlan::Launch(l)) => l,
+                        Some(RtcPlan::Launch(l)) => (at, l),
                         _ => unreachable!("a batching window resolves at its deadline"),
                     },
-                    None => {
-                        return Err(Error::invalid_config(
-                            "EngineCore::step called with no runnable action",
-                        ))
-                    }
+                    None => return Err(idle()),
                 };
-                self.rtc_launch(plan)
+                self.window.retire_through(at);
+                self.rtc_launch(plan)?;
             }
             State::Cont(_) => {
-                let Some((ci, t)) = self.cont_pick() else {
-                    return Err(Error::invalid_config(
-                        "EngineCore::step called with no runnable action",
-                    ));
-                };
-                self.cont_round(ci, t)
+                let (ci, t) = self.cont_pick().ok_or_else(idle)?;
+                self.window.retire_through(t);
+                self.cont_round(ci, t)?;
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_conservation(0);
+        Ok(())
     }
 
     /// Launches a stalled partial batch: a static-batching engine whose
@@ -565,9 +669,12 @@ impl<'a> EngineCore<'a> {
         // Only a static engine waiting for a full batch reaches here.
         let take = self.queued() as usize;
         let chip = earliest(&st.free_at);
-        let start = st.free_at[chip].max(self.arrivals[self.arrivals.len() - 1].arrival());
+        let newest = self.window.newest.expect("a stalled batch was pushed");
+        let start = st.free_at[chip].max(Seconds::new(newest));
         self.touch();
         self.rtc_launch(RtcLaunch { chip, take, start })?;
+        #[cfg(debug_assertions)]
+        self.check_conservation(0);
         Ok(true)
     }
 
@@ -619,25 +726,26 @@ impl<'a> EngineCore<'a> {
     /// allocator and prefix index) from the session after the repair
     /// delay.
     ///
+    /// `at` must be no earlier than the instant of the core's latest
+    /// [`step`](Self::step) (a driver crashes a core when simulated time
+    /// reaches `at`, before any step after it): the core has already let
+    /// go of requests whose completions finished by then.
+    ///
     /// # Panics
     ///
     /// Panics if the core already crashed.
     pub fn crash(&mut self, at: Seconds) -> Vec<Request> {
         assert!(!self.crashed, "crash on an already-crashed core");
+        debug_assert!(at >= self.window.stepped_at, "crash before the core's latest step");
         self.touch();
         self.crashed = true;
-        // Revoke completions scheduled past the crash instant.
-        let mut lost_ids: Vec<u64> = Vec::new();
-        self.completions.retain(|c| {
-            let lost = c.finish > at;
-            if lost {
-                lost_ids.push(c.id);
-            }
-            !lost
-        });
+        // Revoke completions scheduled past the crash instant; their
+        // requests are still in the window.
+        self.completions.retain(|c| c.finish <= at);
         self.finishes.revoke_after(at);
         self.drained = self.drained.min(self.completions.len());
         let mut lost_idx: Vec<usize> = Vec::new();
+        self.window.revoke_after(at, &mut lost_idx);
         match &mut self.state {
             State::Rtc(st) => {
                 for alloc in &mut st.allocs {
@@ -662,15 +770,11 @@ impl<'a> EngineCore<'a> {
         for tq in &mut self.tenancy.tenants {
             lost_idx.extend(tq.queue.drain(..));
         }
-        for (i, r) in self.arrivals.iter().enumerate() {
-            if lost_ids.contains(&r.id) {
-                lost_idx.push(i);
-            }
-        }
         self.closed = true;
         lost_idx.sort_unstable();
-        lost_idx.dedup();
-        lost_idx.into_iter().map(|i| self.arrivals[i]).collect()
+        #[cfg(debug_assertions)]
+        self.check_conservation(lost_idx.len());
+        lost_idx.into_iter().map(|i| self.window[i].request).collect()
     }
 
     /// Whether every pushed request has been completed and the stream is
@@ -715,48 +819,74 @@ impl<'a> EngineCore<'a> {
     /// `O(queued + resident + log completions)`.
     pub fn outstanding_by_class_at(&self, t: Seconds) -> [u64; 3] {
         let mut out = self.finishes.after(t);
-        for idx in self.tenancy.queued() {
-            out[self.arrivals[idx].class.rank()] += 1;
-        }
-        if let State::Cont(st) = &self.state {
-            for chip in &st.chips {
-                for a in &chip.active {
-                    out[self.arrivals[a.idx].class.rank()] += 1;
-                }
-                for &(idx, _) in &chip.resume {
-                    out[self.arrivals[idx].class.rank()] += 1;
-                }
-            }
+        for idx in self.tenancy.queued().chain(self.resident_indices()) {
+            out[self.window[idx].request.class.rank()] += 1;
         }
         out
     }
 
-    /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) by
-    /// linear scan of every arrival and completion: the test oracle. Until
-    /// a crash, an arrival is queued unless it is resident or completed.
-    #[cfg(test)]
-    fn outstanding_by_class_scan(&self, t: Seconds) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        let mut resident: Vec<usize> = Vec::new();
-        if let State::Cont(st) = &self.state {
-            for chip in &st.chips {
-                resident.extend(chip.active.iter().map(|a| a.idx));
-                resident.extend(chip.resume.iter().map(|&(idx, _)| idx));
-            }
+    /// The arrival indices of every resident request (none between
+    /// run-to-completion launches).
+    fn resident_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        let chips = match &self.state {
+            State::Rtc(_) => &[][..],
+            State::Cont(st) => &st.chips[..],
+        };
+        chips.iter().flat_map(|chip| {
+            let active = chip.active.iter().map(|a| a.idx);
+            active.chain(chip.resume.iter().map(|&(idx, _)| idx))
+        })
+    }
+
+    /// Checks request conservation: every pushed request is retired,
+    /// completed but revocable, queued, resident or (after a crash) one of
+    /// the `lost` returned; the completions are exactly the retired and
+    /// revocable ones; and every index the core holds reads a live entry.
+    #[cfg(debug_assertions)]
+    fn check_conservation(&self, lost: usize) {
+        let w = &self.window;
+        let retired = w.base + w.entries.iter().filter(|e| e.retired).count();
+        let (queued, resident) = (self.queued() as usize, self.resident() as usize);
+        assert_eq!(
+            w.pushed(),
+            retired + w.revocable.len() + queued + resident + lost,
+            "pushed == retired + revocable + queued + resident + lost"
+        );
+        assert_eq!(self.completions.len(), retired + w.revocable.len());
+        let held = self.tenancy.queued().chain(self.resident_indices());
+        for idx in held.chain(w.revocable.iter().map(|&(_, idx)| idx)) {
+            assert!((w.live_from..w.pushed()).contains(&idx), "index {idx} left the window");
+            assert!(!w[idx].retired, "index {idx} is retired but still held");
         }
-        for (i, r) in self.arrivals.iter().enumerate() {
+    }
+
+    /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) by
+    /// linear scan of `pushed`, every request pushed so far in order, and
+    /// the completions: the test oracle. Until a crash, a pushed request
+    /// is queued unless it is resident or completed.
+    #[cfg(test)]
+    fn outstanding_by_class_scan(&self, pushed: &[Request], t: Seconds) -> [u64; 3] {
+        let mut out = [0u64; 3];
+        let resident: Vec<usize> = self.resident_indices().collect();
+        for (i, r) in pushed.iter().enumerate() {
             let completed = self.completions.iter().any(|c| c.id == r.id);
             if resident.contains(&i) || !(self.crashed || completed) {
                 out[r.class.rank()] += 1;
             }
         }
         let class_of = |id: u64| {
-            self.arrivals.iter().find(|r| r.id == id).expect("completed requests arrived").class
+            pushed.iter().find(|r| r.id == id).expect("completed requests arrived").class
         };
         for c in self.completions.iter().filter(|c| c.finish > t) {
             out[class_of(c.id).rank()] += 1;
         }
         out
+    }
+
+    /// Entries the window holds, retired ones not yet drained included.
+    #[cfg(test)]
+    fn window_len(&self) -> usize {
+        self.window.entries.len()
     }
 
     /// Per-tenant preemption counts, by tenant index of the schedule
@@ -873,7 +1003,7 @@ impl<'a> EngineCore<'a> {
         let State::Rtc(st) = &self.state else { unreachable!("rtc_decide on continuous") };
         // Batch formation is FIFO, so everything from the oldest queued
         // arrival on is still queued.
-        let queue = &self.arrivals[self.tenancy.oldest()?..];
+        let queue = self.window.since(self.tenancy.oldest()?);
         let chip = earliest(&st.free_at);
         let free = st.free_at[chip];
         match self.policy {
@@ -887,19 +1017,20 @@ impl<'a> EngineCore<'a> {
                 } else {
                     return None; // blocked until more arrivals or close
                 };
-                let start = free.max(queue[take - 1].arrival());
+                let start = free.max(queue[take - 1].request.arrival());
                 Some(RtcPlan::Launch(RtcLaunch { chip, take, start }))
             }
             BatchPolicy::Dynamic { max_batch, max_wait_ms } => {
                 // Launch when `max_batch` have queued or the oldest waiter
                 // has waited `max_wait_ms`, whichever happens first.
                 let cap = max_batch.max(1) as usize;
-                let t0 = free.max(queue[0].arrival());
-                let deadline = t0.max(queue[0].arrival() + Seconds::from_millis(max_wait_ms));
+                let t0 = free.max(queue[0].request.arrival());
+                let deadline =
+                    t0.max(queue[0].request.arrival() + Seconds::from_millis(max_wait_ms));
                 let take = queue
                     .iter()
                     .take(cap)
-                    .take_while(|r| r.arrival() <= deadline)
+                    .take_while(|e| e.request.arrival() <= deadline)
                     .count();
                 // The take is final once the batch is full, a queued
                 // arrival already fell past the deadline, the stream is
@@ -909,7 +1040,7 @@ impl<'a> EngineCore<'a> {
                     || self.closed
                     || now.is_some_and(|n| n >= deadline);
                 if committed {
-                    let start = t0.max(queue[take - 1].arrival());
+                    let start = t0.max(queue[take - 1].request.arrival());
                     Some(RtcPlan::Launch(RtcLaunch { chip, take, start }))
                 } else {
                     Some(RtcPlan::Wait { at: deadline })
@@ -925,21 +1056,21 @@ impl<'a> EngineCore<'a> {
     fn rtc_launch(&mut self, plan: RtcLaunch) -> Result<()> {
         let RtcLaunch { chip, take: policy_take, start: policy_start } = plan;
         let next = self.tenancy.oldest().expect("a launch has queued members");
+        let queue = &self.window.since(next)[..policy_take];
         let (take, start) = {
             let State::Rtc(st) = &mut self.state else { unreachable!() };
             // Admission control: shrink the batch until its worst-case
             // footprint fits the (empty) allocator.
-            let take =
-                kv_admissible_prefix(&st.allocs[chip], &self.arrivals[next..next + policy_take])?;
+            let take = kv_admissible_prefix(&st.allocs[chip], queue)?;
             let start = if take == policy_take {
                 policy_start
             } else {
-                st.free_at[chip].max(self.arrivals[next + take - 1].arrival())
+                st.free_at[chip].max(queue[take - 1].request.arrival())
             };
-            for r in &self.arrivals[next + take..next + policy_take] {
-                st.kv_deferred_at.entry(r.id).or_insert(start);
+            for e in &queue[take..] {
+                st.kv_deferred_at.entry(e.request.id).or_insert(start);
             }
-            for r in &self.arrivals[next..next + take] {
+            for r in queue[..take].iter().map(|e| &e.request) {
                 if let Some(since) = st.kv_deferred_at.remove(&r.id) {
                     // Ready since `since` (or its arrival, if later), held
                     // back by KV until this launch.
@@ -948,13 +1079,13 @@ impl<'a> EngineCore<'a> {
             }
             (take, start)
         };
-        let members: Vec<Request> = self.arrivals[next..next + take].to_vec();
+        let members: Vec<Request> = queue[..take].iter().map(|e| e.request).collect();
         for r in &members {
             self.trace.span(EventKind::Queue, r, r.arrival(), start);
             // Run-to-completion batch formation stays FIFO: each member
             // heads its tenant's queue. The ledgers still charge service.
-            let admitted = self.tenancy.admit(self.tenancy.of(r), &self.arrivals);
-            debug_assert_eq!(self.arrivals[admitted].id, r.id);
+            let admitted = self.tenancy.admit(self.tenancy.of(r), &self.window);
+            debug_assert_eq!(self.window[admitted].request.id, r.id);
         }
         {
             // Between run-to-completion batches only index-held prefix
@@ -975,7 +1106,7 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        let end = self.run_batch(&members, start, chip)?;
+        let end = self.run_batch(&members, next, start, chip)?;
         let State::Rtc(st) = &mut self.state else { unreachable!() };
         st.free_at[chip] = end;
         Ok(())
@@ -986,8 +1117,14 @@ impl<'a> EngineCore<'a> {
     /// per generated token. Static batching pads — finished requests hold
     /// their slot; dynamic shrinks the step batch as requests finish. KV
     /// blocks grow with each generated token and release when the batch
-    /// retires.
-    fn run_batch(&mut self, members: &[Request], start: Seconds, chip: usize) -> Result<Seconds> {
+    /// retires. `members` are the arrivals from index `first` on.
+    fn run_batch(
+        &mut self,
+        members: &[Request],
+        first: usize,
+        start: Seconds,
+        chip: usize,
+    ) -> Result<Seconds> {
         let b = members.len() as u64;
         let max_prompt = members.iter().map(|r| r.prompt_len).max().expect("non-empty");
         let max_steps = members.iter().map(|r| r.steps).max().expect("non-empty");
@@ -1085,6 +1222,7 @@ impl<'a> EngineCore<'a> {
                 steps: r.steps,
             });
             self.finishes.record(release, r.class);
+            self.window.complete(first + i, release);
         }
         self.busy += t - start;
         Ok(t)
@@ -1123,7 +1261,7 @@ impl<'a> EngineCore<'a> {
             let candidate = if !chip.active.is_empty() || !chip.resume.is_empty() {
                 chip.t
             } else if let Some(idx) = self.tenancy.oldest() {
-                chip.t.max(self.arrivals[idx].arrival())
+                chip.t.max(self.window[idx].request.arrival())
             } else {
                 continue;
             };
@@ -1168,12 +1306,12 @@ impl<'a> EngineCore<'a> {
         while chip.active.len() + admitted.len() < max_batch as usize {
             let (idx, done, tenant) = match chip.resume.front() {
                 Some(&(idx, done)) => (idx, done, None),
-                None => match self.tenancy.pick(&self.arrivals, chip.t) {
+                None => match self.tenancy.pick(&self.window, chip.t) {
                     Some((tenant, idx)) => (idx, 0, Some(tenant)),
                     None => break,
                 },
             };
-            let Some(shared) = cont_admit(chip, &self.arrivals[idx], done) else {
+            let Some(shared) = cont_admit(chip, &self.window[idx].request, done) else {
                 kv_blocked = true;
                 break;
             };
@@ -1182,7 +1320,7 @@ impl<'a> EngineCore<'a> {
                     chip.resume.pop_front();
                 }
                 Some(tenant) => {
-                    self.tenancy.admit(tenant, &self.arrivals);
+                    self.tenancy.admit(tenant, &self.window);
                 }
             }
             admitted.push((idx, done, shared));
@@ -1201,7 +1339,7 @@ impl<'a> EngineCore<'a> {
         // already emitted theirs on first admission.
         for &(idx, done, _) in admitted.iter() {
             if done == 0 {
-                let r = &self.arrivals[idx];
+                let r = &self.window[idx].request;
                 self.trace.span(EventKind::Queue, r, r.arrival(), round_start);
             }
         }
@@ -1224,7 +1362,7 @@ impl<'a> EngineCore<'a> {
                     let past = group.clone().map(|&(_, _, s)| s).max().expect("non-empty");
                     let tail = group
                         .clone()
-                        .map(|&(idx, done, s)| self.arrivals[idx].prompt_len + done - s)
+                        .map(|&(idx, done, s)| self.window[idx].request.prompt_len + done - s)
                         .max()
                         .expect("non-empty");
                     let cost = self.pricer.prefill_chunk(n, tail, past)?;
@@ -1232,21 +1370,19 @@ impl<'a> EngineCore<'a> {
                     chip.t += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();
                     for &(idx, _, _) in group {
-                        if !self.ttft_set[idx] {
-                            self.first_token[idx] = chip.t;
-                            self.ttft_set[idx] = true;
-                        }
-                        self.trace.span(EventKind::Prefill, &self.arrivals[idx], before, chip.t);
+                        let e = &mut self.window[idx];
+                        e.first_token.get_or_insert(chip.t);
+                        self.trace.span(EventKind::Prefill, &e.request, before, chip.t);
                     }
                 }
                 chip.active.extend(admitted.drain(..).map(|(idx, done, _)| {
-                    let target = self.arrivals[idx].prompt_len + done;
+                    let target = self.window[idx].request.prompt_len + done;
                     Active { idx, done, prefilled: target, target }
                 }));
             }
             Some(chunk) => {
                 chip.active.extend(admitted.drain(..).map(|(idx, done, shared)| {
-                    let target = self.arrivals[idx].prompt_len + done;
+                    let target = self.window[idx].request.prompt_len + done;
                     Active {
                         idx,
                         done,
@@ -1284,11 +1420,11 @@ impl<'a> EngineCore<'a> {
                     for &p in prefilling.iter() {
                         let a = &mut chip.active[p];
                         a.prefilled = (a.prefilled + chunk).min(a.target);
-                        if a.prefilled == a.target && !self.ttft_set[a.idx] {
-                            self.first_token[a.idx] = now;
-                            self.ttft_set[a.idx] = true;
+                        let e = &mut self.window[a.idx];
+                        if a.prefilled == a.target {
+                            e.first_token.get_or_insert(now);
                         }
-                        self.trace.span(EventKind::Prefill, &self.arrivals[a.idx], before, now);
+                        self.trace.span(EventKind::Prefill, &e.request, before, now);
                     }
                 }
             }
@@ -1308,9 +1444,8 @@ impl<'a> EngineCore<'a> {
                 break;
             }
             let fits = decoders.iter().all(|&p| {
-                let a = &chip.active[p];
-                chip.alloc
-                    .try_grow(self.arrivals[a.idx].id, self.arrivals[a.idx].prompt_len + a.done + 1)
+                let r = &self.window[chip.active[p].idx].request;
+                chip.alloc.try_grow(r.id, r.prompt_len + chip.active[p].done + 1)
             });
             if !fits {
                 // Cheapest relief first: evict cached prefix blocks whose
@@ -1329,11 +1464,11 @@ impl<'a> EngineCore<'a> {
                 let victim_pos = (0..chip.active.len())
                     .max_by_key(|&p| {
                         let idx = chip.active[p].idx;
-                        (tenancy.tenants[tenancy.of(&self.arrivals[idx])].class.rank(), idx)
+                        (tenancy.tenants[tenancy.of(&self.window[idx].request)].class.rank(), idx)
                     })
                     .expect("non-empty");
                 let victim = chip.active.remove(victim_pos);
-                let r = &self.arrivals[victim.idx];
+                let r = &self.window[victim.idx].request;
                 chip.alloc.release(r.id);
                 let tenant = tenancy.of(r);
                 tenancy.preempted[tenant] += 1;
@@ -1353,7 +1488,7 @@ impl<'a> EngineCore<'a> {
                 .iter()
                 .map(|&p| {
                     let a = &chip.active[p];
-                    self.arrivals[a.idx].prompt_len + a.done
+                    self.window[a.idx].request.prompt_len + a.done
                 })
                 .max()
                 .expect("non-empty")
@@ -1365,33 +1500,33 @@ impl<'a> EngineCore<'a> {
             for &p in decoders.iter() {
                 let a = &mut chip.active[p];
                 a.done += 1;
-                if a.done == 1 && !has_prefill && !self.ttft_set[a.idx] {
-                    self.first_token[a.idx] = now;
-                    self.ttft_set[a.idx] = true;
+                if a.done == 1 && !has_prefill {
+                    self.window[a.idx].first_token.get_or_insert(now);
                 }
             }
             let ContChip { active, alloc, .. } = chip;
-            let arrivals = &self.arrivals;
-            let first_token = &self.first_token;
+            let window = &mut self.window;
             let completions = &mut self.completions;
             let finishes = &mut self.finishes;
             let trace = &self.trace;
             active.retain(|a| {
-                if a.prefilled >= a.target && a.done >= arrivals[a.idx].steps {
-                    alloc.release(arrivals[a.idx].id);
-                    trace.span(EventKind::Decode, &arrivals[a.idx], first_token[a.idx], now);
-                    completions.push(Completion {
-                        id: arrivals[a.idx].id,
-                        arrival: arrivals[a.idx].arrival(),
-                        first_token: first_token[a.idx],
-                        finish: now,
-                        steps: arrivals[a.idx].steps,
-                    });
-                    finishes.record(now, arrivals[a.idx].class);
-                    false
-                } else {
-                    true
+                let Entry { request: r, first_token, .. } = &window[a.idx];
+                if a.prefilled < a.target || a.done < r.steps {
+                    return true;
                 }
+                let first_token = first_token.unwrap_or(Seconds::ZERO);
+                alloc.release(r.id);
+                trace.span(EventKind::Decode, r, first_token, now);
+                completions.push(Completion {
+                    id: r.id,
+                    arrival: r.arrival(),
+                    first_token,
+                    finish: now,
+                    steps: r.steps,
+                });
+                finishes.record(now, r.class);
+                window.complete(a.idx, now);
+                false
             });
             break;
         }
@@ -1416,13 +1551,13 @@ impl<'a> EngineCore<'a> {
 /// # Errors
 ///
 /// Returns an error if even the first request can never fit.
-fn kv_admissible_prefix(alloc: &PagedKvAllocator, queue: &[Request]) -> Result<usize> {
+fn kv_admissible_prefix(alloc: &PagedKvAllocator, queue: &[Entry]) -> Result<usize> {
     let Some(capacity) = alloc.capacity_blocks() else {
         return Ok(queue.len());
     };
     let mut blocks = 0;
     let mut take = 0;
-    for r in queue {
+    for r in queue.iter().map(|e| &e.request) {
         let need = alloc.blocks_for(r.prompt_len + r.steps);
         if blocks + need > capacity {
             break;
@@ -1431,10 +1566,11 @@ fn kv_admissible_prefix(alloc: &PagedKvAllocator, queue: &[Request]) -> Result<u
         take += 1;
     }
     if take == 0 {
+        let r = &queue[0].request;
         return Err(Error::invalid_config(format!(
             "KV budget too small: request {} needs {} blocks but capacity is {capacity}",
-            queue[0].id,
-            alloc.blocks_for(queue[0].prompt_len + queue[0].steps),
+            r.id,
+            alloc.blocks_for(r.prompt_len + r.steps),
         )));
     }
     Ok(take)
@@ -1932,6 +2068,157 @@ mod tests {
         assert!(core.energy().get() > 0.0);
     }
 
+    /// Feeds `requests` into `core` as [`drive`] does (an arrival goes in
+    /// when it is due no later than the core's next action). From step
+    /// `crash_from` on, the first step whose newest completion finishes
+    /// after the step's instant is followed by a crash at that instant,
+    /// which revokes it. After every event it checks that the window holds
+    /// less than twice the live span: the pushed requests from the oldest
+    /// one still in flight (queued, resident, or completed at a finish a
+    /// crash could still revoke — after the latest step's instant, or
+    /// produced by that step) to the newest. Returns the largest window
+    /// seen and the crash's lost requests.
+    fn drive_retaining(
+        core: &mut EngineCore<'_>,
+        requests: &[Request],
+        crash_from: Option<usize>,
+    ) -> (usize, Vec<Request>) {
+        let mut pushed = 0;
+        let mut steps = 0;
+        let mut stepped_at = Seconds::ZERO;
+        let mut fresh: Vec<u64> = Vec::new();
+        let mut widest = 0;
+        let mut check = |core: &EngineCore<'_>, pushed: usize, stepped_at, fresh: &[u64]| {
+            let settled: Vec<u64> = core
+                .completions()
+                .iter()
+                .filter(|c| c.finish <= stepped_at && !fresh.contains(&c.id))
+                .map(|c| c.id)
+                .collect();
+            let oldest = requests[..pushed].iter().position(|r| !settled.contains(&r.id));
+            let span = oldest.map_or(0, |i| pushed - i);
+            let len = core.window_len();
+            assert!(len < 2 * span || len == 0, "window {len} for a live span of {span}");
+            widest = widest.max(len);
+        };
+        loop {
+            let action = core.next_action();
+            match (requests.get(pushed), action) {
+                (Some(r), act) if act.is_none_or(|t| r.arrival() <= t) => {
+                    core.push(*r);
+                    pushed += 1;
+                    if pushed == requests.len() {
+                        core.close();
+                    }
+                }
+                (_, Some(now)) => {
+                    let before = core.completions().len();
+                    core.step().unwrap();
+                    steps += 1;
+                    stepped_at = now;
+                    fresh = core.completions()[before..].iter().map(|c| c.id).collect();
+                    let running = core.completions().last().filter(|c| c.finish > now);
+                    let due = crash_from.is_some_and(|from| from <= steps);
+                    if let Some(&revoked) = running.filter(|_| due) {
+                        let lost = core.crash(now);
+                        assert!(lost.iter().any(|r| r.id == revoked.id), "revoked, not lost");
+                        check(core, pushed, stepped_at, &fresh);
+                        return (widest, lost);
+                    }
+                }
+                (_, None) => return (widest, Vec::new()),
+            }
+            check(core, pushed, stepped_at, &fresh);
+        }
+    }
+
+    /// 400 open-loop requests, Poisson at `rate_rps`, tagged round-robin
+    /// with the three service tiers.
+    fn retention_traffic(rate_rps: f64) -> Vec<Request> {
+        let traffic = TrafficSpec {
+            requests: 400,
+            arrival: ArrivalPattern::OpenLoop { rate_rps },
+            prompt: LenDist::Uniform { lo: 16, hi: 32 },
+            steps: LenDist::Uniform { lo: 1, hi: 8 },
+            ..burst(0)
+        };
+        let classes = [SloClass::Interactive, SloClass::Standard, SloClass::Batch];
+        let mut requests = traffic.generate();
+        for r in &mut requests {
+            r.tenant = (r.id % 3) as u32;
+            r.class = classes[r.tenant as usize];
+        }
+        requests
+    }
+
+    /// A core lets go of finished requests: under continuous FIFO, 3-tenant
+    /// weighted-fair admission and KV-pressure preemption, its window stays
+    /// within twice the live span after every event and at most a quarter
+    /// of the 400 requests pushed.
+    #[test]
+    fn continuous_window_holds_only_live_requests() {
+        let tight = MemoryConfig::unlimited().with_budget_bytes(cimtpu_units::Bytes::from_kib(64));
+        let sched = TenantSched {
+            classes: vec![SloClass::Interactive, SloClass::Standard, SloClass::Batch],
+            weights: vec![1.0, 2.0, 1.0],
+        };
+        let cases = [
+            ("fifo", MemoryConfig::unlimited(), None),
+            ("wfq", MemoryConfig::unlimited(), Some(&sched)),
+            ("kv-pressure", tight, None),
+        ];
+        for (name, memory, tenancy) in cases {
+            let engine =
+                tiny_engine_on(BatchPolicy::Continuous { max_batch: 4 }, 2).with_memory(memory);
+            let session = crate::EngineSession::new(&engine).unwrap();
+            let mut core = session.core().unwrap();
+            if let Some(sched) = tenancy {
+                core.set_tenancy(sched);
+            }
+            let requests = retention_traffic(40_000.0);
+            let (widest, _) = drive_retaining(&mut core, &requests, None);
+            assert_eq!(core.completions().len(), 400, "{name}");
+            assert!(widest <= 100, "{name}: the window reached {widest} entries");
+            if memory.budget != MemoryConfig::unlimited().budget {
+                assert!(core.memory_stats().preemptions > 0, "{name}: no preemption");
+            }
+        }
+    }
+
+    /// Static and dynamic batches stay in the window while a crash can
+    /// revoke them, so a crash right after a launch hands back exactly the
+    /// requests without a standing completion, revoked ones included.
+    #[test]
+    fn batch_window_keeps_revocable_members_for_a_crash() {
+        for policy in [
+            BatchPolicy::Static { batch: 3 },
+            BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+        ] {
+            let requests = retention_traffic(4_000.0);
+            let mut widest = 0;
+            for crash_from in [None, Some(40)] {
+                let engine = tiny_engine_on(policy, 2);
+                let session = crate::EngineSession::new(&engine).unwrap();
+                let mut core = session.core().unwrap();
+                let (wide, lost) = drive_retaining(&mut core, &requests, crash_from);
+                widest = widest.max(wide);
+                let done: Vec<u64> = core.completions().iter().map(|c| c.id).collect();
+                let what = format!("{}, crash from step {crash_from:?}", policy.name());
+                if crash_from.is_some() {
+                    // Every pushed request (ids 0..n, pushed in order) is
+                    // either done or lost, never both.
+                    let mut ids: Vec<u64> =
+                        done.iter().copied().chain(lost.iter().map(|r| r.id)).collect();
+                    ids.sort_unstable();
+                    assert!(ids.iter().copied().eq(0..ids.len() as u64), "{what}: conservation");
+                } else {
+                    assert_eq!(done.len(), 400, "{what}");
+                }
+            }
+            assert!(widest <= 100, "{}: the window reached {widest} entries", policy.name());
+        }
+    }
+
     /// Runs a mixed-policy fleet through the given driver and returns
     /// every core's finished run.
     use proptest::prelude::*;
@@ -1945,12 +2232,13 @@ mod tests {
     }
 
     /// Compares [`EngineCore::outstanding_at`] and
-    /// [`EngineCore::outstanding_by_class_at`] with their scans at t = 0,
-    /// at every arrival, at every completion's finish time and a hair on
-    /// either side of it, and far past the latest event.
-    fn check_outstanding(core: &EngineCore<'_>, arrivals: &[Seconds]) {
+    /// [`EngineCore::outstanding_by_class_at`] with their scans over
+    /// `pushed` at t = 0, at every arrival, at every completion's finish
+    /// time and a hair on either side of it, and far past the latest
+    /// event.
+    fn check_outstanding(core: &EngineCore<'_>, pushed: &[Request]) {
         let mut probes = vec![Seconds::ZERO, Seconds::new(1e9)];
-        probes.extend_from_slice(arrivals);
+        probes.extend(pushed.iter().map(Request::arrival));
         for c in core.completions() {
             let f = c.finish.get();
             probes.extend([f, f * (1.0 - 1e-12), f * (1.0 + 1e-12) + 1e-300].map(Seconds::new));
@@ -1959,7 +2247,7 @@ mod tests {
             let total = core.outstanding_at(t);
             assert_eq!(total, outstanding_scan(core, t), "t = {t}");
             let by_class = core.outstanding_by_class_at(t);
-            assert_eq!(by_class, core.outstanding_by_class_scan(t), "t = {t}");
+            assert_eq!(by_class, core.outstanding_by_class_scan(pushed, t), "t = {t}");
             assert_eq!(by_class.iter().sum::<u64>(), total, "t = {t}");
         }
     }
@@ -1967,7 +2255,8 @@ mod tests {
     /// Runs 16 seeded requests through every batch policy on one- and
     /// two-chip replicas, checking the outstanding counts before the
     /// first step, after every step, and after a crash at step
-    /// `crash_at_step`. Requests cycle through the three service tiers;
+    /// `crash_at_step` (no earlier than that step's instant, as a driver
+    /// crashes a core). Requests cycle through the three service tiers;
     /// `tenancy` arms tenant-aware scheduling with one tenant per tier.
     fn check_outstanding_run(seed: u64, crash_at_step: usize, tenancy: bool) {
         let policies = [
@@ -1992,7 +2281,6 @@ mod tests {
             r.tenant = (r.id % 3) as u32;
             r.class = sched.classes[r.tenant as usize];
         }
-        let arrivals: Vec<Seconds> = requests.iter().map(Request::arrival).collect();
         for policy in policies {
             for chips in [1, 2] {
                 let engine = tiny_engine_on(policy, chips);
@@ -2005,24 +2293,25 @@ mod tests {
                     core.push(*r);
                 }
                 core.close();
-                check_outstanding(&core, &arrivals);
+                check_outstanding(&core, &requests);
                 let mut steps = 0;
-                while core.next_action().is_some() {
+                while let Some(now) = core.next_action() {
                     core.step().unwrap();
                     steps += 1;
-                    check_outstanding(&core, &arrivals);
+                    check_outstanding(&core, &requests);
                     if steps == crash_at_step {
-                        // Crash mid-run, at the median finish so far:
-                        // later finishes are revoked.
+                        // Crash mid-run, at the median finish so far or
+                        // the step's instant, whichever is later: later
+                        // finishes are revoked.
                         let mut finishes: Vec<Seconds> =
                             core.completions().iter().map(|c| c.finish).collect();
                         finishes.sort_by(|a, b| a.get().total_cmp(&b.get()));
                         let at = finishes
                             .get(finishes.len() / 2)
                             .copied()
-                            .unwrap_or(arrivals[steps % arrivals.len()]);
-                        core.crash(at);
-                        check_outstanding(&core, &arrivals);
+                            .unwrap_or(requests[steps % requests.len()].arrival());
+                        core.crash(at.max(now));
+                        check_outstanding(&core, &requests);
                     }
                 }
             }
