@@ -680,7 +680,9 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
 
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
-    let mut completions: Vec<Completion> = Vec::new();
+    // At most one completion per offered request: one allocation, no
+    // doubling.
+    let mut completions: Vec<Completion> = Vec::with_capacity(offered as usize);
     let mut dhealth = HealthView::all_up(decode.len());
     // Retries fire in (fire, id) order, ties in push order.
     let mut waiting = EventQueue::new(|w: &DisaggRetry| (EventKey::new(w.fire), w.request.id));

@@ -412,7 +412,12 @@ pub(crate) struct CrashRecord {
 /// observes the failure at `at` and thinks before reissuing, so dropping
 /// a request never deadlocks a closed loop. Open-loop and burst streams
 /// ignore the synthetic completion.
-pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: f64, at: Seconds) {
+pub(crate) fn release_client(
+    stream: &mut ArrivalStream<'_>,
+    id: u64,
+    orig_arrival: f64,
+    at: Seconds,
+) {
     stream.on_complete(&Completion {
         id,
         arrival: Seconds::new(orig_arrival),
@@ -426,7 +431,9 @@ pub(crate) fn release_client(stream: &mut ArrivalStream, id: u64, orig_arrival: 
 /// request's original arrival and retry count, the shed / time-out /
 /// retry verdict for a lost request, the deadline check at admission, the
 /// crash log, and the [`AvailabilityStats`] they add up to. Sheds,
-/// timeouts, retries and parks go to the loop's observer `O`.
+/// timeouts, retries and parks go to the loop's observer `O`. A request's
+/// entries are dropped once it completes, is shed or times out, so the
+/// books hold requests in flight only.
 pub(crate) struct RetryLedger<'o, O> {
     recovery: RecoveryPolicy,
     /// Original arrival of each request the driver re-admitted with a
@@ -488,7 +495,7 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         &mut self,
         r: &Request,
         now: Seconds,
-        stream: &mut ArrivalStream,
+        stream: &mut ArrivalStream<'_>,
         tenancy: &mut Option<Tenancy<'_>>,
     ) -> Option<(Seconds, u32)> {
         let orig = self.origin(r);
@@ -513,7 +520,7 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         &mut self,
         r: &Request,
         now: Seconds,
-        stream: &mut ArrivalStream,
+        stream: &mut ArrivalStream<'_>,
         tenancy: &mut Option<Tenancy<'_>>,
     ) -> bool {
         let orig = self.origin(r);
@@ -530,9 +537,10 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         id: u64,
         orig: f64,
         now: Seconds,
-        stream: &mut ArrivalStream,
+        stream: &mut ArrivalStream<'_>,
         tenancy: &mut Option<Tenancy<'_>>,
     ) {
+        self.forget(id);
         self.stats.shed += 1;
         if let Some(t) = tenancy.as_mut() {
             t.ledger.on_shed(id);
@@ -545,14 +553,21 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         id: u64,
         orig: f64,
         now: Seconds,
-        stream: &mut ArrivalStream,
+        stream: &mut ArrivalStream<'_>,
         tenancy: &mut Option<Tenancy<'_>>,
     ) {
+        self.forget(id);
         self.stats.timed_out += 1;
         if let Some(t) = tenancy.as_mut() {
             t.ledger.on_timeout(id);
         }
         self.drop_request(EventKind::Timeout, id, orig, now, stream, tenancy);
+    }
+
+    /// Clears the books of request `id`, which has left the fleet.
+    fn forget(&mut self, id: u64) {
+        self.origin.remove(&id);
+        self.attempts.remove(&id);
     }
 
     fn drop_request(
@@ -561,7 +576,7 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         id: u64,
         orig: f64,
         now: Seconds,
-        stream: &mut ArrivalStream,
+        stream: &mut ArrivalStream<'_>,
         tenancy: &Option<Tenancy<'_>>,
     ) {
         self.obs.request(kind, id, now, None, tenancy);
@@ -592,13 +607,13 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
     }
 
     /// Books `replica`'s delivered completion `c`: restores its original
-    /// arrival, counts a retried request that made it, and stops the
-    /// replica's time-to-recover clocks.
+    /// arrival, counts a retried request that made it, forgets the
+    /// request, and stops the replica's time-to-recover clocks.
     pub(crate) fn on_complete(&mut self, replica: usize, c: &mut Completion) {
-        if let Some(&orig) = self.origin.get(&c.id) {
+        if let Some(orig) = self.origin.remove(&c.id) {
             c.arrival = Seconds::new(orig);
         }
-        if self.attempts.contains_key(&c.id) {
+        if self.attempts.remove(&c.id).is_some() {
             self.stats.retried_ok += 1;
         }
         for rec in &mut self.crashes {
@@ -623,6 +638,12 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
             completions.len() as u64 + avail.shed + avail.timed_out,
             offered,
             "request conservation: arrived == completed + shed + timed out"
+        );
+        debug_assert!(
+            self.origin.is_empty() && self.attempts.is_empty(),
+            "every offered request left the books: {} origins, {} attempt counts remain",
+            self.origin.len(),
+            self.attempts.len()
         );
         let (first_arrival, finish, makespan) = Completion::span(completions);
         let clip = |t: f64| t.clamp(first_arrival.get(), finish.get());

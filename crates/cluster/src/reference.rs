@@ -131,7 +131,7 @@ impl Book {
     }
 
     /// Drops `r` at `now` (shed, or timed out), releasing its client.
-    fn drop(&mut self, shed: bool, r: &Request, now: Seconds, stream: &mut ArrivalStream) {
+    fn drop(&mut self, shed: bool, r: &Request, now: Seconds, stream: &mut ArrivalStream<'_>) {
         *if shed { &mut self.stats.shed } else { &mut self.stats.timed_out } += 1;
         release_client(stream, r.id, self.origin(r), now);
     }
@@ -139,7 +139,7 @@ impl Book {
     /// A crash lost `r` at `now`: when its retry fires and its attempts so
     /// far, or `None` once it is shed (budget spent) or timed out (the
     /// backoff overruns its deadline).
-    fn lost(&mut self, r: &Request, now: Seconds, s: &mut ArrivalStream) -> Option<(Seconds, u32)> {
+    fn lost(&mut self, r: &Request, now: Seconds, s: &mut ArrivalStream<'_>) -> Option<(Seconds, u32)> {
         let attempts = self.attempts(r.id) + 1;
         let fire = now + self.recovery.backoff_for(attempts);
         if attempts > self.recovery.max_attempts {
@@ -154,7 +154,7 @@ impl Book {
     }
 
     /// Times `r` out if `now` is past its deadline.
-    fn expired(&mut self, r: &Request, now: Seconds, stream: &mut ArrivalStream) -> bool {
+    fn expired(&mut self, r: &Request, now: Seconds, stream: &mut ArrivalStream<'_>) -> bool {
         let late = now.get() > self.origin(r) + self.recovery.deadline.get();
         if late {
             self.drop(false, r, now, stream);

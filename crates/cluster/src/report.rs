@@ -4,7 +4,9 @@
 use serde::{Deserialize, Serialize, Value};
 
 use cimtpu_autoscale::ScalingStats;
-use cimtpu_serving::{Completion, EngineCore, LatencyStats, PrefixStats, TenantReport};
+use cimtpu_serving::{
+    Completion, CompletionStats, EngineCore, LatencyStats, PrefixStats, TenantReport,
+};
 use cimtpu_units::{Joules, Seconds};
 
 use crate::engine::Tenancy;
@@ -318,15 +320,8 @@ impl ClusterReport {
         slo_ms: Option<f64>,
         availability: Option<AvailabilityStats>,
     ) -> Self {
-        let (_, _, makespan) = Completion::span(completions);
-        let steps: u64 = completions.iter().map(|c| c.steps).sum();
-        let mut latencies: Vec<f64> =
-            completions.iter().map(|c| c.latency().as_millis()).collect();
-        let mut ttfts: Vec<f64> = completions.iter().map(|c| c.ttft().as_millis()).collect();
-        let good = match slo_ms {
-            None => completions.len(),
-            Some(slo) => latencies.iter().filter(|&&l| l <= slo).count(),
-        };
+        let stats = CompletionStats::of(completions, slo_ms);
+        let makespan = stats.makespan_s;
         for row in &mut per_replica {
             row.utilization = row.busy_s / makespan;
         }
@@ -349,11 +344,11 @@ impl ClusterReport {
             completed: completions.len() as u64,
             makespan_s: makespan,
             throughput_rps: completions.len() as f64 / makespan,
-            goodput_rps: good as f64 / makespan,
+            goodput_rps: stats.good as f64 / makespan,
             slo_ms: slo_ms.unwrap_or(0.0),
-            steps_per_second: steps as f64 / makespan,
-            latency: LatencyStats::from_samples_or_zero(&mut latencies),
-            ttft: LatencyStats::from_samples_or_zero(&mut ttfts),
+            steps_per_second: stats.steps as f64 / makespan,
+            latency: stats.latency,
+            ttft: stats.ttft,
             total_energy_j: total_energy,
             energy_per_request_j: if completions.is_empty() {
                 0.0

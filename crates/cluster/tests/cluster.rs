@@ -6,8 +6,8 @@ use cimtpu_cluster::{ClusterEngine, InterconnectSpec, ReplicaSpec, RouterPolicy}
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, KvBudget, LenDist, MemoryConfig, PrefixTraffic, ServingModel,
-    TrafficSpec,
+    ArrivalPattern, BatchPolicy, KvBudget, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
+    ServingEngine, ServingModel, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Seconds};
 
@@ -305,5 +305,47 @@ fn llm_fleets_reject_empty_prompts() {
     for fleet in [colocated, disagg] {
         let run = fleet.run("empty", &empty);
         assert!(matches!(run, Err(Error::InvalidConfig(_))), "{run:?}");
+    }
+}
+
+/// An open-loop rate that is not finite and positive is a typed
+/// configuration error on every engine, raised before any request is
+/// drawn: a zero rate used to report NaN latencies and an infinite
+/// makespan, NaN and negative rates panicked mid-run on out-of-order
+/// arrivals, and an infinite rate silently served a burst.
+#[test]
+fn every_engine_rejects_invalid_open_loop_rates() {
+    let single = ServingEngine::new(
+        TpuConfig::tpuv4i(),
+        tiny(),
+        Parallelism::Replicated { chips: 1 },
+        BatchPolicy::Continuous { max_batch: 4 },
+    )
+    .unwrap();
+    let colocated =
+        ClusterEngine::colocated(vec![replica("a"), replica("b")], RouterPolicy::RoundRobin)
+            .unwrap();
+    let disagg = ClusterEngine::disaggregated(
+        vec![replica("p")],
+        vec![replica("d")],
+        RouterPolicy::RoundRobin,
+        RouterPolicy::RoundRobin,
+        InterconnectSpec::ici(),
+    )
+    .unwrap();
+    for rate_rps in [0.0, f64::NAN, -5.0, f64::INFINITY] {
+        for arrival in [
+            ArrivalPattern::OpenLoop { rate_rps },
+            ArrivalPattern::OpenLoopSessions { rate_rps, sessions: 2 },
+        ] {
+            let bad = TrafficSpec { arrival, ..traffic(4) };
+            let what = format!("{:?}", bad.arrival);
+            let run = single.run("rate", &bad).map(|_| ());
+            assert!(matches!(run, Err(Error::InvalidConfig(_))), "single engine, {what}: {run:?}");
+            for fleet in [&colocated, &disagg] {
+                let run = fleet.run("rate", &bad).map(|_| ());
+                assert!(matches!(run, Err(Error::InvalidConfig(_))), "fleet, {what}: {run:?}");
+            }
+        }
     }
 }

@@ -160,7 +160,7 @@ pub use cimtpu_obs::{
 };
 pub use engine::{Parallelism, ServingEngine, ServingRun};
 pub use memory::{parse_kv_budget, MemoryConfig};
-pub use metrics::{Completion, LatencyStats, MemoryStats, ServingReport};
+pub use metrics::{Completion, CompletionStats, LatencyStats, MemoryStats, ServingReport};
 pub use policy::BatchPolicy;
 pub use pricer::{PhasePricer, ServingModel};
 pub use request::{

@@ -130,6 +130,45 @@ impl LatencyStats {
     }
 }
 
+/// The span, step, latency and TTFT figures of a completion set: the part
+/// of a report the serving and fleet reports share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompletionStats {
+    /// Makespan in seconds, as [`Completion::span`] floors it.
+    pub makespan_s: f64,
+    /// Generation steps over every completion.
+    pub steps: u64,
+    /// Completions whose latency is within the SLO (all of them without
+    /// one).
+    pub good: usize,
+    /// End-to-end latency summary ([`LatencyStats::ZERO`] when empty).
+    pub latency: LatencyStats,
+    /// Time-to-first-token summary ([`LatencyStats::ZERO`] when empty).
+    pub ttft: LatencyStats,
+}
+
+impl CompletionStats {
+    /// Summarizes `completions` against an optional latency SLO in
+    /// milliseconds. One sample buffer serves both summaries: it holds
+    /// the latencies, in completion order, for the SLO count and the
+    /// latency summary, then is refilled with the TTFTs.
+    pub fn of(completions: &[Completion], slo_ms: Option<f64>) -> Self {
+        let (_, _, makespan_s) = Completion::span(completions);
+        let steps = completions.iter().map(|c| c.steps).sum();
+        let mut ms: Vec<f64> = completions.iter().map(|c| c.latency().as_millis()).collect();
+        let good = match slo_ms {
+            None => completions.len(),
+            Some(slo) => ms.iter().filter(|&&l| l <= slo).count(),
+        };
+        let latency = LatencyStats::from_samples_or_zero(&mut ms);
+        for (m, c) in ms.iter_mut().zip(completions) {
+            *m = c.ttft().as_millis();
+        }
+        let ttft = LatencyStats::from_samples_or_zero(&mut ms);
+        CompletionStats { makespan_s, steps, good, latency, ttft }
+    }
+}
+
 /// Memory-subsystem counters aggregated over a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoryStats {
@@ -248,11 +287,8 @@ impl ServingReport {
         memory: MemoryStats,
     ) -> Self {
         assert!(!completions.is_empty(), "no completions to report");
-        let (_, _, makespan) = Completion::span(completions);
-        let steps: u64 = completions.iter().map(|c| c.steps).sum();
-        let mut latencies: Vec<f64> =
-            completions.iter().map(|c| c.latency().as_millis()).collect();
-        let mut ttfts: Vec<f64> = completions.iter().map(|c| c.ttft().as_millis()).collect();
+        let stats = CompletionStats::of(completions, None);
+        let makespan = stats.makespan_s;
         ServingReport {
             label: label.into(),
             policy: policy.to_owned(),
@@ -261,9 +297,9 @@ impl ServingReport {
             completed: completions.len() as u64,
             makespan_s: makespan,
             throughput_rps: completions.len() as f64 / makespan,
-            steps_per_second: steps as f64 / makespan,
-            latency: LatencyStats::from_samples(&mut latencies),
-            ttft: LatencyStats::from_samples(&mut ttfts),
+            steps_per_second: stats.steps as f64 / makespan,
+            latency: stats.latency,
+            ttft: stats.ttft,
             total_energy_j: total_energy.get(),
             energy_per_request_j: total_energy.get() / completions.len() as f64,
             preemptions: memory.preemptions,

@@ -296,14 +296,23 @@ impl TrafficSpec {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for zero requests, an empty length
-    /// range, zero closed-loop clients, or a negative or non-finite think
-    /// time.
+    /// range, an open-loop rate that is not finite and positive, zero
+    /// closed-loop clients, or a negative or non-finite think time.
     pub fn validate(&self) -> Result<()> {
         self.prompt.validate()?;
         self.steps.validate()?;
         self.prefix.validate()?;
         if self.requests == 0 {
             return Err(Error::invalid_config("traffic spec generates no requests"));
+        }
+        if let ArrivalPattern::OpenLoop { rate_rps }
+        | ArrivalPattern::OpenLoopSessions { rate_rps, .. } = self.arrival
+        {
+            if !(rate_rps.is_finite() && rate_rps > 0.0) {
+                return Err(Error::invalid_config(format!(
+                    "open-loop traffic needs a finite positive rate, got {rate_rps} req/s"
+                )));
+            }
         }
         if let ArrivalPattern::ClosedLoop { clients, think_ms } = &self.arrival {
             if *clients == 0 {
@@ -388,7 +397,9 @@ impl TrafficSpec {
         }
     }
 
-    /// Materializes the request trace, sorted by arrival time.
+    /// Materializes the request trace, sorted by arrival time: the
+    /// spec's per-request sampler ([`ArrivalStream`] draws from the same
+    /// one lazily, a request at a time), collected.
     ///
     /// Closed-loop arrival times depend on service progress, so a
     /// closed-loop spec cannot be materialized up front: drive an
@@ -396,63 +407,103 @@ impl TrafficSpec {
     /// requests with all arrivals at t = 0 (useful only for inspecting the
     /// sampled lengths).
     pub fn generate(&self) -> Vec<Request> {
-        if let ArrivalPattern::Trace { records } = &self.arrival {
+        self.sampler().collect()
+    }
+
+    /// The spec's requests in id order, each drawn when it is asked for.
+    pub(crate) fn sampler(&self) -> Sampler<'_> {
+        Sampler { spec: self, rng: StdRng::seed_from_u64(self.seed), t: 0.0, next: 0 }
+    }
+}
+
+/// The one per-request sampler: draws a [`TrafficSpec`]'s requests one at
+/// a time, in id order. Sampled traffic spends, per request, the arrival
+/// draw of its pattern, then the session draw (session pools only), then
+/// the prompt and step draws, and assigns the prompt prefix outside the
+/// RNG stream. A trace spec reads its records by index and draws nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Sampler<'a> {
+    spec: &'a TrafficSpec,
+    rng: StdRng,
+    /// Arrival time of the next sampled request.
+    t: f64,
+    /// Id of the next request.
+    next: u64,
+}
+
+impl Sampler<'_> {
+    /// Requests the sampler yields: a trace's records, or the spec's
+    /// request budget.
+    fn total(&self) -> u64 {
+        match &self.spec.arrival {
+            ArrivalPattern::Trace { records } => records.len() as u64,
+            _ => self.spec.requests,
+        }
+    }
+
+    /// Draws the next request. A closed-loop request arrives at t = 0 in
+    /// its own session; its stream sets both.
+    fn draw(&mut self) -> Request {
+        let spec = self.spec;
+        let id = self.next;
+        self.next += 1;
+        if let ArrivalPattern::Trace { records } = &spec.arrival {
             // Replay verbatim: the trace already carries every sampled
             // field, so the RNG is never touched.
-            return records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let id = i as u64;
-                    Request {
-                        id,
-                        arrival_s: r.t_s,
-                        prompt_len: r.prompt,
-                        steps: r.steps.max(1),
-                        session: r.session,
-                        tenant: r.tenant,
-                        class: r.class,
-                        prefix: self.prefix.assign(self.seed, id, r.prompt),
-                    }
-                })
-                .collect();
+            let r = &records[id as usize];
+            return Request {
+                id,
+                arrival_s: r.t_s,
+                prompt_len: r.prompt,
+                steps: r.steps.max(1),
+                session: r.session,
+                tenant: r.tenant,
+                class: r.class,
+                prefix: spec.prefix.assign(spec.seed, id, r.prompt),
+            };
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut t = 0.0f64;
-        (0..self.requests)
-            .map(|id| {
-                let arrival_s = t;
-                let mut session = id;
-                match &self.arrival {
-                    ArrivalPattern::OpenLoop { rate_rps } => {
-                        t += exp_interarrival(&mut rng, *rate_rps);
-                    }
-                    ArrivalPattern::OpenLoopSessions { rate_rps, sessions } => {
-                        t += exp_interarrival(&mut rng, *rate_rps);
-                        session = rng.gen_range(0..(*sessions).max(1));
-                    }
-                    &ArrivalPattern::Diurnal { peak_rps, day_s, burst_x, bursts } => {
-                        t = diurnal_next_arrival(
-                            &mut rng, t, peak_rps, day_s, burst_x, bursts,
-                        );
-                    }
-                    ArrivalPattern::Burst
-                    | ArrivalPattern::Trace { .. }
-                    | ArrivalPattern::ClosedLoop { .. } => {}
-                }
-                let prompt_len = self.prompt.sample(&mut rng);
-                Request {
-                    id,
-                    arrival_s,
-                    prompt_len,
-                    steps: self.steps.sample(&mut rng).max(1),
-                    session,
-                    tenant: 0,
-                    class: SloClass::Standard,
-                    prefix: self.prefix.assign(self.seed, id, prompt_len),
-                }
-            })
-            .collect()
+        let arrival_s = self.t;
+        let mut session = id;
+        match spec.arrival {
+            ArrivalPattern::OpenLoop { rate_rps } => {
+                self.t += exp_interarrival(&mut self.rng, rate_rps);
+            }
+            ArrivalPattern::OpenLoopSessions { rate_rps, sessions } => {
+                self.t += exp_interarrival(&mut self.rng, rate_rps);
+                session = self.rng.gen_range(0..sessions.max(1));
+            }
+            ArrivalPattern::Diurnal { peak_rps, day_s, burst_x, bursts } => {
+                self.t =
+                    diurnal_next_arrival(&mut self.rng, self.t, peak_rps, day_s, burst_x, bursts);
+            }
+            ArrivalPattern::Burst
+            | ArrivalPattern::Trace { .. }
+            | ArrivalPattern::ClosedLoop { .. } => {}
+        }
+        let prompt_len = spec.prompt.sample(&mut self.rng);
+        Request {
+            id,
+            arrival_s,
+            prompt_len,
+            steps: spec.steps.sample(&mut self.rng).max(1),
+            session,
+            tenant: 0,
+            class: SloClass::Standard,
+            prefix: spec.prefix.assign(spec.seed, id, prompt_len),
+        }
+    }
+}
+
+impl Iterator for Sampler<'_> {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        (self.next < self.total()).then(|| self.draw())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.total() - self.next) as usize;
+        (left, Some(left))
     }
 }
 
@@ -527,17 +578,23 @@ fn diurnal_next_arrival(
 /// arrives (cluster serving) and lets closed-loop clients couple their
 /// next arrival to a completion.
 ///
-/// Open-loop and burst specs materialize their trace up front (identical
-/// to [`TrafficSpec::generate`]); closed-loop specs sample each request's
-/// lengths lazily, in issue order, from the same seeded stream, and
+/// Every request is drawn lazily from the spec's one per-request sampler
+/// (the one [`TrafficSpec::generate`] collects), so the stream holds
+/// `O(1)` requests however long the run. Open-loop, diurnal, burst and
+/// trace streams keep exactly one request drawn ahead, for
+/// [`ArrivalStream::peek`], and issue exactly the sequence `generate`
+/// returns; a trace stream reads the spec's records by index.
+/// Closed-loop streams draw each request's lengths in issue order, and
 /// [`ArrivalStream::on_complete`] schedules the issuing client's next
 /// request. Equal specs driven by equal engines produce identical request
 /// sequences.
 #[derive(Debug, Clone)]
-pub struct ArrivalStream {
-    /// Pre-materialized trace (open-loop / burst); empty for closed loop.
-    pre: Vec<Request>,
-    /// Requests issued so far (index into `pre`, or the next request id).
+pub struct ArrivalStream<'a> {
+    sampler: Sampler<'a>,
+    /// The next request of an open-loop, diurnal, burst or trace stream;
+    /// `None` for closed loop and once the stream is exhausted.
+    ahead: Option<Request>,
+    /// Requests issued so far (the next request id).
     issued: u64,
     total: u64,
     closed_loop: Option<ClosedLoopState>,
@@ -545,11 +602,6 @@ pub struct ArrivalStream {
 
 #[derive(Debug, Clone)]
 struct ClosedLoopState {
-    rng: StdRng,
-    prompt: LenDist,
-    steps: LenDist,
-    prefix: PrefixTraffic,
-    seed: u64,
     think: Seconds,
     /// Per-client next-issue time; `None` while a request is in flight
     /// (or once the request budget is spent).
@@ -565,46 +617,35 @@ struct ClosedLoopState {
     in_flight: FxHashMap<u64, u64>,
 }
 
-impl ArrivalStream {
+impl<'a> ArrivalStream<'a> {
     /// Opens the stream for `spec`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the spec fails
     /// [`TrafficSpec::validate`].
-    pub fn new(spec: &TrafficSpec) -> Result<Self> {
+    pub fn new(spec: &'a TrafficSpec) -> Result<Self> {
         spec.validate()?;
-        match &spec.arrival {
-            &ArrivalPattern::ClosedLoop { clients, think_ms } => {
+        let mut sampler = spec.sampler();
+        let (ahead, closed_loop) = match spec.arrival {
+            ArrivalPattern::ClosedLoop { clients, think_ms } => {
                 // Every client is ready at t = 0 (but never more clients
                 // than the request budget).
                 let live = clients.min(spec.requests) as usize;
-                Ok(ArrivalStream {
-                    pre: Vec::new(),
-                    issued: 0,
-                    total: spec.requests,
-                    closed_loop: Some(ClosedLoopState {
-                        rng: StdRng::seed_from_u64(spec.seed),
-                        prompt: spec.prompt,
-                        steps: spec.steps,
-                        prefix: spec.prefix,
-                        seed: spec.seed,
-                        think: Seconds::from_millis(think_ms),
-                        ready: vec![Some(Seconds::ZERO); live],
-                        queue: (0..live)
-                            .map(|c| Reverse((EventKey::new(Seconds::ZERO), c)))
-                            .collect(),
-                        in_flight: FxHashMap::default(),
-                    }),
-                })
+                let state = ClosedLoopState {
+                    think: Seconds::from_millis(think_ms),
+                    ready: vec![Some(Seconds::ZERO); live],
+                    queue: (0..live)
+                        .map(|c| Reverse((EventKey::new(Seconds::ZERO), c)))
+                        .collect(),
+                    in_flight: FxHashMap::default(),
+                };
+                (None, Some(state))
             }
-            _ => Ok(ArrivalStream {
-                pre: spec.generate(),
-                issued: 0,
-                total: spec.requests,
-                closed_loop: None,
-            }),
-        }
+            // A valid spec offers at least one request.
+            _ => (Some(sampler.draw()), None),
+        };
+        Ok(ArrivalStream { sampler, ahead, issued: 0, total: spec.requests, closed_loop })
     }
 
     /// Arrival time of the next request, or `None` when the stream is
@@ -614,7 +655,7 @@ impl ArrivalStream {
             return None;
         }
         match &self.closed_loop {
-            None => Some(self.pre[self.issued as usize].arrival()),
+            None => self.ahead.map(|r| r.arrival()),
             Some(cl) => cl
                 .queue
                 .peek()
@@ -632,7 +673,10 @@ impl ArrivalStream {
         let id = self.issued;
         self.issued += 1;
         match &mut self.closed_loop {
-            None => self.pre[id as usize],
+            None => {
+                let next = (self.issued < self.total).then(|| self.sampler.draw());
+                std::mem::replace(&mut self.ahead, next).expect("drawn one ahead")
+            }
             Some(cl) => {
                 // The ready client with the earliest issue time (ties pick
                 // the lowest client index, keeping issue order stable).
@@ -640,17 +684,7 @@ impl ArrivalStream {
                     cl.queue.pop().expect("pop called while no client is ready");
                 let at = cl.ready[client].take().expect("queued clients are ready");
                 cl.in_flight.insert(id, client as u64);
-                let prompt_len = cl.prompt.sample(&mut cl.rng);
-                Request {
-                    id,
-                    arrival_s: at.get(),
-                    prompt_len,
-                    steps: cl.steps.sample(&mut cl.rng).max(1),
-                    session: client as u64,
-                    tenant: 0,
-                    class: SloClass::Standard,
-                    prefix: cl.prefix.assign(cl.seed, id, prompt_len),
-                }
+                Request { arrival_s: at.get(), session: client as u64, ..self.sampler.draw() }
             }
         }
     }
@@ -681,6 +715,8 @@ impl ArrivalStream {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn spec(seed: u64) -> TrafficSpec {
@@ -937,6 +973,19 @@ mod tests {
         }
         .validate()
         .is_err());
+        for rate_rps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            for arrival in [
+                ArrivalPattern::OpenLoop { rate_rps },
+                ArrivalPattern::OpenLoopSessions { rate_rps, sessions: 4 },
+            ] {
+                let bad = TrafficSpec { arrival, ..spec(1) };
+                assert!(
+                    matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                    "{:?} must be rejected",
+                    bad.arrival
+                );
+            }
+        }
     }
 
     #[test]
@@ -964,6 +1013,79 @@ mod tests {
         }
         assert!(stream.exhausted());
         assert_eq!(stream.peek(), None);
+    }
+
+    /// Pops `spec`'s stream dry, checking each `peek` against the pop
+    /// that follows it.
+    fn drain(spec: &TrafficSpec) -> Vec<Request> {
+        let mut stream = ArrivalStream::new(spec).unwrap();
+        let mut out = Vec::new();
+        while let Some(at) = stream.peek() {
+            let r = stream.pop();
+            assert_eq!(at.get().to_bits(), r.arrival_s.to_bits(), "peek announces the pop");
+            out.push(r);
+        }
+        assert!(stream.exhausted());
+        out
+    }
+
+    /// Requests as bits: `Request`'s `PartialEq` would equate 0.0 and -0.0.
+    fn bits(rs: &[Request]) -> Vec<(Request, u64)> {
+        rs.iter().map(|r| (*r, r.arrival_s.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The lazily drawn stream issues exactly `generate()`'s sequence,
+        /// bit for bit, for every open-loop shape and for a trace (with
+        /// tenants and classes), with and without shared prompt heads.
+        #[test]
+        fn stream_matches_generate(
+            seed in any::<u64>(),
+            requests in 1u64..400,
+            rate in 1.0f64..100_000.0,
+            shape in 0u64..5,
+            shared in any::<bool>(),
+        ) {
+            let base = TrafficSpec {
+                requests,
+                arrival: ArrivalPattern::OpenLoop { rate_rps: rate },
+                prompt: LenDist::Uniform { lo: 1, hi: 96 },
+                steps: LenDist::Uniform { lo: 0, hi: 9 },
+                prefix: if shared {
+                    PrefixTraffic::SharedHead { tokens: 32, groups: seed % 5 + 1 }
+                } else {
+                    PrefixTraffic::None
+                },
+                seed,
+            };
+            let arrival = match shape {
+                0 => base.arrival.clone(),
+                1 => ArrivalPattern::OpenLoopSessions { rate_rps: rate, sessions: seed % 9 + 1 },
+                2 => ArrivalPattern::Diurnal {
+                    peak_rps: rate,
+                    day_s: requests as f64 / rate,
+                    burst_x: 3.0,
+                    bursts: seed % 25,
+                },
+                3 => ArrivalPattern::Burst,
+                _ => {
+                    let mut records = crate::synthesize(&base).unwrap();
+                    let classes = [SloClass::Interactive, SloClass::Standard, SloClass::Batch];
+                    for (i, r) in records.iter_mut().enumerate() {
+                        r.tenant = (i % 3) as u32;
+                        r.class = classes[i % 3];
+                        r.steps = i as u64 % 4; // zero steps clamp to one
+                    }
+                    ArrivalPattern::Trace { records }
+                }
+            };
+            let spec = TrafficSpec { arrival, ..base };
+            let want = spec.generate();
+            prop_assert_eq!(want.len() as u64, requests);
+            prop_assert_eq!(bits(&drain(&spec)), bits(&want));
+        }
     }
 
     #[test]

@@ -1700,7 +1700,7 @@ impl<F: FnMut(&Request, &[EngineCore<'_>]) -> usize> DriveHooks for RouteOnly<F>
 /// policies; the flush rule above resolves the static-batching stall).
 pub fn drive(
     cores: &mut [EngineCore<'_>],
-    stream: &mut ArrivalStream,
+    stream: &mut ArrivalStream<'_>,
     route: impl FnMut(&Request, &[EngineCore<'_>]) -> usize,
 ) -> Result<()> {
     drive_with(cores, stream, RouteOnly(route))
@@ -1714,7 +1714,7 @@ pub fn drive(
 /// As for [`drive`].
 pub fn drive_with(
     cores: &mut [EngineCore<'_>],
-    stream: &mut ArrivalStream,
+    stream: &mut ArrivalStream<'_>,
     mut hooks: impl DriveHooks,
 ) -> Result<()> {
     assert!(!cores.is_empty(), "drive needs at least one core");

@@ -263,10 +263,11 @@ impl TenantSet {
     /// As for [`TenantSet::validate`].
     pub fn merged_spec(&self) -> Result<TrafficSpec> {
         self.validate()?;
-        let mut records: Vec<TraceRecord> = Vec::new();
+        let total = self.tenants.iter().map(|t| t.traffic.requests as usize).sum();
+        let mut records: Vec<TraceRecord> = Vec::with_capacity(total);
         for (ti, tenant) in self.tenants.iter().enumerate() {
             let salt = 0x7E4A_4715 ^ ti as u64;
-            records.extend(tenant.traffic.generate().into_iter().map(|r| TraceRecord {
+            records.extend(tenant.traffic.sampler().map(|r| TraceRecord {
                 t_s: r.arrival_s,
                 prompt: r.prompt_len,
                 steps: r.steps,

@@ -112,8 +112,7 @@ pub fn synthesize(spec: &TrafficSpec) -> Result<Vec<TraceRecord>> {
         ));
     }
     Ok(spec
-        .generate()
-        .into_iter()
+        .sampler()
         .map(|r| TraceRecord {
             t_s: r.arrival_s,
             prompt: r.prompt_len,
