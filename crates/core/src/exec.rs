@@ -1,7 +1,7 @@
 //! Per-operator execution: latency and energy of one [`Op`].
 
 use cimtpu_models::Op;
-use cimtpu_units::{Bytes, DataType, Joules, Result, Seconds};
+use cimtpu_units::{Bytes, Joules, Result, Seconds};
 
 use crate::cache::PriceKey;
 use crate::engine::EngineCost;
@@ -136,7 +136,3 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
         ))),
     }
 }
-
-/// Reference INT8 accumulator width used for partial-sum traffic.
-#[allow(dead_code)]
-pub(crate) const ACC_DTYPE: DataType = DataType::Fp32;

@@ -81,13 +81,15 @@ pub fn run_llm(
     let prefill_latency = prefill_layer.total_latency() * layers;
     let prefill_mxu_energy = prefill_layer.mxu_energy() * layers;
 
-    // Decode: sample steps along the growing context, integrate.
+    // Decode: sample steps along the growing context, integrate. Only the
+    // totals are read, so the samples are priced without per-operator
+    // reports (the same sums in the same order as `Report`'s).
     let steps = spec.sampled_decode_steps(DECODE_SAMPLES);
     let mut sampled: Vec<(f64, Seconds, Joules)> = Vec::with_capacity(steps.len());
     for &step in &steps {
         let ctx = spec.ctx_at_step(step);
-        let rep = sim.run(&model.decode_layer(spec.batch(), ctx)?)?;
-        sampled.push((step as f64, rep.total_latency(), rep.mxu_energy()));
+        let cost = sim.price_ops(model.decode_layer(spec.batch(), ctx)?.ops())?;
+        sampled.push((step as f64, cost.latency, cost.mxu_energy));
     }
     let (decode_latency, decode_mxu_energy) = integrate(&sampled, spec.output_len());
 
@@ -241,6 +243,43 @@ mod tests {
         let stats = sim.cache_stats();
         assert!(stats.map_priced < stats.map_candidates, "{stats:?}");
         assert_eq!((stats.map_candidates, stats.map_priced), (1876, 985), "{stats:?}");
+    }
+
+    #[test]
+    fn decode_totals_match_report_totals_bit_for_bit() {
+        // The decode samples are priced through `price_ops`; summing the
+        // per-operator reports of `Simulator::run` instead must give the
+        // same bits on the baseline and every Table IV design.
+        let gpt3 = presets::gpt3_30b();
+        let spec = LlmInferenceSpec::new(8, 1024, 512).unwrap();
+        let layers = gpt3.layers() as f64;
+        let mut configs = vec![TpuConfig::tpuv4i()];
+        configs.extend(TpuConfig::table4_designs());
+        for cfg in configs {
+            let sim = Simulator::new(cfg).unwrap();
+            let r = run_llm(&sim, &gpt3, spec).unwrap();
+            let sampled: Vec<(f64, Seconds, Joules)> = spec
+                .sampled_decode_steps(DECODE_SAMPLES)
+                .into_iter()
+                .map(|step| {
+                    let layer = gpt3.decode_layer(spec.batch(), spec.ctx_at_step(step)).unwrap();
+                    let rep = sim.run(&layer).unwrap();
+                    (step as f64, rep.total_latency(), rep.mxu_energy())
+                })
+                .collect();
+            let (latency, energy) = integrate(&sampled, spec.output_len());
+            let name = sim.config().name();
+            assert_eq!(
+                r.decode_latency.get().to_bits(),
+                (latency * layers).get().to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                r.decode_mxu_energy.get().to_bits(),
+                (energy * layers).get().to_bits(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -51,6 +51,8 @@ mod engine;
 mod exec;
 pub mod inference;
 pub mod memory;
+#[cfg(test)]
+mod proptests;
 mod report;
 pub mod roofline;
 mod simulator;

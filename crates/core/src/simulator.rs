@@ -2,7 +2,7 @@
 
 use cimtpu_mapper::{Mapper, MemoryLevels};
 use cimtpu_models::{OpInstance, Workload};
-use cimtpu_units::{Bytes, Result, Watts};
+use cimtpu_units::{Bytes, Joules, Result, Watts};
 
 use crate::arch::TpuConfig;
 use crate::cache::{CacheStats, MappingCache};
@@ -138,10 +138,12 @@ impl Simulator {
         Ok(PhasedReport { workload: workload.name().to_owned(), segments })
     }
 
-    /// Prices a run of consecutive operators: the per-operator reports of
+    /// Prices a run of consecutive operators: the per-operator costs of
     /// [`run_instance`](Simulator::run_instance), summed in execution
-    /// order. Pricing a workload's flat operator list this way reproduces
-    /// [`run`](Simulator::run)'s total latency bit-exactly.
+    /// order without building its reports. Pricing a workload's flat
+    /// operator list this way reproduces [`run`](Simulator::run)'s total
+    /// latency and MXU energy bit-exactly; once the operators' mappings
+    /// are cached it allocates nothing.
     ///
     /// # Errors
     ///
@@ -149,40 +151,50 @@ impl Simulator {
     pub fn price_ops(&self, ops: &[OpInstance]) -> Result<SegmentCost> {
         let mut total = SegmentCost::ZERO;
         for inst in ops {
-            let op = self.run_instance(inst)?;
-            total += SegmentCost {
-                latency: op.latency,
-                mxu_energy: op.mxu_energy,
-                vpu_energy: op.vpu_energy,
-                hbm_bytes: op.hbm_bytes,
-            };
+            total += self.instance_cost(inst)?.0;
         }
         Ok(total)
     }
 
-    /// Simulates a single operator instance.
+    /// Simulates a single operator instance: its
+    /// [`price_ops`](Simulator::price_ops) cost with the operator's name,
+    /// category and the dynamic/leakage split of its MXU energy.
     ///
     /// # Errors
     ///
     /// Returns an error if the operator cannot be mapped onto the hardware.
     pub fn run_instance(&self, inst: &OpInstance) -> Result<OpReport> {
+        let (cost, mxu_dynamic, mxu_static) = self.instance_cost(inst)?;
+        Ok(OpReport {
+            name: inst.name().to_owned(),
+            category: inst.category(),
+            count: inst.count(),
+            latency: cost.latency,
+            mxu_energy: cost.mxu_energy,
+            mxu_dynamic,
+            mxu_static,
+            vpu_energy: cost.vpu_energy,
+            hbm_bytes: cost.hbm_bytes,
+        })
+    }
+
+    /// The cost of one operator instance (all repetitions, leakage
+    /// included), with its MXU energy's dynamic and leakage parts.
+    fn instance_cost(&self, inst: &OpInstance) -> Result<(SegmentCost, Joules, Joules)> {
         let cost = exec::exec_op(self, inst.op())?;
         let n = inst.count() as f64;
         let latency = cost.latency * n;
         // Leakage accrues over the whole window regardless of op type.
         let mxu_static = self.mxu_static_power().for_duration(latency);
-        Ok(OpReport {
-            name: inst.name().to_owned(),
-            category: inst.category(),
-            count: inst.count(),
+        let mxu_dynamic = cost.mxu_dynamic * n;
+        let total = SegmentCost {
             latency,
-            mxu_energy: cost.mxu_dynamic * n + mxu_static,
-            mxu_dynamic: cost.mxu_dynamic * n,
-            mxu_static,
+            mxu_energy: mxu_dynamic + mxu_static,
             vpu_energy: cost.vpu_energy * n
                 + self.config.vpu().static_power().for_duration(latency),
             hbm_bytes: cost.hbm_bytes * inst.count(),
-        })
+        };
+        Ok((total, mxu_dynamic, mxu_static))
     }
 
     /// Persists the mapping cache to the directory named by

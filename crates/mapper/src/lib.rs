@@ -16,9 +16,15 @@
 //!   engine's preferred granularity) and returns the latency-optimal
 //!   [`Mapping`].
 //!
-//! The search is bounded by its incumbent: a candidate's DMA side is
-//! priced first, and the engine prices its tile only if the candidate's
-//! DMA floor can still beat the best total so far. The skip is exact (see
+//! The engine prices each `(k, n)` slab with the full `m` streamed through
+//! it, so no total depends on a tile's `m` edge. The search therefore
+//! walks `(tk, tn)` pairs: a pair is feasible when its smallest `m` edge
+//! fits the buffers, and the winner's `tm` (its largest fitting `m` edge)
+//! is picked once, after the search.
+//!
+//! The search is bounded by its incumbent: a pair's DMA side is priced
+//! first, and the engine prices its slab only if the pair's DMA floor can
+//! still beat the best total so far. The skip is exact (see
 //! [`Mapper::best_gemm_mapping`]); [`Mapper::candidates_enumerated`] and
 //! [`Mapper::candidates_priced`] count how often it fires.
 //!
@@ -58,9 +64,11 @@ pub use levels::MemoryLevels;
 pub use mapping::Mapping;
 pub use mapspace::{candidate_tiles, for_each_candidate, EdgeBuffers};
 
+use mapspace::{MapSpace, Pair};
+
 use std::cell::{Cell, RefCell};
 
-use cimtpu_units::{Bandwidth, Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
+use cimtpu_units::{Bandwidth, Bytes, Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
 
 /// Prices one buffer-level tile on a matrix engine.
 ///
@@ -89,24 +97,6 @@ pub trait TileCostModel {
 
     /// Preferred output-tile granularity (e.g. array columns).
     fn preferred_n(&self) -> u64;
-}
-
-/// One GEMM pricing request for the batch API ([`Mapper::map_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GemmQuery {
-    /// The GEMM to map.
-    pub shape: GemmShape,
-    /// Operand precision.
-    pub dtype: DataType,
-    /// Whether the weights are already resident on chip (skips HBM).
-    pub weights_resident: bool,
-}
-
-impl GemmQuery {
-    /// Creates a query with streamed (non-resident) weights.
-    pub fn streamed(shape: GemmShape, dtype: DataType) -> Self {
-        GemmQuery { shape, dtype, weights_resident: false }
-    }
 }
 
 /// The mapping engine.
@@ -169,15 +159,16 @@ impl Mapper {
     /// over the same layer), skipping HBM weight traffic.
     ///
     /// Among equal totals the first candidate enumerated wins. The search
+    /// walks the `(tk, tn)` pairs of [`for_each_candidate`]'s stream and
     /// skips the engine's [`tile_cycles`](TileCostModel::tile_cycles) for
-    /// a candidate whose DMA floor — `prologue + dma` when
+    /// a pair whose DMA floor — `prologue + dma` when
     /// double-buffered, `hbm + oci` when serialized — is `>=` the best
     /// total so far. The skip never changes the result:
     ///
     /// - a total is `prologue + max(compute, dma)` or
     ///   `(compute + hbm) + oci` with `compute >= 0`, and IEEE
     ///   round-to-nearest is monotone, so no total is below its floor;
-    /// - a skipped candidate could at best tie the incumbent, and a tie
+    /// - a skipped pair could at best tie the incumbent, and a tie
     ///   keeps the incumbent, hence `>=` rather than `>`;
     /// - `>=` is false when either side is NaN, so a NaN floor or
     ///   incumbent never skips.
@@ -193,75 +184,30 @@ impl Mapper {
         engine: &dyn TileCostModel,
         weights_resident: bool,
     ) -> Result<Mapping> {
-        self.best_mapping_with_budget(
-            shape,
-            dtype,
-            engine,
-            weights_resident,
-            self.levels.vmem_tile_budget(),
-            engine.preferred_k(),
-            engine.preferred_n(),
-        )
-    }
-
-    /// Prices every query in `queries` against one engine, deriving the
-    /// VMEM budget and the engine's preferred granularities exactly once.
-    ///
-    /// Results are returned in query order. This is the bulk entry point
-    /// for sweep drivers that price many operator shapes on a fixed
-    /// hardware configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Error::Unmappable`] encountered.
-    pub fn map_batch(
-        &self,
-        queries: &[GemmQuery],
-        engine: &dyn TileCostModel,
-    ) -> Result<Vec<Mapping>> {
-        let budget = self.levels.vmem_tile_budget();
-        let pref_k = engine.preferred_k();
-        let pref_n = engine.preferred_n();
-        queries
-            .iter()
-            .map(|q| {
-                self.best_mapping_with_budget(
-                    q.shape,
-                    q.dtype,
-                    engine,
-                    q.weights_resident,
-                    budget,
-                    pref_k,
-                    pref_n,
-                )
-            })
-            .collect()
-    }
-
-    /// The streaming search behind [`Mapper::best_gemm_mapping`]: folds the
-    /// candidate iterator directly into the best mapping (no intermediate
-    /// candidate or mapping vectors). Candidates whose
-    /// [floor](Candidate::floor) cannot beat the incumbent are never
-    /// priced (see [`Mapper::best_gemm_mapping`]).
-    #[allow(clippy::too_many_arguments)]
-    fn best_mapping_with_budget(
-        &self,
-        shape: GemmShape,
-        dtype: DataType,
-        engine: &dyn TileCostModel,
-        weights_resident: bool,
-        budget: cimtpu_units::Bytes,
-        pref_k: u64,
-        pref_n: u64,
-    ) -> Result<Mapping> {
-        let mut best: Option<Mapping> = None;
-        let mut failure: Option<Error> = None;
-        let (mut enumerated, mut priced) = (0u64, 0u64);
         // Take the buffers out of the cell for the duration of the search:
         // a re-entrant cost model (one that calls back into this mapper
         // from `tile_cycles`) then simply allocates fresh buffers instead
         // of hitting a RefCell double-borrow panic.
         let mut scratch = self.scratch.take();
+        let best = self.search(shape, dtype, engine, weights_resident, &mut scratch);
+        *self.scratch.borrow_mut() = scratch;
+        best
+    }
+
+    /// The streaming search behind [`Mapper::best_gemm_mapping`]: folds the
+    /// feasible `(tk, tn)` pairs directly into the best priced pair, then
+    /// picks the winner's `tm`. Pairs whose [floor](PairCost::floor)
+    /// cannot beat the incumbent are never priced. `tm` decides only
+    /// feasibility and the reported tile: no total depends on it.
+    fn search(
+        &self,
+        shape: GemmShape,
+        dtype: DataType,
+        engine: &dyn TileCostModel,
+        weights_resident: bool,
+        scratch: &mut EdgeBuffers,
+    ) -> Result<Mapping> {
+        let budget = self.levels.vmem_tile_budget();
         // Dominated-candidate pruning is only winner-preserving when the
         // double-buffering prologue makes the domination strict, which
         // needs finite DMA times and a prologue strictly increasing in the
@@ -271,47 +217,28 @@ impl Mapper {
         let prune = self.levels.double_buffering()
             && finite_positive(self.levels.hbm_bandwidth())
             && finite_positive(self.levels.oci_bandwidth());
-        mapspace::for_each_candidate(
-            shape,
-            dtype,
-            pref_k,
-            pref_n,
-            budget,
-            prune,
-            &mut scratch,
-            |tile| {
-                if failure.is_some() {
-                    return;
-                }
-                enumerated += 1;
-                let candidate = match self.candidate(shape, dtype, weights_resident, tile) {
-                    Ok(candidate) => candidate,
-                    Err(e) => {
-                        failure = Some(e);
-                        return;
-                    }
-                };
-                // `>=` is false when either side is NaN: NaN never skips.
-                if best.as_ref().is_some_and(|b| candidate.floor() >= b.total()) {
-                    return;
-                }
-                priced += 1;
-                let mapping = candidate.price(dtype, engine);
-                match &best {
-                    Some(b) if b.total() <= mapping.total() => {}
-                    _ => best = Some(mapping),
-                }
-            },
-        );
-        *self.scratch.borrow_mut() = scratch;
-        self.enumerated.set(self.enumerated.get() + enumerated);
-        self.priced.set(self.priced.get() + priced);
-        if let Some(e) = failure {
-            return Err(e);
+        let prefs = (engine.preferred_k(), engine.preferred_n());
+        let space = MapSpace::new(shape, dtype, prefs, budget, prune, scratch);
+        let gemm = GemmDma::new(&self.levels, shape, dtype, weights_resident);
+        let mut best: Option<Priced> = None;
+        for pair in space.pairs() {
+            self.enumerated.set(self.enumerated.get() + 1);
+            let cost = gemm.pair(pair);
+            // `>=` is false when either side is NaN: NaN never skips.
+            if best.as_ref().is_some_and(|b| cost.floor(&gemm) >= b.total) {
+                continue;
+            }
+            self.priced.set(self.priced.get() + 1);
+            let cost = cost.price(&gemm, engine)?;
+            match &best {
+                Some(b) if b.total <= cost.total => {}
+                _ => best = Some(cost),
+            }
         }
-        best.ok_or_else(|| {
+        let best = best.ok_or_else(|| {
             Error::unmappable(format!("no tile of {shape} fits the {budget} VMEM budget"))
-        })
+        })?;
+        gemm.mapping(&best, space.tm(best.pair.tk, best.pair.tn))
     }
 
     /// Evaluates one specific tiling (exposed for map-space studies).
@@ -325,113 +252,118 @@ impl Mapper {
         dtype: DataType,
         engine: &dyn TileCostModel,
         weights_resident: bool,
-        tile: (u64, u64, u64),
+        (tm, tk, tn): (u64, u64, u64),
     ) -> Result<Mapping> {
-        Ok(self.candidate(shape, dtype, weights_resident, tile)?.price(dtype, engine))
-    }
-
-    /// Prices the DMA side of one tiling: everything [`Mapper::evaluate`]
-    /// needs except the engine's tile cost.
-    fn candidate(
-        &self,
-        shape: GemmShape,
-        dtype: DataType,
-        weights_resident: bool,
-        tile: (u64, u64, u64),
-    ) -> Result<Candidate> {
-        let (tm, tk, tn) = tile;
-        let tile_shape = GemmShape::new(tm.min(shape.m()), tk.min(shape.k()), tn.min(shape.n()))?;
-        let tiles_m = shape.m().div_ceil(tile_shape.m());
-        let tiles_k = shape.k().div_ceil(tile_shape.k());
-        let tiles_n = shape.n().div_ceil(tile_shape.n());
-
-        // Loop order is m-innermost (weight-stationary across m-chunks): one
-        // weight residency serves every activation chunk, so the engine is
-        // priced per (k, n) tile with the *full* m streamed through it —
-        // activation chunking constrains the buffers (via the candidate
-        // filter), not the compute cost.
-        let kn_shape = GemmShape::new(shape.m(), tile_shape.k(), tile_shape.n())?;
-
-        // Aggregate DMA: weights stream from HBM exactly once; activations
-        // re-cross the OCI once per n-tile, partial sums once per k-tile.
-        let hbm_bytes =
-            if weights_resident { cimtpu_units::Bytes::ZERO } else { shape.weight_bytes(dtype) };
-        let hbm_time =
-            if weights_resident { Seconds::ZERO } else { self.levels.hbm_time(hbm_bytes) };
-        let oci_bytes = cimtpu_units::Bytes::new(
-            shape.activation_bytes(dtype).get() * tiles_n
-                + shape.output_bytes(DataType::Fp32).get() * tiles_k,
-        );
-        let oci_time = self.levels.oci_time(oci_bytes);
-
-        // With double buffering the prologue exposes one tile's DMA.
-        let prologue = self
-            .levels
-            .double_buffering()
-            .then(|| self.levels.hbm_time(tile_shape.weight_bytes(dtype)));
-        Ok(Candidate {
-            shape,
-            tile_shape,
-            tiles: tiles_m * tiles_k * tiles_n,
-            kn_tiles: tiles_k * tiles_n,
-            kn_shape,
-            hbm_time,
-            oci_time,
-            dma: hbm_time.max(oci_time),
-            prologue,
-            hbm_bytes,
-        })
+        let tile = GemmShape::new(tm.min(shape.m()), tk.min(shape.k()), tn.min(shape.n()))?;
+        let gemm = GemmDma::new(&self.levels, shape, dtype, weights_resident);
+        let cost = gemm.pair(Pair {
+            tk: tile.k(),
+            tn: tile.n(),
+            tiles_k: shape.k().div_ceil(tile.k()),
+            tiles_n: shape.n().div_ceil(tile.n()),
+        });
+        gemm.mapping(&cost.price(&gemm, engine)?, tile.m())
     }
 }
 
-/// One tiling with its DMA side priced, awaiting the engine's tile cost.
-struct Candidate {
+/// What pricing a `(tk, tn)` pair of one GEMM needs that no pair changes.
+struct GemmDma<'a> {
+    levels: &'a MemoryLevels,
     shape: GemmShape,
-    tile_shape: GemmShape,
-    tiles: u64,
-    kn_tiles: u64,
-    /// The per-(k, n)-tile shape the engine prices (full m streamed).
-    kn_shape: GemmShape,
+    dtype: DataType,
+    /// Weights stream from HBM exactly once (nothing when resident).
+    hbm_bytes: Bytes,
     hbm_time: Seconds,
+}
+
+impl<'a> GemmDma<'a> {
+    fn new(levels: &'a MemoryLevels, shape: GemmShape, dtype: DataType, resident: bool) -> Self {
+        let hbm_bytes = if resident { Bytes::ZERO } else { shape.weight_bytes(dtype) };
+        let hbm_time = if resident { Seconds::ZERO } else { levels.hbm_time(hbm_bytes) };
+        GemmDma { levels, shape, dtype, hbm_bytes, hbm_time }
+    }
+
+    /// Prices the DMA side of one pair: everything its total needs except
+    /// the engine's tile cost.
+    fn pair(&self, pair: Pair) -> PairCost {
+        // Aggregate DMA: activations re-cross the OCI once per n-tile,
+        // partial sums once per k-tile.
+        let oci_bytes = Bytes::new(
+            self.shape.activation_bytes(self.dtype).get() * pair.tiles_n
+                + self.shape.output_bytes(DataType::Fp32).get() * pair.tiles_k,
+        );
+        let oci_time = self.levels.oci_time(oci_bytes);
+        // With double buffering the prologue exposes one tile's DMA.
+        let prologue = self.levels.double_buffering().then(|| {
+            self.levels.hbm_time(Bytes::new(pair.tk * pair.tn * self.dtype.size_bytes()))
+        });
+        PairCost { pair, oci_time, dma: self.hbm_time.max(oci_time), prologue }
+    }
+
+    /// The mapping of a priced pair, reported with `tm` as its `m` edge.
+    fn mapping(&self, priced: &Priced, tm: u64) -> Result<Mapping> {
+        let Pair { tk, tn, tiles_k, tiles_n } = priced.pair;
+        Ok(Mapping::new(
+            self.shape,
+            GemmShape::new(tm, tk, tn)?,
+            self.shape.m().div_ceil(tm) * tiles_k * tiles_n,
+            priced.compute,
+            priced.dma,
+            priced.total,
+            self.hbm_bytes,
+        ))
+    }
+}
+
+/// One `(tk, tn)` pair with its DMA side priced, awaiting the engine's
+/// tile cost.
+struct PairCost {
+    pair: Pair,
     oci_time: Seconds,
     dma: Seconds,
     /// The double-buffering prologue; `None` for a serialized schedule.
     prologue: Option<Seconds>,
-    hbm_bytes: cimtpu_units::Bytes,
 }
 
-impl Candidate {
-    /// The candidate's total with zero compute: `prologue + dma` when
+/// A pair with its compute scheduled against its DMA: the search's
+/// incumbent.
+struct Priced {
+    pair: Pair,
+    compute: Seconds,
+    dma: Seconds,
+    total: Seconds,
+}
+
+impl PairCost {
+    /// The pair's total with zero compute: `prologue + dma` when
     /// double-buffered, `hbm + oci` when serialized. Rounding is
     /// monotone, so [`price`](Self::price) never returns a smaller total.
-    fn floor(&self) -> Seconds {
+    fn floor(&self, gemm: &GemmDma) -> Seconds {
         match self.prologue {
             Some(prologue) => prologue + self.dma,
-            None => self.hbm_time + self.oci_time,
+            None => gemm.hbm_time + self.oci_time,
         }
     }
 
-    /// Runs the engine on the candidate's tile and schedules compute
-    /// against the DMA.
-    fn price(self, dtype: DataType, engine: &dyn TileCostModel) -> Mapping {
-        let compute =
-            engine.tile_cycles(self.kn_shape, dtype).at(engine.clock()) * self.kn_tiles as f64;
+    /// Runs the engine on the pair's `(m, tk, tn)` slab and schedules
+    /// compute against the DMA.
+    fn price(&self, gemm: &GemmDma, engine: &dyn TileCostModel) -> Result<Priced> {
+        // Loop order is m-innermost (weight-stationary across m-chunks): one
+        // weight residency serves every activation chunk, so the engine is
+        // priced per (k, n) tile with the *full* m streamed through it —
+        // activation chunking constrains the buffers, not the compute cost.
+        let Pair { tk, tn, tiles_k, tiles_n } = self.pair;
+        let slab = GemmShape::new(gemm.shape.m(), tk, tn)?;
+        let compute = engine.tile_cycles(slab, gemm.dtype).at(engine.clock())
+            * (tiles_k * tiles_n) as f64;
         // Schedule: with double buffering the three channels overlap
         // (roofline) behind the prologue. Without it, everything
         // serializes.
         let total = match self.prologue {
             Some(prologue) => prologue + compute.max(self.dma),
-            None => compute + self.hbm_time + self.oci_time,
+            None => compute + gemm.hbm_time + self.oci_time,
         };
-        Mapping::new(
-            self.shape,
-            self.tile_shape,
-            self.tiles,
-            compute,
-            self.dma,
-            total,
-            self.hbm_bytes,
-        )
+        Ok(Priced { pair: self.pair, compute, dma: self.dma, total })
     }
 }
 
@@ -552,32 +484,6 @@ mod tests {
             .best_gemm_mapping(GemmShape::new(64, 512, 512).unwrap(), DataType::Int8, &engine, false)
             .unwrap();
         assert!(m.total().get() > 0.0);
-    }
-
-    #[test]
-    fn map_batch_matches_single_queries() {
-        let mapper = Mapper::new(MemoryLevels::tpuv4i());
-        let queries = vec![
-            GemmQuery::streamed(GemmShape::new(8, 7168, 7168).unwrap(), DataType::Int8),
-            GemmQuery {
-                shape: GemmShape::new(8192, 7168, 28672).unwrap(),
-                dtype: DataType::Bf16,
-                weights_resident: false,
-            },
-            GemmQuery {
-                shape: GemmShape::new(8, 7168, 7168).unwrap(),
-                dtype: DataType::Int8,
-                weights_resident: true,
-            },
-        ];
-        let batch = mapper.map_batch(&queries, &Ideal).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, got) in queries.iter().zip(&batch) {
-            let single = mapper
-                .best_gemm_mapping(q.shape, q.dtype, &Ideal, q.weights_resident)
-                .unwrap();
-            assert_eq!(*got, single, "{:?}", q);
-        }
     }
 
     #[test]

@@ -1,27 +1,90 @@
 //! Map-space enumeration with LLMCompass/Timeloop-style pruning heuristics.
 //!
-//! Two entry points exist:
-//!
-//! - [`candidate_tiles`] materializes the pruned space into a `Vec` (the
-//!   original API, used by map-space studies and tests);
-//! - [`for_each_candidate`] is the allocation-free fast path used by the
-//!   mapper's search loop: it streams candidates through a closure,
-//!   reusing caller-owned [`EdgeBuffers`] for the per-dimension edge
-//!   lists, so a `best_gemm_mapping` call performs no per-call heap
-//!   allocation once the buffers are warm.
+//! One enumerator, [`MapSpace::pairs`], walks the feasible `(tk, tn)`
+//! pairs; [`MapSpace::tm`] picks a pair's `m` edge. The mapper's search
+//! uses both; [`for_each_candidate`] (streaming, over caller-owned
+//! [`EdgeBuffers`]) and [`candidate_tiles`] (into a `Vec`) expose the
+//! resulting `(tm, tk, tn)` tiles to map-space studies and tests.
 
 use cimtpu_units::{Bytes, DataType, GemmShape};
 
 /// Reusable scratch for the per-dimension edge-candidate lists.
 ///
-/// The three vectors are cleared and refilled on every enumeration; keeping
-/// them alive across calls (the [`Mapper`](crate::Mapper) owns one set)
-/// avoids three heap allocations per mapped GEMM on the simulator hot path.
+/// The vectors are cleared and refilled on every enumeration; keeping them
+/// alive across calls (the [`Mapper`](crate::Mapper) owns one set) keeps a
+/// `best_gemm_mapping` call free of heap allocation on the simulator hot
+/// path.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeBuffers {
     m: Vec<u64>,
     k: Vec<u64>,
     n: Vec<u64>,
+    /// `⌈k/tk⌉` for each `k` edge.
+    tiles_k: Vec<u64>,
+    /// `⌈n/tn⌉` for each `n` edge.
+    tiles_n: Vec<u64>,
+}
+
+/// One feasible `(tk, tn)` pair with its tile counts along `k` and `n`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pair {
+    pub tk: u64,
+    pub tn: u64,
+    pub tiles_k: u64,
+    pub tiles_n: u64,
+}
+
+/// The pruned map-space of one GEMM over filled [`EdgeBuffers`].
+pub(crate) struct MapSpace<'a> {
+    edges: &'a EdgeBuffers,
+    elem: u64,
+    budget: u64,
+}
+
+impl<'a> MapSpace<'a> {
+    /// Fills `scratch` with the edge lists of `shape` (see
+    /// [`candidate_tiles`] for the heuristics and [`for_each_candidate`]
+    /// for `prune_dominated`).
+    pub fn new(
+        shape: GemmShape,
+        dtype: DataType,
+        (pref_k, pref_n): (u64, u64),
+        budget: Bytes,
+        prune_dominated: bool,
+        scratch: &'a mut EdgeBuffers,
+    ) -> Self {
+        edge_candidates_into(shape.m(), 1, &mut scratch.m);
+        fill_edges(shape.k(), pref_k, prune_dominated, &mut scratch.k, &mut scratch.tiles_k);
+        fill_edges(shape.n(), pref_n, prune_dominated, &mut scratch.n, &mut scratch.tiles_n);
+        MapSpace { edges: scratch, elem: dtype.size_bytes(), budget: budget.get() }
+    }
+
+    /// Whether the `(tm, tk, tn)` working set `(tm·tk + tk·tn)·elem +
+    /// tm·tn·4` fits the budget (accumulators are FP32 regardless of
+    /// operand width). Monotone in `tm`.
+    fn fits(&self, tm: u64, tk: u64, tn: u64) -> bool {
+        (tm * tk + tk * tn) * self.elem + tm * tn * 4 <= self.budget
+    }
+
+    /// The feasible `(tk, tn)` pairs, largest-first (`tk` outer, `tn`
+    /// inner): those whose smallest `m` edge fits.
+    pub fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
+        let e = self.edges;
+        let m_min = e.m.last().copied().unwrap_or(1);
+        e.k.iter().zip(&e.tiles_k).flat_map(move |(&tk, &tiles_k)| {
+            e.n.iter()
+                .zip(&e.tiles_n)
+                .filter(move |&(&tn, _)| self.fits(m_min, tk, tn))
+                .map(move |(&tn, &tiles_n)| Pair { tk, tn, tiles_k, tiles_n })
+        })
+    }
+
+    /// The largest `m` edge whose tile fits with a feasible `(tk, tn)`:
+    /// the fewest tiles at the same cost, since no total depends on `tm`.
+    /// An infeasible pair gets 1.
+    pub fn tm(&self, tk: u64, tn: u64) -> u64 {
+        self.edges.m.iter().copied().find(|&tm| self.fits(tm, tk, tn)).unwrap_or(1)
+    }
 }
 
 /// Enumerates candidate `(tm, tk, tn)` tiles for `shape` that fit `budget`.
@@ -34,8 +97,7 @@ pub struct EdgeBuffers {
 /// 2. the full dimension is always a candidate (no pointless remainders);
 /// 3. working set `(tm·tk + tk·tn + tm·tn) · elem` must fit `budget`
 ///    (the caller already halves the budget for double buffering);
-/// 4. degenerate tiles that would leave the engine's contraction dimension
-///    mostly idle are dropped when a larger-k candidate exists.
+/// 4. each `(tk, tn)` pair keeps only its largest fitting `tm`.
 ///
 /// The returned list is never empty unless even the minimal
 /// `(1, pref_k.min(k), pref_n.min(n))` tile exceeds the budget.
@@ -57,8 +119,10 @@ pub fn candidate_tiles(
 /// Streams the pruned candidate tiles of [`candidate_tiles`] through `f`
 /// without materializing them, reusing `scratch` for the edge lists.
 ///
-/// Candidates arrive in the same order `candidate_tiles` returns them:
-/// `(tk, tn)` pairs largest-first, each with its largest feasible `tm`.
+/// Candidates arrive in the same order `candidate_tiles` returns them: the
+/// feasible `(tk, tn)` pairs largest-first, each with its largest fitting
+/// `tm`. The mapper's search walks the same pairs without the `tm` pick,
+/// which it makes for its winner only.
 ///
 /// `prune_dominated` additionally drops `(tk, tn)` candidates that share
 /// their `(⌈k/tk⌉, ⌈n/tn⌉)` tile counts with a smaller candidate: at
@@ -84,33 +148,20 @@ pub fn for_each_candidate(
     scratch: &mut EdgeBuffers,
     mut f: impl FnMut((u64, u64, u64)),
 ) {
-    let elem = dtype.size_bytes();
-    let fits = |tm: u64, tk: u64, tn: u64| -> bool {
-        // Accumulators are FP32 regardless of operand width.
-        let bytes = (tm * tk + tk * tn) * elem + tm * tn * 4;
-        bytes <= budget.get()
-    };
-
-    edge_candidates_into(shape.m(), 1, &mut scratch.m);
-    edge_candidates_into(shape.k(), pref_k, &mut scratch.k);
-    edge_candidates_into(shape.n(), pref_n, &mut scratch.n);
-    if prune_dominated {
-        prune_equal_ceil(shape.k(), &mut scratch.k);
-        prune_equal_ceil(shape.n(), &mut scratch.n);
+    let space = MapSpace::new(shape, dtype, (pref_k, pref_n), budget, prune_dominated, scratch);
+    for Pair { tk, tn, .. } in space.pairs() {
+        f((space.tm(tk, tn), tk, tn));
     }
+}
 
-    for &tk in &scratch.k {
-        for &tn in &scratch.n {
-            // Heuristic 4: prefer covering K fully when possible — partial-K
-            // tiles force extra partial-sum passes.
-            for &tm in &scratch.m {
-                if fits(tm, tk, tn) {
-                    f((tm, tk, tn));
-                    break; // larger tm always dominates smaller at same (tk, tn)
-                }
-            }
-        }
+/// Fills one contraction/output dimension's edge list and its tile counts.
+fn fill_edges(extent: u64, pref: u64, prune: bool, edges: &mut Vec<u64>, tiles: &mut Vec<u64>) {
+    edge_candidates_into(extent, pref, edges);
+    if prune {
+        prune_equal_ceil(extent, edges);
     }
+    tiles.clear();
+    tiles.extend(edges.iter().map(|&e| extent.div_ceil(e)));
 }
 
 /// Power-of-two candidates for one dimension, largest first, snapped to

@@ -1,11 +1,11 @@
 //! Design-space exploration: sweep custom CIM-MXU configurations beyond
 //! Table IV and find the best design for your own workload mix, then
-//! batch-price the decode layer's weight GEMMs on the winner with
-//! [`Mapper::map_batch`].
+//! map the decode layer's weight GEMMs on the winner with
+//! [`Mapper::best_gemm_mapping`].
 //!
 //! Run with: `cargo run --release --example design_space`
 
-use cimtpu::mapper::{GemmQuery, TileCostModel};
+use cimtpu::mapper::TileCostModel;
 use cimtpu::prelude::*;
 
 /// Adapter pricing tiles on a [`MatrixEngine`] for the mapper.
@@ -73,29 +73,19 @@ fn main() -> Result<()> {
         winner.name()
     );
 
-    // Map-space study on the winner: batch-price every weight GEMM of a
-    // decode layer against its engine. `map_batch` derives the VMEM budget
-    // and preferred tile granularities once for the whole batch.
+    // Map-space study on the winner: map every weight GEMM of a decode
+    // layer (its widest per-MXU shard) against the winner's engine.
     let sim = Simulator::new(winner)?;
     let layer = gpt3.decode_layer(8, 1280)?;
-    let queries: Vec<GemmQuery> = layer
-        .ops()
-        .iter()
-        .filter_map(|inst| match *inst.op() {
-            Op::Gemm { shape, dtype } => Some(GemmQuery::streamed(
-                shape.split_n(sim.config().mxu_count())[0],
-                dtype,
-            )),
-            _ => None,
-        })
-        .collect();
     let engine = EngineModel { engine: sim.engine(), clock: sim.config().clock() };
-    let mappings = sim.per_mxu_mapper().map_batch(&queries, &engine)?;
     println!("\nChosen tilings on {} (per-MXU shards):", sim.config().name());
-    for (q, m) in queries.iter().zip(&mappings) {
+    for inst in layer.ops() {
+        let Op::Gemm { shape, dtype } = *inst.op() else { continue };
+        let shard = shape.split_n(sim.config().mxu_count())[0];
+        let m = sim.per_mxu_mapper().best_gemm_mapping(shard, dtype, &engine, false)?;
         println!(
             "  {:<28} tile [{} x {} x {}] x{:<4} {:>8.1} us ({})",
-            q.shape.to_string(),
+            shard.to_string(),
             m.tile().m(),
             m.tile().k(),
             m.tile().n(),

@@ -157,10 +157,10 @@
 //!   parallel sweeps are output-identical to sequential ones. `fig7`,
 //!   `sweep_extensions`, `moe_study`, and `repro_all` all route through it.
 //!
-//! For bulk pricing of many shapes against one engine outside the
-//! simulator (map-space studies, external drivers),
-//! [`Mapper::map_batch`](mapper::Mapper::map_batch) derives the VMEM
-//! budget and engine granularities once per batch. The
+//! Outside the simulator (map-space studies, external drivers),
+//! [`Mapper::best_gemm_mapping`](mapper::Mapper::best_gemm_mapping) maps
+//! one shape against any [`TileCostModel`](mapper::TileCostModel); the
+//! search walks `(tk, tn)` pairs and picks `tm` for its winner only. The
 //! `cargo bench -p cimtpu-bench --bench sweep` harness measures the
 //! optimized path against the sequential uncached reference and exports
 //! `BENCH_sweep.json` (single-core memoization alone: ~2.8× on the Fig. 7
