@@ -1,26 +1,13 @@
 //! Reproduces every table and figure in one run (the full evaluation).
 //!
-//! The reproduction binaries are independent, so they fan out through the
-//! sweep driver's worker pool. The children are themselves internally
-//! parallel, so the available workers are split between the two levels
-//! (a few children at a time, each with its share of the cores) rather
-//! than letting every child claim the whole machine. Each child's
-//! captured output is printed in the canonical order as soon as it — and
-//! everything before it — has finished, so the combined log matches a
-//! sequential run section for section. Set `CIMTPU_WORKERS=1` to
-//! serialize the whole thing (children then inherit all cores).
-//!
-//! `--shard I/N` splits the binary list across N cooperating processes
-//! (e.g. CI jobs): shard I runs the binaries at positions `≡ I (mod N)`.
-//! Point `CIMTPU_CACHE_DIR` at a directory the shards share and each
-//! worker warm-starts from the persistent mapping caches while its saves
-//! merge back into them (sorted, union-of-entries files), so the shards
-//! converge to exactly the cache a single process would have written.
+//! The reproduction binaries run one at a time in list order, each
+//! printed as its own `### <name>` section. Every child inherits
+//! `CIMTPU_WORKERS` (or `--workers N`, which sets it) and parallelizes
+//! internally. The exit status is 1 if any child failed or could not be
+//! launched.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::Command;
-
-use cimtpu_bench::sweep;
 
 const BINS: &[&str] = &[
     "fig1_evolution",
@@ -37,14 +24,9 @@ const BINS: &[&str] = &[
     "moe_study",
 ];
 
-/// Outcome of one child binary.
-struct BinRun {
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    status: Result<std::process::ExitStatus, String>,
-}
-
-fn run_bin(dir: &std::path::Path, bin: &str, child_workers: usize) -> BinRun {
+/// Runs `bin` from `dir` (or through cargo when it was not built
+/// there), prints its section, and returns whether it succeeded.
+fn run_bin(dir: &Path, bin: &str) -> bool {
     let path = dir.join(bin);
     let mut command = if path.exists() {
         Command::new(&path)
@@ -54,36 +36,24 @@ fn run_bin(dir: &std::path::Path, bin: &str, child_workers: usize) -> BinRun {
         c.args(["run", "--quiet", "--release", "-p", "cimtpu-bench", "--bin", bin]);
         c
     };
-    command.env("CIMTPU_WORKERS", child_workers.to_string());
-    match command.output() {
-        Ok(out) => BinRun {
-            stdout: out.stdout,
-            stderr: out.stderr,
-            status: Ok(out.status),
-        },
-        Err(e) => BinRun {
-            stdout: Vec::new(),
-            stderr: Vec::new(),
-            status: Err(format!("failed to launch {bin}: {e}")),
-        },
-    }
-}
-
-fn print_section(bin: &str, run: BinRun) {
     println!("\n{}\n### {}\n{}", "=".repeat(78), bin, "=".repeat(78));
-    print!("{}", String::from_utf8_lossy(&run.stdout));
-    eprint!("{}", String::from_utf8_lossy(&run.stderr));
-    match run.status {
-        Ok(s) if s.success() => {}
-        Ok(s) => eprintln!("{bin} exited with {s}"),
-        Err(e) => eprintln!("{e}"),
+    match command.output() {
+        Ok(out) => {
+            print!("{}", String::from_utf8_lossy(&out.stdout));
+            eprint!("{}", String::from_utf8_lossy(&out.stderr));
+            if !out.status.success() {
+                eprintln!("{bin} exited with {}", out.status);
+            }
+            out.status.success()
+        }
+        Err(e) => {
+            eprintln!("failed to launch {bin}: {e}");
+            false
+        }
     }
 }
 
 fn main() {
-    // `--workers N` overrides the CIMTPU_WORKERS environment variable
-    // (and is inherited by the child binaries through it).
-    let mut shard: Option<sweep::Shard> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -97,26 +67,11 @@ fn main() {
                     });
                 std::env::set_var("CIMTPU_WORKERS", n.max(1).to_string());
             }
-            "--shard" => {
-                shard = Some(
-                    args.next().as_deref().and_then(sweep::Shard::parse).unwrap_or_else(|| {
-                        eprintln!("repro_all: --shard needs i/n with 0 <= i < n");
-                        std::process::exit(2);
-                    }),
-                );
-            }
             "--help" | "-h" => {
-                println!("usage: repro_all [--workers N] [--shard I/N]");
+                println!("usage: repro_all [--workers N]");
                 println!();
-                println!("  --shard I/N  run only the reproduction binaries at list");
-                println!("               positions congruent to I modulo N (0 <= I < N).");
-                println!("               The assignment is deterministic and depends only");
-                println!("               on positions, so the N shards partition the list");
-                println!("               exactly: their union is one repro_all run, and");
-                println!("               re-running a shard redoes exactly its slice.");
-                println!("               Set CIMTPU_CACHE_DIR to a shared directory so");
-                println!("               the shards warm-start from — and merge their");
-                println!("               mapping caches back into — the same files.");
+                println!("  --workers N  worker threads for each reproduction binary");
+                println!("               (sets CIMTPU_WORKERS, which the children inherit)");
                 return;
             }
             other => {
@@ -126,30 +81,18 @@ fn main() {
         }
     }
 
-    // The shard owns a deterministic, position-based slice of the binary
-    // list; the cache-directory merge-on-save makes N sharded processes
-    // converge to the cache files one process would have written.
-    let bins: Vec<&str> = match shard {
-        Some(s) => s.select(BINS).into_iter().copied().collect(),
-        None => BINS.to_vec(),
-    };
-
     // When invoked through cargo the sibling binaries sit next to us.
     let me = std::env::current_exe().expect("current exe path");
-    let dir: PathBuf = me.parent().expect("exe has a parent dir").to_path_buf();
-
-    // Split the workers between the two levels of parallelism: at most a
-    // few children in flight, each with a fair share of the cores. With
-    // CIMTPU_WORKERS=1 the outer loop is sequential and each child gets
-    // every core (the long fig7 child then parallelizes internally).
-    let workers = sweep::available_workers();
-    let outer = workers.clamp(1, 4).min(bins.len().max(1));
-    let child_workers = (workers / outer).max(1);
-
-    std::env::set_var("CIMTPU_WORKERS", outer.to_string());
-    sweep::parallel_map_consume(
-        &bins,
-        |bin| run_bin(&dir, bin, child_workers),
-        |i, run| print_section(bins[i], run),
-    );
+    let dir = me.parent().expect("exe has a parent dir");
+    let mut failed = 0;
+    for bin in BINS {
+        // Run every child even after a failure, so the log is complete.
+        if !run_bin(dir, bin) {
+            failed += 1;
+        }
+    }
+    if failed > 0 {
+        eprintln!("repro_all: {failed} of {} reproduction binaries failed", BINS.len());
+        std::process::exit(1);
+    }
 }

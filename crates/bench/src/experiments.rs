@@ -291,10 +291,6 @@ pub fn fig7_with(mode: SweepMode) -> Result<Vec<Fig7Row>> {
         sim.mapping_cache().set_enabled(mode.cache_enabled());
         let llm = inference::run_llm(&sim, &gpt3, spec)?;
         let dit_run = inference::run_dit(&sim, &dit, BATCH, DIT_RESOLUTION)?;
-        if mode.cache_enabled() {
-            // Cross-process reuse: no-op unless CIMTPU_CACHE_DIR is set.
-            let _ = sim.persist_cache();
-        }
         Ok::<_, cimtpu_units::Error>((llm, dit_run))
     });
 

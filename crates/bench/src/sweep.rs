@@ -25,7 +25,6 @@
 //! `repro_all` inherit it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// How a sweep executes: the production fast path or the reference path
 /// benchmarks compare against.
@@ -51,50 +50,6 @@ impl SweepMode {
             SweepMode::Parallel => available_workers().min(items).max(1),
             SweepMode::SequentialUncached => 1,
         }
-    }
-}
-
-/// A deterministic `index/count` split of a work list across processes
-/// (the `--shard i/n` flag on `repro_all`).
-///
-/// Shard `i` of `n` owns exactly the items whose position is congruent
-/// to `i` modulo `n`: the shards partition any item list, every item
-/// belongs to exactly one shard, and the assignment depends only on
-/// positions — never on timing — so re-running a shard reproduces its
-/// work exactly. Cross-process sharing happens through the persistent
-/// mapping-cache directory (`CIMTPU_CACHE_DIR`): each shard warm-starts
-/// from it and its saves *merge* into it (union of entries,
-/// deterministic sorted files), so n sharded processes converge to the
-/// same cache files one process would have written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// Parses `"i/n"` (0-based `i < n`, `n ≥ 1`); `None` on anything else.
-    pub fn parse(s: &str) -> Option<Shard> {
-        let (i, n) = s.split_once('/')?;
-        let (index, count) = (i.parse().ok()?, n.parse().ok()?);
-        (count >= 1 && index < count).then_some(Shard { index, count })
-    }
-
-    /// Whether this shard owns the item at `position`: exactly when
-    /// `position ≡ index (mod count)`. A pure function of the position —
-    /// item values, timing, and the other shards never enter into it.
-    pub fn owns(&self, position: usize) -> bool {
-        position % self.count == self.index
-    }
-
-    /// The sub-list of `items` this shard owns, in the original order.
-    ///
-    /// The `n` shards of a list partition it: every item appears in
-    /// exactly one shard's selection, and concatenating the selections
-    /// position-by-position reproduces the one-process list — the
-    /// contract that makes a sharded sweep's union equal a single run.
-    pub fn select<'a, T>(&self, items: &'a [T]) -> Vec<&'a T> {
-        items.iter().enumerate().filter(|(i, _)| self.owns(*i)).map(|(_, t)| t).collect()
     }
 }
 
@@ -151,44 +106,10 @@ where
     map_with_workers(items, mode.workers_for(items.len()), &init, &f)
 }
 
-/// Like [`parallel_map`], but hands each result to `consume` **in item
-/// order as soon as it and all its predecessors are ready**, instead of
-/// waiting for the whole batch. Used by drivers that stream output (e.g.
-/// `repro_all` printing each section as it completes).
-pub fn parallel_map_consume<T, R, F, C>(items: &[T], f: F, mut consume: C)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    C: FnMut(usize, R),
-{
-    pool_run(items, available_workers(), &|| (), &|(), item| f(item), &mut consume);
-}
-
+/// The worker pool every public entry point delegates to: work-stealing
+/// over an atomic cursor, per-worker `init` state, results in item order.
 fn map_with_workers<T, S, R, I, F>(items: &[T], workers: usize, init: &I, f: &F) -> Vec<R>
 where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    // Delivery is in item order, so collecting is a plain push.
-    pool_run(items, workers, init, f, &mut |_, result| out.push(result));
-    out
-}
-
-/// The single worker-pool core every public entry point delegates to:
-/// work-stealing over an atomic cursor, per-worker `init` state, and
-/// in-item-order delivery to `consume` (each result is emitted as soon as
-/// it and all its predecessors are ready).
-fn pool_run<T, S, R, I, F>(
-    items: &[T],
-    workers: usize,
-    init: &I,
-    f: &F,
-    consume: &mut dyn FnMut(usize, R),
-) where
     T: Sync,
     R: Send,
     I: Fn() -> S + Sync,
@@ -198,121 +119,44 @@ fn pool_run<T, S, R, I, F>(
     let workers = workers.min(n).max(1);
     if workers == 1 {
         let mut state = init();
-        for (i, item) in items.iter().enumerate() {
-            consume(i, f(&mut state, item));
-        }
-        return;
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    // Work stealing: each worker grabs the next unclaimed
-                    // item, so uneven per-item cost balances automatically.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        // Work stealing: each worker grabs the next
+                        // unclaimed item, so uneven per-item cost balances
+                        // automatically.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(&mut state, &items[i])));
                     }
-                    let result = f(&mut state, &items[i]);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        // Receive concurrently with the workers, emitting the longest
-        // ready prefix after every arrival.
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut emitted = 0;
-        for (i, result) in rx {
-            slots[i] = Some(result);
-            while emitted < n {
-                match slots[emitted].take() {
-                    Some(ready) => {
-                        consume(emitted, ready);
-                        emitted += 1;
-                    }
-                    None => break,
-                }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
             }
         }
     });
+    slots.into_iter().map(|r| r.expect("every item is claimed once")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn shards_partition_any_item_list() {
-        let items: Vec<u64> = (0..37).collect();
-        for n in 1..=5 {
-            let shards: Vec<Shard> =
-                (0..n).map(|i| Shard::parse(&format!("{i}/{n}")).unwrap()).collect();
-            // Every item is owned by exactly one shard, order preserved.
-            let mut owners = vec![0usize; items.len()];
-            for s in &shards {
-                let mine = s.select(&items);
-                assert!(mine.windows(2).all(|w| w[0] < w[1]));
-                for &&x in &mine {
-                    owners[x as usize] += 1;
-                }
-            }
-            assert!(owners.iter().all(|&c| c == 1), "{n} shards");
-        }
-    }
-
-    #[test]
-    fn shard_union_equals_the_one_process_sweep() {
-        // A tenant-tagged sweep: each work item names a tenant and a
-        // seed, as a sharded multi-tenant repro run would. The union of
-        // the shards' results, reassembled by owned position, must equal
-        // the single-process sweep bit-for-bit.
-        let tenants = ["chat", "api", "bulk"];
-        let items: Vec<(&str, u64)> =
-            (0..23).map(|i| (tenants[i % tenants.len()], 0xBEEF + i as u64)).collect();
-        let work = |&(tenant, seed): &(&str, u64)| format!("{tenant}:{}", seed.wrapping_mul(31));
-        let one_process = parallel_map(&items, work);
-        for n in 1..=4 {
-            let mut union: Vec<Option<String>> = vec![None; items.len()];
-            for i in 0..n {
-                let shard = Shard::parse(&format!("{i}/{n}")).unwrap();
-                let mine: Vec<(&str, u64)> =
-                    shard.select(&items).into_iter().copied().collect();
-                let results = parallel_map(&mine, work);
-                let positions: Vec<usize> =
-                    (0..items.len()).filter(|&p| shard.owns(p)).collect();
-                assert_eq!(positions.len(), results.len());
-                for (p, r) in positions.into_iter().zip(results) {
-                    assert!(union[p].is_none(), "position {p} owned twice under {n} shards");
-                    union[p] = Some(r);
-                }
-            }
-            let union: Vec<String> = union
-                .into_iter()
-                .map(|r| r.expect("every position owned by some shard"))
-                .collect();
-            assert_eq!(union, one_process, "{n} shards");
-        }
-    }
-
-    #[test]
-    fn shard_parse_rejects_malformed_specs() {
-        assert_eq!(Shard::parse("0/1"), Some(Shard { index: 0, count: 1 }));
-        assert_eq!(Shard::parse("2/3"), Some(Shard { index: 2, count: 3 }));
-        for bad in ["", "1", "3/3", "4/3", "1/0", "-1/2", "a/b", "1/2/3"] {
-            assert_eq!(Shard::parse(bad), None, "{bad}");
-        }
-    }
 
     #[test]
     fn preserves_item_order() {
@@ -354,17 +198,6 @@ mod tests {
         let items: Vec<u64> = (0..10).collect();
         let out = map_with_mode(SweepMode::SequentialUncached, &items, || (), |(), &x| x + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn consume_delivers_in_order_and_completely() {
-        let items: Vec<u64> = (0..50).collect();
-        let mut seen = Vec::new();
-        parallel_map_consume(&items, |&x| x * 3, |i, r| seen.push((i, r)));
-        assert_eq!(
-            seen,
-            items.iter().map(|&x| (x as usize, x * 3)).collect::<Vec<_>>()
-        );
     }
 
     #[test]

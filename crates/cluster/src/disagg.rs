@@ -671,7 +671,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
 
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
     let obs = O::open(sink, &slots, true, None);
-    let (pricing, sessions) = fleet_sessions(&slots)?;
+    let (_pricing, sessions) = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> =
         p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
@@ -929,7 +929,6 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
     }
-    pricing.persist_caches();
     Ok(ClusterRun {
         report,
         replica_reports: Vec::new(),

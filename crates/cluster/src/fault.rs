@@ -82,52 +82,32 @@ impl FaultEvent {
         }
     }
 
-    /// Validates the event against a fleet of `replicas` replicas.
-    fn validate(&self, replicas: usize) -> Result<()> {
-        let finite_positive = |what: &str, x: f64| {
-            if x.is_finite() && x > 0.0 {
-                Ok(())
-            } else {
-                Err(Error::invalid_config(format!("{what} must be a positive finite factor")))
-            }
-        };
-        let in_range = |replica: usize| {
-            if replica < replicas {
-                Ok(())
-            } else {
-                Err(Error::invalid_config(format!(
-                    "fault targets replica {replica} but the fleet has {replicas} replica(s)"
-                )))
-            }
+    /// Why the event is invalid on any fleet (a non-finite or negative
+    /// time, an empty window, a factor that is not positive and finite),
+    /// or `None`. The replica index is checked against the fleet size at
+    /// [`FaultPlan::resolve`].
+    fn invalid(&self) -> Option<String> {
+        let factor = |what: &str, x: f64| {
+            (!(x.is_finite() && x > 0.0)).then(|| format!("{what} must be a positive finite factor"))
         };
         // `is_finite` rejects NaN and ±inf: comparisons alone let NaN through.
         let finite_from_zero = |t: Seconds| t.get().is_finite() && t.get() >= 0.0;
         let window = |what: &str, from: Seconds, until: Seconds| {
-            if finite_from_zero(from) && finite_from_zero(until) && until > from {
-                Ok(())
-            } else {
-                Err(Error::invalid_config(format!(
-                    "{what} window must be finite, non-negative and non-empty"
-                )))
-            }
+            (!(finite_from_zero(from) && finite_from_zero(until) && until > from))
+                .then(|| format!("{what} window must be finite, non-negative and non-empty"))
         };
         match *self {
-            FaultEvent::Crash { at, replica, repair } => {
-                in_range(replica)?;
-                if !(finite_from_zero(at) && finite_from_zero(repair)) {
-                    return Err(Error::invalid_config("crash times must be finite, non-negative"));
-                }
-                Ok(())
+            FaultEvent::Crash { at, repair, .. } => {
+                let ok = finite_from_zero(at) && finite_from_zero(repair);
+                (!ok).then(|| "crash times must be finite, non-negative".to_owned())
             }
-            FaultEvent::Straggler { replica, from, until, slowdown } => {
-                in_range(replica)?;
-                finite_positive("straggler slowdown", slowdown)?;
-                window("straggler", from, until)
+            FaultEvent::Straggler { from, until, slowdown, .. } => {
+                factor("straggler slowdown", slowdown).or_else(|| window("straggler", from, until))
             }
             FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                finite_positive("link bandwidth factor", bandwidth_factor)?;
-                finite_positive("link energy factor", energy_factor)?;
-                window("degraded-link", from, until)
+                factor("link bandwidth factor", bandwidth_factor)
+                    .or_else(|| factor("link energy factor", energy_factor))
+                    .or_else(|| window("degraded-link", from, until))
             }
         }
     }
@@ -309,7 +289,17 @@ impl FaultPlan {
             }
         }
         for event in &events {
-            event.validate(replicas)?;
+            if let FaultEvent::Crash { replica, .. } | FaultEvent::Straggler { replica, .. } = *event
+            {
+                if replica >= replicas {
+                    return Err(Error::invalid_config(format!(
+                        "fault targets replica {replica} but the fleet has {replicas} replica(s)"
+                    )));
+                }
+            }
+            if let Some(why) = event.invalid() {
+                return Err(Error::invalid_config(why));
+            }
         }
         events.sort_by(|a, b| a.at().get().total_cmp(&b.at().get()));
         Ok(events)
@@ -699,8 +689,8 @@ impl FaultRng {
 /// `<time>` is a number with an optional `s` (default) or `ms` suffix;
 /// `<replica>` is an index, optionally prefixed `replica` or `r` (in an
 /// elastic fleet, a slot: see [`crate::elastic`]).
-/// Events are validated against the fleet size at
-/// [`FaultPlan::resolve`] time, not here.
+/// Times, windows and factors are validated here; replica indices are
+/// validated against the fleet size at [`FaultPlan::resolve`] time.
 ///
 /// # Errors
 ///
@@ -784,6 +774,9 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
         };
         if let Some(extra) = fields.next() {
             return Err(bad(part, &format!("trailing field '{extra}'")));
+        }
+        if let Some(why) = event.invalid() {
+            return Err(bad(part, &why));
         }
         events.push(event);
     }
@@ -1044,6 +1037,13 @@ mod tests {
             "link@1s-2s:0.1",
             "link@1s-2s:x0.1:energy=2",
             "flood@1s-2s:x0.1",
+            // Well-formed, but invalid on any fleet.
+            "link@0s-2s:x0",
+            "link@0s-2s:x0.5:energy=x-1",
+            "link@2s-2s:x0.5",
+            "straggler@1ms-3ms:r0:xnan",
+            "straggler@1s-3s:r0:xinf",
+            "straggler@3s-1s:r0:x2",
         ] {
             assert!(parse_faults(bad).is_err(), "'{bad}' should not parse");
         }

@@ -93,8 +93,7 @@ impl ReplicaSpec {
 /// built through one [`PricingPool`]. Replicas of one chip, model and chip
 /// organization — and every core a driver rebuilds for them at a boot or
 /// a crash restart — share one pricing state. The pool lives only as long
-/// as the run, so every run starts cold; persist it with
-/// [`PricingPool::persist_caches`] at the end of the run.
+/// as the run, so every run starts cold.
 ///
 /// # Errors
 ///

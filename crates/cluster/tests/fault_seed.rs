@@ -6,7 +6,6 @@ use std::process::{Command, Output};
 fn cluster_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cluster_sim"))
         .args(args)
-        .env_remove("CIMTPU_CACHE_DIR")
         .output()
         .expect("cluster_sim runs")
 }
@@ -42,4 +41,23 @@ fn fault_seed_on_a_chaos_scenario_is_accepted() {
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(std::fs::metadata(&path).expect("trace written").len() > 0);
+}
+
+#[test]
+fn invalid_fault_values_are_rejected_before_simulating() {
+    // Each event parses but is invalid on any fleet: a zero link factor,
+    // a NaN slowdown, an empty window, a negative energy factor.
+    for spec in [
+        "link@0s-2s:x0",
+        "straggler@1ms-3ms:r0:xnan",
+        "straggler@2s-2s:r0:x2",
+        "link@0s-2s:x0.5:energy=x-1",
+    ] {
+        let args = ["--scenario", "cluster-chaos-crash", "--faults", spec, "--summary"];
+        let out = cluster_sim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("invalid fault spec"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} simulated anyway");
+    }
 }

@@ -19,19 +19,12 @@
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-use cimtpu_units::{Bytes, DataType, GemmShape, Joules, Result, Seconds};
+use cimtpu_units::{DataType, GemmShape, Result};
 use rustc_hash::FxHashMap;
 
 use crate::arch::TpuConfig;
 use crate::exec::OpCost;
-
-/// Environment variable naming the directory where mapping caches persist
-/// across processes (one file per configuration fingerprint). Unset means
-/// in-memory only.
-pub const CACHE_DIR_ENV: &str = "CIMTPU_CACHE_DIR";
 
 /// Cache key: one matrix-operator pricing query.
 ///
@@ -139,8 +132,7 @@ impl MappingCache {
         Ok(cost)
     }
 
-    /// Hit/miss/occupancy counters since construction (or the last
-    /// [`clear`](Self::clear)).
+    /// Hit/miss/occupancy counters since construction.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
@@ -170,197 +162,6 @@ impl MappingCache {
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.set(enabled);
     }
-
-    /// Drops all entries and resets the counters.
-    pub fn clear(&self) {
-        self.entries.borrow_mut().clear();
-        self.hits.set(0);
-        self.misses.set(0);
-    }
-
-    /// The file this cache persists to inside a cache directory: one file
-    /// per configuration fingerprint, so caches of different configs never
-    /// mix.
-    pub fn persist_path(&self, dir: &Path) -> PathBuf {
-        dir.join(format!("mapcache-v1-{:016x}.tsv", self.fingerprint))
-    }
-
-    /// Loads previously persisted entries for this fingerprint from `dir`,
-    /// inserting any not already present. Loaded entries count as neither
-    /// hits nor misses. Returns the number of entries inserted; a missing
-    /// file loads zero entries, and malformed lines are skipped (a
-    /// truncated file from a crashed writer must not poison later runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only for I/O failures other than "not found".
-    pub fn load_from_dir(&self, dir: &Path) -> std::io::Result<usize> {
-        let text = match std::fs::read_to_string(self.persist_path(dir)) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let mut inserted = 0;
-        let mut entries = self.entries.borrow_mut();
-        for line in text.lines() {
-            if let Some((key, cost)) = parse_entry(line) {
-                entries.entry(key).or_insert_with(|| {
-                    inserted += 1;
-                    cost
-                });
-            }
-        }
-        Ok(inserted)
-    }
-
-    /// Persists this cache's entries under `dir` (created if absent),
-    /// merged with whatever the file held when the save started. The write
-    /// is atomic (unique temp file + rename), so readers never observe a
-    /// half-written file; with *concurrent* savers of the same fingerprint
-    /// the merge is best-effort (last rename wins and may miss entries the
-    /// other saver added meanwhile — harmless, since entries are
-    /// recomputable and correctness never depends on the file). Returns
-    /// the number of entries in this saver's merged file.
-    ///
-    /// Costs round-trip exactly: floats are stored as IEEE-754 bit
-    /// patterns, so a warm-from-disk simulator is bit-identical to the one
-    /// that wrote the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn save_to_dir(&self, dir: &Path) -> std::io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        // Merge-on-save: union with the file's current contents so
-        // concurrent sweep workers only ever add entries.
-        let mut merged: FxHashMap<PriceKey, OpCost> = FxHashMap::default();
-        if let Ok(text) = std::fs::read_to_string(self.persist_path(dir)) {
-            merged.extend(text.lines().filter_map(parse_entry));
-        }
-        for (key, cost) in self.entries.borrow().iter() {
-            merged.insert(*key, *cost);
-        }
-
-        let mut lines: Vec<String> = merged
-            .iter()
-            .map(|(key, cost)| format_entry(key, cost))
-            .collect();
-        lines.sort_unstable(); // deterministic file contents
-
-        // Unique per process *and* per call: concurrent saves of the same
-        // fingerprint (e.g. two serving scenarios on one chip config fanned
-        // out over threads) must never write through the same temp file.
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = dir.join(format!(
-            ".mapcache-{:016x}-{}-{seq}.tmp",
-            self.fingerprint,
-            std::process::id()
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for line in &lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.persist_path(dir))?;
-        Ok(merged.len())
-    }
-}
-
-fn dtype_tag(dtype: DataType) -> &'static str {
-    match dtype {
-        DataType::Int8 => "int8",
-        DataType::Bf16 => "bf16",
-        DataType::Fp32 => "fp32",
-    }
-}
-
-fn parse_dtype(tag: &str) -> Option<DataType> {
-    match tag {
-        "int8" => Some(DataType::Int8),
-        "bf16" => Some(DataType::Bf16),
-        "fp32" => Some(DataType::Fp32),
-        _ => None,
-    }
-}
-
-/// One cache entry as a line of space-separated fields. Floats are encoded
-/// as hex bit patterns — exact round-trip is what makes a disk-warmed
-/// cache bit-identical to an in-process one.
-fn format_entry(key: &PriceKey, cost: &OpCost) -> String {
-    let costs = format!(
-        "{:016x} {:016x} {:016x} {}",
-        cost.latency.get().to_bits(),
-        cost.mxu_dynamic.get().to_bits(),
-        cost.vpu_energy.get().to_bits(),
-        cost.hbm_bytes.get(),
-    );
-    match *key {
-        PriceKey::Gemm { shape, dtype, weights_resident } => format!(
-            "G {} {} {} {} {} {costs}",
-            shape.m(),
-            shape.k(),
-            shape.n(),
-            dtype_tag(dtype),
-            u8::from(weights_resident),
-        ),
-        PriceKey::Batched { batch, shape, dtype, static_weights } => format!(
-            "B {batch} {} {} {} {} {} {costs}",
-            shape.m(),
-            shape.k(),
-            shape.n(),
-            dtype_tag(dtype),
-            u8::from(static_weights),
-        ),
-    }
-}
-
-fn parse_entry(line: &str) -> Option<(PriceKey, OpCost)> {
-    let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-    let (key, rest) = match *fields.first()? {
-        "G" if fields.len() == 10 => {
-            let shape = GemmShape::new(
-                fields[1].parse().ok()?,
-                fields[2].parse().ok()?,
-                fields[3].parse().ok()?,
-            )
-            .ok()?;
-            let key = PriceKey::Gemm {
-                shape,
-                dtype: parse_dtype(fields[4])?,
-                weights_resident: fields[5] == "1",
-            };
-            (key, &fields[6..])
-        }
-        "B" if fields.len() == 11 => {
-            let shape = GemmShape::new(
-                fields[2].parse().ok()?,
-                fields[3].parse().ok()?,
-                fields[4].parse().ok()?,
-            )
-            .ok()?;
-            let key = PriceKey::Batched {
-                batch: fields[1].parse().ok()?,
-                shape,
-                dtype: parse_dtype(fields[5])?,
-                static_weights: fields[6] == "1",
-            };
-            (key, &fields[7..])
-        }
-        _ => return None,
-    };
-    let bits = |s: &str| u64::from_str_radix(s, 16).ok();
-    Some((
-        key,
-        OpCost {
-            latency: Seconds::new(f64::from_bits(bits(rest[0])?)),
-            mxu_dynamic: Joules::new(f64::from_bits(bits(rest[1])?)),
-            vpu_energy: Joules::new(f64::from_bits(bits(rest[2])?)),
-            hbm_bytes: Bytes::new(rest[3].parse().ok()?),
-        },
-    ))
 }
 
 /// Hashes every configuration field that influences matrix-operator
@@ -479,139 +280,6 @@ mod tests {
         let c = MappingCache::for_config(&TpuConfig::tpuv4i());
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), c.fingerprint());
-    }
-
-    fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cimtpu-cache-test-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn full_cost(ms: f64) -> OpCost {
-        OpCost {
-            latency: Seconds::from_millis(ms),
-            mxu_dynamic: Joules::new(ms * 0.125 + 1e-9), // non-trivial bit patterns
-            vpu_energy: Joules::new(ms / 3.0),
-            hbm_bytes: Bytes::new((ms * 1024.0) as u64),
-        }
-    }
-
-    #[test]
-    fn persisted_entries_round_trip_bit_exactly() {
-        let dir = temp_cache_dir("roundtrip");
-        let writer = MappingCache::for_config(&TpuConfig::tpuv4i());
-        writer.get_or_try_insert(key(8), || Ok(full_cost(1.0 / 3.0))).unwrap();
-        let batched = PriceKey::Batched {
-            batch: 448,
-            shape: GemmShape::new(1, 128, 1024).unwrap(),
-            dtype: DataType::Bf16,
-            static_weights: true,
-        };
-        writer.get_or_try_insert(batched, || Ok(full_cost(0.7))).unwrap();
-        assert_eq!(writer.save_to_dir(&dir).unwrap(), 2);
-
-        let reader = MappingCache::for_config(&TpuConfig::tpuv4i());
-        assert_eq!(reader.load_from_dir(&dir).unwrap(), 2);
-        // Loaded entries answer without recomputing, bit-identically.
-        let c = reader.get_or_try_insert(key(8), || unreachable!()).unwrap();
-        assert_eq!(c, full_cost(1.0 / 3.0));
-        let c = reader.get_or_try_insert(batched, || unreachable!()).unwrap();
-        assert_eq!(c, full_cost(0.7));
-        // Loading counts as neither hit nor miss.
-        assert_eq!(reader.stats().misses, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn save_merges_with_existing_file() {
-        let dir = temp_cache_dir("merge");
-        let a = MappingCache::for_config(&TpuConfig::tpuv4i());
-        a.get_or_try_insert(key(8), || Ok(full_cost(1.0))).unwrap();
-        a.save_to_dir(&dir).unwrap();
-
-        let b = MappingCache::for_config(&TpuConfig::tpuv4i());
-        b.get_or_try_insert(key(16), || Ok(full_cost(2.0))).unwrap();
-        assert_eq!(b.save_to_dir(&dir).unwrap(), 2, "second save unions entries");
-
-        let c = MappingCache::for_config(&TpuConfig::tpuv4i());
-        assert_eq!(c.load_from_dir(&dir).unwrap(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn two_shard_saves_match_one_process() {
-        // The sharded-sweep workflow (`repro_all --shard i/n` over a
-        // shared CIMTPU_CACHE_DIR): each shard warm-starts from the
-        // directory, prices its slice, and merge-saves. Two shards over
-        // disjoint slices must leave byte-identical files to one process
-        // pricing everything.
-        let sharded = temp_cache_dir("two-shards");
-        let whole = temp_cache_dir("one-process");
-
-        let s0 = MappingCache::for_config(&TpuConfig::tpuv4i());
-        s0.load_from_dir(&sharded).unwrap();
-        for m in [8, 32] {
-            s0.get_or_try_insert(key(m), || Ok(full_cost(m as f64 / 3.0))).unwrap();
-        }
-        s0.save_to_dir(&sharded).unwrap();
-
-        let s1 = MappingCache::for_config(&TpuConfig::tpuv4i());
-        s1.load_from_dir(&sharded).unwrap();
-        for m in [16, 64] {
-            s1.get_or_try_insert(key(m), || Ok(full_cost(m as f64 / 3.0))).unwrap();
-        }
-        s1.save_to_dir(&sharded).unwrap();
-
-        let one = MappingCache::for_config(&TpuConfig::tpuv4i());
-        for m in [8, 16, 32, 64] {
-            one.get_or_try_insert(key(m), || Ok(full_cost(m as f64 / 3.0))).unwrap();
-        }
-        one.save_to_dir(&whole).unwrap();
-
-        let a = std::fs::read_to_string(one.persist_path(&sharded)).unwrap();
-        let b = std::fs::read_to_string(one.persist_path(&whole)).unwrap();
-        assert_eq!(a, b, "sharded merge differs from the one-process file");
-        let _ = std::fs::remove_dir_all(&sharded);
-        let _ = std::fs::remove_dir_all(&whole);
-    }
-
-    #[test]
-    fn different_fingerprints_use_different_files() {
-        let dir = temp_cache_dir("fingerprints");
-        let v4i = MappingCache::for_config(&TpuConfig::tpuv4i());
-        v4i.get_or_try_insert(key(8), || Ok(full_cost(1.0))).unwrap();
-        v4i.save_to_dir(&dir).unwrap();
-
-        let cim = MappingCache::for_config(&TpuConfig::cim_base());
-        assert_eq!(cim.load_from_dir(&dir).unwrap(), 0, "wrong config loads nothing");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn malformed_lines_are_skipped() {
-        let dir = temp_cache_dir("malformed");
-        let cache = MappingCache::for_config(&TpuConfig::tpuv4i());
-        cache.get_or_try_insert(key(8), || Ok(full_cost(1.0))).unwrap();
-        cache.save_to_dir(&dir).unwrap();
-        // Corrupt the file: garbage line + truncated line + valid entries.
-        let path = cache.persist_path(&dir);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("not an entry\nG 1 2\n");
-        std::fs::write(&path, text).unwrap();
-
-        let reader = MappingCache::for_config(&TpuConfig::tpuv4i());
-        assert_eq!(reader.load_from_dir(&dir).unwrap(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_dir_loads_nothing() {
-        let cache = MappingCache::for_config(&TpuConfig::tpuv4i());
-        let dir = temp_cache_dir("absent");
-        assert_eq!(cache.load_from_dir(&dir).unwrap(), 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod timeline;
 mod vpu;
 
 pub use arch::{MxuKind, TpuConfig};
-pub use cache::{CacheStats, MappingCache, CACHE_DIR_ENV};
+pub use cache::{CacheStats, MappingCache};
 pub use context::{PhasedReport, SegmentCost, SegmentReport};
 pub use engine::MatrixEngine;
 pub use report::{CategoryRow, OpReport, Report};

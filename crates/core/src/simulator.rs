@@ -50,16 +50,10 @@ impl Simulator {
             .clone()
             .with_vmem(Bytes::new(levels.vmem().get() / config.mxu_count()))
             .with_hbm_bandwidth(levels.hbm_bandwidth() / config.mxu_count() as f64);
-        let cache = MappingCache::for_config(&config);
-        // Warm from the cross-process cache directory when configured.
-        // Failures are non-fatal: a cold cache is always correct.
-        if let Some(dir) = std::env::var_os(crate::cache::CACHE_DIR_ENV) {
-            let _ = cache.load_from_dir(std::path::Path::new(&dir));
-        }
         Ok(Simulator {
             engine,
             per_mxu_mapper: Mapper::new(per_mxu_levels),
-            cache,
+            cache: MappingCache::for_config(&config),
             config,
         })
     }
@@ -195,24 +189,6 @@ impl Simulator {
             hbm_bytes: cost.hbm_bytes * inst.count(),
         };
         Ok((total, mxu_dynamic, mxu_static))
-    }
-
-    /// Persists the mapping cache to the directory named by
-    /// `CIMTPU_CACHE_DIR`, so later processes simulating the same
-    /// configuration skip the map-space searches entirely. Returns `false`
-    /// (and does nothing) when the variable is unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn persist_cache(&self) -> std::io::Result<bool> {
-        match std::env::var_os(crate::cache::CACHE_DIR_ENV) {
-            Some(dir) => {
-                self.cache.save_to_dir(std::path::Path::new(&dir))?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 }
 

@@ -487,6 +487,46 @@ mod tests {
     }
 
     #[test]
+    fn equal_totals_keep_the_first_pair_enumerated() {
+        // Cycles proportional to MACs over power-of-two edges: every
+        // `(tk, tn)` pair computes for exactly the same time. An infinite
+        // HBM zeroes the prologue, so each total is that compute (above
+        // every OCI time) while each floor is the pair's OCI time, which
+        // grows with its tile counts. No floor reaches the incumbent, so
+        // every pair is priced, and they all tie.
+        struct Linear;
+        impl TileCostModel for Linear {
+            fn tile_cycles(&self, s: GemmShape, _d: DataType) -> Cycles {
+                Cycles::new(s.macs() * 1024)
+            }
+            fn clock(&self) -> Frequency {
+                Frequency::from_ghz(1.0)
+            }
+            fn preferred_k(&self) -> u64 {
+                128
+            }
+            fn preferred_n(&self) -> u64 {
+                128
+            }
+        }
+        let levels = MemoryLevels::tpuv4i().with_hbm_bandwidth(Bandwidth::new(f64::INFINITY));
+        let mapper = Mapper::new(levels.clone());
+        let shape = GemmShape::new(8, 256, 256).unwrap();
+        let tiles = candidate_tiles(shape, DataType::Int8, 128, 128, levels.vmem_tile_budget());
+        let priced: Vec<Mapping> = tiles
+            .iter()
+            .map(|&tile| mapper.evaluate(shape, DataType::Int8, &Linear, false, tile).unwrap())
+            .collect();
+        assert!(priced.len() > 1);
+        assert!(priced.iter().all(|p| p.total() == priced[0].total()), "totals tie");
+        assert!(priced.iter().any(|p| p.dma() != priced[0].dma()), "floors differ");
+
+        let best = mapper.best_gemm_mapping(shape, DataType::Int8, &Linear, false).unwrap();
+        assert_eq!(mapper.candidates_priced(), mapper.candidates_enumerated());
+        assert_eq!(best, priced[0], "the first pair enumerated wins a tie");
+    }
+
+    #[test]
     fn work_is_conserved() {
         let mapper = Mapper::new(MemoryLevels::tpuv4i());
         for (m, k, n) in [(1, 7168, 7168), (8192, 7168, 28672), (13, 1000, 999)] {

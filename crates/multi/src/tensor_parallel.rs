@@ -1,6 +1,6 @@
 //! Megatron-style tensor parallelism for Transformer layers.
 //!
-//! Sharding follows Shoeybi et al.: QKV generation and FFN1 are
+//! The split follows Shoeybi et al.: QKV generation and FFN1 are
 //! column-parallel (each device produces `1/p` of the output features),
 //! attention heads are partitioned, and Proj/FFN2 are row-parallel,
 //! each followed by a ring all-reduce of the `[tokens × d_model]`
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn tensor_parallel_faster_than_single_chip_per_layer() {
-        // Sharded compute + all-reduce still beats one chip on a decode
+        // Split compute + all-reduce still beats one chip on a decode
         // layer (weights per chip shrink by p).
         let model = presets::gpt3_30b();
         let single = MultiTpu::new(TpuConfig::tpuv4i(), 1).unwrap();

@@ -110,7 +110,8 @@ impl SimFlags {
     /// # Errors
     ///
     /// Returns the message to print for an unknown flag, a malformed
-    /// value, or a flag that cannot apply: `--think-ms` without
+    /// value (`--clients 0`, a negative or non-finite `--think-ms`), or
+    /// a flag that cannot apply: `--think-ms` without
     /// `--clients`, and `--clients`, `--think-ms` or `--tenants` with
     /// `--trace-in` (a replayed trace carries its own arrivals and tenant
     /// assignments).
@@ -168,16 +169,24 @@ impl SimFlags {
                     );
                 }
                 "--clients" => {
-                    flags.clients = Some(
-                        value("--clients")?
-                            .parse()
-                            .map_err(|e| format!("bad --clients: {e}"))?,
-                    );
+                    let clients: u64 = value("--clients")?
+                        .parse()
+                        .map_err(|e| format!("bad --clients: {e}"))?;
+                    if clients == 0 {
+                        return Err("bad --clients: closed loop needs >= 1 client".into());
+                    }
+                    flags.clients = Some(clients);
                 }
                 "--think-ms" => {
                     flags.think_ms = value("--think-ms")?
                         .parse()
                         .map_err(|e| format!("bad --think-ms: {e}"))?;
+                    if !(flags.think_ms.is_finite() && flags.think_ms >= 0.0) {
+                        return Err(format!(
+                            "bad --think-ms: {} is not a finite, non-negative time",
+                            flags.think_ms
+                        ));
+                    }
                     think_ms_set = true;
                 }
                 "--fault-seed" if fleet_flags => {
@@ -460,6 +469,17 @@ mod tests {
         assert_eq!(flags.clients, Some(4));
         assert_eq!(flags.think_ms, 2.5);
         assert_eq!(parse(&["--clients", "4"]).unwrap().think_ms, 10.0);
+    }
+
+    #[test]
+    fn closed_loop_values_are_checked_at_parse_time() {
+        let err = parse(&["--clients", "0"]).unwrap_err();
+        assert!(err.starts_with("bad --clients"), "{err}");
+        for think in ["-1", "nan", "inf", "-inf"] {
+            let err = parse(&["--clients", "2", "--think-ms", think]).unwrap_err();
+            assert!(err.starts_with("bad --think-ms"), "{think}: {err}");
+        }
+        assert_eq!(parse(&["--clients", "1", "--think-ms", "0"]).unwrap().think_ms, 0.0);
     }
 
     #[test]

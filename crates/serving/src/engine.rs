@@ -148,10 +148,6 @@ impl ServingEngine {
     /// SLO attainment, fairness); a single-tenant set reports
     /// bit-identically to its tenant's traffic, plus that section.
     ///
-    /// When `CIMTPU_CACHE_DIR` is set, the underlying simulator loads its
-    /// mapping cache from disk before the run and persists it afterwards,
-    /// so repeated serving runs (and sweeps) skip the map-space searches.
-    ///
     /// # Errors
     ///
     /// Returns an error for an invalid traffic spec or tenant set, an
@@ -223,7 +219,6 @@ impl ServingEngine {
                 );
             }
         }
-        session.persist_cache(); // best effort; cold is correct
         Ok(run)
     }
 }

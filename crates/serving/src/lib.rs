@@ -36,8 +36,7 @@
 //! [`PhasePricer`] (summing the phase's operators through
 //! [`Simulator::price_ops`](cimtpu_core::Simulator::price_ops), on top of
 //! the simulator's `MappingCache` memoizing per-operator map-space
-//! searches) and replayed for every batch that repeats it. Set
-//! `CIMTPU_CACHE_DIR` to persist those mapping caches across processes.
+//! searches) and replayed for every batch that repeats it.
 //!
 //! # Batching-policy semantics
 //!

@@ -97,8 +97,7 @@ impl PricingPool {
     }
 
     /// A session for `engine`, priced by the pool's state for the
-    /// engine's chip, model and chip organization (built on first use;
-    /// when `CIMTPU_CACHE_DIR` is set its mapping cache loads from disk).
+    /// engine's chip, model and chip organization (built on first use).
     ///
     /// # Errors
     ///
@@ -141,14 +140,6 @@ impl PricingPool {
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
-
-    /// Persists every state's mapping cache (best effort, no-op without
-    /// `CIMTPU_CACHE_DIR`).
-    pub fn persist_caches(&self) {
-        for p in &self.states {
-            let _ = p.simulator().persist_cache();
-        }
-    }
 }
 
 /// One engine configuration instantiated against real pricing state: the
@@ -177,8 +168,7 @@ pub struct EngineSession {
 
 impl EngineSession {
     /// Instantiates `engine`'s backend in a pool of its own (builds the
-    /// simulator or ring; when `CIMTPU_CACHE_DIR` is set the underlying
-    /// mapping cache loads from disk).
+    /// simulator or ring).
     ///
     /// # Errors
     ///
@@ -263,11 +253,5 @@ impl EngineSession {
 
     fn hbm_capacity(&self) -> cimtpu_units::Bytes {
         self.pricing.simulator().config().hbm_capacity()
-    }
-
-    /// Persists the backend's mapping cache (best effort, no-op without
-    /// `CIMTPU_CACHE_DIR`).
-    pub fn persist_cache(&self) {
-        let _ = self.pricing.simulator().persist_cache();
     }
 }

@@ -86,8 +86,7 @@
 //! `(phase, batch, length)` query is priced once by a
 //! [`PhasePricer`](serving::PhasePricer) and replayed per request, and
 //! each distinct matrix operator runs the map-space search once in its
-//! simulator's [`MappingCache`](core::MappingCache); set
-//! `CIMTPU_CACHE_DIR` to persist the mapping caches across processes.
+//! simulator's [`MappingCache`](core::MappingCache).
 //!
 //! # Cluster-scale serving
 //!
@@ -155,7 +154,7 @@
 //!   (`parallel_map` / `parallel_map_init`, rayon-style) that runs one
 //!   memoized simulator per worker and returns results in item order, so
 //!   parallel sweeps are output-identical to sequential ones. `fig7`,
-//!   `sweep_extensions`, `moe_study`, and `repro_all` all route through it.
+//!   `sweep_extensions` and `moe_study` all route through it.
 //!
 //! Outside the simulator (map-space studies, external drivers),
 //! [`Mapper::best_gemm_mapping`](mapper::Mapper::best_gemm_mapping) maps
