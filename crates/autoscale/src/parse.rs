@@ -1,44 +1,27 @@
 //! The `--autoscale SPEC` CLI grammar.
 
-use cimtpu_units::{parse_time, Error, Result, Seconds};
+use cimtpu_units::spec::{entries, key_value, parse_band};
+use cimtpu_units::{parse_time, Error, Result};
 
 use crate::policy::{AutoscalePolicy, GroupPolicy};
 
 /// A parsed `--autoscale` spec: policy knobs without a group count. The
 /// CLI does not know how many replica groups a scenario has, so the spec
-/// holds fleet-wide defaults plus per-group band overrides and
-/// [`policy_for`](AutoscaleSpec::policy_for) expands them once the
-/// topology is known.
+/// holds one template every group starts from, plus per-group band
+/// overrides, and [`policy_for`](AutoscaleSpec::policy_for) expands them
+/// once the topology is known. Knobs the spec leaves out keep
+/// [`AutoscalePolicy::new`]'s and [`GroupPolicy::default`]'s values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleSpec {
-    /// Reconcile interval (`interval=1s`; default 1 s).
-    pub interval: Seconds,
-    /// Provisioning delay (`provision=2s`; default 1 s).
-    pub provision: Seconds,
-    /// Warmup after provisioning (`warmup=500ms`; default 0.5 s).
-    pub warmup: Seconds,
-    /// Idle watts per chip (`idle-w=30`; default 30).
-    pub idle_watts: f64,
-    /// Model swaps allowed (`swap`; default off).
-    pub swap: bool,
-    /// Default replica band for every group (`replicas=0..4`; default
-    /// 1..4).
-    pub band: (u64, u64),
+    /// Cadence, boot cost model and swaps (`interval=`, `provision=`,
+    /// `warmup=`, `idle-w=`, `swap`); its `groups` stay empty.
+    pub policy: AutoscalePolicy,
+    /// The knobs every group takes (`replicas=`, `conc=`, `up=`, `down=`,
+    /// `up-cd=`, `down-cd=`, `slo-floor=`); its `initial` is unused.
+    pub group: GroupPolicy,
     /// Initial replicas (`init=2`; default `max(min, 1)` clamped to the
     /// band).
     pub initial: Option<u64>,
-    /// Target per-replica concurrency (`conc=8`; default 4).
-    pub concurrency: u64,
-    /// Scale-up threshold (`up=0.75`; default 0.75).
-    pub up: f64,
-    /// Scale-down threshold (`down=0.25`; default 0.25).
-    pub down: f64,
-    /// Scale-up cooldown (`up-cd=2s`; default 0).
-    pub up_cooldown: Seconds,
-    /// Scale-down cooldown (`down-cd=5s`; default 0).
-    pub down_cooldown: Seconds,
-    /// Rolling SLO-goodput floor (`slo-floor=0.9`; default 0 = off).
-    pub slo_floor: f64,
     /// Per-group band overrides (`group0=1..6`), as `(group, (min, max))`.
     pub group_bands: Vec<(usize, (u64, u64))>,
 }
@@ -46,19 +29,9 @@ pub struct AutoscaleSpec {
 impl Default for AutoscaleSpec {
     fn default() -> Self {
         AutoscaleSpec {
-            interval: Seconds::new(1.0),
-            provision: Seconds::new(1.0),
-            warmup: Seconds::new(0.5),
-            idle_watts: 30.0,
-            swap: false,
-            band: (1, 4),
+            policy: AutoscalePolicy::new(Vec::new()),
+            group: GroupPolicy::default(),
             initial: None,
-            concurrency: 4,
-            up: 0.75,
-            down: 0.25,
-            up_cooldown: Seconds::ZERO,
-            down_cooldown: Seconds::ZERO,
-            slo_floor: 0.0,
             group_bands: Vec::new(),
         }
     }
@@ -66,8 +39,8 @@ impl Default for AutoscaleSpec {
 
 impl AutoscaleSpec {
     /// Expands the spec into an [`AutoscalePolicy`] over `ngroups` replica
-    /// groups: every group takes the fleet-wide defaults, then its
-    /// `groupK=` band override if present.
+    /// groups: every group takes the template, then its `groupK=` band
+    /// override if present.
     ///
     /// # Errors
     ///
@@ -87,39 +60,16 @@ impl AutoscaleSpec {
                     .iter()
                     .rev() // the last override of a group wins
                     .find(|&&(i, _)| i == g)
-                    .map_or(self.band, |&(_, band)| band);
+                    .map_or((self.group.min, self.group.max), |&(_, band)| band);
                 let initial =
                     self.initial.unwrap_or_else(|| min.max(1)).clamp(min, max.max(min));
-                GroupPolicy {
-                    min,
-                    max,
-                    initial,
-                    concurrency: self.concurrency,
-                    scale_up_above: self.up,
-                    scale_down_below: self.down,
-                    up_cooldown: self.up_cooldown,
-                    down_cooldown: self.down_cooldown,
-                    slo_floor: self.slo_floor,
-                }
+                GroupPolicy { min, max, initial, ..self.group }
             })
             .collect();
-        let policy = AutoscalePolicy {
-            interval: self.interval,
-            provision: self.provision,
-            warmup: self.warmup,
-            idle_watts: self.idle_watts,
-            swap: self.swap,
-            groups,
-        };
+        let policy = AutoscalePolicy { groups, ..self.policy.clone() };
         policy.validate()?;
         Ok(policy)
     }
-}
-
-/// Parses `LO..HI` as a replica band.
-fn parse_band(s: &str) -> Option<(u64, u64)> {
-    let (lo, hi) = s.split_once("..")?;
-    Some((lo.trim().parse().ok()?, hi.trim().parse().ok()?))
 }
 
 /// Parses the comma-separated `--autoscale SPEC` grammar of
@@ -137,6 +87,8 @@ fn parse_band(s: &str) -> Option<(u64, u64)> {
 /// ```
 ///
 /// Example: `--autoscale 'interval=1s,replicas=0..4,up=0.8,down=0.2,swap'`.
+/// Times, bands and entries are the shared tokens of
+/// [`cimtpu_units::spec`].
 ///
 /// # Errors
 ///
@@ -151,45 +103,32 @@ pub fn parse_autoscale(spec: &str) -> Result<AutoscaleSpec> {
         ))
     };
     let mut out = AutoscaleSpec::default();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
+    let (policy, group) = (&mut out.policy, &mut out.group);
+    for part in entries(spec) {
         let lower = part.to_ascii_lowercase();
         if lower == "swap" {
-            out.swap = true;
+            policy.swap = true;
             continue;
         }
-        let (key, value) =
-            lower.split_once('=').ok_or_else(|| bad(part, "missing '=<value>'"))?;
+        let (key, value) = key_value(&lower).ok_or_else(|| bad(part, "missing '=<value>'"))?;
         let time = |why: &str| parse_time(value).ok_or_else(|| bad(part, why));
+        let float = |why: &str| value.parse::<f64>().map_err(|_| bad(part, why));
+        let count = |why: &str| value.parse::<u64>().map_err(|_| bad(part, why));
         match key {
-            "interval" => out.interval = time("bad interval")?,
-            "provision" => out.provision = time("bad provisioning delay")?,
-            "warmup" => out.warmup = time("bad warmup")?,
-            "idle-w" => {
-                out.idle_watts =
-                    value.parse().map_err(|_| bad(part, "bad idle watts"))?;
-            }
+            "interval" => policy.interval = time("bad interval")?,
+            "provision" => policy.provision = time("bad provisioning delay")?,
+            "warmup" => policy.warmup = time("bad warmup")?,
+            "idle-w" => policy.idle_watts = float("bad idle watts")?,
             "replicas" => {
-                out.band = parse_band(value).ok_or_else(|| bad(part, "bad band"))?;
+                (group.min, group.max) = parse_band(value).ok_or_else(|| bad(part, "bad band"))?;
             }
-            "init" => {
-                out.initial =
-                    Some(value.parse().map_err(|_| bad(part, "bad initial count"))?);
-            }
-            "conc" => {
-                out.concurrency =
-                    value.parse().map_err(|_| bad(part, "bad concurrency"))?;
-            }
-            "up" => out.up = value.parse().map_err(|_| bad(part, "bad threshold"))?,
-            "down" => out.down = value.parse().map_err(|_| bad(part, "bad threshold"))?,
-            "up-cd" => out.up_cooldown = time("bad cooldown")?,
-            "down-cd" => out.down_cooldown = time("bad cooldown")?,
-            "slo-floor" => {
-                out.slo_floor = value.parse().map_err(|_| bad(part, "bad floor"))?;
-            }
+            "init" => out.initial = Some(count("bad initial count")?),
+            "conc" => group.concurrency = count("bad concurrency")?,
+            "up" => group.scale_up_above = float("bad threshold")?,
+            "down" => group.scale_down_below = float("bad threshold")?,
+            "up-cd" => group.up_cooldown = time("bad cooldown")?,
+            "down-cd" => group.down_cooldown = time("bad cooldown")?,
+            "slo-floor" => group.slo_floor = float("bad floor")?,
             _ => {
                 let band = key
                     .strip_prefix("group")
@@ -206,6 +145,7 @@ pub fn parse_autoscale(spec: &str) -> Result<AutoscaleSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cimtpu_units::Seconds;
 
     #[test]
     fn defaults_expand_to_a_valid_policy() {
@@ -226,11 +166,11 @@ mod tests {
              group1=1..3,swap",
         )
         .unwrap();
-        assert_eq!(spec.interval, Seconds::new(2.0));
-        assert_eq!(spec.provision, Seconds::new(1.5));
-        assert_eq!(spec.warmup, Seconds::new(0.25));
-        assert_eq!(spec.idle_watts, 45.0);
-        assert!(spec.swap);
+        assert_eq!(spec.policy.interval, Seconds::new(2.0));
+        assert_eq!(spec.policy.provision, Seconds::new(1.5));
+        assert_eq!(spec.policy.warmup, Seconds::new(0.25));
+        assert_eq!(spec.policy.idle_watts, 45.0);
+        assert!(spec.policy.swap);
         let policy = spec.policy_for(2).unwrap();
         assert_eq!((policy.groups[0].min, policy.groups[0].max), (0, 6));
         assert_eq!((policy.groups[1].min, policy.groups[1].max), (1, 3));
@@ -276,11 +216,64 @@ mod tests {
         assert!(parse_autoscale("replicas=5..2").unwrap().policy_for(1).is_err());
     }
 
+    /// Keys and values of the grammar, valid and near-miss, for
+    /// near-grammar specs: every key, a bare `swap`, out-of-range groups,
+    /// and values of the wrong token type.
+    const KEYS: [&str; 16] = [
+        "interval=", "provision=", "warmup=", "idle-w=", "replicas=", "group0=", "group9=",
+        "init=", "conc=", "up=", "down=", "up-cd=", "down-cd=", "slo-floor=", "swap", "bogus=",
+    ];
+    const VALUES: [&str; 10] =
+        ["1s", "500ms", "0..4", "3..3", "5..2", "2", "0.75", "nan", "-1", ""];
+
+    /// Parses `spec`: nothing panics, and an accepted spec expands onto a
+    /// two-group fleet or is refused there with a typed error.
+    fn check_autoscale_spec(spec: &str) {
+        let parsed = match parse_autoscale(spec) {
+            Ok(parsed) => parsed,
+            Err(Error::InvalidConfig(_)) => return,
+            Err(e) => panic!("{spec:?}: untyped parse error {e:?}"),
+        };
+        match parsed.policy_for(2) {
+            Ok(policy) => assert_eq!(policy.groups.len(), 2, "{spec:?}"),
+            Err(Error::InvalidConfig(_)) => {}
+            Err(e) => panic!("{spec:?}: untyped expansion error {e:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary strings (any Unicode scalar values) never panic the
+        /// parser.
+        #[test]
+        fn parse_autoscale_survives_arbitrary_strings(
+            chars in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..24),
+        ) {
+            let spec: String = chars
+                .iter()
+                .map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+                .collect();
+            check_autoscale_spec(&spec);
+        }
+
+        /// Near-grammar strings: `key=value` entries from the grammar's
+        /// own keys and every token type's values.
+        #[test]
+        fn parse_autoscale_survives_near_grammar_strings(
+            picks in proptest::collection::vec((0..KEYS.len(), 0..VALUES.len()), 0..6),
+        ) {
+            let spec: Vec<String> =
+                picks.iter().map(|&(k, v)| format!("{}{}", KEYS[k], VALUES[v])).collect();
+            check_autoscale_spec(&spec.join(","));
+        }
+    }
+
     #[test]
     fn case_and_whitespace_are_forgiven() {
         let spec = parse_autoscale(" Interval=1S , SWAP ,, replicas=0..2 ").unwrap();
-        assert!(spec.swap);
-        assert_eq!(spec.band, (0, 2));
-        assert_eq!(spec.interval, Seconds::new(1.0));
+        assert!(spec.policy.swap);
+        assert_eq!((spec.group.min, spec.group.max), (0, 2));
+        assert_eq!(spec.policy.interval, Seconds::new(1.0));
     }
 }

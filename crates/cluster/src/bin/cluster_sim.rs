@@ -38,9 +38,9 @@
 //! traffic as a JSONL request trace and exits without simulating
 //! (multi-tenant scenarios write their merged, tenant-tagged trace);
 //! `--trace-in PATH` replaces each scenario's traffic with the trace at
-//! PATH (replayed byte-identically, so `--seed` no longer perturbs
-//! arrivals; `--clients`, `--think-ms` and `--tenants` are rejected with
-//! it). See `cimtpu_serving::trace` for the format.
+//! PATH (replayed byte-identically; `--seed`, `--clients`, `--think-ms`
+//! and `--tenants` are rejected with it, as is `--tenants` with
+//! `--trace-out`). See `cimtpu_serving::trace` for the format.
 //!
 //! `--faults SPEC` replaces every selected scenario's fault plan with
 //! the comma-separated events in `SPEC` (grammar in
@@ -99,7 +99,12 @@
 //!
 //! `--summary` prints a one-screen table — one row per scenario with
 //! goodput, availability, scaling-action counts, and latency
-//! percentiles — instead of the full per-replica reports.
+//! percentiles — instead of the full per-replica reports (rejected with
+//! `--json -`, whose JSON replaces the text output).
+//!
+//! Every spec flag parses once, before any scenario runs; the tokens the
+//! grammars share (times, windows, bands, `x<f>` factors, byte sizes)
+//! live in `cimtpu_units::spec`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -107,8 +112,8 @@ use std::rc::Rc;
 use cimtpu_bench::sweep;
 use cimtpu_cluster::scenario::{self, Scenario};
 use cimtpu_cluster::{
-    parse_faults, parse_autoscale, parse_tenants, ClusterReport, ClusterTopology, FaultPlan,
-    PerfRecord, Recorder, SharedRecorder, TenantSet, TraceFilter,
+    parse_autoscale, parse_faults, ClusterReport, ClusterTopology, FaultPlan, PerfRecord,
+    Recorder, SharedRecorder, TenantSet,
 };
 use cimtpu_serving::cli::{self, SimFlags};
 use cimtpu_serving::ArrivalPattern;
@@ -144,7 +149,13 @@ fn print_summary(reports: &[ClusterReport]) {
 }
 
 fn main() {
-    let flags = match SimFlags::parse("cluster_sim", "every replica's", true, || {
+    cli::finish("cluster_sim", run());
+}
+
+/// Runs the command line: `Ok(true)` when a scenario or a write failed
+/// (reported as it happened), `Err` for a command line that cannot run.
+fn run() -> Result<bool, String> {
+    let flags = SimFlags::parse("cluster_sim", "every replica's", true, || {
         for s in scenario::headline() {
             println!("  {:<22} {}", s.name, s.description);
         }
@@ -156,44 +167,22 @@ fn main() {
         for s in smoke {
             println!("  {:<22} {}", s.name, s.description);
         }
-    }) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("cluster_sim: {e}");
-            std::process::exit(2);
-        }
-    };
+    })?;
+    // `--faults` replaces each scenario's plan with the given explicit
+    // events; `--fault-seed` then reseeds whatever plan is in place
+    // (redrawing chaos-generated crashes, leaving explicit events alone).
+    // `--autoscale` parses here too; the per-group policy expansion
+    // happens per scenario, since each fleet has its own group count.
+    let cli_events =
+        flags.faults.as_deref().map(parse_faults).transpose().map_err(|e| e.to_string())?;
+    let cli_autoscale =
+        flags.autoscale.as_deref().map(parse_autoscale).transpose().map_err(|e| e.to_string())?;
 
     let mut scenarios: Vec<Scenario> = if flags.scenario == "all" {
         scenario::headline()
     } else {
-        match scenario::by_name(&flags.scenario) {
-            Ok(s) => vec![s],
-            Err(e) => {
-                eprintln!("cluster_sim: {e}");
-                std::process::exit(2);
-            }
-        }
+        vec![scenario::by_name(&flags.scenario).map_err(|e| e.to_string())?]
     };
-    // `--faults` replaces each scenario's plan with the given explicit
-    // events; `--fault-seed` then reseeds whatever plan is in place
-    // (redrawing chaos-generated crashes, leaving explicit events alone).
-    let cli_events = flags.faults.as_deref().map(|spec| match parse_faults(spec) {
-        Ok(events) => events,
-        Err(e) => {
-            eprintln!("cluster_sim: {e}");
-            std::process::exit(2);
-        }
-    });
-    // `--autoscale` parses once; the per-group policy expansion happens
-    // per scenario, since each fleet has its own group count.
-    let cli_autoscale = flags.autoscale.as_deref().map(|spec| match parse_autoscale(spec) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("cluster_sim: {e}");
-            std::process::exit(2);
-        }
-    });
     for s in &mut scenarios {
         if let Some(budget) = flags.kv_budget {
             s.engine = s.engine.clone().with_kv_budget(budget);
@@ -217,49 +206,31 @@ fn main() {
                     prefill.len() + decode.len()
                 }
             };
-            match spec.policy_for(ngroups) {
-                Ok(policy) => s.engine = s.engine.clone().with_autoscale(policy),
-                Err(e) => {
-                    eprintln!("cluster_sim: {}: {e}", s.name);
-                    std::process::exit(2);
-                }
-            }
+            let policy = spec.policy_for(ngroups).map_err(|e| format!("{}: {e}", s.name))?;
+            s.engine = s.engine.clone().with_autoscale(policy);
         }
     }
     // A new fault seed only redraws chaos-generated crashes: with no
     // chaos spec in any selected plan the flag would change nothing.
     if flags.fault_seed.is_some() && scenarios.iter().all(|s| s.engine.faults().chaos().is_none()) {
-        eprintln!(
-            "cluster_sim: --fault-seed has nothing to redraw: no selected scenario's fault plan \
-             has a chaos spec (explicit --faults events are not reseeded)"
-        );
-        std::process::exit(2);
+        return Err("--fault-seed has nothing to redraw: no selected scenario's fault plan \
+                    has a chaos spec (explicit --faults events are not reseeded)"
+            .into());
     }
 
     // `--trace-in` replaces each scenario's traffic wholesale (the trace
     // carries arrivals, lengths, sessions, tenants, and classes), so it
-    // composes with neither `--clients` (rejected by `SimFlags`) nor
-    // `--seed` reseeding — and it clears scenario tenant sets (a replayed
-    // trace is served as-is).
+    // composes with neither `--clients` nor `--seed` (both rejected by
+    // `SimFlags`) — and it clears scenario tenant sets (a replayed trace
+    // is served as-is).
     if let Some(path) = flags.trace_in.as_deref() {
-        let replay = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| {
-                cimtpu_serving::parse_jsonl(&text)
-                    .and_then(cimtpu_serving::replay_spec)
-                    .map_err(|e| e.to_string())
-            });
-        match replay {
-            Ok(spec) => {
-                for s in &mut scenarios {
-                    s.traffic = spec.clone();
-                    s.tenants = None;
-                }
-            }
-            Err(e) => {
-                eprintln!("cluster_sim: {e}");
-                std::process::exit(2);
-            }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let spec = cimtpu_serving::parse_jsonl(&text)
+            .and_then(cimtpu_serving::replay_spec)
+            .map_err(|e| e.to_string())?;
+        for s in &mut scenarios {
+            s.traffic = spec.clone();
+            s.tenants = None;
         }
     }
     let seed = flags.seed;
@@ -281,54 +252,20 @@ fn main() {
                     Ok(traffic)
                 }
             };
-            match spec {
-                Ok(spec) => traffics.push((s.name, spec)),
-                Err(e) => {
-                    eprintln!("cluster_sim: {}: {e}", s.name);
-                    std::process::exit(2);
-                }
-            }
+            traffics.push((s.name, spec.map_err(|e| format!("{}: {e}", s.name))?));
         }
-        if cli::emit_traces("cluster_sim", path, &traffics) {
-            std::process::exit(1);
-        }
-        return;
+        return Ok(cli::emit_traces("cluster_sim", path, &traffics));
     }
     // `--tenants` overlays each scenario's base traffic across the given
     // SLO tiers (replacing any scenario-carried tenant set); the run path
     // reseeds every tenant's stream under `--seed`.
-    match flags.tenants.as_deref() {
-        None => {}
-        Some(spec) => {
-            let parts = match parse_tenants(spec) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    eprintln!("cluster_sim: {e}");
-                    std::process::exit(2);
-                }
-            };
-            for s in &mut scenarios {
-                match TenantSet::overlay(&s.traffic, &parts) {
-                    Ok(set) => s.tenants = Some(set),
-                    Err(e) => {
-                        eprintln!("cluster_sim: {}: {e}", s.name);
-                        std::process::exit(2);
-                    }
-                }
-            }
+    if let Some(parts) = &flags.tenants {
+        for s in &mut scenarios {
+            let set = TenantSet::overlay(&s.traffic, parts);
+            s.tenants = Some(set.map_err(|e| format!("{}: {e}", s.name))?);
         }
     }
-
-    let filter = match flags.trace_filter.as_deref() {
-        None => TraceFilter::default(),
-        Some(spec) => match TraceFilter::parse(spec) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cluster_sim: bad --trace-filter: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let filter = flags.trace_filter.clone().unwrap_or_default();
 
     let observing = flags.trace.is_some() || flags.metrics_csv.is_some();
     let mut failed = false;
@@ -412,7 +349,7 @@ fn main() {
         }
     }
 
-    if flags.summary && flags.json.as_deref() != Some("-") {
+    if flags.summary {
         // One row per scenario instead of the full per-replica reports;
         // `--json PATH` still writes the complete report list.
         if let Some(path) = flags.json.as_deref() {
@@ -441,7 +378,5 @@ fn main() {
     // sharing is off, keeping default output and the JSON shape
     // unchanged).
     cli::emit_prefix_stats(&prefix_lines, flags.json.as_deref());
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(failed)
 }

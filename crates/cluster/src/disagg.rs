@@ -252,14 +252,23 @@ impl<'a> PrefillUnit<'a> {
     /// Moves `r`'s cache out over this unit's egress link from `at`, or
     /// once the link frees, booking the transfer on `link`; the blocks
     /// stay held until it lands. Returns the transfer's start and end.
-    pub(crate) fn send(&mut self, r: &Request, at: Seconds, link: &mut Link) -> (Seconds, Seconds) {
+    ///
+    /// # Errors
+    ///
+    /// As for [`Link::price`].
+    pub(crate) fn send(
+        &mut self,
+        r: &Request,
+        at: Seconds,
+        link: &mut Link,
+    ) -> Result<(Seconds, Seconds)> {
         let bytes = link.footprint.handoff_bytes(r.prompt_len, self.alloc.block_tokens());
         let start = at.max(self.link_free);
-        let (duration, energy) = link.price(start, bytes);
+        let (duration, energy) = link.price(start, bytes)?;
         link.transfers.record(bytes.get(), duration, energy);
         self.link_free = start + duration;
         self.pending_release.push((self.link_free, r.id));
-        (start, self.link_free)
+        Ok((start, self.link_free))
     }
 
     /// Whether this unit still holds request `id`'s cache at `now` (its
@@ -523,16 +532,37 @@ impl Link {
     /// Transfer cost at `start`, with every open degraded-link window
     /// applied: wire time divided by the bandwidth factor (the hop
     /// stands), energy multiplied by the energy factor.
-    fn price(&self, start: Seconds, bytes: Bytes) -> (Seconds, Joules) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the open windows when the
+    /// degraded time or energy is not finite (a subnormal bandwidth
+    /// factor divides the wire time to infinity).
+    fn price(&self, start: Seconds, bytes: Bytes) -> Result<(Seconds, Joules)> {
         let base = self.spec.transfer_time(bytes);
-        let open = self.windows.iter().filter(|&&(from, until, ..)| start >= from && start < until);
-        let (bw, en) = open.fold((1.0, 1.0), |(bw, en), &(_, _, b, e)| (bw * b, en * e));
+        let open =
+            || self.windows.iter().filter(|&&(from, until, ..)| start >= from && start < until);
+        let (bw, en) = open().fold((1.0, 1.0), |(bw, en), &(_, _, b, e)| (bw * b, en * e));
         let duration = if bw == 1.0 {
             base
         } else {
             self.spec.hop_latency + Seconds::new((base - self.spec.hop_latency).get() / bw)
         };
-        (duration, Joules::new(self.spec.transfer_energy(bytes).get() * en))
+        let energy = self.spec.transfer_energy(bytes).get() * en;
+        if !(duration.get().is_finite() && energy.is_finite()) {
+            let windows: Vec<String> = open()
+                .map(|(from, until, b, e)| {
+                    format!("link@{:?}s-{:?}s:x{b:?}:energy=x{e:?}", from.get(), until.get())
+                })
+                .collect();
+            return Err(Error::invalid_config(format!(
+                "degraded-link window {} prices a {bytes} KV transfer at {:?} s and {energy:?} J; \
+                 the factors must leave both finite",
+                windows.join(" + "),
+                duration.get()
+            )));
+        }
+        Ok((duration, Joules::new(energy)))
     }
 }
 
@@ -671,7 +701,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
 
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
     let obs = O::open(sink, &slots, true, None);
-    let (_pricing, sessions) = fleet_sessions(&slots)?;
+    let sessions = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> =
         p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
@@ -705,7 +735,8 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     };
     // Routes `req`'s cache from prefill unit `p` to an up decode unit and
     // hands it off from `at` (its first token came at `first_token`): the
-    // decode unit, or `None` while the whole decode pool is down.
+    // decode unit, or `None` while the whole decode pool is down; an
+    // error when the link cannot price the transfer.
     let mut drouter = decode_router.build();
     let mut d_assigned = vec![0u64; decode.len()];
     let (mut up, mut dsnaps) = (Vec::with_capacity(decode.len()), Vec::with_capacity(decode.len()));
@@ -719,14 +750,14 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
         let snap = |k: usize| dunits[k].snapshot(k, d_assigned[k], classed);
         dhealth.routable(0..dunits.len(), snap, &mut up, &mut dsnaps);
         if up.is_empty() {
-            return None;
+            return Ok(None);
         }
         let k = up[drouter.route(&req, &dsnaps).min(up.len() - 1)];
         d_assigned[k] += 1;
-        let (start, end) = punits[p].send(&req, at, &mut link);
+        let (start, end) = punits[p].send(&req, at, &mut link)?;
         obs.span(p, EventKind::KvHandoff, req.id, start, end);
         dunits[k].receive(req, first_token, end);
-        Some(k)
+        Ok(Some(k))
     };
 
     // One event queue spans both pools (prefill `i` → slot `i`, decode
@@ -848,7 +879,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 }
                 match item.source {
                     Some((p, ft)) => {
-                        let Some(k) = hand_off(&mut punits, &mut dunits, &dhealth, p, now, r, ft)
+                        let Some(k) = hand_off(&mut punits, &mut dunits, &dhealth, p, now, r, ft)?
                         else {
                             ledger.on_park(r.id, now, &tenancy);
                             parked.push(item);
@@ -877,7 +908,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 for req in batch.members {
                     obs.span(idx, EventKind::Prefill, req.id, batch.start, batch.end);
                     let end = batch.end;
-                    match hand_off(&mut punits, &mut dunits, &dhealth, idx, end, req, end) {
+                    match hand_off(&mut punits, &mut dunits, &dhealth, idx, end, req, end)? {
                         Some(k) => unit_heap.set(pn + k, dunits[k].candidate()),
                         None => {
                             ledger.on_park(req.id, now, &tenancy);

@@ -554,7 +554,7 @@ fn run_colocated<O: FleetObserver>(
     let timeline = plan.colocated_timeline(n)?;
     let mut next_fault = 0usize;
 
-    let (_pricing, sessions) = fleet_sessions(&slots)?;
+    let sessions = fleet_sessions(&slots)?;
     let elastic = autoscale.is_some().then_some(replicas);
     let obs = O::open(sink, &slots, !zero_fault || elastic.is_some(), elastic);
     // Slot `k`'s core, at the start and — fresh, with an empty KV allocator

@@ -20,7 +20,7 @@
 
 use cimtpu_obs::EventKind;
 use cimtpu_serving::{ArrivalStream, Completion, Request};
-use cimtpu_units::{parse_time, Error, Result, Seconds};
+use cimtpu_units::{parse_time, spec, Error, Result, Seconds};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -687,8 +687,9 @@ impl FaultRng {
 ///   `link@0s-2s:x0.1` (energy factor defaults to 1)
 ///
 /// `<time>` is a number with an optional `s` (default) or `ms` suffix;
-/// `<replica>` is an index, optionally prefixed `replica` or `r` (in an
-/// elastic fleet, a slot: see [`crate::elastic`]).
+/// times, windows and factors are the shared tokens of
+/// [`cimtpu_units::spec`]. `<replica>` is an index, optionally prefixed
+/// `replica` or `r` (in an elastic fleet, a slot: see [`crate::elastic`]).
 /// Times, windows and factors are validated here; replica indices are
 /// validated against the fleet size at [`FaultPlan::resolve`] time.
 ///
@@ -712,60 +713,46 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
         ))
     };
     let mut events = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
+    for part in spec::entries(spec) {
         let lower = part.to_ascii_lowercase();
         let (kind, rest) = lower
             .split_once('@')
             .ok_or_else(|| bad(part, "missing '@<time>'"))?;
         let mut fields = rest.split(':');
-        let when = fields.next().ok_or_else(|| bad(part, "missing time"))?;
+        let when = fields.next().unwrap_or_default();
+        let window = |what: &str| spec::parse_window(when).ok_or_else(|| bad(part, what));
+        let replica = |field: Option<&str>| {
+            field.and_then(parse_replica).ok_or_else(|| bad(part, "missing or bad replica"))
+        };
+        let factor = |field: Option<&str>| {
+            let factor = field.and_then(spec::parse_factor);
+            factor.ok_or_else(|| bad(part, "missing or bad ':x<factor>'"))
+        };
         let event = match kind {
-            "crash" => {
-                let at = parse_time(when).ok_or_else(|| bad(part, "bad crash time"))?;
-                let replica = fields
-                    .next()
-                    .and_then(parse_replica)
-                    .ok_or_else(|| bad(part, "missing or bad replica"))?;
-                let repair = match fields.next() {
+            "crash" => FaultEvent::Crash {
+                at: parse_time(when).ok_or_else(|| bad(part, "bad crash time"))?,
+                replica: replica(fields.next())?,
+                repair: match fields.next() {
                     None => Seconds::new(1.0),
                     Some(f) => f
                         .strip_prefix("repair=")
                         .and_then(parse_time)
                         .ok_or_else(|| bad(part, "bad repair delay"))?,
-                };
-                FaultEvent::Crash { at, replica, repair }
-            }
+                },
+            },
             "straggler" => {
-                let (from, until) =
-                    parse_window(when).ok_or_else(|| bad(part, "bad straggler window"))?;
-                let replica = fields
-                    .next()
-                    .and_then(parse_replica)
-                    .ok_or_else(|| bad(part, "missing or bad replica"))?;
-                let slowdown = fields
-                    .next()
-                    .and_then(|f| f.strip_prefix('x'))
-                    .and_then(|f| f.parse::<f64>().ok())
-                    .ok_or_else(|| bad(part, "missing or bad ':x<factor>'"))?;
-                FaultEvent::Straggler { replica, from, until, slowdown }
+                let (from, until) = window("bad straggler window")?;
+                let replica = replica(fields.next())?;
+                FaultEvent::Straggler { replica, from, until, slowdown: factor(fields.next())? }
             }
             "link" => {
-                let (from, until) =
-                    parse_window(when).ok_or_else(|| bad(part, "bad link window"))?;
-                let bandwidth_factor = fields
-                    .next()
-                    .and_then(|f| f.strip_prefix('x'))
-                    .and_then(|f| f.parse::<f64>().ok())
-                    .ok_or_else(|| bad(part, "missing or bad ':x<factor>'"))?;
+                let (from, until) = window("bad link window")?;
+                let bandwidth_factor = factor(fields.next())?;
                 let energy_factor = match fields.next() {
                     None => 1.0,
                     Some(f) => f
-                        .strip_prefix("energy=x")
-                        .and_then(|f| f.parse::<f64>().ok())
+                        .strip_prefix("energy=")
+                        .and_then(spec::parse_factor)
                         .ok_or_else(|| bad(part, "bad ':energy=x<factor>'"))?,
                 };
                 FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor }
@@ -784,12 +771,6 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
         return Err(Error::invalid_config("fault spec contains no events"));
     }
     Ok(events)
-}
-
-/// Parses `<from>-<until>` as a time window.
-fn parse_window(s: &str) -> Option<(Seconds, Seconds)> {
-    let (a, b) = s.split_once('-')?;
-    Some((parse_time(a)?, parse_time(b)?))
 }
 
 /// Parses `replica3`, `r3`, or `3` as a replica index.
@@ -1046,6 +1027,75 @@ mod tests {
             "straggler@3s-1s:r0:x2",
         ] {
             assert!(parse_faults(bad).is_err(), "'{bad}' should not parse");
+        }
+    }
+
+    /// Each fault kind's pieces in grammar order (the last is optional),
+    /// for near-grammar specs.
+    const EVENTS: [[&str; 4]; 3] = [
+        ["crash@", "150ms", ":replica1", ":repair=5s"],
+        ["straggler@", "1s-3s", ":r0", ":x4"],
+        ["link@", "0-2", ":x1e-320", ":energy=x2"],
+    ];
+    /// Near misses a piece may be swapped for: an unknown kind, an
+    /// uppercase one, reversed, empty and negative windows, a bad
+    /// replica, NaN and zero factors, an empty repair, a dropped piece.
+    const MISSES: [&str; 10] =
+        ["flood@", "CRASH@", "3s-1s", "2s-2s", "-1s", ":rx", ":xnan", ":x0", ":repair=", ""];
+
+    /// One near-grammar spec: each `u64` draws one event, each of its
+    /// pieces swapped for a near miss one time in four.
+    fn near_grammar(draws: &[u64]) -> String {
+        let mut spec = String::new();
+        for &d in draws {
+            for (i, piece) in EVENTS[(d % 3) as usize].iter().enumerate() {
+                let digit = (d >> (2 + 8 * i)) & 0xFF;
+                let miss = MISSES[(digit / 4) as usize % MISSES.len()];
+                spec += if digit % 4 == 0 { miss } else { piece };
+            }
+            spec += if (d >> 40) & 1 == 0 { "," } else { ", " };
+        }
+        spec
+    }
+
+    /// Parses `spec`: nothing panics, and every accepted event is valid
+    /// on any fleet.
+    fn check_fault_spec(spec: &str) {
+        match parse_faults(spec) {
+            Ok(events) => {
+                assert!(!events.is_empty(), "{spec:?}");
+                for e in &events {
+                    assert_eq!(e.invalid(), None, "{spec:?}: {e:?}");
+                }
+            }
+            Err(Error::InvalidConfig(_)) => {}
+            Err(e) => panic!("{spec:?}: untyped error {e:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary strings (any Unicode scalar values) never panic the
+        /// parser.
+        #[test]
+        fn parse_faults_survives_arbitrary_strings(
+            chars in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..24),
+        ) {
+            let spec: String = chars
+                .iter()
+                .map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+                .collect();
+            check_fault_spec(&spec);
+        }
+
+        /// Near-grammar strings: events built from valid and near-miss
+        /// pieces.
+        #[test]
+        fn parse_faults_survives_near_grammar_strings(
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..4),
+        ) {
+            check_fault_spec(&near_grammar(&draws));
         }
     }
 

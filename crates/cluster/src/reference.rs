@@ -244,7 +244,7 @@ fn colocated(
     let timeline = plan.colocated_timeline(n)?;
     let recovery = *plan.recovery();
     let faulty = !plan.is_empty();
-    let (_pricing, sessions) = fleet_sessions(replicas)?;
+    let sessions = fleet_sessions(replicas)?;
     let mut cores: Vec<EngineCore<'_>> =
         sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
     let mut stream = ArrivalStream::new(traffic)?;
@@ -444,7 +444,7 @@ fn disaggregated(
     let (crashes, mut link) = pipeline(prefill, decode, interconnect, plan)?;
     let recovery = *plan.recovery();
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
-    let (_pricing, sessions) = fleet_sessions(&slots)?;
+    let sessions = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> =
         p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
@@ -485,13 +485,13 @@ fn disaggregated(
             let snap = |(i, &k): (usize, &usize)| dunits[k].snapshot(i, d_assigned[k], false);
             let snaps: Vec<ReplicaSnapshot> = up.iter().enumerate().map(snap).collect();
             let Some(pos) = (!up.is_empty()).then(|| drouter.route(&r, &snaps)) else {
-                return false;
+                return Ok(false);
             };
             let k = up[pos.min(up.len() - 1)];
             d_assigned[k] += 1;
-            let (_, end) = punits[p].send(&r, at, &mut link);
+            let (_, end) = punits[p].send(&r, at, &mut link)?;
             dunits[k].receive(r, ft, end);
-            true
+            Ok::<_, Error>(true)
         };
         let mut to_prefill = |punits: &mut [PrefillUnit<'_>], r: Request| {
             let snap = |(i, u): (usize, &PrefillUnit<'_>)| u.snapshot(i, p_assigned[i], false);
@@ -539,7 +539,7 @@ fn disaggregated(
                         punits[p].alloc.release(r.id);
                     }
                 } else if let Some((p, ft)) = source {
-                    if hand_off(&mut punits, p, now, r, ft) {
+                    if hand_off(&mut punits, p, now, r, ft)? {
                         book.placed(&r, attempts, r.arrival_s);
                     } else {
                         parked.push(item);
@@ -552,7 +552,7 @@ fn disaggregated(
             Disagg::Prefill(i) => {
                 let batch = punits[i].step()?;
                 for r in batch.members {
-                    if !hand_off(&mut punits, i, batch.end, r, batch.end) {
+                    if !hand_off(&mut punits, i, batch.end, r, batch.end)? {
                         parked.push((now, r, book.attempts(r.id), Some((i, batch.end))));
                     }
                 }
@@ -640,7 +640,7 @@ pub(crate) mod tests {
     /// of both the colocated loop and the reference — with a router view
     /// rebuilt at each arrival.
     fn drive_run(fleet: &[ReplicaSpec], policy: RouterPolicy, traffic: &TrafficSpec) -> ClusterRun {
-        let (_pricing, sessions) = fleet_sessions(fleet).unwrap();
+        let sessions = fleet_sessions(fleet).unwrap();
         let mut cores: Vec<EngineCore<'_>> =
             sessions.iter().map(EngineSession::core).collect::<Result<_>>().unwrap();
         let mut stream = ArrivalStream::new(traffic).unwrap();

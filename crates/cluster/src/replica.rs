@@ -92,46 +92,15 @@ impl ReplicaSpec {
 /// Instantiates `specs` for one run: one [`EngineSession`] per spec, all
 /// built through one [`PricingPool`]. Replicas of one chip, model and chip
 /// organization — and every core a driver rebuilds for them at a boot or
-/// a crash restart — share one pricing state. The pool lives only as long
-/// as the run, so every run starts cold.
+/// a crash restart — share one pricing state, which lives as long as the
+/// sessions do, so every run starts cold.
 ///
 /// # Errors
 ///
 /// Returns an error for an invalid chip or memory configuration.
 pub(crate) fn fleet_sessions<'r>(
     specs: impl IntoIterator<Item = &'r ReplicaSpec>,
-) -> Result<(PricingPool, Vec<EngineSession>)> {
+) -> Result<Vec<EngineSession>> {
     let mut pool = PricingPool::new();
-    let sessions = specs
-        .into_iter()
-        .map(|spec| pool.session(&spec.engine()?))
-        .collect::<Result<_>>()?;
-    Ok((pool, sessions))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_sessions_build_one_pricing_state_per_configuration() {
-        let tiny = || ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer());
-        let specs = [
-            ReplicaSpec::new("a", TpuConfig::tpuv4i(), tiny()),
-            // Policy and memory are per session, not per pricing state.
-            ReplicaSpec::new("b", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Static { batch: 2 })
-                .with_memory(MemoryConfig::unlimited().with_block_tokens(8)),
-            ReplicaSpec::new("c", TpuConfig::design_a(), tiny()),
-            ReplicaSpec::new("d", TpuConfig::tpuv4i(), tiny())
-                .with_parallelism(Parallelism::TensorParallel { chips: 2 }),
-            ReplicaSpec::new("e", TpuConfig::design_a(), tiny()),
-        ];
-        let (pool, sessions) = fleet_sessions(&specs).unwrap();
-        assert_eq!(sessions.len(), specs.len());
-        assert_eq!(pool.len(), 3, "tpuv4i, design A, and the tpuv4i ring");
-        for (session, spec) in sessions.iter().zip(&specs) {
-            assert_eq!(session.policy(), spec.policy);
-        }
-    }
+    specs.into_iter().map(|spec| pool.session(&spec.engine()?)).collect()
 }

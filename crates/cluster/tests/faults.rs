@@ -461,6 +461,33 @@ fn cross_topology_faults_are_rejected() {
     assert!(err.to_string().contains("link"), "{err}");
 }
 
+/// A bandwidth factor small enough to divide a transfer's wire time to
+/// infinity (a subnormal one parses and passes validation) fails the run
+/// with a typed error naming the window, instead of reporting a null
+/// makespan. So do overlapping windows whose energy factors multiply
+/// past `f64::MAX`.
+#[test]
+fn non_finite_degraded_transfer_is_a_typed_error() {
+    let traffic = traffics(1)[0].clone();
+    let link = |bandwidth_factor, energy_factor| FaultEvent::DegradedLink {
+        from: Seconds::ZERO,
+        until: Seconds::new(2.0),
+        bandwidth_factor,
+        energy_factor,
+    };
+    let plans = [
+        FaultPlan::none().with_event(link(1e-320, 1.0)),
+        FaultPlan::none().with_events([link(0.5, 1e200), link(1.0, 1e200)]),
+    ];
+    for plan in plans {
+        let err = disagg_fleet(plan).run("inf-link", &traffic).unwrap_err();
+        assert!(matches!(err, cimtpu_units::Error::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("degraded-link window link@0.0s-2.0s"), "{err}");
+    }
+    let slow = FaultPlan::none().with_event(link(1e-300, 1e300));
+    assert!(disagg_fleet(slow).run("slow-link", &traffic).is_ok());
+}
+
 /// `Park` events per request id when `scenario` runs under crashes
 /// `(replica, at, repair)`, in seconds; every offered request must
 /// recover.

@@ -25,7 +25,8 @@
 //!
 //! `--tenants SPEC` splits each scenario's traffic across SLO tenants
 //! (comma-separated `name=class[:weight[:slo_ms]]`, grammar in
-//! [`cimtpu_serving::parse_tenants`]) and schedules it weighted-fair:
+//! [`cimtpu_serving::parse_tenants`], parsed as the flag is read, on the
+//! shared tokens of `cimtpu_units::spec`) and schedules it weighted-fair:
 //! admission is priority-first then deficit-weighted-fair, KV preemption
 //! evicts batch-tier residents before interactive ones, and reports gain
 //! a per-tenant section (goodput, SLO attainment, Jain's fairness
@@ -35,9 +36,9 @@
 //! `--trace-out PATH` writes each selected scenario's synthesized
 //! traffic as a JSONL request trace and exits without simulating;
 //! `--trace-in PATH` replaces each scenario's traffic with the trace at
-//! PATH (replayed byte-identically, so `--seed` no longer perturbs
-//! arrivals; `--clients`, `--think-ms` and `--tenants` are rejected with
-//! it). See [`cimtpu_serving::trace`] for the format.
+//! PATH (replayed byte-identically; `--seed`, `--clients`, `--think-ms`
+//! and `--tenants` are rejected with it, as is `--tenants` with
+//! `--trace-out`). See [`cimtpu_serving::trace`] for the format.
 //!
 //! `--json PATH` additionally writes the full `ServingReport` list as
 //! pretty-printed JSON (`-` writes JSON to stdout instead of the text
@@ -47,34 +48,28 @@
 use cimtpu_bench::sweep;
 use cimtpu_serving::cli::{self, SimFlags};
 use cimtpu_serving::scenario::{self, Scenario};
-use cimtpu_serving::{parse_tenants, ArrivalPattern, ServingReport, TenantSet};
+use cimtpu_serving::{ArrivalPattern, ServingReport, TenantSet};
 
 fn main() {
-    let flags = match SimFlags::parse("serve_sim", "the scenario's", false, || {
+    cli::finish("serve_sim", run());
+}
+
+/// Runs the command line: `Ok(true)` when a scenario or a write failed
+/// (reported as it happened), `Err` for a command line that cannot run.
+fn run() -> Result<bool, String> {
+    let flags = SimFlags::parse("serve_sim", "the scenario's", false, || {
         for s in scenario::headline() {
             println!("  {:<20} {}", s.name, s.description);
         }
         for s in [scenario::smoke(), scenario::smoke_kv(), scenario::smoke_prefix()] {
             println!("  {:<20} {}", s.name, s.description);
         }
-    }) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("serve_sim: {e}");
-            std::process::exit(2);
-        }
-    };
+    })?;
 
     let mut scenarios: Vec<Scenario> = if flags.scenario == "all" {
         scenario::headline()
     } else {
-        match scenario::by_name(&flags.scenario) {
-            Ok(s) => vec![s],
-            Err(e) => {
-                eprintln!("serve_sim: {e}");
-                std::process::exit(2);
-            }
-        }
+        vec![scenario::by_name(&flags.scenario).map_err(|e| e.to_string())?]
     };
     for s in &mut scenarios {
         if let Some(budget) = flags.kv_budget {
@@ -87,26 +82,15 @@ fn main() {
     }
     // `--trace-in` replaces each scenario's traffic wholesale (the trace
     // carries arrivals, lengths, sessions, tenants, and classes), so it
-    // composes with neither `--clients` (rejected by `SimFlags`) nor
-    // `--seed` reseeding.
+    // composes with neither `--clients` nor `--seed` (both rejected by
+    // `SimFlags`).
     if let Some(path) = flags.trace_in.as_deref() {
-        let replay = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| {
-                cimtpu_serving::parse_jsonl(&text)
-                    .and_then(cimtpu_serving::replay_spec)
-                    .map_err(|e| e.to_string())
-            });
-        match replay {
-            Ok(spec) => {
-                for s in &mut scenarios {
-                    s.traffic = spec.clone();
-                }
-            }
-            Err(e) => {
-                eprintln!("serve_sim: {e}");
-                std::process::exit(2);
-            }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let spec = cimtpu_serving::parse_jsonl(&text)
+            .and_then(cimtpu_serving::replay_spec)
+            .map_err(|e| e.to_string())?;
+        for s in &mut scenarios {
+            s.traffic = spec.clone();
         }
     }
     let seed = flags.seed;
@@ -123,27 +107,14 @@ fn main() {
                 (s.name, traffic)
             })
             .collect();
-        if cli::emit_traces("serve_sim", path, &traffics) {
-            std::process::exit(1);
-        }
-        return;
+        return Ok(cli::emit_traces("serve_sim", path, &traffics));
     }
-    let tenants = match flags.tenants.as_deref() {
-        None => None,
-        Some(spec) => match parse_tenants(spec) {
-            Ok(parts) => Some(parts),
-            Err(e) => {
-                eprintln!("serve_sim: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
 
     // Scenarios are independent simulations: fan them out over the sweep
     // worker pool (results return in scenario order, so output is stable).
     // `--tenants` overlays each scenario's own traffic; a scenario whose
     // traffic cannot split reports the error like a failed run.
-    let results = sweep::parallel_map(&scenarios, |s| match &tenants {
+    let results = sweep::parallel_map(&scenarios, |s| match &flags.tenants {
         Some(parts) => TenantSet::overlay(&s.traffic, parts)
             .and_then(|set| Scenario { tenants: Some(set), ..s.clone() }.run(seed)),
         None => s.run(seed),
@@ -172,7 +143,5 @@ fn main() {
     // sharing is off, keeping default output and the JSON shape
     // unchanged). CI greps this line for >= 1 hit on smoke-prefix.
     cli::emit_prefix_stats(&prefix_lines, flags.json.as_deref());
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(failed)
 }

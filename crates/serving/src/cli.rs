@@ -2,11 +2,13 @@
 //! (`serve_sim`, `cluster_sim`): both take the same flag set — scenario
 //! selection, seed, worker count, JSON output, the `--kv-budget`
 //! override, and the closed-loop `--clients` / `--think-ms` conversion —
-//! so the parsing and report emission live here once.
+//! so the parsing, report emission and exit path live here once. Each
+//! spec flag is parsed when it is read; the tokens the spec grammars
+//! share live in [`cimtpu_units::spec`].
 
 use serde::Serialize;
 
-use crate::{parse_kv_budget, KvBudget, PrefixStats};
+use crate::{parse_kv_budget, parse_tenants, KvBudget, PrefixStats, TenantPart, TraceFilter};
 
 /// The flag set shared by the simulation binaries.
 #[derive(Debug, Clone)]
@@ -46,10 +48,10 @@ pub struct SimFlags {
     /// several scenarios selected, the scenario name is inserted before
     /// the extension (`out.json` → `out.<scenario>.json`).
     pub trace: Option<String>,
-    /// `--trace-filter SPEC`: comma-separated event kinds to keep in the
-    /// `--trace` export (e.g. `crash,retry,scale_up`), passed through
-    /// raw — `cimtpu_obs::TraceFilter` owns the grammar.
-    pub trace_filter: Option<String>,
+    /// `--trace-filter SPEC`: the event kinds to keep in the `--trace`
+    /// export (comma-separated, e.g. `crash,retry,scale_up`; see
+    /// [`TraceFilter::parse`]).
+    pub trace_filter: Option<TraceFilter>,
     /// `--metrics-csv PATH`: attach the flight recorder and write the
     /// downsampled gauge series as CSV (`scenario,series,t_s,value`
     /// rows, all scenarios in one file).
@@ -60,12 +62,11 @@ pub struct SimFlags {
     pub summary: bool,
     /// `--tenants SPEC`: split each scenario's traffic across SLO
     /// tenants and schedule it weighted-fair. Comma-separated
-    /// `name=class[:weight[:slo_ms]]` entries, passed through raw —
-    /// [`parse_tenants`](crate::parse_tenants) owns the grammar.
-    pub tenants: Option<String>,
+    /// `name=class[:weight[:slo_ms]]` entries (see [`parse_tenants`]).
+    pub tenants: Option<Vec<TenantPart>>,
     /// `--trace-in PATH`: replace each scenario's traffic with the JSONL
-    /// request trace at PATH (replayed byte-identically; `--seed` then
-    /// has no effect on arrivals).
+    /// request trace at PATH (replayed byte-identically, so `--seed` is
+    /// rejected with it).
     pub trace_in: Option<String>,
     /// `--trace-out PATH`: synthesize each selected scenario's traffic
     /// into a JSONL request trace at PATH and exit without simulating
@@ -110,11 +111,14 @@ impl SimFlags {
     /// # Errors
     ///
     /// Returns the message to print for an unknown flag, a malformed
-    /// value (`--clients 0`, a negative or non-finite `--think-ms`), or
-    /// a flag that cannot apply: `--think-ms` without
-    /// `--clients`, and `--clients`, `--think-ms` or `--tenants` with
-    /// `--trace-in` (a replayed trace carries its own arrivals and tenant
-    /// assignments).
+    /// value (`--clients 0`, a negative or non-finite `--think-ms`, a
+    /// `--kv-budget`, `--tenants` or `--trace-filter` spec that does not
+    /// parse), or a flag that cannot apply: `--think-ms` without
+    /// `--clients`; `--clients`, `--think-ms`, `--tenants` or `--seed`
+    /// with `--trace-in` (a replayed trace carries its own arrivals and
+    /// tenant assignments); `--tenants` with `--trace-out` (the written
+    /// trace is the scenario's own traffic); and `--summary` with
+    /// `--json -` (the JSON replaces the text output).
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         binary: &str,
@@ -205,13 +209,18 @@ impl SimFlags {
                 }
                 "--trace" if fleet_flags => flags.trace = Some(value("--trace")?),
                 "--trace-filter" if fleet_flags => {
-                    flags.trace_filter = Some(value("--trace-filter")?);
+                    let filter = TraceFilter::parse(&value("--trace-filter")?)
+                        .map_err(|e| format!("bad --trace-filter: {e}"))?;
+                    flags.trace_filter = Some(filter);
                 }
                 "--metrics-csv" if fleet_flags => {
                     flags.metrics_csv = Some(value("--metrics-csv")?);
                 }
                 "--summary" if fleet_flags => flags.summary = true,
-                "--tenants" => flags.tenants = Some(value("--tenants")?),
+                "--tenants" => {
+                    flags.tenants =
+                        Some(parse_tenants(&value("--tenants")?).map_err(|e| e.to_string())?);
+                }
                 "--trace-in" => flags.trace_in = Some(value("--trace-in")?),
                 "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
                 "--help" | "-h" => {
@@ -261,6 +270,14 @@ impl SimFlags {
                     println!(
                         "  --trace-out PATH     write each scenario's synthesized traffic as a \
                          JSONL trace and exit"
+                    );
+                    println!(
+                        "  every SPEC reads times (150ms, 2s), windows (<t>-<t>), bands (LO..HI), \
+                         factors (x<f>)"
+                    );
+                    println!(
+                        "                       and byte sizes alike: the shared tokens of \
+                         cimtpu_units::spec"
                     );
                     if fleet_flags {
                         println!(
@@ -344,18 +361,38 @@ impl SimFlags {
         if flags.trace_filter.is_some() && flags.trace.is_none() {
             return Err("--trace-filter needs --trace (it filters the trace export)".into());
         }
-        if flags.trace_in.is_some() {
-            // The trace records already carry arrivals and tenant
-            // assignments; there is no base traffic left to reshape.
-            let reshaping =
-                [("--clients", flags.clients.is_some()), ("--tenants", flags.tenants.is_some())];
-            for (flag, set) in reshaping {
-                if set {
-                    return Err(format!("{flag} cannot be combined with --trace-in"));
-                }
-            }
+        // A replayed trace carries its own arrivals and tenant assignments,
+        // so there is no base traffic left to reshape or reseed; a written
+        // trace is the scenario's own traffic, which `--tenants` never
+        // reaches; and `--json -` replaces the text output the summary
+        // table would print.
+        let (replay, synth) = (flags.trace_in.is_some(), flags.trace_out.is_some());
+        let clashes = [
+            ("--clients", "--trace-in", flags.clients.is_some() && replay),
+            ("--tenants", "--trace-in", flags.tenants.is_some() && replay),
+            ("--seed", "--trace-in", flags.seed.is_some() && replay),
+            ("--tenants", "--trace-out", flags.tenants.is_some() && synth),
+            ("--summary", "--json -", flags.summary && flags.json.as_deref() == Some("-")),
+        ];
+        if let Some((flag, other, _)) = clashes.iter().find(|clash| clash.2) {
+            return Err(format!("{flag} cannot be combined with {other}"));
         }
         Ok(flags)
+    }
+}
+
+/// Ends a simulation binary with its `run` outcome: status 0, status 1
+/// when a scenario or an output write failed (`Ok(true)`; the failures
+/// were reported as they happened), or status 2 with `binary: message`
+/// on stderr for a command line that cannot run.
+pub fn finish(binary: &str, outcome: Result<bool, String>) {
+    match outcome {
+        Ok(false) => {}
+        Ok(true) => std::process::exit(1),
+        Err(e) => {
+            eprintln!("{binary}: {e}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -493,7 +530,33 @@ mod tests {
         let err = parse(&["--trace-filter", "crash"]).unwrap_err();
         assert!(err.contains("--trace-filter needs --trace"), "{err}");
         let flags = parse(&["--trace", "t.json", "--trace-filter", "crash"]).unwrap();
-        assert_eq!(flags.trace_filter.as_deref(), Some("crash"));
+        let filter = flags.trace_filter.unwrap();
+        assert!(filter.allows(crate::EventKind::Crash) && !filter.allows(crate::EventKind::Retry));
+    }
+
+    #[test]
+    fn spec_flags_parse_as_they_are_read() {
+        let flags = parse(&["--tenants", "chat=interactive:3,bulk=batch"]).unwrap();
+        let names: Vec<String> = flags.tenants.unwrap().into_iter().map(|t| t.name).collect();
+        assert_eq!(names, ["chat", "bulk"]);
+        let err = parse(&["--tenants", "garbage"]).unwrap_err();
+        assert!(err.contains("tenant entry 'garbage'"), "{err}");
+        let err = parse(&["--trace", "t.json", "--trace-filter", "bogus"]).unwrap_err();
+        assert!(err.starts_with("bad --trace-filter: unknown trace event type"), "{err}");
+    }
+
+    #[test]
+    fn inapplicable_flags_are_rejected() {
+        let clashes: [(&[&str], &str, &str); 3] = [
+            (&["--trace-in", "t.jsonl", "--seed", "3"], "--seed", "--trace-in"),
+            (&["--tenants", "a=batch", "--trace-out", "t.jsonl"], "--tenants", "--trace-out"),
+            (&["--json", "-", "--summary"], "--summary", "--json -"),
+        ];
+        for (args, flag, other) in clashes {
+            assert_eq!(parse(args).unwrap_err(), format!("{flag} cannot be combined with {other}"));
+        }
+        assert!(parse(&["--json", "out.json", "--summary"]).is_ok());
+        assert!(parse(&["--seed", "3", "--trace-out", "t.jsonl"]).is_ok());
     }
 
     #[test]
@@ -513,6 +576,6 @@ mod tests {
         // alone still combine with a replay.
         let err = parse(&["--clients", "2", "--trace-in", "t.jsonl"]).unwrap_err();
         assert!(err.contains("--clients"), "{err}");
-        assert!(parse(&["--trace-in", "t.jsonl", "--seed", "3", "--kv-budget", "1GiB"]).is_ok());
+        assert!(parse(&["--trace-in", "t.jsonl", "--kv-budget", "1GiB"]).is_ok());
     }
 }

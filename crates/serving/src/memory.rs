@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use cimtpu_kv::KvBudget;
+use cimtpu_units::spec::{parse_bytes, SizeError};
 use cimtpu_units::{Bytes, Error, Result};
 
 /// How a serving engine manages chip memory.
@@ -113,7 +114,8 @@ impl MemoryConfig {
 ///   (e.g. `1GiB`, `64MiB`, `65536`) — an explicit cap
 ///   ([`KvBudget::Bytes`]).
 ///
-/// Keywords and suffixes are case-insensitive.
+/// Keywords and suffixes are case-insensitive; byte counts are the
+/// shared token of [`cimtpu_units::spec::parse_bytes`].
 ///
 /// # Errors
 ///
@@ -129,45 +131,17 @@ pub fn parse_kv_budget(arg: &str) -> Result<KvBudget> {
     if t.eq_ignore_ascii_case("hbm") {
         return Ok(KvBudget::HbmMinusWeights);
     }
-    let lower = t.to_ascii_lowercase();
-    let (digits, shift) = if let Some(n) = lower.strip_suffix("tib") {
-        (n, 40)
-    } else if let Some(n) = lower.strip_suffix("gib") {
-        (n, 30)
-    } else if let Some(n) = lower.strip_suffix("mib") {
-        (n, 20)
-    } else if let Some(n) = lower.strip_suffix("kib") {
-        (n, 10)
-    } else {
-        (lower.as_str(), 0)
-    };
-    let bad = || {
-        Error::invalid_config(format!(
-            "bad KV budget '{arg}': want 'unlimited', 'hbm', or a byte count with an \
-             optional KiB/MiB/GiB/TiB suffix (e.g. 1GiB)"
-        ))
-    };
-    let digits = digits.trim();
-    if digits.starts_with('-') {
-        return Err(Error::invalid_config(format!(
-            "bad KV budget '{arg}': a KV budget cannot be negative"
-        )));
-    }
-    let overflow = || {
-        Error::invalid_config(format!(
-            "bad KV budget '{arg}': overflows the u64 byte range"
-        ))
-    };
-    let n: u64 = digits.parse().map_err(|e: std::num::ParseIntError| {
-        if matches!(e.kind(), std::num::IntErrorKind::PosOverflow) {
-            overflow()
-        } else {
-            bad()
-        }
-    })?;
-    let bytes =
-        n.checked_shl(shift).filter(|b| b >> shift == n).ok_or_else(overflow)?;
-    Ok(KvBudget::Bytes(Bytes::new(bytes)))
+    parse_bytes(t).map(KvBudget::Bytes).map_err(|e| {
+        let why = match e {
+            SizeError::Negative => "a KV budget cannot be negative",
+            SizeError::Overflow => "overflows the u64 byte range",
+            SizeError::Malformed => {
+                "want 'unlimited', 'hbm', or a byte count with an optional KiB/MiB/GiB/TiB \
+                 suffix (e.g. 1GiB)"
+            }
+        };
+        Error::invalid_config(format!("bad KV budget '{arg}': {why}"))
+    })
 }
 
 #[cfg(test)]
@@ -235,6 +209,44 @@ mod tests {
         );
         assert!(parse_kv_budget("").is_err());
         assert!(parse_kv_budget("1GB").is_err());
+    }
+
+    /// Pieces of the `--kv-budget` grammar, valid and near-miss.
+    const PIECES: [&str; 14] = [
+        "unlimited", "HBM", "1", "65536", "18446744073709551615", "-", "KiB", "gib", "TiB", "PiB",
+        " ", ".5", "é", "",
+    ];
+
+    /// Parses `arg`: nothing panics, and every refusal is typed.
+    fn check_kv_budget(arg: &str) {
+        if let Err(e) = parse_kv_budget(arg) {
+            assert!(matches!(e, Error::InvalidConfig(_)), "{arg:?}: untyped error {e:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary strings (any Unicode scalar values) never panic the
+        /// parser.
+        #[test]
+        fn parse_kv_budget_survives_arbitrary_strings(
+            chars in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..16),
+        ) {
+            let arg: String = chars
+                .iter()
+                .map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+                .collect();
+            check_kv_budget(&arg);
+        }
+
+        /// Near-grammar strings glued from keywords, counts and suffixes.
+        #[test]
+        fn parse_kv_budget_survives_near_grammar_strings(
+            picks in proptest::collection::vec(0..PIECES.len(), 0..4),
+        ) {
+            check_kv_budget(&picks.iter().map(|&i| PIECES[i]).collect::<String>());
+        }
     }
 
     #[test]

@@ -255,3 +255,35 @@ impl EngineSession {
         self.pricing.simulator().config().hbm_capacity()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use cimtpu_core::TpuConfig;
+
+    use super::*;
+    use crate::scenario::tiny_transformer;
+
+    #[test]
+    fn pool_builds_one_pricing_state_per_configuration() {
+        let engine = |chip: TpuConfig, parallelism, policy| {
+            ServingEngine::new(chip, ServingModel::Llm(tiny_transformer()), parallelism, policy)
+                .unwrap()
+        };
+        let one = Parallelism::Replicated { chips: 1 };
+        let batch = BatchPolicy::Continuous { max_batch: 8 };
+        let engines = [
+            engine(TpuConfig::tpuv4i(), one, batch),
+            // Policy and memory are per session, not per pricing state.
+            engine(TpuConfig::tpuv4i(), one, BatchPolicy::Static { batch: 2 })
+                .with_memory(MemoryConfig::unlimited().with_block_tokens(8)),
+            engine(TpuConfig::design_a(), one, batch),
+            engine(TpuConfig::tpuv4i(), Parallelism::TensorParallel { chips: 2 }, batch),
+            engine(TpuConfig::design_a(), one, batch),
+        ];
+        let mut pool = PricingPool::new();
+        for engine in &engines {
+            assert_eq!(pool.session(engine).unwrap().policy(), engine.policy());
+        }
+        assert_eq!(pool.len(), 3, "tpuv4i, design A, and the tpuv4i ring");
+    }
+}

@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Error, Result};
+use cimtpu_units::{spec, Error, Result};
 
 use crate::metrics::Completion;
 use crate::request::{mix64, ArrivalPattern, PrefixTraffic, TrafficSpec};
@@ -385,37 +385,32 @@ pub struct TenantPart {
 
 /// Parses a `--tenants` spec: comma-separated
 /// `name=class[:weight[:slo_ms]]` entries, e.g.
-/// `chat=interactive:3,bulk=batch:1:250`. Weight defaults to 1.
+/// `chat=interactive:3,bulk=batch:1:250`. Weight defaults to 1. Entries
+/// and `key=value` are the shared tokens of [`cimtpu_units::spec`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidConfig`] describing the malformed entry.
 pub fn parse_tenants(spec: &str) -> Result<Vec<TenantPart>> {
     let mut parts = Vec::new();
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, rest) = entry.split_once('=').ok_or_else(|| {
+    for entry in spec::entries(spec) {
+        let (name, rest) = spec::key_value(entry).ok_or_else(|| {
             Error::invalid_config(format!(
                 "tenant entry '{entry}' is not name=class[:weight[:slo_ms]]"
             ))
         })?;
         let mut fields = rest.split(':');
         let class = SloClass::by_name(fields.next().unwrap_or(""))?;
-        let weight = match fields.next() {
-            None => 1.0,
-            Some(w) => w.parse::<f64>().map_err(|_| {
-                Error::invalid_config(format!("tenant '{name}': bad weight '{w}'"))
-            })?,
+        let mut number = |what: &str| {
+            let parse = |f: &str| {
+                f.parse::<f64>().map_err(|_| {
+                    Error::invalid_config(format!("tenant '{name}': bad {what} '{f}'"))
+                })
+            };
+            fields.next().map(parse).transpose()
         };
-        let slo_ms = match fields.next() {
-            None => None,
-            Some(s) => Some(s.parse::<f64>().map_err(|_| {
-                Error::invalid_config(format!("tenant '{name}': bad slo_ms '{s}'"))
-            })?),
-        };
+        let weight = number("weight")?.unwrap_or(1.0);
+        let slo_ms = number("slo_ms")?;
         if let Some(extra) = fields.next() {
             return Err(Error::invalid_config(format!(
                 "tenant '{name}': unexpected trailing field '{extra}'"
@@ -624,8 +619,14 @@ impl TenantLedger {
                 },
             })
             .collect();
+        // Jain's index is scale-free, so each weight is first divided by a
+        // power of two at or below the least weight. That division is
+        // exact: ordinary weights keep the index's bits, and `tokens /
+        // weight` stays finite for weights as far apart as 1e-308 and 1e308.
+        let least = self.weights.iter().fold(f64::INFINITY, |a, &w| a.min(w));
+        let unit = f64::from_bits(least.to_bits() & 0x7FF0_0000_0000_0000).max(f64::MIN_POSITIVE);
         let shares: Vec<f64> =
-            (0..n).map(|t| tokens[t] as f64 / self.weights[t]).collect();
+            (0..n).map(|t| tokens[t] as f64 / (self.weights[t] / unit)).collect();
         TenantReport { fairness: jain(&shares), tenants }
     }
 }
@@ -794,6 +795,48 @@ mod tests {
         assert!((report.fairness - 1.0).abs() < 1e-12);
         let share: f64 = report.tenants.iter().map(|t| t.service_share).sum();
         assert!((share - 1.0).abs() < 1e-12);
+    }
+
+    /// Fairness stays finite for every pair of weights the parser and
+    /// validation accept, however far apart, and for ordinary weights it
+    /// keeps the bits of `jain` over plain `tokens / weight` shares.
+    #[test]
+    fn fairness_is_finite_for_extreme_weights() {
+        let set = two_tenants();
+        let spec = set.merged_spec().unwrap();
+        let reqs = spec.generate();
+        let done = |r: &crate::Request| Completion {
+            id: r.id,
+            arrival: r.arrival(),
+            first_token: r.arrival(),
+            finish: r.arrival(),
+            steps: r.steps,
+        };
+        let completions: Vec<Completion> = reqs.iter().map(done).collect();
+        let fairness = |weights: [f64; 2]| {
+            let mut set = set.clone();
+            for (t, w) in set.tenants.iter_mut().zip(weights) {
+                t.weight = w;
+            }
+            set.validate().unwrap();
+            TenantLedger::new(&set, &spec).report(&completions, 1.0).fairness
+        };
+        let extremes = [
+            [1e308, 1e-308],
+            [f64::MAX, f64::MIN_POSITIVE],
+            [5e-324, 1.0],
+            [5e-324, f64::MAX],
+            [1e-320, 1e-320],
+        ];
+        for weights in extremes {
+            let f = fairness(weights);
+            assert!(f.is_finite() && (0.5..=1.0 + 1e-12).contains(&f), "{weights:?}: {f}");
+        }
+        // 24 tokens each (see above): shares 24/w.
+        for weights in [[3.0, 0.7], [1e-9, 1e9], [0.1, 0.3], [1.0, 1.0]] {
+            let plain = jain(&[24.0 / weights[0], 24.0 / weights[1]]);
+            assert_eq!(fairness(weights).to_bits(), plain.to_bits(), "{weights:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Every other crate in the workspace builds on the newtypes defined here:
 //! [`Cycles`], [`Seconds`], [`Joules`], [`Watts`], [`Bytes`], [`Bandwidth`],
 //! [`Frequency`], [`Area`], the [`DataType`] enum describing operand
-//! precisions, and the shared [`Error`] type.
+//! precisions, the shared [`Error`] type, and in [`spec`] the tokens the
+//! CLI spec grammars share (durations, windows, bands, factors, byte
+//! sizes).
 //!
 //! Newtypes are used instead of bare `f64`/`u64` so that, e.g., a latency in
 //! cycles can never be accidentally added to a latency in seconds without an
@@ -29,10 +31,10 @@ mod datatype;
 mod error;
 mod quantity;
 mod shape;
+pub mod spec;
 
 pub use datatype::DataType;
 pub use error::{Error, Result};
-pub use quantity::{
-    parse_time, Area, Bandwidth, Bytes, Cycles, Energy, Frequency, Joules, Seconds, Watts,
-};
+pub use quantity::{Area, Bandwidth, Bytes, Cycles, Energy, Frequency, Joules, Seconds, Watts};
 pub use shape::GemmShape;
+pub use spec::parse_time;

@@ -251,31 +251,6 @@ impl Seconds {
     }
 }
 
-/// Parses a duration as written in CLI specs: `150ms`, `2s`, or a bare
-/// number of seconds. `None` unless the number parses and is finite and
-/// non-negative.
-///
-/// # Examples
-///
-/// ```
-/// use cimtpu_units::parse_time;
-/// assert_eq!(parse_time("150ms").map(|t| t.get()), Some(0.15));
-/// assert_eq!(parse_time("2s").map(|t| t.get()), Some(2.0));
-/// assert_eq!(parse_time("0.5").map(|t| t.get()), Some(0.5));
-/// assert!(parse_time("-1s").is_none() && parse_time("NaN").is_none());
-/// ```
-pub fn parse_time(s: &str) -> Option<Seconds> {
-    let (num, scale) = if let Some(n) = s.strip_suffix("ms") {
-        (n, 1e-3)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1.0)
-    } else {
-        (s, 1.0)
-    };
-    let x: f64 = num.parse().ok()?;
-    (x.is_finite() && x >= 0.0).then(|| Seconds::new(x * scale))
-}
-
 f64_quantity!(
     /// An amount of energy in joules.
     ///
@@ -587,23 +562,6 @@ mod tests {
         let t = c.at(clk);
         assert!((t.get() - 1.0).abs() < 1e-12);
         assert_eq!(t.to_cycles(clk), c);
-    }
-
-    #[test]
-    fn parse_time_reads_ms_s_and_bare_seconds() {
-        let secs = |s: &str| parse_time(s).map(Seconds::get);
-        assert_eq!(secs("150ms"), Some(0.15));
-        assert_eq!(secs("2.5ms"), Some(2.5e-3));
-        assert_eq!(secs("2s"), Some(2.0));
-        assert_eq!(secs("3.5s"), Some(3.5));
-        assert_eq!(secs("4"), Some(4.0));
-        assert_eq!(secs("0"), Some(0.0));
-        for bad in [
-            "NaN", "NaNs", "inf", "infms", "-inf", "-1", "-2s", "-0.5ms", "", "s", "ms", "1h",
-            "1 s",
-        ] {
-            assert_eq!(secs(bad), None, "{bad:?}");
-        }
     }
 
     #[test]
