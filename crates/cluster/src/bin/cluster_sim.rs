@@ -11,10 +11,15 @@
 //!
 //! Runs the named cluster scenario (default: all headline scenarios) and
 //! prints fleet throughput, goodput, latency/TTFT percentiles, KV-handoff
-//! traffic, and per-replica utilization. Scenarios are independent, so
-//! they fan out over the `cimtpu_bench::sweep` worker pool; `--workers N`
-//! overrides the `CIMTPU_WORKERS` environment variable. Output is
-//! deterministic for a fixed `--seed`.
+//! traffic, and per-replica utilization. The command line goes through
+//! the front end it shares with `serve_sim` (`cimtpu_serving::cli`):
+//! scenario selection, `--seed`, `--clients`, `--tenants`, `--trace-in`,
+//! `--trace-out`, `--json` and the worker-pool fan-out (`--workers N`
+//! overrides `CIMTPU_WORKERS`) behave as there, and `--kv-budget` reaches
+//! every replica through `ClusterEngine`'s `Engine::with_kv_budget`. This
+//! binary adds its fleet catalogue and the fleet-mode flags below: `--faults`, `--fault-seed`, `--autoscale`, `--trace`,
+//! `--trace-filter`, `--metrics-csv`, `--perf-json` and `--summary`.
+//! Output is deterministic for a fixed `--seed`.
 //!
 //! `--kv-budget BUDGET` overrides every replica's KV budget (both pools
 //! of a disaggregated fleet): `unlimited`, `hbm` (HBM minus resident
@@ -31,16 +36,20 @@
 //! residents first), and reports gain a per-tenant section (goodput, SLO
 //! attainment, Jain's fairness index). The multi-tenant headline
 //! scenarios (`cluster-noisy-neighbor`, `cluster-launch-spike`) carry
-//! their own tenant sets, which the flag replaces. Single-tenant output
-//! is byte-identical to builds without the flag.
+//! their own tenant sets, which the flag replaces. A scenario whose
+//! traffic cannot split fails the command line before anything runs.
 //!
-//! `--trace-out PATH` writes each selected scenario's synthesized
-//! traffic as a JSONL request trace and exits without simulating
-//! (multi-tenant scenarios write their merged, tenant-tagged trace);
+//! `--trace-out PATH` writes each selected scenario's offered traffic
+//! (multi-tenant scenarios write their merged, tenant-tagged trace;
+//! under `--seed`, exactly what a run serves) as a JSONL request trace
+//! and exits without simulating. It reads only `--scenario`, `--seed`
+//! and `--trace-in`: every fleet-mode flag, `--kv-budget`, `--json`,
+//! `--workers`, `--clients`, `--think-ms` (closed-loop traffic cannot be
+//! written as a trace) and `--tenants` exit 2 with it.
 //! `--trace-in PATH` replaces each scenario's traffic with the trace at
 //! PATH (replayed byte-identically; `--seed`, `--clients`, `--think-ms`
-//! and `--tenants` are rejected with it, as is `--tenants` with
-//! `--trace-out`). See `cimtpu_serving::trace` for the format.
+//! and `--tenants` exit 2 with it). See `cimtpu_serving::trace` for the
+//! format.
 //!
 //! `--faults SPEC` replaces every selected scenario's fault plan with
 //! the comma-separated events in `SPEC` (grammar in
@@ -108,15 +117,208 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Instant;
 
 use cimtpu_bench::sweep;
 use cimtpu_cluster::scenario::{self, Scenario};
 use cimtpu_cluster::{
-    parse_autoscale, parse_faults, ClusterReport, ClusterTopology, FaultPlan, PerfRecord,
-    Recorder, SharedRecorder, TenantSet,
+    parse_autoscale, parse_faults, ClusterEngine, ClusterReport, ClusterRun, ClusterTopology,
+    FaultPlan, PerfRecord, Recorder, SharedRecorder,
 };
-use cimtpu_serving::cli::{self, SimFlags};
-use cimtpu_serving::ArrivalPattern;
+use cimtpu_serving::cli::{self, Binary, SimFlags};
+
+/// The fleet binary: its catalogue plus what the fleet-mode flags leave
+/// behind across the shared flow.
+#[derive(Default)]
+struct ClusterSim {
+    /// `--perf-json` records, one per completed run.
+    perf: Vec<PerfRecord>,
+    /// `--metrics-csv` rows of every traced run, under one header.
+    csv: String,
+    /// Whether a `--trace` or `--metrics-csv` write failed.
+    failed: bool,
+}
+
+/// Usage text for the fleet-mode flags.
+const FLEET_HELP: &str = r"  --perf-json PATH     also write wall-clock driver-throughput records
+                       (machine-dependent; kept out of the --json baseline)
+  --fault-seed N       reseed each scenario's fault plan (chaos draws redraw; explicit events stand)
+                       (rejected when no selected plan has chaos draws)
+  --faults SPEC        replace each scenario's fault plan: comma-separated
+                       'crash@<t>:<replica>[:repair=<t>]', 'straggler@<from>-<until>:<replica>:x<f>',
+                       'link@<from>-<until>:x<f>[:energy=x<f>]' (times take an s/ms suffix)
+  --autoscale SPEC     install an autoscale policy on each scenario: comma-separated
+                       'interval=1s', 'provision=2s', 'warmup=500ms', 'idle-w=30', 'conc=4',
+                       'replicas=LO..HI' (every group), 'group<K>=LO..HI', 'init=N', 'up=0.75',
+                       'down=0.25', 'up-cd=2s', 'down-cd=5s', 'slo-floor=0.9', 'swap'
+  --trace PATH         attach the flight recorder and write a Chrome trace-event
+                       JSON file per scenario (Perfetto-loadable; runs sequentially)
+  --trace-filter SPEC  keep only these comma-separated event kinds in --trace
+                       (e.g. 'crash,retry,scale_up')
+  --metrics-csv PATH   write downsampled gauge series as CSV (scenario,series,t_s,value)
+  --summary            one-screen per-scenario table instead of full reports
+";
+
+impl Binary for ClusterSim {
+    type Engine = ClusterEngine;
+    const NAME: &'static str = "cluster_sim";
+    const MODE: u8 = cli::FLEET;
+    const KV_SCOPE: &'static str = "every replica's";
+    const HELP: &'static str = FLEET_HELP;
+    const LIST_WIDTH: usize = 22;
+
+    const HEADLINE: fn() -> Vec<Scenario> = scenario::headline;
+    const CHECKS: fn() -> Vec<Scenario> = scenario::checks;
+    const BY_NAME: fn(&str) -> cimtpu_units::Result<Scenario> = scenario::by_name;
+
+    /// `--faults` replaces each scenario's plan with the given explicit
+    /// events; `--fault-seed` then reseeds whatever plan is in place
+    /// (redrawing chaos-generated crashes, leaving explicit events
+    /// alone); `--autoscale` expands per scenario, since each fleet has
+    /// its own group count.
+    fn prepare(&mut self, flags: &SimFlags, scenarios: &mut [Scenario]) -> Result<(), String> {
+        let events = flags
+            .faults
+            .as_deref()
+            .map(parse_faults)
+            .transpose()
+            .map_err(|e| e.to_string())?;
+        let autoscale = flags
+            .autoscale
+            .as_deref()
+            .map(parse_autoscale)
+            .transpose()
+            .map_err(|e| e.to_string())?;
+        for s in scenarios.iter_mut() {
+            if let Some(events) = &events {
+                let plan = FaultPlan::none().with_events(events.clone());
+                s.engine = s.engine.clone().with_faults(plan);
+            }
+            if let Some(fault_seed) = flags.fault_seed {
+                let reseeded = s.engine.faults().clone().with_seed(fault_seed);
+                s.engine = s.engine.clone().with_faults(reseeded);
+            }
+            if let Some(spec) = &autoscale {
+                let groups = match s.engine.topology() {
+                    ClusterTopology::Colocated { replicas, .. } => replicas.len(),
+                    ClusterTopology::Disaggregated {
+                        prefill, decode, ..
+                    } => prefill.len() + decode.len(),
+                };
+                let policy = spec
+                    .policy_for(groups)
+                    .map_err(|e| format!("{}: {e}", s.name))?;
+                s.engine = s.engine.clone().with_autoscale(policy);
+            }
+        }
+        // A new fault seed only redraws chaos-generated crashes: with no
+        // chaos spec in any selected plan the flag would change nothing.
+        if flags.fault_seed.is_some()
+            && scenarios
+                .iter()
+                .all(|s| s.engine.faults().chaos().is_none())
+        {
+            return Err(
+                "--fault-seed has nothing to redraw: no selected scenario's fault plan \
+                        has a chaos spec (explicit --faults events are not reseeded)"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Traced runs attach an `Rc`-shared recorder, which is not `Send`:
+    /// they run sequentially. Untraced runs keep the worker-pool fan-out.
+    /// Each run is clocked on its own, so the `--perf-json` wall times
+    /// are per-run driver times even under the fan-out.
+    fn run(
+        &mut self,
+        flags: &SimFlags,
+        scenarios: &[Scenario],
+    ) -> Vec<cimtpu_units::Result<ClusterRun>> {
+        let runs: Vec<_> = if flags.trace.is_some() || flags.metrics_csv.is_some() {
+            let several = scenarios.len() > 1;
+            scenarios
+                .iter()
+                .map(|s| timed(|| self.observe(flags, s, several)))
+                .collect()
+        } else {
+            sweep::parallel_map(scenarios, |s| timed(|| s.run(flags.seed)))
+        };
+        if let Some(path) = &flags.metrics_csv {
+            self.failed |= cli::write_file(Self::NAME, path, &self.csv);
+        }
+        let timed_runs = scenarios.iter().zip(runs);
+        timed_runs
+            .map(|(s, (run, wall_s))| {
+                if let Ok(run) = &run {
+                    let record =
+                        PerfRecord::measure(s.name, run.report.offered, &run.completions, wall_s);
+                    self.perf.push(record);
+                }
+                run
+            })
+            .collect()
+    }
+
+    /// `--summary` prints one row per scenario instead of the full
+    /// reports (`--json PATH` still writes them all); `--perf-json`
+    /// writes the wall-clock records to their own file, never into the
+    /// byte-diffed `--json` baseline.
+    fn emit(&mut self, flags: &SimFlags, reports: Vec<ClusterReport>) -> bool {
+        let mut failed = self.failed;
+        if flags.summary {
+            if let Some(path) = &flags.json {
+                failed |= cli::write_json(Self::NAME, path, &reports);
+            }
+            print_summary(&reports);
+        } else {
+            failed |= cli::emit_reports(Self::NAME, &reports, flags.json.as_deref());
+        }
+        if let Some(path) = &flags.perf_json {
+            failed |= cli::write_json(Self::NAME, path, &self.perf);
+        }
+        failed
+    }
+}
+
+impl ClusterSim {
+    /// Runs `s` with the flight recorder attached, then exports its
+    /// `--trace` file and appends its `--metrics-csv` rows.
+    fn observe(
+        &mut self,
+        flags: &SimFlags,
+        s: &Scenario,
+        several: bool,
+    ) -> cimtpu_units::Result<ClusterRun> {
+        let rec: SharedRecorder = Rc::new(RefCell::new(Recorder::new()));
+        let mut run = s.run_observed(flags.seed, Some(&rec))?;
+        let rec = rec.borrow();
+        run.report.timeseries = Some(rec.timeseries());
+        if let Some(base) = &flags.trace {
+            let path = cli::scenario_path(base, s.name, several);
+            let filter = flags.trace_filter.clone().unwrap_or_default();
+            self.failed |= cli::write_file(Self::NAME, &path, rec.to_chrome_json(&filter));
+        }
+        if flags.metrics_csv.is_some() {
+            // One header for the whole file: strip it from every
+            // scenario after the first.
+            let body = rec.metrics_csv(s.name);
+            if self.csv.is_empty() {
+                self.csv.push_str(&body);
+            } else if let Some((_, rows)) = body.split_once('\n') {
+                self.csv.push_str(rows);
+            }
+        }
+        Ok(run)
+    }
+}
+
+/// `f`'s result and its wall-clock time in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    (f(), start.elapsed().as_secs_f64())
+}
 
 /// The `--summary` one-screen table: one row per scenario with goodput,
 /// availability, scaling-action counts, and latency percentiles.
@@ -132,7 +334,12 @@ fn print_summary(reports: &[ClusterReport]) {
             .map_or_else(|| "-".to_owned(), |a| format!("{:.3}", a.availability));
         let scaling = r.scaling.as_ref().map_or_else(
             || "-".to_owned(),
-            |s| format!("{}/{}/{}/{}", s.scale_ups, s.scale_downs, s.scale_to_zero, s.swaps),
+            |s| {
+                format!(
+                    "{}/{}/{}/{}",
+                    s.scale_ups, s.scale_downs, s.scale_to_zero, s.swaps
+                )
+            },
         );
         println!(
             "{:<26} {:>9} {:>9} {:>13.2} {:>10.3} {:>10.3} {:>6}  {}",
@@ -149,234 +356,5 @@ fn print_summary(reports: &[ClusterReport]) {
 }
 
 fn main() {
-    cli::finish("cluster_sim", run());
-}
-
-/// Runs the command line: `Ok(true)` when a scenario or a write failed
-/// (reported as it happened), `Err` for a command line that cannot run.
-fn run() -> Result<bool, String> {
-    let flags = SimFlags::parse("cluster_sim", "every replica's", true, || {
-        for s in scenario::headline() {
-            println!("  {:<22} {}", s.name, s.description);
-        }
-        let smoke = [
-            scenario::smoke_cluster(),
-            scenario::cluster_day_smoke(),
-            scenario::smoke_autoscale(),
-        ];
-        for s in smoke {
-            println!("  {:<22} {}", s.name, s.description);
-        }
-    })?;
-    // `--faults` replaces each scenario's plan with the given explicit
-    // events; `--fault-seed` then reseeds whatever plan is in place
-    // (redrawing chaos-generated crashes, leaving explicit events alone).
-    // `--autoscale` parses here too; the per-group policy expansion
-    // happens per scenario, since each fleet has its own group count.
-    let cli_events =
-        flags.faults.as_deref().map(parse_faults).transpose().map_err(|e| e.to_string())?;
-    let cli_autoscale =
-        flags.autoscale.as_deref().map(parse_autoscale).transpose().map_err(|e| e.to_string())?;
-
-    let mut scenarios: Vec<Scenario> = if flags.scenario == "all" {
-        scenario::headline()
-    } else {
-        vec![scenario::by_name(&flags.scenario).map_err(|e| e.to_string())?]
-    };
-    for s in &mut scenarios {
-        if let Some(budget) = flags.kv_budget {
-            s.engine = s.engine.clone().with_kv_budget(budget);
-        }
-        if let Some(clients) = flags.clients {
-            s.traffic.arrival =
-                ArrivalPattern::ClosedLoop { clients, think_ms: flags.think_ms };
-        }
-        if let Some(events) = &cli_events {
-            s.engine =
-                s.engine.clone().with_faults(FaultPlan::none().with_events(events.clone()));
-        }
-        if let Some(seed) = flags.fault_seed {
-            let reseeded = s.engine.faults().clone().with_seed(seed);
-            s.engine = s.engine.clone().with_faults(reseeded);
-        }
-        if let Some(spec) = &cli_autoscale {
-            let ngroups = match s.engine.topology() {
-                ClusterTopology::Colocated { replicas, .. } => replicas.len(),
-                ClusterTopology::Disaggregated { prefill, decode, .. } => {
-                    prefill.len() + decode.len()
-                }
-            };
-            let policy = spec.policy_for(ngroups).map_err(|e| format!("{}: {e}", s.name))?;
-            s.engine = s.engine.clone().with_autoscale(policy);
-        }
-    }
-    // A new fault seed only redraws chaos-generated crashes: with no
-    // chaos spec in any selected plan the flag would change nothing.
-    if flags.fault_seed.is_some() && scenarios.iter().all(|s| s.engine.faults().chaos().is_none()) {
-        return Err("--fault-seed has nothing to redraw: no selected scenario's fault plan \
-                    has a chaos spec (explicit --faults events are not reseeded)"
-            .into());
-    }
-
-    // `--trace-in` replaces each scenario's traffic wholesale (the trace
-    // carries arrivals, lengths, sessions, tenants, and classes), so it
-    // composes with neither `--clients` nor `--seed` (both rejected by
-    // `SimFlags`) — and it clears scenario tenant sets (a replayed trace
-    // is served as-is).
-    if let Some(path) = flags.trace_in.as_deref() {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let spec = cimtpu_serving::parse_jsonl(&text)
-            .and_then(cimtpu_serving::replay_spec)
-            .map_err(|e| e.to_string())?;
-        for s in &mut scenarios {
-            s.traffic = spec.clone();
-            s.tenants = None;
-        }
-    }
-    let seed = flags.seed;
-    // `--trace-out` is the seeded synthesis tool: write each scenario's
-    // materialized traffic (the merged tenant-tagged trace for
-    // multi-tenant scenarios) as a JSONL trace and exit without
-    // simulating.
-    if let Some(path) = flags.trace_out.as_deref() {
-        let mut traffics: Vec<(&str, cimtpu_serving::TrafficSpec)> = Vec::new();
-        for s in &scenarios {
-            let spec = match (&s.tenants, seed) {
-                (Some(set), Some(seed)) => set.with_seed(seed).merged_spec(),
-                (Some(set), None) => set.merged_spec(),
-                (None, _) => {
-                    let mut traffic = s.traffic.clone();
-                    if let Some(seed) = seed {
-                        traffic.seed = seed;
-                    }
-                    Ok(traffic)
-                }
-            };
-            traffics.push((s.name, spec.map_err(|e| format!("{}: {e}", s.name))?));
-        }
-        return Ok(cli::emit_traces("cluster_sim", path, &traffics));
-    }
-    // `--tenants` overlays each scenario's base traffic across the given
-    // SLO tiers (replacing any scenario-carried tenant set); the run path
-    // reseeds every tenant's stream under `--seed`.
-    if let Some(parts) = &flags.tenants {
-        for s in &mut scenarios {
-            let set = TenantSet::overlay(&s.traffic, parts);
-            s.tenants = Some(set.map_err(|e| format!("{}: {e}", s.name))?);
-        }
-    }
-    let filter = flags.trace_filter.clone().unwrap_or_default();
-
-    let observing = flags.trace.is_some() || flags.metrics_csv.is_some();
-    let mut failed = false;
-    let mut csv = String::new();
-    // Traced runs attach an `Rc`-shared recorder, which is not `Send`:
-    // they run sequentially, exporting each scenario's trace/CSV on the
-    // spot. The untraced path keeps the worker-pool fan-out below —
-    // scenarios are independent simulations that return in scenario
-    // order, so output is stable, and each worker clocks its own
-    // scenario so the wall times feeding `--perf-json` are per-run
-    // driver times even under the fan-out.
-    let results: Vec<_> = if observing {
-        scenarios
-            .iter()
-            .map(|s| {
-                let start = std::time::Instant::now();
-                let rec: SharedRecorder = Rc::new(RefCell::new(Recorder::new()));
-                let result = s.run_observed(seed, Some(&rec)).map(|mut run| {
-                    let rec = rec.borrow();
-                    run.report.timeseries = Some(rec.timeseries());
-                    if let Some(base) = flags.trace.as_deref() {
-                        let path = if scenarios.len() > 1 {
-                            cli::per_scenario_path(base, s.name)
-                        } else {
-                            base.to_owned()
-                        };
-                        if let Err(e) = std::fs::write(&path, rec.to_chrome_json(&filter)) {
-                            eprintln!("cluster_sim: writing {path}: {e}");
-                            failed = true;
-                        }
-                    }
-                    if flags.metrics_csv.is_some() {
-                        let body = rec.metrics_csv(s.name);
-                        // One header for the whole file: strip it from
-                        // every scenario after the first.
-                        if csv.is_empty() {
-                            csv.push_str(&body);
-                        } else if let Some((_, rows)) = body.split_once('\n') {
-                            csv.push_str(rows);
-                        }
-                    }
-                    run
-                });
-                (result, start.elapsed().as_secs_f64())
-            })
-            .collect()
-    } else {
-        sweep::parallel_map(&scenarios, |s| {
-            let start = std::time::Instant::now();
-            (s.run(seed), start.elapsed().as_secs_f64())
-        })
-    };
-    if let Some(path) = flags.metrics_csv.as_deref() {
-        if let Err(e) = std::fs::write(path, &csv) {
-            eprintln!("cluster_sim: writing {path}: {e}");
-            failed = true;
-        }
-    }
-
-    let mut reports: Vec<ClusterReport> = Vec::new();
-    let mut perf: Vec<PerfRecord> = Vec::new();
-    let mut prefix_lines: Vec<(&str, cimtpu_serving::PrefixStats)> = Vec::new();
-    for (s, (result, wall_s)) in scenarios.iter().zip(results) {
-        match result {
-            Ok(run) => {
-                if run.prefix.lookups > 0 {
-                    prefix_lines.push((s.name, run.prefix));
-                }
-                perf.push(PerfRecord::measure(
-                    s.name,
-                    run.report.offered,
-                    &run.completions,
-                    wall_s,
-                ));
-                reports.push(run.report);
-            }
-            Err(e) => {
-                eprintln!("{}: {e}", s.name);
-                failed = true;
-            }
-        }
-    }
-
-    if flags.summary {
-        // One row per scenario instead of the full per-replica reports;
-        // `--json PATH` still writes the complete report list.
-        if let Some(path) = flags.json.as_deref() {
-            let payload =
-                serde_json::to_string_pretty(&reports).expect("reports serialize");
-            if let Err(e) = std::fs::write(path, payload + "\n") {
-                eprintln!("cluster_sim: writing {path}: {e}");
-                failed = true;
-            }
-        }
-        print_summary(&reports);
-    } else {
-        failed |= cli::emit_reports("cluster_sim", &reports, flags.json.as_deref());
-    }
-    // Wall-clock throughput goes to its own sidecar: the numbers are
-    // machine-dependent, so they must never leak into the byte-diffed
-    // `--json` baseline.
-    if let Some(path) = flags.perf_json.as_deref() {
-        let payload = serde_json::to_string_pretty(&perf).expect("perf records serialize");
-        if let Err(e) = std::fs::write(path, payload + "\n") {
-            eprintln!("cluster_sim: writing {path}: {e}");
-            failed = true;
-        }
-    }
-    // Prefix-sharing fleets append their cache counters (absent when
-    // sharing is off, keeping default output and the JSON shape
-    // unchanged).
-    cli::emit_prefix_stats(&prefix_lines, flags.json.as_deref());
-    Ok(failed)
+    cli::main(ClusterSim::default());
 }

@@ -1,113 +1,118 @@
 //! Named cluster scenarios: the reference fleets the `cluster_sim`
-//! binary and the CI smoke/baseline checks run.
+//! binary and the CI smoke/baseline checks run, in the scenario shape
+//! the serving crate defines ([`cimtpu_serving::scenario::Scenario`]).
 
 use cimtpu_autoscale::{AutoscalePolicy, GroupPolicy};
 use cimtpu_core::TpuConfig;
 use cimtpu_models::presets;
+use cimtpu_serving::scenario::{smoke_kv_memory, smoke_traffic, tiny_transformer, traffic, Engine};
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, PrefixTraffic, ServingModel, SloClass,
-    TenantSet, TenantSpec, TrafficSpec,
+    ArrivalPattern, BatchPolicy, KvBudget, LenDist, MemoryConfig, Offered, PrefixStats,
+    PrefixTraffic, ServingModel, SharedRecorder, SloClass, TenantSet, TenantSpec, TrafficSpec,
 };
-use cimtpu_units::{Bytes, Error, Result, Seconds};
+use cimtpu_units::{Error, Result, Seconds};
 
 use crate::disagg::InterconnectSpec;
 use crate::engine::{ClusterEngine, ClusterRun};
 use crate::fault::{ChaosSpec, FaultEvent, FaultPlan};
 use crate::replica::ReplicaSpec;
+use crate::report::ClusterReport;
 use crate::router::RouterPolicy;
 
-/// A named, fully specified cluster experiment.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Scenario name (CLI argument).
-    pub name: &'static str,
-    /// One-line description.
-    pub description: &'static str,
-    /// The fleet.
-    pub engine: ClusterEngine,
-    /// Traffic to offer.
-    pub traffic: TrafficSpec,
-    /// Multi-tenant scenarios carry their tenant set here; when present
-    /// it supersedes `traffic` (which then only anchors the base shape
-    /// `--tenants` overlays would split).
-    pub tenants: Option<TenantSet>,
-}
+/// A named, fully specified cluster experiment: the shared scenario
+/// shape over a fleet.
+pub type Scenario = cimtpu_serving::scenario::Scenario<ClusterEngine>;
 
-impl Scenario {
-    /// Runs the scenario (optionally overriding the traffic seed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run(&self, seed: Option<u64>) -> Result<ClusterRun> {
-        self.run_observed(seed, None)
-    }
+impl Engine for ClusterEngine {
+    type Report = ClusterReport;
+    type Run = ClusterRun;
 
-    /// Runs the scenario with an optional flight recorder attached (see
-    /// [`ClusterEngine::run_observed`]); `run` is the `None` shorthand.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run_observed(
+    fn run_observed(
         &self,
-        seed: Option<u64>,
-        recorder: Option<&cimtpu_obs::SharedRecorder>,
+        label: &str,
+        offered: Offered<'_>,
+        recorder: Option<&SharedRecorder>,
     ) -> Result<ClusterRun> {
-        if let Some(set) = &self.tenants {
-            let set = match seed {
-                Some(seed) => set.with_seed(seed),
-                None => set.clone(),
-            };
-            return self.engine.run_observed(self.name, &set, recorder);
-        }
-        let mut traffic = self.traffic.clone();
-        if let Some(seed) = seed {
-            traffic.seed = seed;
-        }
-        self.engine.run_observed(self.name, &traffic, recorder)
+        ClusterEngine::run_observed(self, label, offered, recorder)
+    }
+
+    fn with_kv_budget(self, budget: KvBudget) -> Self {
+        ClusterEngine::with_kv_budget(self, budget)
+    }
+
+    fn report(run: ClusterRun) -> (ClusterReport, PrefixStats) {
+        (run.report, run.prefix)
     }
 }
 
-/// A deliberately tiny Transformer for smoke tests (the serving smoke
-/// model): two layers priced in milliseconds of wall clock.
-fn tiny() -> ServingModel {
-    ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer())
+/// A `model` replica on `chip` under continuous batching.
+fn replica(
+    name: impl Into<String>,
+    chip: TpuConfig,
+    model: ServingModel,
+    max_batch: u64,
+) -> ReplicaSpec {
+    ReplicaSpec::new(name, chip, model).with_policy(BatchPolicy::Continuous { max_batch })
+}
+
+/// A replica of the serving smoke model (two layers priced in
+/// milliseconds of wall clock) on a baseline TPUv4i chip.
+fn tiny(name: impl Into<String>, max_batch: u64) -> ReplicaSpec {
+    replica(
+        name,
+        TpuConfig::tpuv4i(),
+        ServingModel::Llm(tiny_transformer()),
+        max_batch,
+    )
+}
+
+/// A GPT-3 6.7B replica on a CIM Design A chip.
+fn design_a(name: &str) -> ReplicaSpec {
+    replica(name, TpuConfig::design_a(), llm_6_7b(), 8)
 }
 
 fn llm_6_7b() -> ServingModel {
     ServingModel::Llm(presets::gpt3_6_7b())
 }
 
+fn colocated(replicas: Vec<ReplicaSpec>, router: RouterPolicy) -> ClusterEngine {
+    ClusterEngine::colocated(replicas, router).expect("static fleet is valid")
+}
+
+/// One prefill replica handing KV over an ICI-class link to a decode
+/// pool.
+fn disaggregated(
+    prefill: ReplicaSpec,
+    decode: Vec<ReplicaSpec>,
+    router: RouterPolicy,
+    decode_router: RouterPolicy,
+) -> ClusterEngine {
+    let link = InterconnectSpec::ici();
+    ClusterEngine::disaggregated(vec![prefill], decode, router, decode_router, link)
+        .expect("static fleet is valid")
+}
+
 /// A tiny closed-loop fleet at a given client count — the saturation
 /// sweep's design points.
-fn closed_loop_point(
-    name: &'static str,
-    description: &'static str,
-    clients: u64,
-) -> Scenario {
+fn closed_loop_point(name: &'static str, description: &'static str, clients: u64) -> Scenario {
+    let closed = ArrivalPattern::ClosedLoop {
+        clients,
+        think_ms: 5.0,
+    };
     Scenario {
         name,
-        tenants: None,
         description,
-        engine: ClusterEngine::colocated(
-            vec![
-                ReplicaSpec::new("tiny-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                ReplicaSpec::new("tiny-1", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-            ],
+        engine: colocated(
+            vec![tiny("tiny-0", 8), tiny("tiny-1", 8)],
             RouterPolicy::LeastOutstanding,
-        )
-        .expect("static fleet is valid"),
-        traffic: TrafficSpec {
-            requests: 48,
-            arrival: ArrivalPattern::ClosedLoop { clients, think_ms: 5.0 },
-            prompt: LenDist::Uniform { lo: 16, hi: 64 },
-            steps: LenDist::Uniform { lo: 4, hi: 12 },
-            prefix: PrefixTraffic::None,
-            seed: 0xC1A0,
-        },
+        ),
+        traffic: traffic(
+            48,
+            closed,
+            LenDist::Uniform { lo: 16, hi: 64 },
+            LenDist::Uniform { lo: 4, hi: 12 },
+        ),
+        tenants: None,
     }
 }
 
@@ -122,106 +127,80 @@ fn closed_loop_point(
 /// (`cluster-noisy-neighbor`, `cluster-launch-spike`) exercising SLO
 /// tiers under weighted-fair scheduling.
 pub fn headline() -> Vec<Scenario> {
-    let disagg_traffic = TrafficSpec {
-        requests: 24,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 5.0 },
-        prompt: LenDist::Uniform { lo: 512, hi: 1024 },
-        steps: LenDist::Fixed(32),
-        prefix: PrefixTraffic::None,
-        seed: 0xC1A0,
+    let open = |rate_rps| ArrivalPattern::OpenLoop { rate_rps };
+    let disagg_traffic = traffic(
+        24,
+        open(5.0),
+        LenDist::Uniform { lo: 512, hi: 1024 },
+        LenDist::Fixed(32),
+    );
+    let llama2_13b = ServingModel::Llm(presets::llama2_13b());
+    let sessions = ArrivalPattern::OpenLoopSessions {
+        rate_rps: 6.0,
+        sessions: 6,
     };
     vec![
         Scenario {
             name: "hetero-fleet",
-            tenants: None,
             description: "GPT-3 6.7B on one baseline TPUv4i + one CIM Design A chip, \
                           least-outstanding routing",
-            engine: ClusterEngine::colocated(
+            engine: colocated(
                 vec![
-                    ReplicaSpec::new("tpuv4i", TpuConfig::tpuv4i(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new("design-a", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
+                    replica("tpuv4i", TpuConfig::tpuv4i(), llm_6_7b(), 8),
+                    design_a("design-a"),
                 ],
                 RouterPolicy::LeastOutstanding,
-            )
-            .expect("static fleet is valid"),
-            traffic: TrafficSpec {
-                requests: 24,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
-                prompt: LenDist::Uniform { lo: 128, hi: 512 },
-                steps: LenDist::Uniform { lo: 16, hi: 64 },
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            ),
+            traffic: traffic(
+                24,
+                open(6.0),
+                LenDist::Uniform { lo: 128, hi: 512 },
+                LenDist::Uniform { lo: 16, hi: 64 },
+            ),
+            tenants: None,
         },
         Scenario {
             name: "two-model-skew",
-            tenants: None,
             description: "a 6.7B and a 13B replica behind session-affinity routing under \
                           a 6-session pool (skew shows up as imbalance)",
-            engine: ClusterEngine::colocated(
+            engine: colocated(
                 vec![
-                    ReplicaSpec::new("gpt3-6.7b", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new(
-                        "llama2-13b",
-                        TpuConfig::design_a(),
-                        ServingModel::Llm(presets::llama2_13b()),
-                    )
-                    .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
+                    design_a("gpt3-6.7b"),
+                    replica("llama2-13b", TpuConfig::design_a(), llama2_13b, 8),
                 ],
                 RouterPolicy::SessionAffinity,
-            )
-            .expect("static fleet is valid"),
-            traffic: TrafficSpec {
-                requests: 24,
-                arrival: ArrivalPattern::OpenLoopSessions { rate_rps: 6.0, sessions: 6 },
-                prompt: LenDist::Uniform { lo: 128, hi: 512 },
-                steps: LenDist::Fixed(32),
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            ),
+            traffic: traffic(
+                24,
+                sessions,
+                LenDist::Uniform { lo: 128, hi: 512 },
+                LenDist::Fixed(32),
+            ),
+            tenants: None,
         },
         Scenario {
             name: "disagg-prefill-decode",
-            tenants: None,
             description: "1 prefill + 2 decode Design A chips with paged KV handoff over \
                           an ICI-class link, least-KV decode placement",
-            engine: ClusterEngine::disaggregated(
-                vec![ReplicaSpec::new("prefill-0", TpuConfig::design_a(), llm_6_7b())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
-                vec![
-                    ReplicaSpec::new("decode-0", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new("decode-1", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                ],
+            engine: disaggregated(
+                replica("prefill-0", TpuConfig::design_a(), llm_6_7b(), 4),
+                vec![design_a("decode-0"), design_a("decode-1")],
                 RouterPolicy::RoundRobin,
                 RouterPolicy::LeastKv,
-                InterconnectSpec::ici(),
-            )
-            .expect("static fleet is valid"),
+            ),
             traffic: disagg_traffic.clone(),
+            tenants: None,
         },
         Scenario {
             name: "colo-matched",
-            tenants: None,
             description: "the disagg-prefill-decode hardware (3 Design A chips) serving \
                           the same traffic colocated — the comparison baseline",
-            engine: ClusterEngine::colocated(
-                vec![
-                    ReplicaSpec::new("colo-0", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new("colo-1", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new("colo-2", TpuConfig::design_a(), llm_6_7b())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                ],
+            engine: colocated(
+                vec![design_a("colo-0"), design_a("colo-1"), design_a("colo-2")],
                 RouterPolicy::LeastOutstanding,
-            )
-            .expect("static fleet is valid"),
+            ),
             traffic: disagg_traffic,
+            tenants: None,
         },
         closed_loop_point(
             "closed-loop-c2",
@@ -240,23 +219,22 @@ pub fn headline() -> Vec<Scenario> {
         ),
         Scenario {
             name: "cluster-shared-prefix",
-            tenants: None,
             description: "4 shared system prompts over a 2-replica Design A fleet with \
                           prefix sharing + prefix-affinity routing",
             engine: prefix_fleet(true),
             traffic: cluster_prefix_traffic(),
+            tenants: None,
         },
         Scenario {
             name: "cluster-cold-prefix",
-            tenants: None,
             description: "the cluster-shared-prefix fleet and traffic with sharing \
                           disabled — the matched-hardware control",
             engine: prefix_fleet(false),
             traffic: cluster_prefix_traffic(),
+            tenants: None,
         },
         Scenario {
             name: "cluster-chaos-crash",
-            tenants: None,
             description: "2 seeded replica crashes (cold restart) under open-loop load \
                           on a 2-replica tiny fleet; lost work retries with backoff",
             engine: chaos_fleet(FaultPlan::seeded(0xFA17).with_chaos(ChaosSpec {
@@ -265,10 +243,10 @@ pub fn headline() -> Vec<Scenario> {
                 repair: Seconds::new(0.002),
             })),
             traffic: chaos_traffic(),
+            tenants: None,
         },
         Scenario {
             name: "cluster-straggler",
-            tenants: None,
             description: "replica 0 runs 4x slow for a mid-run window; least-outstanding \
                           routing shifts load to the healthy replica",
             engine: chaos_fleet(FaultPlan::none().with_event(FaultEvent::Straggler {
@@ -278,26 +256,18 @@ pub fn headline() -> Vec<Scenario> {
                 slowdown: 4.0,
             })),
             traffic: chaos_traffic(),
+            tenants: None,
         },
         Scenario {
             name: "cluster-degraded-link",
-            tenants: None,
             description: "tiny 1-prefill + 2-decode fleet with the handoff interconnect \
                           at one-tenth bandwidth (and double energy) all run",
-            engine: ClusterEngine::disaggregated(
-                vec![ReplicaSpec::new("prefill-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
-                vec![
-                    ReplicaSpec::new("decode-0", TpuConfig::tpuv4i(), tiny())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                    ReplicaSpec::new("decode-1", TpuConfig::tpuv4i(), tiny())
-                        .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                ],
+            engine: disaggregated(
+                tiny("prefill-0", 4),
+                vec![tiny("decode-0", 8), tiny("decode-1", 8)],
                 RouterPolicy::RoundRobin,
                 RouterPolicy::LeastKv,
-                InterconnectSpec::ici(),
             )
-            .expect("static fleet is valid")
             .with_faults(FaultPlan::none().with_event(FaultEvent::DegradedLink {
                 from: Seconds::ZERO,
                 until: Seconds::new(10.0),
@@ -305,6 +275,7 @@ pub fn headline() -> Vec<Scenario> {
                 energy_factor: 2.0,
             })),
             traffic: chaos_traffic(),
+            tenants: None,
         },
         // Appended last: the BENCH_cluster.json baseline grows at the
         // end, leaving every pre-existing entry byte-identical.
@@ -335,50 +306,39 @@ pub fn headline() -> Vec<Scenario> {
 /// preemptions, and the SLO-aware victim order makes the batch tier
 /// absorb them while interactive attainment holds (CI asserts both).
 fn noisy_neighbor() -> Scenario {
-    let tight_kv = MemoryConfig::unlimited()
-        .with_budget_bytes(Bytes::from_kib(64))
-        .with_block_tokens(16);
     let tenant_traffic = |rate_rps: f64, seed: u64| TrafficSpec {
-        requests: 16,
-        arrival: ArrivalPattern::OpenLoop { rate_rps },
-        prompt: LenDist::Fixed(32),
-        steps: LenDist::Fixed(8),
-        prefix: PrefixTraffic::None,
         seed,
+        ..traffic(
+            16,
+            ArrivalPattern::OpenLoop { rate_rps },
+            LenDist::Fixed(32),
+            LenDist::Fixed(8),
+        )
     };
+    let tenant = |name, class, rate_rps, seed| {
+        TenantSpec::new(name, class, 1.0, tenant_traffic(rate_rps, seed))
+    };
+    let shared = |name| tiny(name, 4).with_memory(smoke_kv_memory());
     Scenario {
         name: "cluster-noisy-neighbor",
-        tenants: Some(
-            TenantSet::new(vec![
-                TenantSpec::new(
-                    "chat",
-                    SloClass::Interactive,
-                    1.0,
-                    tenant_traffic(4_000.0, 0xC1A0),
-                ),
-                TenantSpec::new("api", SloClass::Standard, 1.0, tenant_traffic(4_000.0, 0xC1A1)),
-                TenantSpec::new("bulk", SloClass::Batch, 1.0, tenant_traffic(20_000.0, 0xC1A2)),
-            ])
-            .expect("static tenant set is valid"),
-        ),
         description: "3 equal-weight SLO tiers (chat/api/bulk) on a 2-replica tiny \
                       fleet under the smoke-kv 4-block KV squeeze, SLO-aware routing \
                       (CI: fairness, batch-absorbed preemptions, interactive SLO)",
-        engine: ClusterEngine::colocated(
-            vec![
-                ReplicaSpec::new("shared-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 })
-                    .with_memory(tight_kv),
-                ReplicaSpec::new("shared-1", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 4 })
-                    .with_memory(tight_kv),
-            ],
+        engine: colocated(
+            vec![shared("shared-0"), shared("shared-1")],
             RouterPolicy::SloAware,
-        )
-        .expect("static fleet is valid"),
-        // The base shape `--tenants` overlays split; `tenants` above
+        ),
+        // The base shape `--tenants` overlays split; `tenants` below
         // supersedes it for plain runs.
         traffic: tenant_traffic(8_000.0, 0xC1A0),
+        tenants: Some(
+            TenantSet::new(vec![
+                tenant("chat", SloClass::Interactive, 4_000.0, 0xC1A0),
+                tenant("api", SloClass::Standard, 4_000.0, 0xC1A1),
+                tenant("bulk", SloClass::Batch, 20_000.0, 0xC1A2),
+            ])
+            .expect("static tenant set is valid"),
+        ),
     }
 }
 
@@ -388,65 +348,56 @@ fn noisy_neighbor() -> Scenario {
 /// scheduling keeps the backfill flowing through the spike instead of
 /// starving it.
 fn launch_spike() -> Scenario {
+    let spike = ArrivalPattern::Diurnal {
+        peak_rps: 24_000.0,
+        day_s: 0.012,
+        burst_x: 2.0,
+        bursts: 1,
+    };
+    let launch = TrafficSpec {
+        seed: 0x5B1E,
+        ..traffic(
+            32,
+            spike,
+            LenDist::Uniform { lo: 16, hi: 48 },
+            LenDist::Uniform { lo: 4, hi: 8 },
+        )
+    };
+    let backfill = TrafficSpec {
+        seed: 0x5B1F,
+        ..traffic(
+            16,
+            ArrivalPattern::OpenLoop { rate_rps: 2_000.0 },
+            LenDist::Fixed(64),
+            LenDist::Fixed(16),
+        )
+    };
+    let base = ArrivalPattern::OpenLoop { rate_rps: 8_000.0 };
     Scenario {
         name: "cluster-launch-spike",
-        tenants: Some(
-            TenantSet::new(vec![
-                TenantSpec::new(
-                    "launch",
-                    SloClass::Interactive,
-                    2.0,
-                    TrafficSpec {
-                        requests: 32,
-                        arrival: ArrivalPattern::Diurnal {
-                            peak_rps: 24_000.0,
-                            day_s: 0.012,
-                            burst_x: 2.0,
-                            bursts: 1,
-                        },
-                        prompt: LenDist::Uniform { lo: 16, hi: 48 },
-                        steps: LenDist::Uniform { lo: 4, hi: 8 },
-                        prefix: PrefixTraffic::None,
-                        seed: 0x5B1E,
-                    },
-                ),
-                TenantSpec::new(
-                    "backfill",
-                    SloClass::Batch,
-                    1.0,
-                    TrafficSpec {
-                        requests: 16,
-                        arrival: ArrivalPattern::OpenLoop { rate_rps: 2_000.0 },
-                        prompt: LenDist::Fixed(64),
-                        steps: LenDist::Fixed(16),
-                        prefix: PrefixTraffic::None,
-                        seed: 0x5B1F,
-                    },
-                ),
-            ])
-            .expect("static tenant set is valid"),
-        ),
         description: "an interactive launch-day spike (diurnal burst, weight 2) over a \
                       steady weight-1 batch backfill on a 2-replica tiny fleet — \
                       weighted-fair scheduling keeps the backfill alive through the peak",
-        engine: ClusterEngine::colocated(
-            vec![
-                ReplicaSpec::new("spike-0", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-                ReplicaSpec::new("spike-1", TpuConfig::tpuv4i(), tiny())
-                    .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-            ],
+        engine: colocated(
+            vec![tiny("spike-0", 8), tiny("spike-1", 8)],
             RouterPolicy::SloAware,
-        )
-        .expect("static fleet is valid"),
+        ),
         traffic: TrafficSpec {
-            requests: 48,
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 8_000.0 },
-            prompt: LenDist::Uniform { lo: 16, hi: 64 },
-            steps: LenDist::Uniform { lo: 4, hi: 12 },
-            prefix: PrefixTraffic::None,
             seed: 0x5B1E,
+            ..traffic(
+                48,
+                base,
+                LenDist::Uniform { lo: 16, hi: 64 },
+                LenDist::Uniform { lo: 4, hi: 12 },
+            )
         },
+        tenants: Some(
+            TenantSet::new(vec![
+                TenantSpec::new("launch", SloClass::Interactive, 2.0, launch),
+                TenantSpec::new("backfill", SloClass::Batch, 1.0, backfill),
+            ])
+            .expect("static tenant set is valid"),
+        ),
     }
 }
 
@@ -456,31 +407,23 @@ fn launch_spike() -> Scenario {
 /// round-robin router keeps routing O(1), so the run measures the
 /// discrete-event core itself; `cluster_sim --perf-json` records how
 /// fast the driver chews through it in wall clock.
-fn cluster_day_point(
-    name: &'static str,
-    description: &'static str,
-    requests: u64,
-) -> Scenario {
-    let replicas = (0..100)
-        .map(|i| {
-            ReplicaSpec::new(format!("day-{i:02}"), TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 })
-        })
-        .collect();
+fn cluster_day_point(name: &'static str, description: &'static str, requests: u64) -> Scenario {
+    let replicas = (0..100).map(|i| tiny(format!("day-{i:02}"), 8)).collect();
+    let closed = ArrivalPattern::ClosedLoop {
+        clients: 1000,
+        think_ms: 8640.0,
+    };
     Scenario {
         name,
-        tenants: None,
         description,
-        engine: ClusterEngine::colocated(replicas, RouterPolicy::RoundRobin)
-            .expect("static fleet is valid"),
-        traffic: TrafficSpec {
+        engine: colocated(replicas, RouterPolicy::RoundRobin),
+        traffic: traffic(
             requests,
-            arrival: ArrivalPattern::ClosedLoop { clients: 1000, think_ms: 8640.0 },
-            prompt: LenDist::Uniform { lo: 16, hi: 48 },
-            steps: LenDist::Uniform { lo: 2, hi: 6 },
-            prefix: PrefixTraffic::None,
-            seed: 0xC1A0,
-        },
+            closed,
+            LenDist::Uniform { lo: 16, hi: 48 },
+            LenDist::Uniform { lo: 2, hi: 6 },
+        ),
+        tenants: None,
     }
 }
 
@@ -508,6 +451,31 @@ pub fn cluster_day_smoke() -> Scenario {
     )
 }
 
+/// An elastic group grown from one tiny replica named `replica`, under
+/// `policy` and a 2 ms SLO: the autoscale scenarios' fleet.
+fn elastic_group(replica: &str, policy: AutoscalePolicy) -> ClusterEngine {
+    colocated(vec![tiny(replica, 8)], RouterPolicy::LeastOutstanding)
+        .with_slo_ms(2.0)
+        .with_autoscale(policy)
+}
+
+/// `requests` arrivals over a compressed diurnal day (`day_s` long,
+/// peaking at `peak_rps`, one burst at `burst_x`).
+fn day_traffic(requests: u64, peak_rps: f64, day_s: f64, burst_x: f64) -> TrafficSpec {
+    let day = ArrivalPattern::Diurnal {
+        peak_rps,
+        day_s,
+        burst_x,
+        bursts: 1,
+    };
+    traffic(
+        requests,
+        day,
+        LenDist::Uniform { lo: 16, hi: 64 },
+        LenDist::Uniform { lo: 4, hi: 12 },
+    )
+}
+
 /// The diurnal head-to-head: one elastic group of tiny replicas under a
 /// compressed diurnal day. `pinned_at_peak` selects the static baseline —
 /// the same hardware held at the elastic band's 6-replica peak size all
@@ -517,11 +485,7 @@ pub fn cluster_day_smoke() -> Scenario {
 /// steady-state in-flight ≈ 0.6 at light load to ≈ 7 near saturation):
 /// target concurrency 4 with the 0.25/0.75 band scales up past ~2/3 of
 /// a replica's service rate and down below ~1/5 of it.
-fn diurnal_point(
-    name: &'static str,
-    description: &'static str,
-    pinned_at_peak: bool,
-) -> Scenario {
+fn diurnal_point(name: &'static str, description: &'static str, pinned_at_peak: bool) -> Scenario {
     let elastic = GroupPolicy {
         min: 1,
         max: 6,
@@ -534,7 +498,11 @@ fn diurnal_point(
         slo_floor: 0.0,
     };
     let group = if pinned_at_peak {
-        GroupPolicy { min: 6, initial: 6, ..elastic }
+        GroupPolicy {
+            min: 6,
+            initial: 6,
+            ..elastic
+        }
     } else {
         elastic
     };
@@ -546,29 +514,11 @@ fn diurnal_point(
     };
     Scenario {
         name,
-        tenants: None,
         description,
-        engine: ClusterEngine::colocated(
-            vec![ReplicaSpec::new("diurnal", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 })],
-            RouterPolicy::LeastOutstanding,
-        )
-        .expect("static fleet is valid")
-        .with_slo_ms(2.0)
-        .with_autoscale(policy),
-        traffic: TrafficSpec {
-            requests: 30_000,
-            arrival: ArrivalPattern::Diurnal {
-                peak_rps: 100_000.0,
-                day_s: 0.6, // hour_len = 25 ms; ~32k requests per day
-                burst_x: 1.5,
-                bursts: 1,
-            },
-            prompt: LenDist::Uniform { lo: 16, hi: 64 },
-            steps: LenDist::Uniform { lo: 4, hi: 12 },
-            prefix: PrefixTraffic::None,
-            seed: 0xC1A0,
-        },
+        engine: elastic_group("diurnal", policy),
+        // hour_len = 25 ms; ~32k requests per day
+        traffic: day_traffic(30_000, 100_000.0, 0.6, 1.5),
+        tenants: None,
     }
 }
 
@@ -595,46 +545,21 @@ pub fn smoke_autoscale() -> Scenario {
     };
     Scenario {
         name: "smoke-autoscale",
-        tenants: None,
         description: "bursty compressed day on a scale-to-zero 0..2-replica tiny \
                       group (CI grep: scale-up, scale-down, scale-to-zero)",
-        engine: ClusterEngine::colocated(
-            vec![ReplicaSpec::new("burst", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 })],
-            RouterPolicy::LeastOutstanding,
-        )
-        .expect("static fleet is valid")
-        .with_slo_ms(2.0)
-        .with_autoscale(policy),
-        traffic: TrafficSpec {
-            requests: 3_000,
-            arrival: ArrivalPattern::Diurnal {
-                peak_rps: 24_000.0,
-                day_s: 0.24, // hour_len = 10 ms
-                burst_x: 2.0,
-                bursts: 1,
-            },
-            prompt: LenDist::Uniform { lo: 16, hi: 64 },
-            steps: LenDist::Uniform { lo: 4, hi: 12 },
-            prefix: PrefixTraffic::None,
-            seed: 0xC1A0,
-        },
+        engine: elastic_group("burst", policy),
+        traffic: day_traffic(3_000, 24_000.0, 0.24, 2.0), // hour_len = 10 ms
+        tenants: None,
     }
 }
 
 /// The chaos testbed: two identical tiny replicas behind
 /// least-outstanding routing, with the given fault plan installed.
 fn chaos_fleet(faults: FaultPlan) -> ClusterEngine {
-    ClusterEngine::colocated(
-        vec![
-            ReplicaSpec::new("chaos-0", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-            ReplicaSpec::new("chaos-1", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 }),
-        ],
+    colocated(
+        vec![tiny("chaos-0", 8), tiny("chaos-1", 8)],
         RouterPolicy::LeastOutstanding,
     )
-    .expect("static fleet is valid")
     .with_faults(faults)
 }
 
@@ -642,14 +567,13 @@ fn chaos_fleet(faults: FaultPlan) -> ClusterEngine {
 /// rate, so queues build and the fault windows always overlap in-flight
 /// work.
 fn chaos_traffic() -> TrafficSpec {
-    TrafficSpec {
-        requests: 48,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
-        prompt: LenDist::Uniform { lo: 16, hi: 64 },
-        steps: LenDist::Uniform { lo: 8, hi: 16 },
-        prefix: PrefixTraffic::None,
-        seed: 0xC1A0,
-    }
+    let open = ArrivalPattern::OpenLoop { rate_rps: 20_000.0 };
+    traffic(
+        48,
+        open,
+        LenDist::Uniform { lo: 16, hi: 64 },
+        LenDist::Uniform { lo: 8, hi: 16 },
+    )
 }
 
 /// The shared-vs-cold prefix fleet: two identical Design A replicas
@@ -662,30 +586,28 @@ fn prefix_fleet(sharing: bool) -> ClusterEngine {
     } else {
         MemoryConfig::unlimited()
     };
-    ClusterEngine::colocated(
-        vec![
-            ReplicaSpec::new("prefix-0", TpuConfig::design_a(), llm_6_7b())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 })
-                .with_memory(memory),
-            ReplicaSpec::new("prefix-1", TpuConfig::design_a(), llm_6_7b())
-                .with_policy(BatchPolicy::Continuous { max_batch: 8 })
-                .with_memory(memory),
-        ],
+    let prefix = |name| design_a(name).with_memory(memory);
+    colocated(
+        vec![prefix("prefix-0"), prefix("prefix-1")],
         RouterPolicy::PrefixAffinity,
     )
-    .expect("static fleet is valid")
 }
 
 /// Shared-system-prompt fleet traffic: four 512-token heads across 24
 /// medium prompts.
 fn cluster_prefix_traffic() -> TrafficSpec {
+    let open = ArrivalPattern::OpenLoop { rate_rps: 6.0 };
     TrafficSpec {
-        requests: 24,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
-        prompt: LenDist::Uniform { lo: 640, hi: 1024 },
-        steps: LenDist::Fixed(32),
-        prefix: PrefixTraffic::SharedHead { tokens: 512, groups: 4 },
-        seed: 0xC1A0,
+        prefix: PrefixTraffic::SharedHead {
+            tokens: 512,
+            groups: 4,
+        },
+        ..traffic(
+            24,
+            open,
+            LenDist::Uniform { lo: 640, hi: 1024 },
+            LenDist::Fixed(32),
+        )
     }
 }
 
@@ -696,54 +618,40 @@ fn cluster_prefix_traffic() -> TrafficSpec {
 pub fn smoke_cluster() -> Scenario {
     Scenario {
         name: "smoke-cluster",
-        tenants: None,
         description: "tiny 1-prefill + 1-decode fleet, 4-block decode KV budget \
                       (CI handoff determinism check)",
-        engine: ClusterEngine::disaggregated(
-            vec![ReplicaSpec::new("prefill-0", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
-            vec![ReplicaSpec::new("decode-0", TpuConfig::tpuv4i(), tiny())
-                .with_policy(BatchPolicy::Continuous { max_batch: 4 })
-                .with_memory(
-                    MemoryConfig::unlimited()
-                        .with_budget_bytes(Bytes::from_kib(64))
-                        .with_block_tokens(16),
-                )],
+        engine: disaggregated(
+            tiny("prefill-0", 4),
+            vec![tiny("decode-0", 4).with_memory(smoke_kv_memory())],
             RouterPolicy::PassThrough,
             RouterPolicy::PassThrough,
-            InterconnectSpec::ici(),
-        )
-        .expect("static fleet is valid"),
-        traffic: TrafficSpec {
-            requests: 6,
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
-            prompt: LenDist::Fixed(32),
-            steps: LenDist::Fixed(8),
-            prefix: PrefixTraffic::None,
-            seed: 7,
-        },
+        ),
+        traffic: smoke_traffic(PrefixTraffic::None),
+        tenants: None,
     }
 }
 
-/// Looks a scenario up by name (the headline set plus the smoke check).
+/// The smoke checks, listed after the headline set under `--help`.
+pub fn checks() -> Vec<Scenario> {
+    vec![smoke_cluster(), cluster_day_smoke(), smoke_autoscale()]
+}
+
+/// Looks a scenario up by name (the headline set plus the smoke checks).
+/// A check is built alone; any other name builds the headline set.
 ///
 /// # Errors
 ///
 /// Returns [`Error::UnknownPreset`] for unrecognized names.
 pub fn by_name(name: &str) -> Result<Scenario> {
-    if name == "smoke-cluster" {
-        return Ok(smoke_cluster());
+    match name {
+        "smoke-cluster" => Ok(smoke_cluster()),
+        "cluster-day-smoke" => Ok(cluster_day_smoke()),
+        "smoke-autoscale" => Ok(smoke_autoscale()),
+        _ => headline()
+            .into_iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| Error::unknown_preset(name.to_owned())),
     }
-    if name == "cluster-day-smoke" {
-        return Ok(cluster_day_smoke());
-    }
-    if name == "smoke-autoscale" {
-        return Ok(smoke_autoscale());
-    }
-    headline()
-        .into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| Error::unknown_preset(name.to_owned()))
 }
 
 #[cfg(test)]
@@ -756,19 +664,36 @@ mod tests {
             assert_eq!(by_name(s.name).unwrap().name, s.name);
         }
         assert_eq!(by_name("smoke-cluster").unwrap().name, "smoke-cluster");
-        assert_eq!(by_name("cluster-day-smoke").unwrap().name, "cluster-day-smoke");
+        assert_eq!(
+            by_name("cluster-day-smoke").unwrap().name,
+            "cluster-day-smoke"
+        );
         assert_eq!(by_name("smoke-autoscale").unwrap().name, "smoke-autoscale");
         assert!(by_name("nope").is_err());
     }
 
     #[test]
     fn autoscaled_diurnal_beats_the_static_peak_fleet() {
-        let auto = by_name("cluster-diurnal-autoscale").unwrap().run(None).unwrap();
-        let fixed = by_name("cluster-diurnal-static").unwrap().run(None).unwrap();
+        let auto = by_name("cluster-diurnal-autoscale")
+            .unwrap()
+            .run(None)
+            .unwrap();
+        let fixed = by_name("cluster-diurnal-static")
+            .unwrap()
+            .run(None)
+            .unwrap();
         assert_eq!(auto.report.completed, auto.report.offered);
         assert_eq!(fixed.report.completed, fixed.report.offered);
-        let a = auto.report.scaling.as_ref().expect("elastic run reports scaling");
-        let s = fixed.report.scaling.as_ref().expect("pinned run reports scaling");
+        let a = auto
+            .report
+            .scaling
+            .as_ref()
+            .expect("elastic run reports scaling");
+        let s = fixed
+            .report
+            .scaling
+            .as_ref()
+            .expect("pinned run reports scaling");
         // The elastic fleet breathes with the curve: it grows toward the
         // peak and shrinks back down the evening slope.
         assert!(
@@ -808,7 +733,11 @@ mod tests {
     #[test]
     fn smoke_autoscale_emits_every_event_kind_deterministically() {
         let run = smoke_autoscale().run(None).unwrap();
-        let s = run.report.scaling.as_ref().expect("elastic run reports scaling");
+        let s = run
+            .report
+            .scaling
+            .as_ref()
+            .expect("elastic run reports scaling");
         // The three events the CI grep asserts on the report text.
         assert!(s.scale_ups >= 1, "scaling: {s:?}");
         assert!(s.scale_downs >= 1, "scaling: {s:?}");
@@ -862,8 +791,15 @@ mod tests {
         let cold = by_name("cluster-cold-prefix").unwrap().run(None).unwrap();
         // Same fleet, same trace: completions are token-for-token equal.
         assert_eq!(
-            shared.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
-            cold.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
+            shared
+                .completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
+            cold.completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
         );
         // Affinity routing concentrates each head, so the caches hit.
         assert!(shared.prefix.hits > 0, "prefix stats: {}", shared.prefix);
@@ -884,8 +820,11 @@ mod tests {
     #[test]
     fn chaos_crash_reports_failures_and_recovers() {
         let run = by_name("cluster-chaos-crash").unwrap().run(None).unwrap();
-        let avail =
-            run.report.availability.as_ref().expect("fault runs report availability");
+        let avail = run
+            .report
+            .availability
+            .as_ref()
+            .expect("fault runs report availability");
         assert!(avail.crashes >= 1, "report: {}", run.report);
         assert!(avail.retries >= 1, "report: {}", run.report);
         assert!(avail.retried_ok >= 1, "report: {}", run.report);
@@ -931,14 +870,20 @@ mod tests {
     fn degraded_link_stretches_transfers() {
         let degraded = by_name("cluster-degraded-link").unwrap().run(None).unwrap();
         let clean = Scenario {
-            engine: by_name("cluster-degraded-link").unwrap().engine.with_faults(FaultPlan::none()),
+            engine: by_name("cluster-degraded-link")
+                .unwrap()
+                .engine
+                .with_faults(FaultPlan::none()),
             ..by_name("cluster-degraded-link").unwrap()
         }
         .run(None)
         .unwrap();
         assert_eq!(degraded.report.completed, clean.report.completed);
         assert_eq!(degraded.report.kv_transfers, clean.report.kv_transfers);
-        assert_eq!(degraded.report.kv_transfer_bytes, clean.report.kv_transfer_bytes);
+        assert_eq!(
+            degraded.report.kv_transfer_bytes,
+            clean.report.kv_transfer_bytes
+        );
         assert!(
             degraded.report.kv_transfer_s > clean.report.kv_transfer_s,
             "degraded transfer time {} s !> clean {} s",
@@ -950,9 +895,16 @@ mod tests {
 
     #[test]
     fn noisy_neighbor_isolates_the_interactive_tenant() {
-        let run = by_name("cluster-noisy-neighbor").unwrap().run(None).unwrap();
+        let run = by_name("cluster-noisy-neighbor")
+            .unwrap()
+            .run(None)
+            .unwrap();
         assert_eq!(run.report.completed, run.report.offered);
-        let t = run.report.tenants.as_ref().expect("multi-tenant run reports tenants");
+        let t = run
+            .report
+            .tenants
+            .as_ref()
+            .expect("multi-tenant run reports tenants");
         // Equal weights, equal decode tokens per tenant: Jain's index
         // should sit essentially at 1 (CI asserts > 0.9).
         assert!(t.fairness > 0.9, "fairness {}", t.fairness);
@@ -960,12 +912,28 @@ mod tests {
         let bulk = t.tenants.iter().find(|u| u.name == "bulk").unwrap();
         // The headline acceptance: interactive SLO attainment under
         // contention, with the batch tenant absorbing every KV eviction.
-        assert!(chat.slo_attainment >= 0.95, "chat SLO {}", chat.slo_attainment);
-        assert!(bulk.preemptions >= 1, "expected batch preemptions, tenants: {t:?}");
-        assert_eq!(chat.preemptions, 0, "interactive tenant was preempted: {t:?}");
+        assert!(
+            chat.slo_attainment >= 0.95,
+            "chat SLO {}",
+            chat.slo_attainment
+        );
+        assert!(
+            bulk.preemptions >= 1,
+            "expected batch preemptions, tenants: {t:?}"
+        );
+        assert_eq!(
+            chat.preemptions, 0,
+            "interactive tenant was preempted: {t:?}"
+        );
         let total: u64 = t.tenants.iter().map(|u| u.preemptions).sum();
-        assert_eq!(total, run.report.preemptions, "ledger must conserve preemptions");
-        let again = by_name("cluster-noisy-neighbor").unwrap().run(None).unwrap();
+        assert_eq!(
+            total, run.report.preemptions,
+            "ledger must conserve preemptions"
+        );
+        let again = by_name("cluster-noisy-neighbor")
+            .unwrap()
+            .run(None)
+            .unwrap();
         assert_eq!(run.report, again.report);
         assert_eq!(run.completions, again.completions);
     }
@@ -974,15 +942,26 @@ mod tests {
     fn launch_spike_completes_deterministically() {
         let run = by_name("cluster-launch-spike").unwrap().run(None).unwrap();
         assert_eq!(run.report.completed, run.report.offered);
-        let t = run.report.tenants.as_ref().expect("multi-tenant run reports tenants");
+        let t = run
+            .report
+            .tenants
+            .as_ref()
+            .expect("multi-tenant run reports tenants");
         assert_eq!(t.tenants.len(), 2);
         let launch = t.tenants.iter().find(|u| u.name == "launch").unwrap();
         assert_eq!(launch.completed, 32);
-        assert!(launch.slo_attainment >= 0.95, "launch SLO {}", launch.slo_attainment);
+        assert!(
+            launch.slo_attainment >= 0.95,
+            "launch SLO {}",
+            launch.slo_attainment
+        );
         let again = by_name("cluster-launch-spike").unwrap().run(None).unwrap();
         assert_eq!(run.report, again.report);
         // Reseeding moves the merged trace, hence the report.
-        let reseeded = by_name("cluster-launch-spike").unwrap().run(Some(7)).unwrap();
+        let reseeded = by_name("cluster-launch-spike")
+            .unwrap()
+            .run(Some(7))
+            .unwrap();
         assert_ne!(run.report, reseeded.report);
     }
 
@@ -996,7 +975,11 @@ mod tests {
         let split = base.engine.run(base.name, &tenants).unwrap();
         assert_eq!(split.report.offered, base.traffic.requests);
         assert_eq!(split.report.completed, split.report.offered);
-        let t = split.report.tenants.as_ref().expect("overlay reports tenants");
+        let t = split
+            .report
+            .tenants
+            .as_ref()
+            .expect("overlay reports tenants");
         let done: u64 = t.tenants.iter().map(|u| u.completed).sum();
         assert_eq!(done, split.report.completed);
     }

@@ -1,7 +1,12 @@
 //! `cluster_sim` rejects flags that cannot apply to the run, before
 //! simulating: exit status 2, the clash on stderr, nothing on stdout.
+//! `--trace-out` writes exactly the traffic a run with the same `--seed`
+//! serves.
 
 use std::process::{Command, Output};
+
+use cimtpu_cluster::scenario::by_name;
+use cimtpu_serving::{synthesize, to_jsonl, TrafficSpec};
 
 fn cluster_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cluster_sim"))
@@ -47,6 +52,120 @@ fn tenants_with_trace_out_is_rejected() {
     ];
     let bad = "invalid configuration: tenant entry 'garbage' is not name=class[:weight[:slo_ms]]";
     assert_rejected(&args, bad);
+}
+
+/// `--trace-out` reads only `--scenario`, `--seed` and `--trace-in`:
+/// every other flag, the fleet-mode ones included, exits 2 and writes
+/// nothing.
+#[test]
+fn trace_out_rejects_the_flags_it_does_not_read() {
+    let path = tmp("cli_unread.jsonl");
+    let _ = std::fs::remove_file(&path);
+    for flag in [
+        &["--kv-budget", "1MiB"][..],
+        &["--json", "-"],
+        &["--workers", "2"],
+        &["--clients", "2"],
+        &["--clients", "2", "--think-ms", "1"],
+        &["--faults", "crash@1ms:0"],
+        &["--fault-seed", "3"],
+        &["--autoscale", "replicas=1..2"],
+        &["--perf-json", "p.json"],
+        &["--summary"],
+        &["--trace", "t.json"],
+        &["--metrics-csv", "m.csv"],
+    ] {
+        let mut args = vec!["--scenario", "smoke-cluster", "--trace-out", &path];
+        args.extend_from_slice(flag);
+        assert_rejected(
+            &args,
+            &format!("{} cannot be combined with --trace-out", flag[0]),
+        );
+        assert!(
+            !std::path::Path::new(&path).exists(),
+            "{args:?} wrote a trace"
+        );
+    }
+}
+
+/// A replayed trace carries its own arrivals and tenants: the flags that
+/// reshape or reseed the traffic exit 2 with `--trace-in`.
+#[test]
+fn trace_in_rejects_the_flags_it_overrides() {
+    for flag in [
+        &["--seed", "3"][..],
+        &["--clients", "2"],
+        &["--tenants", "a=batch"],
+    ] {
+        let mut args = vec!["--scenario", "smoke-cluster", "--trace-in", "t.jsonl"];
+        args.extend_from_slice(flag);
+        assert_rejected(
+            &args,
+            &format!("{} cannot be combined with --trace-in", flag[0]),
+        );
+    }
+}
+
+/// A `--tenants` overlay that cannot split a selected scenario's traffic
+/// fails the command line before any scenario runs, as in `serve_sim`.
+#[test]
+fn tenant_overlay_failures_exit_before_running() {
+    let spec = "a=batch,b=batch,c=batch,d=batch,e=batch,f=batch,g=batch";
+    let bad = "smoke-cluster: invalid configuration: cannot split 6 requests across 7 tenants";
+    assert_rejected(&["--scenario", "smoke-cluster", "--tenants", spec], bad);
+    // The headline set holds closed-loop traffic, which an overlay
+    // cannot merge: nothing runs.
+    let bad = "closed-loop-c2: invalid configuration: tenant 'a' uses closed-loop traffic, \
+               which cannot be merged into a trace (arrivals depend on service progress)";
+    assert_rejected(&["--tenants", "a=interactive,b=batch"], bad);
+    let bad = "invalid configuration: duplicate tenant name 'a'";
+    assert_rejected(
+        &[
+            "--scenario",
+            "smoke-cluster",
+            "--tenants",
+            "a=batch,a=interactive",
+        ],
+        bad,
+    );
+}
+
+/// The one seed rule: `--trace-out` writes the scenario's traffic with
+/// `--seed` replacing its own, and a multi-tenant scenario's merged
+/// trace with every tenant reseeded.
+#[test]
+fn trace_out_writes_the_offered_traffic() {
+    for name in ["smoke-cluster", "cluster-noisy-neighbor"] {
+        let s = by_name(name).unwrap();
+        for seed in [None, Some(11)] {
+            let path = tmp(&format!("cli_offered_{name}_{seed:?}.jsonl"));
+            let mut args = vec!["--scenario", name, "--trace-out", &path];
+            let seed_arg = seed.map(|s: u64| s.to_string());
+            if let Some(seed) = &seed_arg {
+                args.extend(["--seed", seed]);
+            }
+            let out = cluster_sim(&args);
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let offered = match (&s.tenants, seed) {
+                (Some(set), Some(seed)) => set.with_seed(seed).merged_spec().unwrap(),
+                (Some(set), None) => set.merged_spec().unwrap(),
+                (None, _) => TrafficSpec {
+                    seed: seed.unwrap_or(s.traffic.seed),
+                    ..s.traffic.clone()
+                },
+            };
+            let want = to_jsonl(&synthesize(&offered).unwrap());
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                want,
+                "{name} seed {seed:?}"
+            );
+        }
+    }
 }
 
 /// A replayed trace carries its own arrivals: a seed would change nothing.

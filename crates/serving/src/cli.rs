@@ -1,407 +1,443 @@
-//! Shared command-line handling for the simulation binaries
-//! (`serve_sim`, `cluster_sim`): both take the same flag set — scenario
-//! selection, seed, worker count, JSON output, the `--kv-budget`
-//! override, and the closed-loop `--clients` / `--think-ms` conversion —
-//! so the parsing, report emission and exit path live here once. Each
-//! spec flag is parsed when it is read; the tokens the spec grammars
-//! share live in [`cimtpu_units::spec`].
+//! The one command-line front end of the simulation binaries
+//! (`serve_sim`, `cluster_sim`). [`main`] runs the same flow for both:
+//!
+//! 1. parse the flags against one table of which modes read each flag
+//!    (single-engine run, fleet run, `--trace-out`);
+//! 2. pick the scenarios and apply `--kv-budget` and `--clients`, then
+//!    the binary's own flags ([`Binary::prepare`]), then `--trace-in` and
+//!    `--tenants`;
+//! 3. under `--trace-out`, write each scenario's offered traffic and
+//!    exit; otherwise run the scenarios ([`Binary::run`]) and emit their
+//!    reports ([`Binary::emit`]) and prefix-cache counters.
+//!
+//! Both the run and `--trace-out` read [`Scenario::offered`], the one
+//! `--seed` rule. A binary supplies only its own parts through
+//! [`Binary`]: its catalogue, its run mode and, for a fleet, the fault,
+//! autoscale and recorder flags. Each spec flag is parsed when it is
+//! read; the tokens the spec grammars share live in
+//! [`cimtpu_units::spec`].
 
 use serde::Serialize;
 
-use crate::{parse_kv_budget, parse_tenants, KvBudget, PrefixStats, TenantPart, TraceFilter};
+use crate::scenario::{Engine, Scenario};
+use crate::{parse_kv_budget, parse_tenants, KvBudget, Offered, TenantPart, TraceFilter};
 
-/// The flag set shared by the simulation binaries.
-#[derive(Debug, Clone)]
+/// Mode bit: a run on one serving engine (`serve_sim`).
+pub const SINGLE: u8 = 1;
+/// Mode bit: a fleet run (`cluster_sim`).
+pub const FLEET: u8 = 1 << 1;
+/// Mode bit: `--trace-out`, which writes each scenario's offered traffic
+/// and exits without simulating.
+const TRACE_OUT: u8 = 1 << 2;
+/// Read alongside `--trace-in`, whose replayed trace replaces each
+/// scenario's traffic (arrivals, lengths, tenants): flags without this
+/// bit reshape or reseed that traffic.
+const REPLAY: u8 = 1 << 3;
+const RUN: u8 = SINGLE | FLEET;
+
+/// Every flag, in usage order: its value in the usage line (empty for a
+/// switch), the mode bits that read it, and the flag it needs (if any).
+/// A binary knows the flags its run mode or `--trace-out` reads; any
+/// other is an unknown argument. A known flag that `--trace-out` does
+/// not read, or that `--trace-in` would override, exits 2 with
+/// `<flag> cannot be combined with <other>`.
+const FLAGS: [(&str, &str, u8, &str); 18] = [
+    ("--scenario", "NAME|all", RUN | TRACE_OUT | REPLAY, ""),
+    ("--seed", "N", RUN | TRACE_OUT, ""),
+    ("--workers", "N", RUN | REPLAY, ""),
+    ("--json", "PATH", RUN | REPLAY, ""),
+    ("--kv-budget", "BUDGET", RUN | REPLAY, ""),
+    ("--clients", "N", RUN, ""),
+    ("--think-ms", "MS", RUN, "--clients"),
+    ("--tenants", "SPEC", RUN, ""),
+    ("--trace-in", "PATH", RUN | TRACE_OUT | REPLAY, ""),
+    ("--trace-out", "PATH", TRACE_OUT | REPLAY, ""),
+    ("--fault-seed", "N", FLEET | REPLAY, ""),
+    ("--faults", "SPEC", FLEET | REPLAY, ""),
+    ("--autoscale", "SPEC", FLEET | REPLAY, ""),
+    ("--perf-json", "PATH", FLEET | REPLAY, ""),
+    ("--trace", "PATH", FLEET | REPLAY, ""),
+    ("--trace-filter", "SPEC", FLEET | REPLAY, "--trace"),
+    ("--metrics-csv", "PATH", FLEET | REPLAY, ""),
+    ("--summary", "", FLEET | REPLAY, ""),
+];
+
+/// The usage text of the flags every binary reads; `{scope}` stands for
+/// [`Binary::KV_SCOPE`].
+const HELP: &str = r"  --kv-budget BUDGET   override {scope} KV budget: 'unlimited',
+                       'hbm', or bytes with KiB/MiB/GiB/TiB suffix (e.g. 1GiB)
+  --clients N          convert traffic to closed loop with N clients
+  --think-ms MS        closed-loop think time (needs --clients; default 10)
+  --tenants SPEC       split traffic across SLO tenants and schedule weighted-fair:
+                       comma-separated name=class[:weight[:slo_ms]] (class: interactive,
+                       standard, or batch; weight defaults to 1), e.g. 'chat=interactive:3,bulk=batch'
+  --trace-in PATH      replay the JSONL request trace at PATH as each scenario's traffic
+  --trace-out PATH     write each scenario's synthesized traffic as a JSONL trace and exit
+  every SPEC reads times (150ms, 2s), windows (<t>-<t>), bands (LO..HI), factors (x<f>)
+                       and byte sizes alike: the shared tokens of cimtpu_units::spec
+";
+
+/// The parsed command line.
+#[derive(Debug, Clone, Default)]
 pub struct SimFlags {
+    /// `--help` / `-h`: print usage and exit.
+    pub help: bool,
     /// `--scenario NAME|all` (default `all`).
     pub scenario: String,
-    /// `--seed N`: traffic-seed override.
+    /// `--seed N`: traffic-seed override ([`Scenario::offered`]).
     pub seed: Option<u64>,
     /// `--json PATH`: also write reports as pretty JSON (`-` = stdout).
     pub json: Option<String>,
-    /// `--kv-budget BUDGET`: KV-budget override
-    /// (see [`parse_kv_budget`]).
+    /// `--kv-budget BUDGET`: KV-budget override (see [`parse_kv_budget`]).
     pub kv_budget: Option<KvBudget>,
     /// `--clients N`: convert traffic to closed loop with `N` clients.
     pub clients: Option<u64>,
-    /// `--think-ms MS`: closed-loop think time (default 10 ms); only
-    /// with `--clients`.
+    /// `--think-ms MS`: closed-loop think time (default 10 ms).
     pub think_ms: f64,
-    /// `--fault-seed N`: fault-plan seed override (fleet binaries only;
-    /// a single engine has no fault plan).
+    /// `--fault-seed N`: fault-plan seed override.
     pub fault_seed: Option<u64>,
-    /// `--faults SPEC`: comma-separated fault events, passed through raw
-    /// — `cimtpu_cluster::parse_faults` owns the grammar and this crate
-    /// cannot depend on it.
+    /// `--faults SPEC`: fault events, raw — `cimtpu_cluster::parse_faults`
+    /// owns the grammar and this crate cannot depend on it.
     pub faults: Option<String>,
-    /// `--autoscale SPEC`: autoscale-policy override, passed through raw
-    /// — `cimtpu_autoscale::parse_autoscale` owns the grammar (fleet
-    /// binaries only).
+    /// `--autoscale SPEC`: autoscale policy, raw —
+    /// `cimtpu_autoscale::parse_autoscale` owns the grammar.
     pub autoscale: Option<String>,
     /// `--perf-json PATH`: also write wall-clock driver-throughput
-    /// records (fleet binaries only). Wall times are machine-dependent,
-    /// so they go to a sidecar file, never into the byte-diffed
-    /// `--json` baselines.
+    /// records (machine-dependent, so kept out of `--json`).
     pub perf_json: Option<String>,
-    /// `--trace PATH`: attach the flight recorder and write a Chrome
-    /// trace-event JSON file per scenario (Perfetto-loadable). With
-    /// several scenarios selected, the scenario name is inserted before
-    /// the extension (`out.json` → `out.<scenario>.json`).
+    /// `--trace PATH`: write a Chrome trace-event JSON file per scenario.
     pub trace: Option<String>,
-    /// `--trace-filter SPEC`: the event kinds to keep in the `--trace`
-    /// export (comma-separated, e.g. `crash,retry,scale_up`; see
+    /// `--trace-filter SPEC`: the event kinds `--trace` keeps (see
     /// [`TraceFilter::parse`]).
     pub trace_filter: Option<TraceFilter>,
-    /// `--metrics-csv PATH`: attach the flight recorder and write the
-    /// downsampled gauge series as CSV (`scenario,series,t_s,value`
-    /// rows, all scenarios in one file).
+    /// `--metrics-csv PATH`: write the downsampled gauge series as CSV.
     pub metrics_csv: Option<String>,
-    /// `--summary`: print a one-screen per-scenario summary table
-    /// (goodput, availability, scaling actions, latency percentiles)
-    /// instead of the full per-replica reports.
+    /// `--summary`: one table row per scenario instead of full reports.
     pub summary: bool,
-    /// `--tenants SPEC`: split each scenario's traffic across SLO
-    /// tenants and schedule it weighted-fair. Comma-separated
-    /// `name=class[:weight[:slo_ms]]` entries (see [`parse_tenants`]).
+    /// `--tenants SPEC`: split each scenario's traffic across SLO tenants
+    /// (see [`parse_tenants`]).
     pub tenants: Option<Vec<TenantPart>>,
-    /// `--trace-in PATH`: replace each scenario's traffic with the JSONL
-    /// request trace at PATH (replayed byte-identically, so `--seed` is
-    /// rejected with it).
+    /// `--trace-in PATH`: replay the JSONL trace at PATH as each
+    /// scenario's traffic.
     pub trace_in: Option<String>,
-    /// `--trace-out PATH`: synthesize each selected scenario's traffic
-    /// into a JSONL request trace at PATH and exit without simulating
-    /// (with several scenarios selected the scenario name is inserted
-    /// before the extension, as for `--trace`).
+    /// `--trace-out PATH`: write each scenario's offered traffic as a
+    /// JSONL trace and exit.
     pub trace_out: Option<String>,
 }
 
 impl SimFlags {
-    /// Parses `std::env::args` (see [`parse_from`](Self::parse_from)).
+    /// Parses `args` (the arguments after the program name) for a binary
+    /// whose run mode is `mode` ([`SINGLE`] or [`FLEET`]). Parsing stops
+    /// at `--help`. `--workers N` is applied on the spot by setting
+    /// `CIMTPU_WORKERS` (the `cimtpu_bench::sweep` pool reads it).
     ///
     /// # Errors
     ///
-    /// As for [`parse_from`](Self::parse_from).
-    pub fn parse(
-        binary: &str,
-        budget_scope: &str,
-        fleet_flags: bool,
-        print_scenarios: impl Fn(),
-    ) -> Result<SimFlags, String> {
-        Self::parse_from(
-            std::env::args().skip(1),
-            binary,
-            budget_scope,
-            fleet_flags,
-            print_scenarios,
-        )
-    }
-
-    /// Parses `args` (the arguments after the program name). `binary`
-    /// names the program and `budget_scope` phrases what `--kv-budget`
-    /// overrides (e.g. "the scenario's" / "every replica's");
-    /// `fleet_flags` accepts the
-    /// fleet-only `--fault-seed` / `--faults` / `--perf-json` flags
-    /// (single-engine binaries reject them as unknown);
-    /// `print_scenarios` lists the binary's scenarios under `--help`
-    /// (which prints usage and exits).
-    ///
-    /// `--workers N` is applied on the spot by setting `CIMTPU_WORKERS`
-    /// (the `cimtpu_bench::sweep` pool reads it).
-    ///
-    /// # Errors
-    ///
-    /// Returns the message to print for an unknown flag, a malformed
-    /// value (`--clients 0`, a negative or non-finite `--think-ms`, a
-    /// `--kv-budget`, `--tenants` or `--trace-filter` spec that does not
-    /// parse), or a flag that cannot apply: `--think-ms` without
-    /// `--clients`; `--clients`, `--think-ms`, `--tenants` or `--seed`
-    /// with `--trace-in` (a replayed trace carries its own arrivals and
-    /// tenant assignments); `--tenants` with `--trace-out` (the written
-    /// trace is the scenario's own traffic); and `--summary` with
-    /// `--json -` (the JSON replaces the text output).
-    pub fn parse_from(
-        args: impl IntoIterator<Item = String>,
-        binary: &str,
-        budget_scope: &str,
-        fleet_flags: bool,
-        print_scenarios: impl Fn(),
-    ) -> Result<SimFlags, String> {
+    /// Returns the message to print for a flag the binary does not know,
+    /// a malformed value (`--clients 0`, a negative or non-finite
+    /// `--think-ms`, a `--kv-budget`, `--tenants` or `--trace-filter`
+    /// spec that does not parse), a flag without the flag it needs, a
+    /// flag the selected mode does not read (see the flag table), or
+    /// `--summary` with `--json -` (the JSON replaces the text output).
+    pub fn parse_from(args: impl IntoIterator<Item = String>, mode: u8) -> Result<Self, String> {
         let mut flags = SimFlags {
             scenario: "all".to_owned(),
-            seed: None,
-            json: None,
-            kv_budget: None,
-            clients: None,
             think_ms: 10.0,
-            fault_seed: None,
-            faults: None,
-            autoscale: None,
-            perf_json: None,
-            trace: None,
-            trace_filter: None,
-            metrics_csv: None,
-            summary: false,
-            tenants: None,
-            trace_in: None,
-            trace_out: None,
+            ..SimFlags::default()
         };
-        let mut think_ms_set = false;
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next().ok_or_else(|| format!("{flag} needs a value"))
+        let mut given = [false; FLAGS.len()];
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                flags.help = true;
+                return Ok(flags);
+            }
+            let i = FLAGS
+                .iter()
+                .position(|&(name, _, reads, _)| name == arg && reads & (mode | TRACE_OUT) != 0)
+                .ok_or_else(|| format!("unknown argument {arg}"))?;
+            given[i] = true;
+            let (name, metavar, ..) = FLAGS[i];
+            let value = match metavar {
+                "" => String::new(),
+                _ => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
             };
-            match arg.as_str() {
-                "--scenario" => flags.scenario = value("--scenario")?,
-                "--seed" => {
-                    flags.seed = Some(
-                        value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?,
-                    );
-                }
+            let number = |what: &str| value.parse::<u64>().map_err(|e| format!("bad {what}: {e}"));
+            match name {
+                "--scenario" => flags.scenario = value,
+                "--seed" => flags.seed = Some(number("--seed")?),
                 "--workers" => {
-                    let n: usize = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    // The sweep pool reads CIMTPU_WORKERS; the flag
-                    // overrides it.
+                    let n = number("--workers")?;
                     std::env::set_var("CIMTPU_WORKERS", n.max(1).to_string());
                 }
-                "--json" => flags.json = Some(value("--json")?),
+                "--json" => flags.json = Some(value),
                 "--kv-budget" => {
-                    flags.kv_budget = Some(
-                        parse_kv_budget(&value("--kv-budget")?).map_err(|e| e.to_string())?,
-                    );
+                    flags.kv_budget = Some(parse_kv_budget(&value).map_err(|e| e.to_string())?);
                 }
-                "--clients" => {
-                    let clients: u64 = value("--clients")?
-                        .parse()
-                        .map_err(|e| format!("bad --clients: {e}"))?;
-                    if clients == 0 {
-                        return Err("bad --clients: closed loop needs >= 1 client".into());
-                    }
-                    flags.clients = Some(clients);
-                }
+                "--clients" => match number("--clients")? {
+                    0 => return Err("bad --clients: closed loop needs >= 1 client".into()),
+                    clients => flags.clients = Some(clients),
+                },
                 "--think-ms" => {
-                    flags.think_ms = value("--think-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --think-ms: {e}"))?;
-                    if !(flags.think_ms.is_finite() && flags.think_ms >= 0.0) {
+                    let ms: f64 = value.parse().map_err(|e| format!("bad --think-ms: {e}"))?;
+                    if !(ms.is_finite() && ms >= 0.0) {
                         return Err(format!(
-                            "bad --think-ms: {} is not a finite, non-negative time",
-                            flags.think_ms
+                            "bad --think-ms: {ms} is not a finite, non-negative time"
                         ));
                     }
-                    think_ms_set = true;
+                    flags.think_ms = ms;
                 }
-                "--fault-seed" if fleet_flags => {
-                    flags.fault_seed = Some(
-                        value("--fault-seed")?
-                            .parse()
-                            .map_err(|e| format!("bad --fault-seed: {e}"))?,
-                    );
+                "--tenants" => {
+                    flags.tenants = Some(parse_tenants(&value).map_err(|e| e.to_string())?);
                 }
-                "--faults" if fleet_flags => flags.faults = Some(value("--faults")?),
-                "--autoscale" if fleet_flags => {
-                    flags.autoscale = Some(value("--autoscale")?);
-                }
-                "--perf-json" if fleet_flags => {
-                    flags.perf_json = Some(value("--perf-json")?);
-                }
-                "--trace" if fleet_flags => flags.trace = Some(value("--trace")?),
-                "--trace-filter" if fleet_flags => {
-                    let filter = TraceFilter::parse(&value("--trace-filter")?)
+                "--trace-in" => flags.trace_in = Some(value),
+                "--trace-out" => flags.trace_out = Some(value),
+                "--fault-seed" => flags.fault_seed = Some(number("--fault-seed")?),
+                "--faults" => flags.faults = Some(value),
+                "--autoscale" => flags.autoscale = Some(value),
+                "--perf-json" => flags.perf_json = Some(value),
+                "--trace" => flags.trace = Some(value),
+                "--trace-filter" => {
+                    let filter = TraceFilter::parse(&value)
                         .map_err(|e| format!("bad --trace-filter: {e}"))?;
                     flags.trace_filter = Some(filter);
                 }
-                "--metrics-csv" if fleet_flags => {
-                    flags.metrics_csv = Some(value("--metrics-csv")?);
-                }
-                "--summary" if fleet_flags => flags.summary = true,
-                "--tenants" => {
-                    flags.tenants =
-                        Some(parse_tenants(&value("--tenants")?).map_err(|e| e.to_string())?);
-                }
-                "--trace-in" => flags.trace_in = Some(value("--trace-in")?),
-                "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
-                "--help" | "-h" => {
-                    let fault_usage = if fleet_flags {
-                        " [--fault-seed N] [--faults SPEC] [--autoscale SPEC] \
-                         [--perf-json PATH] [--trace PATH] [--trace-filter SPEC] \
-                         [--metrics-csv PATH] [--summary]"
-                    } else {
-                        ""
-                    };
-                    println!(
-                        "usage: {binary} [--scenario NAME|all] [--seed N] [--workers N] \
-                         [--json PATH] [--kv-budget BUDGET] [--clients N] \
-                         [--think-ms MS] [--tenants SPEC] [--trace-in PATH] \
-                         [--trace-out PATH]{fault_usage}"
-                    );
-                    println!(
-                        "  --kv-budget BUDGET   override {budget_scope} KV budget: 'unlimited',"
-                    );
-                    println!(
-                        "                       'hbm', or bytes with KiB/MiB/GiB/TiB suffix \
-                         (e.g. 1GiB)"
-                    );
-                    println!(
-                        "  --clients N          convert traffic to closed loop with N clients"
-                    );
-                    println!(
-                        "  --think-ms MS        closed-loop think time (needs --clients; \
-                         default 10)"
-                    );
-                    println!(
-                        "  --tenants SPEC       split traffic across SLO tenants and schedule \
-                         weighted-fair:"
-                    );
-                    println!(
-                        "                       comma-separated name=class[:weight[:slo_ms]] \
-                         (class: interactive,"
-                    );
-                    println!(
-                        "                       standard, or batch; weight defaults to 1), \
-                         e.g. 'chat=interactive:3,bulk=batch'"
-                    );
-                    println!(
-                        "  --trace-in PATH      replay the JSONL request trace at PATH as each \
-                         scenario's traffic"
-                    );
-                    println!(
-                        "  --trace-out PATH     write each scenario's synthesized traffic as a \
-                         JSONL trace and exit"
-                    );
-                    println!(
-                        "  every SPEC reads times (150ms, 2s), windows (<t>-<t>), bands (LO..HI), \
-                         factors (x<f>)"
-                    );
-                    println!(
-                        "                       and byte sizes alike: the shared tokens of \
-                         cimtpu_units::spec"
-                    );
-                    if fleet_flags {
-                        println!(
-                            "  --perf-json PATH     also write wall-clock driver-throughput \
-                             records"
-                        );
-                        println!(
-                            "                       (machine-dependent; kept out of the \
-                             --json baseline)"
-                        );
-                        println!(
-                            "  --fault-seed N       reseed each scenario's fault plan \
-                             (chaos draws redraw; explicit events stand)"
-                        );
-                        println!(
-                            "                       (rejected when no selected plan has \
-                             chaos draws)"
-                        );
-                        println!(
-                            "  --faults SPEC        replace each scenario's fault plan: \
-                             comma-separated"
-                        );
-                        println!(
-                            "                       'crash@<t>:<replica>[:repair=<t>]', \
-                             'straggler@<from>-<until>:<replica>:x<f>',"
-                        );
-                        println!(
-                            "                       'link@<from>-<until>:x<f>[:energy=x<f>]' \
-                             (times take an s/ms suffix)"
-                        );
-                        println!(
-                            "  --autoscale SPEC     install an autoscale policy on each \
-                             scenario: comma-separated"
-                        );
-                        println!(
-                            "                       'interval=1s', 'provision=2s', \
-                             'warmup=500ms', 'idle-w=30', 'conc=4',"
-                        );
-                        println!(
-                            "                       'replicas=LO..HI' (every group), \
-                             'group<K>=LO..HI', 'init=N', 'up=0.75',"
-                        );
-                        println!(
-                            "                       'down=0.25', 'up-cd=2s', 'down-cd=5s', \
-                             'slo-floor=0.9', 'swap'"
-                        );
-                        println!(
-                            "  --trace PATH         attach the flight recorder and write a \
-                             Chrome trace-event"
-                        );
-                        println!(
-                            "                       JSON file per scenario (Perfetto-loadable; \
-                             runs sequentially)"
-                        );
-                        println!(
-                            "  --trace-filter SPEC  keep only these comma-separated event \
-                             kinds in --trace"
-                        );
-                        println!(
-                            "                       (e.g. 'crash,retry,scale_up')"
-                        );
-                        println!(
-                            "  --metrics-csv PATH   write downsampled gauge series as CSV \
-                             (scenario,series,t_s,value)"
-                        );
-                        println!(
-                            "  --summary            one-screen per-scenario table instead of \
-                             full reports"
-                        );
-                    }
-                    println!("scenarios:");
-                    print_scenarios();
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other}")),
+                "--metrics-csv" => flags.metrics_csv = Some(value),
+                "--summary" => flags.summary = true,
+                other => unreachable!("{other} is in FLAGS but has no arm"),
             }
         }
-        if think_ms_set && flags.clients.is_none() {
-            return Err("--think-ms needs --clients (it sets the closed-loop think time)".into());
+        // In table order, so the clash reported does not depend on the
+        // order of the command line.
+        let given: Vec<_> = FLAGS
+            .into_iter()
+            .zip(given)
+            .filter_map(|(f, g)| g.then_some(f))
+            .collect();
+        let has = |flag: &str| given.iter().any(|&(name, ..)| name == flag);
+        if let Some((name, .., needs)) = given
+            .iter()
+            .find(|&&(.., needs)| !needs.is_empty() && !has(needs))
+        {
+            return Err(format!("{name} needs {needs}"));
         }
-        if flags.trace_filter.is_some() && flags.trace.is_none() {
-            return Err("--trace-filter needs --trace (it filters the trace export)".into());
+        for (bit, by) in [(REPLAY, "--trace-in"), (TRACE_OUT, "--trace-out")] {
+            if let Some((name, ..)) = given
+                .iter()
+                .find(|&&(_, _, reads, _)| has(by) && reads & bit == 0)
+            {
+                return Err(format!("{name} cannot be combined with {by}"));
+            }
         }
-        // A replayed trace carries its own arrivals and tenant assignments,
-        // so there is no base traffic left to reshape or reseed; a written
-        // trace is the scenario's own traffic, which `--tenants` never
-        // reaches; and `--json -` replaces the text output the summary
-        // table would print.
-        let (replay, synth) = (flags.trace_in.is_some(), flags.trace_out.is_some());
-        let clashes = [
-            ("--clients", "--trace-in", flags.clients.is_some() && replay),
-            ("--tenants", "--trace-in", flags.tenants.is_some() && replay),
-            ("--seed", "--trace-in", flags.seed.is_some() && replay),
-            ("--tenants", "--trace-out", flags.tenants.is_some() && synth),
-            ("--summary", "--json -", flags.summary && flags.json.as_deref() == Some("-")),
-        ];
-        if let Some((flag, other, _)) = clashes.iter().find(|clash| clash.2) {
-            return Err(format!("{flag} cannot be combined with {other}"));
+        if flags.summary && flags.json.as_deref() == Some("-") {
+            return Err("--summary cannot be combined with --json -".into());
         }
         Ok(flags)
     }
 }
 
-/// Ends a simulation binary with its `run` outcome: status 0, status 1
-/// when a scenario or an output write failed (`Ok(true)`; the failures
-/// were reported as they happened), or status 2 with `binary: message`
-/// on stderr for a command line that cannot run.
-pub fn finish(binary: &str, outcome: Result<bool, String>) {
-    match outcome {
+/// A simulation binary's own parts: its catalogue, its run mode and the
+/// hooks through which its mode's flags join the shared flow of
+/// [`main`].
+pub trait Binary {
+    /// What the binary's scenarios run on.
+    type Engine: Engine;
+    /// Program name, for the usage line and error messages.
+    const NAME: &'static str;
+    /// The run mode, [`SINGLE`] or [`FLEET`]: which flags the binary
+    /// knows.
+    const MODE: u8;
+    /// Whose KV budget `--kv-budget` overrides, for the usage text.
+    const KV_SCOPE: &'static str;
+    /// Usage text for the flags only this mode reads.
+    const HELP: &'static str = "";
+    /// Width of the name column in the `--help` scenario list.
+    const LIST_WIDTH: usize;
+
+    /// The scenarios `--scenario all` runs.
+    const HEADLINE: fn() -> Vec<Scenario<Self::Engine>>;
+    /// The named checks `--help` lists after the headline set.
+    const CHECKS: fn() -> Vec<Scenario<Self::Engine>>;
+    /// One scenario by name.
+    const BY_NAME: fn(&str) -> cimtpu_units::Result<Scenario<Self::Engine>>;
+
+    /// Applies the mode's own flags to the selected scenarios.
+    ///
+    /// # Errors
+    ///
+    /// The message for a command line that cannot run (exit status 2).
+    fn prepare(
+        &mut self,
+        _flags: &SimFlags,
+        _scenarios: &mut [Scenario<Self::Engine>],
+    ) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Runs the scenarios under `--seed`, one result per scenario in
+    /// order; by default on the `cimtpu_bench::sweep` worker pool.
+    fn run(
+        &mut self,
+        flags: &SimFlags,
+        scenarios: &[Scenario<Self::Engine>],
+    ) -> Vec<cimtpu_units::Result<<Self::Engine as Engine>::Run>> {
+        cimtpu_bench::sweep::parallel_map(scenarios, |s| s.run(flags.seed))
+    }
+
+    /// Emits the reports (by default [`emit_reports`]); returns whether a
+    /// write failed.
+    fn emit(&mut self, flags: &SimFlags, reports: Vec<<Self::Engine as Engine>::Report>) -> bool {
+        emit_reports(Self::NAME, &reports, flags.json.as_deref())
+    }
+}
+
+/// Runs a simulation binary's command line and exits: status 0, status 1
+/// when a scenario or an output write failed (reported as it happened),
+/// or status 2 with `binary: message` on stderr for a command line that
+/// cannot run (nothing simulated, nothing on stdout).
+pub fn main<B: Binary>(mut binary: B) {
+    match run(&mut binary) {
         Ok(false) => {}
         Ok(true) => std::process::exit(1),
         Err(e) => {
-            eprintln!("{binary}: {e}");
+            eprintln!("{}: {e}", B::NAME);
             std::process::exit(2);
         }
     }
 }
 
-/// Derives the per-scenario output path when several scenarios share one
+/// The shared flow (see the module docs): `Ok(true)` when a scenario or
+/// a write failed.
+fn run<B: Binary>(binary: &mut B) -> Result<bool, String> {
+    let flags = SimFlags::parse_from(std::env::args().skip(1), B::MODE)?;
+    if flags.help {
+        print_usage::<B>();
+        return Ok(false);
+    }
+    let mut scenarios = if flags.scenario == "all" {
+        (B::HEADLINE)()
+    } else {
+        vec![(B::BY_NAME)(&flags.scenario).map_err(|e| e.to_string())?]
+    };
+    for s in &mut scenarios {
+        if let Some(budget) = flags.kv_budget {
+            s.engine = s.engine.clone().with_kv_budget(budget);
+        }
+        if let Some(clients) = flags.clients {
+            s.traffic.arrival = crate::ArrivalPattern::ClosedLoop {
+                clients,
+                think_ms: flags.think_ms,
+            };
+        }
+    }
+    binary.prepare(&flags, &mut scenarios)?;
+    // A replayed trace carries arrivals, lengths, sessions, tenants and
+    // classes: it replaces the traffic and any scenario tenant set.
+    if let Some(path) = &flags.trace_in {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let spec = crate::parse_jsonl(&text)
+            .and_then(crate::replay_spec)
+            .map_err(|e| e.to_string())?;
+        for s in &mut scenarios {
+            s.traffic = spec.clone();
+            s.tenants = None;
+        }
+    }
+    // Every overlay is built before anything runs: one scenario whose
+    // traffic cannot split fails the command line.
+    if let Some(parts) = &flags.tenants {
+        for s in &mut scenarios {
+            let set = crate::TenantSet::overlay(&s.traffic, parts);
+            s.tenants = Some(set.map_err(|e| format!("{}: {e}", s.name))?);
+        }
+    }
+    if let Some(base) = &flags.trace_out {
+        return Ok(write_traces(B::NAME, base, &scenarios, flags.seed));
+    }
+
+    let runs = binary.run(&flags, &scenarios);
+    let (mut reports, mut prefix_lines, mut failed) = (Vec::new(), Vec::new(), false);
+    for (s, run) in scenarios.iter().zip(runs) {
+        match run {
+            Ok(run) => {
+                let (report, prefix) = B::Engine::report(run);
+                // Only runs that looked prefixes up print counters, so
+                // sharing-off output is unchanged.
+                if prefix.lookups > 0 {
+                    prefix_lines.push((s.name, prefix));
+                }
+                reports.push(report);
+            }
+            Err(e) => {
+                eprintln!("{}: {e}", s.name);
+                failed = true;
+            }
+        }
+    }
+    failed |= binary.emit(&flags, reports);
+    // CI greps this exact format on smoke-prefix; `--json -` replaced
+    // the text output on stdout.
+    if flags.json.as_deref() != Some("-") {
+        for (name, stats) in prefix_lines {
+            println!("prefix cache [{name}]  {stats}");
+        }
+    }
+    Ok(failed)
+}
+
+/// Prints the usage line (from the flag table), the flag texts and the
+/// scenario list.
+fn print_usage<B: Binary>() {
+    print!("usage: {}", B::NAME);
+    for (name, value, reads, _) in FLAGS {
+        match value {
+            _ if reads & (B::MODE | TRACE_OUT) == 0 => {}
+            "" => print!(" [{name}]"),
+            value => print!(" [{name} {value}]"),
+        }
+    }
+    println!();
+    print!("{}{}", HELP.replace("{scope}", B::KV_SCOPE), B::HELP);
+    println!("scenarios:");
+    for s in (B::HEADLINE)().into_iter().chain((B::CHECKS)()) {
+        println!("  {:<w$} {}", s.name, s.description, w = B::LIST_WIDTH);
+    }
+}
+
+/// `--trace-out`: writes each scenario's offered traffic
+/// ([`Scenario::offered`]) as a JSONL request trace. Returns whether
+/// anything failed.
+fn write_traces<E>(binary: &str, base: &str, scenarios: &[Scenario<E>], seed: Option<u64>) -> bool {
+    let mut failed = false;
+    for s in scenarios {
+        let load = s.offered(seed);
+        match Offered::from(&load)
+            .spec()
+            .and_then(|spec| crate::synthesize(&spec))
+        {
+            Ok(records) => {
+                let path = scenario_path(base, s.name, scenarios.len() > 1);
+                failed |= write_file(binary, &path, crate::to_jsonl(&records));
+            }
+            Err(e) => {
+                eprintln!("{binary}: {}: {e}", s.name);
+                failed = true;
+            }
+        }
+    }
+    failed
+}
+
+/// The output path for `scenario` when `several` scenarios share one
 /// `--trace` / `--trace-out` argument: `out.json` → `out.<scenario>.json`
 /// (extensionless paths get the scenario appended).
-pub fn per_scenario_path(base: &str, scenario: &str) -> String {
+pub fn scenario_path(base: &str, scenario: &str, several: bool) -> String {
     let p = std::path::Path::new(base);
-    match (p.file_stem().and_then(|s| s.to_str()), p.extension().and_then(|e| e.to_str())) {
+    match (
+        p.file_stem().and_then(|s| s.to_str()),
+        p.extension().and_then(|e| e.to_str()),
+    ) {
+        _ if !several => base.to_owned(),
         (Some(stem), Some(ext)) => p
             .with_file_name(format!("{stem}.{scenario}.{ext}"))
             .to_string_lossy()
@@ -410,86 +446,43 @@ pub fn per_scenario_path(base: &str, scenario: &str) -> String {
     }
 }
 
-/// Implements `--trace-out` for the simulation binaries: synthesizes each
-/// named traffic spec ([`synthesize`](crate::synthesize)) and writes it
-/// as a JSONL request trace. With several scenarios selected, the
-/// scenario name is inserted before the extension
-/// ([`per_scenario_path`]). Returns whether anything failed.
-pub fn emit_traces(binary: &str, path: &str, traffics: &[(&str, crate::TrafficSpec)]) -> bool {
-    let mut failed = false;
-    for (name, spec) in traffics {
-        let body = match crate::synthesize(spec) {
-            Ok(records) => crate::to_jsonl(&records),
-            Err(e) => {
-                eprintln!("{binary}: {name}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let target = if traffics.len() > 1 {
-            per_scenario_path(path, name)
-        } else {
-            path.to_owned()
-        };
-        if let Err(e) = std::fs::write(&target, body) {
-            eprintln!("{binary}: writing {target}: {e}");
-            failed = true;
-        }
+/// Writes `contents` to `path`, reporting a failure on stderr; returns
+/// whether it failed.
+pub fn write_file(binary: &str, path: &str, contents: impl AsRef<[u8]>) -> bool {
+    let written = std::fs::write(path, contents);
+    if let Err(e) = &written {
+        eprintln!("{binary}: writing {path}: {e}");
     }
-    failed
+    written.is_err()
 }
 
-/// Prints the text reports and, with `--json`, writes them as pretty
-/// JSON (`-` replaces the text output with JSON on stdout). Returns
-/// whether writing failed.
+/// Writes `value` as pretty JSON to `path` (`-` is stdout); returns
+/// whether it failed.
+pub fn write_json<T: Serialize>(binary: &str, path: &str, value: &T) -> bool {
+    let payload =
+        serde_json::to_string_pretty(value).expect("reports and perf records serialize") + "\n";
+    if path == "-" {
+        print!("{payload}");
+        return false;
+    }
+    write_file(binary, path, payload)
+}
+
+/// Writes `--json` and prints the text reports, which `--json -`
+/// replaces. Returns whether writing failed.
 #[allow(clippy::ptr_arg)] // the vendored serde implements Serialize for Vec, not slices
 pub fn emit_reports<R: std::fmt::Display + Serialize>(
     binary: &str,
     reports: &Vec<R>,
     json: Option<&str>,
 ) -> bool {
-    let payload = json.map(|path| {
-        (path, serde_json::to_string_pretty(&reports).expect("reports serialize"))
-    });
-    match payload {
-        Some(("-", payload)) => {
-            println!("{payload}");
-            false
-        }
-        Some((path, payload)) => {
-            let failed = if let Err(e) = std::fs::write(path, payload + "\n") {
-                eprintln!("{binary}: writing {path}: {e}");
-                true
-            } else {
-                false
-            };
-            for report in reports {
-                println!("{report}");
-            }
-            failed
-        }
-        None => {
-            for report in reports {
-                println!("{report}");
-            }
-            false
+    let failed = json.is_some_and(|path| write_json(binary, path, reports));
+    if json != Some("-") {
+        for report in reports {
+            println!("{report}");
         }
     }
-}
-
-/// Prints one `prefix cache [scenario]  …` counter line per
-/// prefix-sharing run, after the text reports. Callers pass only runs
-/// that actually looked prefixes up, so sharing-off output is unchanged;
-/// skipped entirely when `--json -` replaced the text output on stdout.
-/// The CI `smoke-prefix` check greps this exact format — keep the two
-/// binaries emitting it through this one function.
-pub fn emit_prefix_stats(lines: &[(&str, PrefixStats)], json: Option<&str>) {
-    if json == Some("-") {
-        return;
-    }
-    for (name, stats) in lines {
-        println!("prefix cache [{name}]  {stats}");
-    }
+    failed
 }
 
 #[cfg(test)]
@@ -497,7 +490,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<SimFlags, String> {
-        SimFlags::parse_from(args.iter().map(|a| (*a).to_owned()), "sim", "the", true, || {})
+        SimFlags::parse_from(args.iter().map(|a| (*a).to_owned()), FLEET)
     }
 
     #[test]
@@ -516,7 +509,12 @@ mod tests {
             let err = parse(&["--clients", "2", "--think-ms", think]).unwrap_err();
             assert!(err.starts_with("bad --think-ms"), "{think}: {err}");
         }
-        assert_eq!(parse(&["--clients", "1", "--think-ms", "0"]).unwrap().think_ms, 0.0);
+        assert_eq!(
+            parse(&["--clients", "1", "--think-ms", "0"])
+                .unwrap()
+                .think_ms,
+            0.0
+        );
     }
 
     #[test]
@@ -542,18 +540,32 @@ mod tests {
         let err = parse(&["--tenants", "garbage"]).unwrap_err();
         assert!(err.contains("tenant entry 'garbage'"), "{err}");
         let err = parse(&["--trace", "t.json", "--trace-filter", "bogus"]).unwrap_err();
-        assert!(err.starts_with("bad --trace-filter: unknown trace event type"), "{err}");
+        assert!(
+            err.starts_with("bad --trace-filter: unknown trace event type"),
+            "{err}"
+        );
     }
 
     #[test]
     fn inapplicable_flags_are_rejected() {
         let clashes: [(&[&str], &str, &str); 3] = [
-            (&["--trace-in", "t.jsonl", "--seed", "3"], "--seed", "--trace-in"),
-            (&["--tenants", "a=batch", "--trace-out", "t.jsonl"], "--tenants", "--trace-out"),
+            (
+                &["--trace-in", "t.jsonl", "--seed", "3"],
+                "--seed",
+                "--trace-in",
+            ),
+            (
+                &["--tenants", "a=batch", "--trace-out", "t.jsonl"],
+                "--tenants",
+                "--trace-out",
+            ),
             (&["--json", "-", "--summary"], "--summary", "--json -"),
         ];
         for (args, flag, other) in clashes {
-            assert_eq!(parse(args).unwrap_err(), format!("{flag} cannot be combined with {other}"));
+            assert_eq!(
+                parse(args).unwrap_err(),
+                format!("{flag} cannot be combined with {other}")
+            );
         }
         assert!(parse(&["--json", "out.json", "--summary"]).is_ok());
         assert!(parse(&["--seed", "3", "--trace-out", "t.jsonl"]).is_ok());
@@ -570,7 +582,10 @@ mod tests {
             let mut args = vec!["--trace-in", "t.jsonl"];
             args.extend_from_slice(clash);
             let err = parse(&args).unwrap_err();
-            assert_eq!(err, format!("{} cannot be combined with --trace-in", clash[0]));
+            assert_eq!(
+                err,
+                format!("{} cannot be combined with --trace-in", clash[0])
+            );
         }
         // Flag order does not matter, and flags that leave the traffic
         // alone still combine with a replay.

@@ -1,5 +1,8 @@
-//! Named serving scenarios: the reference workloads the serving binary
-//! and CI smoke test run.
+//! Named serving scenarios — the reference workloads `serve_sim` and the
+//! CI smoke checks run — and the one scenario shape both simulation
+//! binaries share: a [`Scenario`] is a name, an [`Engine`] (one
+//! [`ServingEngine`] here, a fleet in `cimtpu-cluster`) and the load it
+//! is offered.
 
 use cimtpu_core::TpuConfig;
 use cimtpu_models::{presets, TransformerConfig};
@@ -10,57 +13,144 @@ use crate::memory::MemoryConfig;
 use crate::policy::BatchPolicy;
 use crate::pricer::ServingModel;
 use crate::request::{ArrivalPattern, LenDist, PrefixTraffic, TrafficSpec};
-use crate::tenant::TenantSet;
+use crate::tenant::{Offered, TenantSet};
+use crate::{KvBudget, PrefixStats, SharedRecorder};
 
-/// A named, fully specified serving experiment.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Scenario name (CLI argument).
-    pub name: &'static str,
-    /// One-line description.
-    pub description: &'static str,
-    /// Chip configuration.
-    pub chip: TpuConfig,
-    /// Hosted model.
-    pub model: ServingModel,
-    /// Chip organization.
-    pub parallelism: Parallelism,
-    /// Batching policy.
-    pub policy: BatchPolicy,
-    /// KV-cache budget / chunked-prefill configuration.
-    pub memory: MemoryConfig,
-    /// Traffic to offer.
-    pub traffic: TrafficSpec,
-    /// A tenant set ([`TenantSet::overlay`] of `traffic`, as
-    /// `serve_sim --tenants` builds it); when present it supersedes
-    /// `traffic` and the run schedules weighted-fair.
-    pub tenants: Option<TenantSet>,
-}
+/// What a [`Scenario`] runs on. The command-line front end
+/// ([`crate::cli`]) drives the serving engine and a fleet through it.
+pub trait Engine: Clone + Send + Sync {
+    /// The report a run prints and writes under `--json`.
+    type Report: std::fmt::Display + serde::Serialize + Send;
+    /// Everything a run produced.
+    type Run: Send;
 
-impl Scenario {
-    /// Runs the scenario (optionally overriding the traffic seed, or
-    /// reseeding every tenant's stream of a tenant set).
+    /// Serves `offered` to completion under the label `label`, with an
+    /// optional flight recorder attached.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
-    pub fn run(&self, seed: Option<u64>) -> Result<ServingRun> {
-        let engine = ServingEngine::new(
-            self.chip.clone(),
-            self.model.clone(),
-            self.parallelism,
-            self.policy,
-        )?
-        .with_memory(self.memory);
-        if let Some(set) = &self.tenants {
-            let set = seed.map_or_else(|| set.clone(), |seed| set.with_seed(seed));
-            return engine.run(self.name, &set);
+    fn run_observed(
+        &self,
+        label: &str,
+        offered: Offered<'_>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Result<Self::Run>;
+
+    /// The same engine with every KV budget replaced (`--kv-budget`).
+    #[must_use]
+    fn with_kv_budget(self, budget: KvBudget) -> Self;
+
+    /// A run's report and its prefix-cache counters.
+    fn report(run: Self::Run) -> (Self::Report, PrefixStats);
+}
+
+impl Engine for ServingEngine {
+    type Report = crate::ServingReport;
+    type Run = ServingRun;
+
+    fn run_observed(
+        &self,
+        label: &str,
+        offered: Offered<'_>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Result<ServingRun> {
+        ServingEngine::run_observed(self, label, offered, recorder)
+    }
+
+    fn with_kv_budget(self, budget: KvBudget) -> Self {
+        let memory = MemoryConfig {
+            budget,
+            ..self.memory()
+        };
+        self.with_memory(memory)
+    }
+
+    fn report(run: ServingRun) -> (crate::ServingReport, PrefixStats) {
+        (run.report, run.prefix)
+    }
+}
+
+/// A named, fully specified experiment.
+#[derive(Debug, Clone)]
+pub struct Scenario<E = ServingEngine> {
+    /// Scenario name (CLI argument).
+    pub name: &'static str,
+    /// One-line description.
+    pub description: &'static str,
+    /// What serves the load.
+    pub engine: E,
+    /// Traffic to offer.
+    pub traffic: TrafficSpec,
+    /// A tenant set; when present it supersedes `traffic` (which then
+    /// only anchors the base shape a `--tenants` overlay splits) and the
+    /// run schedules weighted-fair.
+    pub tenants: Option<TenantSet>,
+}
+
+/// The load a scenario offers, owned: what [`Scenario::offered`] hands to
+/// a run and to a `--trace-out` export.
+#[derive(Debug, Clone)]
+pub enum Load {
+    /// Single-tenant traffic.
+    Traffic(TrafficSpec),
+    /// Multi-tenant traffic.
+    Tenants(TenantSet),
+}
+
+impl<'a> From<&'a Load> for Offered<'a> {
+    fn from(load: &'a Load) -> Self {
+        match load {
+            Load::Traffic(traffic) => Offered::Traffic(traffic),
+            Load::Tenants(tenants) => Offered::Tenants(tenants),
         }
-        let mut traffic = self.traffic.clone();
-        if let Some(seed) = seed {
-            traffic.seed = seed;
+    }
+}
+
+impl<E> Scenario<E> {
+    /// The seed rule: the load offered under an optional `--seed`. A
+    /// seed replaces the traffic's own, or reseeds every tenant's stream
+    /// of a tenant set ([`TenantSet::with_seed`]). Runs and `--trace-out`
+    /// both read this, so a written trace is what a run with the same
+    /// seed serves.
+    pub fn offered(&self, seed: Option<u64>) -> Load {
+        match (&self.tenants, seed) {
+            (Some(set), Some(seed)) => Load::Tenants(set.with_seed(seed)),
+            (Some(set), None) => Load::Tenants(set.clone()),
+            (None, seed) => {
+                let mut traffic = self.traffic.clone();
+                if let Some(seed) = seed {
+                    traffic.seed = seed;
+                }
+                Load::Traffic(traffic)
+            }
         }
-        engine.run(self.name, &traffic)
+    }
+}
+
+impl<E: Engine> Scenario<E> {
+    /// Runs the scenario under an optional `--seed` ([`offered`](Self::offered)).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors.
+    pub fn run(&self, seed: Option<u64>) -> Result<E::Run> {
+        self.run_observed(seed, None)
+    }
+
+    /// Runs the scenario with an optional flight recorder attached;
+    /// [`run`](Self::run) is the `None` shorthand.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors.
+    pub fn run_observed(
+        &self,
+        seed: Option<u64>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Result<E::Run> {
+        self.engine
+            .run_observed(self.name, (&self.offered(seed)).into(), recorder)
     }
 }
 
@@ -70,6 +160,52 @@ pub fn tiny_transformer() -> TransformerConfig {
     TransformerConfig::new("Tiny-2L", 2, 4, 256, 1024).expect("static geometry is valid")
 }
 
+/// `model` on `chips` replicated `chip`s under `policy` and `memory`.
+fn engine(
+    chip: TpuConfig,
+    model: ServingModel,
+    chips: u64,
+    policy: BatchPolicy,
+    memory: MemoryConfig,
+) -> ServingEngine {
+    ServingEngine::new(chip, model, Parallelism::Replicated { chips }, policy)
+        .expect("static engine is valid")
+        .with_memory(memory)
+}
+
+/// GPT-3 6.7B on one Design A chip: every LLM headline scenario's
+/// hardware.
+fn design_a_6_7b(policy: BatchPolicy, memory: MemoryConfig) -> ServingEngine {
+    let model = ServingModel::Llm(presets::gpt3_6_7b());
+    engine(TpuConfig::design_a(), model, 1, policy, memory)
+}
+
+/// Catalogue traffic: `requests` arrivals of `arrival`, no shared
+/// prefixes, at the catalogues' common seed `0xC1A0`.
+pub fn traffic(
+    requests: u64,
+    arrival: ArrivalPattern,
+    prompt: LenDist,
+    steps: LenDist,
+) -> TrafficSpec {
+    TrafficSpec {
+        requests,
+        arrival,
+        prompt,
+        steps,
+        prefix: PrefixTraffic::None,
+        seed: 0xC1A0,
+    }
+}
+
+/// The smoke-kv squeeze: a 64 KiB paged KV budget of 16-token blocks
+/// (four blocks of the tiny model).
+pub fn smoke_kv_memory() -> MemoryConfig {
+    MemoryConfig::unlimited()
+        .with_budget_bytes(Bytes::from_kib(64))
+        .with_block_tokens(16)
+}
+
 /// The headline scenarios: prefill-heavy LLM traffic under dynamic
 /// batching, decode-heavy LLM traffic under continuous batching, a burst
 /// of DiT image requests under static batching, and the two
@@ -77,51 +213,52 @@ pub fn tiny_transformer() -> TransformerConfig {
 /// KV budget (admission control + preemption), and chunked prefill
 /// interleaving long prompts with running decodes.
 pub fn headline() -> Vec<Scenario> {
+    let unlimited = MemoryConfig::unlimited();
+    let decode_heavy = traffic(
+        40,
+        ArrivalPattern::OpenLoop { rate_rps: 6.0 },
+        LenDist::Fixed(128),
+        LenDist::Uniform { lo: 64, hi: 256 },
+    );
     vec![
         Scenario {
             name: "llm-prefill-heavy",
             description: "long prompts, short answers; dynamic batching on Design A",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Dynamic { max_batch: 8, max_wait_ms: 40.0 },
-            memory: MemoryConfig::unlimited(),
-            traffic: TrafficSpec {
-                requests: 32,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 8.0 },
-                prompt: LenDist::Uniform { lo: 512, hi: 1024 },
-                steps: LenDist::Fixed(8),
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            engine: design_a_6_7b(
+                BatchPolicy::Dynamic {
+                    max_batch: 8,
+                    max_wait_ms: 40.0,
+                },
+                unlimited,
+            ),
+            traffic: traffic(
+                32,
+                ArrivalPattern::OpenLoop { rate_rps: 8.0 },
+                LenDist::Uniform { lo: 512, hi: 1024 },
+                LenDist::Fixed(8),
+            ),
             tenants: None,
         },
         Scenario {
             name: "llm-decode-heavy",
             description: "short prompts, long generations; continuous batching on Design A",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Continuous { max_batch: 16 },
-            memory: MemoryConfig::unlimited(),
-            traffic: TrafficSpec {
-                requests: 40,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
-                prompt: LenDist::Fixed(128),
-                steps: LenDist::Uniform { lo: 64, hi: 256 },
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            engine: design_a_6_7b(BatchPolicy::Continuous { max_batch: 16 }, unlimited),
+            traffic: decode_heavy.clone(),
             tenants: None,
         },
         Scenario {
             name: "dit-burst",
             description: "a burst of image requests; static batching on Design B",
-            chip: TpuConfig::design_b(),
-            model: ServingModel::Dit { dit: presets::dit_b_2(), resolution: 256 },
-            parallelism: Parallelism::Replicated { chips: 2 },
-            policy: BatchPolicy::Static { batch: 4 },
-            memory: MemoryConfig::unlimited(),
+            engine: engine(
+                TpuConfig::design_b(),
+                ServingModel::Dit {
+                    dit: presets::dit_b_2(),
+                    resolution: 256,
+                },
+                2,
+                BatchPolicy::Static { batch: 4 },
+                unlimited,
+            ),
             traffic: TrafficSpec {
                 requests: 16,
                 arrival: ArrivalPattern::Burst,
@@ -136,49 +273,37 @@ pub fn headline() -> Vec<Scenario> {
             name: "llm-kv-pressure",
             description: "decode-heavy traffic against a 1 GiB paged KV budget on Design A \
                           (admission control + preemption)",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Continuous { max_batch: 16 },
-            memory: MemoryConfig::unlimited().with_budget_bytes(Bytes::from_gib(1)),
-            traffic: TrafficSpec {
-                requests: 40,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
-                prompt: LenDist::Fixed(128),
-                steps: LenDist::Uniform { lo: 64, hi: 256 },
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            engine: design_a_6_7b(
+                BatchPolicy::Continuous { max_batch: 16 },
+                unlimited.with_budget_bytes(Bytes::from_gib(1)),
+            ),
+            traffic: decode_heavy,
             tenants: None,
         },
         Scenario {
             name: "llm-chunked-prefill",
             description: "long prompts split into 256-token chunks so running decodes \
                           interleave with prefill on Design A",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Continuous { max_batch: 8 },
-            memory: MemoryConfig::unlimited().with_chunked_prefill(256),
-            traffic: TrafficSpec {
-                requests: 24,
-                arrival: ArrivalPattern::OpenLoop { rate_rps: 4.0 },
-                prompt: LenDist::Uniform { lo: 1024, hi: 2048 },
-                steps: LenDist::Fixed(32),
-                prefix: PrefixTraffic::None,
-                seed: 0xC1A0,
-            },
+            engine: design_a_6_7b(
+                BatchPolicy::Continuous { max_batch: 8 },
+                unlimited.with_chunked_prefill(256),
+            ),
+            traffic: traffic(
+                24,
+                ArrivalPattern::OpenLoop { rate_rps: 4.0 },
+                LenDist::Uniform { lo: 1024, hi: 2048 },
+                LenDist::Fixed(32),
+            ),
             tenants: None,
         },
         Scenario {
             name: "llm-shared-prefix",
             description: "2 shared 512-token system prompts across 24 requests with \
                           prefix sharing (copy-on-write KV blocks) on Design A",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Continuous { max_batch: 8 },
-            memory: MemoryConfig::unlimited().with_prefix_sharing(),
+            engine: design_a_6_7b(
+                BatchPolicy::Continuous { max_batch: 8 },
+                unlimited.with_prefix_sharing(),
+            ),
             traffic: shared_prefix_traffic(),
             tenants: None,
         },
@@ -186,11 +311,7 @@ pub fn headline() -> Vec<Scenario> {
             name: "llm-cold-prefix",
             description: "the llm-shared-prefix traffic with sharing disabled — the \
                           matched-hardware control that recomputes every prompt",
-            chip: TpuConfig::design_a(),
-            model: ServingModel::Llm(presets::gpt3_6_7b()),
-            parallelism: Parallelism::Replicated { chips: 1 },
-            policy: BatchPolicy::Continuous { max_batch: 8 },
-            memory: MemoryConfig::unlimited(),
+            engine: design_a_6_7b(BatchPolicy::Continuous { max_batch: 8 }, unlimited),
             traffic: shared_prefix_traffic(),
             tenants: None,
         },
@@ -202,12 +323,43 @@ pub fn headline() -> Vec<Scenario> {
 /// byte-identical trace; only the engine's sharing flag differs.
 fn shared_prefix_traffic() -> TrafficSpec {
     TrafficSpec {
-        requests: 24,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
-        prompt: LenDist::Uniform { lo: 640, hi: 1024 },
-        steps: LenDist::Fixed(32),
-        prefix: PrefixTraffic::SharedHead { tokens: 512, groups: 2 },
-        seed: 0xC1A0,
+        prefix: PrefixTraffic::SharedHead {
+            tokens: 512,
+            groups: 2,
+        },
+        ..traffic(
+            24,
+            ArrivalPattern::OpenLoop { rate_rps: 6.0 },
+            LenDist::Uniform { lo: 640, hi: 1024 },
+            LenDist::Fixed(32),
+        )
+    }
+}
+
+/// The smoke checks' engine: the tiny model on one TPUv4i chip,
+/// continuous batching.
+fn tiny_engine(memory: MemoryConfig) -> ServingEngine {
+    let model = ServingModel::Llm(tiny_transformer());
+    engine(
+        TpuConfig::tpuv4i(),
+        model,
+        1,
+        BatchPolicy::Continuous { max_batch: 4 },
+        memory,
+    )
+}
+
+/// The smoke checks' traffic: six tiny requests whose arrivals land
+/// within a few service times of each other, so the continuous batcher
+/// actually batches (and the latency percentiles spread).
+pub fn smoke_traffic(prefix: PrefixTraffic) -> TrafficSpec {
+    TrafficSpec {
+        requests: 6,
+        arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
+        prompt: LenDist::Fixed(32),
+        steps: LenDist::Fixed(8),
+        prefix,
+        seed: 7,
     }
 }
 
@@ -217,22 +369,8 @@ pub fn smoke() -> Scenario {
     Scenario {
         name: "smoke",
         description: "tiny 2-layer LLM, continuous batching (CI determinism check)",
-        chip: TpuConfig::tpuv4i(),
-        model: ServingModel::Llm(tiny_transformer()),
-        parallelism: Parallelism::Replicated { chips: 1 },
-        policy: BatchPolicy::Continuous { max_batch: 4 },
-        memory: MemoryConfig::unlimited(),
-        traffic: TrafficSpec {
-            requests: 6,
-            // Arrivals land within a few service times of each other, so
-            // the continuous batcher actually batches (and the latency
-            // percentiles spread).
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
-            prompt: LenDist::Fixed(32),
-            steps: LenDist::Fixed(8),
-            prefix: PrefixTraffic::None,
-            seed: 7,
-        },
+        engine: tiny_engine(MemoryConfig::unlimited()),
+        traffic: smoke_traffic(PrefixTraffic::None),
         tenants: None,
     }
 }
@@ -245,21 +383,8 @@ pub fn smoke_kv() -> Scenario {
     Scenario {
         name: "smoke-kv",
         description: "tiny LLM under a 4-block KV budget (CI preemption determinism check)",
-        chip: TpuConfig::tpuv4i(),
-        model: ServingModel::Llm(tiny_transformer()),
-        parallelism: Parallelism::Replicated { chips: 1 },
-        policy: BatchPolicy::Continuous { max_batch: 4 },
-        memory: MemoryConfig::unlimited()
-            .with_budget_bytes(Bytes::from_kib(64))
-            .with_block_tokens(16),
-        traffic: TrafficSpec {
-            requests: 6,
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
-            prompt: LenDist::Fixed(32),
-            steps: LenDist::Fixed(8),
-            prefix: PrefixTraffic::None,
-            seed: 7,
-        },
+        engine: tiny_engine(smoke_kv_memory()),
+        traffic: smoke_traffic(PrefixTraffic::None),
         tenants: None,
     }
 }
@@ -274,21 +399,18 @@ pub fn smoke_prefix() -> Scenario {
         name: "smoke-prefix",
         description: "tiny LLM, 24-token shared head, prefix sharing on (CI \
                       shared-prefix determinism check)",
-        chip: TpuConfig::tpuv4i(),
-        model: ServingModel::Llm(tiny_transformer()),
-        parallelism: Parallelism::Replicated { chips: 1 },
-        policy: BatchPolicy::Continuous { max_batch: 4 },
-        memory: MemoryConfig::unlimited().with_prefix_sharing(),
-        traffic: TrafficSpec {
-            requests: 6,
-            arrival: ArrivalPattern::OpenLoop { rate_rps: 20_000.0 },
-            prompt: LenDist::Fixed(32),
-            steps: LenDist::Fixed(8),
-            prefix: PrefixTraffic::SharedHead { tokens: 24, groups: 1 },
-            seed: 7,
-        },
+        engine: tiny_engine(MemoryConfig::unlimited().with_prefix_sharing()),
+        traffic: smoke_traffic(PrefixTraffic::SharedHead {
+            tokens: 24,
+            groups: 1,
+        }),
         tenants: None,
     }
+}
+
+/// The smoke checks, listed after the headline set under `--help`.
+pub fn checks() -> Vec<Scenario> {
+    vec![smoke(), smoke_kv(), smoke_prefix()]
 }
 
 /// Looks a scenario up by name (the headline set plus the smoke checks).
@@ -297,17 +419,9 @@ pub fn smoke_prefix() -> Scenario {
 ///
 /// Returns [`Error::UnknownPreset`] for unrecognized names.
 pub fn by_name(name: &str) -> Result<Scenario> {
-    if name == "smoke" {
-        return Ok(smoke());
-    }
-    if name == "smoke-kv" {
-        return Ok(smoke_kv());
-    }
-    if name == "smoke-prefix" {
-        return Ok(smoke_prefix());
-    }
-    headline()
+    checks()
         .into_iter()
+        .chain(headline())
         .find(|s| s.name == name)
         .ok_or_else(|| Error::unknown_preset(name.to_owned()))
 }
@@ -342,14 +456,28 @@ mod tests {
         assert!(a.prefix.cow_copies >= 1, "prefix stats: {}", a.prefix);
         // Sharing must actually cut work against the identical sharing-off
         // run: same completions token-for-token, faster end to end.
-        let cold = Scenario { memory: MemoryConfig::unlimited(), ..smoke_prefix() }
-            .run(None)
-            .unwrap();
+        let cold = Scenario {
+            engine: tiny_engine(MemoryConfig::unlimited()),
+            ..smoke_prefix()
+        }
+        .run(None)
+        .unwrap();
         assert_eq!(
-            a.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
-            cold.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
+            a.completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
+            cold.completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
         );
-        assert!(a.report.makespan_s < cold.report.makespan_s, "{} vs {}", a.report, cold.report);
+        assert!(
+            a.report.makespan_s < cold.report.makespan_s,
+            "{} vs {}",
+            a.report,
+            cold.report
+        );
         assert!(a.report.total_energy_j < cold.report.total_energy_j);
     }
 
@@ -360,8 +488,15 @@ mod tests {
         let shared = by_name("llm-shared-prefix").unwrap().run(None).unwrap();
         let cold = by_name("llm-cold-prefix").unwrap().run(None).unwrap();
         assert_eq!(
-            shared.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
-            cold.completions.iter().map(|c| (c.id, c.steps)).collect::<Vec<_>>(),
+            shared
+                .completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
+            cold.completions
+                .iter()
+                .map(|c| (c.id, c.steps))
+                .collect::<Vec<_>>(),
             "completions must be token-for-token equal"
         );
         assert!(shared.prefix.hits > 0, "prefix stats: {}", shared.prefix);

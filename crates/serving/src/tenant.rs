@@ -390,9 +390,10 @@ pub struct TenantPart {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] describing the malformed entry.
+/// Returns [`Error::InvalidConfig`] describing the malformed entry or
+/// the repeated tenant name.
 pub fn parse_tenants(spec: &str) -> Result<Vec<TenantPart>> {
-    let mut parts = Vec::new();
+    let mut parts: Vec<TenantPart> = Vec::new();
     for entry in spec::entries(spec) {
         let (name, rest) = spec::key_value(entry).ok_or_else(|| {
             Error::invalid_config(format!(
@@ -416,7 +417,11 @@ pub fn parse_tenants(spec: &str) -> Result<Vec<TenantPart>> {
                 "tenant '{name}': unexpected trailing field '{extra}'"
             )));
         }
-        parts.push(TenantPart { name: name.trim().to_owned(), class, weight, slo_ms });
+        let name = name.trim();
+        if parts.iter().any(|p| p.name == name) {
+            return Err(Error::invalid_config(format!("duplicate tenant name '{name}'")));
+        }
+        parts.push(TenantPart { name: name.to_owned(), class, weight, slo_ms });
     }
     if parts.is_empty() {
         return Err(Error::invalid_config("empty --tenants spec"));
@@ -746,6 +751,8 @@ mod tests {
         assert!(parse_tenants("a=warp").is_err());
         assert!(parse_tenants("a=batch:x").is_err());
         assert!(parse_tenants("a=batch:1:2:3").is_err());
+        let err = parse_tenants("a=batch, a =interactive").unwrap_err().to_string();
+        assert!(err.contains("duplicate tenant name 'a'"), "{err}");
     }
 
     #[test]
