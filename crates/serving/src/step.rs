@@ -132,7 +132,9 @@ impl TenantQueue {
     fn precedes(&self, other: &TenantQueue) -> bool {
         let deficit = |t: &TenantQueue| t.service as f64 / t.weight;
         let by_class = self.class.rank().cmp(&other.class.rank());
-        by_class.then(deficit(self).total_cmp(&deficit(other))).is_lt()
+        by_class
+            .then(deficit(self).total_cmp(&deficit(other)))
+            .is_lt()
     }
 }
 
@@ -149,7 +151,10 @@ impl Tenancy {
                 queue: VecDeque::new(),
             })
             .collect();
-        Tenancy { tenants, preempted: vec![0; sched.classes.len()] }
+        Tenancy {
+            tenants,
+            preempted: vec![0; sched.classes.len()],
+        }
     }
 
     /// The tenant `request` is scheduled as: its tag under a multi-tenant
@@ -169,7 +174,10 @@ impl Tenancy {
 
     /// The oldest queued arrival's index, if any.
     fn oldest(&self) -> Option<usize> {
-        self.tenants.iter().filter_map(|t| t.queue.front().copied()).min()
+        self.tenants
+            .iter()
+            .filter_map(|t| t.queue.front().copied())
+            .min()
     }
 
     /// The queue head that admits next among heads arrived by `t`, as
@@ -179,7 +187,9 @@ impl Tenancy {
     fn pick(&self, window: &Window, t: Seconds) -> Option<(usize, usize)> {
         let mut pick: Option<(usize, usize)> = None;
         for (tenant, tq) in self.tenants.iter().enumerate() {
-            let Some(&idx) = tq.queue.front() else { continue };
+            let Some(&idx) = tq.queue.front() else {
+                continue;
+            };
             if window[idx].request.arrival() <= t
                 && pick.is_none_or(|(best, _)| tq.precedes(&self.tenants[best]))
             {
@@ -192,7 +202,10 @@ impl Tenancy {
     /// Dequeues `tenant`'s head and charges its service.
     fn admit(&mut self, tenant: usize, window: &Window) -> usize {
         let tq = &mut self.tenants[tenant];
-        let idx = tq.queue.pop_front().expect("admitting tenant has a queued head");
+        let idx = tq
+            .queue
+            .pop_front()
+            .expect("admitting tenant has a queued head");
         tq.service += window[idx].request.prompt_len + window[idx].request.steps;
         idx
     }
@@ -317,7 +330,9 @@ impl Finishes {
 
     /// Per tier, how many completions finish after `t`.
     fn after(&self, t: Seconds) -> [u64; 3] {
-        self.0.each_ref().map(|list| (list.len() - list.partition_point(|&f| f <= t)) as u64)
+        self.0
+            .each_ref()
+            .map(|list| (list.len() - list.partition_point(|&f| f <= t)) as u64)
     }
 
     fn len(&self) -> usize {
@@ -366,7 +381,11 @@ impl Window {
     /// Appends `request` and returns its arrival index.
     fn push(&mut self, request: Request) -> usize {
         self.newest = Some(request.arrival_s);
-        self.entries.push(Entry { request, first_token: None, retired: false });
+        self.entries.push(Entry {
+            request,
+            first_token: None,
+            retired: false,
+        });
         self.pushed() - 1
     }
 
@@ -384,7 +403,12 @@ impl Window {
     /// of a step: no crash can come before it.
     fn retire_through(&mut self, at: Seconds) {
         self.stepped_at = self.stepped_at.max(at);
-        let Window { base, entries, revocable, .. } = self;
+        let Window {
+            base,
+            entries,
+            revocable,
+            ..
+        } = self;
         revocable.retain(|&(finish, idx)| {
             let retire = finish <= at;
             entries[idx - *base].retired |= retire;
@@ -454,9 +478,8 @@ impl<'a> EngineCore<'a> {
         // Prefix sharing needs a prefill phase to share; a DiT engine
         // simply never builds an index.
         let sharing = memory.prefix_sharing && has_prefill;
-        let index_for = |alloc: &PagedKvAllocator| {
-            sharing.then(|| PrefixIndex::new(alloc.block_tokens()))
-        };
+        let index_for =
+            |alloc: &PagedKvAllocator| sharing.then(|| PrefixIndex::new(alloc.block_tokens()));
         let state = match policy {
             BatchPolicy::Static { .. } | BatchPolicy::Dynamic { .. } => {
                 let free_at = vec![Seconds::ZERO; allocs.len()];
@@ -544,7 +567,10 @@ impl<'a> EngineCore<'a> {
     /// Panics if any arrival was already pushed, or the schedule's
     /// classes and weights disagree in length.
     pub fn set_tenancy(&mut self, sched: &TenantSched) {
-        assert!(self.window.pushed() == 0, "set_tenancy must precede the first push");
+        assert!(
+            self.window.pushed() == 0,
+            "set_tenancy must precede the first push"
+        );
         assert_eq!(
             sched.classes.len(),
             sched.weights.len(),
@@ -577,7 +603,10 @@ impl<'a> EngineCore<'a> {
     pub fn push(&mut self, request: Request) {
         assert!(!self.closed, "push after close");
         if let Some(newest) = self.window.newest {
-            assert!(request.arrival_s >= newest, "arrivals must be pushed in time order");
+            assert!(
+                request.arrival_s >= newest,
+                "arrivals must be pushed in time order"
+            );
         }
         self.touch();
         self.trace.arrival(&request);
@@ -662,7 +691,9 @@ impl<'a> EngineCore<'a> {
     ///
     /// Propagates pricing/allocation errors from the launch.
     pub fn flush_stalled(&mut self) -> Result<bool> {
-        let State::Rtc(st) = &self.state else { return Ok(false) };
+        let State::Rtc(st) = &self.state else {
+            return Ok(false);
+        };
         if self.closed || self.tenancy.oldest().is_none() || self.rtc_decide(None).is_some() {
             return Ok(false);
         }
@@ -736,7 +767,10 @@ impl<'a> EngineCore<'a> {
     /// Panics if the core already crashed.
     pub fn crash(&mut self, at: Seconds) -> Vec<Request> {
         assert!(!self.crashed, "crash on an already-crashed core");
-        debug_assert!(at >= self.window.stepped_at, "crash before the core's latest step");
+        debug_assert!(
+            at >= self.window.stepped_at,
+            "crash before the core's latest step"
+        );
         self.touch();
         self.crashed = true;
         // Revoke completions scheduled past the crash instant; their
@@ -774,7 +808,10 @@ impl<'a> EngineCore<'a> {
         lost_idx.sort_unstable();
         #[cfg(debug_assertions)]
         self.check_conservation(lost_idx.len());
-        lost_idx.into_iter().map(|i| self.window[i].request).collect()
+        lost_idx
+            .into_iter()
+            .map(|i| self.window[i].request)
+            .collect()
     }
 
     /// Whether every pushed request has been completed and the stream is
@@ -799,7 +836,11 @@ impl<'a> EngineCore<'a> {
 
     /// Requests pushed but not yet scheduled.
     pub fn queued(&self) -> u64 {
-        self.tenancy.tenants.iter().map(|t| t.queue.len() as u64).sum()
+        self.tenancy
+            .tenants
+            .iter()
+            .map(|t| t.queue.len() as u64)
+            .sum()
     }
 
     /// Requests in flight at simulated time `t`: queued, resident, or
@@ -855,7 +896,10 @@ impl<'a> EngineCore<'a> {
         assert_eq!(self.completions.len(), retired + w.revocable.len());
         let held = self.tenancy.queued().chain(self.resident_indices());
         for idx in held.chain(w.revocable.iter().map(|&(_, idx)| idx)) {
-            assert!((w.live_from..w.pushed()).contains(&idx), "index {idx} left the window");
+            assert!(
+                (w.live_from..w.pushed()).contains(&idx),
+                "index {idx} left the window"
+            );
             assert!(!w[idx].retired, "index {idx} is retired but still held");
         }
     }
@@ -875,7 +919,11 @@ impl<'a> EngineCore<'a> {
             }
         }
         let class_of = |id: u64| {
-            pushed.iter().find(|r| r.id == id).expect("completed requests arrived").class
+            pushed
+                .iter()
+                .find(|r| r.id == id)
+                .expect("completed requests arrived")
+                .class
         };
         for c in self.completions.iter().filter(|c| c.finish > t) {
             out[class_of(c.id).rank()] += 1;
@@ -992,7 +1040,11 @@ impl<'a> EngineCore<'a> {
             self.energy,
             self.memory_stats(),
         );
-        ServingRun { report, completions, prefix: self.prefix_stats() }
+        ServingRun {
+            report,
+            completions,
+            prefix: self.prefix_stats(),
+        }
     }
 
     /// Batch formation at the queue head. `now` is the current driver
@@ -1000,7 +1052,9 @@ impl<'a> EngineCore<'a> {
     /// querying): a dynamic window commits at its deadline because every
     /// arrival at or before it has been pushed by then (driver protocol).
     fn rtc_decide(&self, now: Option<Seconds>) -> Option<RtcPlan> {
-        let State::Rtc(st) = &self.state else { unreachable!("rtc_decide on continuous") };
+        let State::Rtc(st) = &self.state else {
+            unreachable!("rtc_decide on continuous")
+        };
         // Batch formation is FIFO, so everything from the oldest queued
         // arrival on is still queued.
         let queue = self.window.since(self.tenancy.oldest()?);
@@ -1020,7 +1074,10 @@ impl<'a> EngineCore<'a> {
                 let start = free.max(queue[take - 1].request.arrival());
                 Some(RtcPlan::Launch(RtcLaunch { chip, take, start }))
             }
-            BatchPolicy::Dynamic { max_batch, max_wait_ms } => {
+            BatchPolicy::Dynamic {
+                max_batch,
+                max_wait_ms,
+            } => {
                 // Launch when `max_batch` have queued or the oldest waiter
                 // has waited `max_wait_ms`, whichever happens first.
                 let cap = max_batch.max(1) as usize;
@@ -1054,11 +1111,17 @@ impl<'a> EngineCore<'a> {
     /// shrink the policy's batch; the surviving members run to completion
     /// on the chosen executor.
     fn rtc_launch(&mut self, plan: RtcLaunch) -> Result<()> {
-        let RtcLaunch { chip, take: policy_take, start: policy_start } = plan;
+        let RtcLaunch {
+            chip,
+            take: policy_take,
+            start: policy_start,
+        } = plan;
         let next = self.tenancy.oldest().expect("a launch has queued members");
         let queue = &self.window.since(next)[..policy_take];
         let (take, start) = {
-            let State::Rtc(st) = &mut self.state else { unreachable!() };
+            let State::Rtc(st) = &mut self.state else {
+                unreachable!()
+            };
             // Admission control: shrink the batch until its worst-case
             // footprint fits the (empty) allocator.
             let take = kv_admissible_prefix(&st.allocs[chip], queue)?;
@@ -1093,13 +1156,17 @@ impl<'a> EngineCore<'a> {
             // case against an *empty* one, so evict (last-reference, LRU)
             // until the batch's worst case fits. Members re-match whatever
             // survives when they are admitted below.
-            let State::Rtc(st) = &mut self.state else { unreachable!() };
+            let State::Rtc(st) = &mut self.state else {
+                unreachable!()
+            };
             if let (Some(index), Some(_)) =
                 (st.prefix[chip].as_mut(), st.allocs[chip].capacity_blocks())
             {
                 let alloc = &mut st.allocs[chip];
-                let worst: u64 =
-                    members.iter().map(|r| alloc.blocks_for(r.prompt_len + r.steps)).sum();
+                let worst: u64 = members
+                    .iter()
+                    .map(|r| alloc.blocks_for(r.prompt_len + r.steps))
+                    .sum();
                 let free = alloc.free_blocks().unwrap_or(u64::MAX);
                 if worst > free {
                     index.evict(alloc, worst - free);
@@ -1107,7 +1174,9 @@ impl<'a> EngineCore<'a> {
             }
         }
         let end = self.run_batch(&members, next, start, chip)?;
-        let State::Rtc(st) = &mut self.state else { unreachable!() };
+        let State::Rtc(st) = &mut self.state else {
+            unreachable!()
+        };
         st.free_at[chip] = end;
         Ok(())
     }
@@ -1126,7 +1195,11 @@ impl<'a> EngineCore<'a> {
         chip: usize,
     ) -> Result<Seconds> {
         let b = members.len() as u64;
-        let max_prompt = members.iter().map(|r| r.prompt_len).max().expect("non-empty");
+        let max_prompt = members
+            .iter()
+            .map(|r| r.prompt_len)
+            .max()
+            .expect("non-empty");
         let max_steps = members.iter().map(|r| r.steps).max().expect("non-empty");
         let pads = self.policy.pads_to_batch_end();
 
@@ -1137,7 +1210,9 @@ impl<'a> EngineCore<'a> {
         // tail copies — admission reserved exactly the worst case).
         let mut shared = vec![0u64; members.len()];
         {
-            let State::Rtc(st) = &mut self.state else { unreachable!() };
+            let State::Rtc(st) = &mut self.state else {
+                unreachable!()
+            };
             match st.prefix[chip].as_mut() {
                 None => {
                     for r in members {
@@ -1153,8 +1228,7 @@ impl<'a> EngineCore<'a> {
                         debug_assert!(ok, "admission reserved the worst case");
                         if ok {
                             index.commit(&tokens, &m, r.id, &mut st.allocs[chip], false);
-                            shared[i] =
-                                m.matched_tokens().min(r.prompt_len.saturating_sub(1));
+                            shared[i] = m.matched_tokens().min(r.prompt_len.saturating_sub(1));
                         }
                     }
                 }
@@ -1173,7 +1247,10 @@ impl<'a> EngineCore<'a> {
                 let n = group.clone().count() as u64;
                 if n > 0 {
                     let past = group.clone().map(|(_, &s)| s).max().expect("non-empty");
-                    let tail = group.map(|(r, &s)| r.prompt_len - s).max().expect("non-empty");
+                    let tail = group
+                        .map(|(r, &s)| r.prompt_len - s)
+                        .max()
+                        .expect("non-empty");
                     self.price_prefill_span(&mut t, n, past, past + tail)?;
                 }
             }
@@ -1190,7 +1267,9 @@ impl<'a> EngineCore<'a> {
                 members.iter().filter(|r| r.steps > s).count() as u64
             };
             {
-                let State::Rtc(st) = &mut self.state else { unreachable!() };
+                let State::Rtc(st) = &mut self.state else {
+                    unreachable!()
+                };
                 for r in members.iter().filter(|r| r.steps > s) {
                     let ok = st.allocs[chip].try_grow(r.id, r.prompt_len + s + 1);
                     debug_assert!(ok, "admission reserved the worst case");
@@ -1208,12 +1287,15 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        let State::Rtc(st) = &mut self.state else { unreachable!() };
+        let State::Rtc(st) = &mut self.state else {
+            unreachable!()
+        };
         for (i, r) in members.iter().enumerate() {
             st.allocs[chip].release(r.id);
             // Padded batches release results when the batch completes.
             let release = if pads { t } else { finish[i] };
-            self.trace.span(EventKind::Decode, r, first_token[i], release);
+            self.trace
+                .span(EventKind::Decode, r, first_token[i], release);
             self.completions.push(Completion {
                 id: r.id,
                 arrival: r.arrival(),
@@ -1255,7 +1337,9 @@ impl<'a> EngineCore<'a> {
     /// now; an idle chip waits for the next queued arrival (ties pick the
     /// lowest index, keeping the schedule deterministic).
     fn cont_pick(&self) -> Option<(usize, Seconds)> {
-        let State::Cont(st) = &self.state else { unreachable!("cont_pick on rtc") };
+        let State::Cont(st) = &self.state else {
+            unreachable!("cont_pick on rtc")
+        };
         let mut pick: Option<(usize, Seconds)> = None;
         for (i, chip) in st.chips.iter().enumerate() {
             let candidate = if !chip.active.is_empty() || !chip.resume.is_empty() {
@@ -1281,8 +1365,13 @@ impl<'a> EngineCore<'a> {
         let has_prefill = self.has_prefill;
         let chunking = self.memory.chunk_tokens;
         let slowdown = self.slowdown;
-        let State::Cont(ContState { chips, max_batch, admitted, prefilling, decoders }) =
-            &mut self.state
+        let State::Cont(ContState {
+            chips,
+            max_batch,
+            admitted,
+            prefilling,
+            decoders,
+        }) = &mut self.state
         else {
             unreachable!()
         };
@@ -1340,7 +1429,8 @@ impl<'a> EngineCore<'a> {
         for &(idx, done, _) in admitted.iter() {
             if done == 0 {
                 let r = &self.window[idx].request;
-                self.trace.span(EventKind::Queue, r, r.arrival(), round_start);
+                self.trace
+                    .span(EventKind::Queue, r, r.arrival(), round_start);
             }
         }
 
@@ -1372,28 +1462,35 @@ impl<'a> EngineCore<'a> {
                     for &(idx, _, _) in group {
                         let e = &mut self.window[idx];
                         e.first_token.get_or_insert(chip.t);
-                        self.trace.span(EventKind::Prefill, &e.request, before, chip.t);
+                        self.trace
+                            .span(EventKind::Prefill, &e.request, before, chip.t);
                     }
                 }
                 chip.active.extend(admitted.drain(..).map(|(idx, done, _)| {
                     let target = self.window[idx].request.prompt_len + done;
-                    Active { idx, done, prefilled: target, target }
-                }));
-            }
-            Some(chunk) => {
-                chip.active.extend(admitted.drain(..).map(|(idx, done, shared)| {
-                    let target = self.window[idx].request.prompt_len + done;
                     Active {
                         idx,
                         done,
-                        // A model with no prefill phase (DiT) has no
-                        // prompt to chunk: it enters decode directly,
-                        // whatever its nominal prompt length. A cached
-                        // prefix skips straight to its divergence point.
-                        prefilled: if has_prefill { shared } else { target },
+                        prefilled: target,
                         target,
                     }
                 }));
+            }
+            Some(chunk) => {
+                chip.active
+                    .extend(admitted.drain(..).map(|(idx, done, shared)| {
+                        let target = self.window[idx].request.prompt_len + done;
+                        Active {
+                            idx,
+                            done,
+                            // A model with no prefill phase (DiT) has no
+                            // prompt to chunk: it enters decode directly,
+                            // whatever its nominal prompt length. A cached
+                            // prefix skips straight to its divergence point.
+                            prefilled: if has_prefill { shared } else { target },
+                            target,
+                        }
+                    }));
                 // One prefill chunk for everything still ingesting its
                 // prompt, padded to the group's longest chunk/context.
                 prefilling.clear();
@@ -1413,7 +1510,9 @@ impl<'a> EngineCore<'a> {
                         .max()
                         .expect("non-empty");
                     let before = chip.t;
-                    let cost = self.pricer.prefill_chunk(prefilling.len() as u64, c, past)?;
+                    let cost = self
+                        .pricer
+                        .prefill_chunk(prefilling.len() as u64, c, past)?;
                     chip.t += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();
                     let now = chip.t;
@@ -1445,7 +1544,8 @@ impl<'a> EngineCore<'a> {
             }
             let fits = decoders.iter().all(|&p| {
                 let r = &self.window[chip.active[p].idx].request;
-                chip.alloc.try_grow(r.id, r.prompt_len + chip.active[p].done + 1)
+                chip.alloc
+                    .try_grow(r.id, r.prompt_len + chip.active[p].done + 1)
             });
             if !fits {
                 // Cheapest relief first: evict cached prefix blocks whose
@@ -1464,7 +1564,12 @@ impl<'a> EngineCore<'a> {
                 let victim_pos = (0..chip.active.len())
                     .max_by_key(|&p| {
                         let idx = chip.active[p].idx;
-                        (tenancy.tenants[tenancy.of(&self.window[idx].request)].class.rank(), idx)
+                        (
+                            tenancy.tenants[tenancy.of(&self.window[idx].request)]
+                                .class
+                                .rank(),
+                            idx,
+                        )
                     })
                     .expect("non-empty");
                 let victim = chip.active.remove(victim_pos);
@@ -1510,7 +1615,11 @@ impl<'a> EngineCore<'a> {
             let finishes = &mut self.finishes;
             let trace = &self.trace;
             active.retain(|a| {
-                let Entry { request: r, first_token, .. } = &window[a.idx];
+                let Entry {
+                    request: r,
+                    first_token,
+                    ..
+                } = &window[a.idx];
                 if a.prefilled < a.target || a.done < r.steps {
                     return true;
                 }
@@ -1602,7 +1711,10 @@ fn cont_admit(chip: &mut ContChip, request: &Request, done: u64) -> Option<u64> 
         for b in pinned.clone() {
             chip.alloc.retain_shared(b);
         }
-        let need = chip.alloc.blocks_for(target).saturating_sub(m.blocks().len() as u64);
+        let need = chip
+            .alloc
+            .blocks_for(target)
+            .saturating_sub(m.blocks().len() as u64);
         let free = chip.alloc.free_blocks().unwrap_or(u64::MAX);
         let evicted = index.evict(&mut chip.alloc, need.saturating_sub(free));
         for b in pinned {
@@ -1793,8 +1905,7 @@ pub fn drive_with(
 mod tests {
     use super::*;
     use crate::{
-        ArrivalPattern, BatchPolicy, LenDist, Parallelism, ServingEngine, ServingModel,
-        TrafficSpec,
+        ArrivalPattern, BatchPolicy, LenDist, Parallelism, ServingEngine, ServingModel, TrafficSpec,
     };
     use cimtpu_core::TpuConfig;
     use cimtpu_models::TransformerConfig;
@@ -1831,7 +1942,10 @@ mod tests {
         // cluster driver does) must reproduce the push-all result.
         for policy in [
             BatchPolicy::Static { batch: 2 },
-            BatchPolicy::Dynamic { max_batch: 2, max_wait_ms: 5.0 },
+            BatchPolicy::Dynamic {
+                max_batch: 2,
+                max_wait_ms: 5.0,
+            },
             BatchPolicy::Continuous { max_batch: 2 },
         ] {
             let engine = tiny_engine(policy);
@@ -1865,10 +1979,16 @@ mod tests {
         let cases = [
             ("chunked", base.with_chunked_prefill(8)),
             ("shared", base.with_prefix_sharing()),
-            ("shared+chunked", base.with_prefix_sharing().with_chunked_prefill(8)),
+            (
+                "shared+chunked",
+                base.with_prefix_sharing().with_chunked_prefill(8),
+            ),
             ("tight", tight),
             ("tight+shared", tight.with_prefix_sharing()),
-            ("tight+shared+chunked", tight.with_prefix_sharing().with_chunked_prefill(8)),
+            (
+                "tight+shared+chunked",
+                tight.with_prefix_sharing().with_chunked_prefill(8),
+            ),
         ];
         // A burst admits four at once onto chip 0: with two heads
         // alternating by id, members 0 and 1 prefill cold and members 2
@@ -1878,7 +1998,10 @@ mod tests {
             arrival: ArrivalPattern::Burst,
             prompt: LenDist::Fixed(32),
             steps: LenDist::Fixed(8),
-            prefix: crate::PrefixTraffic::SharedHead { tokens: 24, groups: 2 },
+            prefix: crate::PrefixTraffic::SharedHead {
+                tokens: 24,
+                groups: 2,
+            },
             seed: 7,
         };
         let open = TrafficSpec {
@@ -1887,8 +2010,8 @@ mod tests {
         };
         for (name, memory) in cases {
             for traffic in [&bursty, &open] {
-                let engine = tiny_engine_on(BatchPolicy::Continuous { max_batch: 4 }, 2)
-                    .with_memory(memory);
+                let engine =
+                    tiny_engine_on(BatchPolicy::Continuous { max_batch: 4 }, 2).with_memory(memory);
                 let reference = engine.run("ref", traffic).unwrap();
                 let session = crate::EngineSession::new(&engine).unwrap();
                 let mut core = session.core().unwrap();
@@ -1941,8 +2064,15 @@ mod tests {
         assert_eq!(order(&untenanted), (0..9).collect::<Vec<_>>());
         let zeroed: Vec<Request> = tagged.iter().map(|r| Request { tenant: 0, ..*r }).collect();
         assert_eq!(untenanted, run(&zeroed, None));
-        let sched = TenantSched { classes: classes.to_vec(), weights: vec![1.0; 3] };
-        assert_ne!(order(&run(&tagged, Some(&sched))), order(&untenanted), "tenancy reorders");
+        let sched = TenantSched {
+            classes: classes.to_vec(),
+            weights: vec![1.0; 3],
+        };
+        assert_ne!(
+            order(&run(&tagged, Some(&sched))),
+            order(&untenanted),
+            "tenancy reorders"
+        );
     }
 
     #[test]
@@ -1962,7 +2092,10 @@ mod tests {
         assert!(core.is_done());
         assert_eq!(core.completions().len(), 2);
         assert_eq!(core.outstanding_at(Seconds::new(1e9)), 0);
-        assert!(core.outstanding_at(Seconds::ZERO) > 0, "batch finishes after t=0");
+        assert!(
+            core.outstanding_at(Seconds::ZERO) > 0,
+            "batch finishes after t=0"
+        );
     }
 
     #[test]
@@ -1995,7 +2128,11 @@ mod tests {
             core.step().unwrap();
         }
         let done: Vec<u64> = core.completions().iter().map(|c| c.id).collect();
-        let at = core.completions().iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
+        let at = core
+            .completions()
+            .iter()
+            .map(|c| c.finish)
+            .fold(Seconds::ZERO, Seconds::max);
         let lost = core.crash(at);
         // Conservation: every pushed request is either completed or lost,
         // never both, never dropped.
@@ -2095,10 +2232,15 @@ mod tests {
                 .filter(|c| c.finish <= stepped_at && !fresh.contains(&c.id))
                 .map(|c| c.id)
                 .collect();
-            let oldest = requests[..pushed].iter().position(|r| !settled.contains(&r.id));
+            let oldest = requests[..pushed]
+                .iter()
+                .position(|r| !settled.contains(&r.id));
             let span = oldest.map_or(0, |i| pushed - i);
             let len = core.window_len();
-            assert!(len < 2 * span || len == 0, "window {len} for a live span of {span}");
+            assert!(
+                len < 2 * span || len == 0,
+                "window {len} for a live span of {span}"
+            );
             widest = widest.max(len);
         };
         loop {
@@ -2192,7 +2334,10 @@ mod tests {
     fn batch_window_keeps_revocable_members_for_a_crash() {
         for policy in [
             BatchPolicy::Static { batch: 3 },
-            BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+            BatchPolicy::Dynamic {
+                max_batch: 3,
+                max_wait_ms: 0.5,
+            },
         ] {
             let requests = retention_traffic(4_000.0);
             let mut widest = 0;
@@ -2207,15 +2352,25 @@ mod tests {
                 if crash_from.is_some() {
                     // Every pushed request (ids 0..n, pushed in order) is
                     // either done or lost, never both.
-                    let mut ids: Vec<u64> =
-                        done.iter().copied().chain(lost.iter().map(|r| r.id)).collect();
+                    let mut ids: Vec<u64> = done
+                        .iter()
+                        .copied()
+                        .chain(lost.iter().map(|r| r.id))
+                        .collect();
                     ids.sort_unstable();
-                    assert!(ids.iter().copied().eq(0..ids.len() as u64), "{what}: conservation");
+                    assert!(
+                        ids.iter().copied().eq(0..ids.len() as u64),
+                        "{what}: conservation"
+                    );
                 } else {
                     assert_eq!(done.len(), 400, "{what}");
                 }
             }
-            assert!(widest <= 100, "{}: the window reached {widest} entries", policy.name());
+            assert!(
+                widest <= 100,
+                "{}: the window reached {widest} entries",
+                policy.name()
+            );
         }
     }
 
@@ -2247,7 +2402,11 @@ mod tests {
             let total = core.outstanding_at(t);
             assert_eq!(total, outstanding_scan(core, t), "t = {t}");
             let by_class = core.outstanding_by_class_at(t);
-            assert_eq!(by_class, core.outstanding_by_class_scan(pushed, t), "t = {t}");
+            assert_eq!(
+                by_class,
+                core.outstanding_by_class_scan(pushed, t),
+                "t = {t}"
+            );
             assert_eq!(by_class.iter().sum::<u64>(), total, "t = {t}");
         }
     }
@@ -2261,7 +2420,10 @@ mod tests {
     fn check_outstanding_run(seed: u64, crash_at_step: usize, tenancy: bool) {
         let policies = [
             BatchPolicy::Static { batch: 2 },
-            BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+            BatchPolicy::Dynamic {
+                max_batch: 3,
+                max_wait_ms: 0.5,
+            },
             BatchPolicy::Continuous { max_batch: 2 },
         ];
         let traffic = TrafficSpec {
