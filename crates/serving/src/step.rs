@@ -2480,6 +2480,100 @@ mod tests {
         }
     }
 
+    /// The counters a core folds over its executors, as bits: memory
+    /// stats, prefix stats, `kv_frac`, busy time and energy. A seeded
+    /// burst on two- and three-executor replicas under every batch policy,
+    /// with a KV budget tight enough to defer launches and preempt and
+    /// with prefix sharing on, so every executor holds allocator, index
+    /// and clock state. The expected values were captured before the
+    /// executor state was merged into one record per executor.
+    #[test]
+    fn multi_executor_aggregation_is_pinned() {
+        // 6 blocks of 16 tokens per executor: a 32-token prompt plus 8
+        // steps needs 3, so two fit a run-to-completion batch and three
+        // continuous residents cannot all grow.
+        let memory = MemoryConfig::unlimited()
+            .with_budget_bytes(cimtpu_units::Bytes::from_kib(96))
+            .with_prefix_sharing();
+        let traffic = TrafficSpec {
+            requests: 24,
+            arrival: ArrivalPattern::Burst,
+            prompt: LenDist::Uniform { lo: 20, hi: 32 },
+            steps: LenDist::Uniform { lo: 2, hi: 8 },
+            prefix: crate::PrefixTraffic::SharedHead {
+                tokens: 16,
+                groups: 3,
+            },
+            seed: 11,
+        };
+        let policies = [
+            BatchPolicy::Static { batch: 4 },
+            BatchPolicy::Dynamic {
+                max_batch: 4,
+                max_wait_ms: 1.0,
+            },
+            BatchPolicy::Continuous { max_batch: 4 },
+        ];
+        let mut got = Vec::new();
+        for chips in [2, 3] {
+            for policy in policies {
+                let engine = tiny_engine_on(policy, chips).with_memory(memory);
+                let session = crate::EngineSession::new(&engine).unwrap();
+                let mut core = session.core().unwrap();
+                let mut stream = ArrivalStream::new(&traffic).unwrap();
+                drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0).unwrap();
+                let m = core.memory_stats();
+                let p = core.prefix_stats();
+                got.push([
+                    m.preemptions,
+                    m.queue_full_s.to_bits(),
+                    m.kv_hwm_frac.to_bits(),
+                    p.lookups,
+                    p.hits,
+                    p.shared_blocks,
+                    p.shared_tokens,
+                    p.cow_copies,
+                    p.inserted_blocks,
+                    p.evicted_blocks,
+                    core.kv_frac().to_bits(),
+                    core.busy().get().to_bits(),
+                    core.energy().get().to_bits(),
+                ]);
+            }
+        }
+        // Per row: preemptions, queue-full s, KV high water; prefix lookups,
+        // hits, shared blocks, shared tokens, CoW copies, inserted, evicted;
+        // kv_frac, busy s, energy J. Two executors, then three.
+        #[rustfmt::skip]
+        let expected: [[u64; 13]; 6] = [
+            // static
+            [0, 4561414762554848264, 4607182418800017408,
+             24, 6, 6, 96, 0, 18, 13,
+             4602678819172646912, 4562819277702126910, 4585319764478351503],
+            // dynamic
+            [0, 4561194367883986654, 4607182418800017408,
+             24, 6, 6, 96, 0, 18, 13,
+             4602678819172646912, 4562605778599883332, 4585107020777764047],
+            // continuous
+            [7, 4560064228654215072, 4607182418800017408,
+             31, 22, 22, 352, 12, 21, 16,
+             4602678819172646912, 4561213277834955668, 4583797605194875620],
+            // static
+            [0, 4558563812919689532, 4607182418800017408,
+             24, 6, 6, 96, 0, 18, 11,
+             4602678819172646912, 4562729702798915208, 4585243782446434747],
+            // dynamic
+            [0, 4558370912681661596, 4607182418800017408,
+             24, 6, 6, 96, 0, 18, 11,
+             4602678819172646912, 4562516203696671628, 4585031038745847291],
+            // continuous
+            [5, 4558635005783162129, 4607182418800017408,
+             29, 16, 16, 256, 12, 25, 19,
+             4599676419421066581, 4561191791770191717, 4583794032293381589],
+        ];
+        assert_eq!(got, expected);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
