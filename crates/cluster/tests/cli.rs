@@ -5,8 +5,8 @@
 
 use std::process::{Command, Output};
 
-use cimtpu_cluster::scenario::by_name;
-use cimtpu_serving::{synthesize, to_jsonl, TrafficSpec};
+use cimtpu_cluster::scenario::{by_name, headline};
+use cimtpu_serving::{synthesize, to_jsonl, ArrivalPattern, TrafficSpec};
 
 fn cluster_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cluster_sim"))
@@ -166,6 +166,59 @@ fn trace_out_writes_the_offered_traffic() {
             );
         }
     }
+}
+
+/// The trace files `--trace-out` wrote into the fresh directory `dir`.
+fn written(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Closed-loop arrivals depend on service progress, so they have no
+/// trace. Without `--scenario`, `--trace-out` writes one file per
+/// open-loop headline scenario, names each closed-loop one on stderr and
+/// exits 0; naming a closed-loop scenario exits 2 and writes nothing.
+#[test]
+fn trace_out_skips_or_rejects_closed_loop_scenarios() {
+    let dir = std::path::PathBuf::from(tmp("cluster_sim_trace_out_all"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("t.jsonl");
+    let out = cluster_sim(&["--trace-out", base.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let (closed, open): (Vec<_>, Vec<_>) = headline()
+        .into_iter()
+        .partition(|s| matches!(s.traffic.arrival, ArrivalPattern::ClosedLoop { .. }));
+    assert!(!closed.is_empty() && !open.is_empty());
+    let skipped: String = closed
+        .iter()
+        .map(|s| {
+            format!(
+                "cluster_sim: skipped {}: closed-loop traffic cannot be synthesized into a trace\n",
+                s.name
+            )
+        })
+        .collect();
+    assert_eq!(stderr, skipped);
+    let mut want: Vec<String> = open.iter().map(|s| format!("t.{}.jsonl", s.name)).collect();
+    want.sort();
+    assert_eq!(written(&dir), want);
+
+    let path = tmp("cli_closed_loop.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let args = ["--scenario", closed[0].name, "--trace-out", &path];
+    let why = format!(
+        "{}: closed-loop traffic cannot be synthesized into a trace",
+        closed[0].name
+    );
+    assert_rejected(&args, &why);
+    assert!(!std::path::Path::new(&path).exists());
 }
 
 /// A replayed trace carries its own arrivals: a seed would change nothing.

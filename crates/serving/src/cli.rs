@@ -7,8 +7,10 @@
 //!    the binary's own flags ([`Binary::prepare`]), then `--trace-in` and
 //!    `--tenants`;
 //! 3. under `--trace-out`, write each scenario's offered traffic and
-//!    exit; otherwise run the scenarios ([`Binary::run`]) and emit their
-//!    reports ([`Binary::emit`]) and prefix-cache counters.
+//!    exit (closed-loop traffic has no trace: the headline set skips
+//!    those scenarios, and naming one exits 2); otherwise run the
+//!    scenarios ([`Binary::run`]) and emit their reports
+//!    ([`Binary::emit`]) and prefix-cache counters.
 //!
 //! Both the run and `--trace-out` read [`Scenario::offered`], the one
 //! `--seed` rule. A binary supplies only its own parts through
@@ -352,7 +354,7 @@ fn run<B: Binary>(binary: &mut B) -> Result<bool, String> {
         }
     }
     if let Some(base) = &flags.trace_out {
-        return Ok(write_traces(B::NAME, base, &scenarios, flags.seed));
+        return write_traces(B::NAME, base, &scenarios, flags.seed);
     }
 
     let runs = binary.run(&flags, &scenarios);
@@ -405,18 +407,40 @@ fn print_usage<B: Binary>() {
 }
 
 /// `--trace-out`: writes each scenario's offered traffic
-/// ([`Scenario::offered`]) as a JSONL request trace. Returns whether
-/// anything failed.
-fn write_traces<E>(binary: &str, base: &str, scenarios: &[Scenario<E>], seed: Option<u64>) -> bool {
+/// ([`Scenario::offered`]) as a JSONL request trace. Closed-loop arrivals
+/// depend on service progress, so they have no trace: a named
+/// closed-loop scenario is an error before anything is written, and the
+/// headline set skips its closed-loop scenarios, naming each on stderr.
+/// Returns whether a write failed.
+fn write_traces<E>(
+    binary: &str,
+    base: &str,
+    scenarios: &[Scenario<E>],
+    seed: Option<u64>,
+) -> Result<bool, String> {
+    let several = scenarios.len() > 1;
     let mut failed = false;
     for s in scenarios {
+        if s.tenants.is_none()
+            && matches!(s.traffic.arrival, crate::ArrivalPattern::ClosedLoop { .. })
+        {
+            let why = format!(
+                "{}: closed-loop traffic cannot be synthesized into a trace",
+                s.name
+            );
+            if !several {
+                return Err(why);
+            }
+            eprintln!("{binary}: skipped {why}");
+            continue;
+        }
         let load = s.offered(seed);
         match Offered::from(&load)
             .spec()
             .and_then(|spec| crate::synthesize(&spec))
         {
             Ok(records) => {
-                let path = scenario_path(base, s.name, scenarios.len() > 1);
+                let path = scenario_path(base, s.name, several);
                 failed |= write_file(binary, &path, crate::to_jsonl(&records));
             }
             Err(e) => {
@@ -425,7 +449,7 @@ fn write_traces<E>(binary: &str, base: &str, scenarios: &[Scenario<E>], seed: Op
             }
         }
     }
-    failed
+    Ok(failed)
 }
 
 /// The output path for `scenario` when `several` scenarios share one

@@ -186,14 +186,6 @@ impl MemoryStats {
     /// The all-zero record (unlimited budgets report this).
     pub const NONE: MemoryStats =
         MemoryStats { preemptions: 0, queue_full_s: 0.0, kv_hwm_frac: 0.0 };
-
-    /// Folds another chip's counters into this one (sums the event
-    /// counters, maxes the occupancy mark).
-    pub fn absorb(&mut self, other: &MemoryStats) {
-        self.preemptions += other.preemptions;
-        self.queue_full_s += other.queue_full_s;
-        self.kv_hwm_frac = self.kv_hwm_frac.max(other.kv_hwm_frac);
-    }
 }
 
 /// Aggregate outcome of one serving simulation.
@@ -508,13 +500,8 @@ mod tests {
     }
 
     #[test]
-    fn memory_stats_absorb_sums_and_maxes() {
-        let mut a = MemoryStats { preemptions: 2, queue_full_s: 0.5, kv_hwm_frac: 0.75 };
-        a.absorb(&MemoryStats { preemptions: 1, queue_full_s: 0.25, kv_hwm_frac: 0.5 });
-        assert_eq!(a.preemptions, 3);
-        assert_eq!(a.queue_full_s, 0.75);
-        assert_eq!(a.kv_hwm_frac, 0.75);
-
+    fn report_carries_memory_stats() {
+        let a = MemoryStats { preemptions: 3, queue_full_s: 0.75, kv_hwm_frac: 0.75 };
         let completions = vec![c(0, 0.0, 0.5, 1.0)];
         let rep =
             ServingReport::from_completions("t", "continuous", 1, &completions, Joules::ZERO, a);

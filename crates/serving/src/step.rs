@@ -4,12 +4,14 @@
 //! engines.
 //!
 //! [`EngineCore`] owns one engine's scheduling state (queue, batching
-//! policy, per-executor clocks and KV allocators) and advances one
-//! scheduling decision per [`step`](EngineCore::step). A driver feeds it
-//! arrivals with [`push`](EngineCore::push) (in arrival order), declares
-//! the stream finished with [`close`](EngineCore::close), and asks
+//! policy, and one executor record per chip: its clock, KV allocator and
+//! prefix index) and advances one scheduling decision per
+//! [`step`](EngineCore::step). A driver feeds it arrivals with
+//! [`push`](EngineCore::push) (in arrival order), declares the stream
+//! finished with [`close`](EngineCore::close), and asks
 //! [`next_action`](EngineCore::next_action) when the engine can next make
-//! progress on its own. This is what makes fleet-level simulation
+//! progress on its own; the answer is derived from the state on every
+//! call, not memoized. This is what makes fleet-level simulation
 //! possible: the `cimtpu-cluster` crate runs one core per replica and a
 //! router decides which core each arrival is pushed into, while
 //! closed-loop traffic couples completions back into the arrival stream.
@@ -28,7 +30,6 @@
 //! [`ServingEngine::run`](crate::ServingEngine::run) and the cluster
 //! driver both lean on that invariant (and the equivalence tests pin it).
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use cimtpu_kv::{PagedKvAllocator, PrefixIndex, PrefixStats};
@@ -86,16 +87,25 @@ pub struct EngineCore<'a> {
     slowdown: f64,
     /// Set once by [`crash`](EngineCore::crash); the core is inert after.
     crashed: bool,
-    /// Bumped by every state transition (push/close/step/…); stamps the
-    /// memoized [`next_action`](EngineCore::next_action) so drivers see a
-    /// dirty-flag instead of re-deriving the schedule on every poll.
-    epoch: u64,
-    /// `(epoch, next_action)` at the last computation; valid while the
-    /// epoch still matches.
-    cached_action: Cell<Option<(u64, Option<Seconds>)>>,
     trace: Emitter,
     tenancy: Tenancy,
+    /// One record per executor, for both batching families.
+    executors: Vec<Executor>,
+    /// What only one batching family keeps.
     state: State,
+}
+
+/// One executor (chip) of a core: its clock, KV allocator and prefix
+/// index. Both batching families keep exactly this per executor.
+#[derive(Debug)]
+struct Executor {
+    /// When the executor is next free (run-to-completion) or the start of
+    /// its latest round, advanced as the round runs (continuous).
+    clock: Seconds,
+    alloc: PagedKvAllocator,
+    /// Prefix index over this executor's cached prompt blocks (`None`
+    /// when sharing is off).
+    prefix: Option<PrefixIndex>,
 }
 
 /// The tenant schedule and its per-tenant queues and ledgers. A core
@@ -256,10 +266,6 @@ enum State {
 
 #[derive(Debug)]
 struct RtcState {
-    allocs: Vec<PagedKvAllocator>,
-    /// Per-executor prefix index (`None` when sharing is off).
-    prefix: Vec<Option<PrefixIndex>>,
-    free_at: Vec<Seconds>,
     /// First time each request was turned away by KV admission (it may
     /// still launch promptly on another executor — only the deferral
     /// actually experienced is charged, at launch).
@@ -273,8 +279,8 @@ struct ContState {
     max_batch: u64,
     /// Scratch reused by every [`cont_round`](EngineCore::cont_round), so
     /// a round allocates nothing: the round's admissions as
-    /// `(idx, done, shared)`, then positions in the chip's `active` list
-    /// of the members still prefilling and of those decoding.
+    /// `(idx, done, shared)`, then positions in the executor's `active`
+    /// list of the members still prefilling and of those decoding.
     admitted: Vec<(usize, u64, u64)>,
     prefilling: Vec<usize>,
     decoders: Vec<usize>,
@@ -291,17 +297,14 @@ struct Active {
     target: u64,
 }
 
-#[derive(Debug)]
+/// What continuous batching keeps per executor beyond its [`Executor`]
+/// record.
+#[derive(Debug, Default)]
 struct ContChip {
-    t: Seconds,
     active: Vec<Active>,
     /// Preempted requests awaiting re-admission (FIFO, ahead of new
     /// arrivals): request index + tokens generated so far.
     resume: VecDeque<(usize, u64)>,
-    alloc: PagedKvAllocator,
-    /// Prefix index over this chip's resident prompt blocks (`None` when
-    /// sharing is off).
-    prefix: Option<PrefixIndex>,
     queue_full: Seconds,
     preemptions: u64,
 }
@@ -478,33 +481,21 @@ impl<'a> EngineCore<'a> {
         // Prefix sharing needs a prefill phase to share; a DiT engine
         // simply never builds an index.
         let sharing = memory.prefix_sharing && has_prefill;
-        let index_for =
-            |alloc: &PagedKvAllocator| sharing.then(|| PrefixIndex::new(alloc.block_tokens()));
+        let executors: Vec<Executor> = allocs
+            .into_iter()
+            .map(|alloc| Executor {
+                clock: Seconds::ZERO,
+                prefix: sharing.then(|| PrefixIndex::new(alloc.block_tokens())),
+                alloc,
+            })
+            .collect();
         let state = match policy {
-            BatchPolicy::Static { .. } | BatchPolicy::Dynamic { .. } => {
-                let free_at = vec![Seconds::ZERO; allocs.len()];
-                let prefix = allocs.iter().map(index_for).collect();
-                State::Rtc(RtcState {
-                    allocs,
-                    prefix,
-                    free_at,
-                    kv_deferred_at: FxHashMap::default(),
-                    queue_full: Seconds::ZERO,
-                })
-            }
+            BatchPolicy::Static { .. } | BatchPolicy::Dynamic { .. } => State::Rtc(RtcState {
+                kv_deferred_at: FxHashMap::default(),
+                queue_full: Seconds::ZERO,
+            }),
             BatchPolicy::Continuous { max_batch } => State::Cont(ContState {
-                chips: allocs
-                    .into_iter()
-                    .map(|alloc| ContChip {
-                        t: Seconds::ZERO,
-                        active: Vec::new(),
-                        resume: VecDeque::new(),
-                        prefix: index_for(&alloc),
-                        alloc,
-                        queue_full: Seconds::ZERO,
-                        preemptions: 0,
-                    })
-                    .collect(),
+                chips: executors.iter().map(|_| ContChip::default()).collect(),
                 max_batch: max_batch.max(1),
                 admitted: Vec::new(),
                 prefilling: Vec::new(),
@@ -526,13 +517,12 @@ impl<'a> EngineCore<'a> {
             busy: Seconds::ZERO,
             slowdown: 1.0,
             crashed: false,
-            epoch: 0,
-            cached_action: Cell::new(None),
             trace: Emitter::default(),
             tenancy: Tenancy::new(&TenantSched {
                 classes: vec![SloClass::Standard],
                 weights: vec![1.0],
             }),
+            executors,
             state,
         }
     }
@@ -576,22 +566,8 @@ impl<'a> EngineCore<'a> {
             sched.weights.len(),
             "tenant classes and weights must align"
         );
-        self.touch();
         self.tenancy = Tenancy::new(sched);
         self.trace.tagged = sched.multi_tenant();
-    }
-
-    /// Marks the scheduling state dirty: the next
-    /// [`next_action`](EngineCore::next_action) recomputes.
-    fn touch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Monotone counter of state transitions: any mutation that can move
-    /// the core's schedule bumps it, so a driver (or event queue) can tell
-    /// whether a cached next-action time is still current.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Enqueues an arrival. Pushes must be in non-decreasing arrival
@@ -608,7 +584,6 @@ impl<'a> EngineCore<'a> {
                 "arrivals must be pushed in time order"
             );
         }
-        self.touch();
         self.trace.arrival(&request);
         let tenant = self.tenancy.of(&request);
         let idx = self.window.push(request);
@@ -620,7 +595,6 @@ impl<'a> EngineCore<'a> {
     /// Declares the arrival stream finished: tail batches smaller than a
     /// static batch size may now launch.
     pub fn close(&mut self) {
-        self.touch();
         self.closed = true;
     }
 
@@ -630,20 +604,13 @@ impl<'a> EngineCore<'a> {
     /// engine is blocked until a push or [`close`](EngineCore::close) —
     /// or finished.
     pub fn next_action(&self) -> Option<Seconds> {
-        if let Some((epoch, at)) = self.cached_action.get() {
-            if epoch == self.epoch {
-                return at;
-            }
-        }
-        let at = match &self.state {
+        match &self.state {
             State::Rtc(_) => self.rtc_decide(None).map(|p| match p {
                 RtcPlan::Launch(l) => l.start,
                 RtcPlan::Wait { at } => at,
             }),
             State::Cont(_) => self.cont_pick().map(|(_, t)| t),
-        };
-        self.cached_action.set(Some((self.epoch, at)));
-        at
+        }
     }
 
     /// Performs the next scheduling action (see
@@ -654,7 +621,6 @@ impl<'a> EngineCore<'a> {
     /// Returns an error if no action is runnable, an operator cannot be
     /// mapped, or the KV budget cannot hold even a single request.
     pub fn step(&mut self) -> Result<()> {
-        self.touch();
         let idle = || Error::invalid_config("EngineCore::step called with no runnable action");
         // Each arm first retires what no crash can revoke any more: a
         // crash comes no earlier than this step's instant.
@@ -691,18 +657,18 @@ impl<'a> EngineCore<'a> {
     ///
     /// Propagates pricing/allocation errors from the launch.
     pub fn flush_stalled(&mut self) -> Result<bool> {
-        let State::Rtc(st) = &self.state else {
-            return Ok(false);
-        };
-        if self.closed || self.tenancy.oldest().is_none() || self.rtc_decide(None).is_some() {
+        if matches!(self.state, State::Cont(_))
+            || self.closed
+            || self.tenancy.oldest().is_none()
+            || self.rtc_decide(None).is_some()
+        {
             return Ok(false);
         }
         // Only a static engine waiting for a full batch reaches here.
         let take = self.queued() as usize;
-        let chip = earliest(&st.free_at);
+        let chip = earliest(&self.executors);
         let newest = self.window.newest.expect("a stalled batch was pushed");
-        let start = st.free_at[chip].max(Seconds::new(newest));
-        self.touch();
+        let start = self.executors[chip].clock.max(Seconds::new(newest));
         self.rtc_launch(RtcLaunch { chip, take, start })?;
         #[cfg(debug_assertions)]
         self.check_conservation(0);
@@ -721,7 +687,6 @@ impl<'a> EngineCore<'a> {
     /// driver restarts it as a fresh core instead).
     pub fn reopen(&mut self) {
         assert!(!self.crashed, "reopen on a crashed core");
-        self.touch();
         self.closed = false;
     }
 
@@ -737,7 +702,6 @@ impl<'a> EngineCore<'a> {
             factor.is_finite() && factor > 0.0,
             "straggler slowdown must be a positive finite factor"
         );
-        self.touch();
         self.slowdown = factor;
     }
 
@@ -771,7 +735,6 @@ impl<'a> EngineCore<'a> {
             at >= self.window.stepped_at,
             "crash before the core's latest step"
         );
-        self.touch();
         self.crashed = true;
         // Revoke completions scheduled past the crash instant; their
         // requests are still in the window.
@@ -780,24 +743,18 @@ impl<'a> EngineCore<'a> {
         self.drained = self.drained.min(self.completions.len());
         let mut lost_idx: Vec<usize> = Vec::new();
         self.window.revoke_after(at, &mut lost_idx);
-        match &mut self.state {
-            State::Rtc(st) => {
-                for alloc in &mut st.allocs {
-                    alloc.release_all();
-                }
-                for index in st.prefix.iter_mut().flatten() {
-                    index.clear();
-                }
-                st.kv_deferred_at.clear();
+        for x in &mut self.executors {
+            x.alloc.release_all();
+            if let Some(index) = &mut x.prefix {
+                index.clear();
             }
+        }
+        match &mut self.state {
+            State::Rtc(st) => st.kv_deferred_at.clear(),
             State::Cont(st) => {
                 for chip in &mut st.chips {
                     lost_idx.extend(chip.active.drain(..).map(|a| a.idx));
                     lost_idx.extend(chip.resume.drain(..).map(|(idx, _)| idx));
-                    chip.alloc.release_all();
-                    if let Some(index) = &mut chip.prefix {
-                        index.clear();
-                    }
                 }
             }
         }
@@ -946,11 +903,10 @@ impl<'a> EngineCore<'a> {
     /// Live KV occupancy as a fraction of capacity (max over executors;
     /// 0 when the budget is unlimited).
     pub fn kv_frac(&self) -> f64 {
-        let frac = PagedKvAllocator::used_frac;
-        match &self.state {
-            State::Rtc(st) => st.allocs.iter().map(frac).fold(0.0, f64::max),
-            State::Cont(st) => st.chips.iter().map(|c| frac(&c.alloc)).fold(0.0, f64::max),
-        }
+        self.executors
+            .iter()
+            .map(|x| x.alloc.used_frac())
+            .fold(0.0, f64::max)
     }
 
     /// All completions so far, in completion order.
@@ -979,47 +935,29 @@ impl<'a> EngineCore<'a> {
 
     /// Memory-subsystem counters so far.
     pub fn memory_stats(&self) -> MemoryStats {
+        let hwm = self.executors.iter().map(|x| x.alloc.high_water_frac());
+        let mut memory = MemoryStats {
+            kv_hwm_frac: hwm.fold(0.0, f64::max),
+            ..MemoryStats::NONE
+        };
         match &self.state {
-            State::Rtc(st) => MemoryStats {
-                preemptions: 0,
-                queue_full_s: st.queue_full.get(),
-                kv_hwm_frac: st
-                    .allocs
-                    .iter()
-                    .map(PagedKvAllocator::high_water_frac)
-                    .fold(0.0, f64::max),
-            },
+            State::Rtc(st) => memory.queue_full_s = st.queue_full.get(),
             State::Cont(st) => {
-                let mut memory = MemoryStats::NONE;
                 for c in &st.chips {
-                    memory.absorb(&MemoryStats {
-                        preemptions: c.preemptions,
-                        queue_full_s: c.queue_full.get(),
-                        kv_hwm_frac: c.alloc.high_water_frac(),
-                    });
+                    memory.preemptions += c.preemptions;
+                    memory.queue_full_s += c.queue_full.get();
                 }
-                memory
             }
         }
+        memory
     }
 
     /// Prefix-sharing counters so far, summed over executors (all zero
     /// when sharing is off).
     pub fn prefix_stats(&self) -> PrefixStats {
         let mut total = PrefixStats::default();
-        match &self.state {
-            State::Rtc(st) => {
-                for index in st.prefix.iter().flatten() {
-                    total.absorb(&index.stats());
-                }
-            }
-            State::Cont(st) => {
-                for chip in &st.chips {
-                    if let Some(index) = &chip.prefix {
-                        total.absorb(&index.stats());
-                    }
-                }
-            }
+        for index in self.executors.iter().filter_map(|x| x.prefix.as_ref()) {
+            total.absorb(&index.stats());
         }
         total
     }
@@ -1052,14 +990,11 @@ impl<'a> EngineCore<'a> {
     /// querying): a dynamic window commits at its deadline because every
     /// arrival at or before it has been pushed by then (driver protocol).
     fn rtc_decide(&self, now: Option<Seconds>) -> Option<RtcPlan> {
-        let State::Rtc(st) = &self.state else {
-            unreachable!("rtc_decide on continuous")
-        };
         // Batch formation is FIFO, so everything from the oldest queued
         // arrival on is still queued.
         let queue = self.window.since(self.tenancy.oldest()?);
-        let chip = earliest(&st.free_at);
-        let free = st.free_at[chip];
+        let chip = earliest(&self.executors);
+        let free = self.executors[chip].clock;
         match self.policy {
             BatchPolicy::Static { batch } => {
                 // Wait for a full batch (the stream tail may be smaller).
@@ -1118,30 +1053,28 @@ impl<'a> EngineCore<'a> {
         } = plan;
         let next = self.tenancy.oldest().expect("a launch has queued members");
         let queue = &self.window.since(next)[..policy_take];
-        let (take, start) = {
-            let State::Rtc(st) = &mut self.state else {
-                unreachable!()
-            };
-            // Admission control: shrink the batch until its worst-case
-            // footprint fits the (empty) allocator.
-            let take = kv_admissible_prefix(&st.allocs[chip], queue)?;
-            let start = if take == policy_take {
-                policy_start
-            } else {
-                st.free_at[chip].max(queue[take - 1].request.arrival())
-            };
-            for e in &queue[take..] {
-                st.kv_deferred_at.entry(e.request.id).or_insert(start);
-            }
-            for r in queue[..take].iter().map(|e| &e.request) {
-                if let Some(since) = st.kv_deferred_at.remove(&r.id) {
-                    // Ready since `since` (or its arrival, if later), held
-                    // back by KV until this launch.
-                    st.queue_full += (start - since.max(r.arrival())).max(Seconds::ZERO);
-                }
-            }
-            (take, start)
+        let x = &mut self.executors[chip];
+        // Admission control: shrink the batch until its worst-case
+        // footprint fits the (empty) allocator.
+        let take = kv_admissible_prefix(&x.alloc, queue)?;
+        let start = if take == policy_take {
+            policy_start
+        } else {
+            x.clock.max(queue[take - 1].request.arrival())
         };
+        let State::Rtc(st) = &mut self.state else {
+            unreachable!("rtc_launch on continuous")
+        };
+        for e in &queue[take..] {
+            st.kv_deferred_at.entry(e.request.id).or_insert(start);
+        }
+        for r in queue[..take].iter().map(|e| &e.request) {
+            if let Some(since) = st.kv_deferred_at.remove(&r.id) {
+                // Ready since `since` (or its arrival, if later), held
+                // back by KV until this launch.
+                st.queue_full += (start - since.max(r.arrival())).max(Seconds::ZERO);
+            }
+        }
         let members: Vec<Request> = queue[..take].iter().map(|e| e.request).collect();
         for r in &members {
             self.trace.span(EventKind::Queue, r, r.arrival(), start);
@@ -1150,34 +1083,23 @@ impl<'a> EngineCore<'a> {
             let admitted = self.tenancy.admit(self.tenancy.of(r), &self.window);
             debug_assert_eq!(self.window[admitted].request.id, r.id);
         }
-        {
-            // Between run-to-completion batches only index-held prefix
-            // blocks occupy the allocator; admission reserved the worst
-            // case against an *empty* one, so evict (last-reference, LRU)
-            // until the batch's worst case fits. Members re-match whatever
-            // survives when they are admitted below.
-            let State::Rtc(st) = &mut self.state else {
-                unreachable!()
-            };
-            if let (Some(index), Some(_)) =
-                (st.prefix[chip].as_mut(), st.allocs[chip].capacity_blocks())
-            {
-                let alloc = &mut st.allocs[chip];
-                let worst: u64 = members
-                    .iter()
-                    .map(|r| alloc.blocks_for(r.prompt_len + r.steps))
-                    .sum();
-                let free = alloc.free_blocks().unwrap_or(u64::MAX);
-                if worst > free {
-                    index.evict(alloc, worst - free);
-                }
+        // Between run-to-completion batches only index-held prefix
+        // blocks occupy the allocator; admission reserved the worst
+        // case against an *empty* one, so evict (last-reference, LRU)
+        // until the batch's worst case fits. Members re-match whatever
+        // survives when they are admitted below.
+        if let (Some(index), Some(_)) = (x.prefix.as_mut(), x.alloc.capacity_blocks()) {
+            let alloc = &mut x.alloc;
+            let worst: u64 = members
+                .iter()
+                .map(|r| alloc.blocks_for(r.prompt_len + r.steps))
+                .sum();
+            let free = alloc.free_blocks().unwrap_or(u64::MAX);
+            if worst > free {
+                index.evict(alloc, worst - free);
             }
         }
-        let end = self.run_batch(&members, next, start, chip)?;
-        let State::Rtc(st) = &mut self.state else {
-            unreachable!()
-        };
-        st.free_at[chip] = end;
+        self.executors[chip].clock = self.run_batch(&members, next, start, chip)?;
         Ok(())
     }
 
@@ -1209,27 +1131,23 @@ impl<'a> EngineCore<'a> {
         // full prompt blocks are promoted into the index (no speculative
         // tail copies — admission reserved exactly the worst case).
         let mut shared = vec![0u64; members.len()];
-        {
-            let State::Rtc(st) = &mut self.state else {
-                unreachable!()
-            };
-            match st.prefix[chip].as_mut() {
-                None => {
-                    for r in members {
-                        let ok = st.allocs[chip].try_grow(r.id, r.prompt_len);
-                        debug_assert!(ok, "admission reserved the worst case");
-                    }
+        let Executor { alloc, prefix, .. } = &mut self.executors[chip];
+        match prefix {
+            None => {
+                for r in members {
+                    let ok = alloc.try_grow(r.id, r.prompt_len);
+                    debug_assert!(ok, "admission reserved the worst case");
                 }
-                Some(index) => {
-                    for (i, r) in members.iter().enumerate() {
-                        let tokens = r.prompt_tokens();
-                        let m = index.lookup(&tokens);
-                        let ok = st.allocs[chip].try_admit(r.id, m.blocks(), r.prompt_len);
-                        debug_assert!(ok, "admission reserved the worst case");
-                        if ok {
-                            index.commit(&tokens, &m, r.id, &mut st.allocs[chip], false);
-                            shared[i] = m.matched_tokens().min(r.prompt_len.saturating_sub(1));
-                        }
+            }
+            Some(index) => {
+                for (i, r) in members.iter().enumerate() {
+                    let tokens = r.prompt_tokens();
+                    let m = index.lookup(&tokens);
+                    let ok = alloc.try_admit(r.id, m.blocks(), r.prompt_len);
+                    debug_assert!(ok, "admission reserved the worst case");
+                    if ok {
+                        index.commit(&tokens, &m, r.id, alloc, false);
+                        shared[i] = m.matched_tokens().min(r.prompt_len.saturating_sub(1));
                     }
                 }
             }
@@ -1266,14 +1184,10 @@ impl<'a> EngineCore<'a> {
             } else {
                 members.iter().filter(|r| r.steps > s).count() as u64
             };
-            {
-                let State::Rtc(st) = &mut self.state else {
-                    unreachable!()
-                };
-                for r in members.iter().filter(|r| r.steps > s) {
-                    let ok = st.allocs[chip].try_grow(r.id, r.prompt_len + s + 1);
-                    debug_assert!(ok, "admission reserved the worst case");
-                }
+            let alloc = &mut self.executors[chip].alloc;
+            for r in members.iter().filter(|r| r.steps > s) {
+                let ok = alloc.try_grow(r.id, r.prompt_len + s + 1);
+                debug_assert!(ok, "admission reserved the worst case");
             }
             let step = self.pricer.step(active, max_prompt + s + 1)?;
             t += stretch(step.latency, self.slowdown);
@@ -1287,11 +1201,9 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        let State::Rtc(st) = &mut self.state else {
-            unreachable!()
-        };
+        let alloc = &mut self.executors[chip].alloc;
         for (i, r) in members.iter().enumerate() {
-            st.allocs[chip].release(r.id);
+            alloc.release(r.id);
             // Padded batches release results when the batch completes.
             let release = if pads { t } else { finish[i] };
             self.trace
@@ -1341,11 +1253,11 @@ impl<'a> EngineCore<'a> {
             unreachable!("cont_pick on rtc")
         };
         let mut pick: Option<(usize, Seconds)> = None;
-        for (i, chip) in st.chips.iter().enumerate() {
+        for (i, (chip, x)) in st.chips.iter().zip(&self.executors).enumerate() {
             let candidate = if !chip.active.is_empty() || !chip.resume.is_empty() {
-                chip.t
+                x.clock
             } else if let Some(idx) = self.tenancy.oldest() {
-                chip.t.max(self.window[idx].request.arrival())
+                x.clock.max(self.window[idx].request.arrival())
             } else {
                 continue;
             };
@@ -1373,12 +1285,12 @@ impl<'a> EngineCore<'a> {
             decoders,
         }) = &mut self.state
         else {
-            unreachable!()
+            unreachable!("cont_round on rtc")
         };
         let max_batch = *max_batch;
-        let chip = &mut chips[ci];
-        chip.t = t;
-        let round_start = chip.t;
+        let (chip, x) = (&mut chips[ci], &mut self.executors[ci]);
+        x.clock = t;
+        let round_start = x.clock;
 
         // Admit into free slots, KV permitting: preempted requests first
         // (their whole recomputed context must fit), then the queue head
@@ -1395,12 +1307,12 @@ impl<'a> EngineCore<'a> {
         while chip.active.len() + admitted.len() < max_batch as usize {
             let (idx, done, tenant) = match chip.resume.front() {
                 Some(&(idx, done)) => (idx, done, None),
-                None => match self.tenancy.pick(&self.window, chip.t) {
+                None => match self.tenancy.pick(&self.window, x.clock) {
                     Some((tenant, idx)) => (idx, 0, Some(tenant)),
                     None => break,
                 },
             };
-            let Some(shared) = cont_admit(chip, &self.window[idx].request, done) else {
+            let Some(shared) = cont_admit(x, &self.window[idx].request, done) else {
                 kv_blocked = true;
                 break;
             };
@@ -1420,8 +1332,8 @@ impl<'a> EngineCore<'a> {
             return Err(Error::invalid_config(format!(
                 "KV budget too small: a single request needs more than the {} block(s) \
                  of {} tokens available",
-                chip.alloc.capacity_blocks().unwrap_or(0),
-                chip.alloc.block_tokens(),
+                x.alloc.capacity_blocks().unwrap_or(0),
+                x.alloc.block_tokens(),
             )));
         }
         // Fresh admissions close their queue span; resumed requests
@@ -1456,14 +1368,14 @@ impl<'a> EngineCore<'a> {
                         .max()
                         .expect("non-empty");
                     let cost = self.pricer.prefill_chunk(n, tail, past)?;
-                    let before = chip.t;
-                    chip.t += stretch(cost.latency, slowdown);
+                    let before = x.clock;
+                    x.clock += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();
                     for &(idx, _, _) in group {
                         let e = &mut self.window[idx];
-                        e.first_token.get_or_insert(chip.t);
+                        e.first_token.get_or_insert(x.clock);
                         self.trace
-                            .span(EventKind::Prefill, &e.request, before, chip.t);
+                            .span(EventKind::Prefill, &e.request, before, x.clock);
                     }
                 }
                 chip.active.extend(admitted.drain(..).map(|(idx, done, _)| {
@@ -1509,13 +1421,13 @@ impl<'a> EngineCore<'a> {
                         .map(|&p| chip.active[p].prefilled)
                         .max()
                         .expect("non-empty");
-                    let before = chip.t;
+                    let before = x.clock;
                     let cost = self
                         .pricer
                         .prefill_chunk(prefilling.len() as u64, c, past)?;
-                    chip.t += stretch(cost.latency, slowdown);
+                    x.clock += stretch(cost.latency, slowdown);
                     self.energy += cost.total_energy();
-                    let now = chip.t;
+                    let now = x.clock;
                     for &p in prefilling.iter() {
                         let a = &mut chip.active[p];
                         a.prefilled = (a.prefilled + chunk).min(a.target);
@@ -1544,15 +1456,15 @@ impl<'a> EngineCore<'a> {
             }
             let fits = decoders.iter().all(|&p| {
                 let r = &self.window[chip.active[p].idx].request;
-                chip.alloc
+                x.alloc
                     .try_grow(r.id, r.prompt_len + chip.active[p].done + 1)
             });
             if !fits {
                 // Cheapest relief first: evict cached prefix blocks whose
                 // last reference is the index (never a resident request's
                 // blocks), then retry the round before preempting anyone.
-                if let Some(index) = &mut chip.prefix {
-                    if index.evict(&mut chip.alloc, decoders.len() as u64) > 0 {
+                if let Some(index) = &mut x.prefix {
+                    if index.evict(&mut x.alloc, decoders.len() as u64) > 0 {
                         continue;
                     }
                 }
@@ -1574,10 +1486,10 @@ impl<'a> EngineCore<'a> {
                     .expect("non-empty");
                 let victim = chip.active.remove(victim_pos);
                 let r = &self.window[victim.idx].request;
-                chip.alloc.release(r.id);
+                x.alloc.release(r.id);
                 let tenant = tenancy.of(r);
                 tenancy.preempted[tenant] += 1;
-                self.trace.instant(EventKind::Preempt, r, chip.t);
+                self.trace.instant(EventKind::Preempt, r, x.clock);
                 chip.resume.push_back((victim.idx, victim.done));
                 chip.preemptions += 1;
                 kv_blocked = true;
@@ -1599,9 +1511,9 @@ impl<'a> EngineCore<'a> {
                 .expect("non-empty")
                 + 1;
             let step = self.pricer.step(b, ctx)?;
-            chip.t += stretch(step.latency, slowdown);
+            x.clock += stretch(step.latency, slowdown);
             self.energy += step.total_energy();
-            let now = chip.t;
+            let now = x.clock;
             for &p in decoders.iter() {
                 let a = &mut chip.active[p];
                 a.done += 1;
@@ -1609,7 +1521,7 @@ impl<'a> EngineCore<'a> {
                     self.window[a.idx].first_token.get_or_insert(now);
                 }
             }
-            let ContChip { active, alloc, .. } = chip;
+            let (active, alloc) = (&mut chip.active, &mut x.alloc);
             let window = &mut self.window;
             let completions = &mut self.completions;
             let finishes = &mut self.finishes;
@@ -1642,13 +1554,13 @@ impl<'a> EngineCore<'a> {
         // A round that held a ready request back on KV charges its
         // duration to the queue-full clock.
         if kv_blocked {
-            chip.queue_full += chip.t - round_start;
+            chip.queue_full += x.clock - round_start;
         }
         debug_assert!(
-            chip.t > round_start || !chip.active.is_empty() || !chip.resume.is_empty(),
+            x.clock > round_start || !chip.active.is_empty() || !chip.resume.is_empty(),
             "a scheduled round must make progress"
         );
-        self.busy += chip.t - round_start;
+        self.busy += x.clock - round_start;
         Ok(())
     }
 }
@@ -1686,7 +1598,7 @@ fn kv_admissible_prefix(alloc: &PagedKvAllocator, queue: &[Entry]) -> Result<usi
 }
 
 /// Tries to admit `request` (resumed with `done` already-generated
-/// tokens) onto a continuous-batching chip, covering `prompt + done`
+/// tokens) onto a continuous-batching executor, covering `prompt + done`
 /// tokens of KV. With prefix sharing on, cached blocks attach by
 /// reference, index-only blocks are evicted before giving up, and the
 /// admitted request's uncached prompt blocks are committed back into the
@@ -1694,14 +1606,14 @@ fn kv_admissible_prefix(alloc: &PagedKvAllocator, queue: &[Entry]) -> Result<usi
 /// shareable token count — how much of the prefill the scheduler may
 /// skip, capped so the prompt's final token is always computed — or
 /// `None` if the request does not fit.
-fn cont_admit(chip: &mut ContChip, request: &Request, done: u64) -> Option<u64> {
+fn cont_admit(x: &mut Executor, request: &Request, done: u64) -> Option<u64> {
     let target = request.prompt_len + done;
-    let Some(index) = &mut chip.prefix else {
-        return chip.alloc.try_grow(request.id, target).then_some(0);
+    let Some(index) = &mut x.prefix else {
+        return x.alloc.try_grow(request.id, target).then_some(0);
     };
     let tokens = request.prompt_tokens();
     let m = index.lookup(&tokens);
-    let mut admitted = chip.alloc.try_admit(request.id, m.blocks(), target);
+    let mut admitted = x.alloc.try_admit(request.id, m.blocks(), target);
     if !admitted {
         // Evict cached blocks nobody references (LRU) and retry once,
         // pinning every block the match reads — the attached full blocks
@@ -1709,25 +1621,25 @@ fn cont_admit(chip: &mut ContChip, request: &Request, done: u64) -> Option<u64> 
         // take the very prefix this request is about to use.
         let pinned = m.blocks().iter().copied().chain(m.partial_block());
         for b in pinned.clone() {
-            chip.alloc.retain_shared(b);
+            x.alloc.retain_shared(b);
         }
-        let need = chip
+        let need = x
             .alloc
             .blocks_for(target)
             .saturating_sub(m.blocks().len() as u64);
-        let free = chip.alloc.free_blocks().unwrap_or(u64::MAX);
-        let evicted = index.evict(&mut chip.alloc, need.saturating_sub(free));
+        let free = x.alloc.free_blocks().unwrap_or(u64::MAX);
+        let evicted = index.evict(&mut x.alloc, need.saturating_sub(free));
         for b in pinned {
-            chip.alloc.release_shared(b);
+            x.alloc.release_shared(b);
         }
         if evicted > 0 {
-            admitted = chip.alloc.try_admit(request.id, m.blocks(), target);
+            admitted = x.alloc.try_admit(request.id, m.blocks(), target);
         }
     }
     if !admitted {
         return None;
     }
-    index.commit(&tokens, &m, request.id, &mut chip.alloc, true);
+    index.commit(&tokens, &m, request.id, &mut x.alloc, true);
     Some(m.matched_tokens().min(request.prompt_len.saturating_sub(1)))
 }
 
@@ -1743,10 +1655,10 @@ fn stretch(latency: Seconds, slowdown: f64) -> Seconds {
 
 /// Index of the executor that frees earliest (ties pick the lowest index,
 /// keeping the schedule deterministic).
-fn earliest(free_at: &[Seconds]) -> usize {
+fn earliest(executors: &[Executor]) -> usize {
     let mut best = 0;
-    for (i, &t) in free_at.iter().enumerate().skip(1) {
-        if t < free_at[best] {
+    for (i, x) in executors.iter().enumerate().skip(1) {
+        if x.clock < executors[best].clock {
             best = i;
         }
     }

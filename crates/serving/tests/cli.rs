@@ -6,7 +6,7 @@
 use std::process::{Command, Output};
 
 use cimtpu_serving::scenario;
-use cimtpu_serving::{synthesize, to_jsonl, TrafficSpec};
+use cimtpu_serving::{synthesize, to_jsonl, ArrivalPattern, TrafficSpec};
 
 fn serve_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_serve_sim"))
@@ -116,6 +116,39 @@ fn tenant_overlay_failures_exit_before_running() {
         &["--scenario", "smoke", "--tenants", "a=batch,a=interactive"],
         bad,
     );
+}
+
+/// Without `--scenario`, `--trace-out` writes one file per headline
+/// scenario and exits 0. Closed-loop traffic has no trace, but no
+/// `serve_sim` scenario is closed-loop (and `--clients` cannot be
+/// combined with `--trace-out`), so nothing is skipped or rejected here.
+#[test]
+fn trace_out_writes_every_headline_scenario() {
+    let dir = std::path::PathBuf::from(tmp("serve_sim_trace_out_all"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("t.jsonl");
+    let out = serve_sim(&["--trace-out", base.to_str().unwrap()]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty() && out.stderr.is_empty());
+    let mut catalogue = scenario::headline().into_iter().chain(scenario::checks());
+    assert!(!catalogue.any(|s| matches!(s.traffic.arrival, ArrivalPattern::ClosedLoop { .. })));
+    let mut want: Vec<String> = scenario::headline()
+        .iter()
+        .map(|s| format!("t.{}.jsonl", s.name))
+        .collect();
+    want.sort();
+    let mut got: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    got.sort();
+    assert_eq!(got, want);
 }
 
 /// The one seed rule: `--trace-out` writes the scenario's traffic with
