@@ -2397,13 +2397,15 @@ mod tests {
     /// burst on two- and three-executor replicas under every batch policy,
     /// with a KV budget tight enough to defer launches and preempt and
     /// with prefix sharing on, so every executor holds allocator, index
-    /// and clock state. The expected values were captured before the
-    /// executor state was merged into one record per executor.
+    /// and clock state. The folds run in executor order: on three
+    /// continuous executors this seed's queue-full sum differs in its
+    /// last bits when folded in reverse.
     #[test]
     fn multi_executor_aggregation_is_pinned() {
-        // 6 blocks of 16 tokens per executor: a 32-token prompt plus 8
-        // steps needs 3, so two fit a run-to-completion batch and three
-        // continuous residents cannot all grow.
+        // 6 blocks of 16 tokens per executor: a request (at most 32
+        // prompt tokens plus 8 steps) needs up to 3, so two fit a
+        // run-to-completion batch and three continuous residents cannot
+        // all grow.
         let memory = MemoryConfig::unlimited()
             .with_budget_bytes(cimtpu_units::Bytes::from_kib(96))
             .with_prefix_sharing();
@@ -2416,7 +2418,7 @@ mod tests {
                 tokens: 16,
                 groups: 3,
             },
-            seed: 11,
+            seed: 12,
         };
         let policies = [
             BatchPolicy::Static { batch: 4 },
@@ -2459,29 +2461,29 @@ mod tests {
         #[rustfmt::skip]
         let expected: [[u64; 13]; 6] = [
             // static
-            [0, 4561414762554848264, 4607182418800017408,
-             24, 6, 6, 96, 0, 18, 13,
-             4602678819172646912, 4562819277702126910, 4585319764478351503],
+            [0, 4560311566709376600, 4607182418800017408,
+             24, 3, 3, 48, 0, 22, 17,
+             4602678819172646912, 4562683618290898234, 4585236248404987257],
             // dynamic
-            [0, 4561194367883986654, 4607182418800017408,
-             24, 6, 6, 96, 0, 18, 13,
-             4602678819172646912, 4562605778599883332, 4585107020777764047],
+            [0, 4560104840197457227, 4607182418800017408,
+             24, 3, 3, 48, 0, 22, 17,
+             4602678819172646912, 4562483804915924580, 4585037133402607341],
             // continuous
-            [7, 4560064228654215072, 4607182418800017408,
-             31, 22, 22, 352, 12, 21, 16,
-             4602678819172646912, 4561213277834955668, 4583797605194875620],
+            [10, 4558704992001000322, 4607182418800017408,
+             34, 25, 28, 448, 13, 23, 18,
+             4602678819172646912, 4561440500585612624, 4584010022543709008],
             // static
-            [0, 4558563812919689532, 4607182418800017408,
-             24, 6, 6, 96, 0, 18, 11,
-             4602678819172646912, 4562729702798915208, 4585243782446434747],
+            [0, 4557944881596596584, 4607182418800017408,
+             24, 3, 3, 48, 0, 22, 16,
+             4599676419421066581, 4562684250750695046, 4585238465476486205],
             // dynamic
-            [0, 4558370912681661596, 4607182418800017408,
-             24, 6, 6, 96, 0, 18, 11,
-             4602678819172646912, 4562516203696671628, 4585031038745847291],
+            [0, 4557724486925734978, 4607182418800017408,
+             24, 3, 3, 48, 0, 22, 16,
+             4599676419421066581, 4562484437375721393, 4585039350474106289],
             // continuous
-            [5, 4558635005783162129, 4607182418800017408,
-             29, 16, 16, 256, 12, 25, 19,
-             4599676419421066581, 4561191791770191717, 4583794032293381589],
+            [9, 4559166704790301810, 4607182418800017408,
+             33, 22, 22, 352, 14, 27, 21,
+             4599676419421066581, 4561830423188300079, 4584470675921516583],
         ];
         assert_eq!(got, expected);
     }
