@@ -57,8 +57,8 @@
 use std::collections::VecDeque;
 
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
-use cimtpu_obs::EventKind;
 use cimtpu_multi::RingTopology;
+use cimtpu_obs::EventKind;
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, EngineSession, EventKey, Parallelism, PhasePricer,
     Request, ServingModel, TrafficSpec,
@@ -173,7 +173,9 @@ impl<'a> PrefillUnit<'a> {
     pub(crate) fn candidate(&self) -> Option<Seconds> {
         let head = self.queue.front()?;
         let base = self.free_at.max(head.arrival());
-        let Some(_) = self.alloc.capacity_blocks() else { return Some(base) };
+        let Some(_) = self.alloc.capacity_blocks() else {
+            return Some(base);
+        };
         let need = self.alloc.blocks_for(head.prompt_len);
         let mut free = self.alloc.free_blocks().unwrap_or(u64::MAX);
         let mut start = base;
@@ -246,7 +248,11 @@ impl<'a> PrefillUnit<'a> {
         self.energy += cost.total_energy();
         self.prefills += b;
         self.free_at = end;
-        Ok(PrefillBatch { members, start, end })
+        Ok(PrefillBatch {
+            members,
+            start,
+            end,
+        })
     }
 
     /// Moves `r`'s cache out over this unit's egress link from `at`, or
@@ -262,7 +268,9 @@ impl<'a> PrefillUnit<'a> {
         at: Seconds,
         link: &mut Link,
     ) -> Result<(Seconds, Seconds)> {
-        let bytes = link.footprint.handoff_bytes(r.prompt_len, self.alloc.block_tokens());
+        let bytes = link
+            .footprint
+            .handoff_bytes(r.prompt_len, self.alloc.block_tokens());
         let start = at.max(self.link_free);
         let (duration, energy) = link.price(start, bytes)?;
         link.transfers.record(bytes.get(), duration, energy);
@@ -276,7 +284,10 @@ impl<'a> PrefillUnit<'a> {
     /// cancelled and the caller owns the blocks: it re-sends or releases
     /// them.
     pub(crate) fn unpin(&mut self, id: u64, now: Seconds) -> bool {
-        let held = self.pending_release.iter().position(|&(t, h)| h == id && t > now);
+        let held = self
+            .pending_release
+            .iter()
+            .position(|&(t, h)| h == id && t > now);
         held.map(|pos| self.pending_release.remove(pos)).is_some()
     }
 
@@ -359,7 +370,11 @@ impl<'a> DecodeUnit<'a> {
     /// Queues `req`'s handed-off cache, landing at `ready`; the request
     /// produced its first token at `first_token`.
     pub(crate) fn receive(&mut self, req: Request, first_token: Seconds, ready: Seconds) {
-        self.pending.push(PendingDecode { req, first_token, ready });
+        self.pending.push(PendingDecode {
+            req,
+            first_token,
+            ready,
+        });
     }
 
     /// Kills the replica: everything resident on or inbound to it is lost,
@@ -367,7 +382,9 @@ impl<'a> DecodeUnit<'a> {
     /// (its high-water mark survives).
     pub(crate) fn crash(&mut self) -> Vec<(Request, Seconds)> {
         let pending = self.pending.drain(..).map(|p| (p.req, p.first_token));
-        let lost = pending.chain(self.active.drain(..).map(|s| (s.req, s.first_token))).collect();
+        let lost = pending
+            .chain(self.active.drain(..).map(|s| (s.req, s.first_token)))
+            .collect();
         self.alloc.release_all();
         lost
     }
@@ -401,9 +418,16 @@ impl<'a> DecodeUnit<'a> {
             // Worst-case reservation: the handed-off prompt cache plus
             // every token the request will generate.
             let p = &self.pending[pos];
-            if self.alloc.try_grow(p.req.id, p.req.prompt_len + p.req.steps) {
+            if self
+                .alloc
+                .try_grow(p.req.id, p.req.prompt_len + p.req.steps)
+            {
                 let p = self.pending.remove(pos);
-                self.active.push(DecodeSlot { req: p.req, first_token: p.first_token, done: 0 });
+                self.active.push(DecodeSlot {
+                    req: p.req,
+                    first_token: p.first_token,
+                    done: 0,
+                });
             } else {
                 blocked = true;
                 break;
@@ -540,8 +564,11 @@ impl Link {
     /// factor divides the wire time to infinity).
     fn price(&self, start: Seconds, bytes: Bytes) -> Result<(Seconds, Joules)> {
         let base = self.spec.transfer_time(bytes);
-        let open =
-            || self.windows.iter().filter(|&&(from, until, ..)| start >= from && start < until);
+        let open = || {
+            self.windows
+                .iter()
+                .filter(|&&(from, until, ..)| start >= from && start < until)
+        };
         let (bw, en) = open().fold((1.0, 1.0), |(bw, en), &(_, _, b, e)| (bw * b, en * e));
         let duration = if bw == 1.0 {
             base
@@ -552,7 +579,11 @@ impl Link {
         if !(duration.get().is_finite() && energy.is_finite()) {
             let windows: Vec<String> = open()
                 .map(|(from, until, b, e)| {
-                    format!("link@{:?}s-{:?}s:x{b:?}:energy=x{e:?}", from.get(), until.get())
+                    format!(
+                        "link@{:?}s-{:?}s:x{b:?}:energy=x{e:?}",
+                        from.get(),
+                        until.get()
+                    )
                 })
                 .collect();
             return Err(Error::invalid_config(format!(
@@ -585,8 +616,17 @@ pub(crate) fn pipeline(
     let mut windows = Vec::new();
     for event in plan.resolve(decode.len())? {
         match event {
-            FaultEvent::Crash { at, replica, repair } => crashes.push((at, replica, repair)),
-            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
+            FaultEvent::Crash {
+                at,
+                replica,
+                repair,
+            } => crashes.push((at, replica, repair)),
+            FaultEvent::DegradedLink {
+                from,
+                until,
+                bandwidth_factor,
+                energy_factor,
+            } => {
                 windows.push((from, until, bandwidth_factor, energy_factor));
             }
             FaultEvent::Straggler { .. } => {
@@ -617,7 +657,15 @@ pub(crate) fn pipeline(
     }
     let footprint = KvFootprint::of(reference);
     let transfers = KvTransferStats::default();
-    Ok((crashes, Link { spec: interconnect, footprint, windows, transfers }))
+    Ok((
+        crashes,
+        Link {
+            spec: interconnect,
+            footprint,
+            windows,
+            transfers,
+        },
+    ))
 }
 
 /// A disaggregated run's report rows — each prefill unit, then each
@@ -630,11 +678,34 @@ pub(crate) fn pool_books(
     transfers: KvTransferStats,
 ) -> (Vec<ReplicaUtilization>, FleetTotals) {
     let p = prefill.iter().zip(punits);
-    let p = p.map(|(s, u)| (s, "prefill", u.prefills, u.busy, u.energy, Seconds::ZERO, &u.alloc));
+    let p = p.map(|(s, u)| {
+        (
+            s,
+            "prefill",
+            u.prefills,
+            u.busy,
+            u.energy,
+            Seconds::ZERO,
+            &u.alloc,
+        )
+    });
     let d = decode.iter().zip(dunits);
-    let d = d.map(|(s, u)| (s, "decode", u.completed, u.busy, u.energy, u.queue_full, &u.alloc));
+    let d = d.map(|(s, u)| {
+        (
+            s,
+            "decode",
+            u.completed,
+            u.busy,
+            u.energy,
+            u.queue_full,
+            &u.alloc,
+        )
+    });
     // No preemptions: worst-case decode reservation never preempts.
-    let mut totals = FleetTotals { transfers, ..FleetTotals::default() };
+    let mut totals = FleetTotals {
+        transfers,
+        ..FleetTotals::default()
+    };
     let rows = p
         .chain(d)
         .map(|(spec, role, requests, busy, energy, queue_full, alloc)| {
@@ -655,7 +726,10 @@ pub(crate) fn pool_books(
 /// decode units) to its next candidate time.
 fn rekey(heap: &mut ActionHeap, punits: &[PrefillUnit<'_>], dunits: &[DecodeUnit<'_>]) {
     let p = punits.iter().map(PrefillUnit::candidate);
-    for (slot, at) in p.chain(dunits.iter().map(DecodeUnit::candidate)).enumerate() {
+    for (slot, at) in p
+        .chain(dunits.iter().map(DecodeUnit::candidate))
+        .enumerate()
+    {
         heap.set(slot, at);
     }
 }
@@ -703,10 +777,16 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     let obs = O::open(sink, &slots, true, None);
     let sessions = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
-    let mut punits: Vec<PrefillUnit<'_>> =
-        p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> =
-        d_sessions.iter().zip(decode).map(|(s, r)| DecodeUnit::new(s, r)).collect::<Result<_>>()?;
+    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
+        .iter()
+        .zip(prefill)
+        .map(|(s, r)| PrefillUnit::new(s, r))
+        .collect::<Result<_>>()?;
+    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
+        .iter()
+        .zip(decode)
+        .map(|(s, r)| DecodeUnit::new(s, r))
+        .collect::<Result<_>>()?;
 
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
@@ -739,7 +819,10 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     // error when the link cannot price the transfer.
     let mut drouter = decode_router.build();
     let mut d_assigned = vec![0u64; decode.len()];
-    let (mut up, mut dsnaps) = (Vec::with_capacity(decode.len()), Vec::with_capacity(decode.len()));
+    let (mut up, mut dsnaps) = (
+        Vec::with_capacity(decode.len()),
+        Vec::with_capacity(decode.len()),
+    );
     let mut hand_off = |punits: &mut [PrefillUnit<'_>],
                         dunits: &mut [DecodeUnit<'_>],
                         dhealth: &HealthView,
@@ -831,7 +914,12 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                         continue; // already down: nothing left to kill
                     }
                     let lost = dunits[replica].crash();
-                    dhealth.set(replica, ReplicaHealth::Down { until: now + repair });
+                    dhealth.set(
+                        replica,
+                        ReplicaHealth::Down {
+                            until: now + repair,
+                        },
+                    );
                     ledger.on_crash(replica, now, false);
                     obs.instant(pn + replica, EventKind::Crash, now);
                     for (r, ft) in lost {
@@ -839,12 +927,19 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                         // re-hands it off (transfer-only — always cheaper
                         // than recompute + transfer); otherwise the prompt
                         // recomputes through the prefill pool.
-                        let source =
-                            punits.iter_mut().position(|pu| pu.unpin(r.id, now)).map(|p| (p, ft));
+                        let source = punits
+                            .iter_mut()
+                            .position(|pu| pu.unpin(r.id, now))
+                            .map(|p| (p, ft));
                         if let Some((fire, attempts)) =
                             ledger.on_lost(&r, now, &mut stream, &mut tenancy)
                         {
-                            waiting.push(DisaggRetry { fire, request: r, attempts, source });
+                            waiting.push(DisaggRetry {
+                                fire,
+                                request: r,
+                                attempts,
+                                source,
+                            });
                         } else if let Some((p, _)) = source {
                             punits[p].alloc.release(r.id);
                         }
@@ -862,13 +957,19 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                 let k = to_prefill(&mut punits, request);
                 obs.arrival(Some(k), &request, &tenancy);
                 let u = &punits[k];
-                obs.sample(k, request.arrival(), u.queue.len() as f64, u.alloc.used_frac());
+                obs.sample(
+                    k,
+                    request.arrival(),
+                    u.queue.len() as f64,
+                    u.alloc.used_frac(),
+                );
                 unit_heap.set(k, u.candidate());
             }
             // Retry fire: re-handoff, recompute, or park.
             2 => {
-                let item =
-                    waiting.pop().ok_or_else(|| Error::internal("class 2 implies a retry"))?;
+                let item = waiting
+                    .pop()
+                    .ok_or_else(|| Error::internal("class 2 implies a retry"))?;
                 let r = item.request;
                 if ledger.expired(&r, now, &mut stream, &mut tenancy) {
                     if let Some((p, _)) = item.source {
@@ -893,7 +994,10 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                         // Recompute: the cache is gone — back through the
                         // prefill pool; admission restarts at the fire
                         // time, TTFT is re-earned.
-                        let rr = Request { arrival_s: now.get(), ..r };
+                        let rr = Request {
+                            arrival_s: now.get(),
+                            ..r
+                        };
                         ledger.readmit(&r, rr.arrival_s);
                         let k = to_prefill(&mut punits, rr);
                         ledger.on_placed(item.attempts);
@@ -914,7 +1018,12 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                             ledger.on_park(req.id, now, &tenancy);
                             let attempts = ledger.attempts(req.id);
                             let source = Some((idx, end));
-                            parked.push(DisaggRetry { fire: now, request: req, attempts, source });
+                            parked.push(DisaggRetry {
+                                fire: now,
+                                request: req,
+                                attempts,
+                                source,
+                            });
                         }
                     }
                 }
@@ -1012,7 +1121,10 @@ mod tests {
             ReplicaSpec::new(name, TpuConfig::tpuv4i(), tiny())
                 .with_policy(BatchPolicy::Continuous { max_batch })
         };
-        (vec![replica("p-0", 4), replica("p-1", 2)], vec![replica("d-0", 4), replica("d-1", 4)])
+        (
+            vec![replica("p-0", 4), replica("p-1", 2)],
+            vec![replica("d-0", 4), replica("d-1", 4)],
+        )
     }
 
     /// The open-loop traffic of `check` (which also runs it closed-loop).
@@ -1031,14 +1143,29 @@ mod tests {
     /// every router pairing, in open and closed loop.
     fn check(plan: &FaultPlan, seed: u64) {
         let base = open_loop(seed);
-        let closed = ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 };
+        let closed = ArrivalPattern::ClosedLoop {
+            clients: 3,
+            think_ms: 1.0,
+        };
         let pairs = [
             (RouterPolicy::RoundRobin, RouterPolicy::LeastKv),
-            (RouterPolicy::LeastOutstanding, RouterPolicy::LeastOutstanding),
+            (
+                RouterPolicy::LeastOutstanding,
+                RouterPolicy::LeastOutstanding,
+            ),
             (RouterPolicy::PassThrough, RouterPolicy::RoundRobin),
-            (RouterPolicy::SessionAffinity, RouterPolicy::LeastOutstanding),
+            (
+                RouterPolicy::SessionAffinity,
+                RouterPolicy::LeastOutstanding,
+            ),
         ];
-        for traffic in [base.clone(), TrafficSpec { arrival: closed, ..base }] {
+        for traffic in [
+            base.clone(),
+            TrafficSpec {
+                arrival: closed,
+                ..base
+            },
+        ] {
             for (ap, dp) in pairs {
                 let (prefill, decode) = pools();
                 let link = InterconnectSpec::ici();
@@ -1060,7 +1187,11 @@ mod tests {
         let (seed, arrival, replica) = (0, 9, 0);
         let at = open_loop(seed).generate()[arrival].arrival();
         let backoff = RecoveryPolicy::default().backoff_for(1);
-        assert_eq!(at - backoff + backoff, at, "the retry must fire at the arrival's instant");
+        assert_eq!(
+            at - backoff + backoff,
+            at,
+            "the retry must fire at the arrival's instant"
+        );
         let plan = FaultPlan::none().with_event(FaultEvent::Crash {
             at: at - backoff,
             replica,
@@ -1069,8 +1200,15 @@ mod tests {
         let (prefill, decode) = pools();
         let (rr, kv) = (RouterPolicy::RoundRobin, RouterPolicy::LeastKv);
         let engine = ClusterEngine::disaggregated(prefill, decode, rr, kv, InterconnectSpec::ici());
-        let run = engine.unwrap().with_faults(plan.clone()).run("tie", &open_loop(seed)).unwrap();
-        assert!(run.report.availability.unwrap().retries > 0, "the crash must lose work");
+        let run = engine
+            .unwrap()
+            .with_faults(plan.clone())
+            .run("tie", &open_loop(seed))
+            .unwrap();
+        assert!(
+            run.report.availability.unwrap().retries > 0,
+            "the crash must lose work"
+        );
         check(&plan, seed);
     }
 

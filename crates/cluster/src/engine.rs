@@ -3,12 +3,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_obs::{EventKind, SharedRecorder};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request,
-    ServingReport, TenantLedger, TenantSched, TenantSet, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request, ServingReport,
+    TenantLedger, TenantSched, TenantSet, TrafficSpec,
 };
-use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_units::{Error, Result, Seconds};
 
 use crate::disagg::{run_disaggregated, InterconnectSpec};
@@ -18,8 +18,7 @@ use crate::observe::{FleetObserver, FleetTrace};
 use crate::replica::{fleet_sessions, ReplicaSpec};
 use crate::report::{ClusterReport, FleetTotals, ReplicaAccum};
 use crate::router::{
-    splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy,
-    SnapshotTracker,
+    splitmix64, HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy, SnapshotTracker,
 };
 
 /// How the fleet's replicas divide the serving pipeline.
@@ -97,7 +96,9 @@ impl ClusterEngine {
     /// Returns an error for an empty replica list.
     pub fn colocated(replicas: Vec<ReplicaSpec>, router: RouterPolicy) -> Result<Self> {
         if replicas.is_empty() {
-            return Err(Error::invalid_config("a cluster needs at least one replica"));
+            return Err(Error::invalid_config(
+                "a cluster needs at least one replica",
+            ));
         }
         Ok(ClusterEngine {
             topology: ClusterTopology::Colocated { replicas, router },
@@ -128,9 +129,14 @@ impl ClusterEngine {
             ));
         }
         let bandwidth = interconnect.link_bandwidth.get();
-        let (hop, pj) = (interconnect.hop_latency.get(), interconnect.energy_pj_per_byte);
+        let (hop, pj) = (
+            interconnect.hop_latency.get(),
+            interconnect.energy_pj_per_byte,
+        );
         if !(bandwidth.is_finite() && bandwidth > 0.0) {
-            return Err(Error::invalid_config("the KV link bandwidth must be positive and finite"));
+            return Err(Error::invalid_config(
+                "the KV link bandwidth must be positive and finite",
+            ));
         }
         if !(hop.is_finite() && hop >= 0.0 && pj.is_finite() && pj >= 0.0) {
             return Err(Error::invalid_config(
@@ -169,7 +175,9 @@ impl ClusterEngine {
         };
         match &mut self.topology {
             ClusterTopology::Colocated { replicas, .. } => apply(replicas),
-            ClusterTopology::Disaggregated { prefill, decode, .. } => {
+            ClusterTopology::Disaggregated {
+                prefill, decode, ..
+            } => {
                 apply(prefill);
                 apply(decode);
             }
@@ -269,8 +277,13 @@ impl ClusterEngine {
         offered: impl Into<Offered<'t>>,
         recorder: Option<&SharedRecorder>,
     ) -> Result<ClusterRun> {
-        if self.slo_ms.is_some_and(|slo| !(slo.is_finite() && slo > 0.0)) {
-            return Err(Error::invalid_config("the latency SLO must be positive and finite"));
+        if self
+            .slo_ms
+            .is_some_and(|slo| !(slo.is_finite() && slo > 0.0))
+        {
+            return Err(Error::invalid_config(
+                "the latency SLO must be positive and finite",
+            ));
         }
         let offered = offered.into();
         let traffic = offered.spec()?;
@@ -286,10 +299,10 @@ impl ClusterEngine {
         let tenants = offered.tenants();
         let sched = tenants.map(TenantSet::sched);
         let mut ledger = tenants.map(|set| TenantLedger::new(set, &traffic));
-        let tenancy = sched.as_ref().zip(ledger.as_mut()).map(|(sched, ledger)| Tenancy {
-            sched,
-            ledger,
-        });
+        let tenancy = sched
+            .as_ref()
+            .zip(ledger.as_mut())
+            .map(|(sched, ledger)| Tenancy { sched, ledger });
         match recorder {
             None => self.dispatch::<()>(label, &traffic, tenancy, &()),
             Some(rec) => self.dispatch::<FleetTrace>(label, &traffic, tenancy, rec),
@@ -356,9 +369,9 @@ impl ClusterEngine {
         policy.validate()?;
         let ngroups = match &self.topology {
             ClusterTopology::Colocated { replicas, .. } => replicas.len(),
-            ClusterTopology::Disaggregated { prefill, decode, .. } => {
-                prefill.len() + decode.len()
-            }
+            ClusterTopology::Disaggregated {
+                prefill, decode, ..
+            } => prefill.len() + decode.len(),
         };
         if policy.groups.len() != ngroups {
             return Err(Error::invalid_config(format!(
@@ -382,18 +395,27 @@ impl ClusterEngine {
     ) -> Result<ClusterRun> {
         let groups = &self.checked(policy)?.groups;
         let expand = |specs: &[ReplicaSpec], groups| elastic::slots(specs, groups, false).0;
-        let mut pinned = ClusterEngine { autoscale: None, ..self.clone() };
+        let mut pinned = ClusterEngine {
+            autoscale: None,
+            ..self.clone()
+        };
         match &mut pinned.topology {
             ClusterTopology::Colocated { replicas, .. } => *replicas = expand(replicas, groups),
-            ClusterTopology::Disaggregated { prefill, decode, .. } => {
+            ClusterTopology::Disaggregated {
+                prefill, decode, ..
+            } => {
                 *decode = expand(decode, &groups[prefill.len()..]);
                 *prefill = expand(prefill, groups);
             }
         }
         let mut run = pinned.dispatch::<O>(label, traffic, tenancy, sink)?;
         let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
-        let busy_chip_s: f64 =
-            run.report.per_replica.iter().map(|r| r.busy_s * r.chips as f64).sum();
+        let busy_chip_s: f64 = run
+            .report
+            .per_replica
+            .iter()
+            .map(|r| r.busy_s * r.chips as f64)
+            .sum();
         run.report.scaling = Some(ScalingStats::static_fleet(
             run.report.replicas,
             chip_seconds,
@@ -467,12 +489,20 @@ impl<K: Ord, T> Ord for Queued<K, T> {
 
 impl<K: Ord, T> EventQueue<K, T> {
     pub(crate) fn new(key: fn(&T) -> K) -> Self {
-        EventQueue { heap: BinaryHeap::new(), key, pushed: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            key,
+            pushed: 0,
+        }
     }
 
     pub(crate) fn push(&mut self, item: T) {
         self.pushed += 1;
-        self.heap.push(Queued { key: (self.key)(&item), seq: self.pushed, item });
+        self.heap.push(Queued {
+            key: (self.key)(&item),
+            seq: self.pushed,
+            item,
+        });
     }
 
     pub(crate) fn peek(&self) -> Option<&T> {
@@ -495,8 +525,9 @@ impl<K: Ord, T> EventQueue<K, T> {
     /// Removes every item `doomed` selects and returns them in push
     /// order. `O(len)`: crash revocation and load shedding only.
     fn remove_where(&mut self, mut doomed: impl FnMut(&T) -> bool) -> Vec<T> {
-        let (mut out, keep): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.heap).into_iter().partition(|q| doomed(&q.item));
+        let (mut out, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
+            .into_iter()
+            .partition(|q| doomed(&q.item));
         self.heap = keep.into();
         out.sort_by_key(|q| q.seq);
         out.into_iter().map(|q| q.item).collect()
@@ -545,12 +576,19 @@ fn run_colocated<O: FleetObserver>(
 ) -> Result<ClusterRun> {
     let (slots, groups) = match autoscale {
         Some(p) => elastic::slots(replicas, &p.groups, p.swap),
-        None => (replicas.to_vec(), std::iter::once(0..replicas.len()).collect()),
+        None => (
+            replicas.to_vec(),
+            std::iter::once(0..replicas.len()).collect(),
+        ),
     };
     let n = slots.len();
     let zero_fault = plan.is_empty();
     let recovery = *plan.recovery();
-    let shed_at = if zero_fault { None } else { recovery.shed_outstanding };
+    let shed_at = if zero_fault {
+        None
+    } else {
+        recovery.shed_outstanding
+    };
     let timeline = plan.colocated_timeline(n)?;
     let mut next_fault = 0usize;
 
@@ -575,7 +613,8 @@ fn run_colocated<O: FleetObserver>(
     let offered = stream.total();
     let mut routers: Vec<Box<dyn Router>> = groups.iter().map(|_| policy.build()).collect();
     let mut health = HealthView::all_up(n);
-    let mut scaler = autoscale.map(|p| Scaler::new(p, replicas, &slots, &groups, &mut health, &obs));
+    let mut scaler =
+        autoscale.map(|p| Scaler::new(p, replicas, &slots, &groups, &mut health, &obs));
     // The open straggler window per slot, as (start, factor); the
     // Straggler span is emitted when the window closes.
     let mut slow: Vec<Option<(Seconds, f64)>> = vec![None; n];
@@ -592,7 +631,11 @@ fn run_colocated<O: FleetObserver>(
     let mut deliveries = EventQueue::new(|(_, c): &(usize, Completion)| EventKey::new(c.finish));
     let mut delivered_by = vec![0u64; n];
     let mut waiting = EventQueue::new(|w: &WaitingRetry| {
-        (EventKey::new(w.fire), EventKey::new(w.request.arrival()), w.request.id)
+        (
+            EventKey::new(w.fire),
+            EventKey::new(w.request.arrival()),
+            w.request.id,
+        )
     });
     // Requests parked per group while it has no routable slot.
     let mut parked: Vec<Vec<WaitingRetry>> = vec![Vec::new(); groups.len()];
@@ -739,7 +782,12 @@ fn run_colocated<O: FleetObserver>(
                                 s.retire_if_dry(replica, now, &mut health, &cores);
                             }
                             if health.is_live(replica) {
-                                health.set(replica, ReplicaHealth::Down { until: now + repair });
+                                health.set(
+                                    replica,
+                                    ReplicaHealth::Down {
+                                        until: now + repair,
+                                    },
+                                );
                             }
                             // Revoke the dead incarnation's undelivered
                             // completions — their requests are in `lost`.
@@ -750,7 +798,11 @@ fn run_colocated<O: FleetObserver>(
                                 if let Some((fire, attempts)) =
                                     ledger.on_lost(&r, now, &mut stream, &mut tenancy)
                                 {
-                                    waiting.push(WaitingRetry { fire, request: r, attempts });
+                                    waiting.push(WaitingRetry {
+                                        fire,
+                                        request: r,
+                                        attempts,
+                                    });
                                 }
                             }
                         }
@@ -789,7 +841,11 @@ fn run_colocated<O: FleetObserver>(
                     let request = stream.pop();
                     obs.arrival(None, &request, &tenancy);
                     close_due = stream.exhausted();
-                    WaitingRetry { fire: now, request, attempts: 0 }
+                    WaitingRetry {
+                        fire: now,
+                        request,
+                        attempts: 0,
+                    }
                 } else {
                     waiting
                         .pop()
@@ -831,9 +887,8 @@ fn run_colocated<O: FleetObserver>(
                         // first — this request and every waiting request
                         // older than it (closest to their deadlines).
                         let key = (ledger.origin(&r), r.id);
-                        let older = waiting.remove_where(|w| {
-                            (ledger.origin(&w.request), w.request.id) <= key
-                        });
+                        let older = waiting
+                            .remove_where(|w| (ledger.origin(&w.request), w.request.id) <= key);
                         for w in std::iter::once(&r).chain(older.iter().map(|w| &w.request)) {
                             let orig = ledger.origin(w);
                             ledger.shed(w.id, orig, now, &mut stream, &mut tenancy);
@@ -845,7 +900,11 @@ fn run_colocated<O: FleetObserver>(
                 let k = if whole { pos } else { up[pos] };
                 ledger.on_placed(item.attempts);
                 let mut pushed = r;
-                pushed.arrival_s = if item.attempts > 0 { now.get() } else { r.arrival_s };
+                pushed.arrival_s = if item.attempts > 0 {
+                    now.get()
+                } else {
+                    r.arrival_s
+                };
                 // A slot cannot see work arrive before its queue tail or
                 // its up instant (a parked request lands on a slot that
                 // came up, or took later work, after it arrived) — even on
@@ -949,7 +1008,12 @@ fn run_colocated<O: FleetObserver>(
     if let Some(t) = tenancy {
         report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
     }
-    Ok(ClusterRun { report, replica_reports, completions: delivered, prefix: totals.prefix })
+    Ok(ClusterRun {
+        report,
+        replica_reports,
+        completions: delivered,
+        prefix: totals.prefix,
+    })
 }
 
 #[cfg(test)]

@@ -88,7 +88,8 @@ impl FaultEvent {
     /// [`FaultPlan::resolve`].
     fn invalid(&self) -> Option<String> {
         let factor = |what: &str, x: f64| {
-            (!(x.is_finite() && x > 0.0)).then(|| format!("{what} must be a positive finite factor"))
+            (!(x.is_finite() && x > 0.0))
+                .then(|| format!("{what} must be a positive finite factor"))
         };
         // `is_finite` rejects NaN and ±inf: comparisons alone let NaN through.
         let finite_from_zero = |t: Seconds| t.get().is_finite() && t.get() >= 0.0;
@@ -101,14 +102,22 @@ impl FaultEvent {
                 let ok = finite_from_zero(at) && finite_from_zero(repair);
                 (!ok).then(|| "crash times must be finite, non-negative".to_owned())
             }
-            FaultEvent::Straggler { from, until, slowdown, .. } => {
+            FaultEvent::Straggler {
+                from,
+                until,
+                slowdown,
+                ..
+            } => {
                 factor("straggler slowdown", slowdown).or_else(|| window("straggler", from, until))
             }
-            FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor } => {
-                factor("link bandwidth factor", bandwidth_factor)
-                    .or_else(|| factor("link energy factor", energy_factor))
-                    .or_else(|| window("degraded-link", from, until))
-            }
+            FaultEvent::DegradedLink {
+                from,
+                until,
+                bandwidth_factor,
+                energy_factor,
+            } => factor("link bandwidth factor", bandwidth_factor)
+                .or_else(|| factor("link energy factor", energy_factor))
+                .or_else(|| window("degraded-link", from, until)),
         }
     }
 }
@@ -192,12 +201,20 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// The empty plan: no faults, today's behaviour.
     pub fn none() -> Self {
-        FaultPlan { seed: 0, events: Vec::new(), chaos: None, recovery: RecoveryPolicy::default() }
+        FaultPlan {
+            seed: 0,
+            events: Vec::new(),
+            chaos: None,
+            recovery: RecoveryPolicy::default(),
+        }
     }
 
     /// An empty plan carrying `seed` for chaos draws added later.
     pub fn seeded(seed: u64) -> Self {
-        FaultPlan { seed, ..Self::none() }
+        FaultPlan {
+            seed,
+            ..Self::none()
+        }
     }
 
     /// Adds one explicit event.
@@ -271,25 +288,32 @@ impl FaultPlan {
     /// factor.
     pub fn resolve(&self, replicas: usize) -> Result<Vec<FaultEvent>> {
         if replicas == 0 {
-            return Err(Error::invalid_config("cannot inject faults into an empty fleet"));
+            return Err(Error::invalid_config(
+                "cannot inject faults into an empty fleet",
+            ));
         }
         let mut events = self.events.clone();
         if let Some(chaos) = &self.chaos {
             let (from, until) = chaos.window;
             if !(from.get().is_finite() && until.get().is_finite()) || until < from {
-                return Err(Error::invalid_config("chaos window must be finite and not reversed"));
+                return Err(Error::invalid_config(
+                    "chaos window must be finite and not reversed",
+                ));
             }
             let mut rng = FaultRng::new(self.seed);
             for _ in 0..chaos.crashes {
-                let at = Seconds::new(
-                    from.get() + rng.next_f64() * (until.get() - from.get()),
-                );
+                let at = Seconds::new(from.get() + rng.next_f64() * (until.get() - from.get()));
                 let replica = (rng.next_u64() % replicas as u64) as usize;
-                events.push(FaultEvent::Crash { at, replica, repair: chaos.repair });
+                events.push(FaultEvent::Crash {
+                    at,
+                    replica,
+                    repair: chaos.repair,
+                });
             }
         }
         for event in &events {
-            if let FaultEvent::Crash { replica, .. } | FaultEvent::Straggler { replica, .. } = *event
+            if let FaultEvent::Crash { replica, .. } | FaultEvent::Straggler { replica, .. } =
+                *event
             {
                 if replica >= replicas {
                     return Err(Error::invalid_config(format!(
@@ -312,12 +336,33 @@ impl FaultPlan {
         let mut timeline = Vec::new();
         for event in self.resolve(n)? {
             match event {
-                FaultEvent::Crash { at, replica, repair } => {
+                FaultEvent::Crash {
+                    at,
+                    replica,
+                    repair,
+                } => {
                     timeline.push((at, FaultAction::Crash { replica, repair }));
                 }
-                FaultEvent::Straggler { replica, from, until, slowdown } => {
-                    timeline.push((from, FaultAction::Slow { replica, factor: Some(slowdown) }));
-                    timeline.push((until, FaultAction::Slow { replica, factor: None }));
+                FaultEvent::Straggler {
+                    replica,
+                    from,
+                    until,
+                    slowdown,
+                } => {
+                    timeline.push((
+                        from,
+                        FaultAction::Slow {
+                            replica,
+                            factor: Some(slowdown),
+                        },
+                    ));
+                    timeline.push((
+                        until,
+                        FaultAction::Slow {
+                            replica,
+                            factor: None,
+                        },
+                    ));
                 }
                 FaultEvent::DegradedLink { .. } => {
                     return Err(Error::invalid_config(
@@ -499,7 +544,8 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
             self.time_out(r.id, orig, now, stream, tenancy);
             return None;
         }
-        self.obs.request(EventKind::Retry, r.id, now, Some(fire), tenancy);
+        self.obs
+            .request(EventKind::Retry, r.id, now, Some(fire), tenancy);
         self.attempts.insert(r.id, attempts);
         Some((fire, attempts))
     }
@@ -584,7 +630,12 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
     pub(crate) fn on_crash(&mut self, replica: usize, at: Seconds, retiring: bool) {
         self.stats.crashes += 1;
         let back = retiring.then_some(at);
-        self.crashes.push(CrashRecord { replica, at, up_again: back, first_completion: back });
+        self.crashes.push(CrashRecord {
+            replica,
+            at,
+            up_again: back,
+            first_completion: back,
+        });
     }
 
     /// Stamps `now` on every crash whose replica `health` shows up again.
@@ -722,7 +773,9 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
         let when = fields.next().unwrap_or_default();
         let window = |what: &str| spec::parse_window(when).ok_or_else(|| bad(part, what));
         let replica = |field: Option<&str>| {
-            field.and_then(parse_replica).ok_or_else(|| bad(part, "missing or bad replica"))
+            field
+                .and_then(parse_replica)
+                .ok_or_else(|| bad(part, "missing or bad replica"))
         };
         let factor = |field: Option<&str>| {
             let factor = field.and_then(spec::parse_factor);
@@ -743,7 +796,12 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
             "straggler" => {
                 let (from, until) = window("bad straggler window")?;
                 let replica = replica(fields.next())?;
-                FaultEvent::Straggler { replica, from, until, slowdown: factor(fields.next())? }
+                FaultEvent::Straggler {
+                    replica,
+                    from,
+                    until,
+                    slowdown: factor(fields.next())?,
+                }
             }
             "link" => {
                 let (from, until) = window("bad link window")?;
@@ -755,7 +813,12 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
                         .and_then(spec::parse_factor)
                         .ok_or_else(|| bad(part, "bad ':energy=x<factor>'"))?,
                 };
-                FaultEvent::DegradedLink { from, until, bandwidth_factor, energy_factor }
+                FaultEvent::DegradedLink {
+                    from,
+                    until,
+                    bandwidth_factor,
+                    energy_factor,
+                }
             }
             other => return Err(bad(part, &format!("unknown fault kind '{other}'"))),
         };
@@ -775,7 +838,10 @@ pub fn parse_faults(spec: &str) -> Result<Vec<FaultEvent>> {
 
 /// Parses `replica3`, `r3`, or `3` as a replica index.
 fn parse_replica(s: &str) -> Option<usize> {
-    let digits = s.strip_prefix("replica").or_else(|| s.strip_prefix('r')).unwrap_or(s);
+    let digits = s
+        .strip_prefix("replica")
+        .or_else(|| s.strip_prefix('r'))
+        .unwrap_or(s);
     digits.parse().ok()
 }
 
@@ -788,12 +854,14 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         assert!(plan.resolve(2).unwrap().is_empty());
-        assert!(!plan.clone().with_chaos(ChaosSpec {
-            crashes: 1,
-            window: (Seconds::ZERO, Seconds::new(1.0)),
-            repair: Seconds::new(0.5),
-        })
-        .is_empty());
+        assert!(!plan
+            .clone()
+            .with_chaos(ChaosSpec {
+                crashes: 1,
+                window: (Seconds::ZERO, Seconds::new(1.0)),
+                repair: Seconds::new(0.5),
+            })
+            .is_empty());
     }
 
     #[test]
@@ -813,7 +881,12 @@ mod tests {
         assert_eq!(plan(7).chaos().map(|c| c.crashes), Some(3));
         assert!(FaultPlan::seeded(7).chaos().is_none());
         for e in &a {
-            let FaultEvent::Crash { at, replica, repair } = *e else {
+            let FaultEvent::Crash {
+                at,
+                replica,
+                repair,
+            } = *e
+            else {
                 panic!("chaos draws crashes only")
             };
             assert!(at >= Seconds::new(1.0) && at < Seconds::new(2.0));
@@ -837,7 +910,10 @@ mod tests {
                 slowdown: 4.0,
             });
         let events = plan.resolve(2).unwrap();
-        assert!(matches!(events[0], FaultEvent::Straggler { .. }), "sorted by effect time");
+        assert!(
+            matches!(events[0], FaultEvent::Straggler { .. }),
+            "sorted by effect time"
+        );
         assert!(plan.resolve(1).is_err(), "replica 1 out of range");
         assert!(FaultPlan::none()
             .with_event(FaultEvent::Straggler {
@@ -870,7 +946,10 @@ mod tests {
     /// Whether resolving `event` on a 2-replica fleet is a typed
     /// configuration error.
     fn rejected(event: FaultEvent) -> bool {
-        matches!(FaultPlan::none().with_event(event).resolve(2), Err(Error::InvalidConfig(_)))
+        matches!(
+            FaultPlan::none().with_event(event).resolve(2),
+            Err(Error::InvalidConfig(_))
+        )
     }
 
     #[test]
@@ -930,8 +1009,14 @@ mod tests {
         };
         assert!(chaos(0.0, 1.0).resolve(2).is_ok());
         for bad in NON_FINITE {
-            assert!(matches!(chaos(bad, 1.0).resolve(2), Err(Error::InvalidConfig(_))));
-            assert!(matches!(chaos(0.0, bad).resolve(2), Err(Error::InvalidConfig(_))));
+            assert!(matches!(
+                chaos(bad, 1.0).resolve(2),
+                Err(Error::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                chaos(0.0, bad).resolve(2),
+                Err(Error::InvalidConfig(_))
+            ));
         }
     }
 
@@ -1040,8 +1125,9 @@ mod tests {
     /// Near misses a piece may be swapped for: an unknown kind, an
     /// uppercase one, reversed, empty and negative windows, a bad
     /// replica, NaN and zero factors, an empty repair, a dropped piece.
-    const MISSES: [&str; 10] =
-        ["flood@", "CRASH@", "3s-1s", "2s-2s", "-1s", ":rx", ":xnan", ":x0", ":repair=", ""];
+    const MISSES: [&str; 10] = [
+        "flood@", "CRASH@", "3s-1s", "2s-2s", "-1s", ":rx", ":xnan", ":x0", ":repair=", "",
+    ];
 
     /// One near-grammar spec: each `u64` draws one event, each of its
     /// pieces swapped for a near miss one time in four.
@@ -1101,7 +1187,10 @@ mod tests {
 
     #[test]
     fn availability_serializes_in_declaration_order() {
-        let stats = AvailabilityStats { crashes: 1, ..AvailabilityStats::zero() };
+        let stats = AvailabilityStats {
+            crashes: 1,
+            ..AvailabilityStats::zero()
+        };
         let json = serde_json::to_string(&stats).unwrap();
         let keys = [
             "\"crashes\"",
@@ -1115,8 +1204,14 @@ mod tests {
         ];
         let positions: Vec<usize> = keys
             .iter()
-            .map(|k| json.find(k).unwrap_or_else(|| panic!("{k} missing from {json}")))
+            .map(|k| {
+                json.find(k)
+                    .unwrap_or_else(|| panic!("{k} missing from {json}"))
+            })
             .collect();
-        assert!(positions.windows(2).all(|w| w[0] < w[1]), "field order drifted: {json}");
+        assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "field order drifted: {json}"
+        );
     }
 }
