@@ -659,7 +659,7 @@ pub fn sweep_hbm_bandwidth() -> Result<Vec<HbmSweepRow>> {
     .collect()
 }
 
-/// Quick sanity accessor: the engines' GEMV asymmetry (used by benches).
+/// Quick sanity accessor: the engines' GEMV asymmetry (printed by `ablations`).
 ///
 /// # Errors
 ///

@@ -1,9 +1,9 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each experiment is a plain function returning structured results so it
-//! can be driven three ways: the `--bin` reproduction binaries (printing
-//! the same rows/series the paper reports), the Criterion benches, and the
-//! integration tests. See DESIGN.md §4 for the experiment index.
+//! can be driven two ways: the `--bin` reproduction binaries (printing
+//! the same rows/series the paper reports) and the tests. See DESIGN.md
+//! §4 for the experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,17 +17,16 @@
 //! # The `CIMTPU_WORKERS` environment variable
 //!
 //! `CIMTPU_WORKERS=<n>` caps the worker count for every pool in the
-//! process (`1` forces a sequential run, which the benchmarks use as the
-//! reference); unset, pools size to `std::thread::available_parallelism`.
-//! Values below 1 are clamped to 1. Drivers with a command line
-//! (`repro_all`, `serve_sim`) expose the same knob as `--workers N`,
-//! which simply overrides the variable — child processes spawned by
-//! `repro_all` inherit it.
+//! process (`1` forces a sequential run); unset, pools size to
+//! `std::thread::available_parallelism`. Values below 1 are clamped
+//! to 1. Drivers with a command line (`repro_all`, `serve_sim`) expose
+//! the same knob as `--workers N`, which simply overrides the variable —
+//! child processes spawned by `repro_all` inherit it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a sweep executes: the production fast path or the reference path
-/// benchmarks compare against.
+/// the fast path is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
     /// Parallel fan-out with memoized simulators (the default).
@@ -94,8 +93,8 @@ where
     map_with_workers(items, available_workers(), &init, &f)
 }
 
-/// [`parallel_map_init`] with an explicit worker count (used by
-/// [`SweepMode::workers_for`] and the benchmarks).
+/// [`parallel_map_init`] with the worker count of `mode` (see
+/// [`SweepMode::workers_for`]).
 pub fn map_with_mode<T, S, R, I, F>(mode: SweepMode, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,

@@ -88,9 +88,7 @@
 //! `--perf-json PATH` also writes one wall-clock [`PerfRecord`] per
 //! scenario — how fast the discrete-event driver itself ran on this
 //! machine (`requests_per_second`, `steps_per_second` against the host
-//! clock). The committed `BENCH_cluster_perf.json` snapshot is
-//! `cluster_sim --perf-json BENCH_cluster_perf.json` on the dev box;
-//! wall times are machine-dependent, so CI checks a floor on the
+//! clock). Wall times are machine-dependent, so CI checks a floor on the
 //! `cluster-day-smoke` record rather than diffing bytes.
 //!
 //! `--trace PATH` attaches the `cimtpu-obs` flight recorder and writes a
@@ -125,7 +123,7 @@ use cimtpu_cluster::{
     parse_autoscale, parse_faults, ClusterEngine, ClusterReport, ClusterRun, ClusterTopology,
     FaultPlan, PerfRecord, Recorder, SharedRecorder,
 };
-use cimtpu_serving::cli::{self, Binary, SimFlags};
+use cimtpu_serving::cli::{self, Binary, SimFlags, Stdout};
 
 /// The fleet binary: its catalogue plus what the fleet-mode flags leave
 /// behind across the shared flow.
@@ -265,18 +263,18 @@ impl Binary for ClusterSim {
     /// reports (`--json PATH` still writes them all); `--perf-json`
     /// writes the wall-clock records to their own file, never into the
     /// byte-diffed `--json` baseline.
-    fn emit(&mut self, flags: &SimFlags, reports: Vec<ClusterReport>) -> bool {
+    fn emit(&mut self, out: &mut Stdout, flags: &SimFlags, reports: Vec<ClusterReport>) -> bool {
         let mut failed = self.failed;
         if flags.summary {
             if let Some(path) = &flags.json {
-                failed |= cli::write_json(Self::NAME, path, &reports);
+                failed |= cli::write_json(Self::NAME, out, path, &reports);
             }
-            print_summary(&reports);
+            print_summary(out, &reports);
         } else {
-            failed |= cli::emit_reports(Self::NAME, &reports, flags.json.as_deref());
+            failed |= cli::emit_reports(Self::NAME, out, &reports, flags.json.as_deref());
         }
         if let Some(path) = &flags.perf_json {
-            failed |= cli::write_json(Self::NAME, path, &self.perf);
+            failed |= cli::write_json(Self::NAME, out, path, &self.perf);
         }
         failed
     }
@@ -322,11 +320,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// The `--summary` one-screen table: one row per scenario with goodput,
 /// availability, scaling-action counts, and latency percentiles.
-fn print_summary(reports: &[ClusterReport]) {
-    println!(
-        "{:<26} {:>9} {:>9} {:>13} {:>10} {:>10} {:>6}  scale(+/-/0/swap)",
+fn print_summary(out: &mut Stdout, reports: &[ClusterReport]) {
+    out.print(format_args!(
+        "{:<26} {:>9} {:>9} {:>13} {:>10} {:>10} {:>6}  scale(+/-/0/swap)\n",
         "scenario", "offered", "done", "goodput_rps", "p50_ms", "p99_ms", "avail"
-    );
+    ));
     for r in reports {
         let avail = r
             .availability
@@ -341,8 +339,8 @@ fn print_summary(reports: &[ClusterReport]) {
                 )
             },
         );
-        println!(
-            "{:<26} {:>9} {:>9} {:>13.2} {:>10.3} {:>10.3} {:>6}  {}",
+        out.print(format_args!(
+            "{:<26} {:>9} {:>9} {:>13.2} {:>10.3} {:>10.3} {:>6}  {}\n",
             r.label,
             r.offered,
             r.completed,
@@ -351,7 +349,7 @@ fn print_summary(reports: &[ClusterReport]) {
             r.latency.p99_ms,
             avail,
             scaling
-        );
+        ));
     }
 }
 

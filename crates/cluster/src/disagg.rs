@@ -1071,7 +1071,6 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     }
     Ok(ClusterRun {
         report,
-        replica_reports: Vec::new(),
         completions,
         prefix: cimtpu_serving::PrefixStats::default(),
     })

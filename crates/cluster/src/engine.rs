@@ -6,8 +6,8 @@ use std::collections::BinaryHeap;
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_obs::{EventKind, SharedRecorder};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request, ServingReport,
-    TenantLedger, TenantSched, TenantSet, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request, TenantLedger,
+    TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_units::{Error, Result, Seconds};
 
@@ -72,14 +72,6 @@ pub struct ClusterEngine {
 pub struct ClusterRun {
     /// The fleet aggregate.
     pub report: ClusterReport,
-    /// Per-replica `ServingReport`s, filled for a static colocated fleet
-    /// under an empty fault plan, where every replica runs one engine
-    /// core for the whole run: one report per replica that completed at
-    /// least one request, labelled with the replica name. Empty under a
-    /// fault plan (a crash replaces cores mid-run), for elastic fleets
-    /// with or without one (slots boot and retire), and for disaggregated
-    /// fleets (their pools do not run the single-engine scheduler).
-    pub replica_reports: Vec<ServingReport>,
     /// Per-request lifecycle records, in request-id order.
     pub completions: Vec<Completion>,
     /// Fleet-wide prefix-sharing counters, summed over replicas (all
@@ -972,17 +964,6 @@ fn run_colocated<O: FleetObserver>(
         accum[k].harvest(core, tenancy.as_mut());
     }
     obs.finish(&cores, &tenancy);
-    // A static fleet under an empty plan ran one incarnation per replica,
-    // whose core holds its whole history: the per-replica reports read
-    // straight off it. Other runs report the fleet aggregate only.
-    let mut replica_reports = Vec::new();
-    if zero_fault && scaler.is_none() {
-        for (spec, core) in slots.iter().zip(&cores) {
-            if !core.completions().is_empty() {
-                replica_reports.push(core.finish(&spec.name).report);
-            }
-        }
-    }
     delivered.sort_unstable_by_key(|c| c.id);
 
     // One row per slot that ever held a machine (every static replica).
@@ -1010,7 +991,6 @@ fn run_colocated<O: FleetObserver>(
     }
     Ok(ClusterRun {
         report,
-        replica_reports,
         completions: delivered,
         prefix: totals.prefix,
     })
@@ -1044,8 +1024,7 @@ mod tests {
 
         /// Under an empty plan the tracker-routed loop, delivering each
         /// completion at once, replays the reference's per-admission
-        /// router-view rebuild and deliver-at-finish rule bit-for-bit
-        /// (per-replica reports included).
+        /// router-view rebuild and deliver-at-finish rule bit-for-bit.
         #[test]
         fn tracked_colocated_matches_rebuild_oracle(seed in 0u64..1_000) {
             check(&FaultPlan::none(), seed);

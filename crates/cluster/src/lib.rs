@@ -151,9 +151,10 @@
 //! A [`ClusterRun`] carries the fleet [`ClusterReport`] (p50/p95/p99
 //! latency and TTFT, throughput and SLO-goodput, energy, KV-transfer
 //! volume/time/energy, per-replica utilization rows and an imbalance
-//! ratio) plus per-replica `ServingReport`s for colocated fleets. The
-//! `cluster_sim` binary runs the headline scenarios and writes
-//! `BENCH_cluster.json`, which CI diffs against the committed baseline.
+//! ratio), the per-request completions and the fleet's prefix-sharing
+//! counters. The `cluster_sim` binary runs the headline scenarios and
+//! writes `BENCH_cluster.json`, which CI diffs against the committed
+//! baseline.
 //!
 //! # Example
 //!

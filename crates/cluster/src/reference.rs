@@ -402,9 +402,6 @@ fn colocated(
     for (k, core) in cores.iter().enumerate() {
         accum[k].harvest(core, None);
     }
-    let served = replicas.iter().zip(&cores);
-    let served = served.filter(|(_, c)| !faulty && !c.completions().is_empty());
-    let replica_reports = served.map(|(s, c)| c.finish(&s.name).report).collect();
     delivered.sort_by_key(|c| c.id);
     let mut totals = FleetTotals::default();
     let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k], "serve")).collect();
@@ -412,7 +409,7 @@ fn colocated(
     let report = ClusterReport::build(
         label, "colocated", name, offered, &delivered, &totals, rows, slo_ms, avail,
     );
-    Ok(ClusterRun { report, replica_reports, completions: delivered, prefix: totals.prefix })
+    Ok(ClusterRun { report, completions: delivered, prefix: totals.prefix })
 }
 
 /// A disaggregated retry: fires at `.0`; `.1` with `.2` retries charged;
@@ -575,7 +572,7 @@ fn disaggregated(
         label, "disaggregated", name, offered, &completions, &totals, rows, slo_ms, avail,
     );
     let prefix = cimtpu_serving::PrefixStats::default();
-    Ok(ClusterRun { report, replica_reports: Vec::new(), completions, prefix })
+    Ok(ClusterRun { report, completions, prefix })
 }
 
 #[cfg(test)]
@@ -662,13 +659,11 @@ pub(crate) mod tests {
             rows.push(totals.row(spec, &accum, core.completions().len() as u64, "serve"));
             done.extend_from_slice(core.completions());
         }
-        let served = fleet.iter().zip(&cores).filter(|(_, c)| !c.completions().is_empty());
-        let replica_reports = served.map(|(s, c)| c.finish(&s.name).report).collect();
         done.sort_by_key(|c| c.id);
         let (name, eq) = (policy.name().to_owned(), "eq");
         let report =
             ClusterReport::build(eq, "colocated", name, offered, &done, &totals, rows, None, None);
-        ClusterRun { report, replica_reports, completions: done, prefix: totals.prefix }
+        ClusterRun { report, completions: done, prefix: totals.prefix }
     }
 
     proptest! {

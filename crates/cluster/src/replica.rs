@@ -15,7 +15,7 @@ use cimtpu_units::Result;
 /// them.
 #[derive(Debug, Clone)]
 pub struct ReplicaSpec {
-    /// Display name (report rows, per-replica `ServingReport` labels).
+    /// Display name (report rows, trace tracks).
     pub name: String,
     /// Chip configuration.
     pub chip: TpuConfig,

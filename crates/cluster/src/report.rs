@@ -37,15 +37,14 @@ impl KvTransferStats {
     }
 }
 
-/// Wall-clock driver-throughput record for one scenario run — the
-/// `--perf-json` sidecar the perf-smoke CI check reads.
+/// Wall-clock driver-throughput record for one scenario run — what
+/// `--perf-json PATH` writes and the perf-smoke CI check reads.
 ///
 /// Everything here is measured against the **host clock**, not simulated
 /// time: `requests_per_second` is how fast the discrete-event driver
 /// chews through offered requests on this machine. Wall times vary
-/// across machines, so these records live in their own file
-/// (`BENCH_cluster_perf.json`) and are never part of the byte-diffed
-/// `BENCH_cluster.json` baseline.
+/// across machines, so these records are never committed and never part
+/// of the byte-diffed `BENCH_cluster.json` baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfRecord {
     /// Scenario / run label.

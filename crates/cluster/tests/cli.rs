@@ -1,9 +1,9 @@
 //! `cluster_sim` rejects flags that cannot apply to the run, before
 //! simulating: exit status 2, the clash on stderr, nothing on stdout.
 //! `--trace-out` writes exactly the traffic a run with the same `--seed`
-//! serves.
+//! serves. A closed stdout ends the output, not the run.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use cimtpu_cluster::scenario::{by_name, headline};
 use cimtpu_serving::{synthesize, to_jsonl, ArrivalPattern, TrafficSpec};
@@ -249,4 +249,40 @@ fn seed_with_trace_in_is_rejected() {
 fn summary_with_json_stdout_is_rejected() {
     let args = ["--scenario", "smoke-cluster", "--summary", "--json", "-"];
     assert_rejected(&args, "--summary cannot be combined with --json -");
+}
+
+/// `cluster_sim args` with stdout on a pipe whose reader is gone, as
+/// under `| head` once `head` has exited.
+fn cluster_sim_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_cluster_sim"))
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("cluster_sim runs")
+}
+
+/// A reader that closed the pipe is not an error: exit 0, nothing on
+/// stderr, and the files the command line names are still written.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    let perf = tmp("cli_closed_perf.json");
+    let runs: [&[&str]; 3] = [
+        &["--help"],
+        &["--scenario", "smoke-cluster", "--perf-json", &perf],
+        &["--scenario", "smoke-cluster", "--summary"],
+    ];
+    for args in runs {
+        let out = cluster_sim_into_closed_pipe(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    let records = std::fs::read_to_string(&perf).expect("--perf-json written");
+    assert!(
+        records.contains("\"label\": \"smoke-cluster\""),
+        "{records}"
+    );
 }

@@ -47,7 +47,6 @@ fn round_robin_spreads_requests_across_replicas() {
     assert_eq!(run.report.per_replica.len(), 2);
     assert_eq!(run.report.per_replica[0].requests, 5);
     assert_eq!(run.report.per_replica[1].requests, 5);
-    assert_eq!(run.replica_reports.len(), 2);
     // Completions merge back into one id-ordered fleet view.
     assert!(run.completions.windows(2).all(|w| w[0].id < w[1].id));
 }

@@ -1,17 +1,17 @@
 //! The cluster bit-exactness anchor: a 1-replica colocated cluster with
 //! the pass-through router must reproduce the corresponding single-engine
-//! `ServingReport` **field-by-field** (and the completion records
-//! bit-for-bit) — for all three batching policies and for both open- and
-//! closed-loop traffic. This is what certifies that the fleet layer adds
-//! routing and aggregation, not new scheduling semantics.
+//! `ServingReport` **field-by-field** in its `ClusterReport` (floats as
+//! bits) and the completion records bit-for-bit — for all three batching
+//! policies and for both open- and closed-loop traffic. This is what
+//! certifies that the fleet layer adds routing and aggregation, not new
+//! scheduling semantics.
 
-use cimtpu_cluster::{ClusterEngine, ReplicaSpec, RouterPolicy};
+use cimtpu_cluster::{ClusterEngine, ClusterRun, ReplicaSpec, RouterPolicy};
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
-    ServingEngine, ServingModel,
-    TrafficSpec,
+    ArrivalPattern, BatchPolicy, LatencyStats, LenDist, MemoryConfig, Parallelism,
+    PrefixTraffic, ServingEngine, ServingModel, ServingRun, TrafficSpec,
 };
 use cimtpu_units::Bytes;
 
@@ -45,6 +45,37 @@ fn traffics() -> [TrafficSpec; 2] {
     ]
 }
 
+fn bits(s: &LatencyStats) -> [u64; 5] {
+    [s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms].map(f64::to_bits)
+}
+
+/// Every `ServingReport` field of the single engine against its
+/// `ClusterReport` counterpart, floats as bits, plus the completions.
+fn assert_same(cluster: &ClusterRun, single: &ServingRun, label: &str) {
+    let (c, s) = (&cluster.report, &single.report);
+    assert_eq!(cluster.completions, single.completions, "{label}");
+    assert_eq!(c.offered, s.offered, "{label}");
+    assert_eq!(c.completed, s.completed, "{label}");
+    assert_eq!(c.chips, s.chips, "{label}");
+    let floats = [
+        ("makespan_s", c.makespan_s, s.makespan_s),
+        ("throughput_rps", c.throughput_rps, s.throughput_rps),
+        ("steps_per_second", c.steps_per_second, s.steps_per_second),
+        ("total_energy_j", c.total_energy_j, s.total_energy_j),
+        ("energy_per_request_j", c.energy_per_request_j, s.energy_per_request_j),
+        ("queue_full_s", c.queue_full_s, s.queue_full_s),
+        ("kv_hwm_frac", c.per_replica[0].kv_hwm_frac, s.kv_hwm_frac),
+    ];
+    for (field, got, want) in floats {
+        assert_eq!(got.to_bits(), want.to_bits(), "{label}: {field} {got} vs {want}");
+    }
+    assert_eq!(bits(&c.latency), bits(&s.latency), "{label}: latency");
+    assert_eq!(bits(&c.ttft), bits(&s.ttft), "{label}: ttft");
+    assert_eq!(c.preemptions, s.preemptions, "{label}");
+    assert_eq!(c.per_replica.len(), 1, "{label}");
+    assert_eq!(c.per_replica[0].requests, s.completed, "{label}");
+}
+
 fn assert_anchor(policy: BatchPolicy, traffic: &TrafficSpec, memory: MemoryConfig) {
     let label = format!(
         "anchor-{}-{}",
@@ -75,33 +106,7 @@ fn assert_anchor(policy: BatchPolicy, traffic: &TrafficSpec, memory: MemoryConfi
     .run(&label, traffic)
     .unwrap();
 
-    // Field-by-field: the derived PartialEq covers every ServingReport
-    // field, including the f64 percentiles (bit-equality on floats).
-    assert_eq!(cluster.replica_reports.len(), 1, "{label}");
-    assert_eq!(cluster.replica_reports[0], single.report, "{label}");
-    assert_eq!(cluster.completions, single.completions, "{label}");
-    // The fleet aggregate agrees on the shared quantities.
-    assert_eq!(cluster.report.completed, single.report.completed, "{label}");
-    assert_eq!(
-        cluster.report.makespan_s.to_bits(),
-        single.report.makespan_s.to_bits(),
-        "{label}"
-    );
-    assert_eq!(
-        cluster.report.latency.p99_ms.to_bits(),
-        single.report.latency.p99_ms.to_bits(),
-        "{label}"
-    );
-    assert_eq!(
-        cluster.report.ttft.p50_ms.to_bits(),
-        single.report.ttft.p50_ms.to_bits(),
-        "{label}"
-    );
-    assert_eq!(
-        cluster.report.total_energy_j.to_bits(),
-        single.report.total_energy_j.to_bits(),
-        "{label}"
-    );
+    assert_same(&cluster, &single, &label);
     assert_eq!(cluster.report.kv_transfers, 0, "{label}");
 }
 
@@ -152,6 +157,5 @@ fn anchor_holds_for_multi_executor_replicas() {
     .unwrap()
     .run("anchor-2chip", &traffic)
     .unwrap();
-    assert_eq!(cluster.replica_reports[0], single.report);
-    assert_eq!(cluster.completions, single.completions);
+    assert_same(&cluster, &single, "anchor-2chip");
 }

@@ -18,6 +18,11 @@
 //! autoscale and recorder flags. Each spec flag is parsed when it is
 //! read; the tokens the spec grammars share live in
 //! [`cimtpu_units::spec`].
+//!
+//! Everything the binaries print goes through one locked [`Stdout`]: a
+//! reader that closed the pipe (`| head`) ends the output, not the run.
+
+use std::io::Write;
 
 use serde::Serialize;
 
@@ -287,33 +292,58 @@ pub trait Binary {
     }
 
     /// Emits the reports (by default [`emit_reports`]); returns whether a
-    /// write failed.
-    fn emit(&mut self, flags: &SimFlags, reports: Vec<<Self::Engine as Engine>::Report>) -> bool {
-        emit_reports(Self::NAME, &reports, flags.json.as_deref())
+    /// file write failed.
+    fn emit(
+        &mut self,
+        out: &mut Stdout,
+        flags: &SimFlags,
+        reports: Vec<<Self::Engine as Engine>::Report>,
+    ) -> bool {
+        emit_reports(Self::NAME, out, &reports, flags.json.as_deref())
+    }
+}
+
+/// The process's stdout behind one locked handle, with the first write
+/// error: output stops there. [`main`] does not count a reader that
+/// closed the pipe as a failure.
+pub struct Stdout(std::io::StdoutLock<'static>, std::io::Result<()>);
+
+impl Stdout {
+    /// Prints `args` unless an earlier write failed.
+    pub fn print(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.1.is_ok() {
+            self.1 = self.0.write_fmt(args);
+        }
     }
 }
 
 /// Runs a simulation binary's command line and exits: status 0, status 1
 /// when a scenario or an output write failed (reported as it happened),
 /// or status 2 with `binary: message` on stderr for a command line that
-/// cannot run (nothing simulated, nothing on stdout).
+/// cannot run (nothing simulated, nothing on stdout). A closed stdout
+/// (`| head`) ends the output silently, not the run or its files.
 pub fn main<B: Binary>(mut binary: B) {
-    match run(&mut binary) {
-        Ok(false) => {}
-        Ok(true) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("{}: {e}", B::NAME);
-            std::process::exit(2);
+    let mut out = Stdout(std::io::stdout().lock(), Ok(()));
+    let failed = run(&mut binary, &mut out).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", B::NAME);
+        std::process::exit(2);
+    });
+    match out.1.and_then(|()| out.0.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("{}: writing stdout: {e}", B::NAME);
+            std::process::exit(1);
         }
+        _ if failed => std::process::exit(1),
+        _ => {}
     }
 }
 
 /// The shared flow (see the module docs): `Ok(true)` when a scenario or
-/// a write failed.
-fn run<B: Binary>(binary: &mut B) -> Result<bool, String> {
+/// a file write failed.
+fn run<B: Binary>(binary: &mut B, out: &mut Stdout) -> Result<bool, String> {
     let flags = SimFlags::parse_from(std::env::args().skip(1), B::MODE)?;
     if flags.help {
-        print_usage::<B>();
+        print_usage::<B>(out);
         return Ok(false);
     }
     let mut scenarios = if flags.scenario == "all" {
@@ -376,12 +406,12 @@ fn run<B: Binary>(binary: &mut B) -> Result<bool, String> {
             }
         }
     }
-    failed |= binary.emit(&flags, reports);
+    failed |= binary.emit(out, &flags, reports);
     // CI greps this exact format on smoke-prefix; `--json -` replaced
     // the text output on stdout.
     if flags.json.as_deref() != Some("-") {
         for (name, stats) in prefix_lines {
-            println!("prefix cache [{name}]  {stats}");
+            out.print(format_args!("prefix cache [{name}]  {stats}\n"));
         }
     }
     Ok(failed)
@@ -389,20 +419,20 @@ fn run<B: Binary>(binary: &mut B) -> Result<bool, String> {
 
 /// Prints the usage line (from the flag table), the flag texts and the
 /// scenario list.
-fn print_usage<B: Binary>() {
-    print!("usage: {}", B::NAME);
+fn print_usage<B: Binary>(out: &mut Stdout) {
+    out.print(format_args!("usage: {}", B::NAME));
     for (name, value, reads, _) in FLAGS {
         match value {
             _ if reads & (B::MODE | TRACE_OUT) == 0 => {}
-            "" => print!(" [{name}]"),
-            value => print!(" [{name} {value}]"),
+            "" => out.print(format_args!(" [{name}]")),
+            value => out.print(format_args!(" [{name} {value}]")),
         }
     }
-    println!();
-    print!("{}{}", HELP.replace("{scope}", B::KV_SCOPE), B::HELP);
-    println!("scenarios:");
+    let help = HELP.replace("{scope}", B::KV_SCOPE);
+    out.print(format_args!("\n{help}{}scenarios:\n", B::HELP));
     for s in (B::HEADLINE)().into_iter().chain((B::CHECKS)()) {
-        println!("  {:<w$} {}", s.name, s.description, w = B::LIST_WIDTH);
+        let w = B::LIST_WIDTH;
+        out.print(format_args!("  {:<w$} {}\n", s.name, s.description));
     }
 }
 
@@ -480,30 +510,31 @@ pub fn write_file(binary: &str, path: &str, contents: impl AsRef<[u8]>) -> bool 
     written.is_err()
 }
 
-/// Writes `value` as pretty JSON to `path` (`-` is stdout); returns
-/// whether it failed.
-pub fn write_json<T: Serialize>(binary: &str, path: &str, value: &T) -> bool {
+/// Writes `value` as pretty JSON to `path` (`-` prints it to `out`);
+/// returns whether a file write failed.
+pub fn write_json<T: Serialize>(binary: &str, out: &mut Stdout, path: &str, value: &T) -> bool {
     let payload =
         serde_json::to_string_pretty(value).expect("reports and perf records serialize") + "\n";
     if path == "-" {
-        print!("{payload}");
+        out.print(format_args!("{payload}"));
         return false;
     }
     write_file(binary, path, payload)
 }
 
 /// Writes `--json` and prints the text reports, which `--json -`
-/// replaces. Returns whether writing failed.
+/// replaces. Returns whether a file write failed.
 #[allow(clippy::ptr_arg)] // the vendored serde implements Serialize for Vec, not slices
 pub fn emit_reports<R: std::fmt::Display + Serialize>(
     binary: &str,
+    out: &mut Stdout,
     reports: &Vec<R>,
     json: Option<&str>,
 ) -> bool {
-    let failed = json.is_some_and(|path| write_json(binary, path, reports));
+    let failed = json.is_some_and(|path| write_json(binary, out, path, reports));
     if json != Some("-") {
         for report in reports {
-            println!("{report}");
+            out.print(format_args!("{report}\n"));
         }
     }
     failed

@@ -1,9 +1,9 @@
 //! `serve_sim` rejects flags that cannot apply to the run, before
 //! simulating: exit status 2, the clash on stderr, nothing on stdout.
 //! `--trace-out` writes exactly the traffic a run with the same `--seed`
-//! serves.
+//! serves. A closed stdout ends the output, not the run.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use cimtpu_serving::scenario;
 use cimtpu_serving::{synthesize, to_jsonl, ArrivalPattern, TrafficSpec};
@@ -215,4 +215,31 @@ fn seed_with_trace_in_is_rejected() {
     let mut seeded = replay.to_vec();
     seeded.extend(["--seed", "7"]);
     assert_rejected(&seeded, "--seed cannot be combined with --trace-in");
+}
+
+/// A reader that closed the pipe (`| head` once `head` has exited) is not
+/// an error: exit 0, nothing on stderr, and `--json PATH` still written.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    let json = tmp("serve_cli_closed.json");
+    let runs: [&[&str]; 3] = [
+        &["--help"],
+        &["--scenario", "smoke", "--json", &json],
+        &["--scenario", "smoke", "--json", "-"],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_serve_sim"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("serve_sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    let report = std::fs::read_to_string(&json).expect("--json written");
+    assert!(report.contains("\"label\": \"smoke\""), "{report}");
 }

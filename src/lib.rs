@@ -114,8 +114,7 @@
 //! request (recompute-on-resume), and chunked prefill interleaves prompt
 //! chunks with running decodes. See `examples/kv_pressure.rs` and the
 //! `llm-kv-pressure` / `llm-chunked-prefill` scenarios in `serve_sim`;
-//! `BENCH_serving.json` tracks the headline serving metrics alongside
-//! `BENCH_sweep.json`.
+//! `BENCH_serving.json` tracks the headline serving metrics.
 //!
 //! # Prefix sharing (copy-on-write KV blocks)
 //!
@@ -159,12 +158,9 @@
 //! Outside the simulator (map-space studies, external drivers),
 //! [`Mapper::best_gemm_mapping`](mapper::Mapper::best_gemm_mapping) maps
 //! one shape against any [`TileCostModel`](mapper::TileCostModel); the
-//! search walks `(tk, tn)` pairs and picks `tm` for its winner only. The
-//! `cargo bench -p cimtpu-bench --bench sweep` harness measures the
-//! optimized path against the sequential uncached reference and exports
-//! `BENCH_sweep.json` (single-core memoization alone: ~2.8× on the Fig. 7
-//! exploration, ~3.5× on full LLM inference; the fan-out multiplies this
-//! by the available cores).
+//! search walks `(tk, tn)` pairs and picks `tm` for its winner only.
+//! `simbench`'s `design-sweep` workload times the memoized path on the
+//! paper's Table IV and seeded CIM geometries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
