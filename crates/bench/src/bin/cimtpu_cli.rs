@@ -12,13 +12,20 @@
 //!
 //! Architecture names: `tpuv4i`, `cim-base`, `design-a`, `design-b`, or
 //! `cim-<count>x<rows>x<cols>` (e.g. `cim-8x16x16`).
+//!
+//! `--help` (or `-h`) prints the usage. A closed stdout (`| head`) is
+//! not an error.
 
 use std::process::ExitCode;
 
 use cimtpu_core::{inference, memory::MemoryFootprint, Simulator, TpuConfig};
 use cimtpu_models::{presets, LlmInferenceSpec};
 use cimtpu_multi::MultiTpu;
+use cimtpu_units::Stdout;
 use rustc_hash::FxHashMap;
+
+/// A command's outcome: its error is printed as `error: <message>`.
+type Result<T = (), E = Box<dyn std::error::Error>> = std::result::Result<T, E>;
 
 fn parse_config(name: &str) -> Result<TpuConfig, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -89,8 +96,12 @@ impl Args {
     }
 }
 
-fn cmd_configs() {
-    println!("{:<14} {:>6} {:>10} {:>12}", "name", "MXUs", "peak TOPS", "MXU kind");
+fn cmd_configs(out: &mut Stdout) -> Result {
+    writeln!(
+        out,
+        "{:<14} {:>6} {:>10} {:>12}",
+        "name", "MXUs", "peak TOPS", "MXU kind"
+    );
     let mut configs = vec![
         TpuConfig::tpuv4i(),
         TpuConfig::cim_base(),
@@ -99,7 +110,8 @@ fn cmd_configs() {
     ];
     configs.extend(TpuConfig::table4_designs());
     for cfg in configs {
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>6} {:>10.1} {:>12}",
             cfg.name(),
             cfg.mxu_count(),
@@ -107,39 +119,49 @@ fn cmd_configs() {
             cfg.mxu().label()
         );
     }
-    println!("\nAlso accepted: cim-<count>x<rows>x<cols>, e.g. cim-8x16x16.");
-}
-
-fn cmd_models() {
-    println!("LLMs: gpt3-30b, gpt3-175b, gpt3-6.7b, llama2-13b, llama2-70b (GQA)");
-    println!("DiTs: dit-xl/2, dit-l/2, dit-b/2");
-}
-
-/// Resolves the architecture from --config-file (JSON) or --config (name).
-fn resolve_config(args: &Args) -> Result<TpuConfig, String> {
-    if let Ok(path) = args.get("config-file") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let cfg: TpuConfig =
-            serde_json::from_str(&text).map_err(|e| format!("bad config JSON: {e}"))?;
-        cfg.validate().map_err(|e| e.to_string())?;
-        return Ok(cfg);
-    }
-    parse_config(args.get("config")?)
-}
-
-fn cmd_export_config(args: &Args) -> Result<(), String> {
-    let cfg = parse_config(args.get("config")?)?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&cfg).map_err(|e| e.to_string())?
+    writeln!(
+        out,
+        "\nAlso accepted: cim-<count>x<rows>x<cols>, e.g. cim-8x16x16."
     );
     Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let cfg = resolve_config(args)?;
-    let sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
+fn cmd_models(out: &mut Stdout) -> Result {
+    writeln!(
+        out,
+        "LLMs: gpt3-30b, gpt3-175b, gpt3-6.7b, llama2-13b, llama2-70b (GQA)"
+    );
+    writeln!(out, "DiTs: dit-xl/2, dit-l/2, dit-b/2");
+    Ok(())
+}
+
+/// Resolves the architecture from --config-file (JSON) or --config (name).
+fn resolve_config(args: &Args) -> Result<TpuConfig> {
+    if let Ok(path) = args.get("config-file") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let cfg: TpuConfig =
+            serde_json::from_str(&text).map_err(|e| format!("bad config JSON: {e}"))?;
+        cfg.validate()?;
+        return Ok(cfg);
+    }
+    Ok(parse_config(args.get("config")?)?)
+}
+
+/// The LLM request shape of `--batch`, `--input` and `--output`.
+fn llm_spec(args: &Args) -> Result<LlmInferenceSpec> {
+    let batch = args.get_u64("batch", 8)?;
+    let (input, output) = (args.get_u64("input", 1024)?, args.get_u64("output", 512)?);
+    Ok(LlmInferenceSpec::new(batch, input, output)?)
+}
+
+fn cmd_export_config(out: &mut Stdout, args: &Args) -> Result {
+    let cfg = parse_config(args.get("config")?)?;
+    writeln!(out, "{}", serde_json::to_string_pretty(&cfg)?);
+    Ok(())
+}
+
+fn cmd_simulate(out: &mut Stdout, args: &Args) -> Result {
+    let sim = Simulator::new(resolve_config(args)?)?;
     let model_name = args.get("model")?;
     let stage = args.get("stage")?;
     let batch = args.get_u64("batch", 8)?;
@@ -147,58 +169,39 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let workload = match stage {
         "prefill" => {
             let seq = args.get_u64("seq", 1024)?;
-            presets::transformer_by_name(model_name)
-                .map_err(|e| e.to_string())?
-                .prefill_layer(batch, seq)
-                .map_err(|e| e.to_string())?
+            presets::transformer_by_name(model_name)?.prefill_layer(batch, seq)?
         }
         "decode" => {
             let ctx = args.get_u64("ctx", 1280)?;
-            presets::transformer_by_name(model_name)
-                .map_err(|e| e.to_string())?
-                .decode_layer(batch, ctx)
-                .map_err(|e| e.to_string())?
+            presets::transformer_by_name(model_name)?.decode_layer(batch, ctx)?
         }
         "dit-block" => {
             let resolution = args.get_u64("resolution", 512)?;
-            presets::dit_by_name(model_name)
-                .map_err(|e| e.to_string())?
-                .block(batch, resolution)
-                .map_err(|e| e.to_string())?
+            presets::dit_by_name(model_name)?.block(batch, resolution)?
         }
-        other => return Err(format!("unknown stage '{other}' (prefill|decode|dit-block)")),
+        other => Err(format!(
+            "unknown stage '{other}' (prefill|decode|dit-block)"
+        ))?,
     };
 
-    let report = sim.run(&workload).map_err(|e| e.to_string())?;
+    let report = sim.run(&workload)?;
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        writeln!(out, "{}", serde_json::to_string_pretty(&report)?);
     } else {
-        println!("{report}");
+        writeln!(out, "{report}");
     }
     Ok(())
 }
 
-fn cmd_inference(args: &Args) -> Result<(), String> {
-    let cfg = resolve_config(args)?;
-    let sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
-    let model = presets::transformer_by_name(args.get("model")?).map_err(|e| e.to_string())?;
-    let spec = LlmInferenceSpec::new(
-        args.get_u64("batch", 8)?,
-        args.get_u64("input", 1024)?,
-        args.get_u64("output", 512)?,
-    )
-    .map_err(|e| e.to_string())?;
-    let r = inference::run_llm(&sim, &model, spec).map_err(|e| e.to_string())?;
+fn cmd_inference(out: &mut Stdout, args: &Args) -> Result {
+    let sim = Simulator::new(resolve_config(args)?)?;
+    let model = presets::transformer_by_name(args.get("model")?)?;
+    let r = inference::run_llm(&sim, &model, llm_spec(args)?)?;
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&r).map_err(|e| e.to_string())?
-        );
+        writeln!(out, "{}", serde_json::to_string_pretty(&r)?);
     } else {
-        println!(
+        writeln!(
+            out,
             "{} on {}: prefill {:.2} s, decode {:.2} s, total {:.2} s, \
              MXU energy {:.1} J, {:.1} tokens/s",
             model.name(),
@@ -213,17 +216,12 @@ fn cmd_inference(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_memory(args: &Args) -> Result<(), String> {
+fn cmd_memory(out: &mut Stdout, args: &Args) -> Result {
     let cfg = resolve_config(args)?;
-    let model = presets::transformer_by_name(args.get("model")?).map_err(|e| e.to_string())?;
-    let spec = LlmInferenceSpec::new(
-        args.get_u64("batch", 8)?,
-        args.get_u64("input", 1024)?,
-        args.get_u64("output", 512)?,
-    )
-    .map_err(|e| e.to_string())?;
-    let fp = MemoryFootprint::llm(&model, spec);
-    println!(
+    let model = presets::transformer_by_name(args.get("model")?)?;
+    let fp = MemoryFootprint::llm(&model, llm_spec(args)?);
+    writeln!(
+        out,
         "{} on {}: weights {}, KV cache {}, activations {}, total {}",
         model.name(),
         cfg.name(),
@@ -233,9 +231,10 @@ fn cmd_memory(args: &Args) -> Result<(), String> {
         fp.total()
     );
     if fp.fits(&cfg) {
-        println!("fits in one chip ({} HBM)", cfg.hbm_capacity());
+        writeln!(out, "fits in one chip ({} HBM)", cfg.hbm_capacity());
     } else {
-        println!(
+        writeln!(
+            out,
             "does NOT fit one chip ({} HBM); needs >= {} devices",
             cfg.hbm_capacity(),
             fp.min_devices(&cfg)
@@ -244,21 +243,13 @@ fn cmd_memory(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_throughput(args: &Args) -> Result<(), String> {
-    let cfg = resolve_config(args)?;
+fn cmd_throughput(out: &mut Stdout, args: &Args) -> Result {
     let devices = args.get_u64("devices", 4)?;
-    let cluster = MultiTpu::new(cfg, devices).map_err(|e| e.to_string())?;
-    let model = presets::transformer_by_name(args.get("model")?).map_err(|e| e.to_string())?;
-    let spec = LlmInferenceSpec::new(
-        args.get_u64("batch", 8)?,
-        args.get_u64("input", 1024)?,
-        args.get_u64("output", 512)?,
-    )
-    .map_err(|e| e.to_string())?;
-    let r = cluster
-        .llm_pipeline_throughput(&model, spec)
-        .map_err(|e| e.to_string())?;
-    println!(
+    let cluster = MultiTpu::new(resolve_config(args)?, devices)?;
+    let model = presets::transformer_by_name(args.get("model")?)?;
+    let r = cluster.llm_pipeline_throughput(&model, llm_spec(args)?)?;
+    writeln!(
+        out,
         "{} x{}: {:.1} tokens/s, {:.4} J/token (MXU), round {:.2} ms",
         cluster.simulator().config().name(),
         devices,
@@ -278,6 +269,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let mut out = Stdout::lock();
+    if cmd == "--help" || cmd == "-h" {
+        writeln!(out, "{USAGE}");
+        return out.finish("cimtpu_cli", false);
+    }
     let args = match Args::parse(&argv[1..]) {
         Ok(a) => a,
         Err(e) => {
@@ -286,26 +282,17 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "configs" => {
-            cmd_configs();
-            Ok(())
-        }
-        "models" => {
-            cmd_models();
-            Ok(())
-        }
-        "simulate" => cmd_simulate(&args),
-        "memory" => cmd_memory(&args),
-        "export-config" => cmd_export_config(&args),
-        "inference" => cmd_inference(&args),
-        "throughput" => cmd_throughput(&args),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
+        "configs" => cmd_configs(&mut out),
+        "models" => cmd_models(&mut out),
+        "simulate" => cmd_simulate(&mut out, &args),
+        "memory" => cmd_memory(&mut out, &args),
+        "export-config" => cmd_export_config(&mut out, &args),
+        "inference" => cmd_inference(&mut out, &args),
+        "throughput" => cmd_throughput(&mut out, &args),
+        other => Err(format!("unknown command '{other}'\n{USAGE}").into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    if let Err(e) = &result {
+        eprintln!("error: {e}");
     }
+    out.finish("cimtpu_cli", result.is_err())
 }

@@ -1,98 +1,82 @@
-//! Reproduces every table and figure in one run (the full evaluation).
+//! Reproduces every table and figure of the paper in one run (the full
+//! evaluation).
 //!
-//! The reproduction binaries run one at a time in list order, each
-//! printed as its own `### <name>` section. Every child inherits
-//! `CIMTPU_WORKERS` (or `--workers N`, which sets it) and parallelizes
-//! internally. The exit status is 1 if any child failed or could not be
-//! launched.
+//! ```text
+//! repro_all [--workers N] [SECTION...]
+//! ```
+//!
+//! Renders the sections of `cimtpu_bench::repro::SECTIONS` in one
+//! process, each printed as its own `### <name>` section: all of them in
+//! report order, or the named ones in the order given. An unknown name
+//! exits 2 with nothing on stdout. A failing section prints
+//! `repro_all: <name>: <error>` on stderr and the run goes on; the exit
+//! status is then 1. `--workers N` sets `CIMTPU_WORKERS`, the worker
+//! count of the parallel sweeps. A closed stdout (`| head`) ends the
+//! output, not the run.
 
-use std::path::Path;
-use std::process::Command;
+use std::process::ExitCode;
 
-const BINS: &[&str] = &[
-    "fig1_evolution",
-    "fig2_breakdown",
-    "table1_parameters",
-    "table2_mxu",
-    "table3_models",
-    "fig6_layer_comparison",
-    "table4_choices",
-    "fig7_exploration",
-    "fig8_multi_device",
-    "ablations",
-    "sweep_extensions",
-    "moe_study",
-];
+use cimtpu_bench::repro::{Render, SECTIONS};
+use cimtpu_units::Stdout;
 
-/// Runs `bin` from `dir` (or through cargo when it was not built
-/// there), prints its section, and returns whether it succeeded.
-fn run_bin(dir: &Path, bin: &str) -> bool {
-    let path = dir.join(bin);
-    let mut command = if path.exists() {
-        Command::new(&path)
-    } else {
-        // Fall back to cargo for `cargo run --bin repro_all` workflows.
-        let mut c = Command::new("cargo");
-        c.args(["run", "--quiet", "--release", "-p", "cimtpu-bench", "--bin", bin]);
-        c
-    };
-    println!("\n{}\n### {}\n{}", "=".repeat(78), bin, "=".repeat(78));
-    match command.output() {
-        Ok(out) => {
-            print!("{}", String::from_utf8_lossy(&out.stdout));
-            eprint!("{}", String::from_utf8_lossy(&out.stderr));
-            if !out.status.success() {
-                eprintln!("{bin} exited with {}", out.status);
-            }
-            out.status.success()
-        }
-        Err(e) => {
-            eprintln!("failed to launch {bin}: {e}");
-            false
-        }
-    }
-}
+const NAME: &str = "repro_all";
 
-fn main() {
+fn main() -> ExitCode {
+    let mut selected: Vec<(&str, Render)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workers" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("repro_all: --workers needs a positive integer");
-                        std::process::exit(2);
-                    });
+                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
+                    eprintln!("{NAME}: --workers needs a positive integer");
+                    return ExitCode::from(2);
+                };
                 std::env::set_var("CIMTPU_WORKERS", n.max(1).to_string());
             }
             "--help" | "-h" => {
-                println!("usage: repro_all [--workers N]");
-                println!();
-                println!("  --workers N  worker threads for each reproduction binary");
-                println!("               (sets CIMTPU_WORKERS, which the children inherit)");
-                return;
+                let mut out = Stdout::lock();
+                writeln!(
+                    out,
+                    "usage: {NAME} [--workers N] [SECTION...]\n\n  \
+                     --workers N  worker threads for the parallel sweeps (sets CIMTPU_WORKERS)\n  \
+                     SECTION      render only the named sections, in the order given\n\n\
+                     sections:"
+                );
+                for (name, _) in SECTIONS {
+                    writeln!(out, "  {name}");
+                }
+                return out.finish(NAME, false);
             }
-            other => {
-                eprintln!("repro_all: unknown argument {other}");
-                std::process::exit(2);
-            }
+            name => match SECTIONS.iter().find(|(section, _)| *section == name) {
+                Some(&section) => selected.push(section),
+                None => {
+                    let names: Vec<&str> = SECTIONS.iter().map(|(section, _)| *section).collect();
+                    eprintln!(
+                        "{NAME}: unknown argument '{name}' (sections: {})",
+                        names.join(", ")
+                    );
+                    return ExitCode::from(2);
+                }
+            },
         }
     }
+    if selected.is_empty() {
+        selected = SECTIONS.to_vec();
+    }
 
-    // When invoked through cargo the sibling binaries sit next to us.
-    let me = std::env::current_exe().expect("current exe path");
-    let dir = me.parent().expect("exe has a parent dir");
+    let mut out = Stdout::lock();
     let mut failed = 0;
-    for bin in BINS {
-        // Run every child even after a failure, so the log is complete.
-        if !run_bin(dir, bin) {
+    let rule = "=".repeat(78);
+    for &(name, render) in &selected {
+        writeln!(out, "\n{rule}\n### {name}\n{rule}");
+        // Render every section even after a failure, so the log is complete.
+        if let Err(e) = render(&mut out) {
+            eprintln!("{NAME}: {name}: {e}");
             failed += 1;
         }
     }
     if failed > 0 {
-        eprintln!("repro_all: {failed} of {} reproduction binaries failed", BINS.len());
-        std::process::exit(1);
+        eprintln!("{NAME}: {failed} of {} sections failed", selected.len());
     }
+    out.finish(NAME, failed > 0)
 }

@@ -1,14 +1,17 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! Each experiment is a plain function returning structured results so it
-//! can be driven two ways: the `--bin` reproduction binaries (printing
-//! the same rows/series the paper reports) and the tests. See DESIGN.md
-//! §4 for the experiment index.
+//! Each experiment in [`experiments`] is a plain function returning
+//! structured results, so it can be driven three ways: the sections of
+//! [`repro`] (printing the same rows and series the paper reports, which
+//! the `repro_all` binary renders), `export_results` (the same results as
+//! JSON) and the tests. [`sweep`] fans the experiments' design points
+//! over the worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;
 pub mod experiments;
+pub mod repro;
 pub mod sweep;
 pub mod table;

@@ -1,4 +1,8 @@
-//! Minimal fixed-width table printer for experiment binaries.
+//! Minimal fixed-width table printer for the report sections.
+
+/// One column of [`Table::of`]: its header, and the cell it formats for
+/// a row.
+pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
 
 /// A simple text table with a header row.
 ///
@@ -24,6 +28,16 @@ impl Table {
             header: header.into_iter().map(str::to_owned).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table of `rows` with one row per item and one [`Column`] per
+    /// `(header, cell)` pair.
+    pub fn of<R>(rows: &[R], columns: &[Column<'_, R>]) -> Self {
+        let mut t = Table::new(columns.iter().map(|&(header, _)| header).collect());
+        for r in rows {
+            t.row(columns.iter().map(|(_, cell)| cell(r)).collect());
+        }
+        t
     }
 
     /// Appends one row (cells beyond the header width are dropped).

@@ -114,16 +114,17 @@
 //! live in `cimtpu_units::spec`.
 
 use std::cell::RefCell;
+use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
-use cimtpu_bench::sweep;
 use cimtpu_cluster::scenario::{self, Scenario};
 use cimtpu_cluster::{
     parse_autoscale, parse_faults, ClusterEngine, ClusterReport, ClusterRun, ClusterTopology,
     FaultPlan, PerfRecord, Recorder, SharedRecorder,
 };
-use cimtpu_serving::cli::{self, Binary, SimFlags, Stdout};
+use cimtpu_serving::cli::{self, Binary, SimFlags};
+use cimtpu_units::{pool, Stdout};
 
 /// The fleet binary: its catalogue plus what the fleet-mode flags leave
 /// behind across the shared flow.
@@ -241,7 +242,7 @@ impl Binary for ClusterSim {
                 .map(|s| timed(|| self.observe(flags, s, several)))
                 .collect()
         } else {
-            sweep::parallel_map(scenarios, |s| timed(|| s.run(flags.seed)))
+            pool::parallel_map(scenarios, |s| timed(|| s.run(flags.seed)))
         };
         if let Some(path) = &flags.metrics_csv {
             self.failed |= cli::write_file(Self::NAME, path, &self.csv);
@@ -321,10 +322,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// The `--summary` one-screen table: one row per scenario with goodput,
 /// availability, scaling-action counts, and latency percentiles.
 fn print_summary(out: &mut Stdout, reports: &[ClusterReport]) {
-    out.print(format_args!(
-        "{:<26} {:>9} {:>9} {:>13} {:>10} {:>10} {:>6}  scale(+/-/0/swap)\n",
+    writeln!(
+        out,
+        "{:<26} {:>9} {:>9} {:>13} {:>10} {:>10} {:>6}  scale(+/-/0/swap)",
         "scenario", "offered", "done", "goodput_rps", "p50_ms", "p99_ms", "avail"
-    ));
+    );
     for r in reports {
         let avail = r
             .availability
@@ -339,8 +341,9 @@ fn print_summary(out: &mut Stdout, reports: &[ClusterReport]) {
                 )
             },
         );
-        out.print(format_args!(
-            "{:<26} {:>9} {:>9} {:>13.2} {:>10.3} {:>10.3} {:>6}  {}\n",
+        writeln!(
+            out,
+            "{:<26} {:>9} {:>9} {:>13.2} {:>10.3} {:>10.3} {:>6}  {}",
             r.label,
             r.offered,
             r.completed,
@@ -349,10 +352,10 @@ fn print_summary(out: &mut Stdout, reports: &[ClusterReport]) {
             r.latency.p99_ms,
             avail,
             scaling
-        ));
+        );
     }
 }
 
-fn main() {
-    cli::main(ClusterSim::default());
+fn main() -> ExitCode {
+    cli::main(ClusterSim::default())
 }

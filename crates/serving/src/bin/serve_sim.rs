@@ -13,7 +13,7 @@
 //! shares with `cluster_sim` ([`cimtpu_serving::cli`]): this binary adds
 //! only its scenario catalogue (the single-engine `--kv-budget` override
 //! is `ServingEngine`'s `scenario::Engine::with_kv_budget`). Scenarios
-//! fan out over the `cimtpu_bench::sweep` worker pool
+//! fan out over the `cimtpu_units::pool` worker pool
 //! (`--workers N` overrides `CIMTPU_WORKERS`). Output is deterministic
 //! for a fixed `--seed`.
 //!
@@ -48,6 +48,8 @@
 //! report). The committed `BENCH_serving.json` baseline is exactly
 //! `serve_sim --json BENCH_serving.json`.
 
+use std::process::ExitCode;
+
 use cimtpu_serving::cli::{self, Binary};
 use cimtpu_serving::scenario::{self, Scenario};
 use cimtpu_serving::ServingEngine;
@@ -67,6 +69,6 @@ impl Binary for ServeSim {
     const BY_NAME: fn(&str) -> cimtpu_units::Result<Scenario> = scenario::by_name;
 }
 
-fn main() {
-    cli::main(ServeSim);
+fn main() -> ExitCode {
+    cli::main(ServeSim)
 }

@@ -22,8 +22,9 @@
 //! Everything the binaries print goes through one locked [`Stdout`]: a
 //! reader that closed the pipe (`| head`) ends the output, not the run.
 
-use std::io::Write;
+use std::process::ExitCode;
 
+use cimtpu_units::Stdout;
 use serde::Serialize;
 
 use crate::scenario::{Engine, Scenario};
@@ -136,7 +137,7 @@ impl SimFlags {
     /// Parses `args` (the arguments after the program name) for a binary
     /// whose run mode is `mode` ([`SINGLE`] or [`FLEET`]). Parsing stops
     /// at `--help`. `--workers N` is applied on the spot by setting
-    /// `CIMTPU_WORKERS` (the `cimtpu_bench::sweep` pool reads it).
+    /// `CIMTPU_WORKERS` (the [`cimtpu_units::pool`] reads it).
     ///
     /// # Errors
     ///
@@ -282,13 +283,13 @@ pub trait Binary {
     }
 
     /// Runs the scenarios under `--seed`, one result per scenario in
-    /// order; by default on the `cimtpu_bench::sweep` worker pool.
+    /// order; by default on the [`cimtpu_units::pool`] worker pool.
     fn run(
         &mut self,
         flags: &SimFlags,
         scenarios: &[Scenario<Self::Engine>],
     ) -> Vec<cimtpu_units::Result<<Self::Engine as Engine>::Run>> {
-        cimtpu_bench::sweep::parallel_map(scenarios, |s| s.run(flags.seed))
+        cimtpu_units::pool::parallel_map(scenarios, |s| s.run(flags.seed))
     }
 
     /// Emits the reports (by default [`emit_reports`]); returns whether a
@@ -303,38 +304,20 @@ pub trait Binary {
     }
 }
 
-/// The process's stdout behind one locked handle, with the first write
-/// error: output stops there. [`main`] does not count a reader that
-/// closed the pipe as a failure.
-pub struct Stdout(std::io::StdoutLock<'static>, std::io::Result<()>);
-
-impl Stdout {
-    /// Prints `args` unless an earlier write failed.
-    pub fn print(&mut self, args: std::fmt::Arguments<'_>) {
-        if self.1.is_ok() {
-            self.1 = self.0.write_fmt(args);
+/// Runs a simulation binary's command line and returns its exit status:
+/// 0, 1 when a scenario or an output write failed (reported as it
+/// happened), or 2 with `binary: message` on stderr for a command line
+/// that cannot run (nothing simulated, nothing on stdout). A closed
+/// stdout (`| head`) ends the output silently, not the run or its files
+/// (see [`Stdout::finish`]).
+pub fn main<B: Binary>(mut binary: B) -> ExitCode {
+    let mut out = Stdout::lock();
+    match run(&mut binary, &mut out) {
+        Ok(failed) => out.finish(B::NAME, failed),
+        Err(e) => {
+            eprintln!("{}: {e}", B::NAME);
+            ExitCode::from(2)
         }
-    }
-}
-
-/// Runs a simulation binary's command line and exits: status 0, status 1
-/// when a scenario or an output write failed (reported as it happened),
-/// or status 2 with `binary: message` on stderr for a command line that
-/// cannot run (nothing simulated, nothing on stdout). A closed stdout
-/// (`| head`) ends the output silently, not the run or its files.
-pub fn main<B: Binary>(mut binary: B) {
-    let mut out = Stdout(std::io::stdout().lock(), Ok(()));
-    let failed = run(&mut binary, &mut out).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", B::NAME);
-        std::process::exit(2);
-    });
-    match out.1.and_then(|()| out.0.flush()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            eprintln!("{}: writing stdout: {e}", B::NAME);
-            std::process::exit(1);
-        }
-        _ if failed => std::process::exit(1),
-        _ => {}
     }
 }
 
@@ -411,7 +394,7 @@ fn run<B: Binary>(binary: &mut B, out: &mut Stdout) -> Result<bool, String> {
     // the text output on stdout.
     if flags.json.as_deref() != Some("-") {
         for (name, stats) in prefix_lines {
-            out.print(format_args!("prefix cache [{name}]  {stats}\n"));
+            writeln!(out, "prefix cache [{name}]  {stats}");
         }
     }
     Ok(failed)
@@ -420,19 +403,19 @@ fn run<B: Binary>(binary: &mut B, out: &mut Stdout) -> Result<bool, String> {
 /// Prints the usage line (from the flag table), the flag texts and the
 /// scenario list.
 fn print_usage<B: Binary>(out: &mut Stdout) {
-    out.print(format_args!("usage: {}", B::NAME));
+    write!(out, "usage: {}", B::NAME);
     for (name, value, reads, _) in FLAGS {
         match value {
             _ if reads & (B::MODE | TRACE_OUT) == 0 => {}
-            "" => out.print(format_args!(" [{name}]")),
-            value => out.print(format_args!(" [{name} {value}]")),
+            "" => write!(out, " [{name}]"),
+            value => write!(out, " [{name} {value}]"),
         }
     }
     let help = HELP.replace("{scope}", B::KV_SCOPE);
-    out.print(format_args!("\n{help}{}scenarios:\n", B::HELP));
+    write!(out, "\n{help}{}scenarios:\n", B::HELP);
     for s in (B::HEADLINE)().into_iter().chain((B::CHECKS)()) {
         let w = B::LIST_WIDTH;
-        out.print(format_args!("  {:<w$} {}\n", s.name, s.description));
+        writeln!(out, "  {:<w$} {}", s.name, s.description);
     }
 }
 
@@ -516,7 +499,7 @@ pub fn write_json<T: Serialize>(binary: &str, out: &mut Stdout, path: &str, valu
     let payload =
         serde_json::to_string_pretty(value).expect("reports and perf records serialize") + "\n";
     if path == "-" {
-        out.print(format_args!("{payload}"));
+        write!(out, "{payload}");
         return false;
     }
     write_file(binary, path, payload)
@@ -534,7 +517,7 @@ pub fn emit_reports<R: std::fmt::Display + Serialize>(
     let failed = json.is_some_and(|path| write_json(binary, out, path, reports));
     if json != Some("-") {
         for report in reports {
-            out.print(format_args!("{report}\n"));
+            writeln!(out, "{report}");
         }
     }
     failed

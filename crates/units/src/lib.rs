@@ -5,7 +5,10 @@
 //! [`Frequency`], [`Area`], the [`DataType`] enum describing operand
 //! precisions, the shared [`Error`] type, and in [`spec`] the tokens the
 //! CLI spec grammars share (durations, windows, bands, factors, byte
-//! sizes).
+//! sizes). Two std-only process utilities sit here too, so every crate
+//! above can share them: the [`pool`] of worker threads behind every
+//! parallel fan-out, and the [`Stdout`] handle every binary prints
+//! through.
 //!
 //! Newtypes are used instead of bare `f64`/`u64` so that, e.g., a latency in
 //! cycles can never be accidentally added to a latency in seconds without an
@@ -29,12 +32,15 @@
 
 mod datatype;
 mod error;
+pub mod pool;
 mod quantity;
 mod shape;
 pub mod spec;
+mod stdout;
 
 pub use datatype::DataType;
 pub use error::{Error, Result};
 pub use quantity::{Area, Bandwidth, Bytes, Cycles, Energy, Frequency, Joules, Seconds, Watts};
 pub use shape::GemmShape;
 pub use spec::parse_time;
+pub use stdout::Stdout;

@@ -149,11 +149,14 @@
 //!   Timeloop-style map-space search exactly once per configuration.
 //!   Results are bit-identical with the cache on or off; inspect hit rates
 //!   with [`Simulator::cache_stats`](core::Simulator::cache_stats).
-//! - **`cimtpu_bench::sweep`** — a std-only work-stealing fan-out
+//! - **[`units::pool`]** — a std-only work-stealing fan-out
 //!   (`parallel_map` / `parallel_map_init`, rayon-style) that runs one
 //!   memoized simulator per worker and returns results in item order, so
-//!   parallel sweeps are output-identical to sequential ones. `fig7`,
-//!   `sweep_extensions` and `moe_study` all route through it.
+//!   parallel sweeps are output-identical to sequential ones.
+//!   `cimtpu_bench::sweep` runs the paper's sweeps on it (the `fig7`,
+//!   `sweep_extensions` and `moe_study` report sections), with the
+//!   sequential uncached reference as its `SweepMode`; `serve_sim` and
+//!   `cluster_sim` fan their scenarios out on it.
 //!
 //! Outside the simulator (map-space studies, external drivers),
 //! [`Mapper::best_gemm_mapping`](mapper::Mapper::best_gemm_mapping) maps
