@@ -56,7 +56,12 @@ pub struct StageComparison {
     pub energy_reduction: f64,
 }
 
-fn compare(stage: &str, base: &Simulator, cim: &Simulator, w: &Workload) -> Result<StageComparison> {
+fn compare(
+    stage: &str,
+    base: &Simulator,
+    cim: &Simulator,
+    w: &Workload,
+) -> Result<StageComparison> {
     let b = base.run(w)?;
     let c = cim.run(w)?;
     Ok(StageComparison {
@@ -110,7 +115,10 @@ pub fn table2() -> Result<Table2Result> {
         + cim.static_power().get();
 
     let tops_per_w = (d_peak / d_power, c_peak / c_power);
-    let tops_per_mm2 = (d_peak / digital.area().as_mm2(), c_peak / cim.area().as_mm2());
+    let tops_per_mm2 = (
+        d_peak / digital.area().as_mm2(),
+        c_peak / cim.area().as_mm2(),
+    );
     Ok(Table2Result {
         macs_per_cycle: (digital.peak_macs_per_cycle(), cim.peak_macs_per_cycle()),
         energy_ratio: tops_per_w.1 / tops_per_w.0,
@@ -146,14 +154,14 @@ pub fn fig2_breakdown() -> Result<Vec<Fig2Row>> {
     let llama = presets::llama2_13b_full();
     let spec = LlmInferenceSpec::new(1, 128, 128)?;
     let prefill = sim.run(&llama.full_prefill(spec.batch(), spec.input_len())?)?;
-    let decode = sim.run(&llama.full_decode_step(spec.batch(), spec.ctx_at_step(spec.output_len() / 2))?)?;
+    let decode =
+        sim.run(&llama.full_decode_step(spec.batch(), spec.ctx_at_step(spec.output_len() / 2))?)?;
     let group = |rep: &cimtpu_core::Report, cat: OpCategory| rep.latency_in(cat);
     let embed = group(&prefill, OpCategory::Embedding)
         + group(&decode, OpCategory::Embedding) * spec.output_len() as f64;
     let head = group(&prefill, OpCategory::Head)
         + group(&decode, OpCategory::Head) * spec.output_len() as f64;
-    let total = prefill.total_latency()
-        + decode.total_latency() * spec.output_len() as f64;
+    let total = prefill.total_latency() + decode.total_latency() * spec.output_len() as f64;
     let layers = total - embed - head;
     for (layer, lat) in [
         ("Token Embedding", embed),
@@ -286,13 +294,18 @@ pub fn fig7_with(mode: SweepMode) -> Result<Vec<Fig7Row>> {
     // Fan the ten design points out; each is evaluated on its own
     // simulator, whose mapping cache serves the repeated weight-GEMM
     // queries across the decode-context samples.
-    let evals = sweep::map_with_mode(mode, &configs, || (), |(), cfg| {
-        let sim = Simulator::new(cfg.clone())?;
-        sim.mapping_cache().set_enabled(mode.cache_enabled());
-        let llm = inference::run_llm(&sim, &gpt3, spec)?;
-        let dit_run = inference::run_dit(&sim, &dit, BATCH, DIT_RESOLUTION)?;
-        Ok::<_, cimtpu_units::Error>((llm, dit_run))
-    });
+    let evals = sweep::map_with_mode(
+        mode,
+        &configs,
+        || (),
+        |(), cfg| {
+            let sim = Simulator::new(cfg.clone())?;
+            sim.mapping_cache().set_enabled(mode.cache_enabled());
+            let llm = inference::run_llm(&sim, &gpt3, spec)?;
+            let dit_run = inference::run_dit(&sim, &dit, BATCH, DIT_RESOLUTION)?;
+            Ok::<_, cimtpu_units::Error>((llm, dit_run))
+        },
+    );
 
     let mut rows: Vec<Fig7Row> = Vec::new();
     let mut base_llm = (Seconds::new(1.0), Joules::new(1.0));
@@ -352,7 +365,11 @@ pub fn fig8() -> Result<Vec<Fig8Row>> {
     let gpt3 = presets::gpt3_30b();
     let dit = presets::dit_xl_2();
     let mut rows = Vec::new();
-    for cfg in [TpuConfig::tpuv4i(), TpuConfig::design_a(), TpuConfig::design_b()] {
+    for cfg in [
+        TpuConfig::tpuv4i(),
+        TpuConfig::design_a(),
+        TpuConfig::design_b(),
+    ] {
         for devices in [1u64, 2, 4] {
             let cluster = MultiTpu::new(cfg.clone(), devices)?;
             let llm = cluster.llm_pipeline_throughput(&gpt3, spec)?;
@@ -498,19 +515,23 @@ pub struct BatchSweepRow {
 pub fn sweep_batch() -> Result<Vec<BatchSweepRow>> {
     let gpt3 = presets::gpt3_30b();
     let batches = [1u64, 2, 4, 8, 16, 32, 64];
-    sweep::parallel_map_init(&batches, || SimPair::None, |sims, &batch| {
-        let (base, cim) = base_cim_pair(sims)?;
-        let layer = gpt3.decode_layer(batch, INPUT_LEN + FIG6_DECODE_TOKEN)?;
-        let b = base.run(&layer)?;
-        let c = cim.run(&layer)?;
-        Ok(BatchSweepRow {
-            batch,
-            baseline: b.total_latency(),
-            cim: c.total_latency(),
-            speedup: c.speedup_vs(&b),
-            energy_reduction: c.mxu_energy_reduction_vs(&b),
-        })
-    })
+    sweep::parallel_map_init(
+        &batches,
+        || SimPair::None,
+        |sims, &batch| {
+            let (base, cim) = base_cim_pair(sims)?;
+            let layer = gpt3.decode_layer(batch, INPUT_LEN + FIG6_DECODE_TOKEN)?;
+            let b = base.run(&layer)?;
+            let c = cim.run(&layer)?;
+            Ok(BatchSweepRow {
+                batch,
+                baseline: b.total_latency(),
+                cim: c.total_latency(),
+                speedup: c.speedup_vs(&b),
+                energy_reduction: c.mxu_energy_reduction_vs(&b),
+            })
+        },
+    )
     .into_iter()
     .collect()
 }
@@ -545,20 +566,24 @@ pub fn sweep_context() -> Result<Vec<ContextSweepRow>> {
     // Per-worker simulator pairs: the weight GEMMs are identical across
     // context lengths, so after a worker's first point every non-attention
     // operator is a mapping-cache hit.
-    sweep::parallel_map_init(&contexts, || SimPair::None, |sims, &ctx| {
-        let (base, cim) = base_cim_pair(sims)?;
-        let layer = gpt3.decode_layer(BATCH, ctx)?;
-        let b = base.run(&layer)?;
-        let c = cim.run(&layer)?;
-        Ok(ContextSweepRow {
-            ctx,
-            baseline: b.total_latency(),
-            cim: c.total_latency(),
-            baseline_attention_fraction: b.latency_in(OpCategory::Attention)
-                / b.total_latency(),
-            speedup: c.speedup_vs(&b),
-        })
-    })
+    sweep::parallel_map_init(
+        &contexts,
+        || SimPair::None,
+        |sims, &ctx| {
+            let (base, cim) = base_cim_pair(sims)?;
+            let layer = gpt3.decode_layer(BATCH, ctx)?;
+            let b = base.run(&layer)?;
+            let c = cim.run(&layer)?;
+            Ok(ContextSweepRow {
+                ctx,
+                baseline: b.total_latency(),
+                cim: c.total_latency(),
+                baseline_attention_fraction: b.latency_in(OpCategory::Attention)
+                    / b.total_latency(),
+                speedup: c.speedup_vs(&b),
+            })
+        },
+    )
     .into_iter()
     .collect()
 }
@@ -591,20 +616,27 @@ pub fn moe_study() -> Result<Vec<MoeStudyRow>> {
     let moe = MoeConfig::mixtral_8x7b_like()?;
     let stages = vec![
         ("MoE prefill layer", moe.prefill_layer(BATCH, INPUT_LEN)?),
-        ("MoE decode layer", moe.decode_layer(BATCH, INPUT_LEN + FIG6_DECODE_TOKEN)?),
+        (
+            "MoE decode layer",
+            moe.decode_layer(BATCH, INPUT_LEN + FIG6_DECODE_TOKEN)?,
+        ),
     ];
-    sweep::parallel_map_init(&stages, || SimPair::None, |sims, (stage, workload)| {
-        let (base, cim) = base_cim_pair(sims)?;
-        let b = base.run(workload)?;
-        let c = cim.run(workload)?;
-        Ok(MoeStudyRow {
-            stage: (*stage).to_owned(),
-            baseline: b.total_latency(),
-            cim: c.total_latency(),
-            speedup: c.speedup_vs(&b),
-            energy_reduction: c.mxu_energy_reduction_vs(&b),
-        })
-    })
+    sweep::parallel_map_init(
+        &stages,
+        || SimPair::None,
+        |sims, (stage, workload)| {
+            let (base, cim) = base_cim_pair(sims)?;
+            let b = base.run(workload)?;
+            let c = cim.run(workload)?;
+            Ok(MoeStudyRow {
+                stage: (*stage).to_owned(),
+                baseline: b.total_latency(),
+                cim: c.total_latency(),
+                speedup: c.speedup_vs(&b),
+                energy_reduction: c.mxu_energy_reduction_vs(&b),
+            })
+        },
+    )
     .into_iter()
     .collect()
 }
@@ -641,7 +673,10 @@ pub fn sweep_hbm_bandwidth() -> Result<Vec<HbmSweepRow>> {
     // simulators (a cache is only valid for one configuration).
     sweep::parallel_map(&points, |&gbps| {
         let levels = |cfg: TpuConfig| {
-            let l = cfg.levels().clone().with_hbm_bandwidth(Bandwidth::from_gb_per_s(gbps));
+            let l = cfg
+                .levels()
+                .clone()
+                .with_hbm_bandwidth(Bandwidth::from_gb_per_s(gbps));
             cfg.with_levels(l)
         };
         let base = Simulator::new(levels(TpuConfig::tpuv4i()))?;
@@ -689,7 +724,10 @@ mod tests {
     #[test]
     fn fig2_layers_dominate() {
         let rows = fig2_breakdown().unwrap();
-        for (model, layer) in [("Llama2-13B", "Transformer Layers"), ("DiT-XL/2", "DiT Blocks")] {
+        for (model, layer) in [
+            ("Llama2-13B", "Transformer Layers"),
+            ("DiT-XL/2", "DiT Blocks"),
+        ] {
             let row = rows
                 .iter()
                 .find(|r| r.model == model && r.layer == layer)
@@ -702,7 +740,11 @@ mod tests {
     fn fig6_headline_numbers_in_band() {
         let f = fig6().unwrap();
         // Prefill: approximately equal latency (paper +2.43%).
-        assert!(f.llm_prefill.latency_delta.abs() < 0.10, "{}", f.llm_prefill.latency_delta);
+        assert!(
+            f.llm_prefill.latency_delta.abs() < 0.10,
+            "{}",
+            f.llm_prefill.latency_delta
+        );
         // Decode: substantial latency reduction (paper -29.9%).
         assert!(
             (-0.45..=-0.15).contains(&f.llm_decode.latency_delta),
@@ -716,10 +758,22 @@ mod tests {
             f.dit_block.latency_delta
         );
         // Energy: 9.21x / 13.4x / 10.4x, order preserved.
-        let ep = f.llm_prefill.cim.mxu_energy_reduction_vs(&f.llm_prefill.baseline);
-        let ed = f.llm_decode.cim.mxu_energy_reduction_vs(&f.llm_decode.baseline);
-        let et = f.dit_block.cim.mxu_energy_reduction_vs(&f.dit_block.baseline);
-        assert!(ep > 5.0 && ed > ep && et > 5.0, "ep={ep:.1} ed={ed:.1} et={et:.1}");
+        let ep = f
+            .llm_prefill
+            .cim
+            .mxu_energy_reduction_vs(&f.llm_prefill.baseline);
+        let ed = f
+            .llm_decode
+            .cim
+            .mxu_energy_reduction_vs(&f.llm_decode.baseline);
+        let et = f
+            .dit_block
+            .cim
+            .mxu_energy_reduction_vs(&f.dit_block.baseline);
+        assert!(
+            ep > 5.0 && ed > ep && et > 5.0,
+            "ep={ep:.1} ed={ed:.1} et={et:.1}"
+        );
     }
 
     #[test]
@@ -742,7 +796,10 @@ mod tests {
         );
         assert!(big.llm_energy_norm > wide.llm_energy_norm);
         // The headline: up to ~44.2% LLM improvement vs the baseline.
-        let best = rows.iter().map(|r| r.llm_latency_norm).fold(f64::MAX, f64::min);
+        let best = rows
+            .iter()
+            .map(|r| r.llm_latency_norm)
+            .fold(f64::MAX, f64::min);
         assert!((0.5..0.8).contains(&best), "best LLM norm {best:.3}");
         // The smallest config trades latency for huge energy savings
         // (paper: +38% latency, 27.3x energy).
@@ -752,7 +809,11 @@ mod tests {
             "{}",
             smallest.llm_latency_norm
         );
-        assert!(smallest.llm_energy_norm < 1.0 / 10.0, "{}", smallest.llm_energy_norm);
+        assert!(
+            smallest.llm_energy_norm < 1.0 / 10.0,
+            "{}",
+            smallest.llm_energy_norm
+        );
         // Compute-bound DiT: bigger configs are monotonically faster
         // (paper: -25.3% at 4x(16x16), -33.8% at 8x(16x16), +100% at 2x(8x8)).
         let d_small = find(2, "8x8").dit_latency_norm;
@@ -760,7 +821,10 @@ mod tests {
         let d_big = find(8, "16x16").dit_latency_norm;
         assert!(d_big < d_mid && d_mid < 1.0, "mid {d_mid}, big {d_big}");
         assert!((0.55..0.80).contains(&d_big), "big-config DiT norm {d_big}");
-        assert!(d_small > 1.5, "small-config DiT should be much slower: {d_small}");
+        assert!(
+            d_small > 1.5,
+            "small-config DiT should be much slower: {d_small}"
+        );
     }
 
     #[test]
@@ -779,7 +843,12 @@ mod tests {
         let last = rows.last().unwrap();
         // Attention items scale with batch and serialize on the baseline:
         // the CIM speedup grows with batch size.
-        assert!(last.speedup > first.speedup, "{} vs {}", first.speedup, last.speedup);
+        assert!(
+            last.speedup > first.speedup,
+            "{} vs {}",
+            first.speedup,
+            last.speedup
+        );
         // The energy advantage persists at every batch size.
         assert!(rows.iter().all(|r| r.energy_reduction > 5.0));
         // Per-layer latency itself is monotone in batch on both designs.

@@ -146,7 +146,11 @@ impl Torus2dTopology {
         if x == 0 || y == 0 {
             return Err(Error::invalid_config("torus dimensions must be non-zero"));
         }
-        Ok(Torus2dTopology { x, y, link_bandwidth })
+        Ok(Torus2dTopology {
+            x,
+            y,
+            link_bandwidth,
+        })
     }
 
     /// Chips along the first dimension.

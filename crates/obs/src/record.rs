@@ -76,7 +76,11 @@ impl Recorder {
     /// Registers a gauge series and returns its index for
     /// [`Recorder::sample`].
     pub fn gauge_series(&mut self, name: &str) -> usize {
-        self.gauges.push(GaugeBuf { name: name.to_string(), t_s: Vec::new(), values: Vec::new() });
+        self.gauges.push(GaugeBuf {
+            name: name.to_string(),
+            t_s: Vec::new(),
+            values: Vec::new(),
+        });
         self.gauges.len() - 1
     }
 
@@ -84,7 +88,10 @@ impl Recorder {
     /// interval to the previous retained sample of the series.
     pub fn sample(&mut self, series: usize, ts_s: f64, value: f64) {
         let g = &mut self.gauges[series];
-        if g.t_s.last().is_none_or(|&last| ts_s - last >= self.gauge_interval_s) {
+        if g.t_s
+            .last()
+            .is_none_or(|&last| ts_s - last >= self.gauge_interval_s)
+        {
             g.t_s.push(ts_s);
             g.values.push(value);
         }
@@ -120,8 +127,22 @@ impl Recorder {
 
     /// Records an instant event at `ts_s`, tagged with `tenant` if given
     /// (`None` emits the untagged single-tenant form).
-    pub fn instant(&mut self, track: u32, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.events.push(Event { kind, track, id, ts_s, dur_s: 0.0, tenant });
+    pub fn instant(
+        &mut self,
+        track: u32,
+        kind: EventKind,
+        id: u64,
+        ts_s: f64,
+        tenant: Option<u32>,
+    ) {
+        self.events.push(Event {
+            kind,
+            track,
+            id,
+            ts_s,
+            dur_s: 0.0,
+            tenant,
+        });
     }
 
     /// Records a span covering `[start_s, end_s]`, tagged with `tenant`
@@ -135,7 +156,14 @@ impl Recorder {
         end_s: f64,
         tenant: Option<u32>,
     ) {
-        self.events.push(Event { kind, track, id, ts_s: start_s, dur_s: end_s - start_s, tenant });
+        self.events.push(Event {
+            kind,
+            track,
+            id,
+            ts_s: start_s,
+            dur_s: end_s - start_s,
+            tenant,
+        });
     }
 
     /// The buffered events, in emission order.
@@ -179,8 +207,11 @@ impl Recorder {
     /// microseconds of simulated time.
     #[must_use]
     pub fn to_chrome_json(&self, filter: &TraceFilter) -> String {
-        let mut picked: Vec<&Event> =
-            self.events.iter().filter(|e| filter.allows(e.kind)).collect();
+        let mut picked: Vec<&Event> = self
+            .events
+            .iter()
+            .filter(|e| filter.allows(e.kind))
+            .collect();
         picked.sort_by(|a, b| a.ts_s.total_cmp(&b.ts_s));
         let mut out = String::from("{\"traceEvents\":[\n");
         let mut first = true;
@@ -283,18 +314,24 @@ impl TraceHandle {
 
     /// See [`Recorder::request_arrival`].
     pub fn arrival(&self, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().request_arrival(self.track, id, ts_s, tenant);
+        self.rec
+            .borrow_mut()
+            .request_arrival(self.track, id, ts_s, tenant);
     }
 
     /// Emits an instant on this handle's track (see
     /// [`Recorder::instant`]).
     pub fn instant(&self, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().instant(self.track, kind, id, ts_s, tenant);
+        self.rec
+            .borrow_mut()
+            .instant(self.track, kind, id, ts_s, tenant);
     }
 
     /// Emits a span on this handle's track (see [`Recorder::span`]).
     pub fn span(&self, kind: EventKind, id: u64, start_s: f64, end_s: f64, tenant: Option<u32>) {
-        self.rec.borrow_mut().span(self.track, kind, id, start_s, end_s, tenant);
+        self.rec
+            .borrow_mut()
+            .span(self.track, kind, id, start_s, end_s, tenant);
     }
 }
 
@@ -386,7 +423,13 @@ mod tests {
         h1.arrival(1, 0.5, None); // same id, different core: still one arrival
         h1.instant(EventKind::Shed, 1, 1.0, None);
         let r = rec.borrow();
-        assert_eq!(r.events().iter().filter(|e| e.kind == EventKind::Arrival).count(), 1);
+        assert_eq!(
+            r.events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Arrival)
+                .count(),
+            1
+        );
         assert_eq!(r.events().last().unwrap().kind, EventKind::Shed);
     }
 }

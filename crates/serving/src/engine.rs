@@ -208,7 +208,10 @@ impl ServingEngine {
             let track = core.trace_track().expect("recorder attached above");
             let multi = sched.as_ref().is_some_and(crate::TenantSched::multi_tenant);
             for c in &run.completions {
-                let tenant = ledger.as_ref().filter(|_| multi).map(|l| l.tenant_of(c.id) as u32);
+                let tenant = ledger
+                    .as_ref()
+                    .filter(|_| multi)
+                    .map(|l| l.tenant_of(c.id) as u32);
                 rec.complete(
                     track,
                     c.id,
