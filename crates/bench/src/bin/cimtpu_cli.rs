@@ -13,8 +13,9 @@
 //! Architecture names: `tpuv4i`, `cim-base`, `design-a`, `design-b`, or
 //! `cim-<count>x<rows>x<cols>` (e.g. `cim-8x16x16`).
 //!
-//! `--help` (or `-h`) prints the usage. A closed stdout (`| head`) is
-//! not an error.
+//! `--help` (or `-h`), alone or after a command, prints the usage. A
+//! flag the command does not read, or a flag given twice, is an error
+//! (exit 1). A closed stdout (`| head`) is not an error.
 
 use std::process::ExitCode;
 
@@ -56,29 +57,45 @@ fn parse_config(name: &str) -> Result<TpuConfig, String> {
     }
 }
 
+/// A command line's flags: `--json` is a switch, every other flag takes
+/// a value.
 struct Args {
     flags: FxHashMap<String, String>,
-    json: bool,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parses a command's flags, accepting only the ones it reads
+    /// (`known`, space-separated), each at most once. `None` is a request
+    /// for the usage (`--help` or `-h`).
+    fn parse(known: &str, argv: &[String]) -> Result<Option<Args>, String> {
         let mut flags = FxHashMap::default();
-        let mut json = false;
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
-            if arg == "--json" {
-                json = true;
-            } else if let Some(key) = arg.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
-                flags.insert(key.to_owned(), value.clone());
-            } else {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{arg}'"));
+            };
+            if !known.split_whitespace().any(|flag| flag == key) {
+                return Err(format!("unknown flag --{key}"));
+            }
+            let value = if key == "json" {
+                String::new()
+            } else {
+                it.next()
+                    .ok_or_else(|| format!("flag --{key} needs a value"))?
+                    .clone()
+            };
+            if flags.insert(key.to_owned(), value).is_some() {
+                return Err(format!("flag --{key} given twice"));
             }
         }
-        Ok(Args { flags, json })
+        Ok(Some(Args { flags }))
+    }
+
+    fn json(&self) -> bool {
+        self.flags.contains_key("json")
     }
 
     fn get(&self, key: &str) -> Result<&str, String> {
@@ -96,7 +113,7 @@ impl Args {
     }
 }
 
-fn cmd_configs(out: &mut Stdout) -> Result {
+fn cmd_configs(out: &mut Stdout, _: &Args) -> Result {
     writeln!(
         out,
         "{:<14} {:>6} {:>10} {:>12}",
@@ -126,7 +143,7 @@ fn cmd_configs(out: &mut Stdout) -> Result {
     Ok(())
 }
 
-fn cmd_models(out: &mut Stdout) -> Result {
+fn cmd_models(out: &mut Stdout, _: &Args) -> Result {
     writeln!(
         out,
         "LLMs: gpt3-30b, gpt3-175b, gpt3-6.7b, llama2-13b, llama2-70b (GQA)"
@@ -185,7 +202,7 @@ fn cmd_simulate(out: &mut Stdout, args: &Args) -> Result {
     };
 
     let report = sim.run(&workload)?;
-    if args.json {
+    if args.json() {
         writeln!(out, "{}", serde_json::to_string_pretty(&report)?);
     } else {
         writeln!(out, "{report}");
@@ -197,7 +214,7 @@ fn cmd_inference(out: &mut Stdout, args: &Args) -> Result {
     let sim = Simulator::new(resolve_config(args)?)?;
     let model = presets::transformer_by_name(args.get("model")?)?;
     let r = inference::run_llm(&sim, &model, llm_spec(args)?)?;
-    if args.json {
+    if args.json() {
         writeln!(out, "{}", serde_json::to_string_pretty(&r)?);
     } else {
         writeln!(
@@ -263,33 +280,60 @@ fn cmd_throughput(out: &mut Stdout, args: &Args) -> Result {
 const USAGE: &str = "usage: cimtpu <configs|models|simulate|inference|throughput|memory|export-config> [flags]\nany command taking --config also accepts --config-file <path.json> (see export-config)
 run `cimtpu <command>` with no flags to see what it needs";
 
+/// A command: its name, the flags it reads (space-separated) and what
+/// it runs.
+type Command = (&'static str, &'static str, fn(&mut Stdout, &Args) -> Result);
+
+const COMMANDS: [Command; 7] = [
+    ("configs", "", cmd_configs),
+    ("models", "", cmd_models),
+    (
+        "simulate",
+        "config config-file model stage batch seq ctx resolution json",
+        cmd_simulate,
+    ),
+    (
+        "inference",
+        "config config-file model batch input output json",
+        cmd_inference,
+    ),
+    (
+        "throughput",
+        "config config-file devices model batch input output",
+        cmd_throughput,
+    ),
+    (
+        "memory",
+        "config config-file model batch input output",
+        cmd_memory,
+    ),
+    ("export-config", "config", cmd_export_config),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let parsed = if cmd == "--help" || cmd == "-h" {
+        Ok(None)
+    } else if let Some(&(_, known, run)) = COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Args::parse(known, &argv[1..]).map(|args| args.map(|args| (args, run)))
+    } else {
+        Err(format!("unknown command '{cmd}'"))
+    };
     let mut out = Stdout::lock();
-    if cmd == "--help" || cmd == "-h" {
-        writeln!(out, "{USAGE}");
-        return out.finish("cimtpu_cli", false);
-    }
-    let args = match Args::parse(&argv[1..]) {
-        Ok(a) => a,
+    let result = match parsed {
+        Ok(None) => {
+            writeln!(out, "{USAGE}");
+            Ok(())
+        }
+        Ok(Some((args, run))) => run(&mut out, &args),
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    };
-    let result = match cmd.as_str() {
-        "configs" => cmd_configs(&mut out),
-        "models" => cmd_models(&mut out),
-        "simulate" => cmd_simulate(&mut out, &args),
-        "memory" => cmd_memory(&mut out, &args),
-        "export-config" => cmd_export_config(&mut out, &args),
-        "inference" => cmd_inference(&mut out, &args),
-        "throughput" => cmd_throughput(&mut out, &args),
-        other => Err(format!("unknown command '{other}'\n{USAGE}").into()),
     };
     if let Err(e) = &result {
         eprintln!("error: {e}");

@@ -1,10 +1,12 @@
-//! One function per paper table/figure (see DESIGN.md §4).
+//! One function per paper table/figure; the `repro_all` sections
+//! ([`crate::repro::SECTIONS`]) render them as the paper report.
 //!
 //! The multi-point experiments (`fig7`, the extension sweeps, `moe_study`)
 //! fan their independent design points out through [`crate::sweep`]; each
 //! worker evaluates on its own memoized [`Simulator`], so results are
 //! bit-identical to — but much faster than — a sequential uncached run
-//! (see [`fig7_with`] and the `sweep` bench).
+//! (see [`fig7_with`] and its test
+//! `fig7_fast_path_matches_sequential_uncached_reference`).
 
 use serde::Serialize;
 
@@ -278,7 +280,9 @@ pub fn fig7() -> Result<Vec<Fig7Row>> {
 /// [`fig7`] with an explicit [`SweepMode`].
 ///
 /// Both modes produce identical rows; `SequentialUncached` is the
-/// pre-optimization reference path the `sweep` bench measures against.
+/// pre-optimization reference path, which the test
+/// `fig7_fast_path_matches_sequential_uncached_reference` compares
+/// against.
 ///
 /// # Errors
 ///
@@ -402,7 +406,9 @@ pub struct AblationRow {
     pub ratio: f64,
 }
 
-/// Runs the DESIGN.md §7 ablations.
+/// Runs the four ablations of the `repro_all` section `ablations`:
+/// simultaneous MAC and weight update, double buffering, memory
+/// coalescing and the bit-serial width.
 ///
 /// # Errors
 ///

@@ -175,3 +175,61 @@ fn cimtpu_cli_help_is_usage() {
         assert!(out.stderr.is_empty(), "{flag}");
     }
 }
+
+#[test]
+fn cimtpu_cli_command_help_is_usage() {
+    let lines: [&[&str]; 4] = [
+        &["simulate", "--help"],
+        &["configs", "-h"],
+        &["inference", "--config", "design-a", "--help"],
+        &["export-config", "-h", "--bogus"],
+    ];
+    for args in lines {
+        let out = run(env!("CARGO_BIN_EXE_cimtpu_cli"), args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stdout.starts_with("usage: cimtpu "), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cimtpu_cli_rejects_unknown_and_repeated_flags() {
+    let inference = ["inference", "--config", "design-a", "--model", "gpt3-30b"];
+    let cases: [(Vec<&str>, &str); 5] = [
+        (vec!["configs", "--bogus", "1"], "unknown flag --bogus"),
+        (
+            [&inference[..], &["--batch", "8", "--outptu", "4"]].concat(),
+            "unknown flag --outptu",
+        ),
+        (
+            [
+                &inference[..],
+                &["--batch", "8", "--output", "4", "--batch", "4"],
+            ]
+            .concat(),
+            "flag --batch given twice",
+        ),
+        (
+            [&inference[..], &["--json", "--json"]].concat(),
+            "flag --json given twice",
+        ),
+        (
+            vec![
+                "memory", "--config", "tpuv4i", "--model", "gpt3-30b", "--json",
+            ],
+            "unknown flag --json",
+        ),
+    ];
+    for (args, message) in &cases {
+        let out = run(env!("CARGO_BIN_EXE_cimtpu_cli"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            stderr.starts_with(&format!("error: {message}\n")),
+            "{args:?}: {stderr}"
+        );
+    }
+}

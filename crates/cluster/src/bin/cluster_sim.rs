@@ -291,7 +291,9 @@ impl ClusterSim {
         several: bool,
     ) -> cimtpu_units::Result<ClusterRun> {
         let rec: SharedRecorder = Rc::new(RefCell::new(Recorder::new()));
-        let mut run = s.run_observed(flags.seed, Some(&rec))?;
+        let mut run = s
+            .engine
+            .run_observed(s.name, &s.offered(flags.seed), Some(&rec))?;
         let rec = rec.borrow();
         run.report.timeseries = Some(rec.timeseries());
         if let Some(base) = &flags.trace {

@@ -57,7 +57,6 @@
 use std::collections::VecDeque;
 
 use cimtpu_kv::{KvFootprint, PagedKvAllocator};
-use cimtpu_multi::RingTopology;
 use cimtpu_obs::EventKind;
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, EngineSession, EventKey, Parallelism, PhasePricer,
@@ -76,8 +75,8 @@ use crate::router::{HealthView, ReplicaHealth, ReplicaSnapshot, RouterPolicy};
 use crate::ClusterRun;
 
 /// The link KV caches migrate over between prefill and decode replicas:
-/// bandwidth + per-transfer hop latency from the `cimtpu-multi` link
-/// model, plus a serdes energy cost per byte.
+/// bandwidth plus a per-transfer hop latency, and a serdes energy cost
+/// per byte.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectSpec {
     /// Link bandwidth.
@@ -96,18 +95,6 @@ impl InterconnectSpec {
             link_bandwidth: Bandwidth::from_gb_per_s(100.0),
             hop_latency: Seconds::from_micros(1.0),
             energy_pj_per_byte: 5.0,
-        }
-    }
-
-    /// Derives the link parameters from a `cimtpu-multi` ring topology
-    /// (one link's bandwidth, the ring's hop latency).
-    pub fn from_ring(ring: &RingTopology, energy_pj_per_byte: f64) -> Self {
-        InterconnectSpec {
-            link_bandwidth: ring.link_bandwidth(),
-            // One neighbour hop minus the pure wire time = the ring's
-            // per-hop latency constant.
-            hop_latency: ring.p2p_time(Bytes::ZERO),
-            energy_pj_per_byte,
         }
     }
 
@@ -1101,16 +1088,6 @@ mod tests {
         // Zero bytes still pay the hop, but no energy.
         assert_eq!(link.transfer_time(Bytes::ZERO), Seconds::from_micros(1.0));
         assert_eq!(link.transfer_energy(Bytes::ZERO), Joules::ZERO);
-    }
-
-    #[test]
-    fn interconnect_from_ring_matches_link_parameters() {
-        let ring = RingTopology::new(4, 2, Bandwidth::from_gb_per_s(100.0)).unwrap();
-        let link = InterconnectSpec::from_ring(&ring, 5.0);
-        assert_eq!(link.link_bandwidth, ring.link_bandwidth());
-        // A transfer over this spec equals the ring's neighbour p2p time.
-        let bytes = Bytes::from_mib(8);
-        assert_eq!(link.transfer_time(bytes), ring.p2p_time(bytes));
     }
 
     /// A small heterogeneous pool: two prefill replicas with different

@@ -120,14 +120,15 @@
 //!
 //! # Observability
 //!
-//! [`ClusterEngine::run_observed`] (and
-//! [`Scenario::run_observed`](scenario::Scenario::run_observed)) accept
-//! an optional [`SharedRecorder`] — the `cimtpu-obs` flight recorder —
-//! and pick the event loops' observer once: both loops are generic over
-//! a crate-private `FleetObserver` trait, whose `()` implementation is
-//! all no-ops (so a recorder-off run has no trace branches at all) and
-//! whose `FleetTrace` implementation writes to the recorder and owns the
-//! trace layout. A traced run emits typed lifecycle events (arrival →
+//! [`ClusterEngine::run_observed`] is the one run entry point that
+//! accepts a flight recorder: an optional [`SharedRecorder`] from
+//! `cimtpu-obs` (`cluster_sim --trace` / `--metrics-csv` pass one with
+//! the scenario's [`Scenario::offered`](scenario::Scenario::offered)
+//! load). It picks the event loops' observer once: both loops are
+//! generic over a crate-private `FleetObserver` trait, whose `()`
+//! implementation is all no-ops (so a recorder-off run has no trace
+//! branches at all) and whose `FleetTrace` implementation writes to the
+//! recorder and owns the trace layout. A traced run emits typed lifecycle events (arrival →
 //! queue → prefill → KV handoff → decode → complete, plus preempt /
 //! retry / shed / timeout / park) and fleet events (crash, repair,
 //! straggler windows, scale actions, reconcile ticks) keyed by

@@ -8,7 +8,7 @@ use cimtpu_models::presets;
 use cimtpu_serving::scenario::{smoke_kv_memory, smoke_traffic, tiny_transformer, traffic, Engine};
 use cimtpu_serving::{
     ArrivalPattern, BatchPolicy, KvBudget, LenDist, MemoryConfig, Offered, PrefixStats,
-    PrefixTraffic, ServingModel, SharedRecorder, SloClass, TenantSet, TenantSpec, TrafficSpec,
+    PrefixTraffic, ServingModel, SloClass, TenantSet, TenantSpec, TrafficSpec,
 };
 use cimtpu_units::{Error, Result, Seconds};
 
@@ -27,13 +27,8 @@ impl Engine for ClusterEngine {
     type Report = ClusterReport;
     type Run = ClusterRun;
 
-    fn run_observed(
-        &self,
-        label: &str,
-        offered: Offered<'_>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<ClusterRun> {
-        ClusterEngine::run_observed(self, label, offered, recorder)
+    fn run(&self, label: &str, offered: Offered<'_>) -> Result<ClusterRun> {
+        ClusterEngine::run(self, label, offered)
     }
 
     fn with_kv_budget(self, budget: KvBudget) -> Self {

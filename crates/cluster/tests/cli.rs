@@ -1,11 +1,13 @@
 //! `cluster_sim` rejects flags that cannot apply to the run, before
 //! simulating: exit status 2, the clash on stderr, nothing on stdout.
 //! `--trace-out` writes exactly the traffic a run with the same `--seed`
-//! serves. A closed stdout ends the output, not the run.
+//! serves, and a traced run serves what the untraced one does. A closed
+//! stdout ends the output, not the run.
 
 use std::process::{Command, Output, Stdio};
 
 use cimtpu_cluster::scenario::{by_name, headline};
+use cimtpu_cluster::ClusterReport;
 use cimtpu_serving::{synthesize, to_jsonl, ArrivalPattern, TrafficSpec};
 
 fn cluster_sim(args: &[&str]) -> Output {
@@ -166,6 +168,37 @@ fn trace_out_writes_the_offered_traffic() {
             );
         }
     }
+}
+
+/// A traced run follows the seed rule: `--seed 7 --trace T` reports
+/// what `--seed 7` alone does, plus the recorder's `timeseries`.
+#[test]
+fn traced_run_follows_the_seed_rule() {
+    let trace = tmp("cli_seeded_trace.json");
+    let _ = std::fs::remove_file(&trace);
+    let base = [
+        "--scenario",
+        "cluster-chaos-crash",
+        "--seed",
+        "7",
+        "--json",
+        "-",
+    ];
+    let reports = |args: &[&str]| -> Vec<ClusterReport> {
+        let out = cluster_sim(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("report JSON")
+    };
+    let plain = reports(&base);
+    let mut traced = reports(&[&base[..], &["--trace", &trace]].concat());
+    assert!(std::path::Path::new(&trace).is_file(), "trace written");
+    for report in &mut traced {
+        assert!(report.timeseries.take().is_some(), "{}", report.label);
+    }
+    assert_eq!(traced, plain);
+    let unseeded = reports(&["--scenario", "cluster-chaos-crash", "--json", "-"]);
+    assert_ne!(unseeded, plain, "seed 7 changes the offered load");
 }
 
 /// The trace files `--trace-out` wrote into the fresh directory `dir`.

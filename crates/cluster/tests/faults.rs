@@ -501,7 +501,10 @@ fn parks(scenario: &str, crashes: &[(usize, f64, f64)]) -> BTreeMap<u64, u32> {
     let plan = FaultPlan::none().with_events(crashes.iter().map(crash));
     scenario.engine = scenario.engine.with_faults(plan);
     let rec = Rc::new(RefCell::new(Recorder::new()));
-    let run = scenario.run_observed(None, Some(&rec)).unwrap();
+    let run = scenario
+        .engine
+        .run_observed(scenario.name, &scenario.offered(None), Some(&rec))
+        .unwrap();
     assert_eq!(run.report.completed, run.report.offered, "every request recovers");
     let mut parks: BTreeMap<u64, u32> = BTreeMap::new();
     for e in rec.borrow().events().iter().filter(|e| e.kind == EventKind::Park) {

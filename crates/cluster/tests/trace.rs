@@ -26,7 +26,11 @@ fn fresh() -> SharedRecorder {
 
 fn record(name: &str, seed: Option<u64>) -> (ClusterRun, SharedRecorder) {
     let rec = fresh();
-    let run = by_name(name).unwrap().run_observed(seed, Some(&rec)).unwrap();
+    let s = by_name(name).unwrap();
+    let run = s
+        .engine
+        .run_observed(s.name, &s.offered(seed), Some(&rec))
+        .unwrap();
     (run, rec)
 }
 
@@ -334,7 +338,10 @@ proptest! {
     fn autoscale_traces_hold_invariants(seed in 0u64..1_000) {
         let scenario = by_name("smoke-autoscale").unwrap();
         let rec = fresh();
-        let run = scenario.run_observed(Some(seed), Some(&rec)).unwrap();
+        let run = scenario
+            .engine
+            .run_observed(scenario.name, &scenario.offered(Some(seed)), Some(&rec))
+            .unwrap();
         assert_conservation(&run, &rec);
         assert_well_formed(&rec);
         let plain = scenario.run(Some(seed)).unwrap();

@@ -35,7 +35,7 @@ pub mod pipeline;
 pub mod tensor_parallel;
 mod topology;
 
-pub use topology::{RingTopology, Torus2dTopology};
+pub use topology::RingTopology;
 
 use serde::{Deserialize, Serialize};
 

@@ -107,135 +107,12 @@ impl RingTopology {
     }
 }
 
-/// A 2-D torus of TPU chips (TPUv4-pod style), for scaling beyond the
-/// 4-chip ring the paper evaluates.
-///
-/// Collectives decompose into two phases: a ring all-reduce along each row,
-/// then along each column — the standard hierarchical algorithm for torus
-/// interconnects.
-///
-/// # Examples
-///
-/// ```
-/// use cimtpu_multi::{RingTopology, Torus2dTopology};
-/// use cimtpu_units::{Bandwidth, Bytes};
-///
-/// let bw = Bandwidth::from_gb_per_s(100.0);
-/// let torus = Torus2dTopology::new(4, 4, bw)?;
-/// let ring16 = RingTopology::new(16, 2, bw)?;
-/// // A 4x4 torus all-reduces faster than one 16-chip ring.
-/// let bytes = Bytes::from_mib(64);
-/// assert!(torus.all_reduce_time(bytes) < ring16.all_reduce_time(bytes));
-/// # Ok::<(), cimtpu_units::Error>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Torus2dTopology {
-    x: u64,
-    y: u64,
-    link_bandwidth: Bandwidth,
-}
-
-impl Torus2dTopology {
-    /// Creates an `x × y` torus. Each chip needs 4 links (2 per dimension);
-    /// degenerate 1-wide dimensions collapse to a ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if either dimension is zero.
-    pub fn new(x: u64, y: u64, link_bandwidth: Bandwidth) -> Result<Self> {
-        if x == 0 || y == 0 {
-            return Err(Error::invalid_config("torus dimensions must be non-zero"));
-        }
-        Ok(Torus2dTopology {
-            x,
-            y,
-            link_bandwidth,
-        })
-    }
-
-    /// Chips along the first dimension.
-    pub fn x(&self) -> u64 {
-        self.x
-    }
-
-    /// Chips along the second dimension.
-    pub fn y(&self) -> u64 {
-        self.y
-    }
-
-    /// Total chips.
-    pub fn devices(&self) -> u64 {
-        self.x * self.y
-    }
-
-    fn row_ring(&self) -> RingTopology {
-        RingTopology::new(self.x.max(1), 2, self.link_bandwidth).expect("validated dims")
-    }
-
-    fn col_ring(&self) -> RingTopology {
-        RingTopology::new(self.y.max(1), 2, self.link_bandwidth).expect("validated dims")
-    }
-
-    /// Hierarchical all-reduce: reduce-scatter + all-gather along rows,
-    /// then the same along columns on `1/x` of the data.
-    pub fn all_reduce_time(&self, bytes: Bytes) -> Seconds {
-        let row = self.row_ring().all_reduce_time(bytes);
-        let col_bytes = Bytes::new(bytes.get().div_ceil(self.x.max(1)));
-        let col = self.col_ring().all_reduce_time(col_bytes);
-        row + col
-    }
-
-    /// Neighbour transfer (one hop on either dimension).
-    pub fn p2p_time(&self, bytes: Bytes) -> Seconds {
-        if self.devices() == 1 {
-            return Seconds::ZERO;
-        }
-        self.link_bandwidth.transfer_time(bytes) + Seconds::from_micros(HOP_LATENCY_US)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ring(p: u64) -> RingTopology {
         RingTopology::new(p, 2, Bandwidth::from_gb_per_s(100.0)).unwrap()
-    }
-
-    fn torus(x: u64, y: u64) -> Torus2dTopology {
-        Torus2dTopology::new(x, y, Bandwidth::from_gb_per_s(100.0)).unwrap()
-    }
-
-    #[test]
-    fn torus_validation() {
-        assert!(Torus2dTopology::new(0, 4, Bandwidth::from_gb_per_s(100.0)).is_err());
-        assert_eq!(torus(4, 4).devices(), 16);
-    }
-
-    #[test]
-    fn degenerate_torus_matches_ring() {
-        // A 1 x p torus is a ring plus a trivial second phase.
-        let bytes = Bytes::from_mib(32);
-        let t = torus(1, 4).all_reduce_time(bytes);
-        let r = ring(4).all_reduce_time(bytes);
-        // Row phase over x=1 is free; the column phase carries everything.
-        assert!((t.get() - r.get()).abs() / r.get() < 1e-9);
-    }
-
-    #[test]
-    fn torus_beats_flat_ring_at_scale() {
-        let bytes = Bytes::from_mib(256);
-        for (x, y) in [(4u64, 4u64), (8, 4), (8, 8)] {
-            let t = torus(x, y).all_reduce_time(bytes);
-            let r = ring(x * y).all_reduce_time(bytes);
-            assert!(t < r, "{x}x{y} torus should beat a {}-ring", x * y);
-        }
-    }
-
-    #[test]
-    fn torus_p2p_single_device_free() {
-        assert_eq!(torus(1, 1).p2p_time(Bytes::from_mib(1)), Seconds::ZERO);
-        assert!(torus(2, 2).p2p_time(Bytes::from_mib(1)).get() > 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::timeseries::{GaugeSeries, HistogramSummary, TimeseriesStats};
 use crate::LogHistogram;
 
 /// Minimum spacing between retained gauge samples, simulated seconds.
-pub const DEFAULT_GAUGE_INTERVAL_S: f64 = 0.001;
+const GAUGE_INTERVAL_S: f64 = 0.001;
 
 /// One gauge series under construction (downsampled on insert).
 #[derive(Debug, Clone)]
@@ -25,10 +25,10 @@ struct GaugeBuf {
 ///
 /// Buffers typed [`Event`]s keyed by simulated time, streams latency /
 /// TTFT samples into log-bucketed histograms, and downsamples gauge
-/// series on a fixed simulated-time interval. All state is plain
+/// series on a fixed 1 ms simulated-time interval. All state is plain
 /// in-memory data ordered by insertion, so two same-seed runs build
 /// byte-identical exports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Recorder {
     events: Vec<Event>,
     tracks: Vec<String>,
@@ -36,35 +36,13 @@ pub struct Recorder {
     latency_ms: LogHistogram,
     ttft_ms: LogHistogram,
     gauges: Vec<GaugeBuf>,
-    gauge_interval_s: f64,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
 }
 
 impl Recorder {
-    /// Creates a recorder with the default gauge interval.
+    /// Creates an empty recorder.
     #[must_use]
     pub fn new() -> Recorder {
-        Recorder::with_gauge_interval(DEFAULT_GAUGE_INTERVAL_S)
-    }
-
-    /// Creates a recorder retaining gauge samples at least `interval_s`
-    /// simulated seconds apart.
-    #[must_use]
-    pub fn with_gauge_interval(interval_s: f64) -> Recorder {
-        Recorder {
-            events: Vec::new(),
-            tracks: Vec::new(),
-            seen: FxHashSet::default(),
-            latency_ms: LogHistogram::default(),
-            ttft_ms: LogHistogram::default(),
-            gauges: Vec::new(),
-            gauge_interval_s: interval_s,
-        }
+        Recorder::default()
     }
 
     /// Registers a track (Chrome thread) and returns its id.
@@ -90,7 +68,7 @@ impl Recorder {
         let g = &mut self.gauges[series];
         if g.t_s
             .last()
-            .is_none_or(|&last| ts_s - last >= self.gauge_interval_s)
+            .is_none_or(|&last| ts_s - last >= GAUGE_INTERVAL_S)
         {
             g.t_s.push(ts_s);
             g.values.push(value);
@@ -182,7 +160,7 @@ impl Recorder {
     #[must_use]
     pub fn timeseries(&self) -> TimeseriesStats {
         TimeseriesStats {
-            interval_s: self.gauge_interval_s,
+            interval_s: GAUGE_INTERVAL_S,
             latency_ms: HistogramSummary::of(&self.latency_ms),
             ttft_ms: HistogramSummary::of(&self.ttft_ms),
             gauges: self
@@ -306,12 +284,6 @@ impl TraceHandle {
         TraceHandle { rec, track }
     }
 
-    /// The track this handle emits on.
-    #[must_use]
-    pub fn track(&self) -> u32 {
-        self.track
-    }
-
     /// See [`Recorder::request_arrival`].
     pub fn arrival(&self, id: u64, ts_s: f64, tenant: Option<u32>) {
         self.rec
@@ -390,13 +362,15 @@ mod tests {
 
     #[test]
     fn gauge_downsampling_honors_interval() {
-        let mut r = Recorder::with_gauge_interval(1.0);
+        let mut r = Recorder::new();
         let g = r.gauge_series("q");
+        let dt = GAUGE_INTERVAL_S / 4.0;
         for i in 0..10 {
-            r.sample(g, i as f64 * 0.25, i as f64);
+            r.sample(g, i as f64 * dt, i as f64);
         }
         let ts = r.timeseries();
-        assert_eq!(ts.gauges[0].t_s, vec![0.0, 1.0, 2.0]);
+        assert_eq!(ts.interval_s, GAUGE_INTERVAL_S);
+        assert_eq!(ts.gauges[0].t_s, vec![0.0, 4.0 * dt, 8.0 * dt]);
         assert_eq!(ts.gauges[0].values, vec![0.0, 4.0, 8.0]);
     }
 

@@ -148,6 +148,11 @@ impl ServingEngine {
     /// SLO attainment, fairness); a single-tenant set reports
     /// bit-identically to its tenant's traffic, plus that section.
     ///
+    /// A serving engine takes no flight recorder; fleets record
+    /// (`ClusterEngine::run_observed` in `cimtpu-cluster`), and a core
+    /// driven directly takes one through
+    /// [`EngineCore::attach_trace`](crate::EngineCore::attach_trace).
+    ///
     /// # Errors
     ///
     /// Returns an error for an invalid traffic spec or tenant set, an
@@ -157,25 +162,6 @@ impl ServingEngine {
     ///
     /// [`TrafficSpec::validate_prompts`]: crate::TrafficSpec::validate_prompts
     pub fn run<'t>(&self, label: &str, offered: impl Into<Offered<'t>>) -> Result<ServingRun> {
-        self.run_observed(label, offered, None)
-    }
-
-    /// [`run`](Self::run) with an optional flight recorder: the engine
-    /// core emits its request lifecycle on a fresh `"engine"` track and
-    /// every delivered completion feeds the recorder's terminal event
-    /// and latency histograms; multi-tenant runs tag every
-    /// request-lifecycle event with its tenant index. `None` is exactly
-    /// [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run).
-    pub fn run_observed<'t>(
-        &self,
-        label: &str,
-        offered: impl Into<Offered<'t>>,
-        recorder: Option<&cimtpu_obs::SharedRecorder>,
-    ) -> Result<ServingRun> {
         let offered = offered.into();
         let traffic = offered.spec()?;
         if self.model.has_prefill() {
@@ -183,44 +169,17 @@ impl ServingEngine {
         }
         let mut stream = ArrivalStream::new(&traffic)?;
         let tenants = offered.tenants();
-        let sched = tenants.map(crate::TenantSet::sched);
         let session = EngineSession::new(self)?;
         let mut core = session.core()?;
-        if let Some(sched) = &sched {
-            core.set_tenancy(sched);
-        }
-        if let Some(rec) = recorder {
-            let track = rec.borrow_mut().track("engine");
-            core.attach_trace(cimtpu_obs::TraceHandle::new(std::rc::Rc::clone(rec), track));
+        if let Some(set) = tenants {
+            core.set_tenancy(&set.sched());
         }
         drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
-        let ledger = tenants.map(|set| {
+        let mut run = core.finish(label);
+        if let Some(set) = tenants {
             let mut ledger = crate::TenantLedger::new(set, &traffic);
             ledger.absorb_preemptions(core.tenant_preemptions());
-            ledger
-        });
-        let mut run = core.finish(label);
-        if let Some(ledger) = &ledger {
             run.report.tenants = Some(ledger.report(&run.completions, run.report.makespan_s));
-        }
-        if let Some(rec) = recorder {
-            let mut rec = rec.borrow_mut();
-            let track = core.trace_track().expect("recorder attached above");
-            let multi = sched.as_ref().is_some_and(crate::TenantSched::multi_tenant);
-            for c in &run.completions {
-                let tenant = ledger
-                    .as_ref()
-                    .filter(|_| multi)
-                    .map(|l| l.tenant_of(c.id) as u32);
-                rec.complete(
-                    track,
-                    c.id,
-                    c.finish.get(),
-                    c.latency().as_millis(),
-                    c.ttft().as_millis(),
-                    tenant,
-                );
-            }
         }
         Ok(run)
     }

@@ -154,9 +154,7 @@ pub mod tenant;
 pub mod trace;
 
 pub use cimtpu_kv::{KvBudget, PrefixStats};
-pub use cimtpu_obs::{
-    EventKind, Recorder, SharedRecorder, TimeseriesStats, TraceFilter, TraceHandle,
-};
+pub use cimtpu_obs::{EventKind, TraceFilter, TraceHandle};
 pub use engine::{Parallelism, ServingEngine, ServingRun};
 pub use memory::{parse_kv_budget, MemoryConfig};
 pub use metrics::{Completion, CompletionStats, LatencyStats, MemoryStats, ServingReport};

@@ -14,28 +14,24 @@ use crate::policy::BatchPolicy;
 use crate::pricer::ServingModel;
 use crate::request::{ArrivalPattern, LenDist, PrefixTraffic, TrafficSpec};
 use crate::tenant::{Offered, TenantSet};
-use crate::{KvBudget, PrefixStats, SharedRecorder};
+use crate::{KvBudget, PrefixStats};
 
 /// What a [`Scenario`] runs on. The command-line front end
-/// ([`crate::cli`]) drives the serving engine and a fleet through it.
+/// ([`crate::cli`]) drives the serving engine and a fleet through it; a
+/// traced fleet run (`cluster_sim --trace`) calls the fleet's own
+/// recording entry point instead.
 pub trait Engine: Clone + Send + Sync {
     /// The report a run prints and writes under `--json`.
     type Report: std::fmt::Display + serde::Serialize + Send;
     /// Everything a run produced.
     type Run: Send;
 
-    /// Serves `offered` to completion under the label `label`, with an
-    /// optional flight recorder attached.
+    /// Serves `offered` to completion under the label `label`.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
-    fn run_observed(
-        &self,
-        label: &str,
-        offered: Offered<'_>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<Self::Run>;
+    fn run(&self, label: &str, offered: Offered<'_>) -> Result<Self::Run>;
 
     /// The same engine with every KV budget replaced (`--kv-budget`).
     #[must_use]
@@ -49,13 +45,8 @@ impl Engine for ServingEngine {
     type Report = crate::ServingReport;
     type Run = ServingRun;
 
-    fn run_observed(
-        &self,
-        label: &str,
-        offered: Offered<'_>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<ServingRun> {
-        ServingEngine::run_observed(self, label, offered, recorder)
+    fn run(&self, label: &str, offered: Offered<'_>) -> Result<ServingRun> {
+        ServingEngine::run(self, label, offered)
     }
 
     fn with_kv_budget(self, budget: KvBudget) -> Self {
@@ -135,22 +126,7 @@ impl<E: Engine> Scenario<E> {
     ///
     /// Propagates engine errors.
     pub fn run(&self, seed: Option<u64>) -> Result<E::Run> {
-        self.run_observed(seed, None)
-    }
-
-    /// Runs the scenario with an optional flight recorder attached;
-    /// [`run`](Self::run) is the `None` shorthand.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run_observed(
-        &self,
-        seed: Option<u64>,
-        recorder: Option<&SharedRecorder>,
-    ) -> Result<E::Run> {
-        self.engine
-            .run_observed(self.name, (&self.offered(seed)).into(), recorder)
+        self.engine.run(self.name, (&self.offered(seed)).into())
     }
 }
 

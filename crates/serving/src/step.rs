@@ -536,12 +536,6 @@ impl<'a> EngineCore<'a> {
         self.trace.handle = Some(trace);
     }
 
-    /// The attached trace track, if any (drivers emit their
-    /// delivery-side events on the same track as the core).
-    pub fn trace_track(&self) -> Option<u32> {
-        self.trace.handle.as_ref().map(TraceHandle::track)
-    }
-
     /// Replaces the core's one-tenant `Standard` schedule with `sched`:
     /// each tenant gets its own FIFO queue, keyed by request tenant tag.
     /// Continuous batching admits among the queue heads by (class
