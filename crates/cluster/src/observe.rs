@@ -106,14 +106,20 @@ pub(crate) struct FleetTrace {
 
 /// Request `id`'s tenant tag: present only for multi-tenant runs.
 fn tenant(tenancy: &Option<Tenancy<'_>>, id: u64) -> Option<u32> {
-    tenancy.as_ref().and_then(|t| t.sched.multi_tenant().then(|| t.ledger.tenant_of(id) as u32))
+    tenancy.as_ref().and_then(|t| {
+        t.sched
+            .multi_tenant()
+            .then(|| t.ledger.tenant_of(id) as u32)
+    })
 }
 
 impl FleetTrace {
     fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
         let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
         let (track, tag) = (self.tracks[k], tenant(tenancy, c.id));
-        self.rec.borrow_mut().complete(track, c.id, c.finish.get(), latency, ttft, tag);
+        self.rec
+            .borrow_mut()
+            .complete(track, c.id, c.finish.get(), latency, ttft, tag);
     }
 }
 
@@ -130,12 +136,20 @@ impl FleetObserver for FleetTrace {
         let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
         let control = control.then(|| r.track("control"));
         let (owners, second) = groups.map_or((slots, "kv_frac"), |g| (g, "outstanding"));
-        let mut gauge = |spec: &ReplicaSpec, what: &str| {
-            r.gauge_series(&format!("{}/{what}", spec.name))
-        };
-        let series = owners.iter().map(|s| [gauge(s, "queued"), gauge(s, second)]).collect();
+        let mut gauge =
+            |spec: &ReplicaSpec, what: &str| r.gauge_series(&format!("{}/{what}", spec.name));
+        let series = owners
+            .iter()
+            .map(|s| [gauge(s, "queued"), gauge(s, second)])
+            .collect();
         drop(r);
-        FleetTrace { rec: Rc::clone(rec), tracks, series, control, step_gauges: groups.is_none() }
+        FleetTrace {
+            rec: Rc::clone(rec),
+            tracks,
+            series,
+            control,
+            step_gauges: groups.is_none(),
+        }
     }
 
     fn attach(&self, k: usize, core: &mut EngineCore<'_>) {
@@ -145,16 +159,22 @@ impl FleetObserver for FleetTrace {
     fn arrival(&self, k: Option<usize>, r: &Request, tenancy: &Option<Tenancy<'_>>) {
         if let Some(track) = k.map(|k| self.tracks[k]).or(self.control) {
             let tag = tenant(tenancy, r.id);
-            self.rec.borrow_mut().request_arrival(track, r.id, r.arrival_s, tag);
+            self.rec
+                .borrow_mut()
+                .request_arrival(track, r.id, r.arrival_s, tag);
         }
     }
 
     fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
-        self.rec.borrow_mut().instant(self.tracks[k], kind, 0, at.get(), None);
+        self.rec
+            .borrow_mut()
+            .instant(self.tracks[k], kind, 0, at.get(), None);
     }
 
     fn span(&self, k: usize, kind: EventKind, id: u64, from: Seconds, to: Seconds) {
-        self.rec.borrow_mut().span(self.tracks[k], kind, id, from.get(), to.get(), None);
+        self.rec
+            .borrow_mut()
+            .span(self.tracks[k], kind, id, from.get(), to.get(), None);
     }
 
     fn control(&self, kind: EventKind, id: u64, at: Seconds, until: Option<Seconds>) {

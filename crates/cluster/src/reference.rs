@@ -45,7 +45,9 @@ pub(crate) fn run_reference<'t>(
 ) -> Result<ClusterRun> {
     let offered = offered.into();
     if engine.autoscale().is_some() || offered.tenants().is_some() {
-        return Err(Error::invalid_config("the reference models static untenanted fleets only"));
+        return Err(Error::invalid_config(
+            "the reference models static untenanted fleets only",
+        ));
     }
     let traffic = offered.spec()?;
     let plan = engine.faults();
@@ -53,9 +55,24 @@ pub(crate) fn run_reference<'t>(
         ClusterTopology::Colocated { replicas, router } => {
             colocated(replicas, *router, label, &traffic, engine.slo_ms, plan)
         }
-        ClusterTopology::Disaggregated { prefill, decode, router, decode_router, interconnect } => {
+        ClusterTopology::Disaggregated {
+            prefill,
+            decode,
+            router,
+            decode_router,
+            interconnect,
+        } => {
             let (routers, slo) = ((*router, *decode_router), engine.slo_ms);
-            disaggregated(prefill, decode, routers, *interconnect, label, &traffic, slo, plan)
+            disaggregated(
+                prefill,
+                decode,
+                routers,
+                *interconnect,
+                label,
+                &traffic,
+                slo,
+                plan,
+            )
         }
     }
 }
@@ -71,15 +88,23 @@ const NONE: (f64, u64) = (0.0, 0);
 fn next<W: Copy>(events: &[Event<W>]) -> Option<(Seconds, W)> {
     let first = |&(at, ac, (a0, a1), _): &Event<W>, &(bt, bc, (b0, b1), _): &Event<W>| {
         let time = at.get().total_cmp(&bt.get());
-        time.then(ac.cmp(&bc)).then(a0.total_cmp(&b0)).then(a1.cmp(&b1))
+        time.then(ac.cmp(&bc))
+            .then(a0.total_cmp(&b0))
+            .then(a1.cmp(&b1))
     };
-    events.iter().min_by(|a, b| first(a, b)).map(|&(at, _, _, what)| (at, what))
+    events
+        .iter()
+        .min_by(|a, b| first(a, b))
+        .map(|&(at, _, _, what)| (at, what))
 }
 
 /// The next fault-timeline instant: the next scripted fault or lifecycle
 /// transition.
 fn fault_at(scripted: Option<Seconds>, health: &HealthView) -> Option<Seconds> {
-    [scripted, health.next_transition()].into_iter().flatten().reduce(Seconds::min)
+    [scripted, health.next_transition()]
+        .into_iter()
+        .flatten()
+        .reduce(Seconds::min)
 }
 
 /// The router's view of the `up` replicas at `t`, re-indexed
@@ -132,14 +157,23 @@ impl Book {
 
     /// Drops `r` at `now` (shed, or timed out), releasing its client.
     fn drop(&mut self, shed: bool, r: &Request, now: Seconds, stream: &mut ArrivalStream<'_>) {
-        *if shed { &mut self.stats.shed } else { &mut self.stats.timed_out } += 1;
+        *if shed {
+            &mut self.stats.shed
+        } else {
+            &mut self.stats.timed_out
+        } += 1;
         release_client(stream, r.id, self.origin(r), now);
     }
 
     /// A crash lost `r` at `now`: when its retry fires and its attempts so
     /// far, or `None` once it is shed (budget spent) or timed out (the
     /// backoff overruns its deadline).
-    fn lost(&mut self, r: &Request, now: Seconds, s: &mut ArrivalStream<'_>) -> Option<(Seconds, u32)> {
+    fn lost(
+        &mut self,
+        r: &Request,
+        now: Seconds,
+        s: &mut ArrivalStream<'_>,
+    ) -> Option<(Seconds, u32)> {
         let attempts = self.attempts(r.id) + 1;
         let fire = now + self.recovery.backoff_for(attempts);
         if attempts > self.recovery.max_attempts {
@@ -173,7 +207,12 @@ impl Book {
 
     fn crash(&mut self, replica: usize, at: Seconds) {
         self.stats.crashes += 1;
-        self.crashes.push(CrashRecord { replica, at, up_again: None, first_completion: None });
+        self.crashes.push(CrashRecord {
+            replica,
+            at,
+            up_again: None,
+            first_completion: None,
+        });
     }
 
     fn on_health(&mut self, health: &HealthView, now: Seconds) {
@@ -197,7 +236,10 @@ impl Book {
     /// The availability section for a fleet of `replicas` that delivered
     /// `done` (sorted, original arrivals).
     fn finish(mut self, done: &[Completion], replicas: usize) -> AvailabilityStats {
-        let finish = done.iter().map(|c| c.finish).fold(Seconds::ZERO, Seconds::max);
+        let finish = done
+            .iter()
+            .map(|c| c.finish)
+            .fold(Seconds::ZERO, Seconds::max);
         let first = done.iter().map(|c| c.arrival).fold(finish, Seconds::min);
         let span = (finish - first).get().max(f64::MIN_POSITIVE);
         let clip = |t: Seconds| t.get().clamp(first.get(), finish.get());
@@ -245,8 +287,10 @@ fn colocated(
     let recovery = *plan.recovery();
     let faulty = !plan.is_empty();
     let sessions = fleet_sessions(replicas)?;
-    let mut cores: Vec<EngineCore<'_>> =
-        sessions.iter().map(EngineSession::core).collect::<Result<_>>()?;
+    let mut cores: Vec<EngineCore<'_>> = sessions
+        .iter()
+        .map(EngineSession::core)
+        .collect::<Result<_>>()?;
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
     let mut router = policy.build();
@@ -267,12 +311,24 @@ fn colocated(
 
     loop {
         let fault = fault_at(timeline.get(next_fault).map(|f| f.0), &health);
-        let mut events: Vec<_> = fault.map(|at| (at, 0, NONE, Colo::Fault)).into_iter().collect();
+        let mut events: Vec<_> = fault
+            .map(|at| (at, 0, NONE, Colo::Fault))
+            .into_iter()
+            .collect();
         let due = deliveries.iter().enumerate();
         events.extend(due.map(|(i, (_, c))| (c.finish, 1, NONE, Colo::Deliver(i))));
-        events.extend(stream.peek().map(|at| (at, 2, (at.get(), u64::MAX), Colo::Admit(None))));
+        events.extend(
+            stream
+                .peek()
+                .map(|at| (at, 2, (at.get(), u64::MAX), Colo::Admit(None))),
+        );
         for (i, w) in waiting.iter().enumerate() {
-            events.push((w.fire, 2, (w.request.arrival_s, w.request.id), Colo::Admit(Some(i))));
+            events.push((
+                w.fire,
+                2,
+                (w.request.arrival_s, w.request.id),
+                Colo::Admit(Some(i)),
+            ));
         }
         let live = cores.iter().enumerate().filter(|&(k, _)| health.is_live(k));
         events.extend(live.filter_map(|(k, c)| Some((c.next_action()?, 3, NONE, Colo::Step(k)))));
@@ -285,7 +341,9 @@ fn colocated(
             // Closed-loop stall: flush the lowest stalled core.
             let mut live = (0..n).filter(|&k| health.is_live(k));
             let k = loop {
-                let k = live.next().ok_or_else(|| Error::invalid_config("reference stalled"))?;
+                let k = live
+                    .next()
+                    .ok_or_else(|| Error::invalid_config("reference stalled"))?;
                 if cores[k].flush_stalled()? {
                     break k;
                 }
@@ -316,13 +374,22 @@ fn colocated(
                     match action {
                         FaultAction::Crash { replica, repair } if health.is_live(replica) => {
                             let lost = cores[replica].crash(now);
-                            health.set(replica, ReplicaHealth::Down { until: now + repair });
+                            health.set(
+                                replica,
+                                ReplicaHealth::Down {
+                                    until: now + repair,
+                                },
+                            );
                             book.crash(replica, now);
                             let ids: Vec<u64> = lost.iter().map(|r| r.id).collect();
                             deliveries.retain(|(k, c)| *k != replica || !ids.contains(&c.id));
                             for r in lost {
                                 if let Some((fire, attempts)) = book.lost(&r, now, &mut stream) {
-                                    waiting.push(Admission { fire, request: r, attempts });
+                                    waiting.push(Admission {
+                                        fire,
+                                        request: r,
+                                        attempts,
+                                    });
                                 }
                             }
                         }
@@ -346,7 +413,11 @@ fn colocated(
             Colo::Admit(from) => {
                 let item = match from {
                     Some(i) => waiting.remove(i),
-                    None => Admission { fire: now, request: stream.pop(), attempts: 0 },
+                    None => Admission {
+                        fire: now,
+                        request: stream.pop(),
+                        attempts: 0,
+                    },
                 };
                 let r = item.request;
                 'admit: {
@@ -374,13 +445,20 @@ fn colocated(
                         break 'admit;
                     }
                     let k = up[router.route(&r, &snaps).min(up.len() - 1)];
-                    let at = if item.attempts > 0 { now.get() } else { r.arrival_s };
+                    let at = if item.attempts > 0 {
+                        now.get()
+                    } else {
+                        r.arrival_s
+                    };
                     let arrival = at.max(last_push[k]);
                     book.placed(&r, item.attempts, arrival);
                     last_push[k] = arrival;
                     assigned[k] += 1;
                     cores[k].reopen();
-                    cores[k].push(Request { arrival_s: arrival, ..r });
+                    cores[k].push(Request {
+                        arrival_s: arrival,
+                        ..r
+                    });
                     if closed {
                         cores[k].close();
                     }
@@ -404,12 +482,29 @@ fn colocated(
     }
     delivered.sort_by_key(|c| c.id);
     let mut totals = FleetTotals::default();
-    let rows = (0..n).map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k], "serve")).collect();
-    let (name, avail) = (policy.name().to_owned(), faulty.then(|| book.finish(&delivered, n)));
-    let report = ClusterReport::build(
-        label, "colocated", name, offered, &delivered, &totals, rows, slo_ms, avail,
+    let rows = (0..n)
+        .map(|k| totals.row(&replicas[k], &accum[k], delivered_by[k], "serve"))
+        .collect();
+    let (name, avail) = (
+        policy.name().to_owned(),
+        faulty.then(|| book.finish(&delivered, n)),
     );
-    Ok(ClusterRun { report, completions: delivered, prefix: totals.prefix })
+    let report = ClusterReport::build(
+        label,
+        "colocated",
+        name,
+        offered,
+        &delivered,
+        &totals,
+        rows,
+        slo_ms,
+        avail,
+    );
+    Ok(ClusterRun {
+        report,
+        completions: delivered,
+        prefix: totals.prefix,
+    })
 }
 
 /// A disaggregated retry: fires at `.0`; `.1` with `.2` retries charged;
@@ -443,10 +538,16 @@ fn disaggregated(
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
     let sessions = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
-    let mut punits: Vec<PrefillUnit<'_>> =
-        p_sessions.iter().zip(prefill).map(|(s, r)| PrefillUnit::new(s, r)).collect::<Result<_>>()?;
-    let mut dunits: Vec<DecodeUnit<'_>> =
-        d_sessions.iter().zip(decode).map(|(s, r)| DecodeUnit::new(s, r)).collect::<Result<_>>()?;
+    let mut punits: Vec<PrefillUnit<'_>> = p_sessions
+        .iter()
+        .zip(prefill)
+        .map(|(s, r)| PrefillUnit::new(s, r))
+        .collect::<Result<_>>()?;
+    let mut dunits: Vec<DecodeUnit<'_>> = d_sessions
+        .iter()
+        .zip(decode)
+        .map(|(s, r)| DecodeUnit::new(s, r))
+        .collect::<Result<_>>()?;
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
     let (mut arouter, mut drouter) = (router.build(), decode_router.build());
@@ -461,7 +562,10 @@ fn disaggregated(
 
     loop {
         let fault = fault_at(crashes.get(next_crash).map(|c| c.0), &health);
-        let mut events: Vec<_> = fault.map(|at| (at, 0, NONE, Disagg::Fault)).into_iter().collect();
+        let mut events: Vec<_> = fault
+            .map(|at| (at, 0, NONE, Disagg::Fault))
+            .into_iter()
+            .collect();
         events.extend(stream.peek().map(|at| (at, 1, NONE, Disagg::Arrive)));
         let retries = waiting.iter().enumerate();
         events.extend(retries.map(|(i, &(at, r, ..))| (at, 2, (0.0, r.id), Disagg::Retry(i))));
@@ -477,19 +581,20 @@ fn disaggregated(
         };
         // Hands `r`'s cache off from prefill unit `p` at `at` to an up
         // decode unit; `false` if none is up.
-        let mut hand_off = |punits: &mut [PrefillUnit<'_>], p: usize, at: Seconds, r: Request, ft| {
-            let up: Vec<usize> = (0..dunits.len()).filter(|&k| health.is_up(k)).collect();
-            let snap = |(i, &k): (usize, &usize)| dunits[k].snapshot(i, d_assigned[k], false);
-            let snaps: Vec<ReplicaSnapshot> = up.iter().enumerate().map(snap).collect();
-            let Some(pos) = (!up.is_empty()).then(|| drouter.route(&r, &snaps)) else {
-                return Ok(false);
+        let mut hand_off =
+            |punits: &mut [PrefillUnit<'_>], p: usize, at: Seconds, r: Request, ft| {
+                let up: Vec<usize> = (0..dunits.len()).filter(|&k| health.is_up(k)).collect();
+                let snap = |(i, &k): (usize, &usize)| dunits[k].snapshot(i, d_assigned[k], false);
+                let snaps: Vec<ReplicaSnapshot> = up.iter().enumerate().map(snap).collect();
+                let Some(pos) = (!up.is_empty()).then(|| drouter.route(&r, &snaps)) else {
+                    return Ok(false);
+                };
+                let k = up[pos.min(up.len() - 1)];
+                d_assigned[k] += 1;
+                let (_, end) = punits[p].send(&r, at, &mut link)?;
+                dunits[k].receive(r, ft, end);
+                Ok::<_, Error>(true)
             };
-            let k = up[pos.min(up.len() - 1)];
-            d_assigned[k] += 1;
-            let (_, end) = punits[p].send(&r, at, &mut link)?;
-            dunits[k].receive(r, ft, end);
-            Ok::<_, Error>(true)
-        };
         let mut to_prefill = |punits: &mut [PrefillUnit<'_>], r: Request| {
             let snap = |(i, u): (usize, &PrefillUnit<'_>)| u.snapshot(i, p_assigned[i], false);
             let snaps: Vec<ReplicaSnapshot> = punits.iter().enumerate().map(snap).collect();
@@ -512,7 +617,12 @@ fn disaggregated(
                         continue;
                     }
                     let lost = dunits[replica].crash();
-                    health.set(replica, ReplicaHealth::Down { until: now + repair });
+                    health.set(
+                        replica,
+                        ReplicaHealth::Down {
+                            until: now + repair,
+                        },
+                    );
                     book.crash(replica, now);
                     for (r, ft) in lost {
                         let source = punits.iter_mut().position(|u| u.unpin(r.id, now));
@@ -543,7 +653,13 @@ fn disaggregated(
                     }
                 } else {
                     book.placed(&r, attempts, now.get());
-                    to_prefill(&mut punits, Request { arrival_s: now.get(), ..r });
+                    to_prefill(
+                        &mut punits,
+                        Request {
+                            arrival_s: now.get(),
+                            ..r
+                        },
+                    );
                 }
             }
             Disagg::Prefill(i) => {
@@ -569,10 +685,22 @@ fn disaggregated(
     let avail = (!plan.is_empty()).then(|| book.finish(&completions, slots.len()));
     let name = format!("{}\u{2192}{}", router.name(), decode_router.name());
     let report = ClusterReport::build(
-        label, "disaggregated", name, offered, &completions, &totals, rows, slo_ms, avail,
+        label,
+        "disaggregated",
+        name,
+        offered,
+        &completions,
+        &totals,
+        rows,
+        slo_ms,
+        avail,
     );
     let prefix = cimtpu_serving::PrefixStats::default();
-    Ok(ClusterRun { report, completions, prefix })
+    Ok(ClusterRun {
+        report,
+        completions,
+        prefix,
+    })
 }
 
 #[cfg(test)]
@@ -599,14 +727,22 @@ pub(crate) mod tests {
                 .with_policy(BatchPolicy::Continuous { max_batch: 4 }),
             ReplicaSpec::new("stat", TpuConfig::tpuv4i(), tiny())
                 .with_policy(BatchPolicy::Static { batch: 2 }),
-            ReplicaSpec::new("dyn", TpuConfig::design_a(), tiny())
-                .with_policy(BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 0.5 }),
+            ReplicaSpec::new("dyn", TpuConfig::design_a(), tiny()).with_policy(
+                BatchPolicy::Dynamic {
+                    max_batch: 4,
+                    max_wait_ms: 0.5,
+                },
+            ),
         ]
     }
 
     /// A crash of `replica` at `at` for a `repair`, in seconds.
     pub(crate) fn crash(replica: usize, at: f64, repair: f64) -> FaultEvent {
-        FaultEvent::Crash { at: Seconds::new(at), replica, repair: Seconds::new(repair) }
+        FaultEvent::Crash {
+            at: Seconds::new(at),
+            replica,
+            repair: Seconds::new(repair),
+        }
     }
 
     pub(crate) const POLICIES: [RouterPolicy; 6] = [
@@ -628,9 +764,22 @@ pub(crate) mod tests {
             prefix: PrefixTraffic::None,
             seed,
         };
-        let closed = ArrivalPattern::ClosedLoop { clients: 5, think_ms: 0.2 };
-        let burst = TrafficSpec { arrival: ArrivalPattern::Burst, ..base.clone() };
-        [base.clone(), TrafficSpec { arrival: closed, ..base }, burst]
+        let closed = ArrivalPattern::ClosedLoop {
+            clients: 5,
+            think_ms: 0.2,
+        };
+        let burst = TrafficSpec {
+            arrival: ArrivalPattern::Burst,
+            ..base.clone()
+        };
+        [
+            base.clone(),
+            TrafficSpec {
+                arrival: closed,
+                ..base
+            },
+            burst,
+        ]
     }
 
     /// The fleet served by `drive` — the single-engine loop, independent
@@ -638,8 +787,11 @@ pub(crate) mod tests {
     /// rebuilt at each arrival.
     fn drive_run(fleet: &[ReplicaSpec], policy: RouterPolicy, traffic: &TrafficSpec) -> ClusterRun {
         let sessions = fleet_sessions(fleet).unwrap();
-        let mut cores: Vec<EngineCore<'_>> =
-            sessions.iter().map(EngineSession::core).collect::<Result<_>>().unwrap();
+        let mut cores: Vec<EngineCore<'_>> = sessions
+            .iter()
+            .map(EngineSession::core)
+            .collect::<Result<_>>()
+            .unwrap();
         let mut stream = ArrivalStream::new(traffic).unwrap();
         let offered = stream.total();
         let mut router = policy.build();
@@ -661,9 +813,22 @@ pub(crate) mod tests {
         }
         done.sort_by_key(|c| c.id);
         let (name, eq) = (policy.name().to_owned(), "eq");
-        let report =
-            ClusterReport::build(eq, "colocated", name, offered, &done, &totals, rows, None, None);
-        ClusterRun { report, completions: done, prefix: totals.prefix }
+        let report = ClusterReport::build(
+            eq,
+            "colocated",
+            name,
+            offered,
+            &done,
+            &totals,
+            rows,
+            None,
+            None,
+        );
+        ClusterRun {
+            report,
+            completions: done,
+            prefix: totals.prefix,
+        }
     }
 
     proptest! {

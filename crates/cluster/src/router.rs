@@ -346,7 +346,10 @@ pub struct HealthView {
 impl HealthView {
     /// Every replica up.
     pub fn all_up(replicas: usize) -> Self {
-        HealthView { states: vec![ReplicaHealth::Up; replicas], next: None }
+        HealthView {
+            states: vec![ReplicaHealth::Up; replicas],
+            next: None,
+        }
     }
 
     /// The replica's current state.
@@ -391,7 +394,10 @@ impl HealthView {
         up.clear();
         snaps.clear();
         for k in slots.filter(|&k| self.is_up(k)) {
-            snaps.push(ReplicaSnapshot { index: up.len(), ..snapshot(k) });
+            snaps.push(ReplicaSnapshot {
+                index: up.len(),
+                ..snapshot(k)
+            });
             up.push(k);
         }
     }
@@ -435,7 +441,11 @@ impl HealthView {
                 }
             }
         }
-        self.next = self.states.iter().filter_map(|s| s.until()).reduce(Seconds::min);
+        self.next = self
+            .states
+            .iter()
+            .filter_map(|s| s.until())
+            .reduce(Seconds::min);
         moved
     }
 }
@@ -506,7 +516,11 @@ impl SnapshotTracker {
     /// [`now`](SnapshotTracker::now) — rewind with
     /// [`resync`](SnapshotTracker::resync) instead.
     pub fn advance_to(&mut self, t: Seconds) {
-        debug_assert!(t >= self.now, "routing instants regressed: {t:?} < {:?}", self.now);
+        debug_assert!(
+            t >= self.now,
+            "routing instants regressed: {t:?} < {:?}",
+            self.now
+        );
         self.now = t;
         let limit = EventKey::new(t);
         while let Some(&Reverse((finish, k, epoch))) = self.expiry.peek() {
@@ -552,7 +566,8 @@ impl SnapshotTracker {
         s.kv_frac = core.kv_frac();
         for c in core.completions() {
             if c.finish > self.now {
-                self.expiry.push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
+                self.expiry
+                    .push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
             }
         }
     }
@@ -587,7 +602,8 @@ impl SnapshotTracker {
         s.kv_frac = kv_frac;
         for c in new {
             if c.finish.get() > self.now.get() {
-                self.expiry.push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
+                self.expiry
+                    .push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
             } else {
                 // Already in the past at the current routing instant:
                 // it would expire on the next advance anyway.
@@ -652,7 +668,13 @@ mod tests {
     #[test]
     fn least_outstanding_picks_min_with_index_ties() {
         let mut r = RouterPolicy::LeastOutstanding.build();
-        assert_eq!(r.route(&req(0, 0), &[snap(0, 3, 0.0), snap(1, 1, 0.0), snap(2, 1, 0.0)]), 1);
+        assert_eq!(
+            r.route(
+                &req(0, 0),
+                &[snap(0, 3, 0.0), snap(1, 1, 0.0), snap(2, 1, 0.0)]
+            ),
+            1
+        );
         assert_eq!(r.route(&req(0, 0), &[snap(0, 0, 0.0), snap(1, 0, 0.0)]), 0);
     }
 
@@ -667,7 +689,12 @@ mod tests {
     #[test]
     fn session_affinity_is_sticky_and_spreads() {
         let mut r = RouterPolicy::SessionAffinity.build();
-        let snaps = [snap(0, 0, 0.0), snap(1, 0, 0.0), snap(2, 0, 0.0), snap(3, 0, 0.0)];
+        let snaps = [
+            snap(0, 0, 0.0),
+            snap(1, 0, 0.0),
+            snap(2, 0, 0.0),
+            snap(3, 0, 0.0),
+        ];
         // Same session always lands on the same replica, whatever the id.
         for session in 0..16 {
             let first = r.route(&req(0, session), &snaps);
@@ -684,16 +711,29 @@ mod tests {
     #[test]
     fn prefix_affinity_is_sticky_per_head_and_falls_back_to_session() {
         let mut r = RouterPolicy::PrefixAffinity.build();
-        let snaps = [snap(0, 0, 0.0), snap(1, 0, 0.0), snap(2, 0, 0.0), snap(3, 0, 0.0)];
+        let snaps = [
+            snap(0, 0, 0.0),
+            snap(1, 0, 0.0),
+            snap(2, 0, 0.0),
+            snap(3, 0, 0.0),
+        ];
         let headed = |id: u64, seed: u64| Request {
-            prefix: cimtpu_serving::PromptPrefix { head_seed: seed, head_len: 64 },
+            prefix: cimtpu_serving::PromptPrefix {
+                head_seed: seed,
+                head_len: 64,
+            },
             ..req(id, id)
         };
         // Same head always lands together, whatever the id/session; load
         // never enters the decision.
         for seed in 0..16 {
             let first = r.route(&headed(0, seed), &snaps);
-            let busy = [snap(0, 99, 0.9), snap(1, 99, 0.9), snap(2, 99, 0.9), snap(3, 99, 0.9)];
+            let busy = [
+                snap(0, 99, 0.9),
+                snap(1, 99, 0.9),
+                snap(2, 99, 0.9),
+                snap(3, 99, 0.9),
+            ];
             for id in 1..4 {
                 assert_eq!(r.route(&headed(id, seed), &busy), first);
             }
@@ -742,26 +782,45 @@ mod tests {
         let mut h = HealthView::all_up(3);
         assert!(h.is_up(1));
         assert_eq!(h.next_transition(), None);
-        h.set(1, ReplicaHealth::Down { until: Seconds::new(5.0) });
+        h.set(
+            1,
+            ReplicaHealth::Down {
+                until: Seconds::new(5.0),
+            },
+        );
         assert!(!h.is_up(1));
         assert!(h.is_up(0) && h.is_up(2));
         assert_eq!(h.next_transition(), Some(Seconds::new(5.0)));
         // Too early: nothing moves.
         assert!(h.advance(Seconds::new(4.0), w, never).is_empty());
         // Repair completes: the replica restarts but warms up first.
-        let down = ReplicaHealth::Down { until: Seconds::new(5.0) };
+        let down = ReplicaHealth::Down {
+            until: Seconds::new(5.0),
+        };
         assert_eq!(h.advance(Seconds::new(5.0), w, never), vec![(1, down)]);
-        assert_eq!(h.state(1), ReplicaHealth::Warming { until: Seconds::new(6.0) });
+        assert_eq!(
+            h.state(1),
+            ReplicaHealth::Warming {
+                until: Seconds::new(6.0)
+            }
+        );
         assert!(!h.is_up(1), "warming replicas take no traffic");
         assert_eq!(h.next_transition(), Some(Seconds::new(6.0)));
         // Warmup ends: routable again; no second "restart" is reported.
-        let warming = ReplicaHealth::Warming { until: Seconds::new(6.0) };
+        let warming = ReplicaHealth::Warming {
+            until: Seconds::new(6.0),
+        };
         assert_eq!(h.advance(Seconds::new(6.0), w, never), vec![(1, warming)]);
         assert!(h.is_up(1));
         assert_eq!(h.next_transition(), None);
         // A zero warmup goes Down → Up in one call, still reporting the
         // restart.
-        h.set(0, ReplicaHealth::Down { until: Seconds::new(7.0) });
+        h.set(
+            0,
+            ReplicaHealth::Down {
+                until: Seconds::new(7.0),
+            },
+        );
         let moved = h.advance(Seconds::new(7.0), Seconds::ZERO, never);
         assert_eq!(moved.iter().map(|m| m.0).collect::<Vec<_>>(), vec![0, 0]);
         assert!(h.is_up(0));
@@ -775,11 +834,29 @@ mod tests {
         assert!(!h.is_up(1) && !h.is_live(1));
         assert_eq!(h.next_transition(), None, "offline slots wait on no clock");
         // Scale-up: provisioning, then the boot warmup (not the repair one).
-        h.set(1, ReplicaHealth::Provisioning { until: Seconds::new(1.0) });
+        h.set(
+            1,
+            ReplicaHealth::Provisioning {
+                until: Seconds::new(1.0),
+            },
+        );
         assert!(!h.is_live(1), "a provisioning slot has no core yet");
         let moved = h.advance(Seconds::new(1.0), repair_w, boot_w);
-        assert_eq!(moved, vec![(1, ReplicaHealth::Provisioning { until: Seconds::new(1.0) })]);
-        assert_eq!(h.state(1), ReplicaHealth::Warming { until: Seconds::new(1.5) });
+        assert_eq!(
+            moved,
+            vec![(
+                1,
+                ReplicaHealth::Provisioning {
+                    until: Seconds::new(1.0)
+                }
+            )]
+        );
+        assert_eq!(
+            h.state(1),
+            ReplicaHealth::Warming {
+                until: Seconds::new(1.5)
+            }
+        );
         assert!(h.is_live(1) && !h.is_up(1));
         h.advance(Seconds::new(1.5), repair_w, boot_w);
         assert!(h.is_up(1));
@@ -795,20 +872,24 @@ mod tests {
     /// gives — the replaced core's pending expiries are skipped.
     #[test]
     fn tracker_reset_then_advance_equals_resync() {
-        use cimtpu_serving::{EngineSession, ServingModel};
         use cimtpu_core::TpuConfig;
+        use cimtpu_serving::{EngineSession, ServingModel};
         let spec = crate::ReplicaSpec::new(
             "t",
             TpuConfig::tpuv4i(),
             ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer()),
         );
-        let sessions: Vec<EngineSession> =
-            (0..2).map(|_| EngineSession::new(&spec.engine().unwrap()).unwrap()).collect();
+        let sessions: Vec<EngineSession> = (0..2)
+            .map(|_| EngineSession::new(&spec.engine().unwrap()).unwrap())
+            .collect();
         // Each core takes `n` requests and steps until they are scheduled.
         fn run(session: &EngineSession, n: u64) -> EngineCore<'_> {
             let mut core = session.core().unwrap();
             for id in 0..n {
-                core.push(Request { arrival_s: id as f64 * 1e-4, ..req(id, id) });
+                core.push(Request {
+                    arrival_s: id as f64 * 1e-4,
+                    ..req(id, id)
+                });
             }
             core.close();
             while core.next_action().is_some() {

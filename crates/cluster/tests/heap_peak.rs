@@ -119,7 +119,9 @@ fn open_loop_peak_heap_per_request_is_bounded() {
         .with_block_tokens(16);
     let disagg = ClusterEngine::disaggregated(
         (0..2).map(|i| tiny(format!("prefill-{i}"), 4)).collect(),
-        (0..4).map(|i| tiny(format!("decode-{i}"), 8).with_memory(kv)).collect(),
+        (0..4)
+            .map(|i| tiny(format!("decode-{i}"), 8).with_memory(kv))
+            .collect(),
         RouterPolicy::RoundRobin,
         RouterPolicy::LeastKv,
         InterconnectSpec::ici(),
@@ -138,8 +140,14 @@ fn open_loop_peak_heap_per_request_is_bounded() {
          colocated {colocated_slope:.1} B"
     );
     // The completion (40 B) and one percentile sample (8 B), with slack.
-    assert!(disagg_slope <= 56.0, "disaggregated fleet: {disagg_slope:.1} B per request");
+    assert!(
+        disagg_slope <= 56.0,
+        "disaggregated fleet: {disagg_slope:.1} B per request"
+    );
     // The driver's delivered list (40 B), each core's own completions and
     // finish times (48 B, grown by doubling), and the percentile sample.
-    assert!(colocated_slope <= 144.0, "colocated fleet: {colocated_slope:.1} B per request");
+    assert!(
+        colocated_slope <= 144.0,
+        "colocated fleet: {colocated_slope:.1} B per request"
+    );
 }
