@@ -15,7 +15,10 @@
 //!
 //! `--help` (or `-h`), alone or after a command, prints the usage. A
 //! flag the command does not read, or a flag given twice, is an error
-//! (exit 1). A closed stdout (`| head`) is not an error.
+//! (exit 1); so are `simulate`'s `--seq`, `--ctx` and `--resolution`
+//! outside the stage that reads each (`prefill`, `decode`, `dit-block`),
+//! and `--config` together with `--config-file`. A closed stdout
+//! (`| head`) is not an error.
 
 use std::process::ExitCode;
 
@@ -152,8 +155,12 @@ fn cmd_models(out: &mut Stdout, _: &Args) -> Result {
     Ok(())
 }
 
-/// Resolves the architecture from --config-file (JSON) or --config (name).
+/// Resolves the architecture from --config-file (JSON) or --config
+/// (name); giving both is an error.
 fn resolve_config(args: &Args) -> Result<TpuConfig> {
+    if args.flags.contains_key("config") && args.flags.contains_key("config-file") {
+        return Err("flag --config-file cannot be combined with --config".into());
+    }
     if let Ok(path) = args.get("config-file") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let cfg: TpuConfig =
@@ -177,28 +184,33 @@ fn cmd_export_config(out: &mut Stdout, args: &Args) -> Result {
     Ok(())
 }
 
+/// Each `simulate` stage, the one shape flag only it reads, and that
+/// flag's default.
+const STAGES: [(&str, &str, u64); 3] = [
+    ("prefill", "seq", 1024),
+    ("decode", "ctx", 1280),
+    ("dit-block", "resolution", 512),
+];
+
 fn cmd_simulate(out: &mut Stdout, args: &Args) -> Result {
+    let stage = args.get("stage")?;
+    let Some(&(_, shape, default)) = STAGES.iter().find(|s| s.0 == stage) else {
+        return Err(format!("unknown stage '{stage}' (prefill|decode|dit-block)").into());
+    };
+    let stray = STAGES
+        .iter()
+        .find(|s| s.0 != stage && args.flags.contains_key(s.1));
+    if let Some((name, flag, _)) = stray {
+        return Err(format!("flag --{flag} applies only to --stage {name}").into());
+    }
     let sim = Simulator::new(resolve_config(args)?)?;
     let model_name = args.get("model")?;
-    let stage = args.get("stage")?;
     let batch = args.get_u64("batch", 8)?;
-
+    let size = args.get_u64(shape, default)?;
     let workload = match stage {
-        "prefill" => {
-            let seq = args.get_u64("seq", 1024)?;
-            presets::transformer_by_name(model_name)?.prefill_layer(batch, seq)?
-        }
-        "decode" => {
-            let ctx = args.get_u64("ctx", 1280)?;
-            presets::transformer_by_name(model_name)?.decode_layer(batch, ctx)?
-        }
-        "dit-block" => {
-            let resolution = args.get_u64("resolution", 512)?;
-            presets::dit_by_name(model_name)?.block(batch, resolution)?
-        }
-        other => Err(format!(
-            "unknown stage '{other}' (prefill|decode|dit-block)"
-        ))?,
+        "prefill" => presets::transformer_by_name(model_name)?.prefill_layer(batch, size)?,
+        "decode" => presets::transformer_by_name(model_name)?.decode_layer(batch, size)?,
+        _ => presets::dit_by_name(model_name)?.block(batch, size)?,
     };
 
     let report = sim.run(&workload)?;
@@ -277,7 +289,7 @@ fn cmd_throughput(out: &mut Stdout, args: &Args) -> Result {
     Ok(())
 }
 
-const USAGE: &str = "usage: cimtpu <configs|models|simulate|inference|throughput|memory|export-config> [flags]\nany command taking --config also accepts --config-file <path.json> (see export-config)
+const USAGE: &str = "usage: cimtpu <configs|models|simulate|inference|throughput|memory|export-config> [flags]\nany command taking --config accepts --config-file <path.json> in its place (see export-config)
 run `cimtpu <command>` with no flags to see what it needs";
 
 /// A command: its name, the flags it reads (space-separated) and what

@@ -2,7 +2,8 @@
 //! committed `REPRO_all.txt` byte for byte and selects sections by name;
 //! `repro_all`, `export_results` and `cimtpu_cli` treat a closed stdout
 //! as the end of the output, not an error; `cimtpu_cli --help` is usage,
-//! not a failure.
+//! not a failure, and `cimtpu_cli` rejects a flag that its command, or
+//! `simulate`'s stage, does not read.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -231,5 +232,50 @@ fn cimtpu_cli_rejects_unknown_and_repeated_flags() {
             stderr.starts_with(&format!("error: {message}\n")),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn cimtpu_cli_rejects_flags_its_mode_does_not_read() {
+    let simulate = ["simulate", "--config", "design-a", "--model", "gpt3-30b"];
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--stage", "decode", "--batch", "8", "--seq", "99"],
+            "flag --seq applies only to --stage prefill",
+        ),
+        (
+            &["--stage", "prefill", "--ctx", "1280"],
+            "flag --ctx applies only to --stage decode",
+        ),
+        (
+            &["--stage", "decode", "--resolution", "512"],
+            "flag --resolution applies only to --stage dit-block",
+        ),
+        (
+            &["--stage", "dit-block", "--seq", "64"],
+            "flag --seq applies only to --stage prefill",
+        ),
+        (
+            &["--stage", "decode", "--config-file", "design-a.json"],
+            "flag --config-file cannot be combined with --config",
+        ),
+    ];
+    for (extra, message) in cases {
+        let args = [&simulate[..], extra].concat();
+        let out = run(env!("CARGO_BIN_EXE_cimtpu_cli"), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert_eq!(stderr, format!("error: {message}\n"), "{args:?}");
+    }
+    // Each stage still reads its own flag.
+    let own: [&[&str]; 2] = [
+        &["--stage", "prefill", "--seq", "64"],
+        &["--stage", "decode", "--ctx", "256"],
+    ];
+    for extra in own {
+        let args = [&simulate[..], extra].concat();
+        let out = run(env!("CARGO_BIN_EXE_cimtpu_cli"), &args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
     }
 }

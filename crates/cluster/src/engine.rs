@@ -619,6 +619,8 @@ fn run_colocated<O: FleetObserver>(
 
     // The run ledger lives in the driver, not the cores: cores are
     // replaced on restart, and a completion only counts once delivered.
+    // A step's completions leave its core at once (`produced`), so each
+    // is held in one list at a time.
     let mut delivered: Vec<Completion> = Vec::with_capacity(offered as usize);
     let mut deliveries = EventQueue::new(|(_, c): &(usize, Completion)| EventKey::new(c.finish));
     let mut delivered_by = vec![0u64; n];
@@ -634,9 +636,10 @@ fn run_colocated<O: FleetObserver>(
     let mut ledger = RetryLedger::new(recovery, &obs);
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
     let mut tracker = SnapshotTracker::new(n);
-    // Router-view scratch, reused across events.
+    // Router-view and step-output scratch, reused across events.
     let mut up: Vec<usize> = Vec::with_capacity(n);
     let mut snaps: Vec<ReplicaSnapshot> = Vec::with_capacity(n);
+    let mut produced: Vec<Completion> = Vec::new();
 
     // The step-event queue: one slot per replica, keyed by the core's
     // next-action time (`None` while the slot has no live core). Every
@@ -927,10 +930,11 @@ fn run_colocated<O: FleetObserver>(
         if let Some((i, stepped_at)) = stepped {
             step_heap.set(i, cores[i].next_action());
             let (queued, kv_frac) = (cores[i].queued(), cores[i].kv_frac());
-            let new = cores[i].drain_new();
-            tracker.on_step(i, queued, kv_frac, new);
-            obs.stepped(i, stepped_at, tracker.now(), new, [queued as f64, kv_frac]);
-            for &c in new {
+            cores[i].take_completions(&mut produced);
+            tracker.on_step(i, queued, kv_frac, &produced);
+            let gauges = [queued as f64, kv_frac];
+            obs.stepped(i, stepped_at, tracker.now(), &produced, gauges);
+            for c in produced.drain(..) {
                 deliveries.push((i, c));
             }
         }
@@ -963,7 +967,7 @@ fn run_colocated<O: FleetObserver>(
     for (k, core) in cores.iter().enumerate() {
         accum[k].harvest(core, tenancy.as_mut());
     }
-    obs.finish(&cores, &tenancy);
+    obs.finish(&tenancy);
     delivered.sort_unstable_by_key(|c| c.id);
 
     // One row per slot that ever held a machine (every static replica).

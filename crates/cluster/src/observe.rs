@@ -4,6 +4,7 @@
 //! the loops have no trace branches. [`FleetTrace`] is the recorder-backed
 //! one, and owns the trace layout rules.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle};
@@ -71,8 +72,8 @@ pub(crate) trait FleetObserver {
     /// Slot `k` delivered `c`.
     fn delivered(&self, _k: usize, _c: &Completion, _tenancy: &Option<Tenancy<'_>>) {}
 
-    /// The run is over; `cores` are the final incarnations.
-    fn finish(&self, _cores: &[EngineCore<'_>], _tenancy: &Option<Tenancy<'_>>) {}
+    /// The run is over.
+    fn finish(&self, _tenancy: &Option<Tenancy<'_>>) {}
 }
 
 /// The recorder-off observer.
@@ -89,12 +90,13 @@ impl FleetObserver for () {
 ///
 /// Without a control track (a static colocated fleet under an empty
 /// plan) each core traces its own arrivals, every completion is emitted
-/// per replica at the end of the run, and a step's gauges are stamped at
-/// its latest completion (or the routing clock, if later). With one, the
-/// loop traces arrivals and completions as it sees them — a crash can
-/// revoke work — and stamps a colocated step's gauges at the step
-/// instant. Multi-tenant runs tag every request-lifecycle event with its
-/// tenant index; single-tenant traces stay byte-identical to untenanted.
+/// per replica at the end of the run (the trace keeps them until then),
+/// and a step's gauges are stamped at its latest completion (or the
+/// routing clock, if later). With one, the loop traces arrivals and
+/// completions as it sees them — a crash can revoke work — and stamps a
+/// colocated step's gauges at the step instant. Multi-tenant runs tag
+/// every request-lifecycle event with its tenant index; single-tenant
+/// traces stay byte-identical to untenanted.
 pub(crate) struct FleetTrace {
     rec: SharedRecorder,
     tracks: Vec<u32>,
@@ -102,6 +104,9 @@ pub(crate) struct FleetTrace {
     control: Option<u32>,
     /// Whether steps stamp per-slot gauges (not an elastic fleet's).
     step_gauges: bool,
+    /// Per slot, in completion order, the completions emitted at the end
+    /// of the run (without a control track only).
+    done: RefCell<Vec<Vec<Completion>>>,
 }
 
 /// Request `id`'s tenant tag: present only for multi-tenant runs.
@@ -149,6 +154,7 @@ impl FleetObserver for FleetTrace {
             series,
             control,
             step_gauges: groups.is_none(),
+            done: RefCell::new(vec![Vec::new(); slots.len()]),
         }
     }
 
@@ -212,7 +218,10 @@ impl FleetObserver for FleetTrace {
         gauges: [f64; 2],
     ) {
         let at = match self.control {
-            None => Some(new.iter().map(|c| c.finish).fold(clock, Seconds::max)),
+            None => {
+                self.done.borrow_mut()[k].extend_from_slice(new);
+                Some(new.iter().map(|c| c.finish).fold(clock, Seconds::max))
+            }
             Some(_) => at,
         };
         if let Some(at) = at.filter(|_| self.step_gauges) {
@@ -226,12 +235,10 @@ impl FleetObserver for FleetTrace {
         }
     }
 
-    fn finish(&self, cores: &[EngineCore<'_>], tenancy: &Option<Tenancy<'_>>) {
-        if self.control.is_none() {
-            for (k, core) in cores.iter().enumerate() {
-                for c in core.completions() {
-                    self.complete(k, c, tenancy);
-                }
+    fn finish(&self, tenancy: &Option<Tenancy<'_>>) {
+        for (k, done) in self.done.take().iter().enumerate() {
+            for c in done {
+                self.complete(k, c, tenancy);
             }
         }
     }

@@ -307,6 +307,8 @@ fn colocated(
     let mut parked: Vec<Admission> = Vec::new();
     let mut delivered: Vec<Completion> = Vec::new();
     let mut delivered_by = vec![0u64; n];
+    // A step's completions, taken from its core (reused across events).
+    let mut taken: Vec<Completion> = Vec::new();
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
 
     loop {
@@ -348,7 +350,8 @@ fn colocated(
                     break k;
                 }
             };
-            deliveries.extend(cores[k].drain_new().iter().map(|&c| (k, c)));
+            cores[k].take_completions(&mut taken);
+            deliveries.extend(taken.drain(..).map(|c| (k, c)));
             continue;
         };
         match what {
@@ -472,7 +475,8 @@ fn colocated(
             }
             Colo::Step(k) => {
                 cores[k].step()?;
-                deliveries.extend(cores[k].drain_new().iter().map(|&c| (k, c)));
+                cores[k].take_completions(&mut taken);
+                deliveries.extend(taken.drain(..).map(|c| (k, c)));
             }
         }
     }

@@ -465,8 +465,8 @@ impl HealthView {
 /// batch's own arrival window, which can predate already-routed
 /// arrivals), and the flushed completions can re-arm closed-loop clients
 /// below the tracker's clock. The driver handles that rare case by
-/// [`resync`](SnapshotTracker::resync)ing from the cores' completion
-/// ledgers instead of advancing. A core replaced by a boot or a restart
+/// [`resync`](SnapshotTracker::resync)ing from the cores' finish times
+/// instead of advancing. A core replaced by a boot or a restart
 /// is [`reset`](SnapshotTracker::reset) alone: each pending expiry
 /// carries its replica's epoch, and a reset bumps the epoch so the old
 /// core's expiries are skipped. `queued` and `kv_frac` are refreshed
@@ -541,10 +541,10 @@ impl SnapshotTracker {
     }
 
     /// Rewinds routing time to `t < now` by rebuilding the outstanding
-    /// sets from the cores' completion ledgers — the slow exact path for
-    /// the one event that moves routing instants backwards (a stall
-    /// flush, see the type docs). `O(total completions)`, paid only when
-    /// a regression actually happens; `assigned` counts are preserved
+    /// sets from the cores' finish times — the slow exact path for the
+    /// one event that moves routing instants backwards (a stall flush,
+    /// see the type docs). One [`reset`](SnapshotTracker::reset) per
+    /// replica, paid only when a regression actually happens; `assigned` counts are preserved
     /// (they are cumulative, not time-indexed).
     pub fn resync(&mut self, t: Seconds, cores: &[EngineCore<'_>]) {
         self.now = t;
@@ -555,20 +555,21 @@ impl SnapshotTracker {
     }
 
     /// Rebuilds replica `k`'s snapshot from `core` (a boot or restart
-    /// replaced its core) at the current routing instant; the other
-    /// replicas are untouched. `O(core's completions)` — nothing for a
-    /// fresh core. `assigned` is preserved.
+    /// replaced its core, or a resync rewinds) at the current routing
+    /// instant; the other replicas are untouched. The core's scheduled
+    /// completions come from its finish times, which it keeps after the
+    /// driver took the completions. `O(log completions)` plus one heap
+    /// push per completion finishing after the routing instant — nothing
+    /// for a fresh core. `assigned` is preserved.
     pub fn reset(&mut self, k: usize, core: &EngineCore<'_>) {
         self.epochs[k] = self.epochs[k].wrapping_add(1);
         let s = &mut self.snaps[k];
         s.outstanding = core.outstanding_at(self.now);
         s.queued = core.queued();
         s.kv_frac = core.kv_frac();
-        for c in core.completions() {
-            if c.finish > self.now {
-                self.expiry
-                    .push(Reverse((EventKey::new(c.finish), k, self.epochs[k])));
-            }
+        for finish in core.finishes_after(self.now) {
+            self.expiry
+                .push(Reverse((EventKey::new(finish), k, self.epochs[k])));
         }
     }
 

@@ -10,7 +10,10 @@
 //!
 //! What a request has to cost: the 40 B completion the run returns, plus
 //! one 8 B sample in the report's percentile buffer. The arrival stream
-//! draws requests as they are served, so it adds nothing per request.
+//! draws requests as they are served, so it adds nothing per request. A
+//! colocated core also keeps each completion's 8 B finish time for the
+//! whole run (its in-flight counts read them); the completion itself
+//! leaves the core for the driver's list as soon as its step produced it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -144,10 +147,10 @@ fn open_loop_peak_heap_per_request_is_bounded() {
         disagg_slope <= 56.0,
         "disaggregated fleet: {disagg_slope:.1} B per request"
     );
-    // The driver's delivered list (40 B), each core's own completions and
-    // finish times (48 B, grown by doubling), and the percentile sample.
+    // The completion (40 B), the percentile sample (8 B) and the core's
+    // finish time (8 B), with slack.
     assert!(
-        colocated_slope <= 144.0,
+        colocated_slope <= 64.0,
         "colocated fleet: {colocated_slope:.1} B per request"
     );
 }

@@ -175,10 +175,13 @@ impl ServingEngine {
             core.set_tenancy(&set.sched());
         }
         drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
-        let mut run = core.finish(label);
-        if let Some(set) = tenants {
+        let ledger = tenants.map(|set| {
             let mut ledger = crate::TenantLedger::new(set, &traffic);
             ledger.absorb_preemptions(core.tenant_preemptions());
+            ledger
+        });
+        let mut run = core.finish(label);
+        if let Some(ledger) = ledger {
             run.report.tenants = Some(ledger.report(&run.completions, run.report.makespan_s));
         }
         Ok(run)

@@ -59,8 +59,14 @@ use crate::ServingRun;
 /// earlier than the latest step, can revoke the completion and must hand
 /// the request back: run-to-completion batches price their whole future
 /// at launch, and a continuous round's completions finish at the round's
-/// end. Completions and their finish times stay for the whole run (they
-/// are the report).
+/// end.
+///
+/// A completion stays in the core until a driver takes it
+/// ([`take_completions`](Self::take_completions), as the fleet loops do
+/// after every step) or for the whole run (under [`drive`], which reads
+/// them through [`completions`](Self::completions)). Its finish time
+/// stays for the whole run either way: it is what
+/// [`outstanding_at`](Self::outstanding_at) counts.
 #[derive(Debug)]
 pub struct EngineCore<'a> {
     pricer: PhasePricer<'a>,
@@ -72,13 +78,16 @@ pub struct EngineCore<'a> {
     /// ones still queued are indexed by `tenancy`'s per-tenant queues.
     window: Window,
     closed: bool,
+    /// The completions not yet taken, in completion order.
     completions: Vec<Completion>,
     /// Every completion's finish time, ascending per tier, so
     /// [`outstanding_at`](Self::outstanding_at) and
     /// [`outstanding_by_class_at`](Self::outstanding_by_class_at) count
     /// the completions still in flight at any instant by binary search.
     finishes: Finishes,
-    drained: usize,
+    /// Completions produced, less the ones a crash revoked: as many as
+    /// `finishes` holds.
+    completed: usize,
     energy: Joules,
     busy: Seconds,
     /// Multiplier on priced step latency (a straggler window sets it
@@ -338,6 +347,14 @@ impl Finishes {
             .map(|list| (list.len() - list.partition_point(|&f| f <= t)) as u64)
     }
 
+    /// Every finish after `t`, tier by tier, each ascending.
+    fn iter_after(&self, t: Seconds) -> impl Iterator<Item = Seconds> + '_ {
+        self.0
+            .iter()
+            .flat_map(move |list| &list[list.partition_point(|&f| f <= t)..])
+            .copied()
+    }
+
     fn len(&self) -> usize {
         self.0.iter().map(Vec::len).sum()
     }
@@ -512,7 +529,7 @@ impl<'a> EngineCore<'a> {
             closed: false,
             completions: Vec::new(),
             finishes: Finishes::default(),
-            drained: 0,
+            completed: 0,
             energy: Joules::ZERO,
             busy: Seconds::ZERO,
             slowdown: 1.0,
@@ -731,12 +748,13 @@ impl<'a> EngineCore<'a> {
         );
         self.crashed = true;
         // Revoke completions scheduled past the crash instant; their
-        // requests are still in the window.
+        // requests are still in the window. A driver that took them
+        // revokes its own copies: they are the `lost` returned.
         self.completions.retain(|c| c.finish <= at);
         self.finishes.revoke_after(at);
-        self.drained = self.drained.min(self.completions.len());
         let mut lost_idx: Vec<usize> = Vec::new();
         self.window.revoke_after(at, &mut lost_idx);
+        self.completed -= lost_idx.len();
         for x in &mut self.executors {
             x.alloc.release_all();
             if let Some(index) = &mut x.prefix {
@@ -800,8 +818,17 @@ impl<'a> EngineCore<'a> {
     /// for any `t`, including times before the core's latest event, in
     /// `O(log completions)`.
     pub fn outstanding_at(&self, t: Seconds) -> u64 {
-        debug_assert_eq!(self.finishes.len(), self.completions.len());
+        debug_assert_eq!(self.finishes.len(), self.completed);
         self.queued() + self.resident() + self.finishes.after(t).iter().sum::<u64>()
+    }
+
+    /// The finish times after `t` of every completion the core produced
+    /// (taken or not; revoked ones excluded), tier by tier, each
+    /// ascending: the scheduled completions
+    /// [`outstanding_at`](Self::outstanding_at) counts. Costs
+    /// `O(log completions)` plus one step per finish returned.
+    pub fn finishes_after(&self, t: Seconds) -> impl Iterator<Item = Seconds> + '_ {
+        self.finishes.iter_after(t)
     }
 
     /// Requests in flight at simulated time `t`, broken out by service
@@ -832,8 +859,9 @@ impl<'a> EngineCore<'a> {
 
     /// Checks request conservation: every pushed request is retired,
     /// completed but revocable, queued, resident or (after a crash) one of
-    /// the `lost` returned; the completions are exactly the retired and
-    /// revocable ones; and every index the core holds reads a live entry.
+    /// the `lost` returned; the completions produced are exactly the
+    /// retired and revocable ones; and every index the core holds reads a
+    /// live entry.
     #[cfg(debug_assertions)]
     fn check_conservation(&self, lost: usize) {
         let w = &self.window;
@@ -844,7 +872,7 @@ impl<'a> EngineCore<'a> {
             retired + w.revocable.len() + queued + resident + lost,
             "pushed == retired + revocable + queued + resident + lost"
         );
-        assert_eq!(self.completions.len(), retired + w.revocable.len());
+        assert_eq!(self.completed, retired + w.revocable.len());
         let held = self.tenancy.queued().chain(self.resident_indices());
         for idx in held.chain(w.revocable.iter().map(|&(_, idx)| idx)) {
             assert!(
@@ -903,17 +931,18 @@ impl<'a> EngineCore<'a> {
             .fold(0.0, f64::max)
     }
 
-    /// All completions so far, in completion order.
+    /// The completions the core still holds, in completion order: every
+    /// one so far unless a driver [took](Self::take_completions) them.
     pub fn completions(&self) -> &[Completion] {
         &self.completions
     }
 
-    /// Completions produced since the last drain (for feeding closed-loop
-    /// arrival streams).
-    pub fn drain_new(&mut self) -> &[Completion] {
-        let from = self.drained;
-        self.drained = self.completions.len();
-        &self.completions[from..]
+    /// Moves the completions the core holds, in completion order, to the
+    /// end of `out`; the core keeps their finish times. A fleet driver
+    /// calls this after every step, so each completion lives in one list:
+    /// the driver's.
+    pub fn take_completions(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completions);
     }
 
     /// Total chip energy so far.
@@ -956,13 +985,16 @@ impl<'a> EngineCore<'a> {
         total
     }
 
-    /// Builds the aggregate report over everything completed so far.
+    /// Builds the aggregate report over the completions the core holds
+    /// (everything completed, unless a driver took some), consuming the
+    /// core so the run's completion list moves, not copies.
     ///
     /// # Panics
     ///
-    /// Panics if nothing has completed.
-    pub fn finish(&self, label: &str) -> ServingRun {
-        let mut completions = self.completions.clone();
+    /// Panics if the core holds no completion.
+    pub fn finish(self, label: &str) -> ServingRun {
+        let (memory, prefix) = (self.memory_stats(), self.prefix_stats());
+        let mut completions = self.completions;
         completions.sort_unstable_by_key(|c| c.id);
         let report = ServingReport::from_completions(
             label,
@@ -970,12 +1002,12 @@ impl<'a> EngineCore<'a> {
             self.chips,
             &completions,
             self.energy,
-            self.memory_stats(),
+            memory,
         );
         ServingRun {
             report,
             completions,
-            prefix: self.prefix_stats(),
+            prefix,
         }
     }
 
@@ -1210,6 +1242,7 @@ impl<'a> EngineCore<'a> {
                 steps: r.steps,
             });
             self.finishes.record(release, r.class);
+            self.completed += 1;
             self.window.complete(first + i, release);
         }
         self.busy += t - start;
@@ -1518,7 +1551,7 @@ impl<'a> EngineCore<'a> {
             let (active, alloc) = (&mut chip.active, &mut x.alloc);
             let window = &mut self.window;
             let completions = &mut self.completions;
-            let finishes = &mut self.finishes;
+            let (finishes, completed) = (&mut self.finishes, &mut self.completed);
             let trace = &self.trace;
             active.retain(|a| {
                 let Entry {
@@ -1540,6 +1573,7 @@ impl<'a> EngineCore<'a> {
                     steps: r.steps,
                 });
                 finishes.record(now, r.class);
+                *completed += 1;
                 window.complete(a.idx, now);
                 false
             });
@@ -1740,8 +1774,11 @@ pub fn drive_with(
     for (i, core) in cores.iter().enumerate() {
         heap.set(i, core.next_action());
     }
-    // Completions drain into a scratch buffer reused across steps — the
-    // closed-loop feedback path allocates nothing per event.
+    // The cores keep their completions; `seen[i]` counts the ones core
+    // `i`'s steps have already reported. New ones copy into a scratch
+    // buffer reused across steps — the closed-loop feedback path
+    // allocates nothing per event.
+    let mut seen = vec![0usize; cores.len()];
     let mut scratch: Vec<Completion> = Vec::new();
     loop {
         let action = heap.peek();
@@ -1766,7 +1803,8 @@ pub fn drive_with(
                 cores[i].step()?;
                 heap.set(i, cores[i].next_action());
                 scratch.clear();
-                scratch.extend_from_slice(cores[i].drain_new());
+                scratch.extend_from_slice(&cores[i].completions()[seen[i]..]);
+                seen[i] = cores[i].completions().len();
                 for c in &scratch {
                     stream.on_complete(c);
                 }
@@ -1787,7 +1825,8 @@ pub fn drive_with(
                     if cores[i].flush_stalled()? {
                         heap.set(i, cores[i].next_action());
                         scratch.clear();
-                        scratch.extend_from_slice(cores[i].drain_new());
+                        scratch.extend_from_slice(&cores[i].completions()[seen[i]..]);
+                        seen[i] = cores[i].completions().len();
                         for c in &scratch {
                             stream.on_complete(c);
                         }
@@ -2053,6 +2092,70 @@ mod tests {
         assert!(core.energy().get() > 0.0, "spent energy stays on the books");
     }
 
+    /// A core whose completions a driver takes after every step counts
+    /// the same requests in flight, and loses the same ones to a crash,
+    /// as one that keeps them.
+    #[test]
+    fn taking_completions_keeps_outstanding_and_crash_losses() {
+        let policies = [
+            BatchPolicy::Static { batch: 2 },
+            BatchPolicy::Continuous { max_batch: 2 },
+        ];
+        let mut revoked_any = false;
+        for policy in policies {
+            let engine = tiny_engine(policy);
+            let session = crate::EngineSession::new(&engine).unwrap();
+            for steps in 1..4 {
+                let [mut kept, mut taker] = [(); 2].map(|_| session.core().unwrap());
+                for core in [&mut kept, &mut taker] {
+                    for r in burst(6).generate() {
+                        core.push(r);
+                    }
+                    core.close();
+                }
+                let (mut taken, mut now) = (Vec::new(), Seconds::ZERO);
+                for _ in 0..steps {
+                    now = kept.next_action().expect("work left");
+                    kept.step().unwrap();
+                    taker.step().unwrap();
+                    taker.take_completions(&mut taken);
+                }
+                let what = format!("{} after {steps} steps", policy.name());
+                assert!(taker.completions().is_empty(), "{what}");
+                assert_eq!(taken, kept.completions(), "{what}");
+                let mut instants: Vec<Seconds> = taken.iter().map(|c| c.finish).collect();
+                instants.extend([Seconds::ZERO, now, Seconds::new(1e9)]);
+                for t in instants {
+                    assert_eq!(taker.outstanding_at(t), kept.outstanding_at(t), "{what}");
+                    assert_eq!(
+                        taker.outstanding_by_class_at(t),
+                        kept.outstanding_by_class_at(t),
+                        "{what}"
+                    );
+                    assert!(taker.finishes_after(t).eq(kept.finishes_after(t)), "{what}");
+                }
+                let lost = taker.crash(now);
+                assert_eq!(lost, kept.crash(now), "{what}");
+                // The lost requests are exactly the taken completions
+                // finishing after the crash, plus what was still queued or
+                // resident.
+                let revoked = taken.iter().filter(|c| c.finish > now);
+                assert!(revoked.clone().all(|c| lost.iter().any(|r| r.id == c.id)));
+                let revoked = revoked.count();
+                revoked_any |= revoked > 0;
+                let standing = taken.len() - revoked;
+                assert_eq!(standing + lost.len(), 6, "{what}");
+                assert_eq!(
+                    taker.outstanding_at(Seconds::ZERO),
+                    standing as u64,
+                    "{what}"
+                );
+                assert!(taker.completions().is_empty(), "{what}");
+            }
+        }
+        assert!(revoked_any, "some crash revokes a taken completion");
+    }
+
     #[test]
     fn rtc_crash_revokes_future_completions() {
         // A static batch prices its whole future at launch; a crash at
@@ -2105,10 +2208,11 @@ mod tests {
         while core.next_action().is_some() {
             core.step().unwrap();
         }
+        let (busy, energy) = (core.busy(), core.energy());
         let run = core.finish("busy");
         // One executor, burst arrivals: busy time equals the makespan.
-        assert!((core.busy().get() - run.report.makespan_s).abs() < 1e-12);
-        assert!(core.energy().get() > 0.0);
+        assert!((busy.get() - run.report.makespan_s).abs() < 1e-12);
+        assert!(energy.get() > 0.0);
     }
 
     /// Feeds `requests` into `core` as [`drive`] does (an arrival goes in
