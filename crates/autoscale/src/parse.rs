@@ -61,12 +61,22 @@ impl AutoscaleSpec {
                     .rev() // the last override of a group wins
                     .find(|&&(i, _)| i == g)
                     .map_or((self.group.min, self.group.max), |&(_, band)| band);
-                let initial =
-                    self.initial.unwrap_or_else(|| min.max(1)).clamp(min, max.max(min));
-                GroupPolicy { min, max, initial, ..self.group }
+                let initial = self
+                    .initial
+                    .unwrap_or_else(|| min.max(1))
+                    .clamp(min, max.max(min));
+                GroupPolicy {
+                    min,
+                    max,
+                    initial,
+                    ..self.group
+                }
             })
             .collect();
-        let policy = AutoscalePolicy { groups, ..self.policy.clone() };
+        let policy = AutoscalePolicy {
+            groups,
+            ..self.policy.clone()
+        };
         policy.validate()?;
         Ok(policy)
     }
@@ -182,14 +192,20 @@ mod tests {
 
     #[test]
     fn scale_to_zero_band_defaults_initial_to_one() {
-        let policy = parse_autoscale("replicas=0..3").unwrap().policy_for(1).unwrap();
+        let policy = parse_autoscale("replicas=0..3")
+            .unwrap()
+            .policy_for(1)
+            .unwrap();
         assert_eq!(policy.groups[0].min, 0);
         assert_eq!(policy.groups[0].initial, 1, "start with one, not zero");
     }
 
     #[test]
     fn pinned_specs_expand_to_pinned_policies() {
-        let policy = parse_autoscale("replicas=3..3").unwrap().policy_for(4).unwrap();
+        let policy = parse_autoscale("replicas=3..3")
+            .unwrap()
+            .policy_for(4)
+            .unwrap();
         assert!(policy.is_pinned());
         assert!(policy.groups.iter().all(|g| g.initial == 3));
     }
@@ -197,13 +213,13 @@ mod tests {
     #[test]
     fn bad_tokens_are_rejected_with_the_offender_named() {
         for bad in [
-            "interval",          // missing value
-            "interval=fast",     // bad time
-            "replicas=4",        // not a band
-            "replicas=4..x",     // bad band edge
-            "bogus=1",           // unknown key
-            "group=1..2",        // group without an index
-            "up=hot",            // bad float
+            "interval",      // missing value
+            "interval=fast", // bad time
+            "replicas=4",    // not a band
+            "replicas=4..x", // bad band edge
+            "bogus=1",       // unknown key
+            "group=1..2",    // group without an index
+            "up=hot",        // bad float
         ] {
             let err = parse_autoscale(bad).unwrap_err().to_string();
             assert!(err.contains(bad.split('=').next().unwrap()), "{bad}: {err}");
@@ -213,18 +229,36 @@ mod tests {
         let err = spec.policy_for(2).unwrap_err().to_string();
         assert!(err.contains("group7"), "{err}");
         // An empty band parses but fails policy validation.
-        assert!(parse_autoscale("replicas=5..2").unwrap().policy_for(1).is_err());
+        assert!(parse_autoscale("replicas=5..2")
+            .unwrap()
+            .policy_for(1)
+            .is_err());
     }
 
     /// Keys and values of the grammar, valid and near-miss, for
     /// near-grammar specs: every key, a bare `swap`, out-of-range groups,
     /// and values of the wrong token type.
     const KEYS: [&str; 16] = [
-        "interval=", "provision=", "warmup=", "idle-w=", "replicas=", "group0=", "group9=",
-        "init=", "conc=", "up=", "down=", "up-cd=", "down-cd=", "slo-floor=", "swap", "bogus=",
+        "interval=",
+        "provision=",
+        "warmup=",
+        "idle-w=",
+        "replicas=",
+        "group0=",
+        "group9=",
+        "init=",
+        "conc=",
+        "up=",
+        "down=",
+        "up-cd=",
+        "down-cd=",
+        "slo-floor=",
+        "swap",
+        "bogus=",
     ];
-    const VALUES: [&str; 10] =
-        ["1s", "500ms", "0..4", "3..3", "5..2", "2", "0.75", "nan", "-1", ""];
+    const VALUES: [&str; 10] = [
+        "1s", "500ms", "0..4", "3..3", "5..2", "2", "0.75", "nan", "-1", "",
+    ];
 
     /// Parses `spec`: nothing panics, and an accepted spec expands onto a
     /// two-group fleet or is refused there with a typed error.

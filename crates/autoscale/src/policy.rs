@@ -92,11 +92,18 @@ impl GroupPolicy {
                 "utilization band needs 0 < down < up (got down={down}, up={up})"
             )));
         }
-        if [self.up_cooldown, self.down_cooldown].iter().any(|c| !non_negative(*c)) {
-            return Err(Error::invalid_config("cooldowns must be finite and non-negative"));
+        if [self.up_cooldown, self.down_cooldown]
+            .iter()
+            .any(|c| !non_negative(*c))
+        {
+            return Err(Error::invalid_config(
+                "cooldowns must be finite and non-negative",
+            ));
         }
         if !(0.0..=1.0).contains(&self.slo_floor) {
-            return Err(Error::invalid_config("the SLO goodput floor must be in [0, 1]"));
+            return Err(Error::invalid_config(
+                "the SLO goodput floor must be in [0, 1]",
+            ));
         }
         Ok(())
     }
@@ -158,7 +165,9 @@ impl AutoscalePolicy {
     /// or any group failing [`GroupPolicy::validate`].
     pub fn validate(&self) -> Result<()> {
         if self.groups.is_empty() {
-            return Err(Error::invalid_config("an autoscale policy needs >= 1 group"));
+            return Err(Error::invalid_config(
+                "an autoscale policy needs >= 1 group",
+            ));
         }
         if !(self.interval.get().is_finite() && self.interval.get() > 0.0) {
             return Err(Error::invalid_config("reconcile interval must be positive"));
@@ -172,9 +181,8 @@ impl AutoscalePolicy {
             return Err(Error::invalid_config("idle power must be non-negative"));
         }
         for (i, g) in self.groups.iter().enumerate() {
-            g.validate().map_err(|e| {
-                Error::invalid_config(format!("group {i}: {e}"))
-            })?;
+            g.validate()
+                .map_err(|e| Error::invalid_config(format!("group {i}: {e}")))?;
         }
         Ok(())
     }
@@ -252,13 +260,22 @@ mod tests {
 
     #[test]
     fn pinned_means_every_band_is_degenerate_and_no_swap() {
-        let pinned = GroupPolicy { min: 2, max: 2, initial: 2, ..GroupPolicy::default() };
+        let pinned = GroupPolicy {
+            min: 2,
+            max: 2,
+            initial: 2,
+            ..GroupPolicy::default()
+        };
         let mut policy = AutoscalePolicy::new(vec![pinned, pinned]);
         assert!(policy.is_pinned());
         policy.swap = true;
         assert!(!policy.is_pinned(), "swap makes a pinned band elastic");
         policy.swap = false;
-        policy.groups[1] = GroupPolicy { min: 1, max: 2, ..pinned };
+        policy.groups[1] = GroupPolicy {
+            min: 1,
+            max: 2,
+            ..pinned
+        };
         assert!(!policy.is_pinned());
     }
 
@@ -266,16 +283,44 @@ mod tests {
     fn group_validation_rejects_incoherent_knobs() {
         let ok = GroupPolicy::default();
         for bad in [
-            GroupPolicy { max: 0, min: 0, initial: 0, ..ok },
-            GroupPolicy { min: 5, max: 2, ..ok },
+            GroupPolicy {
+                max: 0,
+                min: 0,
+                initial: 0,
+                ..ok
+            },
+            GroupPolicy {
+                min: 5,
+                max: 2,
+                ..ok
+            },
             GroupPolicy { initial: 9, ..ok },
             GroupPolicy { initial: 0, ..ok }, // below min=1
-            GroupPolicy { concurrency: 0, ..ok },
-            GroupPolicy { scale_up_above: 0.2, scale_down_below: 0.5, ..ok },
-            GroupPolicy { scale_down_below: 0.0, ..ok },
-            GroupPolicy { scale_up_above: f64::NAN, ..ok },
-            GroupPolicy { up_cooldown: Seconds::new(-1.0), ..ok },
-            GroupPolicy { slo_floor: 1.5, ..ok },
+            GroupPolicy {
+                concurrency: 0,
+                ..ok
+            },
+            GroupPolicy {
+                scale_up_above: 0.2,
+                scale_down_below: 0.5,
+                ..ok
+            },
+            GroupPolicy {
+                scale_down_below: 0.0,
+                ..ok
+            },
+            GroupPolicy {
+                scale_up_above: f64::NAN,
+                ..ok
+            },
+            GroupPolicy {
+                up_cooldown: Seconds::new(-1.0),
+                ..ok
+            },
+            GroupPolicy {
+                slo_floor: 1.5,
+                ..ok
+            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
@@ -288,8 +333,14 @@ mod tests {
         // `Seconds::new` refuses NaN in debug builds; arithmetic does not.
         for t in [Seconds::ZERO * f64::NAN, Seconds::new(f64::INFINITY)] {
             for bad in [
-                GroupPolicy { up_cooldown: t, ..ok },
-                GroupPolicy { down_cooldown: t, ..ok },
+                GroupPolicy {
+                    up_cooldown: t,
+                    ..ok
+                },
+                GroupPolicy {
+                    down_cooldown: t,
+                    ..ok
+                },
             ] {
                 assert!(
                     matches!(bad.validate(), Err(Error::InvalidConfig(_))),
@@ -304,8 +355,14 @@ mod tests {
         let ok = AutoscalePolicy::new(vec![GroupPolicy::default()]);
         for t in [Seconds::ZERO * f64::NAN, Seconds::new(f64::INFINITY)] {
             for bad in [
-                AutoscalePolicy { provision: t, ..ok.clone() },
-                AutoscalePolicy { warmup: t, ..ok.clone() },
+                AutoscalePolicy {
+                    provision: t,
+                    ..ok.clone()
+                },
+                AutoscalePolicy {
+                    warmup: t,
+                    ..ok.clone()
+                },
             ] {
                 assert!(
                     matches!(bad.validate(), Err(Error::InvalidConfig(_))),
@@ -320,17 +377,32 @@ mod tests {
         let g = GroupPolicy::default();
         let ok = AutoscalePolicy::new(vec![g]);
         assert!(AutoscalePolicy::new(vec![]).validate().is_err());
-        assert!(AutoscalePolicy { interval: Seconds::ZERO, ..ok.clone() }
-            .validate()
-            .is_err());
-        assert!(AutoscalePolicy { provision: Seconds::new(-1.0), ..ok.clone() }
-            .validate()
-            .is_err());
-        assert!(AutoscalePolicy { idle_watts: f64::NAN, ..ok.clone() }
-            .validate()
-            .is_err());
+        assert!(AutoscalePolicy {
+            interval: Seconds::ZERO,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(AutoscalePolicy {
+            provision: Seconds::new(-1.0),
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(AutoscalePolicy {
+            idle_watts: f64::NAN,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
         // A bad group is reported with its index.
-        let nested = AutoscalePolicy::new(vec![g, GroupPolicy { concurrency: 0, ..g }]);
+        let nested = AutoscalePolicy::new(vec![
+            g,
+            GroupPolicy {
+                concurrency: 0,
+                ..g
+            },
+        ]);
         let msg = nested.validate().unwrap_err().to_string();
         assert!(msg.contains("group 1"), "{msg}");
     }
@@ -347,7 +419,10 @@ mod tests {
         // 6 work over 2×4 target = 0.75; kv 0.2 is lower.
         assert!((obs.utilization(4) - 0.75).abs() < 1e-12);
         // KV pressure dominates when higher.
-        let hot = GroupObservation { kv_frac: 0.95, ..obs };
+        let hot = GroupObservation {
+            kv_frac: 0.95,
+            ..obs
+        };
         assert!((hot.utilization(4) - 0.95).abs() < 1e-12);
         // Scaled to zero: idle is 0, parked work is infinite.
         let idle = GroupObservation::default();

@@ -209,12 +209,20 @@ mod tests {
     }
 
     fn busy(up: u64, work: u64) -> GroupObservation {
-        GroupObservation { up, outstanding: work, ..GroupObservation::default() }
+        GroupObservation {
+            up,
+            outstanding: work,
+            ..GroupObservation::default()
+        }
     }
 
     #[test]
     fn hysteresis_band_holds_steady_state() {
-        let g = GroupPolicy { min: 1, max: 4, ..GroupPolicy::default() };
+        let g = GroupPolicy {
+            min: 1,
+            max: 4,
+            ..GroupPolicy::default()
+        };
         let mut r = Reconciler::new(policy(vec![g]));
         // util = 2/(1×4) = 0.5: inside (0.25, 0.75) — no decision.
         assert!(r.reconcile(Seconds::new(1.0), &[busy(1, 2)]).is_empty());
@@ -255,11 +263,20 @@ mod tests {
 
     #[test]
     fn pending_capacity_prevents_double_buying() {
-        let g = GroupPolicy { min: 1, max: 2, ..GroupPolicy::default() };
+        let g = GroupPolicy {
+            min: 1,
+            max: 2,
+            ..GroupPolicy::default()
+        };
         let mut r = Reconciler::new(policy(vec![g]));
         // Over the band, but a replica is already provisioning and max is
         // 2: up + pending == max, no further add.
-        let obs = GroupObservation { up: 1, pending: 1, outstanding: 40, ..Default::default() };
+        let obs = GroupObservation {
+            up: 1,
+            pending: 1,
+            outstanding: 40,
+            ..Default::default()
+        };
         assert!(r.reconcile(Seconds::new(1.0), &[obs]).is_empty());
     }
 
@@ -282,7 +299,10 @@ mod tests {
             vec![ScalingDecision::Drain { group: 0 }]
         );
         // Parked work on a zero-replica group is the wake signal.
-        let parked = GroupObservation { queued: 1, ..GroupObservation::default() };
+        let parked = GroupObservation {
+            queued: 1,
+            ..GroupObservation::default()
+        };
         assert_eq!(
             r.reconcile(Seconds::new(7.0), &[parked]),
             vec![ScalingDecision::Add { group: 0 }]
@@ -291,7 +311,10 @@ mod tests {
 
     #[test]
     fn slo_floor_triggers_scale_up_inside_the_band() {
-        let g = GroupPolicy { slo_floor: 0.9, ..GroupPolicy::default() };
+        let g = GroupPolicy {
+            slo_floor: 0.9,
+            ..GroupPolicy::default()
+        };
         let mut r = Reconciler::new(policy(vec![g]));
         // util = 2/4 = 0.5 (inside the band), but only 1 of 4 completions
         // met the SLO since the last tick: goodput trigger fires.
@@ -310,8 +333,16 @@ mod tests {
 
     #[test]
     fn swap_repurposes_a_replica_across_groups() {
-        let hot = GroupPolicy { min: 1, max: 2, ..GroupPolicy::default() };
-        let cold = GroupPolicy { min: 1, max: 4, ..GroupPolicy::default() };
+        let hot = GroupPolicy {
+            min: 1,
+            max: 2,
+            ..GroupPolicy::default()
+        };
+        let cold = GroupPolicy {
+            min: 1,
+            max: 4,
+            ..GroupPolicy::default()
+        };
         let mut p = policy(vec![cold, hot]);
         p.swap = true;
         let mut r = Reconciler::new(p);
@@ -335,7 +366,11 @@ mod tests {
 
     #[test]
     fn same_observation_stream_replays_the_same_decisions() {
-        let g = GroupPolicy { min: 0, max: 4, ..GroupPolicy::default() };
+        let g = GroupPolicy {
+            min: 0,
+            max: 4,
+            ..GroupPolicy::default()
+        };
         let ticks: Vec<(f64, GroupObservation)> = (1..40)
             .map(|i| {
                 let work = if i % 7 < 4 { (i % 9) * 2 } else { 0 };

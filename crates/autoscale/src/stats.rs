@@ -40,7 +40,12 @@ pub struct ScalingAction {
 impl ScalingAction {
     /// Builds a log entry.
     pub fn new(at_s: f64, kind: &str, group: &str, replica: String) -> Self {
-        ScalingAction { at_s, kind: kind.to_owned(), group: group.to_owned(), replica }
+        ScalingAction {
+            at_s,
+            kind: kind.to_owned(),
+            group: group.to_owned(),
+            replica,
+        }
     }
 }
 
@@ -121,13 +126,24 @@ mod tests {
         assert!((s.idle_energy_j - 1800.0).abs() < 1e-9);
         assert!((s.total_cost_j - 2300.0).abs() < 1e-9);
         // Busy time can exceed held time only through rounding: clamp.
-        assert_eq!(ScalingStats::static_fleet(1, 1.0, 2.0, 5.0, 30.0).idle_energy_j, 0.0);
+        assert_eq!(
+            ScalingStats::static_fleet(1, 1.0, 2.0, 5.0, 30.0).idle_energy_j,
+            0.0
+        );
     }
 
     #[test]
     fn stats_round_trip_with_declaration_order() {
-        let mut s = ScalingStats { scale_ups: 2, ..ScalingStats::default() };
-        s.actions.push(ScalingAction::new(1.5, action::SCALE_UP, "g", "g-1".to_owned()));
+        let mut s = ScalingStats {
+            scale_ups: 2,
+            ..ScalingStats::default()
+        };
+        s.actions.push(ScalingAction::new(
+            1.5,
+            action::SCALE_UP,
+            "g",
+            "g-1".to_owned(),
+        ));
         let json = serde_json::to_string(&s).unwrap();
         // Declaration order, ending with the action log.
         let reconciles = json.find("\"reconciles\"").unwrap();

@@ -25,13 +25,69 @@ pub struct CimDesign {
 /// accelerators.
 pub fn cim_evolution() -> Vec<CimDesign> {
     vec![
-        CimDesign { venue: "ISSCC'19", reference: "[7]", tops: 0.0177, tflops: 0.0, area_mm2: 0.003, node: "65nm", cim: true },
-        CimDesign { venue: "ISSCC'20", reference: "[8]", tops: 0.4551, tflops: 0.0, area_mm2: 0.0032, node: "7nm", cim: true },
-        CimDesign { venue: "ISSCC'22", reference: "[9]", tops: 1.35, tflops: 1.08, area_mm2: 0.94, node: "28nm", cim: true },
-        CimDesign { venue: "ISSCC'23", reference: "[10]", tops: 5.52, tflops: 1.25, area_mm2: 4.54, node: "28nm", cim: true },
-        CimDesign { venue: "ISSCC'24", reference: "[11]", tops: 52.4, tflops: 0.0, area_mm2: 6.5, node: "12nm", cim: true },
-        CimDesign { venue: "NVIDIA A100", reference: "[4]", tops: 624.0, tflops: 312.0, area_mm2: 826.0, node: "7nm", cim: false },
-        CimDesign { venue: "Google TPUv4", reference: "[6]", tops: 275.0, tflops: 275.0, area_mm2: 780.0, node: "7nm", cim: false },
+        CimDesign {
+            venue: "ISSCC'19",
+            reference: "[7]",
+            tops: 0.0177,
+            tflops: 0.0,
+            area_mm2: 0.003,
+            node: "65nm",
+            cim: true,
+        },
+        CimDesign {
+            venue: "ISSCC'20",
+            reference: "[8]",
+            tops: 0.4551,
+            tflops: 0.0,
+            area_mm2: 0.0032,
+            node: "7nm",
+            cim: true,
+        },
+        CimDesign {
+            venue: "ISSCC'22",
+            reference: "[9]",
+            tops: 1.35,
+            tflops: 1.08,
+            area_mm2: 0.94,
+            node: "28nm",
+            cim: true,
+        },
+        CimDesign {
+            venue: "ISSCC'23",
+            reference: "[10]",
+            tops: 5.52,
+            tflops: 1.25,
+            area_mm2: 4.54,
+            node: "28nm",
+            cim: true,
+        },
+        CimDesign {
+            venue: "ISSCC'24",
+            reference: "[11]",
+            tops: 52.4,
+            tflops: 0.0,
+            area_mm2: 6.5,
+            node: "12nm",
+            cim: true,
+        },
+        CimDesign {
+            venue: "NVIDIA A100",
+            reference: "[4]",
+            tops: 624.0,
+            tflops: 312.0,
+            area_mm2: 826.0,
+            node: "7nm",
+            cim: false,
+        },
+        CimDesign {
+            venue: "Google TPUv4",
+            reference: "[6]",
+            tops: 275.0,
+            tflops: 275.0,
+            area_mm2: 780.0,
+            node: "7nm",
+            cim: false,
+        },
     ]
 }
 
@@ -52,12 +108,42 @@ pub struct Fig2dRow {
 /// Paper-reported Fig. 2d rows.
 pub fn fig2d_reference() -> Vec<Fig2dRow> {
     vec![
-        Fig2dRow { model: "Llama2-13B", layer: "Token Embedding", latency_ms: 0.41, fraction: 0.0070 },
-        Fig2dRow { model: "Llama2-13B", layer: "Transformer Layers", latency_ms: 57.91, fraction: 0.9835 },
-        Fig2dRow { model: "Llama2-13B", layer: "Prediction Head", latency_ms: 0.56, fraction: 0.0095 },
-        Fig2dRow { model: "DiT-XL/2", layer: "Pre-Process", latency_ms: 1.18, fraction: 0.0035 },
-        Fig2dRow { model: "DiT-XL/2", layer: "DiT Blocks", latency_ms: 338.10, fraction: 0.9931 },
-        Fig2dRow { model: "DiT-XL/2", layer: "Post-Process", latency_ms: 1.15, fraction: 0.0034 },
+        Fig2dRow {
+            model: "Llama2-13B",
+            layer: "Token Embedding",
+            latency_ms: 0.41,
+            fraction: 0.0070,
+        },
+        Fig2dRow {
+            model: "Llama2-13B",
+            layer: "Transformer Layers",
+            latency_ms: 57.91,
+            fraction: 0.9835,
+        },
+        Fig2dRow {
+            model: "Llama2-13B",
+            layer: "Prediction Head",
+            latency_ms: 0.56,
+            fraction: 0.0095,
+        },
+        Fig2dRow {
+            model: "DiT-XL/2",
+            layer: "Pre-Process",
+            latency_ms: 1.18,
+            fraction: 0.0035,
+        },
+        Fig2dRow {
+            model: "DiT-XL/2",
+            layer: "DiT Blocks",
+            latency_ms: 338.10,
+            fraction: 0.9931,
+        },
+        Fig2dRow {
+            model: "DiT-XL/2",
+            layer: "Post-Process",
+            latency_ms: 1.15,
+            fraction: 0.0034,
+        },
     ]
 }
 

@@ -67,7 +67,15 @@ impl Table {
         };
         out.push_str(&fmt_row(&self.header, &widths));
         out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().map(|w| w + 2).sum::<usize>().saturating_sub(2)));
+        out.push_str(
+            &"-".repeat(
+                widths
+                    .iter()
+                    .map(|w| w + 2)
+                    .sum::<usize>()
+                    .saturating_sub(2),
+            ),
+        );
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));

@@ -132,7 +132,9 @@ mod tests {
     #[test]
     fn rejects_mismatched_shapes() {
         let unit = BitSerialMacUnit::new(2);
-        assert!(unit.matvec(&[1, 2, 3], &[vec![1], vec![2], vec![3]]).is_err());
+        assert!(unit
+            .matvec(&[1, 2, 3], &[vec![1], vec![2], vec![3]])
+            .is_err());
         assert!(unit.matvec(&[1, 2], &[vec![1]]).is_err());
         assert!(unit.matvec(&[1, 2], &[vec![1, 2], vec![3]]).is_err());
     }

@@ -107,8 +107,8 @@ impl CimEnergyModel {
         // k-macro-tile (32-bit partial sums).
         let n_tiles = shape.n().div_ceil(config.n_extent());
         let k_tiles = shape.k().div_ceil(config.k_extent());
-        let io_bytes = shape.activation_bytes(dtype).get() * n_tiles
-            + shape.m() * shape.n() * 4 * k_tiles;
+        let io_bytes =
+            shape.activation_bytes(dtype).get() * n_tiles + shape.m() * shape.n() * 4 * k_tiles;
         let io = Joules::new(self.io_per_byte.get() * io_bytes as f64);
         CimGemmEnergy {
             mac,
@@ -184,9 +184,7 @@ mod tests {
     fn fewer_cores_less_leakage() {
         let big = CimMxu::new(CimMxuConfig::with_grid(16, 16)).unwrap();
         let small = CimMxu::new(CimMxuConfig::with_grid(8, 8)).unwrap();
-        assert!(
-            (big.static_power().get() / small.static_power().get() - 4.0).abs() < 1e-9
-        );
+        assert!((big.static_power().get() / small.static_power().get() - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -306,8 +306,7 @@ mod tests {
     fn memory_dominates_the_macro() {
         let fp = CimCoreFloorplan::tsmc22(&CimCoreConfig::paper_default());
         // Bitcells + local readout are most of a memory-centric design.
-        let mem =
-            (fp.bitcell_array().as_mm2() + fp.local_readout().as_mm2()) / fp.total().as_mm2();
+        let mem = (fp.bitcell_array().as_mm2() + fp.local_readout().as_mm2()) / fp.total().as_mm2();
         assert!(mem > 0.5, "memory fraction {mem:.3}");
         assert!(fp.control().as_mm2() < fp.bitcell_array().as_mm2());
     }
@@ -335,10 +334,7 @@ mod tests {
 
     #[test]
     fn adder_tree_grows_with_rows() {
-        let small = CimCoreFloorplan::scaled(
-            &CimCoreConfig::paper_default(),
-            Area::from_mm2(1.0),
-        );
+        let small = CimCoreFloorplan::scaled(&CimCoreConfig::paper_default(), Area::from_mm2(1.0));
         // Relative adder share for a 128-row core.
         let share = small.adder_trees().as_mm2() / small.total().as_mm2();
         assert!(share > 0.1 && share < 0.5, "adder share {share:.3}");

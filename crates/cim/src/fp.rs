@@ -172,8 +172,8 @@ impl FpCimPipeline {
         // Pre-processing: per-product sign, exponent, and exact mantissa.
         struct Product {
             sign: bool,
-            exp: i32,        // unbiased product exponent
-            mant: u32,       // 16-bit mantissa product (8x8 bits)
+            exp: i32,  // unbiased product exponent
+            mant: u32, // 16-bit mantissa product (8x8 bits)
         }
         let products: Vec<Product> = a
             .iter()
@@ -238,7 +238,10 @@ mod tests {
             let back = b.to_f32();
             // BF16 has ~3 decimal digits; values representable in BF16
             // round-trip exactly.
-            assert!(((back - x) / x.abs().max(1e-6)).abs() < 0.01, "{x} -> {back}");
+            assert!(
+                ((back - x) / x.abs().max(1e-6)).abs() < 0.01,
+                "{x} -> {back}"
+            );
         }
     }
 
@@ -256,8 +259,14 @@ mod tests {
     #[test]
     fn simple_dot_products() {
         let p = FpCimPipeline::default();
-        let a: Vec<Bf16> = [1.0f32, 2.0, 3.0].iter().map(|&x| Bf16::from_f32(x)).collect();
-        let w: Vec<Bf16> = [4.0f32, 5.0, 6.0].iter().map(|&x| Bf16::from_f32(x)).collect();
+        let a: Vec<Bf16> = [1.0f32, 2.0, 3.0]
+            .iter()
+            .map(|&x| Bf16::from_f32(x))
+            .collect();
+        let w: Vec<Bf16> = [4.0f32, 5.0, 6.0]
+            .iter()
+            .map(|&x| Bf16::from_f32(x))
+            .collect();
         let got = p.dot(&a, &w).unwrap().to_f32();
         assert!((got - 32.0).abs() < 0.25);
     }

@@ -124,7 +124,9 @@ impl CimCoreConfig {
     /// that does not divide the column count, or unsupported bit widths.
     pub fn validate(&self) -> Result<()> {
         if self.rows == 0 || self.cols == 0 || self.banks == 0 || self.column_group == 0 {
-            return Err(Error::invalid_config("CIM core dimensions must be non-zero"));
+            return Err(Error::invalid_config(
+                "CIM core dimensions must be non-zero",
+            ));
         }
         if !self.cols.is_multiple_of(self.column_group) {
             return Err(Error::invalid_config(format!(
@@ -133,7 +135,9 @@ impl CimCoreConfig {
             )));
         }
         if self.weight_io_bytes_per_cycle == 0 {
-            return Err(Error::invalid_config("weight I/O bandwidth must be non-zero"));
+            return Err(Error::invalid_config(
+                "weight I/O bandwidth must be non-zero",
+            ));
         }
         if !matches!(self.bit_serial_bits, 1 | 2 | 4 | 8 | 16) {
             return Err(Error::invalid_config(format!(
@@ -307,7 +311,9 @@ impl CimMxuConfig {
     /// configuration is invalid.
     pub fn validate(&self) -> Result<()> {
         if self.grid_rows == 0 || self.grid_cols == 0 {
-            return Err(Error::invalid_config("CIM grid dimensions must be non-zero"));
+            return Err(Error::invalid_config(
+                "CIM grid dimensions must be non-zero",
+            ));
         }
         if self.weight_ingest_bytes_per_cycle == 0 {
             return Err(Error::invalid_config(

@@ -75,8 +75,7 @@ impl CimGemmTiming {
         if self.total == Cycles::ZERO {
             return 0.0;
         }
-        self.shape.macs() as f64
-            / (self.total.get() as f64 * self.peak_macs_per_cycle as f64)
+        self.shape.macs() as f64 / (self.total.get() as f64 * self.peak_macs_per_cycle as f64)
     }
 }
 
@@ -111,7 +110,11 @@ pub(crate) fn gemm_timing(
     let k_tiles = k.div_ceil(k_ext);
     let n_tiles = n.div_ceil(n_ext);
     let elem_bytes = dtype.size_bytes();
-    let fp_latency = if dtype.is_float() { FP_PIPELINE_LATENCY } else { 0 };
+    let fp_latency = if dtype.is_float() {
+        FP_PIPELINE_LATENCY
+    } else {
+        0
+    };
 
     let mut compute_total: u64 = 0;
     let mut exposed_update: u64 = 0;
@@ -221,10 +224,7 @@ mod tests {
         );
         // 4 residencies: serial pays 4 updates, overlapped pays only the first
         // (compute per tile = 512*256 >> 32768-cycle update).
-        assert_eq!(
-            serial.total() - overlapped.total(),
-            Cycles::new(3 * 32768)
-        );
+        assert_eq!(serial.total() - overlapped.total(), Cycles::new(3 * 32768));
     }
 
     #[test]
@@ -259,15 +259,27 @@ mod tests {
     #[test]
     fn partial_n_tile_shrinks_wave() {
         // n = 256 across 8 grid columns: 32 columns per core -> wave 32.
-        let t = gemm_timing(&mxu(), GemmShape::new(1024, 2048, 256).unwrap(), DataType::Int8);
-        let full = gemm_timing(&mxu(), GemmShape::new(1024, 2048, 2048).unwrap(), DataType::Int8);
+        let t = gemm_timing(
+            &mxu(),
+            GemmShape::new(1024, 2048, 256).unwrap(),
+            DataType::Int8,
+        );
+        let full = gemm_timing(
+            &mxu(),
+            GemmShape::new(1024, 2048, 2048).unwrap(),
+            DataType::Int8,
+        );
         assert!(t.total().get() * 4 < full.total().get());
     }
 
     #[test]
     fn smaller_grids_cover_less_per_residency() {
         let small = CimMxuConfig::with_grid(8, 8);
-        let t = gemm_timing(&small, GemmShape::new(64, 2048, 2048).unwrap(), DataType::Int8);
+        let t = gemm_timing(
+            &small,
+            GemmShape::new(64, 2048, 2048).unwrap(),
+            DataType::Int8,
+        );
         assert_eq!(t.macro_tiles(), 2); // k folds twice at k_extent=1024
     }
 

@@ -136,7 +136,11 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         for (range, group) in groups.iter().zip(&policy.groups) {
             for (j, k) in range.clone().enumerate() {
                 if (j as u64) < group.initial {
-                    held[k].push(Held { start: 0.0, up: Some(0.0), end: None });
+                    held[k].push(Held {
+                        start: 0.0,
+                        up: Some(0.0),
+                        end: None,
+                    });
                 } else {
                     health.set(k, ReplicaHealth::Offline);
                 }
@@ -152,7 +156,10 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
             next_tick: policy.interval,
             since_tick: vec![(0, 0); groups.len()],
             held,
-            stats: ScalingStats { peak_replicas, ..ScalingStats::default() },
+            stats: ScalingStats {
+                peak_replicas,
+                ..ScalingStats::default()
+            },
             obs,
         }
     }
@@ -164,7 +171,10 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
 
     /// How many slots hold a machine now.
     fn held_now(&self) -> u64 {
-        self.held.iter().filter(|h| h.last().is_some_and(|iv| iv.end.is_none())).count() as u64
+        self.held
+            .iter()
+            .filter(|h| h.last().is_some_and(|iv| iv.end.is_none()))
+            .count() as u64
     }
 
     fn group_of(&self, k: usize) -> usize {
@@ -173,8 +183,13 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
 
     /// Logs action `kind` on slot `k` and traces it as `ev`.
     fn act(&mut self, now: Seconds, kind: &str, ev: EventKind, k: usize) {
-        let (group, slot) = (&self.replicas[self.group_of(k)].name, self.slots[k].name.clone());
-        self.stats.actions.push(ScalingAction::new(now.get(), kind, group, slot));
+        let (group, slot) = (
+            &self.replicas[self.group_of(k)].name,
+            self.slots[k].name.clone(),
+        );
+        self.stats
+            .actions
+            .push(ScalingAction::new(now.get(), kind, group, slot));
         self.obs.instant(k, ev, now);
     }
 
@@ -194,9 +209,11 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         self.since_tick[g].0 += 1;
         if slo_ms.is_none_or(|slo| c.latency().as_millis() <= slo) {
             self.since_tick[g].1 += 1;
-        } else if self.groups[g].clone().flat_map(|k| &self.held[k]).any(|iv| {
-            finish >= iv.start && iv.up.is_none_or(|up| finish <= up)
-        }) {
+        } else if self.groups[g]
+            .clone()
+            .flat_map(|k| &self.held[k])
+            .any(|iv| finish >= iv.start && iv.up.is_none_or(|up| finish <= up))
+        {
             self.stats.slo_violations_ramp += 1;
         }
     }
@@ -213,10 +230,14 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
     ) {
         self.next_tick += self.policy.interval;
         self.stats.reconciles += 1;
-        self.obs.control(EventKind::Reconcile, self.stats.reconciles, now, None);
+        self.obs
+            .control(EventKind::Reconcile, self.stats.reconciles, now, None);
         let mut obs = Vec::with_capacity(self.groups.len());
         for (g, range) in self.groups.iter().enumerate() {
-            let mut o = GroupObservation { queued: parked[g].len() as u64, ..Default::default() };
+            let mut o = GroupObservation {
+                queued: parked[g].len() as u64,
+                ..Default::default()
+            };
             for k in range.clone() {
                 match health.state(k) {
                     ReplicaHealth::Up => {
@@ -231,7 +252,8 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
                 }
             }
             (o.delivered, o.slo_ok) = std::mem::take(&mut self.since_tick[g]);
-            self.obs.sample(g, now, o.queued as f64, o.outstanding as f64);
+            self.obs
+                .sample(g, now, o.queued as f64, o.outstanding as f64);
             obs.push(o);
         }
         // The lowest offline slot of a group boots; the highest routable
@@ -239,7 +261,9 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         // decision until a drain finishes.
         let groups = self.groups;
         let boot_slot = |health: &HealthView, g: usize| {
-            groups[g].clone().find(|&k| health.state(k) == ReplicaHealth::Offline)
+            groups[g]
+                .clone()
+                .find(|&k| health.state(k) == ReplicaHealth::Offline)
         };
         let victim = |health: &HealthView, g: usize| groups[g].clone().rfind(|&k| health.is_up(k));
         for decision in self.reconciler.reconcile(now, &obs) {
@@ -294,7 +318,11 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         health: &mut HealthView,
     ) {
         health.set(k, ReplicaHealth::Provisioning { until: ready });
-        self.held[k].push(Held { start: now.get(), up: None, end: None });
+        self.held[k].push(Held {
+            start: now.get(),
+            up: None,
+            end: None,
+        });
         self.act(now, kind, event, k);
     }
 

@@ -208,14 +208,13 @@ pub use cimtpu_autoscale::{
 pub use cimtpu_obs::{
     EventKind, Recorder, SharedRecorder, TimeseriesStats, TraceFilter, TraceHandle,
 };
+pub use cimtpu_serving::{
+    parse_tenants, Offered, SloClass, TenantPart, TenantReport, TenantSet, TenantSpec, TenantUsage,
+};
 pub use disagg::InterconnectSpec;
 pub use engine::{ClusterEngine, ClusterRun, ClusterTopology};
 pub use fault::{
     parse_faults, AvailabilityStats, ChaosSpec, FaultEvent, FaultPlan, RecoveryPolicy,
-};
-pub use cimtpu_serving::{
-    parse_tenants, Offered, SloClass, TenantPart, TenantReport, TenantSet, TenantSpec,
-    TenantUsage,
 };
 pub use replica::ReplicaSpec;
 pub use report::{ClusterReport, KvTransferStats, PerfRecord, ReplicaUtilization};

@@ -3,8 +3,7 @@
 
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::{
-    BatchPolicy, EngineSession, MemoryConfig, Parallelism, PricingPool, ServingEngine,
-    ServingModel,
+    BatchPolicy, EngineSession, MemoryConfig, Parallelism, PricingPool, ServingEngine, ServingModel,
 };
 use cimtpu_units::Result;
 
@@ -102,5 +101,8 @@ pub(crate) fn fleet_sessions<'r>(
     specs: impl IntoIterator<Item = &'r ReplicaSpec>,
 ) -> Result<Vec<EngineSession>> {
     let mut pool = PricingPool::new();
-    specs.into_iter().map(|spec| pool.session(&spec.engine()?)).collect()
+    specs
+        .into_iter()
+        .map(|spec| pool.session(&spec.engine()?))
+        .collect()
 }

@@ -269,17 +269,29 @@ impl Serialize for ClusterReport {
             ("throughput_rps".to_owned(), self.throughput_rps.to_value()),
             ("goodput_rps".to_owned(), self.goodput_rps.to_value()),
             ("slo_ms".to_owned(), self.slo_ms.to_value()),
-            ("steps_per_second".to_owned(), self.steps_per_second.to_value()),
+            (
+                "steps_per_second".to_owned(),
+                self.steps_per_second.to_value(),
+            ),
             ("latency".to_owned(), self.latency.to_value()),
             ("ttft".to_owned(), self.ttft.to_value()),
             ("total_energy_j".to_owned(), self.total_energy_j.to_value()),
-            ("energy_per_request_j".to_owned(), self.energy_per_request_j.to_value()),
+            (
+                "energy_per_request_j".to_owned(),
+                self.energy_per_request_j.to_value(),
+            ),
             ("preemptions".to_owned(), self.preemptions.to_value()),
             ("queue_full_s".to_owned(), self.queue_full_s.to_value()),
             ("kv_transfers".to_owned(), self.kv_transfers.to_value()),
-            ("kv_transfer_bytes".to_owned(), self.kv_transfer_bytes.to_value()),
+            (
+                "kv_transfer_bytes".to_owned(),
+                self.kv_transfer_bytes.to_value(),
+            ),
             ("kv_transfer_s".to_owned(), self.kv_transfer_s.to_value()),
-            ("kv_transfer_energy_j".to_owned(), self.kv_transfer_energy_j.to_value()),
+            (
+                "kv_transfer_energy_j".to_owned(),
+                self.kv_transfer_energy_j.to_value(),
+            ),
             ("imbalance".to_owned(), self.imbalance.to_value()),
             ("per_replica".to_owned(), self.per_replica.to_value()),
         ];
@@ -399,7 +411,10 @@ impl std::fmt::Display for ClusterReport {
         writeln!(
             f,
             "ttft ms     p50 {:.3}  p95 {:.3}  p99 {:.3}  mean {:.3}  max {:.3}",
-            self.ttft.p50_ms, self.ttft.p95_ms, self.ttft.p99_ms, self.ttft.mean_ms,
+            self.ttft.p50_ms,
+            self.ttft.p95_ms,
+            self.ttft.p99_ms,
+            self.ttft.mean_ms,
             self.ttft.max_ms
         )?;
         writeln!(
@@ -421,7 +436,12 @@ impl std::fmt::Display for ClusterReport {
                 f,
                 "faults      {} crash(es), availability {:.4}, {:.3} s down  |  \
                  {} retry(ies) ({} ok), {} shed, {} timed out",
-                a.crashes, a.availability, a.downtime_s, a.retries, a.retried_ok, a.shed,
+                a.crashes,
+                a.availability,
+                a.downtime_s,
+                a.retries,
+                a.retried_ok,
+                a.shed,
                 a.timed_out
             )?;
         }
@@ -548,7 +568,11 @@ mod tests {
         // Request 1's latency is 4 s: a 2000 ms SLO drops it.
         let rep = build(Some(2000.0));
         assert_eq!(rep.slo_ms, 2000.0);
-        assert!((rep.goodput_rps - 0.25).abs() < 1e-12, "{}", rep.goodput_rps);
+        assert!(
+            (rep.goodput_rps - 0.25).abs() < 1e-12,
+            "{}",
+            rep.goodput_rps
+        );
         assert!((rep.throughput_rps - 0.5).abs() < 1e-12);
     }
 
@@ -597,7 +621,10 @@ mod tests {
         ];
         let positions: Vec<usize> = keys
             .iter()
-            .map(|k| json.find(k).unwrap_or_else(|| panic!("{k} missing from {json}")))
+            .map(|k| {
+                json.find(k)
+                    .unwrap_or_else(|| panic!("{k} missing from {json}"))
+            })
             .collect();
         assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
@@ -634,7 +661,10 @@ mod tests {
         let json = serde_json::to_string(&rep).unwrap();
         let scaling = json.find("\"scaling\"").expect("scaling key");
         let per_replica = json.find("\"per_replica\"").expect("per_replica key");
-        assert!(scaling > per_replica, "scaling must trail per_replica: {json}");
+        assert!(
+            scaling > per_replica,
+            "scaling must trail per_replica: {json}"
+        );
         let back: ClusterReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rep);
         // Both trailing optionals together: availability first, then scaling.
@@ -653,7 +683,10 @@ mod tests {
         let scaling = json.find("\"scaling\"").expect("scaling key");
         assert!(avail < scaling, "{json}");
         let text = rep.to_string();
-        assert!(text.contains("3 scale-up, 2 scale-down (1 to zero)"), "{text}");
+        assert!(
+            text.contains("3 scale-up, 2 scale-down (1 to zero)"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -695,7 +728,10 @@ mod tests {
         let json = serde_json::to_string(&rep).unwrap();
         let avail = json.find("\"availability\"").expect("availability key");
         let per_replica = json.find("\"per_replica\"").expect("per_replica key");
-        assert!(avail > per_replica, "availability must be the last key: {json}");
+        assert!(
+            avail > per_replica,
+            "availability must be the last key: {json}"
+        );
         let text = rep.to_string();
         assert!(text.contains("1 crash(es)"), "{text}");
         let back: ClusterReport = serde_json::from_str(&json).unwrap();
@@ -751,7 +787,9 @@ mod tests {
         assert!((rec.requests_per_second - 4.0).abs() < 1e-12);
         assert!((rec.steps_per_second - 40.0).abs() < 1e-12);
         // Degenerate wall times stay finite.
-        assert!(PerfRecord::measure("t", 0, &[], 0.0).requests_per_second.is_finite());
+        assert!(PerfRecord::measure("t", 0, &[], 0.0)
+            .requests_per_second
+            .is_finite());
         let json = serde_json::to_string(&rec).unwrap();
         let back: PerfRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rec);
@@ -767,7 +805,10 @@ mod tests {
             "round-robin".to_owned(),
             2,
             &[],
-            &FleetTotals { chip_energy: Joules::new(8.0), ..FleetTotals::default() },
+            &FleetTotals {
+                chip_energy: Joules::new(8.0),
+                ..FleetTotals::default()
+            },
             vec![row("a", 0.0)],
             None,
             None,

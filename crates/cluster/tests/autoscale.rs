@@ -38,13 +38,21 @@ fn spec(name: &str) -> ReplicaSpec {
 }
 
 fn pinned(n: u64) -> GroupPolicy {
-    GroupPolicy { min: n, max: n, initial: n, ..GroupPolicy::default() }
+    GroupPolicy {
+        min: n,
+        max: n,
+        initial: n,
+        ..GroupPolicy::default()
+    }
 }
 
 fn traffics(seed: u64) -> [TrafficSpec; 2] {
     let base = TrafficSpec {
         requests: 16,
-        arrival: ArrivalPattern::OpenLoopSessions { rate_rps: 4_000.0, sessions: 5 },
+        arrival: ArrivalPattern::OpenLoopSessions {
+            rate_rps: 4_000.0,
+            sessions: 5,
+        },
         prompt: LenDist::Uniform { lo: 16, hi: 48 },
         steps: LenDist::Uniform { lo: 4, hi: 12 },
         prefix: PrefixTraffic::None,
@@ -52,7 +60,13 @@ fn traffics(seed: u64) -> [TrafficSpec; 2] {
     };
     [
         base.clone(),
-        TrafficSpec { arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 }, ..base },
+        TrafficSpec {
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 3,
+                think_ms: 1.0,
+            },
+            ..base
+        },
     ]
 }
 
@@ -63,10 +77,9 @@ fn pinned_colocated(policy: RouterPolicy, faults: FaultPlan) -> (ClusterEngine, 
         .unwrap()
         .with_faults(faults.clone())
         .with_autoscale(AutoscalePolicy::new(vec![pinned(2), pinned(1)]));
-    let plain =
-        ClusterEngine::colocated(vec![spec("f-0-0"), spec("f-0-1"), spec("f-1-0")], policy)
-            .unwrap()
-            .with_faults(faults);
+    let plain = ClusterEngine::colocated(vec![spec("f-0-0"), spec("f-0-1"), spec("f-1-0")], policy)
+        .unwrap()
+        .with_faults(faults);
     (auto, plain)
 }
 
@@ -93,10 +106,20 @@ fn pinned_disagg(faults: FaultPlan) -> (ClusterEngine, ClusterEngine) {
 /// Asserts the pinned-policy run equals the plain expanded run
 /// bit-for-bit, modulo the `scaling` section only the pinned run carries.
 fn assert_pinned_equal(auto: &ClusterRun, plain: &ClusterRun, label: &str) {
-    assert_eq!(auto.completions, plain.completions, "{label}: completions diverged");
+    assert_eq!(
+        auto.completions, plain.completions,
+        "{label}: completions diverged"
+    );
     let scaling = auto.report.scaling.as_ref().expect(label);
-    assert_eq!(scaling.reconciles, 0, "{label}: pinned fleets never reconcile");
-    assert_eq!(scaling.scale_ups + scaling.scale_downs + scaling.swaps, 0, "{label}");
+    assert_eq!(
+        scaling.reconciles, 0,
+        "{label}: pinned fleets never reconcile"
+    );
+    assert_eq!(
+        scaling.scale_ups + scaling.scale_downs + scaling.swaps,
+        0,
+        "{label}"
+    );
     assert!(scaling.actions.is_empty(), "{label}");
     assert_eq!(scaling.peak_replicas, plain.report.replicas, "{label}");
     assert!(scaling.chip_seconds > 0.0, "{label}");
@@ -236,12 +259,22 @@ fn same_seed_replays_the_full_scaling_action_log() {
     ];
     let mut last = 0.0f64;
     for entry in &sa.actions {
-        assert!(kinds.contains(&entry.kind.as_str()), "unknown kind {}", entry.kind);
-        assert!(entry.at_s >= last, "action log out of order at {}", entry.at_s);
+        assert!(
+            kinds.contains(&entry.kind.as_str()),
+            "unknown kind {}",
+            entry.kind
+        );
+        assert!(
+            entry.at_s >= last,
+            "action log out of order at {}",
+            entry.at_s
+        );
         last = entry.at_s;
     }
     // A different seed moves the fleet differently.
-    let c = engine.run("replay", &TrafficSpec { seed: 7, ..traffic }).unwrap();
+    let c = engine
+        .run("replay", &TrafficSpec { seed: 7, ..traffic })
+        .unwrap();
     assert_ne!(sa.actions, c.report.scaling.unwrap().actions);
 }
 
@@ -334,13 +367,23 @@ fn benign_plan_leaves_an_elastic_run_unchanged() {
         .run("benign", &traffic)
         .unwrap();
     assert_eq!(plain.completions, benign.completions);
-    let avail = benign.report.availability.clone().expect("fault runs report availability");
-    assert_eq!((avail.crashes, avail.retries, avail.shed, avail.timed_out), (0, 0, 0, 0));
+    let avail = benign
+        .report
+        .availability
+        .clone()
+        .expect("fault runs report availability");
+    assert_eq!(
+        (avail.crashes, avail.retries, avail.shed, avail.timed_out),
+        (0, 0, 0, 0)
+    );
     let mut stripped = benign.report.clone();
     stripped.availability = None;
     assert_eq!(stripped, plain.report);
     let actions = &plain.report.scaling.as_ref().unwrap().actions;
-    assert!(actions.iter().any(|a| a.kind == action::SCALE_UP), "the day must scale");
+    assert!(
+        actions.iter().any(|a| a.kind == action::SCALE_UP),
+        "the day must scale"
+    );
 }
 
 /// Crashes inside the first scale-up ramp — on the serving slot, and on
@@ -351,7 +394,12 @@ fn benign_plan_leaves_an_elastic_run_unchanged() {
 fn crash_during_a_scale_up_ramp_conserves_and_replays() {
     let (engine, traffic) = elastic_fleet();
     let plain = engine.run("ramp", &traffic).unwrap();
-    let first_up = plain.report.scaling.unwrap().actions.into_iter()
+    let first_up = plain
+        .report
+        .scaling
+        .unwrap()
+        .actions
+        .into_iter()
         .find(|a| a.kind == action::SCALE_UP)
         .expect("the burst day scales up");
     assert_eq!(first_up.replica, "e-1", "the lowest offline slot boots");
@@ -359,8 +407,16 @@ fn crash_during_a_scale_up_ramp_conserves_and_replays() {
     let t = first_up.at_s;
     let repair = Seconds::new(0.002);
     let plan = FaultPlan::none()
-        .with_event(FaultEvent::Crash { at: Seconds::new(t + 0.000_5), replica: 0, repair })
-        .with_event(FaultEvent::Crash { at: Seconds::new(t + 0.001_2), replica: 1, repair });
+        .with_event(FaultEvent::Crash {
+            at: Seconds::new(t + 0.000_5),
+            replica: 0,
+            repair,
+        })
+        .with_event(FaultEvent::Crash {
+            at: Seconds::new(t + 0.001_2),
+            replica: 1,
+            repair,
+        });
     let faulty = engine.with_faults(plan);
     let a = faulty.run("ramp", &traffic).unwrap();
     let b = faulty.run("ramp", &traffic).unwrap();
@@ -369,7 +425,10 @@ fn crash_during_a_scale_up_ramp_conserves_and_replays() {
     let avail = a.report.availability.as_ref().unwrap();
     assert_eq!(avail.crashes, 2, "an up slot and a warming slot both crash");
     assert!(avail.retries >= 1, "the serving slot had work in flight");
-    assert_eq!(a.report.completed + avail.shed + avail.timed_out, a.report.offered);
+    assert_eq!(
+        a.report.completed + avail.shed + avail.timed_out,
+        a.report.offered
+    );
     // The warming crash restarts the boot: slot 1 turns up only after the
     // repair and the recovery warmup, and its ramp closes then.
     let scaling = a.report.scaling.as_ref().unwrap();
@@ -378,7 +437,11 @@ fn crash_during_a_scale_up_ramp_conserves_and_replays() {
         .iter()
         .find(|x| x.kind == action::UP && x.replica == "e-1")
         .expect("the interrupted boot completes");
-    assert!(up.at_s >= t + 0.001_2 + repair.get(), "up at {} before the repair", up.at_s);
+    assert!(
+        up.at_s >= t + 0.001_2 + repair.get(),
+        "up at {} before the repair",
+        up.at_s
+    );
     assert_ne!(a.completions, plain.completions);
 }
 
@@ -418,11 +481,26 @@ fn crash_retires_a_draining_slot_and_skips_an_offline_one() {
     let run = engine.with_faults(plan).run("drain", &traffic).unwrap();
     let avail = run.report.availability.as_ref().unwrap();
     assert_eq!(avail.crashes, 1, "the offline slot's crash is a no-op");
-    assert!(avail.retries >= 1, "the drained slot's in-flight work retries");
+    assert!(
+        avail.retries >= 1,
+        "the drained slot's in-flight work retries"
+    );
     assert_eq!(avail.downtime_s, 0.0, "a retiring slot costs no downtime");
-    assert_eq!(run.report.completed + avail.shed + avail.timed_out, run.report.offered);
-    let retire = run.report.scaling.as_ref().unwrap().actions.iter().find(|a| {
-        a.kind == action::RETIRED && a.replica == drain.replica && a.at_s >= drain.at_s
-    });
-    assert_eq!(retire.map(|a| a.at_s), Some(at), "the crash retires the slot at once");
+    assert_eq!(
+        run.report.completed + avail.shed + avail.timed_out,
+        run.report.offered
+    );
+    let retire = run
+        .report
+        .scaling
+        .as_ref()
+        .unwrap()
+        .actions
+        .iter()
+        .find(|a| a.kind == action::RETIRED && a.replica == drain.replica && a.at_s >= drain.at_s);
+    assert_eq!(
+        retire.map(|a| a.at_s),
+        Some(at),
+        "the crash retires the slot at once"
+    );
 }

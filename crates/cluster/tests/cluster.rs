@@ -26,7 +26,9 @@ fn traffic(requests: u64) -> TrafficSpec {
         // Arrivals land within a few tiny-model service times of each
         // other, so service capacity (not the arrival rate) is the
         // bottleneck and routing decisions actually matter.
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 500_000.0 },
+        arrival: ArrivalPattern::OpenLoop {
+            rate_rps: 500_000.0,
+        },
         prompt: LenDist::Uniform { lo: 16, hi: 48 },
         steps: LenDist::Uniform { lo: 2, hi: 8 },
         prefix: PrefixTraffic::None,
@@ -36,13 +38,10 @@ fn traffic(requests: u64) -> TrafficSpec {
 
 #[test]
 fn round_robin_spreads_requests_across_replicas() {
-    let run = ClusterEngine::colocated(
-        vec![replica("a"), replica("b")],
-        RouterPolicy::RoundRobin,
-    )
-    .unwrap()
-    .run("spread", &traffic(10))
-    .unwrap();
+    let run = ClusterEngine::colocated(vec![replica("a"), replica("b")], RouterPolicy::RoundRobin)
+        .unwrap()
+        .run("spread", &traffic(10))
+        .unwrap();
     assert_eq!(run.report.completed, 10);
     assert_eq!(run.report.per_replica.len(), 2);
     assert_eq!(run.report.per_replica[0].requests, 5);
@@ -71,7 +70,11 @@ fn more_replicas_raise_throughput() {
         one.report.throughput_rps
     );
     // Load is reasonably balanced, not funneled to one replica.
-    assert!(three.report.imbalance < 2.0, "imbalance {}", three.report.imbalance);
+    assert!(
+        three.report.imbalance < 2.0,
+        "imbalance {}",
+        three.report.imbalance
+    );
 }
 
 #[test]
@@ -169,7 +172,10 @@ fn disaggregated_closed_loop_feeds_back_through_the_pipeline() {
     .run(
         "disagg-closed",
         &TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 2.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 3,
+                think_ms: 2.0,
+            },
             ..traffic(9)
         },
     )
@@ -180,11 +186,9 @@ fn disaggregated_closed_loop_feeds_back_through_the_pipeline() {
 
 #[test]
 fn kv_budget_override_reaches_every_replica() {
-    let engine = ClusterEngine::colocated(
-        vec![replica("a"), replica("b")],
-        RouterPolicy::RoundRobin,
-    )
-    .unwrap();
+    let engine =
+        ClusterEngine::colocated(vec![replica("a"), replica("b")], RouterPolicy::RoundRobin)
+            .unwrap();
     let unlimited = engine.run("unlimited", &traffic(8)).unwrap();
     assert_eq!(unlimited.report.per_replica[0].kv_hwm_frac, 0.0);
     let capped = engine
@@ -250,17 +254,36 @@ fn disaggregated_rejects_a_link_that_yields_non_finite_reports() {
     };
     let ici = InterconnectSpec::ici();
     assert!(build(ici).is_ok());
-    let zero_hop = InterconnectSpec { hop_latency: Seconds::ZERO, energy_pj_per_byte: 0.0, ..ici };
+    let zero_hop = InterconnectSpec {
+        hop_latency: Seconds::ZERO,
+        energy_pj_per_byte: 0.0,
+        ..ici
+    };
     assert!(build(zero_hop).is_ok(), "a free, instant hop is valid");
     let rejected = |link| matches!(build(link), Err(Error::InvalidConfig(_)));
     for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         let link_bandwidth = Bandwidth::from_gb_per_s(1.0) * x;
-        assert!(rejected(InterconnectSpec { link_bandwidth, ..ici }), "{x} GB/s");
+        assert!(
+            rejected(InterconnectSpec {
+                link_bandwidth,
+                ..ici
+            }),
+            "{x} GB/s"
+        );
     }
     for x in [-1.0, f64::NAN, f64::INFINITY] {
         let hop_latency = Seconds::from_micros(1.0) * x;
-        assert!(rejected(InterconnectSpec { hop_latency, ..ici }), "hop {x} us");
-        assert!(rejected(InterconnectSpec { energy_pj_per_byte: x, ..ici }), "{x} pJ/B");
+        assert!(
+            rejected(InterconnectSpec { hop_latency, ..ici }),
+            "hop {x} us"
+        );
+        assert!(
+            rejected(InterconnectSpec {
+                energy_pj_per_byte: x,
+                ..ici
+            }),
+            "{x} pJ/B"
+        );
     }
 }
 
@@ -269,8 +292,7 @@ fn disaggregated_rejects_a_link_that_yields_non_finite_reports() {
 /// positive and finite, on either topology.
 #[test]
 fn run_rejects_a_non_finite_or_non_positive_slo() {
-    let colocated =
-        ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
+    let colocated = ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
     let disagg = ClusterEngine::disaggregated(
         vec![replica("p")],
         vec![replica("d")],
@@ -280,7 +302,11 @@ fn run_rejects_a_non_finite_or_non_positive_slo() {
     )
     .unwrap();
     for fleet in [colocated, disagg] {
-        assert!(fleet.clone().with_slo_ms(50.0).run("ok", &traffic(4)).is_ok());
+        assert!(fleet
+            .clone()
+            .with_slo_ms(50.0)
+            .run("ok", &traffic(4))
+            .is_ok());
         for slo in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
             let run = fleet.clone().with_slo_ms(slo).run("slo", &traffic(4));
             assert!(matches!(run, Err(Error::InvalidConfig(_))), "slo {slo} ms");
@@ -290,8 +316,7 @@ fn run_rejects_a_non_finite_or_non_positive_slo() {
 
 #[test]
 fn llm_fleets_reject_empty_prompts() {
-    let colocated =
-        ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
+    let colocated = ClusterEngine::colocated(vec![replica("a")], RouterPolicy::RoundRobin).unwrap();
     let disagg = ClusterEngine::disaggregated(
         vec![replica("p")],
         vec![replica("d")],
@@ -300,7 +325,10 @@ fn llm_fleets_reject_empty_prompts() {
         InterconnectSpec::ici(),
     )
     .unwrap();
-    let empty = TrafficSpec { prompt: LenDist::Uniform { lo: 0, hi: 8 }, ..traffic(4) };
+    let empty = TrafficSpec {
+        prompt: LenDist::Uniform { lo: 0, hi: 8 },
+        ..traffic(4)
+    };
     for fleet in [colocated, disagg] {
         let run = fleet.run("empty", &empty);
         assert!(matches!(run, Err(Error::InvalidConfig(_))), "{run:?}");
@@ -335,15 +363,27 @@ fn every_engine_rejects_invalid_open_loop_rates() {
     for rate_rps in [0.0, f64::NAN, -5.0, f64::INFINITY] {
         for arrival in [
             ArrivalPattern::OpenLoop { rate_rps },
-            ArrivalPattern::OpenLoopSessions { rate_rps, sessions: 2 },
+            ArrivalPattern::OpenLoopSessions {
+                rate_rps,
+                sessions: 2,
+            },
         ] {
-            let bad = TrafficSpec { arrival, ..traffic(4) };
+            let bad = TrafficSpec {
+                arrival,
+                ..traffic(4)
+            };
             let what = format!("{:?}", bad.arrival);
             let run = single.run("rate", &bad).map(|_| ());
-            assert!(matches!(run, Err(Error::InvalidConfig(_))), "single engine, {what}: {run:?}");
+            assert!(
+                matches!(run, Err(Error::InvalidConfig(_))),
+                "single engine, {what}: {run:?}"
+            );
             for fleet in [&colocated, &disagg] {
                 let run = fleet.run("rate", &bad).map(|_| ());
-                assert!(matches!(run, Err(Error::InvalidConfig(_))), "fleet, {what}: {run:?}");
+                assert!(
+                    matches!(run, Err(Error::InvalidConfig(_))),
+                    "fleet, {what}: {run:?}"
+                );
             }
         }
     }

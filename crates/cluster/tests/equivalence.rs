@@ -10,8 +10,8 @@ use cimtpu_cluster::{ClusterEngine, ClusterRun, ReplicaSpec, RouterPolicy};
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LatencyStats, LenDist, MemoryConfig, Parallelism,
-    PrefixTraffic, ServingEngine, ServingModel, ServingRun, TrafficSpec,
+    ArrivalPattern, BatchPolicy, LatencyStats, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
+    ServingEngine, ServingModel, ServingRun, TrafficSpec,
 };
 use cimtpu_units::Bytes;
 
@@ -22,7 +22,10 @@ fn tiny() -> ServingModel {
 fn policies() -> [BatchPolicy; 3] {
     [
         BatchPolicy::Static { batch: 2 },
-        BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 2.0 },
+        BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_wait_ms: 2.0,
+        },
         BatchPolicy::Continuous { max_batch: 4 },
     ]
 }
@@ -39,7 +42,10 @@ fn traffics() -> [TrafficSpec; 2] {
     [
         base.clone(),
         TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 5.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 3,
+                think_ms: 5.0,
+            },
             ..base
         },
     ]
@@ -62,12 +68,20 @@ fn assert_same(cluster: &ClusterRun, single: &ServingRun, label: &str) {
         ("throughput_rps", c.throughput_rps, s.throughput_rps),
         ("steps_per_second", c.steps_per_second, s.steps_per_second),
         ("total_energy_j", c.total_energy_j, s.total_energy_j),
-        ("energy_per_request_j", c.energy_per_request_j, s.energy_per_request_j),
+        (
+            "energy_per_request_j",
+            c.energy_per_request_j,
+            s.energy_per_request_j,
+        ),
         ("queue_full_s", c.queue_full_s, s.queue_full_s),
         ("kv_hwm_frac", c.per_replica[0].kv_hwm_frac, s.kv_hwm_frac),
     ];
     for (field, got, want) in floats {
-        assert_eq!(got.to_bits(), want.to_bits(), "{label}: {field} {got} vs {want}");
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{label}: {field} {got} vs {want}"
+        );
     }
     assert_eq!(bits(&c.latency), bits(&s.latency), "{label}: latency");
     assert_eq!(bits(&c.ttft), bits(&s.ttft), "{label}: ttft");
@@ -149,9 +163,11 @@ fn anchor_holds_for_multi_executor_replicas() {
     .run("anchor-2chip", &traffic)
     .unwrap();
     let cluster = ClusterEngine::colocated(
-        vec![ReplicaSpec::new("anchor-2chip", TpuConfig::tpuv4i(), tiny())
-            .with_policy(policy)
-            .with_parallelism(Parallelism::Replicated { chips: 2 })],
+        vec![
+            ReplicaSpec::new("anchor-2chip", TpuConfig::tpuv4i(), tiny())
+                .with_policy(policy)
+                .with_parallelism(Parallelism::Replicated { chips: 2 }),
+        ],
         RouterPolicy::PassThrough,
     )
     .unwrap()

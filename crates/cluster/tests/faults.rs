@@ -42,7 +42,10 @@ fn tiny() -> ServingModel {
 const BATCHING: [BatchPolicy; 3] = [
     BatchPolicy::Continuous { max_batch: 4 },
     BatchPolicy::Static { batch: 2 },
-    BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 0.5 },
+    BatchPolicy::Dynamic {
+        max_batch: 4,
+        max_wait_ms: 0.5,
+    },
 ];
 
 fn fleet(policy: RouterPolicy, faults: FaultPlan) -> ClusterEngine {
@@ -102,10 +105,19 @@ fn traffics(seed: u64) -> [TrafficSpec; 3] {
     [
         base.clone(),
         TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 3, think_ms: 1.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 3,
+                think_ms: 1.0,
+            },
             ..base.clone()
         },
-        TrafficSpec { arrival: ArrivalPattern::ClosedLoop { clients: 6, think_ms: 0.0 }, ..base },
+        TrafficSpec {
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 6,
+                think_ms: 0.0,
+            },
+            ..base
+        },
     ]
 }
 
@@ -134,7 +146,10 @@ fn benign_disagg_plan() -> FaultPlan {
 /// Asserts the faulty run equals the plain run bit-for-bit, modulo the
 /// availability section (present, all-zero) that only fault runs carry.
 fn assert_benign_equal(plain: &ClusterRun, faulty: &ClusterRun, label: &str) {
-    assert_eq!(plain.completions, faulty.completions, "{label}: completions diverged");
+    assert_eq!(
+        plain.completions, faulty.completions,
+        "{label}: completions diverged"
+    );
     let avail = faulty.report.availability.as_ref().expect(label);
     assert_eq!(avail.crashes, 0, "{label}");
     assert_eq!(avail.availability, 1.0, "{label}");
@@ -150,7 +165,10 @@ fn assert_benign_equal(plain: &ClusterRun, faulty: &ClusterRun, label: &str) {
 fn empty_plan_is_the_zero_fault_path() {
     let policy = RouterPolicy::LeastOutstanding;
     let fleets = [
-        (colocated_unplanned(policy), fleet(policy, FaultPlan::none())),
+        (
+            colocated_unplanned(policy),
+            fleet(policy, FaultPlan::none()),
+        ),
         (disagg_unplanned(), disagg_fleet(FaultPlan::none())),
     ];
     for (bare, explicit) in &fleets {
@@ -241,8 +259,13 @@ fn nan_crash_time_is_rejected() {
         replica: 0,
         repair: Seconds::new(0.001),
     });
-    let err = fleet(RouterPolicy::RoundRobin, plan).run("nan", &traffics(1)[0]).unwrap_err();
-    assert!(matches!(err, cimtpu_units::Error::InvalidConfig(_)), "{err:?}");
+    let err = fleet(RouterPolicy::RoundRobin, plan)
+        .run("nan", &traffics(1)[0])
+        .unwrap_err();
+    assert!(
+        matches!(err, cimtpu_units::Error::InvalidConfig(_)),
+        "{err:?}"
+    );
 }
 
 /// One request, one replica, one crash mid-decode: the crash loses
@@ -252,7 +275,9 @@ fn nan_crash_time_is_rejected() {
 fn crash_mid_decode_loses_exactly_the_in_flight_work() {
     let traffic = TrafficSpec {
         requests: 1,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 1_000_000.0 },
+        arrival: ArrivalPattern::OpenLoop {
+            rate_rps: 1_000_000.0,
+        },
         prompt: LenDist::Fixed(32),
         steps: LenDist::Fixed(100),
         prefix: PrefixTraffic::None,
@@ -286,7 +311,11 @@ fn crash_mid_decode_loses_exactly_the_in_flight_work() {
     // Latency spans the crash: original arrival stands, the finish is
     // after restart + recompute.
     assert_eq!(c.arrival, Seconds::ZERO);
-    assert!(c.finish > crash_at + Seconds::new(0.001), "finish {} not after repair", c.finish);
+    assert!(
+        c.finish > crash_at + Seconds::new(0.001),
+        "finish {} not after repair",
+        c.finish
+    );
 }
 
 /// A fresh request that arrives while the only replica is down parks,
@@ -315,7 +344,10 @@ fn clamped_first_attempt_keeps_its_original_arrival() {
     let plain = solo().run("clamp", &traffic).unwrap();
     let second = plain.completions[1].arrival;
     assert!(second > Seconds::ZERO);
-    assert!(plain.completions[0].finish > second, "request 0 must outlive request 1's arrival");
+    assert!(
+        plain.completions[0].finish > second,
+        "request 0 must outlive request 1's arrival"
+    );
     // Crash halfway to the second arrival and stay down past it; the
     // lost request's retry fires at once and parks beside the newcomer.
     let plan = FaultPlan::none()
@@ -333,7 +365,10 @@ fn clamped_first_attempt_keeps_its_original_arrival() {
     assert_eq!((avail.crashes, avail.retries, avail.retried_ok), (1, 1, 1));
     assert_eq!(run.report.completed, 2);
     assert_eq!(run.completions[0].arrival, Seconds::ZERO);
-    assert_eq!(run.completions[1].arrival, second, "the clamp leaked into the report");
+    assert_eq!(
+        run.completions[1].arrival, second,
+        "the clamp leaked into the report"
+    );
 }
 
 /// A fresh request that arrives while the only replica is down parks and
@@ -360,18 +395,32 @@ fn parked_first_attempt_is_served_after_the_replica_is_up() {
     };
     let plain = solo().run("park", &traffic).unwrap();
     let (first, second) = (&plain.completions[0], &plain.completions[1]);
-    assert!(first.finish < second.arrival, "request 0 must finish before request 1 arrives");
+    assert!(
+        first.finish < second.arrival,
+        "request 0 must finish before request 1 arrives"
+    );
     // Crash between the two and stay down past the second arrival.
     let crash = (first.finish + second.arrival) * 0.5;
     let repair = second.arrival - crash + Seconds::new(0.001);
     let warmup = RecoveryPolicy::default().warmup;
-    let plan = FaultPlan::none().with_event(FaultEvent::Crash { at: crash, replica: 0, repair });
+    let plan = FaultPlan::none().with_event(FaultEvent::Crash {
+        at: crash,
+        replica: 0,
+        repair,
+    });
     let run = solo().with_faults(plan).run("park", &traffic).unwrap();
     assert_eq!(run.report.completed, 2);
     let parked = &run.completions[1];
     let up_at = crash + repair + warmup;
-    assert!(parked.finish > up_at, "served at {} while down until {up_at}", parked.finish);
-    assert_eq!(parked.arrival, second.arrival, "latency counts from the original arrival");
+    assert!(
+        parked.finish > up_at,
+        "served at {} while down until {up_at}",
+        parked.finish
+    );
+    assert_eq!(
+        parked.arrival, second.arrival,
+        "latency counts from the original arrival"
+    );
 }
 
 /// With a zero retry budget the lost work is shed — and still conserved.
@@ -379,7 +428,9 @@ fn parked_first_attempt_is_served_after_the_replica_is_up() {
 fn exhausted_retry_budget_sheds_and_conserves() {
     let traffic = TrafficSpec {
         requests: 4,
-        arrival: ArrivalPattern::OpenLoop { rate_rps: 1_000_000.0 },
+        arrival: ArrivalPattern::OpenLoop {
+            rate_rps: 1_000_000.0,
+        },
         prompt: LenDist::Fixed(32),
         steps: LenDist::Fixed(100),
         prefix: PrefixTraffic::None,
@@ -391,7 +442,10 @@ fn exhausted_retry_budget_sheds_and_conserves() {
             replica: 0,
             repair: Seconds::new(0.001),
         })
-        .with_recovery(RecoveryPolicy { max_attempts: 0, ..RecoveryPolicy::default() });
+        .with_recovery(RecoveryPolicy {
+            max_attempts: 0,
+            ..RecoveryPolicy::default()
+        });
     let run = ClusterEngine::colocated(
         vec![ReplicaSpec::new("solo", TpuConfig::tpuv4i(), tiny())
             .with_policy(BatchPolicy::Continuous { max_batch: 4 })],
@@ -405,8 +459,14 @@ fn exhausted_retry_budget_sheds_and_conserves() {
     let avail = run.report.availability.as_ref().unwrap();
     assert_eq!(avail.crashes, 1);
     assert_eq!(avail.retries, 0, "no budget, no retries");
-    assert!(avail.shed >= 1, "in-flight work at the crash instant is shed");
-    assert_eq!(run.report.completed + avail.shed + avail.timed_out, run.report.offered);
+    assert!(
+        avail.shed >= 1,
+        "in-flight work at the crash instant is shed"
+    );
+    assert_eq!(
+        run.report.completed + avail.shed + avail.timed_out,
+        run.report.offered
+    );
 }
 
 /// A decode-pool crash in a disaggregated fleet: lost decodes come back
@@ -453,7 +513,9 @@ fn disagg_decode_crash_recovers_and_conserves() {
 #[test]
 fn cross_topology_faults_are_rejected() {
     let traffic = traffics(1)[0].clone();
-    let err = disagg_fleet(benign_colocated_plan()).run("bad", &traffic).unwrap_err();
+    let err = disagg_fleet(benign_colocated_plan())
+        .run("bad", &traffic)
+        .unwrap_err();
     assert!(err.to_string().contains("straggler"), "{err}");
     let err = fleet(RouterPolicy::RoundRobin, benign_disagg_plan())
         .run("bad", &traffic)
@@ -481,8 +543,15 @@ fn non_finite_degraded_transfer_is_a_typed_error() {
     ];
     for plan in plans {
         let err = disagg_fleet(plan).run("inf-link", &traffic).unwrap_err();
-        assert!(matches!(err, cimtpu_units::Error::InvalidConfig(_)), "{err:?}");
-        assert!(err.to_string().contains("degraded-link window link@0.0s-2.0s"), "{err}");
+        assert!(
+            matches!(err, cimtpu_units::Error::InvalidConfig(_)),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("degraded-link window link@0.0s-2.0s"),
+            "{err}"
+        );
     }
     let slow = FaultPlan::none().with_event(link(1e-300, 1e300));
     assert!(disagg_fleet(slow).run("slow-link", &traffic).is_ok());
@@ -505,9 +574,17 @@ fn parks(scenario: &str, crashes: &[(usize, f64, f64)]) -> BTreeMap<u64, u32> {
         .engine
         .run_observed(scenario.name, &scenario.offered(None), Some(&rec))
         .unwrap();
-    assert_eq!(run.report.completed, run.report.offered, "every request recovers");
+    assert_eq!(
+        run.report.completed, run.report.offered,
+        "every request recovers"
+    );
     let mut parks: BTreeMap<u64, u32> = BTreeMap::new();
-    for e in rec.borrow().events().iter().filter(|e| e.kind == EventKind::Park) {
+    for e in rec
+        .borrow()
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Park)
+    {
         *parks.entry(e.id).or_default() += 1;
     }
     parks
@@ -522,7 +599,10 @@ fn parks(scenario: &str, crashes: &[(usize, f64, f64)]) -> BTreeMap<u64, u32> {
 fn whole_fleet_down_parks_each_request_once() {
     let parks = parks("closed-loop-c8", &[(0, 0.005, 0.003), (1, 0.005, 0.006)]);
     assert!(parks.len() >= 2, "the outage must park requests: {parks:?}");
-    assert!(parks.values().all(|&n| n == 1), "a request parked twice: {parks:?}");
+    assert!(
+        parks.values().all(|&n| n == 1),
+        "a request parked twice: {parks:?}"
+    );
 }
 
 /// The disaggregated rule is the same: a handoff that finds the whole
@@ -533,6 +613,12 @@ fn whole_fleet_down_parks_each_request_once() {
 #[test]
 fn whole_decode_pool_down_parks_each_request_once() {
     let parks = parks("smoke-cluster", &[(0, 0.000_5, 0.003)]);
-    assert!(!parks.is_empty(), "the outage must park requests: {parks:?}");
-    assert!(parks.values().all(|&n| n == 1), "a request parked twice: {parks:?}");
+    assert!(
+        !parks.is_empty(),
+        "the outage must park requests: {parks:?}"
+    );
+    assert!(
+        parks.values().all(|&n| n == 1),
+        "a request parked twice: {parks:?}"
+    );
 }

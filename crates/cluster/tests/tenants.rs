@@ -44,7 +44,9 @@ fn spec(name: &str) -> ReplicaSpec {
 }
 
 fn colocated(policy: RouterPolicy, faults: FaultPlan) -> ClusterEngine {
-    ClusterEngine::colocated(vec![spec("t-0"), spec("t-1")], policy).unwrap().with_faults(faults)
+    ClusterEngine::colocated(vec![spec("t-0"), spec("t-1")], policy)
+        .unwrap()
+        .with_faults(faults)
 }
 
 fn disagg(faults: FaultPlan) -> ClusterEngine {
@@ -90,7 +92,11 @@ fn chaos(fault_seed: u64) -> FaultPlan {
 /// The ledger partitions the fleet totals exactly — including shed and
 /// timed-out work under faults.
 fn assert_tenant_conservation(run: &ClusterRun) {
-    let t = run.report.tenants.as_ref().expect("multi-tenant run reports tenants");
+    let t = run
+        .report
+        .tenants
+        .as_ref()
+        .expect("multi-tenant run reports tenants");
     let (mut offered, mut completed, mut shed, mut timed_out) = (0, 0, 0, 0);
     for u in &t.tenants {
         assert_eq!(
@@ -108,12 +114,19 @@ fn assert_tenant_conservation(run: &ClusterRun) {
     assert_eq!(completed, run.report.completed);
     match run.report.availability.as_ref() {
         Some(a) => {
-            assert_eq!(shed, a.shed, "ledger and availability disagree on shed work");
+            assert_eq!(
+                shed, a.shed,
+                "ledger and availability disagree on shed work"
+            );
             assert_eq!(timed_out, a.timed_out);
         }
         None => assert_eq!(shed + timed_out, 0, "zero-fault run lost work"),
     }
-    assert!(t.fairness > 0.0 && t.fairness <= 1.0 + 1e-12, "fairness {}", t.fairness);
+    assert!(
+        t.fairness > 0.0 && t.fairness <= 1.0 + 1e-12,
+        "fairness {}",
+        t.fairness
+    );
 }
 
 #[test]
@@ -141,7 +154,10 @@ fn single_tenant_set_matches_plain_run_bit_for_bit() {
         let tenanted = fleet.run("anchor", &solo(&traffic)).unwrap();
         assert_eq!(tenanted.completions, plain.completions);
         let mut stripped = tenanted.report.clone();
-        let t = stripped.tenants.take().expect("tenanted run reports tenants");
+        let t = stripped
+            .tenants
+            .take()
+            .expect("tenanted run reports tenants");
         assert_eq!(stripped, plain.report);
         assert_eq!(t.tenants.len(), 1);
         assert_eq!(t.fairness, 1.0);
@@ -171,7 +187,10 @@ fn autoscaled_tenants_conserve_and_replay() {
     let set = three_tenants(0xE1A, 8_000.0);
     let run = engine.run("elastic", &set).unwrap();
     assert_tenant_conservation(&run);
-    assert_eq!(run.report.completed, run.report.offered, "scale-to-zero parks, never drops");
+    assert_eq!(
+        run.report.completed, run.report.offered,
+        "scale-to-zero parks, never drops"
+    );
     assert!(run.report.scaling.is_some(), "elastic run reports scaling");
     let again = engine.run("elastic", &set).unwrap();
     assert_eq!(run.report, again.report);
@@ -183,7 +202,10 @@ fn autoscaled_tenants_conserve_and_replay() {
 #[test]
 fn trace_events_are_tenant_tagged_iff_multi_tenant() {
     let fresh = || -> SharedRecorder { Rc::new(RefCell::new(Recorder::new())) };
-    for fleet in [colocated(RouterPolicy::SloAware, FaultPlan::none()), disagg(chaos(3))] {
+    for fleet in [
+        colocated(RouterPolicy::SloAware, FaultPlan::none()),
+        disagg(chaos(3)),
+    ] {
         let multi = three_tenants(0x7A6, 6_000.0);
         let rec = fresh();
         let observed = fleet.run_observed("tagged", &multi, Some(&rec)).unwrap();
@@ -195,7 +217,9 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
             .collect();
         assert!(!lifecycle.is_empty());
         for e in &lifecycle {
-            let tag = e.tenant.unwrap_or_else(|| panic!("untagged {:?} in multi-tenant", e.kind));
+            let tag = e
+                .tenant
+                .unwrap_or_else(|| panic!("untagged {:?} in multi-tenant", e.kind));
             assert!((tag as usize) < 3, "tenant tag {tag} out of range");
         }
         // Zero observer effect: the recorder changes no scheduling.
@@ -224,16 +248,35 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
 #[test]
 fn untenanted_replay_ignores_tenant_tags() {
     let scenario = cimtpu_cluster::scenario::by_name("cluster-noisy-neighbor").unwrap();
-    let merged = scenario.tenants.as_ref().expect("scenario carries tenants").merged_spec();
+    let merged = scenario
+        .tenants
+        .as_ref()
+        .expect("scenario carries tenants")
+        .merged_spec();
     let jsonl = to_jsonl(&synthesize(&merged.unwrap()).unwrap());
     let tagged = parse_jsonl(&jsonl).unwrap();
-    assert_eq!(tagged.iter().map(|r| r.tenant).max(), Some(2), "trace is tenant-tagged");
-    let zeroed = tagged.iter().map(|r| TraceRecord { tenant: 0, ..r.clone() }).collect();
+    assert_eq!(
+        tagged.iter().map(|r| r.tenant).max(),
+        Some(2),
+        "trace is tenant-tagged"
+    );
+    let zeroed = tagged
+        .iter()
+        .map(|r| TraceRecord {
+            tenant: 0,
+            ..r.clone()
+        })
+        .collect();
     let (tagged, zeroed) = (replay_spec(tagged).unwrap(), replay_spec(zeroed).unwrap());
 
     let serve = |traffic: &TrafficSpec| {
         let smoke = cimtpu_serving::scenario::smoke();
-        let run = Scenario { traffic: traffic.clone(), ..smoke }.run(None).unwrap();
+        let run = Scenario {
+            traffic: traffic.clone(),
+            ..smoke
+        }
+        .run(None)
+        .unwrap();
         (serde_json::to_string(&run.report).unwrap(), run.completions)
     };
     assert_eq!(serve(&tagged), serve(&zeroed), "serving engine");

@@ -54,8 +54,14 @@ fn assert_conservation(run: &ClusterRun, rec: &SharedRecorder) {
         run.report.offered,
         "every offered request must arrive exactly once"
     );
-    assert!(arrivals.values().all(|&n| n == 1), "duplicate arrival: {arrivals:?}");
-    assert!(terminals.values().all(|&n| n == 1), "duplicate terminal: {terminals:?}");
+    assert!(
+        arrivals.values().all(|&n| n == 1),
+        "duplicate arrival: {arrivals:?}"
+    );
+    assert!(
+        terminals.values().all(|&n| n == 1),
+        "duplicate terminal: {terminals:?}"
+    );
     assert_eq!(
         arrivals.keys().collect::<Vec<_>>(),
         terminals.keys().collect::<Vec<_>>(),
@@ -67,7 +73,10 @@ fn assert_conservation(run: &ClusterRun, rec: &SharedRecorder) {
         .iter()
         .filter(|e| e.kind == EventKind::Complete)
         .count() as u64;
-    assert_eq!(completes, run.report.completed, "one Complete per delivered completion");
+    assert_eq!(
+        completes, run.report.completed,
+        "one Complete per delivered completion"
+    );
 }
 
 /// Spans carry non-negative durations; instants carry none. Timestamps
@@ -106,7 +115,10 @@ fn assert_trace_deterministic(name: &str) {
 fn assert_no_observer_effect(name: &str) {
     let (observed, _rec) = record(name, None);
     let plain = by_name(name).unwrap().run(None).unwrap();
-    assert_eq!(observed.report, plain.report, "{name}: recorder changed the report");
+    assert_eq!(
+        observed.report, plain.report,
+        "{name}: recorder changed the report"
+    );
     assert_eq!(observed.completions, plain.completions);
 }
 
@@ -157,7 +169,9 @@ fn chaos_trace_shows_crash_and_retry() {
     let events = rec.borrow().events().to_vec();
     assert!(events.iter().any(|e| e.kind == EventKind::Repair));
     // The filter drops everything else.
-    let only = rec.borrow().to_chrome_json(&TraceFilter::parse("crash").unwrap());
+    let only = rec
+        .borrow()
+        .to_chrome_json(&TraceFilter::parse("crash").unwrap());
     assert!(only.contains("\"name\":\"crash\""));
     assert!(!only.contains("\"name\":\"retry\""), "{only}");
     assert!(!only.contains("\"name\":\"complete\""), "{only}");
@@ -168,8 +182,15 @@ fn autoscale_trace_shows_scaling_lifecycle() {
     let (run, rec) = record("smoke-autoscale", None);
     let events = rec.borrow().events().to_vec();
     let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count() as u64;
-    let s = run.report.scaling.as_ref().expect("elastic run reports scaling");
-    assert_eq!(count(EventKind::ScaleUp) + count(EventKind::SwapIn), s.scale_ups);
+    let s = run
+        .report
+        .scaling
+        .as_ref()
+        .expect("elastic run reports scaling");
+    assert_eq!(
+        count(EventKind::ScaleUp) + count(EventKind::SwapIn),
+        s.scale_ups
+    );
     assert_eq!(
         count(EventKind::ScaleDown) + count(EventKind::ScaleToZero) + count(EventKind::SwapOut),
         s.scale_downs
@@ -178,7 +199,10 @@ fn autoscale_trace_shows_scaling_lifecycle() {
     assert_eq!(count(EventKind::Reconcile), s.reconciles);
     assert!(count(EventKind::Up) >= 1, "provisioned slots must turn up");
     assert!(count(EventKind::Retired) >= 1, "drained slots must retire");
-    assert!(count(EventKind::Park) >= 1, "scale-to-zero must park arrivals");
+    assert!(
+        count(EventKind::Park) >= 1,
+        "scale-to-zero must park arrivals"
+    );
 }
 
 #[test]
@@ -191,7 +215,10 @@ fn traced_gauges_sample_every_replica() {
     assert!(ts.latency_ms.count > 0);
     for g in &ts.gauges {
         assert_eq!(g.t_s.len(), g.values.len());
-        assert!(g.t_s.windows(2).all(|w| w[0] <= w[1]), "gauge times must be sorted");
+        assert!(
+            g.t_s.windows(2).all(|w| w[0] <= w[1]),
+            "gauge times must be sorted"
+        );
     }
 }
 
@@ -262,13 +289,23 @@ fn benign_plan_disagg_traces_match_empty_plan() {
             engine.run_observed("benign", &traffic, Some(&rec)).unwrap();
         }
         let rec = rec.borrow();
-        (rec.to_chrome_json(&TraceFilter::default()), rec.metrics_csv("benign"))
+        (
+            rec.to_chrome_json(&TraceFilter::default()),
+            rec.metrics_csv("benign"),
+        )
     };
     for tenanted in [false, true] {
         let (json, csv) = export(&FaultPlan::none(), tenanted);
-        assert!(json.contains("\"name\":\"kv_handoff\",\"ph\":\"X\""), "{json}");
+        assert!(
+            json.contains("\"name\":\"kv_handoff\",\"ph\":\"X\""),
+            "{json}"
+        );
         assert_eq!(json.contains("\"tenant\""), tenanted, "{json}");
-        assert_eq!((json, csv), export(&benign, tenanted), "tenanted: {tenanted}");
+        assert_eq!(
+            (json, csv),
+            export(&benign, tenanted),
+            "tenanted: {tenanted}"
+        );
     }
 }
 

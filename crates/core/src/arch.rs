@@ -131,8 +131,7 @@ impl TpuConfig {
         let mut cfg = TpuConfig::tpuv4i();
         cfg.name = "TPUv4-like".to_owned();
         cfg.mxu_count = 8;
-        cfg.levels = MemoryLevels::tpuv4i()
-            .with_hbm_bandwidth(Bandwidth::from_gb_per_s(1228.0));
+        cfg.levels = MemoryLevels::tpuv4i().with_hbm_bandwidth(Bandwidth::from_gb_per_s(1228.0));
         cfg.hbm_capacity = Bytes::from_gib(32);
         cfg
     }
@@ -273,11 +272,15 @@ impl TpuConfig {
         ];
         for (name, rate) in rates {
             if !(rate.is_finite() && rate > 0.0) {
-                return Err(Error::invalid_config(format!("{name} must be positive and finite")));
+                return Err(Error::invalid_config(format!(
+                    "{name} must be positive and finite"
+                )));
             }
         }
         if self.levels.vmem().get() == 0 || self.levels.cmem().get() == 0 {
-            return Err(Error::invalid_config("VMEM and CMEM capacities must be non-zero"));
+            return Err(Error::invalid_config(
+                "VMEM and CMEM capacities must be non-zero",
+            ));
         }
         if self.ici_links == 0 {
             return Err(Error::invalid_config("at least one ICI link is required"));
@@ -314,7 +317,10 @@ mod tests {
         let vmem = TpuConfig::design_a().with_levels(levels().with_vmem(Bytes::ZERO));
         let cmem = TpuConfig::design_a().with_levels(levels().with_cmem(Bytes::ZERO));
         for cfg in [vmem, cmem] {
-            assert!(matches!(cfg.validate(), Err(Error::InvalidConfig(_))), "{cfg:?}");
+            assert!(
+                matches!(cfg.validate(), Err(Error::InvalidConfig(_))),
+                "{cfg:?}"
+            );
         }
         // The simulator refuses the config that priced DiT-XL/2 at NaN.
         let nan_hbm = levels().with_hbm_bandwidth(Bandwidth::from_gb_per_s(614.0) * f64::NAN);
@@ -325,8 +331,14 @@ mod tests {
     /// The configs below reach `validate` through `--config-file` JSON;
     /// each must be refused with a typed error rather than priced.
     fn assert_invalid(cfg: &TpuConfig, what: &str) {
-        assert!(matches!(cfg.validate(), Err(Error::InvalidConfig(_))), "{what} accepted");
-        assert!(crate::Simulator::new(cfg.clone()).is_err(), "{what} simulated");
+        assert!(
+            matches!(cfg.validate(), Err(Error::InvalidConfig(_))),
+            "{what} accepted"
+        );
+        assert!(
+            crate::Simulator::new(cfg.clone()).is_err(),
+            "{what} simulated"
+        );
     }
 
     /// Design A with one VPU field edited.
@@ -347,7 +359,9 @@ mod tests {
             let cfg = vpu_edit(|v| v.energy_per_op = v.energy_per_op * factor);
             assert_invalid(&cfg, &format!("VPU energy per op x{factor}"));
         }
-        vpu_edit(|v| v.energy_per_op = Joules::ZERO).validate().unwrap();
+        vpu_edit(|v| v.energy_per_op = Joules::ZERO)
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -356,7 +370,9 @@ mod tests {
             let cfg = vpu_edit(|v| v.static_power = v.static_power * factor);
             assert_invalid(&cfg, &format!("VPU static power x{factor}"));
         }
-        vpu_edit(|v| v.static_power = Watts::ZERO).validate().unwrap();
+        vpu_edit(|v| v.static_power = Watts::ZERO)
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -372,7 +388,9 @@ mod tests {
     fn hbm_capacity_is_overridable() {
         let tight = TpuConfig::design_a().with_hbm_capacity(Bytes::from_gib(2));
         assert_eq!(tight.hbm_capacity(), Bytes::from_gib(2));
-        tight.validate().expect("capacity override keeps the config valid");
+        tight
+            .validate()
+            .expect("capacity override keeps the config valid");
         // Presets are untouched.
         assert_eq!(TpuConfig::design_a().hbm_capacity(), Bytes::from_gib(8));
     }
@@ -428,7 +446,10 @@ mod tests {
     #[test]
     fn tpuv4_like_doubles_the_chip() {
         let v4 = TpuConfig::tpuv4_like();
-        assert_eq!(v4.peak_macs_per_cycle(), 2 * TpuConfig::tpuv4i().peak_macs_per_cycle());
+        assert_eq!(
+            v4.peak_macs_per_cycle(),
+            2 * TpuConfig::tpuv4i().peak_macs_per_cycle()
+        );
         // ~275 TOPS, matching the published TPUv4 peak.
         assert!((v4.peak_tops() - 275.0).abs() < 2.0);
         assert_eq!(

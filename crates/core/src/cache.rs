@@ -263,9 +263,7 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let cache = MappingCache::for_config(&TpuConfig::tpuv4i());
-        let r = cache.get_or_try_insert(key(8), || {
-            Err(cimtpu_units::Error::unmappable("nope"))
-        });
+        let r = cache.get_or_try_insert(key(8), || Err(cimtpu_units::Error::unmappable("nope")));
         assert!(r.is_err());
         assert_eq!(cache.stats().entries, 0);
         // A later successful computation still lands.

@@ -118,10 +118,9 @@ impl MatrixEngine {
                 } else {
                     // Dynamic operands: no weight-FIFO streaming. Every item
                     // runs with fully serialized loads and per-tile fill/drain.
-                    let serialized = SystolicArray::new(
-                        a.config().with_weight_double_buffering(false),
-                    )
-                    .expect("config was already validated");
+                    let serialized =
+                        SystolicArray::new(a.config().with_weight_double_buffering(false))
+                            .expect("config was already validated");
                     serialized.gemm_timing(shape, dtype).total() * batch
                 }
             }
@@ -299,7 +298,10 @@ mod tests {
         let d = digital().gemm_dynamic_energy(shape, DataType::Int8);
         let c = cim().gemm_dynamic_energy(shape, DataType::Int8);
         let ratio = d.get() / c.get();
-        assert!((6.0..12.0).contains(&ratio), "dynamic energy ratio {ratio:.2}");
+        assert!(
+            (6.0..12.0).contains(&ratio),
+            "dynamic energy ratio {ratio:.2}"
+        );
     }
 
     #[test]

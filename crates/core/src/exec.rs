@@ -40,7 +40,11 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
 
     match *op {
         Op::Gemm { shape, dtype } => {
-            let key = PriceKey::Gemm { shape, dtype, weights_resident: false };
+            let key = PriceKey::Gemm {
+                shape,
+                dtype,
+                weights_resident: false,
+            };
             sim.mapping_cache().get_or_try_insert(key, || {
                 // Output channels are sharded across the MXUs; each MXU maps
                 // its shard independently against its bandwidth share. The
@@ -48,12 +52,9 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
                 let parts = shape.split_n(cfg.mxu_count());
                 let widest = parts[0];
                 let engine_cost = EngineCost::new(sim.engine(), clock);
-                let mapping = sim.per_mxu_mapper().best_gemm_mapping(
-                    widest,
-                    dtype,
-                    &engine_cost,
-                    false,
-                )?;
+                let mapping =
+                    sim.per_mxu_mapper()
+                        .best_gemm_mapping(widest, dtype, &engine_cost, false)?;
                 Ok(OpCost {
                     latency: mapping.total(),
                     mxu_dynamic: sim.engine().gemm_dynamic_energy(shape, dtype),
@@ -62,8 +63,18 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
                 })
             })
         }
-        Op::BatchedMatmul { batch, shape, dtype, static_weights } => {
-            let key = PriceKey::Batched { batch, shape, dtype, static_weights };
+        Op::BatchedMatmul {
+            batch,
+            shape,
+            dtype,
+            static_weights,
+        } => {
+            let key = PriceKey::Batched {
+                batch,
+                shape,
+                dtype,
+                static_weights,
+            };
             sim.mapping_cache().get_or_try_insert(key, || {
                 // Items are distributed round-robin across MXUs; the per-item
                 // weight operands stream from main memory at full chip
@@ -82,7 +93,9 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
                 };
                 Ok(OpCost {
                     latency,
-                    mxu_dynamic: sim.engine().batched_gemm_dynamic_energy(batch, shape, dtype),
+                    mxu_dynamic: sim
+                        .engine()
+                        .batched_gemm_dynamic_energy(batch, shape, dtype),
                     vpu_energy: Joules::ZERO,
                     hbm_bytes: kv_bytes,
                 })
@@ -103,12 +116,19 @@ pub(crate) fn exec_op(sim: &Simulator, op: &Op) -> Result<OpCost> {
             let energy = vpu.dynamic_energy(vpu.gelu_ops(elems), 1);
             Ok(OpCost::vector(latency, energy))
         }
-        Op::Elementwise { elems, ops_per_elem } => {
+        Op::Elementwise {
+            elems,
+            ops_per_elem,
+        } => {
             let latency = vpu.elementwise_cycles(elems, ops_per_elem).at(clock);
             let energy = vpu.dynamic_energy(elems, ops_per_elem);
             Ok(OpCost::vector(latency, energy))
         }
-        Op::EmbeddingLookup { tokens, d_model, dtype } => {
+        Op::EmbeddingLookup {
+            tokens,
+            d_model,
+            dtype,
+        } => {
             let bytes = Bytes::new(tokens * d_model * dtype.size_bytes());
             let latency = cfg.levels().hbm_time(bytes) * GATHER_PENALTY;
             Ok(OpCost {

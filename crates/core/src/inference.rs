@@ -238,11 +238,20 @@ mod tests {
         // cold. The incumbent bound skips the engine for about half the
         // enumerated candidates; losing it (or the pruning) moves a count.
         let sim = Simulator::new(TpuConfig::design_b()).unwrap();
-        run_llm(&sim, &presets::gpt3_30b(), LlmInferenceSpec::new(8, 1024, 512).unwrap()).unwrap();
+        run_llm(
+            &sim,
+            &presets::gpt3_30b(),
+            LlmInferenceSpec::new(8, 1024, 512).unwrap(),
+        )
+        .unwrap();
         run_dit(&sim, &presets::dit_xl_2(), 8, 512).unwrap();
         let stats = sim.cache_stats();
         assert!(stats.map_priced < stats.map_candidates, "{stats:?}");
-        assert_eq!((stats.map_candidates, stats.map_priced), (1876, 985), "{stats:?}");
+        assert_eq!(
+            (stats.map_candidates, stats.map_priced),
+            (1876, 985),
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -262,7 +271,9 @@ mod tests {
                 .sampled_decode_steps(DECODE_SAMPLES)
                 .into_iter()
                 .map(|step| {
-                    let layer = gpt3.decode_layer(spec.batch(), spec.ctx_at_step(step)).unwrap();
+                    let layer = gpt3
+                        .decode_layer(spec.batch(), spec.ctx_at_step(step))
+                        .unwrap();
                     let rep = sim.run(&layer).unwrap();
                     (step as f64, rep.total_latency(), rep.mxu_energy())
                 })

@@ -42,17 +42,16 @@ impl MemoryFootprint {
         let layers = model.layers();
         let max_ctx = spec.ctx_at_step(spec.output_len().saturating_sub(1));
         let weights = Bytes::new(model.weight_bytes_per_layer().get() * layers);
-        let kv_cache = Bytes::new(
-            model
-                .kv_cache_bytes_per_layer(spec.batch(), max_ctx)
-                .get()
-                * layers,
-        );
+        let kv_cache =
+            Bytes::new(model.kv_cache_bytes_per_layer(spec.batch(), max_ctx).get() * layers);
         // Activation working set: a few layer-widths of the live batch.
-        let activations = Bytes::new(
-            4 * spec.batch() * max_ctx * model.d_model() * model.dtype().size_bytes(),
-        );
-        MemoryFootprint { weights, kv_cache, activations }
+        let activations =
+            Bytes::new(4 * spec.batch() * max_ctx * model.d_model() * model.dtype().size_bytes());
+        MemoryFootprint {
+            weights,
+            kv_cache,
+            activations,
+        }
     }
 
     /// Footprint of a DiT forward pass (no KV cache; activations are the
@@ -61,11 +60,7 @@ impl MemoryFootprint {
     /// # Errors
     ///
     /// Propagates invalid resolutions.
-    pub fn dit(
-        dit: &DitConfig,
-        batch: u64,
-        resolution: u64,
-    ) -> cimtpu_units::Result<Self> {
+    pub fn dit(dit: &DitConfig, batch: u64, resolution: u64) -> cimtpu_units::Result<Self> {
         let t = dit.transformer();
         let tokens = dit.tokens_for_resolution(resolution)?;
         let weights = Bytes::new(
@@ -74,9 +69,8 @@ impl MemoryFootprint {
                 + 6 * t.d_model() * t.d_model() * t.dtype().size_bytes())
                 * dit.blocks(),
         );
-        let activations = Bytes::new(
-            batch * tokens * (t.d_model() + t.d_ff()) * t.dtype().size_bytes() * 2,
-        );
+        let activations =
+            Bytes::new(batch * tokens * (t.d_model() + t.d_ff()) * t.dtype().size_bytes() * 2);
         Ok(MemoryFootprint {
             weights,
             kv_cache: Bytes::ZERO,

@@ -24,8 +24,16 @@ fn oracle(sim: &Simulator, shape: GemmShape, dtype: DataType, resident: bool) ->
     let engine = EngineCost::new(sim.engine(), sim.config().clock());
     let budget = mapper.levels().vmem_tile_budget();
     let mut best: Option<Mapping> = None;
-    for tile in candidate_tiles(shape, dtype, engine.preferred_k(), engine.preferred_n(), budget) {
-        let m = mapper.evaluate(shape, dtype, &engine, resident, tile).expect("evaluable");
+    for tile in candidate_tiles(
+        shape,
+        dtype,
+        engine.preferred_k(),
+        engine.preferred_n(),
+        budget,
+    ) {
+        let m = mapper
+            .evaluate(shape, dtype, &engine, resident, tile)
+            .expect("evaluable");
         match &best {
             Some(b) if b.total() <= m.total() => {}
             _ => best = Some(m),
@@ -46,7 +54,10 @@ fn grid_variants(rows: u64, cols: u64, count: u64, bits: u32, gbps: f64) -> Vec<
     let mxu = CimMxuConfig::with_grid(rows, cols)
         .with_core(CimCoreConfig::paper_default().with_bit_serial_bits(bits));
     let base = TpuConfig::cim_variant(count, rows, cols).with_mxu(count, MxuKind::Cim(mxu));
-    let levels = base.levels().clone().with_hbm_bandwidth(Bandwidth::from_gb_per_s(gbps));
+    let levels = base
+        .levels()
+        .clone()
+        .with_hbm_bandwidth(Bandwidth::from_gb_per_s(gbps));
     let mut out = Vec::new();
     for double_buffering in [true, false] {
         for coalescing in [true, false] {

@@ -156,7 +156,11 @@ impl Report {
                 CategoryRow {
                     category,
                     latency,
-                    latency_fraction: if total.get() > 0.0 { latency / total } else { 0.0 },
+                    latency_fraction: if total.get() > 0.0 {
+                        latency / total
+                    } else {
+                        0.0
+                    },
                     mxu_energy: self.mxu_energy_in(category),
                 }
             })

@@ -172,7 +172,12 @@ mod tests {
 
         let decode = analyze(&sim, &gpt3.decode_layer(8, 1280).unwrap()).unwrap();
         for p in &decode {
-            assert_eq!(p.bound, BoundKind::Memory, "{} should be memory-bound", p.name);
+            assert_eq!(
+                p.bound,
+                BoundKind::Memory,
+                "{} should be memory-bound",
+                p.name
+            );
         }
     }
 
@@ -206,8 +211,7 @@ mod tests {
     #[test]
     fn efficiency_is_sane() {
         let sim = Simulator::new(TpuConfig::tpuv4i()).unwrap();
-        let points =
-            analyze(&sim, &presets::gpt3_30b().prefill_layer(8, 1024).unwrap()).unwrap();
+        let points = analyze(&sim, &presets::gpt3_30b().prefill_layer(8, 1024).unwrap()).unwrap();
         for p in points {
             let e = p.roofline_efficiency();
             assert!(e > 0.05 && e <= 1.05, "{}: efficiency {e:.3}", p.name);

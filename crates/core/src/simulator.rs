@@ -129,7 +129,10 @@ impl Simulator {
                 cost: self.price_ops(seg.ops())?,
             });
         }
-        Ok(PhasedReport { workload: workload.name().to_owned(), segments })
+        Ok(PhasedReport {
+            workload: workload.name().to_owned(),
+            segments,
+        })
     }
 
     /// Prices a run of consecutive operators: the per-operator costs of
@@ -277,15 +280,20 @@ mod tests {
         let gpt3 = presets::gpt3_30b();
 
         let prefill = gpt3.prefill_layer(8, 1024).unwrap();
-        let rp = cim.run(&prefill).unwrap().mxu_energy_reduction_vs(
-            &base.run(&prefill).unwrap(),
+        let rp = cim
+            .run(&prefill)
+            .unwrap()
+            .mxu_energy_reduction_vs(&base.run(&prefill).unwrap());
+        assert!(
+            (6.0..13.0).contains(&rp),
+            "prefill energy reduction {rp:.2}"
         );
-        assert!((6.0..13.0).contains(&rp), "prefill energy reduction {rp:.2}");
 
         let decode = gpt3.decode_layer(8, 1280).unwrap();
-        let rd = cim.run(&decode).unwrap().mxu_energy_reduction_vs(
-            &base.run(&decode).unwrap(),
-        );
+        let rd = cim
+            .run(&decode)
+            .unwrap()
+            .mxu_energy_reduction_vs(&base.run(&decode).unwrap());
         assert!((9.0..20.0).contains(&rd), "decode energy reduction {rd:.2}");
         assert!(rd > rp, "decode should benefit more than prefill");
     }
@@ -345,7 +353,10 @@ mod tests {
         let b = base.run(&block).unwrap();
         let c = cim.run(&block).unwrap();
         let latency_ratio = c.total_latency() / b.total_latency();
-        assert!((0.85..1.02).contains(&latency_ratio), "DiT ratio {latency_ratio:.3}");
+        assert!(
+            (0.85..1.02).contains(&latency_ratio),
+            "DiT ratio {latency_ratio:.3}"
+        );
         let e = c.mxu_energy_reduction_vs(&b);
         assert!((6.0..15.0).contains(&e), "DiT energy reduction {e:.2}");
     }

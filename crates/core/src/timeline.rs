@@ -192,6 +192,9 @@ mod tests {
     fn nan_total_renders_empty() {
         let mut t = timeline();
         t.spans.last_mut().unwrap().duration = Seconds::new(1.0) * f64::NAN;
-        assert_eq!(t.render_ascii(60), format!("{}: empty timeline\n", t.name()));
+        assert_eq!(
+            t.render_ascii(60),
+            format!("{}: empty timeline\n", t.name())
+        );
     }
 }

@@ -62,7 +62,12 @@ fn warm_price_ops_does_not_allocate() {
         let before = allocations();
         let warm = sim.price_ops(layer.ops()).unwrap();
         let made = allocations() - before;
-        assert_eq!(made, 0, "{}: warm price_ops made {made} allocations", sim.config().name());
+        assert_eq!(
+            made,
+            0,
+            "{}: warm price_ops made {made} allocations",
+            sim.config().name()
+        );
         assert_eq!(warm, cold);
     }
 }

@@ -44,14 +44,17 @@ impl KvFootprint {
         Ok(KvFootprint {
             bytes_per_token_per_layer: per_layer.div_ceil(shards),
             layers: model.layers(),
-            weight_bytes: (model.weight_bytes_per_layer().get() * model.layers())
-                .div_ceil(shards),
+            weight_bytes: (model.weight_bytes_per_layer().get() * model.layers()).div_ceil(shards),
         })
     }
 
     /// A zero footprint, for models with no KV cache (e.g. DiT serving).
     pub fn none() -> Self {
-        KvFootprint { bytes_per_token_per_layer: 0, layers: 0, weight_bytes: 0 }
+        KvFootprint {
+            bytes_per_token_per_layer: 0,
+            layers: 0,
+            weight_bytes: 0,
+        }
     }
 
     /// KV bytes per token in one layer (per shard).
@@ -161,7 +164,7 @@ mod tests {
     #[test]
     fn handoff_moves_whole_blocks() {
         let fp = KvFootprint::of(&tiny()); // 1024 B/token
-        // 100 tokens in 16-token blocks: 7 blocks = 112 tokens move.
+                                           // 100 tokens in 16-token blocks: 7 blocks = 112 tokens move.
         assert_eq!(fp.handoff_bytes(100, 16), Bytes::new(112 * 1024));
         // Exact block multiples are not padded.
         assert_eq!(fp.handoff_bytes(96, 16), fp.request_bytes(96));

@@ -239,7 +239,9 @@ impl PagedKvAllocator {
     /// number of physical blocks actually freed (a shared block frees only
     /// when `id` held its last reference).
     pub fn release(&mut self, id: u64) -> u64 {
-        let Some(holding) = self.held.remove(&id) else { return 0 };
+        let Some(holding) = self.held.remove(&id) else {
+            return 0;
+        };
         let mut freed = holding.private;
         self.used_blocks -= holding.private;
         for block in holding.shared {
@@ -365,7 +367,11 @@ impl PagedKvAllocator {
     /// no blocks allocated. The request must hold nothing beforehand
     /// (admission happens once per residency).
     pub fn try_admit(&mut self, id: u64, shared: &[u64], tokens: u64) -> bool {
-        debug_assert_eq!(self.held_blocks(id), 0, "admission of a request already holding");
+        debug_assert_eq!(
+            self.held_blocks(id),
+            0,
+            "admission of a request already holding"
+        );
         let need = self.blocks_for(tokens);
         let extra = need.saturating_sub(shared.len() as u64);
         if let Some(c) = self.capacity_blocks {

@@ -346,7 +346,9 @@ impl PrefixIndex {
                 if !retain_partial {
                     return;
                 }
-                let Some(block) = alloc.alloc_shared() else { return };
+                let Some(block) = alloc.alloc_shared() else {
+                    return;
+                };
                 self.stats.cow_copies += 1;
                 block
             };
@@ -440,7 +442,13 @@ mod tests {
     /// unique stream.
     fn prompt(head_seed: u64, head: u64, tail_seed: u64, len: u64) -> Vec<u64> {
         (0..len)
-            .map(|i| if i < head { tok(head_seed, i) } else { tok(tail_seed, i) })
+            .map(|i| {
+                if i < head {
+                    tok(head_seed, i)
+                } else {
+                    tok(tail_seed, i)
+                }
+            })
             .collect()
     }
 
@@ -515,7 +523,11 @@ mod tests {
         let b = prompt(9, 24, 200, 48);
         admit(&mut index, &mut alloc, 0, &a);
         let m = admit(&mut index, &mut alloc, 1, &b);
-        assert_eq!(m.matched_tokens(), 24, "whole head shared, not floor(24/16)*16");
+        assert_eq!(
+            m.matched_tokens(),
+            24,
+            "whole head shared, not floor(24/16)*16"
+        );
         assert_eq!(m.blocks().len(), 1, "one full block by reference");
         assert!(m.is_partial(), "8 tokens reused by copy-on-write");
         // b inserts its own diverging span nodes under the shared block.
@@ -584,7 +596,11 @@ mod tests {
         for b in m.blocks().iter().copied().chain(m.partial_block()) {
             alloc.retain_shared(b);
         }
-        assert_eq!(index.evict(&mut alloc, u64::MAX), 0, "everything reachable is pinned");
+        assert_eq!(
+            index.evict(&mut alloc, u64::MAX),
+            0,
+            "everything reachable is pinned"
+        );
         for b in m.blocks().iter().copied().chain(m.partial_block()) {
             alloc.release_shared(b);
         }

@@ -177,6 +177,9 @@ mod tests {
     fn double_buffering_halves_budget() {
         let on = MemoryLevels::tpuv4i();
         let off = MemoryLevels::tpuv4i().with_double_buffering(false);
-        assert_eq!(on.vmem_tile_budget().get() * 2, off.vmem_tile_budget().get());
+        assert_eq!(
+            on.vmem_tile_budget().get() * 2,
+            off.vmem_tile_budget().get()
+        );
     }
 }

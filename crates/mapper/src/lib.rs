@@ -68,7 +68,9 @@ use mapspace::{MapSpace, Pair};
 
 use std::cell::{Cell, RefCell};
 
-use cimtpu_units::{Bandwidth, Bytes, Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds};
+use cimtpu_units::{
+    Bandwidth, Bytes, Cycles, DataType, Error, Frequency, GemmShape, Result, Seconds,
+};
 
 /// Prices one buffer-level tile on a matrix engine.
 ///
@@ -278,9 +280,23 @@ struct GemmDma<'a> {
 
 impl<'a> GemmDma<'a> {
     fn new(levels: &'a MemoryLevels, shape: GemmShape, dtype: DataType, resident: bool) -> Self {
-        let hbm_bytes = if resident { Bytes::ZERO } else { shape.weight_bytes(dtype) };
-        let hbm_time = if resident { Seconds::ZERO } else { levels.hbm_time(hbm_bytes) };
-        GemmDma { levels, shape, dtype, hbm_bytes, hbm_time }
+        let hbm_bytes = if resident {
+            Bytes::ZERO
+        } else {
+            shape.weight_bytes(dtype)
+        };
+        let hbm_time = if resident {
+            Seconds::ZERO
+        } else {
+            levels.hbm_time(hbm_bytes)
+        };
+        GemmDma {
+            levels,
+            shape,
+            dtype,
+            hbm_bytes,
+            hbm_time,
+        }
     }
 
     /// Prices the DMA side of one pair: everything its total needs except
@@ -295,14 +311,25 @@ impl<'a> GemmDma<'a> {
         let oci_time = self.levels.oci_time(oci_bytes);
         // With double buffering the prologue exposes one tile's DMA.
         let prologue = self.levels.double_buffering().then(|| {
-            self.levels.hbm_time(Bytes::new(pair.tk * pair.tn * self.dtype.size_bytes()))
+            self.levels
+                .hbm_time(Bytes::new(pair.tk * pair.tn * self.dtype.size_bytes()))
         });
-        PairCost { pair, oci_time, dma: self.hbm_time.max(oci_time), prologue }
+        PairCost {
+            pair,
+            oci_time,
+            dma: self.hbm_time.max(oci_time),
+            prologue,
+        }
     }
 
     /// The mapping of a priced pair, reported with `tm` as its `m` edge.
     fn mapping(&self, priced: &Priced, tm: u64) -> Result<Mapping> {
-        let Pair { tk, tn, tiles_k, tiles_n } = priced.pair;
+        let Pair {
+            tk,
+            tn,
+            tiles_k,
+            tiles_n,
+        } = priced.pair;
         Ok(Mapping::new(
             self.shape,
             GemmShape::new(tm, tk, tn)?,
@@ -352,10 +379,15 @@ impl PairCost {
         // weight residency serves every activation chunk, so the engine is
         // priced per (k, n) tile with the *full* m streamed through it —
         // activation chunking constrains the buffers, not the compute cost.
-        let Pair { tk, tn, tiles_k, tiles_n } = self.pair;
+        let Pair {
+            tk,
+            tn,
+            tiles_k,
+            tiles_n,
+        } = self.pair;
         let slab = GemmShape::new(gemm.shape.m(), tk, tn)?;
-        let compute = engine.tile_cycles(slab, gemm.dtype).at(engine.clock())
-            * (tiles_k * tiles_n) as f64;
+        let compute =
+            engine.tile_cycles(slab, gemm.dtype).at(engine.clock()) * (tiles_k * tiles_n) as f64;
         // Schedule: with double buffering the three channels overlap
         // (roofline) behind the prologue. Without it, everything
         // serializes.
@@ -363,7 +395,12 @@ impl PairCost {
             Some(prologue) => prologue + compute.max(self.dma),
             None => compute + gemm.hbm_time + self.oci_time,
         };
-        Ok(Priced { pair: self.pair, compute, dma: self.dma, total })
+        Ok(Priced {
+            pair: self.pair,
+            compute,
+            dma: self.dma,
+            total,
+        })
     }
 }
 
@@ -481,7 +518,12 @@ mod tests {
         let mapper = Mapper::new(MemoryLevels::tpuv4i());
         let engine = Reentrant { mapper: &mapper };
         let m = mapper
-            .best_gemm_mapping(GemmShape::new(64, 512, 512).unwrap(), DataType::Int8, &engine, false)
+            .best_gemm_mapping(
+                GemmShape::new(64, 512, 512).unwrap(),
+                DataType::Int8,
+                &engine,
+                false,
+            )
             .unwrap();
         assert!(m.total().get() > 0.0);
     }
@@ -515,13 +557,25 @@ mod tests {
         let tiles = candidate_tiles(shape, DataType::Int8, 128, 128, levels.vmem_tile_budget());
         let priced: Vec<Mapping> = tiles
             .iter()
-            .map(|&tile| mapper.evaluate(shape, DataType::Int8, &Linear, false, tile).unwrap())
+            .map(|&tile| {
+                mapper
+                    .evaluate(shape, DataType::Int8, &Linear, false, tile)
+                    .unwrap()
+            })
             .collect();
         assert!(priced.len() > 1);
-        assert!(priced.iter().all(|p| p.total() == priced[0].total()), "totals tie");
-        assert!(priced.iter().any(|p| p.dma() != priced[0].dma()), "floors differ");
+        assert!(
+            priced.iter().all(|p| p.total() == priced[0].total()),
+            "totals tie"
+        );
+        assert!(
+            priced.iter().any(|p| p.dma() != priced[0].dma()),
+            "floors differ"
+        );
 
-        let best = mapper.best_gemm_mapping(shape, DataType::Int8, &Linear, false).unwrap();
+        let best = mapper
+            .best_gemm_mapping(shape, DataType::Int8, &Linear, false)
+            .unwrap();
         assert_eq!(mapper.candidates_priced(), mapper.candidates_enumerated());
         assert_eq!(best, priced[0], "the first pair enumerated wins a tie");
     }

@@ -29,7 +29,15 @@ impl Mapping {
         total: Seconds,
         hbm_bytes: Bytes,
     ) -> Self {
-        Mapping { shape, tile, tiles, compute, dma, total, hbm_bytes }
+        Mapping {
+            shape,
+            tile,
+            tiles,
+            compute,
+            dma,
+            total,
+            hbm_bytes,
+        }
     }
 
     /// The full GEMM being mapped.

@@ -54,9 +54,25 @@ impl<'a> MapSpace<'a> {
         scratch: &'a mut EdgeBuffers,
     ) -> Self {
         edge_candidates_into(shape.m(), 1, &mut scratch.m);
-        fill_edges(shape.k(), pref_k, prune_dominated, &mut scratch.k, &mut scratch.tiles_k);
-        fill_edges(shape.n(), pref_n, prune_dominated, &mut scratch.n, &mut scratch.tiles_n);
-        MapSpace { edges: scratch, elem: dtype.size_bytes(), budget: budget.get() }
+        fill_edges(
+            shape.k(),
+            pref_k,
+            prune_dominated,
+            &mut scratch.k,
+            &mut scratch.tiles_k,
+        );
+        fill_edges(
+            shape.n(),
+            pref_n,
+            prune_dominated,
+            &mut scratch.n,
+            &mut scratch.tiles_n,
+        );
+        MapSpace {
+            edges: scratch,
+            elem: dtype.size_bytes(),
+            budget: budget.get(),
+        }
     }
 
     /// Whether the `(tm, tk, tn)` working set `(tm·tk + tk·tn)·elem +
@@ -75,7 +91,12 @@ impl<'a> MapSpace<'a> {
             e.n.iter()
                 .zip(&e.tiles_n)
                 .filter(move |&(&tn, _)| self.fits(m_min, tk, tn))
-                .map(move |(&tn, &tiles_n)| Pair { tk, tn, tiles_k, tiles_n })
+                .map(move |(&tn, &tiles_n)| Pair {
+                    tk,
+                    tn,
+                    tiles_k,
+                    tiles_n,
+                })
         })
     }
 
@@ -83,7 +104,12 @@ impl<'a> MapSpace<'a> {
     /// the fewest tiles at the same cost, since no total depends on `tm`.
     /// An infeasible pair gets 1.
     pub fn tm(&self, tk: u64, tn: u64) -> u64 {
-        self.edges.m.iter().copied().find(|&tm| self.fits(tm, tk, tn)).unwrap_or(1)
+        self.edges
+            .m
+            .iter()
+            .copied()
+            .find(|&tm| self.fits(tm, tk, tn))
+            .unwrap_or(1)
     }
 }
 
@@ -110,9 +136,18 @@ pub fn candidate_tiles(
 ) -> Vec<(u64, u64, u64)> {
     let mut out = Vec::new();
     let mut scratch = EdgeBuffers::default();
-    for_each_candidate(shape, dtype, pref_k, pref_n, budget, false, &mut scratch, |tile| {
-        out.push(tile);
-    });
+    for_each_candidate(
+        shape,
+        dtype,
+        pref_k,
+        pref_n,
+        budget,
+        false,
+        &mut scratch,
+        |tile| {
+            out.push(tile);
+        },
+    );
     out
 }
 
@@ -148,7 +183,14 @@ pub fn for_each_candidate(
     scratch: &mut EdgeBuffers,
     mut f: impl FnMut((u64, u64, u64)),
 ) {
-    let space = MapSpace::new(shape, dtype, (pref_k, pref_n), budget, prune_dominated, scratch);
+    let space = MapSpace::new(
+        shape,
+        dtype,
+        (pref_k, pref_n),
+        budget,
+        prune_dominated,
+        scratch,
+    );
     for Pair { tk, tn, .. } in space.pairs() {
         f((space.tm(tk, tn), tk, tn));
     }
@@ -296,14 +338,28 @@ mod tests {
     #[test]
     fn streaming_path_matches_materialized_path() {
         let mut scratch = EdgeBuffers::default();
-        for (m, k, n) in [(1, 7168, 7168), (8192, 7168, 28672), (13, 1000, 999), (8, 128, 128)] {
+        for (m, k, n) in [
+            (1, 7168, 7168),
+            (8192, 7168, 28672),
+            (13, 1000, 999),
+            (8, 128, 128),
+        ] {
             let shape = GemmShape::new(m, k, n).unwrap();
             let budget = Bytes::from_mib(8);
             let vec_path = candidate_tiles(shape, DataType::Int8, 128, 128, budget);
             let mut streamed = Vec::new();
-            for_each_candidate(shape, DataType::Int8, 128, 128, budget, false, &mut scratch, |t| {
-                streamed.push(t);
-            });
+            for_each_candidate(
+                shape,
+                DataType::Int8,
+                128,
+                128,
+                budget,
+                false,
+                &mut scratch,
+                |t| {
+                    streamed.push(t);
+                },
+            );
             assert_eq!(vec_path, streamed, "{m}x{k}x{n}");
         }
     }
@@ -333,17 +389,31 @@ mod tests {
             let budget = Bytes::from_mib(8);
             let full = candidate_tiles(shape, DataType::Int8, 128, 128, budget);
             let mut pruned = Vec::new();
-            for_each_candidate(shape, DataType::Int8, 128, 128, budget, true, &mut scratch, |t| {
-                pruned.push(t);
-            });
+            for_each_candidate(
+                shape,
+                DataType::Int8,
+                128,
+                128,
+                budget,
+                true,
+                &mut scratch,
+                |t| {
+                    pruned.push(t);
+                },
+            );
             assert!(!pruned.is_empty());
-            assert!(pruned.iter().all(|t| full.contains(t)), "{m}x{k}x{n}: not a subset");
+            assert!(
+                pruned.iter().all(|t| full.contains(t)),
+                "{m}x{k}x{n}: not a subset"
+            );
             // Every (⌈k/tk⌉, ⌈n/tn⌉) class of the full space stays
             // represented (by its smallest member or a feasible stand-in).
             for &(_, tk, tn) in &full {
                 let class = (k.div_ceil(tk), n.div_ceil(tn));
                 assert!(
-                    pruned.iter().any(|&(_, pk, pn)| (k.div_ceil(pk), n.div_ceil(pn)) == class),
+                    pruned
+                        .iter()
+                        .any(|&(_, pk, pn)| (k.div_ceil(pk), n.div_ceil(pn)) == class),
                     "{m}x{k}x{n}: class {class:?} lost"
                 );
             }

@@ -88,8 +88,9 @@ fn unbounded_winner(
         false,
         &mut EdgeBuffers::default(),
         |tile| {
-            let m =
-                mapper.evaluate(shape, dtype, engine, weights_resident, tile).expect("evaluable");
+            let m = mapper
+                .evaluate(shape, dtype, engine, weights_resident, tile)
+                .expect("evaluable");
             match &best {
                 Some(b) if b.total() <= m.total() => {}
                 _ => best = Some(m),

@@ -44,7 +44,9 @@ impl DitConfig {
     /// invalid underlying Transformer geometry.
     pub fn new(transformer: TransformerConfig, patch: u64, latent_channels: u64) -> Result<Self> {
         if patch == 0 || latent_channels == 0 {
-            return Err(Error::invalid_config("patch size and channels must be non-zero"));
+            return Err(Error::invalid_config(
+                "patch size and channels must be non-zero",
+            ));
         }
         Ok(DitConfig {
             transformer,
@@ -128,7 +130,10 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Conditioning MLP",
             OpCategory::Conditioning,
-            Op::Gemm { shape: GemmShape::new(batch, d, 6 * d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, 6 * d)?,
+                dtype,
+            },
         ));
         w.begin_segment("attention", Phase::Prefill);
         w.push(OpInstance::new(
@@ -139,12 +144,18 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Shift & Scale (attn)",
             OpCategory::Conditioning,
-            Op::Elementwise { elems: rows * d, ops_per_elem: 2 },
+            Op::Elementwise {
+                elems: rows * d,
+                ops_per_elem: 2,
+            },
         ));
         w.push(OpInstance::new(
             "QKV Gen",
             OpCategory::QkvGen,
-            Op::Gemm { shape: GemmShape::new(rows, d, 3 * d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, d, 3 * d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Q x K^T",
@@ -159,7 +170,10 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Softmax",
             OpCategory::Attention,
-            Op::Softmax { rows: batch * t.heads() * tokens, cols: tokens },
+            Op::Softmax {
+                rows: batch * t.heads() * tokens,
+                cols: tokens,
+            },
         ));
         w.push(OpInstance::new(
             "S x V",
@@ -174,12 +188,18 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Proj",
             OpCategory::Projection,
-            Op::Gemm { shape: GemmShape::new(rows, d, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, d, d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Scale + Residual (attn)",
             OpCategory::Conditioning,
-            Op::Elementwise { elems: rows * d, ops_per_elem: 2 },
+            Op::Elementwise {
+                elems: rows * d,
+                ops_per_elem: 2,
+            },
         ));
         w.begin_segment("mlp", Phase::Prefill);
         w.push(OpInstance::new(
@@ -190,27 +210,41 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Shift & Scale (MLP)",
             OpCategory::Conditioning,
-            Op::Elementwise { elems: rows * d, ops_per_elem: 2 },
+            Op::Elementwise {
+                elems: rows * d,
+                ops_per_elem: 2,
+            },
         ));
         w.push(OpInstance::new(
             "FFN1",
             OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(rows, d, t.d_ff())?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, d, t.d_ff())?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "GeLU",
             OpCategory::Gelu,
-            Op::Gelu { elems: rows * t.d_ff() },
+            Op::Gelu {
+                elems: rows * t.d_ff(),
+            },
         ));
         w.push(OpInstance::new(
             "FFN2",
             OpCategory::Ffn2,
-            Op::Gemm { shape: GemmShape::new(rows, t.d_ff(), d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, t.d_ff(), d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Scale + Residual (MLP)",
             OpCategory::Conditioning,
-            Op::Elementwise { elems: rows * d, ops_per_elem: 2 },
+            Op::Elementwise {
+                elems: rows * d,
+                ops_per_elem: 2,
+            },
         ));
         Ok(w)
     }
@@ -239,12 +273,18 @@ impl DitConfig {
         w.push(OpInstance::new(
             "Patchify",
             OpCategory::Embedding,
-            Op::Gemm { shape: GemmShape::new(rows, patch_in, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, patch_in, d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Timestep/Label embed",
             OpCategory::Embedding,
-            Op::Gemm { shape: GemmShape::new(batch, d, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, d)?,
+                dtype,
+            },
         ));
 
         let block = self.block(batch, resolution)?;
@@ -261,7 +301,10 @@ impl DitConfig {
             "Linear & Reshape",
             OpCategory::Head,
             // Predicts noise (and variance): 2x latent channels per pixel.
-            Op::Gemm { shape: GemmShape::new(rows, d, 2 * patch_in)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(rows, d, 2 * patch_in)?,
+                dtype,
+            },
         ));
         Ok(w)
     }
@@ -309,9 +352,15 @@ mod tests {
 
         let full = dit.full_forward(8, 256).unwrap();
         let first = full.segments().next().unwrap();
-        assert_eq!((first.name(), first.phase()), ("pre-process", Phase::PrePost));
+        assert_eq!(
+            (first.name(), first.phase()),
+            ("pre-process", Phase::PrePost)
+        );
         let last = full.segments().last().unwrap();
-        assert_eq!((last.name(), last.phase()), ("post-process", Phase::PrePost));
+        assert_eq!(
+            (last.name(), last.phase()),
+            ("post-process", Phase::PrePost)
+        );
         let seg_bytes: u64 = full.segments().map(|s| s.main_memory_bytes().get()).sum();
         assert_eq!(seg_bytes, full.main_memory_bytes().get());
     }

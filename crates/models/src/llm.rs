@@ -66,15 +66,16 @@ impl LlmModelConfig {
     pub fn full_prefill(&self, batch: u64, seq: u64) -> Result<Workload> {
         let t = &self.transformer;
         let dtype = t.dtype();
-        let mut w = Workload::new(format!(
-            "{} full prefill (B={batch}, L={seq})",
-            t.name()
-        ));
+        let mut w = Workload::new(format!("{} full prefill (B={batch}, L={seq})", t.name()));
         w.begin_segment("embedding", Phase::PrePost);
         w.push(OpInstance::new(
             "Token Embedding",
             OpCategory::Embedding,
-            Op::EmbeddingLookup { tokens: batch * seq, d_model: t.d_model(), dtype },
+            Op::EmbeddingLookup {
+                tokens: batch * seq,
+                d_model: t.d_model(),
+                dtype,
+            },
         ));
         let layer = t.prefill_layer(batch, seq)?;
         w.extend_repeated(&layer, t.layers());
@@ -83,7 +84,10 @@ impl LlmModelConfig {
         w.push(OpInstance::new(
             "Prediction Head",
             OpCategory::Head,
-            Op::Gemm { shape: GemmShape::new(batch, t.d_model(), self.vocab)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, t.d_model(), self.vocab)?,
+                dtype,
+            },
         ));
         Ok(w)
     }
@@ -97,15 +101,16 @@ impl LlmModelConfig {
     pub fn full_decode_step(&self, batch: u64, ctx: u64) -> Result<Workload> {
         let t = &self.transformer;
         let dtype = t.dtype();
-        let mut w = Workload::new(format!(
-            "{} full decode (B={batch}, ctx={ctx})",
-            t.name()
-        ));
+        let mut w = Workload::new(format!("{} full decode (B={batch}, ctx={ctx})", t.name()));
         w.begin_segment("embedding", Phase::PrePost);
         w.push(OpInstance::new(
             "Token Embedding",
             OpCategory::Embedding,
-            Op::EmbeddingLookup { tokens: batch, d_model: t.d_model(), dtype },
+            Op::EmbeddingLookup {
+                tokens: batch,
+                d_model: t.d_model(),
+                dtype,
+            },
         ));
         let layer = t.decode_layer(batch, ctx)?;
         w.extend_repeated(&layer, t.layers());
@@ -113,7 +118,10 @@ impl LlmModelConfig {
         w.push(OpInstance::new(
             "Prediction Head",
             OpCategory::Head,
-            Op::Gemm { shape: GemmShape::new(batch, t.d_model(), self.vocab)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, t.d_model(), self.vocab)?,
+                dtype,
+            },
         ));
         Ok(w)
     }
@@ -151,7 +159,11 @@ impl LlmInferenceSpec {
                 "batch, input_len and output_len must be non-zero",
             ));
         }
-        Ok(LlmInferenceSpec { batch, input_len, output_len })
+        Ok(LlmInferenceSpec {
+            batch,
+            input_len,
+            output_len,
+        })
     }
 
     /// The Fig. 7 configuration: 1024 input, 512 output tokens.
@@ -232,10 +244,7 @@ mod tests {
         assert_eq!((first.name(), first.phase()), ("embedding", Phase::PrePost));
         let last = w.segments().last().unwrap();
         assert_eq!((last.name(), last.phase()), ("head", Phase::PrePost));
-        assert_eq!(
-            w.phases(),
-            vec![Phase::PrePost, Phase::Prefill]
-        );
+        assert_eq!(w.phases(), vec![Phase::PrePost, Phase::Prefill]);
         assert_eq!(
             w.macs_in_phase(Phase::PrePost) + w.macs_in_phase(Phase::Prefill),
             w.total_macs()

@@ -70,7 +70,11 @@ impl MoeConfig {
                 "need 1 <= top_k ({top_k}) <= experts ({experts})"
             )));
         }
-        Ok(MoeConfig { transformer, experts, top_k })
+        Ok(MoeConfig {
+            transformer,
+            experts,
+            top_k,
+        })
     }
 
     /// A Mixtral-8x7B-like geometry: 32 layers, 32 heads, d 4096,
@@ -139,7 +143,10 @@ impl MoeConfig {
         out.push(OpInstance::new(
             "Router",
             OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(batch, d, self.experts)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, self.experts)?,
+                dtype,
+            },
         ));
         out.push(OpInstance::new(
             "Expert FFN1",
@@ -154,7 +161,9 @@ impl MoeConfig {
         out.push(OpInstance::new(
             "Expert GeLU",
             OpCategory::Gelu,
-            Op::Gelu { elems: activated * tokens_per_expert * t.d_ff() },
+            Op::Gelu {
+                elems: activated * tokens_per_expert * t.d_ff(),
+            },
         ));
         out.push(OpInstance::new(
             "Expert FFN2",
@@ -194,7 +203,10 @@ impl MoeConfig {
         out.push(OpInstance::new(
             "Router",
             OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(tokens, d, self.experts)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(tokens, d, self.experts)?,
+                dtype,
+            },
         ));
         out.push(OpInstance::new(
             "Expert FFN1",
@@ -209,7 +221,9 @@ impl MoeConfig {
         out.push(OpInstance::new(
             "Expert GeLU",
             OpCategory::Gelu,
-            Op::Gelu { elems: activated * tokens_per_expert * t.d_ff() },
+            Op::Gelu {
+                elems: activated * tokens_per_expert * t.d_ff(),
+            },
         ));
         out.push(OpInstance::new(
             "Expert FFN2",
@@ -248,11 +262,7 @@ mod tests {
         let m = moe();
         assert_eq!(m.activated_experts(8), 8);
         let w = m.decode_layer(8, 1024).unwrap();
-        let expert_op = w
-            .ops()
-            .iter()
-            .find(|o| o.name() == "Expert FFN1")
-            .unwrap();
+        let expert_op = w.ops().iter().find(|o| o.name() == "Expert FFN1").unwrap();
         match expert_op.op() {
             Op::BatchedMatmul { batch, shape, .. } => {
                 assert_eq!(*batch, 8);
@@ -289,10 +299,9 @@ mod tests {
     fn layer_weight_bytes_count_all_experts() {
         let m = moe();
         let t = m.transformer();
-        let expected = (4 * t.d_model() * t.d_model()
-            + t.d_model() * 8
-            + 2 * t.d_model() * t.d_ff() * 8)
-            * t.dtype().size_bytes();
+        let expected =
+            (4 * t.d_model() * t.d_model() + t.d_model() * 8 + 2 * t.d_model() * t.d_ff() * 8)
+                * t.dtype().size_bytes();
         assert_eq!(m.weight_bytes_per_layer(), Bytes::new(expected));
     }
 

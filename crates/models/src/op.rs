@@ -170,10 +170,17 @@ impl Op {
         match *self {
             Op::Gemm { shape, dtype } => shape.weight_bytes(dtype),
             // Per-item "weights" (K or V slices) all distinct.
-            Op::BatchedMatmul { batch, shape, dtype, .. } => shape.weight_bytes(dtype) * batch,
-            Op::EmbeddingLookup { tokens, d_model, dtype } => {
-                Bytes::new(tokens * d_model * dtype.size_bytes())
-            }
+            Op::BatchedMatmul {
+                batch,
+                shape,
+                dtype,
+                ..
+            } => shape.weight_bytes(dtype) * batch,
+            Op::EmbeddingLookup {
+                tokens,
+                d_model,
+                dtype,
+            } => Bytes::new(tokens * d_model * dtype.size_bytes()),
             _ => Bytes::ZERO,
         }
     }
@@ -247,7 +254,10 @@ mod tests {
     #[test]
     fn gemm_macs_and_bytes() {
         let shape = GemmShape::new(8, 7168, 21504).unwrap();
-        let op = Op::Gemm { shape, dtype: DataType::Int8 };
+        let op = Op::Gemm {
+            shape,
+            dtype: DataType::Int8,
+        };
         assert_eq!(op.macs(), 8 * 7168 * 21504);
         assert_eq!(op.main_memory_bytes().get(), 7168 * 21504);
     }
@@ -255,7 +265,12 @@ mod tests {
     #[test]
     fn batched_matmul_scales_by_batch() {
         let shape = GemmShape::gemv(128, 1024).unwrap();
-        let op = Op::BatchedMatmul { batch: 448, shape, dtype: DataType::Int8, static_weights: false };
+        let op = Op::BatchedMatmul {
+            batch: 448,
+            shape,
+            dtype: DataType::Int8,
+            static_weights: false,
+        };
         assert_eq!(op.macs(), 448 * 128 * 1024);
         assert_eq!(op.main_memory_bytes().get(), 448 * 128 * 1024);
     }
@@ -270,8 +285,15 @@ mod tests {
     #[test]
     fn repeated_multiplies_macs() {
         let shape = GemmShape::new(2, 3, 4).unwrap();
-        let inst = OpInstance::new("x", OpCategory::Other, Op::Gemm { shape, dtype: DataType::Int8 })
-            .repeated(48);
+        let inst = OpInstance::new(
+            "x",
+            OpCategory::Other,
+            Op::Gemm {
+                shape,
+                dtype: DataType::Int8,
+            },
+        )
+        .repeated(48);
         assert_eq!(inst.total_macs(), 48 * 24);
     }
 
@@ -279,8 +301,15 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_count_panics() {
         let shape = GemmShape::new(1, 1, 1).unwrap();
-        let _ = OpInstance::new("x", OpCategory::Other, Op::Gemm { shape, dtype: DataType::Int8 })
-            .repeated(0);
+        let _ = OpInstance::new(
+            "x",
+            OpCategory::Other,
+            Op::Gemm {
+                shape,
+                dtype: DataType::Int8,
+            },
+        )
+        .repeated(0);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::transformer::TransformerConfig;
 /// assert_eq!((cfg.layers(), cfg.heads(), cfg.d_model()), (48, 56, 7168));
 /// ```
 pub fn gpt3_30b() -> TransformerConfig {
-    TransformerConfig::new("GPT3-30B", 48, 56, 7168, 4 * 7168)
-        .expect("static preset is valid")
+    TransformerConfig::new("GPT3-30B", 48, 56, 7168, 4 * 7168).expect("static preset is valid")
 }
 
 /// GPT-3-30B with embedding table and prediction head (vocab 50257).
@@ -24,21 +23,18 @@ pub fn gpt3_30b_full() -> LlmModelConfig {
 
 /// GPT-3-175B layers (96 layers, 96 heads, d 12288) for scaling studies.
 pub fn gpt3_175b() -> TransformerConfig {
-    TransformerConfig::new("GPT3-175B", 96, 96, 12288, 4 * 12288)
-        .expect("static preset is valid")
+    TransformerConfig::new("GPT3-175B", 96, 96, 12288, 4 * 12288).expect("static preset is valid")
 }
 
 /// GPT-3-6.7B layers (32 layers, 32 heads, d 4096) for scaling studies.
 pub fn gpt3_6_7b() -> TransformerConfig {
-    TransformerConfig::new("GPT3-6.7B", 32, 32, 4096, 4 * 4096)
-        .expect("static preset is valid")
+    TransformerConfig::new("GPT3-6.7B", 32, 32, 4096, 4 * 4096).expect("static preset is valid")
 }
 
 /// Llama2-13B layers (40 layers, 40 heads, d 5120, FFN 13824), used for the
 /// Fig. 2d runtime-breakdown analysis.
 pub fn llama2_13b() -> TransformerConfig {
-    TransformerConfig::new("Llama2-13B", 40, 40, 5120, 13824)
-        .expect("static preset is valid")
+    TransformerConfig::new("Llama2-13B", 40, 40, 5120, 13824).expect("static preset is valid")
 }
 
 /// Llama2-13B with embedding table and head (vocab 32000).
@@ -68,15 +64,15 @@ pub fn dit_xl_2() -> DitConfig {
 
 /// DiT-L/2 (24 blocks, 16 heads, d 1024) for scaling studies.
 pub fn dit_l_2() -> DitConfig {
-    let t = TransformerConfig::new("DiT-L/2", 24, 16, 1024, 4 * 1024)
-        .expect("static preset is valid");
+    let t =
+        TransformerConfig::new("DiT-L/2", 24, 16, 1024, 4 * 1024).expect("static preset is valid");
     DitConfig::new(t, 2, 4).expect("static preset is valid")
 }
 
 /// DiT-B/2 (12 blocks, 12 heads, d 768) for scaling studies.
 pub fn dit_b_2() -> DitConfig {
-    let t = TransformerConfig::new("DiT-B/2", 12, 12, 768, 4 * 768)
-        .expect("static preset is valid");
+    let t =
+        TransformerConfig::new("DiT-B/2", 12, 12, 768, 4 * 768).expect("static preset is valid");
     DitConfig::new(t, 2, 4).expect("static preset is valid")
 }
 
@@ -125,7 +121,11 @@ mod tests {
         assert_eq!((g.layers(), g.heads(), g.d_model()), (48, 56, 7168));
         let d = dit_xl_2();
         assert_eq!(
-            (d.blocks(), d.transformer().heads(), d.transformer().d_model()),
+            (
+                d.blocks(),
+                d.transformer().heads(),
+                d.transformer().d_model()
+            ),
             (28, 16, 1152)
         );
     }

@@ -149,9 +149,7 @@ impl TransformerConfig {
     /// FFN (2·d·d_ff). For MHA this reduces to the familiar `12·d²` when
     /// `d_ff = 4d`.
     pub fn weight_params_per_layer(&self) -> u64 {
-        self.d_model * self.qkv_width()
-            + self.d_model * self.d_model
-            + 2 * self.d_model * self.d_ff
+        self.d_model * self.qkv_width() + self.d_model * self.d_model + 2 * self.d_model * self.d_ff
     }
 
     /// Weight bytes of one layer at the configured precision.
@@ -162,9 +160,7 @@ impl TransformerConfig {
     /// KV-cache bytes per layer for `batch` sequences of `ctx` tokens
     /// (GQA stores only `kv_heads · d_head` channels per token).
     pub fn kv_cache_bytes_per_layer(&self, batch: u64, ctx: u64) -> Bytes {
-        Bytes::new(
-            2 * batch * ctx * self.kv_heads * self.d_head() * self.dtype.size_bytes(),
-        )
+        Bytes::new(2 * batch * ctx * self.kv_heads * self.d_head() * self.dtype.size_bytes())
     }
 
     /// KV-cache bytes one token occupies in **one** layer: key + value
@@ -222,7 +218,10 @@ impl TransformerConfig {
         let mut w = Workload::new(if past == 0 {
             format!("{} prefill layer (B={batch}, L={chunk})", self.name)
         } else {
-            format!("{} prefill chunk layer (B={batch}, C={chunk}, past={past})", self.name)
+            format!(
+                "{} prefill chunk layer (B={batch}, C={chunk}, past={past})",
+                self.name
+            )
         });
 
         w.begin_segment("attention", Phase::Prefill);
@@ -234,7 +233,10 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "QKV Gen",
             OpCategory::QkvGen,
-            Op::Gemm { shape: GemmShape::new(tokens, d, self.qkv_width())?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(tokens, d, self.qkv_width())?,
+                dtype,
+            },
         ));
         // Chunk queries attend over the cached context plus the chunk, one
         // score matmul per (batch, kv-head): a GQA group's query heads share
@@ -252,7 +254,10 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "Softmax",
             OpCategory::Attention,
-            Op::Softmax { rows: batch * self.heads * chunk, cols: total },
+            Op::Softmax {
+                rows: batch * self.heads * chunk,
+                cols: total,
+            },
         ));
         w.push(OpInstance::new(
             "S x V",
@@ -267,12 +272,18 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "Proj",
             OpCategory::Projection,
-            Op::Gemm { shape: GemmShape::new(tokens, d, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(tokens, d, d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Residual (attn)",
             OpCategory::Other,
-            Op::Elementwise { elems: tokens * d, ops_per_elem: 1 },
+            Op::Elementwise {
+                elems: tokens * d,
+                ops_per_elem: 1,
+            },
         ));
         w.begin_segment("ffn", Phase::Prefill);
         w.push(OpInstance::new(
@@ -283,22 +294,33 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "FFN1",
             OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(tokens, d, self.d_ff)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(tokens, d, self.d_ff)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "GeLU",
             OpCategory::Gelu,
-            Op::Gelu { elems: tokens * self.d_ff },
+            Op::Gelu {
+                elems: tokens * self.d_ff,
+            },
         ));
         w.push(OpInstance::new(
             "FFN2",
             OpCategory::Ffn2,
-            Op::Gemm { shape: GemmShape::new(tokens, self.d_ff, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(tokens, self.d_ff, d)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Residual (FFN)",
             OpCategory::Other,
-            Op::Elementwise { elems: tokens * d, ops_per_elem: 1 },
+            Op::Elementwise {
+                elems: tokens * d,
+                ops_per_elem: 1,
+            },
         ));
         w.begin_segment("kv-cache", Phase::Prefill);
         w.push(OpInstance::new(
@@ -339,7 +361,10 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "QKV Gen",
             OpCategory::QkvGen,
-            Op::Gemm { shape: GemmShape::new(batch, d, self.qkv_width())?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, self.qkv_width())?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "Q x K^T",
@@ -354,7 +379,10 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "Softmax",
             OpCategory::Attention,
-            Op::Softmax { rows: batch * self.heads, cols: ctx },
+            Op::Softmax {
+                rows: batch * self.heads,
+                cols: ctx,
+            },
         ));
         w.push(OpInstance::new(
             "S x V",
@@ -369,7 +397,10 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "Proj",
             OpCategory::Projection,
-            Op::Gemm { shape: GemmShape::new(batch, d, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, d)?,
+                dtype,
+            },
         ));
         w.begin_segment("ffn", Phase::Decode);
         w.push(OpInstance::new(
@@ -380,28 +411,42 @@ impl TransformerConfig {
         w.push(OpInstance::new(
             "FFN1",
             OpCategory::Ffn1,
-            Op::Gemm { shape: GemmShape::new(batch, d, self.d_ff)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, d, self.d_ff)?,
+                dtype,
+            },
         ));
         w.push(OpInstance::new(
             "GeLU",
             OpCategory::Gelu,
-            Op::Gelu { elems: batch * self.d_ff },
+            Op::Gelu {
+                elems: batch * self.d_ff,
+            },
         ));
         w.push(OpInstance::new(
             "FFN2",
             OpCategory::Ffn2,
-            Op::Gemm { shape: GemmShape::new(batch, self.d_ff, d)?, dtype },
+            Op::Gemm {
+                shape: GemmShape::new(batch, self.d_ff, d)?,
+                dtype,
+            },
         ));
         w.begin_segment("glue", Phase::Decode);
         w.push(OpInstance::new(
             "Residuals",
             OpCategory::Other,
-            Op::Elementwise { elems: 2 * batch * d, ops_per_elem: 1 },
+            Op::Elementwise {
+                elems: 2 * batch * d,
+                ops_per_elem: 1,
+            },
         ));
         w.push(OpInstance::new(
             "Update KV-cache",
             OpCategory::Other,
-            Op::Elementwise { elems: 2 * batch * d, ops_per_elem: 1 },
+            Op::Elementwise {
+                elems: 2 * batch * d,
+                ops_per_elem: 1,
+            },
         ));
         Ok(w)
     }

@@ -131,10 +131,7 @@ impl Workload {
             self.begin_segment("main", Phase::PrePost);
         }
         self.ops.push(op);
-        self.segments
-            .last_mut()
-            .expect("segment opened above")
-            .end = self.ops.len();
+        self.segments.last_mut().expect("segment opened above").end = self.ops.len();
     }
 
     /// Appends an operator, builder style.
@@ -174,7 +171,11 @@ impl Workload {
     /// Discards a trailing segment that never received an op, so opening
     /// segments back to back does not accumulate empties.
     fn drop_empty_tail(&mut self) {
-        if self.segments.last().is_some_and(|last| last.start == last.end) {
+        if self
+            .segments
+            .last()
+            .is_some_and(|last| last.start == last.end)
+        {
             self.segments.pop();
         }
     }
@@ -201,11 +202,14 @@ impl Workload {
     /// Every op belongs to exactly one segment, so segment totals
     /// partition the flat totals.
     pub fn segments(&self) -> impl Iterator<Item = Segment<'_>> {
-        self.segments.iter().filter(|m| m.start < m.end).map(|m| Segment {
-            name: &m.name,
-            phase: m.phase,
-            ops: &self.ops[m.start..m.end],
-        })
+        self.segments
+            .iter()
+            .filter(|m| m.start < m.end)
+            .map(|m| Segment {
+                name: &m.name,
+                phase: m.phase,
+                ops: &self.ops[m.start..m.end],
+            })
     }
 
     /// Number of non-empty segments.
@@ -313,9 +317,16 @@ mod tests {
     fn categories_preserve_first_seen_order() {
         let mut w = Workload::new("t");
         w.push(gemm("a", 1));
-        w.push(OpInstance::new("s", OpCategory::Attention, Op::Softmax { rows: 1, cols: 1 }));
+        w.push(OpInstance::new(
+            "s",
+            OpCategory::Attention,
+            Op::Softmax { rows: 1, cols: 1 },
+        ));
         w.push(gemm("b", 1));
-        assert_eq!(w.categories(), vec![OpCategory::QkvGen, OpCategory::Attention]);
+        assert_eq!(
+            w.categories(),
+            vec![OpCategory::QkvGen, OpCategory::Attention]
+        );
     }
 
     #[test]

@@ -76,11 +76,7 @@ impl MultiTpu {
         if devices == 0 {
             return Err(Error::invalid_config("device count must be non-zero"));
         }
-        let topology = RingTopology::new(
-            devices,
-            config.ici_links(),
-            config.ici_link_bandwidth(),
-        )?;
+        let topology = RingTopology::new(devices, config.ici_links(), config.ici_link_bandwidth())?;
         Ok(MultiTpu {
             sim: Simulator::new(config)?,
             topology,
@@ -212,8 +208,7 @@ mod tests {
                 a.throughput,
                 base.throughput
             );
-            let energy_ratio =
-                base.mxu_energy_per_unit.get() / a.mxu_energy_per_unit.get();
+            let energy_ratio = base.mxu_energy_per_unit.get() / a.mxu_energy_per_unit.get();
             assert!(energy_ratio > 10.0, "energy ratio {energy_ratio:.1}");
         }
     }
@@ -231,8 +226,7 @@ mod tests {
                 .dit_pipeline_throughput(&presets::dit_xl_2(), 8, 256, 50)
                 .unwrap();
             assert!(b.throughput > base.throughput, "{devices} devices");
-            let energy_ratio =
-                base.mxu_energy_per_unit.get() / b.mxu_energy_per_unit.get();
+            let energy_ratio = base.mxu_energy_per_unit.get() / b.mxu_energy_per_unit.get();
             assert!(energy_ratio > 3.0, "energy ratio {energy_ratio:.1}");
         }
     }

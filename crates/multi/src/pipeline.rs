@@ -28,12 +28,9 @@ pub(crate) fn llm_throughput(
 
     // Per-request stage work is 1/p of the model; activations hop between
     // stages once per layer boundary per token step (prefill + decode).
-    let activation_bytes = Bytes::new(
-        spec.batch() * model.d_model() * model.dtype().size_bytes(),
-    );
+    let activation_bytes = Bytes::new(spec.batch() * model.d_model() * model.dtype().size_bytes());
     let hops_per_request = (spec.output_len() + 1) * (p - 1);
-    let comm_per_request =
-        cluster.topology().p2p_time(activation_bytes) * hops_per_request as f64;
+    let comm_per_request = cluster.topology().p2p_time(activation_bytes) * hops_per_request as f64;
 
     // Steady state: p micro-batches in flight; each stage finishes one
     // request's worth of its stage every (total/p + comm/p).
@@ -65,8 +62,7 @@ pub(crate) fn dit_throughput(
     let sim = cluster.simulator();
 
     let fwd = inference::run_dit(sim, dit, batch, resolution)?;
-    let per_image_latency =
-        Seconds::new(fwd.total_latency.get() * diffusion_steps as f64);
+    let per_image_latency = Seconds::new(fwd.total_latency.get() * diffusion_steps as f64);
     let per_image_energy =
         Joules::new(fwd.total_mxu_energy.get() * diffusion_steps as f64 / batch as f64);
 

@@ -51,7 +51,10 @@ pub fn decode_layer_shard(
     w.push(OpInstance::new(
         "QKV Gen (shard)",
         OpCategory::QkvGen,
-        Op::Gemm { shape: GemmShape::new(batch, d, 3 * d / p)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(batch, d, 3 * d / p)?,
+            dtype,
+        },
     ));
     // Heads partitioned: each device handles heads/p.
     w.push(OpInstance::new(
@@ -67,7 +70,10 @@ pub fn decode_layer_shard(
     w.push(OpInstance::new(
         "Softmax (shard)",
         OpCategory::Attention,
-        Op::Softmax { rows: batch * heads, cols: ctx },
+        Op::Softmax {
+            rows: batch * heads,
+            cols: ctx,
+        },
     ));
     w.push(OpInstance::new(
         "S x V (shard)",
@@ -83,7 +89,10 @@ pub fn decode_layer_shard(
     w.push(OpInstance::new(
         "Proj (shard)",
         OpCategory::Projection,
-        Op::Gemm { shape: GemmShape::new(batch, d / p, d)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(batch, d / p, d)?,
+            dtype,
+        },
     ));
     w.begin_segment("ffn", Phase::Decode);
     w.push(OpInstance::new(
@@ -94,18 +103,26 @@ pub fn decode_layer_shard(
     w.push(OpInstance::new(
         "FFN1 (shard)",
         OpCategory::Ffn1,
-        Op::Gemm { shape: GemmShape::new(batch, d, d_ff)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(batch, d, d_ff)?,
+            dtype,
+        },
     ));
     w.push(OpInstance::new(
         "GeLU (shard)",
         OpCategory::Gelu,
-        Op::Gelu { elems: batch * d_ff },
+        Op::Gelu {
+            elems: batch * d_ff,
+        },
     ));
     // Row-parallel FFN2: k = d_ff/p (followed by all-reduce).
     w.push(OpInstance::new(
         "FFN2 (shard)",
         OpCategory::Ffn2,
-        Op::Gemm { shape: GemmShape::new(batch, d_ff, d)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(batch, d_ff, d)?,
+            dtype,
+        },
     ));
     Ok(w)
 }
@@ -150,7 +167,10 @@ pub fn prefill_layer_shard(
     w.push(OpInstance::new(
         "QKV Gen (shard)",
         OpCategory::QkvGen,
-        Op::Gemm { shape: GemmShape::new(tokens, d, 3 * d / p)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(tokens, d, 3 * d / p)?,
+            dtype,
+        },
     ));
     w.push(OpInstance::new(
         "Q x K^T (shard)",
@@ -165,7 +185,10 @@ pub fn prefill_layer_shard(
     w.push(OpInstance::new(
         "Softmax (shard)",
         OpCategory::Attention,
-        Op::Softmax { rows: batch * heads * seq, cols: seq },
+        Op::Softmax {
+            rows: batch * heads * seq,
+            cols: seq,
+        },
     ));
     w.push(OpInstance::new(
         "S x V (shard)",
@@ -180,7 +203,10 @@ pub fn prefill_layer_shard(
     w.push(OpInstance::new(
         "Proj (shard)",
         OpCategory::Projection,
-        Op::Gemm { shape: GemmShape::new(tokens, d / p, d)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(tokens, d / p, d)?,
+            dtype,
+        },
     ));
     w.begin_segment("ffn", Phase::Prefill);
     w.push(OpInstance::new(
@@ -191,17 +217,25 @@ pub fn prefill_layer_shard(
     w.push(OpInstance::new(
         "FFN1 (shard)",
         OpCategory::Ffn1,
-        Op::Gemm { shape: GemmShape::new(tokens, d, d_ff)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(tokens, d, d_ff)?,
+            dtype,
+        },
     ));
     w.push(OpInstance::new(
         "GeLU (shard)",
         OpCategory::Gelu,
-        Op::Gelu { elems: tokens * d_ff },
+        Op::Gelu {
+            elems: tokens * d_ff,
+        },
     ));
     w.push(OpInstance::new(
         "FFN2 (shard)",
         OpCategory::Ffn2,
-        Op::Gemm { shape: GemmShape::new(tokens, d_ff, d)?, dtype },
+        Op::Gemm {
+            shape: GemmShape::new(tokens, d_ff, d)?,
+            dtype,
+        },
     ));
     Ok(w)
 }
@@ -217,9 +251,8 @@ pub(crate) fn decode_layer_latency(
     let p = cluster.devices();
     let shard = decode_layer_shard(model, batch, ctx, p)?;
     let report = cluster.simulator().run(&shard)?;
-    let activation_bytes = cimtpu_units::Bytes::new(
-        batch * model.d_model() * model.dtype().size_bytes(),
-    );
+    let activation_bytes =
+        cimtpu_units::Bytes::new(batch * model.d_model() * model.dtype().size_bytes());
     let comm = cluster.topology().all_reduce_time(activation_bytes) * 2.0;
     Ok(report.total_latency() + comm)
 }
@@ -239,9 +272,8 @@ pub(crate) fn llm_latency(
 
     // Prefill: sharded layer + 2 all-reduces of [tokens × d].
     let prefill_shard = prefill_layer_shard(model, spec.batch(), spec.input_len(), p)?;
-    let prefill_act = cimtpu_units::Bytes::new(
-        spec.batch() * spec.input_len() * model.d_model() * dtype_bytes,
-    );
+    let prefill_act =
+        cimtpu_units::Bytes::new(spec.batch() * spec.input_len() * model.d_model() * dtype_bytes);
     let prefill = sim.run(&prefill_shard)?.total_latency()
         + cluster.topology().all_reduce_time(prefill_act) * 2.0;
 
@@ -249,7 +281,8 @@ pub(crate) fn llm_latency(
     let steps = spec.sampled_decode_steps(5);
     let mut total_sampled = Seconds::ZERO;
     for &step in &steps {
-        total_sampled += decode_layer_latency(cluster, model, spec.batch(), spec.ctx_at_step(step))?;
+        total_sampled +=
+            decode_layer_latency(cluster, model, spec.batch(), spec.ctx_at_step(step))?;
     }
     let decode_per_layer =
         Seconds::new(total_sampled.get() / steps.len() as f64) * spec.output_len() as f64;

@@ -133,7 +133,10 @@ impl EventKind {
     /// Whether this kind terminates a request's lifecycle.
     #[must_use]
     pub fn is_terminal(self) -> bool {
-        matches!(self, EventKind::Complete | EventKind::Shed | EventKind::Timeout)
+        matches!(
+            self,
+            EventKind::Complete | EventKind::Shed | EventKind::Timeout
+        )
     }
 
     fn from_name(name: &str) -> Option<EventKind> {
@@ -207,7 +210,9 @@ impl TraceFilter {
         if allowed.is_empty() {
             Ok(TraceFilter::default())
         } else {
-            Ok(TraceFilter { allowed: Some(allowed) })
+            Ok(TraceFilter {
+                allowed: Some(allowed),
+            })
         }
     }
 

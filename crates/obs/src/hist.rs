@@ -160,7 +160,11 @@ mod tests {
             h.observe(1.0 + (i % 997) as f64);
         }
         assert_eq!(h.count(), 1_000_000);
-        assert!(h.occupied_buckets() < 400, "{} buckets", h.occupied_buckets());
+        assert!(
+            h.occupied_buckets() < 400,
+            "{} buckets",
+            h.occupied_buckets()
+        );
     }
 
     #[test]

@@ -41,7 +41,11 @@ impl EventKey {
         // the sign bit for non-negative values) turns that order into a
         // plain u64 compare.
         let bits = (t.get() + 0.0).to_bits();
-        EventKey(if bits >> 63 == 0 { bits | (1 << 63) } else { !bits })
+        EventKey(if bits >> 63 == 0 {
+            bits | (1 << 63)
+        } else {
+            !bits
+        })
     }
 }
 
@@ -64,7 +68,10 @@ pub struct ActionHeap {
 impl ActionHeap {
     /// An empty queue with `n` slots, none scheduled.
     pub fn new(n: usize) -> Self {
-        ActionHeap { heap: BinaryHeap::with_capacity(n + 1), slots: vec![Slot::default(); n] }
+        ActionHeap {
+            heap: BinaryHeap::with_capacity(n + 1),
+            slots: vec![Slot::default(); n],
+        }
     }
 
     /// Number of slots (scheduled or not).
@@ -167,7 +174,10 @@ mod tests {
         let ts = [0.0, -0.0, 1.0, 1.5, f64::MAX, 1e-300];
         for &a in &ts {
             for &b in &ts {
-                let (ka, kb) = (EventKey::new(Seconds::new(a)), EventKey::new(Seconds::new(b)));
+                let (ka, kb) = (
+                    EventKey::new(Seconds::new(a)),
+                    EventKey::new(Seconds::new(b)),
+                );
                 assert_eq!(ka.cmp(&kb), (a + 0.0).total_cmp(&(b + 0.0)), "{a} vs {b}");
             }
         }

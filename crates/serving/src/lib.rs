@@ -146,8 +146,8 @@ mod memory;
 mod metrics;
 mod policy;
 mod pricer;
-pub mod scenario;
 mod request;
+pub mod scenario;
 mod session;
 mod step;
 pub mod tenant;
@@ -156,15 +156,15 @@ pub mod trace;
 pub use cimtpu_kv::{KvBudget, PrefixStats};
 pub use cimtpu_obs::{EventKind, TraceFilter, TraceHandle};
 pub use engine::{Parallelism, ServingEngine, ServingRun};
+pub use heap::{ActionHeap, EventKey};
 pub use memory::{parse_kv_budget, MemoryConfig};
 pub use metrics::{Completion, CompletionStats, LatencyStats, MemoryStats, ServingReport};
 pub use policy::BatchPolicy;
 pub use pricer::{PhasePricer, ServingModel};
 pub use request::{
-    ArrivalPattern, ArrivalStream, LenDist, PrefixTraffic, PromptPrefix, Request,
-    TrafficSpec, DIURNAL_CURVE,
+    ArrivalPattern, ArrivalStream, LenDist, PrefixTraffic, PromptPrefix, Request, TrafficSpec,
+    DIURNAL_CURVE,
 };
-pub use heap::{ActionHeap, EventKey};
 pub use session::{EngineSession, PricingPool};
 pub use step::{drive, drive_with, DriveHooks, EngineCore};
 pub use tenant::{

@@ -174,8 +174,14 @@ mod tests {
 
     #[test]
     fn rejects_zero_granularities() {
-        assert!(MemoryConfig::unlimited().with_block_tokens(0).validate().is_err());
-        assert!(MemoryConfig::unlimited().with_chunked_prefill(0).validate().is_err());
+        assert!(MemoryConfig::unlimited()
+            .with_block_tokens(0)
+            .validate()
+            .is_err());
+        assert!(MemoryConfig::unlimited()
+            .with_chunked_prefill(0)
+            .validate()
+            .is_err());
     }
 
     #[test]
@@ -213,14 +219,29 @@ mod tests {
 
     /// Pieces of the `--kv-budget` grammar, valid and near-miss.
     const PIECES: [&str; 14] = [
-        "unlimited", "HBM", "1", "65536", "18446744073709551615", "-", "KiB", "gib", "TiB", "PiB",
-        " ", ".5", "é", "",
+        "unlimited",
+        "HBM",
+        "1",
+        "65536",
+        "18446744073709551615",
+        "-",
+        "KiB",
+        "gib",
+        "TiB",
+        "PiB",
+        " ",
+        ".5",
+        "é",
+        "",
     ];
 
     /// Parses `arg`: nothing panics, and every refusal is typed.
     fn check_kv_budget(arg: &str) {
         if let Err(e) = parse_kv_budget(arg) {
-            assert!(matches!(e, Error::InvalidConfig(_)), "{arg:?}: untyped error {e:?}");
+            assert!(
+                matches!(e, Error::InvalidConfig(_)),
+                "{arg:?}: untyped error {e:?}"
+            );
         }
     }
 
@@ -253,7 +274,11 @@ mod tests {
     fn kv_budget_negative_and_overflow_are_typed() {
         let msg = |arg: &str| parse_kv_budget(arg).unwrap_err().to_string();
         assert!(msg("-3").contains("cannot be negative"), "{}", msg("-3"));
-        assert!(msg("-1GiB").contains("cannot be negative"), "{}", msg("-1GiB"));
+        assert!(
+            msg("-1GiB").contains("cannot be negative"),
+            "{}",
+            msg("-1GiB")
+        );
         // Digit-string overflow of u64 itself…
         assert!(msg("99999999999999999999GiB").contains("overflows"));
         // …and value overflow from the suffix shift (dropped high bits) are

@@ -84,8 +84,13 @@ impl LatencyStats {
     /// The all-zero summary — the only sensible summary of an empty
     /// sample set (a fault scenario can shed or time out every request,
     /// leaving no latencies to rank).
-    pub const ZERO: LatencyStats =
-        LatencyStats { p50_ms: 0.0, p95_ms: 0.0, p99_ms: 0.0, mean_ms: 0.0, max_ms: 0.0 };
+    pub const ZERO: LatencyStats = LatencyStats {
+        p50_ms: 0.0,
+        p95_ms: 0.0,
+        p99_ms: 0.0,
+        mean_ms: 0.0,
+        max_ms: 0.0,
+    };
 
     /// Summarizes a buffer of durations in milliseconds (nearest-rank
     /// percentiles), or [`ZERO`](Self::ZERO) for an empty buffer. The
@@ -114,7 +119,12 @@ impl LatencyStats {
         assert!(!ms.is_empty(), "cannot summarize zero samples");
         let n = ms.len();
         let sum: f64 = ms.iter().sum();
-        let ranks = [nearest_rank(0.50, n), nearest_rank(0.95, n), nearest_rank(0.99, n), n];
+        let ranks = [
+            nearest_rank(0.50, n),
+            nearest_rank(0.95, n),
+            nearest_rank(0.99, n),
+            n,
+        ];
         // No value left of `placed` exceeds any value from it on, and
         // `ms[placed - 1]` holds the value at rank `placed`.
         let (mut placed, mut value) = (0, 0.0);
@@ -126,7 +136,13 @@ impl LatencyStats {
             }
             value
         });
-        LatencyStats { p50_ms, p95_ms, p99_ms, mean_ms: sum / n as f64, max_ms }
+        LatencyStats {
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            mean_ms: sum / n as f64,
+            max_ms,
+        }
     }
 }
 
@@ -155,7 +171,10 @@ impl CompletionStats {
     pub fn of(completions: &[Completion], slo_ms: Option<f64>) -> Self {
         let (_, _, makespan_s) = Completion::span(completions);
         let steps = completions.iter().map(|c| c.steps).sum();
-        let mut ms: Vec<f64> = completions.iter().map(|c| c.latency().as_millis()).collect();
+        let mut ms: Vec<f64> = completions
+            .iter()
+            .map(|c| c.latency().as_millis())
+            .collect();
         let good = match slo_ms {
             None => completions.len(),
             Some(slo) => ms.iter().filter(|&&l| l <= slo).count(),
@@ -165,7 +184,13 @@ impl CompletionStats {
             *m = c.ttft().as_millis();
         }
         let ttft = LatencyStats::from_samples_or_zero(&mut ms);
-        CompletionStats { makespan_s, steps, good, latency, ttft }
+        CompletionStats {
+            makespan_s,
+            steps,
+            good,
+            latency,
+            ttft,
+        }
     }
 }
 
@@ -184,8 +209,11 @@ pub struct MemoryStats {
 
 impl MemoryStats {
     /// The all-zero record (unlimited budgets report this).
-    pub const NONE: MemoryStats =
-        MemoryStats { preemptions: 0, queue_full_s: 0.0, kv_hwm_frac: 0.0 };
+    pub const NONE: MemoryStats = MemoryStats {
+        preemptions: 0,
+        queue_full_s: 0.0,
+        kv_hwm_frac: 0.0,
+    };
 }
 
 /// Aggregate outcome of one serving simulation.
@@ -248,11 +276,17 @@ impl Serialize for ServingReport {
             ("completed".to_owned(), self.completed.to_value()),
             ("makespan_s".to_owned(), self.makespan_s.to_value()),
             ("throughput_rps".to_owned(), self.throughput_rps.to_value()),
-            ("steps_per_second".to_owned(), self.steps_per_second.to_value()),
+            (
+                "steps_per_second".to_owned(),
+                self.steps_per_second.to_value(),
+            ),
             ("latency".to_owned(), self.latency.to_value()),
             ("ttft".to_owned(), self.ttft.to_value()),
             ("total_energy_j".to_owned(), self.total_energy_j.to_value()),
-            ("energy_per_request_j".to_owned(), self.energy_per_request_j.to_value()),
+            (
+                "energy_per_request_j".to_owned(),
+                self.energy_per_request_j.to_value(),
+            ),
             ("preemptions".to_owned(), self.preemptions.to_value()),
             ("queue_full_s".to_owned(), self.queue_full_s.to_value()),
             ("kv_hwm_frac".to_owned(), self.kv_hwm_frac.to_value()),
@@ -312,7 +346,10 @@ impl std::fmt::Display for ServingReport {
         writeln!(
             f,
             "completed {}/{} in {:.3} s  ({:.2} req/s, {:.1} steps/s)",
-            self.completed, self.offered, self.makespan_s, self.throughput_rps,
+            self.completed,
+            self.offered,
+            self.makespan_s,
+            self.throughput_rps,
             self.steps_per_second
         )?;
         writeln!(
@@ -327,7 +364,10 @@ impl std::fmt::Display for ServingReport {
         writeln!(
             f,
             "ttft ms     p50 {:.3}  p95 {:.3}  p99 {:.3}  mean {:.3}  max {:.3}",
-            self.ttft.p50_ms, self.ttft.p95_ms, self.ttft.p99_ms, self.ttft.mean_ms,
+            self.ttft.p50_ms,
+            self.ttft.p95_ms,
+            self.ttft.p99_ms,
+            self.ttft.mean_ms,
             self.ttft.max_ms
         )?;
         writeln!(
@@ -386,10 +426,16 @@ mod tests {
     #[test]
     fn handles_duplicates_and_single() {
         let s = LatencyStats::from_samples(&mut [3.0; 4]);
-        assert_eq!([s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms], [3.0; 5]);
+        assert_eq!(
+            [s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms],
+            [3.0; 5]
+        );
         let one = LatencyStats::from_samples(&mut [42.5]);
         assert_eq!(one.max_ms, 42.5);
-        assert_eq!(LatencyStats::from_samples_or_zero(&mut []), LatencyStats::ZERO);
+        assert_eq!(
+            LatencyStats::from_samples_or_zero(&mut []),
+            LatencyStats::ZERO
+        );
     }
 
     #[test]
@@ -412,7 +458,9 @@ mod tests {
             2 => (x % 10_000_000) as f64 * 1e-3,
             3 => f64::from_bits(x & ((1 << 52) - 1)),
             4 => f64::from_bits(f64::MAX.to_bits() - x % 1024),
-            _ => Some(f64::from_bits(bits)).filter(|v| v.is_finite()).unwrap_or(-(x as f64)),
+            _ => Some(f64::from_bits(bits))
+                .filter(|v| v.is_finite())
+                .unwrap_or(-(x as f64)),
         }
     }
 
@@ -501,7 +549,11 @@ mod tests {
 
     #[test]
     fn report_carries_memory_stats() {
-        let a = MemoryStats { preemptions: 3, queue_full_s: 0.75, kv_hwm_frac: 0.75 };
+        let a = MemoryStats {
+            preemptions: 3,
+            queue_full_s: 0.75,
+            kv_hwm_frac: 0.75,
+        };
         let completions = vec![c(0, 0.0, 0.5, 1.0)];
         let rep =
             ServingReport::from_completions("t", "continuous", 1, &completions, Joules::ZERO, a);
@@ -547,14 +599,23 @@ mod tests {
         ];
         let positions: Vec<usize> = keys
             .iter()
-            .map(|k| json.find(k).unwrap_or_else(|| panic!("{k} missing from {json}")))
+            .map(|k| {
+                json.find(k)
+                    .unwrap_or_else(|| panic!("{k} missing from {json}"))
+            })
             .collect();
         assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
             "field order drifted: {json}"
         );
         // Nested latency stats keep their order too.
-        for k in ["\"p50_ms\"", "\"p95_ms\"", "\"p99_ms\"", "\"mean_ms\"", "\"max_ms\""] {
+        for k in [
+            "\"p50_ms\"",
+            "\"p95_ms\"",
+            "\"p99_ms\"",
+            "\"mean_ms\"",
+            "\"max_ms\"",
+        ] {
             assert!(json.contains(k), "{k} missing");
         }
         assert!(json.find("\"p50_ms\"").unwrap() < json.find("\"p95_ms\"").unwrap());

@@ -71,10 +71,17 @@ mod tests {
         assert_eq!(BatchPolicy::Static { batch: 8 }.name(), "static");
         assert_eq!(BatchPolicy::Static { batch: 8 }.max_concurrency(), 8);
         assert_eq!(
-            BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 10.0 }.max_concurrency(),
+            BatchPolicy::Dynamic {
+                max_batch: 4,
+                max_wait_ms: 10.0
+            }
+            .max_concurrency(),
             4
         );
-        assert_eq!(BatchPolicy::Continuous { max_batch: 0 }.max_concurrency(), 1);
+        assert_eq!(
+            BatchPolicy::Continuous { max_batch: 0 }.max_concurrency(),
+            1
+        );
         assert!(BatchPolicy::Static { batch: 2 }.pads_to_batch_end());
         assert!(!BatchPolicy::Continuous { max_batch: 2 }.pads_to_batch_end());
     }

@@ -93,7 +93,12 @@ impl<'a> PhasePricer<'a> {
         ring: Option<&'a MultiTpu>,
         memo: PhaseMemo,
     ) -> Self {
-        PhasePricer { model, sim, ring, memo }
+        PhasePricer {
+            model,
+            sim,
+            ring,
+            memo,
+        }
     }
 
     fn memoized(
@@ -119,7 +124,12 @@ impl<'a> PhasePricer<'a> {
     /// Cost of one sharded layer on every ring device: shard compute (the
     /// slowest device bounds latency) plus two ring all-reduces, energy
     /// multiplied across the `p` participating chips.
-    fn tp_layer(&self, ring: &MultiTpu, shard: &Workload, activations: Bytes) -> Result<SegmentCost> {
+    fn tp_layer(
+        &self,
+        ring: &MultiTpu,
+        shard: &Workload,
+        activations: Bytes,
+    ) -> Result<SegmentCost> {
         let mut cost = self.price(shard)?;
         let p = ring.devices() as f64;
         cost.latency += ring.topology().all_reduce_time(activations) * 2.0;
@@ -169,9 +179,8 @@ impl<'a> PhasePricer<'a> {
                 Some(ring) => {
                     let shard =
                         tensor_parallel::prefill_layer_shard(model, batch, chunk, ring.devices())?;
-                    let act = Bytes::new(
-                        batch * chunk * model.d_model() * model.dtype().size_bytes(),
-                    );
+                    let act =
+                        Bytes::new(batch * chunk * model.d_model() * model.dtype().size_bytes());
                     Ok(self.tp_layer(ring, &shard, act)?.repeated(layers))
                 }
             }
@@ -191,16 +200,13 @@ impl<'a> PhasePricer<'a> {
             ServingModel::Llm(model) => self.memoized((STEP, batch, ctx, 0), || {
                 let layers = model.layers() as f64;
                 match self.ring {
-                    None => Ok(self.price(&model.decode_layer(batch, ctx)?)?.repeated(layers)),
+                    None => Ok(self
+                        .price(&model.decode_layer(batch, ctx)?)?
+                        .repeated(layers)),
                     Some(ring) => {
-                        let shard = tensor_parallel::decode_layer_shard(
-                            model,
-                            batch,
-                            ctx,
-                            ring.devices(),
-                        )?;
-                        let act =
-                            Bytes::new(batch * model.d_model() * model.dtype().size_bytes());
+                        let shard =
+                            tensor_parallel::decode_layer_shard(model, batch, ctx, ring.devices())?;
+                        let act = Bytes::new(batch * model.d_model() * model.dtype().size_bytes());
                         Ok(self.tp_layer(ring, &shard, act)?.repeated(layers))
                     }
                 }
@@ -236,9 +242,7 @@ mod tests {
     use cimtpu_units::Seconds;
 
     fn tiny_llm() -> ServingModel {
-        ServingModel::Llm(
-            TransformerConfig::new("tiny", 2, 4, 256, 1024).expect("valid geometry"),
-        )
+        ServingModel::Llm(TransformerConfig::new("tiny", 2, 4, 256, 1024).expect("valid geometry"))
     }
 
     #[test]
@@ -246,9 +250,14 @@ mod tests {
         let sim = Simulator::new(TpuConfig::tpuv4i()).unwrap();
         let model = tiny_llm();
         let pricer = PhasePricer::single(&model, &sim);
-        let ServingModel::Llm(cfg) = &model else { unreachable!() };
+        let ServingModel::Llm(cfg) = &model else {
+            unreachable!()
+        };
 
-        let per_layer = sim.run(&cfg.decode_layer(2, 64).unwrap()).unwrap().total_latency();
+        let per_layer = sim
+            .run(&cfg.decode_layer(2, 64).unwrap())
+            .unwrap()
+            .total_latency();
         let step = pricer.step_latency(2, 64).unwrap();
         assert_eq!(step, per_layer * cfg.layers() as f64);
 
@@ -259,7 +268,10 @@ mod tests {
     #[test]
     fn dit_steps_ignore_context_and_skip_prefill() {
         let sim = Simulator::new(TpuConfig::tpuv4i()).unwrap();
-        let model = ServingModel::Dit { dit: presets::dit_b_2(), resolution: 256 };
+        let model = ServingModel::Dit {
+            dit: presets::dit_b_2(),
+            resolution: 256,
+        };
         let pricer = PhasePricer::single(&model, &sim);
         assert!(!model.has_prefill());
         assert_eq!(pricer.prefill(4, 128).unwrap(), SegmentCost::ZERO);
@@ -289,8 +301,12 @@ mod tests {
         // prices the pass itself rather than reading the other's memo.
         let model = ServingModel::Llm(presets::gpt3_30b());
         let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
-        let whole = PhasePricer::tensor_parallel(&model, &ring).prefill(2, 64).unwrap();
-        let pass = PhasePricer::tensor_parallel(&model, &ring).prefill_chunk(2, 64, 0).unwrap();
+        let whole = PhasePricer::tensor_parallel(&model, &ring)
+            .prefill(2, 64)
+            .unwrap();
+        let pass = PhasePricer::tensor_parallel(&model, &ring)
+            .prefill_chunk(2, 64, 0)
+            .unwrap();
         let bits = |c: SegmentCost| {
             let (t, mxu, vpu) = (c.latency.get(), c.mxu_energy.get(), c.vpu_energy.get());
             (t.to_bits(), mxu.to_bits(), vpu.to_bits(), c.hbm_bytes)
@@ -317,7 +333,12 @@ mod tests {
 
         let t1 = single.step(8, 1280).unwrap();
         let t4 = tp.step(8, 1280).unwrap();
-        assert!(t4.latency < t1.latency, "tp4 {} vs tp1 {}", t4.latency, t1.latency);
+        assert!(
+            t4.latency < t1.latency,
+            "tp4 {} vs tp1 {}",
+            t4.latency,
+            t1.latency
+        );
         // Matches the cimtpu-multi tensor-parallel model exactly.
         let reference = ring
             .llm_tensor_parallel_decode_layer(&presets::gpt3_30b(), 8, 1280)

@@ -91,7 +91,10 @@ pub struct PromptPrefix {
 
 impl PromptPrefix {
     /// A fully unique prompt: nothing shared with any other request.
-    pub const UNIQUE: PromptPrefix = PromptPrefix { head_seed: 0, head_len: 0 };
+    pub const UNIQUE: PromptPrefix = PromptPrefix {
+        head_seed: 0,
+        head_len: 0,
+    };
 }
 
 /// How prompts relate across requests — whether the trace carries a
@@ -185,11 +188,9 @@ impl LenDist {
     /// Returns [`cimtpu_units::Error::InvalidConfig`] for an empty range.
     pub fn validate(&self) -> cimtpu_units::Result<()> {
         match *self {
-            LenDist::Uniform { lo, hi } if lo > hi => Err(
-                cimtpu_units::Error::invalid_config(format!(
-                    "empty length range {lo}..={hi}"
-                )),
-            ),
+            LenDist::Uniform { lo, hi } if lo > hi => Err(cimtpu_units::Error::invalid_config(
+                format!("empty length range {lo}..={hi}"),
+            )),
             _ => Ok(()),
         }
     }
@@ -316,10 +317,14 @@ impl TrafficSpec {
         }
         if let ArrivalPattern::ClosedLoop { clients, think_ms } = &self.arrival {
             if *clients == 0 {
-                return Err(Error::invalid_config("closed-loop traffic needs >= 1 client"));
+                return Err(Error::invalid_config(
+                    "closed-loop traffic needs >= 1 client",
+                ));
             }
             if !(think_ms.is_finite() && *think_ms >= 0.0) {
-                return Err(Error::invalid_config("think time must be finite and non-negative"));
+                return Err(Error::invalid_config(
+                    "think time must be finite and non-negative",
+                ));
             }
         }
         if let ArrivalPattern::Trace { records } = &self.arrival {
@@ -343,7 +348,12 @@ impl TrafficSpec {
                 ));
             }
         }
-        if let &ArrivalPattern::Diurnal { peak_rps, day_s, burst_x, bursts } = &self.arrival
+        if let &ArrivalPattern::Diurnal {
+            peak_rps,
+            day_s,
+            burst_x,
+            bursts,
+        } = &self.arrival
         {
             if !(peak_rps.is_finite() && peak_rps > 0.0) {
                 return Err(Error::invalid_config(
@@ -412,7 +422,12 @@ impl TrafficSpec {
 
     /// The spec's requests in id order, each drawn when it is asked for.
     pub(crate) fn sampler(&self) -> Sampler<'_> {
-        Sampler { spec: self, rng: StdRng::seed_from_u64(self.seed), t: 0.0, next: 0 }
+        Sampler {
+            spec: self,
+            rng: StdRng::seed_from_u64(self.seed),
+            t: 0.0,
+            next: 0,
+        }
     }
 }
 
@@ -472,7 +487,12 @@ impl Sampler<'_> {
                 self.t += exp_interarrival(&mut self.rng, rate_rps);
                 session = self.rng.gen_range(0..sessions.max(1));
             }
-            ArrivalPattern::Diurnal { peak_rps, day_s, burst_x, bursts } => {
+            ArrivalPattern::Diurnal {
+                peak_rps,
+                day_s,
+                burst_x,
+                bursts,
+            } => {
                 self.t =
                     diurnal_next_arrival(&mut self.rng, self.t, peak_rps, day_s, burst_x, bursts);
             }
@@ -535,7 +555,11 @@ fn diurnal_is_burst_hour(h: u64, bursts: u64) -> bool {
 /// Instantaneous diurnal rate during (absolute) hour slot `slot`.
 fn diurnal_rate(slot: u64, peak_rps: f64, burst_x: f64, bursts: u64) -> f64 {
     let h = slot % 24;
-    let burst = if diurnal_is_burst_hour(h, bursts) { burst_x } else { 1.0 };
+    let burst = if diurnal_is_burst_hour(h, bursts) {
+        burst_x
+    } else {
+        1.0
+    };
     peak_rps * DIURNAL_CURVE[h as usize] * burst
 }
 
@@ -645,7 +669,13 @@ impl<'a> ArrivalStream<'a> {
             // A valid spec offers at least one request.
             _ => (Some(sampler.draw()), None),
         };
-        Ok(ArrivalStream { sampler, ahead, issued: 0, total: spec.requests, closed_loop })
+        Ok(ArrivalStream {
+            sampler,
+            ahead,
+            issued: 0,
+            total: spec.requests,
+            closed_loop,
+        })
     }
 
     /// Arrival time of the next request, or `None` when the stream is
@@ -684,7 +714,11 @@ impl<'a> ArrivalStream<'a> {
                     cl.queue.pop().expect("pop called while no client is ready");
                 let at = cl.ready[client].take().expect("queued clients are ready");
                 cl.in_flight.insert(id, client as u64);
-                Request { arrival_s: at.get(), session: client as u64, ..self.sampler.draw() }
+                Request {
+                    arrival_s: at.get(),
+                    session: client as u64,
+                    ..self.sampler.draw()
+                }
             }
         }
     }
@@ -693,8 +727,12 @@ impl<'a> ArrivalStream<'a> {
     /// schedule their next request at `finish + think`; open-loop and
     /// burst streams ignore completions.
     pub fn on_complete(&mut self, completion: &Completion) {
-        let Some(cl) = &mut self.closed_loop else { return };
-        let Some(client) = cl.in_flight.remove(&completion.id) else { return };
+        let Some(cl) = &mut self.closed_loop else {
+            return;
+        };
+        let Some(client) = cl.in_flight.remove(&completion.id) else {
+            return;
+        };
         if self.issued < self.total {
             let at = completion.finish + cl.think;
             cl.ready[client as usize] = Some(at);
@@ -748,13 +786,20 @@ mod tests {
 
     #[test]
     fn burst_arrivals_all_at_zero() {
-        let spec = TrafficSpec { arrival: ArrivalPattern::Burst, ..spec(1) };
+        let spec = TrafficSpec {
+            arrival: ArrivalPattern::Burst,
+            ..spec(1)
+        };
         assert!(spec.generate().iter().all(|r| r.arrival_s == 0.0));
     }
 
     #[test]
     fn open_loop_rate_roughly_matched() {
-        let trace = TrafficSpec { requests: 2000, ..spec(42) }.generate();
+        let trace = TrafficSpec {
+            requests: 2000,
+            ..spec(42)
+        }
+        .generate();
         let span = trace.last().unwrap().arrival_s;
         let rate = (trace.len() - 1) as f64 / span;
         assert!((7.0..13.0).contains(&rate), "empirical rate {rate:.2} rps");
@@ -763,21 +808,30 @@ mod tests {
     #[test]
     fn session_pool_draws_within_bounds() {
         let spec = TrafficSpec {
-            arrival: ArrivalPattern::OpenLoopSessions { rate_rps: 10.0, sessions: 4 },
+            arrival: ArrivalPattern::OpenLoopSessions {
+                rate_rps: 10.0,
+                sessions: 4,
+            },
             ..spec(9)
         };
         let trace = spec.generate();
         assert!(trace.iter().all(|r| r.session < 4));
         // With 50 draws over 4 sessions, every session appears.
         for s in 0..4 {
-            assert!(trace.iter().any(|r| r.session == s), "session {s} never drawn");
+            assert!(
+                trace.iter().any(|r| r.session == s),
+                "session {s} never drawn"
+            );
         }
     }
 
     #[test]
     fn shared_heads_agree_token_for_token_and_only_there() {
         let spec = TrafficSpec {
-            prefix: PrefixTraffic::SharedHead { tokens: 48, groups: 2 },
+            prefix: PrefixTraffic::SharedHead {
+                tokens: 48,
+                groups: 2,
+            },
             ..spec(5)
         };
         let trace = spec.generate();
@@ -796,20 +850,33 @@ mod tests {
         // RNG stream never sees it.
         let plain = spec_prefixless(&spec).generate();
         for (with, without) in trace.iter().zip(&plain) {
-            assert_eq!((with.id, with.prompt_len, with.steps, with.arrival_s),
-                       (without.id, without.prompt_len, without.steps, without.arrival_s));
+            assert_eq!(
+                (with.id, with.prompt_len, with.steps, with.arrival_s),
+                (
+                    without.id,
+                    without.prompt_len,
+                    without.steps,
+                    without.arrival_s
+                )
+            );
         }
     }
 
     fn spec_prefixless(s: &TrafficSpec) -> TrafficSpec {
-        TrafficSpec { prefix: PrefixTraffic::None, ..s.clone() }
+        TrafficSpec {
+            prefix: PrefixTraffic::None,
+            ..s.clone()
+        }
     }
 
     #[test]
     fn head_clamps_to_prompt_length() {
         let spec = TrafficSpec {
             prompt: LenDist::Fixed(16),
-            prefix: PrefixTraffic::SharedHead { tokens: 999, groups: 1 },
+            prefix: PrefixTraffic::SharedHead {
+                tokens: 999,
+                groups: 1,
+            },
             ..spec(5)
         };
         let trace = spec.generate();
@@ -830,13 +897,27 @@ mod tests {
     #[test]
     fn validation_rejects_bad_prefix_knob() {
         for bad in [
-            PrefixTraffic::SharedHead { tokens: 0, groups: 2 },
-            PrefixTraffic::SharedHead { tokens: 8, groups: 0 },
+            PrefixTraffic::SharedHead {
+                tokens: 0,
+                groups: 2,
+            },
+            PrefixTraffic::SharedHead {
+                tokens: 8,
+                groups: 0,
+            },
         ] {
-            assert!(TrafficSpec { prefix: bad, ..spec(1) }.validate().is_err());
+            assert!(TrafficSpec {
+                prefix: bad,
+                ..spec(1)
+            }
+            .validate()
+            .is_err());
         }
         TrafficSpec {
-            prefix: PrefixTraffic::SharedHead { tokens: 8, groups: 2 },
+            prefix: PrefixTraffic::SharedHead {
+                tokens: 8,
+                groups: 2,
+            },
             ..spec(1)
         }
         .validate()
@@ -864,7 +945,10 @@ mod tests {
     fn in_hour(trace: &[Request], day_s: f64, h: u64) -> usize {
         let hour_len = day_s / 24.0;
         let (lo, hi) = (h as f64 * hour_len, (h + 1) as f64 * hour_len);
-        trace.iter().filter(|r| r.arrival_s >= lo && r.arrival_s < hi).count()
+        trace
+            .iter()
+            .filter(|r| r.arrival_s >= lo && r.arrival_s < hi)
+            .count()
     }
 
     #[test]
@@ -927,20 +1011,46 @@ mod tests {
 
     #[test]
     fn diurnal_validation_rejects_bad_profiles() {
-        let with = |arrival| TrafficSpec { arrival, ..diurnal(1) };
+        let with = |arrival| TrafficSpec {
+            arrival,
+            ..diurnal(1)
+        };
         for bad in [
-            ArrivalPattern::Diurnal { peak_rps: 0.0, day_s: 2.4, burst_x: 1.0, bursts: 0 },
+            ArrivalPattern::Diurnal {
+                peak_rps: 0.0,
+                day_s: 2.4,
+                burst_x: 1.0,
+                bursts: 0,
+            },
             ArrivalPattern::Diurnal {
                 peak_rps: f64::NAN,
                 day_s: 2.4,
                 burst_x: 1.0,
                 bursts: 0,
             },
-            ArrivalPattern::Diurnal { peak_rps: 1.0, day_s: 0.0, burst_x: 1.0, bursts: 0 },
-            ArrivalPattern::Diurnal { peak_rps: 1.0, day_s: 2.4, burst_x: 0.5, bursts: 1 },
-            ArrivalPattern::Diurnal { peak_rps: 1.0, day_s: 2.4, burst_x: 2.0, bursts: 25 },
+            ArrivalPattern::Diurnal {
+                peak_rps: 1.0,
+                day_s: 0.0,
+                burst_x: 1.0,
+                bursts: 0,
+            },
+            ArrivalPattern::Diurnal {
+                peak_rps: 1.0,
+                day_s: 2.4,
+                burst_x: 0.5,
+                bursts: 1,
+            },
+            ArrivalPattern::Diurnal {
+                peak_rps: 1.0,
+                day_s: 2.4,
+                burst_x: 2.0,
+                bursts: 25,
+            },
         ] {
-            assert!(with(bad.clone()).validate().is_err(), "{bad:?} should be rejected");
+            assert!(
+                with(bad.clone()).validate().is_err(),
+                "{bad:?} should be rejected"
+            );
         }
         with(ArrivalPattern::Diurnal {
             peak_rps: 1.0,
@@ -954,7 +1064,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_specs() {
-        assert!(TrafficSpec { requests: 0, ..spec(1) }.validate().is_err());
+        assert!(TrafficSpec {
+            requests: 0,
+            ..spec(1)
+        }
+        .validate()
+        .is_err());
         assert!(TrafficSpec {
             prompt: LenDist::Uniform { lo: 9, hi: 3 },
             ..spec(1)
@@ -962,13 +1077,19 @@ mod tests {
         .validate()
         .is_err());
         assert!(TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 0, think_ms: 1.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 0,
+                think_ms: 1.0
+            },
             ..spec(1)
         }
         .validate()
         .is_err());
         assert!(TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 2, think_ms: -1.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 2,
+                think_ms: -1.0
+            },
             ..spec(1)
         }
         .validate()
@@ -976,7 +1097,10 @@ mod tests {
         for rate_rps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             for arrival in [
                 ArrivalPattern::OpenLoop { rate_rps },
-                ArrivalPattern::OpenLoopSessions { rate_rps, sessions: 4 },
+                ArrivalPattern::OpenLoopSessions {
+                    rate_rps,
+                    sessions: 4,
+                },
             ] {
                 let bad = TrafficSpec { arrival, ..spec(1) };
                 assert!(
@@ -992,7 +1116,10 @@ mod tests {
     fn non_finite_think_time_is_a_typed_error() {
         for think_ms in [f64::NAN, f64::INFINITY] {
             let bad = TrafficSpec {
-                arrival: ArrivalPattern::ClosedLoop { clients: 2, think_ms },
+                arrival: ArrivalPattern::ClosedLoop {
+                    clients: 2,
+                    think_ms,
+                },
                 ..spec(1)
             };
             assert!(
@@ -1022,7 +1149,11 @@ mod tests {
         let mut out = Vec::new();
         while let Some(at) = stream.peek() {
             let r = stream.pop();
-            assert_eq!(at.get().to_bits(), r.arrival_s.to_bits(), "peek announces the pop");
+            assert_eq!(
+                at.get().to_bits(),
+                r.arrival_s.to_bits(),
+                "peek announces the pop"
+            );
             out.push(r);
         }
         assert!(stream.exhausted());
@@ -1092,7 +1223,10 @@ mod tests {
     fn closed_loop_stream_couples_to_completions() {
         let spec = TrafficSpec {
             requests: 5,
-            arrival: ArrivalPattern::ClosedLoop { clients: 2, think_ms: 100.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 2,
+                think_ms: 100.0,
+            },
             prompt: LenDist::Fixed(8),
             steps: LenDist::Fixed(4),
             prefix: PrefixTraffic::None,
@@ -1125,7 +1259,10 @@ mod tests {
     fn closed_loop_caps_clients_at_request_budget() {
         let spec = TrafficSpec {
             requests: 2,
-            arrival: ArrivalPattern::ClosedLoop { clients: 8, think_ms: 0.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 8,
+                think_ms: 0.0,
+            },
             prompt: LenDist::Fixed(8),
             steps: LenDist::Fixed(4),
             prefix: PrefixTraffic::None,

@@ -128,7 +128,11 @@ impl PricingPool {
                 p
             }
         };
-        Ok(EngineSession { policy: engine.policy(), memory, pricing })
+        Ok(EngineSession {
+            policy: engine.policy(),
+            memory,
+            pricing,
+        })
     }
 
     /// Distinct pricing states built so far.
@@ -212,8 +216,9 @@ impl EngineSession {
     /// blocks, invalid sharding).
     pub fn core(&self) -> Result<EngineCore<'_>> {
         let executors = self.parallelism().executors();
-        let allocs: Vec<PagedKvAllocator> =
-            (0..executors).map(|_| self.allocator()).collect::<Result<_>>()?;
+        let allocs: Vec<PagedKvAllocator> = (0..executors)
+            .map(|_| self.allocator())
+            .collect::<Result<_>>()?;
         Ok(EngineCore::new(
             self.pricer(),
             self.policy,
@@ -266,8 +271,13 @@ mod tests {
     #[test]
     fn pool_builds_one_pricing_state_per_configuration() {
         let engine = |chip: TpuConfig, parallelism, policy| {
-            ServingEngine::new(chip, ServingModel::Llm(tiny_transformer()), parallelism, policy)
-                .unwrap()
+            ServingEngine::new(
+                chip,
+                ServingModel::Llm(tiny_transformer()),
+                parallelism,
+                policy,
+            )
+            .unwrap()
         };
         let one = Parallelism::Replicated { chips: 1 };
         let batch = BatchPolicy::Continuous { max_batch: 8 };
@@ -277,7 +287,11 @@ mod tests {
             engine(TpuConfig::tpuv4i(), one, BatchPolicy::Static { batch: 2 })
                 .with_memory(MemoryConfig::unlimited().with_block_tokens(8)),
             engine(TpuConfig::design_a(), one, batch),
-            engine(TpuConfig::tpuv4i(), Parallelism::TensorParallel { chips: 2 }, batch),
+            engine(
+                TpuConfig::tpuv4i(),
+                Parallelism::TensorParallel { chips: 2 },
+                batch,
+            ),
             engine(TpuConfig::design_a(), one, batch),
         ];
         let mut pool = PricingPool::new();

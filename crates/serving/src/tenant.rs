@@ -263,7 +263,11 @@ impl TenantSet {
     /// As for [`TenantSet::validate`].
     pub fn merged_spec(&self) -> Result<TrafficSpec> {
         self.validate()?;
-        let total = self.tenants.iter().map(|t| t.traffic.requests as usize).sum();
+        let total = self
+            .tenants
+            .iter()
+            .map(|t| t.traffic.requests as usize)
+            .sum();
         let mut records: Vec<TraceRecord> = Vec::with_capacity(total);
         for (ti, tenant) in self.tenants.iter().enumerate() {
             let salt = 0x7E4A_4715 ^ ti as u64;
@@ -329,23 +333,26 @@ impl TenantSet {
                 let i = i as u64;
                 let requests = base.requests / n + u64::from(i < base.requests % n);
                 let arrival = match &base.arrival {
-                    ArrivalPattern::OpenLoop { rate_rps } => {
-                        ArrivalPattern::OpenLoop { rate_rps: rate_rps * share }
-                    }
+                    ArrivalPattern::OpenLoop { rate_rps } => ArrivalPattern::OpenLoop {
+                        rate_rps: rate_rps * share,
+                    },
                     ArrivalPattern::OpenLoopSessions { rate_rps, sessions } => {
                         ArrivalPattern::OpenLoopSessions {
                             rate_rps: rate_rps * share,
                             sessions: *sessions,
                         }
                     }
-                    ArrivalPattern::Diurnal { peak_rps, day_s, burst_x, bursts } => {
-                        ArrivalPattern::Diurnal {
-                            peak_rps: peak_rps * share,
-                            day_s: *day_s,
-                            burst_x: *burst_x,
-                            bursts: *bursts,
-                        }
-                    }
+                    ArrivalPattern::Diurnal {
+                        peak_rps,
+                        day_s,
+                        burst_x,
+                        bursts,
+                    } => ArrivalPattern::Diurnal {
+                        peak_rps: peak_rps * share,
+                        day_s: *day_s,
+                        burst_x: *burst_x,
+                        bursts: *bursts,
+                    },
                     other => other.clone(),
                 };
                 let traffic = TrafficSpec {
@@ -419,9 +426,16 @@ pub fn parse_tenants(spec: &str) -> Result<Vec<TenantPart>> {
         }
         let name = name.trim();
         if parts.iter().any(|p| p.name == name) {
-            return Err(Error::invalid_config(format!("duplicate tenant name '{name}'")));
+            return Err(Error::invalid_config(format!(
+                "duplicate tenant name '{name}'"
+            )));
         }
-        parts.push(TenantPart { name: name.to_owned(), class, weight, slo_ms });
+        parts.push(TenantPart {
+            name: name.to_owned(),
+            class,
+            weight,
+            slo_ms,
+        });
     }
     if parts.is_empty() {
         return Err(Error::invalid_config("empty --tenants spec"));
@@ -630,9 +644,13 @@ impl TenantLedger {
         // weight` stays finite for weights as far apart as 1e-308 and 1e308.
         let least = self.weights.iter().fold(f64::INFINITY, |a, &w| a.min(w));
         let unit = f64::from_bits(least.to_bits() & 0x7FF0_0000_0000_0000).max(f64::MIN_POSITIVE);
-        let shares: Vec<f64> =
-            (0..n).map(|t| tokens[t] as f64 / (self.weights[t] / unit)).collect();
-        TenantReport { fairness: jain(&shares), tenants }
+        let shares: Vec<f64> = (0..n)
+            .map(|t| tokens[t] as f64 / (self.weights[t] / unit))
+            .collect();
+        TenantReport {
+            fairness: jain(&shares),
+            tenants,
+        }
     }
 }
 
@@ -685,14 +703,20 @@ mod tests {
             .iter()
             .all(|r| (r.tenant == 0) == (r.class == SloClass::Interactive)));
         // Sessions are salted per tenant: no collisions across tenants.
-        let s0: Vec<u64> =
-            reqs.iter().filter(|r| r.tenant == 0).map(|r| r.session).collect();
+        let s0: Vec<u64> = reqs
+            .iter()
+            .filter(|r| r.tenant == 0)
+            .map(|r| r.session)
+            .collect();
         assert!(reqs
             .iter()
             .filter(|r| r.tenant == 1)
             .all(|r| !s0.contains(&r.session)));
         // Merging is deterministic.
-        assert_eq!(spec.generate(), two_tenants().merged_spec().unwrap().generate());
+        assert_eq!(
+            spec.generate(),
+            two_tenants().merged_spec().unwrap().generate()
+        );
     }
 
     #[test]
@@ -720,10 +744,16 @@ mod tests {
         neg.weight = -1.0;
         assert!(TenantSet::new(vec![neg]).is_err());
         let mut closed = t("a");
-        closed.traffic.arrival = ArrivalPattern::ClosedLoop { clients: 1, think_ms: 1.0 };
+        closed.traffic.arrival = ArrivalPattern::ClosedLoop {
+            clients: 1,
+            think_ms: 1.0,
+        };
         assert!(TenantSet::new(vec![closed]).is_err());
         let mut prefixed = t("a");
-        prefixed.traffic.prefix = PrefixTraffic::SharedHead { tokens: 8, groups: 2 };
+        prefixed.traffic.prefix = PrefixTraffic::SharedHead {
+            tokens: 8,
+            groups: 2,
+        };
         assert!(TenantSet::new(vec![prefixed]).is_err());
     }
 
@@ -751,7 +781,9 @@ mod tests {
         assert!(parse_tenants("a=warp").is_err());
         assert!(parse_tenants("a=batch:x").is_err());
         assert!(parse_tenants("a=batch:1:2:3").is_err());
-        let err = parse_tenants("a=batch, a =interactive").unwrap_err().to_string();
+        let err = parse_tenants("a=batch, a =interactive")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("duplicate tenant name 'a'"), "{err}");
     }
 
@@ -826,7 +858,9 @@ mod tests {
                 t.weight = w;
             }
             set.validate().unwrap();
-            TenantLedger::new(&set, &spec).report(&completions, 1.0).fairness
+            TenantLedger::new(&set, &spec)
+                .report(&completions, 1.0)
+                .fairness
         };
         let extremes = [
             [1e308, 1e-308],
@@ -837,7 +871,10 @@ mod tests {
         ];
         for weights in extremes {
             let f = fairness(weights);
-            assert!(f.is_finite() && (0.5..=1.0 + 1e-12).contains(&f), "{weights:?}: {f}");
+            assert!(
+                f.is_finite() && (0.5..=1.0 + 1e-12).contains(&f),
+                "{weights:?}: {f}"
+            );
         }
         // 24 tokens each (see above): shares 24/w.
         for weights in [[3.0, 0.7], [1e-9, 1e9], [0.1, 0.3], [1.0, 1.0]] {

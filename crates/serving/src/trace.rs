@@ -66,9 +66,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let record: TraceRecord = serde_json::from_str(line).map_err(|e| {
-            Error::invalid_config(format!("trace line {}: {e}", lineno + 1))
-        })?;
+        let record: TraceRecord = serde_json::from_str(line)
+            .map_err(|e| Error::invalid_config(format!("trace line {}: {e}", lineno + 1)))?;
         if !record.t_s.is_finite() || record.t_s < 0.0 {
             return Err(Error::invalid_config(format!(
                 "trace line {}: arrival {} is not a finite non-negative time",
@@ -196,10 +195,7 @@ mod tests {
         assert!(parse_jsonl("not json").is_err());
         let ok = "{\"t_s\":1.0,\"prompt\":8,\"steps\":2,\"session\":0,\
                   \"tenant\":0,\"class\":\"Batch\"}";
-        let back_in_time = format!(
-            "{ok}\n{}",
-            ok.replace("\"t_s\":1.0", "\"t_s\":0.5")
-        );
+        let back_in_time = format!("{ok}\n{}", ok.replace("\"t_s\":1.0", "\"t_s\":0.5"));
         assert!(parse_jsonl(&back_in_time).is_err());
         let nan = ok.replace("\"t_s\":1.0", "\"t_s\":null");
         assert!(parse_jsonl(&nan).is_err());
@@ -217,7 +213,10 @@ mod tests {
     #[test]
     fn closed_loop_cannot_be_synthesized() {
         let spec = TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 2, think_ms: 1.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 2,
+                think_ms: 1.0,
+            },
             ..diurnal_spec(1)
         };
         assert!(synthesize(&spec).is_err());

@@ -5,8 +5,7 @@ use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
     ArrivalPattern, BatchPolicy, LenDist, Parallelism, PrefixTraffic, ServingEngine, ServingModel,
-    ServingRun,
-    TrafficSpec,
+    ServingRun, TrafficSpec,
 };
 
 fn tiny() -> TransformerConfig {
@@ -42,7 +41,10 @@ fn run(policy: BatchPolicy, traffic: &TrafficSpec) -> ServingRun {
 fn closed_loop_is_seeded_deterministic_for_every_policy() {
     for policy in [
         BatchPolicy::Static { batch: 2 },
-        BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 1.0 },
+        BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_wait_ms: 1.0,
+        },
         BatchPolicy::Continuous { max_batch: 4 },
     ] {
         let traffic = closed_loop(12, 3, 10.0, 42);
@@ -61,7 +63,10 @@ fn closed_loop_is_seeded_deterministic_for_every_policy() {
 #[test]
 fn closed_loop_caps_concurrency_at_client_count() {
     let clients = 3;
-    let a = run(BatchPolicy::Continuous { max_batch: 16 }, &closed_loop(15, clients, 0.0, 7));
+    let a = run(
+        BatchPolicy::Continuous { max_batch: 16 },
+        &closed_loop(15, clients, 0.0, 7),
+    );
     // At every arrival instant, at most `clients` requests are in flight.
     for c in &a.completions {
         let t = c.arrival;
@@ -77,7 +82,10 @@ fn closed_loop_caps_concurrency_at_client_count() {
 #[test]
 fn think_time_spaces_a_clients_requests() {
     let think_ms = 25.0;
-    let a = run(BatchPolicy::Continuous { max_batch: 4 }, &closed_loop(8, 2, think_ms, 9));
+    let a = run(
+        BatchPolicy::Continuous { max_batch: 4 },
+        &closed_loop(8, 2, think_ms, 9),
+    );
     // Requests alternate between the two clients in issue order; each
     // client's next arrival is its previous completion plus think time.
     // Reconstruct per-client chains from the serving completions: ids are
@@ -91,13 +99,14 @@ fn think_time_spaces_a_clients_requests() {
         // matches this arrival — or either idle client at t = 0.
         let arrival = c.arrival.get();
         let client = if arrival == 0.0 {
-            per_client_last_finish.iter().position(Option::is_none).expect("an idle client")
+            per_client_last_finish
+                .iter()
+                .position(Option::is_none)
+                .expect("an idle client")
         } else {
             per_client_last_finish
                 .iter()
-                .position(|f| {
-                    f.is_some_and(|f| (arrival - (f + think_ms / 1000.0)).abs() < 1e-9)
-                })
+                .position(|f| f.is_some_and(|f| (arrival - (f + think_ms / 1000.0)).abs() < 1e-9))
                 .unwrap_or_else(|| panic!("arrival {arrival} matches no client chain"))
         };
         per_client_last_finish[client] = Some(c.finish.get());
@@ -108,8 +117,14 @@ fn think_time_spaces_a_clients_requests() {
 fn more_clients_saturate_throughput() {
     // Closed-loop throughput grows with the client count until the
     // engine saturates (1 client leaves the chip idle during think time).
-    let lo = run(BatchPolicy::Continuous { max_batch: 8 }, &closed_loop(10, 1, 20.0, 5));
-    let hi = run(BatchPolicy::Continuous { max_batch: 8 }, &closed_loop(10, 8, 20.0, 5));
+    let lo = run(
+        BatchPolicy::Continuous { max_batch: 8 },
+        &closed_loop(10, 1, 20.0, 5),
+    );
+    let hi = run(
+        BatchPolicy::Continuous { max_batch: 8 },
+        &closed_loop(10, 8, 20.0, 5),
+    );
     assert!(
         hi.report.throughput_rps > lo.report.throughput_rps,
         "8 clients {:.2} rps should beat 1 client {:.2} rps",

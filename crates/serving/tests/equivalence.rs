@@ -23,10 +23,18 @@ fn reference_latency(config: &TpuConfig, prompt: u64, steps: u64) -> Seconds {
     let model = tiny();
     let layers = model.layers() as f64;
     let mut t = Seconds::ZERO;
-    t += sim.run(&model.prefill_layer(1, prompt).unwrap()).unwrap().total_latency() * layers;
+    t += sim
+        .run(&model.prefill_layer(1, prompt).unwrap())
+        .unwrap()
+        .total_latency()
+        * layers;
     for s in 0..steps {
         let ctx = prompt + s + 1;
-        t += sim.run(&model.decode_layer(1, ctx).unwrap()).unwrap().total_latency() * layers;
+        t += sim
+            .run(&model.decode_layer(1, ctx).unwrap())
+            .unwrap()
+            .total_latency()
+            * layers;
     }
     t
 }
@@ -56,7 +64,10 @@ fn serving_latency(config: &TpuConfig, policy: BatchPolicy, prompt: u64, steps: 
 fn batch1_matches_simulator_exactly_for_every_policy() {
     let policies = [
         BatchPolicy::Static { batch: 1 },
-        BatchPolicy::Dynamic { max_batch: 1, max_wait_ms: 0.0 },
+        BatchPolicy::Dynamic {
+            max_batch: 1,
+            max_wait_ms: 0.0,
+        },
         BatchPolicy::Continuous { max_batch: 1 },
     ];
     // Both MXU kinds: the digital systolic baseline and the CIM design.
@@ -82,9 +93,11 @@ fn batch1_ttft_is_prefill_latency_exactly() {
     let config = TpuConfig::tpuv4i();
     let sim = Simulator::new(config.clone()).unwrap();
     let model = tiny();
-    let prefill =
-        sim.run(&model.prefill_layer(1, 32).unwrap()).unwrap().total_latency()
-            * model.layers() as f64;
+    let prefill = sim
+        .run(&model.prefill_layer(1, 32).unwrap())
+        .unwrap()
+        .total_latency()
+        * model.layers() as f64;
 
     let engine = ServingEngine::new(
         config,
@@ -102,7 +115,10 @@ fn batch1_ttft_is_prefill_latency_exactly() {
         seed: 0,
     };
     let run = engine.run("ttft", &traffic).unwrap();
-    assert_eq!(run.completions[0].ttft().get().to_bits(), prefill.get().to_bits());
+    assert_eq!(
+        run.completions[0].ttft().get().to_bits(),
+        prefill.get().to_bits()
+    );
 }
 
 #[test]

@@ -4,9 +4,8 @@
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
-    ServingEngine, ServingModel,
-    ServingRun, TrafficSpec,
+    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic, ServingEngine,
+    ServingModel, ServingRun, TrafficSpec,
 };
 use cimtpu_units::Bytes;
 use proptest::prelude::*;
@@ -62,7 +61,10 @@ fn tight_four_blocks() -> MemoryConfig {
 
 const POLICIES: [BatchPolicy; 3] = [
     BatchPolicy::Static { batch: 4 },
-    BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 10.0 },
+    BatchPolicy::Dynamic {
+        max_batch: 4,
+        max_wait_ms: 10.0,
+    },
     BatchPolicy::Continuous { max_batch: 4 },
 ];
 
@@ -142,9 +144,21 @@ fn continuous_pressure_reports_memory_events() {
         tight_four_blocks(),
         &pressure_traffic(),
     );
-    assert!(squeezed.report.preemptions >= 1, "report: {}", squeezed.report);
-    assert!(squeezed.report.queue_full_s > 0.0, "report: {}", squeezed.report);
-    assert!(squeezed.report.kv_hwm_frac > 0.8, "report: {}", squeezed.report);
+    assert!(
+        squeezed.report.preemptions >= 1,
+        "report: {}",
+        squeezed.report
+    );
+    assert!(
+        squeezed.report.queue_full_s > 0.0,
+        "report: {}",
+        squeezed.report
+    );
+    assert!(
+        squeezed.report.kv_hwm_frac > 0.8,
+        "report: {}",
+        squeezed.report
+    );
     // Preempted requests pay recompute: mean latency strictly above the
     // unlimited run's.
     let plain = run(
@@ -193,7 +207,10 @@ fn chunked_prefill_with_dit_completes() {
     };
     let run = ServingEngine::new(
         TpuConfig::tpuv4i(),
-        ServingModel::Dit { dit: presets::dit_b_2(), resolution: 256 },
+        ServingModel::Dit {
+            dit: presets::dit_b_2(),
+            resolution: 256,
+        },
         Parallelism::Replicated { chips: 1 },
         BatchPolicy::Continuous { max_batch: 4 },
     )
@@ -285,7 +302,10 @@ fn tensor_parallel_shards_the_footprint() {
     .run("tp-kv", &pressure_traffic())
     .unwrap();
     assert!(single.report.preemptions >= 1);
-    assert_eq!(ring.report.preemptions, 0, "sharded KV fits without eviction");
+    assert_eq!(
+        ring.report.preemptions, 0,
+        "sharded KV fits without eviction"
+    );
     assert_eq!(ring.report.completed, single.report.completed);
 }
 

@@ -11,8 +11,8 @@
 use cimtpu_core::TpuConfig;
 use cimtpu_models::TransformerConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic,
-    ServingEngine, ServingModel, ServingRun, TrafficSpec,
+    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Parallelism, PrefixTraffic, ServingEngine,
+    ServingModel, ServingRun, TrafficSpec,
 };
 use cimtpu_units::Bytes;
 use proptest::prelude::*;
@@ -36,14 +36,20 @@ fn run(policy: BatchPolicy, memory: MemoryConfig, traffic: &TrafficSpec) -> Serv
 
 const POLICIES: [BatchPolicy; 3] = [
     BatchPolicy::Static { batch: 3 },
-    BatchPolicy::Dynamic { max_batch: 3, max_wait_ms: 0.5 },
+    BatchPolicy::Dynamic {
+        max_batch: 3,
+        max_wait_ms: 0.5,
+    },
     BatchPolicy::Continuous { max_batch: 3 },
 ];
 
 /// The generated text of a run: (id, arrival, steps) per completion, in
 /// id order (completions are already id-sorted).
 fn tokens(r: &ServingRun) -> Vec<(u64, f64, u64)> {
-    r.completions.iter().map(|c| (c.id, c.arrival.get(), c.steps)).collect()
+    r.completions
+        .iter()
+        .map(|c| (c.id, c.arrival.get(), c.steps))
+        .collect()
 }
 
 proptest! {
@@ -152,16 +158,25 @@ fn sharing_composes_with_chunked_prefill() {
         arrival: ArrivalPattern::OpenLoop { rate_rps: 5_000.0 },
         prompt: LenDist::Uniform { lo: 33, hi: 96 },
         steps: LenDist::Fixed(6),
-        prefix: PrefixTraffic::SharedHead { tokens: 32, groups: 1 },
+        prefix: PrefixTraffic::SharedHead {
+            tokens: 32,
+            groups: 1,
+        },
         seed: 11,
     };
     let policy = BatchPolicy::Continuous { max_batch: 4 };
     let both = run(
         policy,
-        MemoryConfig::unlimited().with_chunked_prefill(16).with_prefix_sharing(),
+        MemoryConfig::unlimited()
+            .with_chunked_prefill(16)
+            .with_prefix_sharing(),
         &traffic,
     );
-    let chunked_only = run(policy, MemoryConfig::unlimited().with_chunked_prefill(16), &traffic);
+    let chunked_only = run(
+        policy,
+        MemoryConfig::unlimited().with_chunked_prefill(16),
+        &traffic,
+    );
     let plain = run(policy, MemoryConfig::unlimited(), &traffic);
     assert_eq!(tokens(&both), tokens(&plain));
     assert_eq!(tokens(&both), tokens(&chunked_only));
@@ -185,7 +200,10 @@ fn bounded_budget_retains_prefix_across_requests() {
         arrival: ArrivalPattern::OpenLoop { rate_rps: 50.0 }, // spaced: ~1 resident
         prompt: LenDist::Fixed(32),
         steps: LenDist::Fixed(4),
-        prefix: PrefixTraffic::SharedHead { tokens: 32, groups: 1 },
+        prefix: PrefixTraffic::SharedHead {
+            tokens: 32,
+            groups: 1,
+        },
         seed: 5,
     };
     // 8 blocks of 16 tokens: one resident (3 blocks at its peak) plus the

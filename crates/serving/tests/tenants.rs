@@ -28,8 +28,13 @@ fn tiny() -> ServingModel {
 }
 
 fn engine(policy: BatchPolicy) -> ServingEngine {
-    ServingEngine::new(TpuConfig::tpuv4i(), tiny(), Parallelism::Replicated { chips: 1 }, policy)
-        .unwrap()
+    ServingEngine::new(
+        TpuConfig::tpuv4i(),
+        tiny(),
+        Parallelism::Replicated { chips: 1 },
+        policy,
+    )
+    .unwrap()
 }
 
 fn open_loop(requests: u64, rate_rps: f64, seed: u64) -> TrafficSpec {
@@ -45,7 +50,10 @@ fn open_loop(requests: u64, rate_rps: f64, seed: u64) -> TrafficSpec {
 
 const POLICIES: [BatchPolicy; 3] = [
     BatchPolicy::Static { batch: 4 },
-    BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 0.05 },
+    BatchPolicy::Dynamic {
+        max_batch: 4,
+        max_wait_ms: 0.05,
+    },
     BatchPolicy::Continuous { max_batch: 4 },
 ];
 
@@ -75,7 +83,10 @@ fn single_tenant_set_is_bit_identical_to_plain_run() {
         let tenanted = engine(policy).run("anchor", &set).unwrap();
         assert_eq!(tenanted.completions, plain.completions, "{}", policy.name());
         let mut stripped = tenanted.report.clone();
-        let t = stripped.tenants.take().expect("tenanted run reports tenants");
+        let t = stripped
+            .tenants
+            .take()
+            .expect("tenanted run reports tenants");
         assert_eq!(stripped, plain.report, "{}", policy.name());
         // The section itself is the trivial partition.
         assert_eq!(t.tenants.len(), 1);
@@ -105,11 +116,18 @@ fn weighted_fair_admission_stays_within_one_quantum() {
         TenantSpec::new("light", SloClass::Standard, 1.0, fixed(2)),
     ])
     .unwrap();
-    let run = engine(BatchPolicy::Continuous { max_batch: 2 }).run("wfq", &set).unwrap();
+    let run = engine(BatchPolicy::Continuous { max_batch: 2 })
+        .run("wfq", &set)
+        .unwrap();
     assert_eq!(run.report.completed, 24);
     let who = tenants_by_id(&set);
     let mut done = run.completions.clone();
-    done.sort_by(|a, b| a.finish.partial_cmp(&b.finish).unwrap().then(a.id.cmp(&b.id)));
+    done.sort_by(|a, b| {
+        a.finish
+            .partial_cmp(&b.finish)
+            .unwrap()
+            .then(a.id.cmp(&b.id))
+    });
     let (mut heavy, mut light) = (0u64, 0u64);
     for c in &done {
         if who[c.id as usize] == 0 {
@@ -121,7 +139,10 @@ fn weighted_fair_admission_stays_within_one_quantum() {
         // track each other within one quantum (the larger 1/weight).
         if heavy < 12 && light < 12 {
             let gap = (heavy as f64 / 3.0 - light as f64).abs();
-            assert!(gap <= 1.0 + 1e-9, "weighted service gap {gap} after {heavy}h/{light}l");
+            assert!(
+                gap <= 1.0 + 1e-9,
+                "weighted service gap {gap} after {heavy}h/{light}l"
+            );
         }
     }
     // The 3:1 weights show up as 3:1 service while both are backlogged:
@@ -157,17 +178,30 @@ fn preemption_evicts_batch_before_interactive() {
         .with_memory(tight)
         .run("evict", &set)
         .unwrap();
-    assert_eq!(run.report.completed, 24, "tight KV delays but loses nothing");
+    assert_eq!(
+        run.report.completed, 24,
+        "tight KV delays but loses nothing"
+    );
     let t = run.report.tenants.as_ref().unwrap();
     let chat = &t.tenants[0];
     let bulk = &t.tenants[1];
     assert!(run.report.preemptions >= 1, "recipe must provoke evictions");
-    assert_eq!(chat.preemptions, 0, "interactive resident was evicted: {t:?}");
-    assert_eq!(bulk.preemptions, run.report.preemptions, "ledger conserves preemptions");
+    assert_eq!(
+        chat.preemptions, 0,
+        "interactive resident was evicted: {t:?}"
+    );
+    assert_eq!(
+        bulk.preemptions, run.report.preemptions,
+        "ledger conserves preemptions"
+    );
 }
 
 fn conservation(run: &ServingRun) {
-    let t = run.report.tenants.as_ref().expect("multi-tenant run reports tenants");
+    let t = run
+        .report
+        .tenants
+        .as_ref()
+        .expect("multi-tenant run reports tenants");
     let mut offered = 0;
     let mut completed = 0;
     for u in &t.tenants {
@@ -179,7 +213,11 @@ fn conservation(run: &ServingRun) {
     }
     assert_eq!(offered, run.report.offered);
     assert_eq!(completed, run.report.completed);
-    assert!(t.fairness > 0.0 && t.fairness <= 1.0 + 1e-12, "fairness {}", t.fairness);
+    assert!(
+        t.fairness > 0.0 && t.fairness <= 1.0 + 1e-12,
+        "fairness {}",
+        t.fairness
+    );
     let share: f64 = t.tenants.iter().map(|u| u.service_share).sum();
     assert!((share - 1.0).abs() < 1e-9, "service shares sum to {share}");
 }
@@ -216,7 +254,15 @@ proptest! {
 /// class, and numbers `f64` parses to zero, negatives, NaN and infinity.
 const NAMES: [&str; 5] = ["chat", "bulk", "", " a ", "é"];
 const EQUALS: [&str; 5] = ["=", "=", "=", "", "=="];
-const CLASSES: [&str; 7] = ["interactive", "standard", "batch", "batch", "standard", "Batch", ""];
+const CLASSES: [&str; 7] = [
+    "interactive",
+    "standard",
+    "batch",
+    "batch",
+    "standard",
+    "Batch",
+    "",
+];
 const NUMBERS: [&str; 10] = ["1", "2.5", "250", "1", "0", "-1", "nan", "inf", "1e309", ""];
 const COMMAS: [&str; 3] = [",", ", ", ",,"];
 
@@ -251,7 +297,10 @@ fn check_tenant_spec(spec: &str) {
         Ok(set) => {
             assert_eq!(set.tenants.len(), parts.len(), "{spec:?}");
             let merged = set.merged_spec().unwrap();
-            assert!(merged.generate().iter().all(|r| (r.tenant as usize) < parts.len()));
+            assert!(merged
+                .generate()
+                .iter()
+                .all(|r| (r.tenant as usize) < parts.len()));
         }
         Err(Error::InvalidConfig(_)) => {}
         Err(e) => panic!("{spec:?}: untyped overlay error {e:?}"),

@@ -56,12 +56,18 @@ fn golden_fixture_parses_and_rerenders_byte_identically() {
     assert_eq!(records.len(), 16);
     // The fixture carries all three service tiers.
     for class in [SloClass::Interactive, SloClass::Standard, SloClass::Batch] {
-        assert!(records.iter().any(|r| r.class == class), "fixture lacks {class:?}");
+        assert!(
+            records.iter().any(|r| r.class == class),
+            "fixture lacks {class:?}"
+        );
     }
     // Writer round trip: the data lines (comments stripped) come back
     // byte-for-byte.
-    let data: String =
-        GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    let data: String = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
     assert_eq!(to_jsonl(&records), data);
     assert_eq!(parse_jsonl(&to_jsonl(&records)).unwrap(), records);
 }
@@ -86,7 +92,12 @@ fn golden_fixture_replays_deterministically() {
 fn synthesized_diurnal_replays_token_for_token_through_the_engine() {
     let spec = TrafficSpec {
         requests: 32,
-        arrival: ArrivalPattern::Diurnal { peak_rps: 3_000.0, day_s: 0.03, burst_x: 2.0, bursts: 2 },
+        arrival: ArrivalPattern::Diurnal {
+            peak_rps: 3_000.0,
+            day_s: 0.03,
+            burst_x: 2.0,
+            bursts: 2,
+        },
         prompt: LenDist::Uniform { lo: 8, hi: 32 },
         steps: LenDist::Uniform { lo: 2, hi: 6 },
         prefix: PrefixTraffic::None,
@@ -95,7 +106,10 @@ fn synthesized_diurnal_replays_token_for_token_through_the_engine() {
     let live = engine().run("diurnal", &spec).unwrap();
     let replayed = replay_spec(synthesize(&spec).unwrap()).unwrap();
     let trace = engine().run("diurnal", &replayed).unwrap();
-    assert_eq!(trace.completions, live.completions, "replay diverged from the live run");
+    assert_eq!(
+        trace.completions, live.completions,
+        "replay diverged from the live run"
+    );
     assert_eq!(trace.report, live.report);
     // And the file format is transparent: write → parse → replay again.
     let reparsed = replay_spec(parse_jsonl(&to_jsonl(&synthesize(&spec).unwrap())).unwrap());
@@ -116,25 +130,48 @@ fn llm_engines_reject_empty_prompts_dit_engines_take_them() {
     let traced = replay_spec(parse_jsonl(EMPTY_PROMPT).unwrap()).unwrap();
     for policy in [
         BatchPolicy::Continuous { max_batch: 4 },
-        BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 1.0 },
+        BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_wait_ms: 1.0,
+        },
     ] {
         let engine = engine_with(policy);
         let name = policy.name();
-        assert!(is_invalid_config(engine.run("trace", &traced)), "{name}: trace");
+        assert!(
+            is_invalid_config(engine.run("trace", &traced)),
+            "{name}: trace"
+        );
         for prompt in [LenDist::Fixed(0), LenDist::Uniform { lo: 0, hi: 8 }] {
-            assert!(is_invalid_config(engine.run("dist", &sampled(prompt))), "{name}: {prompt:?}");
+            assert!(
+                is_invalid_config(engine.run("dist", &sampled(prompt))),
+                "{name}: {prompt:?}"
+            );
         }
-        let run = engine.run("dist", &sampled(LenDist::Uniform { lo: 1, hi: 8 })).unwrap();
+        let run = engine
+            .run("dist", &sampled(LenDist::Uniform { lo: 1, hi: 8 }))
+            .unwrap();
         assert_eq!(run.report.completed, 4, "{name}");
     }
     let dit = ServingEngine::new(
         TpuConfig::tpuv4i(),
-        ServingModel::Dit { dit: presets::dit_b_2(), resolution: 256 },
+        ServingModel::Dit {
+            dit: presets::dit_b_2(),
+            resolution: 256,
+        },
         Parallelism::Replicated { chips: 1 },
-        BatchPolicy::Dynamic { max_batch: 4, max_wait_ms: 1.0 },
+        BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_wait_ms: 1.0,
+        },
     )
     .unwrap();
-    assert_eq!(dit.run("dit", &sampled(LenDist::Fixed(0))).unwrap().report.completed, 4);
+    assert_eq!(
+        dit.run("dit", &sampled(LenDist::Fixed(0)))
+            .unwrap()
+            .report
+            .completed,
+        4
+    );
     assert_eq!(dit.run("dit", &traced).unwrap().report.completed, 2);
 }
 

@@ -79,7 +79,9 @@ impl CycleSim {
     /// than 256×256 (the simulator is meant for validation, not scale).
     pub fn new(rows: usize, cols: usize) -> Result<Self> {
         if rows == 0 || cols == 0 {
-            return Err(Error::invalid_config("cycle sim dimensions must be non-zero"));
+            return Err(Error::invalid_config(
+                "cycle sim dimensions must be non-zero",
+            ));
         }
         if rows > 256 || cols > 256 {
             return Err(Error::invalid_config(
@@ -239,8 +241,15 @@ mod tests {
         for (m, k, n) in [(1, 4, 4), (5, 3, 2), (8, 8, 8), (16, 7, 5), (3, 1, 1)] {
             let a = rand_mat(m, k, &mut seed);
             let w = rand_mat(k, n, &mut seed);
-            let run = CycleSim::new(k.max(1), n.max(1)).unwrap().run(&a, &w).unwrap();
-            assert_eq!(run.result(), matmul_reference(&a, &w).as_slice(), "{m}x{k}x{n}");
+            let run = CycleSim::new(k.max(1), n.max(1))
+                .unwrap()
+                .run(&a, &w)
+                .unwrap();
+            assert_eq!(
+                run.result(),
+                matmul_reference(&a, &w).as_slice(),
+                "{m}x{k}x{n}"
+            );
         }
     }
 
@@ -276,7 +285,9 @@ mod tests {
     #[test]
     fn rejects_ragged_and_oversized() {
         let sim = CycleSim::new(2, 2).unwrap();
-        assert!(sim.run(&[vec![1, 2], vec![3]], &[vec![1, 2], vec![3, 4]]).is_err());
+        assert!(sim
+            .run(&[vec![1, 2], vec![3]], &[vec![1, 2], vec![3, 4]])
+            .is_err());
         assert!(sim
             .run(&[vec![1, 2, 3]], &[vec![1], vec![2], vec![3]])
             .is_err());

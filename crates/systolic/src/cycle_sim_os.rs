@@ -81,7 +81,9 @@ impl OsCycleSim {
     /// than 256×256.
     pub fn new(rows: usize, cols: usize) -> Result<Self> {
         if rows == 0 || cols == 0 {
-            return Err(Error::invalid_config("OS cycle sim dimensions must be non-zero"));
+            return Err(Error::invalid_config(
+                "OS cycle sim dimensions must be non-zero",
+            ));
         }
         if rows > 256 || cols > 256 {
             return Err(Error::invalid_config(
@@ -102,7 +104,9 @@ impl OsCycleSim {
         let k = weights.len();
         let n = weights.first().map_or(0, Vec::len);
         if m == 0 || k == 0 || n == 0 {
-            return Err(Error::invalid_shape("OS cycle sim operands must be non-empty"));
+            return Err(Error::invalid_shape(
+                "OS cycle sim operands must be non-empty",
+            ));
         }
         if activations.iter().any(|r| r.len() != k) || weights.iter().any(|r| r.len() != n) {
             return Err(Error::invalid_shape(
@@ -199,7 +203,11 @@ mod tests {
             let a = rand_mat(m, k, &mut seed);
             let w = rand_mat(k, n, &mut seed);
             let run = OsCycleSim::new(m, n).unwrap().run(&a, &w).unwrap();
-            assert_eq!(run.result(), matmul_reference(&a, &w).as_slice(), "{m}x{k}x{n}");
+            assert_eq!(
+                run.result(),
+                matmul_reference(&a, &w).as_slice(),
+                "{m}x{k}x{n}"
+            );
         }
     }
 

@@ -187,10 +187,7 @@ mod tests {
     #[test]
     fn mac_energy_dominates_at_high_utilization() {
         let mxu = SystolicArray::new(SystolicConfig::tpuv4i_mxu()).unwrap();
-        let e = mxu.gemm_energy(
-            GemmShape::new(1 << 15, 4096, 4096).unwrap(),
-            DataType::Int8,
-        );
+        let e = mxu.gemm_energy(GemmShape::new(1 << 15, 4096, 4096).unwrap(), DataType::Int8);
         let clock = Frequency::from_ghz(1.05);
         assert!(e.mac() > e.static_energy_at(clock));
         assert!(e.mac() > e.weight_load());

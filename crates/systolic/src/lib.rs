@@ -102,7 +102,8 @@ impl SystolicArray {
     pub fn gemm_energy(&self, shape: GemmShape, dtype: DataType) -> GemmEnergy {
         let timing = self.gemm_timing(shape, dtype);
         let traffic = self.gemm_traffic(shape, dtype);
-        self.energy.gemm_energy(&self.config, shape, dtype, &timing, &traffic)
+        self.energy
+            .gemm_energy(&self.config, shape, dtype, &timing, &traffic)
     }
 
     /// Total silicon area of the array.
@@ -152,8 +153,7 @@ mod tests {
     #[test]
     fn gemv_utilization_collapses() {
         let mxu = SystolicArray::new(SystolicConfig::tpuv4i_mxu()).unwrap();
-        let t = mxu
-            .gemm_timing(GemmShape::gemv(7168, 7168).unwrap(), DataType::Int8);
+        let t = mxu.gemm_timing(GemmShape::gemv(7168, 7168).unwrap(), DataType::Int8);
         // A decode GEMV on a 128x128 WS array spends almost all cycles on
         // weight refills: utilization is capped at m/R = 1/128.
         assert!(t.utilization() < 0.01, "utilization {}", t.utilization());

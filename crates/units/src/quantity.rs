@@ -19,7 +19,9 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.get(), 128);
 /// assert!((c.at(Frequency::from_ghz(1.0)).as_nanos() - 128.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -340,7 +342,9 @@ impl Watts {
 /// assert_eq!(Bytes::from_mib(16).get(), 16 * 1024 * 1024);
 /// assert_eq!(Bytes::from_kib(1) + Bytes::new(24), Bytes::new(1048));
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -567,7 +571,10 @@ mod tests {
     #[test]
     fn cycles_saturating_sub_clamps() {
         assert_eq!(Cycles::new(3).saturating_sub(Cycles::new(10)), Cycles::ZERO);
-        assert_eq!(Cycles::new(10).saturating_sub(Cycles::new(3)), Cycles::new(7));
+        assert_eq!(
+            Cycles::new(10).saturating_sub(Cycles::new(3)),
+            Cycles::new(7)
+        );
     }
 
     #[test]
@@ -586,7 +593,10 @@ mod tests {
         // Zero bytes is free even with zero bandwidth.
         assert_eq!(Bandwidth::ZERO.transfer_time(Bytes::ZERO), Seconds::ZERO);
         // Non-zero bytes at zero bandwidth never completes.
-        assert!(Bandwidth::ZERO.transfer_time(Bytes::new(1)).get().is_infinite());
+        assert!(Bandwidth::ZERO
+            .transfer_time(Bytes::new(1))
+            .get()
+            .is_infinite());
     }
 
     #[test]

@@ -124,7 +124,11 @@ impl GemmShape {
         (0..parts)
             .map(|i| if i < rem { base + 1 } else { base })
             .filter(|&n| n > 0)
-            .map(|n| GemmShape { m: self.m, k: self.k, n })
+            .map(|n| GemmShape {
+                m: self.m,
+                k: self.k,
+                n,
+            })
             .collect()
     }
 

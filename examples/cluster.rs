@@ -34,7 +34,11 @@ fn main() -> Result<()> {
     // hands each finished prompt's paged KV cache over an ICI-class link
     // to two decode chips (placement by KV occupancy).
     let disaggregated = ClusterEngine::disaggregated(
-        vec![ReplicaSpec::new("prefill-0", TpuConfig::design_a(), model.clone())],
+        vec![ReplicaSpec::new(
+            "prefill-0",
+            TpuConfig::design_a(),
+            model.clone(),
+        )],
         vec![
             ReplicaSpec::new("decode-0", TpuConfig::design_a(), model.clone()),
             ReplicaSpec::new("decode-1", TpuConfig::design_a(), model.clone()),
@@ -67,7 +71,10 @@ fn main() -> Result<()> {
     .run(
         "closed-loop",
         &TrafficSpec {
-            arrival: ArrivalPattern::ClosedLoop { clients: 16, think_ms: 50.0 },
+            arrival: ArrivalPattern::ClosedLoop {
+                clients: 16,
+                think_ms: 50.0,
+            },
             ..traffic
         },
     )?;

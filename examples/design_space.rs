@@ -43,7 +43,10 @@ fn main() -> Result<()> {
     }
 
     // Objective: energy-delay product over a 70/30 LLM/DiT workload mix.
-    println!("{:<22} {:>10} {:>12} {:>12} {:>14}", "config", "peak TOPS", "LLM EDP", "DiT EDP", "mixed EDP");
+    println!(
+        "{:<22} {:>10} {:>12} {:>12} {:>14}",
+        "config", "peak TOPS", "LLM EDP", "DiT EDP", "mixed EDP"
+    );
     let mut best: Option<(TpuConfig, f64)> = None;
     for cfg in candidates {
         let sim = Simulator::new(cfg)?;
@@ -77,12 +80,22 @@ fn main() -> Result<()> {
     // layer (its widest per-MXU shard) against the winner's engine.
     let sim = Simulator::new(winner)?;
     let layer = gpt3.decode_layer(8, 1280)?;
-    let engine = EngineModel { engine: sim.engine(), clock: sim.config().clock() };
-    println!("\nChosen tilings on {} (per-MXU shards):", sim.config().name());
+    let engine = EngineModel {
+        engine: sim.engine(),
+        clock: sim.config().clock(),
+    };
+    println!(
+        "\nChosen tilings on {} (per-MXU shards):",
+        sim.config().name()
+    );
     for inst in layer.ops() {
-        let Op::Gemm { shape, dtype } = *inst.op() else { continue };
+        let Op::Gemm { shape, dtype } = *inst.op() else {
+            continue;
+        };
         let shard = shape.split_n(sim.config().mxu_count())[0];
-        let m = sim.per_mxu_mapper().best_gemm_mapping(shard, dtype, &engine, false)?;
+        let m = sim
+            .per_mxu_mapper()
+            .best_gemm_mapping(shard, dtype, &engine, false)?;
         println!(
             "  {:<28} tile [{} x {} x {}] x{:<4} {:>8.1} us ({})",
             shard.to_string(),
@@ -91,7 +104,11 @@ fn main() -> Result<()> {
             m.tile().n(),
             m.tiles(),
             m.total().as_micros(),
-            if m.is_memory_bound() { "memory-bound" } else { "compute-bound" },
+            if m.is_memory_bound() {
+                "memory-bound"
+            } else {
+                "compute-bound"
+            },
         );
     }
     Ok(())

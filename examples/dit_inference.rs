@@ -9,9 +9,7 @@ fn main() -> Result<()> {
     let dit = presets::dit_xl_2();
     let (batch, resolution, steps) = (8, 512, 50);
 
-    println!(
-        "DiT-XL/2 @ {resolution}x{resolution}, batch {batch}, {steps}-step sampler, INT8\n"
-    );
+    println!("DiT-XL/2 @ {resolution}x{resolution}, batch {batch}, {steps}-step sampler, INT8\n");
     println!(
         "{:<18} {:>14} {:>14} {:>12}",
         "config", "forward (ms)", "MXU E (mJ)", "img/s"

@@ -15,7 +15,11 @@ fn main() -> Result<()> {
         "{:<12} {:>5} {:>12} {:>14} {:>12}",
         "config", "TPUs", "LLM tok/s", "J/token", "DiT img/s"
     );
-    for cfg in [TpuConfig::tpuv4i(), TpuConfig::design_a(), TpuConfig::design_b()] {
+    for cfg in [
+        TpuConfig::tpuv4i(),
+        TpuConfig::design_a(),
+        TpuConfig::design_b(),
+    ] {
         for devices in [1u64, 2, 4] {
             let cluster = MultiTpu::new(cfg.clone(), devices)?;
             let llm = cluster.llm_pipeline_throughput(&gpt3, spec)?;

@@ -16,7 +16,10 @@ fn main() -> Result<()> {
         arrival: ArrivalPattern::OpenLoop { rate_rps: 6.0 },
         prompt: LenDist::Uniform { lo: 640, hi: 1024 },
         steps: LenDist::Fixed(32),
-        prefix: PrefixTraffic::SharedHead { tokens: 512, groups: 2 },
+        prefix: PrefixTraffic::SharedHead {
+            tokens: 512,
+            groups: 2,
+        },
         seed: 0xC1A0,
     };
     let engine = |memory: MemoryConfig| -> Result<ServingEngine> {
@@ -52,9 +55,13 @@ fn main() -> Result<()> {
     // shared-head identity, so a head's requests land where its KV blocks
     // already live instead of re-prefilling once per replica.
     let replica = |name: &str| {
-        ReplicaSpec::new(name, TpuConfig::design_a(), ServingModel::Llm(presets::gpt3_6_7b()))
-            .with_policy(BatchPolicy::Continuous { max_batch: 8 })
-            .with_memory(MemoryConfig::unlimited().with_prefix_sharing())
+        ReplicaSpec::new(
+            name,
+            TpuConfig::design_a(),
+            ServingModel::Llm(presets::gpt3_6_7b()),
+        )
+        .with_policy(BatchPolicy::Continuous { max_batch: 8 })
+        .with_memory(MemoryConfig::unlimited().with_prefix_sharing())
     };
     let fleet = ClusterEngine::colocated(
         vec![replica("prefix-0"), replica("prefix-1")],

@@ -182,22 +182,21 @@ pub use cimtpu_units as units;
 
 /// The most common imports for simulator users.
 pub mod prelude {
+    pub use cimtpu_cluster::{
+        ClusterEngine, ClusterReport, InterconnectSpec, ReplicaSpec, Router, RouterPolicy,
+    };
     pub use cimtpu_core::{
         inference, MatrixEngine, MxuKind, PhasedReport, Report, SegmentCost, Simulator, TpuConfig,
     };
+    pub use cimtpu_kv::{KvBudget, KvFootprint, PagedKvAllocator, PrefixIndex, PrefixStats};
     pub use cimtpu_models::{
         presets, DitConfig, LlmInferenceSpec, LlmModelConfig, MoeConfig, Op, OpCategory,
-        OpInstance, Phase, Segment,
-        TransformerConfig, Workload,
+        OpInstance, Phase, Segment, TransformerConfig, Workload,
     };
-    pub use cimtpu_kv::{KvBudget, KvFootprint, PagedKvAllocator, PrefixIndex, PrefixStats};
     pub use cimtpu_multi::{MultiTpu, RingTopology};
     pub use cimtpu_serving::{
         ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, MemoryStats, Parallelism,
         PrefixTraffic, PromptPrefix, ServingEngine, ServingModel, ServingReport, TrafficSpec,
-    };
-    pub use cimtpu_cluster::{
-        ClusterEngine, ClusterReport, InterconnectSpec, ReplicaSpec, Router, RouterPolicy,
     };
     pub use cimtpu_units::{
         Bandwidth, Bytes, Cycles, DataType, Energy, Error, Frequency, GemmShape, Joules, Result,

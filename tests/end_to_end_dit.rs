@@ -30,10 +30,12 @@ fn higher_resolution_costs_quadratically_in_attention() {
     let ratio = high.total_latency() / low.total_latency();
     assert!((4.0..16.0).contains(&ratio), "block scaling {ratio:.2}");
 
-    let attn_ratio =
-        high.latency_in(OpCategory::Attention) / low.latency_in(OpCategory::Attention);
+    let attn_ratio = high.latency_in(OpCategory::Attention) / low.latency_in(OpCategory::Attention);
     let gemm_ratio = high.latency_in(OpCategory::Ffn1) / low.latency_in(OpCategory::Ffn1);
-    assert!(attn_ratio > gemm_ratio, "attention must grow faster than FFN");
+    assert!(
+        attn_ratio > gemm_ratio,
+        "attention must grow faster than FFN"
+    );
 }
 
 #[test]
@@ -42,7 +44,11 @@ fn bigger_dit_variants_cost_more() {
     let mut last = Seconds::ZERO;
     for dit in [presets::dit_b_2(), presets::dit_l_2(), presets::dit_xl_2()] {
         let r = inference::run_dit(&s, &dit, 8, 256).expect("maps");
-        assert!(r.total_latency > last, "{} regressed", dit.transformer().name());
+        assert!(
+            r.total_latency > last,
+            "{} regressed",
+            dit.transformer().name()
+        );
         last = r.total_latency;
     }
 }
@@ -51,7 +57,9 @@ fn bigger_dit_variants_cost_more() {
 fn full_forward_matches_block_times_blocks_plus_prepost() {
     let dit = presets::dit_xl_2();
     let s = sim(TpuConfig::tpuv4i());
-    let full = s.run(&dit.full_forward(8, 512).expect("valid")).expect("maps");
+    let full = s
+        .run(&dit.full_forward(8, 512).expect("valid"))
+        .expect("maps");
     let block = s.run(&dit.block(8, 512).expect("valid")).expect("maps");
     let blocks_total = block.total_latency() * dit.blocks() as f64;
     // Full forward = pre + 28 blocks + post; blocks dominate (Fig. 2d).

@@ -10,14 +10,23 @@ fn sim(cfg: TpuConfig) -> Simulator {
 fn every_preset_model_maps_on_every_design() {
     let mut configs = vec![TpuConfig::tpuv4i(), TpuConfig::cim_base()];
     configs.extend(TpuConfig::table4_designs());
-    for model in [presets::gpt3_6_7b(), presets::gpt3_30b(), presets::llama2_13b()] {
+    for model in [
+        presets::gpt3_6_7b(),
+        presets::gpt3_30b(),
+        presets::llama2_13b(),
+    ] {
         let prefill = model.prefill_layer(8, 256).expect("valid");
         let decode = model.decode_layer(8, 512).expect("valid");
         for cfg in &configs {
             let s = sim(cfg.clone());
             let p = s.run(&prefill).expect("prefill maps");
             let d = s.run(&decode).expect("decode maps");
-            assert!(p.total_latency().get() > 0.0, "{} on {}", model.name(), cfg.name());
+            assert!(
+                p.total_latency().get() > 0.0,
+                "{} on {}",
+                model.name(),
+                cfg.name()
+            );
             assert!(d.total_latency().get() > 0.0);
             assert!(p.mxu_energy().get() > 0.0);
         }
@@ -30,7 +39,9 @@ fn decode_cost_grows_with_context() {
     let s = sim(TpuConfig::cim_base());
     let mut last = Seconds::ZERO;
     for ctx in [128u64, 512, 1024, 2048, 4096] {
-        let rep = s.run(&gpt3.decode_layer(8, ctx).expect("valid")).expect("maps");
+        let rep = s
+            .run(&gpt3.decode_layer(8, ctx).expect("valid"))
+            .expect("maps");
         assert!(
             rep.total_latency() >= last,
             "ctx {ctx} should not be cheaper than shorter contexts"
@@ -75,7 +86,9 @@ fn decode_is_memory_bound_on_baseline() {
     // weight-bytes / HBM-bandwidth.
     let gpt3 = presets::gpt3_30b();
     let s = sim(TpuConfig::tpuv4i());
-    let rep = s.run(&gpt3.decode_layer(8, 1280).expect("valid")).expect("maps");
+    let rep = s
+        .run(&gpt3.decode_layer(8, 1280).expect("valid"))
+        .expect("maps");
     let floor = gpt3.weight_bytes_per_layer().get() as f64 / 614e9;
     assert!(
         rep.total_latency().get() > floor,
@@ -93,8 +106,12 @@ fn full_inference_decode_latency_scales_with_output_len() {
     let s = sim(TpuConfig::cim_base());
     let short = inference::run_llm(&s, &gpt3, LlmInferenceSpec::new(8, 256, 64).expect("valid"))
         .expect("maps");
-    let long = inference::run_llm(&s, &gpt3, LlmInferenceSpec::new(8, 256, 256).expect("valid"))
-        .expect("maps");
+    let long = inference::run_llm(
+        &s,
+        &gpt3,
+        LlmInferenceSpec::new(8, 256, 256).expect("valid"),
+    )
+    .expect("maps");
     let ratio = long.decode_latency / short.decode_latency;
     assert!((3.0..5.5).contains(&ratio), "decode scaling {ratio:.2}");
     // Prefill unchanged.
@@ -108,8 +125,12 @@ fn bf16_runs_and_costs_at_least_int8() {
         .with_dtype(DataType::Bf16);
     let int8_model = TransformerConfig::new("int8-model", 4, 16, 2048, 8192).expect("valid");
     let s = sim(TpuConfig::cim_base());
-    let bf16 = s.run(&model.decode_layer(8, 512).expect("valid")).expect("maps");
-    let int8 = s.run(&int8_model.decode_layer(8, 512).expect("valid")).expect("maps");
+    let bf16 = s
+        .run(&model.decode_layer(8, 512).expect("valid"))
+        .expect("maps");
+    let int8 = s
+        .run(&int8_model.decode_layer(8, 512).expect("valid"))
+        .expect("maps");
     // BF16 weights are 2x the bytes: decode gets strictly slower.
     assert!(bf16.total_latency() > int8.total_latency());
     assert!(bf16.hbm_bytes() > int8.hbm_bytes());
@@ -121,12 +142,16 @@ fn gqa_cuts_decode_attention_cost() {
     // full multi-head attention. GQA shrinks KV traffic 8x, so the
     // attention portion of a decode step drops substantially.
     let gqa = presets::llama2_70b();
-    let mha = TransformerConfig::new("Llama2-70B-MHA", 80, 64, 8192, 28672)
-        .expect("valid geometry");
+    let mha =
+        TransformerConfig::new("Llama2-70B-MHA", 80, 64, 8192, 28672).expect("valid geometry");
     let s = sim(TpuConfig::cim_base());
     let ctx = 4096;
-    let rep_gqa = s.run(&gqa.decode_layer(8, ctx).expect("valid")).expect("maps");
-    let rep_mha = s.run(&mha.decode_layer(8, ctx).expect("valid")).expect("maps");
+    let rep_gqa = s
+        .run(&gqa.decode_layer(8, ctx).expect("valid"))
+        .expect("maps");
+    let rep_mha = s
+        .run(&mha.decode_layer(8, ctx).expect("valid"))
+        .expect("maps");
 
     let attn_gqa = rep_gqa.latency_in(OpCategory::Attention);
     let attn_mha = rep_mha.latency_in(OpCategory::Attention);

@@ -18,10 +18,18 @@ fn cim_and_systolic_agree_on_random_matrices() {
         let k = rng.gen_range(1..=16usize);
         let n = rng.gen_range(1..=16usize);
         let a: Vec<Vec<i32>> = (0..m)
-            .map(|_| (0..k).map(|_| i32::from(rng.gen_range(-128i8..=127))).collect())
+            .map(|_| {
+                (0..k)
+                    .map(|_| i32::from(rng.gen_range(-128i8..=127)))
+                    .collect()
+            })
             .collect();
         let w: Vec<Vec<i32>> = (0..k)
-            .map(|_| (0..n).map(|_| i32::from(rng.gen_range(-128i8..=127))).collect())
+            .map(|_| {
+                (0..n)
+                    .map(|_| i32::from(rng.gen_range(-128i8..=127)))
+                    .collect()
+            })
             .collect();
 
         // Systolic cycle-level result.
@@ -45,7 +53,11 @@ fn cim_and_systolic_agree_on_random_matrices() {
             .collect();
 
         let reference = matmul_reference(&a, &w);
-        assert_eq!(systolic.result(), reference.as_slice(), "systolic {m}x{k}x{n}");
+        assert_eq!(
+            systolic.result(),
+            reference.as_slice(),
+            "systolic {m}x{k}x{n}"
+        );
         assert_eq!(cim, reference, "cim {m}x{k}x{n}");
     }
 }
@@ -57,8 +69,12 @@ fn fp_pipeline_tracks_reference_on_gemv() {
     let pipeline = FpCimPipeline::default();
     for _ in 0..20 {
         let k = rng.gen_range(1..=128usize);
-        let a: Vec<Bf16> = (0..k).map(|_| Bf16::from_f32(rng.gen_range(-8.0..8.0))).collect();
-        let w: Vec<Bf16> = (0..k).map(|_| Bf16::from_f32(rng.gen_range(-8.0..8.0))).collect();
+        let a: Vec<Bf16> = (0..k)
+            .map(|_| Bf16::from_f32(rng.gen_range(-8.0..8.0)))
+            .collect();
+        let w: Vec<Bf16> = (0..k)
+            .map(|_| Bf16::from_f32(rng.gen_range(-8.0..8.0)))
+            .collect();
         let got = f64::from(pipeline.dot(&a, &w).expect("finite operands").to_f32());
         let want = FpCimPipeline::dot_reference(&a, &w);
         let scale: f64 = a
@@ -92,7 +108,12 @@ fn aligner_width_controls_error() {
         (f64::from(p.dot(&a, &w).expect("finite").to_f32()) - want).abs()
     };
     // A 32-bit aligner is at least as accurate as an 8-bit one.
-    assert!(err(32) <= err(8) + 1e-9, "wide {} vs narrow {}", err(32), err(8));
+    assert!(
+        err(32) <= err(8) + 1e-9,
+        "wide {} vs narrow {}",
+        err(32),
+        err(8)
+    );
 }
 
 /// The engine-level timing models and the functional datapaths agree on

@@ -6,7 +6,11 @@ use cimtpu::prelude::*;
 fn fig8_scaling_and_ordering() {
     let spec = LlmInferenceSpec::new(8, 512, 128).expect("valid");
     let gpt3 = presets::gpt3_30b();
-    for cfg in [TpuConfig::tpuv4i(), TpuConfig::design_a(), TpuConfig::design_b()] {
+    for cfg in [
+        TpuConfig::tpuv4i(),
+        TpuConfig::design_a(),
+        TpuConfig::design_b(),
+    ] {
         let mut last = 0.0;
         for devices in [1u64, 2, 4] {
             let r = MultiTpu::new(cfg.clone(), devices)
@@ -38,7 +42,10 @@ fn design_a_llm_advantage_holds_at_every_scale() {
             "{devices} TPUs: speedup {speedup:.2} (paper avg: 1.28)"
         );
         let energy = base.llm_energy_ratio(&a);
-        assert!(energy > 10.0, "{devices} TPUs: energy ratio {energy:.1} (paper: 24.2)");
+        assert!(
+            energy > 10.0,
+            "{devices} TPUs: energy ratio {energy:.1} (paper: 24.2)"
+        );
     }
 }
 
@@ -80,7 +87,10 @@ fn ring_collectives_show_up_in_tensor_parallel_costs() {
     let ring = RingTopology::new(4, 2, Bandwidth::from_gb_per_s(100.0)).expect("valid");
     let comm = ring.all_reduce_time(Bytes::new(8 * 7168)) * 2.0;
     assert!(comm.get() > 0.0);
-    assert!(fast.get() > comm.get(), "layer must include the collectives");
+    assert!(
+        fast.get() > comm.get(),
+        "layer must include the collectives"
+    );
 }
 
 #[test]

@@ -64,8 +64,8 @@ fn headline_energy_reduction() {
         "max MXU energy reduction {best:.1}x (paper: 27.3x)"
     );
     // The 2x(8x8) config specifically should be near the maximum.
-    let small = inference::run_llm(&sim(TpuConfig::cim_variant(2, 8, 8)), &gpt3, spec)
-        .expect("mappable");
+    let small =
+        inference::run_llm(&sim(TpuConfig::cim_variant(2, 8, 8)), &gpt3, spec).expect("mappable");
     let small_red = base.total_mxu_energy().get() / small.total_mxu_energy().get();
     assert!(
         small_red / best > 0.8,
@@ -82,13 +82,19 @@ fn table2_and_area_claims() {
     let cim = MatrixEngine::from_kind(TpuConfig::cim_base().mxu()).expect("valid");
     assert_eq!(digital.peak_macs_per_cycle(), cim.peak_macs_per_cycle());
     let area_ratio = cim.area().as_mm2() / digital.area().as_mm2();
-    assert!((0.45..0.55).contains(&area_ratio), "area ratio {area_ratio:.3}");
+    assert!(
+        (0.45..0.55).contains(&area_ratio),
+        "area ratio {area_ratio:.3}"
+    );
 
     // Dynamic MAC-energy ratio ~9.4x.
     let shape = GemmShape::new(1 << 14, 2048, 2048).expect("valid");
     let e_ratio = digital.gemm_dynamic_energy(shape, DataType::Int8).get()
         / cim.gemm_dynamic_energy(shape, DataType::Int8).get();
-    assert!((6.0..12.0).contains(&e_ratio), "dynamic energy ratio {e_ratio:.2}");
+    assert!(
+        (6.0..12.0).contains(&e_ratio),
+        "dynamic energy ratio {e_ratio:.2}"
+    );
 }
 
 /// Fig. 6 LLM decoding: "CIM TPU accelerates these GEMV layers by 72.7%,
@@ -102,8 +108,8 @@ fn fig6_decode_claims() {
     let c = sim(TpuConfig::cim_base()).run(&layer).expect("mappable");
 
     // Attention (the GEMV layers) speeds up dramatically.
-    let attn_speedup = 1.0
-        - c.latency_in(OpCategory::Attention) / b.latency_in(OpCategory::Attention);
+    let attn_speedup =
+        1.0 - c.latency_in(OpCategory::Attention) / b.latency_in(OpCategory::Attention);
     assert!(
         (0.4..0.9).contains(&attn_speedup),
         "attention GEMV speedup {attn_speedup:.3} (paper: 0.727)"
@@ -116,7 +122,10 @@ fn fig6_decode_claims() {
     );
     // Energy about an order of magnitude.
     let e = c.mxu_energy_reduction_vs(&b);
-    assert!((9.0..22.0).contains(&e), "decode energy {e:.1}x (paper: 13.4x)");
+    assert!(
+        (9.0..22.0).contains(&e),
+        "decode energy {e:.1}x (paper: 13.4x)"
+    );
 }
 
 /// Fig. 6 LLM prefilling: "our CIM-MXU will not bring inference latency
@@ -128,9 +137,15 @@ fn fig6_prefill_claims() {
     let b = sim(TpuConfig::tpuv4i()).run(&layer).expect("mappable");
     let c = sim(TpuConfig::cim_base()).run(&layer).expect("mappable");
     let delta = (c.total_latency() / b.total_latency() - 1.0).abs();
-    assert!(delta < 0.08, "prefill latency delta {delta:.3} (paper: +2.43%)");
+    assert!(
+        delta < 0.08,
+        "prefill latency delta {delta:.3} (paper: +2.43%)"
+    );
     let e = c.mxu_energy_reduction_vs(&b);
-    assert!((6.0..13.0).contains(&e), "prefill energy {e:.1}x (paper: 9.21x)");
+    assert!(
+        (6.0..13.0).contains(&e),
+        "prefill energy {e:.1}x (paper: 9.21x)"
+    );
 
     // "these layers take up 84.9% of TPU inference latency" — GEMM
     // categories dominate the baseline prefill.
@@ -143,7 +158,10 @@ fn fig6_prefill_claims() {
     .iter()
     .map(|&cat| b.latency_in(cat) / b.total_latency())
     .sum::<f64>();
-    assert!((0.75..0.95).contains(&gemm_frac), "GEMM fraction {gemm_frac:.3}");
+    assert!(
+        (0.75..0.95).contains(&gemm_frac),
+        "GEMM fraction {gemm_frac:.3}"
+    );
 }
 
 /// Fig. 6 DiT: "a 6.67% latency and 10.4x energy reduction" and "Softmax
@@ -157,7 +175,10 @@ fn fig6_dit_claims() {
     // CIM no slower, and an order of magnitude more efficient.
     assert!(c.total_latency() <= b.total_latency() * 1.01);
     let e = c.mxu_energy_reduction_vs(&b);
-    assert!((6.0..15.0).contains(&e), "DiT energy {e:.1}x (paper: 10.4x)");
+    assert!(
+        (6.0..15.0).contains(&e),
+        "DiT energy {e:.1}x (paper: 10.4x)"
+    );
 
     // Softmax is a major bottleneck in the baseline block (paper: 36.9%).
     let softmax: Seconds = b
@@ -177,10 +198,10 @@ fn fig6_dit_claims() {
 fn fig7_diminishing_returns() {
     let spec = LlmInferenceSpec::paper_fig7(8).expect("valid");
     let gpt3 = presets::gpt3_30b();
-    let wide = inference::run_llm(&sim(TpuConfig::cim_variant(8, 16, 8)), &gpt3, spec)
-        .expect("mappable");
-    let big = inference::run_llm(&sim(TpuConfig::cim_variant(8, 16, 16)), &gpt3, spec)
-        .expect("mappable");
+    let wide =
+        inference::run_llm(&sim(TpuConfig::cim_variant(8, 16, 8)), &gpt3, spec).expect("mappable");
+    let big =
+        inference::run_llm(&sim(TpuConfig::cim_variant(8, 16, 16)), &gpt3, spec).expect("mappable");
     let marginal = 1.0 - big.total_latency() / wide.total_latency();
     assert!(
         (0.0..0.08).contains(&marginal),

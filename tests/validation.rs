@@ -70,13 +70,10 @@ fn invalid_moe_and_parallelism_error() {
     let t = TransformerConfig::new("x", 2, 4, 64, 256).unwrap();
     assert!(MoeConfig::new(t, 4, 5).is_err());
     // 56 heads don't divide 5 ways.
-    assert!(cimtpu::multi::tensor_parallel::decode_layer_shard(
-        &presets::gpt3_30b(),
-        8,
-        128,
-        5
-    )
-    .is_err());
+    assert!(
+        cimtpu::multi::tensor_parallel::decode_layer_shard(&presets::gpt3_30b(), 8, 128, 5)
+            .is_err()
+    );
     assert!(MultiTpu::new(TpuConfig::tpuv4i(), 0).is_err());
 }
 
