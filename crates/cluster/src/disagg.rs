@@ -60,11 +60,11 @@ use cimtpu_kv::{KvFootprint, PagedKvAllocator};
 use cimtpu_obs::EventKind;
 use cimtpu_serving::{
     ActionHeap, ArrivalStream, Completion, EngineSession, EventKey, Parallelism, PhasePricer,
-    Request, ServingModel, TrafficSpec,
+    Request, RequestTenants, ServingModel, TenantReport, TenantSet, TrafficSpec,
 };
 use cimtpu_units::{Bandwidth, Bytes, Error, Joules, Result, Seconds};
 
-use crate::engine::{earliest, EventQueue, Tenancy};
+use crate::engine::{earliest, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan, RetryLedger};
 use crate::observe::FleetObserver;
 use crate::replica::{fleet_sessions, ReplicaSpec};
@@ -749,14 +749,14 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     traffic: &TrafficSpec,
     slo_ms: Option<f64>,
     plan: &FaultPlan,
-    mut tenancy: Option<Tenancy<'_>>,
+    tenants: Option<&TenantSet>,
     sink: &O::Sink,
 ) -> Result<ClusterRun> {
     // The pools run FCFS/continuous-batching queues, not `EngineCore`, so
     // a multi-tenant run keeps tenant identity at the traffic and report
-    // level: classed router snapshots, tagged trace events, and the
-    // per-tenant ledger — no WFQ inside the pools.
-    let classed = tenancy.as_ref().is_some_and(|t| t.sched.multi_tenant());
+    // level: classed router snapshots, tagged trace events, and per-tenant
+    // sheds and timeouts — no WFQ inside the pools.
+    let classed = tenants.is_some_and(|set| set.sched().multi_tenant());
     let (crashes, mut link) = pipeline(prefill, decode, interconnect, plan)?;
     let mut next_crash = 0usize;
 
@@ -784,7 +784,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     // Retries fire in (fire, id) order, ties in push order.
     let mut waiting = EventQueue::new(|w: &DisaggRetry| (EventKey::new(w.fire), w.request.id));
     let mut parked: Vec<DisaggRetry> = Vec::new();
-    let mut ledger = RetryLedger::new(*plan.recovery(), &obs);
+    let mut ledger = RetryLedger::new(*plan.recovery(), tenants, &obs);
 
     // Routes `r` across the (always-healthy) prefill pool and queues it
     // on the chosen unit, returned.
@@ -918,9 +918,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                             .iter_mut()
                             .position(|pu| pu.unpin(r.id, now))
                             .map(|p| (p, ft));
-                        if let Some((fire, attempts)) =
-                            ledger.on_lost(&r, now, &mut stream, &mut tenancy)
-                        {
+                        if let Some((fire, attempts)) = ledger.on_lost(&r, now, &mut stream) {
                             waiting.push(DisaggRetry {
                                 fire,
                                 request: r,
@@ -942,7 +940,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
             1 => {
                 let request = stream.pop();
                 let k = to_prefill(&mut punits, request);
-                obs.arrival(Some(k), &request, &tenancy);
+                obs.arrival(Some(k), &request);
                 let u = &punits[k];
                 obs.sample(
                     k,
@@ -958,7 +956,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                     .pop()
                     .ok_or_else(|| Error::internal("class 2 implies a retry"))?;
                 let r = item.request;
-                if ledger.expired(&r, now, &mut stream, &mut tenancy) {
+                if ledger.expired(&r, now, &mut stream) {
                     if let Some((p, _)) = item.source {
                         punits[p].alloc.release(r.id);
                         unit_heap.set(p, punits[p].candidate());
@@ -969,7 +967,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                     Some((p, ft)) => {
                         let Some(k) = hand_off(&mut punits, &mut dunits, &dhealth, p, now, r, ft)?
                         else {
-                            ledger.on_park(r.id, now, &tenancy);
+                            ledger.on_park(&r, now);
                             parked.push(item);
                             continue;
                         };
@@ -1002,7 +1000,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                     match hand_off(&mut punits, &mut dunits, &dhealth, idx, end, req, end)? {
                         Some(k) => unit_heap.set(pn + k, dunits[k].candidate()),
                         None => {
-                            ledger.on_park(req.id, now, &tenancy);
+                            ledger.on_park(&req, now);
                             let attempts = ledger.attempts(req.id);
                             let source = Some((idx, end));
                             parked.push(DisaggRetry {
@@ -1029,7 +1027,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
                     stream.on_complete(c);
                 }
                 for c in &finished {
-                    obs.delivered(pn + idx, c, &tenancy);
+                    obs.delivered(pn + idx, c);
                 }
                 let u = &dunits[idx];
                 let queued = (u.pending.len() + u.active.len()) as f64;
@@ -1053,9 +1051,13 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
         slo_ms,
         (!plan.is_empty()).then_some(avail),
     );
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&completions, report.makespan_s));
-    }
+    // Worst-case decode reservation never preempts: no tenant has any.
+    report.tenants = tenants.map(|set| {
+        let requests = RequestTenants::new(traffic);
+        let (shed, timed_out) = (&ledger.tenant_shed, &ledger.tenant_timed_out);
+        let done = &completions;
+        TenantReport::new(set, requests, done, report.makespan_s, shed, timed_out, &[])
+    });
     Ok(ClusterRun {
         report,
         completions,

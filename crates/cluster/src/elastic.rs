@@ -231,7 +231,7 @@ impl<'a, O: FleetObserver> Scaler<'a, O> {
         self.next_tick += self.policy.interval;
         self.stats.reconciles += 1;
         self.obs
-            .control(EventKind::Reconcile, self.stats.reconciles, now, None);
+            .control(EventKind::Reconcile, self.stats.reconciles, now);
         let mut obs = Vec::with_capacity(self.groups.len());
         for (g, range) in self.groups.iter().enumerate() {
             let mut o = GroupObservation {

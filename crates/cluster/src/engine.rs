@@ -6,8 +6,8 @@ use std::collections::BinaryHeap;
 use cimtpu_autoscale::{AutoscalePolicy, ScalingStats};
 use cimtpu_obs::{EventKind, SharedRecorder};
 use cimtpu_serving::{
-    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request, TenantLedger,
-    TenantSched, TenantSet, TrafficSpec,
+    ActionHeap, ArrivalStream, Completion, EngineCore, EventKey, Offered, Request, RequestTenants,
+    TenantReport, TenantSched, TenantSet, TrafficSpec,
 };
 use cimtpu_units::{Error, Result, Seconds};
 
@@ -48,14 +48,6 @@ pub enum ClusterTopology {
         /// The link KV caches migrate over.
         interconnect: InterconnectSpec,
     },
-}
-
-/// Tenancy wiring threaded through the fleet drivers: the weighted-fair
-/// schedule armed on every engine core plus the driver-side ledger that
-/// attributes sheds, timeouts, and preemptions back to tenants.
-pub(crate) struct Tenancy<'a> {
-    pub(crate) sched: &'a TenantSched,
-    pub(crate) ledger: &'a mut TenantLedger,
 }
 
 /// A complete fleet-simulation configuration.
@@ -289,15 +281,13 @@ impl ClusterEngine {
             traffic.validate_prompts()?;
         }
         let tenants = offered.tenants();
-        let sched = tenants.map(TenantSet::sched);
-        let mut ledger = tenants.map(|set| TenantLedger::new(set, &traffic));
-        let tenancy = sched
-            .as_ref()
-            .zip(ledger.as_mut())
-            .map(|(sched, ledger)| Tenancy { sched, ledger });
         match recorder {
-            None => self.dispatch::<()>(label, &traffic, tenancy, &()),
-            Some(rec) => self.dispatch::<FleetTrace>(label, &traffic, tenancy, rec),
+            None => self.dispatch::<()>(label, &traffic, tenants, &()),
+            Some(rec) => {
+                let multi = tenants.is_some_and(|set| set.sched().multi_tenant());
+                let tags = multi.then(|| RequestTenants::new(&traffic));
+                self.dispatch::<FleetTrace<'_>>(label, &traffic, tenants, &(rec, tags))
+            }
         }
     }
 
@@ -305,12 +295,12 @@ impl ClusterEngine {
         &self,
         label: &str,
         traffic: &TrafficSpec,
-        tenancy: Option<Tenancy<'_>>,
+        tenants: Option<&TenantSet>,
         sink: &O::Sink,
     ) -> Result<ClusterRun> {
         let elastic = match &self.autoscale {
             Some(policy) if policy.is_pinned() => {
-                return self.run_pinned::<O>(policy, label, traffic, tenancy, sink);
+                return self.run_pinned::<O>(policy, label, traffic, tenants, sink);
             }
             Some(policy) => Some(self.checked(policy)?),
             None => None,
@@ -324,7 +314,7 @@ impl ClusterEngine {
                 self.slo_ms,
                 &self.faults,
                 elastic,
-                tenancy,
+                tenants,
                 sink,
             ),
             ClusterTopology::Disaggregated { .. } if elastic.is_some() => {
@@ -349,7 +339,7 @@ impl ClusterEngine {
                 traffic,
                 self.slo_ms,
                 &self.faults,
-                tenancy,
+                tenants,
                 sink,
             ),
         }
@@ -382,7 +372,7 @@ impl ClusterEngine {
         policy: &AutoscalePolicy,
         label: &str,
         traffic: &TrafficSpec,
-        tenancy: Option<Tenancy<'_>>,
+        tenants: Option<&TenantSet>,
         sink: &O::Sink,
     ) -> Result<ClusterRun> {
         let groups = &self.checked(policy)?.groups;
@@ -400,7 +390,7 @@ impl ClusterEngine {
                 *prefill = expand(prefill, groups);
             }
         }
-        let mut run = pinned.dispatch::<O>(label, traffic, tenancy, sink)?;
+        let mut run = pinned.dispatch::<O>(label, traffic, tenants, sink)?;
         let chip_seconds = run.report.chips as f64 * run.report.makespan_s;
         let busy_chip_s: f64 = run
             .report
@@ -563,7 +553,7 @@ fn run_colocated<O: FleetObserver>(
     slo_ms: Option<f64>,
     plan: &FaultPlan,
     autoscale: Option<&AutoscalePolicy>,
-    mut tenancy: Option<Tenancy<'_>>,
+    tenants: Option<&TenantSet>,
     sink: &O::Sink,
 ) -> Result<ClusterRun> {
     let (slots, groups) = match autoscale {
@@ -590,17 +580,17 @@ fn run_colocated<O: FleetObserver>(
     // Slot `k`'s core, at the start and — fresh, with an empty KV allocator
     // and prefix index — at every boot or restart. It prices through the
     // slot's shared pricing state.
-    let sched = tenancy.as_ref().map(|t| t.sched);
+    let sched = tenants.map(TenantSet::sched);
     let fresh = |k: usize| {
         let mut core = sessions[k].core()?;
-        if let Some(sched) = sched {
+        if let Some(sched) = &sched {
             core.set_tenancy(sched);
         }
         obs.attach(k, &mut core);
         Ok::<_, Error>(core)
     };
     let mut cores: Vec<EngineCore<'_>> = (0..n).map(fresh).collect::<Result<_>>()?;
-    let classed = tenancy.as_ref().is_some_and(|t| t.sched.multi_tenant());
+    let classed = sched.as_ref().is_some_and(TenantSched::multi_tenant);
     let mut stream = ArrivalStream::new(traffic)?;
     let offered = stream.total();
     let mut routers: Vec<Box<dyn Router>> = groups.iter().map(|_| policy.build()).collect();
@@ -633,7 +623,7 @@ fn run_colocated<O: FleetObserver>(
     });
     // Requests parked per group while it has no routable slot.
     let mut parked: Vec<Vec<WaitingRetry>> = vec![Vec::new(); groups.len()];
-    let mut ledger = RetryLedger::new(recovery, &obs);
+    let mut ledger = RetryLedger::new(recovery, tenants, &obs);
     let mut accum: Vec<ReplicaAccum> = (0..n).map(|_| ReplicaAccum::default()).collect();
     let mut tracker = SnapshotTracker::new(n);
     // Router-view and step-output scratch, reused across events.
@@ -743,7 +733,7 @@ fn run_colocated<O: FleetObserver>(
                     }
                     // Warmup starts on a fresh core; the replaced one's
                     // books are read first.
-                    accum[k].harvest(&cores[k], tenancy.as_mut());
+                    accum[k].harvest(&cores[k]);
                     cores[k] = fresh(k)?;
                     if let ReplicaHealth::Down { .. } = left {
                         obs.instant(k, EventKind::Repair, now);
@@ -790,8 +780,7 @@ fn run_colocated<O: FleetObserver>(
                                 *k == replica && lost.iter().any(|r| r.id == c.id)
                             });
                             for r in lost {
-                                if let Some((fire, attempts)) =
-                                    ledger.on_lost(&r, now, &mut stream, &mut tenancy)
+                                if let Some((fire, attempts)) = ledger.on_lost(&r, now, &mut stream)
                                 {
                                     waiting.push(WaitingRetry {
                                         fire,
@@ -834,7 +823,7 @@ fn run_colocated<O: FleetObserver>(
                 };
                 let item = if fresh {
                     let request = stream.pop();
-                    obs.arrival(None, &request, &tenancy);
+                    obs.arrival(None, &request);
                     close_due = stream.exhausted();
                     WaitingRetry {
                         fire: now,
@@ -847,7 +836,7 @@ fn run_colocated<O: FleetObserver>(
                         .ok_or_else(|| Error::internal("class 3 implies a waiting request"))?
                 };
                 let r = item.request;
-                if !zero_fault && ledger.expired(&r, now, &mut stream, &mut tenancy) {
+                if !zero_fault && ledger.expired(&r, now, &mut stream) {
                     continue;
                 }
                 if now < tracker.now() {
@@ -872,7 +861,7 @@ fn run_colocated<O: FleetObserver>(
                 };
                 if view.is_empty() {
                     // Nowhere to go: park until a slot of the group is up.
-                    ledger.on_park(r.id, now, &tenancy);
+                    ledger.on_park(&r, now);
                     parked[g].push(item);
                     continue;
                 }
@@ -885,8 +874,7 @@ fn run_colocated<O: FleetObserver>(
                         let older = waiting
                             .remove_where(|w| (ledger.origin(&w.request), w.request.id) <= key);
                         for w in std::iter::once(&r).chain(older.iter().map(|w| &w.request)) {
-                            let orig = ledger.origin(w);
-                            ledger.shed(w.id, orig, now, &mut stream, &mut tenancy);
+                            ledger.shed(w, now, &mut stream);
                         }
                         continue;
                     }
@@ -950,7 +938,7 @@ fn run_colocated<O: FleetObserver>(
             ledger.on_complete(k, &mut c);
             stream.on_complete(&c);
             delivered_by[k] += 1;
-            obs.delivered(k, &c, &tenancy);
+            obs.delivered(k, &c);
             if let Some(s) = &mut scaler {
                 s.on_delivery(k, &c, slo_ms);
             }
@@ -965,9 +953,9 @@ fn run_colocated<O: FleetObserver>(
     // Every core's books are read once: when a boot or restart replaces
     // it, or here.
     for (k, core) in cores.iter().enumerate() {
-        accum[k].harvest(core, tenancy.as_mut());
+        accum[k].harvest(core);
     }
-    obs.finish(&tenancy);
+    obs.finish();
     delivered.sort_unstable_by_key(|c| c.id);
 
     // One row per slot that ever held a machine (every static replica).
@@ -990,9 +978,13 @@ fn run_colocated<O: FleetObserver>(
         (!zero_fault).then_some(avail),
     );
     report.scaling = scaling;
-    if let Some(t) = tenancy {
-        report.tenants = Some(t.ledger.report(&delivered, report.makespan_s));
-    }
+    report.tenants = tenants.map(|set| {
+        let requests = RequestTenants::new(traffic);
+        let (shed, timed_out) = (&ledger.tenant_shed, &ledger.tenant_timed_out);
+        let (done, makespan, preempted) =
+            (&delivered, report.makespan_s, &totals.tenant_preemptions);
+        TenantReport::new(set, requests, done, makespan, shed, timed_out, preempted)
+    });
     Ok(ClusterRun {
         report,
         completions: delivered,

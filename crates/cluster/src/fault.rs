@@ -19,12 +19,11 @@
 //! `RetryLedger`.
 
 use cimtpu_obs::EventKind;
-use cimtpu_serving::{ArrivalStream, Completion, Request};
+use cimtpu_serving::{ArrivalStream, Completion, Request, TenantSet};
 use cimtpu_units::{parse_time, spec, Error, Result, Seconds};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::Tenancy;
 use crate::observe::FleetObserver;
 use crate::router::HealthView;
 
@@ -465,10 +464,11 @@ pub(crate) fn release_client(
 /// The retry and availability books the failure-aware drivers share: each
 /// request's original arrival and retry count, the shed / time-out /
 /// retry verdict for a lost request, the deadline check at admission, the
-/// crash log, and the [`AvailabilityStats`] they add up to. Sheds,
-/// timeouts, retries and parks go to the loop's observer `O`. A request's
-/// entries are dropped once it completes, is shed or times out, so the
-/// books hold requests in flight only.
+/// crash log, and the [`AvailabilityStats`] they add up to, with the
+/// sheds and timeouts also counted per tenant. Sheds, timeouts, retries
+/// and parks go to the loop's observer `O`. A request's entries are
+/// dropped once it completes, is shed or times out, so the books hold
+/// requests in flight only.
 pub(crate) struct RetryLedger<'o, O> {
     recovery: RecoveryPolicy,
     /// Original arrival of each request the driver re-admitted with a
@@ -478,18 +478,25 @@ pub(crate) struct RetryLedger<'o, O> {
     attempts: FxHashMap<u64, u32>,
     crashes: Vec<CrashRecord>,
     stats: AvailabilityStats,
+    /// Sheds and timeouts by tenant index (empty for an untenanted run).
+    pub(crate) tenant_shed: Vec<u64>,
+    pub(crate) tenant_timed_out: Vec<u64>,
     obs: &'o O,
 }
 
 impl<'o, O: FleetObserver> RetryLedger<'o, O> {
-    /// Empty books under `recovery`, reporting to `obs`.
-    pub(crate) fn new(recovery: RecoveryPolicy, obs: &'o O) -> Self {
+    /// Empty books under `recovery` for a run of `tenants`, reporting to
+    /// `obs`.
+    pub(crate) fn new(recovery: RecoveryPolicy, tenants: Option<&TenantSet>, obs: &'o O) -> Self {
+        let tenants = tenants.map_or(0, |set| set.tenants.len());
         RetryLedger {
             recovery,
             origin: FxHashMap::default(),
             attempts: FxHashMap::default(),
             crashes: Vec::new(),
             stats: AvailabilityStats::zero(),
+            tenant_shed: vec![0; tenants],
+            tenant_timed_out: vec![0; tenants],
             obs,
         }
     }
@@ -531,21 +538,18 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         r: &Request,
         now: Seconds,
         stream: &mut ArrivalStream<'_>,
-        tenancy: &mut Option<Tenancy<'_>>,
     ) -> Option<(Seconds, u32)> {
-        let orig = self.origin(r);
         let attempts = self.attempts(r.id) + 1;
         if attempts > self.recovery.max_attempts {
-            self.shed(r.id, orig, now, stream, tenancy);
+            self.shed(r, now, stream);
             return None;
         }
         let fire = now + self.recovery.backoff_for(attempts);
-        if fire.get() > orig + self.recovery.deadline.get() {
-            self.time_out(r.id, orig, now, stream, tenancy);
+        if fire.get() > self.origin(r) + self.recovery.deadline.get() {
+            self.time_out(r, now, stream);
             return None;
         }
-        self.obs
-            .request(EventKind::Retry, r.id, now, Some(fire), tenancy);
+        self.obs.request(EventKind::Retry, r, now, Some(fire));
         self.attempts.insert(r.id, attempts);
         Some((fire, attempts))
     }
@@ -557,71 +561,50 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         r: &Request,
         now: Seconds,
         stream: &mut ArrivalStream<'_>,
-        tenancy: &mut Option<Tenancy<'_>>,
     ) -> bool {
-        let orig = self.origin(r);
-        let expired = now.get() > orig + self.recovery.deadline.get();
+        let expired = now.get() > self.origin(r) + self.recovery.deadline.get();
         if expired {
-            self.time_out(r.id, orig, now, stream, tenancy);
+            self.time_out(r, now, stream);
         }
         expired
     }
 
-    /// Drops request `id` (original arrival `orig`) as shed.
-    pub(crate) fn shed(
-        &mut self,
-        id: u64,
-        orig: f64,
-        now: Seconds,
-        stream: &mut ArrivalStream<'_>,
-        tenancy: &mut Option<Tenancy<'_>>,
-    ) {
-        self.forget(id);
+    /// Drops `r` as shed.
+    pub(crate) fn shed(&mut self, r: &Request, now: Seconds, stream: &mut ArrivalStream<'_>) {
         self.stats.shed += 1;
-        if let Some(t) = tenancy.as_mut() {
-            t.ledger.on_shed(id);
+        if let Some(n) = self.tenant_shed.get_mut(r.tenant as usize) {
+            *n += 1;
         }
-        self.drop_request(EventKind::Shed, id, orig, now, stream, tenancy);
+        self.drop_request(EventKind::Shed, r, now, stream);
     }
 
-    fn time_out(
-        &mut self,
-        id: u64,
-        orig: f64,
-        now: Seconds,
-        stream: &mut ArrivalStream<'_>,
-        tenancy: &mut Option<Tenancy<'_>>,
-    ) {
-        self.forget(id);
+    fn time_out(&mut self, r: &Request, now: Seconds, stream: &mut ArrivalStream<'_>) {
         self.stats.timed_out += 1;
-        if let Some(t) = tenancy.as_mut() {
-            t.ledger.on_timeout(id);
+        if let Some(n) = self.tenant_timed_out.get_mut(r.tenant as usize) {
+            *n += 1;
         }
-        self.drop_request(EventKind::Timeout, id, orig, now, stream, tenancy);
+        self.drop_request(EventKind::Timeout, r, now, stream);
     }
 
-    /// Clears the books of request `id`, which has left the fleet.
-    fn forget(&mut self, id: u64) {
-        self.origin.remove(&id);
-        self.attempts.remove(&id);
-    }
-
+    /// Clears `r`'s books, traces its drop and releases its closed-loop
+    /// client, measuring from its original arrival.
     fn drop_request(
-        &self,
+        &mut self,
         kind: EventKind,
-        id: u64,
-        orig: f64,
+        r: &Request,
         now: Seconds,
         stream: &mut ArrivalStream<'_>,
-        tenancy: &Option<Tenancy<'_>>,
     ) {
-        self.obs.request(kind, id, now, None, tenancy);
-        release_client(stream, id, orig, now);
+        let orig = self.origin(r);
+        self.origin.remove(&r.id);
+        self.attempts.remove(&r.id);
+        self.obs.request(kind, r, now, None);
+        release_client(stream, r.id, orig, now);
     }
 
-    /// Traces request `id` parked at `now`.
-    pub(crate) fn on_park(&self, id: u64, now: Seconds, tenancy: &Option<Tenancy<'_>>) {
-        self.obs.request(EventKind::Park, id, now, None, tenancy);
+    /// Traces `r` parked at `now`.
+    pub(crate) fn on_park(&self, r: &Request, now: Seconds) {
+        self.obs.request(EventKind::Park, r, now, None);
     }
 
     /// Books a crash of `replica` at `at`. A `retiring` replica (an
@@ -664,17 +647,17 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         }
     }
 
-    /// Closes the books for a fleet of `replicas` replicas that was
-    /// offered `offered` requests and delivered `completions` (original
-    /// arrivals restored): each crash's downtime is clipped to the span
-    /// from the first arrival to the last finish.
+    /// The availability section of a finished fleet of `replicas`
+    /// replicas that was offered `offered` requests and delivered
+    /// `completions` (original arrivals restored): each crash's downtime
+    /// is clipped to the span from the first arrival to the last finish.
     pub(crate) fn finish(
-        mut self,
+        &self,
         completions: &[Completion],
         offered: u64,
         replicas: usize,
     ) -> AvailabilityStats {
-        let avail = &mut self.stats;
+        let mut avail = self.stats.clone();
         debug_assert_eq!(
             completions.len() as u64 + avail.shed + avail.timed_out,
             offered,
@@ -699,7 +682,7 @@ impl<'o, O: FleetObserver> RetryLedger<'o, O> {
         }
         avail.downtime_s = downtime;
         avail.availability = (1.0 - downtime / (replicas as f64 * makespan)).clamp(0.0, 1.0);
-        self.stats
+        avail
     }
 }
 

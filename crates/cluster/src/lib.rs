@@ -76,8 +76,15 @@
 //! from the [`ReplicaSnapshot`]s. Disaggregated pools keep tenancy at
 //! the traffic and report level (the FCFS/continuous pools schedule
 //! tenant-blind). Reports gain a `tenants` section — per-tenant goodput,
-//! SLO attainment, preemptions, and Jain's fairness index — and
-//! single-tenant runs stay byte-identical with the section omitted.
+//! SLO attainment, preemptions, and Jain's fairness index — and a
+//! one-tenant set reproduces the untenanted run bit for bit, plus that
+//! section.
+//!
+//! Tenant state is read-only during a run: each book counts its events
+//! per tenant from the request's own tag, completions (which carry none)
+//! find theirs through [`RequestTenants`](cimtpu_serving::RequestTenants),
+//! a view of the merged trace, and [`TenantReport::new`] builds the
+//! section once, when the run ends.
 //!
 //! # Faults
 //!

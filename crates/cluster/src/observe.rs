@@ -8,10 +8,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle};
-use cimtpu_serving::{Completion, EngineCore, Request};
+use cimtpu_serving::{Completion, EngineCore, Request, RequestTenants};
 use cimtpu_units::Seconds;
 
-use crate::engine::Tenancy;
 use crate::replica::ReplicaSpec;
 
 /// What a fleet event loop emits. Slot `k` indexes the loop's slots: a
@@ -38,7 +37,7 @@ pub(crate) trait FleetObserver {
     /// `r` entered the fleet: on slot `k`'s track, or for `None` on the
     /// control track (a colocated request can be parked, shed or time
     /// out before it reaches a core).
-    fn arrival(&self, _k: Option<usize>, _r: &Request, _tenancy: &Option<Tenancy<'_>>) {}
+    fn arrival(&self, _k: Option<usize>, _r: &Request) {}
 
     /// A fleet event on slot `k`'s track.
     fn instant(&self, _k: usize, _kind: EventKind, _at: Seconds) {}
@@ -46,20 +45,12 @@ pub(crate) trait FleetObserver {
     /// A span on slot `k`'s track.
     fn span(&self, _k: usize, _kind: EventKind, _id: u64, _from: Seconds, _to: Seconds) {}
 
-    /// A control-track event: a span until `until`, else an instant.
-    fn control(&self, _kind: EventKind, _id: u64, _at: Seconds, _until: Option<Seconds>) {}
+    /// A control-track instant.
+    fn control(&self, _kind: EventKind, _id: u64, _at: Seconds) {}
 
-    /// Request `id`'s control-track event (retry, shed, timeout, park),
-    /// tagged with its tenant.
-    fn request(
-        &self,
-        _kind: EventKind,
-        _id: u64,
-        _at: Seconds,
-        _until: Option<Seconds>,
-        _tenancy: &Option<Tenancy<'_>>,
-    ) {
-    }
+    /// Request `r`'s control-track event (retry, shed, timeout, park),
+    /// tagged with its tenant: a span until `until`, else an instant.
+    fn request(&self, _kind: EventKind, _r: &Request, _at: Seconds, _until: Option<Seconds>) {}
 
     /// Samples gauge pair `i` at `at`.
     fn sample(&self, _i: usize, _at: Seconds, _first: f64, _second: f64) {}
@@ -70,10 +61,10 @@ pub(crate) trait FleetObserver {
     fn stepped(&self, _: usize, _: Option<Seconds>, _: Seconds, _: &[Completion], _: [f64; 2]) {}
 
     /// Slot `k` delivered `c`.
-    fn delivered(&self, _k: usize, _c: &Completion, _tenancy: &Option<Tenancy<'_>>) {}
+    fn delivered(&self, _k: usize, _c: &Completion) {}
 
     /// The run is over.
-    fn finish(&self, _tenancy: &Option<Tenancy<'_>>) {}
+    fn finish(&self) {}
 }
 
 /// The recorder-off observer.
@@ -97,7 +88,7 @@ impl FleetObserver for () {
 /// colocated step's gauges at the step instant. Multi-tenant runs tag
 /// every request-lifecycle event with its tenant index; single-tenant
 /// traces stay byte-identical to untenanted.
-pub(crate) struct FleetTrace {
+pub(crate) struct FleetTrace<'t> {
     rec: SharedRecorder,
     tracks: Vec<u32>,
     series: Vec<[usize; 2]>,
@@ -107,36 +98,36 @@ pub(crate) struct FleetTrace {
     /// Per slot, in completion order, the completions emitted at the end
     /// of the run (without a control track only).
     done: RefCell<Vec<Vec<Completion>>>,
+    /// Each request's tenant, in a multi-tenant run only: every event is
+    /// tagged then, a completion through this view.
+    tenants: Option<RequestTenants<'t>>,
 }
 
-/// Request `id`'s tenant tag: present only for multi-tenant runs.
-fn tenant(tenancy: &Option<Tenancy<'_>>, id: u64) -> Option<u32> {
-    tenancy.as_ref().and_then(|t| {
-        t.sched
-            .multi_tenant()
-            .then(|| t.ledger.tenant_of(id) as u32)
-    })
-}
+impl FleetTrace<'_> {
+    /// `r`'s tenant tag: present only for multi-tenant runs.
+    fn tag(&self, r: &Request) -> Option<u32> {
+        self.tenants.map(|_| r.tenant)
+    }
 
-impl FleetTrace {
-    fn complete(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
+    fn complete(&self, k: usize, c: &Completion) {
         let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
-        let (track, tag) = (self.tracks[k], tenant(tenancy, c.id));
+        let (track, tag) = (self.tracks[k], self.tenants.map(|t| t.of(c.id)));
         self.rec
             .borrow_mut()
             .complete(track, c.id, c.finish.get(), latency, ttft, tag);
     }
 }
 
-impl FleetObserver for FleetTrace {
-    type Sink = SharedRecorder;
+impl<'t> FleetObserver for FleetTrace<'t> {
+    /// The recorder, and for a multi-tenant run each request's tenant.
+    type Sink = (&'t SharedRecorder, Option<RequestTenants<'t>>);
 
     fn open(
-        rec: &SharedRecorder,
+        (rec, tenants): &Self::Sink,
         slots: &[ReplicaSpec],
         control: bool,
         groups: Option<&[ReplicaSpec]>,
-    ) -> FleetTrace {
+    ) -> Self {
         let mut r = rec.borrow_mut();
         let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
         let control = control.then(|| r.track("control"));
@@ -155,6 +146,7 @@ impl FleetObserver for FleetTrace {
             control,
             step_gauges: groups.is_none(),
             done: RefCell::new(vec![Vec::new(); slots.len()]),
+            tenants: *tenants,
         }
     }
 
@@ -162,9 +154,9 @@ impl FleetObserver for FleetTrace {
         core.attach_trace(TraceHandle::new(Rc::clone(&self.rec), self.tracks[k]));
     }
 
-    fn arrival(&self, k: Option<usize>, r: &Request, tenancy: &Option<Tenancy<'_>>) {
+    fn arrival(&self, k: Option<usize>, r: &Request) {
         if let Some(track) = k.map(|k| self.tracks[k]).or(self.control) {
-            let tag = tenant(tenancy, r.id);
+            let tag = self.tag(r);
             self.rec
                 .borrow_mut()
                 .request_arrival(track, r.id, r.arrival_s, tag);
@@ -183,23 +175,20 @@ impl FleetObserver for FleetTrace {
             .span(self.tracks[k], kind, id, from.get(), to.get(), None);
     }
 
-    fn control(&self, kind: EventKind, id: u64, at: Seconds, until: Option<Seconds>) {
-        self.request(kind, id, at, until, &None);
+    fn control(&self, kind: EventKind, id: u64, at: Seconds) {
+        if let Some(control) = self.control {
+            self.rec
+                .borrow_mut()
+                .instant(control, kind, id, at.get(), None);
+        }
     }
 
-    fn request(
-        &self,
-        kind: EventKind,
-        id: u64,
-        at: Seconds,
-        until: Option<Seconds>,
-        tenancy: &Option<Tenancy<'_>>,
-    ) {
+    fn request(&self, kind: EventKind, r: &Request, at: Seconds, until: Option<Seconds>) {
         let Some(control) = self.control else { return };
-        let (tag, mut rec) = (tenant(tenancy, id), self.rec.borrow_mut());
+        let (tag, mut rec) = (self.tag(r), self.rec.borrow_mut());
         match until {
-            Some(end) => rec.span(control, kind, id, at.get(), end.get(), tag),
-            None => rec.instant(control, kind, id, at.get(), tag),
+            Some(end) => rec.span(control, kind, r.id, at.get(), end.get(), tag),
+            None => rec.instant(control, kind, r.id, at.get(), tag),
         }
     }
 
@@ -229,16 +218,16 @@ impl FleetObserver for FleetTrace {
         }
     }
 
-    fn delivered(&self, k: usize, c: &Completion, tenancy: &Option<Tenancy<'_>>) {
+    fn delivered(&self, k: usize, c: &Completion) {
         if self.control.is_some() {
-            self.complete(k, c, tenancy);
+            self.complete(k, c);
         }
     }
 
-    fn finish(&self, tenancy: &Option<Tenancy<'_>>) {
+    fn finish(&self) {
         for (k, done) in self.done.take().iter().enumerate() {
             for c in done {
-                self.complete(k, c, tenancy);
+                self.complete(k, c);
             }
         }
     }

@@ -362,7 +362,7 @@ fn colocated(
                         waiting.extend(parked.drain(..).map(|w| Admission { fire: now, ..w }));
                         continue;
                     }
-                    accum[k].harvest(&cores[k], None);
+                    accum[k].harvest(&cores[k]);
                     cores[k] = sessions[k].core()?;
                     if let Some(factor) = slow[k] {
                         cores[k].set_slowdown(factor);
@@ -482,7 +482,7 @@ fn colocated(
     }
 
     for (k, core) in cores.iter().enumerate() {
-        accum[k].harvest(core, None);
+        accum[k].harvest(core);
     }
     delivered.sort_by_key(|c| c.id);
     let mut totals = FleetTotals::default();
@@ -811,7 +811,7 @@ pub(crate) mod tests {
         let (mut totals, mut rows, mut done) = (FleetTotals::default(), Vec::new(), Vec::new());
         for (spec, core) in fleet.iter().zip(&cores) {
             let mut accum = ReplicaAccum::default();
-            accum.harvest(core, None);
+            accum.harvest(core);
             rows.push(totals.row(spec, &accum, core.completions().len() as u64, "serve"));
             done.extend_from_slice(core.completions());
         }

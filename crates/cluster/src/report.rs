@@ -9,7 +9,6 @@ use cimtpu_serving::{
 };
 use cimtpu_units::{Joules, Seconds};
 
-use crate::engine::Tenancy;
 use crate::fault::AvailabilityStats;
 use crate::replica::ReplicaSpec;
 
@@ -92,12 +91,13 @@ pub(crate) struct ReplicaAccum {
     pub(crate) queue_full_s: f64,
     pub(crate) kv_hwm: f64,
     pub(crate) prefix: PrefixStats,
+    /// Preemptions by tenant index.
+    pub(crate) tenant_preemptions: Vec<u64>,
 }
 
 impl ReplicaAccum {
-    /// Folds a replaced or final core's counters into the books, and its
-    /// per-tenant preemptions into the tenant ledger.
-    pub(crate) fn harvest(&mut self, core: &EngineCore<'_>, tenancy: Option<&mut Tenancy<'_>>) {
+    /// Folds a replaced or final core's counters into the books.
+    pub(crate) fn harvest(&mut self, core: &EngineCore<'_>) {
         let memory = core.memory_stats();
         self.busy_s += core.busy().get();
         self.energy_j += core.energy().get();
@@ -105,9 +105,17 @@ impl ReplicaAccum {
         self.queue_full_s += memory.queue_full_s;
         self.kv_hwm = self.kv_hwm.max(memory.kv_hwm_frac);
         self.prefix.absorb(&core.prefix_stats());
-        if let Some(t) = tenancy {
-            t.ledger.absorb_preemptions(core.tenant_preemptions());
-        }
+        add_by_tenant(&mut self.tenant_preemptions, core.tenant_preemptions());
+    }
+}
+
+/// Adds per-tenant counts `from` into `into`, growing it as needed.
+fn add_by_tenant(into: &mut Vec<u64>, from: &[u64]) {
+    if into.len() < from.len() {
+        into.resize(from.len(), 0);
+    }
+    for (sum, n) in into.iter_mut().zip(from) {
+        *sum += n;
     }
 }
 
@@ -116,6 +124,8 @@ impl ReplicaAccum {
 pub(crate) struct FleetTotals {
     pub(crate) chip_energy: Joules,
     pub(crate) preemptions: u64,
+    /// Preemptions by tenant index.
+    pub(crate) tenant_preemptions: Vec<u64>,
     pub(crate) queue_full_s: f64,
     pub(crate) prefix: PrefixStats,
     /// KV handoffs over the interconnect (disaggregated fleets only).
@@ -134,6 +144,7 @@ impl FleetTotals {
     ) -> ReplicaUtilization {
         self.chip_energy += Joules::new(a.energy_j);
         self.preemptions += a.preemptions;
+        add_by_tenant(&mut self.tenant_preemptions, &a.tenant_preemptions);
         self.queue_full_s += a.queue_full_s;
         self.prefix.absorb(&a.prefix);
         ReplicaUtilization {

@@ -14,14 +14,21 @@
 //! colocated core also keeps each completion's 8 B finish time for the
 //! whole run (its in-flight counts read them); the completion itself
 //! leaves the core for the driver's list as soon as its step produced it.
+//!
+//! A multi-tenant run also holds its merged trace, one 40 B record per
+//! offered request, for the whole run: the arrival stream replays it by
+//! index, and completions, which carry no tenant, find theirs in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use cimtpu_cluster::{ClusterEngine, InterconnectSpec, ReplicaSpec, RouterPolicy};
+use cimtpu_cluster::{
+    ClusterEngine, InterconnectSpec, ReplicaSpec, RouterPolicy, SloClass, TenantSet, TenantSpec,
+};
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::{
-    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, PrefixTraffic, ServingModel, TrafficSpec,
+    ArrivalPattern, BatchPolicy, LenDist, MemoryConfig, Offered, PrefixTraffic, ServingModel,
+    TrafficSpec,
 };
 use cimtpu_units::Bytes;
 
@@ -96,20 +103,44 @@ fn open_loop(requests: u64, rate_rps: f64) -> TrafficSpec {
 }
 
 /// Peak live heap, above what was live before, of one run of `engine`
-/// over `traffic` (the returned run included).
-fn peak_of(engine: &ClusterEngine, traffic: &TrafficSpec) -> usize {
+/// over `offered` requests of `load` (the returned run included).
+fn peak_of<'t>(engine: &ClusterEngine, load: impl Into<Offered<'t>>, offered: u64) -> usize {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
-    let run = engine.run("heap", traffic).unwrap();
-    assert_eq!(run.report.completed, traffic.requests);
+    let run = engine.run("heap", load).unwrap();
+    assert_eq!(run.report.completed, offered);
     drop(run);
     PEAK.load(Relaxed) - base
 }
 
 /// Peak-heap bytes per offered request between [`SHORT`] and [`LONG`].
 fn slope(engine: &ClusterEngine, rate_rps: f64) -> f64 {
-    let short = peak_of(engine, &open_loop(SHORT, rate_rps));
-    let long = peak_of(engine, &open_loop(LONG, rate_rps));
+    let short = peak_of(engine, &open_loop(SHORT, rate_rps), SHORT);
+    let long = peak_of(engine, &open_loop(LONG, rate_rps), LONG);
+    (long as f64 - short as f64) / (LONG - SHORT) as f64
+}
+
+/// Two tenants, interactive and batch, splitting `requests` evenly at
+/// `rate_rps` each.
+fn two_tenants(requests: u64, rate_rps: f64) -> TenantSet {
+    let tenant = |name, class, seed| {
+        let traffic = TrafficSpec {
+            seed,
+            ..open_loop(requests / 2, rate_rps)
+        };
+        TenantSpec::new(name, class, 1.0, traffic)
+    };
+    TenantSet::new(vec![
+        tenant("chat", SloClass::Interactive, 1),
+        tenant("bulk", SloClass::Batch, 2),
+    ])
+    .unwrap()
+}
+
+/// [`slope`] of a two-tenant load at `rate_rps` per tenant.
+fn tenant_slope(engine: &ClusterEngine, rate_rps: f64) -> f64 {
+    let short = peak_of(engine, &two_tenants(SHORT, rate_rps), SHORT);
+    let long = peak_of(engine, &two_tenants(LONG, rate_rps), LONG);
     (long as f64 - short as f64) / (LONG - SHORT) as f64
 }
 
@@ -138,9 +169,12 @@ fn open_loop_peak_heap_per_request_is_bounded() {
 
     let disagg_slope = slope(&disagg, 120_000.0);
     let colocated_slope = slope(&colocated, 60_000.0);
+    // The same fleet and total rate, split across two tenants. (One test,
+    // so no other test's allocations run alongside the counting.)
+    let tenant_slope = tenant_slope(&colocated, 30_000.0);
     println!(
         "peak heap per offered request: disaggregated {disagg_slope:.1} B, \
-         colocated {colocated_slope:.1} B"
+         colocated {colocated_slope:.1} B, two-tenant colocated {tenant_slope:.1} B"
     );
     // The completion (40 B) and one percentile sample (8 B), with slack.
     assert!(
@@ -152,5 +186,12 @@ fn open_loop_peak_heap_per_request_is_bounded() {
     assert!(
         colocated_slope <= 64.0,
         "colocated fleet: {colocated_slope:.1} B per request"
+    );
+    // The colocated costs plus the merged trace's 40 B record, with the
+    // same slack. Nothing else is kept per request: a completion finds its
+    // tenant in that record.
+    assert!(
+        tenant_slope <= 104.0,
+        "two-tenant colocated fleet: {tenant_slope:.1} B per request"
     );
 }

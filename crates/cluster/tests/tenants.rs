@@ -23,8 +23,9 @@ use proptest::prelude::*;
 
 use cimtpu_autoscale::{AutoscalePolicy, GroupPolicy};
 use cimtpu_cluster::{
-    ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultPlan, InterconnectSpec, Recorder,
-    ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet, TenantSpec,
+    ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultEvent, FaultPlan, InterconnectSpec,
+    Recorder, RecoveryPolicy, ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet,
+    TenantSpec,
 };
 use cimtpu_core::TpuConfig;
 use cimtpu_serving::scenario::Scenario;
@@ -213,7 +214,12 @@ fn trace_events_are_tenant_tagged_iff_multi_tenant() {
         let lifecycle: Vec<_> = rec
             .events()
             .iter()
-            .filter(|e| e.kind == EventKind::Arrival || e.kind.is_terminal())
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Arrival | EventKind::Retry | EventKind::Park
+                ) || e.kind.is_terminal()
+            })
             .collect();
         assert!(!lifecycle.is_empty());
         for e in &lifecycle {
@@ -310,5 +316,70 @@ proptest! {
         assert_tenant_conservation(&run);
         let again = fleet.run("chaos", &set).unwrap();
         prop_assert_eq!(&run.report, &again.report);
+    }
+}
+
+/// Admission sheds under tenants: while a crash leaves the surviving
+/// replica at the outstanding threshold, admission sheds the request it
+/// is admitting and every waiting retry older than it. Each shed is
+/// charged to its own tenant: conservation holds per tenant, and the
+/// per-tenant sheds add up to the availability section's.
+#[test]
+fn admission_sheds_are_charged_to_their_tenants() {
+    let set = TenantSet::new(vec![
+        TenantSpec::new(
+            "chat",
+            SloClass::Interactive,
+            1.0,
+            open(40, 30_000.0, 0x5ED),
+        ),
+        TenantSpec::new("bulk", SloClass::Batch, 1.0, open(40, 30_000.0, 0x5EE)),
+    ])
+    .unwrap();
+    let crash = |at: f64, replica| FaultEvent::Crash {
+        at: Seconds::new(at),
+        replica,
+        repair: Seconds::new(0.002),
+    };
+    // An unbounded retry budget: every shed is an admission shed.
+    let recovery = RecoveryPolicy {
+        max_attempts: u32::MAX,
+        shed_outstanding: Some(3),
+        ..RecoveryPolicy::default()
+    };
+    let plan = FaultPlan::none()
+        .with_events([crash(0.000_4, 0), crash(0.000_8, 1)])
+        .with_recovery(recovery);
+    let rec: SharedRecorder = Rc::new(RefCell::new(Recorder::new()));
+    let run = colocated(RouterPolicy::LeastOutstanding, plan)
+        .run_observed("shed", &set, Some(&rec))
+        .unwrap();
+    assert_tenant_conservation(&run);
+    let tenants = &run.report.tenants.as_ref().unwrap().tenants;
+    assert!(
+        tenants.iter().all(|u| u.shed > 0),
+        "every tenant has requests shed: {tenants:?}"
+    );
+    // A retry shed before its backoff fired was shed as an older waiting
+    // request, not at its own admission.
+    let events = rec.borrow().events().to_vec();
+    let fires = |id| {
+        events
+            .iter()
+            .filter(move |e| e.kind == EventKind::Retry && e.id == id)
+            .map(|e| e.ts_s + e.dur_s)
+    };
+    let shed_waiting = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Shed)
+        .any(|e| fires(e.id).any(|fire| e.ts_s < fire));
+    assert!(shed_waiting, "a waiting retry is shed before it fires");
+    // Control-track events carry their own request's tenant.
+    let requests = set.merged_spec().unwrap().generate();
+    for e in events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Retry | EventKind::Shed))
+    {
+        assert_eq!(e.tenant, Some(requests[e.id as usize].tenant), "{e:?}");
     }
 }

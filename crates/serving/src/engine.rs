@@ -13,7 +13,7 @@ use crate::pricer::ServingModel;
 use crate::request::ArrivalStream;
 use crate::session::EngineSession;
 use crate::step::drive;
-use crate::tenant::Offered;
+use crate::tenant::{Offered, RequestTenants, TenantReport};
 
 /// How simulated chips cooperate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,14 +175,14 @@ impl ServingEngine {
             core.set_tenancy(&set.sched());
         }
         drive(std::slice::from_mut(&mut core), &mut stream, |_, _| 0)?;
-        let ledger = tenants.map(|set| {
-            let mut ledger = crate::TenantLedger::new(set, &traffic);
-            ledger.absorb_preemptions(core.tenant_preemptions());
-            ledger
-        });
+        // `finish` consumes the core: read its per-tenant preemptions first.
+        let preempted = core.tenant_preemptions().to_vec();
         let mut run = core.finish(label);
-        if let Some(ledger) = ledger {
-            run.report.tenants = Some(ledger.report(&run.completions, run.report.makespan_s));
+        if let Some(set) = tenants {
+            let (requests, done) = (RequestTenants::new(&traffic), &run.completions);
+            let makespan_s = run.report.makespan_s;
+            let report = TenantReport::new(set, requests, done, makespan_s, &[], &[], &preempted);
+            run.report.tenants = Some(report);
         }
         Ok(run)
     }

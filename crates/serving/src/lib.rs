@@ -168,7 +168,7 @@ pub use request::{
 pub use session::{EngineSession, PricingPool};
 pub use step::{drive, drive_with, DriveHooks, EngineCore};
 pub use tenant::{
-    parse_tenants, Offered, SloClass, TenantLedger, TenantPart, TenantReport, TenantSched,
+    parse_tenants, Offered, RequestTenants, SloClass, TenantPart, TenantReport, TenantSched,
     TenantSet, TenantSpec, TenantUsage,
 };
 pub use trace::{parse_jsonl, replay_spec, synthesize, to_jsonl, TraceRecord};

@@ -97,7 +97,7 @@ pub struct EngineCore<'a> {
     /// Set once by [`crash`](EngineCore::crash); the core is inert after.
     crashed: bool,
     trace: Emitter,
-    tenancy: Tenancy,
+    tenancy: TenantQueues,
     /// One record per executor, for both batching families.
     executors: Vec<Executor>,
     /// What only one batching family keeps.
@@ -121,7 +121,7 @@ struct Executor {
 /// starts with one `Standard` tenant; [`EngineCore::set_tenancy`]
 /// replaces it.
 #[derive(Debug)]
-struct Tenancy {
+struct TenantQueues {
     /// By tenant index. Everything admission reads sits in one entry, so
     /// a pick touches one allocation plus each non-empty queue.
     tenants: Vec<TenantQueue>,
@@ -157,7 +157,7 @@ impl TenantQueue {
     }
 }
 
-impl Tenancy {
+impl TenantQueues {
     fn new(sched: &TenantSched) -> Self {
         let tenants = sched
             .classes
@@ -170,7 +170,7 @@ impl Tenancy {
                 queue: VecDeque::new(),
             })
             .collect();
-        Tenancy {
+        TenantQueues {
             tenants,
             preempted: vec![0; sched.classes.len()],
         }
@@ -535,7 +535,7 @@ impl<'a> EngineCore<'a> {
             slowdown: 1.0,
             crashed: false,
             trace: Emitter::default(),
-            tenancy: Tenancy::new(&TenantSched {
+            tenancy: TenantQueues::new(&TenantSched {
                 classes: vec![SloClass::Standard],
                 weights: vec![1.0],
             }),
@@ -577,7 +577,7 @@ impl<'a> EngineCore<'a> {
             sched.weights.len(),
             "tenant classes and weights must align"
         );
-        self.tenancy = Tenancy::new(sched);
+        self.tenancy = TenantQueues::new(sched);
         self.trace.tagged = sched.multi_tenant();
     }
 

@@ -15,10 +15,16 @@
 //! is priority-first (Interactive before Standard before Batch), then
 //! deficit-weighted-fair across tenants (least service-per-weight first),
 //! and KV preemption evicts batch-tier residents before interactive-tier
-//! ones. Reporting consumes a [`TenantLedger`]: drivers tally per-tenant
-//! shed/timeout/preemption counts and [`TenantLedger::report`] produces the
-//! [`TenantReport`] section (goodput, SLO attainment, Jain's fairness index
-//! over weighted service shares).
+//! ones.
+//!
+//! Tenant state is read-only for the whole run. A request carries its
+//! tenant, so every book that counts shed, timed-out or preempted
+//! requests counts them per tenant from the request it is handed. A
+//! completion carries no tenant: it is attributed through
+//! [`RequestTenants`], a view of the merged trace's records. Once the run
+//! is over, [`TenantReport::new`] builds the per-tenant section from those
+//! counts and the completions (goodput, SLO attainment, Jain's fairness
+//! index over weighted service shares).
 
 use serde::{Deserialize, Serialize};
 
@@ -190,9 +196,11 @@ impl TenantSet {
     /// Checks the set is mergeable: at least one tenant, unique names,
     /// positive finite weights and SLO targets, per-tenant traffic that
     /// validates, no closed-loop tenants (their arrivals depend on service
-    /// progress and cannot be merged up front), and no per-tenant prefix
-    /// traffic (the merged trace re-ids requests, which would silently
-    /// reshuffle shared-head group assignment).
+    /// progress and cannot be merged up front, and a run attributes each
+    /// completion to its tenant through the merged trace's records; see
+    /// [`RequestTenants`]), and no per-tenant prefix traffic (the merged
+    /// trace re-ids requests, which would silently reshuffle shared-head
+    /// group assignment).
     ///
     /// # Errors
     ///
@@ -530,101 +538,81 @@ impl std::fmt::Display for TenantReport {
     }
 }
 
-/// Driver-side per-tenant bookkeeping: maps request ids back to tenants
-/// (via the merged trace) and tallies the outcomes only the driver sees
-/// (shed, timed out, preempted).
-#[derive(Debug, Clone)]
-pub struct TenantLedger {
-    names: Vec<String>,
-    classes: Vec<SloClass>,
-    weights: Vec<f64>,
-    slo_ms: Vec<f64>,
-    /// Tenant of request `id` (ids are `0..n` in merged-trace order).
-    tenant_of: Vec<u32>,
-    shed: Vec<u64>,
-    timed_out: Vec<u64>,
-    preempted: Vec<u64>,
-}
+/// The tenant of each request of a merged trace, read from the trace's
+/// own records: request `id` replays record `id`. Completions carry no
+/// tenant, so this is the one id → tenant lookup. It copies nothing: it
+/// borrows the records the run's arrival stream replays anyway.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestTenants<'a>(&'a [TraceRecord]);
 
-impl TenantLedger {
-    /// Opens a ledger for `set` against its merged spec (the id → tenant
-    /// map comes from the spec's trace records).
+impl<'a> RequestTenants<'a> {
+    /// The view of `spec`'s trace records.
     ///
     /// # Panics
     ///
     /// Panics if `spec` is not a trace spec (it must come from
     /// [`TenantSet::merged_spec`]).
-    pub fn new(set: &TenantSet, spec: &TrafficSpec) -> Self {
+    pub fn new(spec: &'a TrafficSpec) -> Self {
         let ArrivalPattern::Trace { records } = &spec.arrival else {
-            panic!("a tenant ledger needs the merged trace spec")
+            panic!("request tenants are read from the merged trace spec")
         };
-        let n = set.tenants.len();
-        TenantLedger {
-            names: set.tenants.iter().map(|t| t.name.clone()).collect(),
-            classes: set.tenants.iter().map(|t| t.class).collect(),
-            weights: set.tenants.iter().map(|t| t.weight).collect(),
-            slo_ms: set.tenants.iter().map(|t| t.slo_ms).collect(),
-            tenant_of: records.iter().map(|r| r.tenant).collect(),
-            shed: vec![0; n],
-            timed_out: vec![0; n],
-            preempted: vec![0; n],
-        }
+        RequestTenants(records)
     }
 
     /// Tenant index of request `id`.
-    pub fn tenant_of(&self, id: u64) -> usize {
-        self.tenant_of[id as usize] as usize
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a request of the trace.
+    pub fn of(self, id: u64) -> u32 {
+        self.0[id as usize].tenant
     }
+}
 
-    /// Records a shed request.
-    pub fn on_shed(&mut self, id: u64) {
-        let t = self.tenant_of(id);
-        self.shed[t] += 1;
-    }
-
-    /// Records a timed-out request.
-    pub fn on_timeout(&mut self, id: u64) {
-        let t = self.tenant_of(id);
-        self.timed_out[t] += 1;
-    }
-
-    /// Folds a core's per-tenant preemption counters in.
-    pub fn absorb_preemptions(&mut self, per_tenant: &[u64]) {
-        for (t, &n) in per_tenant.iter().enumerate() {
-            self.preempted[t] += n;
-        }
-    }
-
-    /// Builds the per-tenant report section from the fleet's completions.
-    pub fn report(&self, completions: &[Completion], makespan_s: f64) -> TenantReport {
-        let n = self.names.len();
+impl TenantReport {
+    /// The per-tenant report section of a finished run of `set`, built
+    /// once at its end: each tenant's offered requests and `completions`
+    /// (attributed through `requests`), and the requests it had shed,
+    /// timed out and preempted, as the driver's books counted them by
+    /// tenant index (a missing entry counts zero).
+    pub fn new(
+        set: &TenantSet,
+        requests: RequestTenants<'_>,
+        completions: &[Completion],
+        makespan_s: f64,
+        shed: &[u64],
+        timed_out: &[u64],
+        preempted: &[u64],
+    ) -> TenantReport {
+        let count = |counts: &[u64], t: usize| counts.get(t).copied().unwrap_or(0);
+        let n = set.tenants.len();
         let mut completed = vec![0u64; n];
         let mut met = vec![0u64; n];
         let mut tokens = vec![0u64; n];
         for c in completions {
-            let t = self.tenant_of(c.id);
+            let t = requests.of(c.id) as usize;
             completed[t] += 1;
             tokens[t] += c.steps;
-            if c.latency().get() * 1e3 <= self.slo_ms[t] {
+            if c.latency().get() * 1e3 <= set.tenants[t].slo_ms {
                 met[t] += 1;
             }
         }
         let mut offered = vec![0u64; n];
-        for &t in &self.tenant_of {
-            offered[t as usize] += 1;
+        for r in requests.0 {
+            offered[r.tenant as usize] += 1;
         }
         let total_tokens: u64 = tokens.iter().sum();
         let makespan = makespan_s.max(f64::MIN_POSITIVE);
         let tenants = (0..n)
             .map(|t| TenantUsage {
-                name: self.names[t].clone(),
-                class: self.classes[t],
-                weight: self.weights[t],
+                name: set.tenants[t].name.clone(),
+                class: set.tenants[t].class,
+                weight: set.tenants[t].weight,
                 offered: offered[t],
                 completed: completed[t],
-                shed: self.shed[t],
-                timed_out: self.timed_out[t],
-                preemptions: self.preempted[t],
+                shed: count(shed, t),
+                timed_out: count(timed_out, t),
+                preemptions: count(preempted, t),
                 goodput_rps: met[t] as f64 / makespan,
                 slo_attainment: if completed[t] == 0 {
                     1.0
@@ -642,10 +630,13 @@ impl TenantLedger {
         // power of two at or below the least weight. That division is
         // exact: ordinary weights keep the index's bits, and `tokens /
         // weight` stays finite for weights as far apart as 1e-308 and 1e308.
-        let least = self.weights.iter().fold(f64::INFINITY, |a, &w| a.min(w));
+        let least = set
+            .tenants
+            .iter()
+            .fold(f64::INFINITY, |a, t| a.min(t.weight));
         let unit = f64::from_bits(least.to_bits() & 0x7FF0_0000_0000_0000).max(f64::MIN_POSITIVE);
         let shares: Vec<f64> = (0..n)
-            .map(|t| tokens[t] as f64 / (self.weights[t] / unit))
+            .map(|t| tokens[t] as f64 / (set.tenants[t].weight / unit))
             .collect();
         TenantReport {
             fairness: jain(&shares),
@@ -805,10 +796,9 @@ mod tests {
     }
 
     #[test]
-    fn ledger_reports_conservation_and_fairness() {
+    fn report_conserves_and_is_fair() {
         let set = two_tenants();
         let spec = set.merged_spec().unwrap();
-        let mut ledger = TenantLedger::new(&set, &spec);
         let reqs = spec.generate();
         // Complete everything instantly: full attainment, shares ∝ tokens.
         let completions: Vec<Completion> = reqs
@@ -821,8 +811,8 @@ mod tests {
                 steps: r.steps,
             })
             .collect();
-        ledger.absorb_preemptions(&[0, 2]);
-        let report = ledger.report(&completions, 1.0);
+        let requests = RequestTenants::new(&spec);
+        let report = TenantReport::new(&set, requests, &completions, 1.0, &[], &[], &[0, 2]);
         assert_eq!(report.tenants.len(), 2);
         for row in &report.tenants {
             assert_eq!(row.offered, row.completed + row.shed + row.timed_out);
@@ -858,9 +848,8 @@ mod tests {
                 t.weight = w;
             }
             set.validate().unwrap();
-            TenantLedger::new(&set, &spec)
-                .report(&completions, 1.0)
-                .fairness
+            let requests = RequestTenants::new(&spec);
+            TenantReport::new(&set, requests, &completions, 1.0, &[], &[], &[]).fairness
         };
         let extremes = [
             [1e308, 1e-308],
