@@ -67,7 +67,7 @@ impl GroupPolicy {
     /// `initial` outside it, zero concurrency, a threshold band without
     /// hysteresis (`down >= up`), non-finite thresholds, negative or
     /// non-finite cooldowns, or an SLO floor outside `[0, 1]`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.max == 0 {
             return Err(Error::invalid_config("a group needs max >= 1 replica"));
         }
@@ -109,7 +109,7 @@ impl GroupPolicy {
     }
 
     /// Whether the band pins the group to a fixed size (no elasticity).
-    pub fn is_pinned(&self) -> bool {
+    pub(crate) fn is_pinned(&self) -> bool {
         self.min == self.max
     }
 }
@@ -162,7 +162,7 @@ impl AutoscalePolicy {
     ///
     /// Returns [`Error::InvalidConfig`] for no groups, a non-positive
     /// interval, negative or non-finite provisioning/warmup/idle power,
-    /// or any group failing [`GroupPolicy::validate`].
+    /// or any group failing `GroupPolicy::validate`.
     pub fn validate(&self) -> Result<()> {
         if self.groups.is_empty() {
             return Err(Error::invalid_config(
@@ -229,7 +229,7 @@ pub struct GroupObservation {
 
 impl GroupObservation {
     /// Queued plus outstanding work.
-    pub fn work(&self) -> u64 {
+    pub(crate) fn work(&self) -> u64 {
         self.queued + self.outstanding
     }
 
@@ -237,7 +237,7 @@ impl GroupObservation {
     /// policy band: work over target capacity, or the KV occupancy
     /// high-water if that is higher. A group with work but no routable
     /// replica is infinitely utilized (the wake-from-zero signal).
-    pub fn utilization(&self, concurrency: u64) -> f64 {
+    pub(crate) fn utilization(&self, concurrency: u64) -> f64 {
         if self.up == 0 {
             return if self.work() > 0 { f64::INFINITY } else { 0.0 };
         }

@@ -91,11 +91,6 @@ impl Reconciler {
         }
     }
 
-    /// The policy the reconciler runs.
-    pub fn policy(&self) -> &AutoscalePolicy {
-        &self.policy
-    }
-
     /// One control-loop iteration at simulated time `now`: observe each
     /// group, compare against its policy band, and return the decisions
     /// to apply. `obs` must have one entry per policy group.

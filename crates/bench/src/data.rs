@@ -4,7 +4,7 @@ use serde::Serialize;
 
 /// One published design in the Fig. 1 evolution survey.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CimDesign {
+pub(crate) struct CimDesign {
     /// Publication venue and year.
     pub venue: &'static str,
     /// Reference number in the paper.
@@ -23,7 +23,7 @@ pub struct CimDesign {
 
 /// The Fig. 1 dataset: evolution of CIM-based designs vs. established
 /// accelerators.
-pub fn cim_evolution() -> Vec<CimDesign> {
+pub(crate) fn cim_evolution() -> Vec<CimDesign> {
     vec![
         CimDesign {
             venue: "ISSCC'19",
@@ -94,7 +94,7 @@ pub fn cim_evolution() -> Vec<CimDesign> {
 /// The paper's Fig. 2d reference breakdown (measured on A100 GPUs),
 /// used to compare our simulated fractions against.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Fig2dRow {
+pub(crate) struct Fig2dRow {
     /// Model name.
     pub model: &'static str,
     /// Layer-group name.
@@ -106,7 +106,7 @@ pub struct Fig2dRow {
 }
 
 /// Paper-reported Fig. 2d rows.
-pub fn fig2d_reference() -> Vec<Fig2dRow> {
+pub(crate) fn fig2d_reference() -> Vec<Fig2dRow> {
     vec![
         Fig2dRow {
             model: "Llama2-13B",

@@ -33,15 +33,15 @@ fn base_cim_pair(state: &mut SimPair) -> Result<&(Simulator, Simulator)> {
 }
 
 /// The evaluation batch size used throughout the paper.
-pub const BATCH: u64 = 8;
+pub(crate) const BATCH: u64 = 8;
 /// Prefill input length (Fig. 6 / Fig. 7).
-pub const INPUT_LEN: u64 = 1024;
+pub(crate) const INPUT_LEN: u64 = 1024;
 /// Decode output length (Fig. 7).
-pub const OUTPUT_LEN: u64 = 512;
+pub(crate) const OUTPUT_LEN: u64 = 512;
 /// Fig. 6 decode point: the 256th output token.
-pub const FIG6_DECODE_TOKEN: u64 = 256;
+pub(crate) const FIG6_DECODE_TOKEN: u64 = 256;
 /// DiT image resolution.
-pub const DIT_RESOLUTION: u64 = 512;
+pub(crate) const DIT_RESOLUTION: u64 = 512;
 
 /// Comparison of one workload on the baseline vs the CIM-based TPU.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -705,7 +705,7 @@ pub fn sweep_hbm_bandwidth() -> Result<Vec<HbmSweepRow>> {
 /// # Errors
 ///
 /// Returns an error if the engine configurations are invalid.
-pub fn gemv_cycle_ratio() -> Result<f64> {
+pub(crate) fn gemv_cycle_ratio() -> Result<f64> {
     use cimtpu_core::MatrixEngine;
     let base = MatrixEngine::from_kind(TpuConfig::tpuv4i().mxu())?;
     let cim = MatrixEngine::from_kind(TpuConfig::cim_base().mxu())?;

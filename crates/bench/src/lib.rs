@@ -9,9 +9,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod data;
+mod data;
 pub mod experiments;
 pub mod repro;
 pub mod sweep;
-pub mod table;
+mod table;

@@ -6,7 +6,7 @@
 //! checked against.
 
 use cimtpu_units::pool::map_with_workers;
-pub use cimtpu_units::pool::{available_workers, parallel_map, parallel_map_init};
+pub(crate) use cimtpu_units::pool::{available_workers, parallel_map, parallel_map_init};
 
 /// How a sweep executes: the production fast path or the reference path
 /// the fast path is checked against.
@@ -22,12 +22,12 @@ pub enum SweepMode {
 
 impl SweepMode {
     /// Whether simulators created for this sweep should memoize pricing.
-    pub fn cache_enabled(self) -> bool {
+    pub(crate) fn cache_enabled(self) -> bool {
         self == SweepMode::Parallel
     }
 
     /// The worker count this mode allows for `items` work items.
-    pub fn workers_for(self, items: usize) -> usize {
+    pub(crate) fn workers_for(self, items: usize) -> usize {
         match self {
             SweepMode::Parallel => available_workers().min(items).max(1),
             SweepMode::SequentialUncached => 1,
@@ -37,7 +37,7 @@ impl SweepMode {
 
 /// [`parallel_map_init`] with the worker count of `mode` (see
 /// [`SweepMode::workers_for`]).
-pub fn map_with_mode<T, S, R, I, F>(mode: SweepMode, items: &[T], init: I, f: F) -> Vec<R>
+pub(crate) fn map_with_mode<T, S, R, I, F>(mode: SweepMode, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -2,28 +2,18 @@
 
 /// One column of [`Table::of`]: its header, and the cell it formats for
 /// a row.
-pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+pub(crate) type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
 
 /// A simple text table with a header row.
-///
-/// # Examples
-///
-/// ```
-/// use cimtpu_bench::table::Table;
-/// let mut t = Table::new(vec!["config", "latency (ms)"]);
-/// t.row(vec!["baseline".into(), format!("{:.3}", 1.234)]);
-/// let s = t.render();
-/// assert!(s.contains("baseline"));
-/// ```
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: Vec<&str>) -> Self {
+    pub(crate) fn new(header: Vec<&str>) -> Self {
         Table {
             header: header.into_iter().map(str::to_owned).collect(),
             rows: Vec::new(),
@@ -32,7 +22,7 @@ impl Table {
 
     /// A table of `rows` with one row per item and one [`Column`] per
     /// `(header, cell)` pair.
-    pub fn of<R>(rows: &[R], columns: &[Column<'_, R>]) -> Self {
+    pub(crate) fn of<R>(rows: &[R], columns: &[Column<'_, R>]) -> Self {
         let mut t = Table::new(columns.iter().map(|&(header, _)| header).collect());
         for r in rows {
             t.row(columns.iter().map(|(_, cell)| cell(r)).collect());
@@ -41,12 +31,12 @@ impl Table {
     }
 
     /// Appends one row (cells beyond the header width are dropped).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {

@@ -40,11 +40,6 @@ impl BitSerialMacUnit {
         BitSerialMacUnit { rows }
     }
 
-    /// Number of input channels.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Computes `input · weights` exactly as the bit-serial hardware does.
     ///
     /// `weights` is row-major: `weights[row][col]`. Returns one `i32`
@@ -94,7 +89,8 @@ impl BitSerialMacUnit {
     }
 
     /// Reference integer dot product for validation.
-    pub fn matvec_reference(input: &[i8], weights: &[Vec<i8>]) -> Vec<i32> {
+    #[cfg(test)]
+    pub(crate) fn matvec_reference(input: &[i8], weights: &[Vec<i8>]) -> Vec<i32> {
         let cols = weights.first().map_or(0, Vec::len);
         (0..cols)
             .map(|c| {

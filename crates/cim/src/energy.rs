@@ -5,14 +5,13 @@
 //! from the authors' manually drawn CIM core layout + RTL P&R of the MXU).
 //! As with the digital model, only these aggregates feed the system-level
 //! evaluation, so a calibrated event-energy model substitutes for the
-//! layout flow (DESIGN.md §2).
+//! layout flow.
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Area, Cycles, DataType, Frequency, GemmShape, Joules, Watts};
+use cimtpu_units::{Area, DataType, GemmShape, Joules, Watts};
 
 use crate::geometry::CimMxuConfig;
-use crate::timing::CimGemmTiming;
 
 /// Per-event energy and per-core area constants for a CIM-MXU.
 ///
@@ -42,9 +41,6 @@ pub struct CimEnergyModel {
 }
 
 impl CimEnergyModel {
-    /// Calibration reference clock for the Table II numbers.
-    pub const REFERENCE_CLOCK_GHZ: f64 = 1.05;
-
     /// The TSMC 22 nm digital-CIM calibration (paper Table II).
     ///
     /// A 16×8 grid of 128×256 cores evaluates to 7.26 TOPS/W and
@@ -69,33 +65,22 @@ impl CimEnergyModel {
         }
     }
 
-    /// Energy per weight byte written into the bitcell array.
-    pub fn weight_write_per_byte(&self) -> Joules {
-        self.weight_write_per_byte
-    }
-
-    /// Energy per streamed I/O byte.
-    pub fn io_per_byte(&self) -> Joules {
-        self.io_per_byte
-    }
-
     /// Static power of the full grid.
-    pub fn static_power(&self, config: &CimMxuConfig) -> Watts {
+    pub(crate) fn static_power(&self, config: &CimMxuConfig) -> Watts {
         Watts::new(self.static_per_core.get() * config.core_count() as f64)
     }
 
     /// Area of the full grid.
-    pub fn mxu_area(&self, config: &CimMxuConfig) -> Area {
+    pub(crate) fn mxu_area(&self, config: &CimMxuConfig) -> Area {
         Area::new(self.area_per_core.as_mm2() * config.core_count() as f64)
     }
 
-    /// Full energy accounting of one GEMM given its timing.
+    /// Dynamic energy accounting of one GEMM on the grid `config`.
     pub(crate) fn gemm_energy(
         &self,
         config: &CimMxuConfig,
         shape: GemmShape,
         dtype: DataType,
-        timing: &CimGemmTiming,
     ) -> CimGemmEnergy {
         let mac = Joules::new(self.mac_energy(dtype).get() * shape.macs() as f64);
         // Weights are written exactly once per residency; the written bytes
@@ -114,20 +99,18 @@ impl CimEnergyModel {
             mac,
             weight_write,
             io,
-            static_power: self.static_power(config),
-            busy_cycles: timing.total(),
         }
     }
 }
 
-/// Energy breakdown of one GEMM on a CIM-MXU.
+/// Dynamic energy breakdown of one GEMM on a CIM-MXU. Leakage depends on
+/// the whole chip's busy window, so the simulator charges it per run from
+/// [`CimMxu::static_power`](crate::CimMxu::static_power).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CimGemmEnergy {
     mac: Joules,
     weight_write: Joules,
     io: Joules,
-    static_power: Watts,
-    busy_cycles: Cycles,
 }
 
 impl CimGemmEnergy {
@@ -144,26 +127,6 @@ impl CimGemmEnergy {
     /// Streaming I/O energy.
     pub fn io(&self) -> Joules {
         self.io
-    }
-
-    /// Static (leakage) energy over the busy window at clock `clock`.
-    pub fn static_energy_at(&self, clock: Frequency) -> Joules {
-        self.static_power.for_duration(self.busy_cycles.at(clock))
-    }
-
-    /// Total energy at clock `clock`.
-    pub fn total_at(&self, clock: Frequency) -> Joules {
-        self.mac + self.weight_write + self.io + self.static_energy_at(clock)
-    }
-
-    /// Total energy at the calibration clock (1.05 GHz).
-    pub fn total(&self) -> Joules {
-        self.total_at(Frequency::from_ghz(CimEnergyModel::REFERENCE_CLOCK_GHZ))
-    }
-
-    /// Busy window used for static-energy accounting, in cycles.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.busy_cycles
     }
 }
 
@@ -185,15 +148,6 @@ mod tests {
         let big = CimMxu::new(CimMxuConfig::with_grid(16, 16)).unwrap();
         let small = CimMxu::new(CimMxuConfig::with_grid(8, 8)).unwrap();
         assert!((big.static_power().get() / small.static_power().get() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn totals_are_additive() {
-        let mxu = CimMxu::new(CimMxuConfig::paper_default()).unwrap();
-        let e = mxu.gemm_energy(GemmShape::new(64, 2048, 2048).unwrap(), DataType::Int8);
-        let clock = Frequency::from_ghz(1.05);
-        let sum = e.mac() + e.weight_write() + e.io() + e.static_energy_at(clock);
-        assert!((sum.get() - e.total_at(clock).get()).abs() < 1e-18);
     }
 
     #[test]

@@ -40,15 +40,11 @@ pub struct Bf16(u16);
 
 impl Bf16 {
     /// Positive zero.
-    pub const ZERO: Bf16 = Bf16(0);
-
-    /// Creates a BF16 from its raw bit pattern.
-    pub const fn from_bits(bits: u16) -> Self {
-        Bf16(bits)
-    }
+    pub(crate) const ZERO: Bf16 = Bf16(0);
 
     /// The raw bit pattern.
-    pub const fn to_bits(self) -> u16 {
+    #[cfg(test)]
+    pub(crate) const fn to_bits(self) -> u16 {
         self.0
     }
 
@@ -74,18 +70,18 @@ impl Bf16 {
     }
 
     /// Sign bit (true = negative).
-    pub const fn sign(self) -> bool {
+    pub(crate) const fn sign(self) -> bool {
         self.0 >> 15 == 1
     }
 
     /// Biased exponent (0..=255).
-    pub const fn biased_exponent(self) -> u32 {
+    pub(crate) const fn biased_exponent(self) -> u32 {
         ((self.0 >> 7) & 0xff) as u32
     }
 
     /// Significand with the hidden one materialized (8 bits for normals,
     /// the raw 7-bit fraction for subnormals).
-    pub const fn significand(self) -> u32 {
+    pub(crate) const fn significand(self) -> u32 {
         let frac = (self.0 & 0x7f) as u32;
         if self.biased_exponent() == 0 {
             frac
@@ -138,11 +134,6 @@ impl FpCimPipeline {
             )));
         }
         Ok(FpCimPipeline { alignment_bits })
-    }
-
-    /// The aligner width in bits.
-    pub fn alignment_bits(&self) -> u32 {
-        self.alignment_bits
     }
 
     /// Computes `Σ a[i] * w[i]` through the FP-CIM pipeline.

@@ -11,7 +11,7 @@ use cimtpu_units::{Error, Result};
 /// bank serves 8 local output columns through a local readout-and-compute
 /// circuit, an adder tree and a shift-accumulator. Inputs are broadcast
 /// **bit-serially**: one input bit-plane is applied per cycle to one group
-/// of [`CimCoreConfig::column_group`] output columns.
+/// of `column_group` (8) output columns.
 ///
 /// Sustained throughput at 8-bit precision is therefore
 /// `rows × column_group / 8bits × 8bits = rows` MACs per cycle — 128 for the
@@ -61,18 +61,8 @@ impl CimCoreConfig {
         self.cols
     }
 
-    /// Number of banks.
-    pub const fn banks(&self) -> u64 {
-        self.banks
-    }
-
-    /// Output columns computed concurrently each bit-cycle.
-    pub const fn column_group(&self) -> u64 {
-        self.column_group
-    }
-
     /// Weight-port write bandwidth in bytes per cycle.
-    pub const fn weight_io_bytes_per_cycle(&self) -> u64 {
+    pub(crate) const fn weight_io_bytes_per_cycle(&self) -> u64 {
         self.weight_io_bytes_per_cycle
     }
 
@@ -106,23 +96,13 @@ impl CimCoreConfig {
         n.div_ceil(self.column_group) * bits as u64
     }
 
-    /// Cycles to (re)write the full weight array through the weight port.
-    pub fn weight_update_cycles(&self, bytes_per_elem: u64) -> u64 {
-        (self.rows * self.cols * bytes_per_elem).div_ceil(self.weight_io_bytes_per_cycle)
-    }
-
-    /// Weight storage capacity in bytes at 1 byte per cell-group element.
-    pub const fn weight_bytes(&self) -> u64 {
-        self.rows * self.cols
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for zero dimensions, a column group
     /// that does not divide the column count, or unsupported bit widths.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.rows == 0 || self.cols == 0 || self.banks == 0 || self.column_group == 0 {
             return Err(Error::invalid_config(
                 "CIM core dimensions must be non-zero",
@@ -267,11 +247,6 @@ impl CimMxuConfig {
         self.psum_hop_cycles
     }
 
-    /// Weight-delivery bus width in bytes per cycle (shared by all cores).
-    pub const fn weight_ingest_bytes_per_cycle(&self) -> u64 {
-        self.weight_ingest_bytes_per_cycle
-    }
-
     /// Overrides the weight-delivery bus width (for ablations).
     #[must_use]
     pub fn with_weight_ingest_bytes_per_cycle(mut self, bytes: u64) -> Self {
@@ -295,8 +270,8 @@ impl CimMxuConfig {
         self
     }
 
-    /// Enables or disables simultaneous MAC + weight update (for the
-    /// ablation in DESIGN.md §7).
+    /// Enables or disables simultaneous MAC + weight update (the
+    /// "weight-update overlap" row of the `ablations` report section).
     #[must_use]
     pub fn with_overlap_weight_update(mut self, enabled: bool) -> Self {
         self.overlap_weight_update = enabled;
@@ -367,10 +342,15 @@ mod tests {
 
     #[test]
     fn weight_update_cycles() {
-        let core = CimCoreConfig::paper_default();
-        // 128*256 bytes at 32 B/cycle = 1024 cycles.
-        assert_eq!(core.weight_update_cycles(1), 1024);
-        assert_eq!(core.weight_update_cycles(2), 2048);
+        // Rewriting one core: 128*256 bytes through its 32 B/cycle port =
+        // 1024 cycles; the 128 B/cycle delivery bus is not the bottleneck.
+        let mxu = CimMxuConfig::paper_default();
+        let core_bytes = 128 * 256;
+        assert_eq!(mxu.weight_write_cycles(core_bytes, core_bytes), 1024);
+        assert_eq!(
+            mxu.weight_write_cycles(2 * core_bytes, 2 * core_bytes),
+            2048
+        );
     }
 
     #[test]

@@ -50,16 +50,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bitserial;
 mod energy;
-mod floorplan;
 pub mod fp;
 mod geometry;
 mod timing;
 
 pub use energy::{CimEnergyModel, CimGemmEnergy};
-pub use floorplan::{CimCoreFloorplan, MacEnergyBreakdown};
 pub use geometry::{CimCoreConfig, CimMxuConfig};
 pub use timing::CimGemmTiming;
 
@@ -109,10 +108,9 @@ impl CimMxu {
         timing::gemm_timing(&self.config, shape, dtype)
     }
 
-    /// Energy spent executing one GEMM.
+    /// Dynamic energy spent executing one GEMM.
     pub fn gemm_energy(&self, shape: GemmShape, dtype: DataType) -> CimGemmEnergy {
-        let timing = self.gemm_timing(shape, dtype);
-        self.energy.gemm_energy(&self.config, shape, dtype, &timing)
+        self.energy.gemm_energy(&self.config, shape, dtype)
     }
 
     /// Total silicon area of the MXU.

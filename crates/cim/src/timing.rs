@@ -16,13 +16,13 @@
 //! - partial sums ripple down the grid rows
 //!   ([`CimMxuConfig::psum_hop_cycles`] per hop);
 //! - re-writing the weights for the next macro-tile takes
-//!   [`CimCoreConfig::weight_update_cycles`]; with
+//!   [`CimMxuConfig::weight_write_cycles`]; with
 //!   [`CimMxuConfig::overlap_weight_update`] enabled the update hides under
 //!   the previous tile's compute (only stalls when compute is shorter than
 //!   the update — exactly the GEMV-burst regime where the feature matters).
 //!
 //! [`CimCoreConfig::vector_cycles`]: crate::CimCoreConfig::vector_cycles
-//! [`CimCoreConfig::weight_update_cycles`]: crate::CimCoreConfig::weight_update_cycles
+//! [`CimMxuConfig::weight_write_cycles`]: crate::CimMxuConfig::weight_write_cycles
 //! [`CimMxuConfig::input_hop_cycles`]: crate::CimMxuConfig::input_hop_cycles
 //! [`CimMxuConfig::psum_hop_cycles`]: crate::CimMxuConfig::psum_hop_cycles
 //! [`CimMxuConfig::overlap_weight_update`]: crate::CimMxuConfig::overlap_weight_update
@@ -45,11 +45,6 @@ pub struct CimGemmTiming {
 }
 
 impl CimGemmTiming {
-    /// The GEMM shape this timing describes.
-    pub fn shape(&self) -> GemmShape {
-        self.shape
-    }
-
     /// End-to-end cycles including exposed weight updates.
     pub fn total(&self) -> Cycles {
         self.total
@@ -61,12 +56,14 @@ impl CimGemmTiming {
     }
 
     /// Weight-update cycles *not* hidden under compute.
-    pub fn exposed_weight_update(&self) -> Cycles {
+    #[cfg(test)]
+    pub(crate) fn exposed_weight_update(&self) -> Cycles {
         self.exposed_weight_update
     }
 
     /// Number of weight residencies (macro-tiles).
-    pub fn macro_tiles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn macro_tiles(&self) -> u64 {
         self.macro_tiles
     }
 

@@ -99,12 +99,12 @@ impl InterconnectSpec {
     }
 
     /// Time to move `bytes` over the link.
-    pub fn transfer_time(&self, bytes: Bytes) -> Seconds {
+    pub(crate) fn transfer_time(&self, bytes: Bytes) -> Seconds {
         self.link_bandwidth.transfer_time(bytes) + self.hop_latency
     }
 
     /// Energy to move `bytes` over the link.
-    pub fn transfer_energy(&self, bytes: Bytes) -> Joules {
+    pub(crate) fn transfer_energy(&self, bytes: Bytes) -> Joules {
         Joules::new(bytes.get() as f64 * self.energy_pj_per_byte * 1e-12)
     }
 }

@@ -211,7 +211,8 @@ impl ClusterEngine {
     }
 
     /// The installed autoscale policy, if any.
-    pub fn autoscale(&self) -> Option<&AutoscalePolicy> {
+    #[cfg(test)]
+    pub(crate) fn autoscale(&self) -> Option<&AutoscalePolicy> {
         self.autoscale.as_ref()
     }
 

@@ -74,7 +74,7 @@ pub enum FaultEvent {
 impl FaultEvent {
     /// When the event takes effect (crash instant or window start) —
     /// the timeline sort key.
-    pub fn at(&self) -> Seconds {
+    pub(crate) fn at(&self) -> Seconds {
         match *self {
             FaultEvent::Crash { at, .. } => at,
             FaultEvent::Straggler { from, .. } | FaultEvent::DegradedLink { from, .. } => from,
@@ -160,7 +160,7 @@ impl Default for RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// The backoff before retry attempt `attempt` (1-based), capped.
-    pub fn backoff_for(&self, attempt: u32) -> Seconds {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Seconds {
         let factor = 2.0f64.powi(attempt.saturating_sub(1).min(62) as i32);
         Seconds::new((self.backoff.get() * factor).min(self.max_backoff.get()))
     }
@@ -252,13 +252,8 @@ impl FaultPlan {
         self
     }
 
-    /// The fault seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The recovery policy.
-    pub fn recovery(&self) -> &RecoveryPolicy {
+    pub(crate) fn recovery(&self) -> &RecoveryPolicy {
         &self.recovery
     }
 
@@ -272,7 +267,7 @@ impl FaultPlan {
     /// fault timeline and an all-up health view, the recovery policy
     /// never engages (no retries, no load shedding), and the report has
     /// no availability section.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty() && self.chaos.is_none()
     }
 
@@ -285,7 +280,7 @@ impl FaultPlan {
     /// Returns [`Error::InvalidConfig`] for an event targeting a replica
     /// outside the fleet, an empty/negative window, or a non-positive
     /// factor.
-    pub fn resolve(&self, replicas: usize) -> Result<Vec<FaultEvent>> {
+    pub(crate) fn resolve(&self, replicas: usize) -> Result<Vec<FaultEvent>> {
         if replicas == 0 {
             return Err(Error::invalid_config(
                 "cannot inject faults into an empty fleet",
@@ -418,7 +413,7 @@ pub struct AvailabilityStats {
 impl AvailabilityStats {
     /// The all-zero section (a plan with only benign events, e.g. a
     /// straggler window, reports full availability).
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         AvailabilityStats {
             crashes: 0,
             downtime_s: 0.0,
@@ -725,7 +720,7 @@ impl FaultRng {
 /// [`cimtpu_units::spec`]. `<replica>` is an index, optionally prefixed
 /// `replica` or `r` (in an elastic fleet, a slot: see [`crate::elastic`]).
 /// Times, windows and factors are validated here; replica indices are
-/// validated against the fleet size at [`FaultPlan::resolve`] time.
+/// validated against the fleet size at `FaultPlan::resolve` time.
 ///
 /// # Errors
 ///
@@ -734,7 +729,7 @@ impl FaultRng {
 /// # Examples
 ///
 /// ```
-/// use cimtpu_cluster::fault::{parse_faults, FaultEvent};
+/// use cimtpu_cluster::{parse_faults, FaultEvent};
 /// let events = parse_faults("crash@2s:replica1:repair=5s,link@1s-2s:x0.1").unwrap();
 /// assert_eq!(events.len(), 2);
 /// assert!(matches!(events[0], FaultEvent::Crash { replica: 1, .. }));

@@ -198,6 +198,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod disagg;
 pub mod elastic;
@@ -224,7 +225,7 @@ pub use fault::{
     parse_faults, AvailabilityStats, ChaosSpec, FaultEvent, FaultPlan, RecoveryPolicy,
 };
 pub use replica::ReplicaSpec;
-pub use report::{ClusterReport, KvTransferStats, PerfRecord, ReplicaUtilization};
+pub use report::{ClusterReport, PerfRecord, ReplicaUtilization};
 pub use router::{HealthView, ReplicaHealth, ReplicaSnapshot, Router, RouterPolicy};
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ impl ReplicaSpec {
     }
 
     /// Physical chips this replica occupies.
-    pub fn chips(&self) -> u64 {
+    pub(crate) fn chips(&self) -> u64 {
         self.parallelism.chips()
     }
 

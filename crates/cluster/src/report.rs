@@ -15,7 +15,7 @@ use crate::replica::ReplicaSpec;
 /// KV-cache handoff traffic over the cluster interconnect (disaggregated
 /// prefill→decode transfers; all-zero for colocated fleets).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct KvTransferStats {
+pub(crate) struct KvTransferStats {
     /// Completed handoffs.
     pub transfers: u64,
     /// Total bytes moved (block-aligned paged footprints).
@@ -28,7 +28,7 @@ pub struct KvTransferStats {
 
 impl KvTransferStats {
     /// Records one handoff.
-    pub fn record(&mut self, bytes: u64, duration: Seconds, energy: Joules) {
+    pub(crate) fn record(&mut self, bytes: u64, duration: Seconds, energy: Joules) {
         self.transfers += 1;
         self.bytes += bytes;
         self.seconds += duration.get();

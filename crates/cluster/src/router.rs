@@ -140,7 +140,7 @@ impl RouterPolicy {
     }
 
     /// Instantiates the router.
-    pub fn build(&self) -> Box<dyn Router> {
+    pub(crate) fn build(&self) -> Box<dyn Router> {
         match self {
             RouterPolicy::PassThrough => Box::new(PassThrough),
             RouterPolicy::RoundRobin => Box::new(RoundRobin { next: 0 }),
@@ -150,26 +150,6 @@ impl RouterPolicy {
             RouterPolicy::PrefixAffinity => Box::new(PrefixAffinity),
             RouterPolicy::SloAware => Box::new(SloAware),
         }
-    }
-
-    /// Looks a policy up by its display name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`cimtpu_units::Error::UnknownPreset`] for anything else.
-    pub fn by_name(name: &str) -> cimtpu_units::Result<Self> {
-        [
-            RouterPolicy::PassThrough,
-            RouterPolicy::RoundRobin,
-            RouterPolicy::LeastOutstanding,
-            RouterPolicy::LeastKv,
-            RouterPolicy::SessionAffinity,
-            RouterPolicy::PrefixAffinity,
-            RouterPolicy::SloAware,
-        ]
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| cimtpu_units::Error::unknown_preset(format!("router '{name}'")))
     }
 }
 
@@ -330,7 +310,7 @@ impl ReplicaHealth {
 
 /// The driver's view of which replica slots can take traffic — a small
 /// deterministic state machine over [`ReplicaHealth`]. Timed transitions
-/// happen only in [`advance`](HealthView::advance), at times the driver
+/// happen only in `advance`, at times the driver
 /// controls, so two runs with the same fault timeline and scaling
 /// decisions see identical health histories.
 #[derive(Debug, Clone, PartialEq)]
@@ -345,7 +325,7 @@ pub struct HealthView {
 
 impl HealthView {
     /// Every replica up.
-    pub fn all_up(replicas: usize) -> Self {
+    pub(crate) fn all_up(replicas: usize) -> Self {
         HealthView {
             states: vec![ReplicaHealth::Up; replicas],
             next: None,
@@ -353,19 +333,19 @@ impl HealthView {
     }
 
     /// The replica's current state.
-    pub fn state(&self, replica: usize) -> ReplicaHealth {
+    pub(crate) fn state(&self, replica: usize) -> ReplicaHealth {
         self.states[replica]
     }
 
     /// Whether the replica is routable.
-    pub fn is_up(&self, replica: usize) -> bool {
+    pub(crate) fn is_up(&self, replica: usize) -> bool {
         matches!(self.states[replica], ReplicaHealth::Up)
     }
 
     /// Whether the replica runs a live core: `Up`, `Warming`, or
     /// `Draining` (a crashed core is dead, and a provisioning or offline
     /// slot has none).
-    pub fn is_live(&self, replica: usize) -> bool {
+    pub(crate) fn is_live(&self, replica: usize) -> bool {
         matches!(
             self.states[replica],
             ReplicaHealth::Up | ReplicaHealth::Warming { .. } | ReplicaHealth::Draining
@@ -373,7 +353,7 @@ impl HealthView {
     }
 
     /// Puts a replica into `state` (a crash, a scale-up or -down).
-    pub fn set(&mut self, replica: usize, state: ReplicaHealth) {
+    pub(crate) fn set(&mut self, replica: usize, state: ReplicaHealth) {
         self.states[replica] = state;
         if let Some(t) = state.until() {
             self.next = Some(self.next.map_or(t, |n| n.min(t)));
@@ -405,7 +385,7 @@ impl HealthView {
     /// The earliest pending transition (a restart, a provisioning end or
     /// a warmup end), if any — the driver schedules a lifecycle event
     /// there.
-    pub fn next_transition(&self) -> Option<Seconds> {
+    pub(crate) fn next_transition(&self) -> Option<Seconds> {
         self.next
     }
 
@@ -417,7 +397,7 @@ impl HealthView {
     /// asks the driver for a fresh core (empty KV allocator and prefix
     /// index), a `Warming` entry reports the replica routable. A zero
     /// warmup reports both in one call.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         now: Seconds,
         repair_warmup: Seconds,
@@ -473,7 +453,7 @@ impl HealthView {
 /// from the replica's own `O(1)`/`O(chips)` getters after each event
 /// that can move them.
 #[derive(Debug)]
-pub struct SnapshotTracker {
+pub(crate) struct SnapshotTracker {
     snaps: Vec<ReplicaSnapshot>,
     /// Scheduled completions not yet counted out of `outstanding`, with
     /// the epoch of the core that scheduled them.
@@ -486,7 +466,7 @@ pub struct SnapshotTracker {
 
 impl SnapshotTracker {
     /// A tracker over `replicas` idle replicas.
-    pub fn new(replicas: usize) -> Self {
+    pub(crate) fn new(replicas: usize) -> Self {
         SnapshotTracker {
             snaps: (0..replicas)
                 .map(|index| ReplicaSnapshot {
@@ -505,7 +485,7 @@ impl SnapshotTracker {
     }
 
     /// The last routing instant.
-    pub fn now(&self) -> Seconds {
+    pub(crate) fn now(&self) -> Seconds {
         self.now
     }
 
@@ -515,7 +495,7 @@ impl SnapshotTracker {
     /// strict `finish > t` rule. `t` must not precede
     /// [`now`](SnapshotTracker::now) — rewind with
     /// [`resync`](SnapshotTracker::resync) instead.
-    pub fn advance_to(&mut self, t: Seconds) {
+    pub(crate) fn advance_to(&mut self, t: Seconds) {
         debug_assert!(
             t >= self.now,
             "routing instants regressed: {t:?} < {:?}",
@@ -536,7 +516,7 @@ impl SnapshotTracker {
 
     /// The current per-replica snapshots (valid for the instant last
     /// passed to [`advance_to`](SnapshotTracker::advance_to)).
-    pub fn snapshots(&self) -> &[ReplicaSnapshot] {
+    pub(crate) fn snapshots(&self) -> &[ReplicaSnapshot] {
         &self.snaps
     }
 
@@ -546,7 +526,7 @@ impl SnapshotTracker {
     /// see the type docs). One [`reset`](SnapshotTracker::reset) per
     /// replica, paid only when a regression actually happens; `assigned` counts are preserved
     /// (they are cumulative, not time-indexed).
-    pub fn resync(&mut self, t: Seconds, cores: &[EngineCore<'_>]) {
+    pub(crate) fn resync(&mut self, t: Seconds, cores: &[EngineCore<'_>]) {
         self.now = t;
         self.expiry.clear();
         for (k, core) in cores.iter().enumerate() {
@@ -561,7 +541,7 @@ impl SnapshotTracker {
     /// driver took the completions. `O(log completions)` plus one heap
     /// push per completion finishing after the routing instant — nothing
     /// for a fresh core. `assigned` is preserved.
-    pub fn reset(&mut self, k: usize, core: &EngineCore<'_>) {
+    pub(crate) fn reset(&mut self, k: usize, core: &EngineCore<'_>) {
         self.epochs[k] = self.epochs[k].wrapping_add(1);
         let s = &mut self.snaps[k];
         s.outstanding = core.outstanding_at(self.now);
@@ -579,7 +559,7 @@ impl SnapshotTracker {
     /// skip it (the zeros stand, and no policy reads them), keeping the
     /// tracker's `O(1)`-per-event path intact. `O(replicas × residents +
     /// future completions)` per call — paid only when tenancy is armed.
-    pub fn refresh_classes(&mut self, cores: &[EngineCore<'_>]) {
+    pub(crate) fn refresh_classes(&mut self, cores: &[EngineCore<'_>]) {
         for (k, core) in cores.iter().enumerate() {
             self.snaps[k].class_outstanding = core.outstanding_by_class_at(self.now);
         }
@@ -587,7 +567,7 @@ impl SnapshotTracker {
 
     /// Records a request pushed into replica `k` (whose queue depth is
     /// now `queued`).
-    pub fn on_push(&mut self, k: usize, queued: u64) {
+    pub(crate) fn on_push(&mut self, k: usize, queued: u64) {
         let s = &mut self.snaps[k];
         s.assigned += 1;
         s.outstanding += 1;
@@ -597,7 +577,7 @@ impl SnapshotTracker {
     /// Records a scheduling step on replica `k`: refreshed queue depth
     /// and KV occupancy, plus the completions the step scheduled (each
     /// stays outstanding until routing time passes its finish).
-    pub fn on_step(&mut self, k: usize, queued: u64, kv_frac: f64, new: &[Completion]) {
+    pub(crate) fn on_step(&mut self, k: usize, queued: u64, kv_frac: f64, new: &[Completion]) {
         let s = &mut self.snaps[k];
         s.queued = queued;
         s.kv_frac = kv_frac;
@@ -935,9 +915,7 @@ mod tests {
             RouterPolicy::PrefixAffinity,
             RouterPolicy::SloAware,
         ] {
-            assert_eq!(RouterPolicy::by_name(p.name()).unwrap(), p);
             assert_eq!(p.build().name(), p.name());
         }
-        assert!(RouterPolicy::by_name("nope").is_err());
     }
 }

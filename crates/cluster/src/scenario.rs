@@ -521,7 +521,7 @@ fn diurnal_point(name: &'static str, description: &'static str, pinned_at_peak: 
 /// (band 0..2) under a bursty compressed day, tuned so the committed
 /// seed deterministically produces at least one scale-up, one
 /// scale-down, and one scale-to-zero — the events the CI grep asserts.
-pub fn smoke_autoscale() -> Scenario {
+pub(crate) fn smoke_autoscale() -> Scenario {
     let policy = AutoscalePolicy {
         interval: Seconds::new(0.001),
         provision: Seconds::new(0.001),
@@ -610,7 +610,7 @@ fn cluster_prefix_traffic() -> TrafficSpec {
 /// KV budget, so KV handoffs *and* decode admission gating both fire in
 /// milliseconds of wall clock. Must report at least one KV transfer — CI
 /// asserts it.
-pub fn smoke_cluster() -> Scenario {
+pub(crate) fn smoke_cluster() -> Scenario {
     Scenario {
         name: "smoke-cluster",
         description: "tiny 1-prefill + 1-decode fleet, 4-block decode KV budget \

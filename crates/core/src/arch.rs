@@ -20,7 +20,7 @@ pub enum MxuKind {
 
 impl MxuKind {
     /// Peak MACs per cycle of one MXU of this kind.
-    pub fn peak_macs_per_cycle(&self) -> u64 {
+    pub(crate) fn peak_macs_per_cycle(&self) -> u64 {
         match self {
             MxuKind::DigitalSystolic(c) => c.macs(),
             MxuKind::Cim(c) => c.peak_macs_per_cycle(),
@@ -185,7 +185,7 @@ impl TpuConfig {
     }
 
     /// The vector unit.
-    pub fn vpu(&self) -> &VpuConfig {
+    pub(crate) fn vpu(&self) -> &VpuConfig {
         &self.vpu
     }
 
@@ -231,23 +231,6 @@ impl TpuConfig {
     #[must_use]
     pub fn with_levels(mut self, levels: MemoryLevels) -> Self {
         self.levels = levels;
-        self
-    }
-
-    /// Replaces the vector unit.
-    #[must_use]
-    pub fn with_vpu(mut self, vpu: VpuConfig) -> Self {
-        self.vpu = vpu;
-        self
-    }
-
-    /// Replaces the main-memory capacity — the budget a serving memory
-    /// subsystem divides between resident weights and KV cache (the paper
-    /// presets keep the TPUv4i's 8 GiB; deliberately tight capacities are
-    /// how KV-pressure scenarios are built).
-    #[must_use]
-    pub fn with_hbm_capacity(mut self, capacity: Bytes) -> Self {
-        self.hbm_capacity = capacity;
         self
     }
 
@@ -343,9 +326,9 @@ mod tests {
 
     /// Design A with one VPU field edited.
     fn vpu_edit(edit: impl FnOnce(&mut VpuConfig)) -> TpuConfig {
-        let mut vpu = VpuConfig::tpuv4i();
-        edit(&mut vpu);
-        TpuConfig::design_a().with_vpu(vpu)
+        let mut cfg = TpuConfig::design_a();
+        edit(&mut cfg.vpu);
+        cfg
     }
 
     #[test]
@@ -376,23 +359,25 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_ici_link_bandwidth() {
-        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
-            let mut cfg = TpuConfig::design_a();
-            cfg.ici_link_bandwidth = Bandwidth::from_gb_per_s(100.0) * factor;
-            assert_invalid(&cfg, &format!("ICI link bandwidth x{factor}"));
-        }
-    }
-
-    #[test]
     fn hbm_capacity_is_overridable() {
-        let tight = TpuConfig::design_a().with_hbm_capacity(Bytes::from_gib(2));
+        // A `--config-file` override sets the deserialized field.
+        let mut tight = TpuConfig::design_a();
+        tight.hbm_capacity = Bytes::from_gib(2);
         assert_eq!(tight.hbm_capacity(), Bytes::from_gib(2));
         tight
             .validate()
             .expect("capacity override keeps the config valid");
         // Presets are untouched.
         assert_eq!(TpuConfig::design_a().hbm_capacity(), Bytes::from_gib(8));
+    }
+
+    #[test]
+    fn validate_rejects_bad_ici_link_bandwidth() {
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let mut cfg = TpuConfig::design_a();
+            cfg.ici_link_bandwidth = Bandwidth::from_gb_per_s(100.0) * factor;
+            assert_invalid(&cfg, &format!("ICI link bandwidth x{factor}"));
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct CacheStats {
     /// Candidate tilings the map-space search enumerated behind the
     /// misses (after dominated-candidate pruning). Filled in by
     /// [`Simulator::cache_stats`](crate::Simulator::cache_stats) from its
-    /// mapper; zero from [`MappingCache::stats`].
+    /// mapper; zero from `MappingCache::stats`.
     pub map_candidates: u64,
     /// Of those, the candidates whose tile the engine priced; the rest
     /// were skipped because their DMA floor could not beat the best
@@ -77,7 +77,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fraction of queries served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -133,7 +134,7 @@ impl MappingCache {
     }
 
     /// Hit/miss/occupancy counters since construction.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -145,7 +146,8 @@ impl MappingCache {
 
     /// Fingerprint of the hardware configuration this cache prices for
     /// (hash of the engine, MXU count, clock, and memory hierarchy).
-    pub fn fingerprint(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
@@ -153,7 +155,7 @@ impl MappingCache {
     /// simulator asserts this on every run in debug builds, so a future
     /// config setter or cache-sharing scheme cannot silently serve stale
     /// entries.
-    pub fn matches(&self, config: &TpuConfig) -> bool {
+    pub(crate) fn matches(&self, config: &TpuConfig) -> bool {
         self.fingerprint == fingerprint_of(config)
     }
 

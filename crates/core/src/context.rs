@@ -106,7 +106,8 @@ impl PhasedReport {
     }
 
     /// Aggregate cost of all segments in `phase`.
-    pub fn cost_in_phase(&self, phase: Phase) -> SegmentCost {
+    #[cfg(test)]
+    pub(crate) fn cost_in_phase(&self, phase: Phase) -> SegmentCost {
         self.segments
             .iter()
             .filter(|s| s.phase == phase)
@@ -114,7 +115,8 @@ impl PhasedReport {
     }
 
     /// Distinct phases present, in first-seen order.
-    pub fn phases(&self) -> Vec<Phase> {
+    #[cfg(test)]
+    pub(crate) fn phases(&self) -> Vec<Phase> {
         let mut seen = Vec::new();
         for s in &self.segments {
             if !seen.contains(&s.phase) {

@@ -61,7 +61,7 @@ impl MatrixEngine {
     }
 
     /// Leakage power of one engine.
-    pub fn static_power(&self) -> Watts {
+    pub(crate) fn static_power(&self) -> Watts {
         match self {
             MatrixEngine::Digital(a) => a.static_power(),
             MatrixEngine::Cim(m) => m.static_power(),
@@ -130,7 +130,7 @@ impl MatrixEngine {
     }
 
     /// Dynamic energy of `batch` independent attention matmuls.
-    pub fn batched_gemm_dynamic_energy(
+    pub(crate) fn batched_gemm_dynamic_energy(
         &self,
         batch: u64,
         shape: GemmShape,
@@ -201,14 +201,14 @@ fn cim_batched_cycles(mxu: &CimMxu, batch: u64, shape: GemmShape, dtype: DataTyp
 
 /// Adapter giving the mapper a per-MXU tile cost model.
 #[derive(Debug, Clone)]
-pub struct EngineCost<'a> {
+pub(crate) struct EngineCost<'a> {
     engine: &'a MatrixEngine,
     clock: Frequency,
 }
 
 impl<'a> EngineCost<'a> {
     /// Wraps an engine with its clock for the mapper.
-    pub fn new(engine: &'a MatrixEngine, clock: Frequency) -> Self {
+    pub(crate) fn new(engine: &'a MatrixEngine, clock: Frequency) -> Self {
         EngineCost { engine, clock }
     }
 }

@@ -10,7 +10,8 @@
 //!   interface, including the batched-attention path where the two
 //!   architectures differ most (weight-FIFO streaming vs bit-serial
 //!   broadcast with grid-row packing);
-//! - [`VpuConfig`] — the vector unit (online softmax, LayerNorm, tanh-GeLU);
+//! - the vector unit (online softmax, LayerNorm, tanh-GeLU), part of
+//!   every [`TpuConfig`];
 //! - [`Simulator`] — executes a [`Workload`](cimtpu_models::Workload)
 //!   operator by operator through the mapping engine, overlapping compute
 //!   with HBM/OCI DMA, and produces a [`Report`] with per-category latency
@@ -43,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod arch;
 mod cache;
@@ -65,4 +67,3 @@ pub use context::{PhasedReport, SegmentCost, SegmentReport};
 pub use engine::MatrixEngine;
 pub use report::{CategoryRow, OpReport, Report};
 pub use simulator::Simulator;
-pub use vpu::VpuConfig;

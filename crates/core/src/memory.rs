@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_models::{DitConfig, LlmInferenceSpec, TransformerConfig};
+use cimtpu_models::{LlmInferenceSpec, TransformerConfig};
 use cimtpu_units::Bytes;
 
 use crate::arch::TpuConfig;
@@ -52,30 +52,6 @@ impl MemoryFootprint {
             kv_cache,
             activations,
         }
-    }
-
-    /// Footprint of a DiT forward pass (no KV cache; activations are the
-    /// token tensor plus the FFN intermediate).
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid resolutions.
-    pub fn dit(dit: &DitConfig, batch: u64, resolution: u64) -> cimtpu_units::Result<Self> {
-        let t = dit.transformer();
-        let tokens = dit.tokens_for_resolution(resolution)?;
-        let weights = Bytes::new(
-            (t.weight_bytes_per_layer().get()
-                // adaLN conditioning MLP adds 6d^2 per block.
-                + 6 * t.d_model() * t.d_model() * t.dtype().size_bytes())
-                * dit.blocks(),
-        );
-        let activations =
-            Bytes::new(batch * tokens * (t.d_model() + t.d_ff()) * t.dtype().size_bytes() * 2);
-        Ok(MemoryFootprint {
-            weights,
-            kv_cache: Bytes::ZERO,
-            activations,
-        })
     }
 
     /// Model weight bytes.
@@ -138,15 +114,6 @@ mod tests {
         let fp = MemoryFootprint::llm(&presets::gpt3_6_7b(), spec);
         assert!(fp.fits(&TpuConfig::tpuv4i()), "total {}", fp.total());
         assert_eq!(fp.min_devices(&TpuConfig::tpuv4i()), 1);
-    }
-
-    #[test]
-    fn dit_xl2_fits_easily() {
-        let fp = MemoryFootprint::dit(&presets::dit_xl_2(), 8, 512).unwrap();
-        // ~700M params at INT8 plus activations.
-        assert!(fp.total() < Bytes::from_gib(2), "total {}", fp.total());
-        assert!(fp.fits(&TpuConfig::tpuv4i()));
-        assert_eq!(fp.kv_cache(), Bytes::ZERO);
     }
 
     #[test]

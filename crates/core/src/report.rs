@@ -79,13 +79,8 @@ impl Report {
     }
 
     /// The simulated workload's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The hardware configuration's name.
-    pub fn config_name(&self) -> &str {
-        &self.config_name
     }
 
     /// Per-op cost rows in execution order.
@@ -111,11 +106,6 @@ impl Report {
     /// Leakage portion of the total MXU energy.
     pub fn mxu_static_energy(&self) -> Joules {
         self.ops.iter().map(|o| o.mxu_static).sum()
-    }
-
-    /// Total VPU energy.
-    pub fn vpu_energy(&self) -> Joules {
-        self.ops.iter().map(|o| o.vpu_energy).sum()
     }
 
     /// Total unique main-memory traffic.

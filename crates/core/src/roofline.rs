@@ -61,12 +61,12 @@ impl RooflineModel {
     }
 
     /// Attainable MAC rate at a given operational intensity.
-    pub fn attainable(&self, intensity: f64) -> f64 {
+    pub(crate) fn attainable(&self, intensity: f64) -> f64 {
         (intensity * self.hbm_bytes_per_s).min(self.peak_macs_per_s)
     }
 
     /// Which wall an operator at `intensity` leans on.
-    pub fn bound(&self, intensity: f64) -> BoundKind {
+    pub(crate) fn bound(&self, intensity: f64) -> BoundKind {
         if intensity < self.ridge_intensity() {
             BoundKind::Memory
         } else {

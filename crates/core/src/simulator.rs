@@ -90,7 +90,7 @@ impl Simulator {
 
     /// Combined leakage of all MXUs (charged over every op's window — the
     /// array leaks whether or not it computes).
-    pub fn mxu_static_power(&self) -> Watts {
+    pub(crate) fn mxu_static_power(&self) -> Watts {
         Watts::new(self.engine.static_power().get() * self.config.mxu_count() as f64)
     }
 
@@ -136,7 +136,7 @@ impl Simulator {
     }
 
     /// Prices a run of consecutive operators: the per-operator costs of
-    /// [`run_instance`](Simulator::run_instance), summed in execution
+    /// `run_instance`, summed in execution
     /// order without building its reports. Pricing a workload's flat
     /// operator list this way reproduces [`run`](Simulator::run)'s total
     /// latency and MXU energy bit-exactly; once the operators' mappings
@@ -160,7 +160,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns an error if the operator cannot be mapped onto the hardware.
-    pub fn run_instance(&self, inst: &OpInstance) -> Result<OpReport> {
+    pub(crate) fn run_instance(&self, inst: &OpInstance) -> Result<OpReport> {
         let (cost, mxu_dynamic, mxu_static) = self.instance_cost(inst)?;
         Ok(OpReport {
             name: inst.name().to_owned(),

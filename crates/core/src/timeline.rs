@@ -42,7 +42,7 @@ pub struct Span {
 
 impl Span {
     /// End offset of the span.
-    pub fn end(&self) -> Seconds {
+    pub(crate) fn end(&self) -> Seconds {
         self.start + self.duration
     }
 }
@@ -74,18 +74,13 @@ impl Timeline {
         }
     }
 
-    /// The workload name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// All spans in execution order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
 
     /// Total duration.
-    pub fn total(&self) -> Seconds {
+    pub(crate) fn total(&self) -> Seconds {
         self.spans.last().map_or(Seconds::ZERO, Span::end)
     }
 
@@ -192,9 +187,6 @@ mod tests {
     fn nan_total_renders_empty() {
         let mut t = timeline();
         t.spans.last_mut().unwrap().duration = Seconds::new(1.0) * f64::NAN;
-        assert_eq!(
-            t.render_ascii(60),
-            format!("{}: empty timeline\n", t.name())
-        );
+        assert_eq!(t.render_ascii(60), format!("{}: empty timeline\n", t.name));
     }
 }

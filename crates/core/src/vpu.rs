@@ -10,19 +10,8 @@ use serde::{Deserialize, Serialize};
 use cimtpu_units::{Cycles, Error, Joules, Result, Watts};
 
 /// Vector-unit geometry and per-element operation costs.
-///
-/// # Examples
-///
-/// ```
-/// use cimtpu_core::VpuConfig;
-/// let vpu = VpuConfig::tpuv4i();
-/// assert_eq!(vpu.lanes(), 1024);
-/// // Online softmax costs ~12 vector ops per element.
-/// let c = vpu.softmax_cycles(8, 1024);
-/// assert!(c.get() > 0);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VpuConfig {
+pub(crate) struct VpuConfig {
     pub(crate) lanes: u64,
     /// Vector ops per element for online softmax (max pass fused with exp
     /// and running sum, then a normalization pass).
@@ -39,7 +28,7 @@ pub struct VpuConfig {
 
 impl VpuConfig {
     /// The TPUv4i vector unit: 8 × 128 lanes.
-    pub fn tpuv4i() -> Self {
+    pub(crate) fn tpuv4i() -> Self {
         VpuConfig {
             lanes: 8 * 128,
             softmax_ops_per_elem: 12,
@@ -50,18 +39,8 @@ impl VpuConfig {
         }
     }
 
-    /// Number of SIMD lanes.
-    pub fn lanes(&self) -> u64 {
-        self.lanes
-    }
-
-    /// Dynamic energy of one lane-op.
-    pub fn energy_per_op(&self) -> Joules {
-        self.energy_per_op
-    }
-
     /// VPU leakage power.
-    pub fn static_power(&self) -> Watts {
+    pub(crate) fn static_power(&self) -> Watts {
         self.static_power
     }
 
@@ -94,42 +73,42 @@ impl VpuConfig {
     }
 
     /// Cycles for a row-wise online softmax over `rows × cols`.
-    pub fn softmax_cycles(&self, rows: u64, cols: u64) -> Cycles {
+    pub(crate) fn softmax_cycles(&self, rows: u64, cols: u64) -> Cycles {
         self.elementwise(rows * cols, self.softmax_ops_per_elem)
     }
 
     /// Cycles for LayerNorm over `rows` vectors of length `d`.
-    pub fn layernorm_cycles(&self, rows: u64, d: u64) -> Cycles {
+    pub(crate) fn layernorm_cycles(&self, rows: u64, d: u64) -> Cycles {
         self.elementwise(rows * d, self.layernorm_ops_per_elem)
     }
 
     /// Cycles for tanh-GeLU over `elems` elements.
-    pub fn gelu_cycles(&self, elems: u64) -> Cycles {
+    pub(crate) fn gelu_cycles(&self, elems: u64) -> Cycles {
         self.elementwise(elems, self.gelu_ops_per_elem)
     }
 
     /// Cycles for generic elementwise work.
-    pub fn elementwise_cycles(&self, elems: u64, ops_per_elem: u32) -> Cycles {
+    pub(crate) fn elementwise_cycles(&self, elems: u64, ops_per_elem: u32) -> Cycles {
         self.elementwise(elems, ops_per_elem)
     }
 
     /// Dynamic energy for `elems × ops_per_elem` lane-ops.
-    pub fn dynamic_energy(&self, elems: u64, ops_per_elem: u32) -> Joules {
+    pub(crate) fn dynamic_energy(&self, elems: u64, ops_per_elem: u32) -> Joules {
         Joules::new(self.energy_per_op.get() * (elems * u64::from(ops_per_elem)) as f64)
     }
 
     /// Lane-op count for each vector operator, used for energy accounting.
-    pub fn softmax_ops(&self, rows: u64, cols: u64) -> u64 {
+    pub(crate) fn softmax_ops(&self, rows: u64, cols: u64) -> u64 {
         rows * cols * u64::from(self.softmax_ops_per_elem)
     }
 
     /// Lane-op count of a LayerNorm.
-    pub fn layernorm_ops(&self, rows: u64, d: u64) -> u64 {
+    pub(crate) fn layernorm_ops(&self, rows: u64, d: u64) -> u64 {
         rows * d * u64::from(self.layernorm_ops_per_elem)
     }
 
     /// Lane-op count of a GeLU.
-    pub fn gelu_ops(&self, elems: u64) -> u64 {
+    pub(crate) fn gelu_ops(&self, elems: u64) -> u64 {
         elems * u64::from(self.gelu_ops_per_elem)
     }
 }
@@ -149,6 +128,7 @@ mod tests {
     #[test]
     fn lane_parallelism_is_applied() {
         let vpu = VpuConfig::tpuv4i();
+        assert_eq!(vpu.lanes, 1024);
         // 1024 elements * 12 ops / 1024 lanes = 12 cycles.
         assert_eq!(vpu.softmax_cycles(1, 1024), Cycles::new(12));
     }

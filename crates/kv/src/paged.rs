@@ -50,16 +50,14 @@ impl KvBudget {
 ///
 /// For prefix sharing a request's holding splits into **private** blocks
 /// (counted, anonymous — the pre-sharing model) and references to
-/// **shared** blocks, which carry an identity ([`alloc_shared`] /
-/// [`promote_to_shared`]) and a reference count. A shared block occupies
+/// **shared** blocks, which carry an identity (`alloc_shared` /
+/// `promote_to_shared`) and a reference count. A shared block occupies
 /// one physical block however many holders reference it; it is freed only
 /// when the last reference drops ([`release_shared`]). The ref-count
 /// invariants live with the prefix index in [`crate::prefix`]; the
 /// allocator only guarantees that occupancy counts every physical block
 /// exactly once and that no shared block is freed while referenced.
 ///
-/// [`alloc_shared`]: PagedKvAllocator::alloc_shared
-/// [`promote_to_shared`]: PagedKvAllocator::promote_to_shared
 /// [`release_shared`]: PagedKvAllocator::release_shared
 #[derive(Debug, Clone)]
 pub struct PagedKvAllocator {
@@ -96,7 +94,7 @@ impl PagedKvAllocator {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for zero `block_tokens`.
-    pub fn new(block_tokens: u64, capacity_blocks: u64) -> Result<Self> {
+    pub(crate) fn new(block_tokens: u64, capacity_blocks: u64) -> Result<Self> {
         if block_tokens == 0 {
             return Err(Error::invalid_config("KV block size must be >= 1 token"));
         }
@@ -116,7 +114,7 @@ impl PagedKvAllocator {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for zero `block_tokens`.
-    pub fn unlimited(block_tokens: u64) -> Result<Self> {
+    pub(crate) fn unlimited(block_tokens: u64) -> Result<Self> {
         let mut alloc = Self::new(block_tokens, 0)?;
         alloc.capacity_blocks = None;
         Ok(alloc)
@@ -157,7 +155,8 @@ impl PagedKvAllocator {
     }
 
     /// Blocks currently allocated.
-    pub fn used_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used_blocks(&self) -> u64 {
         self.used_blocks
     }
 
@@ -167,7 +166,8 @@ impl PagedKvAllocator {
     }
 
     /// The most blocks ever allocated at once.
-    pub fn high_water_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn high_water_blocks(&self) -> u64 {
         self.high_water_blocks
     }
 
@@ -196,7 +196,8 @@ impl PagedKvAllocator {
     }
 
     /// Whether growing request `id` to `tokens` tokens would fit.
-    pub fn would_fit(&self, id: u64, tokens: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn would_fit(&self, id: u64, tokens: u64) -> bool {
         let need = self.blocks_for(tokens);
         let have = self.held.get(&id).map_or(0, Holding::blocks);
         let extra = need.saturating_sub(have);
@@ -274,14 +275,15 @@ impl PagedKvAllocator {
 
     /// Number of requests holding at least one block (or shared
     /// reference).
-    pub fn holders(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
         self.held.values().filter(|h| h.blocks() > 0).count()
     }
 
     /// Allocates a fresh shared block with one reference (the caller's —
     /// typically a prefix index retaining a copy-on-write tail copy).
     /// Returns `None` without allocating if no block is free.
-    pub fn alloc_shared(&mut self) -> Option<u64> {
+    pub(crate) fn alloc_shared(&mut self) -> Option<u64> {
         if let Some(c) = self.capacity_blocks {
             if self.used_blocks >= c {
                 return None;
@@ -300,7 +302,7 @@ impl PagedKvAllocator {
     /// how a prompt block enters a prefix index without copying. Returns
     /// `None` if the request holds no private block. Occupancy is
     /// unchanged: the same physical block, now identified.
-    pub fn promote_to_shared(&mut self, id: u64) -> Option<u64> {
+    pub(crate) fn promote_to_shared(&mut self, id: u64) -> Option<u64> {
         let holding = self.held.get_mut(&id)?;
         if holding.private == 0 {
             return None;
@@ -346,17 +348,19 @@ impl PagedKvAllocator {
     }
 
     /// Reference count of shared block `block` (0 if not live).
-    pub fn shared_refs(&self, block: u64) -> u64 {
+    pub(crate) fn shared_refs(&self, block: u64) -> u64 {
         self.shared.get(&block).copied().unwrap_or(0)
     }
 
     /// Live shared blocks (each counted once, whatever its refs).
-    pub fn shared_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shared_blocks(&self) -> u64 {
         self.shared.len() as u64
     }
 
     /// Shared-block references request `id` holds.
-    pub fn shared_held(&self, id: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shared_held(&self, id: u64) -> u64 {
         self.held.get(&id).map_or(0, |h| h.shared.len() as u64)
     }
 

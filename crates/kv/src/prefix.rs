@@ -43,7 +43,7 @@
 //!
 //! [`PrefixIndex::commit`] inserts the request's uncached prompt blocks:
 //! full blocks are *promoted* in place
-//! ([`PagedKvAllocator::promote_to_shared`] — the request's own block
+//! (`PagedKvAllocator::promote_to_shared` — the request's own block
 //! gains an identity and the index takes a reference; no copy), and the
 //! partial tail is *retained by copy* into a fresh index-owned block
 //! (also counted as a copy-on-write, and skipped best-effort when no
@@ -163,13 +163,13 @@ impl PrefixMatch {
     }
 
     /// Whether anything matched.
-    pub fn is_hit(&self) -> bool {
+    pub(crate) fn is_hit(&self) -> bool {
         self.matched_tokens > 0
     }
 
     /// Whether the match ends mid-block — the request reuses the matched
     /// positions by copy-on-write rather than by reference.
-    pub fn is_partial(&self) -> bool {
+    pub(crate) fn is_partial(&self) -> bool {
         self.partial.is_some()
     }
 }
@@ -228,7 +228,8 @@ impl PrefixIndex {
     }
 
     /// Live (non-evicted) nodes — one shared block each.
-    pub fn live_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_nodes(&self) -> usize {
         self.nodes.iter().filter(|n| !n.dead).count()
     }
 

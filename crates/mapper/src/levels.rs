@@ -75,11 +75,6 @@ impl MemoryLevels {
         self.double_buffering
     }
 
-    /// Whether accesses are coalesced into wide bursts.
-    pub fn memory_coalescing(&self) -> bool {
-        self.memory_coalescing
-    }
-
     /// Overrides VMEM capacity.
     #[must_use]
     pub fn with_vmem(mut self, vmem: Bytes) -> Self {
@@ -136,7 +131,7 @@ impl MemoryLevels {
     }
 
     /// Effective time to move `bytes` between CMEM and VMEM.
-    pub fn oci_time(&self, bytes: Bytes) -> Seconds {
+    pub(crate) fn oci_time(&self, bytes: Bytes) -> Seconds {
         (self.oci_bandwidth * self.efficiency()).transfer_time(bytes)
     }
 

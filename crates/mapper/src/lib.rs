@@ -53,6 +53,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod levels;
 mod mapping;
@@ -62,7 +63,8 @@ mod proptests;
 
 pub use levels::MemoryLevels;
 pub use mapping::Mapping;
-pub use mapspace::{candidate_tiles, for_each_candidate, EdgeBuffers};
+pub use mapspace::candidate_tiles;
+use mapspace::EdgeBuffers;
 
 use mapspace::{MapSpace, Pair};
 
@@ -87,7 +89,7 @@ pub trait TileCostModel {
     /// ceiling-based engine satisfies this naturally; the map-space
     /// search relies on it to prune dominated candidates that share
     /// their tile counts with a smaller tile (see
-    /// [`for_each_candidate`]).
+    /// the map-space enumeration, `for_each_candidate`).
     fn tile_cycles(&self, shape: GemmShape, dtype: DataType) -> Cycles;
 
     /// The engine clock, used to convert cycles to wall time for overlap
@@ -161,7 +163,7 @@ impl Mapper {
     /// over the same layer), skipping HBM weight traffic.
     ///
     /// Among equal totals the first candidate enumerated wins. The search
-    /// walks the `(tk, tn)` pairs of [`for_each_candidate`]'s stream and
+    /// walks the `(tk, tn)` pairs of the map-space stream and
     /// skips the engine's [`tile_cycles`](TileCostModel::tile_cycles) for
     /// a pair whose DMA floor — `prologue + dma` when
     /// double-buffered, `hbm + oci` when serialized — is `>=` the best

@@ -15,7 +15,7 @@ use cimtpu_units::{Bytes, DataType, GemmShape};
 /// `best_gemm_mapping` call free of heap allocation on the simulator hot
 /// path.
 #[derive(Debug, Clone, Default)]
-pub struct EdgeBuffers {
+pub(crate) struct EdgeBuffers {
     m: Vec<u64>,
     k: Vec<u64>,
     n: Vec<u64>,
@@ -45,7 +45,7 @@ impl<'a> MapSpace<'a> {
     /// Fills `scratch` with the edge lists of `shape` (see
     /// [`candidate_tiles`] for the heuristics and [`for_each_candidate`]
     /// for `prune_dominated`).
-    pub fn new(
+    pub(crate) fn new(
         shape: GemmShape,
         dtype: DataType,
         (pref_k, pref_n): (u64, u64),
@@ -84,7 +84,7 @@ impl<'a> MapSpace<'a> {
 
     /// The feasible `(tk, tn)` pairs, largest-first (`tk` outer, `tn`
     /// inner): those whose smallest `m` edge fits.
-    pub fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
         let e = self.edges;
         let m_min = e.m.last().copied().unwrap_or(1);
         e.k.iter().zip(&e.tiles_k).flat_map(move |(&tk, &tiles_k)| {
@@ -103,7 +103,7 @@ impl<'a> MapSpace<'a> {
     /// The largest `m` edge whose tile fits with a feasible `(tk, tn)`:
     /// the fewest tiles at the same cost, since no total depends on `tm`.
     /// An infeasible pair gets 1.
-    pub fn tm(&self, tk: u64, tn: u64) -> u64 {
+    pub(crate) fn tm(&self, tk: u64, tn: u64) -> u64 {
         self.edges
             .m
             .iter()
@@ -173,7 +173,7 @@ pub fn candidate_tiles(
 /// bandwidths), a dominated candidate can tie and win the index
 /// tie-break.
 #[allow(clippy::too_many_arguments)] // mirrors candidate_tiles + the flag
-pub fn for_each_candidate(
+pub(crate) fn for_each_candidate(
     shape: GemmShape,
     dtype: DataType,
     pref_k: u64,

@@ -6,9 +6,8 @@ use proptest::prelude::*;
 
 use cimtpu_units::{Bandwidth, Bytes, Cycles, DataType, Frequency, GemmShape};
 
-use crate::{
-    candidate_tiles, for_each_candidate, EdgeBuffers, Mapper, Mapping, MemoryLevels, TileCostModel,
-};
+use crate::mapspace::for_each_candidate;
+use crate::{candidate_tiles, EdgeBuffers, Mapper, Mapping, MemoryLevels, TileCostModel};
 
 /// Ideal engine: peak 16384 MACs/cycle, no overheads.
 struct Ideal;

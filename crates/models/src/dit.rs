@@ -42,7 +42,11 @@ impl DitConfig {
     ///
     /// Returns [`Error::InvalidConfig`] on zero patch size / channels or an
     /// invalid underlying Transformer geometry.
-    pub fn new(transformer: TransformerConfig, patch: u64, latent_channels: u64) -> Result<Self> {
+    pub(crate) fn new(
+        transformer: TransformerConfig,
+        patch: u64,
+        latent_channels: u64,
+    ) -> Result<Self> {
         if patch == 0 || latent_channels == 0 {
             return Err(Error::invalid_config(
                 "patch size and channels must be non-zero",
@@ -60,7 +64,7 @@ impl DitConfig {
     ///
     /// # Errors
     ///
-    /// Never fails for the built-in geometry; the `Result` mirrors [`DitConfig::new`].
+    /// Never fails for the built-in geometry; the `Result` mirrors `DitConfig::new`.
     pub fn xl_2() -> Result<Self> {
         let t = TransformerConfig::new("DiT-XL/2", 28, 16, 1152, 4 * 1152)?;
         DitConfig::new(t, 2, 4)
@@ -69,16 +73,6 @@ impl DitConfig {
     /// The underlying Transformer geometry.
     pub fn transformer(&self) -> &TransformerConfig {
         &self.transformer
-    }
-
-    /// Patchify patch size.
-    pub fn patch(&self) -> u64 {
-        self.patch
-    }
-
-    /// Latent channels entering patchify.
-    pub fn latent_channels(&self) -> u64 {
-        self.latent_channels
     }
 
     /// Number of DiT blocks.

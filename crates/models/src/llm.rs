@@ -33,28 +33,11 @@ impl LlmModelConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if `vocab` is zero.
-    pub fn new(transformer: TransformerConfig, vocab: u64) -> Result<Self> {
+    pub(crate) fn new(transformer: TransformerConfig, vocab: u64) -> Result<Self> {
         if vocab == 0 {
             return Err(Error::invalid_config("vocabulary must be non-zero"));
         }
         Ok(LlmModelConfig { transformer, vocab })
-    }
-
-    /// The Transformer-layer geometry.
-    pub fn transformer(&self) -> &TransformerConfig {
-        &self.transformer
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> u64 {
-        self.vocab
-    }
-
-    /// Total weight parameters (layers + embedding + head, tied counted once
-    /// each as in the GPT-3 convention).
-    pub fn total_params(&self) -> u64 {
-        self.transformer.weight_params_per_layer() * self.transformer.layers()
-            + 2 * self.vocab * self.transformer.d_model()
     }
 
     /// Full-model prefill: token embedding, every layer, prediction head
@@ -253,14 +236,18 @@ mod tests {
 
     #[test]
     fn params_scale() {
+        // Layers + embedding + head, tied counted once each (the GPT-3
+        // convention).
+        let params = |m: &LlmModelConfig| {
+            let t = &m.transformer;
+            t.weight_params_per_layer() * t.layers() + 2 * m.vocab * t.d_model()
+        };
         // The generic 2-matrix FFN undercounts Llama2's gated FFN (3
         // matrices) slightly; ~10B of the nominal 13B is expected here.
-        let llm = presets::llama2_13b_full();
-        let billions = llm.total_params() as f64 / 1e9;
+        let billions = params(&presets::llama2_13b_full()) as f64 / 1e9;
         assert!((9.0..14.5).contains(&billions), "got {billions}B params");
 
-        let gpt3 = presets::gpt3_30b_full();
-        let billions = gpt3.total_params() as f64 / 1e9;
+        let billions = params(&presets::gpt3_30b_full()) as f64 / 1e9;
         assert!((28.0..32.0).contains(&billions), "got {billions}B params");
     }
 

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cimtpu_units::{Bytes, Error, GemmShape, Result};
+use cimtpu_units::{Error, GemmShape, Result};
 
 use crate::op::{Op, OpCategory, OpInstance};
 use crate::phase::Phase;
@@ -103,18 +103,8 @@ impl MoeConfig {
         self.top_k
     }
 
-    /// Weight bytes of one MoE layer (attention + router + all experts).
-    pub fn weight_bytes_per_layer(&self) -> Bytes {
-        let t = &self.transformer;
-        let d = t.d_model();
-        let attn = 4 * d * d;
-        let router = d * self.experts;
-        let expert_ffn = 2 * d * t.d_ff() * self.experts;
-        Bytes::new((attn + router + expert_ffn) * t.dtype().size_bytes())
-    }
-
     /// Experts activated by `tokens` tokens under uniform routing.
-    pub fn activated_experts(&self, tokens: u64) -> u64 {
+    pub(crate) fn activated_experts(&self, tokens: u64) -> u64 {
         (tokens * self.top_k).min(self.experts)
     }
 
@@ -293,16 +283,6 @@ mod tests {
             }
             other => panic!("unexpected op {other:?}"),
         }
-    }
-
-    #[test]
-    fn layer_weight_bytes_count_all_experts() {
-        let m = moe();
-        let t = m.transformer();
-        let expected =
-            (4 * t.d_model() * t.d_model() + t.d_model() * 8 + 2 * t.d_model() * t.d_ff() * 8)
-                * t.dtype().size_bytes();
-        assert_eq!(m.weight_bytes_per_layer(), Bytes::new(expected));
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub enum Op {
 
 impl Op {
     /// Total MAC operations performed by this op (zero for vector ops).
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         match *self {
             Op::Gemm { shape, .. } => shape.macs(),
             Op::BatchedMatmul { batch, shape, .. } => batch * shape.macs(),
@@ -215,7 +215,7 @@ impl OpInstance {
     ///
     /// Panics if `count` is zero.
     #[must_use]
-    pub fn repeated(mut self, count: u64) -> Self {
+    pub(crate) fn repeated(mut self, count: u64) -> Self {
         assert!(count > 0, "op repetition count must be non-zero");
         self.count = count;
         self

@@ -38,7 +38,8 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in canonical reporting order.
-    pub const ALL: [Phase; 5] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::Prefill,
         Phase::Decode,
         Phase::Conditioning,
@@ -47,7 +48,7 @@ impl Phase {
     ];
 
     /// Human-readable label.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             Phase::Prefill => "Prefill",
             Phase::Decode => "Decode",
@@ -55,12 +56,6 @@ impl Phase {
             Phase::PrePost => "Pre/Post",
             Phase::Collective => "Collective",
         }
-    }
-
-    /// Whether segments in this phase repeat once per generated token
-    /// (rather than once per request).
-    pub const fn is_per_step(self) -> bool {
-        matches!(self, Phase::Decode)
     }
 }
 
@@ -81,12 +76,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
-    }
-
-    #[test]
-    fn only_decode_repeats_per_step() {
-        for p in Phase::ALL {
-            assert_eq!(p.is_per_step(), p == Phase::Decode, "{p}");
-        }
     }
 }

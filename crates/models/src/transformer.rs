@@ -88,18 +88,13 @@ impl TransformerConfig {
         Ok(self)
     }
 
-    /// Key/value heads (GQA; equals `heads()` for plain MHA).
-    pub fn kv_heads(&self) -> u64 {
-        self.kv_heads
-    }
-
     /// Query heads per key/value group.
-    pub fn group_size(&self) -> u64 {
+    pub(crate) fn group_size(&self) -> u64 {
         self.heads / self.kv_heads
     }
 
     /// Output width of the fused QKV projection: d (Q) + 2·kv_heads·d_head.
-    pub fn qkv_width(&self) -> u64 {
+    pub(crate) fn qkv_width(&self) -> u64 {
         self.d_model + 2 * self.kv_heads * self.d_head()
     }
 
@@ -161,19 +156,6 @@ impl TransformerConfig {
     /// (GQA stores only `kv_heads · d_head` channels per token).
     pub fn kv_cache_bytes_per_layer(&self, batch: u64, ctx: u64) -> Bytes {
         Bytes::new(2 * batch * ctx * self.kv_heads * self.d_head() * self.dtype.size_bytes())
-    }
-
-    /// KV-cache bytes one token occupies in **one** layer: key + value
-    /// vectors of `kv_heads · d_head` channels each, at the configured
-    /// precision.
-    pub fn kv_bytes_per_token_per_layer(&self) -> Bytes {
-        self.kv_cache_bytes_per_layer(1, 1)
-    }
-
-    /// KV-cache bytes one token occupies across **all** layers — the
-    /// quantity a serving memory budget is spent in.
-    pub fn kv_bytes_per_token(&self) -> Bytes {
-        Bytes::new(self.kv_bytes_per_token_per_layer().get() * self.layers)
     }
 
     /// Builds the operator list for **one layer** of the prefill
@@ -540,20 +522,11 @@ mod tests {
 
     #[test]
     fn kv_bytes_per_token_accessors() {
+        // One token in one layer: 2 x kv_heads x d_head x 1 byte (INT8).
         let cfg = gpt3();
-        assert_eq!(
-            cfg.kv_bytes_per_token_per_layer(),
-            cfg.kv_cache_bytes_per_layer(1, 1)
-        );
-        assert_eq!(
-            cfg.kv_bytes_per_token().get(),
-            cfg.layers() * cfg.kv_bytes_per_token_per_layer().get()
-        );
-        // 2 x kv_heads x d_head x 1 byte (INT8) per layer.
-        assert_eq!(
-            cfg.kv_bytes_per_token_per_layer().get(),
-            2 * cfg.kv_heads() * cfg.d_head()
-        );
+        let per_token = cfg.kv_cache_bytes_per_layer(1, 1).get();
+        assert_eq!(per_token, 2 * cfg.kv_heads * cfg.d_head());
+        assert_eq!(cfg.kv_cache_bytes_per_layer(3, 5).get(), 3 * 5 * per_token);
     }
 
     #[test]

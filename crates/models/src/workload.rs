@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use cimtpu_units::Bytes;
 
-use crate::op::{OpCategory, OpInstance};
+use crate::op::OpInstance;
 use crate::phase::Phase;
 
 /// Boundary record of one segment: ops `[start, end)` of the flat list.
@@ -143,7 +143,7 @@ impl Workload {
 
     /// Appends `other`'s ops with their counts multiplied by `times`
     /// (e.g. one Transformer layer × 48), carrying its segments over.
-    pub fn extend_repeated(&mut self, other: &Workload, times: u64) {
+    pub(crate) fn extend_repeated(&mut self, other: &Workload, times: u64) {
         self.append_segments_of(other);
         for op in &other.ops {
             self.ops.push(op.clone().repeated(op.count() * times));
@@ -229,7 +229,8 @@ impl Workload {
     }
 
     /// MACs restricted to segments of one phase.
-    pub fn macs_in_phase(&self, phase: Phase) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn macs_in_phase(&self, phase: Phase) -> u64 {
         self.segments()
             .filter(|s| s.phase() == phase)
             .map(|s| s.total_macs())
@@ -250,7 +251,8 @@ impl Workload {
     }
 
     /// MACs restricted to one reporting category.
-    pub fn macs_in(&self, category: OpCategory) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn macs_in(&self, category: crate::op::OpCategory) -> u64 {
         self.ops
             .iter()
             .filter(|i| i.category() == category)
@@ -259,7 +261,8 @@ impl Workload {
     }
 
     /// Iterator over the distinct categories present, in first-seen order.
-    pub fn categories(&self) -> Vec<OpCategory> {
+    #[cfg(test)]
+    pub(crate) fn categories(&self) -> Vec<crate::op::OpCategory> {
         let mut seen = Vec::new();
         for op in &self.ops {
             if !seen.contains(&op.category()) {
@@ -281,7 +284,7 @@ impl Extend<OpInstance> for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
+    use crate::op::{Op, OpCategory};
     use cimtpu_units::{DataType, GemmShape};
 
     fn gemm(name: &str, m: u64) -> OpInstance {

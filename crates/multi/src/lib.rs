@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod pipeline;
 pub mod tensor_parallel;
@@ -141,21 +142,6 @@ impl MultiTpu {
         ctx: u64,
     ) -> Result<Seconds> {
         tensor_parallel::decode_layer_latency(self, model, batch, ctx)
-    }
-
-    /// End-to-end tensor-parallel LLM inference latency (prefill + decode,
-    /// all layers) — the latency-optimized alternative to
-    /// [`MultiTpu::llm_pipeline_throughput`] for interactive serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sharded layers cannot be built or mapped.
-    pub fn llm_tensor_parallel_latency(
-        &self,
-        model: &TransformerConfig,
-        spec: LlmInferenceSpec,
-    ) -> Result<Seconds> {
-        tensor_parallel::llm_latency(self, model, spec)
     }
 }
 

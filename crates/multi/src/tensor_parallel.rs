@@ -257,39 +257,6 @@ pub(crate) fn decode_layer_latency(
     Ok(report.total_latency() + comm)
 }
 
-/// End-to-end tensor-parallel LLM inference latency (prefill + all decode
-/// steps, all layers) — the latency-optimized alternative to pipeline
-/// parallelism for interactive serving.
-pub(crate) fn llm_latency(
-    cluster: &MultiTpu,
-    model: &TransformerConfig,
-    spec: cimtpu_models::LlmInferenceSpec,
-) -> Result<Seconds> {
-    let p = cluster.devices();
-    let layers = model.layers() as f64;
-    let sim = cluster.simulator();
-    let dtype_bytes = model.dtype().size_bytes();
-
-    // Prefill: sharded layer + 2 all-reduces of [tokens × d].
-    let prefill_shard = prefill_layer_shard(model, spec.batch(), spec.input_len(), p)?;
-    let prefill_act =
-        cimtpu_units::Bytes::new(spec.batch() * spec.input_len() * model.d_model() * dtype_bytes);
-    let prefill = sim.run(&prefill_shard)?.total_latency()
-        + cluster.topology().all_reduce_time(prefill_act) * 2.0;
-
-    // Decode: sample context lengths and integrate linearly.
-    let steps = spec.sampled_decode_steps(5);
-    let mut total_sampled = Seconds::ZERO;
-    for &step in &steps {
-        total_sampled +=
-            decode_layer_latency(cluster, model, spec.batch(), spec.ctx_at_step(step))?;
-    }
-    let decode_per_layer =
-        Seconds::new(total_sampled.get() / steps.len() as f64) * spec.output_len() as f64;
-
-    Ok((prefill + decode_per_layer) * layers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,22 +288,6 @@ mod tests {
         let shard = prefill_layer_shard(&model, 8, 512, 4).unwrap();
         let ratio = full.total_macs() as f64 / shard.total_macs() as f64;
         assert!((ratio - 4.0).abs() < 0.05, "MAC ratio {ratio}");
-    }
-
-    #[test]
-    fn full_tp_inference_faster_with_more_chips() {
-        use cimtpu_models::LlmInferenceSpec;
-        let model = presets::gpt3_30b();
-        let spec = LlmInferenceSpec::new(8, 128, 16).unwrap();
-        let t1 = MultiTpu::new(TpuConfig::cim_base(), 1)
-            .unwrap()
-            .llm_tensor_parallel_latency(&model, spec)
-            .unwrap();
-        let t4 = MultiTpu::new(TpuConfig::cim_base(), 4)
-            .unwrap()
-            .llm_tensor_parallel_latency(&model, spec)
-            .unwrap();
-        assert!(t4 < t1, "tp4 {} vs tp1 {}", t4.get(), t1.get());
     }
 
     #[test]

@@ -55,18 +55,8 @@ impl RingTopology {
     }
 
     /// Number of chips in the ring.
-    pub fn devices(&self) -> u64 {
+    pub(crate) fn devices(&self) -> u64 {
         self.devices
-    }
-
-    /// ICI links per chip.
-    pub fn links_per_chip(&self) -> u64 {
-        self.links_per_chip
-    }
-
-    /// Bandwidth of one ICI link.
-    pub fn link_bandwidth(&self) -> Bandwidth {
-        self.link_bandwidth
     }
 
     fn hop_latency(&self) -> Seconds {
@@ -87,19 +77,8 @@ impl RingTopology {
         Seconds::new(volume / effective_bw.get()) + self.hop_latency() * (2 * (p - 1)) as f64
     }
 
-    /// Time for a ring all-gather of `bytes` (per-device shard).
-    pub fn all_gather_time(&self, bytes: Bytes) -> Seconds {
-        let p = self.devices;
-        if p == 1 {
-            return Seconds::ZERO;
-        }
-        let effective_bw = self.link_bandwidth * self.links_per_chip.min(2) as f64;
-        let volume = (p - 1) as f64 / p as f64 * bytes.get() as f64;
-        Seconds::new(volume / effective_bw.get()) + self.hop_latency() * (p - 1) as f64
-    }
-
     /// Time to send `bytes` to the ring neighbour (one link).
-    pub fn p2p_time(&self, bytes: Bytes) -> Seconds {
+    pub(crate) fn p2p_time(&self, bytes: Bytes) -> Seconds {
         if self.devices == 1 {
             return Seconds::ZERO;
         }
@@ -118,7 +97,6 @@ mod tests {
     #[test]
     fn single_device_collectives_are_free() {
         assert_eq!(ring(1).all_reduce_time(Bytes::from_mib(64)), Seconds::ZERO);
-        assert_eq!(ring(1).all_gather_time(Bytes::from_mib(64)), Seconds::ZERO);
         assert_eq!(ring(1).p2p_time(Bytes::from_mib(64)), Seconds::ZERO);
     }
 
@@ -135,12 +113,6 @@ mod tests {
     fn bigger_rings_cost_more_per_byte() {
         let bytes = Bytes::from_mib(64);
         assert!(ring(4).all_reduce_time(bytes) > ring(2).all_reduce_time(bytes));
-    }
-
-    #[test]
-    fn all_gather_cheaper_than_all_reduce() {
-        let bytes = Bytes::from_mib(64);
-        assert!(ring(4).all_gather_time(bytes) < ring(4).all_reduce_time(bytes));
     }
 
     #[test]

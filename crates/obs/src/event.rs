@@ -7,7 +7,7 @@ use std::fmt;
 ///
 /// Spans carry a duration ([`EventKind::is_span`] is `true`); instants
 /// mark a point on the simulated clock. The wire name
-/// ([`EventKind::name`]) is what `--trace-filter` matches and what the
+/// (`EventKind::name`) is what `--trace-filter` matches and what the
 /// Chrome trace export shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
@@ -89,7 +89,7 @@ const ALL_KINDS: [EventKind; 22] = [
 impl EventKind {
     /// The stable wire name (trace export + `--trace-filter` token).
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::Arrival => "arrival",
             EventKind::Queue => "queue",

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 /// telemetry section, where the documented relative-error contract
 /// applies.
 #[derive(Debug, Clone)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     inv_ln_growth: f64,
     half_bucket: f64,
     growth: f64,
@@ -31,7 +31,7 @@ pub struct LogHistogram {
 }
 
 /// Default bucket growth factor (≈ 1% relative error).
-pub const DEFAULT_GROWTH: f64 = 1.02;
+pub(crate) const DEFAULT_GROWTH: f64 = 1.02;
 
 impl Default for LogHistogram {
     fn default() -> Self {
@@ -43,7 +43,7 @@ impl LogHistogram {
     /// Creates a histogram with the given bucket growth factor
     /// (must be > 1; relative error is at most `sqrt(growth) - 1`).
     #[must_use]
-    pub fn new(growth: f64) -> LogHistogram {
+    pub(crate) fn new(growth: f64) -> LogHistogram {
         assert!(growth > 1.0, "growth factor must exceed 1");
         LogHistogram {
             inv_ln_growth: growth.ln().recip(),
@@ -58,7 +58,7 @@ impl LogHistogram {
     }
 
     /// Records one sample.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         if value > 0.0 {
             let idx = (value.ln() * self.inv_ln_growth).floor() as i64;
             *self.buckets.entry(idx).or_insert(0) += 1;
@@ -74,19 +74,13 @@ impl LogHistogram {
 
     /// Number of recorded samples.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Whether no samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Streaming mean of all samples (0.0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -96,7 +90,7 @@ impl LogHistogram {
 
     /// Exact maximum sample (0.0 when empty).
     #[must_use]
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -107,7 +101,7 @@ impl LogHistogram {
     /// Nearest-rank quantile estimate (`q` in `[0, 1]`), accurate to the
     /// bucket's relative-error bound. Returns 0.0 when empty.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -128,7 +122,7 @@ impl LogHistogram {
 
     /// Number of occupied buckets (memory gauge; excludes underflow).
     #[must_use]
-    pub fn occupied_buckets(&self) -> usize {
+    pub(crate) fn occupied_buckets(&self) -> usize {
         self.buckets.len()
     }
 }

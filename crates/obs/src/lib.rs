@@ -26,7 +26,7 @@
 //!    ([`f64::total_cmp`], insertion order on ties), giving the stable
 //!    total order that makes same-seed traces byte-identical.
 //!
-//! 3. **Streaming telemetry** — a log-bucketed [`LogHistogram`] (à la
+//! 3. **Streaming telemetry** — a log-bucketed `LogHistogram` (à la
 //!    HdrHistogram: O(buckets) memory, bounded relative error) for
 //!    latency/TTFT distributions, fixed-interval gauge sampling (queue
 //!    depth, outstanding, KV occupancy, batch size, utilization), a
@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod event;
 mod hist;
@@ -42,6 +43,6 @@ mod record;
 mod timeseries;
 
 pub use event::{Event, EventKind, TraceFilter};
-pub use hist::LogHistogram;
+use hist::LogHistogram;
 pub use record::{Recorder, SharedRecorder, TraceHandle};
 pub use timeseries::{GaugeSeries, HistogramSummary, TimeseriesStats};

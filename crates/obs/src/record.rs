@@ -150,12 +150,6 @@ impl Recorder {
         &self.events
     }
 
-    /// Registered track names, indexed by track id.
-    #[must_use]
-    pub fn tracks(&self) -> &[String] {
-        &self.tracks
-    }
-
     /// Builds the `timeseries` report section.
     #[must_use]
     pub fn timeseries(&self) -> TimeseriesStats {

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::LogHistogram;
 
-/// Summary of one streaming [`LogHistogram`]: approximate percentiles
+/// Summary of one streaming `LogHistogram`: approximate percentiles
 /// (bounded relative error, see the histogram docs) plus exact
 /// streaming mean/max.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,7 +28,7 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Summarizes a histogram.
     #[must_use]
-    pub fn of(h: &LogHistogram) -> HistogramSummary {
+    pub(crate) fn of(h: &LogHistogram) -> HistogramSummary {
         HistogramSummary {
             count: h.count(),
             p50: h.quantile(0.50),
@@ -70,7 +70,7 @@ impl TimeseriesStats {
     /// Renders the gauge series as CSV rows
     /// (`scenario,series,t_s,value` header included).
     #[must_use]
-    pub fn to_csv(&self, scenario: &str) -> String {
+    pub(crate) fn to_csv(&self, scenario: &str) -> String {
         let mut out = String::from("scenario,series,t_s,value\n");
         for g in &self.gauges {
             for (t, v) in g.t_s.iter().zip(&g.values) {

@@ -28,7 +28,8 @@ use cimtpu_units::Stdout;
 use serde::Serialize;
 
 use crate::scenario::{Engine, Scenario};
-use crate::{parse_kv_budget, parse_tenants, KvBudget, Offered, TenantPart, TraceFilter};
+use crate::{parse_kv_budget, parse_tenants, KvBudget, Offered, TenantPart};
+use cimtpu_obs::TraceFilter;
 
 /// Mode bit: a run on one serving engine (`serve_sim`).
 pub const SINGLE: u8 = 1;
@@ -147,7 +148,10 @@ impl SimFlags {
     /// spec that does not parse), a flag without the flag it needs, a
     /// flag the selected mode does not read (see the flag table), or
     /// `--summary` with `--json -` (the JSON replaces the text output).
-    pub fn parse_from(args: impl IntoIterator<Item = String>, mode: u8) -> Result<Self, String> {
+    pub(crate) fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        mode: u8,
+    ) -> Result<Self, String> {
         let mut flags = SimFlags {
             scenario: "all".to_owned(),
             think_ms: 10.0,
@@ -567,7 +571,10 @@ mod tests {
         assert!(err.contains("--trace-filter needs --trace"), "{err}");
         let flags = parse(&["--trace", "t.json", "--trace-filter", "crash"]).unwrap();
         let filter = flags.trace_filter.unwrap();
-        assert!(filter.allows(crate::EventKind::Crash) && !filter.allows(crate::EventKind::Retry));
+        assert!(
+            filter.allows(cimtpu_obs::EventKind::Crash)
+                && !filter.allows(cimtpu_obs::EventKind::Retry)
+        );
     }
 
     #[test]

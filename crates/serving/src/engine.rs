@@ -41,7 +41,7 @@ impl Parallelism {
     }
 
     /// Independent schedulable executors (1 for a tensor-parallel ring).
-    pub fn executors(&self) -> usize {
+    pub(crate) fn executors(&self) -> usize {
         match *self {
             Parallelism::Replicated { chips } => chips as usize,
             Parallelism::TensorParallel { .. } => 1,
@@ -109,27 +109,27 @@ impl ServingEngine {
     }
 
     /// The chip configuration.
-    pub fn chip(&self) -> &TpuConfig {
+    pub(crate) fn chip(&self) -> &TpuConfig {
         &self.chip
     }
 
     /// The hosted model.
-    pub fn model(&self) -> &ServingModel {
+    pub(crate) fn model(&self) -> &ServingModel {
         &self.model
     }
 
     /// The batching policy.
-    pub fn policy(&self) -> BatchPolicy {
+    pub(crate) fn policy(&self) -> BatchPolicy {
         self.policy
     }
 
     /// The memory configuration.
-    pub fn memory(&self) -> MemoryConfig {
+    pub(crate) fn memory(&self) -> MemoryConfig {
         self.memory
     }
 
     /// The chip organization.
-    pub fn parallelism(&self) -> Parallelism {
+    pub(crate) fn parallelism(&self) -> Parallelism {
         self.parallelism
     }
 

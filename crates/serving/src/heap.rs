@@ -75,13 +75,9 @@ impl ActionHeap {
     }
 
     /// Number of slots (scheduled or not).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether the queue has no slots at all (not merely none scheduled).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Reschedules slot `i` to `at` (`None` unschedules it). The previous
@@ -101,11 +97,6 @@ impl ActionHeap {
         if let Some(t) = at {
             self.heap.push(Reverse((EventKey::new(t), i, slot.epoch)));
         }
-    }
-
-    /// The scheduled time of slot `i`, if any.
-    pub fn scheduled(&self, i: usize) -> Option<Seconds> {
-        self.slots[i].at
     }
 
     /// The earliest scheduled `(slot, time)` — minimum time, lowest slot

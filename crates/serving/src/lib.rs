@@ -97,7 +97,7 @@
 //! attaches those blocks by reference (ref-counted, copy-on-write on
 //! mid-block divergence) and prices only its prompt *tail* — a chunk
 //! attending to the cached past, through the same
-//! [`prefill_chunk`](PhasePricer::prefill_chunk) machinery as chunked
+//! `prefill_chunk` machinery as chunked
 //! prefill, with which it composes. Traffic opts in via
 //! [`TrafficSpec::prefix`] ([`PrefixTraffic::SharedHead`] models a shared
 //! system prompt across request groups); [`ServingRun::prefix`] reports
@@ -138,6 +138,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
 mod engine;
@@ -150,11 +151,10 @@ mod request;
 pub mod scenario;
 mod session;
 mod step;
-pub mod tenant;
+mod tenant;
 pub mod trace;
 
 pub use cimtpu_kv::{KvBudget, PrefixStats};
-pub use cimtpu_obs::{EventKind, TraceFilter, TraceHandle};
 pub use engine::{Parallelism, ServingEngine, ServingRun};
 pub use heap::{ActionHeap, EventKey};
 pub use memory::{parse_kv_budget, MemoryConfig};

@@ -37,7 +37,7 @@ pub struct MemoryConfig {
     /// default — disabled, the engine is bit-identical to the
     /// sharing-oblivious scheduler. Not supported on tensor-parallel
     /// rings (the shared-tail pricing needs
-    /// [`prefill_chunk`](crate::PhasePricer::prefill_chunk)).
+    /// `prefill_chunk`).
     pub prefix_sharing: bool,
 }
 
@@ -93,7 +93,7 @@ impl MemoryConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for a zero block or chunk size.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.block_tokens == 0 {
             return Err(Error::invalid_config("KV block size must be >= 1 token"));
         }

@@ -95,7 +95,7 @@ impl LatencyStats {
     /// Summarizes a buffer of durations in milliseconds (nearest-rank
     /// percentiles), or [`ZERO`](Self::ZERO) for an empty buffer. The
     /// buffer is reordered.
-    pub fn from_samples_or_zero(ms: &mut [f64]) -> Self {
+    pub(crate) fn from_samples_or_zero(ms: &mut [f64]) -> Self {
         if ms.is_empty() {
             LatencyStats::ZERO
         } else {
@@ -115,7 +115,7 @@ impl LatencyStats {
     /// # Panics
     ///
     /// Panics if `ms` is empty.
-    pub fn from_samples(ms: &mut [f64]) -> Self {
+    pub(crate) fn from_samples(ms: &mut [f64]) -> Self {
         assert!(!ms.is_empty(), "cannot summarize zero samples");
         let n = ms.len();
         let sum: f64 = ms.iter().sum();
@@ -209,7 +209,7 @@ pub struct MemoryStats {
 
 impl MemoryStats {
     /// The all-zero record (unlimited budgets report this).
-    pub const NONE: MemoryStats = MemoryStats {
+    pub(crate) const NONE: MemoryStats = MemoryStats {
         preemptions: 0,
         queue_full_s: 0.0,
         kv_hwm_frac: 0.0,
@@ -304,7 +304,7 @@ impl ServingReport {
     /// # Panics
     ///
     /// Panics if `completions` is empty.
-    pub fn from_completions(
+    pub(crate) fn from_completions(
         label: impl Into<String>,
         policy: &str,
         chips: u64,

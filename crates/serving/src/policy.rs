@@ -57,7 +57,7 @@ impl BatchPolicy {
 
     /// Whether finished requests keep occupying their slot (padding) until
     /// the whole batch completes.
-    pub fn pads_to_batch_end(&self) -> bool {
+    pub(crate) fn pads_to_batch_end(&self) -> bool {
         matches!(self, BatchPolicy::Static { .. })
     }
 }

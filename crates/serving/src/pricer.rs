@@ -62,8 +62,8 @@ pub(crate) type PhaseMemo = Rc<RefCell<FxHashMap<Key, SegmentCost>>>;
 /// through the full batching engine. Obtain one from
 /// [`EngineSession::pricer`](crate::EngineSession::pricer) — every pricer
 /// of sessions sharing a [`PricingPool`](crate::PricingPool) entry shares
-/// both memo levels — or build a standalone one, with a phase memo of its
-/// own, via [`PhasePricer::single`] / [`PhasePricer::tensor_parallel`].
+/// both memo levels — or build a standalone single-chip one, with a phase
+/// memo of its own, via [`PhasePricer::single`].
 #[derive(Debug)]
 pub struct PhasePricer<'a> {
     model: &'a ServingModel,
@@ -77,11 +77,6 @@ impl<'a> PhasePricer<'a> {
     /// A pricer for `model` hosted on the single chip `sim` simulates.
     pub fn single(model: &'a ServingModel, sim: &'a Simulator) -> Self {
         Self::sharing(model, sim, None, PhaseMemo::default())
-    }
-
-    /// A pricer for `model` sharded across the tensor-parallel `ring`.
-    pub fn tensor_parallel(model: &'a ServingModel, ring: &'a MultiTpu) -> Self {
-        Self::sharing(model, ring.simulator(), Some(ring), PhaseMemo::default())
     }
 
     /// A pricer over `sim` (the ring's simulator when `ring` is set)
@@ -140,8 +135,8 @@ impl<'a> PhasePricer<'a> {
     }
 
     /// Prefill cost for `batch` requests of (padded) prompt length
-    /// `prompt`: [`prefill_chunk`](Self::prefill_chunk) with no cached
-    /// context. Zero for models without a prefill phase.
+    /// `prompt`: `prefill_chunk` with no cached context. Zero for models
+    /// without a prefill phase.
     ///
     /// # Errors
     ///
@@ -161,7 +156,7 @@ impl<'a> PhasePricer<'a> {
     /// A tensor-parallel ring shards only cold passes, so it rejects
     /// `past > 0` (the engine rejects chunked prefill and prefix sharing
     /// on a ring up front).
-    pub fn prefill_chunk(&self, batch: u64, chunk: u64, past: u64) -> Result<SegmentCost> {
+    pub(crate) fn prefill_chunk(&self, batch: u64, chunk: u64, past: u64) -> Result<SegmentCost> {
         let ServingModel::Llm(model) = self.model else {
             return Ok(SegmentCost::ZERO);
         };
@@ -223,7 +218,7 @@ impl<'a> PhasePricer<'a> {
     }
 
     /// The hosted model.
-    pub fn model(&self) -> &ServingModel {
+    pub(crate) fn model(&self) -> &ServingModel {
         self.model
     }
 
@@ -240,6 +235,12 @@ mod tests {
     use cimtpu_core::{Simulator, TpuConfig};
     use cimtpu_models::presets;
     use cimtpu_units::Seconds;
+
+    /// A standalone pricer for `model` sharded across `ring`, with a phase
+    /// memo of its own: the pricer a `Backend::Ring` session hands out.
+    fn ring_pricer<'a>(model: &'a ServingModel, ring: &'a MultiTpu) -> PhasePricer<'a> {
+        PhasePricer::sharing(model, ring.simulator(), Some(ring), PhaseMemo::default())
+    }
 
     fn tiny_llm() -> ServingModel {
         ServingModel::Llm(TransformerConfig::new("tiny", 2, 4, 256, 1024).expect("valid geometry"))
@@ -301,12 +302,8 @@ mod tests {
         // prices the pass itself rather than reading the other's memo.
         let model = ServingModel::Llm(presets::gpt3_30b());
         let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
-        let whole = PhasePricer::tensor_parallel(&model, &ring)
-            .prefill(2, 64)
-            .unwrap();
-        let pass = PhasePricer::tensor_parallel(&model, &ring)
-            .prefill_chunk(2, 64, 0)
-            .unwrap();
+        let whole = ring_pricer(&model, &ring).prefill(2, 64).unwrap();
+        let pass = ring_pricer(&model, &ring).prefill_chunk(2, 64, 0).unwrap();
         let bits = |c: SegmentCost| {
             let (t, mxu, vpu) = (c.latency.get(), c.mxu_energy.get(), c.vpu_energy.get());
             (t.to_bits(), mxu.to_bits(), vpu.to_bits(), c.hbm_bytes)
@@ -318,7 +315,7 @@ mod tests {
     fn chunk_pricing_rejects_tensor_parallel() {
         let model = ServingModel::Llm(presets::gpt3_30b());
         let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
-        let tp = PhasePricer::tensor_parallel(&model, &ring);
+        let tp = ring_pricer(&model, &ring);
         assert!(tp.prefill_chunk(2, 64, 64).is_err());
     }
 
@@ -329,7 +326,7 @@ mod tests {
         let single = PhasePricer::single(&model, &single_sim);
 
         let ring = MultiTpu::new(TpuConfig::tpuv4i(), 4).unwrap();
-        let tp = PhasePricer::tensor_parallel(&model, &ring);
+        let tp = ring_pricer(&model, &ring);
 
         let t1 = single.step(8, 1280).unwrap();
         let t4 = tp.step(8, 1280).unwrap();

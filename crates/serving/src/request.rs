@@ -62,7 +62,7 @@ impl Request {
     /// [`PromptPrefix`]es agree token-for-token on their heads and on
     /// nothing else. This is what the prefix index
     /// ([`cimtpu_kv::PrefixIndex`]) matches block-by-block.
-    pub fn prompt_tokens(&self) -> Vec<u64> {
+    pub(crate) fn prompt_tokens(&self) -> Vec<u64> {
         (0..self.prompt_len)
             .map(|i| {
                 if i < self.prefix.head_len {
@@ -136,7 +136,7 @@ impl PrefixTraffic {
     ///
     /// Returns [`Error::InvalidConfig`] for a zero-token head or zero
     /// groups (use [`PrefixTraffic::None`] for no sharing).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if let PrefixTraffic::SharedHead { tokens, groups } = *self {
             if tokens == 0 || groups == 0 {
                 return Err(Error::invalid_config(
@@ -186,7 +186,7 @@ impl LenDist {
     /// # Errors
     ///
     /// Returns [`cimtpu_units::Error::InvalidConfig`] for an empty range.
-    pub fn validate(&self) -> cimtpu_units::Result<()> {
+    pub(crate) fn validate(&self) -> cimtpu_units::Result<()> {
         match *self {
             LenDist::Uniform { lo, hi } if lo > hi => Err(cimtpu_units::Error::invalid_config(
                 format!("empty length range {lo}..={hi}"),
@@ -299,7 +299,7 @@ impl TrafficSpec {
     /// Returns [`Error::InvalidConfig`] for zero requests, an empty length
     /// range, an open-loop rate that is not finite and positive, zero
     /// closed-loop clients, or a negative or non-finite think time.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         self.prompt.validate()?;
         self.steps.validate()?;
         self.prefix.validate()?;
@@ -647,7 +647,7 @@ impl<'a> ArrivalStream<'a> {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the spec fails
-    /// [`TrafficSpec::validate`].
+    /// `TrafficSpec::validate`.
     pub fn new(spec: &'a TrafficSpec) -> Result<Self> {
         spec.validate()?;
         let mut sampler = spec.sampler();

@@ -355,7 +355,7 @@ pub fn smoke() -> Scenario {
 /// 64 KiB paged KV budget (4 blocks of 16 tokens), so admission control
 /// and preemption both fire within milliseconds of wall clock. Must
 /// report at least one preemption — CI asserts it.
-pub fn smoke_kv() -> Scenario {
+pub(crate) fn smoke_kv() -> Scenario {
     Scenario {
         name: "smoke-kv",
         description: "tiny LLM under a 4-block KV budget (CI preemption determinism check)",
@@ -370,7 +370,7 @@ pub fn smoke_kv() -> Scenario {
 /// reference-sharing and the copy-on-write paths fire within
 /// milliseconds of wall clock). Must report at least one shared-prefix
 /// hit — CI asserts it on the `prefix cache` output line.
-pub fn smoke_prefix() -> Scenario {
+pub(crate) fn smoke_prefix() -> Scenario {
     Scenario {
         name: "smoke-prefix",
         description: "tiny LLM, 24-token shared head, prefix sharing on (CI \

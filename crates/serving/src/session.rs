@@ -136,13 +136,9 @@ impl PricingPool {
     }
 
     /// Distinct pricing states built so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.states.len()
-    }
-
-    /// Whether no session has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 }
 
@@ -157,7 +153,7 @@ impl PricingPool {
 /// - [`EngineSession::pricer`] — a bare [`PhasePricer`] for drivers that
 ///   schedule phases themselves (the cluster crate's disaggregated
 ///   prefill/decode pools);
-/// - [`EngineSession::allocator`] / [`EngineSession::footprint`] — the
+/// - [`EngineSession::allocator`] / `EngineSession::footprint` — the
 ///   paged KV allocator and per-executor footprint derived from the
 ///   configured budget.
 ///
@@ -182,22 +178,18 @@ impl EngineSession {
     }
 
     /// The hosted model.
-    pub fn model(&self) -> &ServingModel {
+    pub(crate) fn model(&self) -> &ServingModel {
         &self.pricing.model
     }
 
     /// The batching policy.
-    pub fn policy(&self) -> BatchPolicy {
+    #[cfg(test)]
+    pub(crate) fn policy(&self) -> BatchPolicy {
         self.policy
     }
 
-    /// The memory configuration.
-    pub fn memory(&self) -> MemoryConfig {
-        self.memory
-    }
-
     /// The chip organization.
-    pub fn parallelism(&self) -> Parallelism {
+    pub(crate) fn parallelism(&self) -> Parallelism {
         self.pricing.parallelism
     }
 
@@ -235,7 +227,7 @@ impl EngineSession {
     ///
     /// Returns an error for zero-way sharding (unreachable via public
     /// constructors).
-    pub fn footprint(&self) -> Result<KvFootprint> {
+    pub(crate) fn footprint(&self) -> Result<KvFootprint> {
         match (self.model(), self.parallelism()) {
             (ServingModel::Llm(m), Parallelism::TensorParallel { chips }) => {
                 KvFootprint::sharded(m, chips)

@@ -727,7 +727,7 @@ impl<'a> EngineCore<'a> {
     /// books: work a crash destroys was still computed and paid for.
     ///
     /// The core is inert afterwards — [`next_action`](Self::next_action)
-    /// returns `None` and [`is_done`](Self::is_done) holds — and the
+    /// returns `None` and `is_done` holds — and the
     /// driver models the restart by building a fresh core (empty
     /// allocator and prefix index) from the session after the repair
     /// delay.
@@ -785,14 +785,14 @@ impl<'a> EngineCore<'a> {
 
     /// Whether every pushed request has been completed and the stream is
     /// closed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.closed && self.queued() == 0 && self.resident() == 0
     }
 
     /// Requests currently resident on an executor (being computed or
     /// awaiting resumption); always zero between run-to-completion
     /// launches, whose batches complete within one step.
-    pub fn resident(&self) -> u64 {
+    pub(crate) fn resident(&self) -> u64 {
         match &self.state {
             State::Rtc(_) => 0,
             State::Cont(st) => st
@@ -992,7 +992,7 @@ impl<'a> EngineCore<'a> {
     /// # Panics
     ///
     /// Panics if the core holds no completion.
-    pub fn finish(self, label: &str) -> ServingRun {
+    pub(crate) fn finish(self, label: &str) -> ServingRun {
         let (memory, prefix) = (self.memory_stats(), self.prefix_stats());
         let mut completions = self.completions;
         completions.sort_unstable_by_key(|c| c.id);

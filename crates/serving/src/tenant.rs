@@ -61,7 +61,7 @@ impl SloClass {
 
     /// Default per-request latency target, in milliseconds, when a tenant
     /// spec does not override it.
-    pub fn default_slo_ms(self) -> f64 {
+    pub(crate) fn default_slo_ms(self) -> f64 {
         match self {
             SloClass::Interactive => 2.0,
             SloClass::Standard => 10.0,
@@ -70,7 +70,7 @@ impl SloClass {
     }
 
     /// Stable lowercase name (CLI flags and report rows).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SloClass::Interactive => "interactive",
             SloClass::Standard => "standard",
@@ -83,7 +83,7 @@ impl SloClass {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for an unknown name.
-    pub fn by_name(name: &str) -> Result<Self> {
+    pub(crate) fn by_name(name: &str) -> Result<Self> {
         match name {
             "interactive" => Ok(SloClass::Interactive),
             "standard" => Ok(SloClass::Standard),
@@ -186,7 +186,7 @@ impl TenantSet {
     ///
     /// # Errors
     ///
-    /// As for [`TenantSet::validate`].
+    /// As for `TenantSet::validate`.
     pub fn new(tenants: Vec<TenantSpec>) -> Result<Self> {
         let set = TenantSet { tenants };
         set.validate()?;
@@ -205,7 +205,7 @@ impl TenantSet {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] describing the first violation.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.tenants.is_empty() {
             return Err(Error::invalid_config("a tenant set needs >= 1 tenant"));
         }
@@ -268,7 +268,7 @@ impl TenantSet {
     ///
     /// # Errors
     ///
-    /// As for [`TenantSet::validate`].
+    /// As for `TenantSet::validate`.
     pub fn merged_spec(&self) -> Result<TrafficSpec> {
         self.validate()?;
         let total = self
@@ -648,7 +648,7 @@ impl TenantReport {
 /// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 for perfectly even
 /// allocations (and vacuously for an all-zero or empty one), approaching
 /// `1/n` as one participant monopolizes.
-pub fn jain(shares: &[f64]) -> f64 {
+pub(crate) fn jain(shares: &[f64]) -> f64 {
     let sum: f64 = shares.iter().sum();
     let sq: f64 = shares.iter().map(|x| x * x).sum();
     if sq == 0.0 || shares.is_empty() {

@@ -132,7 +132,7 @@ pub fn synthesize(spec: &TrafficSpec) -> Result<Vec<TraceRecord>> {
 /// # Errors
 ///
 /// Returns [`Error::InvalidConfig`] for an empty record list (via
-/// [`TrafficSpec::validate`]).
+/// `TrafficSpec::validate`).
 pub fn replay_spec(records: Vec<TraceRecord>) -> Result<TrafficSpec> {
     let spec = TrafficSpec {
         requests: records.len() as u64,

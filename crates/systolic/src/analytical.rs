@@ -35,28 +35,20 @@ pub struct GemmTiming {
 }
 
 impl GemmTiming {
-    /// The GEMM shape this timing describes.
-    pub fn shape(&self) -> GemmShape {
-        self.shape
-    }
-
     /// End-to-end cycles, including exposed weight loads and fill/drain.
     pub fn total(&self) -> Cycles {
         self.total
     }
 
     /// Weight-load cycles *not* hidden under compute.
-    pub fn exposed_weight_load(&self) -> Cycles {
+    #[cfg(test)]
+    pub(crate) fn exposed_weight_load(&self) -> Cycles {
         self.exposed_weight_load
     }
 
-    /// Cycles spent in the streaming/compute phase (incl. fill/drain skew).
-    pub fn compute(&self) -> Cycles {
-        self.compute
-    }
-
     /// Number of weight (or output) tiles the operation was folded into.
-    pub fn tiles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tiles(&self) -> u64 {
         self.tiles
     }
 

@@ -20,17 +20,6 @@ pub enum Dataflow {
     InputStationary,
 }
 
-impl Dataflow {
-    /// Short label used in reports (`"WS"`, `"OS"`, `"IS"`).
-    pub const fn label(self) -> &'static str {
-        match self {
-            Dataflow::WeightStationary => "WS",
-            Dataflow::OutputStationary => "OS",
-            Dataflow::InputStationary => "IS",
-        }
-    }
-}
-
 /// Geometry of a rectangular systolic array.
 ///
 /// # Examples
@@ -87,12 +76,12 @@ impl SystolicConfig {
     }
 
     /// The dataflow.
-    pub const fn dataflow(&self) -> Dataflow {
+    pub(crate) const fn dataflow(&self) -> Dataflow {
         self.dataflow
     }
 
     /// Whether weight loads overlap with compute.
-    pub const fn weight_double_buffering(&self) -> bool {
+    pub(crate) const fn weight_double_buffering(&self) -> bool {
         self.weight_double_buffering
     }
 
@@ -136,12 +125,5 @@ mod tests {
         assert!(SystolicConfig::new(128, 0, Dataflow::OutputStationary)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn dataflow_labels() {
-        assert_eq!(Dataflow::WeightStationary.label(), "WS");
-        assert_eq!(Dataflow::OutputStationary.label(), "OS");
-        assert_eq!(Dataflow::InputStationary.label(), "IS");
     }
 }

@@ -45,18 +45,15 @@ impl CycleSimRun {
         &self.result
     }
 
-    /// Cycles spent shifting weights into the array.
-    pub fn load_cycles(&self) -> Cycles {
-        self.load_cycles
-    }
-
     /// Cycles from first activation entering to last output leaving.
-    pub fn compute_cycles(&self) -> Cycles {
+    #[cfg(test)]
+    pub(crate) fn compute_cycles(&self) -> Cycles {
         self.compute_cycles
     }
 
     /// Total cycles (load + compute).
-    pub fn total_cycles(&self) -> Cycles {
+    #[cfg(test)]
+    pub(crate) fn total_cycles(&self) -> Cycles {
         self.load_cycles + self.compute_cycles
     }
 }

@@ -47,18 +47,9 @@ impl OsCycleSimRun {
         &self.result
     }
 
-    /// Cycles of the skewed operand-streaming phase.
-    pub fn stream_cycles(&self) -> Cycles {
-        self.stream_cycles
-    }
-
-    /// Cycles to drain accumulated outputs down the columns.
-    pub fn drain_cycles(&self) -> Cycles {
-        self.drain_cycles
-    }
-
     /// Total cycles.
-    pub fn total_cycles(&self) -> Cycles {
+    #[cfg(test)]
+    pub(crate) fn total_cycles(&self) -> Cycles {
         self.stream_cycles + self.drain_cycles
     }
 }

@@ -14,7 +14,7 @@ use crate::config::{Dataflow, SystolicConfig};
 
 /// Byte traffic between SRAM and the PE array for one GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GemmTraffic {
+pub(crate) struct GemmTraffic {
     activation_reads: Bytes,
     weight_reads: Bytes,
     output_writes: Bytes,
@@ -22,23 +22,18 @@ pub struct GemmTraffic {
 
 impl GemmTraffic {
     /// Activation bytes streamed into the array.
-    pub fn activation_reads(&self) -> Bytes {
+    pub(crate) fn activation_reads(&self) -> Bytes {
         self.activation_reads
     }
 
     /// Weight bytes loaded into the array.
-    pub fn weight_reads(&self) -> Bytes {
+    pub(crate) fn weight_reads(&self) -> Bytes {
         self.weight_reads
     }
 
     /// Output (incl. partial-sum) bytes written back.
-    pub fn output_writes(&self) -> Bytes {
+    pub(crate) fn output_writes(&self) -> Bytes {
         self.output_writes
-    }
-
-    /// All traffic combined.
-    pub fn total(&self) -> Bytes {
-        self.activation_reads + self.weight_reads + self.output_writes
     }
 }
 
@@ -113,16 +108,5 @@ mod tests {
         let shape = GemmShape::new(64, 1024, 64).unwrap();
         let t = gemm_traffic(&cfg, shape, DataType::Int8);
         assert_eq!(t.output_writes().get(), 64 * 64 * 4);
-    }
-
-    #[test]
-    fn total_is_sum_of_parts() {
-        let cfg = SystolicConfig::tpuv4i_mxu();
-        let shape = GemmShape::new(8, 7168, 7168).unwrap();
-        let t = gemm_traffic(&cfg, shape, DataType::Int8);
-        assert_eq!(
-            t.total(),
-            t.activation_reads() + t.weight_reads() + t.output_writes()
-        );
     }
 }

@@ -30,9 +30,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// All MXU-native operand types.
-    pub const MXU_NATIVE: [DataType; 2] = [DataType::Int8, DataType::Bf16];
-
     /// Size of one element in bytes.
     pub const fn size_bytes(self) -> u64 {
         match self {
@@ -40,11 +37,6 @@ impl DataType {
             DataType::Bf16 => 2,
             DataType::Fp32 => 4,
         }
-    }
-
-    /// Size of one element in bits.
-    pub const fn size_bits(self) -> u32 {
-        self.size_bytes() as u32 * 8
     }
 
     /// Number of mantissa bits fed to the integer MAC datapath.
@@ -58,15 +50,6 @@ impl DataType {
             DataType::Int8 => 8,
             DataType::Bf16 => 8,
             DataType::Fp32 => 24,
-        }
-    }
-
-    /// Number of exponent bits (zero for integer types).
-    pub const fn exponent_bits(self) -> u32 {
-        match self {
-            DataType::Int8 => 0,
-            DataType::Bf16 => 8,
-            DataType::Fp32 => 8,
         }
     }
 
@@ -93,23 +76,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sizes_are_consistent() {
-        for dt in [DataType::Int8, DataType::Bf16, DataType::Fp32] {
-            assert_eq!(dt.size_bits(), dt.size_bytes() as u32 * 8);
-        }
-    }
-
-    #[test]
     fn int8_has_no_exponent() {
-        assert_eq!(DataType::Int8.exponent_bits(), 0);
         assert!(!DataType::Int8.is_float());
     }
 
     #[test]
     fn bf16_layout() {
-        // 1 + 8 + 7 = 16 bits; mantissa_bits includes the hidden one.
-        assert_eq!(DataType::Bf16.size_bits(), 16);
-        assert_eq!(DataType::Bf16.exponent_bits(), 8);
+        // mantissa_bits includes the hidden one.
         assert_eq!(DataType::Bf16.mantissa_bits(), 8);
     }
 

@@ -42,24 +42,6 @@ impl Cycles {
     pub fn at(self, clock: Frequency) -> Seconds {
         Seconds::new(self.0 as f64 / clock.as_hz())
     }
-
-    /// Saturating subtraction; clamps at zero instead of underflowing.
-    #[must_use]
-    pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Largest of two cycle counts.
-    #[must_use]
-    pub fn max(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.max(rhs.0))
-    }
-
-    /// Smallest of two cycle counts.
-    #[must_use]
-    pub fn min(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.min(rhs.0))
-    }
 }
 
 impl Add for Cycles {
@@ -246,11 +228,6 @@ impl Seconds {
     pub fn as_nanos(self) -> f64 {
         self.get() * 1e9
     }
-
-    /// Converts to a cycle count on `clock`, rounding up.
-    pub fn to_cycles(self, clock: Frequency) -> Cycles {
-        Cycles::new((self.get() * clock.as_hz()).ceil() as u64)
-    }
 }
 
 f64_quantity!(
@@ -276,16 +253,6 @@ impl Joules {
         Joules::new(pj * 1e-12)
     }
 
-    /// Creates an energy from nanojoules.
-    pub fn from_nanojoules(nj: f64) -> Self {
-        Joules::new(nj * 1e-9)
-    }
-
-    /// Creates an energy from microjoules.
-    pub fn from_microjoules(uj: f64) -> Self {
-        Joules::new(uj * 1e-6)
-    }
-
     /// Creates an energy from millijoules.
     pub fn from_millijoules(mj: f64) -> Self {
         Joules::new(mj * 1e-3)
@@ -299,11 +266,6 @@ impl Joules {
     /// The energy in millijoules.
     pub fn as_millijoules(self) -> f64 {
         self.get() * 1e3
-    }
-
-    /// Average power when spent over `t`.
-    pub fn over(self, t: Seconds) -> Watts {
-        Watts::new(self.get() / t.get())
     }
 }
 
@@ -379,18 +341,6 @@ impl Bytes {
     /// The count in MiB as a float.
     pub fn as_mib(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Largest of two byte counts.
-    #[must_use]
-    pub fn max(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.max(rhs.0))
-    }
-
-    /// Smallest of two byte counts.
-    #[must_use]
-    pub fn min(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.min(rhs.0))
     }
 
     /// Saturating subtraction; clamps at zero.
@@ -503,11 +453,6 @@ f64_quantity!(
 );
 
 impl Frequency {
-    /// Creates a frequency from MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Frequency::new(mhz * 1e6)
-    }
-
     /// Creates a frequency from GHz.
     pub fn from_ghz(ghz: f64) -> Self {
         Frequency::new(ghz * 1e9)
@@ -516,11 +461,6 @@ impl Frequency {
     /// The frequency in hertz.
     pub fn as_hz(self) -> f64 {
         self.get()
-    }
-
-    /// The clock period.
-    pub fn period(self) -> Seconds {
-        Seconds::new(1.0 / self.get())
     }
 }
 
@@ -565,16 +505,12 @@ mod tests {
         let c = Cycles::new(1_050_000_000);
         let t = c.at(clk);
         assert!((t.get() - 1.0).abs() < 1e-12);
-        assert_eq!(t.to_cycles(clk), c);
     }
 
     #[test]
-    fn cycles_saturating_sub_clamps() {
-        assert_eq!(Cycles::new(3).saturating_sub(Cycles::new(10)), Cycles::ZERO);
-        assert_eq!(
-            Cycles::new(10).saturating_sub(Cycles::new(3)),
-            Cycles::new(7)
-        );
+    fn frequency_period_inverts() {
+        let f = Frequency::from_ghz(0.94);
+        assert!((Cycles::new(1).at(f).get() * f.as_hz() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -604,14 +540,12 @@ mod tests {
         let p = Watts::new(175.0);
         let t = Seconds::from_millis(10.0);
         let e = p.for_duration(t);
-        assert!((e.over(t).get() - 175.0).abs() < 1e-9);
+        assert!((e.get() - 1.75).abs() < 1e-12);
     }
 
     #[test]
     fn joules_unit_constructors() {
         assert!((Joules::from_picojoules(1e12).get() - 1.0).abs() < 1e-12);
-        assert!((Joules::from_nanojoules(1e9).get() - 1.0).abs() < 1e-12);
-        assert!((Joules::from_microjoules(1e6).get() - 1.0).abs() < 1e-12);
         assert!((Joules::from_millijoules(1e3).get() - 1.0).abs() < 1e-12);
     }
 
@@ -620,12 +554,6 @@ mod tests {
         let total: Seconds = [1.0, 2.0, 3.0].iter().map(|&s| Seconds::new(s)).sum();
         assert!((total.get() - 6.0).abs() < 1e-12);
         assert!((Seconds::new(3.0) / Seconds::new(1.5) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frequency_period_inverts() {
-        let f = Frequency::from_mhz(940.0);
-        assert!((f.period().get() * f.as_hz() - 1.0).abs() < 1e-12);
     }
 
     #[test]

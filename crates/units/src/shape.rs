@@ -78,11 +78,6 @@ impl GemmShape {
         self.m * self.k * self.n
     }
 
-    /// Total arithmetic operations (2 per MAC: multiply + add).
-    pub const fn ops(self) -> u64 {
-        2 * self.macs()
-    }
-
     /// Bytes of the `[m × k]` activation operand.
     pub fn activation_bytes(self, dtype: DataType) -> Bytes {
         Bytes::new(self.m * self.k * dtype.size_bytes())
@@ -96,16 +91,6 @@ impl GemmShape {
     /// Bytes of the `[m × n]` output operand.
     pub fn output_bytes(self, dtype: DataType) -> Bytes {
         Bytes::new(self.m * self.n * dtype.size_bytes())
-    }
-
-    /// Sum of all three operand footprints.
-    pub fn total_bytes(self, dtype: DataType) -> Bytes {
-        self.activation_bytes(dtype) + self.weight_bytes(dtype) + self.output_bytes(dtype)
-    }
-
-    /// Arithmetic intensity in MACs per byte of unique traffic.
-    pub fn arithmetic_intensity(self, dtype: DataType) -> f64 {
-        self.macs() as f64 / self.total_bytes(dtype).get() as f64
     }
 
     /// Splits the `n` dimension into `parts` nearly equal shapes.
@@ -171,10 +156,6 @@ mod tests {
         assert_eq!(g.activation_bytes(DataType::Bf16).get(), 4 * 8 * 2);
         assert_eq!(g.weight_bytes(DataType::Int8).get(), 8 * 16);
         assert_eq!(g.output_bytes(DataType::Fp32).get(), 4 * 16 * 4);
-        assert_eq!(
-            g.total_bytes(DataType::Int8).get(),
-            (4 * 8 + 8 * 16 + 4 * 16)
-        );
     }
 
     #[test]
@@ -194,15 +175,5 @@ mod tests {
         let parts = g.split_n(5);
         assert_eq!(parts.len(), 2);
         assert!(parts.iter().all(|p| p.n() == 1));
-    }
-
-    #[test]
-    fn decoding_gemv_has_low_intensity() {
-        // LLM decode GEMV: intensity < 1 MAC/byte (memory bound);
-        // prefill GEMM: orders of magnitude higher.
-        let gemv = GemmShape::gemv(7168, 7168).unwrap();
-        let gemm = GemmShape::new(8192, 7168, 7168).unwrap();
-        assert!(gemv.arithmetic_intensity(DataType::Int8) < 1.0);
-        assert!(gemm.arithmetic_intensity(DataType::Int8) > 1000.0);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Bands are intentionally loose (our substrate is a calibrated analytical
 //! simulator, not the authors' testbed): we assert *who wins, by roughly
-//! what factor, and where the crossovers fall* — see EXPERIMENTS.md for
-//! the exact paper-vs-measured numbers.
+//! what factor, and where the crossovers fall*. The exact paper-vs-measured
+//! numbers are in `REPRO_all.txt`: the `fig2_breakdown`,
+//! `fig6_layer_comparison`, `fig7_exploration` and `fig8_multi_device`
+//! sections print each measured figure next to the paper's.
 
 use cimtpu::prelude::*;
 
