@@ -5,6 +5,20 @@
 pub(crate) type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
 
 /// A simple text table with a header row.
+///
+/// Every table of the report sections in `repro::SECTIONS` is one of
+/// these.
+///
+/// # Examples
+///
+/// ```
+/// use cimtpu_bench::repro::SECTIONS;
+/// use cimtpu_units::Stdout;
+/// let (name, render) = SECTIONS[2];
+/// assert_eq!(name, "table1_parameters");
+/// render(&mut Stdout::lock())?;
+/// # Ok::<(), cimtpu_units::Error>(())
+/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
     header: Vec<String>,

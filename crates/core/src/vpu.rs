@@ -10,6 +10,30 @@ use serde::{Deserialize, Serialize};
 use cimtpu_units::{Cycles, Error, Joules, Result, Watts};
 
 /// Vector-unit geometry and per-element operation costs.
+///
+/// Every [`TpuConfig`](crate::TpuConfig) carries one; the simulator prices
+/// each vector operator with it.
+///
+/// # Examples
+///
+/// ```
+/// use cimtpu_core::{Simulator, TpuConfig};
+/// use cimtpu_models::{Op, OpCategory, OpInstance, Workload};
+///
+/// let cfg = TpuConfig::tpuv4i();
+/// let clock = cfg.clock();
+/// let softmax = Workload::new("softmax").with(OpInstance::new(
+///     "softmax",
+///     OpCategory::Attention,
+///     Op::Softmax { rows: 8, cols: 1024 },
+/// ));
+/// let rep = Simulator::new(cfg)?.run(&softmax)?;
+/// // Online softmax costs 12 vector ops per element on 1024 lanes:
+/// // 8 × 1024 × 12 / 1024 = 96 cycles.
+/// let cycles = rep.total_latency().get() * clock.as_hz();
+/// assert_eq!(cycles.round(), 96.0);
+/// # Ok::<(), cimtpu_units::Error>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct VpuConfig {
     pub(crate) lanes: u64,
