@@ -2,10 +2,10 @@
 //! ([`crate::repro::SECTIONS`]) render them as the paper report.
 //!
 //! The multi-point experiments (`fig7`, the extension sweeps, `moe_study`)
-//! fan their independent design points out through [`crate::sweep`]; each
-//! worker evaluates on its own memoized [`Simulator`], so results are
-//! bit-identical to — but much faster than — a sequential uncached run
-//! (see [`fig7_with`] and its test
+//! fan their independent design points out through the crate's sweep
+//! driver; each worker evaluates on its own memoized [`Simulator`], so
+//! results are bit-identical to — but much faster than — a sequential
+//! uncached run (see the crate-private `fig7_with` and its test
 //! `fig7_fast_path_matches_sequential_uncached_reference`).
 
 use serde::Serialize;
@@ -287,7 +287,7 @@ pub fn fig7() -> Result<Vec<Fig7Row>> {
 /// # Errors
 ///
 /// Returns an error if any configuration cannot map the workloads.
-pub fn fig7_with(mode: SweepMode) -> Result<Vec<Fig7Row>> {
+pub(crate) fn fig7_with(mode: SweepMode) -> Result<Vec<Fig7Row>> {
     let spec = LlmInferenceSpec::new(BATCH, INPUT_LEN, OUTPUT_LEN)?;
     let gpt3 = presets::gpt3_30b();
     let dit = presets::dit_xl_2();

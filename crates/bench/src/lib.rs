@@ -4,8 +4,8 @@
 //! structured results, so it can be driven three ways: the sections of
 //! [`repro`] (printing the same rows and series the paper reports, which
 //! the `repro_all` binary renders), `export_results` (the same results as
-//! JSON) and the tests. [`sweep`] fans the experiments' design points
-//! over the worker pool.
+//! JSON) and the tests. A crate-private sweep driver fans the
+//! experiments' design points over the worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,5 +14,5 @@
 mod data;
 pub mod experiments;
 pub mod repro;
-pub mod sweep;
+mod sweep;
 mod table;

@@ -11,12 +11,14 @@ pub(crate) use cimtpu_units::pool::{available_workers, parallel_map, parallel_ma
 /// How a sweep executes: the production fast path or the reference path
 /// the fast path is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepMode {
+pub(crate) enum SweepMode {
     /// Parallel fan-out with memoized simulators (the default).
     #[default]
     Parallel,
     /// One worker, mapping caches disabled: the pre-optimization baseline.
-    /// Produces bit-identical results to [`SweepMode::Parallel`].
+    /// Produces bit-identical results to [`SweepMode::Parallel`]; only the
+    /// tests that check the fast path run it.
+    #[cfg(test)]
     SequentialUncached,
 }
 
@@ -30,6 +32,7 @@ impl SweepMode {
     pub(crate) fn workers_for(self, items: usize) -> usize {
         match self {
             SweepMode::Parallel => available_workers().min(items).max(1),
+            #[cfg(test)]
             SweepMode::SequentialUncached => 1,
         }
     }

@@ -150,7 +150,13 @@ mod tests {
     #[test]
     fn mac_energy_dominates_at_high_utilization() {
         let mxu = SystolicArray::new(SystolicConfig::tpuv4i_mxu()).unwrap();
-        let e = mxu.gemm_energy(GemmShape::new(1 << 15, 4096, 4096).unwrap(), DataType::Int8);
+        let shape = GemmShape::new(1 << 15, 4096, 4096).unwrap();
+        let e = mxu.gemm_energy(shape, DataType::Int8);
+        let busy = mxu.gemm_timing(shape, DataType::Int8).total();
+        let leakage = mxu
+            .static_power()
+            .for_duration(busy.at(Frequency::from_ghz(1.05)));
+        assert!(e.mac() > leakage);
         assert!(e.mac() > e.weight_load());
     }
 }

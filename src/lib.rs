@@ -153,10 +153,10 @@
 //!   (`parallel_map` / `parallel_map_init`, rayon-style) that runs one
 //!   memoized simulator per worker and returns results in item order, so
 //!   parallel sweeps are output-identical to sequential ones.
-//!   `cimtpu_bench::sweep` runs the paper's sweeps on it (the `fig7`,
-//!   `sweep_extensions` and `moe_study` report sections), with the
-//!   sequential uncached reference as its `SweepMode`; `serve_sim` and
-//!   `cluster_sim` fan their scenarios out on it.
+//!   `cimtpu_bench` runs the paper's sweeps on it (the `fig7`,
+//!   `sweep_extensions` and `moe_study` report sections), checked by a
+//!   unit test against a sequential uncached reference run; `serve_sim`
+//!   and `cluster_sim` fan their scenarios out on it.
 //!
 //! Outside the simulator (map-space studies, external drivers),
 //! [`Mapper::best_gemm_mapping`](mapper::Mapper::best_gemm_mapping) maps

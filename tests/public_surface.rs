@@ -29,11 +29,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "as_nanos",
         "`Seconds::as_nanos` is called by the `Cycles` doctest, a doctest on another item",
     ),
-    (
-        "fig7_with",
-        "runs Fig. 7 under a `SweepMode`; the sequential uncached mode is \
-         the test oracle of the parallel fast path",
-    ),
 ];
 
 /// Directories whose `.rs` files count as users, relative to the root.
