@@ -27,11 +27,12 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workers" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
+                let n = args.next().and_then(|v| v.parse::<usize>().ok());
+                let Some(n) = n.filter(|&n| n > 0) else {
                     eprintln!("{NAME}: --workers needs a positive integer");
                     return ExitCode::from(2);
                 };
-                std::env::set_var("CIMTPU_WORKERS", n.max(1).to_string());
+                std::env::set_var("CIMTPU_WORKERS", n.to_string());
             }
             "--help" | "-h" => {
                 let mut out = Stdout::lock();

@@ -1,9 +1,9 @@
 //! The reproduction binaries' command lines: `repro_all` renders the
 //! committed `REPRO_all.txt` byte for byte and selects sections by name;
-//! `repro_all`, `export_results` and `cimtpu_cli` treat a closed stdout
-//! as the end of the output, not an error; `cimtpu_cli --help` is usage,
-//! not a failure, and `cimtpu_cli` rejects a flag that its command, or
-//! `simulate`'s stage, does not read.
+//! `repro_all` refuses `--workers 0`; `repro_all`, `export_results` and
+//! `cimtpu_cli` treat a closed stdout as the end of the output, not an
+//! error; `cimtpu_cli --help` is usage, not a failure, and `cimtpu_cli`
+//! rejects a flag that its command, or `simulate`'s stage, does not read.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -109,6 +109,26 @@ fn unknown_section_exits_2_naming_the_sections() {
     assert!(stderr.contains("no_such_section"), "{stderr}");
     for (name, _) in SECTIONS {
         assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
+}
+
+/// `--workers` takes a positive count: 0 (or a missing or malformed
+/// value) exits 2 before rendering anything.
+#[test]
+fn zero_workers_is_rejected() {
+    for args in [
+        &["--workers", "0", "fig7_exploration"][..],
+        &["--workers"],
+        &["--workers", "two"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_repro_all"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "repro_all: --workers needs a positive integer\n",
+            "{args:?}"
+        );
     }
 }
 

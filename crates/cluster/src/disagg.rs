@@ -601,7 +601,7 @@ pub(crate) fn pipeline(
     // stateless front of the pipeline here and cannot crash.
     let mut crashes = Vec::new();
     let mut windows = Vec::new();
-    for event in plan.resolve(decode.len())? {
+    for event in plan.resolve("the decode pool", decode.len())? {
         match event {
             FaultEvent::Crash {
                 at,
@@ -761,7 +761,7 @@ pub(crate) fn run_disaggregated<O: FleetObserver>(
     let mut next_crash = 0usize;
 
     let slots: Vec<ReplicaSpec> = prefill.iter().chain(decode).cloned().collect();
-    let obs = O::open(sink, &slots, true, None);
+    let obs = O::open(sink, &slots, None);
     let sessions = fleet_sessions(&slots)?;
     let (p_sessions, d_sessions) = sessions.split_at(prefill.len());
     let mut punits: Vec<PrefillUnit<'_>> = p_sessions

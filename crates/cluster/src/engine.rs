@@ -246,12 +246,11 @@ impl ClusterEngine {
     /// here: `None` runs the event loops with the no-op observer `()`,
     /// `Some` with a `FleetTrace` — replicas get one track each,
     /// control-plane events (crashes, retries, scaling actions,
-    /// reconcile ticks) land on a control track, registered only by runs
-    /// that have such events (a fault plan, an elastic fleet, a
-    /// disaggregated fleet), and queue/KV gauges stream into the
-    /// recorder's timeseries. Multi-tenant runs tag every
-    /// request-lifecycle event with its tenant index. Recording never
-    /// changes the run.
+    /// reconcile ticks) and a colocated fleet's arrivals land on a
+    /// control track, which every fleet registers, and queue/KV gauges
+    /// stream into the recorder's timeseries. Multi-tenant runs tag
+    /// every request-lifecycle event with its tenant index. Recording
+    /// never changes the run.
     ///
     /// # Errors
     ///
@@ -522,9 +521,9 @@ impl<K: Ord, T> EventQueue<K, T> {
 /// transitions, reconcile ticks (elastic fleets only), deferred deliveries
 /// and retry timers interleave with arrivals and engine steps. An empty
 /// plan has no fault timeline, no deadlines or shedding, and no
-/// availability section; a static fleet under it keeps the zero-fault
-/// trace layout (see [`FleetTrace`]). `O` observes the run: `()` for
-/// none, [`FleetTrace`] for the flight recorder.
+/// availability section; its trace has every fleet's one layout (see
+/// [`FleetTrace`]). `O` observes the run: `()` for none, [`FleetTrace`]
+/// for the flight recorder.
 ///
 /// Event classes at one instant resolve in a fixed order: faults and
 /// lifecycle transitions, the reconcile tick, completion deliveries,
@@ -577,7 +576,7 @@ fn run_colocated<O: FleetObserver>(
 
     let sessions = fleet_sessions(&slots)?;
     let elastic = autoscale.is_some().then_some(replicas);
-    let obs = O::open(sink, &slots, !zero_fault || elastic.is_some(), elastic);
+    let obs = O::open(sink, &slots, elastic);
     // Slot `k`'s core, at the start and — fresh, with an empty KV allocator
     // and prefix index — at every boot or restart. It prices through the
     // slot's shared pricing state.
@@ -921,8 +920,7 @@ fn run_colocated<O: FleetObserver>(
             let (queued, kv_frac) = (cores[i].queued(), cores[i].kv_frac());
             cores[i].take_completions(&mut produced);
             tracker.on_step(i, queued, kv_frac, &produced);
-            let gauges = [queued as f64, kv_frac];
-            obs.stepped(i, stepped_at, tracker.now(), &produced, gauges);
+            obs.stepped(i, stepped_at, [queued as f64, kv_frac]);
             for c in produced.drain(..) {
                 deliveries.push((i, c));
             }
@@ -956,7 +954,6 @@ fn run_colocated<O: FleetObserver>(
     for (k, core) in cores.iter().enumerate() {
         accum[k].harvest(core);
     }
-    obs.finish();
     delivered.sort_unstable_by_key(|c| c.id);
 
     // One row per slot that ever held a machine (every static replica).

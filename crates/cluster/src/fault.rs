@@ -271,16 +271,18 @@ impl FaultPlan {
         self.events.is_empty() && self.chaos.is_none()
     }
 
-    /// Materializes the timeline for a fleet of `replicas` replicas:
-    /// explicit events plus chaos draws, validated, sorted by effect time
-    /// (ties keep insertion order, chaos draws after explicit events).
+    /// Materializes the timeline for `pool` — the replicas a fault index
+    /// counts (`"the fleet"`, or a disaggregated fleet's `"the decode
+    /// pool"`), `replicas` of them: explicit events plus chaos draws,
+    /// validated, sorted by effect time (ties keep insertion order, chaos
+    /// draws after explicit events).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for an event targeting a replica
-    /// outside the fleet, an empty/negative window, or a non-positive
-    /// factor.
-    pub(crate) fn resolve(&self, replicas: usize) -> Result<Vec<FaultEvent>> {
+    /// outside the pool (the message names `pool`), an empty/negative
+    /// window, or a non-positive factor.
+    pub(crate) fn resolve(&self, pool: &str, replicas: usize) -> Result<Vec<FaultEvent>> {
         if replicas == 0 {
             return Err(Error::invalid_config(
                 "cannot inject faults into an empty fleet",
@@ -311,7 +313,7 @@ impl FaultPlan {
             {
                 if replica >= replicas {
                     return Err(Error::invalid_config(format!(
-                        "fault targets replica {replica} but the fleet has {replicas} replica(s)"
+                        "fault targets replica {replica} but {pool} has {replicas} replica(s)"
                     )));
                 }
             }
@@ -328,7 +330,7 @@ impl FaultPlan {
     /// is an error, as a colocated fleet has no handoff link.
     pub(crate) fn colocated_timeline(&self, n: usize) -> Result<Vec<(Seconds, FaultAction)>> {
         let mut timeline = Vec::new();
-        for event in self.resolve(n)? {
+        for event in self.resolve("the fleet", n)? {
             match event {
                 FaultEvent::Crash {
                     at,
@@ -831,7 +833,7 @@ mod tests {
     fn empty_plan_is_empty() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert!(plan.resolve(2).unwrap().is_empty());
+        assert!(plan.resolve("the fleet", 2).unwrap().is_empty());
         assert!(!plan
             .clone()
             .with_chaos(ChaosSpec {
@@ -851,10 +853,10 @@ mod tests {
                 repair: Seconds::new(0.25),
             })
         };
-        let a = plan(7).resolve(4).unwrap();
-        let b = plan(7).resolve(4).unwrap();
+        let a = plan(7).resolve("the fleet", 4).unwrap();
+        let b = plan(7).resolve("the fleet", 4).unwrap();
         assert_eq!(a, b, "same seed, same timeline");
-        let c = plan(8).resolve(4).unwrap();
+        let c = plan(8).resolve("the fleet", 4).unwrap();
         assert_ne!(a, c, "a different seed redraws the crashes");
         assert_eq!(plan(7).chaos().map(|c| c.crashes), Some(3));
         assert!(FaultPlan::seeded(7).chaos().is_none());
@@ -887,12 +889,15 @@ mod tests {
                 until: Seconds::new(2.0),
                 slowdown: 4.0,
             });
-        let events = plan.resolve(2).unwrap();
+        let events = plan.resolve("the fleet", 2).unwrap();
         assert!(
             matches!(events[0], FaultEvent::Straggler { .. }),
             "sorted by effect time"
         );
-        assert!(plan.resolve(1).is_err(), "replica 1 out of range");
+        assert!(
+            plan.resolve("the fleet", 1).is_err(),
+            "replica 1 out of range"
+        );
         assert!(FaultPlan::none()
             .with_event(FaultEvent::Straggler {
                 replica: 0,
@@ -900,7 +905,7 @@ mod tests {
                 until: Seconds::new(1.0),
                 slowdown: 4.0,
             })
-            .resolve(1)
+            .resolve("the fleet", 1)
             .is_err());
         assert!(FaultPlan::none()
             .with_event(FaultEvent::DegradedLink {
@@ -909,8 +914,46 @@ mod tests {
                 bandwidth_factor: 0.0,
                 energy_factor: 1.0,
             })
-            .resolve(1)
+            .resolve("the fleet", 1)
             .is_err());
+    }
+
+    /// An out-of-range fault index names the pool it indexes: the fleet
+    /// for a colocated fleet, the decode pool for a disaggregated one.
+    #[test]
+    fn out_of_range_fault_names_its_pool() {
+        use crate::{InterconnectSpec, ReplicaSpec};
+        use cimtpu_core::TpuConfig;
+        use cimtpu_serving::ServingModel;
+
+        let crash = FaultPlan::none().with_event(FaultEvent::Crash {
+            at: Seconds::new(0.001),
+            replica: 9,
+            repair: Seconds::new(1.0),
+        });
+        let message = |r: Result<Vec<FaultEvent>>| match r {
+            Err(Error::InvalidConfig(m)) => m,
+            other => panic!("expected a configuration error, got {other:?}"),
+        };
+        assert_eq!(
+            message(crash.resolve("the fleet", 2)),
+            "fault targets replica 9 but the fleet has 2 replica(s)"
+        );
+        let tiny = || {
+            ReplicaSpec::new(
+                "tiny",
+                TpuConfig::tpuv4i(),
+                ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer()),
+            )
+        };
+        let disagg = crate::disagg::pipeline(&[tiny()], &[tiny()], InterconnectSpec::ici(), &crash);
+        let Err(Error::InvalidConfig(m)) = disagg else {
+            panic!("replica 9 is outside a one-replica decode pool");
+        };
+        assert_eq!(
+            m,
+            "fault targets replica 9 but the decode pool has 1 replica(s)"
+        );
     }
 
     const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -925,7 +968,7 @@ mod tests {
     /// configuration error.
     fn rejected(event: FaultEvent) -> bool {
         matches!(
-            FaultPlan::none().with_event(event).resolve(2),
+            FaultPlan::none().with_event(event).resolve("the fleet", 2),
             Err(Error::InvalidConfig(_))
         )
     }
@@ -985,14 +1028,14 @@ mod tests {
                 repair: secs(0.5),
             })
         };
-        assert!(chaos(0.0, 1.0).resolve(2).is_ok());
+        assert!(chaos(0.0, 1.0).resolve("the fleet", 2).is_ok());
         for bad in NON_FINITE {
             assert!(matches!(
-                chaos(bad, 1.0).resolve(2),
+                chaos(bad, 1.0).resolve("the fleet", 2),
                 Err(Error::InvalidConfig(_))
             ));
             assert!(matches!(
-                chaos(0.0, bad).resolve(2),
+                chaos(0.0, bad).resolve("the fleet", 2),
                 Err(Error::InvalidConfig(_))
             ));
         }

@@ -140,11 +140,10 @@
 //! retry / shed / timeout / park) and fleet events (crash, repair,
 //! straggler windows, scale actions, reconcile ticks) keyed by
 //! simulated time, onto one track per replica slot (a disaggregated
-//! fleet's prefill pool, then its decode pool) plus a control track (a
-//! static colocated fleet under an empty plan has no control events and
-//! registers none: its cores trace their own arrivals, and its
-//! completions are emitted per replica at the end of the run). The
-//! recorder exports a Chrome trace-event JSON
+//! fleet's prefill pool, then its decode pool) plus a control track.
+//! Every fleet traces this one layout: the loop emits each arrival as it
+//! admits it and each completion as it delivers it. The recorder
+//! exports a Chrome trace-event JSON
 //! (Perfetto-loadable, via [`Recorder::to_chrome_json`] with a
 //! [`TraceFilter`]), streaming log-bucketed latency/TTFT histograms and
 //! downsampled gauge series ([`TimeseriesStats`], surfaced as the

@@ -2,9 +2,8 @@
 //! one trait the loops are generic over. `()` is the recorder-off
 //! observer — every method is an empty default the compiler removes, so
 //! the loops have no trace branches. [`FleetTrace`] is the recorder-backed
-//! one, and owns the trace layout rules.
+//! one, and owns the one trace layout every fleet records.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use cimtpu_obs::{EventKind, SharedRecorder, TraceHandle};
@@ -20,16 +19,10 @@ pub(crate) trait FleetObserver {
     /// What the observer is built from: nothing, or the recorder.
     type Sink;
 
-    /// Registers a fleet: one track per slot, a control track if
-    /// `control` (a fault plan, an elastic policy or a disaggregated
-    /// fleet), and a gauge pair per slot — or per group of an elastic
-    /// fleet, when `groups` is given.
-    fn open(
-        sink: &Self::Sink,
-        slots: &[ReplicaSpec],
-        control: bool,
-        groups: Option<&[ReplicaSpec]>,
-    ) -> Self;
+    /// Registers a fleet: one track per slot, then the control track,
+    /// and a gauge pair per slot — or per group of an elastic fleet, when
+    /// `groups` is given.
+    fn open(sink: &Self::Sink, slots: &[ReplicaSpec], groups: Option<&[ReplicaSpec]>) -> Self;
 
     /// Arms slot `k`'s fresh engine core with its track.
     fn attach(&self, _k: usize, _core: &mut EngineCore<'_>) {}
@@ -55,23 +48,19 @@ pub(crate) trait FleetObserver {
     /// Samples gauge pair `i` at `at`.
     fn sample(&self, _i: usize, _at: Seconds, _first: f64, _second: f64) {}
 
-    /// `stepped(k, at, clock, new, [queued, kv_frac])`: slot `k`'s core
-    /// stepped at `at` (`None`: flushed a stalled batch) with the routing
-    /// clock at `clock`, produced `new`, and holds the two gauges.
-    fn stepped(&self, _: usize, _: Option<Seconds>, _: Seconds, _: &[Completion], _: [f64; 2]) {}
+    /// `stepped(k, at, [queued, kv_frac])`: slot `k`'s core stepped at
+    /// `at` (`None`: flushed a stalled batch) and holds the two gauges.
+    fn stepped(&self, _k: usize, _at: Option<Seconds>, _gauges: [f64; 2]) {}
 
     /// Slot `k` delivered `c`.
     fn delivered(&self, _k: usize, _c: &Completion) {}
-
-    /// The run is over.
-    fn finish(&self) {}
 }
 
 /// The recorder-off observer.
 impl FleetObserver for () {
     type Sink = ();
 
-    fn open(_: &(), _: &[ReplicaSpec], _: bool, _: Option<&[ReplicaSpec]>) {}
+    fn open(_: &(), _: &[ReplicaSpec], _: Option<&[ReplicaSpec]>) {}
 }
 
 /// The flight-recorder observer: one track per slot, a gauge pair per
@@ -79,25 +68,21 @@ impl FleetObserver for () {
 /// `[queued, outstanding]` per group sampled at each reconcile tick, and
 /// a control track for fleet-level events.
 ///
-/// Without a control track (a static colocated fleet under an empty
-/// plan) each core traces its own arrivals, every completion is emitted
-/// per replica at the end of the run (the trace keeps them until then),
-/// and a step's gauges are stamped at its latest completion (or the
-/// routing clock, if later). With one, the loop traces arrivals and
-/// completions as it sees them — a crash can revoke work — and stamps a
-/// colocated step's gauges at the step instant. Multi-tenant runs tag
-/// every request-lifecycle event with its tenant index; single-tenant
-/// traces stay byte-identical to untenanted.
+/// Every fleet traces one layout. The loop traces each arrival as it
+/// admits it (a colocated one on the control track: the request can be
+/// parked, shed or time out before it reaches a core) and each
+/// completion on its slot's track as it delivers it (a crash can revoke
+/// work before then), and stamps a colocated step's gauges at the step
+/// instant. The cores trace the rest of the request lifecycle.
+/// Multi-tenant runs tag every request-lifecycle event with its tenant
+/// index; single-tenant traces stay byte-identical to untenanted.
 pub(crate) struct FleetTrace<'t> {
     rec: SharedRecorder,
     tracks: Vec<u32>,
     series: Vec<[usize; 2]>,
-    control: Option<u32>,
+    control: u32,
     /// Whether steps stamp per-slot gauges (not an elastic fleet's).
     step_gauges: bool,
-    /// Per slot, in completion order, the completions emitted at the end
-    /// of the run (without a control track only).
-    done: RefCell<Vec<Vec<Completion>>>,
     /// Each request's tenant, in a multi-tenant run only: every event is
     /// tagged then, a completion through this view.
     tenants: Option<RequestTenants<'t>>,
@@ -108,14 +93,6 @@ impl FleetTrace<'_> {
     fn tag(&self, r: &Request) -> Option<u32> {
         self.tenants.map(|_| r.tenant)
     }
-
-    fn complete(&self, k: usize, c: &Completion) {
-        let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
-        let (track, tag) = (self.tracks[k], self.tenants.map(|t| t.of(c.id)));
-        self.rec
-            .borrow_mut()
-            .complete(track, c.id, c.finish.get(), latency, ttft, tag);
-    }
 }
 
 impl<'t> FleetObserver for FleetTrace<'t> {
@@ -125,12 +102,11 @@ impl<'t> FleetObserver for FleetTrace<'t> {
     fn open(
         (rec, tenants): &Self::Sink,
         slots: &[ReplicaSpec],
-        control: bool,
         groups: Option<&[ReplicaSpec]>,
     ) -> Self {
         let mut r = rec.borrow_mut();
         let tracks: Vec<u32> = slots.iter().map(|spec| r.track(&spec.name)).collect();
-        let control = control.then(|| r.track("control"));
+        let control = r.track("control");
         let (owners, second) = groups.map_or((slots, "kv_frac"), |g| (g, "outstanding"));
         let mut gauge =
             |spec: &ReplicaSpec, what: &str| r.gauge_series(&format!("{}/{what}", spec.name));
@@ -145,7 +121,6 @@ impl<'t> FleetObserver for FleetTrace<'t> {
             series,
             control,
             step_gauges: groups.is_none(),
-            done: RefCell::new(vec![Vec::new(); slots.len()]),
             tenants: *tenants,
         }
     }
@@ -155,12 +130,11 @@ impl<'t> FleetObserver for FleetTrace<'t> {
     }
 
     fn arrival(&self, k: Option<usize>, r: &Request) {
-        if let Some(track) = k.map(|k| self.tracks[k]).or(self.control) {
-            let tag = self.tag(r);
-            self.rec
-                .borrow_mut()
-                .request_arrival(track, r.id, r.arrival_s, tag);
-        }
+        let track = k.map_or(self.control, |k| self.tracks[k]);
+        let tag = self.tag(r);
+        self.rec
+            .borrow_mut()
+            .instant(track, EventKind::Arrival, r.id, r.arrival_s, tag);
     }
 
     fn instant(&self, k: usize, kind: EventKind, at: Seconds) {
@@ -176,19 +150,16 @@ impl<'t> FleetObserver for FleetTrace<'t> {
     }
 
     fn control(&self, kind: EventKind, id: u64, at: Seconds) {
-        if let Some(control) = self.control {
-            self.rec
-                .borrow_mut()
-                .instant(control, kind, id, at.get(), None);
-        }
+        self.rec
+            .borrow_mut()
+            .instant(self.control, kind, id, at.get(), None);
     }
 
     fn request(&self, kind: EventKind, r: &Request, at: Seconds, until: Option<Seconds>) {
-        let Some(control) = self.control else { return };
         let (tag, mut rec) = (self.tag(r), self.rec.borrow_mut());
         match until {
-            Some(end) => rec.span(control, kind, r.id, at.get(), end.get(), tag),
-            None => rec.instant(control, kind, r.id, at.get(), tag),
+            Some(end) => rec.span(self.control, kind, r.id, at.get(), end.get(), tag),
+            None => rec.instant(self.control, kind, r.id, at.get(), tag),
         }
     }
 
@@ -198,37 +169,17 @@ impl<'t> FleetObserver for FleetTrace<'t> {
         rec.sample(self.series[i][1], at.get(), second);
     }
 
-    fn stepped(
-        &self,
-        k: usize,
-        at: Option<Seconds>,
-        clock: Seconds,
-        new: &[Completion],
-        gauges: [f64; 2],
-    ) {
-        let at = match self.control {
-            None => {
-                self.done.borrow_mut()[k].extend_from_slice(new);
-                Some(new.iter().map(|c| c.finish).fold(clock, Seconds::max))
-            }
-            Some(_) => at,
-        };
+    fn stepped(&self, k: usize, at: Option<Seconds>, gauges: [f64; 2]) {
         if let Some(at) = at.filter(|_| self.step_gauges) {
             self.sample(k, at, gauges[0], gauges[1]);
         }
     }
 
     fn delivered(&self, k: usize, c: &Completion) {
-        if self.control.is_some() {
-            self.complete(k, c);
-        }
-    }
-
-    fn finish(&self) {
-        for (k, done) in self.done.take().iter().enumerate() {
-            for c in done {
-                self.complete(k, c);
-            }
-        }
+        let (latency, ttft) = (c.latency().as_millis(), c.ttft().as_millis());
+        let (track, tag) = (self.tracks[k], self.tenants.map(|t| t.of(c.id)));
+        self.rec
+            .borrow_mut()
+            .complete(track, c.id, c.finish.get(), latency, ttft, tag);
     }
 }

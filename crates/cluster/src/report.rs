@@ -1,7 +1,7 @@
 //! Fleet-level metrics: per-replica utilization and the aggregate
 //! [`ClusterReport`].
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use cimtpu_autoscale::ScalingStats;
 use cimtpu_serving::{
@@ -192,12 +192,11 @@ pub struct ReplicaUtilization {
 /// Like `ServingReport`, serialization follows struct declaration order —
 /// the committed `BENCH_cluster.json` baseline is diffed byte-for-byte in
 /// CI, so field changes require regenerating the baseline in the same
-/// commit (a unit test pins the key order). Serialization is a manual
-/// impl (not derived) for one reason: the `availability` and `scaling`
-/// sections must be **omitted entirely** when absent — a derived `Option`
-/// would emit `"availability": null` / `"scaling": null` into every
-/// pre-existing baseline entry.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// commit (a unit test pins the key order). The optional sections
+/// (`availability`, `scaling`, `timeseries`, `tenants`) are **omitted
+/// entirely** when absent (`skip_serializing_if`), not written as `null`
+/// into every pre-existing baseline entry.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterReport {
     /// Scenario / run label.
     pub label: String,
@@ -251,75 +250,23 @@ pub struct ClusterReport {
     pub per_replica: Vec<ReplicaUtilization>,
     /// Availability/robustness section — present only for runs under a
     /// non-empty fault plan (zero-fault baselines omit the key).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub availability: Option<AvailabilityStats>,
     /// Scaling section — present only for runs under an autoscale policy
     /// (plain fleet runs omit the key, keeping old baselines byte-stable).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scaling: Option<ScalingStats>,
     /// Streaming-telemetry section — present only for traced runs (a
     /// recorder was attached); recorder-off runs omit the key so every
     /// pre-existing baseline entry stays byte-identical.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub timeseries: Option<cimtpu_obs::TimeseriesStats>,
     /// Per-tenant section — present only for runs offered a
     /// [`TenantSet`](crate::TenantSet) ([`ClusterEngine::run`](crate::ClusterEngine::run));
     /// single-tenant runs omit the key so every pre-existing baseline
     /// entry stays byte-identical.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenants: Option<TenantReport>,
-}
-
-impl Serialize for ClusterReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            ("label".to_owned(), self.label.to_value()),
-            ("topology".to_owned(), self.topology.to_value()),
-            ("router".to_owned(), self.router.to_value()),
-            ("replicas".to_owned(), self.replicas.to_value()),
-            ("chips".to_owned(), self.chips.to_value()),
-            ("offered".to_owned(), self.offered.to_value()),
-            ("completed".to_owned(), self.completed.to_value()),
-            ("makespan_s".to_owned(), self.makespan_s.to_value()),
-            ("throughput_rps".to_owned(), self.throughput_rps.to_value()),
-            ("goodput_rps".to_owned(), self.goodput_rps.to_value()),
-            ("slo_ms".to_owned(), self.slo_ms.to_value()),
-            (
-                "steps_per_second".to_owned(),
-                self.steps_per_second.to_value(),
-            ),
-            ("latency".to_owned(), self.latency.to_value()),
-            ("ttft".to_owned(), self.ttft.to_value()),
-            ("total_energy_j".to_owned(), self.total_energy_j.to_value()),
-            (
-                "energy_per_request_j".to_owned(),
-                self.energy_per_request_j.to_value(),
-            ),
-            ("preemptions".to_owned(), self.preemptions.to_value()),
-            ("queue_full_s".to_owned(), self.queue_full_s.to_value()),
-            ("kv_transfers".to_owned(), self.kv_transfers.to_value()),
-            (
-                "kv_transfer_bytes".to_owned(),
-                self.kv_transfer_bytes.to_value(),
-            ),
-            ("kv_transfer_s".to_owned(), self.kv_transfer_s.to_value()),
-            (
-                "kv_transfer_energy_j".to_owned(),
-                self.kv_transfer_energy_j.to_value(),
-            ),
-            ("imbalance".to_owned(), self.imbalance.to_value()),
-            ("per_replica".to_owned(), self.per_replica.to_value()),
-        ];
-        if let Some(availability) = &self.availability {
-            map.push(("availability".to_owned(), availability.to_value()));
-        }
-        if let Some(scaling) = &self.scaling {
-            map.push(("scaling".to_owned(), scaling.to_value()));
-        }
-        if let Some(timeseries) = &self.timeseries {
-            map.push(("timeseries".to_owned(), timeseries.to_value()));
-        }
-        if let Some(tenants) = &self.tenants {
-            map.push(("tenants".to_owned(), tenants.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl ClusterReport {

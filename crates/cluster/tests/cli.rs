@@ -278,6 +278,16 @@ fn seed_with_trace_in_is_rejected() {
 }
 
 /// `--json -` replaces the text output, so there is no summary to print.
+/// A run needs at least one worker: `--workers 0` is refused, not
+/// quietly run on one.
+#[test]
+fn zero_workers_is_rejected() {
+    assert_rejected(
+        &["--scenario", "smoke-cluster", "--workers", "0"],
+        "--workers needs a positive integer",
+    );
+}
+
 #[test]
 fn summary_with_json_stdout_is_rejected() {
     let args = ["--scenario", "smoke-cluster", "--summary", "--json", "-"];

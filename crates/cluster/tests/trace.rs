@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use cimtpu_cluster::scenario::by_name;
 use cimtpu_cluster::{
     ChaosSpec, ClusterEngine, ClusterRun, EventKind, FaultEvent, FaultPlan, InterconnectSpec,
-    Recorder, ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet, TenantSpec,
+    Offered, Recorder, ReplicaSpec, RouterPolicy, SharedRecorder, SloClass, TenantSet, TenantSpec,
     TraceFilter,
 };
 use cimtpu_core::TpuConfig;
@@ -309,6 +309,82 @@ fn benign_plan_disagg_traces_match_empty_plan() {
     }
 }
 
+/// The colocated counterpart: a static fleet traces one layout under
+/// every plan. Across batch policies × routers × traffic (open loop,
+/// zero-think closed loop, two tenants), a traced ×1-straggler run
+/// exports the same request-lifecycle events and gauge CSV as the traced
+/// empty-plan run, whose trace carries the control track too. The
+/// plan's own `straggler` span is filtered out.
+#[test]
+fn benign_plan_colocated_traces_match_empty_plan() {
+    let lifecycle =
+        TraceFilter::parse("arrival,queue,prefill,decode,complete,preempt,retry,shed,timeout,park")
+            .unwrap();
+    let benign = FaultPlan::none().with_event(FaultEvent::Straggler {
+        replica: 0,
+        from: Seconds::ZERO,
+        until: Seconds::new(10.0),
+        slowdown: 1.0,
+    });
+    let policies = [
+        BatchPolicy::Continuous { max_batch: 4 },
+        BatchPolicy::Static { batch: 4 },
+        BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_wait_ms: 0.5,
+        },
+    ];
+    let open = chaos_traffic(7);
+    let closed = TrafficSpec {
+        arrival: ArrivalPattern::ClosedLoop {
+            clients: 6,
+            think_ms: 0.0,
+        },
+        ..chaos_traffic(8)
+    };
+    let tenants = TenantSet::new(vec![
+        TenantSpec::new("chat", SloClass::Interactive, 2.0, chaos_traffic(8)),
+        TenantSpec::new("bulk", SloClass::Batch, 1.0, chaos_traffic(9)),
+    ])
+    .unwrap();
+    let offered = [
+        ("open loop", Offered::from(&open)),
+        ("closed loop", Offered::from(&closed)),
+        ("two tenants", Offered::from(&tenants)),
+    ];
+    for policy in policies {
+        for router in [RouterPolicy::RoundRobin, RouterPolicy::LeastOutstanding] {
+            let export = |plan: &FaultPlan, offered: Offered<'_>| {
+                let tiny = || ServingModel::Llm(cimtpu_serving::scenario::tiny_transformer());
+                let engine = ClusterEngine::colocated(
+                    (0..3)
+                        .map(|k| {
+                            ReplicaSpec::new(format!("r-{k}"), TpuConfig::tpuv4i(), tiny())
+                                .with_policy(policy)
+                        })
+                        .collect(),
+                    router,
+                )
+                .unwrap()
+                .with_faults(plan.clone());
+                let rec = fresh();
+                engine.run_observed("benign", offered, Some(&rec)).unwrap();
+                let rec = rec.borrow();
+                (rec.to_chrome_json(&lifecycle), rec.metrics_csv("benign"))
+            };
+            for (traffic, offered) in offered {
+                let case = format!("{policy:?} / {router:?} / {traffic}");
+                let (json, csv) = export(&FaultPlan::none(), offered);
+                assert!(
+                    json.contains("\"args\":{\"name\":\"control\"}"),
+                    "{case}: {json}"
+                );
+                assert_eq!((json, csv), export(&benign, offered), "{case}");
+            }
+        }
+    }
+}
+
 fn router_strategy() -> impl Strategy<Value = RouterPolicy> {
     (0u64..3).prop_map(|i| match i {
         0 => RouterPolicy::RoundRobin,
@@ -398,16 +474,16 @@ fn digest(export: &str) -> Digest {
 
 /// Trace and gauge-CSV bytes pinned across commits, not only across two
 /// runs of one build: `(scenario, (json digest, json len), (csv digest,
-/// csv len))`. The set covers the zero-fault layout (per-replica
-/// completions at the end of the run), a crash plan, the disaggregated
-/// loop, an elastic fleet and tenant-tagged events. A refactor of the
-/// observer plumbing must leave every entry unchanged.
+/// csv len))`. The set covers a static colocated fleet under an empty
+/// plan (closed loop), a crash plan, the disaggregated loop, an elastic
+/// fleet and tenant-tagged events. A refactor of the observer plumbing
+/// must leave every entry unchanged.
 #[test]
 fn trace_exports_are_pinned() {
     const PINNED: [(&str, Digest, Digest); 5] = [
         (
             "closed-loop-c8",
-            (0xff3b_403a_39a6_e1c9, 24_165),
+            (0x5d32_a038_8221_a21c, 24_240),
             (0x0f09_fa08_c531_3371, 1_264),
         ),
         (
@@ -427,8 +503,8 @@ fn trace_exports_are_pinned() {
         ),
         (
             "cluster-noisy-neighbor",
-            (0x9455_c74e_e4ea_5352, 36_331),
-            (0x1c2a_9eeb_a328_a5da, 1_003),
+            (0xb900_b270_0943_200b, 36_406),
+            (0x66e7_2c22_877e_5a54, 1_006),
         ),
     ];
     let got: Vec<_> = PINNED

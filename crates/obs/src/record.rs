@@ -4,8 +4,6 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use rustc_hash::FxHashSet;
-
 use crate::event::{Event, EventKind, TraceFilter};
 use crate::timeseries::{GaugeSeries, HistogramSummary, TimeseriesStats};
 use crate::LogHistogram;
@@ -32,7 +30,6 @@ struct GaugeBuf {
 pub struct Recorder {
     events: Vec<Event>,
     tracks: Vec<String>,
-    seen: FxHashSet<u64>,
     latency_ms: LogHistogram,
     ttft_ms: LogHistogram,
     gauges: Vec<GaugeBuf>,
@@ -72,18 +69,6 @@ impl Recorder {
         {
             g.t_s.push(ts_s);
             g.values.push(value);
-        }
-    }
-
-    /// Records the first sighting of request `id` as an [arrival]
-    /// instant, tagged with `tenant` if given; later sightings (crash
-    /// retries re-entering a queue) are ignored so each id arrives
-    /// exactly once.
-    ///
-    /// [arrival]: EventKind::Arrival
-    pub fn request_arrival(&mut self, track: u32, id: u64, ts_s: f64, tenant: Option<u32>) {
-        if self.seen.insert(id) {
-            self.instant(track, EventKind::Arrival, id, ts_s, tenant);
         }
     }
 
@@ -278,13 +263,6 @@ impl TraceHandle {
         TraceHandle { rec, track }
     }
 
-    /// See [`Recorder::request_arrival`].
-    pub fn arrival(&self, id: u64, ts_s: f64, tenant: Option<u32>) {
-        self.rec
-            .borrow_mut()
-            .request_arrival(self.track, id, ts_s, tenant);
-    }
-
     /// Emits an instant on this handle's track (see
     /// [`Recorder::instant`]).
     pub fn instant(&self, kind: EventKind, id: u64, ts_s: f64, tenant: Option<u32>) {
@@ -304,22 +282,6 @@ impl TraceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arrival_dedups_by_id() {
-        let mut r = Recorder::new();
-        let t = r.track("r0");
-        r.request_arrival(t, 7, 0.0, None);
-        r.request_arrival(t, 7, 1.0, None);
-        r.request_arrival(t, 8, 2.0, None);
-        let arrivals: Vec<u64> = r
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::Arrival)
-            .map(|e| e.id)
-            .collect();
-        assert_eq!(arrivals, vec![7, 8]);
-    }
 
     #[test]
     fn chrome_export_sorts_and_formats() {
@@ -387,17 +349,10 @@ mod tests {
         let t1 = rec.borrow_mut().track("r1");
         let h0 = TraceHandle::new(Rc::clone(&rec), t0);
         let h1 = TraceHandle::new(Rc::clone(&rec), t1);
-        h0.arrival(1, 0.0, None);
-        h1.arrival(1, 0.5, None); // same id, different core: still one arrival
+        h0.span(EventKind::Queue, 1, 0.0, 0.5, None);
         h1.instant(EventKind::Shed, 1, 1.0, None);
         let r = rec.borrow();
-        assert_eq!(
-            r.events()
-                .iter()
-                .filter(|e| e.kind == EventKind::Arrival)
-                .count(),
-            1
-        );
-        assert_eq!(r.events().last().unwrap().kind, EventKind::Shed);
+        let tracks: Vec<(EventKind, u32)> = r.events().iter().map(|e| (e.kind, e.track)).collect();
+        assert_eq!(tracks, vec![(EventKind::Queue, t0), (EventKind::Shed, t1)]);
     }
 }

@@ -143,11 +143,12 @@ impl SimFlags {
     /// # Errors
     ///
     /// Returns the message to print for a flag the binary does not know,
-    /// a malformed value (`--clients 0`, a negative or non-finite
-    /// `--think-ms`, a `--kv-budget`, `--tenants` or `--trace-filter`
-    /// spec that does not parse), a flag without the flag it needs, a
-    /// flag the selected mode does not read (see the flag table), or
-    /// `--summary` with `--json -` (the JSON replaces the text output).
+    /// a malformed value (`--workers 0`, `--clients 0`, a negative or
+    /// non-finite `--think-ms`, a `--kv-budget`, `--tenants` or
+    /// `--trace-filter` spec that does not parse), a flag without the flag
+    /// it needs, a flag the selected mode does not read (see the flag
+    /// table), or `--summary` with `--json -` (the JSON replaces the text
+    /// output).
     pub(crate) fn parse_from(
         args: impl IntoIterator<Item = String>,
         mode: u8,
@@ -178,10 +179,10 @@ impl SimFlags {
             match name {
                 "--scenario" => flags.scenario = value,
                 "--seed" => flags.seed = Some(number("--seed")?),
-                "--workers" => {
-                    let n = number("--workers")?;
-                    std::env::set_var("CIMTPU_WORKERS", n.max(1).to_string());
-                }
+                "--workers" => match number("--workers")? {
+                    0 => return Err("--workers needs a positive integer".into()),
+                    n => std::env::set_var("CIMTPU_WORKERS", n.to_string()),
+                },
                 "--json" => flags.json = Some(value),
                 "--kv-budget" => {
                     flags.kv_budget = Some(parse_kv_budget(&value).map_err(|e| e.to_string())?);

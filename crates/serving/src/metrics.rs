@@ -1,6 +1,6 @@
 //! Serving metrics: completions, latency percentiles, throughput.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use cimtpu_units::{Joules, Seconds};
 
@@ -226,9 +226,9 @@ impl MemoryStats {
 /// diffed byte-for-byte in CI, so **reordering, adding, or removing
 /// fields here changes the baseline format** and requires regenerating
 /// the baselines in the same commit. A unit test pins the current key
-/// order. `tenants` is omitted when absent (manual [`Serialize`] below),
-/// so single-tenant reports stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// order. `tenants` is omitted when absent (`skip_serializing_if`), so
+/// single-tenant reports stay byte-identical.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingReport {
     /// Scenario / run label.
     pub label: String,
@@ -263,39 +263,8 @@ pub struct ServingReport {
     pub kv_hwm_frac: f64,
     /// Per-tenant section (goodput, SLO attainment, fairness); `None` —
     /// and omitted from JSON — for single-tenant runs.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenants: Option<TenantReport>,
-}
-
-impl Serialize for ServingReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            ("label".to_owned(), self.label.to_value()),
-            ("policy".to_owned(), self.policy.to_value()),
-            ("chips".to_owned(), self.chips.to_value()),
-            ("offered".to_owned(), self.offered.to_value()),
-            ("completed".to_owned(), self.completed.to_value()),
-            ("makespan_s".to_owned(), self.makespan_s.to_value()),
-            ("throughput_rps".to_owned(), self.throughput_rps.to_value()),
-            (
-                "steps_per_second".to_owned(),
-                self.steps_per_second.to_value(),
-            ),
-            ("latency".to_owned(), self.latency.to_value()),
-            ("ttft".to_owned(), self.ttft.to_value()),
-            ("total_energy_j".to_owned(), self.total_energy_j.to_value()),
-            (
-                "energy_per_request_j".to_owned(),
-                self.energy_per_request_j.to_value(),
-            ),
-            ("preemptions".to_owned(), self.preemptions.to_value()),
-            ("queue_full_s".to_owned(), self.queue_full_s.to_value()),
-            ("kv_hwm_frac".to_owned(), self.kv_hwm_frac.to_value()),
-        ];
-        if let Some(tenants) = &self.tenants {
-            map.push(("tenants".to_owned(), tenants.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl ServingReport {

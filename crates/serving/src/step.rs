@@ -246,12 +246,6 @@ impl Emitter {
         self.tagged.then_some(r.tenant)
     }
 
-    fn arrival(&self, r: &Request) {
-        if let Some(h) = &self.handle {
-            h.arrival(r.id, r.arrival_s, self.tenant(r));
-        }
-    }
-
     fn span(&self, kind: EventKind, r: &Request, start: Seconds, end: Seconds) {
         if let Some(h) = &self.handle {
             h.span(kind, r.id, start.get(), end.get(), self.tenant(r));
@@ -545,8 +539,9 @@ impl<'a> EngineCore<'a> {
     }
 
     /// Attaches a flight-recorder handle: from now on the core emits
-    /// request-lifecycle events (arrival, queue/prefill/decode spans,
-    /// preemptions) on the handle's track. Emission never feeds back
+    /// request-lifecycle events (queue/prefill/decode spans, preemptions)
+    /// on the handle's track; arrivals and completions are the driver's
+    /// to trace. Emission never feeds back
     /// into scheduling, so a traced core's report is bit-identical to
     /// an untraced one.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
@@ -595,7 +590,6 @@ impl<'a> EngineCore<'a> {
                 "arrivals must be pushed in time order"
             );
         }
-        self.trace.arrival(&request);
         let tenant = self.tenancy.of(&request);
         let idx = self.window.push(request);
         self.tenancy.tenants[tenant].queue.push_back(idx);

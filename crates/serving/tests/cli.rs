@@ -28,6 +28,16 @@ fn tmp(name: &str) -> String {
     path.to_str().expect("utf-8 path").to_owned()
 }
 
+/// A run needs at least one worker: `--workers 0` is refused, not
+/// quietly run on one.
+#[test]
+fn zero_workers_is_rejected() {
+    assert_rejected(
+        &["--scenario", "smoke", "--workers", "0"],
+        "--workers needs a positive integer",
+    );
+}
+
 /// `--trace-out` writes the scenario's own traffic, which `--tenants`
 /// would not reach; a malformed spec is refused as it is read.
 #[test]
